@@ -64,11 +64,15 @@ if [[ "${1:-}" == "--quick" ]]; then
     cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 3
     trace_smoke
     depcheck_smoke
+    # The benchmark is a package outside the workspace: compile it against
+    # the product API so a signature change that breaks it fails here.
+    cargo check --offline --manifest-path sfbench/Cargo.toml
     exit 0
 fi
 
 cargo build --release
 cargo test -q
+cargo test --release --offline --manifest-path sfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 trace_smoke

@@ -97,10 +97,9 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
     let source = project.file(big).expect("module has source");
     let compiler = Compiler::new(Config::stateless());
     let env = ModuleEnv::new();
-    let (checked, _) = compiler
-        .phase_frontend(big, source, &env)
-        .expect("generated module compiles");
-    let (ir, _) = compiler.phase_lower(&checked, &env);
+    let (checked, _) =
+        sfcc::phases::frontend(big, source, &env).expect("generated module compiles");
+    let (ir, _) = sfcc::phases::lower(&checked, &env);
 
     // Repetitions are interleaved across worker counts (rep-major, not
     // jobs-major): host-load drift then lands on every sweep point equally
@@ -123,7 +122,10 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
             // process-global, so only the delta belongs to this run.
             let snap_before = sfcc_passes::snapshot_stats();
             let t = Instant::now();
-            let (optimized, _) = compiler.phase_optimize_jobs(&ir, point.jobs);
+            let mut optimized = ir.clone();
+            sfcc_pool::scope(sfcc_pool::effective_jobs(point.jobs), |ps| {
+                compiler.optimize(&mut optimized, Some(ps))
+            });
             point.optimize_ns = point.optimize_ns.min(t.elapsed().as_nanos() as u64);
             let snap = sfcc_passes::snapshot_stats().delta_since(&snap_before);
             // Deterministic per run; any repetition reports the same.

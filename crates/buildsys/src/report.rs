@@ -12,7 +12,7 @@ use crate::depcheck::DepcheckReport;
 use sfcc::CompileOutput;
 use sfcc_backend::Program;
 use sfcc_passes::PassOutcome;
-use sfcc_trace::json::Value;
+use sfcc_trace::json::{escape_into, Value};
 use sfcc_trace::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -309,7 +309,7 @@ impl BuildReport {
             self.metric("build.jobs", self.jobs as u64)
         );
         out.push_str("\"outcome\":");
-        push_json_string(&mut out, &self.outcome);
+        escape_into(&mut out, &self.outcome);
         let _ = write!(out, ",\"state_generation\":{},", self.state_generation);
         let (active, dormant, skipped) = self.outcome_totals();
         let _ = write!(
@@ -329,7 +329,7 @@ impl BuildReport {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, task);
+            escape_into(&mut out, task);
         }
         out.push_str("]},");
         let _ = write!(
@@ -359,7 +359,7 @@ impl BuildReport {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, path);
+            escape_into(&mut out, path);
         }
         // The depcheck block is present on every report — zeroed when the
         // audit was off — so consumers never have to branch on a missing
@@ -387,13 +387,13 @@ impl BuildReport {
                 out.push(',');
             }
             out.push_str("{\"kind\":");
-            push_json_string(&mut out, f.kind.label());
+            escape_into(&mut out, f.kind.label());
             out.push_str(",\"task\":");
-            push_json_string(&mut out, &f.task);
+            escape_into(&mut out, &f.task);
             out.push_str(",\"resource\":");
-            push_json_string(&mut out, &f.resource);
+            escape_into(&mut out, &f.resource);
             out.push_str(",\"detail\":");
-            push_json_string(&mut out, &f.detail);
+            escape_into(&mut out, &f.detail);
             out.push('}');
         }
         // The cas block mirrors the `cas.*` gauges the compiler publishes:
@@ -417,7 +417,7 @@ impl BuildReport {
                 out.push(',');
             }
             out.push_str("{\"pass\":");
-            push_json_string(&mut out, &agg.pass);
+            escape_into(&mut out, &agg.pass);
             let _ = write!(
                 out,
                 ",\"total_ns\":{},\"runs\":{},\"skipped\":{}}}",
@@ -432,7 +432,7 @@ impl BuildReport {
                 out.push(',');
             }
             let _ = write!(out, "{{\"slot\":{},\"pass\":", agg.slot);
-            push_json_string(&mut out, &agg.pass);
+            escape_into(&mut out, &agg.pass);
             let _ = write!(
                 out,
                 ",\"total_ns\":{},\"runs\":{}}}",
@@ -446,7 +446,7 @@ impl BuildReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            push_json_string(&mut out, &module.name);
+            escape_into(&mut out, &module.name);
             let _ = write!(out, ",\"rebuilt\":{}", module.rebuilt);
             if let Some(output) = &module.output {
                 let (a, d, s) = output.outcome_totals();
@@ -727,24 +727,4 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
     let metrics = doc.get("metrics").ok_or("metrics: missing block")?;
     MetricsSnapshot::from_json(metrics).map_err(|e| format!("metrics: {e}"))?;
     Ok(())
-}
-
-/// Appends `s` as a JSON string literal, escaping quotes, backslashes, and
-/// control characters.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }

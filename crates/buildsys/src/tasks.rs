@@ -279,7 +279,7 @@ pub(crate) struct WaveBatch {
 
 /// Per-module snapshot/batch totals accumulated over one build's restricted
 /// optimization runs. All fields are deterministic and `--jobs`-invariant
-/// (they derive from the pipeline runners' jobs-invariant trace counters).
+/// (they derive from the pipeline's jobs-invariant trace counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SnapshotTotals {
     /// Module snapshots taken (pipeline entry + re-snapshot stages).
@@ -388,9 +388,9 @@ impl<'a> BuildSpec<'a> {
     }
 
     /// Runs one restricted optimization batch per module of a wave on a
-    /// single shared pool of `self.jobs` workers — capped at the host's
-    /// available parallelism, sequentially when that leaves one worker —
-    /// against the immutable session snapshot, parking each
+    /// single shared pool of `self.jobs` workers (capped at the host's
+    /// available parallelism; a width-1 pool runs every batch on the calling
+    /// thread) against the immutable session snapshot, parking each
     /// stale function's artifact for the matching `optimizefn` execution to
     /// consume. Batches run *outside* any task scope: their resource
     /// accesses are deliberately unattributed (each `optimizefn` task notes
@@ -398,67 +398,70 @@ impl<'a> BuildSpec<'a> {
     /// byte-identical to solo runs, so parking is a pure latency play.
     /// Batches are seeded largest-closure-first so big modules start
     /// earliest.
-    pub(crate) fn run_batches(&mut self, batches: Vec<WaveBatch>) {
+    pub(crate) fn run_batches(&mut self, mut batches: Vec<WaveBatch>) {
         if batches.is_empty() {
             return;
         }
         let compiler: &Compiler = self.compiler;
-        let mut results: Vec<Option<(sfcc_ir::Module, OptimizeOutcome)>> = Vec::new();
-        let width = sfcc_pool::effective_jobs(self.jobs);
-        if width <= 1 {
-            for batch in &batches {
-                results.push(Some(compiler.phase_optimize_restricted(&batch.ir, None)));
+        let slots: Vec<Mutex<Option<(sfcc_ir::Module, OptimizeOutcome)>>> =
+            batches.iter().map(|_| Mutex::new(None)).collect();
+        let mut order: Vec<usize> = (0..batches.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(batches[i].ir.functions.len()));
+        sfcc_pool::scope(sfcc_pool::effective_jobs(self.jobs), |ps| {
+            for i in order {
+                let mut ir = std::mem::take(&mut batches[i].ir);
+                let slot = &slots[i];
+                ps.spawn(move |ps| {
+                    let outcome = compiler.optimize(&mut ir, Some(ps));
+                    *slot.lock().expect("batch slot poisoned") = Some((ir, outcome));
+                });
             }
-        } else {
-            let slots: Vec<Mutex<Option<(sfcc_ir::Module, OptimizeOutcome)>>> =
-                batches.iter().map(|_| Mutex::new(None)).collect();
-            let mut order: Vec<usize> = (0..batches.len()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(batches[i].ir.functions.len()));
-            sfcc_pool::scope(width, |ps| {
-                for &i in &order {
-                    let batch = &batches[i];
-                    let slots = &slots;
-                    ps.spawn(move |ps| {
-                        *slots[i].lock().unwrap() =
-                            Some(compiler.phase_optimize_restricted(&batch.ir, Some(ps)));
-                    });
-                }
-                // The scope drains every task before returning.
-            });
-            for slot in slots {
-                results.push(slot.into_inner().expect("batch slot poisoned"));
+            // The scope drains every task before returning.
+        });
+        for (batch, slot) in batches.into_iter().zip(slots) {
+            let (optimized, outcome) = slot
+                .into_inner()
+                .expect("batch slot poisoned")
+                .expect("the scope ran every batch task");
+            let parked = self.book_restricted_run(&batch.module, &optimized, outcome, &batch.stale);
+            for (f, prepared) in batch.stale.into_iter().zip(parked) {
+                self.prepared.insert((batch.module.clone(), f), prepared);
             }
         }
-        for (batch, result) in batches.into_iter().zip(results) {
-            let Some((optimized, outcome)) = result else {
-                continue;
-            };
-            for f in &batch.stale {
-                let func = optimized
+    }
+
+    /// Books one restricted optimization run of `module` — deferred cache
+    /// inserts, phase timings, snapshot totals — and extracts the artifact
+    /// of each `wanted` function, in `wanted` order.
+    fn book_restricted_run(
+        &mut self,
+        module: &str,
+        optimized: &sfcc_ir::Module,
+        outcome: OptimizeOutcome,
+        wanted: &[String],
+    ) -> Vec<PreparedFn> {
+        self.cache_inserts.extend(outcome.cache_inserts);
+        let timings = self.timings.entry(module.to_string()).or_default();
+        timings.middle_ns += outcome.middle_ns;
+        timings.state_ns += outcome.state_ns;
+        self.snapshots
+            .entry(module.to_string())
+            .or_default()
+            .absorb(&outcome.trace);
+        wanted
+            .iter()
+            .map(|f| PreparedFn {
+                func: optimized
                     .function(f)
                     .cloned()
-                    .expect("stale function present in its own closure batch");
-                let ftrace = outcome
+                    .expect("restricted run covers every demanded function"),
+                ftrace: outcome
                     .trace
-                    .functions
-                    .iter()
-                    .find(|t| t.function == *f)
+                    .function(f)
                     .cloned()
-                    .expect("batch trace covers every batched function");
-                self.prepared.insert(
-                    (batch.module.clone(), f.clone()),
-                    PreparedFn { func, ftrace },
-                );
-            }
-            self.cache_inserts.extend(outcome.cache_inserts);
-            let timings = self.timings.entry(batch.module.clone()).or_default();
-            timings.middle_ns += outcome.middle_ns;
-            timings.state_ns += outcome.state_ns;
-            self.snapshots
-                .entry(batch.module.clone())
-                .or_default()
-                .absorb(&outcome.trace);
-        }
+                    .expect("restricted trace covers every demanded function"),
+            })
+            .collect()
     }
 
     /// Applies the wave's accumulated function-cache inserts to the session
@@ -496,11 +499,11 @@ impl<'a> BuildSpec<'a> {
                 Some(source) => fnv64(source.as_bytes()),
                 None => fnv64(b"<absent>"),
             }
-        } else if let Some(rest) = input.strip_prefix("state:") {
-            match rest.split_once("::") {
-                Some((m, f)) => self.compiler.state_stamp_fn(m, f),
-                None => self.compiler.state_stamp(rest),
-            }
+        } else if let Some((m, f)) = input
+            .strip_prefix("state:")
+            .and_then(|rest| rest.split_once("::"))
+        {
+            self.compiler.state_stamp_fn(m, f)
         } else if let Some(rest) = input.strip_prefix("cas:") {
             match rest.split_once("::") {
                 Some((m, f)) => self.cas_honest_stamp(m, f),
@@ -557,32 +560,15 @@ impl<'a> BuildSpec<'a> {
         m: &str,
         f: &str,
         closure: &BTreeMap<String, Arc<Function>>,
-    ) -> (Function, FunctionTrace) {
+    ) -> PreparedFn {
         let mut ir = sfcc_ir::Module::new(m);
         for func in closure.values() {
             ir.functions.push((**func).clone());
         }
-        let (optimized, outcome) = self.compiler.phase_optimize_restricted(&ir, None);
-        let func = optimized
-            .function(f)
-            .cloned()
-            .expect("demanded function present in its own closure");
-        let ftrace = outcome
-            .trace
-            .functions
-            .iter()
-            .find(|t| t.function == f)
-            .cloned()
-            .expect("restricted trace covers the demanded function");
-        self.cache_inserts.extend(outcome.cache_inserts);
-        let timings = self.timings.entry(m.to_string()).or_default();
-        timings.middle_ns += outcome.middle_ns;
-        timings.state_ns += outcome.state_ns;
-        self.snapshots
-            .entry(m.to_string())
-            .or_default()
-            .absorb(&outcome.trace);
-        (func, ftrace)
+        let outcome = self.compiler.optimize(&mut ir, None);
+        self.book_restricted_run(m, &ir, outcome, &[f.to_string()])
+            .pop()
+            .expect("one artifact per wanted function")
     }
 }
 
@@ -945,11 +931,11 @@ impl BuildSpec<'_> {
                 // its actual read, noted here (not in the batch, which runs
                 // unattributed) so depcheck pins it to this label.
                 sfcc_faultfs::note_access(&format!("state:{m}::{f}"));
-                let parked = self.prepared.remove(&(m.clone(), f.clone()));
-                let (func, ftrace) = match parked {
-                    Some(PreparedFn { func, ftrace }) => (func, ftrace),
-                    None => self.optimize_solo(m, f, &closure),
-                };
+                let PreparedFn { func, ftrace } =
+                    match self.prepared.remove(&(m.clone(), f.clone())) {
+                        Some(parked) => parked,
+                        None => self.optimize_solo(m, f, &closure),
+                    };
                 let ingest_ns = self.compiler.ingest_function_trace(m, &ftrace);
                 self.timings.entry(m.clone()).or_default().state_ns += ingest_ns;
                 // Recorded *after* ingestion, so the dependency holds the
@@ -987,7 +973,7 @@ impl BuildSpec<'_> {
                         .expect_optimizefn();
                     ir.functions.push(art.func.clone());
                 }
-                let (object, backend_ns) = self.compiler.phase_codegen(&ir).map_err(|error| {
+                let (object, backend_ns) = sfcc::phases::codegen(&ir).map_err(|error| {
                     QueryError::Task(BuildError::Compile {
                         module: m.clone(),
                         error,

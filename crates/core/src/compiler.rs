@@ -2,24 +2,24 @@
 //! object code, with dormancy recording in stateful mode.
 
 use crate::config::{Config, Mode, OptLevel};
-use crate::fncache::{CacheStats, FunctionCache};
+use crate::fncache::{context_fingerprints, CacheStats, FunctionCache};
 use crate::persist::{self, RecoveryEvent};
-use crate::phases::{self, OptimizeOutcome};
+use crate::phases;
 use sfcc_backend::CodeObject;
 use sfcc_cas::{CasStats, CasStore, KeyComponents, ServedStamps, DEFAULT_BACKEND_VERSION};
 use sfcc_codec::fnv64;
-use sfcc_frontend::{CheckedModule, Diagnostics, ModuleEnv, ModuleInterface, SourceFile};
-use sfcc_ir::Fingerprint;
+use sfcc_frontend::{Diagnostics, ModuleEnv, ModuleInterface, SourceFile};
+use sfcc_ir::{Fingerprint, Function};
 use sfcc_passes::{
-    default_pipeline, minimal_pipeline, scalar_pipeline, FunctionTrace, Pipeline, PipelineTrace,
-    RunOptions,
+    default_pipeline, minimal_pipeline, run_pipeline, run_pipeline_parallel, scalar_pipeline,
+    FunctionTrace, NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions, SkipOracle,
 };
-use sfcc_pool::PoolScope;
-use sfcc_state::{statefile, DecodeError, SkipPolicy, StateDb};
-use std::collections::HashSet;
+use sfcc_pool::{run_batched, PoolScope};
+use sfcc_state::{statefile, DbOracle, DecodeError, SkipPolicy, StateDb};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Wall-clock time per compilation phase, in nanoseconds.
@@ -92,6 +92,48 @@ impl fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
+
+/// What [`Compiler::optimize`] reports alongside the transformed IR.
+#[derive(Debug, Clone)]
+pub struct OptimizeOutcome {
+    /// Per-pass instrumentation of the pipeline run.
+    pub trace: PipelineTrace,
+    /// Wall time of the pass pipeline itself (ns).
+    pub middle_ns: u64,
+    /// Wall time of function-cache bookkeeping (ns).
+    pub state_ns: u64,
+    /// Freshly optimized cacheable functions, keyed by context fingerprint.
+    /// [`Compiler::optimize`] does **not** insert them — the caller applies
+    /// them at a deterministic point (module or wave boundary) so cache
+    /// visibility, and therefore every downstream trace, is identical for
+    /// every `--jobs` value. Apply via [`Compiler::apply_cache_inserts`].
+    pub cache_inserts: Vec<(Fingerprint, Function)>,
+}
+
+/// An oracle layer that force-skips every slot of cache-hit functions so
+/// their (already optimized, swapped-in) bodies pass through untouched.
+struct CacheHits<'env> {
+    hits: HashSet<String>,
+    inner: Arc<dyn SkipOracle + Send + Sync + 'env>,
+}
+
+impl SkipOracle for CacheHits<'_> {
+    fn should_skip(&self, query: &PassQuery<'_>) -> bool {
+        self.hits.contains(query.function) || self.inner.should_skip(query)
+    }
+}
+
+/// How a function's pre-pipeline lookup resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LookupHit {
+    /// No cached body anywhere: the pipeline must run.
+    Miss,
+    /// Served by the in-process [`FunctionCache`].
+    Local,
+    /// Served by the shared artifact store; the local cache gets warmed
+    /// with it at the next insert boundary.
+    Shared,
+}
 
 /// Extracts a module's interface by parsing only (no type checking). Used by
 /// build systems to seed the [`ModuleEnv`] before compiling dependents.
@@ -236,8 +278,10 @@ impl Compiler {
         self.pipeline.slot_names()
     }
 
-    /// Compiles one module, on the configured number of worker threads
-    /// ([`Config::jobs`]).
+    /// Compiles one module end to end, on the configured number of worker
+    /// threads ([`Config::jobs`]), by composing the phases: frontend,
+    /// lowering, [`Compiler::optimize`], codegen — then applies the fresh
+    /// cache entries and ingests the trace.
     ///
     /// # Errors
     ///
@@ -248,42 +292,168 @@ impl Compiler {
         source: &str,
         env: &ModuleEnv,
     ) -> Result<CompileOutput, CompileError> {
+        let (checked, frontend_ns) = phases::frontend(name, source, env)?;
+        let (mut ir, lower_ns) = phases::lower(&checked, env);
+        let jobs = sfcc_pool::effective_jobs(self.config.jobs);
+        let outcome = sfcc_pool::scope(jobs, |ps| self.optimize(&mut ir, Some(ps)));
+        let (object, backend_ns) = phases::codegen(&ir)?;
+        self.apply_cache_inserts(outcome.cache_inserts);
+        let mut timings = PhaseTimings {
+            frontend_ns,
+            lower_ns,
+            middle_ns: outcome.middle_ns,
+            backend_ns,
+            state_ns: outcome.state_ns,
+        };
+        if self.config.mode.is_stateful() {
+            let t = Instant::now();
+            self.state.ingest(&outcome.trace, self.pipeline_hash);
+            timings.state_ns += t.elapsed().as_nanos() as u64;
+        }
+        Ok(CompileOutput {
+            object,
+            ir,
+            interface: checked.interface,
+            trace: outcome.trace,
+            timings,
+        })
+    }
+
+    /// The optimize phase: runs the (skippable) pass pipeline over `ir` in
+    /// place — function-cache and shared-store lookup (when the session has
+    /// them), skip-oracle construction from the dormancy state (the frozen
+    /// snapshot while one is active, see [`Compiler::freeze_state`]), and
+    /// the pipeline itself, at function granularity on `pool`'s workers
+    /// when one is supplied.
+    ///
+    /// Reads only immutable session state, so it is safe to call from
+    /// worker threads optimizing independent modules in parallel. It does
+    /// **not** ingest the trace or populate the cache: recording dormancy
+    /// ([`Compiler::ingest_function_trace`]) and applying
+    /// [`OptimizeOutcome::cache_inserts`]
+    /// ([`Compiler::apply_cache_inserts`]) are the caller's, sequenced at a
+    /// deterministic boundary. Nor does it note the dormancy-state read for
+    /// depcheck — `ir` may be a restricted module (only the demanded
+    /// functions' call closure), so the function-grained caller attributes
+    /// `state:m::f` itself, inside each function's own task scope.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sfcc::{phases, Compiler, Config};
+    /// use sfcc_frontend::ModuleEnv;
+    ///
+    /// let compiler = Compiler::new(Config::stateless());
+    /// let env = ModuleEnv::new();
+    /// let source = "fn f(x: int) -> int { return x * 1 + 0; }";
+    /// let (checked, _) = phases::frontend("m", source, &env)?;
+    /// let (mut ir, _) = phases::lower(&checked, &env);
+    /// let outcome = compiler.optimize(&mut ir, None);
+    /// assert_eq!(outcome.trace.functions.len(), 1);
+    /// let (_object, _) = phases::codegen(&ir)?;
+    /// # Ok::<(), sfcc::CompileError>(())
+    /// ```
+    pub fn optimize<'env>(
+        &'env self,
+        ir: &mut sfcc_ir::Module,
+        pool: Option<&PoolScope<'env>>,
+    ) -> OptimizeOutcome {
+        let cache = self.config.function_cache.then_some(&self.fn_cache);
+        let cas = self.cas.as_ref();
+
+        // Function-cache lookup: swap cached optimized bodies in and mark them
+        // so the pipeline skips them entirely. The shared store (CAS) is the
+        // second level: consulted only on a local miss. Lookups never mutate
+        // entries (only counters, recency, and referenced bits), so running
+        // them concurrently — here and across modules of one wave — cannot
+        // change what any module observes.
+        let t = Instant::now();
+        let mut hits = HashSet::new();
+        let mut shared_hits = HashSet::new();
+        let mut contexts = HashMap::new();
+        if cache.is_some() || cas.is_some() {
+            contexts = context_fingerprints(ir);
+            let shared_contexts = Arc::new(contexts.clone());
+            let module_name = ir.name.clone();
+            let marked: Vec<(Function, LookupHit)> = std::mem::take(&mut ir.functions)
+                .into_iter()
+                .map(|f| (f, LookupHit::Miss))
+                .collect();
+            let singles: Vec<Vec<usize>> = (0..marked.len()).map(|i| vec![i]).collect();
+            let marked = run_batched(pool, marked, &singles, move |_, (func, hit)| {
+                let Some(&ctx) = shared_contexts.get(&func.name) else {
+                    return;
+                };
+                if let Some(mut cached) = cache.and_then(|cache| cache.lookup(ctx)) {
+                    cached.name = func.name.clone();
+                    *func = cached;
+                    *hit = LookupHit::Local;
+                } else if let Some(served) =
+                    cas.and_then(|cas| cas.lookup(&module_name, &func.name, ctx))
+                {
+                    *func = served;
+                    *hit = LookupHit::Shared;
+                }
+            });
+            ir.functions = Vec::with_capacity(marked.len());
+            for (func, hit) in marked {
+                if hit != LookupHit::Miss {
+                    hits.insert(func.name.clone());
+                }
+                if hit == LookupHit::Shared {
+                    shared_hits.insert(func.name.clone());
+                }
+                ir.functions.push(func);
+            }
+        }
+        let mut state_ns = t.elapsed().as_nanos() as u64;
+
+        let t = Instant::now();
+        let base: Arc<dyn SkipOracle + Send + Sync + 'env> = match self.config.mode {
+            Mode::Stateless => Arc::new(NeverSkip),
+            Mode::Stateful(policy) => Arc::new(DbOracle::new(self.skip_state(), policy)),
+        };
+        let oracle: Arc<dyn SkipOracle + Send + Sync + 'env> = if hits.is_empty() {
+            base
+        } else {
+            Arc::new(CacheHits {
+                hits: hits.clone(),
+                inner: base,
+            })
+        };
         let options = RunOptions {
             verify_each: self.config.verify_each,
         };
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
-        let cas = self.cas.as_ref();
-        let mode = self.config.mode;
-        let pipeline = &self.pipeline;
-        let state = &self.state;
-        let jobs = sfcc_pool::effective_jobs(self.config.jobs);
-        let (mut output, inserts) = if jobs > 1 {
-            sfcc_pool::scope(jobs, |ps| {
-                compile_unit(
-                    name,
-                    source,
-                    env,
-                    mode,
-                    pipeline,
-                    state,
-                    options,
-                    cache,
-                    cas,
-                    Some(ps),
-                )
-            })?
-        } else {
-            compile_unit(
-                name, source, env, mode, pipeline, state, options, cache, cas, None,
-            )?
+        let trace = match pool {
+            Some(pool) => run_pipeline_parallel(ir, &self.pipeline, oracle, options, pool),
+            None => run_pipeline(ir, &self.pipeline, oracle.as_ref(), options),
         };
-        self.apply_cache_inserts(inserts);
-        if self.config.mode.is_stateful() {
-            let t = Instant::now();
-            self.state.ingest(&output.trace, self.pipeline_hash);
-            output.timings.state_ns += t.elapsed().as_nanos() as u64;
+        let middle_ns = t.elapsed().as_nanos() as u64;
+
+        // Collect cacheable functions for the caller to insert at the next
+        // deterministic boundary: freshly optimized ones, plus shared-store
+        // hits (which warm the local cache; re-publishing an existing key is
+        // a no-op, the store is content-addressed).
+        let t = Instant::now();
+        let mut cache_inserts = Vec::new();
+        if cache.is_some() || cas.is_some() {
+            for func in &ir.functions {
+                if hits.contains(&func.name) && !shared_hits.contains(&func.name) {
+                    continue;
+                }
+                if let Some(&ctx) = contexts.get(&func.name) {
+                    cache_inserts.push((ctx, func.clone()));
+                }
+            }
         }
-        Ok(output)
+        state_ns += t.elapsed().as_nanos() as u64;
+
+        OptimizeOutcome {
+            trace,
+            middle_ns,
+            state_ns,
+            cache_inserts,
+        }
     }
 
     /// Hit/miss counters of the function-level IR cache.
@@ -353,91 +523,6 @@ impl Compiler {
         self.cas.as_ref().map(|c| c.honest_stamp(fn_ctx))
     }
 
-    /// Compiles several independent modules, possibly in parallel.
-    ///
-    /// Mirrors `make -jN` invoking several compiler processes against one
-    /// shared state directory: all units read the *same* state and cache
-    /// snapshots (they are independent, so ordering cannot matter), and the
-    /// resulting traces and cache entries are applied sequentially, in unit
-    /// order, afterwards.
-    ///
-    /// Module tasks and the function-level tasks they fan out into share
-    /// one [`sfcc_pool`] scope sized by [`Config::jobs`] (falling back to
-    /// the machine's core count) — no `jobs × functions` oversubscription.
-    ///
-    /// Units are `(module_name, source, env)` triples; results come back in
-    /// the same order.
-    pub fn compile_batch(
-        &mut self,
-        units: &[(&str, &str, &ModuleEnv)],
-        parallel: bool,
-    ) -> Vec<Result<CompileOutput, CompileError>> {
-        if !parallel || units.len() <= 1 {
-            return units
-                .iter()
-                .map(|(name, source, env)| self.compile(name, source, env))
-                .collect();
-        }
-
-        // Parallel pipelines run against immutable state/cache snapshots.
-        let options = RunOptions {
-            verify_each: self.config.verify_each,
-        };
-        let mode = self.config.mode;
-        let pipeline = &self.pipeline;
-        let state = &self.state;
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
-        let cas = self.cas.as_ref();
-        let jobs = sfcc_pool::effective_jobs(if self.config.jobs > 1 {
-            self.config.jobs
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        });
-        type UnitResult =
-            Result<(CompileOutput, Vec<(Fingerprint, sfcc_ir::Function)>), CompileError>;
-        let slots: Vec<Mutex<Option<UnitResult>>> =
-            units.iter().map(|_| Mutex::new(None)).collect();
-        sfcc_pool::scope(jobs, |ps| {
-            for (i, (name, source, env)) in units.iter().enumerate() {
-                let slots = &slots;
-                ps.spawn(move |ps| {
-                    let r = compile_unit(
-                        name,
-                        source,
-                        env,
-                        mode,
-                        pipeline,
-                        state,
-                        options,
-                        cache,
-                        cas,
-                        Some(ps),
-                    );
-                    *slots[i].lock().unwrap() = Some(r);
-                });
-            }
-            // The scope drains every task before returning.
-        });
-        let mut results = Vec::with_capacity(units.len());
-        for slot in slots {
-            let unit = slot.into_inner().unwrap().expect("every unit task ran");
-            match unit {
-                Ok((output, inserts)) => {
-                    self.apply_cache_inserts(inserts);
-                    results.push(Ok(output));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-
-        if self.config.mode.is_stateful() {
-            for result in results.iter().flatten() {
-                self.state.ingest(&result.trace, self.pipeline_hash);
-            }
-        }
-        results
-    }
-
     /// Applies deferred [`crate::OptimizeOutcome::cache_inserts`] to the
     /// session's function cache and publishes them to the shared store (a
     /// no-op when both are disabled). Callers invoke this at a
@@ -498,132 +583,6 @@ impl Compiler {
         self.config.mode = Mode::Stateful(policy);
     }
 
-    // --- Phase-level API (engine tasks) -------------------------------
-    //
-    // Incremental engines (sfcc-buildsys's query tasks) call the pipeline
-    // one phase at a time, so a build can stop as soon as a phase's output
-    // fingerprint is unchanged. `compile` composes the same functions.
-
-    /// Phase 1: parse + type-check (engine task `frontend`). Returns the
-    /// checked module and the phase's wall time (ns).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Frontend`] for malformed source.
-    pub fn phase_frontend(
-        &self,
-        name: &str,
-        source: &str,
-        env: &ModuleEnv,
-    ) -> Result<(CheckedModule, u64), CompileError> {
-        phases::frontend(name, source, env)
-    }
-
-    /// Phase 2: AST → IR lowering (engine task `lower`). Returns the IR and
-    /// the phase's wall time (ns).
-    pub fn phase_lower(&self, checked: &CheckedModule, env: &ModuleEnv) -> (sfcc_ir::Module, u64) {
-        phases::lower(checked, env)
-    }
-
-    /// Phase 3: the (skippable) optimization pipeline (engine task
-    /// `optimize`), including function-cache lookup when the session has
-    /// one. Fresh cache entries are applied immediately. Does not ingest
-    /// the trace — pair with [`Compiler::ingest_trace`].
-    pub fn phase_optimize(&self, ir: &sfcc_ir::Module) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let (ir, mut outcome) = self.phase_optimize_with(ir, None);
-        self.apply_cache_inserts(outcome.cache_inserts.drain(..));
-        (ir, outcome)
-    }
-
-    /// [`Compiler::phase_optimize`] against immutable session snapshots,
-    /// optionally fanning function-level tasks out into `pool`: no
-    /// ingestion, no cache population — the returned
-    /// [`OptimizeOutcome::cache_inserts`] are the caller's to apply at a
-    /// deterministic boundary ([`Compiler::apply_cache_inserts`]). Safe to
-    /// call from worker threads compiling independent modules of one wave
-    /// in parallel.
-    pub fn phase_optimize_with<'env>(
-        &'env self,
-        ir: &sfcc_ir::Module,
-        pool: Option<&PoolScope<'env>>,
-    ) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let options = RunOptions {
-            verify_each: self.config.verify_each,
-        };
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
-        let mut ir = ir.clone();
-        let outcome = phases::optimize(
-            &mut ir,
-            self.config.mode,
-            &self.pipeline,
-            self.skip_state(),
-            options,
-            cache,
-            self.cas.as_ref(),
-            pool,
-        );
-        (ir, outcome)
-    }
-
-    /// [`Compiler::phase_optimize_with`] for a *restricted* module — one
-    /// carrying only the call closure of the functions actually demanded
-    /// (engine task `optimizefn`). Identical pipeline semantics; the only
-    /// difference is depcheck attribution: the state read is noted per
-    /// function (`state:m::f`), matching the per-function inputs the
-    /// function-grained optimize tasks record.
-    pub fn phase_optimize_restricted<'env>(
-        &'env self,
-        ir: &sfcc_ir::Module,
-        pool: Option<&PoolScope<'env>>,
-    ) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let options = RunOptions {
-            verify_each: self.config.verify_each,
-        };
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
-        let mut ir = ir.clone();
-        let outcome = phases::optimize_fn_grained(
-            &mut ir,
-            self.config.mode,
-            &self.pipeline,
-            self.skip_state(),
-            options,
-            cache,
-            self.cas.as_ref(),
-            pool,
-        );
-        (ir, outcome)
-    }
-
-    /// [`Compiler::phase_optimize_with`] on a fresh pool of `jobs` workers
-    /// (capped at the function count and the host's available parallelism;
-    /// `jobs <= 1` stays on the calling thread). For callers that are not
-    /// already inside a pool scope.
-    pub fn phase_optimize_jobs(
-        &self,
-        ir: &sfcc_ir::Module,
-        jobs: usize,
-    ) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let jobs = sfcc_pool::effective_jobs(jobs).min(ir.functions.len().max(1));
-        if jobs <= 1 {
-            return self.phase_optimize_with(ir, None);
-        }
-        sfcc_pool::scope(jobs, |ps| self.phase_optimize_with(ir, Some(ps)))
-    }
-
-    /// [`Compiler::phase_optimize_restricted`] on a fresh pool of `jobs`
-    /// workers (same clamping as [`Compiler::phase_optimize_jobs`]).
-    pub fn phase_optimize_restricted_jobs(
-        &self,
-        ir: &sfcc_ir::Module,
-        jobs: usize,
-    ) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let jobs = sfcc_pool::effective_jobs(jobs).min(ir.functions.len().max(1));
-        if jobs <= 1 {
-            return self.phase_optimize_restricted(ir, None);
-        }
-        sfcc_pool::scope(jobs, |ps| self.phase_optimize_restricted(ir, Some(ps)))
-    }
-
     /// The state skip decisions read from: the frozen session snapshot when
     /// one is active ([`Compiler::freeze_state`]), the live database
     /// otherwise.
@@ -649,22 +608,11 @@ impl Compiler {
         self.session_bumped.clear();
     }
 
-    /// Folds one pipeline trace into the dormancy state (stateful mode;
-    /// a no-op otherwise). Returns the time spent (ns).
-    pub fn ingest_trace(&mut self, trace: &PipelineTrace) -> u64 {
-        if !self.config.mode.is_stateful() {
-            return 0;
-        }
-        let t = Instant::now();
-        self.state.ingest(trace, self.pipeline_hash);
-        t.elapsed().as_nanos() as u64
-    }
-
     /// Folds one *function's* trace into the dormancy state (stateful mode;
     /// a no-op otherwise), leaving every sibling record untouched. The
     /// module's build counter is bumped once per frozen session — the first
-    /// per-function ingest for a module performs the same single bump a
-    /// whole-module [`Compiler::ingest_trace`] would, so streak/window
+    /// per-function ingest for a module performs the same single bump the
+    /// whole-module ingest of [`Compiler::compile`] does, so streak/window
     /// bookkeeping is identical either way. Returns the time spent (ns).
     pub fn ingest_function_trace(&mut self, module: &str, ftrace: &FunctionTrace) -> u64 {
         if !self.config.mode.is_stateful() {
@@ -687,39 +635,11 @@ impl Compiler {
         self.state.retain_functions(module, keep);
     }
 
-    /// Phase 4: optimized IR → object code (engine task `codegen`). Returns
-    /// the object and the phase's wall time (ns).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Backend`] when codegen fails.
-    pub fn phase_codegen(&self, ir: &sfcc_ir::Module) -> Result<(CodeObject, u64), CompileError> {
-        phases::codegen(ir)
-    }
-
     /// A deterministic stamp of everything that steers skip decisions for
-    /// `module`: the mode (policy), the pipeline, and the module's dormancy
-    /// records. Incremental engines record this as a tracked input of the
-    /// optimize task, so stale skip state invalidates exactly the modules
-    /// it would affect.
-    pub fn state_stamp(&self, module: &str) -> u64 {
-        let mut repr = format!(
-            "mode={};pipeline={:x};",
-            self.config.mode.label(),
-            self.pipeline_hash.0
-        );
-        if self.config.mode.is_stateful() {
-            match self.state.module(module) {
-                Some(state) => repr.push_str(&format!("state={:x}", state.content_stamp())),
-                None => repr.push_str("state=absent"),
-            }
-        }
-        fnv64(repr.as_bytes())
-    }
-
-    /// Per-function variant of [`Compiler::state_stamp`]: a deterministic
-    /// stamp of everything that steers skip decisions for one function —
-    /// mode, pipeline, and *that function's* dormancy record only. Always
+    /// one function — mode, pipeline, and *that function's* dormancy record
+    /// only. Incremental engines record this as a tracked input of the
+    /// function's optimize task, so stale skip state invalidates exactly
+    /// the functions it would affect. Always
     /// reads the live database: the function-grained optimize task records
     /// this stamp immediately after its own ingest, and sibling ingests
     /// never touch the record, so the stamp the next session recomputes at
@@ -739,51 +659,6 @@ impl Compiler {
         }
         fnv64(repr.as_bytes())
     }
-}
-
-/// Compiles one module end to end against immutable state/cache snapshots
-/// (no ingestion, no cache population — fresh cache entries are returned
-/// for the caller to apply), by composing the phase functions of
-/// [`crate::phases`].
-#[allow(clippy::too_many_arguments)]
-fn compile_unit<'env>(
-    name: &str,
-    source: &str,
-    env: &ModuleEnv,
-    mode: Mode,
-    pipeline: &'env Pipeline,
-    state: &'env StateDb,
-    options: RunOptions,
-    cache: Option<&'env FunctionCache>,
-    cas: Option<&'env CasStore>,
-    pool: Option<&PoolScope<'env>>,
-) -> Result<(CompileOutput, Vec<(Fingerprint, sfcc_ir::Function)>), CompileError> {
-    let mut timings = PhaseTimings::default();
-
-    let (checked, frontend_ns) = phases::frontend(name, source, env)?;
-    timings.frontend_ns = frontend_ns;
-    let interface = checked.interface.clone();
-
-    let (mut ir, lower_ns) = phases::lower(&checked, env);
-    timings.lower_ns = lower_ns;
-
-    let outcome = phases::optimize(&mut ir, mode, pipeline, state, options, cache, cas, pool);
-    timings.middle_ns = outcome.middle_ns;
-    timings.state_ns += outcome.state_ns;
-
-    let (object, backend_ns) = phases::codegen(&ir)?;
-    timings.backend_ns = backend_ns;
-
-    Ok((
-        CompileOutput {
-            object,
-            ir,
-            interface,
-            trace: outcome.trace,
-            timings,
-        },
-        outcome.cache_inserts,
-    ))
 }
 
 #[cfg(test)]

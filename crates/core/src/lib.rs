@@ -43,10 +43,12 @@ pub mod fncache;
 pub mod persist;
 pub mod phases;
 
-pub use compiler::{extract_interface, CompileError, CompileOutput, Compiler, PhaseTimings};
+pub use compiler::{
+    extract_interface, CompileError, CompileOutput, Compiler, OptimizeOutcome, PhaseTimings,
+};
 pub use config::{Config, Mode, OptLevel};
 pub use fncache::{CacheStats, FunctionCache};
 pub use persist::{FsckReport, LoadedState, RecoveryEvent};
-pub use phases::OptimizeOutcome;
+
 pub use sfcc_faultfs::Durability;
 pub use sfcc_state::SkipPolicy;

@@ -1,27 +1,17 @@
-//! The compilation pipeline, one phase at a time.
+//! The compilation pipeline's stateless phases, one at a time.
 //!
 //! [`Compiler::compile`](crate::Compiler::compile) runs a module through
 //! frontend → lowering → optimization → codegen as one unit. Incremental
 //! engines want the same phases *individually* — a body-only edit should
 //! re-run optimize+codegen without re-running the frontend of anything
-//! else — so each phase lives here as a free function over explicit state,
-//! and the session type re-exposes them as task-callable methods
-//! (`Compiler::phase_*`). `compile` is a composition of these functions;
-//! there is exactly one implementation of every phase.
+//! else — so the three phases that need no session state live here as free
+//! functions, and the one that does is
+//! [`Compiler::optimize`](crate::Compiler::optimize). `compile` is a
+//! composition of these four; there is exactly one implementation of every
+//! phase.
 
-use crate::config::Mode;
-use crate::fncache::{context_fingerprints, FunctionCache};
 use sfcc_backend::{compile_object, CodeObject};
-use sfcc_cas::CasStore;
 use sfcc_frontend::{CheckedModule, Diagnostics, ModuleEnv, SourceFile};
-use sfcc_ir::{Fingerprint, Function};
-use sfcc_passes::{
-    run_pipeline, run_pipeline_parallel, NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions,
-    SkipOracle,
-};
-use sfcc_pool::{run_indexed, PoolScope};
-use sfcc_state::{DbOracle, StateDb};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::compiler::CompileError;
@@ -60,200 +50,6 @@ pub fn lower(checked: &CheckedModule, env: &ModuleEnv) -> (sfcc_ir::Module, u64)
     let t = Instant::now();
     let ir = sfcc_ir::lower_module(checked, env);
     (ir, t.elapsed().as_nanos() as u64)
-}
-
-/// What [`optimize`] reports alongside the transformed IR.
-#[derive(Debug, Clone)]
-pub struct OptimizeOutcome {
-    /// Per-pass instrumentation of the pipeline run.
-    pub trace: PipelineTrace,
-    /// Wall time of the pass pipeline itself (ns).
-    pub middle_ns: u64,
-    /// Wall time of function-cache bookkeeping (ns).
-    pub state_ns: u64,
-    /// Freshly optimized cacheable functions, keyed by context fingerprint.
-    /// [`optimize`] does **not** insert them — the caller applies them at a
-    /// deterministic point (module or wave boundary) so cache visibility,
-    /// and therefore every downstream trace, is identical for every `--jobs`
-    /// value. Apply via [`crate::Compiler::apply_cache_inserts`].
-    pub cache_inserts: Vec<(Fingerprint, Function)>,
-}
-
-/// An oracle layer that force-skips every slot of cache-hit functions so
-/// their (already optimized, swapped-in) bodies pass through untouched.
-struct CacheHits<'env> {
-    hits: std::collections::HashSet<String>,
-    inner: Arc<dyn SkipOracle + Send + Sync + 'env>,
-}
-
-impl SkipOracle for CacheHits<'_> {
-    fn should_skip(&self, query: &PassQuery<'_>) -> bool {
-        self.hits.contains(query.function) || self.inner.should_skip(query)
-    }
-}
-
-/// Runs the optimization pipeline over `ir` in place: function-cache
-/// lookup (when a cache is supplied), skip-oracle construction from the
-/// dormancy state, and the pass pipeline itself — on `pool`'s workers at
-/// function granularity when one is supplied. Does **not** ingest the trace
-/// or populate the cache — recording dormancy and applying
-/// [`OptimizeOutcome::cache_inserts`] are the caller's (sequenced)
-/// responsibility, so this function can run against immutable state and
-/// cache snapshots on worker threads.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize<'env>(
-    ir: &mut sfcc_ir::Module,
-    mode: Mode,
-    pipeline: &'env Pipeline,
-    state: &'env StateDb,
-    options: RunOptions,
-    cache: Option<&'env FunctionCache>,
-    cas: Option<&'env CasStore>,
-    pool: Option<&PoolScope<'env>>,
-) -> OptimizeOutcome {
-    // The dormancy state is a tracked input of the optimize task
-    // (`state:m`); this is its actual read, noted for depcheck attribution
-    // in both modes — stateless builds consult the state to decide *not*
-    // to skip, which is still an observation of it.
-    sfcc_faultfs::note_access(&format!("state:{}", ir.name));
-    optimize_prenoted(ir, mode, pipeline, state, options, cache, cas, pool)
-}
-
-/// [`optimize`] for a *restricted* module (one carrying only the demanded
-/// functions' call closure): identical pipeline semantics, but **no**
-/// module-level `state:m` access note. Function-grained callers attribute
-/// the dormancy-state read per function (`state:m::f`) themselves, inside
-/// each function's own task scope — a batch restricted run executes outside
-/// any task scope, so a note emitted here would either be unattributed
-/// (batched) or mis-attributed to whichever task happened to be active
-/// (solo), and depcheck would flag phantom context-function reads.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_fn_grained<'env>(
-    ir: &mut sfcc_ir::Module,
-    mode: Mode,
-    pipeline: &'env Pipeline,
-    state: &'env StateDb,
-    options: RunOptions,
-    cache: Option<&'env FunctionCache>,
-    cas: Option<&'env CasStore>,
-    pool: Option<&PoolScope<'env>>,
-) -> OptimizeOutcome {
-    optimize_prenoted(ir, mode, pipeline, state, options, cache, cas, pool)
-}
-
-/// How a function's pre-pipeline lookup resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LookupHit {
-    /// No cached body anywhere: the pipeline must run.
-    Miss,
-    /// Served by the in-process [`FunctionCache`].
-    Local,
-    /// Served by the shared artifact store; the local cache gets warmed
-    /// with it at the next insert boundary.
-    Shared,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn optimize_prenoted<'env>(
-    ir: &mut sfcc_ir::Module,
-    mode: Mode,
-    pipeline: &'env Pipeline,
-    state: &'env StateDb,
-    options: RunOptions,
-    cache: Option<&'env FunctionCache>,
-    cas: Option<&'env CasStore>,
-    pool: Option<&PoolScope<'env>>,
-) -> OptimizeOutcome {
-    // Function-cache lookup: swap cached optimized bodies in and mark them
-    // so the pipeline skips them entirely. The shared store (CAS) is the
-    // second level: consulted only on a local miss. Lookups never mutate
-    // entries (only counters, recency, and referenced bits), so running
-    // them concurrently — here and across modules of one wave — cannot
-    // change what any module observes.
-    let t = Instant::now();
-    let mut hits = std::collections::HashSet::new();
-    let mut shared_hits = std::collections::HashSet::new();
-    let mut contexts = std::collections::HashMap::new();
-    if cache.is_some() || cas.is_some() {
-        contexts = context_fingerprints(ir);
-        let shared_contexts = Arc::new(contexts.clone());
-        let module_name = ir.name.clone();
-        let marked: Vec<(Function, LookupHit)> = std::mem::take(&mut ir.functions)
-            .into_iter()
-            .map(|f| (f, LookupHit::Miss))
-            .collect();
-        let order: Vec<usize> = (0..marked.len()).collect();
-        let marked = run_indexed(pool, marked, &order, move |_, (func, hit)| {
-            let Some(&ctx) = shared_contexts.get(&func.name) else {
-                return;
-            };
-            if let Some(mut cached) = cache.and_then(|cache| cache.lookup(ctx)) {
-                cached.name = func.name.clone();
-                *func = cached;
-                *hit = LookupHit::Local;
-            } else if let Some(served) =
-                cas.and_then(|cas| cas.lookup(&module_name, &func.name, ctx))
-            {
-                *func = served;
-                *hit = LookupHit::Shared;
-            }
-        });
-        ir.functions = Vec::with_capacity(marked.len());
-        for (func, hit) in marked {
-            if hit != LookupHit::Miss {
-                hits.insert(func.name.clone());
-            }
-            if hit == LookupHit::Shared {
-                shared_hits.insert(func.name.clone());
-            }
-            ir.functions.push(func);
-        }
-    }
-    let mut state_ns = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let base: Arc<dyn SkipOracle + Send + Sync + 'env> = match mode {
-        Mode::Stateless => Arc::new(NeverSkip),
-        Mode::Stateful(policy) => Arc::new(DbOracle::new(state, policy)),
-    };
-    let oracle: Arc<dyn SkipOracle + Send + Sync + 'env> = if hits.is_empty() {
-        base
-    } else {
-        Arc::new(CacheHits {
-            hits: hits.clone(),
-            inner: base,
-        })
-    };
-    let trace = match pool {
-        Some(pool) => run_pipeline_parallel(ir, pipeline, oracle, options, pool),
-        None => run_pipeline(ir, pipeline, oracle.as_ref(), options),
-    };
-    let middle_ns = t.elapsed().as_nanos() as u64;
-
-    // Collect cacheable functions for the caller to insert at the next
-    // deterministic boundary: freshly optimized ones, plus shared-store
-    // hits (which warm the local cache; re-publishing an existing key is
-    // a no-op, the store is content-addressed).
-    let t = Instant::now();
-    let mut cache_inserts = Vec::new();
-    if cache.is_some() || cas.is_some() {
-        for func in &ir.functions {
-            if hits.contains(&func.name) && !shared_hits.contains(&func.name) {
-                continue;
-            }
-            if let Some(&ctx) = contexts.get(&func.name) {
-                cache_inserts.push((ctx, func.clone()));
-            }
-        }
-    }
-    state_ns += t.elapsed().as_nanos() as u64;
-
-    OptimizeOutcome {
-        trace,
-        middle_ns,
-        state_ns,
-        cache_inserts,
-    }
 }
 
 /// Compiles optimized IR to an object file. Returns the object and the

@@ -91,7 +91,8 @@ pub struct PipelineTrace {
     /// One trace per function, in module order.
     pub functions: Vec<FunctionTrace>,
     /// Module snapshots taken during this run (pipeline entry + every
-    /// re-snapshot stage). Identical across sequential and parallel runners.
+    /// re-snapshot stage after the first). Identical for every dispatch
+    /// width.
     pub snapshot_clones: u64,
     /// Σ live instruction count over the functions actually deep-cloned
     /// into snapshots — the deterministic cost proxy for snapshot overhead.
@@ -101,11 +102,11 @@ pub struct PipelineTrace {
     pub snapshot_cost_units: u64,
     /// Functions whose previous snapshot `Arc` was reused at a re-snapshot
     /// instead of deep-cloned — the copy-on-write savings. Deterministic
-    /// and identical across runners and `--jobs` values.
+    /// and identical for every `--jobs` value.
     pub snapshot_reused: u64,
-    /// Cost-balanced batches planned across all stages (the parallel
-    /// runner's fan-out unit; the sequential runner computes the identical
-    /// plan so the counter is `--jobs`-invariant).
+    /// Cost-balanced batches planned across all stages (the fan-out unit of
+    /// a wide dispatch; the plan is a function of costs alone, so the
+    /// counter is `--jobs`-invariant).
     pub batch_count: u64,
     /// Largest single-batch total cost (live instructions) planned by any
     /// stage of this run.
@@ -246,8 +247,158 @@ impl Default for RunOptions {
     }
 }
 
-/// Runs `pipeline` over every function of `module`, consulting `oracle`
-/// before each pass execution, and returns the full instrumentation trace.
+/// Per-function unit of work: the function body being optimized, its
+/// accumulated trace, and the copy-on-write dirty bit (set when a pass
+/// changes the function, cleared at each re-snapshot). One dispatch task owns
+/// a cell for the duration of a stage, so the payload needs no
+/// synchronization of its own.
+pub(crate) struct FnCell {
+    func: Function,
+    trace: FunctionTrace,
+    dirty: bool,
+}
+
+/// One stage's work order: everything the per-function slot body needs
+/// besides the cell and the oracle.
+pub(crate) struct StageJob<'p> {
+    stage: &'p Stage,
+    slot_base: usize,
+    /// The pre-stage snapshot: cross-function passes (the inliner) read
+    /// callee bodies from here, never from the cells being mutated, so the
+    /// cells of one stage are mutually independent.
+    snapshot: Arc<ModuleSnapshot>,
+    options: RunOptions,
+    /// The entry / exit fingerprints ride along with the first / last
+    /// stage's cell visit, so a wide dispatch fingerprints concurrently too.
+    first: bool,
+    last: bool,
+}
+
+impl StageJob<'_> {
+    /// The per-function slot body — the paper's mechanism: for each pass
+    /// slot of the stage ask the oracle, run or skip, record the outcome.
+    pub(crate) fn run_on(&self, cell: &mut FnCell, oracle: &dyn SkipOracle) {
+        if self.first {
+            cell.trace.entry_fingerprint = fingerprint(&cell.func);
+        }
+        for (pass_idx, pass) in self.stage.passes.iter().enumerate() {
+            let slot = self.slot_base + pass_idx;
+            let cost_units = cell.func.live_inst_count() as u64;
+            let query = PassQuery {
+                module: &self.snapshot.name,
+                function: &cell.trace.function,
+                entry_fingerprint: cell.trace.entry_fingerprint,
+                pass: pass.name(),
+                slot,
+            };
+            let (outcome, nanos) = if oracle.should_skip(&query) {
+                (PassOutcome::Skipped, 0)
+            } else {
+                let start = Instant::now();
+                let changed = pass.run(&mut cell.func, &self.snapshot);
+                let nanos = start.elapsed().as_nanos() as u64;
+                if changed {
+                    cell.dirty = true;
+                    if self.options.verify_each {
+                        let func = &cell.func;
+                        verify_function(func).unwrap_or_else(|e| {
+                            panic!("pass '{}' broke the IR: {e}\n{func}", pass.name())
+                        });
+                    }
+                    (PassOutcome::Active, nanos)
+                } else {
+                    (PassOutcome::Dormant, nanos)
+                }
+            };
+            cell.trace.records.push(PassRecord {
+                pass: pass.name().to_string(),
+                slot,
+                outcome,
+                nanos,
+                cost_units,
+            });
+        }
+        if self.last {
+            cell.trace.exit_fingerprint = fingerprint(&cell.func);
+        }
+    }
+}
+
+/// The one stage loop behind [`run_pipeline`] and
+/// [`run_pipeline_parallel`](crate::run_pipeline_parallel): entry snapshot,
+/// copy-on-write re-snapshots, batch planning, slot numbering, and trace
+/// assembly. `dispatch` applies one stage's [`StageJob`] to every cell —
+/// the entries differ only there — given the stage's cost-balanced batch
+/// plan, and hands the cells back in their original positions. Stage
+/// boundaries are barriers: `dispatch` returns only when every cell is done.
+pub(crate) fn run_stages<'p>(
+    module: &mut Module,
+    pipeline: &'p Pipeline,
+    options: RunOptions,
+    mut dispatch: impl FnMut(Vec<FnCell>, &[Vec<usize>], StageJob<'p>) -> Vec<FnCell>,
+) -> PipelineTrace {
+    let mut trace = PipelineTrace {
+        module: module.name.clone(),
+        ..PipelineTrace::default()
+    };
+    let mut cells: Vec<FnCell> = std::mem::take(&mut module.functions)
+        .into_iter()
+        .map(|func| FnCell {
+            trace: FunctionTrace {
+                function: func.name.clone(),
+                entry_fingerprint: Fingerprint::default(),
+                exit_fingerprint: Fingerprint::default(),
+                records: Vec::new(),
+            },
+            func,
+            dirty: false,
+        })
+        .collect();
+    let mut snapshot = Arc::new(take_snapshot(&mut trace, &mut cells, None));
+
+    let stages = pipeline.stages();
+    let mut slot_base = 0usize;
+    for (si, stage) in stages.iter().enumerate() {
+        // The entry snapshot is already fresh for the first stage.
+        if si > 0 && stage.resnapshot {
+            snapshot = Arc::new(take_snapshot(&mut trace, &mut cells, Some(&snapshot)));
+        }
+        // The plan depends only on costs and roster order — never on the
+        // dispatch width — so its counters are `--jobs`-invariant.
+        let costs: Vec<u64> = cells
+            .iter()
+            .map(|c| c.func.live_inst_count() as u64)
+            .collect();
+        let plan = crate::batch::plan_batches(&costs);
+        trace.batch_count += plan.batches.len() as u64;
+        trace.batch_max_cost = trace.batch_max_cost.max(plan.max_cost);
+        let job = StageJob {
+            stage,
+            slot_base,
+            snapshot: Arc::clone(&snapshot),
+            options,
+            first: si == 0,
+            last: si + 1 == stages.len(),
+        };
+        cells = dispatch(cells, &plan.batches, job);
+        slot_base += stage.passes.len();
+    }
+
+    for mut cell in cells {
+        if stages.is_empty() {
+            // No stage visited the cell: the body is untouched.
+            cell.trace.entry_fingerprint = fingerprint(&cell.func);
+            cell.trace.exit_fingerprint = cell.trace.entry_fingerprint;
+        }
+        module.functions.push(cell.func);
+        trace.functions.push(cell.trace);
+    }
+    trace
+}
+
+/// Runs `pipeline` over every function of `module` on the calling thread,
+/// consulting `oracle` before each pass execution, and returns the full
+/// instrumentation trace.
 ///
 /// # Panics
 ///
@@ -259,153 +410,52 @@ pub fn run_pipeline(
     oracle: &dyn SkipOracle,
     options: RunOptions,
 ) -> PipelineTrace {
-    let mut trace = PipelineTrace {
-        module: module.name.clone(),
-        functions: Vec::new(),
-        snapshot_clones: 0,
-        snapshot_cost_units: 0,
-        snapshot_reused: 0,
-        batch_count: 0,
-        batch_max_cost: 0,
-    };
-    for (idx, f) in module.functions.iter().enumerate() {
-        let _ = idx;
-        trace.functions.push(FunctionTrace {
-            function: f.name.clone(),
-            entry_fingerprint: fingerprint(f),
-            exit_fingerprint: Fingerprint::default(),
-            records: Vec::new(),
-        });
-    }
-
-    // Copy-on-write dirty bits: set when any pass changes a function, so a
-    // re-snapshot deep-clones only what actually moved since the last one.
-    let mut dirty = vec![false; module.functions.len()];
-    let mut snapshot = {
-        let funcs: Vec<&Function> = module.functions.iter().collect();
-        let (snapshot, cost, reused) = cow_snapshot(&module.name, &funcs, &dirty, None);
-        trace.snapshot_clones += 1;
-        trace.snapshot_cost_units += cost;
-        trace.snapshot_reused += reused;
-        snapshot
-    };
-    let mut slot_base = 0usize;
-    for stage in &pipeline.stages {
-        if stage.resnapshot {
-            let funcs: Vec<&Function> = module.functions.iter().collect();
-            let (snap, cost, reused) = cow_snapshot(&module.name, &funcs, &dirty, Some(&snapshot));
-            snapshot = snap;
-            trace.snapshot_clones += 1;
-            trace.snapshot_cost_units += cost;
-            trace.snapshot_reused += reused;
-            dirty.fill(false);
+    run_stages(module, pipeline, options, |mut cells, _, job| {
+        for cell in &mut cells {
+            job.run_on(cell, oracle);
         }
-        // Plan (but do not use) the stage's cost-balanced batches: the
-        // parallel runner fans out by this plan, and computing the identical
-        // plan here keeps the batch counters — and every trace derived from
-        // them — byte-identical between runners and across `--jobs`.
-        let costs: Vec<u64> = module
-            .functions
-            .iter()
-            .map(|f| f.live_inst_count() as u64)
-            .collect();
-        let plan = crate::batch::plan_batches(&costs);
-        trace.batch_count += plan.batches.len() as u64;
-        trace.batch_max_cost = trace.batch_max_cost.max(plan.max_cost);
-        for (func_idx, dirty_bit) in dirty.iter_mut().enumerate() {
-            for (pass_idx, pass) in stage.passes.iter().enumerate() {
-                let slot = slot_base + pass_idx;
-                let func = &mut module.functions[func_idx];
-                let ftrace = &mut trace.functions[func_idx];
-                let query = PassQuery {
-                    module: &snapshot.name,
-                    function: &ftrace.function,
-                    entry_fingerprint: ftrace.entry_fingerprint,
-                    pass: pass.name(),
-                    slot,
-                };
-                if oracle.should_skip(&query) {
-                    ftrace.records.push(PassRecord {
-                        pass: pass.name().to_string(),
-                        slot,
-                        outcome: PassOutcome::Skipped,
-                        nanos: 0,
-                        cost_units: func.live_inst_count() as u64,
-                    });
-                    continue;
-                }
-                let cost_units = func.live_inst_count() as u64;
-                let start = Instant::now();
-                let changed = pass.run(func, &snapshot);
-                let nanos = start.elapsed().as_nanos() as u64;
-                if changed {
-                    *dirty_bit = true;
-                }
-                if options.verify_each && changed {
-                    verify_function(func).unwrap_or_else(|e| {
-                        panic!("pass '{}' broke the IR: {e}\n{func}", pass.name())
-                    });
-                }
-                ftrace.records.push(PassRecord {
-                    pass: pass.name().to_string(),
-                    slot,
-                    outcome: if changed {
-                        PassOutcome::Active
-                    } else {
-                        PassOutcome::Dormant
-                    },
-                    nanos,
-                    cost_units,
-                });
-            }
-        }
-        slot_base += stage.passes.len();
-    }
-
-    for (f, ftrace) in module.functions.iter().zip(&mut trace.functions) {
-        ftrace.exit_fingerprint = fingerprint(f);
-    }
-    trace
+        cells
+    })
 }
 
-/// Builds the next copy-on-write snapshot from the current function bodies:
-/// functions flagged `dirty` (changed by some pass since `prev` was taken)
-/// are deep-cloned into fresh `Arc`s, clean ones reuse `prev`'s `Arc`s at
-/// zero copy cost. `prev: None` is the pipeline-entry snapshot, which
-/// clones everything. Records the event in the process-global
-/// [`crate::snapstats`] counters and returns
-/// `(snapshot, cloned_cost_units, reused_functions)`.
+/// Takes the next copy-on-write snapshot of the cells' current bodies:
+/// cells flagged dirty (changed by some pass since `prev` was taken) are
+/// deep-cloned into fresh `Arc`s, clean ones reuse `prev`'s `Arc`s at zero
+/// copy cost. `prev: None` is the pipeline-entry snapshot, which clones
+/// everything. Books the event in `trace` and the process-global
+/// [`crate::snapstats`] counters, and clears the dirty bits.
 ///
-/// `funcs` must be the same functions, in the same order, as `prev`'s —
-/// pipeline stages transform bodies but never add, remove, or reorder
-/// functions, so positions align across snapshots.
-pub(crate) fn cow_snapshot(
-    name: &str,
-    funcs: &[&Function],
-    dirty: &[bool],
+/// Pipeline stages transform bodies but never add, remove, or reorder
+/// functions, so cell positions align with `prev`'s.
+fn take_snapshot(
+    trace: &mut PipelineTrace,
+    cells: &mut [FnCell],
     prev: Option<&ModuleSnapshot>,
-) -> (ModuleSnapshot, u64, u64) {
-    debug_assert_eq!(funcs.len(), dirty.len());
+) -> ModuleSnapshot {
     let start = Instant::now();
     let mut cost = 0u64;
     let mut reused = 0u64;
-    let mut arcs = Vec::with_capacity(funcs.len());
-    for (i, func) in funcs.iter().enumerate() {
+    let mut arcs = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.iter_mut().enumerate() {
         match prev {
-            Some(prev) if !dirty[i] => {
-                debug_assert_eq!(prev.arcs()[i].name, func.name);
+            Some(prev) if !cell.dirty => {
+                debug_assert_eq!(prev.arcs()[i].name, cell.func.name);
                 arcs.push(Arc::clone(&prev.arcs()[i]));
                 reused += 1;
             }
             _ => {
-                cost += func.live_inst_count() as u64;
-                arcs.push(Arc::new((*func).clone()));
+                cost += cell.func.live_inst_count() as u64;
+                arcs.push(Arc::new(cell.func.clone()));
             }
         }
+        cell.dirty = false;
     }
-    let snapshot = ModuleSnapshot::from_arcs(name, arcs);
+    let snapshot = ModuleSnapshot::from_arcs(&trace.module, arcs);
     crate::snapstats::record_snapshot(cost, reused, start.elapsed().as_nanos() as u64);
-    (snapshot, cost, reused)
+    trace.snapshot_clones += 1;
+    trace.snapshot_cost_units += cost;
+    trace.snapshot_reused += reused;
+    snapshot
 }
 
 #[cfg(test)]

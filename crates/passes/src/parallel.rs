@@ -1,65 +1,40 @@
 //! Function-parallel pipeline execution on a shared work-stealing pool.
 //!
-//! [`run_pipeline_parallel`] produces output that is byte-identical to the
-//! sequential [`run_pipeline`](crate::run_pipeline) for the same inputs:
+//! [`run_pipeline_parallel`] is the stage loop of
+//! [`run_pipeline`](crate::run_pipeline) with a wider dispatch, so its
+//! output is byte-identical for the same inputs:
 //!
 //! * Within a stage, passes read callee bodies only from the immutable
-//!   pre-stage snapshot (the same rule the sequential runner enforces), so
-//!   functions of one stage are mutually independent and can run in any
-//!   order — including concurrently.
+//!   pre-stage snapshot, so functions of one stage are mutually independent
+//!   and can run in any order — including concurrently.
 //! * Stage boundaries are barriers: a stage's tasks all finish before the
-//!   next stage (and any re-snapshot) begins, exactly mirroring the
-//!   sequential stage loop.
-//! * Per-function [`FunctionTrace`]s are assembled in module definition
-//!   order regardless of completion order, so the merged
+//!   next stage (and any re-snapshot) begins.
+//! * Per-function [`FunctionTrace`](crate::FunctionTrace)s stay in module
+//!   definition order regardless of completion order, so the
 //!   [`PipelineTrace`] — and everything derived from it (dormancy state,
 //!   emitted IR, bytecode images) — does not depend on scheduling.
 //!
-//! Fan-out is *batched*: each stage's functions are pre-bucketed into
-//! cost-balanced batches ([`crate::batch::plan_batches`], largest
-//! live-instruction cost first into the least-loaded bin) and one pool task
-//! runs per batch, so tiny functions share a task's fixed cost instead of
-//! each paying it. Batches are serviced largest-total-cost-first. The plan
-//! depends only on costs and roster order — never on the worker count — so
-//! batch composition and counters are identical for every `--jobs` value.
-//!
-//! Snapshots are copy-on-write: a re-snapshot deep-clones only functions
-//! some pass changed since the previous snapshot and reuses the previous
-//! `Arc` for the rest, using the same dirty-bit rule as the sequential
-//! runner — so snapshot counters, like everything else, stay byte-identical.
+//! Fan-out is *batched*: one pool task runs per cost-balanced batch of the
+//! stage's plan ([`crate::batch`]), so tiny functions share a task's fixed
+//! cost instead of each paying it. Batches are serviced
+//! largest-total-cost-first.
 //!
 //! The oracle must be deterministic (a pure function of each query) for the
 //! byte-identity guarantee to extend to recorded outcomes; every oracle in
 //! this workspace satisfies that.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use sfcc_ir::{fingerprint, verify_function, Fingerprint, Function, Module, ModuleSnapshot};
+use sfcc_ir::Module;
 use sfcc_pool::{run_batched, PoolScope};
 
-use crate::manager::{
-    cow_snapshot, run_pipeline, FunctionTrace, PassOutcome, PassQuery, PassRecord, Pipeline,
-    PipelineTrace, RunOptions, SkipOracle, Stage,
-};
-
-/// Per-function unit of work: the function body being optimized, its
-/// accumulated trace, and the copy-on-write dirty bit (set when a pass
-/// changes the function, cleared at each re-snapshot). Each task owns
-/// exactly one cell for the duration of a stage, so no synchronization is
-/// needed on the payload itself.
-struct FnCell {
-    func: Function,
-    trace: FunctionTrace,
-    dirty: bool,
-}
+use crate::manager::{run_pipeline, run_stages, Pipeline, PipelineTrace, RunOptions, SkipOracle};
 
 /// Runs `pipeline` over every function of `module` with function-level
 /// parallelism on `pool`, consulting `oracle` before each pass execution.
 ///
-/// Falls back to the sequential [`run_pipeline`](crate::run_pipeline) when
-/// the pool has no workers or the module has at most one function; the
-/// result is identical either way (see the module docs for the argument).
+/// Dispatches in line, exactly as [`run_pipeline`] does, when the pool has
+/// no workers or the module has at most one function.
 ///
 /// # Panics
 ///
@@ -73,178 +48,21 @@ pub fn run_pipeline_parallel<'env>(
     options: RunOptions,
     pool: &PoolScope<'env>,
 ) -> PipelineTrace {
-    let stages = pipeline.stages();
-    if !pool.is_parallel() || module.functions.len() <= 1 || stages.is_empty() {
+    if !pool.is_parallel() || module.functions.len() <= 1 {
         return run_pipeline(module, pipeline, oracle.as_ref(), options);
     }
-
-    // Pre-stage snapshot: the inliner (and any other cross-function pass)
-    // reads callee bodies from here, never from the cells being mutated.
-    let mut cells: Vec<FnCell> = std::mem::take(&mut module.functions)
-        .into_iter()
-        .map(|func| FnCell {
-            trace: FunctionTrace {
-                function: func.name.clone(),
-                entry_fingerprint: Fingerprint::default(),
-                exit_fingerprint: Fingerprint::default(),
-                records: Vec::new(),
-            },
-            func,
-            dirty: false,
+    run_stages(module, pipeline, options, |cells, batches, job| {
+        let oracle = Arc::clone(&oracle);
+        run_batched(Some(pool), cells, batches, move |_, cell| {
+            job.run_on(cell, oracle.as_ref())
         })
-        .collect();
-    let mut snapshot_clones = 0u64;
-    let mut snapshot_cost_units = 0u64;
-    let mut snapshot_reused = 0u64;
-    let mut batch_count = 0u64;
-    let mut batch_max_cost = 0u64;
-    let mut snapshot = {
-        let funcs: Vec<&Function> = cells.iter().map(|c| &c.func).collect();
-        let dirty = vec![false; cells.len()];
-        let (snap, cost, reused) = cow_snapshot(&module.name, &funcs, &dirty, None);
-        snapshot_clones += 1;
-        snapshot_cost_units += cost;
-        snapshot_reused += reused;
-        Arc::new(snap)
-    };
-
-    let last_stage = stages.len() - 1;
-    let mut slot_base = 0usize;
-    for (si, stage) in stages.iter().enumerate() {
-        if si > 0 && stage.resnapshot {
-            // Rebuild the snapshot from the current (post-previous-stage)
-            // function bodies: copy-on-write, so only functions some pass
-            // actually changed are deep-cloned — the rest reuse the previous
-            // snapshot's `Arc`s. Same dirty rule as the sequential runner.
-            let funcs: Vec<&Function> = cells.iter().map(|c| &c.func).collect();
-            let dirty: Vec<bool> = cells.iter().map(|c| c.dirty).collect();
-            let (snap, cost, reused) = cow_snapshot(&module.name, &funcs, &dirty, Some(&snapshot));
-            snapshot = Arc::new(snap);
-            snapshot_clones += 1;
-            snapshot_cost_units += cost;
-            snapshot_reused += reused;
-            for cell in &mut cells {
-                cell.dirty = false;
-            }
-        }
-
-        // Cost-balanced batches, largest-total-cost-first; one pool task per
-        // batch. The plan depends only on costs and roster order — never the
-        // worker count — so it matches the sequential runner's accounting.
-        let costs: Vec<u64> = cells
-            .iter()
-            .map(|c| c.func.live_inst_count() as u64)
-            .collect();
-        let plan = crate::batch::plan_batches(&costs);
-        batch_count += plan.batches.len() as u64;
-        batch_max_cost = batch_max_cost.max(plan.max_cost);
-
-        let stage_snapshot = Arc::clone(&snapshot);
-        let stage_oracle = Arc::clone(&oracle);
-        let first = si == 0;
-        let last = si == last_stage;
-        cells = run_batched(Some(pool), cells, &plan.batches, move |_, cell| {
-            run_stage_on_function(
-                cell,
-                stage,
-                slot_base,
-                &stage_snapshot,
-                stage_oracle.as_ref(),
-                options,
-                first,
-                last,
-            );
-        });
-        slot_base += stage.passes.len();
-    }
-
-    let mut functions = Vec::with_capacity(cells.len());
-    let mut traces = Vec::with_capacity(cells.len());
-    for cell in cells {
-        functions.push(cell.func);
-        traces.push(cell.trace);
-    }
-    module.functions = functions;
-    PipelineTrace {
-        module: module.name.clone(),
-        functions: traces,
-        snapshot_clones,
-        snapshot_cost_units,
-        snapshot_reused,
-        batch_count,
-        batch_max_cost,
-    }
-}
-
-/// Runs one stage's passes over one function, recording into its trace.
-/// This is the per-task body; it matches the sequential inner loop of
-/// [`run_pipeline`] record-for-record.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_on_function(
-    cell: &mut FnCell,
-    stage: &Stage,
-    slot_base: usize,
-    snapshot: &ModuleSnapshot,
-    oracle: &dyn SkipOracle,
-    options: RunOptions,
-    first_stage: bool,
-    last_stage: bool,
-) {
-    if first_stage {
-        cell.trace.entry_fingerprint = fingerprint(&cell.func);
-    }
-    for (pass_idx, pass) in stage.passes.iter().enumerate() {
-        let slot = slot_base + pass_idx;
-        let query = PassQuery {
-            module: &snapshot.name,
-            function: &cell.trace.function,
-            entry_fingerprint: cell.trace.entry_fingerprint,
-            pass: pass.name(),
-            slot,
-        };
-        if oracle.should_skip(&query) {
-            cell.trace.records.push(PassRecord {
-                pass: pass.name().to_string(),
-                slot,
-                outcome: PassOutcome::Skipped,
-                nanos: 0,
-                cost_units: cell.func.live_inst_count() as u64,
-            });
-            continue;
-        }
-        let cost_units = cell.func.live_inst_count() as u64;
-        let start = Instant::now();
-        let changed = pass.run(&mut cell.func, snapshot);
-        let nanos = start.elapsed().as_nanos() as u64;
-        if changed {
-            cell.dirty = true;
-        }
-        if options.verify_each && changed {
-            let func = &cell.func;
-            verify_function(func)
-                .unwrap_or_else(|e| panic!("pass '{}' broke the IR: {e}\n{func}", pass.name()));
-        }
-        cell.trace.records.push(PassRecord {
-            pass: pass.name().to_string(),
-            slot,
-            outcome: if changed {
-                PassOutcome::Active
-            } else {
-                PassOutcome::Dormant
-            },
-            nanos,
-            cost_units,
-        });
-    }
-    if last_stage {
-        cell.trace.exit_fingerprint = fingerprint(&cell.func);
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{default_pipeline, NeverSkip};
+    use crate::{default_pipeline, NeverSkip, PassQuery};
     use sfcc_frontend::parse_and_check;
     use sfcc_ir::lower_module;
 
@@ -298,39 +116,66 @@ mod tests {
         trace
     }
 
-    fn assert_matches_sequential(oracle: impl SkipOracle + Send + Sync + 'static, jobs: usize) {
-        let pipeline = default_pipeline();
+    /// Runs `pipeline` through both entries, asserts equal IR and traces,
+    /// and returns the (shared) trace.
+    fn assert_matches_sequential(
+        pipeline: &Pipeline,
+        oracle: impl SkipOracle + Send + Sync + 'static,
+        jobs: usize,
+    ) -> PipelineTrace {
         let options = RunOptions { verify_each: true };
         let oracle = Arc::new(oracle);
 
         let mut seq = sample_module();
-        let seq_trace = run_pipeline(&mut seq, &pipeline, oracle.as_ref(), options);
+        let seq_trace = run_pipeline(&mut seq, pipeline, oracle.as_ref(), options);
 
         let mut par = sample_module();
         let par_trace = sfcc_pool::scope(jobs, |ps| {
-            run_pipeline_parallel(&mut par, &pipeline, Arc::clone(&oracle) as _, options, ps)
+            run_pipeline_parallel(&mut par, pipeline, Arc::clone(&oracle) as _, options, ps)
         });
 
         assert_eq!(seq.to_string(), par.to_string(), "optimized IR diverged");
-        assert_eq!(
-            strip_nanos(seq_trace),
-            strip_nanos(par_trace),
-            "traces diverged"
-        );
+        let seq_trace = strip_nanos(seq_trace);
+        assert_eq!(seq_trace, strip_nanos(par_trace), "traces diverged");
+        seq_trace
     }
 
     #[test]
     fn parallel_matches_sequential_never_skip() {
-        assert_matches_sequential(NeverSkip, 4);
+        assert_matches_sequential(&default_pipeline(), NeverSkip, 4);
     }
 
     #[test]
     fn parallel_matches_sequential_with_skips() {
-        assert_matches_sequential(SkipSlots(vec![0, 3, 7, 11]), 4);
+        assert_matches_sequential(&default_pipeline(), SkipSlots(vec![0, 3, 7, 11]), 4);
     }
 
     #[test]
     fn single_worker_pool_matches_sequential() {
-        assert_matches_sequential(NeverSkip, 1);
+        assert_matches_sequential(&default_pipeline(), NeverSkip, 1);
+    }
+
+    #[test]
+    fn first_stage_resnapshot_reuses_the_entry_snapshot() {
+        // The entry snapshot is already fresh when the first stage starts,
+        // so a first-stage `resnapshot` takes no second one — at any width.
+        let pipeline = Pipeline::new()
+            .stage(true, vec![Box::new(crate::mem2reg::Mem2Reg)])
+            .stage(true, vec![Box::new(crate::inline::Inline)]);
+        let trace = assert_matches_sequential(&pipeline, NeverSkip, 4);
+        assert_eq!(trace.snapshot_clones, 2, "entry + the second stage");
+    }
+
+    #[test]
+    fn empty_pipeline_still_records_fingerprints_and_the_entry_snapshot() {
+        let trace = assert_matches_sequential(&Pipeline::new(), NeverSkip, 4);
+        assert_eq!(trace.snapshot_clones, 1);
+        assert_eq!((trace.snapshot_reused, trace.batch_count), (0, 0));
+        assert_eq!(trace.functions.len(), sample_module().functions.len());
+        for f in &trace.functions {
+            assert!(f.records.is_empty());
+            assert_ne!(f.entry_fingerprint, sfcc_ir::Fingerprint::default());
+            assert_eq!(f.entry_fingerprint, f.exit_fingerprint);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Process-global counters for per-stage module-snapshot building.
 //!
-//! Both pipeline runners snapshot the module being optimized — once at
+//! The pipeline stage loop snapshots the module being optimized — once at
 //! pipeline entry and once more at every re-snapshot stage boundary — so
 //! that cross-function passes (the inliner) read callee bodies race-free.
 //! Snapshots are copy-on-write ([`sfcc_ir::ModuleSnapshot`]): only
@@ -11,8 +11,8 @@
 //! (`reused`).
 //!
 //! `clones`, `cost_units`, and `reused` are deterministic and identical
-//! across `--jobs` values — the sequential and parallel runners snapshot at
-//! exactly the same points with identical dirty sets — so they are safe to
+//! across `--jobs` values — the one stage loop takes them, whatever the
+//! dispatch width — so they are safe to
 //! surface in byte-stable traces. `wall_ns` is wall-clock and belongs only
 //! in the (jobs-variant) metrics registry.
 //!
@@ -69,7 +69,7 @@ pub fn snapshot_stats() -> SnapshotStats {
 
 /// Records one module snapshot that deep-cloned `cost_units` total live
 /// instructions, reused `reused` unchanged functions, and took `wall_ns` to
-/// build. Called by the pipeline runners.
+/// build. Called by the pipeline stage loop.
 pub(crate) fn record_snapshot(cost_units: u64, reused: u64, wall_ns: u64) {
     CLONES.fetch_add(1, Ordering::Relaxed);
     COST_UNITS.fetch_add(cost_units, Ordering::Relaxed);

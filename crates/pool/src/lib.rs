@@ -323,63 +323,6 @@ pub fn scope<'env, R>(jobs: usize, f: impl FnOnce(&PoolScope<'env>) -> R) -> R {
     })
 }
 
-/// Applies `f` to each item, in parallel when the pool allows it, visiting
-/// `order` (a permutation of indices) — schedule the costliest items first.
-/// `f` receives the item's original index and must touch only its own item;
-/// items come back in their original positions, so results are independent
-/// of execution order.
-pub fn run_indexed<'env, T, F>(
-    pool: Option<&PoolScope<'env>>,
-    mut items: Vec<T>,
-    order: &[usize],
-    f: F,
-) -> Vec<T>
-where
-    T: Send + 'env,
-    F: Fn(usize, &mut T) + Send + Sync + 'env,
-{
-    debug_assert_eq!(order.len(), items.len());
-    let parallel = pool.is_some_and(|p| p.is_parallel()) && items.len() > 1;
-    if !parallel {
-        for &i in order {
-            f(i, &mut items[i]);
-        }
-        return items;
-    }
-    let pool = pool.unwrap();
-    let slots: std::sync::Arc<Vec<Mutex<Option<T>>>> = std::sync::Arc::new(
-        items
-            .into_iter()
-            .map(|item| Mutex::new(Some(item)))
-            .collect(),
-    );
-    let remaining = std::sync::Arc::new(AtomicUsize::new(slots.len()));
-    let f = std::sync::Arc::new(f);
-    for &i in order {
-        let slots = std::sync::Arc::clone(&slots);
-        let remaining = std::sync::Arc::clone(&remaining);
-        let f = std::sync::Arc::clone(&f);
-        pool.spawn(move |_| {
-            let mut slot = slots[i].lock().unwrap();
-            f(i, slot.as_mut().expect("slot is filled until taken below"));
-            drop(slot);
-            // Release the slot before announcing completion, so the take()
-            // below cannot observe an unfinished item.
-            remaining.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-    pool.help_until(|| remaining.load(Ordering::SeqCst) == 0);
-    (0..slots.len())
-        .map(|i| {
-            slots[i]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every task ran exactly once")
-        })
-        .collect()
-}
-
 /// Applies `f` to each item, fanning out one pool task per *batch* (a group
 /// of item indices) instead of one per item — the fixed per-task cost
 /// (allocation, queue traffic, steal attempts) is paid per batch, which is
@@ -556,27 +499,6 @@ mod tests {
                 "jobs={jobs}: {seen:?}"
             );
         }
-    }
-
-    #[test]
-    fn run_indexed_preserves_positions_and_runs_each_once() {
-        for jobs in [1, 4] {
-            let items: Vec<u64> = (0..37).collect();
-            let order: Vec<usize> = (0..37).rev().collect();
-            let out = scope(jobs, |pool| {
-                run_indexed(Some(pool), items, &order, |i, item| {
-                    *item = *item * 10 + i as u64 % 10;
-                })
-            });
-            let expect: Vec<u64> = (0..37).map(|i| i * 10 + i % 10).collect();
-            assert_eq!(out, expect);
-        }
-    }
-
-    #[test]
-    fn run_indexed_without_pool_is_sequential() {
-        let out = run_indexed::<u32, _>(None, vec![1, 2, 3], &[0, 1, 2], |_, x| *x += 1);
-        assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]

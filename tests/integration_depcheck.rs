@@ -360,7 +360,12 @@ fn quick_cas_enabled_audit_stays_clean_cold_and_warm() {
         "the warm build must actually be served: {stats:?}"
     );
 
-    // The report's cas block reflects the serves and still validates.
+    // The report's cas block reflects the serves and still validates. This
+    // build does not audit, so nothing serializes it against the recorders
+    // of concurrently running tests — and its `cas:` accesses carry the same
+    // task labels as theirs. Hold the recorder slot so it cannot leak into
+    // another test's audit.
+    let _recorder_slot = sfcc_faultfs::record_accesses();
     let report = Builder::new(Compiler::new(config()))
         .build(&project_v1())
         .unwrap();

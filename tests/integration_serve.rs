@@ -679,14 +679,19 @@ fn quick_malformed_requests_get_typed_errors_not_hangs() {
     let handle = start_daemon(&root, |_| {});
     let socket = handle.socket();
 
-    // Valid frame, invalid JSON.
-    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
-    sfcc_daemon::protocol::write_frame(&mut stream, b"not json").unwrap();
-    let payload = sfcc_daemon::protocol::read_frame(&mut stream)
-        .unwrap()
-        .unwrap();
-    let reply = Reply::parse(String::from_utf8(payload).unwrap()).unwrap();
-    assert_eq!(reply.error.unwrap().0, ErrorKind::Malformed);
+    // Valid frame, invalid JSON — the second one nested far deeper than a
+    // connection thread's stack could recurse.
+    let deep = "[".repeat(20_000);
+    for frame in ["not json", deep.as_str()] {
+        let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+        sfcc_daemon::protocol::write_frame(&mut stream, frame.as_bytes()).unwrap();
+        let payload = sfcc_daemon::protocol::read_frame(&mut stream)
+            .unwrap()
+            .unwrap();
+        let reply = Reply::parse(String::from_utf8(payload).unwrap()).unwrap();
+        assert_eq!(reply.error.unwrap().0, ErrorKind::Malformed);
+        must_ok(&socket, &Request::bare("ping"));
+    }
 
     // Valid JSON, unknown command.
     let (kind, _) = must_err(&socket, &Request::bare("frobnicate"));
