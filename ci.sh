@@ -15,7 +15,8 @@
 #                  suite and its E17 sharing gate, the warm-daemon
 #                  differential suite and its E18 warm-latency gate,
 #                  plus a traced demo build validated with `trace-check`
-#                  and a depcheck run over the demo project
+#                  and a depcheck run over the demo project; both modes
+#                  start with the one-request-path grep over `minicc.rs`
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -43,7 +44,21 @@ depcheck_smoke() {
     cargo run -q -p sfcc-buildsys --bin minicc -- depcheck "$scratch"
 }
 
+# One request path: `minicc` serves build-class commands through
+# `serve::BuildService` only. Constructing a builder, compiler or config —
+# or committing state — in the binary is a second copy of that sequence.
+one_path_gate() {
+    local forked
+    if forked="$(grep -nE 'Builder::new\(|Compiler::new\(|Config::state(ful|less)\(|\.save_state\(\)' \
+        crates/buildsys/src/bin/minicc.rs)"; then
+        echo "ci: minicc.rs re-forks the request path (use serve::BuildService):" >&2
+        echo "$forked" >&2
+        return 1
+    fi
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
+    one_path_gate
     cargo test -q -p sfcc --test integration_crash quick_
     cargo test -q -p sfcc --test integration_trace quick_
     cargo test -q -p sfcc --test integration_depcheck quick_
@@ -70,6 +85,7 @@ if [[ "${1:-}" == "--quick" ]]; then
     exit 0
 fi
 
+one_path_gate
 cargo build --release
 cargo test -q
 cargo test --release --offline --manifest-path sfbench/Cargo.toml

@@ -5,9 +5,9 @@
 //! state, re-validate every task, and re-execute whatever the dormancy
 //! stamps cannot prove unchanged. This experiment drives the *same*
 //! one-function edit stream down both lanes — warm requests over the real
-//! unix-socket protocol against an in-process daemon, and cold fresh-builder
-//! sessions mirroring one `minicc build --stateful --fn-cache` invocation
-//! each — and reports the latency distributions side by side.
+//! unix-socket protocol against an in-process daemon, and cold one-request
+//! sessions (the sequence one `minicc build --stateful --fn-cache`
+//! invocation runs) — and reports the latency distributions side by side.
 //!
 //! A second phase fans N client threads with independent projects into one
 //! daemon, interleaving their edit streams, to show warm latency holds up
@@ -18,9 +18,8 @@
 //! [`gate_speedup`] checks in CI.
 
 use crate::table::Table;
-use sfcc::{Compiler, Config, Durability};
 use sfcc_buildsys::serve::BuildService;
-use sfcc_buildsys::{Builder, Project};
+use sfcc_buildsys::Project;
 use sfcc_daemon::{roundtrip, Daemon, DaemonHandle, DaemonOptions, Request};
 use sfcc_workload::{generate_model, EditKind, EditScript, GeneratorConfig};
 use std::fmt::Write as _;
@@ -46,17 +45,13 @@ fn write_tree(dir: &Path, p: &Project) {
     p.write_to_dir(dir).unwrap();
 }
 
-/// One cold CLI-equivalent session: load the project and persistent state
-/// from disk, build, commit state, write the image.
+/// One cold CLI session — what `minicc build` runs: a session opened for
+/// the one request (loading persistent state from disk), served through the
+/// entry the daemon serves through, and dropped.
 fn cold_session(dir: &Path) {
-    let config = Config::stateful()
-        .with_state_path(dir.join(".sfcc-state"))
-        .with_function_cache();
-    let mut builder = Builder::new(Compiler::new(config)).with_jobs(1);
-    let p = Project::from_dir(dir).unwrap();
-    let report = builder.build(&p).unwrap();
-    builder.compiler().save_state().unwrap();
-    sfcc_backend::image::save_with(&report.program, &dir.join("out.sbx"), Durability::Fast)
+    let request = build_request(dir);
+    BuildService::new(dir, &request.args)
+        .and_then(|mut session| session.build_image(&dir.join("out.sbx")))
         .unwrap();
 }
 

@@ -25,21 +25,49 @@
 //! annotations). Every `build` persists its JSON report to
 //! `<dir>/.sfcc-report.json`, which `minicc stats` pretty-prints.
 //!
+//! A build-class command (`build`/`run`/`ir`/`bc`/`depcheck`) is one
+//! request: the command line parses once — build flags through
+//! `SessionFlags`, the one grammar the daemon uses too — into a
+//! `sfcc_daemon::Request`, which a one-request local `BuildService`
+//! session serves, or a warm daemon (`--daemon`, `minicc client`). This
+//! file holds no build logic of its own; both routes print through the
+//! same renderers.
+//!
 //! Fault injection (testing only): `--fault-plan <spec>` or the
 //! `SFCC_FAULT_PLAN` environment variable installs a deterministic fault
 //! plan (see `sfcc-faultfs`) for the whole invocation, e.g.
 //! `SFCC_FAULT_PLAN=crash-at:5 minicc build p --stateful` simulates a crash
 //! at the fifth durable I/O operation.
 
-use sfcc::{persist, Compiler, Config, Durability};
-use sfcc_backend::{disasm_program, load_image, run, VmOptions};
-use sfcc_buildsys::serve::BuildService;
-use sfcc_buildsys::{BuildReport, Builder, Project};
+use sfcc::persist;
+use sfcc_backend::{disasm_program, load_image};
+use sfcc_buildsys::serve::{self, BuildService, SessionFlags, REPORT_FILE, STALE_REPORT_FILE};
+use sfcc_buildsys::BuildReport;
 use sfcc_daemon::{Daemon, DaemonOptions, ErrorKind, Reply, Request};
 use sfcc_faultfs::FaultPlan;
+use sfcc_trace::json::Value;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// `println!` for a CLI whose reader may hang up (`minicc … | head -1`): a
+/// closed stdout drops the rest of the output instead of panicking, and the
+/// exit code still reports what the command did.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn out(text: impl std::fmt::Display) {
+    use std::io::Write;
+    match write!(std::io::stdout(), "{text}") {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            panic!("failed printing to stdout: {e}")
+        }
+        _ => {}
+    }
+}
 
 const USAGE: &str = "minicc — incremental MiniC compiler driver
 
@@ -85,7 +113,11 @@ build flags:
   -O0 | -O1 | -O2  optimization level (default -O2)
   --daemon <socket>  (build/run/ir/depcheck) serve the request through a
                  warm `minicc serve` daemon when one is reachable at
-                 <socket>; falls back to a local cold build otherwise
+                 <socket>; falls back to a local cold build otherwise.
+                 Build flags and SFCC_CAS/SFCC_CAS_BUDGET travel with the
+                 request; --report json, --trace and --trace-wall cannot
+                 (the report and trace stay in the serving process) and are
+                 refused together with --daemon
 
 build daemon:
   `minicc serve <root-dir>` starts a warm build daemon on a unix socket
@@ -96,7 +128,9 @@ build daemon:
   --max-queued <N> (default 16), --timeout-ms <N> (default 30000),
   --idle-snapshot-ms <N>. SIGTERM at any point leaves every state dir
   acceptable to a cold `minicc build`.
-  `minicc client <socket> <cmd> ...` sends one request. Exit codes:
+  `minicc client <socket> <cmd> ...` sends one request; build/run/ir/
+  depcheck take the operands and build flags of the local command (not
+  --report json, --trace, --trace-wall or --daemon). Exit codes:
     0  success (and `shutdown` of an already-gone daemon)
     1  the request failed (build error, depcheck findings)
     2  transport failure (cannot connect, protocol error) or, for
@@ -165,101 +199,68 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     };
     let rest = &args[1..];
     match command.as_str() {
-        "build" => cmd_build(rest),
-        "run" => cmd_run(rest),
+        "build" | "run" | "ir" | "bc" | "depcheck" => cmd_request(command, rest),
         "exec" => cmd_exec(rest),
-        "ir" => cmd_ir(rest),
-        "bc" => cmd_bc(rest),
         "state" => cmd_state(rest),
         "fsck" => cmd_fsck(rest),
         "stats" => cmd_stats(rest),
         "trace-check" => cmd_trace_check(rest),
-        "depcheck" => cmd_depcheck(rest),
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
 }
 
-/// Options shared by every command that performs a build.
-struct BuildFlags {
-    stateful: bool,
-    fn_cache: bool,
-    /// `--cas <dir>`: attach a shared content-addressed artifact store.
-    cas: Option<PathBuf>,
-    /// `--cas-budget <bytes>`: LRU-evict the store beyond this size.
-    cas_budget: Option<u64>,
-    /// Worker threads per wave; `None` means all available cores.
-    jobs: Option<usize>,
-    /// `--report json`: emit a machine-readable build report.
+// ─── build-class commands: one request, served by a session ───
+
+/// One build-class command line, parsed once: the request either route
+/// serves, plus the options that never leave this process.
+struct Invocation {
+    request: Request,
+    /// `--report json`: print the JSON build report instead of the summary.
     report_json: bool,
     /// `--trace <path>`: export a Chrome-trace JSON of the build.
     trace: Option<PathBuf>,
     /// `--trace-wall`: include wall-clock annotations in the trace.
     trace_wall: bool,
-    /// `--durable`: fsync every durable write (state, cache, images).
-    durable: bool,
-    opt: &'static str,
     /// `--daemon <socket>`: route through a warm daemon when reachable.
     daemon: Option<PathBuf>,
-    /// Non-flag operands in order (directory, module name, …).
-    operands: Vec<String>,
-    /// `-o` argument, when given.
-    output: Option<PathBuf>,
-    /// Everything after `--` (program arguments).
-    program_args: Vec<i64>,
 }
 
-fn parse_flags(args: &[String]) -> Result<BuildFlags, String> {
-    let mut flags = BuildFlags {
-        stateful: false,
-        fn_cache: false,
-        cas: None,
-        cas_budget: None,
-        jobs: None,
+/// Resolves a path a daemon would otherwise interpret against *its* cwd.
+fn absolutize(path: &Path) -> PathBuf {
+    std::env::current_dir().unwrap_or_default().join(path)
+}
+
+/// The integers after `--`.
+fn parse_prog_args<'a>(values: impl Iterator<Item = &'a String>) -> Result<Vec<i64>, String> {
+    values
+        .map(|value| {
+            value
+                .parse()
+                .map_err(|_| format!("program argument `{value}` is not an integer"))
+        })
+        .collect()
+}
+
+fn parse_invocation(cmd: &str, args: &[String]) -> Result<Invocation, String> {
+    let mut flags = SessionFlags::parse(&[])?;
+    let mut operands: Vec<&str> = Vec::new();
+    let mut output: Option<PathBuf> = None;
+    let mut invocation = Invocation {
+        request: Request::bare(cmd),
         report_json: false,
         trace: None,
         trace_wall: false,
-        durable: false,
-        opt: "-O2",
         daemon: None,
-        operands: Vec::new(),
-        output: None,
-        program_args: Vec::new(),
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--stateful" => flags.stateful = true,
-            "--stateless" => flags.stateful = false,
-            "--fn-cache" => flags.fn_cache = true,
-            "--cas" => {
-                let dir = iter.next().ok_or("`--cas` expects a store directory")?;
-                flags.cas = Some(PathBuf::from(dir));
-            }
-            "--cas-budget" => {
-                let value = iter.next().ok_or("`--cas-budget` expects a byte count")?;
-                let n: u64 = value
-                    .parse()
-                    .map_err(|_| format!("`--cas-budget` expects a number, got `{value}`"))?;
-                flags.cas_budget = Some(n);
-            }
-            "--durable" => flags.durable = true,
-            "--parallel" => flags.jobs = None,
-            "--jobs" => {
-                let value = iter.next().ok_or("`--jobs` expects a worker count")?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("`--jobs` expects a number, got `{value}`"))?;
-                if n == 0 {
-                    return Err("`--jobs` expects at least 1 worker".to_string());
-                }
-                flags.jobs = Some(n);
-            }
             "--report" => {
                 let format = iter.next().ok_or("`--report` expects a format")?;
                 if format != "json" {
@@ -267,290 +268,336 @@ fn parse_flags(args: &[String]) -> Result<BuildFlags, String> {
                         "unsupported report format `{format}` (only `json`)"
                     ));
                 }
-                flags.report_json = true;
+                invocation.report_json = true;
             }
             "--trace" => {
                 let path = iter.next().ok_or("`--trace` expects an output path")?;
-                flags.trace = Some(PathBuf::from(path));
+                invocation.trace = Some(PathBuf::from(path));
             }
-            "--trace-wall" => flags.trace_wall = true,
+            "--trace-wall" => invocation.trace_wall = true,
             "--daemon" => {
                 let socket = iter.next().ok_or("`--daemon` expects a socket path")?;
-                flags.daemon = Some(PathBuf::from(socket));
-            }
-            "-O0" | "-O1" | "-O2" => {
-                flags.opt = match arg.as_str() {
-                    "-O0" => "-O0",
-                    "-O1" => "-O1",
-                    _ => "-O2",
-                }
+                invocation.daemon = Some(PathBuf::from(socket));
             }
             "-o" => {
                 let path = iter.next().ok_or("`-o` expects a path")?;
-                flags.output = Some(PathBuf::from(path));
+                output = Some(PathBuf::from(path));
             }
-            "--" => {
-                for value in iter.by_ref() {
-                    let n: i64 = value
-                        .parse()
-                        .map_err(|_| format!("program argument `{value}` is not an integer"))?;
-                    flags.program_args.push(n);
+            "--" => invocation.request.prog_args = parse_prog_args(iter.by_ref())?,
+            other => {
+                if flags.accept(other, &mut iter)? {
+                    continue;
                 }
+                if other.starts_with('-') {
+                    return Err(format!("unknown flag `{other}`\n\n{USAGE}"));
+                }
+                operands.push(other);
             }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag `{other}`\n\n{USAGE}"));
-            }
-            operand => flags.operands.push(operand.to_string()),
         }
     }
-    Ok(flags)
-}
-
-fn config_of(flags: &BuildFlags, dir: &Path) -> Config {
-    let mut config = if flags.stateful {
-        Config::stateful().with_state_path(dir.join(".sfcc-state"))
-    } else {
-        Config::stateless()
-    };
-    config = match flags.opt {
-        "-O0" => config.with_opt_level(sfcc::OptLevel::O0),
-        "-O1" => config.with_opt_level(sfcc::OptLevel::O1),
-        _ => config,
-    };
-    if flags.fn_cache {
-        config = config.with_function_cache();
+    // Options a command would drop are refused, not dropped.
+    if cmd != "build" && output.is_some() {
+        return Err("`-o` applies to `build` only".to_string());
     }
-    // `--cas` wins over the environment; either attaches the shared store
-    // (and implies the function cache, which fronts it).
-    let cas_dir = flags
-        .cas
-        .clone()
-        .or_else(|| std::env::var("SFCC_CAS").ok().map(PathBuf::from));
-    if let Some(store) = cas_dir {
-        config = config.with_cas_path(store);
-        let budget = flags
-            .cas_budget
-            .or_else(|| std::env::var("SFCC_CAS_BUDGET").ok()?.parse().ok());
-        if let Some(budget) = budget {
-            config = config.with_cas_budget(budget);
+    if cmd != "build" && (invocation.trace.is_some() || invocation.trace_wall) {
+        return Err("`--trace`/`--trace-wall` apply to `build` only".to_string());
+    }
+    if invocation.report_json && !matches!(cmd, "build" | "depcheck") {
+        return Err("`--report json` applies to `build` and `depcheck` only".to_string());
+    }
+    let dir = match (cmd, operands.as_slice()) {
+        ("ir", [dir, module]) => {
+            invocation.request.module = Some((*module).to_string());
+            *dir
+        }
+        ("ir", _) => {
+            return Err(format!(
+                "`ir` expects a project directory and a module name\n\n{USAGE}"
+            ));
+        }
+        (_, [dir]) => *dir,
+        _ => return Err(format!("`{cmd}` expects one project directory\n\n{USAGE}")),
+    };
+    if cmd == "build" && output.is_none() {
+        output = Some(Path::new(dir).with_extension("sbx"));
+    }
+    // The environment stands for flags, so it is resolved here, where the
+    // flags are: whichever process serves the request sees `--cas <abs>`.
+    if flags.cas.is_none() {
+        flags.cas = std::env::var_os("SFCC_CAS").map(PathBuf::from);
+    }
+    if let Some(store) = &flags.cas {
+        flags.cas = Some(absolutize(store));
+        if flags.cas_budget.is_none() {
+            flags.cas_budget = std::env::var("SFCC_CAS_BUDGET")
+                .ok()
+                .and_then(|v| v.parse().ok());
         }
     }
-    if flags.durable {
-        config = config.with_durability(Durability::Durable);
-    }
-    let jobs = flags.jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    });
-    config.with_jobs(jobs)
+    let shown = |path: PathBuf| absolutize(&path).display().to_string();
+    invocation.request.dir = Some(shown(PathBuf::from(dir)));
+    invocation.request.out = output.map(shown);
+    invocation.request.args = flags.to_args();
+    Ok(invocation)
 }
 
-/// The file every build persists its JSON report to, inside the project
-/// directory; `minicc stats` reads it back.
-const REPORT_FILE: &str = ".sfcc-report.json";
-
-/// Where the previous build's report is parked while a build runs. A build
-/// that fails leaves it here, so `minicc stats` can tell "the last build
-/// did not complete" apart from "here is the last build's telemetry".
-const STALE_REPORT_FILE: &str = ".sfcc-report.json.stale";
-
-/// Builds the project in `dir` under `flags`; persists state when stateful.
-/// Also persists the JSON report to `<dir>/.sfcc-report.json` (plain
-/// `std::fs`, deliberately outside the fault-injectable I/O layer so
-/// telemetry never shifts a fault plan's op numbering) and exports the
-/// trace when `--trace` was given.
-fn build_project(flags: &BuildFlags, dir: &Path) -> Result<(Builder, BuildReport), String> {
-    let project = Project::from_dir(dir)
-        .map_err(|e| format!("cannot load project `{}`: {e}", dir.display()))?;
-    if project.is_empty() {
-        return Err(format!("no .mc files in `{}`", dir.display()));
+impl Invocation {
+    /// Refuses the options only the serving process could honour: the
+    /// report and the trace stay in the daemon, and a reply cannot carry
+    /// them back (that needs a `json::Value` writer). Called before
+    /// anything is sent.
+    fn refuse_local_only(&self, route: &str) -> Result<(), String> {
+        let flag = if self.report_json {
+            "--report json"
+        } else if self.trace.is_some() {
+            "--trace"
+        } else if self.trace_wall {
+            "--trace-wall"
+        } else {
+            return Ok(());
+        };
+        Err(format!(
+            "`{flag}` cannot be combined with {route}: only a local build can honour it"
+        ))
     }
-    let mut builder = Builder::new(Compiler::new(config_of(flags, dir)));
-    builder = match flags.jobs {
-        Some(jobs) => builder.with_jobs(jobs),
-        None => builder.with_parallelism(),
-    };
-    if flags.trace.is_some() {
-        builder = builder.with_tracing();
-    }
-    // Park the previous report before building: if this build fails or
-    // crashes, `stats` must not serve yesterday's numbers as today's.
-    let report_path = dir.join(REPORT_FILE);
-    let stale_path = dir.join(STALE_REPORT_FILE);
-    if report_path.exists() {
-        let _ = std::fs::rename(&report_path, &stale_path);
-    }
-    let mut report = builder.build(&project).map_err(|e| e.to_string())?;
-    if flags.stateful {
-        report.state_generation = builder
-            .compiler()
-            .save_state()
-            .map_err(|e| format!("cannot save state: {e}"))?;
-    }
-    std::fs::write(&report_path, report.to_json())
-        .map_err(|e| format!("cannot write `{}`: {e}", report_path.display()))?;
-    let _ = std::fs::remove_file(&stale_path);
-    if let Some(path) = &flags.trace {
-        let trace = report
-            .trace
-            .as_ref()
-            .expect("a traced builder records a trace");
-        std::fs::write(path, trace.to_chrome_json(flags.trace_wall))
-            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-    }
-    Ok((builder, report))
 }
 
-fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("build", &flags) {
-        return result;
+/// `build` / `run` / `ir` / `bc` / `depcheck`: through `--daemon` when one
+/// is reachable, through a one-request local session otherwise.
+fn cmd_request(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
+    let invocation = parse_invocation(cmd, args)?;
+    if let Some(socket) = &invocation.daemon {
+        if cmd == "bc" {
+            return Err("`bc` has no daemon route; drop `--daemon`".to_string());
+        }
+        invocation.refuse_local_only("`--daemon`")?;
+        if daemon_reachable(socket) {
+            let reply = sfcc_daemon::roundtrip(socket, &invocation.request)
+                .map_err(|e| format!("daemon request failed: {e}"))?;
+            return Ok(render_reply(&invocation.request, &reply));
+        }
+        eprintln!(
+            "daemon at `{}` is unreachable; serving locally",
+            socket.display()
+        );
     }
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!("`build` expects one project directory\n\n{USAGE}"));
-    };
-    let dir = Path::new(dir);
-    let (_, report) = build_project(&flags, dir)?;
-    let out = flags
-        .output
-        .clone()
-        .unwrap_or_else(|| dir.with_extension("sbx"));
-    let durability = if flags.durable {
-        Durability::Durable
-    } else {
-        Durability::Fast
-    };
-    sfcc_backend::image::save_with(&report.program, &out, durability)
-        .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
-    if flags.report_json {
-        println!("{}", report.to_json());
-        return Ok(ExitCode::SUCCESS);
+    serve_locally(&invocation)
+}
+
+/// Opens a session, serves the one request through its typed methods, and
+/// renders the result with the printers [`render_reply`] uses.
+fn serve_locally(invocation: &Invocation) -> Result<ExitCode, String> {
+    let request = &invocation.request;
+    let dir = request.dir.as_deref().expect("parsed with a directory");
+    let mut session = BuildService::new(Path::new(dir), &request.args)?;
+    match request.cmd.as_str() {
+        "build" => {
+            let image = request.out.as_deref().expect("parsed with an output");
+            session.set_tracing(invocation.trace.is_some());
+            let built = session.build_image(Path::new(image))?;
+            if let Some(path) = &invocation.trace {
+                let trace = built.report.trace.as_ref().expect("the build was traced");
+                std::fs::write(path, trace.to_chrome_json(invocation.trace_wall))
+                    .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+            }
+            if invocation.report_json {
+                outln!("{}", built.report_json);
+            } else {
+                print_build(&BuildSummary::of_report(&built.report), image);
+            }
+        }
+        "run" => {
+            let ran = session.run(&request.prog_args)?;
+            print_built_for_run(&BuildSummary::of_report(&ran.built.report));
+            print_run(
+                &request.prog_args,
+                &ran.output.prints,
+                ran.output.return_value,
+                ran.output.executed,
+            );
+        }
+        "ir" => {
+            let module = request.module.as_deref().expect("parsed with a module");
+            out(session.ir(module)?);
+        }
+        "bc" => out(disasm_program(&session.build()?.report.program)),
+        "depcheck" => {
+            // A failed audit build is exit 2 — distinct from "findings"
+            // (1) so CI can tell a broken project apart from a lying one.
+            let report = match session.depcheck() {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return Ok(ExitCode::from(2));
+                }
+            };
+            let verdict = report.depcheck.as_ref().expect("an audited build");
+            if invocation.report_json {
+                outln!("{}", report.to_json());
+                return Ok(ExitCode::from(u8::from(!verdict.is_clean())));
+            }
+            return Ok(print_depcheck(dir, &verdict.render(), verdict.is_clean()));
+        }
+        other => unreachable!("`{other}` is not a build-class command"),
     }
-    if report.recovered_files > 0 {
-        println!(
+    Ok(ExitCode::SUCCESS)
+}
+
+// ─── the renderers: one per request kind, fed by either route ───
+
+/// The numbers of the build summary.
+struct BuildSummary {
+    modules: u64,
+    rebuilt: u64,
+    wall_ns: u64,
+    /// Pass slots: active, dormant, skipped.
+    slots: [u64; 3],
+    /// Query hits, misses.
+    queries: [u64; 2],
+    /// Signature pins held, re-extracted; function tasks ran, cut off.
+    fngrain: [u64; 4],
+    recovered: u64,
+    quarantined: Vec<String>,
+}
+
+impl BuildSummary {
+    fn of_report(report: &BuildReport) -> BuildSummary {
+        let (active, dormant, skipped) = report.outcome_totals();
+        let fngrain = &report.fngrain;
+        BuildSummary {
+            modules: report.modules.len() as u64,
+            rebuilt: report.rebuilt_count() as u64,
+            wall_ns: report.wall_ns,
+            slots: [active as u64, dormant as u64, skipped as u64],
+            queries: [report.query.hits, report.query.misses],
+            fngrain: [
+                fngrain.signature_hits,
+                fngrain.signature_misses,
+                fngrain.fn_tasks_executed,
+                fngrain.cutoff_saved,
+            ],
+            recovered: report.recovered_files as u64,
+            quarantined: report.quarantined.clone(),
+        }
+    }
+
+    /// From a reply: the flat members, and — in a `build` reply — the
+    /// `report` member for what only the full report carries.
+    fn of_reply(body: &Value) -> BuildSummary {
+        let num = |key: &str| num_at(body, &[key]);
+        let report = body.get("report").unwrap_or(&Value::Null);
+        let fngrain = |key: &str| num_at(report, &["fngrain", key]);
+        let quarantined = report
+            .get("recovery")
+            .and_then(|r| r.get("quarantined"))
+            .and_then(Value::as_arr)
+            .map(|paths| {
+                paths
+                    .iter()
+                    .filter_map(|p| p.as_str().map(String::from))
+                    .collect()
+            })
+            .unwrap_or_default();
+        BuildSummary {
+            modules: num("modules"),
+            rebuilt: num("rebuilt"),
+            wall_ns: num("wall_ns"),
+            slots: [num("active"), num("dormant"), num("skipped")],
+            queries: [num("hits"), num("misses")],
+            fngrain: [
+                fngrain("signature_hits"),
+                fngrain("signature_misses"),
+                fngrain("fn_tasks_executed"),
+                fngrain("cutoff_saved"),
+            ],
+            recovered: num("recovered"),
+            quarantined,
+        }
+    }
+}
+
+/// The unsigned integer at `path` inside a reply body, `0` when absent.
+fn num_at(body: &Value, path: &[&str]) -> u64 {
+    path.iter()
+        .try_fold(body, |value, key| value.get(key))
+        .and_then(Value::as_u64)
+        .unwrap_or(0)
+}
+
+fn print_build(summary: &BuildSummary, image: &str) {
+    if summary.recovered > 0 {
+        outln!(
             "recovered from {} corrupt persistent file(s); quarantined: {}",
-            report.recovered_files,
-            if report.quarantined.is_empty() {
+            summary.recovered,
+            if summary.quarantined.is_empty() {
                 "(none)".to_string()
             } else {
-                report.quarantined.join(", ")
+                summary.quarantined.join(", ")
             }
         );
     }
-    let (active, dormant, skipped) = report.outcome_totals();
-    println!(
-        "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)",
-        report.modules.len(),
-        report.rebuilt_count(),
-        report.wall_ns as f64 / 1e6,
-        active,
-        dormant,
-        skipped,
-        report.query.hits,
-        report.query.misses,
+    let ([active, dormant, skipped], [hits, misses]) = (summary.slots, summary.queries);
+    outln!(
+        "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {active} active, {dormant} dormant, {skipped} skipped; queries: {hits} hit(s), {misses} miss(es)",
+        summary.modules,
+        summary.rebuilt,
+        summary.wall_ns as f64 / 1e6,
     );
-    println!(
-        "fn-grain: {} signature pin(s) held, {} re-extracted; {} function pipeline task(s) ran, {} saved by cutoff",
-        report.fngrain.signature_hits,
-        report.fngrain.signature_misses,
-        report.fngrain.fn_tasks_executed,
-        report.fngrain.cutoff_saved,
+    let [held, re_extracted, ran, saved] = summary.fngrain;
+    outln!(
+        "fn-grain: {held} signature pin(s) held, {re_extracted} re-extracted; {ran} function pipeline task(s) ran, {saved} saved by cutoff"
     );
-    println!("wrote {}", out.display());
-    Ok(ExitCode::SUCCESS)
+    outln!("wrote {image}");
 }
 
-fn run_report(program: &sfcc_backend::Program, args: &[i64]) -> Result<(), String> {
-    // The VM zero-fills missing argument registers; insist on an exact
-    // argument count here so a forgotten `-- <n>` fails loudly instead of
-    // silently running `main` on zeros.
-    if let Some(id) = program.func_id("main.main") {
-        let arity = program.func(id).arity as usize;
-        if args.len() != arity {
-            return Err(format!(
-                "main.main takes {arity} argument(s), got {} (pass them after `--`)",
-                args.len()
-            ));
-        }
-    }
-    let out = run(program, "main.main", args, VmOptions::default())
-        .map_err(|e| format!("runtime error: {e:?}"))?;
-    for value in &out.prints {
-        println!("{value}");
-    }
-    match out.return_value {
-        Some(v) => println!("main.main({args:?}) = {v}"),
-        None => println!("main.main({args:?}) returned"),
-    }
-    println!("({} instructions executed)", out.executed);
-    Ok(())
-}
-
-fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("run", &flags) {
-        return result;
-    }
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!("`run` expects one project directory\n\n{USAGE}"));
-    };
-    let (builder, report) = build_project(&flags, Path::new(dir))?;
-    let (_, _, skipped) = report.outcome_totals();
-    println!(
+/// The line `run` prints about the build it ran on.
+fn print_built_for_run(summary: &BuildSummary) {
+    outln!(
         "built {} module(s) ({} recompiled, {} pass slot(s) skipped)",
-        report.modules.len(),
-        report.rebuilt_count(),
-        skipped,
+        summary.modules,
+        summary.rebuilt,
+        summary.slots[2]
     );
-    if flags.fn_cache {
-        let stats = builder.compiler().cache_stats();
-        println!("fn-cache: {} hit(s), {} miss(es)", stats.hits, stats.misses);
+}
+
+fn print_run(args: &[i64], prints: &[i64], returned: Option<i64>, executed: u64) {
+    for value in prints {
+        outln!("{value}");
     }
-    run_report(&report.program, &flags.program_args)?;
-    Ok(ExitCode::SUCCESS)
+    match returned {
+        Some(v) => outln!("main.main({args:?}) = {v}"),
+        None => outln!("main.main({args:?}) returned"),
+    }
+    outln!("({executed} instructions executed)");
+}
+
+/// Prints a depcheck verdict; fsck-style exit code (0 clean, 1 findings).
+fn print_depcheck(dir: &str, findings: &str, clean: bool) -> ExitCode {
+    out(findings);
+    if clean {
+        outln!(
+            "depcheck `{dir}`: clean — every declared dependency was accessed and \
+             every access was declared"
+        );
+    }
+    ExitCode::from(u8::from(!clean))
 }
 
 fn cmd_exec(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    let [image] = flags.operands.as_slice() else {
-        return Err(format!("`exec` expects one .sbx image\n\n{USAGE}"));
+    let (image, prog_args) = match args {
+        [image] => (image, Vec::new()),
+        [image, dashes, values @ ..] if dashes == "--" => (image, parse_prog_args(values.iter())?),
+        _ => return Err(format!("`exec` expects one .sbx image\n\n{USAGE}")),
     };
     let program =
         load_image(Path::new(image)).map_err(|e| format!("cannot load `{image}`: {e}"))?;
-    run_report(&program, &flags.program_args)?;
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_ir(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("ir", &flags) {
-        return result;
-    }
-    let [dir, module] = flags.operands.as_slice() else {
-        return Err(format!(
-            "`ir` expects a project directory and a module name\n\n{USAGE}"
-        ));
-    };
-    let (_, report) = build_project(&flags, Path::new(dir))?;
-    let found = report
-        .module(module)
-        .ok_or_else(|| format!("no module `{module}` in `{dir}`"))?;
-    let output = found
-        .output
-        .as_ref()
-        .expect("a fresh builder recompiles every module");
-    print!("{}", sfcc_ir::module_to_string(&output.ir));
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bc(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!("`bc` expects one project directory\n\n{USAGE}"));
-    };
-    let (_, report) = build_project(&flags, Path::new(dir))?;
-    print!("{}", disasm_program(&report.program));
+    let output = serve::run_main(&program, &prog_args)?;
+    print_run(
+        &prog_args,
+        &output.prints,
+        output.return_value,
+        output.executed,
+    );
     Ok(ExitCode::SUCCESS)
 }
 
@@ -580,7 +627,7 @@ fn cmd_state(args: &[String]) -> Result<ExitCode, String> {
             ));
         }
     };
-    println!(
+    outln!(
         "state file {} — {} module(s), {} function(s) tracked",
         path.display(),
         db.modules.len(),
@@ -590,7 +637,7 @@ fn cmd_state(args: &[String]) -> Result<ExitCode, String> {
     module_names.sort();
     for module_name in module_names {
         let module = &db.modules[module_name];
-        println!("\nmodule {module_name} (build #{}):", module.build_counter);
+        outln!("\nmodule {module_name} (build #{}):", module.build_counter);
         let mut fn_names: Vec<&String> = module.functions.keys().collect();
         fn_names.sort();
         for fn_name in fn_names {
@@ -601,10 +648,10 @@ fn cmd_state(args: &[String]) -> Result<ExitCode, String> {
                 .map(|slot| if slot.dormant { '.' } else { 'A' })
                 .collect();
             let skips: u32 = record.slots.iter().map(|slot| slot.times_skipped).sum();
-            println!("  {fn_name:<20} {bitmap}  ({skips} skip(s) so far)");
+            outln!("  {fn_name:<20} {bitmap}  ({skips} skip(s) so far)");
         }
     }
-    println!("\n(A = pass was active at the last build, . = dormant/skippable)");
+    outln!("\n(A = pass was active at the last build, . = dormant/skippable)");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -618,24 +665,24 @@ fn cmd_fsck(args: &[String]) -> Result<ExitCode, String> {
     let images: Vec<PathBuf> = images.iter().map(PathBuf::from).collect();
     let report = sfcc::persist::fsck(&base, &images)
         .map_err(|e| format!("fsck of `{}` failed: {e}", base.display()))?;
-    println!(
+    outln!(
         "fsck {}: {} file(s) checked",
         base.display(),
         report.checked
     );
     for path in &report.quarantined {
-        println!("  quarantined {}", path.display());
+        outln!("  quarantined {}", path.display());
     }
     for path in &report.removed {
-        println!("  removed orphan {}", path.display());
+        outln!("  removed orphan {}", path.display());
     }
     if report.repaired_manifest {
-        println!("  manifest rewritten without the corrupt entries");
+        outln!("  manifest rewritten without the corrupt entries");
     }
     if report.clean() {
-        println!("  clean");
+        outln!("  clean");
     } else {
-        println!("  next stateful build recompiles what was lost and rewrites the state");
+        outln!("  next stateful build recompiles what was lost and rewrites the state");
     }
     // A directory operand may also root a shared artifact store; audit it
     // too, validating every artifact's checksum *and* embedded provenance.
@@ -645,30 +692,28 @@ fn cmd_fsck(args: &[String]) -> Result<ExitCode, String> {
     if target_path.is_dir() && cas_manifest.exists() {
         let cas_report = sfcc_cas::fsck(target_path)
             .map_err(|e| format!("cas fsck of `{}` failed: {e}", target_path.display()))?;
-        println!(
+        outln!(
             "cas fsck {}: {} artifact(s) checked",
             target_path.join(sfcc_cas::CAS_BASE).display(),
             cas_report.checked
         );
         for path in &cas_report.quarantined {
-            println!("  quarantined {path}");
+            outln!("  quarantined {path}");
         }
         if cas_report.removed > 0 {
-            println!("  removed {} orphan file(s)", cas_report.removed);
+            outln!("  removed {} orphan file(s)", cas_report.removed);
         }
         if cas_report.repaired_manifest {
-            println!("  manifest rewritten without the corrupt entries");
+            outln!("  manifest rewritten without the corrupt entries");
         }
         if cas_report.clean() {
-            println!("  clean");
+            outln!("  clean");
         } else if cas_report.quarantined.is_empty() && !cas_report.repaired_manifest {
             // Orphan debris only (shared commits never GC replaced
             // generations) — nothing referenced was touched.
-            println!("  clean after sweep");
+            outln!("  clean after sweep");
         } else {
-            println!(
-                "  the store lost artifacts, not correctness: evicted keys miss and recompile"
-            );
+            outln!("  the store lost artifacts, not correctness: evicted keys miss and recompile");
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -703,7 +748,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         .and_then(sfcc_trace::json::Value::as_str)
         .unwrap_or("unknown");
     if outcome != "success" {
-        println!("WARNING: this report's build outcome is `{outcome}`, not `success`");
+        outln!("WARNING: this report's build outcome is `{outcome}`, not `success`");
     }
     let report_generation = doc
         .get("state_generation")
@@ -716,7 +761,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         let state_dir = Path::new(dir).join(".sfcc-state");
         if let Ok(Some(manifest)) = sfcc_faultfs::CommitDir::new(&state_dir).read_manifest() {
             if manifest.generation > report_generation {
-                println!(
+                outln!(
                     "WARNING: this report is stale — it was saved at state generation \
                      {report_generation}, but the state directory is at generation {} \
                      (rebuild to refresh)",
@@ -730,11 +775,11 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         .ok_or_else(|| format!("`{}` has no \"metrics\" block", path.display()))?;
     let snapshot = sfcc_trace::MetricsSnapshot::from_json(metrics)
         .map_err(|e| format!("`{}`: {e}", path.display()))?;
-    println!(
+    outln!(
         "metrics of the last build of `{dir}` ({} metric(s)):\n",
         snapshot.len()
     );
-    print!("{}", snapshot.render_pretty());
+    out(snapshot.render_pretty());
     // Copy-on-write snapshot economics at a glance: how much cloning the
     // re-snapshot stages actually did vs. how much the dirty-bit rule saved.
     if let (Some(clones), Some(reused)) = (
@@ -743,79 +788,12 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     ) {
         let cost = snapshot.scalar("snapshot.cost_units").unwrap_or(0);
         let batches = snapshot.scalar("batch.count").unwrap_or(0);
-        println!(
+        outln!(
             "\nsnapshot reuse: {reused} function(s) reused across {clones} snapshot(s) \
              ({cost} cost units cloned, {batches} batch(es) planned)"
         );
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Audits dependency soundness: an instrumented cold build (whose access
-/// diff covers every task kind) followed by a no-op rebuild (whose stamp
-/// audit covers store serves), findings merged. Read-only — saves no
-/// state and writes no report file — so it can run against a checkout
-/// without dirtying it. Exit codes: 0 clean, 1 findings, 2 build failure.
-fn cmd_depcheck(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("depcheck", &flags) {
-        return result;
-    }
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!(
-            "`depcheck` expects one project directory\n\n{USAGE}"
-        ));
-    };
-    let dir = Path::new(dir);
-    let project = Project::from_dir(dir)
-        .map_err(|e| format!("cannot load project `{}`: {e}", dir.display()))?;
-    if project.is_empty() {
-        return Err(format!("no .mc files in `{}`", dir.display()));
-    }
-    let mut builder = Builder::new(Compiler::new(config_of(&flags, dir))).with_depcheck();
-    builder = match flags.jobs {
-        Some(jobs) => builder.with_jobs(jobs),
-        None => builder.with_parallelism(),
-    };
-    // Build failures are exit code 2 — distinct from "findings" (1) so CI
-    // can tell a broken project apart from a lying one.
-    let first = match builder.build(&project) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("depcheck: cold build failed: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
-    let mut second = match builder.build(&project) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("depcheck: no-op rebuild failed: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
-    let mut merged = first.depcheck.clone().unwrap_or_default();
-    merged.merge(second.depcheck.take().unwrap_or_default());
-    let clean = merged.is_clean();
-    if flags.report_json {
-        // The emitted report is the rebuild's, carrying the merged verdict
-        // of both audited builds.
-        second.depcheck = Some(merged);
-        println!("{}", second.to_json());
-    } else {
-        print!("{}", merged.render());
-        if clean {
-            println!(
-                "depcheck `{}`: clean — every declared dependency was accessed and \
-                 every access was declared",
-                dir.display()
-            );
-        }
-    }
-    Ok(if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
 }
 
 // ─── build daemon: `minicc serve` / `minicc client` / `--daemon` ───
@@ -867,94 +845,18 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let socket_path = options.socket.clone();
     sfcc_daemon::install_term_handler();
     let daemon = Daemon::bind(options, BuildService::factory())?;
-    println!(
+    outln!(
         "minicc daemon: serving projects under `{}` on `{}`",
         root.display(),
         socket_path.display()
     );
     daemon.run();
-    println!("minicc daemon: shut down cleanly");
+    outln!("minicc daemon: shut down cleanly");
     Ok(ExitCode::SUCCESS)
 }
 
-/// Resolves a path the daemon must interpret against *this* process's cwd.
-fn absolutize(path: &Path) -> String {
-    if path.is_absolute() {
-        path.display().to_string()
-    } else {
-        std::env::current_dir()
-            .unwrap_or_default()
-            .join(path)
-            .display()
-            .to_string()
-    }
-}
-
-/// The session-flag args of a daemon request (the daemon keys sessions on
-/// these, so the rendering is canonical: fixed order, no defaults).
-fn session_args(flags: &BuildFlags) -> Vec<String> {
-    let mut args = Vec::new();
-    if flags.stateful {
-        args.push("--stateful".to_string());
-    }
-    if flags.fn_cache {
-        args.push("--fn-cache".to_string());
-    }
-    if let Some(cas) = &flags.cas {
-        args.push("--cas".to_string());
-        args.push(absolutize(cas));
-    }
-    if let Some(budget) = flags.cas_budget {
-        args.push("--cas-budget".to_string());
-        args.push(budget.to_string());
-    }
-    if let Some(jobs) = flags.jobs {
-        args.push("--jobs".to_string());
-        args.push(jobs.to_string());
-    }
-    if flags.durable {
-        args.push("--durable".to_string());
-    }
-    if flags.opt != "-O2" {
-        args.push(flags.opt.to_string());
-    }
-    args
-}
-
-/// Builds the daemon request of a build-class command from parsed flags.
-fn remote_request(cmd: &str, flags: &BuildFlags) -> Result<Request, String> {
-    let (dir, module) = match (cmd, flags.operands.as_slice()) {
-        ("ir", [dir, module]) => (dir, Some(module.clone())),
-        (_, [dir]) => (dir, None),
-        ("ir", _) => {
-            return Err(format!(
-                "`ir` expects a project directory and a module name\n\n{USAGE}"
-            ));
-        }
-        _ => return Err(format!("`{cmd}` expects one project directory\n\n{USAGE}")),
-    };
-    let dir = std::fs::canonicalize(dir)
-        .map_err(|e| format!("cannot resolve project directory `{dir}`: {e}"))?;
-    Ok(Request {
-        cmd: cmd.to_string(),
-        dir: Some(dir.display().to_string()),
-        module,
-        out: flags.output.as_deref().map(absolutize),
-        args: session_args(flags),
-        prog_args: flags.program_args.clone(),
-    })
-}
-
-/// Extracts an integer field from a response body.
-fn body_num(reply: &Reply, key: &str) -> i64 {
-    match reply.body.get(key) {
-        Some(sfcc_trace::json::Value::Num(n)) => *n as i64,
-        _ => 0,
-    }
-}
-
-/// Prints a daemon reply the way the local command would print its own
-/// result, and maps it to the documented exit code.
+/// Prints a daemon reply with the printers the local route uses, and maps
+/// it to the documented exit code.
 fn render_reply(request: &Request, reply: &Reply) -> ExitCode {
     if !reply.ok {
         let (kind, message) = reply
@@ -969,74 +871,38 @@ fn render_reply(request: &Request, reply: &Reply) -> ExitCode {
             _ => ExitCode::FAILURE,
         };
     }
+    let body = &reply.body;
+    let text = |key: &str| body.get(key).and_then(Value::as_str).unwrap_or_default();
     match request.cmd.as_str() {
-        "build" => {
-            let recovered = body_num(reply, "recovered");
-            if recovered > 0 {
-                println!("recovered from {recovered} corrupt persistent file(s)");
-            }
-            println!(
-                "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)",
-                body_num(reply, "modules"),
-                body_num(reply, "rebuilt"),
-                body_num(reply, "wall_ns") as f64 / 1e6,
-                body_num(reply, "active"),
-                body_num(reply, "dormant"),
-                body_num(reply, "skipped"),
-                body_num(reply, "hits"),
-                body_num(reply, "misses"),
-            );
-            if let Some(image) = reply.body.get("image").and_then(|v| v.as_str()) {
-                println!("wrote {image}");
-            }
-            ExitCode::SUCCESS
-        }
+        "build" => print_build(&BuildSummary::of_reply(body), text("image")),
         "run" => {
-            if let Some(prints) = reply.body.get("prints").and_then(|v| v.as_arr()) {
-                for value in prints {
-                    if let sfcc_trace::json::Value::Num(n) = value {
-                        println!("{}", *n as i64);
-                    }
-                }
-            }
-            let args = &request.prog_args;
-            match reply.body.get("return") {
-                Some(sfcc_trace::json::Value::Num(v)) => {
-                    println!("main.main({args:?}) = {}", *v as i64);
-                }
-                _ => println!("main.main({args:?}) returned"),
-            }
-            println!("({} instructions executed)", body_num(reply, "executed"));
-            ExitCode::SUCCESS
+            let int = |value: &Value| match value {
+                Value::Num(n) => Some(*n as i64),
+                _ => None,
+            };
+            let prints: Vec<i64> = body
+                .get("prints")
+                .and_then(Value::as_arr)
+                .map(|values| values.iter().filter_map(int).collect())
+                .unwrap_or_default();
+            print_built_for_run(&BuildSummary::of_reply(body));
+            print_run(
+                &request.prog_args,
+                &prints,
+                body.get("return").and_then(int),
+                num_at(body, &["executed"]),
+            );
         }
-        "ir" => {
-            if let Some(ir) = reply.body.get("ir").and_then(|v| v.as_str()) {
-                print!("{ir}");
-            }
-            ExitCode::SUCCESS
-        }
+        "ir" => out(text("ir")),
         "depcheck" => {
-            if let Some(render) = reply.body.get("render").and_then(|v| v.as_str()) {
-                print!("{render}");
-            }
-            let clean = reply
-                .body
-                .get("clean")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false);
-            if clean {
-                println!("depcheck (warm daemon serve): clean");
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            let clean = body.get("clean").and_then(Value::as_bool).unwrap_or(false);
+            let dir = request.dir.as_deref().unwrap_or_default();
+            return print_depcheck(dir, text("render"), clean);
         }
         // ping/stats/shutdown: show the raw JSON body.
-        _ => {
-            println!("{}", reply.raw);
-            ExitCode::SUCCESS
-        }
+        _ => outln!("{}", reply.raw),
     }
+    ExitCode::SUCCESS
 }
 
 /// Whether a daemon answers pings at `socket` right now.
@@ -1044,28 +910,6 @@ fn daemon_reachable(socket: &Path) -> bool {
     sfcc_daemon::roundtrip_with_timeout(socket, &Request::bare("ping"), Duration::from_secs(5))
         .map(|reply| reply.ok)
         .unwrap_or(false)
-}
-
-/// Routes a build-class command through `--daemon` when the daemon is
-/// reachable. `None` means "serve locally instead" (no daemon requested,
-/// or the daemon is unreachable — the auto-connect fallback).
-fn try_daemon(cmd: &str, flags: &BuildFlags) -> Option<Result<ExitCode, String>> {
-    let socket = flags.daemon.as_deref()?;
-    if !daemon_reachable(socket) {
-        eprintln!(
-            "daemon at `{}` is unreachable; serving locally",
-            socket.display()
-        );
-        return None;
-    }
-    let request = match remote_request(cmd, flags) {
-        Ok(request) => request,
-        Err(e) => return Some(Err(e)),
-    };
-    match sfcc_daemon::roundtrip(socket, &request) {
-        Ok(reply) => Some(Ok(render_reply(&request, &reply))),
-        Err(e) => Some(Err(format!("daemon request failed: {e}"))),
-    }
 }
 
 fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
@@ -1080,41 +924,33 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
         ));
     };
     let socket = Path::new(socket);
-    match cmd.as_str() {
-        "ping" | "stats" => match sfcc_daemon::roundtrip(socket, &Request::bare(cmd)) {
-            Ok(reply) => {
-                let request = Request::bare(cmd);
-                Ok(render_reply(&request, &reply))
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                Ok(ExitCode::from(2))
-            }
-        },
+    let request = match cmd.as_str() {
+        "ping" | "stats" => Request::bare(cmd),
         // Shutdown is idempotent: a dead socket means the daemon is
         // already down, which is the requested state — exit 0.
-        "shutdown" => match sfcc_daemon::roundtrip(socket, &Request::bare("shutdown")) {
-            Ok(_) => {
-                println!("daemon: shutting down");
-                Ok(ExitCode::SUCCESS)
+        "shutdown" => {
+            match sfcc_daemon::roundtrip(socket, &Request::bare("shutdown")) {
+                Ok(_) => outln!("daemon: shutting down"),
+                Err(_) => outln!("daemon: already gone"),
             }
-            Err(_) => {
-                println!("daemon: already gone");
-                Ok(ExitCode::SUCCESS)
-            }
-        },
-        "build" | "run" | "ir" | "depcheck" => {
-            let flags = parse_flags(rest)?;
-            let request = remote_request(cmd, &flags)?;
-            match sfcc_daemon::roundtrip(socket, &request) {
-                Ok(reply) => Ok(render_reply(&request, &reply)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    Ok(ExitCode::from(2))
-                }
-            }
+            return Ok(ExitCode::SUCCESS);
         }
-        other => Err(format!("unknown client command `{other}`\n\n{USAGE}")),
+        "build" | "run" | "ir" | "depcheck" => {
+            let invocation = parse_invocation(cmd, rest)?;
+            if invocation.daemon.is_some() {
+                return Err("`--daemon` is redundant under `minicc client`".to_string());
+            }
+            invocation.refuse_local_only("`minicc client`")?;
+            invocation.request
+        }
+        other => return Err(format!("unknown client command `{other}`\n\n{USAGE}")),
+    };
+    match sfcc_daemon::roundtrip(socket, &request) {
+        Ok(reply) => Ok(render_reply(&request, &reply)),
+        Err(e) => {
+            eprintln!("{e}");
+            Ok(ExitCode::from(2))
+        }
     }
 }
 
@@ -1125,9 +961,13 @@ fn cmd_trace_check(args: &[String]) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let summary = sfcc_trace::validate_chrome_trace(&text)
         .map_err(|e| format!("`{path}` is not a valid trace: {e}"))?;
-    println!(
+    outln!(
         "{path}: valid — {} event(s) ({} span(s), {} instant(s)), max depth {}, {} pass event(s)",
-        summary.events, summary.complete, summary.instants, summary.max_depth, summary.pass_events
+        summary.events,
+        summary.complete,
+        summary.instants,
+        summary.max_depth,
+        summary.pass_events
     );
     Ok(ExitCode::SUCCESS)
 }

@@ -202,6 +202,13 @@ impl Builder {
         self
     }
 
+    /// Toggles tracing on an existing builder (see [`Builder::with_tracing`]):
+    /// a session flips this per request, so a traced build is not a second
+    /// construction path.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.tracing = on;
+    }
+
     /// Enables parallel compilation within each wave, with one worker per
     /// available core.
     pub fn with_parallelism(self) -> Self {

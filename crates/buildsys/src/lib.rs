@@ -24,8 +24,14 @@
 //!   resource accesses diffed against the engine's declared dependencies
 //!   (missing/redundant deps, stale serves, untracked I/O), plus the
 //!   adversarial [`DepMutations`] hooks the depcheck fuzzer drives;
-//! - the `minicc` binary: a command-line driver over all of the above
-//!   (`build` / `run` / `exec` / `ir` / `bc` / `state` / `depcheck`).
+//! - [`serve`]: the one implementation of a build-class request — a
+//!   [`serve::BuildService`] session with a typed method per request kind,
+//!   kept resident by the `minicc serve` daemon and opened for a single
+//!   request by the cold CLI;
+//! - the `minicc` binary: the command line over all of the above
+//!   (`build` / `run` / `exec` / `ir` / `bc` / `state` / `depcheck` /
+//!   `serve` / `client`), which parses, routes and prints but builds
+//!   nothing itself.
 //!
 //! ```
 //! use sfcc::{Compiler, Config};

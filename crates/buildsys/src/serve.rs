@@ -1,31 +1,32 @@
-//! The warm build service behind `minicc serve`.
+//! The one implementation of a build-class request.
 //!
-//! `sfcc-daemon` owns sockets, framing, admission, and session slots; this
-//! module supplies what it serves: a [`BuildService`] wrapping a
-//! persistent [`Builder`] whose query engine, function cache, CAS handle,
-//! and per-function dormancy stamps stay resident between requests. A warm
-//! serve re-validates inputs through the engine's stamps (the per-function
-//! `state:m::f` dormancy inputs included) instead of reloading state from
-//! disk, which is exactly the paper's statefulness applied across process
-//! boundaries.
+//! A request — `build`, `run`, `ir`, `depcheck` — is served by a
+//! [`BuildService`]: a session wrapping a persistent [`Builder`] whose
+//! query engine, function cache, CAS handle, and per-function dormancy
+//! stamps stay resident between requests. `minicc serve` keeps sessions
+//! alive behind `sfcc-daemon` (which owns sockets, framing, admission, and
+//! session slots); a cold `minicc build` opens a session, serves one
+//! request through the same typed methods, and exits. There is no second
+//! path: flags parse through [`SessionFlags`] on both routes, and each
+//! request kind's durable-op sequence is written once, here.
 //!
-//! Request semantics mirror the cold CLI byte-for-byte: a `build` request
-//! parks the previous report, builds, persists state through the
-//! `CommitDir` protocol, writes `.sfcc-report.json`, and writes the image
-//! — the same durable ops in the same order as `minicc build`, so a crash
-//! mid-request leaves exactly the states a cold build's crash would, and
-//! the differential suite can hold warm responses to cold-build
-//! byte-identity.
+//! A warm serve re-validates inputs through the engine's stamps (the
+//! per-function `state:m::f` dormancy inputs included) instead of
+//! reloading state from disk, which is exactly the paper's statefulness
+//! applied across process boundaries. Because a build parks the previous
+//! report, builds, persists state through the `CommitDir` protocol, writes
+//! `.sfcc-report.json`, and writes the image in one fixed order, a crash
+//! mid-request leaves the same states whichever process served it.
 
-use crate::{Builder, DepMutations, Project};
+use crate::{BuildReport, Builder, DepMutations, Project};
 use sfcc::{Compiler, Config, Durability};
-use sfcc_backend::{run, VmOptions};
+use sfcc_backend::{run, Program, RunOutput, VmOptions};
 use sfcc_daemon::{Request, Service};
 use sfcc_trace::json;
 use std::path::{Path, PathBuf};
 
-/// The build flags one daemon session is keyed under — the subset of
-/// `minicc` build flags that makes sense per-session.
+/// The build flags one session is keyed under: the part of a `minicc`
+/// command line that travels with the request.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionFlags {
     /// `--stateful`: persist dormancy state in `<dir>/.sfcc-state`.
@@ -45,7 +46,7 @@ pub struct SessionFlags {
 }
 
 impl SessionFlags {
-    /// Parses the `args` of a daemon request (verbatim CLI flag syntax).
+    /// Parses the `args` of a request (verbatim CLI flag syntax).
     ///
     /// # Errors
     ///
@@ -57,45 +58,100 @@ impl SessionFlags {
         };
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--stateful" => flags.stateful = true,
-                "--stateless" => flags.stateful = false,
-                "--fn-cache" => flags.fn_cache = true,
-                "--cas" => {
-                    let dir = iter.next().ok_or("`--cas` expects a store directory")?;
-                    flags.cas = Some(PathBuf::from(dir));
-                }
-                "--cas-budget" => {
-                    let value = iter.next().ok_or("`--cas-budget` expects a byte count")?;
-                    flags.cas_budget =
-                        Some(value.parse().map_err(|_| {
-                            format!("`--cas-budget` expects a number, got `{value}`")
-                        })?);
-                }
-                "--jobs" => {
-                    let value = iter.next().ok_or("`--jobs` expects a worker count")?;
-                    let n: usize = value
-                        .parse()
-                        .map_err(|_| format!("`--jobs` expects a number, got `{value}`"))?;
-                    if n == 0 {
-                        return Err("`--jobs` expects at least 1 worker".to_string());
-                    }
-                    flags.jobs = Some(n);
-                }
-                "--parallel" => flags.jobs = None,
-                "--durable" => flags.durable = true,
-                "-O0" => flags.opt = 0,
-                "-O1" => flags.opt = 1,
-                "-O2" => flags.opt = 2,
-                other => return Err(format!("unknown session flag `{other}`")),
+            if !flags.accept(arg, &mut iter)? {
+                return Err(format!("unknown session flag `{arg}`"));
             }
         }
         Ok(flags)
     }
 
-    /// The compiler configuration these flags select for `dir` — the same
-    /// mapping the cold CLI applies, environment fallbacks
-    /// (`SFCC_CAS`, `SFCC_CAS_BUDGET`) included.
+    /// Consumes `arg` — and, for a valued flag, its value from `rest` — if
+    /// it is a session flag; `Ok(false)` means it is not one and nothing
+    /// was consumed. `minicc` interleaves this with the client-side options
+    /// it owns, so every command line goes through this one grammar.
+    ///
+    /// # Errors
+    ///
+    /// A session flag with a missing or malformed value.
+    pub fn accept<'a>(
+        &mut self,
+        arg: &str,
+        rest: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--stateful" => self.stateful = true,
+            "--stateless" => self.stateful = false,
+            "--fn-cache" => self.fn_cache = true,
+            "--cas" => {
+                let dir = rest.next().ok_or("`--cas` expects a store directory")?;
+                self.cas = Some(PathBuf::from(dir));
+            }
+            "--cas-budget" => {
+                let value = rest.next().ok_or("`--cas-budget` expects a byte count")?;
+                self.cas_budget = Some(
+                    value
+                        .parse()
+                        .map_err(|_| format!("`--cas-budget` expects a number, got `{value}`"))?,
+                );
+            }
+            "--jobs" => {
+                let value = rest.next().ok_or("`--jobs` expects a worker count")?;
+                let n: usize = value
+                    .parse()
+                    .map_err(|_| format!("`--jobs` expects a number, got `{value}`"))?;
+                if n == 0 {
+                    return Err("`--jobs` expects at least 1 worker".to_string());
+                }
+                self.jobs = Some(n);
+            }
+            "--parallel" => self.jobs = None,
+            "--durable" => self.durable = true,
+            "-O0" => self.opt = 0,
+            "-O1" => self.opt = 1,
+            "-O2" => self.opt = 2,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The canonical inverse of [`SessionFlags::parse`]: fixed order,
+    /// defaults omitted, so equal flags render to equal `args` however the
+    /// command line spelled them (the daemon keys sessions on the `args`
+    /// it receives).
+    pub fn to_args(&self) -> Vec<String> {
+        let mut args = Vec::new();
+        let mut flag = |name: &str| args.push(name.to_string());
+        if self.stateful {
+            flag("--stateful");
+        }
+        if self.fn_cache {
+            flag("--fn-cache");
+        }
+        if let Some(cas) = &self.cas {
+            flag("--cas");
+            flag(&cas.display().to_string());
+        }
+        if let Some(budget) = self.cas_budget {
+            flag("--cas-budget");
+            flag(&budget.to_string());
+        }
+        if let Some(jobs) = self.jobs {
+            flag("--jobs");
+            flag(&jobs.to_string());
+        }
+        if self.durable {
+            flag("--durable");
+        }
+        if self.opt != 2 {
+            flag(&format!("-O{}", self.opt));
+        }
+        args
+    }
+
+    /// The compiler configuration these flags select for `dir`. A pure
+    /// function of the flags: environment fallbacks (`SFCC_CAS`,
+    /// `SFCC_CAS_BUDGET`) are resolved into flags where the command line
+    /// is parsed, so they travel with the request.
     pub fn config(&self, dir: &Path) -> Config {
         let mut config = if self.stateful {
             Config::stateful().with_state_path(dir.join(".sfcc-state"))
@@ -110,16 +166,10 @@ impl SessionFlags {
         if self.fn_cache {
             config = config.with_function_cache();
         }
-        let cas_dir = self
-            .cas
-            .clone()
-            .or_else(|| std::env::var("SFCC_CAS").ok().map(PathBuf::from));
-        if let Some(store) = cas_dir {
+        // The store implies the function cache, which fronts it.
+        if let Some(store) = &self.cas {
             config = config.with_cas_path(store);
-            let budget = self
-                .cas_budget
-                .or_else(|| std::env::var("SFCC_CAS_BUDGET").ok()?.parse().ok());
-            if let Some(budget) = budget {
+            if let Some(budget) = self.cas_budget {
                 config = config.with_cas_budget(budget);
             }
         }
@@ -155,25 +205,67 @@ pub fn parse_mutations(spec: &str) -> Result<DepMutations, String> {
     Ok(mutations)
 }
 
-/// The warm per-project session: one persistent [`Builder`] plus the flags
-/// it was configured under.
+/// One project's session: a persistent [`Builder`] plus the flags it was
+/// configured under. Resident across requests in the daemon; opened for
+/// one request by the cold CLI.
 pub struct BuildService {
     dir: PathBuf,
     flags: SessionFlags,
     builder: Builder,
     /// Whether the builder holds state newer than the last durable save.
-    /// Builds save their own state before responding, so this only flips
-    /// when a future request kind mutates without saving.
+    /// Builds save their own state before responding, so this only stays
+    /// set when a build's commit failed partway.
     dirty: bool,
 }
 
 /// The report file every build persists, `minicc stats`'s input.
 pub const REPORT_FILE: &str = ".sfcc-report.json";
-/// Where the previous report parks while a build runs.
+/// Where the previous build's report is parked while a build runs. A build
+/// that fails leaves it here, so `minicc stats` can tell "the last build
+/// did not complete" apart from "here is the last build's telemetry".
 pub const STALE_REPORT_FILE: &str = ".sfcc-report.json.stale";
 
+/// What one committed build produced.
+pub struct Built {
+    /// The build's report, stamped with the state generation it committed.
+    pub report: BuildReport,
+    /// [`BuildReport::to_json`] of `report`, rendered once per request: the
+    /// bytes of the persisted report file, of a reply's `report` member,
+    /// and of `--report json`.
+    pub report_json: String,
+}
+
+/// What a `run` request produced: the build, then `main.main`'s execution.
+pub struct Ran {
+    /// The build the program came from.
+    pub built: Built,
+    /// The VM's output.
+    pub output: RunOutput,
+}
+
+/// Runs `main.main` of `program` on `args`. The VM zero-fills missing
+/// argument registers, so the argument count must match exactly: a
+/// forgotten `-- <n>` fails loudly instead of running `main` on zeros.
+///
+/// # Errors
+///
+/// An argument-count mismatch or a VM trap.
+pub fn run_main(program: &Program, args: &[i64]) -> Result<RunOutput, String> {
+    if let Some(id) = program.func_id("main.main") {
+        let arity = program.func(id).arity as usize;
+        if args.len() != arity {
+            return Err(format!(
+                "main.main takes {arity} argument(s), got {} (pass them after `--`)",
+                args.len()
+            ));
+        }
+    }
+    run(program, "main.main", args, VmOptions::default())
+        .map_err(|e| format!("runtime error: {e:?}"))
+}
+
 impl BuildService {
-    /// A warm session for `dir` under `args` (verbatim CLI build flags).
+    /// A session for `dir` under `args` (verbatim CLI build flags).
     /// Mutation specs (the depcheck fuzzing hook) come from the
     /// `SFCC_DAEMON_MUTATIONS` environment variable.
     ///
@@ -201,11 +293,9 @@ impl BuildService {
         mutations: DepMutations,
     ) -> Result<BuildService, String> {
         let flags = SessionFlags::parse(args)?;
-        let mut builder = Builder::new(Compiler::new(flags.config(dir)));
-        builder = match flags.jobs {
-            Some(jobs) => builder.with_jobs(jobs),
-            None => builder.with_parallelism(),
-        };
+        let config = flags.config(dir);
+        let jobs = config.jobs;
+        let mut builder = Builder::new(Compiler::new(config)).with_jobs(jobs);
         if !mutations.is_empty() {
             builder = builder.with_dep_mutations(mutations);
         }
@@ -222,6 +312,13 @@ impl BuildService {
         Box::new(|dir, args| Ok(Box::new(BuildService::new(dir, args)?)))
     }
 
+    /// Toggles span tracing of subsequent builds (see
+    /// [`Builder::set_tracing`]); a traced build's [`Built::report`]
+    /// carries the trace.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.builder.set_tracing(on);
+    }
+
     fn load_project(&self) -> Result<Project, String> {
         let project = Project::from_dir(&self.dir)
             .map_err(|e| format!("cannot load project `{}`: {e}", self.dir.display()))?;
@@ -231,11 +328,19 @@ impl BuildService {
         Ok(project)
     }
 
-    /// One warm build with the cold CLI's exact durable-op sequence: park
-    /// report → build → save state → write report → unpark. Returns the
-    /// report.
-    fn build_once(&mut self) -> Result<crate::BuildReport, String> {
+    /// One build of the tree as it is now, committed: park the previous
+    /// report → build → save state → write the report → unpark. The report
+    /// file is plain `std::fs`, deliberately outside the fault-injectable
+    /// I/O layer, so telemetry never shifts a fault plan's op numbering.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable or empty project, a build failure, or a failed state
+    /// or report write. A failed build leaves the previous report parked.
+    pub fn build(&mut self) -> Result<Built, String> {
         let project = self.load_project()?;
+        // Park the previous report before building: if this build fails or
+        // crashes, `stats` must not serve yesterday's numbers as today's.
         let report_path = self.dir.join(REPORT_FILE);
         let stale_path = self.dir.join(STALE_REPORT_FILE);
         if report_path.exists() {
@@ -254,107 +359,70 @@ impl BuildService {
                 .map_err(|e| format!("cannot save state: {e}"))?;
         }
         self.dirty = false;
-        std::fs::write(&report_path, report.to_json())
+        let report_json = report.to_json();
+        std::fs::write(&report_path, &report_json)
             .map_err(|e| format!("cannot write `{}`: {e}", report_path.display()))?;
         let _ = std::fs::remove_file(&stale_path);
-        Ok(report)
+        Ok(Built {
+            report,
+            report_json,
+        })
     }
 
-    fn handle_build(&mut self, request: &Request) -> Result<String, String> {
-        let report = self.build_once()?;
-        let out = match request.out.as_deref() {
-            Some(path) => PathBuf::from(path),
-            None => self.dir.with_extension("sbx"),
-        };
-        let durability = if self.flags.durable {
-            Durability::Durable
-        } else {
-            Durability::Fast
-        };
-        sfcc_backend::image::save_with(&report.program, &out, durability)
+    /// [`BuildService::build`], then the linked image written to `out`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BuildService::build`], or a failed image write.
+    pub fn build_image(&mut self, out: &Path) -> Result<Built, String> {
+        let built = self.build()?;
+        let durability = self.builder.compiler().config().durability;
+        sfcc_backend::image::save_with(&built.report.program, out, durability)
             .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
-        let (active, dormant, skipped) = report.outcome_totals();
-        let mut payload = String::from("\"image\":");
-        json::escape_into(&mut payload, &out.display().to_string());
-        payload.push_str(&format!(
-            ",\"modules\":{},\"rebuilt\":{},\"generation\":{},\"recovered\":{},\
-             \"active\":{active},\"dormant\":{dormant},\"skipped\":{skipped},\
-             \"hits\":{},\"misses\":{},\"wall_ns\":{},\"report\":{}",
-            report.modules.len(),
-            report.rebuilt_count(),
-            report.state_generation,
-            report.recovered_files,
-            report.query.hits,
-            report.query.misses,
-            report.wall_ns,
-            report.to_json(),
-        ));
-        Ok(payload)
+        Ok(built)
     }
 
-    fn handle_run(&mut self, request: &Request) -> Result<String, String> {
-        let report = self.build_once()?;
-        let args = &request.prog_args;
-        if let Some(id) = report.program.func_id("main.main") {
-            let arity = report.program.func(id).arity as usize;
-            if args.len() != arity {
-                return Err(format!(
-                    "main.main takes {arity} argument(s), got {} (pass them after `--`)",
-                    args.len()
-                ));
-            }
-        }
-        let out = run(&report.program, "main.main", args, VmOptions::default())
-            .map_err(|e| format!("runtime error: {e:?}"))?;
-        let mut payload = String::from("\"prints\":[");
-        for (i, value) in out.prints.iter().enumerate() {
-            if i > 0 {
-                payload.push(',');
-            }
-            payload.push_str(&value.to_string());
-        }
-        payload.push(']');
-        match out.return_value {
-            Some(v) => payload.push_str(&format!(",\"return\":{v}")),
-            None => payload.push_str(",\"return\":null"),
-        }
-        payload.push_str(&format!(
-            ",\"executed\":{},\"modules\":{},\"rebuilt\":{},\"skipped\":{}",
-            out.executed,
-            report.modules.len(),
-            report.rebuilt_count(),
-            report.outcome_totals().2,
-        ));
-        Ok(payload)
+    /// [`BuildService::build`], then `main.main` run on `args`.
+    ///
+    /// # Errors
+    ///
+    /// As [`BuildService::build`] and [`run_main`].
+    pub fn run(&mut self, args: &[i64]) -> Result<Ran, String> {
+        let built = self.build()?;
+        let output = run_main(&built.report.program, args)?;
+        Ok(Ran { built, output })
     }
 
-    fn handle_ir(&mut self, request: &Request) -> Result<String, String> {
-        let module = request
-            .module
-            .as_deref()
-            .ok_or("`ir` requires a \"module\" field")?;
-        // Bring the warm store up to date with the tree first — the cold
-        // CLI's `ir` also builds before printing.
-        self.build_once()?;
+    /// [`BuildService::build`], then `module`'s optimized IR as text —
+    /// read from the query store, so it is there for warm modules that
+    /// nothing recompiled.
+    ///
+    /// # Errors
+    ///
+    /// As [`BuildService::build`], or an unknown module.
+    pub fn ir(&mut self, module: &str) -> Result<String, String> {
+        self.build()?;
         let ir = self
             .builder
             .module_ir(module)
             .ok_or_else(|| format!("no module `{module}` in `{}`", self.dir.display()))?;
-        let mut payload = String::from("\"module\":");
-        json::escape_into(&mut payload, module);
-        payload.push_str(",\"ir\":");
-        json::escape_into(&mut payload, &sfcc_ir::module_to_string(&ir));
-        Ok(payload)
+        Ok(sfcc_ir::module_to_string(&ir))
     }
 
-    fn handle_depcheck(&mut self) -> Result<String, String> {
+    /// Audits dependency soundness: an instrumented build (whose access
+    /// diff covers every task kind that runs) followed by a no-op rebuild
+    /// (whose stamp audit covers store serves). Read-only — saves no state
+    /// and writes no report file — so it can run against a checkout
+    /// without dirtying it. Returns the rebuild's report, its
+    /// [`BuildReport::depcheck`] holding the merged verdict of both builds.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable or empty project, or a failure of either build.
+    pub fn depcheck(&mut self) -> Result<BuildReport, String> {
         let project = self.load_project()?;
-        // Read-only audit: instrument the warm builder, run the serve plus
-        // a no-op rebuild, merge, and restore. No state save, no report
-        // file — exactly the cold `minicc depcheck` contract, applied to
-        // warm serves.
         self.builder.set_depcheck(true);
-        let audit: Result<crate::DepcheckReport, String> = (|| {
+        let audit = (|| {
             let first = self
                 .builder
                 .build(&project)
@@ -363,36 +431,92 @@ impl BuildService {
                 .builder
                 .build(&project)
                 .map_err(|e| format!("depcheck: no-op rebuild failed: {e}"))?;
-            let mut merged = first.depcheck.clone().unwrap_or_default();
+            let mut merged = first.depcheck.unwrap_or_default();
             merged.merge(second.depcheck.take().unwrap_or_default());
-            Ok(merged)
+            second.depcheck = Some(merged);
+            Ok(second)
         })();
         self.builder.set_depcheck(false);
-        let merged = audit?;
-        let mut payload = format!(
-            "\"clean\":{},\"findings\":{},\"render\":",
-            merged.is_clean(),
-            merged.findings.len()
-        );
-        json::escape_into(&mut payload, &merged.render());
-        Ok(payload)
+        audit
     }
 }
 
+/// The daemon's view of a session: each typed result encoded as the
+/// members of a reply.
 impl Service for BuildService {
     fn handle(&mut self, request: &Request) -> Result<String, String> {
+        let mut payload = String::new();
         match request.cmd.as_str() {
-            "build" => self.handle_build(request),
-            "run" => self.handle_run(request),
-            "ir" => self.handle_ir(request),
-            "depcheck" => self.handle_depcheck(),
-            other => Err(format!("session cannot serve `{other}`")),
+            "build" => {
+                let out = match request.out.as_deref() {
+                    Some(path) => PathBuf::from(path),
+                    None => self.dir.with_extension("sbx"),
+                };
+                let Built {
+                    report,
+                    report_json,
+                } = self.build_image(&out)?;
+                let (active, dormant, skipped) = report.outcome_totals();
+                payload.push_str("\"image\":");
+                json::escape_into(&mut payload, &out.display().to_string());
+                payload.push_str(&format!(
+                    ",\"modules\":{},\"rebuilt\":{},\"generation\":{},\"recovered\":{},\
+                     \"active\":{active},\"dormant\":{dormant},\"skipped\":{skipped},\
+                     \"hits\":{},\"misses\":{},\"wall_ns\":{},\"report\":{report_json}",
+                    report.modules.len(),
+                    report.rebuilt_count(),
+                    report.state_generation,
+                    report.recovered_files,
+                    report.query.hits,
+                    report.query.misses,
+                    report.wall_ns,
+                ));
+            }
+            "run" => {
+                let Ran { built, output } = self.run(&request.prog_args)?;
+                let prints: Vec<String> = output.prints.iter().map(i64::to_string).collect();
+                let returned = match output.return_value {
+                    Some(v) => v.to_string(),
+                    None => "null".to_string(),
+                };
+                payload.push_str(&format!(
+                    "\"prints\":[{}],\"return\":{returned},\"executed\":{},\
+                     \"modules\":{},\"rebuilt\":{},\"skipped\":{}",
+                    prints.join(","),
+                    output.executed,
+                    built.report.modules.len(),
+                    built.report.rebuilt_count(),
+                    built.report.outcome_totals().2,
+                ));
+            }
+            "ir" => {
+                let module = request
+                    .module
+                    .as_deref()
+                    .ok_or("`ir` requires a \"module\" field")?;
+                let text = self.ir(module)?;
+                payload.push_str("\"module\":");
+                json::escape_into(&mut payload, module);
+                payload.push_str(",\"ir\":");
+                json::escape_into(&mut payload, &text);
+            }
+            "depcheck" => {
+                let verdict = self.depcheck()?.depcheck.unwrap_or_default();
+                payload.push_str(&format!(
+                    "\"clean\":{},\"findings\":{},\"render\":",
+                    verdict.is_clean(),
+                    verdict.findings.len()
+                ));
+                json::escape_into(&mut payload, &verdict.render());
+            }
+            other => return Err(format!("session cannot serve `{other}`")),
         }
+        Ok(payload)
     }
 
     fn snapshot(&mut self) -> Result<(), String> {
         // Builds persist their own state before responding, so this only
-        // writes when a request mutated without saving; re-saving
+        // writes when a build's own commit failed; re-saving
         // unconditionally would advance the state generation past what a
         // cold build lineage produces and break byte-identity.
         if self.dirty && self.flags.stateful {
@@ -403,5 +527,66 @@ impl Service for BuildService {
             self.dirty = false;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// `to_args` is the inverse of `parse`, and canonical: however a
+    /// command line orders, repeats, or defaults its flags, equal flags
+    /// render to the same `args` (the daemon's session key).
+    #[test]
+    fn to_args_round_trips_and_is_canonical() {
+        let table: [(&str, &[&str]); 6] = [
+            (
+                "",
+                &["", "--stateless -O2 --parallel", "--jobs 4 --parallel"],
+            ),
+            ("--stateful", &["--stateful", "--stateless --stateful"]),
+            (
+                "--stateful --fn-cache",
+                &["--stateful --fn-cache", "--fn-cache --stateful"],
+            ),
+            ("-O0", &["-O0", "-O1 --stateful -O0 --stateless"]),
+            ("--jobs 3 -O1", &["-O1 --jobs 3", "--jobs 8 -O1 --jobs 3"]),
+            (
+                "--stateful --fn-cache --cas /s --cas-budget 4096 --jobs 2 --durable -O1",
+                &[
+                    "--stateful --fn-cache --cas /s --cas-budget 4096 --jobs 2 --durable -O1",
+                    "-O1 --durable --jobs 2 --cas-budget 4096 --cas /s --fn-cache --stateful",
+                ],
+            ),
+        ];
+        for (canonical, spellings) in table {
+            for line in spellings {
+                let flags = SessionFlags::parse(&args(line)).unwrap();
+                assert_eq!(flags.to_args(), args(canonical), "`{line}`");
+                assert_eq!(
+                    SessionFlags::parse(&flags.to_args()).unwrap(),
+                    flags,
+                    "round trip of `{line}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parse_names_the_offending_flag() {
+        for (line, needle) in [
+            ("--frobnicate", "--frobnicate"),
+            ("--jobs", "--jobs"),
+            ("--jobs 0", "at least 1"),
+            ("--cas-budget lots", "lots"),
+            ("--report json", "--report"),
+        ] {
+            let err = SessionFlags::parse(&args(line)).unwrap_err();
+            assert!(err.contains(needle), "`{line}`: {err}");
+        }
     }
 }

@@ -246,6 +246,61 @@ fn fsck_without_operand_prints_usage() {
     );
 }
 
+#[test]
+fn quick_closed_stdout_is_not_a_panic() {
+    // `minicc build demo | head -1`, deterministically: stdout is a pipe
+    // whose read end is already gone when the first line is printed.
+    let dir = demo_copy("epipe");
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_minicc"))
+        .args(["build", dir.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .expect("failed to launch minicc");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "the build itself succeeded: {}",
+        stderr(&out)
+    );
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert!(dir.with_extension("sbx").is_file(), "image not written");
+    let _ = std::fs::remove_file(dir.with_extension("sbx"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn persisted_function_cache_is_not_served_across_opt_levels() {
+    // The cache keys on function fingerprints alone, which is only sound
+    // under one pipeline: entries persisted at one level must never be
+    // served at another. Every image equals a fresh build at its level.
+    let build = |dir: &Path, level: &str| -> Vec<u8> {
+        let image = dir.join("out.sbx");
+        let out = minicc(&[
+            "build",
+            dir.to_str().unwrap(),
+            "--stateful",
+            "--fn-cache",
+            level,
+            "-o",
+            image.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{level}: {}", stderr(&out));
+        std::fs::read(image).unwrap()
+    };
+    let dir = demo_copy("cache-id");
+    for (step, level) in ["-O2", "-O0", "-O2"].into_iter().enumerate() {
+        let fresh = demo_copy(&format!("cache-id-fresh{step}"));
+        assert!(
+            build(&dir, level) == build(&fresh, level),
+            "step {step}: the {level} image differs from a fresh {level} build"
+        );
+        let _ = std::fs::remove_dir_all(&fresh);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // `minicc serve` / `minicc client` protocol contract (real processes)
 // ---------------------------------------------------------------------------
@@ -553,6 +608,170 @@ fn quick_daemon_flag_routes_through_a_live_daemon() {
         "{}",
         stdout(&out)
     );
+    let out = daemon.shutdown_and_wait();
+    assert!(out.status.success());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `minicc` with extra environment variables.
+fn minicc_env(args: &[&str], env: &[(&str, &Path)]) -> Output {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_minicc"));
+    for (key, value) in env {
+        command.env(key, value);
+    }
+    command
+        .args(args)
+        .output()
+        .expect("failed to launch minicc")
+}
+
+/// Stdout with the two fields that legitimately differ between two runs
+/// masked: the project directory (the image path derives from it) and the
+/// build's wall time.
+fn masked_stdout(out: &Output, dir: &Path) -> String {
+    let text = stdout(out).replace(dir.to_str().unwrap(), "<dir>");
+    match (text.find(") in "), text.find(" ms; ")) {
+        (Some(a), Some(b)) if a < b => format!("{}<wall>{}", &text[..a + 5], &text[b..]),
+        _ => text,
+    }
+}
+
+/// The daemon's lifetime request counter, as `client stats` reports it.
+fn daemon_requests(sock: &str) -> u64 {
+    let out = minicc(&["client", sock, "stats"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    sfcc_trace::json::parse(&stdout(&out))
+        .unwrap()
+        .get("daemon")
+        .and_then(|d| d.get("requests"))
+        .and_then(|n| n.as_u64())
+        .expect("stats carries daemon.requests")
+}
+
+#[test]
+fn quick_local_and_daemon_routes_agree() {
+    let root = scratch_dir("route-parity");
+    let local = root.join("local");
+    let remote = root.join("remote");
+    write_project(&local, &v1_files());
+    write_project(&remote, &v1_files());
+    let daemon = spawn_serve(&root, &[]);
+    let sock = daemon.socket().to_string();
+
+    // One request of every kind, the same tree served both ways. Each
+    // command has its own flag set: a flag change recycles the daemon's
+    // session, so every request starts — like every local process — from
+    // what the previous one committed, and the outputs are comparable.
+    let session = ["--stateful", "--fn-cache"];
+    let commands: [(&[&str], &[&str], &[&str]); 4] = [
+        (&["build"], &[], &[]),
+        (&["run"], &["--jobs", "1"], &["--", "21"]),
+        (&["ir"], &["lib", "--jobs", "2"], &[]),
+        (&["depcheck"], &["--durable"], &[]),
+    ];
+    for (cmd, flags, tail) in commands {
+        let line = |dir: &Path, route: &[&str]| -> Output {
+            let dir = dir.to_str().unwrap();
+            minicc(&[cmd, &[dir], flags, &session, route, tail].concat())
+        };
+        let here = line(&local, &[]);
+        let there = line(&remote, &["--daemon", &sock]);
+        assert!(here.status.success(), "local {cmd:?}: {}", stderr(&here));
+        assert_eq!(
+            here.status.code(),
+            there.status.code(),
+            "{cmd:?} exit codes"
+        );
+        assert_eq!(
+            masked_stdout(&here, &local),
+            masked_stdout(&there, &remote),
+            "{cmd:?}: the two routes print different text"
+        );
+    }
+    assert!(
+        stdout(&minicc(&["client", &sock, "stats"])).contains("\"sessions_created\":4"),
+        "every remote command must have been served by the daemon"
+    );
+
+    // What the two routes left behind is the same, byte for byte.
+    assert_eq!(
+        std::fs::read(local.with_extension("sbx")).unwrap(),
+        std::fs::read(remote.with_extension("sbx")).unwrap(),
+        "images differ"
+    );
+    let committed = |dir: &Path, logical: &str| -> Vec<u8> {
+        let cd = sfcc_faultfs::CommitDir::new(&dir.join(".sfcc-state"));
+        let manifest = cd.read_manifest().unwrap().expect("a committed manifest");
+        cd.load_entry(manifest.entry(logical).expect(logical))
+            .unwrap()
+    };
+    for logical in ["state", "ircache"] {
+        assert!(
+            committed(&local, logical) == committed(&remote, logical),
+            "committed `{logical}` entries differ"
+        );
+    }
+    let report = |dir: &Path| {
+        let text = std::fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
+        sfcc_trace::json::parse(&text).unwrap()
+    };
+    for block in ["query", "fngrain", "outcomes"] {
+        assert_eq!(
+            report(&local).get(block),
+            report(&remote).get(block),
+            "report `{block}` blocks differ"
+        );
+    }
+
+    // Options a reply cannot carry back are refused before anything is
+    // sent — on both spellings of the daemon route — naming the flag.
+    let before = daemon_requests(&sock);
+    let trace = root.join("t.json");
+    let refused: [&[&str]; 3] = [
+        &["--report", "json"],
+        &["--trace", trace.to_str().unwrap()],
+        &["--trace-wall"],
+    ];
+    for option in refused {
+        let dir = remote.to_str().unwrap();
+        for route in [
+            [&["build", dir, "--daemon", &sock], option].concat(),
+            [&["client", &sock, "build", dir], option].concat(),
+        ] {
+            let out = minicc(&route);
+            assert!(!out.status.success(), "{route:?} must be refused");
+            assert!(
+                stderr(&out).contains(option[0]),
+                "{route:?} must name `{}`: {}",
+                option[0],
+                stderr(&out)
+            );
+        }
+    }
+    assert!(!trace.exists(), "a refused --trace must not leave a file");
+    assert_eq!(
+        daemon_requests(&sock),
+        before + 1,
+        "a refused option must not reach the daemon (only `stats` itself did)"
+    );
+
+    // An environment fallback stands for its flag, so it travels: the
+    // daemon publishes into the store the *client's* environment names.
+    // (A fresh tree: nothing is cached locally, so the build must publish.)
+    let store = root.join("store");
+    let fresh = root.join("fresh");
+    write_project(&fresh, &v1_files());
+    let out = minicc_env(
+        &["build", fresh.to_str().unwrap(), "--daemon", &sock],
+        &[("SFCC_CAS", &store)],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        std::fs::read_dir(&store).is_ok_and(|mut entries| entries.next().is_some()),
+        "SFCC_CAS through --daemon must publish into `{}`",
+        store.display()
+    );
+
     let out = daemon.shutdown_and_wait();
     assert!(out.status.success());
     let _ = std::fs::remove_dir_all(&root);

@@ -531,6 +531,24 @@ impl CasBackend for DirBackend {
     }
 }
 
+/// A scalar key component widened to the fingerprint domain.
+fn word(n: impl Into<u128>) -> Fingerprint {
+    Fingerprint(n.into())
+}
+
+/// The one key derivation: the values of [`KEY_COMPONENTS`], in that
+/// order, folded over the format tag — each only where `keep` admits its
+/// name (everything, except under [`CasStore::set_key_drops`]).
+fn derive_key(parts: [Fingerprint; 4], keep: impl Fn(&str) -> bool) -> Fingerprint {
+    KEY_COMPONENTS
+        .iter()
+        .zip(parts)
+        .filter(|(name, _)| keep(name))
+        .fold(Fingerprint::of_str("sfcc-cas/v1"), |key, (_, part)| {
+            key.combine(part)
+        })
+}
+
 /// A handle on a content-addressed artifact store. Shareable by `&self`
 /// across threads; cross-process coordination is the backend's publish
 /// discipline.
@@ -622,20 +640,11 @@ impl CasStore {
     }
 
     fn derive(&self, fn_ctx: Fingerprint, drops: &BTreeSet<String>) -> Fingerprint {
-        let mut key = Fingerprint::of_str("sfcc-cas/v1");
-        if !drops.contains("fn") {
-            key = key.combine(fn_ctx);
-        }
-        if !drops.contains("pipeline") {
-            key = key.combine(self.components.pipeline);
-        }
-        if !drops.contains("flags") {
-            key = key.combine(Fingerprint(self.components.flags as u128));
-        }
-        if !drops.contains("backend") {
-            key = key.combine(Fingerprint(self.components.backend as u128));
-        }
-        key
+        let c = &self.components;
+        derive_key(
+            [fn_ctx, c.pipeline, word(c.flags), word(c.backend)],
+            |name| !drops.contains(name),
+        )
     }
 
     /// The honest (no components dropped) key for a context fingerprint.
@@ -815,12 +824,8 @@ fn artifact_is_sound(logical: &str, bytes: &[u8]) -> bool {
         return false;
     };
     let p = &artifact.provenance;
-    let rederived = Fingerprint::of_str("sfcc-cas/v1")
-        .combine(p.fn_ctx)
-        .combine(p.pipeline)
-        .combine(Fingerprint(p.flags as u128))
-        .combine(Fingerprint(p.backend as u128));
-    rederived == p.key
+    let parts = [p.fn_ctx, p.pipeline, word(p.flags), word(p.backend)];
+    derive_key(parts, |_| true) == p.key
         && logical_name(p.key) == logical
         && sfcc_ir::parse_function(&artifact.ir_text).is_ok()
 }

@@ -15,7 +15,7 @@ use sfcc_passes::{
     FunctionTrace, NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions, SkipOracle,
 };
 use sfcc_pool::{run_batched, PoolScope};
-use sfcc_state::{statefile, DbOracle, DecodeError, SkipPolicy, StateDb};
+use sfcc_state::{statefile, DbOracle, DecodeError, StateDb};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
@@ -200,6 +200,29 @@ impl Compiler {
             OptLevel::O2 => default_pipeline(),
         };
         let pipeline_hash = StateDb::pipeline_hash(&pipeline.slot_names());
+        // The compiler identity: exactly the configuration that changes
+        // generated code. The opt level selects the pass pipeline, so the
+        // pipeline component keys it; the flag digest covers what the
+        // pipeline fingerprint does not — mode (skip policy) and
+        // verification. Cache toggles and job counts are excluded by
+        // design: they are proven not to change bytes.
+        let flag_repr = format!("mode={};verify={}", config.mode.label(), config.verify_each);
+        let components = KeyComponents {
+            pipeline: pipeline_hash,
+            flags: fnv64(flag_repr.as_bytes()),
+            backend: config
+                .cas_backend_version
+                .unwrap_or(DEFAULT_BACKEND_VERSION),
+            flag_repr,
+            pipeline_repr: pipeline.slot_names().join(","),
+        };
+        let identity = fnv64(
+            format!(
+                "{:x};{:x};{}",
+                components.pipeline.0, components.flags, components.backend
+            )
+            .as_bytes(),
+        );
         let want_state = config.mode.is_stateful();
         let want_cache = config.function_cache;
         let (state, state_load_error, fn_cache, recovery_events) = match &config.state_path {
@@ -209,23 +232,16 @@ impl Compiler {
             }
             _ => (StateDb::new(), None, FunctionCache::new(), Vec::new()),
         };
+        // The cache keys on context fingerprints alone, which is sound only
+        // under one identity. Entries persisted under another (`-O2` then
+        // `-O0` in one directory) cold-start the cache — no quarantine, no
+        // recovery event: a flag change is not corruption.
+        let fn_cache = if fn_cache.identity() == identity {
+            fn_cache
+        } else {
+            FunctionCache::for_identity(identity)
+        };
         let cas = config.cas_path.as_ref().and_then(|dir| {
-            // The key's flag digest covers exactly the configuration that
-            // changes generated code and is *not* already in the pipeline
-            // fingerprint: mode (skip policy) and verification. The opt
-            // level selects the pass pipeline, so the pipeline component
-            // keys it; cache toggles and job counts are excluded by
-            // design — they are proven not to change bytes.
-            let flag_repr = format!("mode={};verify={}", config.mode.label(), config.verify_each);
-            let components = KeyComponents {
-                pipeline: pipeline_hash,
-                flags: fnv64(flag_repr.as_bytes()),
-                backend: config
-                    .cas_backend_version
-                    .unwrap_or(DEFAULT_BACKEND_VERSION),
-                flag_repr,
-                pipeline_repr: pipeline.slot_names().join(","),
-            };
             CasStore::open_dir(dir, components, config.durability)
                 .ok()
                 .map(|mut store| {
@@ -576,11 +592,6 @@ impl Compiler {
     /// Drops all accumulated state (for experiments that need a cold start).
     pub fn reset_state(&mut self) {
         self.state = StateDb::new();
-    }
-
-    /// Replaces the skip policy, keeping accumulated state (for ablations).
-    pub fn set_policy(&mut self, policy: SkipPolicy) {
-        self.config.mode = Mode::Stateful(policy);
     }
 
     /// The state skip decisions read from: the frozen session snapshot when

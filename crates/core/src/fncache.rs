@@ -13,11 +13,15 @@
 //! A function's optimized IR depends on (a) its own pre-optimization body,
 //! (b) the bodies of every *module-local* function transitively reachable
 //! through calls (the inliner may splice any of them in), and (c) the
-//! pipeline itself. The key is therefore a *context fingerprint*: the
-//! function's structural fingerprint combined with its callees' context
+//! pipeline itself. The key covers (a) and (b) as a *context fingerprint*:
+//! the function's structural fingerprint combined with its callees' context
 //! fingerprints in sorted order; cross-module callees contribute only their
 //! qualified name (they are never inlined). Functions on call cycles are
-//! conservatively uncacheable.
+//! conservatively uncacheable. (c) is constant for the lifetime of one
+//! [`crate::Compiler`], so it is not part of every key: the cache carries
+//! it once, as the *identity* it was filled under
+//! ([`FunctionCache::identity`]), persisted inside the file so a session
+//! with another pipeline or skip policy never adopts these entries.
 //!
 //! # Concurrency
 //!
@@ -38,11 +42,8 @@
 //! deterministic-output guarantee.
 
 use sfcc_codec::{fnv64, DecodeError, Reader, Writer};
-use sfcc_faultfs::Durability;
 use sfcc_ir::{fingerprint, Fingerprint, Function, Module, Op};
 use std::collections::{HashMap, VecDeque};
-use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -70,6 +71,8 @@ struct Shard {
 /// docs for the sharding and eviction story.
 #[derive(Debug)]
 pub struct FunctionCache {
+    /// Digest of the compiler identity the entries were optimized under.
+    identity: u64,
     shards: Vec<Mutex<Shard>>,
     shard_cap: usize,
     hits: AtomicU64,
@@ -106,6 +109,7 @@ impl FunctionCache {
     /// (rounded up to a multiple of [`SHARD_COUNT`]).
     pub fn with_capacity(capacity: usize) -> Self {
         FunctionCache {
+            identity: 0,
             shards: (0..SHARD_COUNT)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
@@ -114,6 +118,22 @@ impl FunctionCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
+    }
+
+    /// An empty cache whose entries will be optimized under `identity`.
+    pub(crate) fn for_identity(identity: u64) -> Self {
+        FunctionCache {
+            identity,
+            ..Self::default()
+        }
+    }
+
+    /// Digest of the compiler identity (pass pipeline, code-shaping flags,
+    /// backend version) this cache's entries were optimized under; `0` for
+    /// a cache built outside a [`crate::Compiler`]. A session adopts a
+    /// loaded cache only when this equals its own identity.
+    pub fn identity(&self) -> u64 {
+        self.identity
     }
 
     fn shard_of(key: Fingerprint) -> usize {
@@ -205,6 +225,7 @@ impl FunctionCache {
         }
         items.sort();
         let mut payload = Writer::new();
+        payload.u64(self.identity);
         payload.usize(items.len());
         for (key, name, text) in &items {
             payload.u128(*key);
@@ -235,11 +256,11 @@ impl FunctionCache {
             return Err(DecodeError::BadVersion(version));
         }
         let payload_start = bytes.len() - r.remaining();
+        let cache = FunctionCache::for_identity(r.u64()?);
         let count = r.usize()?;
         if count > r.remaining() {
             return Err(DecodeError::BadLength);
         }
-        let cache = FunctionCache::new();
         for _ in 0..count {
             let key = Fingerprint(r.u128()?);
             let name = r.str()?;
@@ -266,38 +287,11 @@ impl FunctionCache {
         }
         Ok(cache)
     }
-
-    /// Writes the cache to `path` atomically (unique temp + rename via the
-    /// fault-injectable I/O layer), with no sync points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        self.save_with(path, Durability::Fast)
-    }
-
-    /// [`FunctionCache::save`] with an explicit [`Durability`] mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save_with(&self, path: &Path, durability: Durability) -> io::Result<()> {
-        sfcc_faultfs::atomic_write(path, &self.to_bytes(), durability)
-    }
-
-    /// Loads a cache from `path`; missing or corrupt files cold-start.
-    pub fn load_or_default(path: &Path) -> Self {
-        match sfcc_faultfs::read(path) {
-            Ok(bytes) => Self::from_bytes(&bytes).unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
-    }
 }
 
 const CACHE_MAGIC: &[u8; 7] = b"SFCCIC\0";
 /// Current cache-file format version.
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 
 /// Computes the context fingerprint of every cacheable function in a
 /// pre-optimization module. Functions involved in (or depending on) local
@@ -458,7 +452,7 @@ mod tests {
 
     #[test]
     fn cache_serialization_roundtrips() {
-        let cache = FunctionCache::new();
+        let cache = FunctionCache::for_identity(9);
         let f = sfcc_ir::parse_function(
             "fn @helper(i64) -> i64 {\nbb0:\n  v0 = mul i64 p0, 3\n  ret v0\n}",
         )
@@ -466,6 +460,7 @@ mod tests {
         cache.insert(Fingerprint(5), f.clone());
         let bytes = cache.to_bytes();
         let back = FunctionCache::from_bytes(&bytes).unwrap();
+        assert_eq!(back.identity(), 9, "the identity stamp travels in the file");
         let got = back.lookup(Fingerprint(5)).expect("entry survived");
         assert_eq!(got.name, "helper");
         assert_eq!(

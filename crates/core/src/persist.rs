@@ -10,10 +10,7 @@
 //! (never read as valid), moved aside to `<file>.corrupt`, and the affected
 //! artifact cold-starts. Every such decision is reported as a
 //! [`RecoveryEvent`] so the build system can surface `recovered_files` /
-//! `quarantined` counters. Directories written by older versions (a plain
-//! state file + `<path>.ircache`, no manifest) still load through the
-//! legacy fallback and are migrated to the manifest protocol on the next
-//! save.
+//! `quarantined` counters. A directory without a manifest is a cold start.
 
 use crate::fncache::FunctionCache;
 use sfcc_faultfs::{CommitDir, Durability, EntryError, ManifestEntry, ManifestError};
@@ -50,13 +47,6 @@ pub struct LoadedState {
     pub cache: FunctionCache,
     /// Every quarantine / fallback decision taken during the load.
     pub events: Vec<RecoveryEvent>,
-}
-
-/// The legacy (pre-manifest) cache file that accompanies a state file.
-pub fn legacy_cache_path(state_path: &Path) -> PathBuf {
-    let mut os = state_path.as_os_str().to_os_string();
-    os.push(".ircache");
-    PathBuf::from(os)
 }
 
 fn quarantine_event(path: &Path, reason: String, events: &mut Vec<RecoveryEvent>) {
@@ -121,41 +111,7 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
                 }
             }
         }
-        Ok(None) => {
-            // Legacy directory: a plain state file and `<base>.ircache`.
-            if want_state {
-                match sfcc_faultfs::read(base) {
-                    Ok(bytes) => match statefile::from_bytes(&bytes) {
-                        Ok(db) => out.db = db,
-                        Err(e) => {
-                            out.db_error = Some(e);
-                            quarantine_event(
-                                base,
-                                format!("state does not decode: {e}"),
-                                &mut out.events,
-                            );
-                        }
-                    },
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => io_event(base, &e, &mut out.events),
-                }
-            }
-            if want_cache {
-                let cpath = legacy_cache_path(base);
-                match sfcc_faultfs::read(&cpath) {
-                    Ok(bytes) => match FunctionCache::from_bytes(&bytes) {
-                        Ok(cache) => out.cache = cache,
-                        Err(e) => quarantine_event(
-                            &cpath,
-                            format!("cache does not decode: {e}"),
-                            &mut out.events,
-                        ),
-                    },
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => io_event(&cpath, &e, &mut out.events),
-                }
-            }
-        }
+        Ok(None) => {}
         Err(ManifestError::Corrupt(e)) => {
             if want_state {
                 out.db_error = Some(e);
@@ -226,7 +182,9 @@ pub fn save(
 }
 
 /// Read-only state lookup for inspection commands (`minicc state`):
-/// manifest-aware, but never quarantines or mutates anything.
+/// manifest-aware, but never quarantines or mutates anything. Without a
+/// manifest, `base` is read as a bare state file (what
+/// `sfcc_state::statefile::save` writes, e.g. experiment E5's).
 /// `Ok(None)` means no state exists at `base`.
 ///
 /// # Errors
@@ -327,22 +285,7 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
                 Some(m)
             }
         }
-        None => {
-            // Legacy files: verify the plain state file and its cache.
-            for (path, logical) in [
-                (base.to_path_buf(), STATE_LOGICAL),
-                (legacy_cache_path(base), CACHE_LOGICAL),
-            ] {
-                if let Ok(bytes) = std::fs::read(&path) {
-                    if decodes(logical, &bytes) {
-                        report.checked += 1;
-                    } else if let Some(dest) = sfcc_faultfs::quarantine(&path) {
-                        report.quarantined.push(dest);
-                    }
-                }
-            }
-            None
-        }
+        None => None,
     };
 
     match cd.orphans(manifest.as_ref()) {
@@ -409,32 +352,6 @@ mod tests {
         assert!(loaded.events.is_empty());
         assert!(loaded.db_error.is_none());
         assert_eq!(loaded.db, db);
-        cleanup(&base);
-    }
-
-    #[test]
-    fn legacy_plain_files_still_load() {
-        let base = tmpbase("legacy");
-        statefile::save(&StateDb::new(), &base).unwrap();
-        FunctionCache::new()
-            .save(&legacy_cache_path(&base))
-            .unwrap();
-        let loaded = load(&base, true, true);
-        assert!(loaded.events.is_empty());
-        assert!(loaded.db_error.is_none());
-        cleanup(&base);
-    }
-
-    #[test]
-    fn corrupt_legacy_state_is_quarantined() {
-        let base = tmpbase("corrupt-legacy");
-        fs::write(&base, b"garbage").unwrap();
-        let loaded = load(&base, true, false);
-        assert!(loaded.db_error.is_some());
-        assert_eq!(loaded.events.len(), 1);
-        assert!(loaded.events[0].quarantined_to.is_some());
-        assert!(!base.exists(), "corrupt file moved aside");
-        assert!(base.parent().unwrap().join(".sfcc-state.corrupt").exists());
         cleanup(&base);
     }
 

@@ -84,7 +84,8 @@ fn corrupted_state_degrades_to_cold_start() {
     let dir = std::env::temp_dir().join(format!("sfcc-it-corrupt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let state_path = dir.join("state.bin");
-    std::fs::write(&state_path, b"not a state file at all").unwrap();
+    let manifest = sfcc_faultfs::CommitDir::new(&state_path).manifest_path();
+    std::fs::write(manifest, b"not a manifest at all").unwrap();
 
     let compiler = Compiler::new(Config::stateful().with_state_path(&state_path));
     assert!(compiler.state_load_error().is_some());

@@ -522,29 +522,8 @@ proptest! {
 
 #[test]
 fn truncated_files_recover_through_the_builder() {
-    let RawArtifacts { state, cache, .. } = reference_artifacts();
     let d = Durability::Fast;
     let v1 = project_v1();
-
-    // Legacy layout: plain truncated state + cache files, no manifest.
-    // Cut points are per-file so both files are genuinely damaged.
-    let cuts = |len: usize| [1, len / 2, len - 1];
-    for (scut, ccut) in cuts(state.len()).into_iter().zip(cuts(cache.len())) {
-        let cut = scut;
-        let dir = tmpdir(&format!("trunc-legacy-{cut}"));
-        fs::write(state_base(&dir), &state[..scut]).unwrap();
-        fs::write(
-            persist::legacy_cache_path(&state_base(&dir)),
-            &cache[..ccut],
-        )
-        .unwrap();
-        let report = run_session(&dir, &v1, d).unwrap();
-        assert_eq!(report.recovered_files, 2, "cut {cut}");
-        assert_eq!(report.quarantined.len(), 2, "cut {cut}");
-        let clean = run_session(&dir, &v1, d).unwrap();
-        assert_eq!(clean.recovered_files, 0, "cut {cut}");
-        cleanup(&dir);
-    }
 
     // Manifest layout: truncate one committed generation file.
     let dir = tmpdir("trunc-entry");

@@ -302,7 +302,8 @@ fn recovery_build_report_json_still_validates() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let state = dir.join(".sfcc-state");
-    std::fs::write(&state, b"garbage, not a state file").unwrap();
+    let manifest = sfcc_faultfs::CommitDir::new(&state).manifest_path();
+    std::fs::write(manifest, b"garbage, not a manifest").unwrap();
 
     let config = Config::stateful().with_state_path(&state);
     let mut builder = Builder::new(Compiler::new(config));
