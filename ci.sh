@@ -17,6 +17,7 @@
 #                  plus a traced demo build validated with `trace-check`
 #                  and a depcheck run over the demo project; both modes
 #                  start with the one-request-path grep over `minicc.rs`
+#                  and the no-process-state grep over `crates/`
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -57,8 +58,29 @@ one_path_gate() {
     fi
 }
 
+# Observers are per-build values: a column-0 `static` under crates/ is
+# process state that concurrent daemon sessions would share (indented
+# `thread_local!` entries are per-thread and stay). The two allowed ones are
+# the SIGTERM latch and the temp-file name counter. The pool carries no
+# observer context across spawns, so it must not know the observer crates.
+static_state_gate() {
+    local statics
+    statics="$(grep -rnE '^(pub )?static ' crates --include=*.rs |
+        grep -vE 'crates/daemon/src/server\.rs:[0-9]+:static TERM_RECEIVED:|crates/faultfs/src/inject\.rs:[0-9]+:static TMP_SEQ:' || true)"
+    if [[ -n "$statics" ]]; then
+        echo "ci: process-global state under crates/ (make it a value of the build that uses it):" >&2
+        echo "$statics" >&2
+        return 1
+    fi
+    if grep -rnE 'sfcc[_-](trace|faultfs)' crates/pool; then
+        echo "ci: sfcc-pool must stay a leaf crate (no observer context crosses a spawn)" >&2
+        return 1
+    fi
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
+    static_state_gate
     cargo test -q -p sfcc --test integration_crash quick_
     cargo test -q -p sfcc --test integration_trace quick_
     cargo test -q -p sfcc --test integration_depcheck quick_
@@ -86,6 +108,7 @@ if [[ "${1:-}" == "--quick" ]]; then
 fi
 
 one_path_gate
+static_state_gate
 cargo build --release
 cargo test -q
 cargo test --release --offline --manifest-path sfbench/Cargo.toml

@@ -36,7 +36,7 @@ struct Point {
     /// only; 0 for the single-module sweep).
     wall_ns: u64,
     /// Module snapshots taken during one repetition (deterministic and
-    /// jobs-invariant, bracketed per rep via `delta_since`).
+    /// jobs-invariant, read from the run's own trace).
     snapshot_clones: u64,
     /// Live instructions deep-cloned into snapshots during one repetition
     /// (deterministic, jobs-invariant).
@@ -118,19 +118,15 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
         .collect();
     for _ in 0..reps {
         for point in &mut single {
-            // Bracket each repetition: the snapshot counters are
-            // process-global, so only the delta belongs to this run.
-            let snap_before = sfcc_passes::snapshot_stats();
             let t = Instant::now();
             let mut optimized = ir.clone();
-            sfcc_pool::scope(sfcc_pool::effective_jobs(point.jobs), |ps| {
+            let outcome = sfcc_pool::scope(sfcc_pool::effective_jobs(point.jobs), |ps| {
                 compiler.optimize(&mut optimized, Some(ps))
             });
             point.optimize_ns = point.optimize_ns.min(t.elapsed().as_nanos() as u64);
-            let snap = sfcc_passes::snapshot_stats().delta_since(&snap_before);
             // Deterministic per run; any repetition reports the same.
-            point.snapshot_clones = snap.clones;
-            point.cost_units = snap.cost_units;
+            point.snapshot_clones = outcome.trace.snapshot_clones;
+            point.cost_units = outcome.trace.snapshot_cost_units;
             let text = module_to_string(&optimized);
             match &reference {
                 None => reference = Some(text),
@@ -159,14 +155,13 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
         .collect();
     for _ in 0..reps {
         for point in &mut project_points {
-            let snap_before = sfcc_passes::snapshot_stats();
             let mut builder =
                 Builder::new(Compiler::new(Config::stateless().with_jobs(point.jobs)))
                     .with_jobs(point.jobs);
             let report = builder.build(&standard).expect("generated project builds");
-            let snap = sfcc_passes::snapshot_stats().delta_since(&snap_before);
-            point.snapshot_clones = snap.clones;
-            point.cost_units = snap.cost_units;
+            let snap = report.parallel_stats();
+            point.snapshot_clones = snap.snapshot_clones;
+            point.cost_units = snap.snapshot_cost_units;
             let optimize_ns: u64 = report
                 .modules
                 .iter()

@@ -45,7 +45,7 @@ use sfcc_backend::LinkError;
 use sfcc_ir::{Function, Op};
 use sfcc_passes::{PassOutcome, PipelineTrace};
 use sfcc_query::{Engine, QueryError};
-use sfcc_trace::{ArgValue, MetricsSnapshot, Registry, SpanId};
+use sfcc_trace::{ArgValue, MetricsSnapshot, Registry, SpanId, Trace};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -147,9 +147,9 @@ impl Builder {
     /// Turns on dependency-soundness checking: subsequent builds record
     /// every task-attributed resource access and faultfs op, diff them
     /// against the engine's declared dependencies, and attach the verdict
-    /// as [`BuildReport::depcheck`]. Instrumented builds serialize
-    /// process-wide on the access log and are slower; build outputs are
-    /// unaffected.
+    /// as [`BuildReport::depcheck`]. The evidence belongs to the build
+    /// that collects it, so audited builds of different sessions run
+    /// concurrently; they are slower, and build outputs are unaffected.
     pub fn with_depcheck(mut self) -> Self {
         self.depcheck = true;
         self
@@ -164,7 +164,7 @@ impl Builder {
 
     /// Toggles depcheck on an existing builder (see [`Builder::with_depcheck`]).
     /// The daemon flips this per request: audit builds run instrumented,
-    /// ordinary serves do not pay the serialization cost.
+    /// ordinary serves do not pay for the recording.
     pub fn set_depcheck(&mut self, on: bool) {
         self.depcheck = on;
     }
@@ -194,9 +194,10 @@ impl Builder {
 
     /// Records a hierarchical span trace of every subsequent build
     /// (build → wave → module → phase → function → pass, plus
-    /// query/cache/IO events) into [`BuildReport::trace`]. Builds with
-    /// tracing installed serialize process-wide (the tracer is global);
-    /// the build outputs themselves are unaffected.
+    /// query/cache/IO events) into [`BuildReport::trace`]. Each traced
+    /// build records into a [`Trace`] of its own, so traced builds of
+    /// different sessions run concurrently; the build outputs themselves
+    /// are unaffected.
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
         self
@@ -259,17 +260,19 @@ impl Builder {
 
     fn build_inner(&mut self, project: &Project) -> Result<BuildReport, BuildError> {
         let start = Instant::now();
-        let snap_before = sfcc_passes::snapshot_stats();
-        let trace_handle = self.tracing.then(sfcc_trace::install);
-        // Depcheck instrumentation: the access log captures note_access
-        // calls from every thread (task attribution rides across pool
-        // spawns); the op recorder is thread-local and resets the op
-        // counter, so depcheck builds are incompatible with an installed
-        // fault plan — an accepted limitation of the audit mode.
-        let access_guard = self.depcheck.then(sfcc_faultfs::record_accesses);
+        // This build's span recorder; absent when the build is not traced.
+        // The root span must exist before its children, so it is recorded
+        // up front and its wall time filled in at the end.
+        let mut recorder = self.tracing.then(Trace::default);
+        let root = recorder.as_mut().map_or(SpanId::NONE, |trace| {
+            trace.span(SpanId::NONE, "build", "build", 0, 0, 0, Vec::new())
+        });
+        // Depcheck instrumentation: the spec keeps the access log; the op
+        // recorder is thread-local and resets the op counter, so depcheck
+        // builds are incompatible with an installed fault plan — an
+        // accepted limitation of the audit mode.
         let op_guard = self.depcheck.then(sfcc_faultfs::record);
         let ops_before = sfcc_faultfs::op_counts();
-        let root = sfcc_trace::span("build", "build", 0);
 
         // Drop tasks of modules that left the project so their objects
         // cannot leak into the link; dependents are invalidated by the
@@ -288,6 +291,7 @@ impl Builder {
             &mut self.compiler,
             self.jobs,
             self.mutations.clone(),
+            self.depcheck,
         );
         self.engine.begin_session(&mut spec);
 
@@ -304,8 +308,7 @@ impl Builder {
 
         let mut wave_ids: Vec<SpanId> = Vec::with_capacity(graph.waves().len());
         for (wave_idx, wave) in graph.waves().iter().enumerate() {
-            let wave_span = sfcc_trace::span("wave", format!("wave {wave_idx}"), wave_idx as u64);
-            wave_ids.push(wave_span.id());
+            let wave_start = recorder.is_some().then(Instant::now);
             // Plan the wave at function grain: demand each module's roster,
             // probe each function's optimizefn for staleness, and assemble
             // one restricted batch per module from the stale functions'
@@ -385,16 +388,37 @@ impl Builder {
             // Wave boundary: publish this wave's fresh cache entries so the
             // next wave can hit them — at the same point for every --jobs.
             spec.flush_cache_inserts();
+            if let (Some(trace), Some(started)) = (&mut recorder, wave_start) {
+                wave_ids.push(trace.span(
+                    root,
+                    "wave",
+                    format!("wave {wave_idx}"),
+                    wave_idx as u64,
+                    0,
+                    started.elapsed().as_nanos() as u64,
+                    Vec::new(),
+                ));
+            }
         }
 
-        let link_span = sfcc_trace::span("link", "link", graph.waves().len() as u64);
+        let link_start = recorder.is_some().then(Instant::now);
         let program = (*self
             .engine
             .require(&mut spec, &BuildTask::Link)
             .map_err(seal)?
             .expect_link())
         .clone();
-        drop(link_span);
+        if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
+            trace.span(
+                root,
+                "link",
+                "link",
+                graph.waves().len() as u64,
+                0,
+                started.elapsed().as_nanos() as u64,
+                Vec::new(),
+            );
+        }
         let query_log = spec.take_query_log();
 
         // Function-grain dependency accounting: how often per-function
@@ -423,17 +447,8 @@ impl Builder {
         // Dependency-soundness verdict: diff the recorded evidence against
         // the engine's dependency traces while the spec (raw stamps) and
         // engine (dep traces) are both still on hand.
-        let depcheck_report = match (&access_guard, &op_guard) {
-            (Some(accesses), Some(ops)) => Some(depcheck::analyze(
-                &self.engine,
-                &mut spec,
-                &accesses.take(),
-                &ops.take(),
-            )),
-            _ => None,
-        };
-        drop(op_guard);
-        drop(access_guard);
+        let depcheck_report =
+            op_guard.map(|ops| depcheck::analyze(&self.engine, &mut spec, &ops.take()));
 
         // Assemble the report from the store: a module counts as rebuilt
         // when any of its per-function pipeline tasks (or its codegen)
@@ -491,6 +506,7 @@ impl Builder {
                     snapshot_reused: snap.reused,
                     batch_count: snap.batch_count,
                     batch_max_cost: snap.batch_max_cost,
+                    snapshot_wall_ns: snap.wall_ns,
                 };
                 Some(CompileOutput {
                     object: (*object).clone(),
@@ -575,23 +591,26 @@ impl Builder {
         registry.gauge_set("faultfs.removes", ops.removes);
         registry.gauge_set("faultfs.sync_files", ops.sync_files);
         registry.gauge_set("faultfs.sync_dirs", ops.sync_dirs);
-        // Snapshot-clone wall time is jobs-variant and registry-only; the
-        // deterministic clone/cost counters live in the report (summed from
-        // the per-module traces by record_report_metrics).
-        let snap = sfcc_passes::snapshot_stats().delta_since(&snap_before);
-        registry.gauge_set("snapshot.wall_ns", snap.wall_ns);
         report.metrics = registry.snapshot();
 
         // The deterministic portion of the trace (module/phase/function/
         // pass subtrees, query instants, session roll-ups) is emitted
         // synthetically from the assembled report, so its structure cannot
         // depend on worker scheduling.
-        if trace_handle.is_some() {
-            emit_trace_tree(&report, graph.waves(), &wave_ids, root.id(), &query_log);
+        if let Some(mut trace) = recorder {
+            trace.set_wall_ns(root, report.wall_ns);
+            emit_trace_tree(
+                &mut trace,
+                &report,
+                graph.waves(),
+                &wave_ids,
+                root,
+                &query_log,
+            );
             let seq = graph.waves().len() as u64;
             let cache = self.compiler.cache_stats();
-            sfcc_trace::emit_instant(
-                root.id(),
+            trace.instant(
+                root,
                 "cache",
                 "fn-cache",
                 seq + 2,
@@ -602,8 +621,8 @@ impl Builder {
                     ("entries", ArgValue::U64(cache.entries as u64)),
                 ],
             );
-            sfcc_trace::emit_instant(
-                root.id(),
+            trace.instant(
+                root,
                 "io",
                 "faultfs-ops",
                 seq + 3,
@@ -617,8 +636,8 @@ impl Builder {
                 ],
             );
             if let Some(dc) = &report.depcheck {
-                sfcc_trace::emit_instant(
-                    root.id(),
+                trace.instant(
+                    root,
                     "depcheck",
                     "dep-soundness",
                     seq + 4,
@@ -629,10 +648,7 @@ impl Builder {
                     ],
                 );
             }
-        }
-        drop(root);
-        if let Some(handle) = trace_handle {
-            report.trace = Some(handle.finish());
+            report.trace = Some(trace);
         }
         Ok(report)
     }
@@ -668,6 +684,15 @@ fn record_report_metrics(report: &BuildReport, waves: usize, registry: &Registry
     registry.gauge_set("snapshot.clones", parallel.snapshot_clones);
     registry.gauge_set("snapshot.cost_units", parallel.snapshot_cost_units);
     registry.gauge_set("snapshot.reused", parallel.snapshot_reused);
+    // Snapshot-clone wall time is jobs-variant and registry-only, summed
+    // from the same per-module traces as the deterministic counters above.
+    let snapshot_wall_ns = report
+        .modules
+        .iter()
+        .filter_map(|m| m.output.as_ref())
+        .map(|out| out.trace.snapshot_wall_ns)
+        .sum();
+    registry.gauge_set("snapshot.wall_ns", snapshot_wall_ns);
     registry.gauge_set("batch.count", parallel.batch_count);
     registry.gauge_set("batch.max_cost", parallel.batch_max_cost);
     registry.gauge_set("recovery.recovered_files", report.recovered_files as u64);
@@ -733,6 +758,7 @@ fn record_report_metrics(report: &BuildReport, waves: usize, registry: &Registry
 /// sorted by task name so the exported bytes are identical for every
 /// `--jobs` value.
 fn emit_trace_tree(
+    trace: &mut Trace,
     report: &BuildReport,
     waves: &[Vec<String>],
     wave_ids: &[SpanId],
@@ -751,7 +777,7 @@ fn emit_trace_tree(
         };
         let parent = wave_ids.get(w).copied().unwrap_or(root);
         let Some(output) = &module.output else {
-            sfcc_trace::emit_instant(
+            trace.instant(
                 parent,
                 "module",
                 &module.name,
@@ -760,7 +786,7 @@ fn emit_trace_tree(
             );
             continue;
         };
-        let module_span = sfcc_trace::emit_span(
+        let module_span = trace.span(
             parent,
             "module",
             &module.name,
@@ -778,7 +804,7 @@ fn emit_trace_tree(
             ("state", t.state_ns),
         ];
         for (pi, (phase, wall_ns)) in phases.iter().enumerate() {
-            let phase_span = sfcc_trace::emit_span(
+            let phase_span = trace.span(
                 module_span,
                 "phase",
                 *phase,
@@ -791,7 +817,7 @@ fn emit_trace_tree(
                 continue;
             }
             for (fi, func) in output.trace.functions.iter().enumerate() {
-                let fn_span = sfcc_trace::emit_span(
+                let fn_span = trace.span(
                     phase_span,
                     "function",
                     &func.function,
@@ -809,7 +835,7 @@ fn emit_trace_tree(
                     } else {
                         rec.cost_units
                     };
-                    sfcc_trace::emit_span(
+                    trace.span(
                         fn_span,
                         "pass",
                         &rec.pass,
@@ -828,7 +854,7 @@ fn emit_trace_tree(
         // optimization runs: deterministic counters (clones, summed
         // deep-clone cost, and copy-on-write Arc reuses), safe in
         // byte-stable traces.
-        sfcc_trace::emit_instant(
+        trace.instant(
             module_span,
             "snapshot_clone",
             "snapshots",
@@ -845,7 +871,7 @@ fn emit_trace_tree(
     }
     // Query demand instants: one per demanded task, sorted by task name —
     // the *set* is jobs-independent even though the demand order is not.
-    let query_span = sfcc_trace::emit_span(
+    let query_span = trace.span(
         root,
         "query",
         "queries",
@@ -857,7 +883,7 @@ fn emit_trace_tree(
     let mut log: Vec<&(String, bool)> = query_log.iter().collect();
     log.sort();
     for (i, (task, hit)) in log.into_iter().enumerate() {
-        sfcc_trace::emit_instant(
+        trace.instant(
             query_span,
             "query",
             task,

@@ -10,9 +10,9 @@
 //!
 //! This module closes the loop. During a depcheck-instrumented build
 //! ([`crate::Builder::with_depcheck`]), every real resource access is
-//! recorded with the query task active on the accessing thread
-//! (`sfcc_faultfs::note_access` under `task_scope`, see
-//! `sfcc_faultfs::attribute`), and [`analyze`] diffs the recorded accesses
+//! logged by the build itself, tagged with the query task whose body made
+//! it (the build's [`BuildSpec`] owns the log; labels come from
+//! `sfcc_faultfs::task_scope`), and [`analyze`] diffs the logged accesses
 //! against the engine's dependency traces:
 //!
 //! - **missing-dep**: an executed task accessed a resource absent from its
@@ -33,7 +33,7 @@
 //! can tell the difference.
 
 use crate::tasks::{BuildSpec, BuildTask, BuildValue};
-use sfcc_faultfs::{AccessRecord, OpRecord};
+use sfcc_faultfs::OpRecord;
 use sfcc_query::{Dep, Engine};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -288,9 +288,9 @@ impl DepMutations {
 }
 
 /// Diffs one build's recorded evidence against the engine's dependency
-/// traces. `accesses` and `ops` are the task-attributed records captured
-/// while the build ran; `spec` supplies raw (mutation-free) input stamps
-/// for the staleness audit.
+/// traces. `spec` hands over the access log the build kept and supplies raw
+/// (mutation-free) input stamps for the staleness audit; `ops` are the
+/// task-attributed faultfs operations captured while the build ran.
 ///
 /// Only *executed* tasks get the access diff: a speculative wave-parallel
 /// prepare may touch resources for tasks the engine then validates instead
@@ -301,12 +301,12 @@ impl DepMutations {
 pub(crate) fn analyze(
     engine: &Engine<BuildTask, BuildValue>,
     spec: &mut BuildSpec<'_>,
-    accesses: &[AccessRecord],
     ops: &[OpRecord],
 ) -> DepcheckReport {
+    let accesses = spec.take_accesses();
     let mut accessed: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     let mut attributed = 0u64;
-    for rec in accesses {
+    for rec in &accesses {
         if let Some(task) = &rec.task {
             accessed
                 .entry(task.as_str())

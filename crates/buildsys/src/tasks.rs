@@ -42,6 +42,7 @@ use crate::project::Project;
 use sfcc::{CompileError, Compiler, OptimizeOutcome, PhaseTimings};
 use sfcc_backend::{link_objects, CodeObject, Program};
 use sfcc_codec::fnv64;
+use sfcc_faultfs::AccessRecord;
 use sfcc_frontend::ast::{FunctionDef, Import, TypeAst};
 use sfcc_frontend::fingerprint::def_repr;
 use sfcc_frontend::{
@@ -278,8 +279,9 @@ pub(crate) struct WaveBatch {
 }
 
 /// Per-module snapshot/batch totals accumulated over one build's restricted
-/// optimization runs. All fields are deterministic and `--jobs`-invariant
-/// (they derive from the pipeline's jobs-invariant trace counters).
+/// optimization runs. All fields but `wall_ns` are deterministic and
+/// `--jobs`-invariant (they derive from the pipeline's jobs-invariant trace
+/// counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SnapshotTotals {
     /// Module snapshots taken (pipeline entry + re-snapshot stages).
@@ -293,6 +295,8 @@ pub(crate) struct SnapshotTotals {
     pub batch_count: u64,
     /// Largest single-batch planned cost seen in any run (max, not sum).
     pub batch_max_cost: u64,
+    /// Wall time spent building snapshots (a measurement, jobs-variant).
+    pub wall_ns: u64,
 }
 
 impl SnapshotTotals {
@@ -303,6 +307,7 @@ impl SnapshotTotals {
         self.reused += trace.snapshot_reused;
         self.batch_count += trace.batch_count;
         self.batch_max_cost = self.batch_max_cost.max(trace.batch_max_cost);
+        self.wall_ns += trace.snapshot_wall_ns;
     }
 }
 
@@ -333,6 +338,10 @@ pub struct BuildSpec<'a> {
     /// Adversarial dependency mutations (depcheck fuzzing); empty for an
     /// honest build.
     mutations: DepMutations,
+    /// The depcheck access log: every logical-resource access this build's
+    /// tasks make, tagged with the task active when it happened. `None`
+    /// when the build is not audited.
+    accesses: Option<Vec<AccessRecord>>,
     /// Per-module context fingerprints recomputed from today's source, for
     /// the honest `cas:m::f` stamp ([`BuildSpec::raw_input_stamp`]). Lazy:
     /// a module is frontend-ed and lowered from scratch at most once per
@@ -346,6 +355,7 @@ impl<'a> BuildSpec<'a> {
         compiler: &'a mut Compiler,
         jobs: usize,
         mutations: DepMutations,
+        depcheck: bool,
     ) -> Self {
         BuildSpec {
             project,
@@ -358,8 +368,27 @@ impl<'a> BuildSpec<'a> {
             cache_inserts: Vec::new(),
             query_log: Vec::new(),
             mutations,
+            accesses: depcheck.then(Vec::new),
             cas_contexts: HashMap::new(),
         }
+    }
+
+    /// Notes a logical-resource access, attributed to the task whose body
+    /// is running (the engine executes tasks on the thread that drives the
+    /// build). A branch on an absent log when the build is not audited.
+    fn note_access(&mut self, resource: &str) {
+        if let Some(log) = &mut self.accesses {
+            log.push(AccessRecord {
+                task: sfcc_faultfs::active_task(),
+                resource: resource.to_string(),
+            });
+        }
+    }
+
+    /// Hands over the access log, ending the audit; empty when the build
+    /// is not audited.
+    pub(crate) fn take_accesses(&mut self) -> Vec<AccessRecord> {
+        self.accesses.take().unwrap_or_default()
     }
 
     /// The `(task, hit)` observations accumulated this build, in demand
@@ -474,8 +503,8 @@ impl<'a> BuildSpec<'a> {
 
     /// Reads a module's source — the build's actual access to the `src:m`
     /// resource, noted for depcheck attribution at the point of use.
-    fn source_of(&self, module: &str) -> &'a str {
-        sfcc_faultfs::note_access(&format!("src:{module}"));
+    fn source_of(&mut self, module: &str) -> &'a str {
+        self.note_access(&format!("src:{module}"));
         self.project.file(module).unwrap_or("")
     }
 
@@ -582,12 +611,12 @@ impl TaskSpec for BuildSpec<'_> {
         key: &BuildTask,
         ctx: &mut Ctx<'_, Self>,
     ) -> Result<BuildValue, QueryError<BuildTask, BuildError>> {
-        // Every resource access made while this task runs — on this thread
-        // or on pool workers it fans out to — attributes to its label.
+        // Every resource access and faultfs op this task body makes
+        // attributes to its label.
         let label = key.to_string();
         let _scope = sfcc_faultfs::task_scope(label.clone());
         for resource in self.mutations.phantom_accesses_for(&label) {
-            sfcc_faultfs::note_access(&resource);
+            self.note_access(&resource);
         }
         for path in self.mutations.rogue_reads_for(&label) {
             // A real durable read inside the task scope with no dependency
@@ -699,7 +728,7 @@ impl BuildSpec<'_> {
                 self.declare_input(ctx, label, "manifest");
                 // The module roster *is* the manifest resource: reading it
                 // here is the access the declaration above must cover.
-                sfcc_faultfs::note_access("manifest");
+                self.note_access("manifest");
                 let names: Vec<String> = self.project.names().map(str::to_string).collect();
                 let mut imports = BTreeMap::new();
                 for name in names {
@@ -930,7 +959,8 @@ impl BuildSpec<'_> {
                 // The dormancy record is this task's tracked input; this is
                 // its actual read, noted here (not in the batch, which runs
                 // unattributed) so depcheck pins it to this label.
-                sfcc_faultfs::note_access(&format!("state:{m}::{f}"));
+                let state_input = format!("state:{m}::{f}");
+                self.note_access(&state_input);
                 let PreparedFn { func, ftrace } =
                     match self.prepared.remove(&(m.clone(), f.clone())) {
                         Some(parked) => parked,
@@ -940,7 +970,6 @@ impl BuildSpec<'_> {
                 self.timings.entry(m.clone()).or_default().state_ns += ingest_ns;
                 // Recorded *after* ingestion, so the dependency holds the
                 // post-write stamp and the task does not invalidate itself.
-                let state_input = format!("state:{m}::{f}");
                 if !self.mutations.drops(label, &state_input) {
                     let stamp = self.compiler.state_stamp_fn(m, f);
                     ctx.record_input(&state_input, stamp);
@@ -952,7 +981,7 @@ impl BuildSpec<'_> {
                 // is caught the session it happens.
                 if let Some(stamps) = self.compiler.cas_served(m, f) {
                     let cas_input = format!("cas:{m}::{f}");
-                    sfcc_faultfs::note_access(&cas_input);
+                    self.note_access(&cas_input);
                     if !self.mutations.drops(label, &cas_input) {
                         ctx.record_input(&cas_input, stamps.served);
                     }

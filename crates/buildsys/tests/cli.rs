@@ -777,6 +777,84 @@ fn quick_local_and_daemon_routes_agree() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A 30-module project whose every function body carries `salt`: rewriting
+/// it under another salt re-optimizes every function of every module.
+fn salted_project(dir: &Path, salt: u32) {
+    std::fs::create_dir_all(dir).unwrap();
+    for i in 0..30 {
+        let mut src = String::new();
+        for f in 0..6 {
+            src.push_str(&format!(
+                "fn f{f}(x: int) -> int {{ let a: int = x * {m} + {salt}; let b: int = a + {f}; \
+                 return b * 2 - x + a * b; }}\n",
+                m = i + 1,
+            ));
+        }
+        std::fs::write(dir.join(format!("m{i:03}.mc")), src).unwrap();
+    }
+}
+
+#[test]
+fn quick_daemon_audit_ignores_a_neighbour_session() {
+    // Two sessions of one daemon over identical sources (so identical task
+    // labels). While `a` is audited, `b` flips between two salts through a
+    // shared store, so every one of its builds re-runs every function task
+    // and notes accesses under the very labels `a`'s audit examines. The
+    // audit of `a` must report exactly what a solo audit reports.
+    let root = scratch_dir("serve-two");
+    let (a, b, store) = (root.join("a"), root.join("b"), root.join("store"));
+    salted_project(&a, 0);
+    let solo = minicc(&["depcheck", a.to_str().unwrap()]);
+    let verdict = |out: &Output| stdout(out).lines().next().unwrap_or_default().to_string();
+    assert!(
+        verdict(&solo).starts_with("depcheck: 0 finding(s)"),
+        "{}",
+        stdout(&solo)
+    );
+    let daemon = spawn_serve(&root, &[]);
+    let sock = daemon.socket().to_string();
+
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let (warm_tx, warm_rx) = std::sync::mpsc::channel();
+    let (audit, neighbour_builds) = std::thread::scope(|s| {
+        let neighbour = s.spawn(|| {
+            let mut builds = 0u32;
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                salted_project(&b, builds % 2);
+                let out = minicc(&[
+                    "client",
+                    &sock,
+                    "build",
+                    b.to_str().unwrap(),
+                    "--cas",
+                    store.to_str().unwrap(),
+                ]);
+                assert!(out.status.success(), "{}", stderr(&out));
+                builds += 1;
+                if builds == 1 {
+                    warm_tx.send(()).unwrap();
+                }
+            }
+            builds
+        });
+        // The neighbour's session exists and is mid-loop from here on.
+        warm_rx.recv().unwrap();
+        let audit = minicc(&["client", &sock, "depcheck", a.to_str().unwrap()]);
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        (audit, neighbour.join().unwrap())
+    });
+    assert!(neighbour_builds > 1, "the neighbour kept building");
+    assert_eq!(audit.status.code(), Some(0), "{}", stdout(&audit));
+    assert_eq!(
+        verdict(&audit),
+        verdict(&solo),
+        "task and access counts included"
+    );
+    let out = daemon.shutdown_and_wait();
+    assert!(out.status.success());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A project big enough that one cold build holds the daemon's single
 /// worker slot for a while: a long import chain (sequential waves) of
 /// modules with several optimizable functions each.

@@ -7,37 +7,27 @@
 //! declared dependencies. Two pieces live here:
 //!
 //! * a **thread-local task-context stack** ([`task_scope`]): the build
-//!   system pushes the active task's label around each task body, and the
-//!   work-stealing pool carries a cloneable snapshot ([`current_task`] /
-//!   [`TaskCtx::enter`]) across `spawn`, so work executed on a worker
-//!   thread is attributed to the task that spawned it — mirroring how
-//!   `sfcc_trace` propagates span contexts;
-//! * a **process-global access log** ([`record_accesses`] /
-//!   [`note_access`]): while a recording guard is alive, every noted
-//!   logical-resource access is appended as an [`AccessRecord`] tagged
-//!   with the calling thread's active task. The log is global (not
-//!   thread-local) precisely because pool workers access resources on
-//!   behalf of tasks; an install lock serializes concurrent recorders the
-//!   same way `sfcc_trace::install` does.
-//!
-//! When no recorder is installed, [`note_access`] is one relaxed atomic
-//! load — recording sites stay in the hot path unconditionally.
+//!   system pushes the active task's label around each task body, which
+//!   the query engine runs on the thread that drives the build. Recorded
+//!   faultfs operations ([`crate::record`], thread-local too) and noted
+//!   accesses are tagged with the innermost label ([`active_task`]);
+//! * the **[`AccessRecord`]** a build appends, to a log it owns, for each
+//!   logical-resource access it makes while auditing. The log is a value
+//!   of that build, not process state, so concurrent sessions audit
+//!   independently.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 thread_local! {
     /// Stack of active task labels on this thread; the top attributes.
-    static TASK_STACK: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
+    static TASK_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Pushes `label` as the thread's active task until the guard drops.
 /// Nested scopes attribute to the innermost label.
 #[must_use = "the task context pops when the guard drops"]
 pub fn task_scope(label: impl Into<String>) -> TaskGuard {
-    let label: Arc<str> = Arc::from(label.into());
-    TASK_STACK.with(|s| s.borrow_mut().push(label));
+    TASK_STACK.with(|s| s.borrow_mut().push(label.into()));
     TaskGuard { _priv: () }
 }
 
@@ -57,51 +47,10 @@ impl Drop for TaskGuard {
 
 /// The thread's active task label, if any (the innermost [`task_scope`]).
 pub fn active_task() -> Option<String> {
-    TASK_STACK.with(|s| s.borrow().last().map(|l| l.to_string()))
+    TASK_STACK.with(|s| s.borrow().last().cloned())
 }
 
-/// A cloneable snapshot of the calling thread's task context, for carrying
-/// attribution across thread boundaries (a pool `spawn`). Entering an empty
-/// context is free and changes nothing.
-#[derive(Debug, Clone)]
-pub struct TaskCtx(Option<Arc<str>>);
-
-/// Captures the calling thread's current task context.
-pub fn current_task() -> TaskCtx {
-    TaskCtx(TASK_STACK.with(|s| s.borrow().last().cloned()))
-}
-
-impl TaskCtx {
-    /// Makes this context the thread's active task until the guard drops.
-    #[must_use = "the task context pops when the guard drops"]
-    pub fn enter(&self) -> TaskCtxGuard {
-        match &self.0 {
-            Some(label) => {
-                TASK_STACK.with(|s| s.borrow_mut().push(Arc::clone(label)));
-                TaskCtxGuard { pushed: true }
-            }
-            None => TaskCtxGuard { pushed: false },
-        }
-    }
-}
-
-/// RAII guard restoring the previous task context; see [`TaskCtx::enter`].
-#[derive(Debug)]
-pub struct TaskCtxGuard {
-    pushed: bool,
-}
-
-impl Drop for TaskCtxGuard {
-    fn drop(&mut self) {
-        if self.pushed {
-            TASK_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
-}
-
-/// One logical-resource access noted while a recorder was installed.
+/// One logical-resource access noted by an auditing build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessRecord {
     /// The task active on the accessing thread, if any. Accesses outside
@@ -110,59 +59,6 @@ pub struct AccessRecord {
     /// The logical resource name (domain-defined, e.g. `src:lib`,
     /// `manifest`, `state:lib`).
     pub resource: String,
-}
-
-static ACCESS_ENABLED: AtomicBool = AtomicBool::new(false);
-static ACCESS_INSTALL: Mutex<()> = Mutex::new(());
-static ACCESS_LOG: Mutex<Vec<AccessRecord>> = Mutex::new(Vec::new());
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Installs the process-global access recorder. Holds a static install lock
-/// for the guard's lifetime, so concurrent recorders (parallel tests)
-/// serialize instead of mixing logs. Dropping the guard stops recording and
-/// clears the log.
-#[must_use = "recording stops when the guard drops"]
-pub fn record_accesses() -> AccessLogGuard {
-    let guard = ACCESS_INSTALL.lock().unwrap_or_else(|e| e.into_inner());
-    lock(&ACCESS_LOG).clear();
-    ACCESS_ENABLED.store(true, Ordering::SeqCst);
-    AccessLogGuard { _guard: guard }
-}
-
-/// Owner of the installed access recorder; see [`record_accesses`].
-pub struct AccessLogGuard {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl AccessLogGuard {
-    /// Takes the accesses recorded so far (recording stays active with an
-    /// empty log).
-    pub fn take(&self) -> Vec<AccessRecord> {
-        std::mem::take(&mut lock(&ACCESS_LOG))
-    }
-}
-
-impl Drop for AccessLogGuard {
-    fn drop(&mut self) {
-        ACCESS_ENABLED.store(false, Ordering::SeqCst);
-        lock(&ACCESS_LOG).clear();
-    }
-}
-
-/// Notes a logical-resource access, attributed to the calling thread's
-/// active task. One relaxed atomic load when no recorder is installed.
-#[inline]
-pub fn note_access(resource: &str) {
-    if !ACCESS_ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    lock(&ACCESS_LOG).push(AccessRecord {
-        task: active_task(),
-        resource: resource.to_string(),
-    });
 }
 
 #[cfg(test)]
@@ -181,43 +77,5 @@ mod tests {
         assert_eq!(active_task().as_deref(), Some("outer"));
         drop(outer);
         assert_eq!(active_task(), None);
-    }
-
-    #[test]
-    fn ctx_carries_attribution_across_threads() {
-        let rec = record_accesses();
-        let ctx = {
-            let _scope = task_scope("optimize(lib)");
-            current_task()
-        };
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _enter = ctx.enter();
-                note_access("state:lib");
-            });
-        });
-        note_access("manifest"); // outside any task scope
-        let log = rec.take();
-        assert_eq!(
-            log,
-            vec![
-                AccessRecord {
-                    task: Some("optimize(lib)".into()),
-                    resource: "state:lib".into()
-                },
-                AccessRecord {
-                    task: None,
-                    resource: "manifest".into()
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn disabled_recording_is_inert() {
-        // The install lock guarantees no recorder is alive concurrently.
-        let _lock = ACCESS_INSTALL.lock().unwrap_or_else(|e| e.into_inner());
-        note_access("src:lib");
-        assert!(lock(&ACCESS_LOG).is_empty());
     }
 }

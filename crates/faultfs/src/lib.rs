@@ -22,11 +22,11 @@
 //!   crash-consistency matrix assert byte-identical recovery.
 //!
 //! A third piece supports the dependency-soundness checker: **task
-//! attribution** ([`task_scope`], [`current_task`], [`note_access`],
-//! [`record_accesses`]). Recorded operations and noted logical-resource
-//! accesses are tagged with the query task active on the calling thread, so
-//! `minicc depcheck` can diff a build's actual accesses against the query
-//! engine's declared dependencies with task-level provenance.
+//! attribution** ([`task_scope`], [`active_task`], [`AccessRecord`]).
+//! Recorded operations, and the logical-resource accesses an auditing build
+//! logs for itself, are tagged with the query task active on the calling
+//! thread, so `minicc depcheck` can diff a build's actual accesses against
+//! the query engine's declared dependencies with task-level provenance.
 //!
 //! Temp and generation file names embed the pid and a process-global
 //! counter, so concurrent builders sharing a state directory can never
@@ -58,10 +58,7 @@ pub mod commit;
 pub mod inject;
 pub mod plan;
 
-pub use attribute::{
-    active_task, current_task, note_access, record_accesses, task_scope, AccessLogGuard,
-    AccessRecord, TaskCtx, TaskCtxGuard, TaskGuard,
-};
+pub use attribute::{active_task, task_scope, AccessRecord, TaskGuard};
 pub use commit::{CommitDir, EntryError, Manifest, ManifestEntry, ManifestError};
 pub use inject::{
     atomic_write, install, is_injected, is_quarantine_name, op_counts, quarantine, read, record,

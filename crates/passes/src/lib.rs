@@ -55,7 +55,6 @@ pub mod peephole;
 pub mod reassociate;
 pub mod sccp;
 pub mod simplify_cfg;
-pub mod snapstats;
 pub mod util;
 
 use sfcc_ir::{Function, ModuleSnapshot};
@@ -65,7 +64,6 @@ pub use manager::{
     PipelineTrace, RunOptions, SkipOracle,
 };
 pub use parallel::run_pipeline_parallel;
-pub use snapstats::{snapshot_stats, SnapshotStats};
 
 /// A function transformation.
 ///

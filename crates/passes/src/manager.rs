@@ -111,6 +111,10 @@ pub struct PipelineTrace {
     /// Largest single-batch total cost (live instructions) planned by any
     /// stage of this run.
     pub batch_max_cost: u64,
+    /// Wall time spent building this run's snapshots, in nanoseconds — a
+    /// measurement like [`PassRecord::nanos`], never part of byte-stable
+    /// output.
+    pub snapshot_wall_ns: u64,
 }
 
 impl PipelineTrace {
@@ -422,8 +426,7 @@ pub fn run_pipeline(
 /// cells flagged dirty (changed by some pass since `prev` was taken) are
 /// deep-cloned into fresh `Arc`s, clean ones reuse `prev`'s `Arc`s at zero
 /// copy cost. `prev: None` is the pipeline-entry snapshot, which clones
-/// everything. Books the event in `trace` and the process-global
-/// [`crate::snapstats`] counters, and clears the dirty bits.
+/// everything. Books the event in `trace` and clears the dirty bits.
 ///
 /// Pipeline stages transform bodies but never add, remove, or reorder
 /// functions, so cell positions align with `prev`'s.
@@ -451,10 +454,10 @@ fn take_snapshot(
         cell.dirty = false;
     }
     let snapshot = ModuleSnapshot::from_arcs(&trace.module, arcs);
-    crate::snapstats::record_snapshot(cost, reused, start.elapsed().as_nanos() as u64);
     trace.snapshot_clones += 1;
     trace.snapshot_cost_units += cost;
     trace.snapshot_reused += reused;
+    trace.snapshot_wall_ns += start.elapsed().as_nanos() as u64;
     snapshot
 }
 

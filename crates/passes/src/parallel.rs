@@ -108,6 +108,7 @@ mod tests {
 
     /// Clears the timing fields, which legitimately differ run to run.
     fn strip_nanos(mut trace: PipelineTrace) -> PipelineTrace {
+        trace.snapshot_wall_ns = 0;
         for f in &mut trace.functions {
             for r in &mut f.records {
                 r.nanos = 0;

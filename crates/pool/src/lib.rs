@@ -121,23 +121,14 @@ impl<'env> PoolScope<'env> {
     /// the shared FIFO injector, so spawn order is service order there —
     /// submit the largest task first to minimize makespan.
     ///
-    /// The spawner's trace context travels with the task: whichever worker
-    /// eventually runs (or steals) it re-enters that context first, so spans
-    /// recorded inside the task nest under the spawn site's span rather
-    /// than under whatever the worker happened to be doing. The spawner's
-    /// faultfs task context travels the same way, so resource accesses made
-    /// on a worker are attributed to the query task that spawned the work
-    /// (the depcheck attribution model).
+    /// The task runs exactly as given: no thread-local context of the
+    /// spawner (trace parent, task attribution) follows it to the worker.
+    /// A build's observers are values on the thread that drives it, and
+    /// what a task measures travels back in its result.
     pub fn spawn(&self, task: impl FnOnce(&PoolScope<'env>) + Send + 'env) {
         self.spawned.fetch_add(1, Ordering::Relaxed);
         self.pending.fetch_add(1, Ordering::SeqCst);
-        let ctx = sfcc_trace::current_ctx();
-        let task_ctx = sfcc_faultfs::current_task();
-        let task: Task<'env> = Box::new(move |scope: &PoolScope<'env>| {
-            let _trace = ctx.enter();
-            let _task_ctx = task_ctx.enter();
-            task(scope);
-        });
+        let task: Task<'env> = Box::new(task);
         match WORKER.get() {
             Some((id, idx)) if id == self.identity() => {
                 self.locals[idx].lock().unwrap().push_back(task);
@@ -478,30 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_carries_faultfs_task_context() {
-        // A worker (or the caller, at jobs=1) running a spawned closure must
-        // see the spawner's active task, not its own idle state.
-        for jobs in [1, 4] {
-            let seen: Mutex<Vec<Option<String>>> = Mutex::new(Vec::new());
-            scope(jobs, |pool| {
-                let _scope = sfcc_faultfs::task_scope("optimize(lib)");
-                for _ in 0..4 {
-                    let seen = &seen;
-                    pool.spawn(move |_| {
-                        seen.lock().unwrap().push(sfcc_faultfs::active_task());
-                    });
-                }
-            });
-            let seen = seen.into_inner().unwrap();
-            assert_eq!(seen.len(), 4);
-            assert!(
-                seen.iter().all(|t| t.as_deref() == Some("optimize(lib)")),
-                "jobs={jobs}: {seen:?}"
-            );
-        }
-    }
-
-    #[test]
     fn run_batched_preserves_positions_and_runs_each_once() {
         for jobs in [1, 4] {
             let items: Vec<u64> = (0..41).collect();
@@ -562,30 +529,6 @@ mod tests {
             });
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn spawned_tasks_inherit_the_spawner_trace_context() {
-        let handle = sfcc_trace::install();
-        let root = sfcc_trace::span("build", "root", 0);
-        let root_id = root.id();
-        scope(4, |pool| {
-            for i in 0..8u64 {
-                pool.spawn(move |_| {
-                    let _child = sfcc_trace::span("function", format!("f{i}"), i);
-                });
-            }
-        });
-        drop(root);
-        let trace = handle.finish();
-        let children: Vec<_> = trace.spans.iter().filter(|s| s.cat == "function").collect();
-        assert_eq!(children.len(), 8);
-        for child in children {
-            assert_eq!(
-                child.parent, root_id.0,
-                "stolen task span must nest under the spawn site"
-            );
-        }
     }
 
     #[test]

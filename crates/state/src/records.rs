@@ -358,6 +358,7 @@ mod tests {
             snapshot_reused: 0,
             batch_count: 0,
             batch_max_cost: 0,
+            snapshot_wall_ns: 0,
         }
     }
 

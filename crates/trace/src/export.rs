@@ -9,20 +9,86 @@
 //! deterministic) measured `wall_ns`.
 
 use crate::json::{escape_into, parse, Value};
-use crate::{ArgValue, RawSpan};
+use crate::{ArgValue, RawSpan, SpanId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// A merged, unordered set of recorded spans; see
-/// [`crate::TraceHandle::finish`].
+/// One build's span recorder and the trace it produces: an unordered set
+/// of recorded spans, owned by whoever records into it.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// All recorded spans and instants, in shard order (canonicalized at
-    /// export time).
+    /// All recorded spans and instants, in recording order (canonicalized
+    /// at export time).
     pub spans: Vec<RawSpan>,
+    /// The last id handed out; ids start at 1 ([`SpanId::NONE`] is 0).
+    last_id: u64,
 }
 
 impl Trace {
+    fn next_id(&mut self) -> u64 {
+        self.last_id += 1;
+        self.last_id
+    }
+
+    /// Records a complete span under `parent` ([`SpanId::NONE`] for a
+    /// root) and returns its id so children can be attached.
+    #[allow(clippy::too_many_arguments)]
+    pub fn span(
+        &mut self,
+        parent: SpanId,
+        cat: &'static str,
+        name: impl Into<String>,
+        seq: u64,
+        cost: u64,
+        wall_ns: u64,
+        args: Vec<(&'static str, ArgValue)>,
+    ) -> SpanId {
+        let id = self.next_id();
+        self.spans.push(RawSpan {
+            id,
+            parent: parent.0,
+            cat,
+            name: name.into(),
+            seq,
+            cost,
+            wall_ns,
+            instant: false,
+            args,
+        });
+        SpanId(id)
+    }
+
+    /// Records an instant event under `parent`.
+    pub fn instant(
+        &mut self,
+        parent: SpanId,
+        cat: &'static str,
+        name: impl Into<String>,
+        seq: u64,
+        args: Vec<(&'static str, ArgValue)>,
+    ) {
+        let id = self.next_id();
+        self.spans.push(RawSpan {
+            id,
+            parent: parent.0,
+            cat,
+            name: name.into(),
+            seq,
+            cost: 0,
+            wall_ns: 0,
+            instant: true,
+            args,
+        });
+    }
+
+    /// Sets the measured wall time of an already recorded span — for a
+    /// span that must exist before its children do and ends after them.
+    pub fn set_wall_ns(&mut self, id: SpanId, wall_ns: u64) {
+        if let Some(span) = self.spans.iter_mut().find(|s| s.id == id.0) {
+            span.wall_ns = wall_ns;
+        }
+    }
+
     /// Total recorded events (spans + instants).
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -43,8 +109,8 @@ impl Trace {
     /// `include_wall` adds the measured `wall_ns` annotations.
     pub fn to_chrome_json(&self, include_wall: bool) -> String {
         // Index spans and group children under their parents. A parent id
-        // that was never recorded (guard outlived the handle) demotes the
-        // span to a root rather than dropping it.
+        // that was never recorded demotes the span to a root rather than
+        // dropping it.
         let by_id: HashMap<u64, usize> = self
             .spans
             .iter()
@@ -313,7 +379,7 @@ mod tests {
             instant: true,
             ..raw(6, 1, "query", "hit frontend(alpha)", 2, 0)
         });
-        Trace { spans }
+        Trace { spans, last_id: 6 }
     }
 
     #[test]
@@ -364,6 +430,7 @@ mod tests {
     fn orphan_parent_becomes_root() {
         let trace = Trace {
             spans: vec![raw(7, 99, "module", "orphan", 0, 1)],
+            last_id: 7,
         };
         let json = trace.to_chrome_json(false);
         validate_chrome_trace(&json).expect("orphan exported as root");

@@ -1,16 +1,18 @@
 //! Hierarchical build tracing and a typed metrics registry for sfcc.
 //!
-//! The tracer records a tree of *spans* (build → wave → module → phase →
-//! function → pass, plus query/cache/IO instants) into per-thread shard
-//! buffers. It is globally installed for the duration of one traced build
-//! ([`install`]) and **zero-cost when disabled**: every recording entry
-//! point first checks one relaxed atomic and returns immediately.
+//! A trace is a tree of *spans* (build → wave → module → phase → function →
+//! pass, plus query/cache/IO instants) held by a plain [`Trace`] value: the
+//! build that wants one creates it, records into it through `&mut`
+//! ([`Trace::span`], [`Trace::instant`]) and hands it back in its report.
+//! Nothing is process state, so concurrent builds cannot see each other's
+//! spans, and a build that does not trace holds no recorder at all — the
+//! disabled path is a branch on the caller's own `Option<Trace>`.
 //!
 //! Determinism contract: exported traces carry *cost units* (deterministic
 //! instruction/op counts) as their timeline, never wall-clock. Wall-clock
 //! nanoseconds are captured alongside but only exported as an optional
-//! annotation (see [`export::Trace::to_chrome_json`]). Merging the
-//! per-thread buffers sorts siblings by `(seq, cat, name, cost)`, so the
+//! annotation (see [`export::Trace::to_chrome_json`]). Export sorts
+//! siblings by `(seq, cat, name, cost)` and never prints ids, so the
 //! exported JSON is byte-identical across runs and across `--jobs` values
 //! as long as the recorded structure and cost fields are deterministic.
 
@@ -18,24 +20,16 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
-
 pub use export::{validate_chrome_trace, Trace, TraceSummary};
 pub use metrics::{Histogram, MetricValue, MetricsSnapshot, Registry};
 
-/// Number of independent span buffers; threads are assigned round-robin.
-const SHARDS: usize = 16;
-
-/// Identifier of a recorded span. `SpanId(0)` means "no span" (used both
-/// for "tracing disabled" and "no parent / root").
+/// Identifier of a recorded span, unique within its [`Trace`]. `SpanId(0)`
+/// means "no parent / root".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
-    /// The null id: no parent, or tracing disabled.
+    /// The null id: no parent.
     pub const NONE: SpanId = SpanId(0);
 
     /// True if this id refers to an actual recorded span.
@@ -58,7 +52,7 @@ pub enum ArgValue {
 /// One recorded span or instant event, before export.
 #[derive(Debug, Clone)]
 pub struct RawSpan {
-    /// Unique id (process-wide, from one atomic counter).
+    /// Unique id within the trace (from the recorder's counter).
     pub id: u64,
     /// Parent span id, or 0 for roots.
     pub parent: u64,
@@ -79,372 +73,40 @@ pub struct RawSpan {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-struct Shared {
-    next_id: AtomicU64,
-    next_shard: AtomicUsize,
-    shards: Vec<Mutex<Vec<RawSpan>>>,
-}
-
-impl Shared {
-    fn new() -> Self {
-        Shared {
-            next_id: AtomicU64::new(1),
-            next_shard: AtomicUsize::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    fn alloc_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn push(&self, rec: RawSpan) {
-        let shard = THREAD_SHARD.with(|s| {
-            let mut v = s.get();
-            if v == usize::MAX {
-                v = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
-                s.set(v);
-            }
-            v
-        });
-        lock(&self.shards[shard]).push(rec);
-    }
-
-    fn drain(&self) -> Vec<RawSpan> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            all.append(&mut lock(shard));
-        }
-        all
-    }
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-static TRACER: Mutex<Option<Arc<Shared>>> = Mutex::new(None);
-
-thread_local! {
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-    static THREAD_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn tracer() -> Option<Arc<Shared>> {
-    lock(&TRACER).clone()
-}
-
-/// True when a tracer is installed. This is the *only* cost paid by
-/// recording sites when tracing is off: one relaxed atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Install a process-global tracer and return the handle that owns it.
-///
-/// Holds a static install lock for the lifetime of the handle, so
-/// concurrent tests that each want tracing serialize instead of mixing
-/// spans. Dropping the handle (or calling [`TraceHandle::finish`])
-/// uninstalls the tracer and re-disables recording.
-pub fn install() -> TraceHandle {
-    let guard = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let shared = Arc::new(Shared::new());
-    *lock(&TRACER) = Some(shared.clone());
-    ENABLED.store(true, Ordering::SeqCst);
-    TraceHandle {
-        shared,
-        _guard: guard,
-    }
-}
-
-/// Owner of an installed tracer; see [`install`].
-pub struct TraceHandle {
-    shared: Arc<Shared>,
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl TraceHandle {
-    /// Uninstall the tracer and return every recorded span, merged from
-    /// all thread shards (unordered; export canonicalizes).
-    pub fn finish(self) -> Trace {
-        ENABLED.store(false, Ordering::SeqCst);
-        *lock(&TRACER) = None;
-        Trace {
-            spans: self.shared.drain(),
-        }
-    }
-}
-
-impl Drop for TraceHandle {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
-        let mut t = lock(&TRACER);
-        if let Some(cur) = t.as_ref() {
-            if Arc::ptr_eq(cur, &self.shared) {
-                *t = None;
-            }
-        }
-    }
-}
-
-/// Start a scoped span as a child of the thread's current span. Returns a
-/// guard that records the span when dropped. No-op (and allocation-free)
-/// when tracing is disabled.
-pub fn span(cat: &'static str, name: impl Into<String>, seq: u64) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { data: None };
-    }
-    let Some(shared) = tracer() else {
-        return SpanGuard { data: None };
-    };
-    let id = shared.alloc_id();
-    let parent = CURRENT.with(|c| c.replace(id));
-    SpanGuard {
-        data: Some(SpanData {
-            shared,
-            start: Instant::now(),
-            prev: parent,
-            rec: RawSpan {
-                id,
-                parent,
-                cat,
-                name: name.into(),
-                seq,
-                cost: 0,
-                wall_ns: 0,
-                instant: false,
-                args: Vec::new(),
-            },
-        }),
-    }
-}
-
-struct SpanData {
-    shared: Arc<Shared>,
-    start: Instant,
-    prev: u64,
-    rec: RawSpan,
-}
-
-/// RAII guard for a live scoped span; records it on drop.
-pub struct SpanGuard {
-    data: Option<SpanData>,
-}
-
-impl SpanGuard {
-    /// The id of this span ([`SpanId::NONE`] when tracing is disabled).
-    pub fn id(&self) -> SpanId {
-        SpanId(self.data.as_ref().map_or(0, |d| d.rec.id))
-    }
-
-    /// Add deterministic cost units to this span.
-    pub fn add_cost(&mut self, units: u64) {
-        if let Some(d) = &mut self.data {
-            d.rec.cost += units;
-        }
-    }
-
-    /// Attach an unsigned-integer argument.
-    pub fn arg_u64(&mut self, key: &'static str, value: u64) {
-        if let Some(d) = &mut self.data {
-            d.rec.args.push((key, ArgValue::U64(value)));
-        }
-    }
-
-    /// Attach a string argument.
-    pub fn arg_str(&mut self, key: &'static str, value: impl Into<String>) {
-        if let Some(d) = &mut self.data {
-            d.rec.args.push((key, ArgValue::Str(value.into())));
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(mut d) = self.data.take() {
-            d.rec.wall_ns = d.start.elapsed().as_nanos() as u64;
-            CURRENT.with(|c| c.set(d.prev));
-            d.shared.push(d.rec);
-        }
-    }
-}
-
-/// Record a complete span with an explicit parent, bypassing the
-/// thread-current stack. Used to emit deterministic synthetic subtrees
-/// (module/phase/function/pass) at report-assembly time. Returns the new
-/// span's id so children can be attached.
-#[allow(clippy::too_many_arguments)]
-pub fn emit_span(
-    parent: SpanId,
-    cat: &'static str,
-    name: impl Into<String>,
-    seq: u64,
-    cost: u64,
-    wall_ns: u64,
-    args: Vec<(&'static str, ArgValue)>,
-) -> SpanId {
-    if !enabled() {
-        return SpanId::NONE;
-    }
-    let Some(shared) = tracer() else {
-        return SpanId::NONE;
-    };
-    let id = shared.alloc_id();
-    shared.push(RawSpan {
-        id,
-        parent: parent.0,
-        cat,
-        name: name.into(),
-        seq,
-        cost,
-        wall_ns,
-        instant: false,
-        args,
-    });
-    SpanId(id)
-}
-
-/// Record an instant event under `parent` (explicit parent, or the
-/// thread-current span when `parent` is [`SpanId::NONE`]).
-pub fn emit_instant(
-    parent: SpanId,
-    cat: &'static str,
-    name: impl Into<String>,
-    seq: u64,
-    args: Vec<(&'static str, ArgValue)>,
-) {
-    if !enabled() {
-        return;
-    }
-    let Some(shared) = tracer() else {
-        return;
-    };
-    let id = shared.alloc_id();
-    let parent = if parent.is_some() {
-        parent.0
-    } else {
-        CURRENT.with(|c| c.get())
-    };
-    shared.push(RawSpan {
-        id,
-        parent,
-        cat,
-        name: name.into(),
-        seq,
-        cost: 0,
-        wall_ns: 0,
-        instant: true,
-        args,
-    });
-}
-
-/// Capture the current trace context (the thread's current span) so it can
-/// be re-entered on another thread — e.g. across a work-stealing pool's
-/// `spawn`. Cheap and inert when tracing is disabled.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceCtx(u64);
-
-/// Capture the calling thread's current trace context.
-#[inline]
-pub fn current_ctx() -> TraceCtx {
-    if !enabled() {
-        return TraceCtx(0);
-    }
-    TraceCtx(CURRENT.with(|c| c.get()))
-}
-
-impl TraceCtx {
-    /// Make this context the thread's current span until the guard drops.
-    #[inline]
-    pub fn enter(self) -> CtxGuard {
-        if self.0 == 0 && !enabled() {
-            return CtxGuard { prev: None };
-        }
-        let prev = CURRENT.with(|c| c.replace(self.0));
-        CtxGuard { prev: Some(prev) }
-    }
-}
-
-/// RAII guard restoring the previous thread-current span; see
-/// [`TraceCtx::enter`].
-pub struct CtxGuard {
-    prev: Option<u64>,
-}
-
-impl Drop for CtxGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            CURRENT.with(|c| c.set(prev));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recording_is_inert() {
-        // Holding the install lock guarantees no TraceHandle is alive in
-        // a concurrently running test.
-        let _lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(!enabled());
-        let mut g = span("build", "root", 0);
-        g.add_cost(5);
-        assert_eq!(g.id(), SpanId::NONE);
-        drop(g);
-        assert_eq!(
-            emit_span(SpanId::NONE, "pass", "x", 0, 1, 0, Vec::new()),
-            SpanId::NONE
-        );
-        emit_instant(SpanId::NONE, "query", "q", 0, Vec::new());
-    }
-
-    #[test]
     fn spans_nest_and_merge() {
-        let handle = install();
-        {
-            let root = span("build", "root", 0);
-            assert!(root.id().is_some());
-            {
-                let mut child = span("wave", "wave 0", 1);
-                child.add_cost(7);
-                child.arg_str("tag", "t");
-            }
-            let _extra = emit_span(root.id(), "module", "m", 2, 3, 0, Vec::new());
-            emit_instant(SpanId::NONE, "query", "hit", 0, Vec::new());
-        }
-        let trace = handle.finish();
-        assert_eq!(trace.spans.len(), 4);
-        let root = trace.spans.iter().find(|s| s.cat == "build").unwrap();
-        assert_eq!(root.parent, 0);
+        let mut trace = Trace::default();
+        let root = trace.span(SpanId::NONE, "build", "root", 0, 0, 9, Vec::new());
+        assert!(root.is_some());
+        let wave = trace.span(
+            root,
+            "wave",
+            "wave 0",
+            1,
+            7,
+            5,
+            vec![("tag", ArgValue::Str("t".into()))],
+        );
+        assert_ne!(wave, root, "ids are unique within the trace");
+        trace.span(root, "module", "m", 2, 3, 0, Vec::new());
+        trace.instant(root, "query", "hit", 0, Vec::new());
+        trace.set_wall_ns(root, 11);
+
+        assert_eq!(trace.len(), 4);
+        let recorded_root = trace.spans.iter().find(|s| s.cat == "build").unwrap();
+        assert_eq!((recorded_root.parent, recorded_root.wall_ns), (0, 11));
         for s in &trace.spans {
             if s.cat != "build" {
-                assert_eq!(s.parent, root.id, "span {} under root", s.name);
+                assert_eq!(s.parent, root.0, "span {} under root", s.name);
             }
         }
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn ctx_transfers_parent_across_enter() {
-        let handle = install();
-        let root = span("build", "root", 0);
-        let ctx = current_ctx();
-        // Simulate a stolen task: clear the current span, then re-enter.
-        let outside = TraceCtx(0).enter();
-        drop(outside);
-        {
-            let _g = ctx.enter();
-            let _child = span("pass", "p", 0);
-        }
-        let root_id = root.id().0;
-        drop(root);
-        let trace = handle.finish();
-        let child = trace.spans.iter().find(|s| s.cat == "pass").unwrap();
-        assert_eq!(child.parent, root_id);
+        let wave = trace.spans.iter().find(|s| s.cat == "wave").unwrap();
+        assert_eq!((wave.cost, wave.wall_ns, wave.instant), (7, 5, false));
+        assert!(trace.spans.iter().any(|s| s.instant && s.name == "hit"));
+        validate_chrome_trace(&trace.to_chrome_json(false)).expect("recorded trace exports");
     }
 }

@@ -11,9 +11,12 @@
 
 use sfcc::{Compiler, Config};
 use sfcc_backend::{run, VmOptions};
+use sfcc_buildsys::report::ParallelStats;
 use sfcc_buildsys::{
     validate_report_json, Builder, DepFindingKind, DepMutations, DepcheckReport, Project,
 };
+use sfcc_workload::{generate_model, GeneratorConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn project(files: &[(&str, &str)]) -> Project {
     let mut p = Project::new();
@@ -361,12 +364,7 @@ fn quick_cas_enabled_audit_stays_clean_cold_and_warm() {
         "the warm build must actually be served: {stats:?}"
     );
 
-    // The report's cas block reflects the serves and still validates. This
-    // build does not audit, so nothing serializes it against the recorders
-    // of concurrently running tests — and its `cas:` accesses carry the same
-    // task labels as theirs. Hold the recorder slot so it cannot leak into
-    // another test's audit.
-    let _recorder_slot = sfcc_faultfs::record_accesses();
+    // The report's cas block reflects the serves and still validates.
     let report = Builder::new(Compiler::new(config()))
         .build(&project_v1())
         .unwrap();
@@ -403,4 +401,92 @@ fn quick_rogue_io_outside_any_dependency_channel_is_flagged() {
             "the finding must name the path: {f:?}"
         );
     }
+}
+
+/// What `minicc depcheck` reports for `p`: an audited cold build plus an
+/// audited no-op rebuild on one fresh builder, merged.
+fn audit(p: &Project) -> DepcheckReport {
+    let mut builder = Builder::new(Compiler::new(Config::stateless())).with_depcheck();
+    let mut merged = builder.build(p).unwrap().depcheck.unwrap();
+    merged.merge(builder.build(p).unwrap().depcheck.unwrap());
+    merged
+}
+
+/// The observable result of one cold traced build of `p`: the exported
+/// trace bytes, the report's `parallel` block and its snapshot gauges.
+fn traced(p: &Project) -> (String, ParallelStats, Vec<Option<u64>>) {
+    let report = Builder::new(Compiler::new(Config::stateless()))
+        .with_tracing()
+        .build(p)
+        .unwrap();
+    let gauges = ["snapshot.clones", "snapshot.cost_units", "snapshot.reused"]
+        .map(|name| report.metrics.scalar(name))
+        .to_vec();
+    let trace = report.trace.as_ref().expect("the build was traced");
+    (trace.to_chrome_json(false), report.parallel_stats(), gauges)
+}
+
+#[test]
+fn quick_concurrent_sessions_do_not_share_observers() {
+    // Two sessions in one process — what `minicc serve` runs by default.
+    // Session A audits and traces a project; a neighbour thread meanwhile
+    // builds the *same* project (same task labels) through a shared store
+    // in a loop, so every one of its `optimizefn` tasks notes a `cas:`
+    // serve that A never declared. A's verdict, trace and counters must be
+    // exactly what it gets alone.
+    let p = generate_model(&GeneratorConfig::medium(0x19)).render();
+    let store = std::env::temp_dir().join(format!("sfcc-depcheck-two-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    std::fs::create_dir_all(&store).unwrap();
+
+    let solo_audit = audit(&p);
+    let solo_traced = traced(&p);
+
+    let stop = AtomicBool::new(false);
+    let (warm_tx, warm_rx) = std::sync::mpsc::channel();
+    let (beside_audit, beside_traced, neighbour_builds) = std::thread::scope(|s| {
+        let neighbour = s.spawn(|| {
+            let mut builds = 0u32;
+            while !stop.load(Ordering::SeqCst) {
+                Builder::new(Compiler::new(Config::stateless().with_cas_path(&store)))
+                    .build(&p)
+                    .unwrap();
+                builds += 1;
+                if builds == 1 {
+                    warm_tx.send(()).unwrap();
+                }
+            }
+            builds
+        });
+        // From its second build on the neighbour is served from the store.
+        warm_rx.recv().unwrap();
+        let beside_audit = audit(&p);
+        let beside_traced = traced(&p);
+        // Stop the neighbour before asserting: a failed assertion inside
+        // the scope would otherwise wait on it forever.
+        stop.store(true, Ordering::SeqCst);
+        (beside_audit, beside_traced, neighbour.join().unwrap())
+    });
+    std::fs::remove_dir_all(&store).unwrap();
+
+    assert!(neighbour_builds >= 2, "the neighbour built throughout");
+    assert!(
+        beside_audit.is_clean(),
+        "a neighbour's accesses leaked into the audit:\n{}",
+        beside_audit.render()
+    );
+    assert_eq!(
+        (beside_audit.accesses, beside_audit.tasks_checked),
+        (solo_audit.accesses, solo_audit.tasks_checked),
+        "the audit examined exactly its own build"
+    );
+    assert!(solo_audit.is_clean(), "{}", solo_audit.render());
+    assert!(
+        beside_traced.0 == solo_traced.0,
+        "a neighbour's spans leaked into the trace"
+    );
+    assert_eq!(
+        (beside_traced.1, &beside_traced.2),
+        (solo_traced.1, &solo_traced.2)
+    );
 }

@@ -212,6 +212,7 @@ fn quick_zero_change_stage_performs_zero_rewraps() {
         assert!(trace.batch_count > 0, "{label}: batches were planned");
     }
     let strip = |mut t: sfcc_passes::PipelineTrace| {
+        t.snapshot_wall_ns = 0;
         for f in &mut t.functions {
             for r in &mut f.records {
                 r.nanos = 0;
