@@ -14,8 +14,9 @@
 #                  overhead gate, the shared-artifact-store soundness
 #                  suite and its E17 sharing gate, the warm-daemon
 #                  differential suite and its E18 warm-latency gate,
-#                  plus a traced demo build validated with `trace-check`
-#                  and a depcheck run over the demo project; both modes
+#                  plus a traced demo build validated with `trace-check`,
+#                  a depcheck run over the demo project and the cold
+#                  no-op gate (a second process executes 0 tasks); both modes
 #                  start with the one-request-path grep over `minicc.rs`
 #                  and the no-process-state grep over `crates/`
 set -euo pipefail
@@ -43,6 +44,40 @@ depcheck_smoke() {
     trap 'rm -rf "$scratch"' RETURN
     cp demo/*.mc "$scratch"/
     cargo run -q -p sfcc-buildsys --bin minicc -- depcheck "$scratch"
+}
+
+# Cold no-op gate, on counts rather than clocks: a second `minicc build
+# --stateful` process over an unchanged tree starts from the query graph
+# the first one committed and must execute nothing — zero query misses,
+# zero function tasks, zero modules rebuilt — yet hand back the same image.
+# After one constant is touched, tasks execute again and the image is the
+# one a directory without any history builds from the edited tree.
+noop_gate() {
+    local scratch
+    scratch="$(mktemp -d)"
+    trap 'rm -rf "$scratch"' RETURN
+    mkdir "$scratch/p" "$scratch/fresh"
+    cp demo/*.mc "$scratch/p"/
+    local build=(cargo run -q -p sfcc-buildsys --bin minicc -- build)
+    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/first.sbx" > /dev/null
+    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/second.sbx" > "$scratch/second.json"
+    if ! grep -q '"query":{"hits":1,"misses":0,' "$scratch/second.json" ||
+        ! grep -q '"fn_tasks_executed":0,' "$scratch/second.json" ||
+        grep -q '"rebuilt":true' "$scratch/second.json"; then
+        echo "ci: a second process over an unchanged tree executed tasks:" >&2
+        grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/second.json" >&2
+        return 1
+    fi
+    cmp "$scratch/first.sbx" "$scratch/second.sbx"
+    sed -i 's/1000000007/998244353/' "$scratch/p/mathx.mc"
+    cp "$scratch/p"/*.mc "$scratch/fresh"/
+    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/third.sbx" > "$scratch/third.json"
+    "${build[@]}" "$scratch/fresh" --stateful -o "$scratch/fresh.sbx" > /dev/null
+    if grep -qE '"query":\{"hits":[0-9]+,"misses":0,' "$scratch/third.json"; then
+        echo "ci: an edited constant executed no task" >&2
+        return 1
+    fi
+    cmp "$scratch/third.sbx" "$scratch/fresh.sbx"
 }
 
 # One request path: `minicc` serves build-class commands through
@@ -101,6 +136,7 @@ if [[ "${1:-}" == "--quick" ]]; then
     cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 3
     trace_smoke
     depcheck_smoke
+    noop_gate
     # The benchmark is a package outside the workspace: compile it against
     # the product API so a signature change that breaks it fails here.
     cargo check --offline --manifest-path sfbench/Cargo.toml
@@ -116,6 +152,7 @@ cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 trace_smoke
 depcheck_smoke
+noop_gate
 # Smoke-run the parallel-scaling, observability-overhead, and
 # dependency-soundness sweeps, plus the function-granularity,
 # shared-store, and warm-daemon comparisons (write BENCH_parallel.json /

@@ -6,7 +6,9 @@
 //!
 //! 1. opens an engine session, which re-stamps every tracked input (source
 //!    files, the module manifest, per-function dormancy state) and
-//!    invalidates exactly the tasks downstream of a changed stamp;
+//!    invalidates exactly the tasks downstream of a changed stamp — and, if
+//!    that leaves `link` valid, returns its program: nothing changed, so
+//!    nothing is planned, demanded or executed;
 //! 2. demands the [`BuildTask::Graph`] task (import extraction, cycle and
 //!    missing-import diagnostics, wave scheduling);
 //! 3. walks the wave schedule at *function* granularity: each module's
@@ -30,12 +32,19 @@
 //! the live database mid-session, and freezing keeps every function's skip
 //! decision — and therefore every byte — independent of demand order.
 //!
+//! The store outlives the process: a build that executed anything leaves
+//! the store's graph — fingerprints and dependency traces, no values but
+//! `link`'s image — with the compiler session, whose next state commit
+//! persists it beside the dormancy state (module `depgraph`); a new
+//! process's first build starts from it, so a cold no-op is a no-op.
+//!
 //! The compiler session's dormancy state persists across builds (that is
 //! the paper's point); [`Builder::clear_cache`] drops only the *query
 //! store*, forcing full recompilation while keeping the dormancy state,
 //! which is exactly the "fresh checkout, warm state" CI scenario.
 
 use crate::depcheck::{self, DepMutations, DepcheckReport};
+use crate::depgraph;
 use crate::graph::GraphError;
 use crate::project::Project;
 use crate::report::{BuildReport, FngrainStats, ModuleReport, QueryStats};
@@ -44,7 +53,7 @@ use sfcc::{CompileError, CompileOutput, Compiler};
 use sfcc_backend::LinkError;
 use sfcc_ir::{Function, Op};
 use sfcc_passes::{PassOutcome, PipelineTrace};
-use sfcc_query::{Engine, QueryError};
+use sfcc_query::{Dep, Engine, QueryError};
 use sfcc_trace::{ArgValue, MetricsSnapshot, Registry, SpanId, Trace};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -117,6 +126,37 @@ pub struct Builder {
     tracing: bool,
     depcheck: bool,
     mutations: DepMutations,
+    /// Whether the store is still what the last process's graph restored:
+    /// fingerprints and dependency traces, no value but `link`'s, nothing
+    /// executed on top.
+    restored: bool,
+}
+
+/// What a build holds from its first instant to its report: the clock, the
+/// span recorder of a traced build and the op recorder of an audited one.
+struct Observers {
+    start: Instant,
+    /// This build's span recorder; absent when the build is not traced.
+    recorder: Option<Trace>,
+    /// The `build` span every other span hangs under.
+    root: SpanId,
+    op_guard: Option<sfcc_faultfs::RecordGuard>,
+    ops_before: sfcc_faultfs::OpCounts,
+}
+
+/// What the wave walk leaves for the report. Empty but for `order` when the
+/// build found nothing to walk.
+#[derive(Default)]
+struct Walk {
+    /// The project's modules, imports before importers.
+    order: Vec<String>,
+    waves: Vec<Vec<String>>,
+    /// The walked waves' spans, by wave index (traced builds).
+    wave_ids: Vec<SpanId>,
+    /// Definition-order function rosters of the walked modules; drives
+    /// report assembly and end-of-build garbage collection of per-function
+    /// tasks and state records.
+    rosters: HashMap<String, Vec<String>>,
 }
 
 impl fmt::Debug for Builder {
@@ -141,6 +181,7 @@ impl Builder {
             tracing: false,
             depcheck: false,
             mutations: DepMutations::new(),
+            restored: false,
         }
     }
 
@@ -235,10 +276,26 @@ impl Builder {
         &self.compiler
     }
 
-    /// Drops the query store (forcing the next build to re-execute every
-    /// task) while keeping the compiler's dormancy state.
+    /// Drops the query store — the graph a first build would restore from
+    /// the last process's commit included — forcing the next build to
+    /// re-execute every task, while keeping the compiler's dormancy state.
     pub fn clear_cache(&mut self) {
         self.engine.clear();
+        self.compiler.take_restored_graph();
+        self.restored = false;
+    }
+
+    /// [`Builder::clear_cache`], but only of a store this process did not
+    /// fill itself: a restored graph can say that nothing changed, it cannot
+    /// hand out a module's IR or show an audit what the tasks read. Requests
+    /// that need either call this first and pay for the execution. Returns
+    /// whether there was such a store to forget.
+    pub fn forget_restored_graph(&mut self) -> bool {
+        let restored = self.restored || self.compiler.take_restored_graph().is_some();
+        if restored {
+            self.clear_cache();
+        }
+        restored
     }
 
     /// Builds the project incrementally and links a complete program.
@@ -255,12 +312,20 @@ impl Builder {
         self.compiler.freeze_state();
         let result = self.build_inner(project);
         self.compiler.thaw_state();
+        // What the next process starts from: the store as it now stands,
+        // re-encoded only when this build changed it. A build that executed
+        // nothing deposits nothing, and the session's state commit carries
+        // the committed graph forward.
+        if let Ok(report) = &result {
+            let changed = report.query.misses > 0 && self.compiler.persists_state();
+            let graph = changed.then(|| depgraph::encode(&self.engine, self.compiler.identity()));
+            self.compiler.deposit_graph(graph);
+        }
         result
     }
 
     fn build_inner(&mut self, project: &Project) -> Result<BuildReport, BuildError> {
         let start = Instant::now();
-        // This build's span recorder; absent when the build is not traced.
         // The root span must exist before its children, so it is recorded
         // up front and its wall time filled in at the end.
         let mut recorder = self.tracing.then(Trace::default);
@@ -271,8 +336,19 @@ impl Builder {
         // recorder is thread-local and resets the op counter, so depcheck
         // builds are incompatible with an installed fault plan — an
         // accepted limitation of the audit mode.
-        let op_guard = self.depcheck.then(sfcc_faultfs::record);
-        let ops_before = sfcc_faultfs::op_counts();
+        let mut observers = Observers {
+            start,
+            recorder,
+            root,
+            op_guard: self.depcheck.then(sfcc_faultfs::record),
+            ops_before: sfcc_faultfs::op_counts(),
+        };
+
+        // A process's first build starts from the graph the last one
+        // committed, not from nothing.
+        if let Some(graph) = self.compiler.take_restored_graph() {
+            self.restored = depgraph::restore(&mut self.engine, graph, &self.mutations);
+        }
 
         // Drop tasks of modules that left the project so their objects
         // cannot leak into the link; dependents are invalidated by the
@@ -295,6 +371,35 @@ impl Builder {
         );
         self.engine.begin_session(&mut spec);
 
+        // Opening the session re-stamped every recorded input and marked
+        // every task no change reaches as valid. If `link` is one of them,
+        // nothing changed since the build that recorded it, and its program
+        // is the answer: no planning, no demand, no execution — whether the
+        // store is this process's own or restored from the last one's
+        // graph. The module order is `link`'s recorded `codegen`
+        // dependencies, which it demanded in topological order.
+        if self.engine.is_green(&BuildTask::Link) {
+            let order = self
+                .engine
+                .deps_of(&BuildTask::Link)
+                .into_iter()
+                .flatten()
+                .filter_map(|dep| match dep {
+                    Dep::Task {
+                        key: BuildTask::Codegen(m),
+                        ..
+                    } => Some(m.clone()),
+                    _ => None,
+                })
+                .collect();
+            let walk = Walk {
+                order,
+                ..Walk::default()
+            };
+            return finish(&mut self.engine, spec, self.jobs, observers, walk);
+        }
+        self.restored = false;
+
         let graph = self
             .engine
             .require(&mut spec, &BuildTask::Graph)
@@ -302,13 +407,12 @@ impl Builder {
             .expect_graph();
 
         // Definition-order function rosters, per module, filled in wave
-        // order; drives codegen assembly, report assembly, and end-of-build
-        // garbage collection of per-function tasks and state records.
+        // order.
         let mut rosters: HashMap<String, Vec<String>> = HashMap::new();
 
         let mut wave_ids: Vec<SpanId> = Vec::with_capacity(graph.waves().len());
         for (wave_idx, wave) in graph.waves().iter().enumerate() {
-            let wave_start = recorder.is_some().then(Instant::now);
+            let wave_start = observers.recorder.is_some().then(Instant::now);
             // Plan the wave at function grain: demand each module's roster,
             // probe each function's optimizefn for staleness, and assemble
             // one restricted batch per module from the stale functions'
@@ -388,9 +492,9 @@ impl Builder {
             // Wave boundary: publish this wave's fresh cache entries so the
             // next wave can hit them — at the same point for every --jobs.
             spec.flush_cache_inserts();
-            if let (Some(trace), Some(started)) = (&mut recorder, wave_start) {
+            if let (Some(trace), Some(started)) = (&mut observers.recorder, wave_start) {
                 wave_ids.push(trace.span(
-                    root,
+                    observers.root,
                     "wave",
                     format!("wave {wave_idx}"),
                     wave_idx as u64,
@@ -401,257 +505,279 @@ impl Builder {
             }
         }
 
-        let link_start = recorder.is_some().then(Instant::now);
-        let program = (*self
-            .engine
-            .require(&mut spec, &BuildTask::Link)
-            .map_err(seal)?
-            .expect_link())
-        .clone();
-        if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
-            trace.span(
-                root,
-                "link",
-                "link",
-                graph.waves().len() as u64,
-                0,
-                started.elapsed().as_nanos() as u64,
-                Vec::new(),
-            );
-        }
-        let query_log = spec.take_query_log();
-
-        // Function-grain dependency accounting: how often per-function
-        // signature pins validated, and how many function-pipeline
-        // re-executions the per-function cutoffs saved.
-        let mut fngrain = FngrainStats::default();
-        for (task, hit) in &query_log {
-            if task.starts_with("signature(") {
-                if *hit {
-                    fngrain.signature_hits += 1;
-                } else {
-                    fngrain.signature_misses += 1;
-                }
-            } else if task.starts_with("checkfn(")
-                || task.starts_with("lowerfn(")
-                || task.starts_with("optimizefn(")
-            {
-                if *hit {
-                    fngrain.cutoff_saved += 1;
-                } else {
-                    fngrain.fn_tasks_executed += 1;
-                }
-            }
-        }
-
-        // Dependency-soundness verdict: diff the recorded evidence against
-        // the engine's dependency traces while the spec (raw stamps) and
-        // engine (dep traces) are both still on hand.
-        let depcheck_report =
-            op_guard.map(|ops| depcheck::analyze(&self.engine, &mut spec, &ops.take()));
-
-        // Assemble the report from the store: a module counts as rebuilt
-        // when any of its per-function pipeline tasks (or its codegen)
-        // actually executed this session — validated-but-cached tasks, and
-        // the parse/fnast probes whose unchanged fingerprints *caused* the
-        // cutoffs, do not count.
-        let executed: HashSet<&BuildTask> = self.engine.executed_keys().iter().collect();
-        let mut modules = Vec::with_capacity(graph.len());
-        for name in graph.topo_order() {
-            let roster = rosters.get(name).cloned().unwrap_or_default();
-            let rebuilt = executed.contains(&BuildTask::Codegen(name.clone()))
-                || roster.iter().any(|f| {
-                    [
-                        BuildTask::CheckFn(name.clone(), f.clone()),
-                        BuildTask::LowerFn(name.clone(), f.clone()),
-                        BuildTask::OptimizeFn(name.clone(), f.clone()),
-                    ]
-                    .iter()
-                    .any(|t| executed.contains(t))
-                });
-            let output = if rebuilt {
-                let interface = self
-                    .engine
-                    .peek(&BuildTask::Interface(name.clone()))
-                    .expect("a built module has an interface value")
-                    .expect_interface();
-                let object = self
-                    .engine
-                    .peek(&BuildTask::Codegen(name.clone()))
-                    .expect("a built module has a codegen value")
-                    .expect_codegen();
-                // Reassemble the module IR and pipeline trace from the
-                // per-function store values, in roster (definition) order.
-                // Functions whose optimizefn validated contributed no pass
-                // work this build, so only executed ones enter the trace.
-                let mut ir = sfcc_ir::Module::new(name.clone());
-                let mut functions = Vec::new();
-                for f in &roster {
-                    let art = self
-                        .engine
-                        .peek(&BuildTask::OptimizeFn(name.clone(), f.clone()))
-                        .expect("a built module has every roster optimizefn value")
-                        .expect_optimizefn();
-                    ir.functions.push(art.func.clone());
-                    if executed.contains(&BuildTask::OptimizeFn(name.clone(), f.clone())) {
-                        functions.push(art.ftrace.clone());
-                    }
-                }
-                let snap = spec.take_snapshots(name);
-                let trace = PipelineTrace {
-                    module: name.clone(),
-                    functions,
-                    snapshot_clones: snap.clones,
-                    snapshot_cost_units: snap.cost_units,
-                    snapshot_reused: snap.reused,
-                    batch_count: snap.batch_count,
-                    batch_max_cost: snap.batch_max_cost,
-                    snapshot_wall_ns: snap.wall_ns,
-                };
-                Some(CompileOutput {
-                    object: (*object).clone(),
-                    ir,
-                    interface: (*interface).clone(),
-                    trace,
-                    timings: spec.take_timings(name),
-                })
-            } else {
-                None
-            };
-            modules.push(ModuleReport {
-                name: name.clone(),
-                rebuilt,
-                output,
-            });
-        }
-
-        let stats = self.engine.session_stats();
-        let query = QueryStats {
-            hits: stats.hits,
-            misses: stats.misses,
-            executed: self
-                .engine
-                .executed_keys()
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
+        let walk = Walk {
+            order: graph.topo_order().to_vec(),
+            waves: graph.waves().to_vec(),
+            wave_ids,
+            rosters,
         };
-
-        let link_ns = spec.link_ns();
-        drop(spec);
-
-        // Garbage-collect function-grained tasks (and dormancy records) of
-        // functions that left their module's roster, so deleted functions
-        // cannot linger in the store or the state database.
-        self.engine.retain(|task| match task.function() {
-            Some((m, f)) => rosters.get(m).is_some_and(|r| r.iter().any(|g| g == f)),
-            None => true,
-        });
-        for (module, roster) in &rosters {
-            self.compiler
-                .retain_state_functions(module, |f| roster.iter().any(|g| g == f));
-        }
-
-        // Recovery accounting: any quarantine / cold-start decision the
-        // compiler session took when it loaded persistent state.
-        let events = self.compiler.recovery_events();
-        let recovered_files = events.len();
-        let quarantined = events
-            .iter()
-            .filter_map(|e| e.quarantined_to.as_ref())
-            .map(|p| p.display().to_string())
-            .collect();
-
-        let mut report = BuildReport {
-            program,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            link_ns,
-            modules,
-            query,
-            fngrain,
-            jobs: self.jobs,
-            outcome: "success".to_string(),
-            state_generation: 0,
-            recovered_files,
-            quarantined,
-            depcheck: depcheck_report,
-            metrics: MetricsSnapshot::default(),
-            trace: None,
-        };
-
-        // Populate the metrics registry — the single source for every
-        // numeric the JSON report emits — then snapshot it into the report.
-        let registry = Registry::new();
-        record_report_metrics(&report, graph.waves().len(), &registry);
-        self.compiler.record_metrics(&registry);
-        let ops = sfcc_faultfs::op_counts().delta_since(&ops_before);
-        registry.gauge_set("faultfs.reads", ops.reads);
-        registry.gauge_set("faultfs.writes", ops.writes);
-        registry.gauge_set("faultfs.renames", ops.renames);
-        registry.gauge_set("faultfs.removes", ops.removes);
-        registry.gauge_set("faultfs.sync_files", ops.sync_files);
-        registry.gauge_set("faultfs.sync_dirs", ops.sync_dirs);
-        report.metrics = registry.snapshot();
-
-        // The deterministic portion of the trace (module/phase/function/
-        // pass subtrees, query instants, session roll-ups) is emitted
-        // synthetically from the assembled report, so its structure cannot
-        // depend on worker scheduling.
-        if let Some(mut trace) = recorder {
-            trace.set_wall_ns(root, report.wall_ns);
-            emit_trace_tree(
-                &mut trace,
-                &report,
-                graph.waves(),
-                &wave_ids,
-                root,
-                &query_log,
-            );
-            let seq = graph.waves().len() as u64;
-            let cache = self.compiler.cache_stats();
-            trace.instant(
-                root,
-                "cache",
-                "fn-cache",
-                seq + 2,
-                vec![
-                    ("hits", ArgValue::U64(cache.hits)),
-                    ("misses", ArgValue::U64(cache.misses)),
-                    ("evictions", ArgValue::U64(cache.evictions)),
-                    ("entries", ArgValue::U64(cache.entries as u64)),
-                ],
-            );
-            trace.instant(
-                root,
-                "io",
-                "faultfs-ops",
-                seq + 3,
-                vec![
-                    ("reads", ArgValue::U64(ops.reads)),
-                    ("writes", ArgValue::U64(ops.writes)),
-                    ("renames", ArgValue::U64(ops.renames)),
-                    ("removes", ArgValue::U64(ops.removes)),
-                    ("sync_files", ArgValue::U64(ops.sync_files)),
-                    ("sync_dirs", ArgValue::U64(ops.sync_dirs)),
-                ],
-            );
-            if let Some(dc) = &report.depcheck {
-                trace.instant(
-                    root,
-                    "depcheck",
-                    "dep-soundness",
-                    seq + 4,
-                    vec![
-                        ("findings", ArgValue::U64(dc.findings.len() as u64)),
-                        ("tasks_checked", ArgValue::U64(dc.tasks_checked)),
-                        ("accesses", ArgValue::U64(dc.accesses)),
-                    ],
-                );
-            }
-            report.trace = Some(trace);
-        }
-        Ok(report)
+        finish(&mut self.engine, spec, self.jobs, observers, walk)
     }
+}
+
+/// Closes a build's session: demands `link`, audits (depcheck builds),
+/// garbage-collects what left the walked rosters, and assembles the report
+/// with its metrics and trace. After a [`Walk`] that walked nothing, the
+/// demand is a hit and the report says so for every module.
+fn finish(
+    engine: &mut Engine<BuildTask, BuildValue>,
+    mut spec: BuildSpec<'_>,
+    jobs: usize,
+    observers: Observers,
+    walk: Walk,
+) -> Result<BuildReport, BuildError> {
+    let Observers {
+        start,
+        mut recorder,
+        root,
+        op_guard,
+        ops_before,
+    } = observers;
+    let Walk {
+        order,
+        waves,
+        wave_ids,
+        rosters,
+    } = walk;
+    let link_start = recorder.is_some().then(Instant::now);
+    let program = engine
+        .require(&mut spec, &BuildTask::Link)
+        .map_err(seal)?
+        .expect_link()
+        .program
+        .clone();
+    if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
+        trace.span(
+            root,
+            "link",
+            "link",
+            waves.len() as u64,
+            0,
+            started.elapsed().as_nanos() as u64,
+            Vec::new(),
+        );
+    }
+    let query_log = spec.take_query_log();
+
+    // Function-grain dependency accounting: how often per-function
+    // signature pins validated, and how many function-pipeline
+    // re-executions the per-function cutoffs saved.
+    let mut fngrain = FngrainStats::default();
+    for (task, hit) in &query_log {
+        if task.starts_with("signature(") {
+            if *hit {
+                fngrain.signature_hits += 1;
+            } else {
+                fngrain.signature_misses += 1;
+            }
+        } else if task.starts_with("checkfn(")
+            || task.starts_with("lowerfn(")
+            || task.starts_with("optimizefn(")
+        {
+            if *hit {
+                fngrain.cutoff_saved += 1;
+            } else {
+                fngrain.fn_tasks_executed += 1;
+            }
+        }
+    }
+
+    // Dependency-soundness verdict: diff the recorded evidence against
+    // the engine's dependency traces while the spec (raw stamps) and
+    // engine (dep traces) are both still on hand.
+    let depcheck_report = op_guard.map(|ops| depcheck::analyze(engine, &mut spec, &ops.take()));
+
+    // Assemble the report from the store: a module counts as rebuilt
+    // when any of its per-function pipeline tasks (or its codegen)
+    // actually executed this session — validated-but-cached tasks, and
+    // the parse/fnast probes whose unchanged fingerprints *caused* the
+    // cutoffs, do not count.
+    let executed: HashSet<&BuildTask> = engine.executed_keys().iter().collect();
+    let mut modules = Vec::with_capacity(order.len());
+    for name in &order {
+        let roster = rosters.get(name).cloned().unwrap_or_default();
+        let rebuilt = executed.contains(&BuildTask::Codegen(name.clone()))
+            || roster.iter().any(|f| {
+                [
+                    BuildTask::CheckFn(name.clone(), f.clone()),
+                    BuildTask::LowerFn(name.clone(), f.clone()),
+                    BuildTask::OptimizeFn(name.clone(), f.clone()),
+                ]
+                .iter()
+                .any(|t| executed.contains(t))
+            });
+        let output = if rebuilt {
+            let interface = engine
+                .peek(&BuildTask::Interface(name.clone()))
+                .expect("a built module has an interface value")
+                .expect_interface();
+            let object = engine
+                .peek(&BuildTask::Codegen(name.clone()))
+                .expect("a built module has a codegen value")
+                .expect_codegen();
+            // Reassemble the module IR and pipeline trace from the
+            // per-function store values, in roster (definition) order.
+            // Functions whose optimizefn validated contributed no pass
+            // work this build, so only executed ones enter the trace.
+            let mut ir = sfcc_ir::Module::new(name.clone());
+            let mut functions = Vec::new();
+            for f in &roster {
+                let art = engine
+                    .peek(&BuildTask::OptimizeFn(name.clone(), f.clone()))
+                    .expect("a built module has every roster optimizefn value")
+                    .expect_optimizefn();
+                ir.functions.push(art.func.clone());
+                if executed.contains(&BuildTask::OptimizeFn(name.clone(), f.clone())) {
+                    functions.push(art.ftrace.clone());
+                }
+            }
+            let snap = spec.take_snapshots(name);
+            let trace = PipelineTrace {
+                module: name.clone(),
+                functions,
+                snapshot_clones: snap.clones,
+                snapshot_cost_units: snap.cost_units,
+                snapshot_reused: snap.reused,
+                batch_count: snap.batch_count,
+                batch_max_cost: snap.batch_max_cost,
+                snapshot_wall_ns: snap.wall_ns,
+            };
+            Some(CompileOutput {
+                object: (*object).clone(),
+                ir,
+                interface: (*interface).clone(),
+                trace,
+                timings: spec.take_timings(name),
+            })
+        } else {
+            None
+        };
+        modules.push(ModuleReport {
+            name: name.clone(),
+            rebuilt,
+            output,
+        });
+    }
+
+    let stats = engine.session_stats();
+    let query = QueryStats {
+        hits: stats.hits,
+        misses: stats.misses,
+        executed: engine
+            .executed_keys()
+            .iter()
+            .map(ToString::to_string)
+            .collect(),
+    };
+
+    let link_ns = spec.link_ns();
+    let compiler = spec.into_compiler();
+
+    // Garbage-collect function-grained tasks (and dormancy records) of
+    // functions that left their module's roster, so deleted functions
+    // cannot linger in the store or the state database. (Every module of
+    // the project has a roster after a walk; none has when nothing changed,
+    // and nothing is collected.)
+    engine.retain(|task| match task.function() {
+        Some((m, f)) => rosters.get(m).is_none_or(|r| r.iter().any(|g| g == f)),
+        None => true,
+    });
+    for (module, roster) in &rosters {
+        compiler.retain_state_functions(module, |f| roster.iter().any(|g| g == f));
+    }
+
+    // Recovery accounting: any quarantine / cold-start decision the
+    // compiler session took when it loaded persistent state.
+    let events = compiler.recovery_events();
+    let recovered_files = events.len();
+    let quarantined = events
+        .iter()
+        .filter_map(|e| e.quarantined_to.as_ref())
+        .map(|p| p.display().to_string())
+        .collect();
+
+    let mut report = BuildReport {
+        program,
+        wall_ns: start.elapsed().as_nanos() as u64,
+        link_ns,
+        modules,
+        query,
+        fngrain,
+        jobs,
+        outcome: "success".to_string(),
+        state_generation: 0,
+        recovered_files,
+        quarantined,
+        depcheck: depcheck_report,
+        metrics: MetricsSnapshot::default(),
+        trace: None,
+    };
+
+    // Populate the metrics registry — the single source for every
+    // numeric the JSON report emits — then snapshot it into the report.
+    let registry = Registry::new();
+    record_report_metrics(&report, waves.len(), &registry);
+    compiler.record_metrics(&registry);
+    let ops = sfcc_faultfs::op_counts().delta_since(&ops_before);
+    registry.gauge_set("faultfs.reads", ops.reads);
+    registry.gauge_set("faultfs.writes", ops.writes);
+    registry.gauge_set("faultfs.renames", ops.renames);
+    registry.gauge_set("faultfs.removes", ops.removes);
+    registry.gauge_set("faultfs.sync_files", ops.sync_files);
+    registry.gauge_set("faultfs.sync_dirs", ops.sync_dirs);
+    report.metrics = registry.snapshot();
+
+    // The deterministic portion of the trace (module/phase/function/
+    // pass subtrees, query instants, session roll-ups) is emitted
+    // synthetically from the assembled report, so its structure cannot
+    // depend on worker scheduling.
+    if let Some(mut trace) = recorder {
+        trace.set_wall_ns(root, report.wall_ns);
+        emit_trace_tree(&mut trace, &report, &waves, &wave_ids, root, &query_log);
+        let seq = waves.len() as u64;
+        let cache = compiler.cache_stats();
+        trace.instant(
+            root,
+            "cache",
+            "fn-cache",
+            seq + 2,
+            vec![
+                ("hits", ArgValue::U64(cache.hits)),
+                ("misses", ArgValue::U64(cache.misses)),
+                ("evictions", ArgValue::U64(cache.evictions)),
+                ("entries", ArgValue::U64(cache.entries as u64)),
+            ],
+        );
+        trace.instant(
+            root,
+            "io",
+            "faultfs-ops",
+            seq + 3,
+            vec![
+                ("reads", ArgValue::U64(ops.reads)),
+                ("writes", ArgValue::U64(ops.writes)),
+                ("renames", ArgValue::U64(ops.renames)),
+                ("removes", ArgValue::U64(ops.removes)),
+                ("sync_files", ArgValue::U64(ops.sync_files)),
+                ("sync_dirs", ArgValue::U64(ops.sync_dirs)),
+            ],
+        );
+        if let Some(dc) = &report.depcheck {
+            trace.instant(
+                root,
+                "depcheck",
+                "dep-soundness",
+                seq + 4,
+                vec![
+                    ("findings", ArgValue::U64(dc.findings.len() as u64)),
+                    ("tasks_checked", ArgValue::U64(dc.tasks_checked)),
+                    ("accesses", ArgValue::U64(dc.accesses)),
+                ],
+            );
+        }
+        report.trace = Some(trace);
+    }
+    Ok(report)
 }
 
 /// Gauges mirroring every numeric field of the JSON report. The report's

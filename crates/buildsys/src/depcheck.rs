@@ -276,6 +276,17 @@ impl DepMutations {
             .collect()
     }
 
+    /// Primes a frozen input's first-seen stamp with the one a restored
+    /// graph recorded, so the freeze spans processes the way the graph does:
+    /// an edit made between two processes is masked from the second one.
+    /// Nothing happens for inputs that are not frozen or already observed.
+    pub(crate) fn prime(&self, input: &str, recorded: u64) {
+        if self.frozen.contains(input) {
+            let mut seen = self.frozen_seen.lock().unwrap();
+            seen.entry(input.to_string()).or_insert(recorded);
+        }
+    }
+
     /// The stamp the engine should see for `input`, given its raw stamp:
     /// the first-ever value for frozen inputs, the raw value otherwise.
     pub(crate) fn stamp(&self, input: &str, raw: u64) -> u64 {

@@ -53,6 +53,7 @@
 
 pub mod builder;
 pub mod depcheck;
+mod depgraph;
 pub mod graph;
 pub mod project;
 pub mod report;

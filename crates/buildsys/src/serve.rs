@@ -395,12 +395,15 @@ impl BuildService {
 
     /// [`BuildService::build`], then `module`'s optimized IR as text —
     /// read from the query store, so it is there for warm modules that
-    /// nothing recompiled.
+    /// nothing recompiled. A store restored from the last process's graph
+    /// has fingerprints, not IR: it is forgotten first, and the build
+    /// executes.
     ///
     /// # Errors
     ///
     /// As [`BuildService::build`], or an unknown module.
     pub fn ir(&mut self, module: &str) -> Result<String, String> {
+        self.builder.forget_restored_graph();
         self.build()?;
         let ir = self
             .builder
@@ -411,27 +414,36 @@ impl BuildService {
 
     /// Audits dependency soundness: an instrumented build (whose access
     /// diff covers every task kind that runs) followed by a no-op rebuild
-    /// (whose stamp audit covers store serves). Read-only — saves no state
-    /// and writes no report file — so it can run against a checkout
-    /// without dirtying it. Returns the rebuild's report, its
-    /// [`BuildReport::depcheck`] holding the merged verdict of both builds.
+    /// (whose stamp audit covers store serves). A session that starts from
+    /// the last process's graph is audited as it would serve — every task
+    /// the graph spares is stamp-audited — and then made to forget the
+    /// graph, so the two builds still execute and access-diff every task.
+    /// Read-only — saves no state and writes no report file — so it can
+    /// run against a checkout without dirtying it. Returns the rebuild's
+    /// report, its [`BuildReport::depcheck`] holding the merged verdict of
+    /// all builds.
     ///
     /// # Errors
     ///
-    /// An unreadable or empty project, or a failure of either build.
+    /// An unreadable or empty project, or a failure of any build.
     pub fn depcheck(&mut self) -> Result<BuildReport, String> {
         let project = self.load_project()?;
         self.builder.set_depcheck(true);
         let audit = (|| {
-            let first = self
-                .builder
-                .build(&project)
-                .map_err(|e| format!("depcheck: audited build failed: {e}"))?;
-            let mut second = self
-                .builder
-                .build(&project)
-                .map_err(|e| format!("depcheck: no-op rebuild failed: {e}"))?;
-            let mut merged = first.depcheck.unwrap_or_default();
+            let builder = &mut self.builder;
+            let audited = |builder: &mut Builder, what: &str| {
+                builder
+                    .build(&project)
+                    .map_err(|e| format!("depcheck: {what} failed: {e}"))
+            };
+            let served = audited(builder, "audited build")?;
+            let mut merged = served.depcheck.unwrap_or_default();
+            if builder.forget_restored_graph() {
+                // The graph spared every task, so none was access-diffed.
+                let executed = audited(builder, "audited build")?;
+                merged.merge(executed.depcheck.unwrap_or_default());
+            }
+            let mut second = audited(builder, "no-op rebuild")?;
             merged.merge(second.depcheck.take().unwrap_or_default());
             second.depcheck = Some(merged);
             Ok(second)

@@ -60,7 +60,7 @@ use std::time::Instant;
 
 /// One unit of memoizable build work, keyed by module — and, from type
 /// checking onward, by function.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BuildTask {
     /// Extract a module's import list from its source (parse-only).
     Imports(String),
@@ -122,22 +122,67 @@ impl BuildTask {
     }
 }
 
+impl BuildTask {
+    /// The inverse of [`BuildTask`]'s `Display` — the form task keys take in
+    /// the persisted query graph. Function names are identifiers, so the
+    /// last `::` of a function-grained label is the separator whatever the
+    /// module is called.
+    pub fn parse(label: &str) -> Option<BuildTask> {
+        let Some((kind, rest)) = label.split_once('(') else {
+            return match label {
+                "graph" => Some(BuildTask::Graph),
+                "link" => Some(BuildTask::Link),
+                _ => None,
+            };
+        };
+        let operand = rest.strip_suffix(')')?;
+        let module = || operand.to_string();
+        let function = || {
+            let (m, f) = operand.rsplit_once("::")?;
+            Some((m.to_string(), f.to_string()))
+        };
+        Some(match kind {
+            "imports" => BuildTask::Imports(module()),
+            "parse" => BuildTask::Parse(module()),
+            "interface" => BuildTask::Interface(module()),
+            "modcheck" => BuildTask::ModCheck(module()),
+            "codegen" => BuildTask::Codegen(module()),
+            "fnast" => function().map(|(m, f)| BuildTask::FnAst(m, f))?,
+            "signature" => function().map(|(m, f)| BuildTask::Signature(m, f))?,
+            "checkfn" => function().map(|(m, f)| BuildTask::CheckFn(m, f))?,
+            "lowerfn" => function().map(|(m, f)| BuildTask::LowerFn(m, f))?,
+            "optimizefn" => function().map(|(m, f)| BuildTask::OptimizeFn(m, f))?,
+            _ => return None,
+        })
+    }
+}
+
 impl fmt::Display for BuildTask {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildTask::Imports(m) => write!(f, "imports({m})"),
-            BuildTask::Parse(m) => write!(f, "parse({m})"),
-            BuildTask::Interface(m) => write!(f, "interface({m})"),
-            BuildTask::Graph => write!(f, "graph"),
-            BuildTask::ModCheck(m) => write!(f, "modcheck({m})"),
-            BuildTask::FnAst(m, func) => write!(f, "fnast({m}::{func})"),
-            BuildTask::Signature(m, func) => write!(f, "signature({m}::{func})"),
-            BuildTask::CheckFn(m, func) => write!(f, "checkfn({m}::{func})"),
-            BuildTask::LowerFn(m, func) => write!(f, "lowerfn({m}::{func})"),
-            BuildTask::OptimizeFn(m, func) => write!(f, "optimizefn({m}::{func})"),
-            BuildTask::Codegen(m) => write!(f, "codegen({m})"),
-            BuildTask::Link => write!(f, "link"),
+        let kind = match self {
+            BuildTask::Graph => return f.write_str("graph"),
+            BuildTask::Link => return f.write_str("link"),
+            BuildTask::Imports(_) => "imports",
+            BuildTask::Parse(_) => "parse",
+            BuildTask::Interface(_) => "interface",
+            BuildTask::ModCheck(_) => "modcheck",
+            BuildTask::FnAst(..) => "fnast",
+            BuildTask::Signature(..) => "signature",
+            BuildTask::CheckFn(..) => "checkfn",
+            BuildTask::LowerFn(..) => "lowerfn",
+            BuildTask::OptimizeFn(..) => "optimizefn",
+            BuildTask::Codegen(_) => "codegen",
+        };
+        // Plain pushes, not `write!`: labels are made by the thousand — per
+        // observed demand, and per task of every persisted graph.
+        f.write_str(kind)?;
+        f.write_str("(")?;
+        f.write_str(self.module().unwrap_or_default())?;
+        if let Some((_, function)) = self.function() {
+            f.write_str("::")?;
+            f.write_str(function)?;
         }
+        f.write_str(")")
     }
 }
 
@@ -190,6 +235,25 @@ pub struct OptimizeFnArtifact {
     pub ftrace: FunctionTrace,
 }
 
+/// What the link task memoizes: the program and its image encoding, made
+/// once — the task's fingerprint is taken of the bytes, and they are the one
+/// value the persisted query graph carries.
+#[derive(Debug, Clone)]
+pub struct LinkArtifact {
+    /// The complete program.
+    pub program: Program,
+    /// `sfcc_backend::image::to_bytes` of `program`.
+    pub image: Vec<u8>,
+}
+
+impl LinkArtifact {
+    /// A program with its image encoding.
+    pub fn of(program: Program) -> Self {
+        let image = sfcc_backend::image::to_bytes(&program);
+        LinkArtifact { program, image }
+    }
+}
+
 /// A task's memoized output. Payloads are `Arc`-wrapped so cache hits clone
 /// a pointer, not a module.
 #[derive(Debug, Clone)]
@@ -219,7 +283,7 @@ pub enum BuildValue {
     /// Output of [`BuildTask::Codegen`].
     Codegen(Arc<CodeObject>),
     /// Output of [`BuildTask::Link`]: the complete program.
-    Link(Arc<Program>),
+    Link(Arc<LinkArtifact>),
 }
 
 macro_rules! expect_variant {
@@ -253,7 +317,7 @@ impl BuildValue {
         "optimizefn"
     );
     expect_variant!(expect_codegen, Codegen, CodeObject, "codegen");
-    expect_variant!(expect_link, Link, Program, "link");
+    expect_variant!(expect_link, Link, LinkArtifact, "link");
 }
 
 /// An optimized function a wave-parallel batch computed ahead of demand,
@@ -409,6 +473,11 @@ impl<'a> BuildSpec<'a> {
     /// runs this build.
     pub(crate) fn take_snapshots(&mut self, module: &str) -> SnapshotTotals {
         self.snapshots.remove(module).unwrap_or_default()
+    }
+
+    /// Ends the build's use of the compiler session and hands it back.
+    pub(crate) fn into_compiler(self) -> &'a mut Compiler {
+        self.compiler
     }
 
     /// Wall time of the link step this build, 0 when the link was cached.
@@ -675,7 +744,7 @@ impl TaskSpec for BuildSpec<'_> {
             BuildValue::LowerFn(func) => fnv64(function_to_string(func).as_bytes()),
             BuildValue::OptimizeFn(art) => fnv64(function_to_string(&art.func).as_bytes()),
             BuildValue::Codegen(object) => fnv64(format!("{object:?}").as_bytes()),
-            BuildValue::Link(program) => fnv64(&sfcc_backend::image::to_bytes(program)),
+            BuildValue::Link(link) => fnv64(&link.image),
         }
     }
 
@@ -1024,7 +1093,7 @@ impl BuildSpec<'_> {
                 let program =
                     link_objects(&objects).map_err(|e| QueryError::Task(BuildError::Link(e)))?;
                 self.link_ns = t.elapsed().as_nanos() as u64;
-                Ok(BuildValue::Link(Arc::new(program)))
+                Ok(BuildValue::Link(Arc::new(LinkArtifact::of(program))))
             }
         }
     }

@@ -156,8 +156,8 @@ fn fsck_clean_after_stateful_build() {
     assert!(out.status.success(), "fsck failed: {}", stderr(&out));
     let text = stdout(&out);
     assert!(
-        text.contains("2 file(s) checked") && text.contains("clean"),
-        "clean state dir must verify both entries: {text}"
+        text.contains("3 file(s) checked") && text.contains("clean"),
+        "clean state dir must verify state, cache and query graph: {text}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -212,7 +212,7 @@ fn fsck_quarantines_corrupt_manifest_then_recovers() {
         stderr(&rebuilt)
     );
     let final_check = minicc(&["fsck", d]);
-    assert!(stdout(&final_check).contains("2 file(s) checked"));
+    assert!(stdout(&final_check).contains("3 file(s) checked"));
     assert!(stdout(&final_check).contains("clean"));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -297,6 +297,103 @@ fn persisted_function_cache_is_not_served_across_opt_levels() {
             "step {step}: the {level} image differs from a fresh {level} build"
         );
         let _ = std::fs::remove_dir_all(&fresh);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `minicc build` + flags in `dir`, asserting success; returns stdout.
+fn stateful_build(dir: &Path) -> String {
+    let out = minicc(&["build", dir.to_str().unwrap(), "--stateful", "--fn-cache"]);
+    assert!(out.status.success(), "build failed: {}", stderr(&out));
+    stdout(&out)
+}
+
+#[test]
+fn quick_second_process_is_a_noop_and_requests_that_need_values_still_work() {
+    let dir = demo_copy("graph-noop");
+    let d = dir.to_str().unwrap();
+    let first = stateful_build(&dir);
+    assert!(first.contains("(3 recompiled)"), "{first}");
+    let image = std::fs::read(dir.with_extension("sbx")).unwrap();
+    std::fs::remove_file(dir.with_extension("sbx")).unwrap();
+
+    // A second process finds nothing to do — and still owes the image.
+    let second = stateful_build(&dir);
+    assert!(
+        second.contains("(0 recompiled)") && second.contains("queries: 1 hit(s), 0 miss(es)"),
+        "{second}"
+    );
+    assert!(
+        second.contains("0 function pipeline task(s) ran"),
+        "{second}"
+    );
+    assert_eq!(std::fs::read(dir.with_extension("sbx")).unwrap(), image);
+
+    // `ir` needs what the graph does not keep, and gets it by executing.
+    let ir = minicc(&["ir", d, "mathx", "--stateful", "--fn-cache"]);
+    assert!(ir.status.success(), "{}", stderr(&ir));
+    assert!(stdout(&ir).contains("fn @gcd("), "{}", stdout(&ir));
+
+    // `depcheck` audits what the graph would serve *and* still executes and
+    // access-diffs every task: the same accesses as a directory without a
+    // graph, and a third build's worth of stamp audits on top.
+    let fresh = demo_copy("graph-noop-fresh");
+    let counts = |dir: &Path| -> (u64, u64) {
+        let out = minicc(&[
+            "depcheck",
+            dir.to_str().unwrap(),
+            "--stateful",
+            "--fn-cache",
+        ]);
+        assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
+        let text = stdout(&out);
+        let number_before = |marker: &str| -> u64 {
+            let head = &text[..text.find(marker).expect(marker)];
+            head.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        (number_before(" task(s)"), number_before(" access(es)"))
+    };
+    let (cold_tasks, cold_accesses) = counts(&fresh);
+    let (graph_tasks, graph_accesses) = counts(&dir);
+    assert!(cold_accesses > 0);
+    assert_eq!(graph_accesses, cold_accesses);
+    assert_eq!(
+        graph_tasks * 2,
+        cold_tasks * 3,
+        "{graph_tasks} vs {cold_tasks}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh);
+}
+
+#[test]
+fn quick_depcheck_flags_a_lie_the_persisted_graph_carried_across_processes() {
+    let dir = demo_copy("graph-lie");
+    let d = dir.to_str().unwrap();
+    stateful_build(&dir);
+    // Edit `mathx` between two processes, and freeze its stamp at the one
+    // the graph recorded: the second process is told nothing changed.
+    let path = dir.join("mathx.mc");
+    let source = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, source.replace("1000000007", "998244353")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_minicc"))
+        .env("SFCC_DAEMON_MUTATIONS", "freeze-stamp:src:mathx")
+        .args(["depcheck", d, "--stateful", "--fn-cache"])
+        .output()
+        .expect("failed to launch minicc");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}{}",
+        stdout(&out),
+        stderr(&out)
+    );
+    let text = stdout(&out);
+    for task in ["imports(mathx)", "parse(mathx)"] {
+        assert!(
+            text.contains(&format!("stale-serve: task {task} resource src:mathx")),
+            "{text}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

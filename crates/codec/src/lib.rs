@@ -127,6 +127,12 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Writes a length-prefixed byte string.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.usize(bytes.len());
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Writes raw bytes with no length prefix.
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -216,15 +222,20 @@ impl<'a> Reader<'a> {
         Ok(u128::from_le_bytes(bytes))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, DecodeError> {
+    /// Reads a length-prefixed byte string.
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.usize()?;
         if len > self.remaining() {
             return Err(DecodeError::BadLength);
         }
         let slice = &self.buf[self.pos..self.pos + len];
         self.pos += len;
-        std::str::from_utf8(slice)
+        Ok(slice)
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String, DecodeError> {
+        std::str::from_utf8(self.bytes()?)
             .map(str::to_string)
             .map_err(|_| DecodeError::BadUtf8)
     }
@@ -288,6 +299,22 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.str().unwrap(), "");
+    }
+
+    #[test]
+    fn bytes_roundtrip_and_reject_overlong_lengths() {
+        let mut w = Writer::new();
+        w.bytes(&[0xff, 0x00, 0x7f]);
+        w.bytes(&[]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.bytes().unwrap(), [0xff, 0x00, 0x7f]);
+        assert_eq!(r.bytes().unwrap(), [0u8; 0]);
+        assert!(r.is_done());
+        assert_eq!(
+            Reader::new(&bytes[..2]).bytes(),
+            Err(DecodeError::BadLength)
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! object code, with dormancy recording in stateful mode.
 
 use crate::config::{Config, Mode, OptLevel};
+use crate::depgraph::GraphFile;
 use crate::fncache::{context_fingerprints, CacheStats, FunctionCache};
-use crate::persist::{self, RecoveryEvent};
+use crate::persist::{self, LoadedState, RecoveryEvent};
 use crate::phases;
 use sfcc_backend::CodeObject;
 use sfcc_cas::{CasStats, CasStore, KeyComponents, ServedStamps, DEFAULT_BACKEND_VERSION};
@@ -180,6 +181,16 @@ pub struct Compiler {
     /// cache-only; a broken store must never fail a build).
     cas: Option<CasStore>,
     recovery_events: Vec<RecoveryEvent>,
+    /// Everything that changes generated code, hashed: pipeline, mode and
+    /// verify flags, backend version. Persisted artifacts keyed on less than
+    /// that (function cache, query graph) carry it as a stamp.
+    identity: u64,
+    /// The query graph the last session committed, until the build system
+    /// takes it ([`Compiler::take_restored_graph`]).
+    restored_graph: Option<GraphFile>,
+    /// The encoded query graph the next [`Compiler::save_state`] commits
+    /// beside state and cache ([`Compiler::deposit_graph`]).
+    graph_to_save: Option<Vec<u8>>,
 }
 
 impl fmt::Debug for Compiler {
@@ -225,22 +236,22 @@ impl Compiler {
         );
         let want_state = config.mode.is_stateful();
         let want_cache = config.function_cache;
-        let (state, state_load_error, fn_cache, recovery_events) = match &config.state_path {
-            Some(path) if want_state || want_cache => {
-                let loaded = persist::load(path, want_state, want_cache);
-                (loaded.db, loaded.db_error, loaded.cache, loaded.events)
-            }
-            _ => (StateDb::new(), None, FunctionCache::new(), Vec::new()),
+        let loaded = match &config.state_path {
+            Some(path) if want_state || want_cache => persist::load(path, want_state, want_cache),
+            _ => LoadedState::default(),
         };
         // The cache keys on context fingerprints alone, which is sound only
         // under one identity. Entries persisted under another (`-O2` then
         // `-O0` in one directory) cold-start the cache — no quarantine, no
         // recovery event: a flag change is not corruption.
-        let fn_cache = if fn_cache.identity() == identity {
-            fn_cache
+        let fn_cache = if loaded.cache.identity() == identity {
+            loaded.cache
         } else {
             FunctionCache::for_identity(identity)
         };
+        // Likewise the query graph: its fingerprints are of code generated
+        // under the identity that recorded them.
+        let restored_graph = loaded.graph.filter(|graph| graph.identity == identity);
         let cas = config.cas_path.as_ref().and_then(|dir| {
             CasStore::open_dir(dir, components, config.durability)
                 .ok()
@@ -253,14 +264,48 @@ impl Compiler {
             config,
             pipeline,
             pipeline_hash,
-            state,
+            state: loaded.db,
             frozen: None,
             session_bumped: HashSet::new(),
-            state_load_error,
+            state_load_error: loaded.db_error,
             fn_cache,
             cas,
-            recovery_events,
+            recovery_events: loaded.events,
+            identity,
+            restored_graph,
+            graph_to_save: None,
         }
+    }
+
+    /// The compiler identity: a hash of exactly the configuration that
+    /// changes generated code (pipeline, mode and verify flags, backend
+    /// version). Cache toggles and job counts are excluded by design.
+    pub fn identity(&self) -> u64 {
+        self.identity
+    }
+
+    /// Whether [`Compiler::save_state`] commits anything: a state path is
+    /// configured and the session has dormancy state or a function cache to
+    /// keep there.
+    pub fn persists_state(&self) -> bool {
+        self.config.state_path.is_some()
+            && (self.config.mode.is_stateful() || self.config.function_cache)
+    }
+
+    /// Hands over the query graph the last session committed under this
+    /// session's identity, once. `None` when there is none — no state path,
+    /// nothing committed yet, another identity's graph, or an unreadable
+    /// one (which [`Compiler::recovery_events`] reports).
+    pub fn take_restored_graph(&mut self) -> Option<GraphFile> {
+        self.restored_graph.take()
+    }
+
+    /// Sets the encoded query graph the next [`Compiler::save_state`]
+    /// commits in the same manifest as state and cache; `None` commits no
+    /// graph, carrying the committed one forward — right for a build that
+    /// executed nothing.
+    pub fn deposit_graph(&mut self, graph: Option<Vec<u8>>) {
+        self.graph_to_save = graph;
     }
 
     /// The session configuration.
@@ -567,9 +612,10 @@ impl Compiler {
         }
     }
 
-    /// Persists the state database (and function cache) to the configured
-    /// path, atomically: both artifacts become visible together in one
-    /// manifest commit (see [`crate::persist`]). Returns the generation
+    /// Persists the state database, the function cache and the deposited
+    /// query graph ([`Compiler::deposit_graph`]) to the configured path,
+    /// atomically: all artifacts become visible together in one manifest
+    /// commit (see [`crate::persist`]). Returns the generation
     /// number of the committed manifest, `0` when nothing was saved (no
     /// configured path, or a stateless session without a function cache).
     ///
@@ -583,6 +629,7 @@ impl Compiler {
                 path,
                 self.config.mode.is_stateful().then_some(&self.state),
                 self.config.function_cache.then_some(&self.fn_cache),
+                self.graph_to_save.as_deref(),
                 self.config.durability,
             );
         }
@@ -783,6 +830,43 @@ fn main(n: int) -> int {
             .unwrap();
         let (_, _, skipped) = out.outcome_totals();
         assert!(skipped > 0, "persisted state should enable skipping");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn graph_persists_with_the_state_and_only_under_its_identity() {
+        let dir = std::env::temp_dir().join(format!("sfcc-core-graph-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = Config::stateful().with_state_path(dir.join("state.bin"));
+
+        let mut first = Compiler::new(cfg.clone());
+        assert!(first.persists_state());
+        assert!(
+            first.take_restored_graph().is_none(),
+            "nothing committed yet"
+        );
+        let graph = GraphFile {
+            identity: first.identity(),
+            ..GraphFile::default()
+        };
+        first.deposit_graph(Some(graph.to_bytes()));
+        first.save_state().unwrap();
+
+        let mut same = Compiler::new(cfg.clone());
+        assert_eq!(same.take_restored_graph(), Some(graph));
+        assert!(same.take_restored_graph().is_none(), "handed over once");
+
+        // Another identity's graph is a cold start, not corruption.
+        let mut skewed = Compiler::new(cfg.with_opt_level(OptLevel::O0));
+        assert_ne!(skewed.identity(), first.identity());
+        assert!(skewed.take_restored_graph().is_none());
+        assert!(skewed.recovery_events().is_empty());
+
+        // A session with nothing to persist keeps no graph either.
+        let mut stateless = Compiler::new(Config::stateless().with_state_path(dir.join("s2")));
+        assert!(!stateless.persists_state());
+        stateless.deposit_graph(Some(GraphFile::default().to_bytes()));
+        assert_eq!(stateless.save_state().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

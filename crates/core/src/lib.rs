@@ -39,6 +39,7 @@
 
 pub mod compiler;
 pub mod config;
+pub mod depgraph;
 pub mod fncache;
 pub mod persist;
 pub mod phases;
@@ -47,6 +48,7 @@ pub use compiler::{
     extract_interface, CompileError, CompileOutput, Compiler, OptimizeOutcome, PhaseTimings,
 };
 pub use config::{Config, Mode, OptLevel};
+pub use depgraph::{GraphDep, GraphFile, GraphNode, GraphWriter};
 pub use fncache::{CacheStats, FunctionCache};
 pub use persist::{FsckReport, LoadedState, RecoveryEvent};
 

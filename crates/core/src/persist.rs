@@ -1,17 +1,20 @@
 //! Crash-safe persistence of a session's durable artifacts.
 //!
-//! The dormancy state and the function-IR cache must move across sessions
-//! *together*: they are published through one [`CommitDir`] manifest
-//! anchored at the configured state path, so a crash at any I/O operation
-//! leaves the pair logically all-old or all-new (see `sfcc-faultfs`).
+//! The dormancy state, the function-IR cache and the query graph (whose
+//! recorded `state:` stamps describe that very state, see
+//! [`crate::depgraph`]) must move across sessions *together*: they are
+//! published through one [`CommitDir`] manifest anchored at the configured
+//! state path, so a crash at any I/O operation leaves the set logically
+//! all-old or all-new (see `sfcc-faultfs`).
 //!
 //! Loading enforces the graceful-degradation contract: any manifest, state,
-//! or cache file that is truncated, corrupt, or version-skewed is detected
+//! cache or graph file that is truncated, corrupt, or version-skewed is detected
 //! (never read as valid), moved aside to `<file>.corrupt`, and the affected
 //! artifact cold-starts. Every such decision is reported as a
 //! [`RecoveryEvent`] so the build system can surface `recovered_files` /
 //! `quarantined` counters. A directory without a manifest is a cold start.
 
+use crate::depgraph::{GraphFile, GRAPH_LOGICAL};
 use crate::fncache::FunctionCache;
 use sfcc_faultfs::{CommitDir, Durability, EntryError, ManifestEntry, ManifestError};
 use sfcc_state::{statefile, DecodeError, StateDb};
@@ -36,8 +39,9 @@ pub struct RecoveryEvent {
     pub reason: String,
 }
 
-/// The result of loading a session's persistent artifacts.
-#[derive(Debug)]
+/// The result of loading a session's persistent artifacts. The default is
+/// what an empty directory loads as: everything cold, nothing to report.
+#[derive(Debug, Default)]
 pub struct LoadedState {
     /// The dormancy database (cold when absent or unrecoverable).
     pub db: StateDb,
@@ -45,6 +49,9 @@ pub struct LoadedState {
     pub db_error: Option<DecodeError>,
     /// The function-IR cache (cold when absent or unrecoverable).
     pub cache: FunctionCache,
+    /// The query graph the last commit recorded (`None` when absent or
+    /// unrecoverable: the build system starts from an empty store).
+    pub graph: Option<GraphFile>,
     /// Every quarantine / fallback decision taken during the load.
     pub events: Vec<RecoveryEvent>,
 }
@@ -69,12 +76,7 @@ fn io_event(path: &Path, err: &io::Error, events: &mut Vec<RecoveryEvent>) {
 /// Never fails: any problem degrades the affected artifact to a cold start
 /// and is reported in [`LoadedState::events`].
 pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
-    let mut out = LoadedState {
-        db: StateDb::new(),
-        db_error: None,
-        cache: FunctionCache::new(),
-        events: Vec::new(),
-    };
+    let mut out = LoadedState::default();
     let cd = CommitDir::new(base);
     match cd.read_manifest() {
         Ok(Some(manifest)) => {
@@ -107,6 +109,18 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
                                 &mut out.events,
                             ),
                         }
+                    }
+                }
+            }
+            if let Some(entry) = manifest.entry(GRAPH_LOGICAL) {
+                if let Some(bytes) = load_entry_bytes(&cd, entry, &mut out.events) {
+                    match GraphFile::from_bytes(&bytes) {
+                        Ok(graph) => out.graph = Some(graph),
+                        Err(e) => quarantine_event(
+                            &cd.entry_path(entry),
+                            format!("query graph does not decode: {e}"),
+                            &mut out.events,
+                        ),
                     }
                 }
             }
@@ -149,9 +163,11 @@ fn load_entry_bytes(
     }
 }
 
-/// Commits the given artifacts at `base` atomically: both files (or either
-/// alone, carrying the other forward) become visible in one manifest
-/// rename. Returns the generation number of the committed manifest (`0`
+/// Commits the given artifacts at `base` atomically: all files (or any
+/// subset, carrying the others forward) become visible in one manifest
+/// rename. `graph` is an already-encoded [`GraphFile`] and rides along only
+/// with a state or cache commit — it describes them, and a session that
+/// persists neither has no state directory to keep a graph in. Returns the generation number of the committed manifest (`0`
 /// when there was nothing to save), so callers can stamp reports with
 /// exactly which state commit their results correspond to.
 ///
@@ -163,6 +179,7 @@ pub fn save(
     base: &Path,
     db: Option<&StateDb>,
     cache: Option<&FunctionCache>,
+    graph: Option<&[u8]>,
     durability: Durability,
 ) -> io::Result<u64> {
     let state_bytes = db.map(statefile::to_bytes);
@@ -176,6 +193,9 @@ pub fn save(
     }
     if files.is_empty() {
         return Ok(0);
+    }
+    if let Some(b) = graph {
+        files.push((GRAPH_LOGICAL, b));
     }
     let manifest = CommitDir::new(base).commit(&files, durability)?;
     Ok(manifest.generation)
@@ -316,6 +336,7 @@ fn decodes(logical: &str, bytes: &[u8]) -> bool {
     match logical {
         STATE_LOGICAL => statefile::from_bytes(bytes).is_ok(),
         CACHE_LOGICAL => FunctionCache::from_bytes(bytes).is_ok(),
+        GRAPH_LOGICAL => GraphFile::from_bytes(bytes).is_ok(),
         // Unknown logicals (a newer version's artifacts): the manifest
         // checksum already verified the bytes.
         _ => true,
@@ -347,7 +368,7 @@ mod tests {
         let base = tmpbase("roundtrip");
         let db = StateDb::new();
         let cache = FunctionCache::new();
-        save(&base, Some(&db), Some(&cache), Durability::Fast).unwrap();
+        save(&base, Some(&db), Some(&cache), None, Durability::Fast).unwrap();
         let loaded = load(&base, true, true);
         assert!(loaded.events.is_empty());
         assert!(loaded.db_error.is_none());
@@ -358,7 +379,7 @@ mod tests {
     #[test]
     fn corrupt_manifest_is_quarantined_and_cold_starts() {
         let base = tmpbase("corrupt-manifest");
-        save(&base, Some(&StateDb::new()), None, Durability::Fast).unwrap();
+        save(&base, Some(&StateDb::new()), None, None, Durability::Fast).unwrap();
         let mpath = CommitDir::new(&base).manifest_path();
         fs::write(&mpath, b"not a manifest").unwrap();
         let loaded = load(&base, true, true);
@@ -375,6 +396,7 @@ mod tests {
             &base,
             Some(&StateDb::new()),
             Some(&FunctionCache::new()),
+            None,
             Durability::Fast,
         )
         .unwrap();
@@ -387,6 +409,80 @@ mod tests {
         assert_eq!(loaded.events.len(), 1, "cache entry untouched");
         assert!(!state_path.exists());
         cleanup(&base);
+    }
+
+    fn sample_graph() -> GraphFile {
+        GraphFile {
+            identity: 7,
+            keys: vec!["link".into()],
+            nodes: vec![crate::depgraph::GraphNode {
+                fingerprint: 3,
+                deps: Vec::new(),
+            }],
+            root_value: vec![1, 2, 3],
+        }
+    }
+
+    #[test]
+    fn graph_rides_the_same_manifest_and_is_carried_forward() {
+        let base = tmpbase("graph");
+        let graph = sample_graph();
+        let db = StateDb::new();
+        save(
+            &base,
+            Some(&db),
+            None,
+            Some(&graph.to_bytes()),
+            Durability::Fast,
+        )
+        .unwrap();
+        assert_eq!(load(&base, true, false).graph, Some(graph.clone()));
+        // A commit without a graph keeps the committed one.
+        save(&base, Some(&db), None, None, Durability::Fast).unwrap();
+        let loaded = load(&base, true, false);
+        assert_eq!(loaded.graph, Some(graph.clone()));
+        assert!(loaded.events.is_empty());
+        // Nothing else to commit: no graph-only manifest.
+        let bare = tmpbase("graph-only");
+        let committed = save(&bare, None, None, Some(&graph.to_bytes()), Durability::Fast);
+        assert_eq!(committed.unwrap(), 0);
+        assert!(!CommitDir::new(&bare).manifest_path().exists());
+        cleanup(&base);
+        cleanup(&bare);
+    }
+
+    #[test]
+    fn undecodable_graph_is_quarantined_and_fsck_finds_it_too() {
+        for by_fsck in [false, true] {
+            let base = tmpbase("graph-junk");
+            let mut bytes = sample_graph().to_bytes();
+            bytes.pop();
+            save(
+                &base,
+                Some(&StateDb::new()),
+                None,
+                Some(&bytes),
+                Durability::Fast,
+            )
+            .unwrap();
+            let cd = CommitDir::new(&base);
+            let m = cd.read_manifest().unwrap().unwrap();
+            let graph_path = cd.entry_path(m.entry(GRAPH_LOGICAL).unwrap());
+            if by_fsck {
+                let report = fsck(&base, &[]).unwrap();
+                assert_eq!(report.quarantined.len(), 1);
+                assert!(report.repaired_manifest);
+                assert_eq!(report.checked, 1, "the state entry is healthy");
+            } else {
+                let loaded = load(&base, true, false);
+                assert!(loaded.graph.is_none());
+                assert!(loaded.db_error.is_none(), "the state is not collateral");
+                assert_eq!(loaded.events.len(), 1);
+                assert!(loaded.events[0].quarantined_to.is_some());
+            }
+            assert!(!graph_path.exists());
+            cleanup(&base);
+        }
     }
 
     #[test]
@@ -405,6 +501,7 @@ mod tests {
             &base,
             Some(&StateDb::new()),
             Some(&FunctionCache::new()),
+            None,
             Durability::Fast,
         )
         .unwrap();

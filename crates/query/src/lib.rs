@@ -26,6 +26,13 @@
 //! Demand cycles are detected and reported as [`QueryError::Cycle`] rather
 //! than hanging or overflowing the stack.
 //!
+//! A node's *value* is optional. What validation reads — output fingerprint
+//! and dependency trace — can be [exported](Engine::export) and
+//! [restored](Engine::restore) without any value, so a new process starts
+//! from the graph the last one recorded. One rule covers such nodes:
+//! **validation never needs a value; a demand for a missing value executes
+//! the task like any miss.**
+//!
 //! The engine is deliberately free of domain knowledge: keys, values,
 //! errors, task bodies, fingerprints, and input stamps are all supplied by a
 //! [`TaskSpec`] implementation (the compiler's lives in `sfcc-buildsys`).
@@ -131,7 +138,9 @@ impl<K: fmt::Debug, E: fmt::Display> fmt::Display for QueryError<K, E> {
 /// A memoized task: its last output, fingerprint, and dependency trace.
 #[derive(Debug)]
 struct Node<K, V> {
-    value: V,
+    /// `None` for a node restored without its output ([`Engine::restore`]):
+    /// it validates like any other, and executes when demanded.
+    value: Option<V>,
     fingerprint: u64,
     /// Dependencies of the last execution, in the order they were acquired.
     deps: Vec<Dep<K>>,
@@ -143,6 +152,10 @@ struct Node<K, V> {
     /// walk came up clean) without being demanded itself.
     clean: u64,
 }
+
+/// The `verified`/`clean` stamp of a node no session has validated yet (the
+/// session counter never reaches it).
+const NEVER: u64 = u64::MAX;
 
 /// The execution context handed to [`TaskSpec::execute`]: records the
 /// running task's dependencies as they are acquired.
@@ -357,38 +370,19 @@ where
             return Err(QueryError::Cycle(path));
         }
 
-        if let Some(node) = self.nodes.get_mut(key) {
-            if node.verified == self.session {
-                // Already demanded (and counted) this session.
-                return Ok(node.value.clone());
-            }
-            if node.clean == self.session {
+        // Serve from the store when a demand is a hit: the node has a value
+        // and its recorded dependencies still hold.
+        if self.up_to_date(spec, key)? {
+            let node = self
+                .nodes
+                .get_mut(key)
+                .expect("an up-to-date task is memoized");
+            if node.verified != self.session {
                 node.verified = self.session;
                 self.stats.hits += 1;
-                let value = node.value.clone();
                 spec.observe(key, true);
-                return Ok(value);
             }
-        }
-
-        // Demand-time verification of the recorded dependency trace, in
-        // acquisition order, stopping at the first mismatch.
-        if self.nodes.contains_key(key) {
-            self.stack.push(key.clone());
-            let outcome = self.deps_hold(spec, key);
-            self.stack.pop();
-            match outcome {
-                Err(error) => return Err(error),
-                Ok(true) => {
-                    let node = self.nodes.get_mut(key).expect("checked above");
-                    node.verified = self.session;
-                    self.stats.hits += 1;
-                    let value = node.value.clone();
-                    spec.observe(key, true);
-                    return Ok(value);
-                }
-                Ok(false) => {}
-            }
+            return Ok(node.value.clone().expect("an up-to-date task has a value"));
         }
 
         // Execute, recording fresh dependencies.
@@ -407,7 +401,7 @@ where
         self.nodes.insert(
             key.clone(),
             Node {
-                value: value.clone(),
+                value: Some(value.clone()),
                 fingerprint,
                 deps,
                 verified: self.session,
@@ -420,10 +414,11 @@ where
         Ok(value)
     }
 
-    /// Checks whether a task would be a cache hit, *without executing it*.
-    /// Dependency tasks may still execute (they must be current for the
-    /// answer to mean anything); a clean verdict is remembered so the
-    /// follow-up [`Engine::require`] is O(1).
+    /// Checks whether a demand of the task would be a cache hit, *without
+    /// executing it* — so a node that has no value is never up to date,
+    /// whatever its dependencies say. Dependency tasks may still execute
+    /// (they must be current for the answer to mean anything); a clean
+    /// verdict is remembered so the follow-up [`Engine::require`] is O(1).
     ///
     /// Build drivers use this to plan: modules whose tasks are out of date
     /// can be pre-compiled in parallel before being demanded one by one.
@@ -437,11 +432,14 @@ where
     {
         match self.nodes.get(key) {
             None => return Ok(false),
+            Some(node) if node.value.is_none() => return Ok(false),
             Some(node) if node.verified == self.session || node.clean == self.session => {
                 return Ok(true)
             }
             Some(_) => {}
         }
+        // Demand-time verification of the recorded dependency trace, in
+        // acquisition order, stopping at the first mismatch.
         self.stack.push(key.clone());
         let outcome = self.deps_hold(spec, key);
         self.stack.pop();
@@ -496,14 +494,62 @@ where
         stamp
     }
 
-    /// The memoized value of a task, if present (no validation).
+    /// The memoized value of a task, if present (no validation). `None` also
+    /// for a restored task whose value has not been recomputed yet.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.nodes.get(key).map(|node| &node.value)
+        self.nodes.get(key).and_then(|node| node.value.as_ref())
+    }
+
+    /// Whether a demand of `key` is known to be a hit *right now*, without
+    /// walking a dependency edge or executing anything: the session's
+    /// bottom-up invalidation (or an earlier demand) found the task current
+    /// and its value is on hand. Build drivers ask this of their root task
+    /// to answer a no-op request without planning it.
+    pub fn is_green(&self, key: &K) -> bool {
+        self.nodes.get(key).is_some_and(|node| {
+            node.value.is_some() && (node.verified == self.session || node.clean == self.session)
+        })
     }
 
     /// The memoized output fingerprint of a task, if present.
     pub fn fingerprint_of(&self, key: &K) -> Option<u64> {
         self.nodes.get(key).map(|node| node.fingerprint)
+    }
+
+    /// Everything validation reads, for persisting: each memoized task's
+    /// key, output fingerprint and dependency trace — no values — in an
+    /// order that depends on the store's content alone, so equal stores
+    /// export equally whatever order they were filled in: by fingerprint
+    /// (an integer compare settles almost every pair), then by key.
+    pub fn export(&self) -> Vec<(&K, u64, &[Dep<K>])>
+    where
+        K: Ord,
+    {
+        let mut nodes: Vec<(&K, u64, &[Dep<K>])> = self
+            .nodes
+            .iter()
+            .map(|(key, node)| (key, node.fingerprint, node.deps.as_slice()))
+            .collect();
+        nodes.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+        nodes
+    }
+
+    /// Re-creates one task of an [exported](Engine::export) store, with its
+    /// value when the caller persisted that too. The next
+    /// [`Engine::begin_session`] validates the node against its recorded
+    /// inputs like any other; without a value it then counts as current for
+    /// its dependents and executes when demanded itself.
+    pub fn restore(&mut self, key: K, fingerprint: u64, deps: Vec<Dep<K>>, value: Option<V>) {
+        self.nodes.insert(
+            key,
+            Node {
+                value,
+                fingerprint,
+                deps,
+                verified: NEVER,
+                clean: NEVER,
+            },
+        );
     }
 
     /// Drops memoized tasks whose key fails the predicate (e.g. tasks of
@@ -578,7 +624,7 @@ mod tests {
         observed: Vec<(Task, bool)>,
     }
 
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
     enum Task {
         Get(&'static str),
         Abs(&'static str),
@@ -882,5 +928,130 @@ mod tests {
         engine.require(&mut spec, &Task::Sum).unwrap();
         assert_eq!(spec.runs_of(&Task::Sum), 2);
         assert_eq!(engine.executed_keys().len(), 3);
+    }
+
+    /// A second engine holding what `engine` exports — no values, as a new
+    /// process restoring a persisted graph would.
+    fn restored_from(engine: &Engine<Task, i64>) -> Engine<Task, i64> {
+        let mut fresh = Engine::new();
+        for (key, fingerprint, deps) in engine.export() {
+            fresh.restore(key.clone(), fingerprint, deps.to_vec(), None);
+        }
+        fresh
+    }
+
+    #[test]
+    fn export_order_is_independent_of_fill_order() {
+        let mut spec = Calc::new(&[("a", 2), ("b", -3)]);
+        let mut forward = Engine::new();
+        session(&mut forward, &mut spec);
+        forward.require(&mut spec, &Task::Sum).unwrap();
+        forward.require(&mut spec, &Task::Dbl("b")).unwrap();
+        let mut backward = Engine::new();
+        session(&mut backward, &mut spec);
+        backward.require(&mut spec, &Task::Dbl("b")).unwrap();
+        backward.require(&mut spec, &Task::Sum).unwrap();
+
+        let exported = forward.export();
+        assert_eq!(exported, backward.export());
+        let order: Vec<(u64, &Task)> = exported.iter().map(|&(key, fp, _)| (fp, key)).collect();
+        assert!(order.windows(2).all(|pair| pair[0] < pair[1]), "{order:?}");
+        assert_eq!(order.len(), forward.len());
+    }
+
+    #[test]
+    fn restored_nodes_validate_without_values_and_execute_on_demand() {
+        let mut spec = Calc::new(&[("a", -4)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Dbl("a")).unwrap();
+
+        let mut fresh = restored_from(&engine);
+        assert!(
+            !fresh.is_green(&Task::Dbl("a")),
+            "no session has validated it"
+        );
+        session(&mut fresh, &mut spec);
+        // Nothing moved: the whole chain is judged current (and would be
+        // stamp-audited as served) with no value anywhere and no execution.
+        assert_eq!(fresh.verified_hit_keys().len(), 3);
+        assert!(fresh.peek(&Task::Dbl("a")).is_none());
+        assert_eq!(fresh.fingerprint_of(&Task::Dbl("a")), Some(8));
+        // A value cannot be served, so the node is neither green nor up to
+        // date, and planning it executes nothing.
+        assert!(!fresh.is_green(&Task::Dbl("a")));
+        assert!(!fresh.up_to_date(&mut spec, &Task::Dbl("a")).unwrap());
+        assert_eq!(spec.runs_of(&Task::Dbl("a")), 1);
+        // A demand executes the task — and its value-less dependencies —
+        // like any miss.
+        assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 8);
+        assert_eq!(spec.runs_of(&Task::Dbl("a")), 2);
+        assert_eq!(spec.runs_of(&Task::Get("a")), 2);
+        assert_eq!(fresh.session_stats(), SessionStats { hits: 0, misses: 3 });
+        assert!(fresh.is_green(&Task::Dbl("a")));
+    }
+
+    #[test]
+    fn a_restored_value_is_served_while_its_inputs_hold() {
+        let mut spec = Calc::new(&[("a", -4)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Dbl("a")).unwrap();
+
+        let mut fresh = Engine::new();
+        for (key, fingerprint, deps) in engine.export() {
+            let value = (*key == Task::Dbl("a")).then_some(8);
+            fresh.restore(key.clone(), fingerprint, deps.to_vec(), value);
+        }
+        session(&mut fresh, &mut spec);
+        assert!(fresh.is_green(&Task::Dbl("a")));
+        assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 8);
+        assert_eq!(fresh.session_stats(), SessionStats { hits: 1, misses: 0 });
+        assert_eq!(spec.runs_of(&Task::Dbl("a")), 1, "served, not executed");
+    }
+
+    #[test]
+    fn restored_node_whose_input_stamp_moved_is_dirty() {
+        let mut spec = Calc::new(&[("a", 2), ("b", 3)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Sum).unwrap();
+
+        let mut fresh = Engine::new();
+        for (key, fingerprint, deps) in engine.export() {
+            let value = (*key == Task::Sum).then_some(5);
+            fresh.restore(key.clone(), fingerprint, deps.to_vec(), value);
+        }
+        spec.cells.insert("a".into(), 10);
+        session(&mut fresh, &mut spec);
+        // Get(a) read the moved input; Sum depends on it; Get(b) does not.
+        assert_eq!(fresh.verified_hit_keys(), vec![Task::Get("b")]);
+        assert!(
+            !fresh.is_green(&Task::Sum),
+            "a restored value must not outlive its inputs"
+        );
+        assert_eq!(fresh.require(&mut spec, &Task::Sum).unwrap(), 13);
+    }
+
+    #[test]
+    fn retaining_away_a_dependency_invalidates_a_restored_dependent() {
+        let mut spec = Calc::new(&[("a", -7)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Abs("a")).unwrap();
+
+        let mut fresh = Engine::new();
+        for (key, fingerprint, deps) in engine.export() {
+            let value = (*key == Task::Abs("a")).then_some(7);
+            fresh.restore(key.clone(), fingerprint, deps.to_vec(), value);
+        }
+        fresh.retain(|key| !matches!(key, Task::Get(_)));
+        session(&mut fresh, &mut spec);
+        assert!(!fresh.is_green(&Task::Abs("a")));
+        // The dropped dependency re-executes; its fingerprint still matches
+        // the recorded one, so the restored value is served after all.
+        assert_eq!(fresh.require(&mut spec, &Task::Abs("a")).unwrap(), 7);
+        assert_eq!(spec.runs_of(&Task::Get("a")), 2);
+        assert_eq!(spec.runs_of(&Task::Abs("a")), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! The invariant under test: **a crash, torn write, or silent corruption at
 //! any point may cost a cold start, never a wrong build**. The harness
 //! records the durable-op trace of one builder session (load state → build →
-//! commit state + IR cache → write image), then replays the session with a
+//! commit state + IR cache + query graph → write image), then replays the session with a
 //! deterministic fault injected at every operation index (`sfcc-faultfs`),
 //! reruns cleanly, and asserts the recovered state, cache, and image are
 //! *byte-identical* to a reference trajectory that never crashed. Because
@@ -18,7 +18,8 @@
 //! `ci.sh --quick` crash-consistency sweep.
 
 use proptest::prelude::*;
-use sfcc::{persist, Compiler, Config, Durability, FunctionCache};
+use sfcc::depgraph::GRAPH_LOGICAL;
+use sfcc::{persist, Compiler, Config, Durability, FunctionCache, GraphFile};
 use sfcc_backend::VmOptions;
 use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{BuildReport, Builder, Project};
@@ -121,6 +122,7 @@ fn generation(dir: &Path) -> u64 {
 struct Snapshot {
     state: Vec<u8>,
     cache: Vec<u8>,
+    graph: Vec<u8>,
     image: Vec<u8>,
 }
 
@@ -137,6 +139,7 @@ fn snapshot(dir: &Path) -> Snapshot {
         cache: cd
             .load_entry(m.entry(persist::CACHE_LOGICAL).unwrap())
             .unwrap(),
+        graph: cd.load_entry(m.entry(GRAPH_LOGICAL).unwrap()).unwrap(),
         image: fs::read(dir.join(IMAGE_NAME)).unwrap(),
     }
 }
@@ -144,6 +147,7 @@ fn snapshot(dir: &Path) -> Snapshot {
 fn assert_snapshots_eq(got: &Snapshot, want: &Snapshot, label: &str) {
     assert_eq!(got.state, want.state, "state bytes diverge: {label}");
     assert_eq!(got.cache, want.cache, "cache bytes diverge: {label}");
+    assert_eq!(got.graph, want.graph, "graph bytes diverge: {label}");
     assert_eq!(got.image, want.image, "image bytes diverge: {label}");
 }
 
@@ -320,8 +324,8 @@ fn torn_write_matrix_fast() {
         .map(|(i, _)| i as u64 + 1)
         .collect();
     assert!(
-        writes.len() >= 4,
-        "a cold session writes two generations, a manifest, and an image"
+        writes.len() >= 5,
+        "a cold session writes three generations, a manifest, and an image"
     );
 
     for &k in &writes {
@@ -368,8 +372,8 @@ fn bitflip_read_matrix_never_accepts_corrupt_data() {
             .collect()
     };
     assert!(
-        reads.len() >= 3,
-        "a warm session reads at least manifest, state, and cache"
+        reads.len() >= 4,
+        "a warm session reads at least manifest, state, cache, and graph"
     );
 
     for &k in &reads {
@@ -404,6 +408,7 @@ fn bitflip_read_matrix_never_accepts_corrupt_data() {
 struct RawArtifacts {
     state: Vec<u8>,
     cache: Vec<u8>,
+    graph: Vec<u8>,
     manifest: Vec<u8>,
     image: Vec<u8>,
 }
@@ -422,12 +427,14 @@ fn reference_artifacts() -> &'static RawArtifacts {
         let cache = cd
             .load_entry(m.entry(persist::CACHE_LOGICAL).unwrap())
             .unwrap();
+        let graph = cd.load_entry(m.entry(GRAPH_LOGICAL).unwrap()).unwrap();
         let manifest = fs::read(cd.manifest_path()).unwrap();
         let image = fs::read(dir.join(IMAGE_NAME)).unwrap();
         cleanup(&dir);
         RawArtifacts {
             state,
             cache,
+            graph,
             manifest,
             image,
         }
@@ -436,7 +443,12 @@ fn reference_artifacts() -> &'static RawArtifacts {
 
 #[test]
 fn quick_truncation_at_every_byte_boundary_errors() {
-    let RawArtifacts { state, cache, .. } = reference_artifacts();
+    let RawArtifacts {
+        state,
+        cache,
+        graph,
+        ..
+    } = reference_artifacts();
     for cut in 0..state.len() {
         assert!(
             statefile::from_bytes(&state[..cut]).is_err(),
@@ -449,6 +461,13 @@ fn quick_truncation_at_every_byte_boundary_errors() {
             "truncated cache (cut {cut}) must not decode"
         );
     }
+    assert!(GraphFile::from_bytes(graph).is_ok());
+    for cut in 0..graph.len() {
+        assert!(
+            GraphFile::from_bytes(&graph[..cut]).is_err(),
+            "truncated graph (cut {cut}) must not decode"
+        );
+    }
 }
 
 #[test]
@@ -456,9 +475,18 @@ fn single_bitflips_on_disk_never_decode() {
     let RawArtifacts {
         state,
         cache,
+        graph,
         manifest,
         image,
     } = reference_artifacts();
+    for i in 0..graph.len() {
+        let mut b = graph.clone();
+        b[i] ^= 1 << (i % 8);
+        assert!(
+            GraphFile::from_bytes(&b).is_err(),
+            "graph flip at byte {i} accepted as valid"
+        );
+    }
     for i in 0..state.len() {
         let mut b = state.clone();
         b[i] ^= 1 << (i % 8);
@@ -505,7 +533,13 @@ proptest! {
     /// truncation and a bit flip must still never decode.
     #[test]
     fn random_truncate_and_flip_never_decodes(seed in any::<u64>()) {
-        let RawArtifacts { state, cache, .. } = reference_artifacts();
+        let RawArtifacts { state, cache, graph, .. } = reference_artifacts();
+        let cut = 1 + ((seed >> 5) as usize) % (graph.len() - 1);
+        let mut b = graph[..cut].to_vec();
+        let j = ((seed >> 29) as usize) % b.len();
+        b[j] ^= 1 << ((seed >> 47) % 8);
+        prop_assert!(GraphFile::from_bytes(&b).is_err());
+
         let cut = 1 + (seed as usize) % (state.len() - 1);
         let mut b = state[..cut].to_vec();
         let j = ((seed >> 17) as usize) % b.len();
@@ -520,22 +554,118 @@ proptest! {
     }
 }
 
+/// Rewrites the manifest without its query-graph entry — the directory as
+/// every commit before the graph existed left it.
+fn drop_graph(dir: &Path) {
+    let cd = CommitDir::new(&state_base(dir));
+    let m = cd.read_manifest().unwrap().unwrap();
+    let kept = m
+        .entries
+        .iter()
+        .filter(|e| e.logical != GRAPH_LOGICAL)
+        .cloned()
+        .collect();
+    cd.publish(m.generation, kept, Durability::Fast).unwrap();
+}
+
 #[test]
 fn truncated_files_recover_through_the_builder() {
     let d = Durability::Fast;
     let v1 = project_v1();
 
+    // What the second session of a lineage leaves when it has no graph to
+    // start from and re-executes everything.
+    let from_scratch = {
+        let dir = tmpdir("trunc-ref");
+        run_session(&dir, &v1, d).unwrap();
+        drop_graph(&dir);
+        run_session(&dir, &v1, d).unwrap();
+        let snap = snapshot(&dir);
+        cleanup(&dir);
+        snap
+    };
+
     // Manifest layout: truncate one committed generation file.
-    let dir = tmpdir("trunc-entry");
+    for logical in [persist::STATE_LOGICAL, GRAPH_LOGICAL] {
+        let dir = tmpdir("trunc-entry");
+        run_session(&dir, &v1, d).unwrap();
+        let cd = CommitDir::new(&state_base(&dir));
+        let m = cd.read_manifest().unwrap().unwrap();
+        let path = cd.entry_path(m.entry(logical).unwrap());
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let report = run_session(&dir, &v1, d).unwrap();
+        assert_eq!(report.recovered_files, 1, "{logical}");
+        assert!(report.quarantined[0].ends_with(".corrupt"), "{logical}");
+        if logical == GRAPH_LOGICAL {
+            // A torn graph is a cold start of the store and of nothing
+            // else: every task re-executes against the intact state.
+            assert!(report.query.misses > 0 && report.query.hits == 0);
+            assert_snapshots_eq(&snapshot(&dir), &from_scratch, "torn graph");
+        }
+        cleanup(&dir);
+    }
+
+    // A graph entry the manifest vouches for, but that does not decode:
+    // same typed refusal, same quarantine, same from-scratch build.
+    let dir = tmpdir("junk-graph");
     run_session(&dir, &v1, d).unwrap();
     let cd = CommitDir::new(&state_base(&dir));
-    let m = cd.read_manifest().unwrap().unwrap();
-    let spath = cd.entry_path(m.entry(persist::STATE_LOGICAL).unwrap());
-    let bytes = fs::read(&spath).unwrap();
-    fs::write(&spath, &bytes[..bytes.len() / 2]).unwrap();
+    let mut junk = reference_artifacts().graph.clone();
+    junk.truncate(junk.len() - 3);
+    let committed = cd.commit(&[(GRAPH_LOGICAL, &junk)], d).unwrap();
+    let junk_path = cd.entry_path(committed.entry(GRAPH_LOGICAL).unwrap());
+    let loaded = persist::load(&state_base(&dir), true, true);
+    assert!(loaded.graph.is_none() && loaded.db_error.is_none());
+    assert_eq!(loaded.events.len(), 1);
+    assert!(loaded.events[0]
+        .reason
+        .contains("query graph does not decode"));
+    assert!(!junk_path.exists(), "the undecodable graph is moved aside");
     let report = run_session(&dir, &v1, d).unwrap();
-    assert_eq!(report.recovered_files, 1);
-    assert!(report.quarantined[0].ends_with(".corrupt"));
+    assert!(report.query.misses > 0 && report.query.hits == 0);
+    assert_eq!(snapshot(&dir).image, from_scratch.image);
+    cleanup(&dir);
+}
+
+/// The one crash point where the commit is durable and the image is not:
+/// after the manifest rename, before the image write. The next cold build
+/// finds nothing to do — and still owes the image, which it writes from the
+/// committed `link` value without executing a task.
+#[test]
+fn quick_crash_between_commit_and_image_is_healed_by_a_noop() {
+    let d = Durability::Fast;
+    let p = project_v1();
+    let refs = cold_references(d, "heal");
+    let log = recorded_ops(&[&p], d, "heal-rec").remove(0);
+    // The first rename of a cold session publishes the manifest.
+    let manifest_rename = log
+        .iter()
+        .position(|r| r.kind == OpKind::Rename)
+        .expect("a session renames its manifest into place");
+    assert!(log[manifest_rename]
+        .path
+        .to_string_lossy()
+        .contains(".manifest"));
+    let image_write = log[manifest_rename..]
+        .iter()
+        .position(|r| r.kind == OpKind::Write)
+        .map(|i| (manifest_rename + i) as u64 + 1)
+        .expect("the image is written after the commit");
+
+    let dir = tmpdir("heal");
+    {
+        let _g = ffs::install(FaultPlan::single(Fault::CrashAt(image_write)));
+        assert!(run_session(&dir, &p, d).is_err());
+    }
+    assert_eq!(generation(&dir), 1, "the commit landed");
+    assert!(!dir.join(IMAGE_NAME).exists(), "the image did not");
+
+    let report = run_session(&dir, &p, d).unwrap();
+    assert_eq!((report.query.misses, report.rebuilt_count()), (0, 0));
+    assert!(report.query.executed.is_empty());
+    assert_eq!(report.recovered_files, 0);
+    assert_snapshots_eq(&snapshot(&dir), &refs.f2, "healed by a no-op");
     cleanup(&dir);
 }
 
@@ -563,14 +693,17 @@ fn quick_recovery_counters_surface_in_json_report() {
     );
     assert!(json.contains(".corrupt"), "{json}");
 
-    // The recovery session recommitted healthy state: the next build is
+    // The recovery session recommitted healthy state: the next build of
+    // the unchanged tree has nothing to redo, and the one after an edit is
     // fully incremental again — warm state, no recovery, dormant skipping.
     let next = run_session(&dir, &v1, d).unwrap();
     assert_eq!(next.recovered_files, 0);
     assert!(next
         .to_json()
         .contains("\"recovery\":{\"recovered_files\":0,\"quarantined\":[]}"));
-    let (_, _, skipped) = next.outcome_totals();
+    assert_eq!(next.query.misses, 0, "an unchanged tree is a no-op");
+    let edited = run_session(&dir, &project_v2(), d).unwrap();
+    let (_, _, skipped) = edited.outcome_totals();
     assert!(skipped > 0, "warm rebuild must skip dormant pass slots");
     cleanup(&dir);
 }
@@ -1059,14 +1192,20 @@ fn quick_daemon_shutdown_snapshot_retries_a_failed_state_commit() {
         "snapshot cache diverges from a never-faulted session"
     );
 
-    // A cold session accepts the snapshot wholesale and lands on the
-    // two-session reference: warm pass slots, no recovery, correct output.
+    // A cold session accepts the snapshot wholesale — graph included, so it
+    // has nothing to redo — and lands on the two-session reference: no
+    // recovery, correct output; the session after an edit skips from it.
     let report = run_session(&dir, &project_v1(), d).unwrap();
     assert_eq!(report.recovered_files, 0);
-    let (_, _, skipped) = report.outcome_totals();
-    assert!(skipped > 0, "the snapshot state must warm the next session");
+    assert_eq!(
+        report.query.misses, 0,
+        "the snapshot's graph must be accepted"
+    );
     assert_snapshots_eq(&snapshot(&dir), &refs.f2, "post-snapshot cold session");
     let out = sfcc_backend::run(&report.program, "main.main", &[21], VmOptions::default()).unwrap();
     assert_eq!(out.return_value, Some(43));
+    let edited = run_session(&dir, &project_v2(), d).unwrap();
+    let (_, _, skipped) = edited.outcome_totals();
+    assert!(skipped > 0, "the snapshot state must warm the next session");
     cleanup(&root);
 }

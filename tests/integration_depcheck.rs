@@ -260,6 +260,67 @@ fn frozen_stamp_surfaces_as_stale_serve_on_the_wrong_build() {
     assert_eq!(out.return_value, Some(64));
 }
 
+/// The persisted query graph is a shortcut, and the audit covers it both
+/// ways: every task a restored graph spares is stamp-audited — a frozen
+/// stamp primed from the graph is a lie that spans processes, flagged on
+/// the process that serves it — and the audit remains an *execution* audit,
+/// because a session can be made to forget the graph.
+#[test]
+fn quick_restored_graph_is_audited_and_the_audit_still_executes() {
+    let dir = std::env::temp_dir().join(format!(
+        "sfcc-depcheck-graph-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = Config::stateful()
+        .with_state_path(dir.join(".sfcc-state"))
+        .with_function_cache();
+
+    // Process 1 builds v1 and commits state, cache and graph.
+    let mut first = Builder::new(Compiler::new(config.clone()));
+    let tasks = first.build(&project_v1()).unwrap().query.misses;
+    first.compiler().save_state().unwrap();
+
+    // Process 2, honest: the graph spares every task, and each spared task
+    // is stamp-audited although none ran and none was read.
+    let mut cold = Builder::new(Compiler::new(config.clone())).with_depcheck();
+    let served = cold.build(&project_v1()).unwrap();
+    assert_eq!((served.query.hits, served.query.misses), (1, 0));
+    let dc = served.depcheck.unwrap();
+    assert!(dc.is_clean(), "{}", dc.render());
+    assert_eq!((dc.tasks_checked, dc.accesses), (tasks, 0));
+    // Forgetting the graph turns the next build into the execution audit.
+    assert!(cold.forget_restored_graph());
+    let executed = cold.build(&project_v1()).unwrap();
+    assert_eq!(executed.query.misses, tasks);
+    let dc = executed.depcheck.unwrap();
+    assert!(dc.is_clean(), "{}", dc.render());
+    assert!(dc.accesses > 0, "every task's reads were diffed");
+    assert!(!cold.forget_restored_graph(), "the store is its own now");
+
+    // Process 3, lying: `src:base` is frozen at the stamp the graph
+    // recorded, so the edit of `base` invalidates nothing, the graph spares
+    // every task, and v1's program is served for v2's tree.
+    let mut lying = Builder::new(Compiler::new(config))
+        .with_depcheck()
+        .with_dep_mutations(DepMutations::new().freeze_stamp("src:base"));
+    let stale = lying.build(&project_v2()).unwrap();
+    assert_eq!(stale.query.misses, 0, "the lie must reach the fast path");
+    let dc = stale.depcheck.unwrap();
+    let mut flagged: Vec<&str> = dc.findings.iter().map(|f| f.task.as_str()).collect();
+    flagged.sort_unstable();
+    assert_eq!(flagged, ["imports(base)", "parse(base)"], "{}", dc.render());
+    assert!(dc
+        .findings
+        .iter()
+        .all(|f| f.kind == DepFindingKind::StaleServe && f.resource == "src:base"));
+    let lied = run(&stale.program, "main.main", &[21], VmOptions::default()).unwrap();
+    assert_eq!(lied.return_value, Some(43), "v1's output for v2's tree");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn quick_depcheck_counters_always_present_in_report_json() {
     // Satellite regression: the depcheck block must exist — zeroed, not

@@ -24,11 +24,22 @@
 //!    there the *full* byte identity (state and cache included) must hold
 //!    against a cold lineage forked from the same snapshot.
 //!
+//! 4. **Across processes, with the persisted query graph.** A lineage of
+//!    fresh builders over one state directory — each starting from the graph
+//!    the last one committed — is held to both neighbours at once: on a
+//!    step that changed nothing it must be the *resident* builder (nothing
+//!    executes, not a byte moves), on a step that changed something it must
+//!    be the same lineage *without* a graph, byte for byte, state and cache
+//!    included. Graphs recorded under another compiler identity, or naming
+//!    inputs the session cannot stamp, cost re-execution, never a stale
+//!    serve.
+//!
 //! Concurrency, admission control (typed busy/timeout, queue bounds),
 //! session confinement, flag-keyed session recycling, protocol rejection,
 //! and warm depcheck audits (clean serves, seeded frozen-stamp lie caught)
 //! ride along. Tests prefixed `quick_` form the `ci.sh --quick` subset.
 
+use proptest::prelude::*;
 use sfcc::{Compiler, Config, Durability};
 use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{BuildReport, Builder, DepMutations, Project};
@@ -211,12 +222,11 @@ fn decisions(dir: &Path) -> String {
 }
 
 fn artifacts(dir: &Path) -> Artifacts {
-    let cd = CommitDir::new(&dir.join(".sfcc-state"));
-    let manifest = cd.read_manifest().unwrap().expect("committed manifest");
+    let (state, cache) = artifacts_of_state(dir);
     Artifacts {
         image: fs::read(image_path(dir)).unwrap(),
-        state: cd.load_entry(manifest.entry("state").unwrap()).unwrap(),
-        cache: cd.load_entry(manifest.entry("ircache").unwrap()).unwrap(),
+        state,
+        cache,
         decisions: decisions(dir),
     }
 }
@@ -500,6 +510,251 @@ fn quick_restarted_daemon_first_build_matches_cold_lineage() {
     );
     handle.shutdown();
     cleanup(&root);
+}
+
+// ─── 4. fresh-builder lineages over the persisted query graph ───
+
+/// Rewrites the manifest without its query-graph entry: the directory as a
+/// commit left it before there was a graph.
+fn drop_graph(dir: &Path) {
+    let cd = CommitDir::new(&dir.join(".sfcc-state"));
+    let m = cd.read_manifest().unwrap().unwrap();
+    let kept = m
+        .entries
+        .iter()
+        .filter(|e| e.logical != "depgraph")
+        .cloned()
+        .collect();
+    cd.publish(m.generation, kept, Durability::Fast).unwrap();
+}
+
+/// The per-module `name=rebuilt;` part of [`decisions`].
+fn rebuilt_flags(decisions: &str) -> &str {
+    &decisions[..decisions.find("gen=").unwrap()]
+}
+
+/// The `(hits, misses)` of [`decisions`].
+fn query_counts(decisions: &str) -> (u64, u64) {
+    let field = |name: &str| -> u64 {
+        let tail = &decisions[decisions.find(name).unwrap() + name.len()..];
+        tail.split(';').next().unwrap().parse().unwrap()
+    };
+    (field("hits="), field("misses="))
+}
+
+/// One lineage of fresh builders (`with/`), one process per step, over a
+/// random script of edits and no-ops — and at every step the neighbour it
+/// must be indistinguishable from:
+///
+/// - a step that changes the tree: the twin lineage (`without/`) whose
+///   graph is deleted before every build, which is how every cold build
+///   went before graphs were persisted. Image, state, cache and rebuild
+///   flags must agree: starting from a graph that is not all green changes
+///   nothing about an incremental build.
+/// - a step that changes nothing: the *resident* builder — the one that
+///   committed the previous step, still alive — building again. Both must
+///   execute nothing and move no byte. (The twin sits a no-op out: without
+///   a graph it would re-execute everything and re-ingest every trace, which
+///   is exactly what stops happening.)
+fn lineage_run(tag: &str, seed: u64, jobs: usize) {
+    let root = tmproot(tag);
+    let with = root.join("with");
+    let without = root.join("without");
+    let mut model = generate_model(&GeneratorConfig::small(seed));
+    let mut script = EditScript::new(seed ^ 0x51ed_270b);
+    write_tree(&with, &model.render());
+    write_tree(&without, &model.render());
+
+    // The builder that committed the lineage's last step.
+    let mut resident: Option<Oracle> = None;
+    let mut last: Option<Artifacts> = None;
+    for step in 0..7u64 {
+        let noop = step > 0 && (seed >> (2 * step)) & 3 == 0;
+        let label = format!("step {step} (seed {seed}, jobs {jobs}, noop {noop})");
+        if noop {
+            // Fork the committed world: the resident builder keeps the
+            // lineage's directory, a new process gets the copy.
+            let fork = root.join(format!("fork{step}"));
+            copy_tree(&with, &fork);
+            fs::copy(image_path(&with), image_path(&fork)).unwrap();
+            let resident = resident.as_mut().expect("a no-op follows a build");
+            let warm = resident.build();
+            let fresh = Oracle::new(&fork, jobs, None).build();
+            assert_eq!(
+                fresh, warm,
+                "{label}: a new process is not the resident one"
+            );
+            let before = last.as_ref().unwrap();
+            assert_eq!(fresh.image, before.image, "{label}: image moved");
+            assert_eq!(fresh.state, before.state, "{label}: state moved");
+            assert_eq!(fresh.cache, before.cache, "{label}: cache moved");
+            assert!(
+                !fresh.decisions.contains("=true"),
+                "{label}: {}",
+                fresh.decisions
+            );
+            assert!(
+                fresh.decisions.ends_with("hits=1;misses=0"),
+                "{label}: {}",
+                fresh.decisions
+            );
+            last = Some(fresh);
+            continue;
+        }
+        if step > 0 {
+            script.commit(&mut model);
+            let p = model.render();
+            write_tree(&with, &p);
+            write_tree(&without, &p);
+            drop_graph(&without);
+        }
+        let mut process = Oracle::new(&with, jobs, None);
+        let got = process.build();
+        let want = Oracle::new(&without, jobs, None).build();
+        assert_eq!(got.image, want.image, "{label}: image");
+        assert_eq!(got.state, want.state, "{label}: state");
+        assert_eq!(got.cache, want.cache, "{label}: cache");
+        assert_eq!(
+            rebuilt_flags(&got.decisions),
+            rebuilt_flags(&want.decisions),
+            "{label}: rebuild decisions"
+        );
+        // Every task executes on both sides — but for `link`, which is
+        // served from its restored value when every object came out equal.
+        let ((hits, misses), (_, all)) =
+            (query_counts(&got.decisions), query_counts(&want.decisions));
+        assert!(
+            hits <= 1 && hits + misses == all,
+            "{label}: {}",
+            got.decisions
+        );
+        resident = Some(process);
+        last = Some(got);
+    }
+    cleanup(&root);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn fresh_builder_lineage_is_resident_on_noops_and_graphless_on_edits(seed in any::<u64>()) {
+        let jobs = if seed & 1 == 0 { 1 } else { 8 };
+        lineage_run(&format!("lineage-{seed:x}"), seed, jobs);
+    }
+}
+
+#[test]
+fn quick_fresh_builder_lineage_holds_for_both_job_counts() {
+    // Two bits per step, `00` is a no-op: steps 2, 3 and 5 change nothing.
+    let seed = (1 << 2) | (3 << 8) | (3 << 12);
+    for jobs in [1, 8] {
+        lineage_run(&format!("lineage-q{jobs}"), seed, jobs);
+    }
+}
+
+/// One cold process over `dir` under `config`, committed like
+/// [`cold_session`]; returns the report and the image bytes.
+fn session_under(dir: &Path, config: Config) -> (BuildReport, Vec<u8>) {
+    let mut builder = Builder::new(Compiler::new(config));
+    let report = builder.build(&Project::from_dir(dir).unwrap()).unwrap();
+    builder.compiler().save_state().unwrap();
+    let image = sfcc_backend::image::to_bytes(&report.program);
+    (report, image)
+}
+
+#[test]
+fn quick_identity_skewed_graphs_are_never_served() {
+    let root = tmproot("graph-skew");
+    let state_of = |dir: &Path| dir.join(".sfcc-state");
+    let stateful = |dir: &Path| {
+        Config::stateful()
+            .with_state_path(state_of(dir))
+            .with_function_cache()
+    };
+    // What a directory with no history builds under `config`.
+    let fresh_image = |tag: &str, config: &dyn Fn(&Path) -> Config| {
+        let dir = root.join(tag);
+        write_tree(&dir, &fixture_v1());
+        session_under(&dir, config(&dir)).1
+    };
+
+    // An -O2 graph, then an -O0 session: the fingerprints are of other
+    // code. Cold start — not corruption — and -O0's own bytes.
+    let dir = root.join("opt");
+    write_tree(&dir, &fixture_v1());
+    let o0 = |dir: &Path| stateful(dir).with_opt_level(sfcc::OptLevel::O0);
+    let (first, _) = session_under(&dir, stateful(&dir));
+    let (skewed, image) = session_under(&dir, o0(&dir));
+    assert_eq!(skewed.recovered_files, 0);
+    assert_eq!(
+        (skewed.query.hits, skewed.query.misses),
+        (0, first.query.misses)
+    );
+    assert_eq!(image, fresh_image("opt-fresh", &o0));
+    // …and -O0 left its own graph behind.
+    let (again, again_image) = session_under(&dir, o0(&dir));
+    assert_eq!((again.query.misses, again.recovered_files), (0, 0));
+    assert_eq!(again_image, image);
+
+    // A stateful session's graph, then a session that keeps only the
+    // function cache in the same directory: another mode, another identity.
+    let dir = root.join("mode");
+    write_tree(&dir, &fixture_v1());
+    let cache_only = |dir: &Path| {
+        Config::stateless()
+            .with_state_path(state_of(dir))
+            .with_function_cache()
+    };
+    session_under(&dir, stateful(&dir));
+    let (skewed, image) = session_under(&dir, cache_only(&dir));
+    assert_eq!(skewed.recovered_files, 0);
+    assert_eq!(
+        (skewed.query.hits, skewed.query.misses),
+        (0, first.query.misses)
+    );
+    assert_eq!(image, fresh_image("mode-fresh", &cache_only));
+
+    // A graph whose tasks were served by a shared store records `cas:`
+    // stamps. Read by a session without the store — same identity, so the
+    // graph is restored — those stamps cannot be honoured: the served tasks
+    // are dirty and everything re-executes, exactly as without a graph.
+    let store = root.join("store");
+    let publisher = root.join("publisher");
+    write_tree(&publisher, &fixture_v1());
+    session_under(&publisher, stateful(&publisher).with_cas_path(&store));
+    let dir = root.join("cas");
+    write_tree(&dir, &fixture_v1());
+    let (served, _) = session_under(&dir, stateful(&dir).with_cas_path(&store));
+    assert!(
+        served.metrics.scalar("cas.hits") > Some(0),
+        "the store must serve"
+    );
+    let twin = root.join("cas-twin");
+    copy_tree(&dir, &twin);
+    drop_graph(&twin);
+    let (unplugged, image) = session_under(&dir, stateful(&dir));
+    let (graphless, twin_image) = session_under(&twin, stateful(&twin));
+    assert_eq!(unplugged.recovered_files, 0);
+    // (`link` alone may be spared: its recorded objects can come out equal.)
+    assert!(unplugged.query.hits <= 1, "{:?}", unplugged.query);
+    assert_eq!(
+        unplugged.query.hits + unplugged.query.misses,
+        graphless.query.misses
+    );
+    assert_eq!(image, twin_image);
+    assert_eq!(artifacts_of_state(&dir), artifacts_of_state(&twin));
+    cleanup(&root);
+}
+
+/// The committed state and cache bytes of `dir`.
+fn artifacts_of_state(dir: &Path) -> (Vec<u8>, Vec<u8>) {
+    let cd = CommitDir::new(&dir.join(".sfcc-state"));
+    let manifest = cd.read_manifest().unwrap().expect("committed manifest");
+    (
+        cd.load_entry(manifest.entry("state").unwrap()).unwrap(),
+        cd.load_entry(manifest.entry("ircache").unwrap()).unwrap(),
+    )
 }
 
 // ─── concurrency + admission control ───
