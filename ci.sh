@@ -50,8 +50,10 @@ depcheck_smoke() {
 # --stateful` process over an unchanged tree starts from the query graph
 # the first one committed and must execute nothing — zero query misses,
 # zero function tasks, zero modules rebuilt — yet hand back the same image.
-# After one constant is touched, tasks execute again and the image is the
-# one a directory without any history builds from the edited tree.
+# After one constant is touched, a third process executes what a resident
+# session would: one module rebuilt, fewer function tasks than the first
+# build, no `optimizefn` re-run for its value (it is loaded from the graph),
+# and the image a directory without any history builds from the edited tree.
 noop_gate() {
     local scratch
     scratch="$(mktemp -d)"
@@ -59,7 +61,7 @@ noop_gate() {
     mkdir "$scratch/p" "$scratch/fresh"
     cp demo/*.mc "$scratch/p"/
     local build=(cargo run -q -p sfcc-buildsys --bin minicc -- build)
-    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/first.sbx" > /dev/null
+    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/first.sbx" > "$scratch/first.json"
     "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/second.sbx" > "$scratch/second.json"
     if ! grep -q '"query":{"hits":1,"misses":0,' "$scratch/second.json" ||
         ! grep -q '"fn_tasks_executed":0,' "$scratch/second.json" ||
@@ -73,8 +75,16 @@ noop_gate() {
     cp "$scratch/p"/*.mc "$scratch/fresh"/
     "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/third.sbx" > "$scratch/third.json"
     "${build[@]}" "$scratch/fresh" --stateful -o "$scratch/fresh.sbx" > /dev/null
-    if grep -qE '"query":\{"hits":[0-9]+,"misses":0,' "$scratch/third.json"; then
-        echo "ci: an edited constant executed no task" >&2
+    local fn_tasks=()
+    for report in first third; do
+        fn_tasks+=("$(grep -oE '"fn_tasks_executed":[0-9]+' "$scratch/$report.json" | cut -d: -f2)")
+    done
+    if grep -qE '"query":\{"hits":[0-9]+,"misses":0,' "$scratch/third.json" ||
+        ! grep -q '"rebuilt_count":1,' "$scratch/third.json" ||
+        ((fn_tasks[1] >= fn_tasks[0])) ||
+        grep -qE '"rematerialized":\[[^]]*"optimizefn\(' "$scratch/third.json"; then
+        echo "ci: a new process did not execute what a resident session would for one edited constant:" >&2
+        grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/third.json" >&2
         return 1
     fi
     cmp "$scratch/third.sbx" "$scratch/fresh.sbx"
@@ -132,8 +142,10 @@ if [[ "${1:-}" == "--quick" ]]; then
     # jobs=1 on the single-module sweep (pure overhead on a 1-core host).
     cargo run -q -p sfcc-bench --release --bin exp_parallel_scaling -- --quick --gate-overhead 5
     # Warm-latency smoke: a warm daemon serve of a one-function edit must
-    # be at least 3x faster (p50) than an equivalent cold CLI session.
-    cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 3
+    # still beat an equivalent cold CLI session (p50). Since PR 25 the cold
+    # session executes the same tasks; what warmth saves is the state reload
+    # and commit (1.6-2.0x measured), so the bar is 1.2x, not the old 3x.
+    cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 1.2
     trace_smoke
     depcheck_smoke
     noop_gate
@@ -163,6 +175,6 @@ cargo run -q -p sfcc-bench --release --bin exp_trace_overhead -- --quick
 cargo run -q -p sfcc-bench --release --bin exp_depcheck_fuzz -- --quick
 cargo run -q -p sfcc-bench --release --bin exp_fngrain -- --quick
 cargo run -q -p sfcc-bench --release --bin exp_cas_sharing -- --quick
-cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 3
+cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 1.2
 # Crash-consistency and golden-trace sweeps run inside `cargo test` above;
 # `--quick` reruns just the fast subsets for tight edit loops.

@@ -18,33 +18,108 @@ pub const IMAGE_VERSION: u32 = 1;
 
 /// Serializes a program image.
 pub fn to_bytes(program: &Program) -> Vec<u8> {
-    let mut payload = Writer::new();
-    payload.usize(program.funcs.len());
-    for blob in &program.funcs {
-        payload.str(&blob.name);
-        payload.u32(blob.arity);
-        payload.u8(blob.returns_value as u8);
-        payload.u32(blob.num_regs);
-        payload.usize(blob.code.len());
-        for bc in &blob.code {
-            encode_bc(&mut payload, bc);
+    armored(MAGIC, IMAGE_VERSION, |payload| {
+        encode_blobs(payload, &program.funcs);
+        match program.entry {
+            Some(FuncId(id)) => {
+                payload.u8(1);
+                payload.u32(id);
+            }
+            None => payload.u8(0),
         }
-    }
-    match program.entry {
-        Some(FuncId(id)) => {
-            payload.u8(1);
-            payload.u32(id);
-        }
-        None => payload.u8(0),
-    }
-    let payload = payload.into_bytes();
+    })
+}
 
+/// Magic, version, the payload `write` produces, and an FNV-64 of the
+/// payload: the armor every bytecode container (image, object) wears.
+pub(crate) fn armored(magic: &[u8], version: u32, write: impl FnOnce(&mut Writer)) -> Vec<u8> {
     let mut out = Writer::new();
-    out.raw(MAGIC);
-    out.u32(IMAGE_VERSION);
-    out.raw(&payload);
-    out.u64(fnv64(&payload));
-    out.into_bytes()
+    out.raw(magic);
+    out.u32(version);
+    let payload_start = out.len();
+    write(&mut out);
+    let mut bytes = out.into_bytes();
+    let mut trailer = Writer::new();
+    trailer.u64(fnv64(&bytes[payload_start..]));
+    bytes.extend(trailer.into_bytes());
+    bytes
+}
+
+/// Checks the armor [`armored`] wrote and hands the payload to `read`,
+/// which must consume all of it.
+pub(crate) fn unarmored<T>(
+    bytes: &[u8],
+    magic: &[u8],
+    version: u32,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    if bytes.len() < magic.len() || &bytes[..magic.len()] != magic {
+        return Err(DecodeError::BadMagic);
+    }
+    let mut r = Reader::new(&bytes[magic.len()..]);
+    let found = r.u32()?;
+    if found != version {
+        return Err(DecodeError::BadVersion(found));
+    }
+    let payload_start = bytes.len() - r.remaining();
+    let value = read(&mut r)?;
+    let payload_end = bytes.len() - r.remaining();
+    let declared = r.u64()?;
+    if !r.is_done() || fnv64(&bytes[payload_start..payload_end]) != declared {
+        return Err(DecodeError::Corrupt);
+    }
+    Ok(value)
+}
+
+/// A count, then each code blob: name, arity, return flag, register count,
+/// bytecode.
+pub(crate) fn encode_blobs(w: &mut Writer, blobs: &[CodeBlob]) {
+    w.usize(blobs.len());
+    for blob in blobs {
+        w.str(&blob.name);
+        w.u32(blob.arity);
+        w.u8(blob.returns_value as u8);
+        w.u32(blob.num_regs);
+        w.usize(blob.code.len());
+        for bc in &blob.code {
+            encode_bc(w, bc);
+        }
+    }
+}
+
+/// The inverse of [`encode_blobs`]. Every count is checked against the
+/// remaining input before anything is allocated for it.
+pub(crate) fn decode_blobs(r: &mut Reader<'_>) -> Result<Vec<CodeBlob>, DecodeError> {
+    let count = bounded(r.usize()?, r)?;
+    let mut blobs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let name = r.str()?;
+        let arity = r.u32()?;
+        let returns_value = r.u8()? != 0;
+        let num_regs = r.u32()?;
+        let code_len = bounded(r.usize()?, r)?;
+        let mut code = Vec::with_capacity(code_len);
+        for _ in 0..code_len {
+            code.push(decode_bc(r)?);
+        }
+        blobs.push(CodeBlob {
+            name,
+            arity,
+            returns_value,
+            num_regs,
+            code,
+        });
+    }
+    Ok(blobs)
+}
+
+/// A declared element count, rejected when the remaining input could not
+/// hold that many elements (each takes at least one byte).
+pub(crate) fn bounded(count: usize, r: &Reader<'_>) -> Result<usize, DecodeError> {
+    if count > r.remaining() {
+        return Err(DecodeError::BadLength);
+    }
+    Ok(count)
 }
 
 /// Deserializes a program image.
@@ -53,53 +128,15 @@ pub fn to_bytes(program: &Program) -> Vec<u8> {
 ///
 /// Returns a [`DecodeError`] for any malformed input.
 pub fn from_bytes(bytes: &[u8]) -> Result<Program, DecodeError> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    let version = r.u32()?;
-    if version != IMAGE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let payload_start = bytes.len() - r.remaining();
-
-    let fn_count = r.usize()?;
-    if fn_count > r.remaining() {
-        return Err(DecodeError::BadLength);
-    }
-    let mut funcs = Vec::with_capacity(fn_count);
-    for _ in 0..fn_count {
-        let name = r.str()?;
-        let arity = r.u32()?;
-        let returns_value = r.u8()? != 0;
-        let num_regs = r.u32()?;
-        let code_len = r.usize()?;
-        if code_len > r.remaining() {
-            return Err(DecodeError::BadLength);
-        }
-        let mut code = Vec::with_capacity(code_len);
-        for _ in 0..code_len {
-            code.push(decode_bc(&mut r)?);
-        }
-        funcs.push(CodeBlob {
-            name,
-            arity,
-            returns_value,
-            num_regs,
-            code,
-        });
-    }
-    let entry = if r.u8()? != 0 {
-        Some(FuncId(r.u32()?))
-    } else {
-        None
-    };
-
-    let payload_end = bytes.len() - r.remaining();
-    let declared = r.u64()?;
-    if !r.is_done() || fnv64(&bytes[payload_start..payload_end]) != declared {
-        return Err(DecodeError::Corrupt);
-    }
+    let (funcs, entry) = unarmored(bytes, MAGIC, IMAGE_VERSION, |r| {
+        let funcs = decode_blobs(r)?;
+        let entry = if r.u8()? != 0 {
+            Some(FuncId(r.u32()?))
+        } else {
+            None
+        };
+        Ok((funcs, entry))
+    })?;
 
     // Structural sanity: every call target and the entry must be in range.
     let in_range = |id: FuncId| (id.0 as usize) < funcs.len();
@@ -363,10 +400,7 @@ fn decode_bc(r: &mut Reader<'_>) -> Result<Bc, DecodeError> {
         },
         8 => {
             let func = FuncId(r.u32()?);
-            let argc = r.usize()?;
-            if argc > r.remaining() {
-                return Err(DecodeError::BadLength);
-            }
+            let argc = bounded(r.usize()?, r)?;
             let mut args = Vec::with_capacity(argc);
             for _ in 0..argc {
                 args.push(decode_src(r)?);

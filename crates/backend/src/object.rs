@@ -9,10 +9,16 @@
 
 use crate::bytecode::{Bc, CodeBlob, FuncId, Program};
 use crate::codegen::{compile_function, CallResolver, CodegenError};
+use crate::image::{armored, bounded, decode_blobs, encode_blobs, unarmored};
 use crate::link::LinkError;
+use sfcc_codec::DecodeError;
 use sfcc_ir::Module;
 use std::cell::RefCell;
 use std::collections::HashMap;
+
+const MAGIC: &[u8; 7] = b"SFCCOB\0";
+/// Current object format version.
+pub const OBJECT_VERSION: u32 = 1;
 
 /// A compiled module with unresolved (symbolic) call targets.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -30,6 +36,55 @@ impl CodeObject {
     pub fn code_size(&self) -> usize {
         self.blobs.iter().map(CodeBlob::len).sum()
     }
+}
+
+/// Serializes an object in the image's armor and bytecode codec: module
+/// name, code blobs, symbol table.
+pub fn to_bytes(object: &CodeObject) -> Vec<u8> {
+    armored(MAGIC, OBJECT_VERSION, |w| {
+        w.str(&object.module);
+        encode_blobs(w, &object.blobs);
+        w.usize(object.symbols.len());
+        for symbol in &object.symbols {
+            w.str(symbol);
+        }
+    })
+}
+
+/// Deserializes an object. Bounded like an image: every count is checked
+/// against the remaining input before allocation, and every call must name
+/// a symbol of the table.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] for any malformed input.
+pub fn from_bytes(bytes: &[u8]) -> Result<CodeObject, DecodeError> {
+    let object = unarmored(bytes, MAGIC, OBJECT_VERSION, |r| {
+        let module = r.str()?;
+        let blobs = decode_blobs(r)?;
+        let count = bounded(r.usize()?, r)?;
+        let mut symbols = Vec::with_capacity(count);
+        for _ in 0..count {
+            symbols.push(r.str()?);
+        }
+        Ok(CodeObject {
+            module,
+            blobs,
+            symbols,
+        })
+    })?;
+    let calls_resolve = object
+        .blobs
+        .iter()
+        .flat_map(|b| &b.code)
+        .all(|bc| match bc {
+            Bc::Call { func, .. } => (func.0 as usize) < object.symbols.len(),
+            _ => true,
+        });
+    if !calls_resolve {
+        return Err(DecodeError::Corrupt);
+    }
+    Ok(object)
 }
 
 /// Interns call targets as object-local symbol ids during codegen.
@@ -222,6 +277,50 @@ mod tests {
         let m = lower("m", "fn f(x: int) { print(x); }", &ModuleEnv::new());
         let obj = compile_object(&m).unwrap();
         assert!(obj.symbols.is_empty());
+    }
+
+    fn sample_object() -> CodeObject {
+        let src = "import util;\nfn f(n: int) -> int { if (n < 1) { return util::g(n); } print(n); return f(n - 1); }";
+        let mut env = ModuleEnv::new();
+        let mut d = Diagnostics::new();
+        let util =
+            sfcc_frontend::parser::parse("util", "fn g(x: int) -> int { return x; }", &mut d);
+        env.insert("util", ModuleInterface::of(&util));
+        compile_object(&lower("m", src, &env)).unwrap()
+    }
+
+    #[test]
+    fn object_bytes_roundtrip() {
+        let object = sample_object();
+        assert_eq!(object.symbols.len(), 2);
+        let bytes = to_bytes(&object);
+        assert_eq!(from_bytes(&bytes).unwrap(), object);
+        assert_eq!(to_bytes(&from_bytes(&bytes).unwrap()), bytes);
+        let empty = CodeObject::default();
+        assert_eq!(from_bytes(&to_bytes(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn truncated_flipped_or_hostile_objects_never_decode() {
+        let bytes = to_bytes(&sample_object());
+        for cut in 0..bytes.len() {
+            assert!(from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        for i in 0..bytes.len() {
+            let mut b = bytes.clone();
+            b[i] ^= 1 << (i % 8);
+            assert!(from_bytes(&b).is_err(), "flip at byte {i}");
+        }
+        // Well-armored lies: a blob count far past the input, and a call
+        // naming a symbol the table does not have.
+        let lie = armored(MAGIC, OBJECT_VERSION, |w| {
+            w.str("m");
+            w.u64(u64::MAX >> 1);
+        });
+        assert_eq!(from_bytes(&lie), Err(DecodeError::BadLength));
+        let mut object = sample_object();
+        object.symbols.pop();
+        assert_eq!(from_bytes(&to_bytes(&object)), Err(DecodeError::Corrupt));
     }
 
     #[test]

@@ -279,9 +279,10 @@ mod tests {
             json.contains("\"multi_errors\":0"),
             "concurrent clients must not be rejected at this rate:\n{table}\n{json}"
         );
-        // The hard 3x bar is enforced by ci.sh via `--gate-speedup`; here
-        // a softer 1.5x floor keeps the suite robust on loaded machines
-        // while still catching a daemon that lost its warmth.
+        // ci.sh enforces 1.2x on the release build via `--gate-speedup`
+        // (since PR 25 a cold session executes only what the warm one
+        // does); this debug build keeps a 1.5x floor, which still catches a
+        // daemon that lost its warmth.
         let speedup = gate_speedup(&json, 1.5)
             .unwrap_or_else(|e| panic!("warm must beat cold: {e}\n{table}\n{json}"));
         assert!(speedup.is_finite(), "{table}");

@@ -11,13 +11,14 @@
 //!    nothing is planned, demanded or executed;
 //! 2. demands the [`BuildTask::Graph`] task (import extraction, cycle and
 //!    missing-import diagnostics, wave scheduling);
-//! 3. walks the wave schedule at *function* granularity: each module's
+//! 3. walks the wave schedule at *function* granularity, leaving alone
+//!    every module whose `codegen` no change reached: each walked module's
 //!    roster comes from its `modcheck` task, each function's `optimizefn`
 //!    task is probed for staleness, and the stale functions' union call
 //!    closure is optimized as one restricted batch per module on a shared
-//!    worker pool — then each module's `codegen` task is demanded, hitting
-//!    the store wherever an output fingerprint proves nothing changed
-//!    (early cutoff);
+//!    worker pool — then each walked module's `codegen` task is demanded,
+//!    hitting the store wherever an output fingerprint proves nothing
+//!    changed (early cutoff);
 //! 4. demands [`BuildTask::Link`], which reuses the memoized program when
 //!    no object changed.
 //!
@@ -33,10 +34,11 @@
 //! decision — and therefore every byte — independent of demand order.
 //!
 //! The store outlives the process: a build that executed anything leaves
-//! the store's graph — fingerprints and dependency traces, no values but
-//! `link`'s image — with the compiler session, whose next state commit
-//! persists it beside the dormancy state (module `depgraph`); a new
-//! process's first build starts from it, so a cold no-op is a no-op.
+//! the store's graph — fingerprints, dependency traces, and the values of
+//! `optimizefn`, `codegen` and `link` — with the compiler session, whose
+//! next state commit persists it beside the dormancy state (module
+//! `depgraph`); a new process's first build starts from it, so it executes
+//! exactly what a resident session would (see [`crate::depgraph`]).
 //!
 //! The compiler session's dormancy state persists across builds (that is
 //! the paper's point); [`Builder::clear_cache`] drops only the *query
@@ -47,9 +49,9 @@ use crate::depcheck::{self, DepMutations, DepcheckReport};
 use crate::depgraph;
 use crate::graph::GraphError;
 use crate::project::Project;
-use crate::report::{BuildReport, FngrainStats, ModuleReport, QueryStats};
+use crate::report::{BuildReport, FngrainStats, ModuleOutput, ModuleReport, QueryStats};
 use crate::tasks::{BuildSpec, BuildTask, WaveBatch};
-use sfcc::{CompileError, CompileOutput, Compiler};
+use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
 use sfcc_ir::{Function, Op};
 use sfcc_passes::{PassOutcome, PipelineTrace};
@@ -126,9 +128,10 @@ pub struct Builder {
     tracing: bool,
     depcheck: bool,
     mutations: DepMutations,
-    /// Whether the store is still what the last process's graph restored:
-    /// fingerprints and dependency traces, no value but `link`'s, nothing
-    /// executed on top.
+    /// The values the restored graph carried that no demand has loaded.
+    stored: depgraph::Stored,
+    /// Whether the store holds nodes this process did not compute: set by
+    /// restoring the last process's graph, cleared only with the store.
     restored: bool,
 }
 
@@ -181,6 +184,7 @@ impl Builder {
             tracing: false,
             depcheck: false,
             mutations: DepMutations::new(),
+            stored: depgraph::Stored::default(),
             restored: false,
         }
     }
@@ -210,27 +214,49 @@ impl Builder {
         self.depcheck = on;
     }
 
-    /// The optimized IR of one module, reassembled from the query store in
-    /// roster (definition) order — available for *any* module the last
-    /// build touched, including warm modules whose report entry carries no
-    /// [`CompileOutput`] because nothing recompiled. `None` when the store
-    /// has no artifacts for the module (never built, or evicted).
-    pub fn module_ir(&self, module: &str) -> Option<sfcc_ir::Module> {
-        let roster = self
+    /// The optimized IR of one module of `project`, in roster (definition)
+    /// order, out of the query store a build of `project` left: `modcheck`
+    /// and every roster `optimizefn` are demanded like any task, so values a
+    /// restored graph carried are loaded, the rest rematerialized, and
+    /// nothing the build found current executes. `None` when the project
+    /// has no such module.
+    ///
+    /// # Errors
+    ///
+    /// As [`Builder::build`]: called without that build first, demands
+    /// execute, and can fail.
+    pub fn module_ir(
+        &mut self,
+        project: &Project,
+        module: &str,
+    ) -> Result<Option<sfcc_ir::Module>, BuildError> {
+        if !project.contains(module) {
+            return Ok(None);
+        }
+        let mut spec = BuildSpec::new(
+            project,
+            &mut self.compiler,
+            &mut self.stored,
+            self.jobs,
+            self.mutations.clone(),
+            false,
+        );
+        let m = module.to_string();
+        let modcheck = self
             .engine
-            .peek(&BuildTask::ModCheck(module.to_string()))?
-            .expect_modcheck()
-            .roster
-            .clone();
-        let mut ir = sfcc_ir::Module::new(module.to_string());
-        for f in &roster {
+            .require(&mut spec, &BuildTask::ModCheck(m.clone()))
+            .map_err(seal)?
+            .expect_modcheck();
+        let mut ir = sfcc_ir::Module::new(m.clone());
+        for f in &modcheck.roster {
             let art = self
                 .engine
-                .peek(&BuildTask::OptimizeFn(module.to_string(), f.clone()))?
+                .require(&mut spec, &BuildTask::OptimizeFn(m.clone(), f.clone()))
+                .map_err(seal)?
                 .expect_optimizefn();
             ir.functions.push(art.func.clone());
         }
-        Some(ir)
+        Ok(Some(ir))
     }
 
     /// Records a hierarchical span trace of every subsequent build
@@ -276,20 +302,27 @@ impl Builder {
         &self.compiler
     }
 
+    /// Demand statistics of the engine's current session: the last build's,
+    /// plus whatever was demanded since ([`Builder::module_ir`]).
+    pub fn session_stats(&self) -> sfcc_query::SessionStats {
+        self.engine.session_stats()
+    }
+
     /// Drops the query store — the graph a first build would restore from
     /// the last process's commit included — forcing the next build to
     /// re-execute every task, while keeping the compiler's dormancy state.
     pub fn clear_cache(&mut self) {
         self.engine.clear();
+        self.stored = depgraph::Stored::default();
         self.compiler.take_restored_graph();
         self.restored = false;
     }
 
-    /// [`Builder::clear_cache`], but only of a store this process did not
-    /// fill itself: a restored graph can say that nothing changed, it cannot
-    /// hand out a module's IR or show an audit what the tasks read. Requests
-    /// that need either call this first and pay for the execution. Returns
-    /// whether there was such a store to forget.
+    /// [`Builder::clear_cache`], but only of a store that holds nodes this
+    /// process did not compute: a restored graph can say what is current,
+    /// it cannot show an audit what those tasks read. An audit calls this
+    /// first and pays for the execution. Returns whether there was such a
+    /// store to forget.
     pub fn forget_restored_graph(&mut self) -> bool {
         let restored = self.restored || self.compiler.take_restored_graph().is_some();
         if restored {
@@ -318,7 +351,8 @@ impl Builder {
         // the committed graph forward.
         if let Ok(report) = &result {
             let changed = report.query.misses > 0 && self.compiler.persists_state();
-            let graph = changed.then(|| depgraph::encode(&self.engine, self.compiler.identity()));
+            let graph = changed
+                .then(|| depgraph::encode(&self.engine, &self.stored, self.compiler.identity()));
             self.compiler.deposit_graph(graph);
         }
         result
@@ -347,7 +381,10 @@ impl Builder {
         // A process's first build starts from the graph the last one
         // committed, not from nothing.
         if let Some(graph) = self.compiler.take_restored_graph() {
-            self.restored = depgraph::restore(&mut self.engine, graph, &self.mutations);
+            if let Some(stored) = depgraph::restore(&mut self.engine, graph, &self.mutations) {
+                self.stored = stored;
+                self.restored = true;
+            }
         }
 
         // Drop tasks of modules that left the project so their objects
@@ -365,6 +402,7 @@ impl Builder {
         let mut spec = BuildSpec::new(
             project,
             &mut self.compiler,
+            &mut self.stored,
             self.jobs,
             self.mutations.clone(),
             self.depcheck,
@@ -378,7 +416,7 @@ impl Builder {
         // store is this process's own or restored from the last one's
         // graph. The module order is `link`'s recorded `codegen`
         // dependencies, which it demanded in topological order.
-        if self.engine.is_green(&BuildTask::Link) {
+        if self.engine.is_valid(&BuildTask::Link) {
             let order = self
                 .engine
                 .deps_of(&BuildTask::Link)
@@ -398,7 +436,6 @@ impl Builder {
             };
             return finish(&mut self.engine, spec, self.jobs, observers, walk);
         }
-        self.restored = false;
 
         let graph = self
             .engine
@@ -413,15 +450,22 @@ impl Builder {
         let mut wave_ids: Vec<SpanId> = Vec::with_capacity(graph.waves().len());
         for (wave_idx, wave) in graph.waves().iter().enumerate() {
             let wave_start = observers.recorder.is_some().then(Instant::now);
-            // Plan the wave at function grain: demand each module's roster,
-            // probe each function's optimizefn for staleness, and assemble
-            // one restricted batch per module from the stale functions'
-            // union call closure. Probing validates (and where needed
-            // executes) the cheap frontend chain — parse, fnast, signature,
-            // checkfn, lowerfn — whose fingerprints decide how far each
-            // edit's blast radius really extends.
+            // Plan the wave at function grain. A module whose codegen no
+            // change reached is left alone: everything under it is valid
+            // too, and `link` demands the object if it needs it. For the
+            // rest, demand the roster, probe each function's optimizefn for
+            // staleness — valid ones are loaded on demand, never batched —
+            // and assemble one restricted batch per module from the stale
+            // functions' union call closure. Probing validates (and where
+            // needed executes) the cheap frontend chain — parse, fnast,
+            // signature, checkfn, lowerfn — whose fingerprints decide how
+            // far each edit's blast radius really extends.
+            let walked: Vec<&String> = wave
+                .iter()
+                .filter(|name| !self.engine.is_valid(&BuildTask::Codegen((*name).clone())))
+                .collect();
             let mut batches: Vec<WaveBatch> = Vec::new();
-            for name in wave {
+            for &name in &walked {
                 self.engine
                     .require(&mut spec, &BuildTask::Interface(name.clone()))
                     .map_err(seal)?;
@@ -484,7 +528,7 @@ impl Builder {
             // shared pool when --jobs allows, sequentially otherwise; the
             // same batches either way, so results and traces are identical.
             spec.run_batches(batches);
-            for name in wave {
+            for &name in &walked {
                 self.engine
                     .require(&mut spec, &BuildTask::Codegen(name.clone()))
                     .map_err(seal)?;
@@ -607,30 +651,15 @@ fn finish(
                 .any(|t| executed.contains(t))
             });
         let output = if rebuilt {
-            let interface = engine
-                .peek(&BuildTask::Interface(name.clone()))
-                .expect("a built module has an interface value")
-                .expect_interface();
-            let object = engine
-                .peek(&BuildTask::Codegen(name.clone()))
-                .expect("a built module has a codegen value")
-                .expect_codegen();
-            // Reassemble the module IR and pipeline trace from the
-            // per-function store values, in roster (definition) order.
-            // Functions whose optimizefn validated contributed no pass
-            // work this build, so only executed ones enter the trace.
-            let mut ir = sfcc_ir::Module::new(name.clone());
-            let mut functions = Vec::new();
-            for f in &roster {
-                let art = engine
-                    .peek(&BuildTask::OptimizeFn(name.clone(), f.clone()))
-                    .expect("a built module has every roster optimizefn value")
-                    .expect_optimizefn();
-                ir.functions.push(art.func.clone());
-                if executed.contains(&BuildTask::OptimizeFn(name.clone(), f.clone())) {
-                    functions.push(art.ftrace.clone());
-                }
-            }
+            // The pipeline trace of the functions optimized this build, in
+            // roster (definition) order; functions whose optimizefn
+            // validated contributed no pass work.
+            let functions = roster
+                .iter()
+                .map(|f| BuildTask::OptimizeFn(name.clone(), f.clone()))
+                .filter(|task| executed.contains(task))
+                .filter_map(|task| engine.peek(&task)?.expect_optimizefn().ftrace.clone())
+                .collect();
             let snap = spec.take_snapshots(name);
             let trace = PipelineTrace {
                 module: name.clone(),
@@ -642,10 +671,7 @@ fn finish(
                 batch_max_cost: snap.batch_max_cost,
                 snapshot_wall_ns: snap.wall_ns,
             };
-            Some(CompileOutput {
-                object: (*object).clone(),
-                ir,
-                interface: (*interface).clone(),
+            Some(ModuleOutput {
                 trace,
                 timings: spec.take_timings(name),
             })
@@ -660,14 +686,13 @@ fn finish(
     }
 
     let stats = engine.session_stats();
+    let labels = |keys: &[BuildTask]| keys.iter().map(ToString::to_string).collect();
     let query = QueryStats {
         hits: stats.hits,
         misses: stats.misses,
-        executed: engine
-            .executed_keys()
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+        loaded: stats.loaded,
+        rematerialized: labels(engine.rematerialized_keys()),
+        executed: labels(engine.executed_keys()),
     };
 
     let link_ns = spec.link_ns();
@@ -798,6 +823,11 @@ fn record_report_metrics(report: &BuildReport, waves: usize, registry: &Registry
     registry.gauge_set("outcomes.skipped", skipped as u64);
     registry.gauge_set("query.hits", report.query.hits);
     registry.gauge_set("query.misses", report.query.misses);
+    registry.gauge_set("query.loaded", report.query.loaded);
+    registry.gauge_set(
+        "query.rematerialized",
+        report.query.rematerialized.len() as u64,
+    );
     registry.gauge_set("query.executed", report.query.executed.len() as u64);
     registry.gauge_set("fngrain.signature_hits", report.fngrain.signature_hits);
     registry.gauge_set("fngrain.signature_misses", report.fngrain.signature_misses);

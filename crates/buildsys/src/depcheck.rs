@@ -21,7 +21,9 @@
 //!   accessed;
 //! - **stale-serve**: a task was served from the store this session, but a
 //!   recorded input stamp disagrees with the input's *raw* (unmutated)
-//!   stamp — the validation that spared it was lied to;
+//!   stamp — the validation that spared it was lied to; or a valid task
+//!   whose value had to be rematerialized came out with another
+//!   fingerprint than the one validation vouched for;
 //! - **untracked-io**: a durable faultfs operation ran inside a task scope;
 //!   the engine has no dependency channel for ad-hoc I/O, so any such op is
 //!   invisible to invalidation.
@@ -389,6 +391,20 @@ pub(crate) fn analyze(
                 });
             }
         }
+    }
+
+    // Rematerializations that moved their fingerprint: validation vouched
+    // for a value the task no longer computes, and whatever depended on it
+    // this session was served against the old one.
+    for key in engine.moved_keys() {
+        findings.push(DepFinding {
+            kind: DepFindingKind::StaleServe,
+            task: key.to_string(),
+            resource: "fingerprint".to_string(),
+            detail: "validated as current, but rematerializing its value produced \
+                     another fingerprint"
+                .to_string(),
+        });
     }
 
     // Store-served tasks: every recorded input stamp must match the input's

@@ -65,6 +65,7 @@ pub use depcheck::{DepFinding, DepFindingKind, DepMutations, DepcheckReport};
 pub use graph::{DepGraph, GraphError};
 pub use project::Project;
 pub use report::{
-    validate_report_json, BuildReport, ModuleReport, PassAggregate, QueryStats, SlotAggregate,
+    validate_report_json, BuildReport, ModuleOutput, ModuleReport, PassAggregate, QueryStats,
+    SlotAggregate,
 };
 pub use tasks::{BuildTask, BuildValue};

@@ -9,9 +9,9 @@
 //! full report schema for regression tests.
 
 use crate::depcheck::DepcheckReport;
-use sfcc::CompileOutput;
+use sfcc::PhaseTimings;
 use sfcc_backend::Program;
-use sfcc_passes::PassOutcome;
+use sfcc_passes::{PassOutcome, PipelineTrace};
 use sfcc_trace::json::{escape_into, Value};
 use sfcc_trace::MetricsSnapshot;
 use std::collections::BTreeMap;
@@ -27,8 +27,14 @@ pub struct QueryStats {
     pub hits: u64,
     /// Tasks that (re-)executed.
     pub misses: u64,
+    /// Hits whose value was loaded from the last process's graph.
+    pub loaded: u64,
+    /// Display names of the hits whose value was recomputed by executing
+    /// the task again (valid, nothing on hand, nothing to load), in
+    /// completion order. Not misses.
+    pub rematerialized: Vec<String>,
     /// Display names of the executed tasks, in completion order (e.g.
-    /// `frontend(base)`, `link`).
+    /// `parse(base)`, `link`).
     pub executed: Vec<String>,
 }
 
@@ -74,6 +80,23 @@ pub struct ParallelStats {
     pub batch_max_cost: u64,
 }
 
+/// What a rebuilt module's compilation leaves for the report.
+#[derive(Debug, Clone)]
+pub struct ModuleOutput {
+    /// The pass trace of the functions optimized this build, plus the
+    /// module's snapshot and batching counters.
+    pub trace: PipelineTrace,
+    /// Phase timings of the tasks that ran.
+    pub timings: PhaseTimings,
+}
+
+impl ModuleOutput {
+    /// `(active, dormant, skipped)` pass-slot totals.
+    pub fn outcome_totals(&self) -> (usize, usize, usize) {
+        self.trace.outcome_totals()
+    }
+}
+
 /// Per-module outcome of one build.
 #[derive(Debug, Clone)]
 pub struct ModuleReport {
@@ -82,9 +105,9 @@ pub struct ModuleReport {
     /// Whether this build recompiled the module (vs. reusing its cached
     /// object).
     pub rebuilt: bool,
-    /// The compilation output — `Some` only when the module was rebuilt in
-    /// *this* build, so traces are never double-counted across builds.
-    pub output: Option<CompileOutput>,
+    /// What the compilation left — `Some` only when the module was rebuilt
+    /// in *this* build, so traces are never double-counted across builds.
+    pub output: Option<ModuleOutput>,
 }
 
 /// Wall time of one *pass* (by name) aggregated over every function of
@@ -206,7 +229,7 @@ impl BuildReport {
         totals
     }
 
-    fn outputs(&self) -> impl Iterator<Item = &CompileOutput> {
+    fn outputs(&self) -> impl Iterator<Item = &ModuleOutput> {
         self.modules.iter().filter_map(|m| m.output.as_ref())
     }
 
@@ -321,17 +344,15 @@ impl BuildReport {
         );
         let _ = write!(
             out,
-            "\"query\":{{\"hits\":{},\"misses\":{},\"executed\":[",
+            "\"query\":{{\"hits\":{},\"misses\":{},\"loaded\":{},\"rematerialized\":",
             self.metric("query.hits", self.query.hits),
-            self.metric("query.misses", self.query.misses)
+            self.metric("query.misses", self.query.misses),
+            self.metric("query.loaded", self.query.loaded)
         );
-        for (i, task) in self.query.executed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(&mut out, task);
-        }
-        out.push_str("]},");
+        push_labels(&mut out, &self.query.rematerialized);
+        out.push_str(",\"executed\":");
+        push_labels(&mut out, &self.query.executed);
+        out.push_str("},");
         let _ = write!(
             out,
             "\"fngrain\":{{\"signature_hits\":{},\"signature_misses\":{},\"fn_tasks_executed\":{},\"cutoff_saved\":{}}},",
@@ -477,6 +498,18 @@ impl BuildReport {
     }
 }
 
+/// Appends `labels` as a JSON array of strings.
+fn push_labels(out: &mut String, labels: &[String]) {
+    out.push('[');
+    for (i, label) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        escape_into(out, label);
+    }
+    out.push(']');
+}
+
 /// Validates the JSON produced by [`BuildReport::to_json`] against the
 /// report's schema: the exact top-level key sequence, the type of every
 /// field, and the shape of each nested block (including the `"metrics"`
@@ -548,12 +581,20 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
         query.get("misses").ok_or("query: missing misses")?,
         "query.misses",
     )?;
-    let executed = query
-        .get("executed")
-        .and_then(Value::as_arr)
-        .ok_or("query.executed: expected an array")?;
-    for entry in executed {
-        entry.as_str().ok_or("query.executed: expected strings")?;
+    num(
+        query.get("loaded").ok_or("query: missing loaded")?,
+        "query.loaded",
+    )?;
+    for list in ["rematerialized", "executed"] {
+        let entries = query
+            .get(list)
+            .and_then(Value::as_arr)
+            .ok_or(format!("query.{list}: expected an array"))?;
+        for entry in entries {
+            entry
+                .as_str()
+                .ok_or(format!("query.{list}: expected strings"))?;
+        }
     }
 
     let fngrain = doc.get("fngrain").unwrap();

@@ -339,6 +339,11 @@ impl BuildService {
     /// or report write. A failed build leaves the previous report parked.
     pub fn build(&mut self) -> Result<Built, String> {
         let project = self.load_project()?;
+        self.commit(&project)
+    }
+
+    /// [`BuildService::build`] of an already loaded project.
+    fn commit(&mut self, project: &Project) -> Result<Built, String> {
         // Park the previous report before building: if this build fails or
         // crashes, `stats` must not serve yesterday's numbers as today's.
         let report_path = self.dir.join(REPORT_FILE);
@@ -350,7 +355,7 @@ impl BuildService {
         // durably committed: if the save below fails (or the build dies
         // partway), the shutdown/idle snapshot retries the commit.
         self.dirty = true;
-        let mut report = self.builder.build(&project).map_err(|e| e.to_string())?;
+        let mut report = self.builder.build(project).map_err(|e| e.to_string())?;
         if self.flags.stateful {
             report.state_generation = self
                 .builder
@@ -393,21 +398,21 @@ impl BuildService {
         Ok(Ran { built, output })
     }
 
-    /// [`BuildService::build`], then `module`'s optimized IR as text —
-    /// read from the query store, so it is there for warm modules that
-    /// nothing recompiled. A store restored from the last process's graph
-    /// has fingerprints, not IR: it is forgotten first, and the build
-    /// executes.
+    /// [`BuildService::build`], then `module`'s optimized IR as text,
+    /// demanded from the query store like any task ([`Builder::module_ir`]):
+    /// a warm module's IR is on hand, a restored one is loaded from the
+    /// graph, and nothing the build found current executes.
     ///
     /// # Errors
     ///
     /// As [`BuildService::build`], or an unknown module.
     pub fn ir(&mut self, module: &str) -> Result<String, String> {
-        self.builder.forget_restored_graph();
-        self.build()?;
+        let project = self.load_project()?;
+        self.commit(&project)?;
         let ir = self
             .builder
-            .module_ir(module)
+            .module_ir(&project, module)
+            .map_err(|e| e.to_string())?
             .ok_or_else(|| format!("no module `{module}` in `{}`", self.dir.display()))?;
         Ok(sfcc_ir::module_to_string(&ir))
     }

@@ -20,7 +20,7 @@
 //! | `checkfn(m::f)`   | `fnast(m::f)`, `modcheck(m)`, callees' `signature` | def + context     |
 //! | `lowerfn(m::f)`   | `checkfn(m::f)`                               | IR text                |
 //! | `optimizefn(m::f)`| closure's `lowerfn`, `state:m::f`             | optimized IR text      |
-//! | `codegen(m)`      | `modcheck(m)`, every `optimizefn(m::f)`       | object contents        |
+//! | `codegen(m)`      | `modcheck(m)`, every `optimizefn(m::f)`       | object bytes           |
 //! | `link`            | `graph`, every `codegen(m)`                   | image bytes            |
 //!
 //! The old per-module `interface(m)` cutoff — any dependent of a module
@@ -37,6 +37,7 @@
 
 use crate::builder::BuildError;
 use crate::depcheck::DepMutations;
+use crate::depgraph::Stored;
 use crate::graph::{parse_imports, DepGraph};
 use crate::project::Project;
 use sfcc::{CompileError, Compiler, OptimizeOutcome, PhaseTimings};
@@ -225,19 +226,43 @@ pub struct CheckFnArtifact {
     pub context_repr: String,
 }
 
-/// What a per-function optimize memoizes: the transformed function and the
-/// pass trace that produced it.
+/// What a per-function optimize memoizes: the transformed function, its
+/// IR text — made once: the task's fingerprint hashes it, and it is the
+/// value the persisted query graph carries — and the pass trace that
+/// produced it.
 #[derive(Debug, Clone)]
 pub struct OptimizeFnArtifact {
     /// The optimized function.
     pub func: Function,
-    /// Per-pass instrumentation for this function.
-    pub ftrace: FunctionTrace,
+    /// `sfcc_ir::function_to_string` of `func`.
+    pub text: String,
+    /// Per-pass instrumentation for this function; `None` for a value
+    /// loaded from the last process's graph, which ran no pass here.
+    pub ftrace: Option<FunctionTrace>,
+}
+
+/// What the codegen task memoizes: the object and its encoding, made once —
+/// the task's fingerprint is taken of the bytes, and they are what the
+/// persisted query graph carries.
+#[derive(Debug, Clone)]
+pub struct CodegenArtifact {
+    /// The relocatable object.
+    pub object: CodeObject,
+    /// `sfcc_backend::object::to_bytes` of `object`.
+    pub bytes: Vec<u8>,
+}
+
+impl CodegenArtifact {
+    /// An object with its encoding.
+    pub fn of(object: CodeObject) -> Self {
+        let bytes = sfcc_backend::object::to_bytes(&object);
+        CodegenArtifact { object, bytes }
+    }
 }
 
 /// What the link task memoizes: the program and its image encoding, made
-/// once — the task's fingerprint is taken of the bytes, and they are the one
-/// value the persisted query graph carries.
+/// once — the task's fingerprint is taken of the bytes, and they are what
+/// the persisted query graph carries.
 #[derive(Debug, Clone)]
 pub struct LinkArtifact {
     /// The complete program.
@@ -281,7 +306,7 @@ pub enum BuildValue {
     /// Output of [`BuildTask::OptimizeFn`].
     OptimizeFn(Arc<OptimizeFnArtifact>),
     /// Output of [`BuildTask::Codegen`].
-    Codegen(Arc<CodeObject>),
+    Codegen(Arc<CodegenArtifact>),
     /// Output of [`BuildTask::Link`]: the complete program.
     Link(Arc<LinkArtifact>),
 }
@@ -316,7 +341,7 @@ impl BuildValue {
         OptimizeFnArtifact,
         "optimizefn"
     );
-    expect_variant!(expect_codegen, Codegen, CodeObject, "codegen");
+    expect_variant!(expect_codegen, Codegen, CodegenArtifact, "codegen");
     expect_variant!(expect_link, Link, LinkArtifact, "link");
 }
 
@@ -382,6 +407,9 @@ impl SnapshotTotals {
 pub struct BuildSpec<'a> {
     project: &'a Project,
     compiler: &'a mut Compiler,
+    /// The values the last process's graph carried that no demand has
+    /// loaded yet ([`TaskSpec::load`]).
+    stored: &'a mut Stored,
     prepared: HashMap<(String, String), PreparedFn>,
     timings: HashMap<String, PhaseTimings>,
     /// Per-module [`SnapshotTotals`] accumulated by restricted optimization
@@ -417,6 +445,7 @@ impl<'a> BuildSpec<'a> {
     pub(crate) fn new(
         project: &'a Project,
         compiler: &'a mut Compiler,
+        stored: &'a mut Stored,
         jobs: usize,
         mutations: DepMutations,
         depcheck: bool,
@@ -424,6 +453,7 @@ impl<'a> BuildSpec<'a> {
         BuildSpec {
             project,
             compiler,
+            stored,
             prepared: HashMap::new(),
             timings: HashMap::new(),
             snapshots: HashMap::new(),
@@ -742,10 +772,14 @@ impl TaskSpec for BuildSpec<'_> {
                 fnv64(format!("{}|{}", def_repr(def), art.context_repr).as_bytes())
             }
             BuildValue::LowerFn(func) => fnv64(function_to_string(func).as_bytes()),
-            BuildValue::OptimizeFn(art) => fnv64(function_to_string(&art.func).as_bytes()),
-            BuildValue::Codegen(object) => fnv64(format!("{object:?}").as_bytes()),
+            BuildValue::OptimizeFn(art) => fnv64(art.text.as_bytes()),
+            BuildValue::Codegen(art) => fnv64(&art.bytes),
             BuildValue::Link(link) => fnv64(&link.image),
         }
+    }
+
+    fn load(&mut self, key: &BuildTask) -> Option<BuildValue> {
+        self.stored.load(key)
     }
 
     fn observe(&mut self, key: &BuildTask, hit: bool) {
@@ -1056,8 +1090,9 @@ impl BuildSpec<'_> {
                     }
                 }
                 Ok(BuildValue::OptimizeFn(Arc::new(OptimizeFnArtifact {
+                    text: function_to_string(&func),
                     func,
-                    ftrace,
+                    ftrace: Some(ftrace),
                 })))
             }
             BuildTask::Codegen(m) => {
@@ -1078,16 +1113,16 @@ impl BuildSpec<'_> {
                     })
                 })?;
                 self.timings.entry(m.clone()).or_default().backend_ns += backend_ns;
-                Ok(BuildValue::Codegen(Arc::new(object)))
+                Ok(BuildValue::Codegen(Arc::new(CodegenArtifact::of(object))))
             }
             BuildTask::Link => {
                 let graph = ctx.require(self, &BuildTask::Graph)?.expect_graph();
                 let mut objects = Vec::with_capacity(graph.len());
                 for m in graph.topo_order() {
-                    let object = ctx
+                    let codegen = ctx
                         .require(self, &BuildTask::Codegen(m.clone()))?
                         .expect_codegen();
-                    objects.push((*object).clone());
+                    objects.push(codegen.object.clone());
                 }
                 let t = Instant::now();
                 let program =

@@ -329,10 +329,18 @@ fn quick_second_process_is_a_noop_and_requests_that_need_values_still_work() {
     );
     assert_eq!(std::fs::read(dir.with_extension("sbx")).unwrap(), image);
 
-    // `ir` needs what the graph does not keep, and gets it by executing.
+    // `ir` demands the module's IR from the store: loaded from the graph,
+    // nothing executed — and the text a directory with no history prints.
     let ir = minicc(&["ir", d, "mathx", "--stateful", "--fn-cache"]);
     assert!(ir.status.success(), "{}", stderr(&ir));
     assert!(stdout(&ir).contains("fn @gcd("), "{}", stdout(&ir));
+    let report = std::fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
+    assert!(report.contains("\"misses\":0,"), "{report}");
+    let fresh = demo_copy("graph-noop-fresh");
+    let f = fresh.to_str().unwrap();
+    let fresh_ir = minicc(&["ir", f, "mathx", "--stateful", "--fn-cache"]);
+    assert_eq!(stdout(&ir), stdout(&fresh_ir));
+    std::fs::remove_dir_all(&fresh).unwrap();
 
     // `depcheck` audits what the graph would serve *and* still executes and
     // access-diffs every task: the same accesses as a directory without a

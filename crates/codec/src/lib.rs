@@ -48,7 +48,12 @@ impl std::error::Error for DecodeError {}
 
 /// FNV-1a 64 over a byte slice; the trailer checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    fnv64_continue(0xcbf29ce484222325, bytes)
+}
+
+/// FNV-1a 64 continued from the state `h` over `bytes`, for input hashed in
+/// pieces: `fnv64_continue(fnv64(a), b) == fnv64(a ++ b)`.
+pub fn fnv64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -76,6 +81,11 @@ impl Writer {
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Whether nothing has been written.
@@ -353,6 +363,7 @@ mod tests {
     fn fnv64_known_values() {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_ne!(fnv64(b"a"), fnv64(b"b"));
+        assert_eq!(fnv64_continue(fnv64(b"ab"), b"cd"), fnv64(b"abcd"));
     }
 
     proptest! {

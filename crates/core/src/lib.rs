@@ -48,7 +48,7 @@ pub use compiler::{
     extract_interface, CompileError, CompileOutput, Compiler, OptimizeOutcome, PhaseTimings,
 };
 pub use config::{Config, Mode, OptLevel};
-pub use depgraph::{GraphDep, GraphFile, GraphNode, GraphWriter};
+pub use depgraph::{GraphDep, GraphFile, GraphNode, GraphWriter, ValueBytes};
 pub use fncache::{CacheStats, FunctionCache};
 pub use persist::{FsckReport, LoadedState, RecoveryEvent};
 

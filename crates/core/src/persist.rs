@@ -113,15 +113,19 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
                 }
             }
             if let Some(entry) = manifest.entry(GRAPH_LOGICAL) {
-                if let Some(bytes) = load_entry_bytes(&cd, entry, &mut out.events) {
-                    match GraphFile::from_bytes(&bytes) {
+                // The graph checks every byte as it decodes (a trailer over
+                // its structure, each value against its node's fingerprint),
+                // so it is read without hashing it for the manifest as well.
+                match cd.read_entry(entry) {
+                    Ok(bytes) => match GraphFile::from_bytes(bytes) {
                         Ok(graph) => out.graph = Some(graph),
                         Err(e) => quarantine_event(
                             &cd.entry_path(entry),
                             format!("query graph does not decode: {e}"),
                             &mut out.events,
                         ),
-                    }
+                    },
+                    Err(e) => io_event(&cd.entry_path(entry), &e, &mut out.events),
                 }
             }
         }
@@ -284,7 +288,7 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
             let mut survivors = Vec::new();
             for entry in &m.entries {
                 let ok = match cd.load_entry(entry) {
-                    Ok(bytes) => decodes(&entry.logical, &bytes),
+                    Ok(bytes) => decodes(&entry.logical, bytes),
                     Err(_) => false,
                 };
                 if ok {
@@ -332,10 +336,10 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
     Ok(report)
 }
 
-fn decodes(logical: &str, bytes: &[u8]) -> bool {
+fn decodes(logical: &str, bytes: Vec<u8>) -> bool {
     match logical {
-        STATE_LOGICAL => statefile::from_bytes(bytes).is_ok(),
-        CACHE_LOGICAL => FunctionCache::from_bytes(bytes).is_ok(),
+        STATE_LOGICAL => statefile::from_bytes(&bytes).is_ok(),
+        CACHE_LOGICAL => FunctionCache::from_bytes(&bytes).is_ok(),
         GRAPH_LOGICAL => GraphFile::from_bytes(bytes).is_ok(),
         // Unknown logicals (a newer version's artifacts): the manifest
         // checksum already verified the bytes.
@@ -416,10 +420,10 @@ mod tests {
             identity: 7,
             keys: vec!["link".into()],
             nodes: vec![crate::depgraph::GraphNode {
-                fingerprint: 3,
+                fingerprint: sfcc_codec::fnv64(&[1, 2, 3]),
                 deps: Vec::new(),
+                value: Some(vec![1, 2, 3].into()),
             }],
-            root_value: vec![1, 2, 3],
         }
     }
 

@@ -224,6 +224,17 @@ impl CommitDir {
             .map_err(ManifestError::Corrupt)
     }
 
+    /// One committed entry's bytes as they are on disk, *not* verified
+    /// against the manifest: for a format that checks every byte itself as
+    /// it decodes, which would otherwise hash them twice.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read failure.
+    pub fn read_entry(&self, entry: &ManifestEntry) -> io::Result<Vec<u8>> {
+        inject::read(&self.entry_path(entry))
+    }
+
     /// Loads and verifies one committed entry's bytes against the
     /// manifest's recorded length and checksum.
     ///
@@ -232,8 +243,7 @@ impl CommitDir {
     /// [`EntryError::Corrupt`] on length/checksum mismatch,
     /// [`EntryError::Io`] when the file cannot be read.
     pub fn load_entry(&self, entry: &ManifestEntry) -> Result<Vec<u8>, EntryError> {
-        let path = self.entry_path(entry);
-        let bytes = inject::read(&path).map_err(EntryError::Io)?;
+        let bytes = self.read_entry(entry).map_err(EntryError::Io)?;
         if bytes.len() as u64 != entry.len {
             return Err(EntryError::Corrupt(format!(
                 "length {} != recorded {}",

@@ -14,11 +14,12 @@
 //!   else is validated wholesale without touching a single dependency edge,
 //!   so a no-op rebuild is O(inputs), not O(tasks × deps).
 //! - **top-down demand** ([`Engine::require`]): a dirty task re-checks its
-//!   recorded dependencies *in order*; a task only re-executes when an input
-//!   stamp or a dependency's output **fingerprint** actually differs. An
-//!   execution whose output fingerprint is unchanged terminates invalidation
-//!   early ("early cutoff"): dependents validate against the fingerprint and
-//!   never re-run.
+//!   recorded dependencies *in order* ("try-mark-green"): a dependency that
+//!   validates is compared by fingerprint alone, one that does not executes
+//!   first; a task only re-executes when an input stamp or a dependency's
+//!   output **fingerprint** actually differs. An execution whose output
+//!   fingerprint is unchanged terminates invalidation early ("early
+//!   cutoff"): dependents validate against the fingerprint and never re-run.
 //!
 //! Dependencies are recorded *while a task executes* (through [`Ctx`]), so
 //! the dependency graph always reflects the last execution — conditional
@@ -30,8 +31,11 @@
 //! and dependency trace — can be [exported](Engine::export) and
 //! [restored](Engine::restore) without any value, so a new process starts
 //! from the graph the last one recorded. One rule covers such nodes:
-//! **validation never needs a value; a demand for a missing value executes
-//! the task like any miss.**
+//! **validation never needs a value; a demand of a valid node without one
+//! [loads](TaskSpec::load) it, or else re-executes the task to
+//! rematerialize it** — a hit, counted apart ([`SessionStats::loaded`],
+//! [`SessionStats::rematerialized`]), unless the re-execution moved the
+//! fingerprint validation vouched for, which is a miss.
 //!
 //! The engine is deliberately free of domain knowledge: keys, values,
 //! errors, task bodies, fingerprints, and input stamps are all supplied by a
@@ -79,12 +83,23 @@ pub trait TaskSpec {
     /// state record's version). A changed stamp invalidates its readers.
     fn input_stamp(&mut self, input: &str) -> u64;
 
+    /// The value of a task the store holds as valid but without a value (a
+    /// node [restored](Engine::restore) from a persisted graph), when the
+    /// domain kept it elsewhere. Asked once per demand of such a node;
+    /// `None` — the default — makes the engine rematerialize the value by
+    /// executing the task. A loaded value must be the one the node's
+    /// fingerprint was taken of.
+    fn load(&mut self, _key: &Self::Key) -> Option<Self::Value> {
+        None
+    }
+
     /// Observation hook: called exactly once per task per session, at the
     /// moment the engine accounts the demand as a hit (`hit == true`:
-    /// validated without executing) or a miss (`hit == false`: executed).
-    /// The calls mirror [`SessionStats`] one-for-one, in demand order.
-    /// Default: no-op; domains use it to feed telemetry (trace events,
-    /// metrics) without the engine knowing about either.
+    /// validated without executing — its value served, loaded or
+    /// rematerialized) or a miss (`hit == false`: executed). The calls
+    /// mirror [`SessionStats`] one-for-one, in demand order. Default: no-op;
+    /// domains use it to feed telemetry (trace events, metrics) without the
+    /// engine knowing about either.
     fn observe(&mut self, _key: &Self::Key, _hit: bool) {}
 }
 
@@ -139,7 +154,8 @@ impl<K: fmt::Debug, E: fmt::Display> fmt::Display for QueryError<K, E> {
 #[derive(Debug)]
 struct Node<K, V> {
     /// `None` for a node restored without its output ([`Engine::restore`]):
-    /// it validates like any other, and executes when demanded.
+    /// it validates like any other, and is loaded or rematerialized when
+    /// demanded.
     value: Option<V>,
     fingerprint: u64,
     /// Dependencies of the last execution, in the order they were acquired.
@@ -156,6 +172,10 @@ struct Node<K, V> {
 /// The `verified`/`clean` stamp of a node no session has validated yet (the
 /// session counter never reaches it).
 const NEVER: u64 = u64::MAX;
+
+/// One memoized task as [`Engine::export`] hands it out: key, output
+/// fingerprint, dependency trace, and the value when it is on hand.
+pub type Exported<'e, K, V> = (&'e K, u64, &'e [Dep<K>], Option<&'e V>);
 
 /// The execution context handed to [`TaskSpec::execute`]: records the
 /// running task's dependencies as they are acquired.
@@ -215,10 +235,17 @@ impl<S: TaskSpec + ?Sized> Ctx<'_, S> {
 /// Per-session demand statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Distinct tasks validated from the store without executing.
+    /// Distinct tasks demanded and validated from the store without
+    /// executing — their value served, loaded or rematerialized.
     pub hits: u64,
     /// Distinct tasks that (re-)executed.
     pub misses: u64,
+    /// Hits whose value came from [`TaskSpec::load`].
+    pub loaded: u64,
+    /// Hits whose value was recomputed by executing the task, with the
+    /// fingerprint validation vouched for: valid, nothing on hand, nothing
+    /// to load. Not misses, and never in [`Engine::executed_keys`].
+    pub rematerialized: u64,
 }
 
 /// The incremental engine: a persistent store of memoized task outputs and
@@ -233,6 +260,10 @@ pub struct Engine<K, V> {
     stack: Vec<K>,
     /// Keys executed this session, in completion order.
     executed: Vec<K>,
+    /// Keys rematerialized this session, in completion order.
+    rematerialized: Vec<K>,
+    /// Keys whose rematerialization this session moved their fingerprint.
+    moved: Vec<K>,
     stats: SessionStats,
     /// Input stamps observed this session (one [`TaskSpec::input_stamp`]
     /// call per input per session).
@@ -261,6 +292,8 @@ where
             session: 0,
             stack: Vec::new(),
             executed: Vec::new(),
+            rematerialized: Vec::new(),
+            moved: Vec::new(),
             stats: SessionStats::default(),
             input_cache: HashMap::new(),
         }
@@ -278,6 +311,8 @@ where
         self.session += 1;
         self.stats = SessionStats::default();
         self.executed.clear();
+        self.rematerialized.clear();
+        self.moved.clear();
         self.stack.clear();
         self.input_cache.clear();
 
@@ -353,7 +388,10 @@ where
 
     /// Demands a task: validates it against its recorded dependencies and
     /// returns the memoized value, executing only when an input stamp or a
-    /// dependency fingerprint differs from what the last execution saw.
+    /// dependency fingerprint differs from what the last execution saw. A
+    /// valid node without a value gets it from [`TaskSpec::load`], or else
+    /// by executing the task again — a rematerialization, which is a miss
+    /// only if it moves the fingerprint validation vouched for.
     ///
     /// # Errors
     ///
@@ -364,61 +402,99 @@ where
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
-        if let Some(position) = self.stack.iter().position(|k| k == key) {
-            let mut path: Vec<K> = self.stack[position..].to_vec();
-            path.push(key.clone());
-            return Err(QueryError::Cycle(path));
+        if !self.up_to_date(spec, key)? {
+            let mut deps = Vec::new();
+            let value = self.run(spec, key, &mut deps)?;
+            let fingerprint = spec.fingerprint(key, &value);
+            self.nodes.insert(
+                key.clone(),
+                Node {
+                    value: Some(value.clone()),
+                    fingerprint,
+                    deps,
+                    verified: self.session,
+                    clean: self.session,
+                },
+            );
+            self.count_miss(spec, key);
+            return Ok(value);
         }
 
-        // Serve from the store when a demand is a hit: the node has a value
-        // and its recorded dependencies still hold.
-        if self.up_to_date(spec, key)? {
-            let node = self
-                .nodes
-                .get_mut(key)
-                .expect("an up-to-date task is memoized");
+        let node = self.nodes.get_mut(key).expect("a valid task is memoized");
+        if let Some(value) = &node.value {
+            let value = value.clone();
             if node.verified != self.session {
                 node.verified = self.session;
                 self.stats.hits += 1;
                 spec.observe(key, true);
             }
-            return Ok(node.value.clone().expect("an up-to-date task has a value"));
+            return Ok(value);
         }
 
-        // Execute, recording fresh dependencies.
-        self.stack.push(key.clone());
-        let mut deps = Vec::new();
-        let result = {
-            let mut ctx = Ctx {
-                engine: self,
-                deps: &mut deps,
-            };
-            spec.execute(key, &mut ctx)
+        // Valid, but its value is not on hand.
+        let value = match spec.load(key) {
+            Some(value) => {
+                self.stats.loaded += 1;
+                value
+            }
+            None => {
+                let mut deps = Vec::new();
+                let value = self.run(spec, key, &mut deps)?;
+                let fingerprint = spec.fingerprint(key, &value);
+                let node = self.nodes.get_mut(key).expect("a valid task is memoized");
+                node.deps = deps;
+                if fingerprint != node.fingerprint {
+                    node.fingerprint = fingerprint;
+                    node.value = Some(value.clone());
+                    node.verified = self.session;
+                    self.moved.push(key.clone());
+                    self.count_miss(spec, key);
+                    return Ok(value);
+                }
+                self.stats.rematerialized += 1;
+                self.rematerialized.push(key.clone());
+                value
+            }
         };
-        self.stack.pop();
-        let value = result?;
-        let fingerprint = spec.fingerprint(key, &value);
-        self.nodes.insert(
-            key.clone(),
-            Node {
-                value: Some(value.clone()),
-                fingerprint,
-                deps,
-                verified: self.session,
-                clean: self.session,
-            },
-        );
-        self.stats.misses += 1;
-        self.executed.push(key.clone());
-        spec.observe(key, false);
+        let node = self.nodes.get_mut(key).expect("a valid task is memoized");
+        node.value = Some(value.clone());
+        node.verified = self.session;
+        self.stats.hits += 1;
+        spec.observe(key, true);
         Ok(value)
     }
 
-    /// Checks whether a demand of the task would be a cache hit, *without
-    /// executing it* — so a node that has no value is never up to date,
-    /// whatever its dependencies say. Dependency tasks may still execute
-    /// (they must be current for the answer to mean anything); a clean
-    /// verdict is remembered so the follow-up [`Engine::require`] is O(1).
+    /// Executes a task's body, recording its fresh dependencies into
+    /// `deps`.
+    fn run<S>(
+        &mut self,
+        spec: &mut S,
+        key: &K,
+        deps: &mut Vec<Dep<K>>,
+    ) -> Result<V, QueryError<K, S::Error>>
+    where
+        S: TaskSpec<Key = K, Value = V> + ?Sized,
+    {
+        self.stack.push(key.clone());
+        let result = spec.execute(key, &mut Ctx { engine: self, deps });
+        self.stack.pop();
+        result
+    }
+
+    fn count_miss<S>(&mut self, spec: &mut S, key: &K)
+    where
+        S: TaskSpec<Key = K, Value = V> + ?Sized,
+    {
+        self.stats.misses += 1;
+        self.executed.push(key.clone());
+        spec.observe(key, false);
+    }
+
+    /// Checks whether a demand of the task would be a hit, *without
+    /// executing it*: the node is valid, whether or not its value is on
+    /// hand. Dependency tasks that do not validate execute (they must be
+    /// current for the answer to mean anything); a clean verdict is
+    /// remembered so the follow-up [`Engine::require`] is O(1).
     ///
     /// Build drivers use this to plan: modules whose tasks are out of date
     /// can be pre-compiled in parallel before being demanded one by one.
@@ -430,9 +506,13 @@ where
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
+        if let Some(position) = self.stack.iter().position(|k| k == key) {
+            let mut path: Vec<K> = self.stack[position..].to_vec();
+            path.push(key.clone());
+            return Err(QueryError::Cycle(path));
+        }
         match self.nodes.get(key) {
             None => return Ok(false),
-            Some(node) if node.value.is_none() => return Ok(false),
             Some(node) if node.verified == self.session || node.clean == self.session => {
                 return Ok(true)
             }
@@ -450,8 +530,11 @@ where
         Ok(holds)
     }
 
-    /// Whether every recorded dependency of `key` still holds. Requires the
-    /// node to exist; the caller manages the cycle stack.
+    /// Whether every recorded dependency of `key` still holds — try-mark-
+    /// green: a dependency that validates is compared by its fingerprint
+    /// without touching its value; only one that does not is executed
+    /// first. Requires the node to exist; the caller manages the cycle
+    /// stack.
     fn deps_hold<S>(&mut self, spec: &mut S, key: &K) -> Result<bool, QueryError<K, S::Error>>
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
@@ -468,11 +551,10 @@ where
                     key: dep_key,
                     fingerprint,
                 } => {
-                    self.require(spec, &dep_key)?;
-                    let current = self
-                        .fingerprint_of(&dep_key)
-                        .expect("a required task is memoized");
-                    if current != fingerprint {
+                    if !self.up_to_date(spec, &dep_key)? {
+                        self.require(spec, &dep_key)?;
+                    }
+                    if self.fingerprint_of(&dep_key) != Some(fingerprint) {
                         return Ok(false);
                     }
                 }
@@ -495,20 +577,21 @@ where
     }
 
     /// The memoized value of a task, if present (no validation). `None` also
-    /// for a restored task whose value has not been recomputed yet.
+    /// for a restored task whose value has not been loaded or recomputed.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.nodes.get(key).and_then(|node| node.value.as_ref())
     }
 
-    /// Whether a demand of `key` is known to be a hit *right now*, without
-    /// walking a dependency edge or executing anything: the session's
-    /// bottom-up invalidation (or an earlier demand) found the task current
-    /// and its value is on hand. Build drivers ask this of their root task
-    /// to answer a no-op request without planning it.
-    pub fn is_green(&self, key: &K) -> bool {
-        self.nodes.get(key).is_some_and(|node| {
-            node.value.is_some() && (node.verified == self.session || node.clean == self.session)
-        })
+    /// Whether `key` is known to be valid *right now*, without walking a
+    /// dependency edge or executing anything: the session's bottom-up
+    /// invalidation (or an earlier demand or probe) found the task current.
+    /// Its value may still have to be loaded or rematerialized. Build
+    /// drivers ask this to leave alone what no change reached — the root
+    /// task of a no-op request, the modules an edit did not touch.
+    pub fn is_valid(&self, key: &K) -> bool {
+        self.nodes
+            .get(key)
+            .is_some_and(|node| node.verified == self.session || node.clean == self.session)
     }
 
     /// The memoized output fingerprint of a task, if present.
@@ -516,34 +599,42 @@ where
         self.nodes.get(key).map(|node| node.fingerprint)
     }
 
-    /// Everything validation reads, for persisting: each memoized task's
-    /// key, output fingerprint and dependency trace — no values — in an
-    /// order that depends on the store's content alone, so equal stores
-    /// export equally whatever order they were filled in: by fingerprint
-    /// (an integer compare settles almost every pair), then by key.
-    pub fn export(&self) -> Vec<(&K, u64, &[Dep<K>])>
+    /// Everything validation reads, for persisting — each memoized task's
+    /// key, output fingerprint and dependency trace — plus its value when on
+    /// hand, in an order that depends on the store's content alone, so equal
+    /// stores export equally whatever order they were filled in: by
+    /// fingerprint (an integer compare settles almost every pair), then by
+    /// key.
+    pub fn export(&self) -> Vec<Exported<'_, K, V>>
     where
         K: Ord,
     {
-        let mut nodes: Vec<(&K, u64, &[Dep<K>])> = self
+        let mut nodes: Vec<Exported<'_, K, V>> = self
             .nodes
             .iter()
-            .map(|(key, node)| (key, node.fingerprint, node.deps.as_slice()))
+            .map(|(key, node)| {
+                (
+                    key,
+                    node.fingerprint,
+                    node.deps.as_slice(),
+                    node.value.as_ref(),
+                )
+            })
             .collect();
         nodes.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
         nodes
     }
 
-    /// Re-creates one task of an [exported](Engine::export) store, with its
-    /// value when the caller persisted that too. The next
-    /// [`Engine::begin_session`] validates the node against its recorded
-    /// inputs like any other; without a value it then counts as current for
-    /// its dependents and executes when demanded itself.
-    pub fn restore(&mut self, key: K, fingerprint: u64, deps: Vec<Dep<K>>, value: Option<V>) {
+    /// Re-creates one task of an [exported](Engine::export) store, without
+    /// its value. The next [`Engine::begin_session`] validates the node
+    /// against its recorded inputs like any other; it then counts as current
+    /// for its dependents, and a demand of it loads or rematerializes its
+    /// value.
+    pub fn restore(&mut self, key: K, fingerprint: u64, deps: Vec<Dep<K>>) {
         self.nodes.insert(
             key,
             Node {
-                value,
+                value: None,
                 fingerprint,
                 deps,
                 verified: NEVER,
@@ -584,6 +675,20 @@ where
         &self.executed
     }
 
+    /// Keys rematerialized this session (executed again for a value only,
+    /// fingerprint unchanged), in completion order.
+    pub fn rematerialized_keys(&self) -> &[K] {
+        &self.rematerialized
+    }
+
+    /// Keys whose rematerialization this session produced a fingerprint
+    /// other than the one validation had vouched for — counted as misses,
+    /// and among [`Engine::executed_keys`]. Whatever spared them was wrong:
+    /// a lying input stamp, or a task that is not a function of its deps.
+    pub fn moved_keys(&self) -> &[K] {
+        &self.moved
+    }
+
     /// The dependency trace recorded for a memoized task, if present — the
     /// engine's *declared* view of what the task read, in declaration order.
     /// This is what the depcheck layer diffs against actual accesses.
@@ -614,14 +719,18 @@ mod tests {
     use super::*;
 
     /// A toy domain: integer input cells, `Get` tasks reading them, `Abs`
-    /// of a cell (for cutoff tests), and `Sum` of all cells listed in the
-    /// `cells` input. Executions are counted per key.
+    /// of a cell (for cutoff tests), `Pair` of one cell's `Abs` and another
+    /// cell, and `Sum` of all cells listed in the `cells` input. Executions
+    /// are counted per key; `stored` values are what `load` hands out, and
+    /// `bias` is a read `Dbl` does not declare.
     struct Calc {
         cells: HashMap<String, i64>,
         roster: Vec<&'static str>,
         runs: HashMap<Task, usize>,
         fail_on: Option<Task>,
         observed: Vec<(Task, bool)>,
+        stored: HashMap<Task, i64>,
+        bias: i64,
     }
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -629,6 +738,7 @@ mod tests {
         Get(&'static str),
         Abs(&'static str),
         Dbl(&'static str),
+        Pair(&'static str, &'static str),
         Sum,
         Selfish,
         Ping,
@@ -643,6 +753,8 @@ mod tests {
                 runs: HashMap::new(),
                 fail_on: None,
                 observed: Vec::new(),
+                stored: HashMap::new(),
+                bias: 0,
             }
         }
 
@@ -671,7 +783,10 @@ mod tests {
                     Ok(self.cells[*cell])
                 }
                 Task::Abs(cell) => Ok(ctx.require(self, &Task::Get(cell))?.abs()),
-                Task::Dbl(cell) => Ok(ctx.require(self, &Task::Abs(cell))? * 2),
+                Task::Dbl(cell) => Ok(ctx.require(self, &Task::Abs(cell))? * 2 + self.bias),
+                Task::Pair(x, y) => {
+                    Ok(ctx.require(self, &Task::Abs(x))? + ctx.require(self, &Task::Get(y))?)
+                }
                 Task::Sum => {
                     ctx.input(self, "roster");
                     let roster = self.roster.clone();
@@ -696,6 +811,10 @@ mod tests {
                 return self.roster.len() as u64;
             }
             self.cells.get(input).copied().unwrap_or(i64::MIN) as u64
+        }
+
+        fn load(&mut self, key: &Task) -> Option<i64> {
+            self.stored.remove(key)
         }
 
         fn observe(&mut self, key: &Task, hit: bool) {
@@ -724,7 +843,13 @@ mod tests {
             1,
             "no-op session must not re-execute"
         );
-        assert_eq!(engine.session_stats(), SessionStats { hits: 1, misses: 0 });
+        assert_eq!(
+            engine.session_stats(),
+            SessionStats {
+                hits: 1,
+                ..SessionStats::default()
+            }
+        );
     }
 
     #[test]
@@ -795,7 +920,14 @@ mod tests {
         assert_eq!(spec.runs_of(&Task::Get("a")), 2);
         assert_eq!(spec.runs_of(&Task::Abs("a")), 2);
         assert_eq!(spec.runs_of(&Task::Dbl("a")), 1, "cutoff failed");
-        assert_eq!(engine.session_stats(), SessionStats { hits: 1, misses: 2 });
+        assert_eq!(
+            engine.session_stats(),
+            SessionStats {
+                hits: 1,
+                misses: 2,
+                ..SessionStats::default()
+            }
+        );
     }
 
     #[test]
@@ -934,8 +1066,8 @@ mod tests {
     /// process restoring a persisted graph would.
     fn restored_from(engine: &Engine<Task, i64>) -> Engine<Task, i64> {
         let mut fresh = Engine::new();
-        for (key, fingerprint, deps) in engine.export() {
-            fresh.restore(key.clone(), fingerprint, deps.to_vec(), None);
+        for (key, fingerprint, deps, _) in engine.export() {
+            fresh.restore(key.clone(), fingerprint, deps.to_vec());
         }
         fresh
     }
@@ -954,9 +1086,10 @@ mod tests {
 
         let exported = forward.export();
         assert_eq!(exported, backward.export());
-        let order: Vec<(u64, &Task)> = exported.iter().map(|&(key, fp, _)| (fp, key)).collect();
+        let order: Vec<(u64, &Task)> = exported.iter().map(|&(key, fp, _, _)| (fp, key)).collect();
         assert!(order.windows(2).all(|pair| pair[0] < pair[1]), "{order:?}");
         assert_eq!(order.len(), forward.len());
+        assert!(exported.iter().all(|(_, _, _, value)| value.is_some()));
     }
 
     #[test]
@@ -968,7 +1101,7 @@ mod tests {
 
         let mut fresh = restored_from(&engine);
         assert!(
-            !fresh.is_green(&Task::Dbl("a")),
+            !fresh.is_valid(&Task::Dbl("a")),
             "no session has validated it"
         );
         session(&mut fresh, &mut spec);
@@ -977,18 +1110,27 @@ mod tests {
         assert_eq!(fresh.verified_hit_keys().len(), 3);
         assert!(fresh.peek(&Task::Dbl("a")).is_none());
         assert_eq!(fresh.fingerprint_of(&Task::Dbl("a")), Some(8));
-        // A value cannot be served, so the node is neither green nor up to
-        // date, and planning it executes nothing.
-        assert!(!fresh.is_green(&Task::Dbl("a")));
-        assert!(!fresh.up_to_date(&mut spec, &Task::Dbl("a")).unwrap());
-        assert_eq!(spec.runs_of(&Task::Dbl("a")), 1);
-        // A demand executes the task — and its value-less dependencies —
-        // like any miss.
+        assert!(fresh.is_valid(&Task::Dbl("a")));
+        // With nothing to load, a demand executes the task — and its
+        // value-less dependencies — to rematerialize the values: hits, not
+        // misses, and not among the executed keys.
         assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 8);
         assert_eq!(spec.runs_of(&Task::Dbl("a")), 2);
         assert_eq!(spec.runs_of(&Task::Get("a")), 2);
-        assert_eq!(fresh.session_stats(), SessionStats { hits: 0, misses: 3 });
-        assert!(fresh.is_green(&Task::Dbl("a")));
+        assert_eq!(
+            fresh.session_stats(),
+            SessionStats {
+                hits: 3,
+                rematerialized: 3,
+                ..SessionStats::default()
+            }
+        );
+        assert!(fresh.executed_keys().is_empty());
+        assert_eq!(
+            fresh.rematerialized_keys(),
+            [Task::Get("a"), Task::Abs("a"), Task::Dbl("a")]
+        );
+        assert_eq!(fresh.peek(&Task::Dbl("a")), Some(&8));
     }
 
     #[test]
@@ -998,16 +1140,24 @@ mod tests {
         session(&mut engine, &mut spec);
         engine.require(&mut spec, &Task::Dbl("a")).unwrap();
 
-        let mut fresh = Engine::new();
-        for (key, fingerprint, deps) in engine.export() {
-            let value = (*key == Task::Dbl("a")).then_some(8);
-            fresh.restore(key.clone(), fingerprint, deps.to_vec(), value);
-        }
+        let mut fresh = restored_from(&engine);
+        spec.stored.insert(Task::Dbl("a"), 8);
         session(&mut fresh, &mut spec);
-        assert!(fresh.is_green(&Task::Dbl("a")));
+        assert!(fresh.is_valid(&Task::Dbl("a")));
         assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 8);
-        assert_eq!(fresh.session_stats(), SessionStats { hits: 1, misses: 0 });
+        assert_eq!(
+            fresh.session_stats(),
+            SessionStats {
+                hits: 1,
+                loaded: 1,
+                ..SessionStats::default()
+            }
+        );
         assert_eq!(spec.runs_of(&Task::Dbl("a")), 1, "served, not executed");
+        assert!(spec.stored.is_empty(), "loaded once");
+        // Loaded values are ordinary values from then on.
+        assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 8);
+        assert_eq!(fresh.session_stats().loaded, 1);
     }
 
     #[test]
@@ -1017,20 +1167,19 @@ mod tests {
         session(&mut engine, &mut spec);
         engine.require(&mut spec, &Task::Sum).unwrap();
 
-        let mut fresh = Engine::new();
-        for (key, fingerprint, deps) in engine.export() {
-            let value = (*key == Task::Sum).then_some(5);
-            fresh.restore(key.clone(), fingerprint, deps.to_vec(), value);
-        }
+        let mut fresh = restored_from(&engine);
+        spec.stored.insert(Task::Sum, 5);
         spec.cells.insert("a".into(), 10);
         session(&mut fresh, &mut spec);
         // Get(a) read the moved input; Sum depends on it; Get(b) does not.
         assert_eq!(fresh.verified_hit_keys(), vec![Task::Get("b")]);
-        assert!(
-            !fresh.is_green(&Task::Sum),
+        assert!(!fresh.is_valid(&Task::Sum));
+        assert_eq!(fresh.require(&mut spec, &Task::Sum).unwrap(), 13);
+        assert_eq!(
+            spec.stored.get(&Task::Sum),
+            Some(&5),
             "a restored value must not outlive its inputs"
         );
-        assert_eq!(fresh.require(&mut spec, &Task::Sum).unwrap(), 13);
     }
 
     #[test]
@@ -1040,18 +1189,77 @@ mod tests {
         session(&mut engine, &mut spec);
         engine.require(&mut spec, &Task::Abs("a")).unwrap();
 
-        let mut fresh = Engine::new();
-        for (key, fingerprint, deps) in engine.export() {
-            let value = (*key == Task::Abs("a")).then_some(7);
-            fresh.restore(key.clone(), fingerprint, deps.to_vec(), value);
-        }
+        let mut fresh = restored_from(&engine);
+        spec.stored.insert(Task::Abs("a"), 7);
         fresh.retain(|key| !matches!(key, Task::Get(_)));
         session(&mut fresh, &mut spec);
-        assert!(!fresh.is_green(&Task::Abs("a")));
+        assert!(!fresh.is_valid(&Task::Abs("a")));
         // The dropped dependency re-executes; its fingerprint still matches
         // the recorded one, so the restored value is served after all.
         assert_eq!(fresh.require(&mut spec, &Task::Abs("a")).unwrap(), 7);
         assert_eq!(spec.runs_of(&Task::Get("a")), 2);
         assert_eq!(spec.runs_of(&Task::Abs("a")), 1);
+    }
+
+    #[test]
+    fn a_dirty_node_validates_through_clean_valueless_dependencies() {
+        let mut spec = Calc::new(&[("a", -4), ("b", 3)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Pair("a", "b")).unwrap();
+
+        // `a` flips sign: Get(a) re-executes, Abs(a) re-executes to the same
+        // fingerprint, and Pair validates against Get(b) — which is clean
+        // and has no value — by fingerprint alone.
+        let mut fresh = restored_from(&engine);
+        spec.cells.insert("a".into(), 4);
+        session(&mut fresh, &mut spec);
+        assert!(!fresh.is_valid(&Task::Pair("a", "b")));
+        assert!(fresh.up_to_date(&mut spec, &Task::Pair("a", "b")).unwrap());
+        assert_eq!(spec.runs_of(&Task::Get("b")), 1, "validated, not run");
+        assert!(fresh.peek(&Task::Get("b")).is_none());
+        assert_eq!(spec.runs_of(&Task::Pair("a", "b")), 1);
+        assert_eq!(
+            fresh.executed_keys(),
+            [Task::Get("a"), Task::Abs("a")],
+            "only what the edit reached"
+        );
+        assert!(fresh.is_valid(&Task::Pair("a", "b")));
+    }
+
+    #[test]
+    fn up_to_date_is_true_for_a_valid_node_without_a_value() {
+        let mut spec = Calc::new(&[("a", -4)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Dbl("a")).unwrap();
+
+        let mut fresh = restored_from(&engine);
+        session(&mut fresh, &mut spec);
+        assert!(fresh.up_to_date(&mut spec, &Task::Dbl("a")).unwrap());
+        assert!(fresh.peek(&Task::Dbl("a")).is_none());
+        assert_eq!(spec.runs_of(&Task::Dbl("a")), 1, "probing executes nothing");
+        assert_eq!(fresh.session_stats(), SessionStats::default());
+    }
+
+    #[test]
+    fn a_rematerialization_that_moves_its_fingerprint_is_a_miss() {
+        let mut spec = Calc::new(&[("a", -4)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Dbl("a")).unwrap();
+
+        // Dbl reads `bias` without declaring it: validation vouches for the
+        // old fingerprint, the re-execution disagrees.
+        let mut fresh = restored_from(&engine);
+        spec.bias = 1;
+        session(&mut fresh, &mut spec);
+        assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 9);
+        let stats = fresh.session_stats();
+        assert_eq!((stats.misses, stats.rematerialized), (1, 2), "{stats:?}");
+        assert_eq!(fresh.executed_keys(), [Task::Dbl("a")]);
+        assert_eq!(fresh.moved_keys(), [Task::Dbl("a")]);
+        assert_eq!(fresh.fingerprint_of(&Task::Dbl("a")), Some(9));
+        assert!(spec.observed.contains(&(Task::Dbl("a"), false)));
     }
 }

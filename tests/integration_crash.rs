@@ -461,7 +461,24 @@ fn quick_truncation_at_every_byte_boundary_errors() {
             "truncated cache (cut {cut}) must not decode"
         );
     }
-    assert!(GraphFile::from_bytes(graph).is_ok());
+    // A v2 graph: the value of every persisted kind rides along, and every
+    // cut — through a value's bytes included — is a typed error.
+    let decoded = GraphFile::from_bytes(graph.as_slice()).unwrap();
+    let valued: Vec<&str> = decoded
+        .keys
+        .iter()
+        .zip(&decoded.nodes)
+        .filter(|(_, node)| node.value.is_some())
+        .map(|(key, _)| key.as_str())
+        .collect();
+    assert!(valued.contains(&"link") && valued.contains(&"codegen(main)"));
+    assert!(valued.contains(&"optimizefn(base::g)"), "{valued:?}");
+    assert!(
+        valued.iter().all(|key| key.starts_with("optimizefn(")
+            || key.starts_with("codegen(")
+            || *key == "link"),
+        "{valued:?}"
+    );
     for cut in 0..graph.len() {
         assert!(
             GraphFile::from_bytes(&graph[..cut]).is_err(),
@@ -483,7 +500,7 @@ fn single_bitflips_on_disk_never_decode() {
         let mut b = graph.clone();
         b[i] ^= 1 << (i % 8);
         assert!(
-            GraphFile::from_bytes(&b).is_err(),
+            GraphFile::from_bytes(b).is_err(),
             "graph flip at byte {i} accepted as valid"
         );
     }
@@ -538,7 +555,7 @@ proptest! {
         let mut b = graph[..cut].to_vec();
         let j = ((seed >> 29) as usize) % b.len();
         b[j] ^= 1 << ((seed >> 47) % 8);
-        prop_assert!(GraphFile::from_bytes(&b).is_err());
+        prop_assert!(GraphFile::from_bytes(b.as_slice()).is_err());
 
         let cut = 1 + (seed as usize) % (state.len() - 1);
         let mut b = state[..cut].to_vec();
@@ -625,6 +642,90 @@ fn truncated_files_recover_through_the_builder() {
     let report = run_session(&dir, &v1, d).unwrap();
     assert!(report.query.misses > 0 && report.query.hits == 0);
     assert_eq!(snapshot(&dir).image, from_scratch.image);
+    cleanup(&dir);
+}
+
+/// `project_v1` with a second `base` function whose body is `x + {k}`: an
+/// edit of `h` re-runs `codegen(base)`, which then needs `g`'s optimized IR.
+fn project_gh(k: u32) -> Project {
+    let base = format!(
+        "fn g(x: int) -> int {{ return x * 2; }}\nfn h(x: int) -> int {{ return x + {k}; }}"
+    );
+    let mut p = project_v1();
+    p.set_file("base".into(), base);
+    p
+}
+
+/// Rewrites the committed graph of `dir` through `tamper`, re-checksummed:
+/// what a hostile or buggy writer could leave, with the armor intact.
+fn tamper_graph(dir: &Path, tamper: impl FnOnce(&mut GraphFile)) {
+    let cd = CommitDir::new(&state_base(dir));
+    let m = cd.read_manifest().unwrap().unwrap();
+    let bytes = cd.load_entry(m.entry(GRAPH_LOGICAL).unwrap()).unwrap();
+    let mut graph = GraphFile::from_bytes(bytes).unwrap();
+    tamper(&mut graph);
+    cd.commit(&[(GRAPH_LOGICAL, &graph.to_bytes())], Durability::Fast)
+        .unwrap();
+}
+
+#[test]
+fn quick_tampered_graphs_are_never_served() {
+    let d = Durability::Fast;
+    let (before, after) = (project_gh(5), project_gh(6));
+    // What the edited tree builds to in a directory with no history.
+    let fresh_image = {
+        let dir = tmpdir("tamper-fresh");
+        run_session(&dir, &after, d).unwrap();
+        let image = snapshot(&dir).image;
+        cleanup(&dir);
+        image
+    };
+    let index = |graph: &GraphFile, key: &str| graph.keys.iter().position(|k| k == key).unwrap();
+
+    // Two `optimizefn` values swapped, the trailer re-checksummed: each is
+    // a well-formed value — of the other node. A value is its own checksum,
+    // so neither is served: the graph does not decode, is quarantined, and
+    // the build is a cold start.
+    let dir = tmpdir("tamper-swap");
+    run_session(&dir, &before, d).unwrap();
+    tamper_graph(&dir, |graph| {
+        let (g, main) = (
+            index(graph, "optimizefn(base::g)"),
+            index(graph, "optimizefn(main::main)"),
+        );
+        let g_value = graph.nodes[g].value.take();
+        assert!(g_value.is_some() && g_value != graph.nodes[main].value);
+        graph.nodes[g].value = graph.nodes[main].value.take();
+        graph.nodes[main].value = g_value;
+    });
+    let report = run_session(&dir, &after, d).unwrap();
+    assert_eq!(report.recovered_files, 1);
+    assert_eq!(
+        (report.query.hits, report.query.loaded),
+        (0, 0),
+        "{:?}",
+        report.query
+    );
+    assert_eq!(snapshot(&dir).image, fresh_image);
+    cleanup(&dir);
+
+    // A dependency edge closing a cycle (`parse(lib)` on `link`): the
+    // engine would answer every walk through it — the edit of `base`
+    // reaches `link`, so `lib` is walked — with a cycle error, so the graph
+    // is a cold start instead.
+    let dir = tmpdir("tamper-cycle");
+    run_session(&dir, &before, d).unwrap();
+    tamper_graph(&dir, |graph| {
+        let (parse, link) = (index(graph, "parse(lib)"), index(graph, "link"));
+        let fingerprint = graph.nodes[link].fingerprint;
+        graph.nodes[parse].deps.push(sfcc::GraphDep::Task {
+            key: link as u32,
+            fingerprint,
+        });
+    });
+    let report = run_session(&dir, &after, d).unwrap();
+    assert_eq!(report.query.hits, 0, "cold start: {:?}", report.query);
+    assert_eq!(snapshot(&dir).image, fresh_image);
     cleanup(&dir);
 }
 

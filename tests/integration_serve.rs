@@ -349,7 +349,9 @@ fn differential_run(tag: &str, seed: u64, jobs: usize, commits: usize, cas: bool
         .and_then(|v| v.as_str())
         .expect("ir reply carries text")
         .to_string();
-    let oracle_ir = sfcc_ir::module_to_string(&oracle.builder.module_ir(module).unwrap());
+    let p = Project::from_dir(&oracle.dir).unwrap();
+    let oracle_ir =
+        sfcc_ir::module_to_string(&oracle.builder.module_ir(&p, module).unwrap().unwrap());
     // Both sides build once more inside the comparison window; rebuild the
     // oracle first so its store is as fresh as the daemon's.
     assert_eq!(warm_ir, oracle_ir, "warm ir serve diverges (seed {seed})");
@@ -542,94 +544,124 @@ fn query_counts(decisions: &str) -> (u64, u64) {
     (field("hits="), field("misses="))
 }
 
-/// One lineage of fresh builders (`with/`), one process per step, over a
-/// random script of edits and no-ops — and at every step the neighbour it
-/// must be indistinguishable from:
-///
-/// - a step that changes the tree: the twin lineage (`without/`) whose
-///   graph is deleted before every build, which is how every cold build
-///   went before graphs were persisted. Image, state, cache and rebuild
-///   flags must agree: starting from a graph that is not all green changes
-///   nothing about an incremental build.
-/// - a step that changes nothing: the *resident* builder — the one that
-///   committed the previous step, still alive — building again. Both must
-///   execute nothing and move no byte. (The twin sits a no-op out: without
-///   a graph it would re-execute everything and re-ingest every trace, which
-///   is exactly what stops happening.)
+/// A task list of the persisted report's `query` block, sorted.
+fn report_tasks(dir: &Path, list: &str) -> Vec<String> {
+    let text = fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
+    let doc = json::parse(&text).unwrap();
+    let mut tasks: Vec<String> = doc
+        .get("query")
+        .and_then(|q| q.get(list))
+        .and_then(json::Value::as_arr)
+        .unwrap()
+        .iter()
+        .map(|t| t.as_str().unwrap().to_string())
+        .collect();
+    tasks.sort();
+    tasks
+}
+
+/// The committed query-graph bytes of `dir`.
+fn graph_of(dir: &Path) -> Vec<u8> {
+    let cd = CommitDir::new(&dir.join(".sfcc-state"));
+    let manifest = cd.read_manifest().unwrap().expect("committed manifest");
+    cd.load_entry(manifest.entry("depgraph").unwrap()).unwrap()
+}
+
+/// Adds two hand-written modules to a generated project; `edited` changes
+/// a function's signature and every call of it, in both modules (the
+/// generator's edits never touch a signature).
+fn with_signature_edit(p: &mut Project, edited: bool) {
+    let (s, call) = if edited {
+        ("fn s(x: int, y: int) -> int { return x + y; }", "s(x, 2)")
+    } else {
+        ("fn s(x: int) -> int { return x + 1; }", "s(x)")
+    };
+    p.set_file(
+        "sigx".to_string(),
+        format!("{s}\nfn t(x: int) -> int {{ return {call} * 2; }}"),
+    );
+    p.set_file(
+        "sigy".to_string(),
+        format!(
+            "import sigx;\nfn u(x: int) -> int {{ return sigx::{call} + sigx::t(x); }}\n\
+             fn v(x: int) -> int {{ return x - 1; }}"
+        ),
+    );
+}
+
+/// One lineage of fresh builders (`fresh/`, one process per step, each
+/// starting from the graph the last one committed) beside one resident
+/// builder (`resident/`, alive across every step), over a random script of
+/// generated edits (constant tweaks, added statements, rewrites, added
+/// functions), signature edits and no-ops. After *every* step the new
+/// process must be the resident one: image, committed state, cache and
+/// graph, per-module rebuild flags, misses and the executed task set — and
+/// it must have re-run no `optimizefn` for a value (that would re-ingest a
+/// trace), only loaded them.
 fn lineage_run(tag: &str, seed: u64, jobs: usize) {
     let root = tmproot(tag);
-    let with = root.join("with");
-    let without = root.join("without");
+    let fresh = root.join("fresh");
+    let resident_dir = root.join("resident");
     let mut model = generate_model(&GeneratorConfig::small(seed));
     let mut script = EditScript::new(seed ^ 0x51ed_270b);
-    write_tree(&with, &model.render());
-    write_tree(&without, &model.render());
+    script.weights = [35, 20, 20, 25];
+    let mut signature_edited = false;
+    let render = |model: &sfcc_workload::ProjectModel, edited: bool| {
+        let mut p = model.render();
+        with_signature_edit(&mut p, edited);
+        p
+    };
+    write_tree(&fresh, &render(&model, false));
+    write_tree(&resident_dir, &render(&model, false));
+    let mut resident = Oracle::new(&resident_dir, jobs, None);
 
-    // The builder that committed the lineage's last step.
-    let mut resident: Option<Oracle> = None;
-    let mut last: Option<Artifacts> = None;
-    for step in 0..7u64 {
-        let noop = step > 0 && (seed >> (2 * step)) & 3 == 0;
-        let label = format!("step {step} (seed {seed}, jobs {jobs}, noop {noop})");
-        if noop {
-            // Fork the committed world: the resident builder keeps the
-            // lineage's directory, a new process gets the copy.
-            let fork = root.join(format!("fork{step}"));
-            copy_tree(&with, &fork);
-            fs::copy(image_path(&with), image_path(&fork)).unwrap();
-            let resident = resident.as_mut().expect("a no-op follows a build");
-            let warm = resident.build();
-            let fresh = Oracle::new(&fork, jobs, None).build();
-            assert_eq!(
-                fresh, warm,
-                "{label}: a new process is not the resident one"
-            );
-            let before = last.as_ref().unwrap();
-            assert_eq!(fresh.image, before.image, "{label}: image moved");
-            assert_eq!(fresh.state, before.state, "{label}: state moved");
-            assert_eq!(fresh.cache, before.cache, "{label}: cache moved");
-            assert!(
-                !fresh.decisions.contains("=true"),
-                "{label}: {}",
-                fresh.decisions
-            );
-            assert!(
-                fresh.decisions.ends_with("hits=1;misses=0"),
-                "{label}: {}",
-                fresh.decisions
-            );
-            last = Some(fresh);
-            continue;
+    for step in 0..8u64 {
+        let action = if step == 0 {
+            0
+        } else {
+            (seed >> (2 * step)) & 3
+        };
+        let label = format!("step {step} (seed {seed}, jobs {jobs}, action {action})");
+        match action {
+            0 => {}
+            1 => signature_edited = !signature_edited,
+            _ => {
+                script.commit(&mut model);
+            }
         }
-        if step > 0 {
-            script.commit(&mut model);
-            let p = model.render();
-            write_tree(&with, &p);
-            write_tree(&without, &p);
-            drop_graph(&without);
-        }
-        let mut process = Oracle::new(&with, jobs, None);
-        let got = process.build();
-        let want = Oracle::new(&without, jobs, None).build();
+        let p = render(&model, signature_edited);
+        write_tree(&fresh, &p);
+        write_tree(&resident_dir, &p);
+
+        let want = resident.build();
+        let got = Oracle::new(&fresh, jobs, None).build();
         assert_eq!(got.image, want.image, "{label}: image");
         assert_eq!(got.state, want.state, "{label}: state");
         assert_eq!(got.cache, want.cache, "{label}: cache");
+        assert_eq!(graph_of(&fresh), graph_of(&resident_dir), "{label}: graph");
         assert_eq!(
             rebuilt_flags(&got.decisions),
             rebuilt_flags(&want.decisions),
             "{label}: rebuild decisions"
         );
-        // Every task executes on both sides — but for `link`, which is
-        // served from its restored value when every object came out equal.
-        let ((hits, misses), (_, all)) =
-            (query_counts(&got.decisions), query_counts(&want.decisions));
-        assert!(
-            hits <= 1 && hits + misses == all,
-            "{label}: {}",
-            got.decisions
+        assert_eq!(
+            query_counts(&got.decisions).1,
+            query_counts(&want.decisions).1,
+            "{label}: misses"
         );
-        resident = Some(process);
-        last = Some(got);
+        assert_eq!(
+            report_tasks(&fresh, "executed"),
+            report_tasks(&resident_dir, "executed"),
+            "{label}: executed tasks"
+        );
+        let rematerialized = report_tasks(&fresh, "rematerialized");
+        assert!(
+            !rematerialized.iter().any(|t| t.starts_with("optimizefn(")),
+            "{label}: {rematerialized:?}"
+        );
+        if step > 0 && action == 0 {
+            assert!(got.decisions.ends_with("hits=1;misses=0"), "{label}");
+        }
     }
     cleanup(&root);
 }
@@ -638,7 +670,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn fresh_builder_lineage_is_resident_on_noops_and_graphless_on_edits(seed in any::<u64>()) {
+    fn fresh_builder_lineage_is_resident(seed in any::<u64>()) {
         let jobs = if seed & 1 == 0 { 1 } else { 8 };
         lineage_run(&format!("lineage-{seed:x}"), seed, jobs);
     }
@@ -646,11 +678,44 @@ proptest! {
 
 #[test]
 fn quick_fresh_builder_lineage_holds_for_both_job_counts() {
-    // Two bits per step, `00` is a no-op: steps 2, 3 and 5 change nothing.
-    let seed = (1 << 2) | (3 << 8) | (3 << 12);
+    // Two bits per step — `00` a no-op, `01` a signature edit, else a
+    // generated edit: step 4 changes nothing, steps 2 and 5 edit signatures.
+    let seed = (2 << 2) | (1 << 4) | (3 << 6) | (1 << 10) | (2 << 12) | (3 << 14);
     for jobs in [1, 8] {
         lineage_run(&format!("lineage-q{jobs}"), seed, jobs);
     }
+}
+
+#[test]
+fn quick_cold_ir_over_a_committed_tree_executes_nothing() {
+    let root = tmproot("cold-ir");
+    let (dir, fresh) = (root.join("committed"), root.join("fresh"));
+    write_tree(&dir, &fixture_v1());
+    write_tree(&fresh, &fixture_v1());
+    Oracle::new(&dir, 1, None).build();
+
+    // A new process asked for `lib`'s IR: the build is a no-op, and the IR
+    // is demanded from the store — loaded, rematerialized, never executed.
+    let p = Project::from_dir(&dir).unwrap();
+    let mut builder = Builder::new(Compiler::new(warm_config(&dir, 1, None)));
+    assert_eq!(builder.build(&p).unwrap().query.misses, 0);
+    let ir = builder.module_ir(&p, "lib").unwrap().unwrap();
+    let stats = builder.session_stats();
+    assert_eq!(stats.misses, 0, "{stats:?}");
+    assert_eq!(stats.loaded, 2, "link, optimizefn(lib::f): {stats:?}");
+    assert!(stats.rematerialized > 0, "modcheck(lib) and what it reads");
+    assert!(builder.module_ir(&p, "nope").unwrap().is_none());
+
+    // The same text a directory with no history prints.
+    let q = Project::from_dir(&fresh).unwrap();
+    let mut first = Builder::new(Compiler::new(warm_config(&fresh, 1, None)));
+    first.build(&q).unwrap();
+    let want = first.module_ir(&q, "lib").unwrap().unwrap();
+    assert_eq!(
+        sfcc_ir::module_to_string(&ir),
+        sfcc_ir::module_to_string(&want)
+    );
+    cleanup(&root);
 }
 
 /// One cold process over `dir` under `config`, committed like
@@ -717,8 +782,9 @@ fn quick_identity_skewed_graphs_are_never_served() {
 
     // A graph whose tasks were served by a shared store records `cas:`
     // stamps. Read by a session without the store — same identity, so the
-    // graph is restored — those stamps cannot be honoured: the served tasks
-    // are dirty and everything re-executes, exactly as without a graph.
+    // graph is restored — those stamps cannot be honoured: every served task
+    // re-executes, exactly as without a graph, while what the stamps still
+    // vouch for (the whole frontend) validates.
     let store = root.join("store");
     let publisher = root.join("publisher");
     write_tree(&publisher, &fixture_v1());
@@ -736,11 +802,24 @@ fn quick_identity_skewed_graphs_are_never_served() {
     let (unplugged, image) = session_under(&dir, stateful(&dir));
     let (graphless, twin_image) = session_under(&twin, stateful(&twin));
     assert_eq!(unplugged.recovered_files, 0);
-    // (`link` alone may be spared: its recorded objects can come out equal.)
-    assert!(unplugged.query.hits <= 1, "{:?}", unplugged.query);
-    assert_eq!(
-        unplugged.query.hits + unplugged.query.misses,
-        graphless.query.misses
+    let executed = |report: &BuildReport, kind: &str| -> Vec<String> {
+        let mut tasks: Vec<String> = report
+            .query
+            .executed
+            .iter()
+            .filter(|t| t.starts_with(kind))
+            .cloned()
+            .collect();
+        tasks.sort();
+        tasks
+    };
+    let served = executed(&graphless, "optimizefn(");
+    assert!(!served.is_empty());
+    assert_eq!(executed(&unplugged, "optimizefn("), served);
+    assert!(
+        executed(&unplugged, "parse(").is_empty(),
+        "{:?}",
+        unplugged.query
     );
     assert_eq!(image, twin_image);
     assert_eq!(artifacts_of_state(&dir), artifacts_of_state(&twin));
