@@ -47,13 +47,15 @@ depcheck_smoke() {
 }
 
 # Cold no-op gate, on counts rather than clocks: a second `minicc build
-# --stateful` process over an unchanged tree starts from the query graph
-# the first one committed and must execute nothing — zero query misses,
-# zero function tasks, zero modules rebuilt — yet hand back the same image.
-# After one constant is touched, a third process executes what a resident
-# session would: one module rebuilt, fewer function tasks than the first
-# build, no `optimizefn` re-run for its value (it is loaded from the graph),
-# and the image a directory without any history builds from the edited tree.
+# --stateful --fn-cache` process over an unchanged tree starts from the
+# query graph the first one committed and must execute nothing — zero query
+# misses, zero function tasks, zero modules rebuilt — and commit nothing —
+# the first process's generation, zero writes, byte-identical state files —
+# yet hand back the same image. After one constant is touched, a third
+# process commits the next generation and executes what a resident session
+# would: one module rebuilt, fewer function tasks than the first build, no
+# `optimizefn` re-run for its value (it is loaded from the graph), and the
+# image a directory without any history builds from the edited tree.
 noop_gate() {
     local scratch
     scratch="$(mktemp -d)"
@@ -61,8 +63,12 @@ noop_gate() {
     mkdir "$scratch/p" "$scratch/fresh"
     cp demo/*.mc "$scratch/p"/
     local build=(cargo run -q -p sfcc-buildsys --bin minicc -- build)
-    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/first.sbx" > "$scratch/first.json"
-    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/second.sbx" > "$scratch/second.json"
+    local flags=(--stateful --fn-cache)
+    "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/first.sbx" > "$scratch/first.json"
+    mkdir "$scratch/state1" "$scratch/state2"
+    cp "$scratch/p"/.sfcc-state* "$scratch/state1"/
+    "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/second.sbx" > "$scratch/second.json"
+    cp "$scratch/p"/.sfcc-state* "$scratch/state2"/
     if ! grep -q '"query":{"hits":1,"misses":0,' "$scratch/second.json" ||
         ! grep -q '"fn_tasks_executed":0,' "$scratch/second.json" ||
         grep -q '"rebuilt":true' "$scratch/second.json"; then
@@ -70,11 +76,28 @@ noop_gate() {
         grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/second.json" >&2
         return 1
     fi
+    # Nor did it commit: the same generation, no write, the same state bytes.
+    local generations=()
+    for report in first second; do
+        generations+=("$(grep -oE '"state_generation":[0-9]+' "$scratch/$report.json" | cut -d: -f2)")
+    done
+    if ((generations[1] != generations[0])) ||
+        ! grep -q '"faultfs.writes":{"type":"gauge","value":0}' "$scratch/second.json" ||
+        ! diff -rq "$scratch/state1" "$scratch/state2"; then
+        echo "ci: a second process over an unchanged tree committed state:" >&2
+        grep -oE '"state_generation":[0-9]+|"faultfs.writes":\{[^}]*\}' "$scratch/second.json" >&2
+        return 1
+    fi
     cmp "$scratch/first.sbx" "$scratch/second.sbx"
     sed -i 's/1000000007/998244353/' "$scratch/p/mathx.mc"
     cp "$scratch/p"/*.mc "$scratch/fresh"/
-    "${build[@]}" "$scratch/p" --stateful --report json -o "$scratch/third.sbx" > "$scratch/third.json"
-    "${build[@]}" "$scratch/fresh" --stateful -o "$scratch/fresh.sbx" > /dev/null
+    "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/third.sbx" > "$scratch/third.json"
+    "${build[@]}" "$scratch/fresh" "${flags[@]}" -o "$scratch/fresh.sbx" > /dev/null
+    if ! grep -q "\"state_generation\":$((generations[0] + 1))," "$scratch/third.json"; then
+        echo "ci: an edit did not commit exactly one generation:" >&2
+        grep -oE '"state_generation":[0-9]+' "$scratch/third.json" >&2
+        return 1
+    fi
     local fn_tasks=()
     for report in first third; do
         fn_tasks+=("$(grep -oE '"fn_tasks_executed":[0-9]+' "$scratch/$report.json" | cut -d: -f2)")

@@ -350,10 +350,10 @@ impl Builder {
         // nothing deposits nothing, and the session's state commit carries
         // the committed graph forward.
         if let Ok(report) = &result {
-            let changed = report.query.misses > 0 && self.compiler.persists_state();
-            let graph = changed
-                .then(|| depgraph::encode(&self.engine, &self.stored, self.compiler.identity()));
-            self.compiler.deposit_graph(graph);
+            if report.query.misses > 0 && self.compiler.persists_state() {
+                let graph = depgraph::encode(&self.engine, &self.stored, self.compiler.identity());
+                self.compiler.deposit_graph(graph);
+            }
         }
         result
     }
@@ -743,13 +743,12 @@ fn finish(
     let registry = Registry::new();
     record_report_metrics(&report, waves.len(), &registry);
     compiler.record_metrics(&registry);
+    // The build's own durable ops; a driver that commits state adds the
+    // commit's ([`crate::serve::BuildService`]).
     let ops = sfcc_faultfs::op_counts().delta_since(&ops_before);
-    registry.gauge_set("faultfs.reads", ops.reads);
-    registry.gauge_set("faultfs.writes", ops.writes);
-    registry.gauge_set("faultfs.renames", ops.renames);
-    registry.gauge_set("faultfs.removes", ops.removes);
-    registry.gauge_set("faultfs.sync_files", ops.sync_files);
-    registry.gauge_set("faultfs.sync_dirs", ops.sync_dirs);
+    for (kind, count) in ops.by_kind() {
+        registry.gauge_set(&format!("faultfs.{kind}"), count);
+    }
     report.metrics = registry.snapshot();
 
     // The deterministic portion of the trace (module/phase/function/
@@ -778,14 +777,9 @@ fn finish(
             "io",
             "faultfs-ops",
             seq + 3,
-            vec![
-                ("reads", ArgValue::U64(ops.reads)),
-                ("writes", ArgValue::U64(ops.writes)),
-                ("renames", ArgValue::U64(ops.renames)),
-                ("removes", ArgValue::U64(ops.removes)),
-                ("sync_files", ArgValue::U64(ops.sync_files)),
-                ("sync_dirs", ArgValue::U64(ops.sync_dirs)),
-            ],
+            ops.by_kind()
+                .map(|(kind, count)| (kind, ArgValue::U64(count)))
+                .to_vec(),
         );
         if let Some(dc) = &report.depcheck {
             trace.instant(

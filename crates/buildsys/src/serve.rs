@@ -22,7 +22,7 @@ use crate::{BuildReport, Builder, DepMutations, Project};
 use sfcc::{Compiler, Config, Durability};
 use sfcc_backend::{run, Program, RunOutput, VmOptions};
 use sfcc_daemon::{Request, Service};
-use sfcc_trace::json;
+use sfcc_trace::{json, MetricValue};
 use std::path::{Path, PathBuf};
 
 /// The build flags one session is keyed under: the part of a `minicc`
@@ -212,10 +212,6 @@ pub struct BuildService {
     dir: PathBuf,
     flags: SessionFlags,
     builder: Builder,
-    /// Whether the builder holds state newer than the last durable save.
-    /// Builds save their own state before responding, so this only stays
-    /// set when a build's commit failed partway.
-    dirty: bool,
 }
 
 /// The report file every build persists, `minicc stats`'s input.
@@ -303,7 +299,6 @@ impl BuildService {
             dir: dir.to_path_buf(),
             flags,
             builder,
-            dirty: false,
         })
     }
 
@@ -326,6 +321,13 @@ impl BuildService {
             return Err(format!("no .mc files in `{}`", self.dir.display()));
         }
         Ok(project)
+    }
+
+    fn save_state(&self) -> Result<u64, String> {
+        self.builder
+            .compiler()
+            .save_state()
+            .map_err(|e| format!("cannot save state: {e}"))
     }
 
     /// One build of the tree as it is now, committed: park the previous
@@ -351,19 +353,22 @@ impl BuildService {
         if report_path.exists() {
             let _ = std::fs::rename(&report_path, &stale_path);
         }
-        // Dirty from the moment the engine may mutate until the state is
-        // durably committed: if the save below fails (or the build dies
-        // partway), the shutdown/idle snapshot retries the commit.
-        self.dirty = true;
+        // A commit that fails stays pending in the compiler session: the
+        // shutdown/idle snapshot retries it.
         let mut report = self.builder.build(project).map_err(|e| e.to_string())?;
         if self.flags.stateful {
-            report.state_generation = self
-                .builder
-                .compiler()
-                .save_state()
-                .map_err(|e| format!("cannot save state: {e}"))?;
+            let before = sfcc_faultfs::op_counts();
+            report.state_generation = self.save_state()?;
+            // The report covers the commit's durable ops too.
+            let ops = sfcc_faultfs::op_counts().delta_since(&before);
+            for (kind, count) in ops.by_kind() {
+                if let Some(MetricValue::Gauge(gauge)) =
+                    report.metrics.values.get_mut(&format!("faultfs.{kind}"))
+                {
+                    *gauge += count;
+                }
+            }
         }
-        self.dirty = false;
         let report_json = report.to_json();
         std::fs::write(&report_path, &report_json)
             .map_err(|e| format!("cannot write `{}`: {e}", report_path.display()))?;
@@ -532,16 +537,10 @@ impl Service for BuildService {
     }
 
     fn snapshot(&mut self) -> Result<(), String> {
-        // Builds persist their own state before responding, so this only
-        // writes when a build's own commit failed; re-saving
-        // unconditionally would advance the state generation past what a
-        // cold build lineage produces and break byte-identity.
-        if self.dirty && self.flags.stateful {
-            self.builder
-                .compiler()
-                .save_state()
-                .map_err(|e| format!("cannot save state: {e}"))?;
-            self.dirty = false;
+        // A commit with nothing new writes nothing, so this only writes
+        // what a build's own commit failed to.
+        if self.flags.stateful {
+            self.save_state()?;
         }
         Ok(())
     }

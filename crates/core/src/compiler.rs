@@ -20,7 +20,7 @@ use sfcc_state::{statefile, DbOracle, DecodeError, StateDb};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Wall-clock time per compilation phase, in nanoseconds.
@@ -189,8 +189,21 @@ pub struct Compiler {
     /// takes it ([`Compiler::take_restored_graph`]).
     restored_graph: Option<GraphFile>,
     /// The encoded query graph the next [`Compiler::save_state`] commits
-    /// beside state and cache ([`Compiler::deposit_graph`]).
-    graph_to_save: Option<Vec<u8>>,
+    /// beside state and cache ([`Compiler::deposit_graph`]); cleared once
+    /// committed.
+    graph_to_save: Mutex<Option<Vec<u8>>>,
+    /// What the state directory holds as of the last load or commit.
+    committed: Mutex<Committed>,
+}
+
+/// The committed side of a session's persistent artifacts: what a commit
+/// with nothing new would leave unchanged.
+struct Committed {
+    /// The manifest generation (`0` when none).
+    generation: u64,
+    /// The manifest's checksum of the state entry, when it holds the state
+    /// this session started from or last committed.
+    state_checksum: Option<u64>,
 }
 
 impl fmt::Debug for Compiler {
@@ -252,6 +265,16 @@ impl Compiler {
         // Likewise the query graph: its fingerprints are of code generated
         // under the identity that recorded them.
         let restored_graph = loaded.graph.filter(|graph| graph.identity == identity);
+        // A load that recovered from anything re-commits what it holds, so
+        // the manifest stops naming what could not be read.
+        let recovered = !loaded.events.is_empty();
+        if recovered {
+            fn_cache.mark_dirty();
+        }
+        let committed = Committed {
+            generation: loaded.generation,
+            state_checksum: loaded.state_checksum.filter(|_| !recovered),
+        };
         let cas = config.cas_path.as_ref().and_then(|dir| {
             CasStore::open_dir(dir, components, config.durability)
                 .ok()
@@ -273,7 +296,8 @@ impl Compiler {
             recovery_events: loaded.events,
             identity,
             restored_graph,
-            graph_to_save: None,
+            graph_to_save: Mutex::new(None),
+            committed: Mutex::new(committed),
         }
     }
 
@@ -301,11 +325,11 @@ impl Compiler {
     }
 
     /// Sets the encoded query graph the next [`Compiler::save_state`]
-    /// commits in the same manifest as state and cache; `None` commits no
-    /// graph, carrying the committed one forward — right for a build that
-    /// executed nothing.
-    pub fn deposit_graph(&mut self, graph: Option<Vec<u8>>) {
-        self.graph_to_save = graph;
+    /// commits in the same manifest as state and cache. Until a graph is
+    /// deposited, commits carry the committed one forward — right for a
+    /// build that executed nothing.
+    pub fn deposit_graph(&mut self, graph: Vec<u8>) {
+        *self.graph_to_save.get_mut().expect("no commit panicked") = Some(graph);
     }
 
     /// The session configuration.
@@ -528,8 +552,10 @@ impl Compiler {
     pub fn record_metrics(&self, registry: &sfcc_trace::Registry) {
         let cache = self.cache_stats();
         registry.gauge_set("cache.hits", cache.hits);
+        registry.gauge_set("cache.hits_persisted", cache.hits_persisted);
         registry.gauge_set("cache.misses", cache.misses);
         registry.gauge_set("cache.evictions", cache.evictions);
+        registry.gauge_set("cache.corrupt_entries", cache.corrupt_entries);
         registry.gauge_set("cache.entries", cache.entries as u64);
         registry.gauge_set("state.functions", self.state.function_count() as u64);
         registry.gauge_set("state.dormant_slots", self.state.dormant_slot_count());
@@ -612,28 +638,56 @@ impl Compiler {
         }
     }
 
-    /// Persists the state database, the function cache and the deposited
-    /// query graph ([`Compiler::deposit_graph`]) to the configured path,
-    /// atomically: all artifacts become visible together in one manifest
-    /// commit (see [`crate::persist`]). Returns the generation
-    /// number of the committed manifest, `0` when nothing was saved (no
-    /// configured path, or a stateless session without a function cache).
+    /// Persists what changed since the last load or commit to the
+    /// configured path: the state database when its encoding's checksum
+    /// differs from the committed one, the function cache when an entry was
+    /// inserted or dropped, the deposited query graph
+    /// ([`Compiler::deposit_graph`]). They become visible together in one
+    /// manifest commit that carries the rest forward (see
+    /// [`crate::persist`]); with nothing new, nothing is written. Returns
+    /// the committed generation — the one already on disk when nothing was
+    /// new; `0` without a configured path, or in a stateless session
+    /// without a function cache.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; does nothing (successfully) without a
-    /// configured path or in stateless mode.
+    /// Propagates I/O failures; what was not committed stays pending for
+    /// the next call.
     pub fn save_state(&self) -> io::Result<u64> {
-        if let Some(path) = &self.config.state_path {
-            return persist::save(
-                path,
-                self.config.mode.is_stateful().then_some(&self.state),
-                self.config.function_cache.then_some(&self.fn_cache),
-                self.graph_to_save.as_deref(),
-                self.config.durability,
-            );
+        let path = match &self.config.state_path {
+            Some(path) if self.persists_state() => path,
+            _ => return Ok(0),
+        };
+        let mut committed = self.committed.lock().expect("no commit panicked");
+        let mut graph = self.graph_to_save.lock().expect("no commit panicked");
+        let state = self
+            .config
+            .mode
+            .is_stateful()
+            .then(|| statefile::to_bytes(&self.state));
+        let state_checksum = state.as_deref().map(fnv64);
+        let state = state.filter(|_| state_checksum != committed.state_checksum);
+        let cache = (self.config.function_cache && self.fn_cache.is_dirty())
+            .then(|| self.fn_cache.to_bytes());
+        let saved = persist::save(
+            path,
+            state.as_deref(),
+            cache.as_deref(),
+            graph.as_deref(),
+            self.config.durability,
+        );
+        if saved.is_err() && cache.is_some() {
+            // The encode cleared the flag, but the entries are not on disk.
+            self.fn_cache.mark_dirty();
         }
-        Ok(0)
+        if let Some(generation) = saved? {
+            *committed = Committed {
+                generation,
+                state_checksum,
+            };
+            *graph = None;
+        }
+        Ok(committed.generation)
     }
 
     /// Drops all accumulated state (for experiments that need a cold start).
@@ -849,7 +903,7 @@ fn main(n: int) -> int {
             identity: first.identity(),
             ..GraphFile::default()
         };
-        first.deposit_graph(Some(graph.to_bytes()));
+        first.deposit_graph(graph.to_bytes());
         first.save_state().unwrap();
 
         let mut same = Compiler::new(cfg.clone());
@@ -865,7 +919,7 @@ fn main(n: int) -> int {
         // A session with nothing to persist keeps no graph either.
         let mut stateless = Compiler::new(Config::stateless().with_state_path(dir.join("s2")));
         assert!(!stateless.persists_state());
-        stateless.deposit_graph(Some(GraphFile::default().to_bytes()));
+        stateless.deposit_graph(GraphFile::default().to_bytes());
         assert_eq!(stateless.save_state().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -975,6 +1029,50 @@ fn main(n: int) -> int {
         let out = second.compile("main", SRC_V2, &ModuleEnv::new()).unwrap();
         assert!(second.cache_stats().hits >= 1, "{:?}", second.cache_stats());
         assert_eq!(run_output(&out, &[5]), Some(27));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_commit_writes_only_what_changed() {
+        let dir = std::env::temp_dir().join(format!("sfcc-core-carry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("state.bin");
+        let cfg = Config::stateful()
+            .with_state_path(&base)
+            .with_function_cache();
+        let cd = sfcc_faultfs::CommitDir::new(&base);
+        let entries = || cd.read_manifest().unwrap().unwrap().entries;
+
+        let mut first = Compiler::new(cfg.clone());
+        first.compile("main", SRC_V1, &ModuleEnv::new()).unwrap();
+        assert_eq!(first.save_state().unwrap(), 1);
+        assert_eq!(first.save_state().unwrap(), 1, "nothing new since");
+        let manifest = std::fs::read(cd.manifest_path()).unwrap();
+
+        // A loaded cache left untouched is not committed, nor is a state
+        // that encodes to the committed bytes.
+        let second = Compiler::new(cfg.clone());
+        assert!(!second.fn_cache.is_dirty());
+        assert_eq!(second.save_state().unwrap(), 1);
+        assert_eq!(std::fs::read(cd.manifest_path()).unwrap(), manifest);
+
+        // An insert commits the cache alone; the state file is carried.
+        let before = entries();
+        let third = Compiler::new(cfg);
+        third.apply_cache_inserts([(Fingerprint(1), Function::new("f", vec![], None))]);
+        assert_eq!(third.save_state().unwrap(), 2);
+        let after = entries();
+        let file = |entries: &[sfcc_faultfs::ManifestEntry], logical: &str| {
+            entries
+                .iter()
+                .find(|e| e.logical == logical)
+                .unwrap()
+                .file
+                .clone()
+        };
+        assert_eq!(file(&after, "state"), file(&before, "state"));
+        assert_ne!(file(&after, "ircache"), file(&before, "ircache"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -52,12 +52,23 @@ pub enum GraphDep {
     },
 }
 
-/// A byte string inside a shared buffer: the values of a decoded graph are
-/// slices of the one file buffer, not copies of it.
+/// A byte string inside a shared buffer: the values of a decoded graph, and
+/// the entries of a decoded function cache, are slices of the one file
+/// buffer, not copies of it.
 #[derive(Clone)]
 pub struct ValueBytes {
     buffer: Arc<Vec<u8>>,
     range: Range<usize>,
+}
+
+impl ValueBytes {
+    /// The bytes `buffer[range]`, sharing the buffer.
+    pub(crate) fn slice(buffer: &Arc<Vec<u8>>, range: Range<usize>) -> Self {
+        ValueBytes {
+            buffer: Arc::clone(buffer),
+            range,
+        }
+    }
 }
 
 impl From<Vec<u8>> for ValueBytes {
@@ -295,10 +306,7 @@ impl GraphFile {
                     let end = offset(&r);
                     let range = end - value.len()..end;
                     checksum.skip(bytes, &range);
-                    Some(ValueBytes {
-                        buffer: Arc::clone(&buffer),
-                        range,
-                    })
+                    Some(ValueBytes::slice(&buffer, range))
                 }
                 _ => return Err(DecodeError::Corrupt),
             };

@@ -40,12 +40,24 @@
 //! cleared). The referenced bit is set-semantics — concurrent lookups in
 //! any order leave the same bit state — so parallel builds keep the
 //! deterministic-output guarantee.
+//!
+//! # Entries as bytes
+//!
+//! An entry holds one of two forms, never both: the optimized [`Function`]
+//! this process inserted, or its encoded record — key, name, IR text — as a
+//! [`ValueBytes`] slice. [`FunctionCache::from_bytes`] checks the file's
+//! armor and framing and parses no IR; a hit on a record parses it, and
+//! does not keep the result. [`FunctionCache::to_bytes`] prints each
+//! inserted function once and keeps the record instead, so encoding a cache
+//! is a concatenation. A record whose text does not parse is a miss: it
+//! leaves the cache and is counted in [`CacheStats::corrupt_entries`].
 
+use crate::depgraph::ValueBytes;
 use sfcc_codec::{fnv64, DecodeError, Reader, Writer};
 use sfcc_ir::{fingerprint, Fingerprint, Function, Module, Op};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Default maximum number of cached functions across all shards.
 pub const CACHE_CAP: usize = 8192;
@@ -53,11 +65,23 @@ pub const CACHE_CAP: usize = 8192;
 /// Number of independently locked shards (a power of two).
 pub const SHARD_COUNT: usize = 16;
 
-/// A cached function body plus its second-chance referenced bit.
+/// What a cache entry holds.
+#[derive(Debug)]
+enum Body {
+    /// Inserted by this process and not yet encoded.
+    Ir(Function),
+    /// The encoded record: a slice of the file it was read from, or of its
+    /// own encoding once [`FunctionCache::to_bytes`] printed it.
+    Text(ValueBytes),
+}
+
+/// A cached function plus its second-chance referenced bit.
 #[derive(Debug)]
 struct Entry {
-    func: Function,
+    body: Body,
     referenced: bool,
+    /// Read from a committed file rather than inserted by this process.
+    persisted: bool,
 }
 
 /// One lock's worth of the cache: entries plus clock-queue order.
@@ -76,8 +100,12 @@ pub struct FunctionCache {
     shards: Vec<Mutex<Shard>>,
     shard_cap: usize,
     hits: AtomicU64,
+    hits_persisted: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    corrupt_entries: AtomicU64,
+    /// Whether the entries differ from what was last loaded or encoded.
+    dirty: AtomicBool,
 }
 
 impl Default for FunctionCache {
@@ -91,10 +119,16 @@ impl Default for FunctionCache {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
+    /// The hits answered by entries read from a committed file: the only
+    /// hits persisting the cache earns.
+    pub hits_persisted: u64,
     /// Lookups that missed (and later populated the cache).
     pub misses: u64,
     /// Entries evicted by the second-chance policy.
     pub evictions: u64,
+    /// Entries whose text did not parse when a lookup hit them: each was a
+    /// miss and left the cache.
+    pub corrupt_entries: u64,
     /// Entries currently stored.
     pub entries: usize,
 }
@@ -115,8 +149,11 @@ impl FunctionCache {
                 .collect(),
             shard_cap: capacity.div_ceil(SHARD_COUNT).max(1),
             hits: AtomicU64::new(0),
+            hits_persisted: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            corrupt_entries: AtomicU64::new(0),
+            dirty: AtomicBool::new(false),
         }
     }
 
@@ -144,8 +181,10 @@ impl FunctionCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
+            hits_persisted: self.hits_persisted.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            corrupt_entries: self.corrupt_entries.load(Ordering::Relaxed),
             entries: self
                 .shards
                 .iter()
@@ -154,30 +193,73 @@ impl FunctionCache {
         }
     }
 
+    /// Whether the entries differ from what was last loaded or encoded: an
+    /// insert or a dropped entry since [`FunctionCache::from_bytes`] or
+    /// [`FunctionCache::to_bytes`].
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.dirty.load(Ordering::Relaxed)
+    }
+
+    /// Marks the entries as differing from the committed file (an encode
+    /// that did not land, a file that did not load).
+    pub(crate) fn mark_dirty(&self) {
+        self.dirty.store(true, Ordering::Relaxed);
+    }
+
     /// Looks up the optimized IR for a context fingerprint, marking the
-    /// entry recently used.
+    /// entry recently used. A hit on an encoded entry parses its text and
+    /// keeps only the text; text that does not parse is a miss, and the
+    /// entry leaves the cache.
     pub fn lookup(&self, key: Fingerprint) -> Option<Function> {
-        let mut shard = self.shards[Self::shard_of(key)].lock().unwrap();
-        match shard.entries.get_mut(&key) {
-            Some(e) => {
-                e.referenced = true;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.func.clone())
-            }
-            None => {
+        let shard = &self.shards[Self::shard_of(key)];
+        let (record, persisted) = {
+            let mut shard = shard.lock().unwrap();
+            let Some(e) = shard.entries.get_mut(&key) else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+                return None;
+            };
+            e.referenced = true;
+            match &e.body {
+                Body::Ir(func) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(func.clone());
+                }
+                Body::Text(record) => (record.clone(), e.persisted),
             }
+        };
+        // Parsed outside the lock, so the shard's other keys stay available.
+        if let Some(func) = parse_record(&record) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if persisted {
+                self.hits_persisted.fetch_add(1, Ordering::Relaxed);
+            }
+            return Some(func);
         }
+        let mut guard = shard.lock().unwrap();
+        let shard = &mut *guard;
+        if let Some(Entry {
+            body: Body::Text(_),
+            ..
+        }) = shard.entries.get(&key)
+        {
+            shard.entries.remove(&key);
+            shard.order.retain(|k| *k != key);
+            self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
+            self.mark_dirty();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Stores optimized IR under a context fingerprint, evicting by
     /// second chance when the target shard is full.
     pub fn insert(&self, key: Fingerprint, optimized: Function) {
+        self.mark_dirty();
         let mut guard = self.shards[Self::shard_of(key)].lock().unwrap();
         let shard = &mut *guard;
         if let Some(e) = shard.entries.get_mut(&key) {
-            e.func = optimized;
+            e.body = Body::Ir(optimized);
+            e.persisted = false;
             return;
         }
         while shard.entries.len() >= self.shard_cap {
@@ -199,54 +281,67 @@ impl FunctionCache {
         shard.entries.insert(
             key,
             Entry {
-                func: optimized,
+                body: Body::Ir(optimized),
                 referenced: false,
+                persisted: false,
             },
         );
         shard.order.push_back(key);
     }
 
-    /// Serializes the cache: entries are stored as canonical IR text (the
-    /// printer/parser round-trip is exact, see `sfcc-ir`'s property tests),
-    /// behind the usual magic/version/checksum armor. The on-disk format is
-    /// key-sorted and shard-agnostic, so it is independent of both the
-    /// shard layout and any concurrent access pattern.
+    /// Serializes the cache: one record per entry — key, name, canonical IR
+    /// text (the printer/parser round-trip is exact, see `sfcc-ir`'s
+    /// property tests) — behind the usual magic/version/checksum armor. The
+    /// on-disk format is key-sorted and shard-agnostic, so it is independent
+    /// of both the shard layout and any concurrent access pattern. Inserted
+    /// functions are printed here, once: each entry keeps its record, so the
+    /// next encode copies it. Clears the dirty flag.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut items: Vec<(u128, String, String)> = Vec::new();
+        self.dirty.store(false, Ordering::Relaxed);
+        let mut records: Vec<(u128, ValueBytes)> = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            for (key, e) in &shard.entries {
-                items.push((
-                    key.0,
-                    e.func.name.clone(),
-                    sfcc_ir::function_to_string(&e.func),
-                ));
+            let mut shard = shard.lock().unwrap();
+            for (key, e) in shard.entries.iter_mut() {
+                if let Body::Ir(func) = &e.body {
+                    e.body = Body::Text(encode_record(*key, func));
+                }
+                if let Body::Text(record) = &e.body {
+                    records.push((key.0, record.clone()));
+                }
             }
         }
-        items.sort();
-        let mut payload = Writer::new();
-        payload.u64(self.identity);
-        payload.usize(items.len());
-        for (key, name, text) in &items {
-            payload.u128(*key);
-            payload.str(name);
-            payload.str(text);
-        }
-        let payload = payload.into_bytes();
+        records.sort_unstable_by_key(|(key, _)| *key);
         let mut out = Writer::new();
         out.raw(CACHE_MAGIC);
         out.u32(CACHE_VERSION);
-        out.raw(&payload);
-        out.u64(fnv64(&payload));
+        let payload_start = out.len();
+        out.u64(self.identity);
+        out.usize(records.len());
+        for (_, record) in &records {
+            out.raw(record);
+        }
+        let checksum = fnv64(&out.as_bytes()[payload_start..]);
+        out.u64(checksum);
         out.into_bytes()
     }
 
-    /// Deserializes a cache; any malformed input fails (callers cold-start).
+    /// Deserializes a cache whose entries are slices of one copy of
+    /// `bytes`: the armor (magic, version, trailer checksum) and every
+    /// record's framing are checked, no IR is parsed — a lookup parses the
+    /// one it hits. Any malformed input fails (callers cold-start).
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] for corrupt or version-skewed input.
+    /// Returns a [`DecodeError`] for corrupt or version-skewed input, and
+    /// for records out of key order.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        Self::from_vec(bytes.to_vec())
+    }
+
+    /// [`FunctionCache::from_bytes`] of a buffer it takes over, uncopied.
+    pub(crate) fn from_vec(bytes: Vec<u8>) -> Result<Self, DecodeError> {
+        let buffer = Arc::new(bytes);
+        let bytes = buffer.as_slice();
         if bytes.len() < CACHE_MAGIC.len() || &bytes[..CACHE_MAGIC.len()] != CACHE_MAGIC {
             return Err(DecodeError::BadMagic);
         }
@@ -255,38 +350,84 @@ impl FunctionCache {
         if version != CACHE_VERSION {
             return Err(DecodeError::BadVersion(version));
         }
-        let payload_start = bytes.len() - r.remaining();
+        let offset = |r: &Reader<'_>| bytes.len() - r.remaining();
+        let payload_start = offset(&r);
         let cache = FunctionCache::for_identity(r.u64()?);
         let count = r.usize()?;
         if count > r.remaining() {
             return Err(DecodeError::BadLength);
         }
+        let mut previous = None;
         for _ in 0..count {
-            let key = Fingerprint(r.u128()?);
-            let name = r.str()?;
-            let text = r.str()?;
-            let mut func = sfcc_ir::parse_function(&text).map_err(|_| DecodeError::Corrupt)?;
-            func.name = name;
+            let start = offset(&r);
+            let key = r.u128()?;
+            // Records are key-sorted, each key once.
+            if previous.is_some_and(|p| key <= p) {
+                return Err(DecodeError::Corrupt);
+            }
+            previous = Some(key);
+            r.bytes()?; // name
+            r.bytes()?; // IR text
+            let record = ValueBytes::slice(&buffer, start..offset(&r));
             // Place directly, bypassing eviction: a saved cache already
             // respects the capacity it was written with.
+            let key = Fingerprint(key);
             let mut guard = cache.shards[Self::shard_of(key)].lock().unwrap();
             let shard = &mut *guard;
             shard.entries.insert(
                 key,
                 Entry {
-                    func,
+                    body: Body::Text(record),
                     referenced: false,
+                    persisted: true,
                 },
             );
             shard.order.push_back(key);
         }
-        let payload_end = bytes.len() - r.remaining();
+        let payload_end = offset(&r);
         let declared = r.u64()?;
         if !r.is_done() || fnv64(&bytes[payload_start..payload_end]) != declared {
             return Err(DecodeError::Corrupt);
         }
         Ok(cache)
     }
+
+    /// Whether every entry's text parses: what a hit checks, for all of
+    /// them at once (`fsck`).
+    pub(crate) fn entries_parse(&self) -> bool {
+        self.shards.iter().all(|shard| {
+            shard
+                .lock()
+                .unwrap()
+                .entries
+                .values()
+                .all(|e| match &e.body {
+                    Body::Ir(_) => true,
+                    Body::Text(record) => parse_record(record).is_some(),
+                })
+        })
+    }
+}
+
+/// One entry's record: key, function name, IR text.
+fn encode_record(key: Fingerprint, func: &Function) -> ValueBytes {
+    let mut w = Writer::new();
+    w.u128(key.0);
+    w.str(&func.name);
+    w.str(&sfcc_ir::function_to_string(func));
+    w.into_bytes().into()
+}
+
+/// The function a record holds; `None` when its name or text is not UTF-8
+/// or its text does not parse.
+fn parse_record(record: &[u8]) -> Option<Function> {
+    let mut r = Reader::new(record);
+    r.u128().ok()?;
+    let name = r.str().ok()?;
+    let text = std::str::from_utf8(r.bytes().ok()?).ok()?;
+    let mut func = sfcc_ir::parse_function(text).ok()?;
+    func.name = name;
+    Some(func)
 }
 
 const CACHE_MAGIC: &[u8; 7] = b"SFCCIC\0";
@@ -472,6 +613,159 @@ mod tests {
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x10;
         assert!(FunctionCache::from_bytes(&corrupt).is_err());
+    }
+
+    /// `(Ir, Text)` entry counts.
+    fn forms(cache: &FunctionCache) -> (usize, usize) {
+        let mut counts = (0, 0);
+        for shard in &cache.shards {
+            for e in shard.lock().unwrap().entries.values() {
+                match e.body {
+                    Body::Ir(_) => counts.0 += 1,
+                    Body::Text(_) => counts.1 += 1,
+                }
+            }
+        }
+        counts
+    }
+
+    fn sample_functions() -> Vec<Function> {
+        [
+            "fn @a(i64) -> i64 {\nbb0:\n  v0 = mul i64 p0, 3\n  ret v0\n}",
+            "fn @b(i64) -> i64 {\nbb0:\n  v0 = add i64 p0, 1\n  ret v0\n}",
+        ]
+        .iter()
+        .map(|text| sfcc_ir::parse_function(text).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn a_loaded_cache_encodes_to_its_own_bytes_without_parsing() {
+        let cache = FunctionCache::for_identity(3);
+        for (i, f) in sample_functions().into_iter().enumerate() {
+            cache.insert(Fingerprint(i as u128 * 7 + 1), f);
+        }
+        assert_eq!(forms(&cache), (2, 0));
+        let bytes = cache.to_bytes();
+        assert_eq!(forms(&cache), (0, 2), "each insert printed once");
+        assert_eq!(cache.to_bytes(), bytes, "re-encoding concatenates");
+        let back = FunctionCache::from_bytes(&bytes).unwrap();
+        assert_eq!(forms(&back), (0, 2), "a load keeps records, parses no IR");
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(forms(&back), (0, 2));
+        assert_eq!(back.stats().hits, 0);
+    }
+
+    #[test]
+    fn an_insert_dirties_and_an_encode_cleans() {
+        let cache = FunctionCache::new();
+        assert!(!cache.is_dirty());
+        cache.insert(Fingerprint(1), sample_functions().remove(0));
+        assert!(cache.is_dirty());
+        let bytes = cache.to_bytes();
+        assert!(!cache.is_dirty());
+        let back = FunctionCache::from_bytes(&bytes).unwrap();
+        assert!(!back.is_dirty());
+        assert!(back.lookup(Fingerprint(1)).is_some());
+        assert!(!back.is_dirty(), "a hit changes nothing persisted");
+    }
+
+    #[test]
+    fn a_text_hit_equals_the_printed_ir() {
+        let cache = FunctionCache::new();
+        let f = sample_functions().remove(1);
+        cache.insert(Fingerprint(9), f.clone());
+        let bytes = cache.to_bytes();
+        let back = FunctionCache::from_bytes(&bytes).unwrap();
+        for c in [&cache, &back] {
+            let hit = c.lookup(Fingerprint(9)).expect("hit");
+            assert_eq!(hit.name, f.name);
+            assert_eq!(
+                sfcc_ir::function_to_string(&hit),
+                sfcc_ir::function_to_string(&f)
+            );
+            assert_eq!(forms(c), (0, 1), "a hit is not memoized");
+        }
+        let (local, loaded) = (cache.stats(), back.stats());
+        assert_eq!((local.hits, local.hits_persisted), (1, 0));
+        assert_eq!((loaded.hits, loaded.hits_persisted), (1, 1));
+    }
+
+    /// A cache file whose one record holds `text`, armor intact.
+    fn file_with_text(key: u128, text: &[u8]) -> Vec<u8> {
+        let mut payload = Writer::new();
+        payload.u64(0);
+        payload.usize(1);
+        payload.u128(key);
+        payload.str("f");
+        payload.bytes(text);
+        let payload = payload.into_bytes();
+        let mut out = Writer::new();
+        out.raw(CACHE_MAGIC);
+        out.u32(CACHE_VERSION);
+        out.raw(&payload);
+        out.u64(fnv64(&payload));
+        out.into_bytes()
+    }
+
+    #[test]
+    fn an_entry_that_does_not_parse_is_a_dropped_miss() {
+        for text in [&b"not ir"[..], &[0xff, 0xfe, 0x80]] {
+            let cache = FunctionCache::from_bytes(&file_with_text(4, text)).unwrap();
+            assert!(!cache.entries_parse(), "fsck parses every entry");
+            assert!(cache.lookup(Fingerprint(4)).is_none());
+            let stats = cache.stats();
+            assert_eq!(
+                (
+                    stats.hits,
+                    stats.misses,
+                    stats.corrupt_entries,
+                    stats.entries
+                ),
+                (0, 1, 1, 0)
+            );
+            assert!(cache.is_dirty(), "the commit drops it from the file");
+            assert!(cache.lookup(Fingerprint(4)).is_none());
+            assert_eq!(cache.stats().corrupt_entries, 1, "counted once");
+            let rewritten = FunctionCache::from_bytes(&cache.to_bytes()).unwrap();
+            assert_eq!(rewritten.stats().entries, 0);
+        }
+    }
+
+    #[test]
+    fn records_out_of_key_order_do_not_decode() {
+        let cache = FunctionCache::new();
+        for (i, f) in sample_functions().into_iter().enumerate() {
+            cache.insert(Fingerprint(i as u128 + 1), f);
+        }
+        let bytes = cache.to_bytes();
+        // Swap the two records, re-checksummed.
+        let mut r = Reader::new(&bytes[CACHE_MAGIC.len()..]);
+        r.u32().unwrap();
+        let payload_start = bytes.len() - r.remaining();
+        r.u64().unwrap();
+        r.usize().unwrap();
+        let first = bytes.len() - r.remaining();
+        let skip = |r: &mut Reader<'_>| {
+            r.u128().unwrap();
+            r.bytes().unwrap();
+            r.bytes().unwrap();
+            bytes.len() - r.remaining()
+        };
+        let second = skip(&mut r);
+        let end = skip(&mut r);
+        let mut payload = bytes[payload_start..first].to_vec();
+        payload.extend_from_slice(&bytes[second..end]);
+        payload.extend_from_slice(&bytes[first..second]);
+        let mut out = Writer::new();
+        out.raw(CACHE_MAGIC);
+        out.u32(CACHE_VERSION);
+        out.raw(&payload);
+        out.u64(fnv64(&payload));
+        assert_eq!(
+            FunctionCache::from_bytes(&out.into_bytes()).unwrap_err(),
+            DecodeError::Corrupt
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! [`crate::depgraph`]) must move across sessions *together*: they are
 //! published through one [`CommitDir`] manifest anchored at the configured
 //! state path, so a crash at any I/O operation leaves the set logically
-//! all-old or all-new (see `sfcc-faultfs`).
+//! all-old or all-new (see `sfcc-faultfs`). A commit writes only the
+//! artifacts that changed and carries the others forward; one with nothing
+//! new publishes no manifest at all.
 //!
 //! Loading enforces the graceful-degradation contract: any manifest, state,
 //! cache or graph file that is truncated, corrupt, or version-skewed is detected
@@ -54,6 +56,12 @@ pub struct LoadedState {
     pub graph: Option<GraphFile>,
     /// Every quarantine / fallback decision taken during the load.
     pub events: Vec<RecoveryEvent>,
+    /// The generation of the manifest the artifacts were read from (`0`
+    /// when there is none).
+    pub generation: u64,
+    /// The manifest's checksum of the state entry `db` was decoded from
+    /// (`None` when the state was not loaded from one).
+    pub state_checksum: Option<u64>,
 }
 
 fn quarantine_event(path: &Path, reason: String, events: &mut Vec<RecoveryEvent>) {
@@ -80,11 +88,15 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
     let cd = CommitDir::new(base);
     match cd.read_manifest() {
         Ok(Some(manifest)) => {
+            out.generation = manifest.generation;
             if want_state {
                 if let Some(entry) = manifest.entry(STATE_LOGICAL) {
                     match load_entry_bytes(&cd, entry, &mut out.events) {
                         Some(bytes) => match statefile::from_bytes(&bytes) {
-                            Ok(db) => out.db = db,
+                            Ok(db) => {
+                                out.db = db;
+                                out.state_checksum = Some(entry.checksum);
+                            }
                             Err(e) => {
                                 out.db_error = Some(e);
                                 quarantine_event(
@@ -98,24 +110,26 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
                     }
                 }
             }
+            // The cache and the graph check every byte as they decode (a
+            // trailer over the payload; for the graph, each value against its
+            // node's fingerprint), so they are read without hashing them for
+            // the manifest as well.
             if want_cache {
                 if let Some(entry) = manifest.entry(CACHE_LOGICAL) {
-                    if let Some(bytes) = load_entry_bytes(&cd, entry, &mut out.events) {
-                        match FunctionCache::from_bytes(&bytes) {
+                    match cd.read_entry(entry) {
+                        Ok(bytes) => match FunctionCache::from_vec(bytes) {
                             Ok(cache) => out.cache = cache,
                             Err(e) => quarantine_event(
                                 &cd.entry_path(entry),
                                 format!("cache does not decode: {e}"),
                                 &mut out.events,
                             ),
-                        }
+                        },
+                        Err(e) => io_event(&cd.entry_path(entry), &e, &mut out.events),
                     }
                 }
             }
             if let Some(entry) = manifest.entry(GRAPH_LOGICAL) {
-                // The graph checks every byte as it decodes (a trailer over
-                // its structure, each value against its node's fingerprint),
-                // so it is read without hashing it for the manifest as well.
                 match cd.read_entry(entry) {
                     Ok(bytes) => match GraphFile::from_bytes(bytes) {
                         Ok(graph) => out.graph = Some(graph),
@@ -167,13 +181,12 @@ fn load_entry_bytes(
     }
 }
 
-/// Commits the given artifacts at `base` atomically: all files (or any
-/// subset, carrying the others forward) become visible in one manifest
-/// rename. `graph` is an already-encoded [`GraphFile`] and rides along only
-/// with a state or cache commit — it describes them, and a session that
-/// persists neither has no state directory to keep a graph in. Returns the generation number of the committed manifest (`0`
-/// when there was nothing to save), so callers can stamp reports with
-/// exactly which state commit their results correspond to.
+/// Commits the given encoded artifacts — a [`statefile`], a
+/// [`FunctionCache`], a [`GraphFile`] — at `base` atomically: they become
+/// visible in one manifest rename, and every artifact passed as `None` is
+/// carried forward from the committed manifest. Returns the generation of
+/// the new manifest, `None` when all three are `None`: nothing changed, and
+/// no manifest is published.
 ///
 /// # Errors
 ///
@@ -181,28 +194,24 @@ fn load_entry_bytes(
 /// intact on any error.
 pub fn save(
     base: &Path,
-    db: Option<&StateDb>,
-    cache: Option<&FunctionCache>,
+    state: Option<&[u8]>,
+    cache: Option<&[u8]>,
     graph: Option<&[u8]>,
     durability: Durability,
-) -> io::Result<u64> {
-    let state_bytes = db.map(statefile::to_bytes);
-    let cache_bytes = cache.map(FunctionCache::to_bytes);
-    let mut files: Vec<(&str, &[u8])> = Vec::new();
-    if let Some(b) = &state_bytes {
-        files.push((STATE_LOGICAL, b.as_slice()));
-    }
-    if let Some(b) = &cache_bytes {
-        files.push((CACHE_LOGICAL, b.as_slice()));
-    }
+) -> io::Result<Option<u64>> {
+    let files: Vec<(&str, &[u8])> = [
+        (STATE_LOGICAL, state),
+        (CACHE_LOGICAL, cache),
+        (GRAPH_LOGICAL, graph),
+    ]
+    .into_iter()
+    .filter_map(|(logical, bytes)| Some((logical, bytes?)))
+    .collect();
     if files.is_empty() {
-        return Ok(0);
-    }
-    if let Some(b) = graph {
-        files.push((GRAPH_LOGICAL, b));
+        return Ok(None);
     }
     let manifest = CommitDir::new(base).commit(&files, durability)?;
-    Ok(manifest.generation)
+    Ok(Some(manifest.generation))
 }
 
 /// Read-only state lookup for inspection commands (`minicc state`):
@@ -339,7 +348,8 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
 fn decodes(logical: &str, bytes: Vec<u8>) -> bool {
     match logical {
         STATE_LOGICAL => statefile::from_bytes(&bytes).is_ok(),
-        CACHE_LOGICAL => FunctionCache::from_bytes(&bytes).is_ok(),
+        // Loading parses no entry; fsck parses every one.
+        CACHE_LOGICAL => FunctionCache::from_vec(bytes).is_ok_and(|cache| cache.entries_parse()),
         GRAPH_LOGICAL => GraphFile::from_bytes(bytes).is_ok(),
         // Unknown logicals (a newer version's artifacts): the manifest
         // checksum already verified the bytes.
@@ -367,23 +377,39 @@ mod tests {
         fs::remove_dir_all(base.parent().unwrap()).unwrap();
     }
 
+    fn empty_state() -> Vec<u8> {
+        statefile::to_bytes(&StateDb::new())
+    }
+
+    fn empty_cache() -> Vec<u8> {
+        FunctionCache::new().to_bytes()
+    }
+
     #[test]
     fn save_load_roundtrip_via_manifest() {
         let base = tmpbase("roundtrip");
-        let db = StateDb::new();
-        let cache = FunctionCache::new();
-        save(&base, Some(&db), Some(&cache), None, Durability::Fast).unwrap();
+        let state = empty_state();
+        save(
+            &base,
+            Some(&state),
+            Some(&empty_cache()),
+            None,
+            Durability::Fast,
+        )
+        .unwrap();
         let loaded = load(&base, true, true);
         assert!(loaded.events.is_empty());
         assert!(loaded.db_error.is_none());
-        assert_eq!(loaded.db, db);
+        assert_eq!(loaded.db, StateDb::new());
+        assert_eq!(loaded.generation, 1);
+        assert_eq!(loaded.state_checksum, Some(sfcc_codec::fnv64(&state)));
         cleanup(&base);
     }
 
     #[test]
     fn corrupt_manifest_is_quarantined_and_cold_starts() {
         let base = tmpbase("corrupt-manifest");
-        save(&base, Some(&StateDb::new()), None, None, Durability::Fast).unwrap();
+        save(&base, Some(&empty_state()), None, None, Durability::Fast).unwrap();
         let mpath = CommitDir::new(&base).manifest_path();
         fs::write(&mpath, b"not a manifest").unwrap();
         let loaded = load(&base, true, true);
@@ -398,8 +424,8 @@ mod tests {
         let base = tmpbase("corrupt-entry");
         save(
             &base,
-            Some(&StateDb::new()),
-            Some(&FunctionCache::new()),
+            Some(&empty_state()),
+            Some(&empty_cache()),
             None,
             Durability::Fast,
         )
@@ -431,28 +457,42 @@ mod tests {
     fn graph_rides_the_same_manifest_and_is_carried_forward() {
         let base = tmpbase("graph");
         let graph = sample_graph();
-        let db = StateDb::new();
-        save(
+        let state = empty_state();
+        let committed = save(
             &base,
-            Some(&db),
+            Some(&state),
             None,
             Some(&graph.to_bytes()),
             Durability::Fast,
-        )
-        .unwrap();
+        );
+        assert_eq!(committed.unwrap(), Some(1));
         assert_eq!(load(&base, true, false).graph, Some(graph.clone()));
         // A commit without a graph keeps the committed one.
-        save(&base, Some(&db), None, None, Durability::Fast).unwrap();
+        save(&base, Some(&state), None, None, Durability::Fast).unwrap();
         let loaded = load(&base, true, false);
         assert_eq!(loaded.graph, Some(graph.clone()));
         assert!(loaded.events.is_empty());
-        // Nothing else to commit: no graph-only manifest.
-        let bare = tmpbase("graph-only");
-        let committed = save(&bare, None, None, Some(&graph.to_bytes()), Durability::Fast);
-        assert_eq!(committed.unwrap(), 0);
-        assert!(!CommitDir::new(&bare).manifest_path().exists());
+        // A graph-only commit keeps the committed state.
+        let newer = GraphFile {
+            identity: 8,
+            ..graph
+        };
+        let committed = save(&base, None, None, Some(&newer.to_bytes()), Durability::Fast);
+        assert_eq!(committed.unwrap(), Some(3));
+        let loaded = load(&base, true, false);
+        assert_eq!((loaded.graph, loaded.db_error), (Some(newer), None));
+        // Nothing to commit: no manifest is published.
+        let manifest = fs::read(CommitDir::new(&base).manifest_path()).unwrap();
+        assert_eq!(
+            save(&base, None, None, None, Durability::Fast).unwrap(),
+            None
+        );
+        assert_eq!(
+            fs::read(CommitDir::new(&base).manifest_path()).unwrap(),
+            manifest
+        );
+        assert_eq!(load(&base, true, false).generation, 3);
         cleanup(&base);
-        cleanup(&bare);
     }
 
     #[test]
@@ -463,7 +503,7 @@ mod tests {
             bytes.pop();
             save(
                 &base,
-                Some(&StateDb::new()),
+                Some(&empty_state()),
                 None,
                 Some(&bytes),
                 Durability::Fast,
@@ -503,8 +543,8 @@ mod tests {
         let base = tmpbase("fsck");
         save(
             &base,
-            Some(&StateDb::new()),
-            Some(&FunctionCache::new()),
+            Some(&empty_state()),
+            Some(&empty_cache()),
             None,
             Durability::Fast,
         )

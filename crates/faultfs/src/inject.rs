@@ -81,6 +81,18 @@ impl OpCounts {
         self.reads + self.writes + self.renames + self.removes + self.sync_files + self.sync_dirs
     }
 
+    /// The counts by kind, named as reports print them.
+    pub fn by_kind(&self) -> [(&'static str, u64); 6] {
+        [
+            ("reads", self.reads),
+            ("writes", self.writes),
+            ("renames", self.renames),
+            ("removes", self.removes),
+            ("sync_files", self.sync_files),
+            ("sync_dirs", self.sync_dirs),
+        ]
+    }
+
     /// Per-kind difference `self − earlier` (saturating), for turning two
     /// cumulative snapshots into one interval's counts.
     pub fn delta_since(&self, earlier: &OpCounts) -> OpCounts {

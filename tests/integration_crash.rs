@@ -23,6 +23,7 @@ use sfcc::{persist, Compiler, Config, Durability, FunctionCache, GraphFile};
 use sfcc_backend::VmOptions;
 use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{BuildReport, Builder, Project};
+use sfcc_codec::{fnv64, Reader, Writer};
 use sfcc_daemon::{roundtrip, Daemon, DaemonHandle, DaemonOptions, Request, Service};
 use sfcc_faultfs::{self as ffs, CommitDir, Fault, FaultPlan, OpKind};
 use sfcc_state::statefile;
@@ -727,6 +728,111 @@ fn quick_tampered_graphs_are_never_served() {
     assert_eq!(report.query.hits, 0, "cold start: {:?}", report.query);
     assert_eq!(snapshot(&dir).image, fresh_image);
     cleanup(&dir);
+}
+
+/// A committed function cache, record by record.
+struct CacheFile {
+    /// Magic and format version.
+    header: Vec<u8>,
+    identity: u64,
+    /// `(key, name, IR text)` per entry.
+    records: Vec<(u128, String, Vec<u8>)>,
+}
+
+/// The committed function cache of `dir`.
+fn cache_file(dir: &Path) -> CacheFile {
+    let cd = CommitDir::new(&state_base(dir));
+    let m = cd.read_manifest().unwrap().unwrap();
+    let bytes = cd
+        .load_entry(m.entry(persist::CACHE_LOGICAL).unwrap())
+        .unwrap();
+    let mut r = Reader::new(&bytes[7..]);
+    r.u32().unwrap();
+    let header = bytes[..bytes.len() - r.remaining()].to_vec();
+    let identity = r.u64().unwrap();
+    let records = (0..r.usize().unwrap())
+        .map(|_| {
+            let key = r.u128().unwrap();
+            let name = r.str().unwrap();
+            (key, name, r.bytes().unwrap().to_vec())
+        })
+        .collect();
+    CacheFile {
+        header,
+        identity,
+        records,
+    }
+}
+
+/// Rewrites the text of the committed cache entry `key` of `dir` to `text`,
+/// the trailer re-checksummed: a record the armor vouches for.
+fn tamper_cache_entry(dir: &Path, key: u128, text: &[u8]) {
+    let CacheFile {
+        header,
+        identity,
+        records,
+    } = cache_file(dir);
+    let mut payload = Writer::new();
+    payload.u64(identity);
+    payload.usize(records.len());
+    for (k, name, original) in &records {
+        payload.u128(*k);
+        payload.str(name);
+        payload.bytes(if *k == key { text } else { original });
+    }
+    let payload = payload.into_bytes();
+    let mut file = Writer::new();
+    file.raw(&header);
+    file.raw(&payload);
+    file.u64(fnv64(&payload));
+    CommitDir::new(&state_base(dir))
+        .commit(
+            &[(persist::CACHE_LOGICAL, &file.into_bytes())],
+            Durability::Fast,
+        )
+        .unwrap();
+}
+
+/// A cache entry whose armor checks but whose text does not parse (or is not
+/// UTF-8) is found only when a lookup hits it — and then it is a miss: the
+/// function is recomputed, the image is a fresh build's, and the entry is
+/// not written back.
+#[test]
+fn quick_tampered_cache_entry_is_a_miss_never_served() {
+    let d = Durability::Fast;
+    let (v1, v2) = (project_v1(), project_v2());
+    let fresh_image = {
+        let dir = tmpdir("cache-tamper-fresh");
+        run_session(&dir, &v1, d).unwrap();
+        let image = snapshot(&dir).image;
+        cleanup(&dir);
+        image
+    };
+    for text in [&b"not ir"[..], &[0xff, 0xfe, 0x80][..]] {
+        // v1, v2, then back to v1: the revert re-runs `lib::f`, whose v1
+        // body the first session cached.
+        let dir = tmpdir("cache-tamper");
+        run_session(&dir, &v1, d).unwrap();
+        let records = cache_file(&dir).records;
+        let key = records.iter().find(|(_, name, _)| name == "f").unwrap().0;
+        run_session(&dir, &v2, d).unwrap();
+        tamper_cache_entry(&dir, key, text);
+        let report = run_session(&dir, &v1, d).unwrap();
+        let gauge = |name: &str| report.metrics.scalar(name).unwrap();
+        assert_eq!(report.recovered_files, 0, "a bad entry is not a bad file");
+        assert_eq!(
+            (gauge("cache.corrupt_entries"), gauge("cache.hits")),
+            (1, 0)
+        );
+        assert!(report
+            .query
+            .executed
+            .contains(&"optimizefn(lib::f)".to_string()));
+        assert_eq!(snapshot(&dir).image, fresh_image);
+        // Not re-persisted: every committed entry parses again.
+        assert!(persist::fsck(&state_base(&dir), &[]).unwrap().clean());
+        cleanup(&dir);
+    }
 }
 
 /// The one crash point where the commit is durable and the image is not:

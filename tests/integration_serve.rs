@@ -49,6 +49,7 @@ use sfcc_daemon::{
 use sfcc_faultfs::CommitDir;
 use sfcc_trace::json;
 use sfcc_workload::{generate_model, EditScript, GeneratorConfig};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -560,6 +561,20 @@ fn report_tasks(dir: &Path, list: &str) -> Vec<String> {
     tasks
 }
 
+/// Every `.sfcc-state*` file of `dir` — manifest and generation files —
+/// by name.
+fn state_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|dirent| dirent.unwrap())
+        .filter_map(|dirent| {
+            let name = dirent.file_name().to_string_lossy().into_owned();
+            name.starts_with(".sfcc-state")
+                .then(|| (name, fs::read(dirent.path()).unwrap()))
+        })
+        .collect()
+}
+
 /// The committed query-graph bytes of `dir`.
 fn graph_of(dir: &Path) -> Vec<u8> {
     let cd = CommitDir::new(&dir.join(".sfcc-state"));
@@ -597,7 +612,8 @@ fn with_signature_edit(p: &mut Project, edited: bool) {
 /// process must be the resident one: image, committed state, cache and
 /// graph, per-module rebuild flags, misses and the executed task set — and
 /// it must have re-run no `optimizefn` for a value (that would re-ingest a
-/// trace), only loaded them.
+/// trace), only loaded them. A step that changed nothing commits nothing:
+/// in both directories the generation stays and not a state byte moves.
 fn lineage_run(tag: &str, seed: u64, jobs: usize) {
     let root = tmproot(tag);
     let fresh = root.join("fresh");
@@ -633,8 +649,22 @@ fn lineage_run(tag: &str, seed: u64, jobs: usize) {
         write_tree(&fresh, &p);
         write_tree(&resident_dir, &p);
 
+        let before = [state_files(&fresh), state_files(&resident_dir)];
+        let generations = [&fresh, &resident_dir].map(|dir| {
+            CommitDir::new(&dir.join(".sfcc-state"))
+                .read_manifest()
+                .unwrap()
+                .map_or(0, |m| m.generation)
+        });
         let want = resident.build();
         let got = Oracle::new(&fresh, jobs, None).build();
+        if step > 0 && action == 0 {
+            for (got, want) in [&got, &want].iter().zip(generations) {
+                assert!(got.decisions.contains(&format!("gen={want};")), "{label}");
+            }
+            let after = [state_files(&fresh), state_files(&resident_dir)];
+            assert!(before == after, "{label}: a no-op wrote state");
+        }
         assert_eq!(got.image, want.image, "{label}: image");
         assert_eq!(got.state, want.state, "{label}: state");
         assert_eq!(got.cache, want.cache, "{label}: cache");
@@ -715,6 +745,36 @@ fn quick_cold_ir_over_a_committed_tree_executes_nothing() {
         sfcc_ir::module_to_string(&ir),
         sfcc_ir::module_to_string(&want)
     );
+    cleanup(&root);
+}
+
+/// A served build's report covers its commit: an edit's durable writes are
+/// in its `faultfs.*` gauges. A no-op's commit writes nothing and keeps the
+/// generation, in the resident session and in a new one alike.
+#[test]
+fn quick_reports_cover_the_commit_and_a_noop_commits_nothing() {
+    let root = tmproot("commit-ops");
+    let dir = root.join("p");
+    write_tree(&dir, &fixture_v1());
+    let args = args_of(WARM_FLAGS, &[]);
+    let gauge = |report: &BuildReport, name: &str| report.metrics.scalar(name).unwrap();
+    let mut resident = BuildService::new(&dir, &args).unwrap();
+    let first = resident.build().unwrap().report;
+    // State, cache and graph files and the manifest's temp file; one
+    // rename publishes them.
+    assert_eq!(
+        (
+            gauge(&first, "faultfs.writes"),
+            gauge(&first, "faultfs.renames")
+        ),
+        (4, 1)
+    );
+    let mut fresh = BuildService::new(&dir, &args).unwrap();
+    for service in [&mut resident, &mut fresh] {
+        let again = service.build().unwrap().report;
+        assert_eq!(again.state_generation, first.state_generation);
+        assert_eq!(gauge(&again, "faultfs.writes"), 0);
+    }
     cleanup(&root);
 }
 
