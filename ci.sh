@@ -13,7 +13,7 @@
 #                  parallel byte-identity suite and its E13 fan-out
 #                  overhead gate, the shared-artifact-store soundness
 #                  suite and its E17 sharing gate, the warm-daemon
-#                  differential suite and its E18 warm-latency gate,
+#                  differential suite and its E18 warm-daemon smoke,
 #                  plus a traced demo build validated with `trace-check`,
 #                  a depcheck run over the demo project and the cold
 #                  no-op gate (a second process executes 0 tasks); both modes
@@ -53,9 +53,10 @@ depcheck_smoke() {
 # the first process's generation, zero writes, byte-identical state files —
 # yet hand back the same image. After one constant is touched, a third
 # process commits the next generation and executes what a resident session
-# would: one module rebuilt, fewer function tasks than the first build, no
-# `optimizefn` re-run for its value (it is loaded from the graph), and the
-# image a directory without any history builds from the edited tree.
+# would: one module rebuilt, fewer function tasks than the first build,
+# nothing re-run for its value (no module but the edited one is walked, and
+# `graph`, `codegen` and `optimizefn` values are loaded from the graph), and
+# the image a directory without any history builds from the edited tree.
 noop_gate() {
     local scratch
     scratch="$(mktemp -d)"
@@ -105,7 +106,7 @@ noop_gate() {
     if grep -qE '"query":\{"hits":[0-9]+,"misses":0,' "$scratch/third.json" ||
         ! grep -q '"rebuilt_count":1,' "$scratch/third.json" ||
         ((fn_tasks[1] >= fn_tasks[0])) ||
-        grep -qE '"rematerialized":\[[^]]*"optimizefn\(' "$scratch/third.json"; then
+        ! grep -q '"rematerialized":\[\]' "$scratch/third.json"; then
         echo "ci: a new process did not execute what a resident session would for one edited constant:" >&2
         grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/third.json" >&2
         return 1
@@ -164,11 +165,11 @@ if [[ "${1:-}" == "--quick" ]]; then
     # Fan-out overhead smoke: jobs=8 optimize time must stay within 5% of
     # jobs=1 on the single-module sweep (pure overhead on a 1-core host).
     cargo run -q -p sfcc-bench --release --bin exp_parallel_scaling -- --quick --gate-overhead 5
-    # Warm-latency smoke: a warm daemon serve of a one-function edit must
-    # still beat an equivalent cold CLI session (p50). Since PR 25 the cold
-    # session executes the same tasks; what warmth saves is the state reload
-    # and commit (1.6-2.0x measured), so the bar is 1.2x, not the old 3x.
-    cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 1.2
+    # Warm-daemon smoke: both lanes serve a one-function edit stream and no
+    # concurrent client is rejected. The warm/cold ratio is reported, not
+    # gated: a cold session executes what a warm one does and rematerializes
+    # only what the edit reaches, so the lanes' latencies are of a size.
+    cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick
     trace_smoke
     depcheck_smoke
     noop_gate
@@ -198,6 +199,6 @@ cargo run -q -p sfcc-bench --release --bin exp_trace_overhead -- --quick
 cargo run -q -p sfcc-bench --release --bin exp_depcheck_fuzz -- --quick
 cargo run -q -p sfcc-bench --release --bin exp_fngrain -- --quick
 cargo run -q -p sfcc-bench --release --bin exp_cas_sharing -- --quick
-cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick --gate-speedup 1.2
+cargo run -q -p sfcc-bench --release --bin exp_serve_warm -- --quick
 # Crash-consistency and golden-trace sweeps run inside `cargo test` above;
 # `--quick` reruns just the fast subsets for tight edit loops.

@@ -1,20 +1,13 @@
 //! E18 — extension: warm build daemon (`minicc serve`)
 //!
-//! Usage: `cargo run -p sfcc-bench --release --bin exp_serve_warm [--quick] [--gate-speedup <x>]`
+//! Usage: `cargo run -p sfcc-bench --release --bin exp_serve_warm [--quick]`
 //!
 //! Prints warm-vs-cold latency distributions for a one-function edit stream
 //! (plus a concurrent multi-client phase) and writes the machine-readable
 //! artifact to `BENCH_serve.json` in the current directory.
-//!
-//! With `--gate-speedup <x>`, exits nonzero when the warm serve's p50
-//! speedup over a cold session falls below `<x>` — the CI warm-latency
-//! smoke.
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
+fn main() {
     let scale = sfcc_bench::Scale::from_args();
-    let gate = gate_arg();
     println!("# E18 — extension: warm build daemon (minicc serve)\n");
     let (table, json) = sfcc_bench::experiments::serve_warm::serve_warm(scale);
     print!("{table}");
@@ -22,30 +15,4 @@ fn main() -> ExitCode {
         Ok(()) => println!("\nwrote BENCH_serve.json"),
         Err(e) => eprintln!("\ncannot write BENCH_serve.json: {e}"),
     }
-    if let Some(min) = gate {
-        match sfcc_bench::experiments::serve_warm::gate_speedup(&json, min) {
-            Ok(speedup) => {
-                println!("warm-latency gate: {speedup:.1}x (floor {min:.1}x) — ok");
-            }
-            Err(e) => {
-                eprintln!("warm-latency gate FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses `--gate-speedup <x>` from the command line, if present.
-fn gate_arg() -> Option<f64> {
-    let args: Vec<String> = std::env::args().collect();
-    let pos = args.iter().position(|a| a == "--gate-speedup")?;
-    let min = args
-        .get(pos + 1)
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or_else(|| {
-            eprintln!("--gate-speedup expects a factor, e.g. `--gate-speedup 3`");
-            std::process::exit(2);
-        });
-    Some(min)
 }

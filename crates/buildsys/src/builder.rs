@@ -11,14 +11,16 @@
 //!    nothing is planned, demanded or executed;
 //! 2. demands the [`BuildTask::Graph`] task (import extraction, cycle and
 //!    missing-import diagnostics, wave scheduling);
-//! 3. walks the wave schedule at *function* granularity, leaving alone
-//!    every module whose `codegen` no change reached: each walked module's
-//!    roster comes from its `modcheck` task, each function's `optimizefn`
-//!    task is probed for staleness, and the stale functions' union call
-//!    closure is optimized as one restricted batch per module on a shared
-//!    worker pool — then each walked module's `codegen` task is demanded,
-//!    hitting the store wherever an output fingerprint proves nothing
-//!    changed (early cutoff);
+//! 3. walks the wave schedule at *function* granularity, walking only the
+//!    modules whose `codegen` will not validate: a candidate's roster comes
+//!    from its `modcheck` task (or, when that validates without a value on
+//!    hand, from the `optimizefn` demands `codegen` recorded), each
+//!    function's `optimizefn` task is probed for staleness, a module with
+//!    nothing stale whose `codegen` validates is left alone, and the stale
+//!    functions' union call closure is optimized as one restricted batch
+//!    per module on a shared worker pool — then each walked module's
+//!    `codegen` task is demanded, hitting the store wherever an output
+//!    fingerprint proves nothing changed (early cutoff);
 //! 4. demands [`BuildTask::Link`], which reuses the memoized program when
 //!    no object changed.
 //!
@@ -35,7 +37,7 @@
 //!
 //! The store outlives the process: a build that executed anything leaves
 //! the store's graph — fingerprints, dependency traces, and the values of
-//! `optimizefn`, `codegen` and `link` — with the compiler session, whose
+//! `optimizefn`, `codegen`, `link` and `graph` — with the compiler session, whose
 //! next state commit persists it beside the dormancy state (module
 //! `depgraph`); a new process's first build starts from it, so it executes
 //! exactly what a resident session would (see [`crate::depgraph`]).
@@ -450,33 +452,28 @@ impl Builder {
         let mut wave_ids: Vec<SpanId> = Vec::with_capacity(graph.waves().len());
         for (wave_idx, wave) in graph.waves().iter().enumerate() {
             let wave_start = observers.recorder.is_some().then(Instant::now);
-            // Plan the wave at function grain. A module whose codegen no
+            // Plan the wave at function grain, walking only the modules
+            // whose codegen will not validate. A module whose codegen no
             // change reached is left alone: everything under it is valid
-            // too, and `link` demands the object if it needs it. For the
-            // rest, demand the roster, probe each function's optimizefn for
-            // staleness — valid ones are loaded on demand, never batched —
-            // and assemble one restricted batch per module from the stale
-            // functions' union call closure. Probing validates (and where
-            // needed executes) the cheap frontend chain — parse, fnast,
-            // signature, checkfn, lowerfn — whose fingerprints decide how
-            // far each edit's blast radius really extends.
-            let walked: Vec<&String> = wave
-                .iter()
-                .filter(|name| !self.engine.is_valid(&BuildTask::Codegen((*name).clone())))
-                .collect();
+            // too. For the rest, learn the roster (`roster_of`), probe each
+            // function's optimizefn for staleness — valid ones are loaded on
+            // demand, never batched — and leave alone a module with no
+            // stale function whose codegen then validates: `link` loads its
+            // object. A walked module gets one restricted batch from its
+            // stale functions' union call closure. Probing validates (and
+            // where needed executes) the cheap frontend chain — parse,
+            // fnast, signature, checkfn, lowerfn — whose fingerprints decide
+            // how far each edit's blast radius really extends.
+            let mut walked: Vec<&String> = Vec::new();
             let mut batches: Vec<WaveBatch> = Vec::new();
-            for &name in &walked {
-                self.engine
-                    .require(&mut spec, &BuildTask::Interface(name.clone()))
-                    .map_err(seal)?;
-                let modcheck = self
-                    .engine
-                    .require(&mut spec, &BuildTask::ModCheck(name.clone()))
-                    .map_err(seal)?
-                    .expect_modcheck();
-                rosters.insert(name.clone(), modcheck.roster.clone());
+            for name in wave {
+                let codegen = BuildTask::Codegen(name.clone());
+                if self.engine.is_valid(&codegen) {
+                    continue;
+                }
+                let roster = roster_of(&mut self.engine, &mut spec, name)?;
                 let mut stale: Vec<String> = Vec::new();
-                for f in &modcheck.roster {
+                for f in &roster {
                     let fresh = self
                         .engine
                         .up_to_date(&mut spec, &BuildTask::OptimizeFn(name.clone(), f.clone()))
@@ -485,6 +482,11 @@ impl Builder {
                         stale.push(f.clone());
                     }
                 }
+                if stale.is_empty() && self.engine.up_to_date(&mut spec, &codegen).map_err(seal)? {
+                    continue;
+                }
+                walked.push(name);
+                rosters.insert(name.clone(), roster);
                 if stale.is_empty() {
                     continue;
                 }
@@ -557,6 +559,51 @@ impl Builder {
         };
         finish(&mut self.engine, spec, self.jobs, observers, walk)
     }
+}
+
+/// The definition-order roster of module `m`, asking as little as answers:
+/// whether `modcheck(m)` is up to date, then its value when on hand, else
+/// the `optimizefn` demands `codegen(m)` recorded — in roster order — when
+/// it recorded them against the check's current fingerprint. Only a check
+/// that re-executes, or one that neither answers, is demanded; so a
+/// module an edit reaches only through validating fingerprints costs a new
+/// process no rematerialized parse, interface or module check.
+fn roster_of(
+    engine: &mut Engine<BuildTask, BuildValue>,
+    spec: &mut BuildSpec<'_>,
+    m: &str,
+) -> Result<Vec<String>, BuildError> {
+    let check = BuildTask::ModCheck(m.to_string());
+    if engine.up_to_date(spec, &check).map_err(seal)? {
+        if let Some(value) = engine.peek(&check) {
+            return Ok(value.expect_modcheck().roster.clone());
+        }
+        let current = engine.fingerprint_of(&check);
+        let recorded = engine
+            .deps_of(&BuildTask::Codegen(m.to_string()))
+            .unwrap_or_default();
+        let against_current = recorded.iter().any(|dep| {
+            matches!(dep, Dep::Task { key, fingerprint } if *key == check && Some(*fingerprint) == current)
+        });
+        if against_current {
+            return Ok(recorded
+                .iter()
+                .filter_map(|dep| match dep {
+                    Dep::Task {
+                        key: BuildTask::OptimizeFn(_, f),
+                        ..
+                    } => Some(f.clone()),
+                    _ => None,
+                })
+                .collect());
+        }
+    }
+    Ok(engine
+        .require(spec, &check)
+        .map_err(seal)?
+        .expect_modcheck()
+        .roster
+        .clone())
 }
 
 /// Closes a build's session: demands `link`, audits (depcheck builds),
@@ -700,9 +747,9 @@ fn finish(
 
     // Garbage-collect function-grained tasks (and dormancy records) of
     // functions that left their module's roster, so deleted functions
-    // cannot linger in the store or the state database. (Every module of
-    // the project has a roster after a walk; none has when nothing changed,
-    // and nothing is collected.)
+    // cannot linger in the store or the state database. (Only walked
+    // modules have a roster here: a module left alone has a valid `codegen`
+    // over an unchanged roster, and nothing of it is collected.)
     engine.retain(|task| match task.function() {
         Some((m, f)) => rosters.get(m).is_none_or(|r| r.iter().any(|g| g == f)),
         None => true,

@@ -10,19 +10,26 @@
 //!   bytes are the optimized IR text its fingerprint hashes;
 //! - `codegen(m)` — `link` needs every module's object; its bytes are
 //!   `sfcc_backend::object::to_bytes` of it;
-//! - `link` — the image, what a no-op hands back.
+//! - `link` — the image, what a no-op hands back;
+//! - `graph` — `link` needs the module order; rematerializing it would
+//!   re-parse every module for its imports. Its bytes are the
+//!   [`graph_repr`] text, and a text whose relation
+//!   [`crate::DepGraph::from_imports`] rejects (a cycle, a missing import)
+//!   is never served.
 //!
 //! Every other value (parse trees, ASTs, signatures, module checks, lowered
-//! IR, the import graph) is rematerialized on demand from the sources.
+//! IR) is rematerialized on demand from the sources.
 //! [`restore`] is the inverse, into an empty engine: nodes without values,
 //! and beside them a [`Stored`] of the value bytes — slices of the file,
 //! each of which the decoder checked against its node's fingerprint,
 //! decoded when a demand loads them (see `sfcc-query`).
 
 use crate::depcheck::DepMutations;
+use crate::graph::{graph_repr, parse_graph_repr};
 use crate::tasks::{BuildTask, BuildValue, CodegenArtifact, LinkArtifact, OptimizeFnArtifact};
 use sfcc::{GraphDep, GraphFile, GraphWriter, ValueBytes};
 use sfcc_query::{Dep, Engine};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -31,19 +38,20 @@ use std::sync::Arc;
 fn persists(key: &BuildTask) -> bool {
     matches!(
         key,
-        BuildTask::OptimizeFn(..) | BuildTask::Codegen(_) | BuildTask::Link
+        BuildTask::OptimizeFn(..) | BuildTask::Codegen(_) | BuildTask::Link | BuildTask::Graph
     )
 }
 
 /// The bytes a persisted value is written as — the byte string its
 /// fingerprint hashes; `None` for the kinds that are not persisted.
-fn persisted_bytes(value: &BuildValue) -> Option<&[u8]> {
-    match value {
-        BuildValue::OptimizeFn(art) => Some(art.text.as_bytes()),
-        BuildValue::Codegen(art) => Some(&art.bytes),
-        BuildValue::Link(art) => Some(&art.image),
-        _ => None,
-    }
+fn persisted_bytes(value: &BuildValue) -> Option<Cow<'_, [u8]>> {
+    Some(match value {
+        BuildValue::OptimizeFn(art) => Cow::Borrowed(art.text.as_bytes()),
+        BuildValue::Codegen(art) => Cow::Borrowed(&art.bytes),
+        BuildValue::Link(art) => Cow::Borrowed(&art.image),
+        BuildValue::Graph(graph) => Cow::Owned(graph_repr(graph).into_bytes()),
+        _ => return None,
+    })
 }
 
 /// The values a restored graph carried that no demand has loaded yet, by
@@ -75,6 +83,9 @@ impl Stored {
                 program: sfcc_backend::image::from_bytes(&bytes).ok()?,
                 image: bytes.to_vec(),
             })),
+            BuildTask::Graph => BuildValue::Graph(Arc::new(parse_graph_repr(
+                std::str::from_utf8(&bytes).ok()?,
+            )?)),
             _ => return None,
         })
     }
@@ -112,9 +123,9 @@ pub(crate) fn encode(
     for &(key, fingerprint, deps, value) in &exported {
         let bytes = match value {
             Some(value) => persisted_bytes(value),
-            None => stored.bytes_of(key, fingerprint),
+            None => stored.bytes_of(key, fingerprint).map(Cow::Borrowed),
         };
-        w.node(fingerprint, bytes, deps.len());
+        w.node(fingerprint, bytes.as_deref(), deps.len());
         for dep in deps {
             match dep {
                 Dep::Input { name, stamp } => w.input(name, *stamp),
@@ -206,4 +217,106 @@ fn acyclic(graph: &GraphFile) -> bool {
         }
     }
     done == n
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::DepGraph;
+    use crate::project::Project;
+    use crate::tasks::BuildSpec;
+    use sfcc::{Compiler, Config};
+    use sfcc_codec::fnv64;
+
+    fn project() -> Project {
+        let mut p = Project::new();
+        for (name, src) in [
+            ("base", "fn g(x: int) -> int { return x * 2; }"),
+            (
+                "lib",
+                "import base;\nfn f(x: int) -> int { return base::g(x) + 1; }",
+            ),
+            (
+                "main",
+                "import base;\nimport lib;\nfn main(n: int) -> int { return lib::f(n) + base::g(n); }",
+            ),
+        ] {
+            p.set_file(name.to_string(), src.to_string());
+        }
+        p
+    }
+
+    /// Demands `project`'s `graph` from `engine` (nodes restored from
+    /// `stored`'s file, or none) and returns it.
+    fn demand_graph(
+        project: &Project,
+        engine: &mut Engine<BuildTask, BuildValue>,
+        stored: &mut Stored,
+    ) -> Arc<DepGraph> {
+        let mut compiler = Compiler::new(Config::stateless());
+        let mut spec = BuildSpec::new(
+            project,
+            &mut compiler,
+            stored,
+            1,
+            DepMutations::new(),
+            false,
+        );
+        engine.begin_session(&mut spec);
+        engine
+            .require(&mut spec, &BuildTask::Graph)
+            .unwrap()
+            .expect_graph()
+    }
+
+    /// The graph file of a store that demanded `project`'s `graph`, and
+    /// that graph.
+    fn graph_file(project: &Project) -> (GraphFile, Arc<DepGraph>) {
+        let mut engine = Engine::new();
+        let graph = demand_graph(project, &mut engine, &mut Stored::default());
+        let file = GraphFile::from_bytes(encode(&engine, &Stored::default(), 0)).unwrap();
+        (file, graph)
+    }
+
+    #[test]
+    fn a_graph_value_round_trips() {
+        let (file, graph) = graph_file(&project());
+        let mut stored = restore(&mut Engine::new(), file, &DepMutations::new()).unwrap();
+        let loaded = stored.load(&BuildTask::Graph).unwrap().expect_graph();
+        assert_eq!(loaded.waves(), graph.waves());
+        assert_eq!(loaded.topo_order(), graph.topo_order());
+        assert!(stored.load(&BuildTask::Graph).is_none(), "handed over once");
+    }
+
+    /// Graph text whose node fingerprint was recomputed to match passes the
+    /// file decoder; a relation with a cycle or a missing import still never
+    /// loads, and a demand rematerializes the true graph from the sources.
+    #[test]
+    fn a_graph_text_naming_a_cycle_or_a_missing_import_is_never_served() {
+        let p = project();
+        let (file, graph) = graph_file(&p);
+        let at = file.keys.iter().position(|k| k == "graph").unwrap();
+        assert_eq!(
+            file.nodes[at].value.as_deref(),
+            Some(graph_repr(&graph).as_bytes())
+        );
+        for text in [
+            "base=;lib=base,main;main=base,lib;",
+            "base=;lib=base;main=base,ghost,lib;",
+        ] {
+            let mut tampered = file.clone();
+            tampered.nodes[at].fingerprint = fnv64(text.as_bytes());
+            tampered.nodes[at].value = Some(text.as_bytes().to_vec().into());
+            let tampered = GraphFile::from_bytes(tampered.to_bytes()).unwrap();
+            let mutations = DepMutations::new();
+            let mut stored = restore(&mut Engine::new(), tampered.clone(), &mutations).unwrap();
+            assert!(stored.load(&BuildTask::Graph).is_none(), "{text}");
+
+            let mut engine = Engine::new();
+            let mut stored = restore(&mut engine, tampered, &mutations).unwrap();
+            let served = demand_graph(&p, &mut engine, &mut stored);
+            assert_eq!(served.waves(), graph.waves(), "{text}");
+            assert_eq!(engine.moved_keys(), [BuildTask::Graph], "{text}");
+        }
+    }
 }

@@ -132,6 +132,37 @@ impl DepGraph {
     }
 }
 
+/// The canonical text of an import graph: `m=a,b;` per module, in
+/// topological order. Its hash is the `graph` task's fingerprint, and it is
+/// the value the persisted query graph carries for that task.
+pub(crate) fn graph_repr(graph: &DepGraph) -> String {
+    let mut repr = String::new();
+    for m in graph.topo_order() {
+        repr.push_str(m);
+        repr.push('=');
+        repr.push_str(&graph.imports_of(m).join(","));
+        repr.push(';');
+    }
+    repr
+}
+
+/// The import graph a [`graph_repr`] text describes. `None` for a text
+/// that is not one, or whose relation [`DepGraph::from_imports`] rejects.
+pub(crate) fn parse_graph_repr(text: &str) -> Option<DepGraph> {
+    let imports = text
+        .split_terminator(';')
+        .map(|entry| {
+            let (module, deps) = entry.split_once('=')?;
+            let deps = deps.split(',').filter(|d| !d.is_empty());
+            Some((module.to_string(), deps.map(str::to_string).collect()))
+        })
+        .collect::<Option<BTreeMap<String, Vec<String>>>>()?;
+    let graph = DepGraph::from_imports(imports).ok()?;
+    // A name with a separator in it, or a module listed twice, reads back
+    // as another relation: only the text the graph prints back is its own.
+    (graph_repr(&graph) == text).then_some(graph)
+}
+
 /// Extracts one module's import list from its source: parsed `import m;`
 /// declarations (the real parser, so comments and strings cannot confuse
 /// it), sorted and deduplicated. Sources that fail to parse contribute

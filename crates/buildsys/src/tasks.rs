@@ -38,7 +38,7 @@
 use crate::builder::BuildError;
 use crate::depcheck::DepMutations;
 use crate::depgraph::Stored;
-use crate::graph::{parse_imports, DepGraph};
+use crate::graph::{graph_repr, parse_imports, DepGraph};
 use crate::project::Project;
 use sfcc::{CompileError, Compiler, OptimizeOutcome, PhaseTimings};
 use sfcc_backend::{link_objects, CodeObject, Program};
@@ -735,16 +735,7 @@ impl TaskSpec for BuildSpec<'_> {
             BuildValue::Imports(deps) => fnv64(deps.join(",").as_bytes()),
             BuildValue::Parse(art) => fnv64(art.source.as_bytes()),
             BuildValue::Interface(interface) => interface_hash(interface),
-            BuildValue::Graph(graph) => {
-                let mut repr = String::new();
-                for m in graph.topo_order() {
-                    repr.push_str(m);
-                    repr.push('=');
-                    repr.push_str(&graph.imports_of(m).join(","));
-                    repr.push(';');
-                }
-                fnv64(repr.as_bytes())
-            }
+            BuildValue::Graph(graph) => fnv64(graph_repr(graph).as_bytes()),
             BuildValue::ModCheck(art) => {
                 let mut names: Vec<&String> = art.global_types.keys().collect();
                 names.sort();

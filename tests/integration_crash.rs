@@ -474,10 +474,12 @@ fn quick_truncation_at_every_byte_boundary_errors() {
         .collect();
     assert!(valued.contains(&"link") && valued.contains(&"codegen(main)"));
     assert!(valued.contains(&"optimizefn(base::g)"), "{valued:?}");
+    assert!(valued.contains(&"graph"), "{valued:?}");
     assert!(
         valued.iter().all(|key| key.starts_with("optimizefn(")
             || key.starts_with("codegen(")
-            || *key == "link"),
+            || *key == "link"
+            || *key == "graph"),
         "{valued:?}"
     );
     for cut in 0..graph.len() {

@@ -42,13 +42,13 @@
 use proptest::prelude::*;
 use sfcc::{Compiler, Config, Durability};
 use sfcc_buildsys::serve::BuildService;
-use sfcc_buildsys::{BuildReport, Builder, DepMutations, Project};
+use sfcc_buildsys::{BuildReport, BuildTask, Builder, DepGraph, DepMutations, Project};
 use sfcc_daemon::{
     roundtrip, Daemon, DaemonHandle, DaemonOptions, ErrorKind, Reply, Request, Service,
 };
 use sfcc_faultfs::CommitDir;
 use sfcc_trace::json;
-use sfcc_workload::{generate_model, EditScript, GeneratorConfig};
+use sfcc_workload::{generate_model, EditKind, EditScript, GeneratorConfig};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -746,6 +746,67 @@ fn quick_cold_ir_over_a_committed_tree_executes_nothing() {
         sfcc_ir::module_to_string(&want)
     );
     cleanup(&root);
+}
+
+/// A new process after one tweaked constant rematerializes only what the
+/// edit reaches: no import graph, no import list, no module check. What it
+/// may rematerialize is read by the edited module's re-executed tasks: the
+/// parse, interface and signatures of the modules it imports (its module
+/// check and re-checked functions read them), and its own functions'
+/// signatures, checks and lowered IR (a stale function's call closure).
+/// It executes what a resident session executes for the same edit.
+#[test]
+fn quick_cold_edit_rematerializes_only_the_edited_modules_imports() {
+    for seed in [3, 11, 29] {
+        let root = tmproot(&format!("cold-edit-{seed}"));
+        let (fresh, resident_dir) = (root.join("fresh"), root.join("resident"));
+        let mut model = generate_model(&GeneratorConfig::medium(seed));
+        let before = model.render();
+        write_tree(&fresh, &before);
+        write_tree(&resident_dir, &before);
+        let mut resident = Oracle::new(&resident_dir, 1, None);
+        resident.build();
+        Oracle::new(&fresh, 1, None).build();
+
+        EditScript::only(seed, EditKind::TweakConstant).commit(&mut model);
+        let after = model.render();
+        write_tree(&fresh, &after);
+        write_tree(&resident_dir, &after);
+        let want = resident.build();
+        let got = Oracle::new(&fresh, 1, None).build();
+        assert_eq!(got.image, want.image, "seed {seed}");
+        assert_eq!(
+            report_tasks(&fresh, "executed"),
+            report_tasks(&resident_dir, "executed"),
+            "seed {seed}"
+        );
+
+        let edited: Vec<&str> = after
+            .names()
+            .filter(|m| after.file(m) != before.file(m))
+            .collect();
+        let [edited] = edited[..] else {
+            panic!("seed {seed}: one module edited, got {edited:?}");
+        };
+        let graph = DepGraph::build(&after).unwrap();
+        let imported = |m: &str| graph.imports_of(edited).iter().any(|i| i == m);
+        let rematerialized = report_tasks(&fresh, "rematerialized");
+        for label in &rematerialized {
+            let task = BuildTask::parse(label).unwrap();
+            let module = task.module().unwrap_or_default();
+            let allowed = match task {
+                BuildTask::Parse(_) | BuildTask::Interface(_) => imported(module),
+                BuildTask::Signature(..) => imported(module) || module == edited,
+                BuildTask::CheckFn(..) | BuildTask::LowerFn(..) => module == edited,
+                _ => false,
+            };
+            assert!(
+                allowed,
+                "seed {seed}: `{edited}` edited, {label} rematerialized: {rematerialized:?}"
+            );
+        }
+        cleanup(&root);
+    }
 }
 
 /// A served build's report covers its commit: an edit's durable writes are
