@@ -20,6 +20,7 @@ use sfcc_buildsys::{
 };
 use sfcc_faultfs::{self as ffs, Fault, FaultPlan};
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -402,13 +403,19 @@ fn racing_builder_processes_never_corrupt_the_store() {
                 .args(["race_worker_entry", "--exact", "--test-threads=1"])
                 .env("SFCC_CAS_RACE_DIR", &store)
                 .env("SFCC_CAS_RACE_SEED", seed.to_string())
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
                 .spawn()
                 .unwrap()
         })
         .collect();
-    for mut child in children {
-        let status = child.wait().unwrap();
-        assert!(status.success(), "a racing builder failed: {status:?}");
+    // Each worker's output is forwarded whole once it exits, so the lines of
+    // concurrent workers never interleave in the test log.
+    for child in children {
+        let out = child.wait_with_output().unwrap();
+        std::io::stdout().write_all(&out.stdout).unwrap();
+        std::io::stderr().write_all(&out.stderr).unwrap();
+        assert!(out.status.success(), "a racing builder failed: {:?}", out.status);
     }
 
     // Whatever interleaving happened, nothing in the store may be corrupt:
