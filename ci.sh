@@ -2,8 +2,8 @@
 # Local CI gate: build, test, lint, format — exactly what a PR must pass.
 #
 #   ci.sh          full gate
-#   ci.sh --quick  fast sweep only: the `quick_`-prefixed subset of the
-#                  fault-injection matrix (cold crash matrix, truncation
+#   ci.sh --quick  fast sweep only: the canonical IR text pin, the
+#                  `quick_`-prefixed subset of the fault-injection matrix (cold crash matrix, truncation
 #                  boundaries, recovery counters, durability sync points),
 #                  of the observability suite (trace well-formedness,
 #                  report schema, metrics consistency, CLI contracts), and
@@ -150,6 +150,8 @@ static_state_gate() {
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
     static_state_gate
+    # Byte-identity pin of the canonical IR text every fingerprint hashes.
+    cargo test -q -p sfcc-ir quick_
     cargo test -q -p sfcc --test integration_crash quick_
     cargo test -q -p sfcc --test integration_trace quick_
     cargo test -q -p sfcc --test integration_depcheck quick_

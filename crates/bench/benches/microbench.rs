@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the sfcc substrates:
-//! fingerprinting, the state codec, the pass pipeline, and the VM.
+//! IR printing, parsing and fingerprinting, the state codec, the pass
+//! pipeline, and the VM.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -7,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sfcc::{Compiler, Config};
 use sfcc_backend::{link_objects, run as vm_run, VmOptions};
 use sfcc_frontend::ModuleEnv;
-use sfcc_ir::{fingerprint, lower_module};
+use sfcc_ir::{fingerprint, function_to_string, lower_module, parse_function};
 use sfcc_passes::{default_pipeline, run_pipeline, NeverSkip, RunOptions};
 use sfcc_state::{statefile, StateDb};
 use sfcc_workload::{generate_model, GeneratorConfig};
@@ -49,7 +50,7 @@ fn warmed_state() -> StateDb {
     statefile::from_bytes(&builder.compiler().state_bytes()).unwrap()
 }
 
-fn bench_fingerprint(c: &mut Criterion) {
+fn bench_ir_text(c: &mut Criterion) {
     let ir = corpus_ir();
     c.bench_function("fingerprint/module", |b| {
         b.iter(|| {
@@ -58,6 +59,23 @@ fn bench_fingerprint(c: &mut Criterion) {
                 acc ^= fingerprint(f).short();
             }
             acc
+        })
+    });
+    c.bench_function("print/module", |b| {
+        b.iter(|| {
+            ir.functions
+                .iter()
+                .map(|f| function_to_string(f).len())
+                .sum::<usize>()
+        })
+    });
+    let texts: Vec<String> = ir.functions.iter().map(function_to_string).collect();
+    c.bench_function("parse/module", |b| {
+        b.iter(|| {
+            texts
+                .iter()
+                .map(|t| parse_function(t).unwrap().live_inst_count())
+                .sum::<usize>()
         })
     });
 }
@@ -116,6 +134,6 @@ fn main(n: int) -> int {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_fingerprint, bench_state_codec, bench_pipeline, bench_vm
+    targets = bench_ir_text, bench_state_codec, bench_pipeline, bench_vm
 }
 criterion_main!(benches);

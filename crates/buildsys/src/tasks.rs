@@ -42,7 +42,7 @@ use crate::graph::{graph_repr, parse_imports, DepGraph};
 use crate::project::Project;
 use sfcc::{CompileError, Compiler, OptimizeOutcome, PhaseTimings};
 use sfcc_backend::{link_objects, CodeObject, Program};
-use sfcc_codec::fnv64;
+use sfcc_codec::{fnv64, fnv64_continue};
 use sfcc_faultfs::AccessRecord;
 use sfcc_frontend::ast::{FunctionDef, Import, TypeAst};
 use sfcc_frontend::fingerprint::def_repr;
@@ -50,7 +50,7 @@ use sfcc_frontend::{
     callees_of, check_function_with, check_module_level, def_fingerprint, parser, CheckedModule,
     Diagnostics, FuncSig, ModuleEnv, ModuleInterface, ModuleLevel, SourceFile, Span,
 };
-use sfcc_ir::print::function_to_string;
+use sfcc_ir::print::{function_to_string, write_function};
 use sfcc_ir::{Fingerprint, Function, Op};
 use sfcc_passes::FunctionTrace;
 use sfcc_query::{Ctx, QueryError, TaskSpec};
@@ -762,7 +762,7 @@ impl TaskSpec for BuildSpec<'_> {
                 let def = &art.checked.ast.functions[0];
                 fnv64(format!("{}|{}", def_repr(def), art.context_repr).as_bytes())
             }
-            BuildValue::LowerFn(func) => fnv64(function_to_string(func).as_bytes()),
+            BuildValue::LowerFn(func) => printed_fnv64(func),
             BuildValue::OptimizeFn(art) => fnv64(art.text.as_bytes()),
             BuildValue::Codegen(art) => fnv64(&art.bytes),
             BuildValue::Link(link) => fnv64(&link.image),
@@ -1153,6 +1153,20 @@ pub fn signature_repr(sig: &FuncSig) -> String {
     }
     repr.push_str(&format!(")->{:?}", sig.ret));
     repr
+}
+
+/// `fnv64` of `func`'s printed text, hashed as the printer streams it.
+fn printed_fnv64(func: &Function) -> u64 {
+    struct Fnv64(u64);
+    impl fmt::Write for Fnv64 {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = fnv64_continue(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Fnv64(fnv64(b""));
+    write_function(&mut h, func).expect("hashing cannot fail");
+    h.0
 }
 
 /// A deterministic hash of a module's exported interface: function names

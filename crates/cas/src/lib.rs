@@ -53,7 +53,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every serialized artifact.
 pub const ARTIFACT_MAGIC: &[u8; 7] = b"SFCCAR\0";
@@ -311,8 +311,9 @@ fn lru_from_bytes(bytes: &[u8]) -> HashMap<String, u64> {
 pub struct DirBackend {
     cd: CommitDir,
     durability: Durability,
-    /// Cached manifest view: `None` = not loaded yet.
-    manifest: Mutex<Option<Option<Manifest>>>,
+    /// Cached manifest view: `None` = not loaded yet. Shared, so a lookup
+    /// takes a reference instead of copying every entry.
+    manifest: Mutex<Option<Option<Arc<Manifest>>>>,
     /// Logical names used since the last publish (recency to persist).
     touched: Mutex<HashSet<String>>,
 }
@@ -336,13 +337,13 @@ impl DirBackend {
     /// The current manifest, loading (and caching) it on first use. A
     /// corrupt manifest is quarantined and treated as absent; an
     /// unreadable one is treated as absent without caching the verdict.
-    fn manifest(&self) -> Option<Manifest> {
+    fn manifest(&self) -> Option<Arc<Manifest>> {
         let mut cached = self.manifest.lock().unwrap();
         if let Some(view) = cached.as_ref() {
             return view.clone();
         }
         let view = match self.cd.read_manifest() {
-            Ok(m) => m,
+            Ok(m) => m.map(Arc::new),
             Err(ManifestError::Corrupt(_)) => {
                 let _ = ffs::quarantine(&self.cd.manifest_path());
                 None
@@ -356,7 +357,7 @@ impl DirBackend {
     fn drop_from_cache(&self, logical: &str) {
         let mut cached = self.manifest.lock().unwrap();
         if let Some(Some(m)) = cached.as_mut() {
-            m.entries.retain(|e| e.logical != logical);
+            Arc::make_mut(m).entries.retain(|e| e.logical != logical);
         }
     }
 
@@ -444,7 +445,7 @@ impl CasBackend for DirBackend {
         // concurrent committer may carry them forward into the winning
         // manifest. fsck sweeps the debris.
         let manifest = self.cd.commit_shared(&files, self.durability)?;
-        *self.manifest.lock().unwrap() = Some(Some(manifest));
+        *self.manifest.lock().unwrap() = Some(Some(Arc::new(manifest)));
         Ok(())
     }
 
@@ -522,7 +523,7 @@ impl CasBackend for DirBackend {
         if let Some(old) = old_lru {
             let _ = ffs::remove_file(&self.cd.entry_path(&old));
         }
-        *self.manifest.lock().unwrap() = Some(Some(new));
+        *self.manifest.lock().unwrap() = Some(Some(Arc::new(new)));
         Ok(evicted.len() as u64)
     }
 
@@ -972,6 +973,24 @@ mod tests {
         // across "processes").
         let other = store(&dir);
         assert!(other.lookup("m", "helper", ctx).is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lookups_share_one_manifest_view() {
+        let dir = tmpdir("shared-view");
+        let backend = DirBackend::open(&dir, Durability::Fast).unwrap();
+        let batch: Vec<(String, Vec<u8>)> =
+            (0..50u8).map(|i| (format!("k{i}"), vec![i; 8])).collect();
+        backend.publish(&batch).unwrap();
+        let (a, b) = (backend.manifest().unwrap(), backend.manifest().unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "a lookup copied the manifest");
+        assert_eq!(backend.load("k7"), Some(vec![7; 8]));
+        // Quarantine drops the entry from the cached view only: a view
+        // already handed out keeps it.
+        backend.quarantine("k7");
+        assert!(backend.load("k7").is_none());
+        assert!(a.entry("k7").is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

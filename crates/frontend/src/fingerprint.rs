@@ -7,18 +7,8 @@
 //! definitions to a canonical text form that carries no location data.
 
 use crate::ast::*;
+use sfcc_codec::fnv64;
 use std::fmt::Write as _;
-
-/// 64-bit FNV-1a over `bytes` (the frontend deliberately has no codec
-/// dependency; this mirrors `sfcc_codec::fnv64`).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A deterministic, span-free fingerprint of one function definition.
 ///

@@ -1,7 +1,8 @@
 //! Structural function fingerprints.
 //!
 //! A fingerprint is a 128-bit FNV-1a hash of a function's canonical textual
-//! form with the name removed ([`crate::print::function_to_canonical_string`]).
+//! form with the name removed ([`crate::print::function_to_canonical_string`]),
+//! hashed as the printer streams it: the text is never built.
 //! Two functions with identical structure — regardless of arena history,
 //! block numbering, or name — share a fingerprint. The stateful compiler keys
 //! its pass-dormancy database on fingerprints, so the hash must be
@@ -21,12 +22,9 @@ pub struct Fingerprint(pub u128);
 impl Fingerprint {
     /// Hashes raw bytes with FNV-1a/128.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        let mut h = FNV128_OFFSET;
-        for &b in bytes {
-            h ^= b as u128;
-            h = h.wrapping_mul(FNV128_PRIME);
-        }
-        Fingerprint(h)
+        let mut h = Fnv128(FNV128_OFFSET);
+        h.update(bytes);
+        Fingerprint(h.0)
     }
 
     /// Hashes a string.
@@ -62,13 +60,35 @@ impl fmt::LowerHex for Fingerprint {
     }
 }
 
+/// FNV-1a/128 state, also a `fmt::Write` sink so the printer can stream
+/// into it.
+struct Fnv128(u128);
+
+impl Fnv128 {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u128;
+            self.0 = self.0.wrapping_mul(FNV128_PRIME);
+        }
+    }
+}
+
+impl fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Computes the structural fingerprint of `func`.
 ///
 /// The hash covers the signature and the canonically printed body but not
 /// the function name, so the dormancy history of a renamed-but-unchanged
 /// function remains valid.
 pub fn fingerprint(func: &Function) -> Fingerprint {
-    Fingerprint::of_str(&crate::print::function_to_canonical_string(func))
+    let mut h = Fnv128(FNV128_OFFSET);
+    crate::print::write_function_impl(&mut h, func, None).expect("hashing cannot fail");
+    Fingerprint(h.0)
 }
 
 #[cfg(test)]

@@ -21,14 +21,21 @@ pub enum Ty {
     Void,
 }
 
-impl fmt::Display for Ty {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Ty {
+    /// The IR spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Ty::I64 => "i64",
             Ty::I1 => "i1",
             Ty::Ptr => "ptr",
             Ty::Void => "void",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Ty {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -119,6 +119,13 @@ mod proptests {
             prop_assert_eq!(fingerprint(&f), fingerprint(&parsed));
         }
 
+        /// The streamed fingerprint hashes exactly the canonical text.
+        #[test]
+        fn fingerprint_hashes_the_canonical_text(f in arb_function()) {
+            let text = print::function_to_canonical_string(&f);
+            prop_assert_eq!(fingerprint(&f), Fingerprint::of_str(&text));
+        }
+
         /// Dominator facts: entry dominates every reachable block.
         #[test]
         fn entry_dominates_everything(f in arb_function()) {

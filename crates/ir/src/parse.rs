@@ -51,10 +51,11 @@ pub fn parse_function(text: &str) -> Result<Function, IrParseError> {
 struct FnParser<'a> {
     lines: Vec<(usize, &'a str)>,
     pos: usize,
-    blocks: HashMap<String, BlockId>,
-    values: HashMap<String, ValueRef>,
+    /// Labels and value names are slices of the input text.
+    blocks: HashMap<&'a str, BlockId>,
+    values: HashMap<&'a str, ValueRef>,
     /// Phi operands that referenced values before their definition.
-    pending: Vec<(InstId, usize, String, usize)>,
+    pending: Vec<(InstId, usize, &'a str, usize)>,
 }
 
 impl<'a> FnParser<'a> {
@@ -102,7 +103,7 @@ impl<'a> FnParser<'a> {
                         func.add_block()
                     };
                     label_count += 1;
-                    if self.blocks.insert(label.to_string(), id).is_some() {
+                    if self.blocks.insert(label, id).is_some() {
                         return Err(self.err(ln, format!("duplicate label '{label}'")));
                     }
                 }
@@ -205,7 +206,7 @@ impl<'a> FnParser<'a> {
         func: &mut Function,
         block: BlockId,
         ln: usize,
-        line: &str,
+        line: &'a str,
     ) -> Result<(), IrParseError> {
         // Terminators.
         if let Some(rest) = line.strip_prefix("br ") {
@@ -213,15 +214,12 @@ impl<'a> FnParser<'a> {
             return Ok(());
         }
         if let Some(rest) = line.strip_prefix("condbr ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
-                return Err(self.err(ln, "condbr needs 'cond, bb, bb'"));
-            }
-            let cond = self.parse_value(ln, parts[0], Some(Ty::I1))?;
+            let [c, t, e] =
+                three(rest).ok_or_else(|| self.err(ln, "condbr needs 'cond, bb, bb'"))?;
             func.block_mut(block).term = Terminator::CondBr {
-                cond,
-                then_bb: self.parse_block_ref(ln, parts[1])?,
-                else_bb: self.parse_block_ref(ln, parts[2])?,
+                cond: self.parse_value(ln, c, Some(Ty::I1))?,
+                then_bb: self.parse_block_ref(ln, t)?,
+                else_bb: self.parse_block_ref(ln, e)?,
             };
             return Ok(());
         }
@@ -241,9 +239,7 @@ impl<'a> FnParser<'a> {
 
         // `vN = <op>` or a void `call`/`store`.
         let (result_name, body) = match line.split_once('=') {
-            Some((lhs, rhs)) if lhs.trim().starts_with('v') => {
-                (Some(lhs.trim().to_string()), rhs.trim())
-            }
+            Some((lhs, rhs)) if lhs.trim().starts_with('v') => (Some(lhs.trim()), rhs.trim()),
             _ => (None, line),
         };
 
@@ -253,11 +249,7 @@ impl<'a> FnParser<'a> {
             if !defines {
                 return Err(self.err(ln, "void instruction cannot define a value"));
             }
-            if self
-                .values
-                .insert(name.clone(), ValueRef::Inst(id))
-                .is_some()
-            {
+            if self.values.insert(name, ValueRef::Inst(id)).is_some() {
                 return Err(self.err(ln, format!("redefinition of '{name}'")));
             }
         } else if defines {
@@ -278,7 +270,7 @@ impl<'a> FnParser<'a> {
         &mut self,
         func: &Function,
         ln: usize,
-        body: &str,
+        body: &'a str,
     ) -> Result<(InstData, bool), IrParseError> {
         let (mnemonic, rest) = body.split_once(' ').unwrap_or((body, ""));
         let rest = rest.trim();
@@ -332,13 +324,11 @@ impl<'a> FnParser<'a> {
                     .split_once(' ')
                     .ok_or_else(|| self.err(ln, "missing type"))?;
                 let ty = self.parse_ty(ln, ty_s)?;
-                let parts: Vec<&str> = ops.split(',').map(str::trim).collect();
-                if parts.len() != 3 {
-                    return Err(self.err(ln, "select needs three operands"));
-                }
-                let c = self.parse_value(ln, parts[0], Some(Ty::I1))?;
-                let a = self.parse_value(ln, parts[1], Some(ty))?;
-                let b = self.parse_value(ln, parts[2], Some(ty))?;
+                let [c, a, b] =
+                    three(ops).ok_or_else(|| self.err(ln, "select needs three operands"))?;
+                let c = self.parse_value(ln, c, Some(Ty::I1))?;
+                let a = self.parse_value(ln, a, Some(ty))?;
+                let b = self.parse_value(ln, b, Some(ty))?;
                 Ok((InstData::new(Op::Select, vec![c, a, b], ty), true))
             }
             "alloca" => {
@@ -373,13 +363,13 @@ impl<'a> FnParser<'a> {
             }
             "call" => {
                 // `call [ty] @name(args)`
-                let (ty, rest) = if let Some(r) = rest.strip_prefix('@') {
-                    (Ty::Void, format!("@{r}"))
+                let (ty, rest) = if rest.starts_with('@') {
+                    (Ty::Void, rest)
                 } else {
                     let (ty_s, r) = rest
                         .split_once(' ')
                         .ok_or_else(|| self.err(ln, "malformed call"))?;
-                    (self.parse_ty(ln, ty_s)?, r.trim().to_string())
+                    (self.parse_ty(ln, ty_s)?, r.trim())
                 };
                 let rest = rest
                     .strip_prefix('@')
@@ -412,17 +402,14 @@ impl<'a> FnParser<'a> {
                         .ok_or_else(|| self.err(ln, "phi edge needs '[bb: value]'"))?;
                     blocks.push(self.parse_block_ref(ln, b)?);
                     let v = v.trim();
-                    match self.parse_value(ln, v, Some(ty)) {
-                        Ok(val) => args.push(val),
-                        Err(_) if v.starts_with('v') => {
-                            // Forward reference (loop phi): placeholder now,
-                            // patched in resolve_pending. InstId::MAX marks
-                            // "the instruction being parsed".
-                            args.push(ValueRef::Const(ty, 0));
-                            self.pending
-                                .push((InstId(u32::MAX), slot, v.to_string(), ln));
-                        }
-                        Err(e) => return Err(e),
+                    if v.starts_with('v') && !self.values.contains_key(v) {
+                        // Forward reference (loop phi): placeholder now,
+                        // patched in resolve_pending. InstId::MAX marks
+                        // "the instruction being parsed".
+                        args.push(ValueRef::Const(ty, 0));
+                        self.pending.push((InstId(u32::MAX), slot, v, ln));
+                    } else {
+                        args.push(self.parse_value(ln, v, Some(ty))?);
                     }
                 }
                 let _ = func;
@@ -435,13 +422,20 @@ impl<'a> FnParser<'a> {
     fn resolve_pending(&mut self, func: &mut Function) -> Result<(), IrParseError> {
         for (inst, slot, name, ln) in std::mem::take(&mut self.pending) {
             let v =
-                self.values.get(&name).copied().ok_or_else(|| {
+                self.values.get(name).copied().ok_or_else(|| {
                     self.err(ln, format!("unresolved forward reference '{name}'"))
                 })?;
             func.inst_mut(inst).args[slot] = v;
         }
         Ok(())
     }
+}
+
+/// Splits `s` at commas into exactly three trimmed parts.
+fn three(s: &str) -> Option<[&str; 3]> {
+    let mut parts = s.split(',').map(str::trim);
+    let three = [parts.next()?, parts.next()?, parts.next()?];
+    parts.next().is_none().then_some(three)
 }
 
 #[cfg(test)]
