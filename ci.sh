@@ -17,8 +17,9 @@
 #                  plus a traced demo build validated with `trace-check`,
 #                  a depcheck run over the demo project and the cold
 #                  no-op gate (a second process executes 0 tasks); both modes
-#                  start with the one-request-path grep over `minicc.rs`
-#                  and the no-process-state grep over `crates/`
+#                  start with the one-request-path grep over `minicc.rs`,
+#                  the no-process-state grep over `crates/` and the
+#                  one-JSON-writer grep over `crates/`
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -147,9 +148,27 @@ static_state_gate() {
     fi
 }
 
+# One JSON writer: every document sfcc emits is a `json::Value` printed by
+# `sfcc_trace::json::write`. A JSON key literal (`\"key\":`) in non-test code
+# (a file's lines before its `#[cfg(test)]`) outside json.rs is a
+# hand-written document coming back.
+json_writer_gate() {
+    local literals
+    literals="$(find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' \
+        -not -path crates/trace/src/json.rs | sort |
+        xargs awk '/^#\[cfg\(test\)\]/ { nextfile }
+                   /\\"[A-Za-z_][A-Za-z0-9_.-]*\\":/ { print FILENAME ":" FNR ": " $0 }')"
+    if [[ -n "$literals" ]]; then
+        echo "ci: hand-written JSON outside crates/trace/src/json.rs (build a json::Value):" >&2
+        echo "$literals" >&2
+        return 1
+    fi
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
     static_state_gate
+    json_writer_gate
     # Byte-identity pin of the canonical IR text every fingerprint hashes.
     cargo test -q -p sfcc-ir quick_
     cargo test -q -p sfcc --test integration_crash quick_
@@ -183,6 +202,7 @@ fi
 
 one_path_gate
 static_state_gate
+json_writer_gate
 cargo build --release
 cargo test -q
 cargo test --release --offline --manifest-path sfbench/Cargo.toml

@@ -11,8 +11,5 @@ fn main() {
     println!("# E17 — extension: shared artifact store (cross-project sharing)\n");
     let (table, json) = sfcc_bench::experiments::cas_sharing::cas_sharing(scale);
     print!("{table}");
-    match std::fs::write("BENCH_cas.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_cas.json"),
-        Err(e) => eprintln!("\ncannot write BENCH_cas.json: {e}"),
-    }
+    sfcc_bench::write_artifact("BENCH_cas.json", &json);
 }

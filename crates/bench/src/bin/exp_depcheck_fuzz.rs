@@ -12,8 +12,5 @@ fn main() {
     println!("# E15 — extension: dependency-soundness fuzzing\n");
     let (table, json) = sfcc_bench::experiments::depcheck_fuzz::depcheck_fuzz(scale);
     print!("{table}");
-    match std::fs::write("BENCH_depcheck.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_depcheck.json"),
-        Err(e) => eprintln!("\ncannot write BENCH_depcheck.json: {e}"),
-    }
+    sfcc_bench::write_artifact("BENCH_depcheck.json", &json);
 }

@@ -12,8 +12,5 @@ fn main() {
     println!("# E16 — extension: function-granularity dependencies\n");
     let (table, json) = sfcc_bench::experiments::fngrain::fngrain(scale);
     print!("{table}");
-    match std::fs::write("BENCH_fngrain.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_fngrain.json"),
-        Err(e) => eprintln!("\ncannot write BENCH_fngrain.json: {e}"),
-    }
+    sfcc_bench::write_artifact("BENCH_fngrain.json", &json);
 }

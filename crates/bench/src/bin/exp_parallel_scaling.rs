@@ -18,10 +18,7 @@ fn main() -> ExitCode {
     println!("# E13 — extension: parallel optimize scaling\n");
     let (table, json) = sfcc_bench::experiments::parallel::parallel_scaling(scale);
     print!("{table}");
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_parallel.json"),
-        Err(e) => eprintln!("\ncannot write BENCH_parallel.json: {e}"),
-    }
+    sfcc_bench::write_artifact("BENCH_parallel.json", &json);
     if let Some(max_pct) = gate {
         match sfcc_bench::experiments::parallel::gate_single_module_overhead(&json, max_pct) {
             Ok(pct) => {

@@ -11,8 +11,5 @@ fn main() {
     println!("# E18 — extension: warm build daemon (minicc serve)\n");
     let (table, json) = sfcc_bench::experiments::serve_warm::serve_warm(scale);
     print!("{table}");
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_serve.json"),
-        Err(e) => eprintln!("\ncannot write BENCH_serve.json: {e}"),
-    }
+    sfcc_bench::write_artifact("BENCH_serve.json", &json);
 }

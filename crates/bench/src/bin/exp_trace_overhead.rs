@@ -11,8 +11,5 @@ fn main() {
     println!("# E14 — extension: observability overhead\n");
     let (table, json) = sfcc_bench::experiments::observe::trace_overhead(scale);
     print!("{table}");
-    match std::fs::write("BENCH_trace.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_trace.json"),
-        Err(e) => eprintln!("\ncannot write BENCH_trace.json: {e}"),
-    }
+    sfcc_bench::write_artifact("BENCH_trace.json", &json);
 }

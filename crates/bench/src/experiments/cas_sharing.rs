@@ -17,6 +17,7 @@ use crate::table::Table;
 use sfcc::{Compiler, Config};
 use sfcc_backend::disasm_program;
 use sfcc_buildsys::{Builder, Project};
+use sfcc_trace::json::Value;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -55,7 +56,7 @@ fn store_dir(tag: &str) -> PathBuf {
 
 /// E17: the sharing comparison. Returns the rendered table and the JSON
 /// artifact written to `BENCH_cas.json`.
-pub fn cas_sharing(scale: crate::Scale) -> (String, String) {
+pub fn cas_sharing(scale: crate::Scale) -> (String, Value) {
     let (tenants, shared_fns, unique_fns) = match scale {
         crate::Scale::Quick => (4usize, 16usize, 4usize),
         crate::Scale::Full => (8, 64, 8),
@@ -131,17 +132,24 @@ pub fn cas_sharing(scale: crate::Scale) -> (String, String) {
         if all_identical { "yes" } else { "NO" },
     );
 
-    let mut json = String::from("{\"experiment\":\"cas_sharing\",");
-    let _ = write!(
-        json,
-        "\"tenants\":{tenants},\"shared_fns\":{shared_fns},\"unique_fns\":{unique_fns},\
-         \"hits\":{total_hits},\"misses\":{total_misses},\"publishes\":{total_publishes},\
-         \"store_bytes\":{bytes},\"hit_rate\":{hit_rate:.3},\
-         \"base_active_slots\":{base_active},\"shared_active_slots\":{shared_active},\
-         \"shared_skipped_slots\":{shared_skipped},\"slot_ratio\":{slot_ratio:.2},\
-         \"base_wall_ns\":{base_wall},\"shared_wall_ns\":{shared_wall},\
-         \"byte_identical\":{all_identical}}}"
-    );
+    let json = Value::obj([
+        ("experiment", "cas_sharing".into()),
+        ("tenants", tenants.into()),
+        ("shared_fns", shared_fns.into()),
+        ("unique_fns", unique_fns.into()),
+        ("hits", total_hits.into()),
+        ("misses", total_misses.into()),
+        ("publishes", total_publishes.into()),
+        ("store_bytes", bytes.into()),
+        ("hit_rate", crate::rounded(hit_rate, 3)),
+        ("base_active_slots", base_active.into()),
+        ("shared_active_slots", shared_active.into()),
+        ("shared_skipped_slots", shared_skipped.into()),
+        ("slot_ratio", crate::rounded(slot_ratio, 2)),
+        ("base_wall_ns", base_wall.into()),
+        ("shared_wall_ns", shared_wall.into()),
+        ("byte_identical", all_identical.into()),
+    ]);
     let _ = std::fs::remove_dir_all(&store);
     (out, json)
 }
@@ -154,24 +162,20 @@ mod tests {
     fn quick_followers_hit_the_shared_surface_byte_identically() {
         let (table, json) = cas_sharing(crate::Scale::Quick);
         // Soundness first: the store may never change bytes.
-        assert!(json.contains("\"byte_identical\":true"), "{table}\n{json}");
+        assert_eq!(
+            json.get("byte_identical"),
+            Some(&Value::Bool(true)),
+            "{table}\n{json:?}"
+        );
         // The economics: each of the 3 follower tenants hits all 16 shared
         // functions (the leader publishes them), so the fleet performs at
         // least 48 hits, and dedup means the shared surface is published
         // exactly once.
-        let hits: u64 = json
-            .split("\"hits\":")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.parse().ok())
-            .expect("hits in artifact");
-        assert!(hits >= 48, "fleet hits {hits} < 48:\n{table}\n{json}");
-        let slot_ratio: f64 = json
-            .split("\"slot_ratio\":")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.parse().ok())
-            .expect("slot_ratio in artifact");
+        let hits = json.get("hits").and_then(Value::as_u64).expect("hits");
+        assert!(hits >= 48, "fleet hits {hits} < 48:\n{table}\n{json:?}");
+        let Some(&Value::Num(slot_ratio)) = json.get("slot_ratio") else {
+            panic!("no slot_ratio in {json:?}");
+        };
         assert!(
             slot_ratio > 1.5,
             "sharing must cut active pass slots: {slot_ratio}\n{table}"

@@ -18,6 +18,7 @@ use crate::{Scale, DEFAULT_SEED};
 use sfcc::{Compiler, Config};
 use sfcc_backend::image::to_bytes;
 use sfcc_buildsys::{Builder, DepMutations};
+use sfcc_trace::json::Value;
 use sfcc_workload::{generate_model, EditScript};
 use std::fmt::Write as _;
 
@@ -94,7 +95,7 @@ fn run_case(
 
 /// E15: the dependency-lie fuzz matrix. Returns the rendered table and the
 /// JSON artifact written to `BENCH_depcheck.json`.
-pub fn depcheck_fuzz(scale: Scale) -> (String, String) {
+pub fn depcheck_fuzz(scale: Scale) -> (String, Value) {
     let commits = match scale {
         Scale::Quick => 4usize,
         Scale::Full => 12,
@@ -186,28 +187,21 @@ pub fn depcheck_fuzz(scale: Scale) -> (String, String) {
         if all_caught { "yes" } else { "NO" }
     );
 
-    let mut json = String::from("{\"experiment\":\"depcheck_fuzz\",");
-    let _ = write!(json, "\"commits\":{commits},\"cases\":[");
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let step_json = |s: Option<usize>| match s {
-            Some(step) => step.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            json,
-            "{{\"name\":\"{}\",\"findings\":{},\"flagged_at\":{},\
-             \"diverged_at\":{},\"caught\":{}}}",
-            o.name,
-            o.findings,
-            step_json(o.flagged_at),
-            step_json(o.diverged_at),
-            o.caught()
-        );
-    }
-    let _ = write!(json, "],\"all_caught\":{all_caught}}}");
+    let cases = outcomes.iter().map(|o| {
+        Value::obj([
+            ("name", o.name.into()),
+            ("findings", o.findings.into()),
+            ("flagged_at", o.flagged_at.into()),
+            ("diverged_at", o.diverged_at.into()),
+            ("caught", o.caught().into()),
+        ])
+    });
+    let json = Value::obj([
+        ("experiment", "depcheck_fuzz".into()),
+        ("commits", commits.into()),
+        ("cases", cases.collect()),
+        ("all_caught", all_caught.into()),
+    ]);
     (out, json)
 }
 
@@ -218,9 +212,10 @@ mod tests {
     #[test]
     fn quick_every_mutation_is_caught_before_divergence() {
         let (table, json) = depcheck_fuzz(Scale::Quick);
-        assert!(
-            json.contains("\"all_caught\":true"),
-            "a mutation escaped depcheck:\n{table}\n{json}"
+        assert_eq!(
+            json.get("all_caught"),
+            Some(&Value::Bool(true)),
+            "a mutation escaped depcheck:\n{table}\n{json:?}"
         );
         assert!(!table.contains("MISSED"), "{table}");
     }

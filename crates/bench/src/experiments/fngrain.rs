@@ -21,6 +21,7 @@
 use crate::table::Table;
 use sfcc::{Compiler, Config};
 use sfcc_buildsys::{BuildReport, Builder, Project};
+use sfcc_trace::json::Value;
 use std::fmt::Write as _;
 
 /// A `wide` module with `n` functions, a consumer with one caller per wide
@@ -67,7 +68,7 @@ fn fn_pipeline_tasks_of(report: &BuildReport, module: &str) -> usize {
 
 /// E16: the granularity comparison. Returns the rendered table and the JSON
 /// artifact written to `BENCH_fngrain.json`.
-pub fn fngrain(scale: crate::Scale) -> (String, String) {
+pub fn fngrain(scale: crate::Scale) -> (String, Value) {
     let n = match scale {
         crate::Scale::Quick => 64usize,
         crate::Scale::Full => 256,
@@ -154,16 +155,34 @@ pub fn fngrain(scale: crate::Scale) -> (String, String) {
         if consumer_rebuilt { "YES" } else { "no" },
     );
 
-    let mut json = String::from("{\"experiment\":\"fngrain\",");
-    let _ = write!(
-        json,
-        "\"module_functions\":{n},\
-         \"fn_grain\":{{\"fn_tasks\":{fine_tasks},\"wall_ns\":{fine_wall},\"signature_hits\":{}}},\
-         \"module_grain\":{{\"fn_tasks\":{coarse_tasks},\"wall_ns\":{coarse_wall}}},\
-         \"cliff\":{{\"consumer_fn_tasks\":{cliff_consumer_tasks},\"consumer_rebuilt\":{consumer_rebuilt}}},\
-         \"task_ratio\":{task_ratio:.2},\"wall_ratio\":{wall_speedup:.2}}}",
-        fine.fngrain.signature_hits
-    );
+    let json = Value::obj([
+        ("experiment", "fngrain".into()),
+        ("module_functions", n.into()),
+        (
+            "fn_grain",
+            Value::obj([
+                ("fn_tasks", fine_tasks.into()),
+                ("wall_ns", fine_wall.into()),
+                ("signature_hits", fine.fngrain.signature_hits.into()),
+            ]),
+        ),
+        (
+            "module_grain",
+            Value::obj([
+                ("fn_tasks", coarse_tasks.into()),
+                ("wall_ns", coarse_wall.into()),
+            ]),
+        ),
+        (
+            "cliff",
+            Value::obj([
+                ("consumer_fn_tasks", cliff_consumer_tasks.into()),
+                ("consumer_rebuilt", consumer_rebuilt.into()),
+            ]),
+        ),
+        ("task_ratio", crate::rounded(task_ratio, 2)),
+        ("wall_ratio", crate::rounded(wall_speedup, 2)),
+    ]);
     (out, json)
 }
 
@@ -177,18 +196,20 @@ mod tests {
         // The acceptance bar: a one-function body edit in a 64-function
         // module re-executes at least 5x fewer per-function pipeline tasks
         // than the module-grained blast radius.
-        let ratio: f64 = json
-            .split("\"task_ratio\":")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.parse().ok())
-            .expect("task_ratio in artifact");
-        assert!(ratio >= 5.0, "ratio {ratio} < 5:\n{table}\n{json}");
+        let Some(&Value::Num(ratio)) = json.get("task_ratio") else {
+            panic!("no task_ratio in {json:?}");
+        };
+        assert!(ratio >= 5.0, "ratio {ratio} < 5:\n{table}\n{json:?}");
         // And the cliff is dead: growing the interface re-executes zero
         // consumer pipelines.
-        assert!(
-            json.contains("\"consumer_fn_tasks\":0,\"consumer_rebuilt\":false"),
-            "{table}\n{json}"
+        let cliff = json.get("cliff").expect("cliff");
+        assert_eq!(
+            (
+                cliff.get("consumer_fn_tasks"),
+                cliff.get("consumer_rebuilt")
+            ),
+            (Some(&Value::Int(0)), Some(&Value::Bool(false))),
+            "{table}\n{json:?}"
         );
     }
 }

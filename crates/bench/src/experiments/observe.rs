@@ -24,6 +24,7 @@ use crate::{Scale, DEFAULT_SEED};
 use sfcc::{Compiler, Config};
 use sfcc_backend::image::to_bytes;
 use sfcc_buildsys::{BuildReport, Builder};
+use sfcc_trace::json::Value;
 use sfcc_trace::{SpanId, Trace};
 use sfcc_workload::{generate_model, EditScript};
 use std::fmt::Write as _;
@@ -102,7 +103,7 @@ fn run_arm(commits: usize, traced: bool) -> (u64, BuildReport, Vec<u8>) {
 /// E14: disabled-overhead bound and measured enabled overhead of the
 /// observability layer. Returns the rendered table and the JSON artifact
 /// written to `BENCH_trace.json`.
-pub fn trace_overhead(scale: Scale) -> (String, String) {
+pub fn trace_overhead(scale: Scale) -> (String, Value) {
     let (reps, commits, iters) = match scale {
         Scale::Quick => (3usize, 3usize, 200_000u64),
         Scale::Full => (7, 8, 2_000_000),
@@ -172,20 +173,22 @@ pub fn trace_overhead(scale: Scale) -> (String, String) {
         }
     );
 
-    let mut json = String::from("{\"experiment\":\"trace_overhead\",");
-    let _ = write!(
-        json,
-        "\"reps\":{reps},\"commits\":{commits},\
-         \"ns_per_disabled_call\":{ns_per_call:.4},\
-         \"accounting_safety\":{ACCOUNTING_SAFETY},\
-         \"sites_per_build\":{per_build_sites},\
-         \"replay_wall_ns_off\":{off_med},\
-         \"replay_wall_ns_on\":{on_med},\
-         \"disabled_overhead_bound_pct\":{disabled_bound_pct:.4},\
-         \"enabled_overhead_pct\":{enabled_pct:.4},\
-         \"within_budget\":{}}}",
-        disabled_bound_pct < 2.0
-    );
+    let json = Value::obj([
+        ("experiment", "trace_overhead".into()),
+        ("reps", reps.into()),
+        ("commits", commits.into()),
+        ("ns_per_disabled_call", crate::rounded(ns_per_call, 4)),
+        ("accounting_safety", Value::Num(ACCOUNTING_SAFETY)),
+        ("sites_per_build", per_build_sites.into()),
+        ("replay_wall_ns_off", off_med.into()),
+        ("replay_wall_ns_on", on_med.into()),
+        (
+            "disabled_overhead_bound_pct",
+            crate::rounded(disabled_bound_pct, 4),
+        ),
+        ("enabled_overhead_pct", crate::rounded(enabled_pct, 4)),
+        ("within_budget", (disabled_bound_pct < 2.0).into()),
+    ]);
     (out, json)
 }
 
@@ -196,9 +199,10 @@ mod tests {
     #[test]
     fn quick_disabled_overhead_is_under_budget() {
         let (table, json) = trace_overhead(Scale::Quick);
-        assert!(
-            json.contains("\"within_budget\":true"),
-            "disabled overhead bound exceeded 2%:\n{table}\n{json}"
+        assert_eq!(
+            json.get("within_budget"),
+            Some(&Value::Bool(true)),
+            "disabled overhead bound exceeded 2%:\n{table}\n{json:?}"
         );
         assert!(table.contains("within budget"), "{table}");
     }

@@ -20,6 +20,7 @@ use sfcc::{Compiler, Config};
 use sfcc_buildsys::Builder;
 use sfcc_frontend::ModuleEnv;
 use sfcc_ir::print::module_to_string;
+use sfcc_trace::json::Value;
 use sfcc_workload::{generate_model, GeneratorConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -75,8 +76,8 @@ fn single_module_config(functions: usize) -> GeneratorConfig {
 /// E13: optimize-phase wall time vs `--jobs`, single large module and
 /// standard project. Returns the rendered tables and the machine-readable
 /// JSON written to `BENCH_parallel.json`.
-pub fn parallel_scaling(scale: Scale) -> (String, String) {
-    let reps = match scale {
+pub fn parallel_scaling(scale: Scale) -> (String, Value) {
+    let reps: usize = match scale {
         Scale::Quick => 3,
         Scale::Full => 10,
     };
@@ -229,50 +230,45 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
          check. Output byte-identity across worker counts is asserted.\n",
     );
 
-    let mut json = String::from("{\"experiment\":\"parallel_scaling\",");
-    let _ = write!(
-        json,
-        "\"detected_cores\":{cores},\"reps\":{reps},\"single_module\":{{\"functions\":{functions},\"sweep\":["
-    );
+    let point = |p: &Point, base: u64, now: u64, wall: bool| {
+        let mut fields = vec![("jobs", p.jobs.into())];
+        if wall {
+            fields.push(("wall_ns", p.wall_ns.into()));
+        }
+        fields.extend([
+            ("optimize_ns", p.optimize_ns.into()),
+            ("speedup_vs_1", crate::rounded(speedup(base, now), 4)),
+            ("overhead_pct", crate::rounded(overhead_pct(base, now), 2)),
+            ("snapshot_clones", p.snapshot_clones.into()),
+            ("cost_units", p.cost_units.into()),
+        ]);
+        Value::obj(fields)
+    };
     let base = single[0].optimize_ns;
-    for (i, p) in single.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"jobs\":{},\"optimize_ns\":{},\"speedup_vs_1\":{:.4},\"overhead_pct\":{:.2},\"snapshot_clones\":{},\"cost_units\":{}}}",
-            p.jobs,
-            p.optimize_ns,
-            speedup(base, p.optimize_ns),
-            overhead_pct(base, p.optimize_ns),
-            p.snapshot_clones,
-            p.cost_units
-        );
-    }
-    let _ = write!(
-        json,
-        "]}},\"project_build\":{{\"preset\":\"{}\",\"sweep\":[",
-        project_config.name
-    );
+    let single_sweep = single.iter().map(|p| point(p, base, p.optimize_ns, false));
     let base = project_points[0].wall_ns;
-    for (i, p) in project_points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"jobs\":{},\"wall_ns\":{},\"optimize_ns\":{},\"speedup_vs_1\":{:.4},\"overhead_pct\":{:.2},\"snapshot_clones\":{},\"cost_units\":{}}}",
-            p.jobs,
-            p.wall_ns,
-            p.optimize_ns,
-            speedup(base, p.wall_ns),
-            overhead_pct(base, p.wall_ns),
-            p.snapshot_clones,
-            p.cost_units
-        );
-    }
-    json.push_str("]}}");
+    let project_sweep = project_points
+        .iter()
+        .map(|p| point(p, base, p.wall_ns, true));
+    let json = Value::obj([
+        ("experiment", "parallel_scaling".into()),
+        ("detected_cores", cores.into()),
+        ("reps", reps.into()),
+        (
+            "single_module",
+            Value::obj([
+                ("functions", functions.into()),
+                ("sweep", single_sweep.collect()),
+            ]),
+        ),
+        (
+            "project_build",
+            Value::obj([
+                ("preset", project_config.name.into()),
+                ("sweep", project_sweep.collect()),
+            ]),
+        ),
+    ]);
     (out, json)
 }
 
@@ -281,19 +277,18 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
 /// more than `max_pct` percent. On a single-core host the sweep measures
 /// pure fan-out overhead, so this pins the cost of `--jobs` misconfiguration.
 /// Returns the measured overhead percentage on success.
-pub fn gate_single_module_overhead(json: &str, max_pct: f64) -> Result<f64, String> {
-    let doc = sfcc_trace::json::parse(json).map_err(|e| format!("invalid experiment JSON: {e}"))?;
+pub fn gate_single_module_overhead(doc: &Value, max_pct: f64) -> Result<f64, String> {
     let sweep = doc
         .get("single_module")
         .and_then(|m| m.get("sweep"))
-        .and_then(sfcc_trace::json::Value::as_arr)
+        .and_then(Value::as_arr)
         .ok_or("missing single_module.sweep")?;
     let optimize_ns_at = |jobs: u64| -> Result<u64, String> {
         sweep
             .iter()
-            .find(|p| p.get("jobs").and_then(sfcc_trace::json::Value::as_u64) == Some(jobs))
+            .find(|p| p.get("jobs").and_then(Value::as_u64) == Some(jobs))
             .and_then(|p| p.get("optimize_ns"))
-            .and_then(sfcc_trace::json::Value::as_u64)
+            .and_then(Value::as_u64)
             .ok_or(format!("missing sweep point for jobs={jobs}"))
     };
     let base = optimize_ns_at(1)?;
@@ -315,15 +310,25 @@ mod tests {
     #[test]
     fn quick_sweep_runs_and_reports_every_worker_count() {
         let (table, json) = parallel_scaling(Scale::Quick);
-        for jobs in JOBS {
-            assert!(json.contains(&format!("\"jobs\":{jobs}")), "{json}");
+        let sweep = json
+            .get("single_module")
+            .and_then(|m| m.get("sweep"))
+            .and_then(Value::as_arr)
+            .expect("single_module.sweep");
+        let jobs: Vec<u64> = sweep
+            .iter()
+            .filter_map(|p| p.get("jobs").and_then(Value::as_u64))
+            .collect();
+        assert_eq!(jobs, JOBS.map(|j| j as u64), "{json:?}");
+        for key in ["overhead_pct", "snapshot_clones", "cost_units"] {
+            assert!(
+                sweep.iter().all(|p| p.get(key).is_some()),
+                "{key}: {json:?}"
+            );
         }
         assert!(table.contains("speedup-vs-1"), "{table}");
         assert!(table.contains("overhead-%"), "{table}");
-        assert!(json.contains("\"detected_cores\":"), "{json}");
-        assert!(json.contains("\"overhead_pct\":"), "{json}");
-        assert!(json.contains("\"snapshot_clones\":"), "{json}");
-        assert!(json.contains("\"cost_units\":"), "{json}");
+        assert!(json.get("detected_cores").is_some(), "{json:?}");
         // A permissive gate must accept the artifact it was built from.
         gate_single_module_overhead(&json, 1e9).expect("gate parses its own artifact");
     }
@@ -332,15 +337,17 @@ mod tests {
     fn gate_rejects_overhead_beyond_budget() {
         let json = r#"{"experiment":"parallel_scaling","single_module":{"sweep":[
             {"jobs":1,"optimize_ns":1000},{"jobs":8,"optimize_ns":1100}]}}"#;
-        let err = gate_single_module_overhead(json, 5.0).unwrap_err();
+        let json = sfcc_trace::json::parse(json).unwrap();
+        let err = gate_single_module_overhead(&json, 5.0).unwrap_err();
         assert!(err.contains("10.00%"), "{err}");
-        assert!(gate_single_module_overhead(json, 15.0).is_ok());
+        assert!(gate_single_module_overhead(&json, 15.0).is_ok());
     }
 
     #[test]
     fn gate_reports_missing_sweep_points() {
         let json = r#"{"single_module":{"sweep":[{"jobs":1,"optimize_ns":1000}]}}"#;
-        let err = gate_single_module_overhead(json, 5.0).unwrap_err();
+        let err =
+            gate_single_module_overhead(&sfcc_trace::json::parse(json).unwrap(), 5.0).unwrap_err();
         assert!(err.contains("jobs=8"), "{err}");
     }
 }

@@ -20,6 +20,7 @@ use crate::table::Table;
 use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::Project;
 use sfcc_daemon::{roundtrip, Daemon, DaemonHandle, DaemonOptions, Request};
+use sfcc_trace::json::{self, Value};
 use sfcc_workload::{generate_model, EditKind, EditScript, GeneratorConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -77,7 +78,7 @@ fn warm_request(socket: &Path, dir: &Path) -> Result<u64, String> {
     if reply.ok {
         Ok(ns)
     } else {
-        Err(reply.raw)
+        Err(json::write(&reply.body))
     }
 }
 
@@ -113,7 +114,7 @@ fn ms(ns: u64) -> String {
 
 /// E18: the warm-vs-cold serve comparison. Returns the rendered table and
 /// the JSON artifact written to `BENCH_serve.json`.
-pub fn serve_warm(scale: crate::Scale) -> (String, String) {
+pub fn serve_warm(scale: crate::Scale) -> (String, Value) {
     // Both scales use the large project: the daemon's advantage is the
     // recompute a cold session repeats per module, which only shows at
     // size. Quick just trims the edit and client counts.
@@ -230,17 +231,22 @@ pub fn serve_warm(scale: crate::Scale) -> (String, String) {
          concurrent clients: {clients}, rejected/errored requests: {multi_errors}",
     );
 
-    let mut json = String::from("{\"experiment\":\"serve_warm\",");
-    let _ = write!(
-        json,
-        "\"edits\":{edits},\
-         \"warm_p50_ns\":{warm_p50},\"warm_p90_ns\":{warm_p90},\"warm_p99_ns\":{warm_p99},\
-         \"cold_p50_ns\":{cold_p50},\"cold_p90_ns\":{cold_p90},\"cold_p99_ns\":{cold_p99},\
-         \"speedup_p50\":{speedup_p50:.3},\
-         \"clients\":{clients},\"multi_requests\":{multi_requests},\
-         \"multi_warm_p50_ns\":{multi_p50},\"multi_warm_p90_ns\":{multi_p90},\
-         \"multi_errors\":{multi_errors}}}"
-    );
+    let json = Value::obj([
+        ("experiment", "serve_warm".into()),
+        ("edits", edits.into()),
+        ("warm_p50_ns", warm_p50.into()),
+        ("warm_p90_ns", warm_p90.into()),
+        ("warm_p99_ns", warm_p99.into()),
+        ("cold_p50_ns", cold_p50.into()),
+        ("cold_p90_ns", cold_p90.into()),
+        ("cold_p99_ns", cold_p99.into()),
+        ("speedup_p50", crate::rounded(speedup_p50, 3)),
+        ("clients", clients.into()),
+        ("multi_requests", multi_requests.into()),
+        ("multi_warm_p50_ns", multi_p50.into()),
+        ("multi_warm_p90_ns", multi_p90.into()),
+        ("multi_errors", multi_errors.into()),
+    ]);
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&multi_root);
     (out, json)
@@ -256,9 +262,10 @@ mod tests {
     #[test]
     fn quick_warm_serves_beat_cold_sessions_and_nothing_is_rejected() {
         let (table, json) = serve_warm(crate::Scale::Quick);
-        assert!(
-            json.contains("\"multi_errors\":0"),
-            "concurrent clients must not be rejected at this rate:\n{table}\n{json}"
+        assert_eq!(
+            json.get("multi_errors").and_then(Value::as_u64),
+            Some(0),
+            "concurrent clients must not be rejected at this rate:\n{table}\n{json:?}"
         );
     }
 }

@@ -18,6 +18,24 @@ pub use harness::{
 };
 pub use table::{frac_pct, ms, pct, Table};
 
+use sfcc_trace::json::{self, Value};
+
+/// Writes an experiment's machine-readable artifact to `path` (relative to
+/// the current directory) and says where it went.
+pub fn write_artifact(path: &str, doc: &Value) {
+    match std::fs::write(path, json::write(doc)) {
+        Ok(()) => println!("\nwrote {path}"),
+        Err(e) => eprintln!("\ncannot write {path}: {e}"),
+    }
+}
+
+/// `x` rounded to `places` decimals: an artifact's ratios carry no more
+/// digits than the measurement supports.
+pub fn rounded(x: f64, places: i32) -> Value {
+    let scale = 10f64.powi(places);
+    Value::Num((x * scale).round() / scale)
+}
+
 /// Experiment scale: `Quick` for tests/CI, `Full` for the paper-style runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

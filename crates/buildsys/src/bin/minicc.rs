@@ -17,21 +17,22 @@
 //! `--stateless` (default), `--fn-cache`, `--cas <dir>` (shared
 //! content-addressed artifact store; `SFCC_CAS`/`SFCC_CAS_BUDGET` env
 //! equivalents), `--jobs N` (default: all cores),
-//! `--durable` (fsync durable writes), `-O0`/`-O1`/`-O2`; `build` also
-//! accepts `--report json` for a machine-readable summary including
-//! query-engine hit/miss counts and corruption-recovery counters, and
-//! `--trace <out.json>` to export a deterministic Chrome/Perfetto span
-//! trace of the build (`--trace-wall` adds non-deterministic wall-clock
-//! annotations). Every `build` persists its JSON report to
-//! `<dir>/.sfcc-report.json`, which `minicc stats` pretty-prints.
+//! `--durable` (fsync durable writes), `-O0`/`-O1`/`-O2`; `build` and
+//! `depcheck` also accept `--report json` for a machine-readable summary
+//! including query-engine hit/miss counts and corruption-recovery
+//! counters, and `build` accepts `--trace <out.json>` to export a
+//! deterministic Chrome/Perfetto span trace of the build (`--trace-wall`
+//! adds non-deterministic wall-clock annotations). Every `build` persists
+//! its JSON report to `<dir>/.sfcc-report.json`, which `minicc stats`
+//! pretty-prints.
 //!
 //! A build-class command (`build`/`run`/`ir`/`bc`/`depcheck`) is one
 //! request: the command line parses once — build flags through
 //! `SessionFlags`, the one grammar the daemon uses too — into a
 //! `sfcc_daemon::Request`, which a one-request local `BuildService`
 //! session serves, or a warm daemon (`--daemon`, `minicc client`). This
-//! file holds no build logic of its own; both routes print through the
-//! same renderers.
+//! file holds no build logic of its own; both routes encode the same reply
+//! and print it through one renderer.
 //!
 //! Fault injection (testing only): `--fault-plan <spec>` or the
 //! `SFCC_FAULT_PLAN` environment variable installs a deterministic fault
@@ -40,12 +41,11 @@
 //! at the fifth durable I/O operation.
 
 use sfcc::persist;
-use sfcc_backend::{disasm_program, load_image};
+use sfcc_backend::load_image;
 use sfcc_buildsys::serve::{self, BuildService, SessionFlags, REPORT_FILE, STALE_REPORT_FILE};
-use sfcc_buildsys::BuildReport;
-use sfcc_daemon::{Daemon, DaemonOptions, ErrorKind, Reply, Request};
+use sfcc_daemon::{Daemon, DaemonOptions, ErrorKind, Reply, Request, Service};
 use sfcc_faultfs::FaultPlan;
-use sfcc_trace::json::Value;
+use sfcc_trace::json::{self, Value};
 use std::mem::ManuallyDrop;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -84,7 +84,7 @@ usage:
   minicc trace-check <trace.json>
   minicc depcheck <dir> [--report json] [build flags]
   minicc serve <root-dir> [--socket <path>] [serve flags]
-  minicc client <socket> <build|run|ir|depcheck|stats|ping|shutdown> [...]
+  minicc client <socket> <build|run|ir|bc|depcheck|stats|ping|shutdown> [...]
 
 build flags:
   --stateful     stateful compilation; state persists in <dir>/.sfcc-state
@@ -105,20 +105,21 @@ build flags:
   --parallel     alias for the default --jobs behavior
   --durable      fsync state/cache/image writes (crash-consistent either
                  way; --durable also survives OS-level crashes)
-  --report json  (build) print a JSON build report instead of the summary
+  --report json  (build/depcheck) print the JSON build report instead of
+                 the summary
   --trace <out.json>  (build) export a Chrome/Perfetto trace of the build;
                  the timeline is deterministic cost units, so the bytes are
                  identical across runs and --jobs values
   --trace-wall   annotate trace events with measured wall-clock nanoseconds
                  (makes the trace non-deterministic)
   -O0 | -O1 | -O2  optimization level (default -O2)
-  --daemon <socket>  (build/run/ir/depcheck) serve the request through a
-                 warm `minicc serve` daemon when one is reachable at
+  --daemon <socket>  (build/run/ir/bc/depcheck) serve the request through
+                 a warm `minicc serve` daemon when one is reachable at
                  <socket>; falls back to a local cold build otherwise.
-                 Build flags and SFCC_CAS/SFCC_CAS_BUDGET travel with the
-                 request; --report json, --trace and --trace-wall cannot
-                 (the report and trace stay in the serving process) and are
-                 refused together with --daemon
+                 Build flags, --report json and SFCC_CAS/SFCC_CAS_BUDGET
+                 travel with the request; --trace and --trace-wall cannot
+                 (the trace stays in the building process) and are refused
+                 together with --daemon
 
 build daemon:
   `minicc serve <root-dir>` starts a warm build daemon on a unix socket
@@ -129,9 +130,9 @@ build daemon:
   --max-queued <N> (default 16), --timeout-ms <N> (default 30000),
   --idle-snapshot-ms <N>. SIGTERM at any point leaves every state dir
   acceptable to a cold `minicc build`.
-  `minicc client <socket> <cmd> ...` sends one request; build/run/ir/
-  depcheck take the operands and build flags of the local command (not
-  --report json, --trace, --trace-wall or --daemon). Exit codes:
+  `minicc client <socket> <cmd> ...` sends one request; build/run/ir/bc/
+  depcheck take the operands, build flags and --report json of the local
+  command (not --trace, --trace-wall or --daemon). Exit codes:
     0  success (and `shutdown` of an already-gone daemon)
     1  the request failed (build error, depcheck findings)
     2  transport failure (cannot connect, protocol error) or, for
@@ -344,13 +345,10 @@ fn parse_invocation(cmd: &str, args: &[String]) -> Result<Invocation, String> {
 
 impl Invocation {
     /// Refuses the options only the serving process could honour: the
-    /// report and the trace stay in the daemon, and a reply cannot carry
-    /// them back (that needs a `json::Value` writer). Called before
-    /// anything is sent.
+    /// trace stays in the process that builds. Called before anything is
+    /// sent.
     fn refuse_local_only(&self, route: &str) -> Result<(), String> {
-        let flag = if self.report_json {
-            "--report json"
-        } else if self.trace.is_some() {
+        let flag = if self.trace.is_some() {
             "--trace"
         } else if self.trace_wall {
             "--trace-wall"
@@ -368,14 +366,15 @@ impl Invocation {
 fn cmd_request(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
     let invocation = parse_invocation(cmd, args)?;
     if let Some(socket) = &invocation.daemon {
-        if cmd == "bc" {
-            return Err("`bc` has no daemon route; drop `--daemon`".to_string());
-        }
         invocation.refuse_local_only("`--daemon`")?;
         if daemon_reachable(socket) {
             let reply = sfcc_daemon::roundtrip(socket, &invocation.request)
                 .map_err(|e| format!("daemon request failed: {e}"))?;
-            return Ok(render_reply(&invocation.request, &reply));
+            return Ok(render_reply(
+                &invocation.request,
+                invocation.report_json,
+                &reply,
+            ));
         }
         eprintln!(
             "daemon at `{}` is unreachable; serving locally",
@@ -385,10 +384,10 @@ fn cmd_request(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
     serve_locally(&invocation)
 }
 
-/// Opens a session, serves the one request through its typed methods, and
-/// renders the result with the printers [`render_reply`] uses.
+/// Opens a session and serves the one request through the encoder a
+/// daemon session uses, then renders the reply with [`render_reply`].
 ///
-/// The process exits right after, so the session and the report are never
+/// The process exits right after, so the session and the reply are never
 /// dropped: freeing a session's heap node by node is a tenth of a cold
 /// request, and nothing in either has a `Drop` that does more than free
 /// (everything durable was committed by the request itself).
@@ -396,174 +395,75 @@ fn serve_locally(invocation: &Invocation) -> Result<ExitCode, String> {
     let request = &invocation.request;
     let dir = request.dir.as_deref().expect("parsed with a directory");
     let mut session = ManuallyDrop::new(BuildService::new(Path::new(dir), &request.args)?);
-    match request.cmd.as_str() {
-        "build" => {
-            let image = request.out.as_deref().expect("parsed with an output");
-            session.set_tracing(invocation.trace.is_some());
-            let built = ManuallyDrop::new(session.build_image(Path::new(image))?);
-            if let Some(path) = &invocation.trace {
-                let trace = built.report.trace.as_ref().expect("the build was traced");
-                std::fs::write(path, trace.to_chrome_json(invocation.trace_wall))
-                    .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-            }
-            if invocation.report_json {
-                outln!("{}", built.report_json);
-            } else {
-                print_build(&BuildSummary::of_report(&built.report), image);
-            }
+    session.set_tracing(invocation.trace.is_some());
+    let members = match session.handle(request) {
+        Ok(members) => members,
+        // A failed audit build is exit 2 — distinct from "findings" (1) so
+        // CI can tell a broken project apart from a lying one.
+        Err(e) if request.cmd == "depcheck" => {
+            eprintln!("{e}");
+            return Ok(ExitCode::from(2));
         }
-        "run" => {
-            let ran = ManuallyDrop::new(session.run(&request.prog_args)?);
-            print_built_for_run(&BuildSummary::of_report(&ran.built.report));
-            print_run(
-                &request.prog_args,
-                &ran.output.prints,
-                ran.output.return_value,
-                ran.output.executed,
-            );
-        }
-        "ir" => {
-            let module = request.module.as_deref().expect("parsed with a module");
-            out(session.ir(module)?);
-        }
-        "bc" => out(disasm_program(&session.build()?.report.program)),
-        "depcheck" => {
-            // A failed audit build is exit 2 — distinct from "findings"
-            // (1) so CI can tell a broken project apart from a lying one.
-            let report = match session.depcheck() {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return Ok(ExitCode::from(2));
-                }
-            };
-            let verdict = report.depcheck.as_ref().expect("an audited build");
-            if invocation.report_json {
-                outln!("{}", report.to_json());
-                return Ok(ExitCode::from(u8::from(!verdict.is_clean())));
-            }
-            return Ok(print_depcheck(dir, &verdict.render(), verdict.is_clean()));
-        }
-        other => unreachable!("`{other}` is not a build-class command"),
+        Err(e) => return Err(e),
+    };
+    if let Some(path) = &invocation.trace {
+        let trace = session.take_trace().expect("the build was traced");
+        std::fs::write(path, trace.to_chrome_json(invocation.trace_wall))
+            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
     }
-    Ok(ExitCode::SUCCESS)
+    let reply = ManuallyDrop::new(Reply {
+        ok: true,
+        error: None,
+        body: sfcc_daemon::protocol::ok_response(&request.cmd, members),
+    });
+    Ok(render_reply(request, invocation.report_json, &reply))
 }
 
 // ─── the renderers: one per request kind, fed by either route ───
 
-/// The numbers of the build summary.
-struct BuildSummary {
-    modules: u64,
-    rebuilt: u64,
-    wall_ns: u64,
-    /// Pass slots: active, dormant, skipped.
-    slots: [u64; 3],
-    /// Query hits, misses.
-    queries: [u64; 2],
-    /// Signature pins held, re-extracted; function tasks ran, cut off.
-    fngrain: [u64; 4],
-    recovered: u64,
-    quarantined: Vec<String>,
+/// An unsigned integer member of a reply, `0` when absent.
+fn num(value: &Value) -> u64 {
+    value.as_u64().unwrap_or(0)
 }
 
-impl BuildSummary {
-    fn of_report(report: &BuildReport) -> BuildSummary {
-        let (active, dormant, skipped) = report.outcome_totals();
-        let fngrain = &report.fngrain;
-        BuildSummary {
-            modules: report.modules.len() as u64,
-            rebuilt: report.rebuilt_count() as u64,
-            wall_ns: report.wall_ns,
-            slots: [active as u64, dormant as u64, skipped as u64],
-            queries: [report.query.hits, report.query.misses],
-            fngrain: [
-                fngrain.signature_hits,
-                fngrain.signature_misses,
-                fngrain.fn_tasks_executed,
-                fngrain.cutoff_saved,
-            ],
-            recovered: report.recovered_files as u64,
-            quarantined: report.quarantined.clone(),
-        }
-    }
-
-    /// From a reply: the flat members, and — in a `build` reply — the
-    /// `report` member for what only the full report carries.
-    fn of_reply(body: &Value) -> BuildSummary {
-        let num = |key: &str| num_at(body, &[key]);
-        let report = body.get("report").unwrap_or(&Value::Null);
-        let fngrain = |key: &str| num_at(report, &["fngrain", key]);
-        let quarantined = report
-            .get("recovery")
-            .and_then(|r| r.get("quarantined"))
-            .and_then(Value::as_arr)
-            .map(|paths| {
-                paths
-                    .iter()
-                    .filter_map(|p| p.as_str().map(String::from))
-                    .collect()
-            })
+/// The build summary of a `build` reply: its flat members, and what only
+/// the full report in its `report` member carries.
+fn print_build(body: &Value) {
+    let recovered = num(&body["recovered"]);
+    if recovered > 0 {
+        let quarantined = body["report"]["recovery"]["quarantined"]
+            .as_arr()
             .unwrap_or_default();
-        BuildSummary {
-            modules: num("modules"),
-            rebuilt: num("rebuilt"),
-            wall_ns: num("wall_ns"),
-            slots: [num("active"), num("dormant"), num("skipped")],
-            queries: [num("hits"), num("misses")],
-            fngrain: [
-                fngrain("signature_hits"),
-                fngrain("signature_misses"),
-                fngrain("fn_tasks_executed"),
-                fngrain("cutoff_saved"),
-            ],
-            recovered: num("recovered"),
-            quarantined,
-        }
-    }
-}
-
-/// The unsigned integer at `path` inside a reply body, `0` when absent.
-fn num_at(body: &Value, path: &[&str]) -> u64 {
-    path.iter()
-        .try_fold(body, |value, key| value.get(key))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
-fn print_build(summary: &BuildSummary, image: &str) {
-    if summary.recovered > 0 {
+        let paths: Vec<&str> = quarantined.iter().filter_map(Value::as_str).collect();
         outln!(
-            "recovered from {} corrupt persistent file(s); quarantined: {}",
-            summary.recovered,
-            if summary.quarantined.is_empty() {
+            "recovered from {recovered} corrupt persistent file(s); quarantined: {}",
+            if paths.is_empty() {
                 "(none)".to_string()
             } else {
-                summary.quarantined.join(", ")
+                paths.join(", ")
             }
         );
     }
-    let ([active, dormant, skipped], [hits, misses]) = (summary.slots, summary.queries);
     outln!(
-        "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {active} active, {dormant} dormant, {skipped} skipped; queries: {hits} hit(s), {misses} miss(es)",
-        summary.modules,
-        summary.rebuilt,
-        summary.wall_ns as f64 / 1e6,
+        "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)",
+        num(&body["modules"]),
+        num(&body["rebuilt"]),
+        num(&body["wall_ns"]) as f64 / 1e6,
+        num(&body["active"]),
+        num(&body["dormant"]),
+        num(&body["skipped"]),
+        num(&body["hits"]),
+        num(&body["misses"]),
     );
-    let [held, re_extracted, ran, saved] = summary.fngrain;
+    let fngrain = &body["report"]["fngrain"];
     outln!(
-        "fn-grain: {held} signature pin(s) held, {re_extracted} re-extracted; {ran} function pipeline task(s) ran, {saved} saved by cutoff"
+        "fn-grain: {} signature pin(s) held, {} re-extracted; {} function pipeline task(s) ran, {} saved by cutoff",
+        num(&fngrain["signature_hits"]),
+        num(&fngrain["signature_misses"]),
+        num(&fngrain["fn_tasks_executed"]),
+        num(&fngrain["cutoff_saved"]),
     );
-    outln!("wrote {image}");
-}
-
-/// The line `run` prints about the build it ran on.
-fn print_built_for_run(summary: &BuildSummary) {
-    outln!(
-        "built {} module(s) ({} recompiled, {} pass slot(s) skipped)",
-        summary.modules,
-        summary.rebuilt,
-        summary.slots[2]
-    );
+    outln!("wrote {}", body["image"].as_str().unwrap_or_default());
 }
 
 fn print_run(args: &[i64], prints: &[i64], returned: Option<i64>, executed: u64) {
@@ -861,9 +761,10 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Prints a daemon reply with the printers the local route uses, and maps
-/// it to the documented exit code.
-fn render_reply(request: &Request, reply: &Reply) -> ExitCode {
+/// Prints a reply — a daemon's, or the one a local session encoded — and
+/// maps it to the documented exit code. `report_json` prints the `report`
+/// member of a `build` or `depcheck` reply instead of its summary.
+fn render_reply(request: &Request, report_json: bool, reply: &Reply) -> ExitCode {
     if !reply.ok {
         let (kind, message) = reply
             .error
@@ -878,35 +779,42 @@ fn render_reply(request: &Request, reply: &Reply) -> ExitCode {
         };
     }
     let body = &reply.body;
-    let text = |key: &str| body.get(key).and_then(Value::as_str).unwrap_or_default();
+    let text = |key: &str| body[key].as_str().unwrap_or_default();
+    if report_json {
+        outln!("{}", json::write(&body["report"]));
+    }
     match request.cmd.as_str() {
-        "build" => print_build(&BuildSummary::of_reply(body), text("image")),
+        "build" if !report_json => print_build(body),
+        "build" => {}
         "run" => {
             let int = |value: &Value| match value {
+                Value::Int(n) => Some(*n),
                 Value::Num(n) => Some(*n as i64),
                 _ => None,
             };
-            let prints: Vec<i64> = body
-                .get("prints")
-                .and_then(Value::as_arr)
-                .map(|values| values.iter().filter_map(int).collect())
-                .unwrap_or_default();
-            print_built_for_run(&BuildSummary::of_reply(body));
-            print_run(
-                &request.prog_args,
-                &prints,
-                body.get("return").and_then(int),
-                num_at(body, &["executed"]),
+            let prints = body["prints"].as_arr().unwrap_or_default();
+            let prints: Vec<i64> = prints.iter().filter_map(int).collect();
+            outln!(
+                "built {} module(s) ({} recompiled, {} pass slot(s) skipped)",
+                num(&body["modules"]),
+                num(&body["rebuilt"]),
+                num(&body["skipped"]),
             );
+            let executed = num(&body["executed"]);
+            print_run(&request.prog_args, &prints, int(&body["return"]), executed);
         }
         "ir" => out(text("ir")),
+        "bc" => out(text("bc")),
         "depcheck" => {
-            let clean = body.get("clean").and_then(Value::as_bool).unwrap_or(false);
+            let clean = body["clean"].as_bool().unwrap_or(false);
+            if report_json {
+                return ExitCode::from(u8::from(!clean));
+            }
             let dir = request.dir.as_deref().unwrap_or_default();
             return print_depcheck(dir, text("render"), clean);
         }
-        // ping/stats/shutdown: show the raw JSON body.
-        _ => outln!("{}", reply.raw),
+        // ping/stats/shutdown: show the JSON body.
+        _ => outln!("{}", json::write(body)),
     }
     ExitCode::SUCCESS
 }
@@ -930,8 +838,8 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
         ));
     };
     let socket = Path::new(socket);
-    let request = match cmd.as_str() {
-        "ping" | "stats" => Request::bare(cmd),
+    let (request, report_json) = match cmd.as_str() {
+        "ping" | "stats" => (Request::bare(cmd), false),
         // Shutdown is idempotent: a dead socket means the daemon is
         // already down, which is the requested state — exit 0.
         "shutdown" => {
@@ -941,18 +849,18 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             }
             return Ok(ExitCode::SUCCESS);
         }
-        "build" | "run" | "ir" | "depcheck" => {
+        "build" | "run" | "ir" | "bc" | "depcheck" => {
             let invocation = parse_invocation(cmd, rest)?;
             if invocation.daemon.is_some() {
                 return Err("`--daemon` is redundant under `minicc client`".to_string());
             }
             invocation.refuse_local_only("`minicc client`")?;
-            invocation.request
+            (invocation.request, invocation.report_json)
         }
         other => return Err(format!("unknown client command `{other}`\n\n{USAGE}")),
     };
     match sfcc_daemon::roundtrip(socket, &request) {
-        Ok(reply) => Ok(render_reply(&request, &reply)),
+        Ok(reply) => Ok(render_reply(&request, report_json, &reply)),
         Err(e) => {
             eprintln!("{e}");
             Ok(ExitCode::from(2))

@@ -8,14 +8,13 @@
 //! truth and the two views cannot drift. [`validate_report_json`] pins the
 //! full report schema for regression tests.
 
-use crate::depcheck::DepcheckReport;
+use crate::depcheck::{DepFindingKind, DepcheckReport};
 use sfcc::PhaseTimings;
 use sfcc_backend::Program;
 use sfcc_passes::{PassOutcome, PipelineTrace};
-use sfcc_trace::json::{escape_into, Value};
+use sfcc_trace::json::{self, Value};
 use sfcc_trace::MetricsSnapshot;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// How many rows the JSON report's "slowest slots" table carries.
 const SLOWEST_SLOTS: usize = 10;
@@ -315,73 +314,21 @@ impl BuildReport {
         self.metrics.scalar(name).unwrap_or(fallback)
     }
 
-    /// Renders the report as a JSON object (machine-readable build summary
-    /// for `minicc build --report json`). Hand-rolled — the workspace
-    /// carries no serialization dependency. Every numeric field reads from
-    /// the metrics snapshot ([`Self::metric`]), which is also emitted
-    /// verbatim as the trailing `"metrics"` block.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"wall_ns\":{},\"link_ns\":{},\"compile_ns\":{},\"rebuilt_count\":{},\"jobs\":{},",
-            self.metric("build.wall_ns", self.wall_ns),
-            self.metric("build.link_ns", self.link_ns),
-            self.metric("build.compile_ns", self.compile_ns()),
-            self.metric("build.rebuilt_count", self.rebuilt_count() as u64),
-            self.metric("build.jobs", self.jobs as u64)
-        );
-        out.push_str("\"outcome\":");
-        escape_into(&mut out, &self.outcome);
-        let _ = write!(out, ",\"state_generation\":{},", self.state_generation);
-        let (active, dormant, skipped) = self.outcome_totals();
-        let _ = write!(
-            out,
-            "\"outcomes\":{{\"active\":{},\"dormant\":{},\"skipped\":{}}},",
-            self.metric("outcomes.active", active as u64),
-            self.metric("outcomes.dormant", dormant as u64),
-            self.metric("outcomes.skipped", skipped as u64)
-        );
-        let _ = write!(
-            out,
-            "\"query\":{{\"hits\":{},\"misses\":{},\"loaded\":{},\"rematerialized\":",
-            self.metric("query.hits", self.query.hits),
-            self.metric("query.misses", self.query.misses),
-            self.metric("query.loaded", self.query.loaded)
-        );
-        push_labels(&mut out, &self.query.rematerialized);
-        out.push_str(",\"executed\":");
-        push_labels(&mut out, &self.query.executed);
-        out.push_str("},");
-        let _ = write!(
-            out,
-            "\"fngrain\":{{\"signature_hits\":{},\"signature_misses\":{},\"fn_tasks_executed\":{},\"cutoff_saved\":{}}},",
-            self.metric("fngrain.signature_hits", self.fngrain.signature_hits),
-            self.metric("fngrain.signature_misses", self.fngrain.signature_misses),
-            self.metric("fngrain.fn_tasks_executed", self.fngrain.fn_tasks_executed),
-            self.metric("fngrain.cutoff_saved", self.fngrain.cutoff_saved)
-        );
+    /// The report as a JSON object (machine-readable build summary for
+    /// `minicc build --report json`). Every numeric field reads from the
+    /// metrics snapshot ([`Self::metric`]), which is also carried verbatim
+    /// as the trailing `"metrics"` block.
+    pub fn to_value(&self) -> Value {
+        let metric = |name: &str, fallback: u64| Value::from(self.metric(name, fallback));
+        let labels = |labels: &[String]| -> Value { labels.iter().map(String::as_str).collect() };
+        let outcomes = |prefix: &str, (a, d, s): (usize, usize, usize)| {
+            Value::obj([
+                ("active", metric(&format!("{prefix}active"), a as u64)),
+                ("dormant", metric(&format!("{prefix}dormant"), d as u64)),
+                ("skipped", metric(&format!("{prefix}skipped"), s as u64)),
+            ])
+        };
         let parallel = self.parallel_stats();
-        let _ = write!(
-            out,
-            "\"parallel\":{{\"snapshot_clones\":{},\"snapshot_cost_units\":{},\"snapshot_reused\":{},\"batch_count\":{},\"batch_max_cost\":{}}},",
-            self.metric("snapshot.clones", parallel.snapshot_clones),
-            self.metric("snapshot.cost_units", parallel.snapshot_cost_units),
-            self.metric("snapshot.reused", parallel.snapshot_reused),
-            self.metric("batch.count", parallel.batch_count),
-            self.metric("batch.max_cost", parallel.batch_max_cost)
-        );
-        let _ = write!(
-            out,
-            "\"recovery\":{{\"recovered_files\":{},\"quarantined\":[",
-            self.metric("recovery.recovered_files", self.recovered_files as u64)
-        );
-        for (i, path) in self.quarantined.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(&mut out, path);
-        }
         // The depcheck block is present on every report — zeroed when the
         // audit was off — so consumers never have to branch on a missing
         // key. Counts come from the struct, not the snapshot: drivers may
@@ -391,123 +338,177 @@ impl BuildReport {
             Some(dc) => (true, dc),
             None => (false, &quiet),
         };
-        let _ = write!(
-            out,
-            "]}},\"depcheck\":{{\"enabled\":{},\"missing\":{},\"redundant\":{},\"stale\":{},\
-             \"untracked_io\":{},\"tasks_checked\":{},\"accesses\":{},\"findings\":[",
-            enabled,
-            dc.count(crate::depcheck::DepFindingKind::MissingDep),
-            dc.count(crate::depcheck::DepFindingKind::RedundantDep),
-            dc.count(crate::depcheck::DepFindingKind::StaleServe),
-            dc.count(crate::depcheck::DepFindingKind::UntrackedIo),
-            dc.tasks_checked,
-            dc.accesses
-        );
-        for (i, f) in dc.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"kind\":");
-            escape_into(&mut out, f.kind.label());
-            out.push_str(",\"task\":");
-            escape_into(&mut out, &f.task);
-            out.push_str(",\"resource\":");
-            escape_into(&mut out, &f.resource);
-            out.push_str(",\"detail\":");
-            escape_into(&mut out, &f.detail);
-            out.push('}');
-        }
-        // The cas block mirrors the `cas.*` gauges the compiler publishes:
-        // always present, zeroed (enabled=false) when no shared store is
-        // attached, so consumers never branch on a missing key.
-        let _ = write!(
-            out,
-            "]}},\"cas\":{{\"enabled\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"publishes\":{},\"entries\":{},\"bytes\":{}}}",
-            self.metric("cas.enabled", 0) != 0,
-            self.metric("cas.hits", 0),
-            self.metric("cas.misses", 0),
-            self.metric("cas.evictions", 0),
-            self.metric("cas.publishes", 0),
-            self.metric("cas.entries", 0),
-            self.metric("cas.bytes", 0)
-        );
-        out.push_str(",\"pass_profile\":[");
-        for (i, agg) in self.pass_profile().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"pass\":");
-            escape_into(&mut out, &agg.pass);
-            let _ = write!(
-                out,
-                ",\"total_ns\":{},\"runs\":{},\"skipped\":{}}}",
-                self.metric(&format!("pass.{}.total_ns", agg.pass), agg.total_ns),
-                self.metric(&format!("pass.{}.runs", agg.pass), agg.runs),
-                self.metric(&format!("pass.{}.skipped", agg.pass), agg.skipped)
-            );
-        }
-        out.push_str("],\"slowest_slots\":[");
-        for (i, agg) in self.slowest_slots(SLOWEST_SLOTS).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"slot\":{},\"pass\":", agg.slot);
-            escape_into(&mut out, &agg.pass);
-            let _ = write!(
-                out,
-                ",\"total_ns\":{},\"runs\":{}}}",
-                self.metric(&format!("slot.{}.total_ns", agg.slot), agg.total_ns),
-                self.metric(&format!("slot.{}.runs", agg.slot), agg.runs)
-            );
-        }
-        out.push_str("],\"modules\":[");
-        for (i, module) in self.modules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            escape_into(&mut out, &module.name);
-            let _ = write!(out, ",\"rebuilt\":{}", module.rebuilt);
+        let count = |kind| Value::from(dc.count(kind));
+        let findings = dc.findings.iter().map(|f| {
+            Value::obj([
+                ("kind", f.kind.label().into()),
+                ("task", f.task.as_str().into()),
+                ("resource", f.resource.as_str().into()),
+                ("detail", f.detail.as_str().into()),
+            ])
+        });
+        let pass_profile = self.pass_profile().into_iter().map(|agg| {
+            let key = |field: &str| format!("pass.{}.{field}", agg.pass);
+            Value::obj([
+                ("pass", agg.pass.as_str().into()),
+                ("total_ns", metric(&key("total_ns"), agg.total_ns)),
+                ("runs", metric(&key("runs"), agg.runs)),
+                ("skipped", metric(&key("skipped"), agg.skipped)),
+            ])
+        });
+        let slowest_slots = self.slowest_slots(SLOWEST_SLOTS).into_iter().map(|agg| {
+            let key = |field: &str| format!("slot.{}.{field}", agg.slot);
+            Value::obj([
+                ("slot", agg.slot.into()),
+                ("pass", agg.pass.as_str().into()),
+                ("total_ns", metric(&key("total_ns"), agg.total_ns)),
+                ("runs", metric(&key("runs"), agg.runs)),
+            ])
+        });
+        let modules = self.modules.iter().map(|module| {
+            let mut fields = vec![
+                ("name", module.name.as_str().into()),
+                ("rebuilt", module.rebuilt.into()),
+            ];
             if let Some(output) = &module.output {
-                let (a, d, s) = output.outcome_totals();
-                let key = |field: &str| format!("module.{}.{field}", module.name);
-                let _ = write!(
-                    out,
-                    ",\"timings_ns\":{{\"frontend\":{},\"lower\":{},\"middle\":{},\"backend\":{},\"state\":{}}},\"optimize_ns\":{},\"outcomes\":{{\"active\":{},\"dormant\":{},\"skipped\":{}}}",
-                    self.metric(&key("frontend_ns"), output.timings.frontend_ns),
-                    self.metric(&key("lower_ns"), output.timings.lower_ns),
-                    self.metric(&key("middle_ns"), output.timings.middle_ns),
-                    self.metric(&key("backend_ns"), output.timings.backend_ns),
-                    self.metric(&key("state_ns"), output.timings.state_ns),
-                    self.metric(
-                        &key("optimize_ns"),
-                        output.timings.middle_ns + output.timings.state_ns
+                let prefix = format!("module.{}.", module.name);
+                let key = |field: &str| format!("{prefix}{field}");
+                let t = &output.timings;
+                let timings = Value::obj([
+                    ("frontend", metric(&key("frontend_ns"), t.frontend_ns)),
+                    ("lower", metric(&key("lower_ns"), t.lower_ns)),
+                    ("middle", metric(&key("middle_ns"), t.middle_ns)),
+                    ("backend", metric(&key("backend_ns"), t.backend_ns)),
+                    ("state", metric(&key("state_ns"), t.state_ns)),
+                ]);
+                fields.extend([
+                    ("timings_ns", timings),
+                    (
+                        "optimize_ns",
+                        metric(&key("optimize_ns"), t.middle_ns + t.state_ns),
                     ),
-                    self.metric(&key("active"), a as u64),
-                    self.metric(&key("dormant"), d as u64),
-                    self.metric(&key("skipped"), s as u64),
-                );
+                    ("outcomes", outcomes(&prefix, output.outcome_totals())),
+                ]);
             }
-            out.push('}');
-        }
-        out.push_str("],\"metrics\":");
-        out.push_str(&self.metrics.to_json());
-        out.push('}');
-        out
+            Value::obj(fields)
+        });
+        let fngrain = &self.fngrain;
+        Value::obj([
+            ("wall_ns", metric("build.wall_ns", self.wall_ns)),
+            ("link_ns", metric("build.link_ns", self.link_ns)),
+            ("compile_ns", metric("build.compile_ns", self.compile_ns())),
+            (
+                "rebuilt_count",
+                metric("build.rebuilt_count", self.rebuilt_count() as u64),
+            ),
+            ("jobs", metric("build.jobs", self.jobs as u64)),
+            ("outcome", self.outcome.as_str().into()),
+            ("state_generation", self.state_generation.into()),
+            ("outcomes", outcomes("outcomes.", self.outcome_totals())),
+            (
+                "query",
+                Value::obj([
+                    ("hits", metric("query.hits", self.query.hits)),
+                    ("misses", metric("query.misses", self.query.misses)),
+                    ("loaded", metric("query.loaded", self.query.loaded)),
+                    ("rematerialized", labels(&self.query.rematerialized)),
+                    ("executed", labels(&self.query.executed)),
+                ]),
+            ),
+            (
+                "fngrain",
+                Value::obj([
+                    (
+                        "signature_hits",
+                        metric("fngrain.signature_hits", fngrain.signature_hits),
+                    ),
+                    (
+                        "signature_misses",
+                        metric("fngrain.signature_misses", fngrain.signature_misses),
+                    ),
+                    (
+                        "fn_tasks_executed",
+                        metric("fngrain.fn_tasks_executed", fngrain.fn_tasks_executed),
+                    ),
+                    (
+                        "cutoff_saved",
+                        metric("fngrain.cutoff_saved", fngrain.cutoff_saved),
+                    ),
+                ]),
+            ),
+            (
+                "parallel",
+                Value::obj([
+                    (
+                        "snapshot_clones",
+                        metric("snapshot.clones", parallel.snapshot_clones),
+                    ),
+                    (
+                        "snapshot_cost_units",
+                        metric("snapshot.cost_units", parallel.snapshot_cost_units),
+                    ),
+                    (
+                        "snapshot_reused",
+                        metric("snapshot.reused", parallel.snapshot_reused),
+                    ),
+                    ("batch_count", metric("batch.count", parallel.batch_count)),
+                    (
+                        "batch_max_cost",
+                        metric("batch.max_cost", parallel.batch_max_cost),
+                    ),
+                ]),
+            ),
+            (
+                "recovery",
+                Value::obj([
+                    (
+                        "recovered_files",
+                        metric("recovery.recovered_files", self.recovered_files as u64),
+                    ),
+                    ("quarantined", labels(&self.quarantined)),
+                ]),
+            ),
+            (
+                "depcheck",
+                Value::obj([
+                    ("enabled", enabled.into()),
+                    ("missing", count(DepFindingKind::MissingDep)),
+                    ("redundant", count(DepFindingKind::RedundantDep)),
+                    ("stale", count(DepFindingKind::StaleServe)),
+                    ("untracked_io", count(DepFindingKind::UntrackedIo)),
+                    ("tasks_checked", dc.tasks_checked.into()),
+                    ("accesses", dc.accesses.into()),
+                    ("findings", findings.collect()),
+                ]),
+            ),
+            // The cas block mirrors the `cas.*` gauges the compiler
+            // publishes: always present, zeroed (enabled=false) when no
+            // shared store is attached, so consumers never branch on a
+            // missing key.
+            (
+                "cas",
+                Value::obj([
+                    ("enabled", (self.metric("cas.enabled", 0) != 0).into()),
+                    ("hits", metric("cas.hits", 0)),
+                    ("misses", metric("cas.misses", 0)),
+                    ("evictions", metric("cas.evictions", 0)),
+                    ("publishes", metric("cas.publishes", 0)),
+                    ("entries", metric("cas.entries", 0)),
+                    ("bytes", metric("cas.bytes", 0)),
+                ]),
+            ),
+            ("pass_profile", pass_profile.collect()),
+            ("slowest_slots", slowest_slots.collect()),
+            ("modules", modules.collect()),
+            ("metrics", self.metrics.to_value()),
+        ])
     }
-}
 
-/// Appends `labels` as a JSON array of strings.
-fn push_labels(out: &mut String, labels: &[String]) {
-    out.push('[');
-    for (i, label) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape_into(out, label);
+    /// [`Self::to_value`], printed: the bytes of `--report json` and of
+    /// the persisted `.sfcc-report.json`.
+    pub fn to_json(&self) -> String {
+        json::write(&self.to_value())
     }
-    out.push(']');
 }
 
 /// Validates the JSON produced by [`BuildReport::to_json`] against the
@@ -517,7 +518,7 @@ fn push_labels(out: &mut String, labels: &[String]) {
 /// A regression test pins this down so schema drift is an explicit,
 /// reviewed change rather than an accident.
 pub fn validate_report_json(text: &str) -> Result<(), String> {
-    let doc = sfcc_trace::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let fields = doc.as_obj().ok_or("report: expected a top-level object")?;
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     let expected = [
@@ -545,227 +546,154 @@ pub fn validate_report_json(text: &str) -> Result<(), String> {
             "report: key sequence {keys:?} does not match the schema {expected:?}"
         ));
     }
-    let num = |v: &Value, ctx: &str| -> Result<u64, String> {
-        v.as_u64().ok_or(format!("{ctx}: expected a number"))
-    };
-    for scalar in [
+    let num = |v: &Value| v.as_u64().is_some();
+    let string = |v: &Value| v.as_str().is_some();
+    let boolean = |v: &Value| v.as_bool().is_some();
+    let strings = |v: &Value| v.as_arr().is_some_and(|a| a.iter().all(string));
+    let outcomes = ["active", "dormant", "skipped"];
+    let scalars = [
         "wall_ns",
         "link_ns",
         "compile_ns",
         "rebuilt_count",
         "jobs",
         "state_generation",
-    ] {
-        num(doc.get(scalar).unwrap(), scalar)?;
+    ];
+    check(&doc, "report", &scalars, num)?;
+    check(&doc, "report", &["outcome"], string)?;
+    let blocks: [(&str, &[&str]); 7] = [
+        ("outcomes", &outcomes),
+        ("query", &["hits", "misses", "loaded"]),
+        (
+            "fngrain",
+            &[
+                "signature_hits",
+                "signature_misses",
+                "fn_tasks_executed",
+                "cutoff_saved",
+            ],
+        ),
+        (
+            "parallel",
+            &[
+                "snapshot_clones",
+                "snapshot_cost_units",
+                "snapshot_reused",
+                "batch_count",
+                "batch_max_cost",
+            ],
+        ),
+        ("recovery", &["recovered_files"]),
+        (
+            "depcheck",
+            &[
+                "missing",
+                "redundant",
+                "stale",
+                "untracked_io",
+                "tasks_checked",
+                "accesses",
+            ],
+        ),
+        (
+            "cas",
+            &[
+                "hits",
+                "misses",
+                "evictions",
+                "publishes",
+                "entries",
+                "bytes",
+            ],
+        ),
+    ];
+    for (block, fields) in blocks {
+        check(&doc[block], block, fields, num)?;
     }
-    doc.get("outcome")
-        .and_then(Value::as_str)
-        .ok_or("outcome: expected a string")?;
-    let outcome_block = |v: &Value, ctx: &str| -> Result<(), String> {
-        for field in ["active", "dormant", "skipped"] {
-            num(
-                v.get(field).ok_or(format!("{ctx}: missing {field:?}"))?,
-                &format!("{ctx}.{field}"),
-            )?;
-        }
-        Ok(())
-    };
-    outcome_block(doc.get("outcomes").unwrap(), "outcomes")?;
-
-    let query = doc.get("query").unwrap();
-    num(
-        query.get("hits").ok_or("query: missing hits")?,
-        "query.hits",
+    check(&doc["depcheck"], "depcheck", &["enabled"], boolean)?;
+    check(&doc["cas"], "cas", &["enabled"], boolean)?;
+    check(
+        &doc["query"],
+        "query",
+        &["rematerialized", "executed"],
+        strings,
     )?;
-    num(
-        query.get("misses").ok_or("query: missing misses")?,
-        "query.misses",
-    )?;
-    num(
-        query.get("loaded").ok_or("query: missing loaded")?,
-        "query.loaded",
-    )?;
-    for list in ["rematerialized", "executed"] {
-        let entries = query
-            .get(list)
-            .and_then(Value::as_arr)
-            .ok_or(format!("query.{list}: expected an array"))?;
-        for entry in entries {
-            entry
-                .as_str()
-                .ok_or(format!("query.{list}: expected strings"))?;
-        }
-    }
+    check(&doc["recovery"], "recovery", &["quarantined"], strings)?;
 
-    let fngrain = doc.get("fngrain").unwrap();
-    for field in [
-        "signature_hits",
-        "signature_misses",
-        "fn_tasks_executed",
-        "cutoff_saved",
-    ] {
-        num(
-            fngrain
-                .get(field)
-                .ok_or(format!("fngrain: missing {field:?}"))?,
-            &format!("fngrain.{field}"),
-        )?;
-    }
-
-    let parallel = doc.get("parallel").unwrap();
-    for field in [
-        "snapshot_clones",
-        "snapshot_cost_units",
-        "snapshot_reused",
-        "batch_count",
-        "batch_max_cost",
-    ] {
-        num(
-            parallel
-                .get(field)
-                .ok_or(format!("parallel: missing {field:?}"))?,
-            &format!("parallel.{field}"),
-        )?;
-    }
-
-    let recovery = doc.get("recovery").unwrap();
-    num(
-        recovery
-            .get("recovered_files")
-            .ok_or("recovery: missing recovered_files")?,
-        "recovery.recovered_files",
-    )?;
-    let quarantined = recovery
-        .get("quarantined")
-        .and_then(Value::as_arr)
-        .ok_or("recovery.quarantined: expected an array")?;
-    for entry in quarantined {
-        entry
-            .as_str()
-            .ok_or("recovery.quarantined: expected strings")?;
-    }
-
-    let depcheck = doc.get("depcheck").unwrap();
-    depcheck
-        .get("enabled")
-        .and_then(Value::as_bool)
-        .ok_or("depcheck: missing bool \"enabled\"")?;
-    for field in [
-        "missing",
-        "redundant",
-        "stale",
-        "untracked_io",
-        "tasks_checked",
-        "accesses",
-    ] {
-        num(
-            depcheck
-                .get(field)
-                .ok_or(format!("depcheck: missing {field:?}"))?,
-            &format!("depcheck.{field}"),
-        )?;
-    }
-    let findings = depcheck
-        .get("findings")
-        .and_then(Value::as_arr)
-        .ok_or("depcheck.findings: expected an array")?;
-    for (i, finding) in findings.iter().enumerate() {
-        for field in ["kind", "task", "resource", "detail"] {
-            finding
-                .get(field)
-                .and_then(Value::as_str)
-                .ok_or(format!("depcheck.findings[{i}]: missing string {field:?}"))?;
-        }
-    }
-
-    let cas = doc.get("cas").unwrap();
-    cas.get("enabled")
-        .and_then(Value::as_bool)
-        .ok_or("cas: missing bool \"enabled\"")?;
-    for field in [
-        "hits",
-        "misses",
-        "evictions",
-        "publishes",
-        "entries",
-        "bytes",
-    ] {
-        num(
-            cas.get(field).ok_or(format!("cas: missing {field:?}"))?,
-            &format!("cas.{field}"),
-        )?;
-    }
-
-    for (block, fields) in [
-        ("pass_profile", &["total_ns", "runs", "skipped"][..]),
-        ("slowest_slots", &["total_ns", "runs"][..]),
-    ] {
-        let rows = doc
-            .get(block)
-            .and_then(Value::as_arr)
-            .ok_or(format!("{block}: expected an array"))?;
+    // Arrays of rows, each with string and numeric fields.
+    let row_blocks: [(&str, &Value, &[&str], &[&str]); 3] = [
+        (
+            "depcheck.findings",
+            &doc["depcheck"]["findings"],
+            &["kind", "task", "resource", "detail"],
+            &[],
+        ),
+        (
+            "pass_profile",
+            &doc["pass_profile"],
+            &["pass"],
+            &["total_ns", "runs", "skipped"],
+        ),
+        (
+            "slowest_slots",
+            &doc["slowest_slots"],
+            &["pass"],
+            &["slot", "total_ns", "runs"],
+        ),
+    ];
+    for (block, rows, text, numbers) in row_blocks {
+        let rows = rows.as_arr().ok_or(format!("{block}: expected an array"))?;
         for (i, row) in rows.iter().enumerate() {
             let ctx = format!("{block}[{i}]");
-            row.get("pass")
-                .and_then(Value::as_str)
-                .ok_or(format!("{ctx}: missing string \"pass\""))?;
-            if block == "slowest_slots" {
-                num(row.get("slot").ok_or(format!("{ctx}: missing slot"))?, &ctx)?;
-            }
-            for field in fields {
-                num(
-                    row.get(field).ok_or(format!("{ctx}: missing {field:?}"))?,
-                    &format!("{ctx}.{field}"),
-                )?;
-            }
+            check(row, &ctx, text, string)?;
+            check(row, &ctx, numbers, num)?;
         }
     }
 
-    let modules = doc
-        .get("modules")
-        .and_then(Value::as_arr)
+    let modules = doc["modules"]
+        .as_arr()
         .ok_or("modules: expected an array")?;
     for (i, module) in modules.iter().enumerate() {
         let ctx = format!("modules[{i}]");
-        module
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or(format!("{ctx}: missing string \"name\""))?;
-        let rebuilt = module
-            .get("rebuilt")
-            .and_then(Value::as_bool)
-            .ok_or(format!("{ctx}: missing bool \"rebuilt\""))?;
+        check(module, &ctx, &["name"], string)?;
+        check(module, &ctx, &["rebuilt"], boolean)?;
         match module.get("timings_ns") {
             Some(timings) => {
-                for field in ["frontend", "lower", "middle", "backend", "state"] {
-                    num(
-                        timings
-                            .get(field)
-                            .ok_or(format!("{ctx}: missing {field:?}"))?,
-                        &format!("{ctx}.timings_ns.{field}"),
-                    )?;
-                }
-                num(
-                    module
-                        .get("optimize_ns")
-                        .ok_or(format!("{ctx}: missing optimize_ns"))?,
-                    &format!("{ctx}.optimize_ns"),
-                )?;
-                outcome_block(
-                    module
-                        .get("outcomes")
-                        .ok_or(format!("{ctx}: missing outcomes"))?,
+                let fields = ["frontend", "lower", "middle", "backend", "state"];
+                check(timings, &format!("{ctx}.timings_ns"), &fields, num)?;
+                check(module, &ctx, &["optimize_ns"], num)?;
+                check(
+                    &module["outcomes"],
                     &format!("{ctx}.outcomes"),
+                    &outcomes,
+                    num,
                 )?;
             }
-            None if rebuilt => {
+            None if module["rebuilt"] == Value::Bool(true) => {
                 return Err(format!("{ctx}: rebuilt module without timings_ns"));
             }
             None => {}
         }
     }
 
-    let metrics = doc.get("metrics").ok_or("metrics: missing block")?;
-    MetricsSnapshot::from_json(metrics).map_err(|e| format!("metrics: {e}"))?;
+    MetricsSnapshot::from_json(&doc["metrics"]).map_err(|e| format!("metrics: {e}"))?;
+    Ok(())
+}
+
+/// Checks that `block` holds each of `fields`, each of a type `is` accepts.
+fn check(
+    block: &Value,
+    ctx: &str,
+    fields: &[&str],
+    is: impl Fn(&Value) -> bool,
+) -> Result<(), String> {
+    for field in fields {
+        let value = block
+            .get(field)
+            .ok_or(format!("{ctx}: missing {field:?}"))?;
+        if !is(value) {
+            return Err(format!("{ctx}.{field}: unexpected type"));
+        }
+    }
     Ok(())
 }

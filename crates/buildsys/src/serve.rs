@@ -1,14 +1,15 @@
 //! The one implementation of a build-class request.
 //!
-//! A request — `build`, `run`, `ir`, `depcheck` — is served by a
+//! A request — `build`, `run`, `ir`, `bc`, `depcheck` — is served by a
 //! [`BuildService`]: a session wrapping a persistent [`Builder`] whose
 //! query engine, function cache, CAS handle, and per-function dormancy
 //! stamps stay resident between requests. `minicc serve` keeps sessions
 //! alive behind `sfcc-daemon` (which owns sockets, framing, admission, and
 //! session slots); a cold `minicc build` opens a session, serves one
-//! request through the same typed methods, and exits. There is no second
-//! path: flags parse through [`SessionFlags`] on both routes, and each
-//! request kind's durable-op sequence is written once, here.
+//! request through the same [`Service::handle`], and exits. There is no
+//! second path: flags parse through [`SessionFlags`] on both routes, each
+//! request kind's durable-op sequence is written once, here, and so is the
+//! reply it is encoded into.
 //!
 //! A warm serve re-validates inputs through the engine's stamps (the
 //! per-function `state:m::f` dormancy inputs included) instead of
@@ -20,9 +21,10 @@
 
 use crate::{BuildReport, Builder, DepMutations, Project};
 use sfcc::{Compiler, Config, Durability};
-use sfcc_backend::{run, Program, RunOutput, VmOptions};
+use sfcc_backend::{disasm_program, run, Program, RunOutput, VmOptions};
 use sfcc_daemon::{Request, Service};
-use sfcc_trace::{json, MetricValue};
+use sfcc_trace::json::{self, Value};
+use sfcc_trace::{MetricValue, Trace};
 use std::path::{Path, PathBuf};
 
 /// The build flags one session is keyed under: the part of a `minicc`
@@ -212,6 +214,8 @@ pub struct BuildService {
     dir: PathBuf,
     flags: SessionFlags,
     builder: Builder,
+    /// The span trace of the last `build` request served with tracing on.
+    trace: Option<Trace>,
 }
 
 /// The report file every build persists, `minicc stats`'s input.
@@ -225,18 +229,9 @@ pub const STALE_REPORT_FILE: &str = ".sfcc-report.json.stale";
 pub struct Built {
     /// The build's report, stamped with the state generation it committed.
     pub report: BuildReport,
-    /// [`BuildReport::to_json`] of `report`, rendered once per request: the
-    /// bytes of the persisted report file, of a reply's `report` member,
-    /// and of `--report json`.
-    pub report_json: String,
-}
-
-/// What a `run` request produced: the build, then `main.main`'s execution.
-pub struct Ran {
-    /// The build the program came from.
-    pub built: Built,
-    /// The VM's output.
-    pub output: RunOutput,
+    /// [`BuildReport::to_value`] of `report`, built once per request: the
+    /// persisted report file and a reply's `report` member.
+    pub report_value: Value,
 }
 
 /// Runs `main.main` of `program` on `args`. The VM zero-fills missing
@@ -299,6 +294,7 @@ impl BuildService {
             dir: dir.to_path_buf(),
             flags,
             builder,
+            trace: None,
         })
     }
 
@@ -309,9 +305,15 @@ impl BuildService {
 
     /// Toggles span tracing of subsequent builds (see
     /// [`Builder::set_tracing`]); a traced build's [`Built::report`]
-    /// carries the trace.
+    /// carries the trace, and [`BuildService::take_trace`] hands over that
+    /// of the last `build` request.
     pub fn set_tracing(&mut self, on: bool) {
         self.builder.set_tracing(on);
+    }
+
+    /// The trace of the last `build` request served while tracing was on.
+    pub fn take_trace(&mut self) -> Option<Trace> {
+        self.trace.take()
     }
 
     fn load_project(&self) -> Result<Project, String> {
@@ -369,13 +371,13 @@ impl BuildService {
                 }
             }
         }
-        let report_json = report.to_json();
-        std::fs::write(&report_path, &report_json)
+        let report_value = report.to_value();
+        std::fs::write(&report_path, json::write(&report_value))
             .map_err(|e| format!("cannot write `{}`: {e}", report_path.display()))?;
         let _ = std::fs::remove_file(&stale_path);
         Ok(Built {
             report,
-            report_json,
+            report_value,
         })
     }
 
@@ -390,17 +392,6 @@ impl BuildService {
         sfcc_backend::image::save_with(&built.report.program, out, durability)
             .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
         Ok(built)
-    }
-
-    /// [`BuildService::build`], then `main.main` run on `args`.
-    ///
-    /// # Errors
-    ///
-    /// As [`BuildService::build`] and [`run_main`].
-    pub fn run(&mut self, args: &[i64]) -> Result<Ran, String> {
-        let built = self.build()?;
-        let output = run_main(&built.report.program, args)?;
-        Ok(Ran { built, output })
     }
 
     /// [`BuildService::build`], then `module`'s optimized IR as text,
@@ -463,53 +454,48 @@ impl BuildService {
     }
 }
 
-/// The daemon's view of a session: each typed result encoded as the
-/// members of a reply.
+/// Each typed result encoded as the members of a reply: what a daemon
+/// sends back and what a one-request local session prints from.
 impl Service for BuildService {
-    fn handle(&mut self, request: &Request) -> Result<String, String> {
-        let mut payload = String::new();
-        match request.cmd.as_str() {
+    fn handle(&mut self, request: &Request) -> Result<Value, String> {
+        Ok(match request.cmd.as_str() {
             "build" => {
                 let out = match request.out.as_deref() {
                     Some(path) => PathBuf::from(path),
                     None => self.dir.with_extension("sbx"),
                 };
                 let Built {
-                    report,
-                    report_json,
+                    mut report,
+                    report_value,
                 } = self.build_image(&out)?;
+                self.trace = report.trace.take();
                 let (active, dormant, skipped) = report.outcome_totals();
-                payload.push_str("\"image\":");
-                json::escape_into(&mut payload, &out.display().to_string());
-                payload.push_str(&format!(
-                    ",\"modules\":{},\"rebuilt\":{},\"generation\":{},\"recovered\":{},\
-                     \"active\":{active},\"dormant\":{dormant},\"skipped\":{skipped},\
-                     \"hits\":{},\"misses\":{},\"wall_ns\":{},\"report\":{report_json}",
-                    report.modules.len(),
-                    report.rebuilt_count(),
-                    report.state_generation,
-                    report.recovered_files,
-                    report.query.hits,
-                    report.query.misses,
-                    report.wall_ns,
-                ));
+                Value::obj([
+                    ("image", out.display().to_string().into()),
+                    ("modules", report.modules.len().into()),
+                    ("rebuilt", report.rebuilt_count().into()),
+                    ("generation", report.state_generation.into()),
+                    ("recovered", report.recovered_files.into()),
+                    ("active", active.into()),
+                    ("dormant", dormant.into()),
+                    ("skipped", skipped.into()),
+                    ("hits", report.query.hits.into()),
+                    ("misses", report.query.misses.into()),
+                    ("wall_ns", report.wall_ns.into()),
+                    ("report", report_value),
+                ])
             }
             "run" => {
-                let Ran { built, output } = self.run(&request.prog_args)?;
-                let prints: Vec<String> = output.prints.iter().map(i64::to_string).collect();
-                let returned = match output.return_value {
-                    Some(v) => v.to_string(),
-                    None => "null".to_string(),
-                };
-                payload.push_str(&format!(
-                    "\"prints\":[{}],\"return\":{returned},\"executed\":{},\
-                     \"modules\":{},\"rebuilt\":{},\"skipped\":{}",
-                    prints.join(","),
-                    output.executed,
-                    built.report.modules.len(),
-                    built.report.rebuilt_count(),
-                    built.report.outcome_totals().2,
-                ));
+                let report = self.build()?.report;
+                let output = run_main(&report.program, &request.prog_args)?;
+                Value::obj([
+                    ("prints", output.prints.iter().copied().collect()),
+                    ("return", output.return_value.into()),
+                    ("executed", output.executed.into()),
+                    ("modules", report.modules.len().into()),
+                    ("rebuilt", report.rebuilt_count().into()),
+                    ("skipped", report.outcome_totals().2.into()),
+                ])
             }
             "ir" => {
                 let module = request
@@ -517,23 +503,24 @@ impl Service for BuildService {
                     .as_deref()
                     .ok_or("`ir` requires a \"module\" field")?;
                 let text = self.ir(module)?;
-                payload.push_str("\"module\":");
-                json::escape_into(&mut payload, module);
-                payload.push_str(",\"ir\":");
-                json::escape_into(&mut payload, &text);
+                Value::obj([("module", module.into()), ("ir", text.into())])
+            }
+            "bc" => {
+                let text = disasm_program(&self.build()?.report.program);
+                Value::obj([("bc", text.into())])
             }
             "depcheck" => {
-                let verdict = self.depcheck()?.depcheck.unwrap_or_default();
-                payload.push_str(&format!(
-                    "\"clean\":{},\"findings\":{},\"render\":",
-                    verdict.is_clean(),
-                    verdict.findings.len()
-                ));
-                json::escape_into(&mut payload, &verdict.render());
+                let report = self.depcheck()?;
+                let verdict = report.depcheck.as_ref().expect("an audited build");
+                Value::obj([
+                    ("clean", verdict.is_clean().into()),
+                    ("findings", verdict.findings.len().into()),
+                    ("render", verdict.render().into()),
+                    ("report", report.to_value()),
+                ])
             }
             other => return Err(format!("session cannot serve `{other}`")),
-        }
-        Ok(payload)
+        })
     }
 
     fn snapshot(&mut self) -> Result<(), String> {

@@ -768,10 +768,11 @@ fn quick_local_and_daemon_routes_agree() {
     // session, so every request starts — like every local process — from
     // what the previous one committed, and the outputs are comparable.
     let session = ["--stateful", "--fn-cache"];
-    let commands: [(&[&str], &[&str], &[&str]); 4] = [
+    let commands: [(&[&str], &[&str], &[&str]); 5] = [
         (&["build"], &[], &[]),
         (&["run"], &["--jobs", "1"], &["--", "21"]),
         (&["ir"], &["lib", "--jobs", "2"], &[]),
+        (&["bc"], &["--jobs", "5"], &[]),
         (&["depcheck"], &["--durable"], &[]),
     ];
     for (cmd, flags, tail) in commands {
@@ -793,8 +794,40 @@ fn quick_local_and_daemon_routes_agree() {
             "{cmd:?}: the two routes print different text"
         );
     }
+    // `--report json` travels too: both routes print a report of the same
+    // schema that counts the same work. These rows build a second pair of
+    // trees: the daemon commits a depcheck session's state when it recycles
+    // the session, which a local depcheck never does, so a depcheck must be
+    // the last request on a tree whose state the routes compare.
+    let (local_r, remote_r) = (root.join("local-report"), root.join("remote-report"));
+    write_project(&local_r, &v1_files());
+    write_project(&remote_r, &v1_files());
+    for (cmd, flags) in [("build", ["--jobs", "3"]), ("depcheck", ["--jobs", "4"])] {
+        let line = |dir: &Path, route: &[&str]| -> Output {
+            let dir = dir.to_str().unwrap();
+            minicc(&[&[cmd, dir, "--report", "json"], &flags[..], &session, route].concat())
+        };
+        let here = line(&local_r, &[]);
+        let there = line(&remote_r, &["--daemon", &sock]);
+        assert!(here.status.success(), "local {cmd}: {}", stderr(&here));
+        assert_eq!(here.status.code(), there.status.code(), "{cmd} exit codes");
+        let mut reports = Vec::new();
+        for out in [&here, &there] {
+            let text = stdout(out);
+            sfcc_buildsys::validate_report_json(text.trim_end())
+                .unwrap_or_else(|e| panic!("{cmd} --report json: {e}\n{text}"));
+            reports.push(sfcc_trace::json::parse(&text).unwrap());
+        }
+        for block in ["query", "fngrain", "outcomes"] {
+            assert_eq!(
+                reports[0].get(block),
+                reports[1].get(block),
+                "{cmd}: report `{block}` blocks differ"
+            );
+        }
+    }
     assert!(
-        stdout(&minicc(&["client", &sock, "stats"])).contains("\"sessions_created\":4"),
+        stdout(&minicc(&["client", &sock, "stats"])).contains("\"sessions_created\":7"),
         "every remote command must have been served by the daemon"
     );
 
@@ -828,15 +861,12 @@ fn quick_local_and_daemon_routes_agree() {
         );
     }
 
-    // Options a reply cannot carry back are refused before anything is
-    // sent — on both spellings of the daemon route — naming the flag.
+    // Options only the building process can honour are refused before
+    // anything is sent — on both spellings of the daemon route — naming
+    // the flag.
     let before = daemon_requests(&sock);
     let trace = root.join("t.json");
-    let refused: [&[&str]; 3] = [
-        &["--report", "json"],
-        &["--trace", trace.to_str().unwrap()],
-        &["--trace-wall"],
-    ];
+    let refused: [&[&str]; 2] = [&["--trace", trace.to_str().unwrap()], &["--trace-wall"]];
     for option in refused {
         let dir = remote.to_str().unwrap();
         for route in [

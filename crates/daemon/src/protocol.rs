@@ -68,8 +68,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// A parsed daemon request.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
-    /// The command: `build`, `ir`, `run`, `depcheck`, `stats`, `ping`, or
-    /// `shutdown`.
+    /// The command: `build`, `ir`, `run`, `bc`, `depcheck`, `stats`,
+    /// `ping`, or `shutdown`.
     pub cmd: String,
     /// The project directory, for commands that build one.
     pub dir: Option<String>,
@@ -95,42 +95,24 @@ impl Request {
 
     /// Serializes the request to its wire JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"cmd\":");
-        json::escape_into(&mut out, &self.cmd);
-        if let Some(dir) = &self.dir {
-            out.push_str(",\"dir\":");
-            json::escape_into(&mut out, dir);
-        }
-        if let Some(module) = &self.module {
-            out.push_str(",\"module\":");
-            json::escape_into(&mut out, module);
-        }
-        if let Some(path) = &self.out {
-            out.push_str(",\"out\":");
-            json::escape_into(&mut out, path);
+        let mut fields = vec![("cmd", self.cmd.as_str().into())];
+        let strings = [
+            ("dir", &self.dir),
+            ("module", &self.module),
+            ("out", &self.out),
+        ];
+        for (key, value) in strings {
+            if let Some(value) = value {
+                fields.push((key, value.as_str().into()));
+            }
         }
         if !self.args.is_empty() {
-            out.push_str(",\"args\":[");
-            for (i, arg) in self.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::escape_into(&mut out, arg);
-            }
-            out.push(']');
+            fields.push(("args", self.args.iter().map(String::as_str).collect()));
         }
         if !self.prog_args.is_empty() {
-            out.push_str(",\"prog_args\":[");
-            for (i, n) in self.prog_args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&n.to_string());
-            }
-            out.push(']');
+            fields.push(("prog_args", self.prog_args.iter().copied().collect()));
         }
-        out.push('}');
-        out
+        json::write(&Value::obj(fields))
     }
 
     /// Parses a request from wire JSON.
@@ -179,7 +161,8 @@ impl Request {
                 .as_arr()
                 .ok_or("request field \"prog_args\" is not an array")?;
             for item in items {
-                let n = as_i64(item).ok_or("request \"prog_args\" entries must be integers")?;
+                let n = as_i64(item)
+                    .ok_or("request \"prog_args\" entries must be integers within ±2^53")?;
                 request.prog_args.push(n);
             }
         }
@@ -187,10 +170,12 @@ impl Request {
     }
 }
 
-/// Extracts a (possibly negative) integer from a JSON number value.
+/// Extracts a (possibly negative) integer from a JSON number value: one
+/// an `f64` holds exactly (|n| ≤ 2⁵³), so nothing is rounded or saturated.
 fn as_i64(value: &Value) -> Option<i64> {
+    const EXACT: f64 = (1u64 << 53) as f64;
     match value {
-        Value::Num(n) if n.fract() == 0.0 => Some(*n as i64),
+        Value::Num(n) if n.fract() == 0.0 && n.abs() <= EXACT => Some(*n as i64),
         _ => None,
     }
 }
@@ -245,28 +230,28 @@ impl ErrorKind {
     }
 }
 
-/// Renders a success response: `{"ok":true,"cmd":"...",<payload>}`.
-/// `payload` is a pre-rendered JSON fragment of additional fields (may be
-/// empty).
-pub fn ok_response(cmd: &str, payload: &str) -> String {
-    let mut out = String::from("{\"ok\":true,\"cmd\":");
-    json::escape_into(&mut out, cmd);
-    if !payload.is_empty() {
-        out.push(',');
-        out.push_str(payload);
+/// A success response: `{"ok":true,"cmd":"...",…}` followed by the members
+/// of the `members` object.
+pub fn ok_response(cmd: &str, members: Value) -> Value {
+    let mut fields = vec![
+        ("ok".to_string(), Value::Bool(true)),
+        ("cmd".to_string(), cmd.into()),
+    ];
+    if let Value::Obj(members) = members {
+        fields.extend(members);
     }
-    out.push('}');
-    out
+    Value::Obj(fields)
 }
 
-/// Renders a typed error response.
-pub fn error_response(kind: ErrorKind, message: &str) -> String {
-    let mut out = String::from("{\"ok\":false,\"error\":{\"kind\":\"");
-    out.push_str(kind.label());
-    out.push_str("\",\"message\":");
-    json::escape_into(&mut out, message);
-    out.push_str("}}");
-    out
+/// A typed error response.
+pub fn error_response(kind: ErrorKind, message: &str) -> Value {
+    Value::obj([
+        ("ok", Value::Bool(false)),
+        (
+            "error",
+            Value::obj([("kind", kind.label().into()), ("message", message.into())]),
+        ),
+    ])
 }
 
 /// A parsed response, as seen by a client.
@@ -279,8 +264,6 @@ pub struct Reply {
     pub error: Option<(ErrorKind, String)>,
     /// The full parsed response document.
     pub body: Value,
-    /// The raw response text.
-    pub raw: String,
 }
 
 impl Reply {
@@ -289,8 +272,8 @@ impl Reply {
     /// # Errors
     ///
     /// Returns a description of why the payload is not a valid response.
-    pub fn parse(raw: String) -> Result<Reply, String> {
-        let body = json::parse(&raw)?;
+    pub fn parse(text: &str) -> Result<Reply, String> {
+        let body = json::parse(text)?;
         let ok = body
             .get("ok")
             .and_then(Value::as_bool)
@@ -313,12 +296,7 @@ impl Reply {
                 .to_string();
             Some((kind, message))
         };
-        Ok(Reply {
-            ok,
-            error,
-            body,
-            raw,
-        })
+        Ok(Reply { ok, error, body })
     }
 }
 
@@ -362,19 +340,31 @@ mod tests {
     #[test]
     fn malformed_requests_name_the_problem() {
         assert!(Request::parse("not json").is_err());
-        assert!(Request::parse("{\"dir\":\"x\"}")
-            .unwrap_err()
-            .contains("cmd"));
-        assert!(Request::parse("{\"cmd\":\"build\",\"args\":\"x\"}")
-            .unwrap_err()
-            .contains("args"));
+        for (frame, needle) in [
+            (r#"{"dir":"x"}"#, "cmd"),
+            (r#"{"cmd":"build","args":"x"}"#, "args"),
+            // Beyond 2^53 an f64 no longer holds every integer: the daemon
+            // refuses the number rather than run on a rounded or saturated one.
+            (r#"{"cmd":"run","prog_args":[1e300]}"#, "prog_args"),
+            (
+                r#"{"cmd":"run","prog_args":[-9007199254740994]}"#,
+                "prog_args",
+            ),
+            (r#"{"cmd":"run","prog_args":[2.5]}"#, "prog_args"),
+        ] {
+            let err = Request::parse(frame).unwrap_err();
+            assert!(err.contains(needle), "{frame}: {err}");
+        }
+        let edge = Request::parse(r#"{"cmd":"run","prog_args":[-9007199254740992]}"#).unwrap();
+        assert_eq!(edge.prog_args, [-(1i64 << 53)]);
     }
 
     #[test]
     fn responses_roundtrip_typed_errors() {
-        let ok = Reply::parse(ok_response("ping", "")).unwrap();
+        let ok = Reply::parse(&json::write(&ok_response("ping", Value::Null))).unwrap();
         assert!(ok.ok);
-        let err = Reply::parse(error_response(ErrorKind::Busy, "queue full")).unwrap();
+        let err =
+            Reply::parse(&json::write(&error_response(ErrorKind::Busy, "queue full"))).unwrap();
         assert!(!err.ok);
         let (kind, message) = err.error.unwrap();
         assert_eq!(kind, ErrorKind::Busy);

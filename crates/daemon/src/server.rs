@@ -19,6 +19,7 @@
 
 use crate::gate::{Gate, GateError};
 use crate::protocol::{self, ErrorKind, Request};
+use sfcc_trace::json::{self, Value};
 use std::collections::HashMap;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -32,13 +33,14 @@ use std::time::{Duration, Instant};
 /// Implementations keep whatever makes serves warm (query engine, caches,
 /// dormancy state) resident between [`Service::handle`] calls.
 pub trait Service: Send {
-    /// Handles one request for this session's project.
+    /// Handles one request for this session's project; the result is the
+    /// object whose members follow `"ok"` and `"cmd"` in the reply.
     ///
     /// # Errors
     ///
     /// A human-readable failure (reported to the client as a typed `build`
     /// error); the session stays usable.
-    fn handle(&mut self, request: &Request) -> Result<String, String>;
+    fn handle(&mut self, request: &Request) -> Result<Value, String>;
 
     /// Persists this session's durable state (dormancy state, caches)
     /// through whatever commit protocol the embedder uses. Called on
@@ -325,7 +327,7 @@ fn handle_connection(inner: &Inner, mut stream: UnixStream) {
             Err(_) => {
                 inner.stats.malformed.fetch_add(1, Ordering::Relaxed);
                 let response = protocol::error_response(ErrorKind::Malformed, "unreadable frame");
-                let _ = protocol::write_frame(&mut stream, response.as_bytes());
+                let _ = protocol::write_frame(&mut stream, json::write(&response).as_bytes());
                 return;
             }
         };
@@ -341,7 +343,7 @@ fn handle_connection(inner: &Inner, mut stream: UnixStream) {
                 protocol::error_response(ErrorKind::Malformed, &why)
             }
         };
-        if protocol::write_frame(&mut stream, response.as_bytes()).is_err() {
+        if protocol::write_frame(&mut stream, json::write(&response).as_bytes()).is_err() {
             return;
         }
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -350,15 +352,15 @@ fn handle_connection(inner: &Inner, mut stream: UnixStream) {
     }
 }
 
-fn handle_request(inner: &Inner, request: &Request) -> String {
+fn handle_request(inner: &Inner, request: &Request) -> Value {
     match request.cmd.as_str() {
-        "ping" => protocol::ok_response("ping", ""),
-        "stats" => protocol::ok_response("stats", &stats_payload(inner)),
+        "ping" => protocol::ok_response("ping", Value::Null),
+        "stats" => protocol::ok_response("stats", stats(inner)),
         "shutdown" => {
             inner.shutdown.store(true, Ordering::SeqCst);
-            protocol::ok_response("shutdown", "")
+            protocol::ok_response("shutdown", Value::Null)
         }
-        "build" | "ir" | "run" | "depcheck" => handle_build_class(inner, request),
+        "build" | "ir" | "run" | "bc" | "depcheck" => handle_build_class(inner, request),
         other => {
             inner.stats.malformed.fetch_add(1, Ordering::Relaxed);
             protocol::error_response(ErrorKind::Malformed, &format!("unknown command `{other}`"))
@@ -366,23 +368,29 @@ fn handle_request(inner: &Inner, request: &Request) -> String {
     }
 }
 
-fn stats_payload(inner: &Inner) -> String {
+/// The members of a `stats` reply.
+fn stats(inner: &Inner) -> Value {
     let (active, queued) = inner.gate.occupancy();
     let sessions = inner.sessions.lock().unwrap().len();
     let s = &inner.stats;
-    format!(
-        "\"daemon\":{{\"requests\":{},\"serves\":{},\"busy\":{},\"timeouts\":{},\
-         \"malformed\":{},\"sessions\":{sessions},\"sessions_created\":{},\
-         \"snapshots\":{},\"active\":{active},\"queued\":{queued},\"uptime_ms\":{}}}",
-        s.requests.load(Ordering::Relaxed),
-        s.serves.load(Ordering::Relaxed),
-        s.busy_rejections.load(Ordering::Relaxed),
-        s.timeouts.load(Ordering::Relaxed),
-        s.malformed.load(Ordering::Relaxed),
-        s.sessions_created.load(Ordering::Relaxed),
-        s.snapshots.load(Ordering::Relaxed),
-        inner.started.elapsed().as_millis(),
-    )
+    let count = |counter: &AtomicU64| Value::from(counter.load(Ordering::Relaxed));
+    let daemon = Value::obj([
+        ("requests", count(&s.requests)),
+        ("serves", count(&s.serves)),
+        ("busy", count(&s.busy_rejections)),
+        ("timeouts", count(&s.timeouts)),
+        ("malformed", count(&s.malformed)),
+        ("sessions", sessions.into()),
+        ("sessions_created", count(&s.sessions_created)),
+        ("snapshots", count(&s.snapshots)),
+        ("active", active.into()),
+        ("queued", queued.into()),
+        (
+            "uptime_ms",
+            (inner.started.elapsed().as_millis() as u64).into(),
+        ),
+    ]);
+    Value::obj([("daemon", daemon)])
 }
 
 /// Signature of the build flags a session is keyed under.
@@ -390,7 +398,7 @@ fn flags_signature(args: &[String]) -> String {
     args.join("\u{1f}")
 }
 
-fn handle_build_class(inner: &Inner, request: &Request) -> String {
+fn handle_build_class(inner: &Inner, request: &Request) -> Value {
     if inner.shutdown.load(Ordering::SeqCst) {
         return protocol::error_response(ErrorKind::ShuttingDown, "daemon is shutting down");
     }
@@ -504,9 +512,9 @@ fn handle_build_class(inner: &Inner, request: &Request) -> String {
     }
     *inner.last_activity.lock().unwrap() = Instant::now();
     match result {
-        Ok(payload) => {
+        Ok(members) => {
             inner.stats.serves.fetch_add(1, Ordering::Relaxed);
-            protocol::ok_response(&request.cmd, &payload)
+            protocol::ok_response(&request.cmd, members)
         }
         Err(why) => protocol::error_response(ErrorKind::Build, &why),
     }
@@ -544,5 +552,5 @@ pub fn roundtrip_with_timeout(
         .map_err(|e| format!("cannot read response: {e}"))?
         .ok_or("daemon closed the connection without responding")?;
     let text = String::from_utf8(payload).map_err(|e| format!("response is not UTF-8: {e}"))?;
-    protocol::Reply::parse(text)
+    protocol::Reply::parse(&text)
 }

@@ -8,10 +8,9 @@
 //! Pass `include_wall = true` to annotate each event with its (non-
 //! deterministic) measured `wall_ns`.
 
-use crate::json::{escape_into, parse, Value};
+use crate::json::{self, parse, Value};
 use crate::{ArgValue, RawSpan, SpanId};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// One build's span recorder and the trace it produces: an unordered set
 /// of recorded spans, owned by whoever records into it.
@@ -160,8 +159,7 @@ impl Trace {
         }
 
         // Preorder timestamp assignment and event emission.
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
+        let mut events = Vec::with_capacity(self.spans.len());
         let mut dfs: Vec<(usize, u64)> = Vec::new();
         let mut cursor = 0u64;
         for &r in &roots {
@@ -172,11 +170,7 @@ impl Trace {
         dfs.reverse();
         while let Some((i, ts)) = dfs.pop() {
             let s = &self.spans[i];
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            emit_event(&mut out, s, ts, width[i], include_wall);
+            events.push(event(s, ts, width[i], include_wall));
             if let Some(kids) = children.get(&s.id) {
                 let mut child_ts = ts + 1;
                 let mut frames: Vec<(usize, u64)> = Vec::with_capacity(kids.len());
@@ -188,45 +182,49 @@ impl Trace {
                 dfs.extend(frames);
             }
         }
-        out.push_str(
-            "],\"meta\":{\"format\":\"sfcc-trace\",\"version\":1,\"time_unit\":\"cost-units\"}}",
-        );
-        out
+        json::write(&Value::obj([
+            ("displayTimeUnit", "ns".into()),
+            ("traceEvents", Value::Arr(events)),
+            (
+                "meta",
+                Value::obj([
+                    ("format", "sfcc-trace".into()),
+                    ("version", 1u64.into()),
+                    ("time_unit", "cost-units".into()),
+                ]),
+            ),
+        ]))
     }
 }
 
-fn emit_event(out: &mut String, s: &RawSpan, ts: u64, dur: u64, include_wall: bool) {
-    out.push_str("{\"name\":");
-    escape_into(out, &s.name);
-    let _ = write!(out, ",\"cat\":\"{}\"", s.cat);
-    if s.instant {
-        let _ = write!(out, ",\"ph\":\"i\",\"ts\":{ts},\"s\":\"t\"");
-    } else {
-        let _ = write!(out, ",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur}");
-    }
-    out.push_str(",\"pid\":1,\"tid\":1,\"args\":{");
-    let _ = write!(out, "\"seq\":{}", s.seq);
+fn event(s: &RawSpan, ts: u64, dur: u64, include_wall: bool) -> Value {
+    let mut args = vec![("seq", s.seq.into())];
     if !s.instant {
-        let _ = write!(out, ",\"cost\":{}", s.cost);
+        args.push(("cost", s.cost.into()));
     }
-    for (key, value) in &s.args {
-        out.push(',');
-        escape_into(out, key);
-        out.push(':');
-        match value {
-            ArgValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::Str(v) => escape_into(out, v),
-            ArgValue::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-        }
-    }
+    args.extend(s.args.iter().map(|(key, value)| {
+        let value = match value {
+            ArgValue::U64(v) => (*v).into(),
+            ArgValue::Str(v) => v.as_str().into(),
+            ArgValue::Bool(v) => (*v).into(),
+        };
+        (*key, value)
+    }));
     if include_wall {
-        let _ = write!(out, ",\"wall_ns\":{}", s.wall_ns);
+        args.push(("wall_ns", s.wall_ns.into()));
     }
-    out.push_str("}}");
+    let mut fields = vec![("name", s.name.as_str().into()), ("cat", s.cat.into())];
+    if s.instant {
+        fields.extend([("ph", "i".into()), ("ts", ts.into()), ("s", "t".into())]);
+    } else {
+        fields.extend([("ph", "X".into()), ("ts", ts.into()), ("dur", dur.into())]);
+    }
+    fields.extend([
+        ("pid", 1u64.into()),
+        ("tid", 1u64.into()),
+        ("args", Value::obj(args)),
+    ]);
+    Value::obj(fields)
 }
 
 /// Summary statistics returned by [`validate_chrome_trace`].
@@ -333,7 +331,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             "i" => {
                 summary.instants += 1;
                 if ev.get("s").and_then(Value::as_str) != Some("t") {
-                    return Err(ctx("instant event missing \"s\":\"t\""));
+                    return Err(ctx("instant event without thread scope \"s\" = \"t\""));
                 }
                 if let Some(&(open_ts, open_end)) = stack.last() {
                     if ts < open_ts || ts >= open_end {

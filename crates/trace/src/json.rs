@@ -1,14 +1,15 @@
-//! Minimal JSON value model, parser, and string escaping.
+//! Minimal JSON value model, parser, canonical writer, and string escaping.
 //!
 //! The workspace has no serde (the registry is unreachable; see
-//! `shims/README.md`), and sfcc's emitters hand-write JSON. This module
-//! provides the *reading* half so tests and CLI subcommands can validate
-//! and re-render what the emitters produced. Objects preserve key order,
-//! which lets schema checks detect field reordering as well as renames.
+//! `shims/README.md`). Every document sfcc emits — build reports, metrics
+//! snapshots, traces, daemon frames, experiment artifacts — is built as a
+//! [`Value`] and printed by [`write`]; [`parse`] reads them back. Objects
+//! preserve key order, which lets schema checks detect field reordering as
+//! well as renames.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Object keys keep their original order.
+/// A JSON value. Object keys keep their insertion (or source) order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -17,15 +18,29 @@ pub enum Value {
     Bool(bool),
     /// Any JSON number (stored as f64; all sfcc counters fit exactly).
     Num(f64),
+    /// An integer a built document prints exactly, beyond the 2⁵³ an f64
+    /// holds. [`parse`] never yields one: it reads every number as
+    /// [`Value::Num`].
+    Int(i64),
     /// String
     Str(String),
     /// Array
     Arr(Vec<Value>),
-    /// Object, in source order.
+    /// Object, in insertion order.
     Obj(Vec<(String, Value)>),
 }
 
 impl Value {
+    /// An object of `fields`, in the order given.
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
     /// Look up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -40,6 +55,7 @@ impl Value {
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(63) => {
                 Some(*n as u64)
             }
+            Value::Int(n) => u64::try_from(*n).ok(),
             _ => None,
         }
     }
@@ -77,6 +93,64 @@ impl Value {
     }
 }
 
+/// `value[key]`: the member `key` of an object, [`Value::Null`] when there
+/// is none.
+impl std::ops::Index<&str> for Value {
+    type Output = Value;
+
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).unwrap_or(&Value::Null)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<i64> for Value {
+    fn from(n: i64) -> Value {
+        Value::Int(n)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        i64::try_from(n).map_or(Value::Num(n as f64), Value::Int)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::from(n as u64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses once
 /// per level and reads socket frames, so the bound is what keeps a frame of
 /// `[[[[…` from overflowing the stack; every document sfcc emits nests less
@@ -86,22 +160,23 @@ const MAX_DEPTH: usize = 128;
 /// Parse a complete JSON document; trailing non-whitespace and nesting
 /// beyond [`MAX_DEPTH`] are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut p = Parser {
-        bytes,
+        text,
+        bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != p.bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open around `pos`.
@@ -234,53 +309,43 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // `"` and `\` are ASCII, so they never occur inside a multi-byte
+            // UTF-8 sequence: the run before either is whole characters.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| "non-ascii \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by sfcc's emitters;
+                    // map lone surrogates to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by sfcc's
-                            // emitters; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
     }
@@ -308,10 +373,58 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    }
+}
+
+/// Renders `value` canonically: no whitespace, object keys in insertion
+/// order, strings through [`escape_into`], whole numbers as integers
+/// (`Num(3.0)` prints `3`) and other numbers in their shortest round-trip
+/// form; a non-finite `Num` prints `null`. [`parse`] reads the text back to
+/// a value that renders to the same bytes.
+pub fn write(value: &Value) -> String {
+    let mut out = String::new();
+    write_into(&mut out, value);
+    out
+}
+
+fn write_into(out: &mut String, value: &Value) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) if n.is_finite() => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Num(_) => out.push_str("null"),
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Str(s) => escape_into(out, s),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_into(out, item);
+            }
+            out.push(']');
+        }
+        Value::Obj(fields) => {
+            out.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                escape_into(out, key);
+                out.push(':');
+                write_into(out, item);
+            }
+            out.push('}');
+        }
     }
 }
 
@@ -338,6 +451,8 @@ pub fn escape_into(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn parses_nested_document() {
@@ -353,24 +468,97 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage_and_bad_syntax() {
         assert!(parse("{} x").is_err());
-        assert!(parse("{\"a\":}").is_err());
+        assert!(parse(r#"{"a":}"#).is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+        assert!(parse(r#""trailing escape\"#).is_err());
         // Nesting is bounded: unbounded recursion on either input below
         // would overflow the stack long before reaching the end.
         let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
         assert!(parse(&nest(MAX_DEPTH)).is_ok());
         assert!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
         assert!(parse(&"[".repeat(20_000)).is_err());
-        assert!(parse(&"{\"k\":".repeat(20_000)).is_err());
+        assert!(parse(&r#"{"k":"#.repeat(20_000)).is_err());
     }
 
     #[test]
     fn escape_roundtrips_through_parse() {
-        let original = "line1\nline2\t\"quoted\" \\ \u{0001}end";
+        let original = "line1\nline2\t\"quoted\" \\ \u{0001}end é ☃ 🦀";
         let mut doc = String::new();
         escape_into(&mut doc, original);
         let v = parse(&doc).expect("parse escaped");
         assert_eq!(v.as_str(), Some(original));
+    }
+
+    /// The string scan is linear: a daemon frame holding one long string
+    /// costs one pass over it, not one pass per character.
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        let body = "é".repeat(1 << 19);
+        let doc = format!("{{\"s\":\"{body}\"}}");
+        let started = std::time::Instant::now();
+        let v = parse(&doc).expect("parse");
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(v.get("s").and_then(Value::as_str), Some(body.as_str()));
+    }
+
+    #[test]
+    fn writer_prints_whole_numbers_as_integers() {
+        let doc = Value::obj([
+            ("n", Value::Num(64.0)),
+            ("x", Value::Num(0.125)),
+            ("big", Value::Int(i64::MIN)),
+            ("u", Value::from(u64::MAX)),
+            ("nan", Value::Num(f64::NAN)),
+            ("none", Value::from(None::<i64>)),
+            ("list", ["a", "b\""].into_iter().collect()),
+        ]);
+        assert_eq!(
+            write(&doc),
+            r#"{"n":64,"x":0.125,"big":-9223372036854775808,"u":18446744073709552000,"nan":null,"none":null,"list":["a","b\""]}"#
+        );
+    }
+
+    /// A random value: scalars of every kind (numbers from raw bit
+    /// patterns, strings over quotes, escapes, controls and multi-byte
+    /// characters) nested in arrays and objects up to `depth`.
+    fn random_value(rng: &mut TestRng, depth: usize) -> Value {
+        let string = |rng: &mut TestRng| -> String {
+            const ALPHABET: &[char] = &[
+                'a', 'Z', '"', '\\', '/', '\n', '\t', '\u{1}', 'é', '☃', '🦀',
+            ];
+            (0..rng.below(6))
+                .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+                .collect()
+        };
+        match rng.below(if depth == 0 { 6 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::Num(f64::from_bits(rng.next_u64())),
+            3 => Value::Num((rng.next_u64() >> 11) as f64 - (1u64 << 52) as f64),
+            4 => Value::Int((rng.next_u64() >> 10) as i64 - (1i64 << 53)),
+            5 => Value::Str(string(rng)),
+            6 => Value::Arr(
+                (0..rng.below(4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Obj(
+                (0..rng.below(4))
+                    .map(|_| (string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn written_text_reads_back_to_the_same_text(seed in any::<u64>()) {
+            let value = random_value(&mut TestRng::new(seed), 4);
+            let text = write(&value);
+            let reread = parse(&text).map_err(|e| format!("{e}: {text}")).unwrap();
+            prop_assert_eq!(write(&reread), text);
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! (`query.hits`, `pass.inline.runs`); snapshots iterate in name order so
 //! their JSON rendering is deterministic.
 
-use crate::json::{escape_into, Value};
+use crate::json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -158,37 +158,32 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Render as a JSON object: `{"name":{"type":"counter","value":N},…}`.
-    /// Deterministic (name order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_into(&mut out, name);
-            out.push(':');
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, "{{\"type\":\"counter\",\"value\":{v}}}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(out, "{{\"type\":\"gauge\",\"value\":{v}}}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                        h.count, h.sum, h.min, h.max
-                    );
-                }
-            }
-        }
-        out.push('}');
-        out
+    /// The snapshot as a JSON object, `{"name":{"type":"counter","value":N},…}`
+    /// in name order.
+    pub fn to_value(&self) -> Value {
+        Value::Obj(
+            self.values
+                .iter()
+                .map(|(name, value)| {
+                    let entry = match value {
+                        MetricValue::Counter(v) | MetricValue::Gauge(v) => {
+                            Value::obj([("type", value.kind().into()), ("value", (*v).into())])
+                        }
+                        MetricValue::Histogram(h) => Value::obj([
+                            ("type", value.kind().into()),
+                            ("count", h.count.into()),
+                            ("sum", h.sum.into()),
+                            ("min", h.min.into()),
+                            ("max", h.max.into()),
+                        ]),
+                    };
+                    (name.clone(), entry)
+                })
+                .collect(),
+        )
     }
 
-    /// Rebuild a snapshot from the JSON produced by [`Self::to_json`].
+    /// Rebuild a snapshot from the JSON of [`Self::to_value`].
     pub fn from_json(value: &Value) -> Result<Self, String> {
         let fields = value.as_obj().ok_or("metrics: expected object")?;
         let mut values = BTreeMap::new();
@@ -296,11 +291,11 @@ mod tests {
         reg.gauge_set("b.gauge", 9);
         reg.histogram_record("c.hist", 3);
         let snap = reg.snapshot();
-        let text = snap.to_json();
+        let text = json::write(&snap.to_value());
         let parsed = json::parse(&text).expect("valid json");
         let back = MetricsSnapshot::from_json(&parsed).expect("roundtrip");
         assert_eq!(back, snap);
         // Deterministic rendering.
-        assert_eq!(text, reg.snapshot().to_json());
+        assert_eq!(text, json::write(&reg.snapshot().to_value()));
     }
 }

@@ -415,7 +415,11 @@ fn racing_builder_processes_never_corrupt_the_store() {
         let out = child.wait_with_output().unwrap();
         std::io::stdout().write_all(&out.stdout).unwrap();
         std::io::stderr().write_all(&out.stderr).unwrap();
-        assert!(out.status.success(), "a racing builder failed: {:?}", out.status);
+        assert!(
+            out.status.success(),
+            "a racing builder failed: {:?}",
+            out.status
+        );
     }
 
     // Whatever interleaving happened, nothing in the store may be corrupt:

@@ -27,6 +27,7 @@ use sfcc_codec::{fnv64, Reader, Writer};
 use sfcc_daemon::{roundtrip, Daemon, DaemonHandle, DaemonOptions, Request, Service};
 use sfcc_faultfs::{self as ffs, CommitDir, Fault, FaultPlan, OpKind};
 use sfcc_state::statefile;
+use sfcc_trace::json::{self, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1224,7 +1225,7 @@ struct FaultySession {
 }
 
 impl Service for FaultySession {
-    fn handle(&mut self, request: &Request) -> Result<String, String> {
+    fn handle(&mut self, request: &Request) -> Result<Value, String> {
         let guard = ffs::install(self.plan.clone());
         let result = self.inner.handle(request);
         *self.ops.lock().unwrap() = guard.ops_so_far();
@@ -1278,7 +1279,7 @@ fn daemon_build(socket: &Path, dir: &Path) -> Result<(), String> {
     if reply.ok {
         Ok(())
     } else {
-        Err(reply.raw)
+        Err(json::write(&reply.body))
     }
 }
 

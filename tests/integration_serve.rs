@@ -168,7 +168,12 @@ fn request(cmd: &str, dir: &Path, args: &[String]) -> Request {
 
 fn must_ok(socket: &Path, req: &Request) -> Reply {
     let reply = roundtrip(socket, req).expect("daemon transport");
-    assert!(reply.ok, "request `{}` failed: {}", req.cmd, reply.raw);
+    assert!(
+        reply.ok,
+        "request `{}` failed: {}",
+        req.cmd,
+        json::write(&reply.body)
+    );
     reply
 }
 
@@ -177,7 +182,8 @@ fn must_err(socket: &Path, req: &Request) -> (ErrorKind, String) {
     assert!(
         !reply.ok,
         "request `{}` unexpectedly ok: {}",
-        req.cmd, reply.raw
+        req.cmd,
+        json::write(&reply.body)
     );
     reply.error.expect("failed replies carry a typed error")
 }
@@ -1010,9 +1016,9 @@ fn concurrent_clients_on_distinct_projects_never_bleed() {
 struct Sleepy(Duration);
 
 impl Service for Sleepy {
-    fn handle(&mut self, _request: &Request) -> Result<String, String> {
+    fn handle(&mut self, _request: &Request) -> Result<json::Value, String> {
         std::thread::sleep(self.0);
-        Ok("\"slept\":true".to_string())
+        Ok(json::Value::obj([("slept", true.into())]))
     }
     fn snapshot(&mut self) -> Result<(), String> {
         Ok(())
@@ -1143,7 +1149,7 @@ fn quick_malformed_requests_get_typed_errors_not_hangs() {
         let payload = sfcc_daemon::protocol::read_frame(&mut stream)
             .unwrap()
             .unwrap();
-        let reply = Reply::parse(String::from_utf8(payload).unwrap()).unwrap();
+        let reply = Reply::parse(&String::from_utf8(payload).unwrap()).unwrap();
         assert_eq!(reply.error.unwrap().0, ErrorKind::Malformed);
         must_ok(&socket, &Request::bare("ping"));
     }
@@ -1158,7 +1164,7 @@ fn quick_malformed_requests_get_typed_errors_not_hangs() {
     stream.flush().unwrap();
     let answer = sfcc_daemon::protocol::read_frame(&mut stream).unwrap();
     if let Some(payload) = answer {
-        let reply = Reply::parse(String::from_utf8(payload).unwrap()).unwrap();
+        let reply = Reply::parse(&String::from_utf8(payload).unwrap()).unwrap();
         assert_eq!(reply.error.unwrap().0, ErrorKind::Malformed);
     }
 
@@ -1187,7 +1193,7 @@ fn quick_warm_depcheck_is_clean_and_a_frozen_stamp_lie_is_caught() {
         reply.body.get("clean").and_then(|v| v.as_bool()),
         Some(true),
         "warm serves must audit clean: {}",
-        reply.raw
+        json::write(&reply.body)
     );
     handle.shutdown();
     cleanup(&root);
@@ -1217,7 +1223,7 @@ fn quick_warm_depcheck_is_clean_and_a_frozen_stamp_lie_is_caught() {
         reply.body.get("clean").and_then(|v| v.as_bool()),
         Some(false),
         "the frozen-stamp lie escaped the warm audit: {}",
-        reply.raw
+        json::write(&reply.body)
     );
     handle.shutdown();
     cleanup(&root);

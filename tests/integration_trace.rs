@@ -365,3 +365,189 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden bytes: every document kind sfcc emits, pinned to constants. A
+// failure here means an emitter changed a byte that readers of reports,
+// traces or daemon frames may depend on; fix the emitter unless a format
+// change is the point.
+// ---------------------------------------------------------------------------
+
+/// A report exercising every block: a rebuilt module with a pass trace, a
+/// reused one, depcheck findings, a quarantined path, strings that need
+/// escaping, and a fixed metrics snapshot standing in for some fields.
+fn golden_report() -> BuildReport {
+    use sfcc_buildsys::report::{FngrainStats, ModuleOutput, ModuleReport, QueryStats};
+    use sfcc_buildsys::{DepFinding, DepFindingKind, DepcheckReport};
+    use sfcc_passes::{FunctionTrace, PassOutcome, PassRecord, PipelineTrace};
+    let record = |pass: &str, slot: usize, outcome: PassOutcome, nanos: u64| PassRecord {
+        pass: pass.to_string(),
+        slot,
+        outcome,
+        nanos,
+        cost_units: 7,
+    };
+    let trace = PipelineTrace {
+        module: "we\"ird".to_string(),
+        functions: vec![FunctionTrace {
+            function: "f".to_string(),
+            entry_fingerprint: sfcc_ir::Fingerprint(1),
+            exit_fingerprint: sfcc_ir::Fingerprint(2),
+            records: vec![
+                record("inline", 0, PassOutcome::Active, 500),
+                record("dce", 1, PassOutcome::Dormant, 300),
+                record("inline", 2, PassOutcome::Skipped, 0),
+            ],
+        }],
+        snapshot_clones: 2,
+        snapshot_cost_units: 40,
+        snapshot_reused: 1,
+        batch_count: 3,
+        batch_max_cost: 17,
+        snapshot_wall_ns: 999,
+    };
+    let registry = sfcc_trace::Registry::new();
+    registry.gauge_set("build.wall_ns", 123_456);
+    registry.gauge_set("build.jobs", 2);
+    registry.counter_add("query.hits", 5);
+    registry.counter_add("pass.inline.runs", 1);
+    registry.histogram_record("cache.lookup_ns", 40);
+    registry.histogram_record("cache.lookup_ns", 2);
+    registry.gauge_set("module.we\"ird.lower_ns", 77);
+    BuildReport {
+        program: sfcc_backend::Program {
+            funcs: Vec::new(),
+            entry: None,
+        },
+        wall_ns: 1,
+        link_ns: 2_000,
+        modules: vec![
+            ModuleReport {
+                name: "base".to_string(),
+                rebuilt: false,
+                output: None,
+            },
+            ModuleReport {
+                name: "we\"ird".to_string(),
+                rebuilt: true,
+                output: Some(ModuleOutput {
+                    trace,
+                    timings: sfcc::PhaseTimings {
+                        frontend_ns: 10,
+                        lower_ns: 20,
+                        middle_ns: 30,
+                        backend_ns: 40,
+                        state_ns: 50,
+                    },
+                }),
+            },
+        ],
+        query: QueryStats {
+            hits: 9,
+            misses: 4,
+            loaded: 3,
+            rematerialized: vec!["parse(base)".to_string()],
+            executed: vec!["checkfn(we\"ird::f)".to_string(), "link".to_string()],
+        },
+        fngrain: FngrainStats {
+            signature_hits: 1,
+            signature_misses: 2,
+            fn_tasks_executed: 3,
+            cutoff_saved: 4,
+        },
+        jobs: 8,
+        outcome: "success".to_string(),
+        state_generation: 12,
+        recovered_files: 1,
+        quarantined: vec!["/p/.sfcc-state.g1\\x\n.corrupt".to_string()],
+        depcheck: Some(DepcheckReport {
+            findings: vec![DepFinding {
+                kind: DepFindingKind::StaleServe,
+                task: "frontend(lib)".to_string(),
+                resource: "src:lib".to_string(),
+                detail: "declared \"a\"\tobserved \u{1}b/c".to_string(),
+            }],
+            tasks_checked: 38,
+            accesses: 12,
+        }),
+        metrics: registry.snapshot(),
+        trace: None,
+    }
+}
+
+const GOLDEN_REPORT: &str = r#"{"wall_ns":123456,"link_ns":2000,"compile_ns":150,"rebuilt_count":1,"jobs":2,"outcome":"success","state_generation":12,"outcomes":{"active":1,"dormant":1,"skipped":1},"query":{"hits":5,"misses":4,"loaded":3,"rematerialized":["parse(base)"],"executed":["checkfn(we\"ird::f)","link"]},"fngrain":{"signature_hits":1,"signature_misses":2,"fn_tasks_executed":3,"cutoff_saved":4},"parallel":{"snapshot_clones":2,"snapshot_cost_units":40,"snapshot_reused":1,"batch_count":3,"batch_max_cost":17},"recovery":{"recovered_files":1,"quarantined":["/p/.sfcc-state.g1\\x\n.corrupt"]},"depcheck":{"enabled":true,"missing":0,"redundant":0,"stale":1,"untracked_io":0,"tasks_checked":38,"accesses":12,"findings":[{"kind":"stale-serve","task":"frontend(lib)","resource":"src:lib","detail":"declared \"a\"\tobserved \u0001b/c"}]},"cas":{"enabled":false,"hits":0,"misses":0,"evictions":0,"publishes":0,"entries":0,"bytes":0},"pass_profile":[{"pass":"inline","total_ns":500,"runs":1,"skipped":1},{"pass":"dce","total_ns":300,"runs":1,"skipped":0}],"slowest_slots":[{"slot":0,"pass":"inline","total_ns":500,"runs":1},{"slot":1,"pass":"dce","total_ns":300,"runs":1},{"slot":2,"pass":"inline","total_ns":0,"runs":0}],"modules":[{"name":"base","rebuilt":false},{"name":"we\"ird","rebuilt":true,"timings_ns":{"frontend":10,"lower":77,"middle":30,"backend":40,"state":50},"optimize_ns":80,"outcomes":{"active":1,"dormant":1,"skipped":1}}],"metrics":{"build.jobs":{"type":"gauge","value":2},"build.wall_ns":{"type":"gauge","value":123456},"cache.lookup_ns":{"type":"histogram","count":2,"sum":42,"min":2,"max":40},"module.we\"ird.lower_ns":{"type":"gauge","value":77},"pass.inline.runs":{"type":"counter","value":1},"query.hits":{"type":"counter","value":5}}}"#;
+
+/// `minicc build demo --trace t.json`'s trace, in process: a stateless
+/// one-request session over a copy of `demo/`.
+fn golden_demo_trace() -> String {
+    let dir = scratch_dir("golden-demo");
+    let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
+    for entry in std::fs::read_dir(&demo).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "mc") {
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    let mut session = sfcc_buildsys::serve::BuildService::new(&dir, &[]).unwrap();
+    session.set_tracing(true);
+    let built = session.build().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    built.report.trace.expect("traced").to_chrome_json(false)
+}
+
+#[test]
+fn quick_emitted_json_bytes_are_pinned() {
+    use sfcc_daemon::protocol::{error_response, ok_response, ErrorKind};
+    use sfcc_daemon::Request;
+    assert_eq!(golden_report().to_json(), GOLDEN_REPORT);
+
+    // The demo trace: 35 944 bytes, pinned by length and FNV-64.
+    let trace = golden_demo_trace();
+    assert!(
+        trace.starts_with(r#"{"displayTimeUnit":"ns","traceEvents":[{"name":"build","cat":"build","ph":"X","ts":0,"dur":2618,"pid":1,"tid":1,"args":{"seq":0,"cost":0}},{"name":"wave 0","#),
+        "{}",
+        &trace[..trace.len().min(200)]
+    );
+    assert_eq!(
+        (trace.len(), sfcc_codec::fnv64(trace.as_bytes())),
+        (35_944, 0xcccf_a8ee_03d9_b16b)
+    );
+
+    let request = Request {
+        cmd: "run".to_string(),
+        dir: Some("/p/\"q\"".to_string()),
+        module: Some("m\\n".to_string()),
+        out: Some("/p/a.sbx".to_string()),
+        args: vec!["--stateful".into(), "--jobs".into(), "8".into()],
+        prog_args: vec![21, -3, 9_007_199_254_740_992],
+    };
+    assert_eq!(
+        request.to_json(),
+        r#"{"cmd":"run","dir":"/p/\"q\"","module":"m\\n","out":"/p/a.sbx","args":["--stateful","--jobs","8"],"prog_args":[21,-3,9007199254740992]}"#
+    );
+    assert_eq!(Request::bare("ping").to_json(), r#"{"cmd":"ping"}"#);
+
+    let members = Value::obj([
+        ("image", "/p/a b\"c.sbx".into()),
+        ("modules", 3u64.into()),
+        ("prints", [1i64, -2].into_iter().collect()),
+        ("return", Value::Null),
+        ("clean", true.into()),
+        ("report", Value::obj([("x", Value::Arr(Vec::new()))])),
+    ]);
+    assert_eq!(
+        json::write(&ok_response("build", members)),
+        r#"{"ok":true,"cmd":"build","image":"/p/a b\"c.sbx","modules":3,"prints":[1,-2],"return":null,"clean":true,"report":{"x":[]}}"#
+    );
+    assert_eq!(
+        json::write(&ok_response("ping", Value::Null)),
+        r#"{"ok":true,"cmd":"ping"}"#
+    );
+    assert_eq!(
+        json::write(&error_response(
+            ErrorKind::OutsideRoot,
+            "project `/x` is \"outside\"\n"
+        )),
+        r#"{"ok":false,"error":{"kind":"outside-root","message":"project `/x` is \"outside\"\n"}}"#
+    );
+}
