@@ -66,18 +66,35 @@ noop_gate() {
     cp demo/*.mc "$scratch/p"/
     local build=(cargo run -q -p sfcc-buildsys --bin minicc -- build)
     local flags=(--stateful --fn-cache)
-    "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/first.sbx" > "$scratch/first.json"
+    "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/out.sbx" > "$scratch/first.json"
+    cp "$scratch/out.sbx" "$scratch/first.sbx"
+    local inode
+    inode="$(stat -c %i "$scratch/out.sbx")"
     mkdir "$scratch/state1" "$scratch/state2"
     cp "$scratch/p"/.sfcc-state* "$scratch/state1"/
-    "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/second.sbx" > "$scratch/second.json"
+    "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/out.sbx" > "$scratch/second.json"
     cp "$scratch/p"/.sfcc-state* "$scratch/state2"/
+    # A no-op reads back the keys of `link`'s dependencies and nothing else.
+    local parsed
+    parsed="$(grep -oE '"query.keys_parsed":\{"type":"gauge","value":[0-9]+' "$scratch/second.json" | grep -oE '[0-9]+$')"
     if ! grep -q '"query":{"hits":1,"misses":0,' "$scratch/second.json" ||
         ! grep -q '"fn_tasks_executed":0,' "$scratch/second.json" ||
-        grep -q '"rebuilt":true' "$scratch/second.json"; then
-        echo "ci: a second process over an unchanged tree executed tasks:" >&2
+        grep -q '"rebuilt":true' "$scratch/second.json" ||
+        ((parsed > 4)); then
+        echo "ci: a second process over an unchanged tree executed tasks or parsed $parsed key(s):" >&2
         grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/second.json" >&2
         return 1
     fi
+    # Nor did it rewrite the image it already holds: the same file, no
+    # rename. A damaged image is rewritten whole.
+    if [[ "$(stat -c %i "$scratch/out.sbx")" != "$inode" ]]; then
+        echo "ci: a no-op replaced an unchanged image" >&2
+        return 1
+    fi
+    cmp "$scratch/first.sbx" "$scratch/out.sbx"
+    truncate -s 10 "$scratch/out.sbx"
+    "${build[@]}" "$scratch/p" "${flags[@]}" -o "$scratch/out.sbx" > /dev/null
+    cmp "$scratch/first.sbx" "$scratch/out.sbx"
     # Nor did it commit: the same generation, no write, the same state bytes.
     local generations=()
     for report in first second; do
@@ -90,7 +107,6 @@ noop_gate() {
         grep -oE '"state_generation":[0-9]+|"faultfs.writes":\{[^}]*\}' "$scratch/second.json" >&2
         return 1
     fi
-    cmp "$scratch/first.sbx" "$scratch/second.sbx"
     sed -i 's/1000000007/998244353/' "$scratch/p/mathx.mc"
     cp "$scratch/p"/*.mc "$scratch/fresh"/
     "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/third.sbx" > "$scratch/third.json"
@@ -104,9 +120,15 @@ noop_gate() {
     for report in first third; do
         fn_tasks+=("$(grep -oE '"fn_tasks_executed":[0-9]+' "$scratch/$report.json" | cut -d: -f2)")
     done
+    # The full build executed every node of the graph the edit restores;
+    # the edit reads back fewer keys than that.
+    local nodes
+    nodes="$(grep -oE '"query":\{"hits":[0-9]+,"misses":[0-9]+' "$scratch/first.json" | grep -oE '[0-9]+$')"
+    parsed="$(grep -oE '"query.keys_parsed":\{"type":"gauge","value":[0-9]+' "$scratch/third.json" | grep -oE '[0-9]+$')"
     if grep -qE '"query":\{"hits":[0-9]+,"misses":0,' "$scratch/third.json" ||
         ! grep -q '"rebuilt_count":1,' "$scratch/third.json" ||
         ((fn_tasks[1] >= fn_tasks[0])) ||
+        ((parsed >= nodes)) ||
         ! grep -q '"rematerialized":\[\]' "$scratch/third.json"; then
         echo "ci: a new process did not execute what a resident session would for one edited constant:" >&2
         grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/third.json" >&2

@@ -52,7 +52,7 @@ use crate::depgraph;
 use crate::graph::GraphError;
 use crate::project::Project;
 use crate::report::{BuildReport, FngrainStats, ModuleOutput, ModuleReport, QueryStats};
-use crate::tasks::{BuildSpec, BuildTask, WaveBatch};
+use crate::tasks::{label_scope, BuildSpec, BuildTask, WaveBatch};
 use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
 use sfcc_ir::{Function, Op};
@@ -299,6 +299,16 @@ impl Builder {
         self
     }
 
+    /// The image of the program the last build linked, encoded: the bytes
+    /// `link` memoized (or loaded), so writing it encodes nothing. `None`
+    /// before a build has linked.
+    pub fn linked_image(&self) -> Option<&[u8]> {
+        match self.engine.peek(&BuildTask::Link)? {
+            BuildValue::Link(link) => Some(&link.image),
+            _ => None,
+        }
+    }
+
     /// The underlying compiler session (state persistence, cache counters).
     pub fn compiler(&self) -> &Compiler {
         &self.compiler
@@ -393,7 +403,7 @@ impl Builder {
         // cannot leak into the link; dependents are invalidated by the
         // missing nodes (and by the manifest stamp).
         self.engine
-            .retain(|task| task.module().is_none_or(|m| project.contains(m)));
+            .retain(|label| label_scope(label).0.is_none_or(|m| project.contains(m)));
 
         // Shared-store session boundary: clear per-session serve records,
         // pick up other processes' commits, and (adversarially) install any
@@ -419,17 +429,19 @@ impl Builder {
         // graph. The module order is `link`'s recorded `codegen`
         // dependencies, which it demanded in topological order.
         if self.engine.is_valid(&BuildTask::Link) {
-            let order = self
+            let deps = self
                 .engine
                 .deps_of(&BuildTask::Link)
+                .unwrap_or_default()
+                .to_vec();
+            let order = deps
                 .into_iter()
-                .flatten()
                 .filter_map(|dep| match dep {
-                    Dep::Task {
-                        key: BuildTask::Codegen(m),
-                        ..
-                    } => Some(m.clone()),
-                    _ => None,
+                    Dep::Task(id, _) => match self.engine.key(id)? {
+                        BuildTask::Codegen(m) => Some(m.clone()),
+                        _ => None,
+                    },
+                    Dep::Input(..) => None,
                 })
                 .collect();
             let walk = Walk {
@@ -578,22 +590,24 @@ fn roster_of(
         if let Some(value) = engine.peek(&check) {
             return Ok(value.expect_modcheck().roster.clone());
         }
-        let current = engine.fingerprint_of(&check);
+        let current = engine.id_of(&check).zip(engine.fingerprint_of(&check));
         let recorded = engine
             .deps_of(&BuildTask::Codegen(m.to_string()))
-            .unwrap_or_default();
-        let against_current = recorded.iter().any(|dep| {
-            matches!(dep, Dep::Task { key, fingerprint } if *key == check && Some(*fingerprint) == current)
+            .unwrap_or_default()
+            .to_vec();
+        let against_current = recorded.iter().any(|dep| match *dep {
+            Dep::Task(id, fingerprint) => Some((id, fingerprint)) == current,
+            Dep::Input(..) => false,
         });
         if against_current {
             return Ok(recorded
-                .iter()
+                .into_iter()
                 .filter_map(|dep| match dep {
-                    Dep::Task {
-                        key: BuildTask::OptimizeFn(_, f),
-                        ..
-                    } => Some(f.clone()),
-                    _ => None,
+                    Dep::Task(id, _) => match engine.key(id)? {
+                        BuildTask::OptimizeFn(_, f) => Some(f.clone()),
+                        _ => None,
+                    },
+                    Dep::Input(..) => None,
                 })
                 .collect());
         }
@@ -631,12 +645,11 @@ fn finish(
         rosters,
     } = walk;
     let link_start = recorder.is_some().then(Instant::now);
-    let program = engine
+    let link = engine
         .require(&mut spec, &BuildTask::Link)
         .map_err(seal)?
-        .expect_link()
-        .program
-        .clone();
+        .expect_link();
+    let program = spec.program_of(&link);
     if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
         trace.span(
             root,
@@ -750,10 +763,12 @@ fn finish(
     // cannot linger in the store or the state database. (Only walked
     // modules have a roster here: a module left alone has a valid `codegen`
     // over an unchanged roster, and nothing of it is collected.)
-    engine.retain(|task| match task.function() {
-        Some((m, f)) => rosters.get(m).is_none_or(|r| r.iter().any(|g| g == f)),
-        None => true,
-    });
+    if !rosters.is_empty() {
+        engine.retain(|label| match label_scope(label) {
+            (Some(m), Some(f)) => rosters.get(m).is_none_or(|r| r.iter().any(|g| g == f)),
+            _ => true,
+        });
+    }
     for (module, roster) in &rosters {
         compiler.retain_state_functions(module, |f| roster.iter().any(|g| g == f));
     }
@@ -789,6 +804,7 @@ fn finish(
     // numeric the JSON report emits — then snapshot it into the report.
     let registry = Registry::new();
     record_report_metrics(&report, waves.len(), &registry);
+    registry.gauge_set("query.keys_parsed", engine.keys_parsed());
     compiler.record_metrics(&registry);
     // The build's own durable ops; a driver that commits state adds the
     // commit's ([`crate::serve::BuildService`]).

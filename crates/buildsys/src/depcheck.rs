@@ -340,9 +340,9 @@ pub(crate) fn analyze(
             .deps_of(key)
             .into_iter()
             .flatten()
-            .filter_map(|dep| match dep {
-                Dep::Input { name, .. } => Some(name.as_str()),
-                Dep::Task { .. } => None,
+            .filter_map(|dep| match *dep {
+                Dep::Input(input, _) => Some(engine.input_name(input)),
+                Dep::Task(..) => None,
             })
             .collect();
         let empty = BTreeSet::new();
@@ -371,19 +371,20 @@ pub(crate) fn analyze(
         // They disagree exactly when the store answered with another
         // identity's artifact (an under-keyed lookup) — a stale serve the
         // moment it happens, before any byte can diverge downstream.
-        for dep in engine.deps_of(key).into_iter().flatten() {
-            let Dep::Input { name, stamp } = dep else {
+        for &dep in engine.deps_of(key).into_iter().flatten() {
+            let Dep::Input(input, stamp) = dep else {
                 continue;
             };
+            let name = engine.input_name(input);
             if !name.starts_with("cas:") {
                 continue;
             }
             let raw = spec.raw_input_stamp(name);
-            if raw != *stamp {
+            if raw != stamp {
                 findings.push(DepFinding {
                     kind: DepFindingKind::StaleServe,
                     task: label.clone(),
-                    resource: name.clone(),
+                    resource: name.to_string(),
                     detail: format!(
                         "shared store served an artifact with provenance stamp {stamp:#x}, \
                          but the honest key derivation stamps {raw:#x}"
@@ -409,19 +410,20 @@ pub(crate) fn analyze(
 
     // Store-served tasks: every recorded input stamp must match the input's
     // raw stamp right now, or the serve was stale.
-    for key in engine.verified_hit_keys() {
+    for id in engine.verified_hits() {
         tasks_checked += 1;
-        let label = key.to_string();
-        for dep in engine.deps_of(&key).into_iter().flatten() {
-            let Dep::Input { name, stamp } = dep else {
+        let label = engine.label(id);
+        for &dep in engine.deps(id) {
+            let Dep::Input(input, stamp) = dep else {
                 continue;
             };
+            let name = engine.input_name(input);
             let raw = spec.raw_input_stamp(name);
-            if raw != *stamp {
+            if raw != stamp {
                 findings.push(DepFinding {
                     kind: DepFindingKind::StaleServe,
-                    task: label.clone(),
-                    resource: name.clone(),
+                    task: label.to_string(),
+                    resource: name.to_string(),
                     detail: format!(
                         "served from the store with recorded stamp {stamp:#x}, \
                          but the input's raw stamp is {raw:#x}"

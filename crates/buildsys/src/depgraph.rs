@@ -19,27 +19,28 @@
 //!
 //! Every other value (parse trees, ASTs, signatures, module checks, lowered
 //! IR) is rematerialized on demand from the sources.
-//! [`restore`] is the inverse, into an empty engine: nodes without values,
-//! and beside them a [`Stored`] of the value bytes — slices of the file,
-//! each of which the decoder checked against its node's fingerprint,
+//! [`restore`] is the inverse, into an empty engine: the file's key table
+//! becomes the engine's label table as it stands — no key is parsed, a
+//! dependency's key index is its task id — nodes come without values, and
+//! beside them a [`Stored`] of the value bytes by task id — slices of the
+//! file, each of which the decoder checked against its node's fingerprint,
 //! decoded when a demand loads them (see `sfcc-query`).
 
 use crate::depcheck::DepMutations;
 use crate::graph::{graph_repr, parse_graph_repr};
-use crate::tasks::{BuildTask, BuildValue, CodegenArtifact, LinkArtifact, OptimizeFnArtifact};
+use crate::tasks::{
+    split_label, BuildTask, BuildValue, CodegenArtifact, LinkArtifact, OptimizeFnArtifact,
+};
 use sfcc::{GraphDep, GraphFile, GraphWriter, ValueBytes};
-use sfcc_query::{Dep, Engine};
+use sfcc_backend::Program;
+use sfcc_query::{Dep, Engine, TaskId};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Whether the graph file carries `key`'s value.
-fn persists(key: &BuildTask) -> bool {
-    matches!(
-        key,
-        BuildTask::OptimizeFn(..) | BuildTask::Codegen(_) | BuildTask::Link | BuildTask::Graph
-    )
+/// Whether the graph file carries the value of the task `label` names.
+fn persists(label: &str) -> bool {
+    split_label(label)
+        .is_some_and(|(kind, ..)| matches!(kind, "optimizefn" | "codegen" | "link" | "graph"))
 }
 
 /// The bytes a persisted value is written as — the byte string its
@@ -55,16 +56,20 @@ fn persisted_bytes(value: &BuildValue) -> Option<Cow<'_, [u8]>> {
 }
 
 /// The values a restored graph carried that no demand has loaded yet, by
-/// task, with the fingerprint their bytes hash to.
+/// task id, with the fingerprint their bytes hash to.
 #[derive(Debug, Default)]
-pub(crate) struct Stored(HashMap<BuildTask, (u64, ValueBytes)>);
+pub(crate) struct Stored {
+    values: Vec<Option<(u64, ValueBytes)>>,
+    /// The program the load of `link` decoded, until a report takes it.
+    program: Option<Program>,
+}
 
 impl Stored {
-    /// Decodes `key`'s stored value, handing it over once. `None` when
-    /// there is none or its bytes do not decode; the engine then
-    /// rematerializes the value.
-    pub(crate) fn load(&mut self, key: &BuildTask) -> Option<BuildValue> {
-        let (_, bytes) = self.0.remove(key)?;
+    /// Decodes the stored value of task `id` (key `key`), handing it over
+    /// once. `None` when there is none or its bytes do not decode; the
+    /// engine then rematerializes the value.
+    pub(crate) fn load(&mut self, id: TaskId, key: &BuildTask) -> Option<BuildValue> {
+        let (_, bytes) = self.values.get_mut(id.index())?.take()?;
         Some(match key {
             BuildTask::OptimizeFn(..) => {
                 let text = String::from_utf8(bytes.to_vec()).ok()?;
@@ -79,10 +84,15 @@ impl Stored {
                 object: sfcc_backend::object::from_bytes(&bytes).ok()?,
                 bytes: bytes.to_vec(),
             })),
-            BuildTask::Link => BuildValue::Link(Arc::new(LinkArtifact {
-                program: sfcc_backend::image::from_bytes(&bytes).ok()?,
-                image: bytes.to_vec(),
-            })),
+            BuildTask::Link => {
+                // Decoding proves the image loads; the program waits for
+                // the report of the build that demanded it.
+                self.program = Some(sfcc_backend::image::from_bytes(&bytes).ok()?);
+                BuildValue::Link(Arc::new(LinkArtifact {
+                    program: None,
+                    image: bytes.to_vec(),
+                }))
+            }
             BuildTask::Graph => BuildValue::Graph(Arc::new(parse_graph_repr(
                 std::str::from_utf8(&bytes).ok()?,
             )?)),
@@ -90,11 +100,17 @@ impl Stored {
         })
     }
 
-    /// `key`'s undecoded bytes, if they are the value of fingerprint
+    /// Hands over the program the load of `link` decoded, once.
+    pub(crate) fn take_program(&mut self) -> Option<Program> {
+        self.program.take()
+    }
+
+    /// Task `id`'s undecoded bytes, if they are the value of fingerprint
     /// `fingerprint`.
-    fn bytes_of(&self, key: &BuildTask, fingerprint: u64) -> Option<&[u8]> {
-        self.0
-            .get(key)
+    fn bytes_of(&self, id: TaskId, fingerprint: u64) -> Option<&[u8]> {
+        self.values
+            .get(id.index())?
+            .as_ref()
             .filter(|(stored, _)| *stored == fingerprint)
             .map(|(_, bytes)| &**bytes)
     }
@@ -110,31 +126,28 @@ pub(crate) fn encode(
 ) -> Vec<u8> {
     let exported = engine.export();
     let mut w = GraphWriter::new(identity, exported.len());
-    let mut label = String::new();
-    let mut key_of = |w: &mut GraphWriter, key: &BuildTask| {
-        label.clear();
-        write!(label, "{key}").expect("writing to a string");
-        w.key(&label)
-    };
-    let mut index: HashMap<&BuildTask, u32> = exported
-        .iter()
-        .map(|&(key, ..)| (key, key_of(&mut w, key)))
-        .collect();
-    for &(key, fingerprint, deps, value) in &exported {
-        let bytes = match value {
+    // Each task's index in the file's key table, by task id.
+    let mut index = vec![None; engine.interned()];
+    for node in &exported {
+        index[node.id.index()] = Some(w.key(node.label));
+    }
+    for node in &exported {
+        let bytes = match node.value {
             Some(value) => persisted_bytes(value),
-            None => stored.bytes_of(key, fingerprint).map(Cow::Borrowed),
+            None => stored
+                .bytes_of(node.id, node.fingerprint)
+                .map(Cow::Borrowed),
         };
-        w.node(fingerprint, bytes.as_deref(), deps.len());
-        for dep in deps {
+        w.node(node.fingerprint, bytes.as_deref(), node.deps.len());
+        for &dep in node.deps {
             match dep {
-                Dep::Input { name, stamp } => w.input(name, *stamp),
+                Dep::Input(input, stamp) => w.input(engine.input_name(input), stamp),
                 // A dependency on a task that has left the store still
                 // needs a key to name: it joins the table behind the nodes'
                 // keys, in order of first mention.
-                Dep::Task { key, fingerprint } => {
-                    let key = *index.entry(key).or_insert_with(|| key_of(&mut w, key));
-                    w.task(key, *fingerprint);
+                Dep::Task(id, fingerprint) => {
+                    let key = *index[id.index()].get_or_insert_with(|| w.key(engine.label(id)));
+                    w.task(key, fingerprint);
                 }
             }
         }
@@ -144,8 +157,10 @@ pub(crate) fn encode(
 
 /// Fills the (empty) engine from a graph file and returns the values of
 /// the persisted kinds it carried. `None` — and an engine left empty — when
-/// a key does not parse, names two nodes, or the dependencies close a
-/// cycle, none of which a file [`encode`] produced does.
+/// a key names two nodes or the dependencies close a cycle, neither of
+/// which a file [`encode`] produced does. A key that does not parse is a
+/// task no driver can name and no demand can execute: it never validates
+/// a dependent that needs it re-run.
 ///
 /// Frozen-stamp mutations ([`DepMutations::freeze_stamp`]) are primed with
 /// the recorded stamps, so a seeded lie spans processes the way the graph
@@ -155,68 +170,31 @@ pub(crate) fn restore(
     graph: GraphFile,
     mutations: &DepMutations,
 ) -> Option<Stored> {
-    let keys = graph
-        .keys
-        .iter()
-        .map(|label| BuildTask::parse(label))
-        .collect::<Option<Vec<BuildTask>>>()?;
-    if keys.iter().collect::<HashSet<_>>().len() != keys.len() || !acyclic(&graph) {
-        return None;
-    }
-    let mut stored = Stored::default();
-    for (key, node) in keys.iter().zip(graph.nodes) {
+    let mut stored = Vec::with_capacity(graph.nodes.len());
+    let mut nodes = Vec::with_capacity(graph.nodes.len());
+    for (label, node) in graph.keys.iter().zip(graph.nodes) {
         let deps = node
             .deps
             .into_iter()
             .map(|dep| match dep {
                 GraphDep::Input { name, stamp } => {
                     mutations.prime(&name, stamp);
-                    Dep::Input { name, stamp }
+                    Dep::Input(engine.intern_input(&name), stamp)
                 }
-                GraphDep::Task { key, fingerprint } => Dep::Task {
-                    key: keys[key as usize].clone(),
-                    fingerprint,
-                },
+                GraphDep::Task { key, fingerprint } => Dep::Task(TaskId::new(key), fingerprint),
             })
             .collect();
-        if let Some(bytes) = node.value.filter(|_| persists(key)) {
-            stored.0.insert(key.clone(), (node.fingerprint, bytes));
-        }
-        engine.restore(key.clone(), node.fingerprint, deps);
+        stored.push(
+            node.value
+                .filter(|_| persists(label))
+                .map(|bytes| (node.fingerprint, bytes)),
+        );
+        nodes.push((node.fingerprint, deps));
     }
-    Some(stored)
-}
-
-/// Whether the recorded task dependencies form no cycle. No execution can
-/// record one, but a file can claim one, and the engine would answer every
-/// build that walks it with a cycle error instead of a cold start.
-fn acyclic(graph: &GraphFile) -> bool {
-    let n = graph.nodes.len();
-    let mut pending = vec![0usize; n];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in graph.nodes.iter().enumerate() {
-        for dep in &node.deps {
-            if let GraphDep::Task { key, .. } = dep {
-                // Keys past the nodes name tasks that left the store.
-                if let Some(of) = dependents.get_mut(*key as usize) {
-                    of.push(i);
-                    pending[i] += 1;
-                }
-            }
-        }
-    }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
-    let mut done = 0;
-    while let Some(j) = ready.pop() {
-        done += 1;
-        for &i in &dependents[j] {
-            pending[i] -= 1;
-            if pending[i] == 0 {
-                ready.push(i);
-            }
-        }
-    }
-    done == n
+    engine.restore(graph.keys, nodes).then_some(Stored {
+        values: stored,
+        program: None,
+    })
 }
 
 #[cfg(test)]
@@ -278,14 +256,23 @@ mod tests {
         (file, graph)
     }
 
+    /// The task id of `graph` in a store restored from `file`.
+    fn graph_id(file: &GraphFile) -> TaskId {
+        TaskId::new(file.keys.iter().position(|k| k == "graph").unwrap() as u32)
+    }
+
     #[test]
     fn a_graph_value_round_trips() {
         let (file, graph) = graph_file(&project());
+        let id = graph_id(&file);
         let mut stored = restore(&mut Engine::new(), file, &DepMutations::new()).unwrap();
-        let loaded = stored.load(&BuildTask::Graph).unwrap().expect_graph();
+        let loaded = stored.load(id, &BuildTask::Graph).unwrap().expect_graph();
         assert_eq!(loaded.waves(), graph.waves());
         assert_eq!(loaded.topo_order(), graph.topo_order());
-        assert!(stored.load(&BuildTask::Graph).is_none(), "handed over once");
+        assert!(
+            stored.load(id, &BuildTask::Graph).is_none(),
+            "handed over once"
+        );
     }
 
     /// Graph text whose node fingerprint was recomputed to match passes the
@@ -310,7 +297,12 @@ mod tests {
             let tampered = GraphFile::from_bytes(tampered.to_bytes()).unwrap();
             let mutations = DepMutations::new();
             let mut stored = restore(&mut Engine::new(), tampered.clone(), &mutations).unwrap();
-            assert!(stored.load(&BuildTask::Graph).is_none(), "{text}");
+            assert!(
+                stored
+                    .load(graph_id(&tampered), &BuildTask::Graph)
+                    .is_none(),
+                "{text}"
+            );
 
             let mut engine = Engine::new();
             let mut stored = restore(&mut engine, tampered, &mutations).unwrap();

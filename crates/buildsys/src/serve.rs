@@ -381,7 +381,9 @@ impl BuildService {
         })
     }
 
-    /// [`BuildService::build`], then the linked image written to `out`.
+    /// [`BuildService::build`], then the linked image written to `out`: the
+    /// bytes `link` memoized, written only when `out` does not already hold
+    /// them (a no-op leaves the file, and its inode, alone).
     ///
     /// # Errors
     ///
@@ -389,7 +391,11 @@ impl BuildService {
     pub fn build_image(&mut self, out: &Path) -> Result<Built, String> {
         let built = self.build()?;
         let durability = self.builder.compiler().config().durability;
-        sfcc_backend::image::save_with(&built.report.program, out, durability)
+        let image = self
+            .builder
+            .linked_image()
+            .expect("a successful build linked");
+        sfcc_faultfs::atomic_write_if_changed(out, image, durability)
             .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
         Ok(built)
     }

@@ -53,7 +53,7 @@ use sfcc_frontend::{
 use sfcc_ir::print::{function_to_string, write_function};
 use sfcc_ir::{Fingerprint, Function, Op};
 use sfcc_passes::FunctionTrace;
-use sfcc_query::{Ctx, QueryError, TaskSpec};
+use sfcc_query::{Ctx, QueryError, TaskId, TaskKey, TaskSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -129,33 +129,56 @@ impl BuildTask {
     /// last `::` of a function-grained label is the separator whatever the
     /// module is called.
     pub fn parse(label: &str) -> Option<BuildTask> {
-        let Some((kind, rest)) = label.split_once('(') else {
-            return match label {
-                "graph" => Some(BuildTask::Graph),
-                "link" => Some(BuildTask::Link),
-                _ => None,
-            };
-        };
-        let operand = rest.strip_suffix(')')?;
-        let module = || operand.to_string();
-        let function = || {
-            let (m, f) = operand.rsplit_once("::")?;
-            Some((m.to_string(), f.to_string()))
-        };
+        let (kind, module, function) = split_label(label)?;
+        let m = || Some(module?.to_string());
+        let f = || Some((module?.to_string(), function?.to_string()));
         Some(match kind {
-            "imports" => BuildTask::Imports(module()),
-            "parse" => BuildTask::Parse(module()),
-            "interface" => BuildTask::Interface(module()),
-            "modcheck" => BuildTask::ModCheck(module()),
-            "codegen" => BuildTask::Codegen(module()),
-            "fnast" => function().map(|(m, f)| BuildTask::FnAst(m, f))?,
-            "signature" => function().map(|(m, f)| BuildTask::Signature(m, f))?,
-            "checkfn" => function().map(|(m, f)| BuildTask::CheckFn(m, f))?,
-            "lowerfn" => function().map(|(m, f)| BuildTask::LowerFn(m, f))?,
-            "optimizefn" => function().map(|(m, f)| BuildTask::OptimizeFn(m, f))?,
+            "graph" | "link" if module.is_some() => return None,
+            "graph" => BuildTask::Graph,
+            "link" => BuildTask::Link,
+            "imports" => BuildTask::Imports(m()?),
+            "parse" => BuildTask::Parse(m()?),
+            "interface" => BuildTask::Interface(m()?),
+            "modcheck" => BuildTask::ModCheck(m()?),
+            "codegen" => BuildTask::Codegen(m()?),
+            "fnast" => f().map(|(m, f)| BuildTask::FnAst(m, f))?,
+            "signature" => f().map(|(m, f)| BuildTask::Signature(m, f))?,
+            "checkfn" => f().map(|(m, f)| BuildTask::CheckFn(m, f))?,
+            "lowerfn" => f().map(|(m, f)| BuildTask::LowerFn(m, f))?,
+            "optimizefn" => f().map(|(m, f)| BuildTask::OptimizeFn(m, f))?,
             _ => return None,
         })
     }
+}
+
+impl TaskKey for BuildTask {
+    fn parse(label: &str) -> Option<BuildTask> {
+        BuildTask::parse(label)
+    }
+}
+
+/// The kinds whose operand is `module::function`.
+const FUNCTION_KINDS: [&str; 5] = ["fnast", "signature", "checkfn", "lowerfn", "optimizefn"];
+
+/// A label split as [`BuildTask::parse`] reads it, without building the
+/// key: `(kind, module, function)` — a module for a per-module task, a
+/// function too for a function-grained one.
+pub(crate) fn split_label(label: &str) -> Option<(&str, Option<&str>, Option<&str>)> {
+    let Some((kind, rest)) = label.split_once('(') else {
+        return Some((label, None, None));
+    };
+    let operand = rest.strip_suffix(')')?;
+    if !FUNCTION_KINDS.contains(&kind) {
+        return Some((kind, Some(operand), None));
+    }
+    let (m, f) = operand.rsplit_once("::")?;
+    Some((kind, Some(m), Some(f)))
+}
+
+/// What [`BuildTask::module`] and [`BuildTask::function`] answer for the
+/// task `label` names, read off the label: `(module, function)`.
+pub(crate) fn label_scope(label: &str) -> (Option<&str>, Option<&str>) {
+    split_label(label).map_or((None, None), |(_, m, f)| (m, f))
 }
 
 impl fmt::Display for BuildTask {
@@ -265,9 +288,11 @@ impl CodegenArtifact {
 /// the persisted query graph carries.
 #[derive(Debug, Clone)]
 pub struct LinkArtifact {
-    /// The complete program.
-    pub program: Program,
-    /// `sfcc_backend::image::to_bytes` of `program`.
+    /// The complete program, when this process linked it; `None` for an
+    /// image loaded from the persisted graph, whose decoded program goes to
+    /// the report that demanded it ([`BuildSpec::program_of`]).
+    pub program: Option<Program>,
+    /// `sfcc_backend::image::to_bytes` of the program.
     pub image: Vec<u8>,
 }
 
@@ -275,7 +300,10 @@ impl LinkArtifact {
     /// A program with its image encoding.
     pub fn of(program: Program) -> Self {
         let image = sfcc_backend::image::to_bytes(&program);
-        LinkArtifact { program, image }
+        LinkArtifact {
+            program: Some(program),
+            image,
+        }
     }
 }
 
@@ -508,6 +536,19 @@ impl<'a> BuildSpec<'a> {
     /// Ends the build's use of the compiler session and hands it back.
     pub(crate) fn into_compiler(self) -> &'a mut Compiler {
         self.compiler
+    }
+
+    /// The program `link` holds, owned for a report: a copy of the one this
+    /// process linked; else the one the load of `link`'s image decoded,
+    /// handed over rather than copied (a cold no-op's largest allocation);
+    /// else the image decoded again.
+    pub(crate) fn program_of(&mut self, link: &LinkArtifact) -> Program {
+        match &link.program {
+            Some(program) => program.clone(),
+            None => self.stored.take_program().unwrap_or_else(|| {
+                sfcc_backend::image::from_bytes(&link.image).expect("a loaded image decodes")
+            }),
+        }
     }
 
     /// Wall time of the link step this build, 0 when the link was cached.
@@ -769,8 +810,8 @@ impl TaskSpec for BuildSpec<'_> {
         }
     }
 
-    fn load(&mut self, key: &BuildTask) -> Option<BuildValue> {
-        self.stored.load(key)
+    fn load(&mut self, id: TaskId, key: &BuildTask) -> Option<BuildValue> {
+        self.stored.load(id, key)
     }
 
     fn observe(&mut self, key: &BuildTask, hit: bool) {

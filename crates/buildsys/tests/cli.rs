@@ -42,6 +42,30 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A `main` nesting `((…n…))` 50 000 deep used to overflow the parser's
+/// stack and abort the process; now the build fails with a diagnostic.
+#[test]
+fn quick_a_hostile_nesting_depth_is_a_diagnostic() {
+    let dir = demo_copy("deep-nesting");
+    let depth = 50_000;
+    let main = format!(
+        "fn main(n: int) -> int {{ return {}n{}; }}\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    std::fs::write(dir.join("main.mc"), main).unwrap();
+    let out = minicc(&["build", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("main.mc:1:")
+            && err.contains("error: nesting exceeds the limit of 256 levels"),
+        "{}",
+        &err[..err.len().min(300)]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quick_stats_without_report_fails_with_hint() {
     let dir = demo_copy("stats-missing");

@@ -61,6 +61,72 @@ pub fn fnv64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// FNV-1a 64 taken piece by piece, with the integer pieces written as the
+/// text `{}` (decimal) or `{:x}` (lower hex) would format them — so a
+/// stamp defined over `format!`ed text is computed without formatting or
+/// allocating: `Fnv64::new().str("a=").dec(10).finish() == fnv64(b"a=10")`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
+impl Fnv64 {
+    /// The hash of nothing.
+    pub fn new() -> Self {
+        Fnv64(fnv64(&[]))
+    }
+
+    /// Hashes `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.0 = fnv64_continue(self.0, bytes);
+        self
+    }
+
+    /// Hashes `s`.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.bytes(s.as_bytes())
+    }
+
+    /// Hashes `v` in decimal, as `{}` formats it.
+    pub fn dec(&mut self, mut v: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[at..])
+    }
+
+    /// Hashes `v` in lower-case hex, as `{:x}` formats it.
+    pub fn hex(&mut self, mut v: u128) -> &mut Self {
+        let mut digits = [0u8; 32];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b"0123456789abcdef"[(v & 0xf) as usize];
+            v >>= 4;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[at..])
+    }
+
+    /// The hash so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Append-only encoder.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -255,6 +321,29 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    proptest! {
+        /// Streamed integers hash as their formatted text.
+        #[test]
+        fn fnv64_streams_formatted_integers(v in any::<u128>(), w in any::<u64>(), s in ".{0,8}") {
+            let text = format!("{s}{v:x}/{w}{w:x}");
+            let mut h = Fnv64::new();
+            h.str(&s).hex(v).str("/").dec(w).hex(w.into());
+            prop_assert_eq!(h.finish(), fnv64(text.as_bytes()));
+        }
+    }
+
+    #[test]
+    fn fnv64_streams_the_extremes() {
+        for v in [0u64, 9, 10, 15, 16, u64::MAX] {
+            let mut h = Fnv64::new();
+            h.dec(v).hex(v.into());
+            assert_eq!(h.finish(), fnv64(format!("{v}{v:x}").as_bytes()), "{v}");
+        }
+        let mut h = Fnv64::new();
+        h.hex(u128::MAX);
+        assert_eq!(h.finish(), fnv64(format!("{:x}", u128::MAX).as_bytes()));
+    }
 
     #[test]
     fn varint_roundtrip_edges() {

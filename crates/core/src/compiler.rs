@@ -8,7 +8,7 @@ use crate::persist::{self, LoadedState, RecoveryEvent};
 use crate::phases;
 use sfcc_backend::CodeObject;
 use sfcc_cas::{CasStats, CasStore, KeyComponents, ServedStamps, DEFAULT_BACKEND_VERSION};
-use sfcc_codec::fnv64;
+use sfcc_codec::{fnv64, Fnv64};
 use sfcc_frontend::{Diagnostics, ModuleEnv, ModuleInterface, SourceFile};
 use sfcc_ir::{Fingerprint, Function};
 use sfcc_passes::{
@@ -163,12 +163,16 @@ pub struct Compiler {
     pipeline: Pipeline,
     pipeline_hash: Fingerprint,
     state: StateDb,
-    /// A snapshot of `state` taken at build-session start
-    /// ([`Compiler::freeze_state`]). While present, skip decisions read the
+    /// A snapshot of `state` as a build session started with it
+    /// ([`Compiler::freeze_state`]), taken when the session first mutates
+    /// `state` — until then `state` itself is that snapshot, so a session
+    /// that ingests nothing copies nothing. Skip decisions read the
     /// snapshot and per-function ingests mutate the live database, so no
     /// optimize task can observe a sibling's same-session ingest — skip
     /// decisions become independent of demand order and `--jobs`.
     frozen: Option<StateDb>,
+    /// Whether a build session is frozen.
+    freezing: bool,
     /// Modules whose build counter was already bumped this frozen session
     /// (per-function ingests bump once per module per session, mirroring the
     /// one bump a whole-module ingest performs).
@@ -194,6 +198,9 @@ pub struct Compiler {
     graph_to_save: Mutex<Option<Vec<u8>>>,
     /// What the state directory holds as of the last load or commit.
     committed: Mutex<Committed>,
+    /// The session-constant head of every [`Compiler::state_stamp_fn`],
+    /// hashed once.
+    stamp_prefix: Fnv64,
 }
 
 /// The committed side of a session's persistent artifacts: what a commit
@@ -204,6 +211,9 @@ struct Committed {
     /// The manifest's checksum of the state entry, when it holds the state
     /// this session started from or last committed.
     state_checksum: Option<u64>,
+    /// Whether a record was ingested, collected or reset since: only then
+    /// can the state differ from the one `state_checksum` names.
+    state_touched: bool,
 }
 
 impl fmt::Debug for Compiler {
@@ -247,6 +257,13 @@ impl Compiler {
             )
             .as_bytes(),
         );
+        let mut stamp_prefix = Fnv64::new();
+        stamp_prefix
+            .str("mode=")
+            .str(&config.mode.label())
+            .str(";pipeline=")
+            .hex(pipeline_hash.0)
+            .str(";");
         let want_state = config.mode.is_stateful();
         let want_cache = config.function_cache;
         let loaded = match &config.state_path {
@@ -274,6 +291,7 @@ impl Compiler {
         let committed = Committed {
             generation: loaded.generation,
             state_checksum: loaded.state_checksum.filter(|_| !recovered),
+            state_touched: false,
         };
         let cas = config.cas_path.as_ref().and_then(|dir| {
             CasStore::open_dir(dir, components, config.durability)
@@ -289,6 +307,7 @@ impl Compiler {
             pipeline_hash,
             state: loaded.db,
             frozen: None,
+            freezing: false,
             session_bumped: HashSet::new(),
             state_load_error: loaded.db_error,
             fn_cache,
@@ -298,6 +317,7 @@ impl Compiler {
             restored_graph,
             graph_to_save: Mutex::new(None),
             committed: Mutex::new(committed),
+            stamp_prefix,
         }
     }
 
@@ -392,6 +412,7 @@ impl Compiler {
         };
         if self.config.mode.is_stateful() {
             let t = Instant::now();
+            self.touch_state();
             self.state.ingest(&outcome.trace, self.pipeline_hash);
             timings.state_ns += t.elapsed().as_nanos() as u64;
         }
@@ -660,12 +681,12 @@ impl Compiler {
         };
         let mut committed = self.committed.lock().expect("no commit panicked");
         let mut graph = self.graph_to_save.lock().expect("no commit panicked");
-        let state = self
-            .config
-            .mode
-            .is_stateful()
-            .then(|| statefile::to_bytes(&self.state));
-        let state_checksum = state.as_deref().map(fnv64);
+        // An untouched state is the committed one: encoding it would only
+        // reproduce the checksum.
+        let state = (self.config.mode.is_stateful()
+            && (committed.state_touched || committed.state_checksum.is_none()))
+        .then(|| statefile::to_bytes(&self.state));
+        let state_checksum = state.as_deref().map(fnv64).or(committed.state_checksum);
         let state = state.filter(|_| state_checksum != committed.state_checksum);
         let cache = (self.config.function_cache && self.fn_cache.is_dirty())
             .then(|| self.fn_cache.to_bytes());
@@ -680,23 +701,28 @@ impl Compiler {
             // The encode cleared the flag, but the entries are not on disk.
             self.fn_cache.mark_dirty();
         }
-        if let Some(generation) = saved? {
-            *committed = Committed {
-                generation,
-                state_checksum,
-            };
-            *graph = None;
+        match saved? {
+            Some(generation) => {
+                *committed = Committed {
+                    generation,
+                    state_checksum,
+                    state_touched: false,
+                };
+                *graph = None;
+            }
+            None => committed.state_touched = false,
         }
         Ok(committed.generation)
     }
 
     /// Drops all accumulated state (for experiments that need a cold start).
     pub fn reset_state(&mut self) {
+        self.touch_state();
         self.state = StateDb::new();
     }
 
     /// The state skip decisions read from: the frozen session snapshot when
-    /// one is active ([`Compiler::freeze_state`]), the live database
+    /// one was taken ([`Compiler::freeze_state`]), the live database
     /// otherwise.
     fn skip_state(&self) -> &StateDb {
         self.frozen.as_ref().unwrap_or(&self.state)
@@ -709,13 +735,15 @@ impl Compiler {
     /// sibling's (or its own earlier) same-session ingest, regardless of
     /// demand order or `--jobs`. Pair with [`Compiler::thaw_state`].
     pub fn freeze_state(&mut self) {
-        self.frozen = Some(self.state.clone());
+        self.freezing = true;
+        self.frozen = None;
         self.session_bumped.clear();
     }
 
     /// Drops the snapshot taken by [`Compiler::freeze_state`]; subsequent
     /// skip decisions read the live (fully ingested) database again.
     pub fn thaw_state(&mut self) {
+        self.freezing = false;
         self.frozen = None;
         self.session_bumped.clear();
     }
@@ -731,6 +759,7 @@ impl Compiler {
             return 0;
         }
         let t = Instant::now();
+        self.touch_state();
         if self.session_bumped.insert(module.to_string()) {
             self.state.bump_build_counter(module);
         }
@@ -743,8 +772,30 @@ impl Compiler {
     /// every record whose function name fails `keep` (deleted or renamed
     /// functions). The build driver calls this after a successful build with
     /// the module's current roster.
-    pub fn retain_state_functions(&mut self, module: &str, keep: impl FnMut(&str) -> bool) {
-        self.state.retain_functions(module, keep);
+    pub fn retain_state_functions(&mut self, module: &str, mut keep: impl FnMut(&str) -> bool) {
+        let drops = self
+            .state
+            .modules
+            .get(module)
+            .is_some_and(|m| m.functions.keys().any(|f| !keep(f)));
+        if drops {
+            self.touch_state();
+            self.state.retain_functions(module, keep);
+        }
+    }
+
+    /// Called before every mutation of `state`: takes the frozen session's
+    /// snapshot if this is its first, and notes that the state may no
+    /// longer be the committed one, so the next [`Compiler::save_state`]
+    /// encodes it to find out.
+    fn touch_state(&mut self) {
+        if self.freezing && self.frozen.is_none() {
+            self.frozen = Some(self.state.clone());
+        }
+        self.committed
+            .get_mut()
+            .expect("no commit panicked")
+            .state_touched = true;
     }
 
     /// A deterministic stamp of everything that steers skip decisions for
@@ -757,19 +808,19 @@ impl Compiler {
     /// never touch the record, so the stamp the next session recomputes at
     /// validation time matches byte for byte unless the record itself
     /// changed.
+    ///
+    /// The value is FNV-64 of `mode={mode};pipeline={hash:x};` followed, in
+    /// stateful mode, by `state={stamp:x}` or `state=absent` — streamed,
+    /// not formatted: a no-op build stamps every function.
     pub fn state_stamp_fn(&self, module: &str, function: &str) -> u64 {
-        let mut repr = format!(
-            "mode={};pipeline={:x};",
-            self.config.mode.label(),
-            self.pipeline_hash.0
-        );
+        let mut h = self.stamp_prefix;
         if self.config.mode.is_stateful() {
             match self.state.function_stamp(module, function) {
-                Some(stamp) => repr.push_str(&format!("state={stamp:x}")),
-                None => repr.push_str("state=absent"),
-            }
+                Some(stamp) => h.str("state=").hex(stamp.into()),
+                None => h.str("state=absent"),
+            };
         }
-        fnv64(repr.as_bytes())
+        h.finish()
     }
 }
 
@@ -809,6 +860,46 @@ fn main(n: int) -> int {
         assert_eq!(run_output(&out, &[5]), Some(25));
         let (_, _, skipped) = out.outcome_totals();
         assert_eq!(skipped, 0);
+    }
+
+    /// `state_stamp_fn` of a fixed record, an absent one, and a stateless
+    /// session, pinned: the value is what every persisted query graph
+    /// recorded for its `state:m::f` inputs.
+    #[test]
+    fn state_stamps_are_pinned() {
+        use sfcc_state::{FunctionRecord, ModuleState, SlotRecord};
+        let slot = SlotRecord {
+            dormant: true,
+            dormant_streak: u32::MAX,
+            times_skipped: 5,
+            history: 255,
+            observations: 8,
+        };
+        let record = FunctionRecord {
+            fingerprint: sfcc_ir::Fingerprint(0xdead_beef),
+            exit_fingerprint: sfcc_ir::Fingerprint(u128::MAX),
+            slots: vec![slot, SlotRecord::default()],
+            last_build: 4,
+        };
+        let mut stateful = Compiler::new(Config::stateful());
+        let mut module = ModuleState::default();
+        module.functions.insert("f".to_string(), record);
+        stateful.state.modules.insert("m".to_string(), module);
+        let stateless = Compiler::new(Config::stateless());
+        assert_eq!(
+            [
+                stateful.state_stamp_fn("m", "f"),
+                stateful.state_stamp_fn("m", "g"),
+                stateful.state_stamp_fn("x", "f"),
+                stateless.state_stamp_fn("m", "f"),
+            ],
+            [
+                3_141_496_782_243_606_719,
+                290_734_790_143_426_935,
+                290_734_790_143_426_935,
+                4_401_217_371_183_480_945,
+            ]
+        );
     }
 
     #[test]

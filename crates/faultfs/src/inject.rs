@@ -463,13 +463,43 @@ pub fn atomic_write(path: &Path, bytes: &[u8], durability: Durability) -> io::Re
     }
     rename(&tmp, path)?;
     if durability == Durability::Durable {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                sync_dir(parent)?;
-            }
-        }
+        sync_parent(path)?;
     }
     Ok(())
+}
+
+/// [`atomic_write`], unless `path` already holds exactly `bytes`: then the
+/// file stays as it is — no temp file, no rename, the same inode — and
+/// under [`Durability::Durable`] it and its directory are synced, so they
+/// are as durable as the write would have left them. The comparison reads
+/// outside the injector (it changes nothing).
+///
+/// # Errors
+///
+/// Propagates I/O failures of the write or the syncs.
+pub fn atomic_write_if_changed(
+    path: &Path,
+    bytes: &[u8],
+    durability: Durability,
+) -> io::Result<()> {
+    let held = fs::metadata(path).is_ok_and(|m| m.is_file() && m.len() == bytes.len() as u64)
+        && fs::read(path).is_ok_and(|held| held == bytes);
+    if !held {
+        atomic_write(path, bytes, durability)
+    } else if durability == Durability::Durable {
+        sync_file(path)?;
+        sync_parent(path)
+    } else {
+        Ok(())
+    }
+}
+
+/// `fsync`s the directory holding `path`, when it names one.
+fn sync_parent(path: &Path) -> io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => sync_dir(parent),
+        _ => Ok(()),
+    }
 }
 
 /// Moves a detected-corrupt file aside to `<path>.corrupt`, best-effort and
@@ -518,6 +548,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// A file that already holds the bytes keeps its inode and costs no
+    /// write or rename — under `Durable`, a sync of it and its directory;
+    /// any other content is replaced whole.
+    #[test]
+    fn write_if_changed_leaves_identical_bytes_alone() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmpdir("if-changed");
+        let p = dir.join("a");
+        atomic_write_if_changed(&p, b"image", Durability::Fast).unwrap();
+        let inode = fs::metadata(&p).unwrap().ino();
+        for durability in [Durability::Fast, Durability::Durable] {
+            let before = op_counts();
+            atomic_write_if_changed(&p, b"image", durability).unwrap();
+            let ops = op_counts().delta_since(&before);
+            assert_eq!(fs::metadata(&p).unwrap().ino(), inode);
+            let synced = u64::from(durability == Durability::Durable) * 2;
+            assert_eq!(ops.total(), synced, "{:?}", ops.by_kind());
+        }
+        for other in [&b"imagf"[..], b"ima", b"image, longer"] {
+            atomic_write_if_changed(&p, other, Durability::Fast).unwrap();
+            assert_eq!(fs::read(&p).unwrap(), other);
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,15 +17,25 @@ pub fn parse(module_name: &str, text: &str, diags: &mut Diagnostics) -> Module {
         source: text,
         tokens,
         pos: 0,
+        depth: 0,
         diags,
     }
     .module(module_name)
 }
 
+/// How deep blocks and expressions may nest. The parser, the checker, the
+/// lowering and the AST's own drop all recurse once per level, so past a
+/// budget a hostile file would overflow the stack — here a diagnostic. The
+/// budget keeps the deepest accepted file well inside the 2 MiB stack of a
+/// spawned thread (a daemon connection's) at every one of those stages.
+pub const MAX_NESTING: u32 = 256;
+
 struct Parser<'a, 'd> {
     source: &'a str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Blocks and expressions open around the current token.
+    depth: u32,
     diags: &'d mut Diagnostics,
 }
 
@@ -118,6 +128,30 @@ impl<'a, 'd> Parser<'a, 'd> {
 
     fn snippet(&self, span: Span) -> String {
         self.source[span.start as usize..span.end as usize].to_string()
+    }
+
+    /// Opens one more nesting level, or — past [`MAX_NESTING`] — reports
+    /// the level it would open and refuses.
+    fn descend(&mut self) -> bool {
+        if self.depth >= MAX_NESTING {
+            let at = self.peek().span;
+            self.diags.error(
+                format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+                at,
+            );
+            return false;
+        }
+        self.depth += 1;
+        true
+    }
+
+    /// Runs `parse` one nesting level deeper (it may [descend](Self::descend)
+    /// further), closing every level it opened afterwards.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let outer = self.depth;
+        let parsed = if self.descend() { parse(self) } else { None };
+        self.depth = outer;
+        parsed
     }
 
     // --- items ---------------------------------------------------------
@@ -286,6 +320,10 @@ impl<'a, 'd> Parser<'a, 'd> {
     // --- statements ----------------------------------------------------
 
     fn block(&mut self) -> Option<Block> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> Option<Block> {
         let start = self.expect(TokenKind::LBrace)?.span;
         let mut stmts = Vec::new();
         while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
@@ -402,7 +440,7 @@ impl<'a, 'd> Parser<'a, 'd> {
         let else_block = if self.eat(TokenKind::KwElse) {
             if self.at(TokenKind::KwIf) {
                 // `else if` chains: wrap the nested if in a synthetic block.
-                let nested = self.if_stmt()?;
+                let nested = self.nested(Self::if_stmt)?;
                 let nspan = nested.span;
                 span = span.merge(nspan);
                 Some(Block {
@@ -532,34 +570,39 @@ impl<'a, 'd> Parser<'a, 'd> {
     }
 
     fn expr_bp(&mut self, min_bp: u8) -> Option<Expr> {
-        let mut lhs = self.unary()?;
-        while let Some((op, bp)) = binop_power(self.peek_kind()) {
-            if bp <= min_bp {
-                break;
+        self.nested(|p| {
+            let mut lhs = p.unary()?;
+            while let Some((op, bp)) = binop_power(p.peek_kind()) {
+                if bp <= min_bp {
+                    break;
+                }
+                // A left-deep chain (`1 + 1 + …`) nests its tree one level
+                // per operator, though the parser only loops.
+                if !p.descend() {
+                    return None;
+                }
+                p.bump();
+                let rhs = p.expr_bp(bp)?;
+                let span = lhs.span.merge(rhs.span);
+                lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
             }
-            self.bump();
-            let rhs = self.expr_bp(bp)?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        Some(lhs)
+            Some(lhs)
+        })
     }
 
     fn unary(&mut self) -> Option<Expr> {
         let start = self.peek().span;
         match self.peek_kind() {
-            TokenKind::Minus => {
-                self.bump();
-                let e = self.unary()?;
+            TokenKind::Minus | TokenKind::Bang => self.nested(|p| {
+                let op = if p.bump().kind == TokenKind::Minus {
+                    UnOp::Neg
+                } else {
+                    UnOp::Not
+                };
+                let e = p.unary()?;
                 let span = start.merge(e.span);
-                Some(Expr::new(ExprKind::Unary(UnOp::Neg, Box::new(e)), span))
-            }
-            TokenKind::Bang => {
-                self.bump();
-                let e = self.unary()?;
-                let span = start.merge(e.span);
-                Some(Expr::new(ExprKind::Unary(UnOp::Not, Box::new(e)), span))
-            }
+                Some(Expr::new(ExprKind::Unary(op, Box::new(e)), span))
+            }),
             _ => self.primary(),
         }
     }

@@ -423,6 +423,73 @@ mod tests {
         module
     }
 
+    /// The deepest nesting the parser accepts — of parentheses, blocks,
+    /// unary chains, `else if` chains and left-deep operator chains — goes
+    /// through parse, check and lower (and drops) on a thread with the
+    /// 2 MiB stack Rust gives a spawned thread; one level more is a
+    /// diagnostic, not a crash.
+    #[test]
+    fn the_deepest_accepted_nesting_fits_a_spawned_threads_stack() {
+        use sfcc_frontend::parser::MAX_NESTING;
+        type Shape = fn(usize) -> String;
+        let shapes: [(&str, Shape); 5] = [
+            ("parens", |k| {
+                format!(
+                    "fn f(x: int) -> int {{ return {}x{}; }}",
+                    "(".repeat(k),
+                    ")".repeat(k)
+                )
+            }),
+            ("blocks", |k| {
+                format!(
+                    "fn f(x: int) -> int {{ {}x = 1;{} return x; }}",
+                    "{".repeat(k),
+                    "}".repeat(k)
+                )
+            }),
+            ("unary", |k| {
+                format!("fn f(x: int) -> int {{ return {}x; }}", "- ".repeat(k))
+            }),
+            ("else-if", |k| {
+                let chain = vec!["if (x < 1) { x = 1; }"; k].join(" else ");
+                format!("fn f(x: int) -> int {{ {chain} return x; }}")
+            }),
+            ("chain", |k| {
+                format!("fn f(x: int) -> int {{ return x{}; }}", " + 1".repeat(k))
+            }),
+        ];
+        let accepts = |src: &str| {
+            let mut d = Diagnostics::new();
+            let checked = parse_and_check("m", src, &ModuleEnv::new(), &mut d);
+            let refused = d
+                .iter()
+                .any(|diag| diag.message.contains("nesting exceeds the limit"));
+            (checked, refused)
+        };
+        for (name, shape) in shapes {
+            let over = shape(MAX_NESTING as usize);
+            let deepest = (1..MAX_NESTING as usize)
+                .rev()
+                .map(shape)
+                .find(|src| !accepts(src).1)
+                .unwrap();
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let (checked, refused) = accepts(&deepest);
+                    assert!(!refused);
+                    let checked = checked.unwrap_or_else(|| panic!("{name}: check failed"));
+                    let module = lower_module(&checked, &ModuleEnv::new());
+                    verify_module(&module).unwrap();
+                    let (checked, refused) = accepts(&over);
+                    assert!(refused && checked.is_none(), "{name}: not refused");
+                })
+                .unwrap()
+                .join()
+                .unwrap_or_else(|_| panic!("{name}: overflowed a 2 MiB stack"));
+        }
+    }
+
     #[test]
     fn lowers_arithmetic() {
         let m = lower_src("fn f(a: int, b: int) -> int { return a * b + 1; }");

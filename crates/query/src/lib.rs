@@ -9,10 +9,12 @@
 //! complementary traversals:
 //!
 //! - **bottom-up invalidation** ([`Engine::begin_session`]): stamps of all
-//!   previously read *inputs* are refreshed; tasks that read a changed input
-//!   — and, transitively, their dependents — are marked dirty. Everything
-//!   else is validated wholesale without touching a single dependency edge,
-//!   so a no-op rebuild is O(inputs), not O(tasks × deps).
+//!   previously read *inputs* are refreshed, and one pass over every
+//!   recorded dependency — integer compares of interned ids and stamps, no
+//!   key touched — finds the tasks that read a changed input; only those
+//!   and, transitively, their dependents are marked dirty. Everything else
+//!   is validated wholesale, so a no-op rebuild costs its input stamps plus
+//!   O(tasks + deps) compares, with no task executed and no key parsed.
 //! - **top-down demand** ([`Engine::require`]): a dirty task re-checks its
 //!   recorded dependencies *in order* ("try-mark-green"): a dependency that
 //!   validates is compared by fingerprint alone, one that does not executes
@@ -26,6 +28,14 @@
 //! reads, changed import lists, and removed tasks all invalidate precisely.
 //! Demand cycles are detected and reported as [`QueryError::Cycle`] rather
 //! than hanging or overflowing the stack.
+//!
+//! Tasks and inputs are **interned**: a task is a dense [`TaskId`] into the
+//! store, named by its key's label (the key's `Display` text, which
+//! [`TaskKey::parse`] reads back), and an input is a dense [`InputId`], so a
+//! recorded dependency is a `Copy` pair of id and stamp or fingerprint
+//! ([`Dep`]). The label table is what a persisted store carries: a
+//! [restored](Engine::restore) node's key stays text until a driver names
+//! the task or a red node must execute it.
 //!
 //! A node's *value* is optional. What validation reads — output fingerprint
 //! and dependency trace — can be [exported](Engine::export) and
@@ -41,9 +51,16 @@
 //! errors, task bodies, fingerprints, and input stamps are all supplied by a
 //! [`TaskSpec`] implementation (the compiler's lives in `sfcc-buildsys`).
 
-use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::hash::Hash;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+
+/// A task key: what a driver names a task by. Its `Display` text is the
+/// task's *label*, the form the engine interns and a persisted store
+/// carries; [`TaskKey::parse`] is the inverse.
+pub trait TaskKey: Clone + Eq + fmt::Debug + fmt::Display {
+    /// The key whose label is `label`; `None` for text no key displays as.
+    fn parse(label: &str) -> Option<Self>;
+}
 
 /// The domain a [`Engine`] computes over: task keys, their values, and how
 /// to execute, fingerprint, and stamp them.
@@ -53,7 +70,7 @@ use std::hash::Hash;
 /// compiler sessions — without self-referential lifetimes.
 pub trait TaskSpec {
     /// Identifies a task (e.g. "optimize module `lib`").
-    type Key: Clone + Eq + Hash + fmt::Debug;
+    type Key: TaskKey;
     /// What a task produces. Cloned on every cache hit, so implementations
     /// should be cheap to clone (`Arc` payloads).
     type Value: Clone;
@@ -83,13 +100,13 @@ pub trait TaskSpec {
     /// state record's version). A changed stamp invalidates its readers.
     fn input_stamp(&mut self, input: &str) -> u64;
 
-    /// The value of a task the store holds as valid but without a value (a
-    /// node [restored](Engine::restore) from a persisted graph), when the
-    /// domain kept it elsewhere. Asked once per demand of such a node;
-    /// `None` — the default — makes the engine rematerialize the value by
-    /// executing the task. A loaded value must be the one the node's
-    /// fingerprint was taken of.
-    fn load(&mut self, _key: &Self::Key) -> Option<Self::Value> {
+    /// The value of task `id` (key `key`) the store holds as valid but
+    /// without a value (a node [restored](Engine::restore) from a persisted
+    /// graph), when the domain kept it elsewhere. Asked once per demand of
+    /// such a node; `None` — the default — makes the engine rematerialize
+    /// the value by executing the task. A loaded value must be the one the
+    /// node's fingerprint was taken of.
+    fn load(&mut self, _id: TaskId, _key: &Self::Key) -> Option<Self::Value> {
         None
     }
 
@@ -103,23 +120,36 @@ pub trait TaskSpec {
     fn observe(&mut self, _key: &Self::Key, _hit: bool) {}
 }
 
+/// A task's dense index into its [`Engine`]'s store. Ids are handed out in
+/// interning order and never reused for another label while the store
+/// lives ([`Engine::clear`] starts over).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TaskId(u32);
+
+/// An input cell's dense index into its [`Engine`]'s input table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct InputId(u32);
+
+impl TaskId {
+    /// The id of the `index`-th label of a restored table
+    /// ([`Engine::restore`]).
+    pub fn new(index: u32) -> Self {
+        TaskId(index)
+    }
+
+    /// The position in the label table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// One recorded dependency of a task, in execution order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Dep<K> {
-    /// A read of a named input cell, with the stamp observed then.
-    Input {
-        /// Input cell name (domain-defined, e.g. `src:lib`).
-        name: String,
-        /// Stamp at the time of the read.
-        stamp: u64,
-    },
-    /// A demand of another task, with the output fingerprint observed then.
-    Task {
-        /// The demanded task.
-        key: K,
-        /// Its output fingerprint at the time of the demand.
-        fingerprint: u64,
-    },
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dep {
+    /// A read of an input cell, with the stamp observed then.
+    Input(InputId, u64),
+    /// A demand of another task, with its output fingerprint observed then.
+    Task(TaskId, u64),
 }
 
 /// Why a demand failed.
@@ -150,16 +180,25 @@ impl<K: fmt::Debug, E: fmt::Display> fmt::Display for QueryError<K, E> {
     }
 }
 
-/// A memoized task: its last output, fingerprint, and dependency trace.
+/// An interned task: its label, its key once known, and — while it is
+/// memoized — its last output, fingerprint, and dependency trace.
 #[derive(Debug)]
 struct Node<K, V> {
+    label: Box<str>,
+    /// `None` until a driver names the task or it must execute (a label
+    /// restored from a persisted store is not parsed before then).
+    key: Option<K>,
+    /// Whether the task is memoized. An interned task that is not was named
+    /// by a recorded dependency, dropped by [`Engine::retain`], or probed
+    /// and never executed.
+    present: bool,
     /// `None` for a node restored without its output ([`Engine::restore`]):
     /// it validates like any other, and is loaded or rematerialized when
     /// demanded.
     value: Option<V>,
     fingerprint: u64,
     /// Dependencies of the last execution, in the order they were acquired.
-    deps: Vec<Dep<K>>,
+    deps: Vec<Dep>,
     /// Session in which this node was last demanded-and-validated (counted
     /// in the hit/miss statistics).
     verified: u64,
@@ -167,21 +206,78 @@ struct Node<K, V> {
     /// found no changed input underneath it, or a demand-time dependency
     /// walk came up clean) without being demanded itself.
     clean: u64,
+    /// Session in which this node last executed (a miss).
+    executed: u64,
+}
+
+impl<K, V> Node<K, V> {
+    fn new(label: Box<str>) -> Self {
+        Node {
+            label,
+            key: None,
+            present: false,
+            value: None,
+            fingerprint: 0,
+            deps: Vec::new(),
+            verified: NEVER,
+            clean: NEVER,
+            executed: NEVER,
+        }
+    }
+
+    fn valid_in(&self, session: u64) -> bool {
+        self.present && (self.verified == session || self.clean == session)
+    }
+}
+
+/// An interned input cell and its session-cached stamp.
+#[derive(Debug)]
+struct Input {
+    name: Box<str>,
+    stamp: u64,
+    /// Session `stamp` was observed in.
+    stamped: u64,
 }
 
 /// The `verified`/`clean` stamp of a node no session has validated yet (the
 /// session counter never reaches it).
 const NEVER: u64 = u64::MAX;
 
-/// One memoized task as [`Engine::export`] hands it out: key, output
-/// fingerprint, dependency trace, and the value when it is on hand.
-pub type Exported<'e, K, V> = (&'e K, u64, &'e [Dep<K>], Option<&'e V>);
+/// Reverse dependency edges in compressed-sparse-row form: the dependents
+/// of task `t` are `dependents[start[t]..start[t + 1]]`.
+#[derive(Debug)]
+struct Dependents {
+    start: Vec<u32>,
+    dependents: Vec<TaskId>,
+}
+
+impl Dependents {
+    fn of(&self, id: TaskId) -> &[TaskId] {
+        let i = id.index();
+        &self.dependents[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// One memoized task as [`Engine::export`] hands it out.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Exported<'e, V> {
+    /// The task's id.
+    pub id: TaskId,
+    /// Its label.
+    pub label: &'e str,
+    /// Its output fingerprint.
+    pub fingerprint: u64,
+    /// Its dependency trace.
+    pub deps: &'e [Dep],
+    /// Its value, when on hand.
+    pub value: Option<&'e V>,
+}
 
 /// The execution context handed to [`TaskSpec::execute`]: records the
 /// running task's dependencies as they are acquired.
 pub struct Ctx<'e, S: TaskSpec + ?Sized> {
     engine: &'e mut Engine<S::Key, S::Value>,
-    deps: &'e mut Vec<Dep<S::Key>>,
+    deps: &'e mut Vec<Dep>,
 }
 
 impl<S: TaskSpec + ?Sized> Ctx<'_, S> {
@@ -196,26 +292,19 @@ impl<S: TaskSpec + ?Sized> Ctx<'_, S> {
         spec: &mut S,
         key: &S::Key,
     ) -> Result<S::Value, QueryError<S::Key, S::Error>> {
-        let value = self.engine.require(spec, key)?;
-        let fingerprint = self
-            .engine
-            .fingerprint_of(key)
-            .expect("a required task is memoized");
-        self.deps.push(Dep::Task {
-            key: key.clone(),
-            fingerprint,
-        });
+        let id = self.engine.intern(key);
+        let value = self.engine.demand(spec, id, key)?;
+        self.deps
+            .push(Dep::Task(id, self.engine.nodes[id.index()].fingerprint));
         Ok(value)
     }
 
     /// Reads a named input cell, recording the dependency with its current
     /// stamp (session-cached, so each input is stamped once per build).
     pub fn input(&mut self, spec: &mut S, name: &str) -> u64 {
-        let stamp = self.engine.stamp_of(spec, name);
-        self.deps.push(Dep::Input {
-            name: name.to_string(),
-            stamp,
-        });
+        let id = self.engine.intern_input(name);
+        let stamp = self.engine.stamp_of(spec, id);
+        self.deps.push(Dep::Input(id, stamp));
         stamp
     }
 
@@ -224,11 +313,11 @@ impl<S: TaskSpec + ?Sized> Ctx<'_, S> {
     /// updated): the dependency must hold the *post*-write stamp, or the
     /// task would invalidate itself every session.
     pub fn record_input(&mut self, name: &str, stamp: u64) {
-        self.engine.input_cache.insert(name.to_string(), stamp);
-        self.deps.push(Dep::Input {
-            name: name.to_string(),
-            stamp,
-        });
+        let id = self.engine.intern_input(name);
+        let input = &mut self.engine.inputs[id.0 as usize];
+        input.stamp = stamp;
+        input.stamped = self.engine.session;
+        self.deps.push(Dep::Input(id, stamp));
     }
 }
 
@@ -253,11 +342,23 @@ pub struct SessionStats {
 /// invalidation and demand.
 #[derive(Debug)]
 pub struct Engine<K, V> {
-    nodes: HashMap<K, Node<K, V>>,
+    /// Every interned task, indexed by [`TaskId`].
+    nodes: Vec<Node<K, V>>,
+    /// Label → id.
+    ids: HashMap<Box<str>, TaskId>,
+    /// Memoized tasks (`present` nodes).
+    present: usize,
+    /// Every interned input, indexed by [`InputId`].
+    inputs: Vec<Input>,
+    /// Input name → id.
+    input_ids: HashMap<Box<str>, InputId>,
+    /// Reverse edges of the memoized tasks' dependency traces, while no
+    /// task has executed or been dropped since they were built.
+    dependents: Option<Dependents>,
     /// Monotonic build-session counter (see [`Engine::begin_session`]).
     session: u64,
     /// Demand stack, for cycle detection.
-    stack: Vec<K>,
+    stack: Vec<TaskId>,
     /// Keys executed this session, in completion order.
     executed: Vec<K>,
     /// Keys rematerialized this session, in completion order.
@@ -265,14 +366,15 @@ pub struct Engine<K, V> {
     /// Keys whose rematerialization this session moved their fingerprint.
     moved: Vec<K>,
     stats: SessionStats,
-    /// Input stamps observed this session (one [`TaskSpec::input_stamp`]
-    /// call per input per session).
-    input_cache: HashMap<String, u64>,
+    /// Labels read back into keys this session ([`Engine::key`]).
+    keys_parsed: u64,
+    /// Label rendering buffer for lookups by key.
+    scratch: String,
 }
 
 impl<K, V> Default for Engine<K, V>
 where
-    K: Clone + Eq + Hash + fmt::Debug,
+    K: TaskKey,
     V: Clone,
 {
     fn default() -> Self {
@@ -282,21 +384,107 @@ where
 
 impl<K, V> Engine<K, V>
 where
-    K: Clone + Eq + Hash + fmt::Debug,
+    K: TaskKey,
     V: Clone,
 {
     /// An empty engine (every first demand will execute).
     pub fn new() -> Self {
         Engine {
-            nodes: HashMap::new(),
+            nodes: Vec::new(),
+            ids: HashMap::new(),
+            present: 0,
+            inputs: Vec::new(),
+            input_ids: HashMap::new(),
+            dependents: None,
             session: 0,
             stack: Vec::new(),
             executed: Vec::new(),
             rematerialized: Vec::new(),
             moved: Vec::new(),
             stats: SessionStats::default(),
-            input_cache: HashMap::new(),
+            keys_parsed: 0,
+            scratch: String::new(),
         }
+    }
+
+    /// The id of `key`'s label, interning it (as a task not yet memoized)
+    /// when new; the node learns its key either way.
+    fn intern(&mut self, key: &K) -> TaskId {
+        self.scratch.clear();
+        write!(self.scratch, "{key}").expect("writing to a string");
+        let id = match self.ids.get(self.scratch.as_str()) {
+            Some(&id) => id,
+            None => self.push_label(Box::from(self.scratch.as_str())),
+        };
+        let node = &mut self.nodes[id.index()];
+        if node.key.is_none() {
+            node.key = Some(key.clone());
+        }
+        id
+    }
+
+    /// Appends a new label to the table (the caller checked it is new).
+    fn push_label(&mut self, label: Box<str>) -> TaskId {
+        let id = TaskId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 tasks"));
+        self.ids.insert(label.clone(), id);
+        self.nodes.push(Node::new(label));
+        id
+    }
+
+    /// The id of input `name`, interning it when new.
+    pub fn intern_input(&mut self, name: &str) -> InputId {
+        if let Some(&id) = self.input_ids.get(name) {
+            return id;
+        }
+        let id = InputId(u32::try_from(self.inputs.len()).expect("fewer than 2^32 inputs"));
+        self.input_ids.insert(Box::from(name), id);
+        self.inputs.push(Input {
+            name: Box::from(name),
+            stamp: 0,
+            stamped: NEVER,
+        });
+        id
+    }
+
+    /// The id `key` is interned under, if it is.
+    pub fn id_of(&self, key: &K) -> Option<TaskId> {
+        self.ids.get(key.to_string().as_str()).copied()
+    }
+
+    /// The key of task `id`, read from its label the first time it is
+    /// asked for (counted in [`Engine::keys_parsed`]); `None` when the label
+    /// is no key's.
+    pub fn key(&mut self, id: TaskId) -> Option<&K> {
+        let node = &mut self.nodes[id.index()];
+        if node.key.is_none() {
+            node.key = K::parse(&node.label);
+            self.keys_parsed += u64::from(node.key.is_some());
+        }
+        node.key.as_ref()
+    }
+
+    /// Task `id`'s label.
+    pub fn label(&self, id: TaskId) -> &str {
+        &self.nodes[id.index()].label
+    }
+
+    /// Input `id`'s name.
+    pub fn input_name(&self, id: InputId) -> &str {
+        &self.inputs[id.0 as usize].name
+    }
+
+    /// How many task labels are interned: every [`TaskId`] of this store
+    /// indexes below it.
+    pub fn interned(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Labels this session read back into keys: the tasks a driver reached
+    /// only through recorded dependencies, and the red restored nodes that
+    /// had to execute. A no-op over a restored store parses only what its
+    /// driver asks for by id.
+    pub fn keys_parsed(&self) -> u64 {
+        self.keys_parsed
     }
 
     /// Opens a build session: resets per-session statistics, re-stamps every
@@ -310,29 +498,26 @@ where
     {
         self.session += 1;
         self.stats = SessionStats::default();
+        self.keys_parsed = 0;
         self.executed.clear();
         self.rematerialized.clear();
         self.moved.clear();
         self.stack.clear();
-        self.input_cache.clear();
 
-        // Refresh every input stamp once.
-        let mut names: Vec<&str> = self
-            .nodes
-            .values()
-            .flat_map(|node| node.deps.iter())
-            .filter_map(|dep| match dep {
-                Dep::Input { name, .. } => Some(name.as_str()),
-                Dep::Task { .. } => None,
-            })
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        let fresh: HashMap<String, u64> = names
-            .iter()
-            .map(|&name| (name.to_string(), spec.input_stamp(name)))
-            .collect();
-        self.input_cache = fresh;
+        // Refresh the stamp of every input a memoized task read, once.
+        let mut read = vec![false; self.inputs.len()];
+        for node in self.nodes.iter().filter(|node| node.present) {
+            for dep in &node.deps {
+                if let Dep::Input(input, _) = *dep {
+                    read[input.0 as usize] = true;
+                }
+            }
+        }
+        let session = self.session;
+        for (input, _) in self.inputs.iter_mut().zip(read).filter(|(_, read)| *read) {
+            input.stamp = spec.input_stamp(&input.name);
+            input.stamped = session;
+        }
 
         // Seed the dirty set with direct readers of changed inputs, tasks
         // whose dependency tasks no longer exist, and tasks whose recorded
@@ -341,49 +526,75 @@ where
         // re-executed with a new fingerprint, then the session aborted
         // before this dependent could re-run, leaving a cross-session
         // inconsistency that input stamps no longer reflect.
-        let mut dirty: HashSet<&K> = HashSet::new();
-        for (key, node) in &self.nodes {
-            let invalidated = node.deps.iter().any(|dep| match dep {
-                Dep::Input { name, stamp } => self.input_cache[name] != *stamp,
-                Dep::Task {
-                    key: dep_key,
-                    fingerprint,
-                } => self
-                    .nodes
-                    .get(dep_key)
-                    .is_none_or(|dep_node| dep_node.fingerprint != *fingerprint),
-            });
+        let mut dirty = vec![false; self.nodes.len()];
+        let mut frontier = Vec::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let invalidated = node.present
+                && node.deps.iter().any(|dep| match *dep {
+                    Dep::Input(input, stamp) => self.inputs[input.0 as usize].stamp != stamp,
+                    Dep::Task(id, fingerprint) => {
+                        let dep = &self.nodes[id.index()];
+                        !dep.present || dep.fingerprint != fingerprint
+                    }
+                });
             if invalidated {
-                dirty.insert(key);
+                dirty[i] = true;
+                frontier.push(TaskId(i as u32));
             }
         }
 
         // Propagate dirtiness along reverse dependency edges.
-        let mut rdeps: HashMap<&K, Vec<&K>> = HashMap::new();
-        for (key, node) in &self.nodes {
-            for dep in &node.deps {
-                if let Dep::Task { key: dep_key, .. } = dep {
-                    rdeps.entry(dep_key).or_default().push(key);
-                }
-            }
-        }
-        let mut frontier: Vec<&K> = dirty.iter().copied().collect();
-        while let Some(key) = frontier.pop() {
-            for &dependent in rdeps.get(key).into_iter().flatten() {
-                if dirty.insert(dependent) {
-                    frontier.push(dependent);
+        if !frontier.is_empty() {
+            let dependents = self.dependents();
+            while let Some(id) = frontier.pop() {
+                for &dependent in dependents.of(id) {
+                    if !std::mem::replace(&mut dirty[dependent.index()], true) {
+                        frontier.push(dependent);
+                    }
                 }
             }
         }
 
         // Everything untouched by a change is valid for the whole session.
-        let session = self.session;
-        let dirty: HashSet<K> = dirty.into_iter().cloned().collect();
-        for (key, node) in &mut self.nodes {
-            if !dirty.contains(key) {
+        for (node, dirty) in self.nodes.iter_mut().zip(dirty) {
+            if node.present && !dirty {
                 node.clean = session;
             }
         }
+    }
+
+    /// The reverse edges of the memoized tasks' dependency traces, built
+    /// when a task executed or was dropped since they last were.
+    fn dependents(&mut self) -> &Dependents {
+        let nodes = &self.nodes;
+        self.dependents.get_or_insert_with(|| {
+            let mut start = vec![0u32; nodes.len() + 1];
+            let edges = || {
+                nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, node)| node.present)
+                    .flat_map(|(i, node)| {
+                        node.deps.iter().filter_map(move |dep| match *dep {
+                            Dep::Task(id, _) => Some((id, TaskId(i as u32))),
+                            Dep::Input(..) => None,
+                        })
+                    })
+            };
+            for (id, _) in edges() {
+                start[id.index() + 1] += 1;
+            }
+            for i in 1..start.len() {
+                start[i] += start[i - 1];
+            }
+            let mut fill = start.clone();
+            let mut dependents = vec![TaskId(0); start[nodes.len()] as usize];
+            for (id, dependent) in edges() {
+                dependents[fill[id.index()] as usize] = dependent;
+                fill[id.index()] += 1;
+            }
+            Dependents { start, dependents }
+        })
     }
 
     /// Demands a task: validates it against its recorded dependencies and
@@ -402,25 +613,29 @@ where
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
-        if !self.up_to_date(spec, key)? {
+        let id = self.intern(key);
+        self.demand(spec, id, key)
+    }
+
+    /// [`Engine::require`] of interned task `id`, whose key is `key`.
+    fn demand<S>(&mut self, spec: &mut S, id: TaskId, key: &K) -> Result<V, QueryError<K, S::Error>>
+    where
+        S: TaskSpec<Key = K, Value = V> + ?Sized,
+    {
+        if !self.fresh(spec, id)? {
             let mut deps = Vec::new();
-            let value = self.run(spec, key, &mut deps)?;
+            let value = self.run(spec, id, key, &mut deps)?;
             let fingerprint = spec.fingerprint(key, &value);
-            self.nodes.insert(
-                key.clone(),
-                Node {
-                    value: Some(value.clone()),
-                    fingerprint,
-                    deps,
-                    verified: self.session,
-                    clean: self.session,
-                },
-            );
-            self.count_miss(spec, key);
+            self.memoize(id, fingerprint, deps);
+            let node = &mut self.nodes[id.index()];
+            node.value = Some(value.clone());
+            node.verified = self.session;
+            node.clean = self.session;
+            self.count_miss(spec, id, key);
             return Ok(value);
         }
 
-        let node = self.nodes.get_mut(key).expect("a valid task is memoized");
+        let node = &mut self.nodes[id.index()];
         if let Some(value) = &node.value {
             let value = value.clone();
             if node.verified != self.session {
@@ -432,23 +647,24 @@ where
         }
 
         // Valid, but its value is not on hand.
-        let value = match spec.load(key) {
+        let value = match spec.load(id, key) {
             Some(value) => {
                 self.stats.loaded += 1;
                 value
             }
             None => {
                 let mut deps = Vec::new();
-                let value = self.run(spec, key, &mut deps)?;
+                let value = self.run(spec, id, key, &mut deps)?;
                 let fingerprint = spec.fingerprint(key, &value);
-                let node = self.nodes.get_mut(key).expect("a valid task is memoized");
-                node.deps = deps;
-                if fingerprint != node.fingerprint {
+                let recorded = self.nodes[id.index()].fingerprint;
+                self.memoize(id, recorded, deps);
+                if fingerprint != recorded {
+                    let node = &mut self.nodes[id.index()];
                     node.fingerprint = fingerprint;
                     node.value = Some(value.clone());
                     node.verified = self.session;
                     self.moved.push(key.clone());
-                    self.count_miss(spec, key);
+                    self.count_miss(spec, id, key);
                     return Ok(value);
                 }
                 self.stats.rematerialized += 1;
@@ -456,7 +672,7 @@ where
                 value
             }
         };
-        let node = self.nodes.get_mut(key).expect("a valid task is memoized");
+        let node = &mut self.nodes[id.index()];
         node.value = Some(value.clone());
         node.verified = self.session;
         self.stats.hits += 1;
@@ -464,30 +680,45 @@ where
         Ok(value)
     }
 
+    /// Records a fresh execution's fingerprint and dependency trace on
+    /// task `id`, memoizing it.
+    fn memoize(&mut self, id: TaskId, fingerprint: u64, deps: Vec<Dep>) {
+        self.dependents = None;
+        let node = &mut self.nodes[id.index()];
+        if !node.present {
+            node.present = true;
+            self.present += 1;
+        }
+        node.fingerprint = fingerprint;
+        node.deps = deps;
+    }
+
     /// Executes a task's body, recording its fresh dependencies into
     /// `deps`.
     fn run<S>(
         &mut self,
         spec: &mut S,
+        id: TaskId,
         key: &K,
-        deps: &mut Vec<Dep<K>>,
+        deps: &mut Vec<Dep>,
     ) -> Result<V, QueryError<K, S::Error>>
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
-        self.stack.push(key.clone());
+        self.stack.push(id);
         let result = spec.execute(key, &mut Ctx { engine: self, deps });
         self.stack.pop();
         result
     }
 
-    fn count_miss<S>(&mut self, spec: &mut S, key: &K)
+    fn count_miss<S>(&mut self, spec: &mut S, id: TaskId, key: &K)
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
         self.stats.misses += 1;
-        self.executed.push(key.clone());
+        self.nodes[id.index()].executed = self.session;
         spec.observe(key, false);
+        self.executed.push(key.clone());
     }
 
     /// Checks whether a demand of the task would be a hit, *without
@@ -506,55 +737,70 @@ where
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
-        if let Some(position) = self.stack.iter().position(|k| k == key) {
-            let mut path: Vec<K> = self.stack[position..].to_vec();
-            path.push(key.clone());
+        let id = self.intern(key);
+        self.fresh(spec, id)
+    }
+
+    /// [`Engine::up_to_date`] of an interned task.
+    fn fresh<S>(&mut self, spec: &mut S, id: TaskId) -> Result<bool, QueryError<K, S::Error>>
+    where
+        S: TaskSpec<Key = K, Value = V> + ?Sized,
+    {
+        if let Some(position) = self.stack.iter().position(|&k| k == id) {
+            let mut path: Vec<TaskId> = self.stack[position..].to_vec();
+            path.push(id);
+            let path = path
+                .into_iter()
+                .filter_map(|id| self.key(id).cloned())
+                .collect();
             return Err(QueryError::Cycle(path));
         }
-        match self.nodes.get(key) {
-            None => return Ok(false),
-            Some(node) if node.verified == self.session || node.clean == self.session => {
-                return Ok(true)
-            }
-            Some(_) => {}
+        let node = &self.nodes[id.index()];
+        if !node.present {
+            return Ok(false);
+        }
+        if node.valid_in(self.session) {
+            return Ok(true);
         }
         // Demand-time verification of the recorded dependency trace, in
         // acquisition order, stopping at the first mismatch.
-        self.stack.push(key.clone());
-        let outcome = self.deps_hold(spec, key);
+        self.stack.push(id);
+        let outcome = self.deps_hold(spec, id);
         self.stack.pop();
         let holds = outcome?;
         if holds {
-            self.nodes.get_mut(key).expect("checked above").clean = self.session;
+            self.nodes[id.index()].clean = self.session;
         }
         Ok(holds)
     }
 
-    /// Whether every recorded dependency of `key` still holds — try-mark-
-    /// green: a dependency that validates is compared by its fingerprint
-    /// without touching its value; only one that does not is executed
-    /// first. Requires the node to exist; the caller manages the cycle
-    /// stack.
-    fn deps_hold<S>(&mut self, spec: &mut S, key: &K) -> Result<bool, QueryError<K, S::Error>>
+    /// Whether every recorded dependency of task `id` still holds — try-
+    /// mark-green: a dependency that validates is compared by its
+    /// fingerprint without touching its value; only one that does not is
+    /// executed first (a dependency whose label is no key's cannot be, and
+    /// does not hold). Requires the node to be memoized; the caller manages
+    /// the cycle stack.
+    fn deps_hold<S>(&mut self, spec: &mut S, id: TaskId) -> Result<bool, QueryError<K, S::Error>>
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
-        let deps = self.nodes[key].deps.clone();
-        for dep in deps {
-            match dep {
-                Dep::Input { name, stamp } => {
-                    if self.stamp_of(spec, &name) != stamp {
+        // A node on the stack cannot re-execute, so its trace stays put.
+        for i in 0..self.nodes[id.index()].deps.len() {
+            match self.nodes[id.index()].deps[i] {
+                Dep::Input(input, stamp) => {
+                    if self.stamp_of(spec, input) != stamp {
                         return Ok(false);
                     }
                 }
-                Dep::Task {
-                    key: dep_key,
-                    fingerprint,
-                } => {
-                    if !self.up_to_date(spec, &dep_key)? {
-                        self.require(spec, &dep_key)?;
+                Dep::Task(dep, fingerprint) => {
+                    if !self.fresh(spec, dep)? {
+                        let Some(key) = self.key(dep).cloned() else {
+                            return Ok(false);
+                        };
+                        self.demand(spec, dep, &key)?;
                     }
-                    if self.fingerprint_of(&dep_key) != Some(fingerprint) {
+                    let node = &self.nodes[dep.index()];
+                    if !node.present || node.fingerprint != fingerprint {
                         return Ok(false);
                     }
                 }
@@ -564,22 +810,28 @@ where
     }
 
     /// The session-cached stamp of an input (stamping it now if unseen).
-    fn stamp_of<S>(&mut self, spec: &mut S, name: &str) -> u64
+    fn stamp_of<S>(&mut self, spec: &mut S, id: InputId) -> u64
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
-        if let Some(&stamp) = self.input_cache.get(name) {
-            return stamp;
+        let input = &mut self.inputs[id.0 as usize];
+        if input.stamped != self.session {
+            input.stamp = spec.input_stamp(&input.name);
+            input.stamped = self.session;
         }
-        let stamp = spec.input_stamp(name);
-        self.input_cache.insert(name.to_string(), stamp);
-        stamp
+        input.stamp
+    }
+
+    /// The memoized node `key` names, if any.
+    fn node(&self, key: &K) -> Option<&Node<K, V>> {
+        let node = &self.nodes[self.id_of(key)?.index()];
+        node.present.then_some(node)
     }
 
     /// The memoized value of a task, if present (no validation). `None` also
     /// for a restored task whose value has not been loaded or recomputed.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.nodes.get(key).and_then(|node| node.value.as_ref())
+        self.node(key).and_then(|node| node.value.as_ref())
     }
 
     /// Whether `key` is known to be valid *right now*, without walking a
@@ -589,80 +841,184 @@ where
     /// drivers ask this to leave alone what no change reached — the root
     /// task of a no-op request, the modules an edit did not touch.
     pub fn is_valid(&self, key: &K) -> bool {
-        self.nodes
-            .get(key)
-            .is_some_and(|node| node.verified == self.session || node.clean == self.session)
+        self.node(key)
+            .is_some_and(|node| node.valid_in(self.session))
     }
 
     /// The memoized output fingerprint of a task, if present.
     pub fn fingerprint_of(&self, key: &K) -> Option<u64> {
-        self.nodes.get(key).map(|node| node.fingerprint)
+        self.node(key).map(|node| node.fingerprint)
     }
 
     /// Everything validation reads, for persisting — each memoized task's
-    /// key, output fingerprint and dependency trace — plus its value when on
-    /// hand, in an order that depends on the store's content alone, so equal
-    /// stores export equally whatever order they were filled in: by
-    /// fingerprint (an integer compare settles almost every pair), then by
-    /// key.
-    pub fn export(&self) -> Vec<Exported<'_, K, V>>
+    /// id, label, output fingerprint and dependency trace — plus its value
+    /// when on hand, in an order that depends on the store's content alone,
+    /// so equal stores export equally whatever order they were filled in:
+    /// by fingerprint (an integer compare settles almost every pair), then
+    /// by key — read from the label only for the tasks whose fingerprints
+    /// tie.
+    pub fn export(&self) -> Vec<Exported<'_, V>>
     where
         K: Ord,
     {
-        let mut nodes: Vec<Exported<'_, K, V>> = self
+        let mut order: Vec<(u64, TaskId)> = self
             .nodes
             .iter()
-            .map(|(key, node)| {
-                (
-                    key,
-                    node.fingerprint,
-                    node.deps.as_slice(),
-                    node.value.as_ref(),
-                )
+            .enumerate()
+            .filter(|(_, node)| node.present)
+            .map(|(i, node)| (node.fingerprint, TaskId(i as u32)))
+            .collect();
+        order.sort_unstable();
+        let mut rest = order.as_mut_slice();
+        while !rest.is_empty() {
+            let tied = rest.iter().take_while(|(fp, _)| *fp == rest[0].0).count();
+            let (run, tail) = rest.split_at_mut(tied);
+            if run.len() > 1 {
+                run.sort_by_cached_key(|&(_, id)| {
+                    let node = &self.nodes[id.index()];
+                    (
+                        node.key.clone().or_else(|| K::parse(&node.label)),
+                        node.label.clone(),
+                    )
+                });
+            }
+            rest = tail;
+        }
+        order
+            .into_iter()
+            .map(|(fingerprint, id)| {
+                let node = &self.nodes[id.index()];
+                Exported {
+                    id,
+                    label: &node.label,
+                    fingerprint,
+                    deps: &node.deps,
+                    value: node.value.as_ref(),
+                }
+            })
+            .collect()
+    }
+
+    /// Re-creates an [exported](Engine::export) store in an engine whose
+    /// store is empty, without values and without parsing a label: `labels`
+    /// is the label table (`labels[i]` names `TaskId::new(i)`), `nodes[i]`
+    /// the fingerprint and dependency trace of task `labels[i]`, and labels
+    /// past the nodes name tasks a recorded dependency mentions though they
+    /// had left the store. Dependency inputs are interned beforehand
+    /// ([`Engine::intern_input`]).
+    ///
+    /// The next [`Engine::begin_session`] validates each node against its
+    /// recorded inputs like any other; it then counts as current for its
+    /// dependents, and a demand of it loads or rematerializes its value.
+    /// Returns `false`, leaving the store empty, for a store that was not,
+    /// and for a table no export produces: a repeated label, more nodes than labels, a dependency on
+    /// a label past the table, or dependencies that close a cycle.
+    pub fn restore(&mut self, labels: Vec<String>, nodes: Vec<(u64, Vec<Dep>)>) -> bool {
+        if !self.nodes.is_empty() {
+            return false;
+        }
+        let count = labels.len();
+        let fits = nodes.len() <= count
+            && nodes
+                .iter()
+                .flat_map(|(_, deps)| deps)
+                .all(|dep| match *dep {
+                    Dep::Task(id, _) => id.index() < count,
+                    Dep::Input(input, _) => (input.0 as usize) < self.inputs.len(),
+                });
+        self.nodes.reserve(count);
+        self.ids.reserve(count);
+        for label in labels {
+            let label = label.into_boxed_str();
+            if self.ids.contains_key(&label) {
+                break;
+            }
+            self.push_label(label);
+        }
+        if !fits || self.nodes.len() != count {
+            self.clear();
+            return false;
+        }
+        self.present = nodes.len();
+        for (node, (fingerprint, deps)) in self.nodes.iter_mut().zip(nodes) {
+            node.present = true;
+            node.fingerprint = fingerprint;
+            node.deps = deps;
+        }
+        if !self.acyclic() {
+            self.clear();
+            return false;
+        }
+        true
+    }
+
+    /// Whether the memoized tasks' dependencies form no cycle. No execution
+    /// can record one, but a persisted file can claim one, and every build
+    /// that walks it would answer with a cycle error instead of a cold
+    /// start. Kahn's algorithm over the reverse edges.
+    fn acyclic(&mut self) -> bool {
+        let mut pending: Vec<u32> = self
+            .nodes
+            .iter()
+            .map(|node| {
+                node.deps
+                    .iter()
+                    .filter(|dep| matches!(dep, Dep::Task(..)))
+                    .count() as u32
             })
             .collect();
-        nodes.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-        nodes
+        let mut ready: Vec<TaskId> = (0..pending.len())
+            .filter(|&i| pending[i] == 0)
+            .map(|i| TaskId(i as u32))
+            .collect();
+        let dependents = self.dependents();
+        let mut done = 0;
+        while let Some(id) = ready.pop() {
+            done += 1;
+            for &dependent in dependents.of(id) {
+                pending[dependent.index()] -= 1;
+                if pending[dependent.index()] == 0 {
+                    ready.push(dependent);
+                }
+            }
+        }
+        done == pending.len()
     }
 
-    /// Re-creates one task of an [exported](Engine::export) store, without
-    /// its value. The next [`Engine::begin_session`] validates the node
-    /// against its recorded inputs like any other; it then counts as current
-    /// for its dependents, and a demand of it loads or rematerializes its
-    /// value.
-    pub fn restore(&mut self, key: K, fingerprint: u64, deps: Vec<Dep<K>>) {
-        self.nodes.insert(
-            key,
-            Node {
-                value: None,
-                fingerprint,
-                deps,
-                verified: NEVER,
-                clean: NEVER,
-            },
-        );
-    }
-
-    /// Drops memoized tasks whose key fails the predicate (e.g. tasks of
+    /// Drops memoized tasks whose label fails the predicate (e.g. tasks of
     /// modules that left the project). Dependents of a dropped task are
-    /// invalidated on the next [`Engine::begin_session`].
-    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
-        self.nodes.retain(|key, _| keep(key));
+    /// invalidated on the next [`Engine::begin_session`]; the label stays
+    /// interned under its id.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        for node in &mut self.nodes {
+            if node.present && !keep(&node.label) {
+                node.present = false;
+                node.value = None;
+                node.deps = Vec::new();
+                self.present -= 1;
+                self.dependents = None;
+            }
+        }
     }
 
-    /// Drops the entire store; the next build re-executes everything.
+    /// Drops the entire store, label table included; the next build
+    /// re-executes everything.
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.ids.clear();
+        self.present = 0;
+        self.dependents = None;
+        self.stack.clear();
     }
 
     /// Number of memoized tasks.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.present
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.present == 0
     }
 
     /// Hit/miss counters of the current session.
@@ -692,24 +1048,27 @@ where
     /// The dependency trace recorded for a memoized task, if present — the
     /// engine's *declared* view of what the task read, in declaration order.
     /// This is what the depcheck layer diffs against actual accesses.
-    pub fn deps_of(&self, key: &K) -> Option<&[Dep<K>]> {
-        self.nodes.get(key).map(|node| node.deps.as_slice())
+    pub fn deps_of(&self, key: &K) -> Option<&[Dep]> {
+        self.node(key).map(|node| node.deps.as_slice())
     }
 
-    /// Keys validated this session *without* executing — demanded cache
+    /// [`Engine::deps_of`] by id.
+    pub fn deps(&self, id: TaskId) -> &[Dep] {
+        &self.nodes[id.index()].deps
+    }
+
+    /// Tasks validated this session *without* executing — demanded cache
     /// hits (`verified`) and tasks the wholesale invalidation walk judged
     /// current (`clean`). For each, the recorded input stamps were judged
     /// unchanged — a depcheck staleness audit re-derives those stamps from
     /// the raw inputs and flags any divergence as a suppressed
-    /// invalidation.
-    pub fn verified_hit_keys(&self) -> Vec<K> {
+    /// invalidation. One pass over the store, in id order.
+    pub fn verified_hits(&self) -> Vec<TaskId> {
         self.nodes
             .iter()
-            .filter(|(key, node)| {
-                (node.verified == self.session || node.clean == self.session)
-                    && !self.executed.contains(key)
-            })
-            .map(|(key, _)| key.clone())
+            .enumerate()
+            .filter(|(_, node)| node.valid_in(self.session) && node.executed != self.session)
+            .map(|(i, _)| TaskId(i as u32))
             .collect()
     }
 }
@@ -734,7 +1093,7 @@ mod tests {
     }
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    enum Task {
+    pub(super) enum Task {
         Get(&'static str),
         Abs(&'static str),
         Dbl(&'static str),
@@ -743,6 +1102,47 @@ mod tests {
         Selfish,
         Ping,
         Pong,
+    }
+
+    impl fmt::Display for Task {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                Task::Get(c) => write!(f, "get({c})"),
+                Task::Abs(c) => write!(f, "abs({c})"),
+                Task::Dbl(c) => write!(f, "dbl({c})"),
+                Task::Pair(x, y) => write!(f, "pair({x},{y})"),
+                Task::Sum => f.write_str("sum"),
+                Task::Selfish => f.write_str("selfish"),
+                Task::Ping => f.write_str("ping"),
+                Task::Pong => f.write_str("pong"),
+            }
+        }
+    }
+
+    impl TaskKey for Task {
+        fn parse(label: &str) -> Option<Task> {
+            let cell = |c: &str| -> &'static str { Box::leak(c.to_string().into_boxed_str()) };
+            let Some((kind, rest)) = label.split_once('(') else {
+                return match label {
+                    "sum" => Some(Task::Sum),
+                    "selfish" => Some(Task::Selfish),
+                    "ping" => Some(Task::Ping),
+                    "pong" => Some(Task::Pong),
+                    _ => None,
+                };
+            };
+            let operand = rest.strip_suffix(')')?;
+            Some(match kind {
+                "get" => Task::Get(cell(operand)),
+                "abs" => Task::Abs(cell(operand)),
+                "dbl" => Task::Dbl(cell(operand)),
+                "pair" => {
+                    let (x, y) = operand.split_once(',')?;
+                    Task::Pair(cell(x), cell(y))
+                }
+                _ => return None,
+            })
+        }
     }
 
     impl Calc {
@@ -813,7 +1213,7 @@ mod tests {
             self.cells.get(input).copied().unwrap_or(i64::MIN) as u64
         }
 
-        fn load(&mut self, key: &Task) -> Option<i64> {
+        fn load(&mut self, _id: TaskId, key: &Task) -> Option<i64> {
             self.stored.remove(key)
         }
 
@@ -858,32 +1258,106 @@ mod tests {
         let mut engine = Engine::new();
         session(&mut engine, &mut spec);
         engine.require(&mut spec, &Task::Sum).unwrap();
-        let deps = engine.deps_of(&Task::Sum).unwrap();
         assert_eq!(
-            deps,
-            &[
-                Dep::Input {
-                    name: "roster".into(),
-                    stamp: 2
-                },
-                Dep::Task {
-                    key: Task::Get("a"),
-                    fingerprint: 2
-                },
-                Dep::Task {
-                    key: Task::Get("b"),
-                    fingerprint: 3
-                },
-            ]
+            named_deps(&engine, &Task::Sum),
+            ["roster=2", "get(a)#2", "get(b)#3"]
         );
         assert!(engine.deps_of(&Task::Abs("a")).is_none());
-        assert!(engine.verified_hit_keys().is_empty(), "all executed");
+        assert!(engine.verified_hits().is_empty(), "all executed");
 
         session(&mut engine, &mut spec);
         engine.require(&mut spec, &Task::Sum).unwrap();
-        let mut hits = engine.verified_hit_keys();
-        hits.sort_by_key(|k| format!("{k:?}"));
-        assert_eq!(hits, vec![Task::Get("a"), Task::Get("b"), Task::Sum]);
+        let mut hits = verified_labels(&engine);
+        hits.sort();
+        assert_eq!(hits, ["get(a)", "get(b)", "sum"]);
+    }
+
+    /// A chain of `len` tasks, `link(i)` demanding `link(i - 1)`; the first
+    /// reads input `base`. Demanded bottom-up, so no demand recurses.
+    struct Chain {
+        base: u64,
+        runs: usize,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    struct Link(u32);
+
+    impl fmt::Display for Link {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "link({})", self.0)
+        }
+    }
+
+    impl TaskKey for Link {
+        fn parse(label: &str) -> Option<Link> {
+            let n = label.strip_prefix("link(")?.strip_suffix(')')?;
+            n.parse().ok().map(Link)
+        }
+    }
+
+    impl TaskSpec for Chain {
+        type Key = Link;
+        type Value = u64;
+        type Error = String;
+
+        fn execute(
+            &mut self,
+            key: &Link,
+            ctx: &mut Ctx<'_, Self>,
+        ) -> Result<u64, QueryError<Link, String>> {
+            self.runs += 1;
+            match key.0 {
+                0 => Ok(ctx.input(self, "base")),
+                i => Ok(ctx.require(self, &Link(i - 1))? + 1),
+            }
+        }
+
+        fn fingerprint(&self, _key: &Link, value: &u64) -> u64 {
+            *value
+        }
+
+        fn input_stamp(&mut self, _input: &str) -> u64 {
+            self.base
+        }
+    }
+
+    /// `verified_hits` marks what executed per node, not by searching the
+    /// executed list per node: over a 5 000-task chain it is one pass
+    /// whatever executed — none, all, or half the chain.
+    #[test]
+    fn verified_hits_over_a_long_chain_are_linear_and_exact() {
+        const LEN: u32 = 5_000;
+        let mut spec = Chain { base: 1, runs: 0 };
+        let mut engine = Engine::new();
+        let demand_all = |engine: &mut Engine<Link, u64>, spec: &mut Chain| {
+            for i in 0..LEN {
+                engine.require(spec, &Link(i)).unwrap();
+            }
+        };
+        engine.begin_session(&mut spec);
+        demand_all(&mut engine, &mut spec);
+        assert_eq!(spec.runs, LEN as usize);
+        assert!(engine.verified_hits().is_empty(), "everything executed");
+
+        engine.begin_session(&mut spec);
+        assert_eq!(engine.verified_hits().len(), LEN as usize, "all clean");
+        demand_all(&mut engine, &mut spec);
+        assert_eq!(engine.verified_hits().len(), LEN as usize, "all served");
+        assert_eq!(spec.runs, LEN as usize);
+
+        // A retained-away middle task dirties the upper half; it executes
+        // again, to its old fingerprint, and the upper half validates.
+        engine.retain(|label| label != "link(2500)");
+        spec.base = 1;
+        engine.begin_session(&mut spec);
+        demand_all(&mut engine, &mut spec);
+        assert_eq!(engine.session_stats().misses, 1, "cutoff above the gap");
+        assert_eq!(engine.verified_hits().len(), LEN as usize - 1);
+        assert_eq!(
+            engine.executed_keys(),
+            [Link(2500)],
+            "the dropped task alone"
+        );
     }
 
     #[test]
@@ -981,7 +1455,7 @@ mod tests {
         engine.require(&mut spec, &Task::Abs("a")).unwrap();
         assert_eq!(engine.len(), 2);
 
-        engine.retain(|key| !matches!(key, Task::Get(_)));
+        engine.retain(|label| !label.starts_with("get("));
         assert_eq!(engine.len(), 1);
         session(&mut engine, &mut spec);
         assert_eq!(engine.require(&mut spec, &Task::Abs("a")).unwrap(), 7);
@@ -1062,13 +1536,63 @@ mod tests {
         assert_eq!(engine.executed_keys().len(), 3);
     }
 
+    /// `key`'s recorded dependencies as text: `input=stamp`, `task#fp`.
+    fn named_deps(engine: &Engine<Task, i64>, key: &Task) -> Vec<String> {
+        let deps = engine.deps_of(key).unwrap();
+        named(engine, deps)
+    }
+
+    fn named(engine: &Engine<Task, i64>, deps: &[Dep]) -> Vec<String> {
+        deps.iter()
+            .map(|dep| match *dep {
+                Dep::Input(input, stamp) => format!("{}={stamp}", engine.input_name(input)),
+                Dep::Task(id, fp) => format!("{}#{fp}", engine.label(id)),
+            })
+            .collect()
+    }
+
+    fn verified_labels(engine: &Engine<Task, i64>) -> Vec<&str> {
+        engine
+            .verified_hits()
+            .into_iter()
+            .map(|id| engine.label(id))
+            .collect()
+    }
+
     /// A second engine holding what `engine` exports — no values, as a new
-    /// process restoring a persisted graph would.
+    /// process restoring a persisted graph would: labels in export order,
+    /// then those only a dependency names, and every dependency re-interned
+    /// into the new tables.
     fn restored_from(engine: &Engine<Task, i64>) -> Engine<Task, i64> {
-        let mut fresh = Engine::new();
-        for (key, fingerprint, deps, _) in engine.export() {
-            fresh.restore(key.clone(), fingerprint, deps.to_vec());
+        let exported = engine.export();
+        let mut slot = vec![None; engine.interned()];
+        let mut labels = Vec::new();
+        for e in &exported {
+            slot[e.id.index()] = Some(labels.len() as u32);
+            labels.push(e.label.to_string());
         }
+        let mut fresh = Engine::new();
+        let mut nodes = Vec::new();
+        for e in &exported {
+            let deps = e
+                .deps
+                .iter()
+                .map(|dep| match *dep {
+                    Dep::Input(input, stamp) => {
+                        Dep::Input(fresh.intern_input(engine.input_name(input)), stamp)
+                    }
+                    Dep::Task(id, fp) => {
+                        let index = *slot[id.index()].get_or_insert_with(|| {
+                            labels.push(engine.label(id).to_string());
+                            labels.len() as u32 - 1
+                        });
+                        Dep::Task(TaskId::new(index), fp)
+                    }
+                })
+                .collect();
+            nodes.push((e.fingerprint, deps));
+        }
+        assert!(fresh.restore(labels, nodes));
         fresh
     }
 
@@ -1084,12 +1608,25 @@ mod tests {
         backward.require(&mut spec, &Task::Dbl("b")).unwrap();
         backward.require(&mut spec, &Task::Sum).unwrap();
 
-        let exported = forward.export();
-        assert_eq!(exported, backward.export());
-        let order: Vec<(u64, &Task)> = exported.iter().map(|&(key, fp, _, _)| (fp, key)).collect();
+        let content = |engine: &Engine<Task, i64>| -> Vec<(u64, String, Vec<String>, Option<i64>)> {
+            engine
+                .export()
+                .iter()
+                .map(|e| {
+                    let deps = named(engine, e.deps);
+                    (e.fingerprint, e.label.to_string(), deps, e.value.copied())
+                })
+                .collect()
+        };
+        let exported = content(&forward);
+        assert_eq!(exported, content(&backward));
+        let order: Vec<(u64, Task)> = exported
+            .iter()
+            .map(|(fp, label, ..)| (*fp, Task::parse(label).unwrap()))
+            .collect();
         assert!(order.windows(2).all(|pair| pair[0] < pair[1]), "{order:?}");
         assert_eq!(order.len(), forward.len());
-        assert!(exported.iter().all(|(_, _, _, value)| value.is_some()));
+        assert!(exported.iter().all(|(.., value)| value.is_some()));
     }
 
     #[test]
@@ -1107,7 +1644,7 @@ mod tests {
         session(&mut fresh, &mut spec);
         // Nothing moved: the whole chain is judged current (and would be
         // stamp-audited as served) with no value anywhere and no execution.
-        assert_eq!(fresh.verified_hit_keys().len(), 3);
+        assert_eq!(fresh.verified_hits().len(), 3);
         assert!(fresh.peek(&Task::Dbl("a")).is_none());
         assert_eq!(fresh.fingerprint_of(&Task::Dbl("a")), Some(8));
         assert!(fresh.is_valid(&Task::Dbl("a")));
@@ -1172,7 +1709,7 @@ mod tests {
         spec.cells.insert("a".into(), 10);
         session(&mut fresh, &mut spec);
         // Get(a) read the moved input; Sum depends on it; Get(b) does not.
-        assert_eq!(fresh.verified_hit_keys(), vec![Task::Get("b")]);
+        assert_eq!(verified_labels(&fresh), ["get(b)"]);
         assert!(!fresh.is_valid(&Task::Sum));
         assert_eq!(fresh.require(&mut spec, &Task::Sum).unwrap(), 13);
         assert_eq!(
@@ -1191,7 +1728,7 @@ mod tests {
 
         let mut fresh = restored_from(&engine);
         spec.stored.insert(Task::Abs("a"), 7);
-        fresh.retain(|key| !matches!(key, Task::Get(_)));
+        fresh.retain(|label| !label.starts_with("get("));
         session(&mut fresh, &mut spec);
         assert!(!fresh.is_valid(&Task::Abs("a")));
         // The dropped dependency re-executes; its fingerprint still matches

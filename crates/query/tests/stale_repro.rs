@@ -4,14 +4,29 @@
 //! — the recorded dependency fingerprints no longer match the memoized
 //! ones, and bottom-up invalidation has to notice that.
 
-use sfcc_query::{Ctx, Engine, QueryError, TaskSpec};
+use sfcc_query::{Ctx, Engine, QueryError, TaskKey, TaskSpec};
 use std::collections::HashMap;
+use std::fmt;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Task {
     Get,
     Abs,
     Dbl,
+}
+
+impl fmt::Display for Task {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self, f)
+    }
+}
+
+impl TaskKey for Task {
+    fn parse(label: &str) -> Option<Task> {
+        [Task::Get, Task::Abs, Task::Dbl]
+            .into_iter()
+            .find(|task| task.to_string() == label)
+    }
 }
 
 struct Calc {

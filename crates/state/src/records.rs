@@ -5,6 +5,7 @@
 //! or dormant in the previous build and how many consecutive builds it has
 //! been dormant — enough to drive every skip policy in the evaluation.
 
+use sfcc_codec::Fnv64;
 use sfcc_ir::Fingerprint;
 use sfcc_passes::{FunctionTrace, PassOutcome, PipelineTrace};
 use std::collections::HashMap;
@@ -67,19 +68,28 @@ impl FunctionRecord {
     /// stable across no-op rebuilds and independent of the order in which
     /// sibling functions were re-optimized — the property the per-function
     /// `state:module::function` build input relies on.
+    ///
+    /// The value is FNV-64 of the text `{fp:x}/{exit:x}` followed by
+    /// `|{dormant}{streak}s{skipped}h{history}o{observations}` per slot,
+    /// streamed rather than formatted: every no-op build stamps every
+    /// function.
     pub fn content_stamp(&self) -> u64 {
-        let mut repr = format!("{:x}/{:x}", self.fingerprint.0, self.exit_fingerprint.0);
+        let mut h = Fnv64::new();
+        h.hex(self.fingerprint.0)
+            .str("/")
+            .hex(self.exit_fingerprint.0);
         for slot in &self.slots {
-            repr.push_str(&format!(
-                "|{}{}s{}h{}o{}",
-                slot.dormant as u8,
-                slot.dormant_streak,
-                slot.times_skipped,
-                slot.history,
-                slot.observations
-            ));
+            h.str("|")
+                .dec(u64::from(slot.dormant))
+                .dec(slot.dormant_streak.into())
+                .str("s")
+                .dec(slot.times_skipped.into())
+                .str("h")
+                .dec(slot.history.into())
+                .str("o")
+                .dec(slot.observations.into());
         }
-        crate::codec::fnv64(repr.as_bytes())
+        h.finish()
     }
 
     /// Whether the slot at `index` is recorded dormant.
@@ -333,6 +343,59 @@ fn merge(old: Option<&FunctionRecord>, trace: &FunctionTrace, build: u64) -> Fun
 mod tests {
     use super::*;
     use sfcc_passes::PassRecord;
+
+    /// `content_stamp` of fixed records — empty, all-zero, saturated
+    /// (`u32::MAX` streaks and skips, `history` 255) and a full 28-slot
+    /// pipeline — pinned: the stamp is the `state:m::f` build input every
+    /// persisted query graph records, so its value is a file format.
+    #[test]
+    fn content_stamps_are_pinned() {
+        let slot = |dormant, dormant_streak, times_skipped, history, observations| SlotRecord {
+            dormant,
+            dormant_streak,
+            times_skipped,
+            history,
+            observations,
+        };
+        let record = |slots: Vec<SlotRecord>| FunctionRecord {
+            fingerprint: Fingerprint(0x0123_4567_89ab_cdef_0011_2233_4455_6677),
+            exit_fingerprint: Fingerprint(u128::MAX),
+            slots,
+            last_build: 9,
+        };
+        let stamps = [
+            record(Vec::new()).content_stamp(),
+            record(vec![slot(false, 0, 0, 0, 0)]).content_stamp(),
+            record(vec![
+                slot(true, u32::MAX, u32::MAX, 255, 8),
+                slot(false, 7, 123_456, 0b1010_1010, 3),
+            ])
+            .content_stamp(),
+            FunctionRecord {
+                fingerprint: Fingerprint(0),
+                exit_fingerprint: Fingerprint(10),
+                slots: vec![slot(true, 1, 20, 3, 4); 28],
+                last_build: 0,
+            }
+            .content_stamp(),
+        ];
+        assert_eq!(
+            stamps,
+            [
+                221_771_041_768_449_180,
+                12_576_969_660_059_526_276,
+                6_101_417_885_781_391_886,
+                4_860_921_546_078_158_467,
+            ]
+        );
+        let mut later = record(Vec::new());
+        later.last_build = 10;
+        assert_eq!(
+            later.content_stamp(),
+            stamps[0],
+            "last_build is not content"
+        );
+    }
 
     fn trace_of(module: &str, func: &str, outcomes: &[PassOutcome]) -> PipelineTrace {
         PipelineTrace {

@@ -845,6 +845,56 @@ fn quick_reports_cover_the_commit_and_a_noop_commits_nothing() {
     cleanup(&root);
 }
 
+/// FNV-64 of the demo's committed `depgraph`, `state` and `ircache` bytes
+/// after a full build, a one-constant edit and a no-op, each a new session
+/// writing its image: the persisted formats — and every decision that
+/// writes them — pinned.
+#[test]
+fn quick_demo_commits_are_pinned() {
+    let root = tmproot("demo-pins");
+    let dir = root.join("p");
+    fs::create_dir_all(&dir).unwrap();
+    let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
+    for name in ["main.mc", "mathx.mc", "stats.mc"] {
+        fs::copy(demo.join(name), dir.join(name)).unwrap();
+    }
+    let args = args_of(WARM_FLAGS, &[]);
+    let mut sums = Vec::new();
+    for step in ["full", "edit", "no-op"] {
+        if step == "edit" {
+            let path = dir.join("mathx.mc");
+            let text = fs::read_to_string(&path).unwrap();
+            fs::write(&path, text.replace("1000000007", "998244353")).unwrap();
+        }
+        let mut service = BuildService::new(&dir, &args).unwrap();
+        service.build_image(&dir.join("a.sbx")).unwrap();
+        let cd = CommitDir::new(&dir.join(".sfcc-state"));
+        let manifest = cd.read_manifest().unwrap().expect("committed manifest");
+        for logical in ["depgraph", "state", "ircache"] {
+            let bytes = cd.load_entry(manifest.entry(logical).unwrap()).unwrap();
+            sums.push(format!(
+                "{step} {logical} {:016x}",
+                sfcc_codec::fnv64(&bytes)
+            ));
+        }
+    }
+    assert_eq!(
+        sums,
+        [
+            "full depgraph d7e08fc0278c8b1b",
+            "full state 9303d661a34f43ed",
+            "full ircache e01ddfa5e095685f",
+            "edit depgraph b1ed94d4951706b0",
+            "edit state 05dfb4972f91ed0d",
+            "edit ircache 2108f6f120e06257",
+            "no-op depgraph b1ed94d4951706b0",
+            "no-op state 05dfb4972f91ed0d",
+            "no-op ircache 2108f6f120e06257",
+        ]
+    );
+    cleanup(&root);
+}
+
 /// One cold process over `dir` under `config`, committed like
 /// [`cold_session`]; returns the report and the image bytes.
 fn session_under(dir: &Path, config: Config) -> (BuildReport, Vec<u8>) {
