@@ -15,8 +15,9 @@
 #                  suite and its E17 sharing gate, the warm-daemon
 #                  differential suite and its E18 warm-daemon smoke,
 #                  plus a traced demo build validated with `trace-check`,
-#                  a depcheck run over the demo project and the cold
-#                  no-op gate (a second process executes 0 tasks); both modes
+#                  a depcheck run over the demo project, the cold
+#                  no-op gate (a second process executes 0 tasks) and the
+#                  commit gate (an edit writes what it changed); both modes
 #                  start with the one-request-path grep over `minicc.rs`,
 #                  the no-process-state grep over `crates/` and the
 #                  one-JSON-writer grep over `crates/`
@@ -102,6 +103,7 @@ noop_gate() {
     done
     if ((generations[1] != generations[0])) ||
         ! grep -q '"faultfs.writes":{"type":"gauge","value":0}' "$scratch/second.json" ||
+        ! grep -q '"faultfs.bytes_written":{"type":"gauge","value":0}' "$scratch/second.json" ||
         ! diff -rq "$scratch/state1" "$scratch/state2"; then
         echo "ci: a second process over an unchanged tree committed state:" >&2
         grep -oE '"state_generation":[0-9]+|"faultfs.writes":\{[^}]*\}' "$scratch/second.json" >&2
@@ -135,6 +137,71 @@ noop_gate() {
         return 1
     fi
     cmp "$scratch/third.sbx" "$scratch/fresh.sbx"
+}
+
+# Commit gate, on byte counts rather than clocks: on the demo tree a
+# commit writes what the build changed. An edit's `faultfs.bytes_written`
+# is under half the full build's; thirty repeats of one edit — a
+# same-width constant — write the same bytes whenever they append, the
+# manifest aside (it gains an entry per segment), so nothing grows with the
+# history; both chains compact; `minicc fsck` finds the directory clean.
+# Without the function cache the graph's chain alone is the store's, and
+# `persist.segments` returns to 0 at its compactions.
+commit_gate() {
+    local scratch
+    scratch="$(mktemp -d)"
+    trap 'rm -rf "$scratch"' RETURN
+    local build=(cargo run -q -p sfcc-buildsys --bin minicc -- build)
+    local gauge='"type":"gauge","value":'
+    value() { grep -oE "\"$1\":\{$gauge[0-9]+" "$2" | grep -oE '[0-9]+$'; }
+    local flags
+    for flags in "--stateful --fn-cache" "--stateful"; do
+        local dir="$scratch/p${flags// /}"
+        mkdir "$dir"
+        cp demo/*.mc "$dir"/
+        # shellcheck disable=SC2086
+        "${build[@]}" "$dir" $flags --report json -o "$scratch/out.sbx" > "$scratch/full.json"
+        local full segments=0 flat="" zeroed=0 prev=1000000007 i
+        full="$(value faultfs.bytes_written "$scratch/full.json")"
+        for i in $(seq 1 30); do
+            sed -i "s/$prev/$((prev + 1))/" "$dir/mathx.mc"
+            prev=$((prev + 1))
+            # shellcheck disable=SC2086
+            "${build[@]}" "$dir" $flags --report json -o "$scratch/out.sbx" > "$scratch/edit.json"
+            local bytes now payload
+            bytes="$(value faultfs.bytes_written "$scratch/edit.json")"
+            now="$(value persist.segments "$scratch/edit.json")"
+            payload=$((bytes - $(stat -c %s "$dir/.sfcc-state.manifest")))
+            if ((now > segments)); then
+                if ((bytes * 2 >= full)); then
+                    echo "ci: edit $i ($flags) wrote $bytes byte(s), the full build $full" >&2
+                    return 1
+                fi
+                flat="${flat:-$payload}"
+                if ((payload * 50 < flat * 49 || payload * 50 > flat * 51)); then
+                    echo "ci: appending edit $i ($flags) wrote $payload byte(s) besides its manifest, the first $flat" >&2
+                    return 1
+                fi
+            fi
+            ((now == 0)) && zeroed=$((zeroed + 1))
+            segments=$now
+        done
+        if [[ "$flags" == "--stateful" ]] && ((zeroed == 0)); then
+            echo "ci: the graph chain never compacted ($flags)" >&2
+            return 1
+        fi
+        local logical
+        for logical in depgraph ircache; do
+            if [[ "$flags" == "--stateful" && "$logical" == ircache ]]; then
+                continue
+            fi
+            if ls "$dir"/.sfcc-state."$logical".g1-* > /dev/null 2>&1; then
+                echo "ci: the $logical chain never compacted ($flags)" >&2
+                return 1
+            fi
+        done
+        cargo run -q -p sfcc-buildsys --bin minicc -- fsck "$dir" | grep -q '^  clean$'
+    done
 }
 
 # One request path: `minicc` serves build-class commands through
@@ -216,6 +283,7 @@ if [[ "${1:-}" == "--quick" ]]; then
     trace_smoke
     depcheck_smoke
     noop_gate
+    commit_gate
     # The benchmark is a package outside the workspace: compile it against
     # the product API so a signature change that breaks it fails here.
     cargo check --offline --manifest-path sfbench/Cargo.toml
@@ -233,6 +301,7 @@ cargo fmt --check
 trace_smoke
 depcheck_smoke
 noop_gate
+commit_gate
 # Smoke-run the parallel-scaling, observability-overhead, and
 # dependency-soundness sweeps, plus the function-granularity,
 # shared-store, and warm-daemon comparisons (write BENCH_parallel.json /

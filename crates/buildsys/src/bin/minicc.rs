@@ -148,6 +148,17 @@ observability:
   moves the previous report to .sfcc-report.json.stale first, so `stats`
   can never mistake it for the failed build's telemetry.
 
+state directory:
+  a --stateful or --fn-cache build commits <dir>/.sfcc-state.manifest and
+  the files it names: the state whole, the function cache and the query
+  graph each as a base file plus the segments later builds appended
+  (`ircache+1`, `depgraph+2`, ...), rewritten as a new base once the
+  segments would outweigh it. `minicc fsck <dir>` reads every file back
+  against the manifest and decodes it, a chain folded whole; a corrupt
+  file is moved to `<file>.corrupt`, and a damaged segment drops its whole
+  chain from the manifest (the next build starts that artifact cold);
+  files no manifest names are removed.
+
 dependency soundness:
   `minicc depcheck <dir>` runs an instrumented cold build plus a no-op
   rebuild (read-only: no state is saved, no report file is written) and

@@ -53,6 +53,7 @@ use crate::graph::GraphError;
 use crate::project::Project;
 use crate::report::{BuildReport, FngrainStats, ModuleOutput, ModuleReport, QueryStats};
 use crate::tasks::{label_scope, BuildSpec, BuildTask, WaveBatch};
+use sfcc::persist::Artifact;
 use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
 use sfcc_ir::{Function, Op};
@@ -135,6 +136,13 @@ pub struct Builder {
     /// Whether the store holds nodes this process did not compute: set by
     /// restoring the last process's graph, cleared only with the store.
     restored: bool,
+    /// The committed graph the store extends, with the manifest checksum
+    /// of the chain tip it was committed as: what the next segment is
+    /// written against.
+    committed: Option<(u64, depgraph::Committed)>,
+    /// The graph the compiler holds for its next commit, as the store sees
+    /// it: `committed` once that commit lands.
+    deposited: Option<depgraph::Committed>,
 }
 
 /// What a build holds from its first instant to its report: the clock, the
@@ -188,6 +196,8 @@ impl Builder {
             mutations: DepMutations::new(),
             stored: depgraph::Stored::default(),
             restored: false,
+            committed: None,
+            deposited: None,
         }
     }
 
@@ -309,6 +319,13 @@ impl Builder {
         }
     }
 
+    /// The store as one whole graph file — what a commit that starts a new
+    /// chain writes, and what the committed chain folds to once this
+    /// store's changes are committed.
+    pub fn graph_file(&self) -> Vec<u8> {
+        depgraph::encode(&self.engine, &self.stored, self.compiler.identity()).0
+    }
+
     /// The underlying compiler session (state persistence, cache counters).
     pub fn compiler(&self) -> &Compiler {
         &self.compiler
@@ -328,6 +345,8 @@ impl Builder {
         self.stored = depgraph::Stored::default();
         self.compiler.take_restored_graph();
         self.restored = false;
+        self.committed = None;
+        self.deposited = None;
     }
 
     /// [`Builder::clear_cache`], but only of a store that holds nodes this
@@ -357,17 +376,47 @@ impl Builder {
         self.compiler.freeze_state();
         let result = self.build_inner(project);
         self.compiler.thaw_state();
-        // What the next process starts from: the store as it now stands,
-        // re-encoded only when this build changed it. A build that executed
-        // nothing deposits nothing, and the session's state commit carries
-        // the committed graph forward.
         if let Ok(report) = &result {
-            if report.query.misses > 0 && self.compiler.persists_state() {
-                let graph = depgraph::encode(&self.engine, &self.stored, self.compiler.identity());
-                self.compiler.deposit_graph(graph);
+            if self.compiler.persists_state() {
+                self.deposit_graph(report.query.misses > 0);
             }
         }
         result
+    }
+
+    /// Hands the compiler what the next process starts from: the store as
+    /// it now stands, as a segment of the committed graph when the store
+    /// extends it, else — or when the segments would outweigh the base — as
+    /// a whole graph file. A build that executed nothing deposits nothing
+    /// while a committed or pending graph holds the store, and the
+    /// session's state commit carries that forward.
+    fn deposit_graph(&mut self, executed: bool) {
+        let chain = self.compiler.graph_chain();
+        if !self.compiler.graph_pending() {
+            if let (Some(deposited), Some(chain)) = (self.deposited.take(), chain) {
+                self.committed = Some((chain.tip, deposited));
+            }
+        }
+        if !executed && (chain.is_some() || self.compiler.graph_pending()) {
+            return;
+        }
+        let identity = self.compiler.identity();
+        let segment = match (&self.committed, chain) {
+            (Some((tip, since)), Some(chain)) if *tip == chain.tip => Some(
+                depgraph::encode_segment(&self.engine, &self.stored, identity, chain.tip, since),
+            )
+            .filter(|(bytes, _)| !chain.compacts(bytes.len())),
+            _ => None,
+        };
+        let (graph, deposited) = match segment {
+            Some((bytes, next)) => (Artifact::Segment(bytes), next),
+            None => {
+                let (bytes, next) = depgraph::encode(&self.engine, &self.stored, identity);
+                (Artifact::Base(bytes), next)
+            }
+        };
+        self.compiler.deposit_graph(graph);
+        self.deposited = Some(deposited);
     }
 
     fn build_inner(&mut self, project: &Project) -> Result<BuildReport, BuildError> {
@@ -396,6 +445,10 @@ impl Builder {
             if let Some(stored) = depgraph::restore(&mut self.engine, graph, &self.mutations) {
                 self.stored = stored;
                 self.restored = true;
+                self.committed = self
+                    .compiler
+                    .graph_chain()
+                    .map(|chain| (chain.tip, depgraph::Committed::restored(&self.engine)));
             }
         }
 
@@ -812,6 +865,7 @@ fn finish(
     for (kind, count) in ops.by_kind() {
         registry.gauge_set(&format!("faultfs.{kind}"), count);
     }
+    registry.gauge_set("faultfs.bytes_written", ops.bytes_written);
     report.metrics = registry.snapshot();
 
     // The deterministic portion of the trace (module/phase/function/

@@ -19,6 +19,10 @@
 //!
 //! Every other value (parse trees, ASTs, signatures, module checks, lowered
 //! IR) is rematerialized on demand from the sources.
+//! [`encode_segment`] writes what changed since a committed graph instead:
+//! the nodes executed since (see [`Committed`]) and the key table of the
+//! whole file, which `sfcc::persist` folds onto that graph to give exactly
+//! the file [`encode`] would write.
 //! [`restore`] is the inverse, into an empty engine: the file's key table
 //! becomes the engine's label table as it stands — no key is parsed, a
 //! dependency's key index is its task id — nodes come without values, and
@@ -31,9 +35,9 @@ use crate::graph::{graph_repr, parse_graph_repr};
 use crate::tasks::{
     split_label, BuildTask, BuildValue, CodegenArtifact, LinkArtifact, OptimizeFnArtifact,
 };
-use sfcc::{GraphDep, GraphFile, GraphWriter, ValueBytes};
+use sfcc::{GraphDep, GraphFile, GraphWriter, SegmentWriter, ValueBytes};
 use sfcc_backend::Program;
-use sfcc_query::{Dep, Engine, TaskId};
+use sfcc_query::{Dep, Engine, Exported, TaskId};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -116,43 +120,164 @@ impl Stored {
     }
 }
 
-/// The store as an encoded graph file recorded under compiler `identity`.
-/// A persisted kind's value comes from the engine when on hand and from
-/// `stored` — still undecoded, copied as it was read — when not.
+/// A committed graph as the store that committed it sees it: each task's
+/// index in the committed file's key table, by task id, and the store
+/// revision the file was taken at — the nodes recorded since are what a
+/// segment must carry.
+#[derive(Debug, Clone)]
+pub(crate) struct Committed {
+    index: Vec<Option<u32>>,
+    keys: u32,
+    revision: u64,
+}
+
+impl Committed {
+    /// The file's key table: the task each key index names.
+    fn table(&self) -> Vec<TaskId> {
+        let mut table = vec![TaskId::new(0); self.keys as usize];
+        for (id, key) in self.index.iter().enumerate() {
+            if let Some(key) = key {
+                table[*key as usize] = TaskId::new(id as u32);
+            }
+        }
+        table
+    }
+
+    /// The graph file a store was just restored from: its key table is the
+    /// store's label table.
+    pub(crate) fn restored(engine: &Engine<BuildTask, BuildValue>) -> Self {
+        let keys = engine.interned() as u32;
+        Committed {
+            index: (0..keys).map(Some).collect(),
+            keys,
+            revision: engine.revision(),
+        }
+    }
+}
+
+/// The store's memoized tasks in file order, and the key table the file
+/// lists them under: each node's key in node order, then every other task a
+/// dependency names, in order of first mention.
+fn layout<'e>(
+    engine: &'e Engine<BuildTask, BuildValue>,
+) -> (Vec<Exported<'e, BuildValue>>, Committed) {
+    let exported = engine.export();
+    let mut index = vec![None; engine.interned()];
+    let mut keys = 0;
+    let mut next = |slot: &mut Option<u32>| {
+        *slot.get_or_insert_with(|| {
+            keys += 1;
+            keys - 1
+        })
+    };
+    for node in &exported {
+        next(&mut index[node.id.index()]);
+    }
+    for node in &exported {
+        for dep in node.deps {
+            if let Dep::Task(id, _) = dep {
+                next(&mut index[id.index()]);
+            }
+        }
+    }
+    let committed = Committed {
+        index,
+        keys,
+        revision: engine.revision(),
+    };
+    (exported, committed)
+}
+
+/// The bytes of `node`'s value the graph file carries: from the engine when
+/// on hand, else from `stored` — still undecoded, copied as it was read.
+fn value_bytes<'a>(node: &Exported<'a, BuildValue>, stored: &'a Stored) -> Option<Cow<'a, [u8]>> {
+    match node.value {
+        Some(value) => persisted_bytes(value),
+        None => stored
+            .bytes_of(node.id, node.fingerprint)
+            .map(Cow::Borrowed),
+    }
+}
+
+/// The store as an encoded graph file recorded under compiler `identity`,
+/// and the file as the store sees it once committed.
 pub(crate) fn encode(
     engine: &Engine<BuildTask, BuildValue>,
     stored: &Stored,
     identity: u64,
-) -> Vec<u8> {
-    let exported = engine.export();
+) -> (Vec<u8>, Committed) {
+    let (exported, committed) = layout(engine);
     let mut w = GraphWriter::new(identity, exported.len());
-    // Each task's index in the file's key table, by task id.
-    let mut index = vec![None; engine.interned()];
-    for node in &exported {
-        index[node.id.index()] = Some(w.key(node.label));
+    for id in committed.table() {
+        w.key(engine.label(id));
     }
+    let key = |id: TaskId| committed.index[id.index()].expect("laid out");
     for node in &exported {
-        let bytes = match node.value {
-            Some(value) => persisted_bytes(value),
-            None => stored
-                .bytes_of(node.id, node.fingerprint)
-                .map(Cow::Borrowed),
-        };
-        w.node(node.fingerprint, bytes.as_deref(), node.deps.len());
+        w.node(
+            node.fingerprint,
+            value_bytes(node, stored).as_deref(),
+            node.deps.len(),
+        );
         for &dep in node.deps {
             match dep {
                 Dep::Input(input, stamp) => w.input(engine.input_name(input), stamp),
-                // A dependency on a task that has left the store still
-                // needs a key to name: it joins the table behind the nodes'
-                // keys, in order of first mention.
+                Dep::Task(id, fingerprint) => w.task(key(id), fingerprint),
+            }
+        }
+    }
+    (w.finish(), committed)
+}
+
+/// What changed in the store since `since` was committed, as a segment of
+/// the chain whose tip has manifest checksum `parent`, recorded under
+/// compiler `identity` — the nodes recorded after `since` was taken, whole,
+/// with the labels its key table lacks, and the key table of the whole
+/// file — and the file the chain then folds to, as the store sees it.
+pub(crate) fn encode_segment(
+    engine: &Engine<BuildTask, BuildValue>,
+    stored: &Stored,
+    identity: u64,
+    parent: u64,
+    since: &Committed,
+) -> (Vec<u8>, Committed) {
+    let (exported, committed) = layout(engine);
+    let changed: Vec<&Exported<'_, BuildValue>> = exported
+        .iter()
+        .filter(|node| {
+            node.revision > since.revision
+                || since.index.get(node.id.index()).is_none_or(Option::is_none)
+        })
+        .collect();
+    let mut w = SegmentWriter::new(identity, parent, since.keys, changed.len());
+    let mut index = since.index.clone();
+    index.resize(engine.interned(), None);
+    let mut key = |w: &mut SegmentWriter, id: TaskId| {
+        *index[id.index()].get_or_insert_with(|| w.label(engine.label(id)))
+    };
+    for node in changed {
+        let at = key(&mut w, node.id);
+        w.node(
+            at,
+            node.fingerprint,
+            value_bytes(node, stored).as_deref(),
+            node.deps.len(),
+        );
+        for &dep in node.deps {
+            match dep {
+                Dep::Input(input, stamp) => w.input(engine.input_name(input), stamp),
                 Dep::Task(id, fingerprint) => {
-                    let key = *index[id.index()].get_or_insert_with(|| w.key(engine.label(id)));
-                    w.task(key, fingerprint);
+                    let at = key(&mut w, id);
+                    w.task(at, fingerprint);
                 }
             }
         }
     }
-    w.finish()
+    let table: Vec<u32> = committed
+        .table()
+        .into_iter()
+        .map(|id| key(&mut w, id))
+        .collect();
+    (w.finish(exported.len(), &table), committed)
 }
 
 /// Fills the (empty) engine from a graph file and returns the values of
@@ -252,7 +377,7 @@ mod tests {
     fn graph_file(project: &Project) -> (GraphFile, Arc<DepGraph>) {
         let mut engine = Engine::new();
         let graph = demand_graph(project, &mut engine, &mut Stored::default());
-        let file = GraphFile::from_bytes(encode(&engine, &Stored::default(), 0)).unwrap();
+        let file = GraphFile::from_bytes(encode(&engine, &Stored::default(), 0).0).unwrap();
         (file, graph)
     }
 

@@ -361,14 +361,24 @@ impl BuildService {
         if self.flags.stateful {
             let before = sfcc_faultfs::op_counts();
             report.state_generation = self.save_state()?;
-            // The report covers the commit's durable ops too.
+            // The report covers the commit's durable ops and bytes too, and
+            // the chains it left.
             let ops = sfcc_faultfs::op_counts().delta_since(&before);
-            for (kind, count) in ops.by_kind() {
-                if let Some(MetricValue::Gauge(gauge)) =
-                    report.metrics.values.get_mut(&format!("faultfs.{kind}"))
-                {
+            let gauges = ops
+                .by_kind()
+                .into_iter()
+                .map(|(kind, count)| (format!("faultfs.{kind}"), count))
+                .chain([("faultfs.bytes_written".to_string(), ops.bytes_written)]);
+            for (name, count) in gauges {
+                if let Some(MetricValue::Gauge(gauge)) = report.metrics.values.get_mut(&name) {
                     *gauge += count;
                 }
+            }
+            let segments = self.builder.compiler().persisted_segments() as u64;
+            if let Some(MetricValue::Gauge(gauge)) =
+                report.metrics.values.get_mut("persist.segments")
+            {
+                *gauge = segments;
             }
         }
         let report_value = report.to_value();

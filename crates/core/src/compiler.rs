@@ -2,9 +2,9 @@
 //! object code, with dormancy recording in stateful mode.
 
 use crate::config::{Config, Mode, OptLevel};
-use crate::depgraph::GraphFile;
+use crate::depgraph::{GraphFile, GRAPH_LOGICAL};
 use crate::fncache::{context_fingerprints, CacheStats, FunctionCache};
-use crate::persist::{self, LoadedState, RecoveryEvent};
+use crate::persist::{self, Artifact, Chain, LoadedState, RecoveryEvent, CACHE_LOGICAL};
 use crate::phases;
 use sfcc_backend::CodeObject;
 use sfcc_cas::{CasStats, CasStore, KeyComponents, ServedStamps, DEFAULT_BACKEND_VERSION};
@@ -192,10 +192,9 @@ pub struct Compiler {
     /// The query graph the last session committed, until the build system
     /// takes it ([`Compiler::take_restored_graph`]).
     restored_graph: Option<GraphFile>,
-    /// The encoded query graph the next [`Compiler::save_state`] commits
-    /// beside state and cache ([`Compiler::deposit_graph`]); cleared once
-    /// committed.
-    graph_to_save: Mutex<Option<Vec<u8>>>,
+    /// The query graph the next [`Compiler::save_state`] commits beside
+    /// state and cache ([`Compiler::deposit_graph`]); cleared once committed.
+    graph_to_save: Mutex<Option<Artifact>>,
     /// What the state directory holds as of the last load or commit.
     committed: Mutex<Committed>,
     /// The session-constant head of every [`Compiler::state_stamp_fn`],
@@ -214,6 +213,11 @@ struct Committed {
     /// Whether a record was ingested, collected or reset since: only then
     /// can the state differ from the one `state_checksum` names.
     state_touched: bool,
+    /// The committed cache chain the cache extends; `None` when the next
+    /// cache commit must write a base.
+    cache: Option<Chain>,
+    /// The committed graph chain, for the build system's next segment.
+    graph: Option<Chain>,
 }
 
 impl fmt::Debug for Compiler {
@@ -274,24 +278,29 @@ impl Compiler {
         // under one identity. Entries persisted under another (`-O2` then
         // `-O0` in one directory) cold-start the cache — no quarantine, no
         // recovery event: a flag change is not corruption.
-        let fn_cache = if loaded.cache.identity() == identity {
+        let adopted = loaded.cache.identity() == identity;
+        let fn_cache = if adopted {
             loaded.cache
         } else {
             FunctionCache::for_identity(identity)
         };
+        let cache_chain = loaded.cache_chain.filter(|_| adopted);
         // Likewise the query graph: its fingerprints are of code generated
         // under the identity that recorded them.
         let restored_graph = loaded.graph.filter(|graph| graph.identity == identity);
+        let graph_chain = loaded.graph_chain.filter(|_| restored_graph.is_some());
         // A load that recovered from anything re-commits what it holds, so
         // the manifest stops naming what could not be read.
         let recovered = !loaded.events.is_empty();
-        if recovered {
+        if recovered && cache_chain.is_none() {
             fn_cache.mark_dirty();
         }
         let committed = Committed {
             generation: loaded.generation,
             state_checksum: loaded.state_checksum.filter(|_| !recovered),
             state_touched: false,
+            cache: cache_chain,
+            graph: graph_chain,
         };
         let cas = config.cas_path.as_ref().and_then(|dir| {
             CasStore::open_dir(dir, components, config.durability)
@@ -344,12 +353,39 @@ impl Compiler {
         self.restored_graph.take()
     }
 
-    /// Sets the encoded query graph the next [`Compiler::save_state`]
-    /// commits in the same manifest as state and cache. Until a graph is
+    /// Sets the query graph the next [`Compiler::save_state`] commits in
+    /// the same manifest as state and cache: a whole graph file, or a
+    /// segment extending [`Compiler::graph_chain`]. Until a graph is
     /// deposited, commits carry the committed one forward — right for a
     /// build that executed nothing.
-    pub fn deposit_graph(&mut self, graph: Vec<u8>) {
+    pub fn deposit_graph(&mut self, graph: Artifact) {
         *self.graph_to_save.get_mut().expect("no commit panicked") = Some(graph);
+    }
+
+    /// Whether a deposited graph awaits its commit.
+    pub fn graph_pending(&self) -> bool {
+        self.graph_to_save
+            .lock()
+            .expect("no commit panicked")
+            .is_some()
+    }
+
+    /// The committed graph chain a deposited segment would extend: the one
+    /// this session loaded its restored graph from or last committed.
+    /// `None` when there is none, or a failed commit left it unknown.
+    pub fn graph_chain(&self) -> Option<Chain> {
+        self.committed.lock().expect("no commit panicked").graph
+    }
+
+    /// Segments in the committed cache and graph chains, as this session
+    /// last loaded or committed them.
+    pub fn persisted_segments(&self) -> usize {
+        let committed = self.committed.lock().expect("no commit panicked");
+        [committed.cache, committed.graph]
+            .iter()
+            .flatten()
+            .map(|chain| chain.count)
+            .sum()
     }
 
     /// The session configuration.
@@ -582,6 +618,7 @@ impl Compiler {
         registry.gauge_set("state.dormant_slots", self.state.dormant_slot_count());
         registry.gauge_set("state.recorded_skips", self.state.total_recorded_skips());
         registry.gauge_set("recovery.events", self.recovery_events.len() as u64);
+        registry.gauge_set("persist.segments", self.persisted_segments() as u64);
         let cas = self.cas_stats().unwrap_or_default();
         registry.gauge_set("cas.enabled", self.cas.is_some() as u64);
         registry.gauge_set("cas.hits", cas.hits);
@@ -590,6 +627,11 @@ impl Compiler {
         registry.gauge_set("cas.publishes", cas.publishes);
         registry.gauge_set("cas.entries", cas.entries);
         registry.gauge_set("cas.bytes", cas.bytes);
+    }
+
+    /// The function cache.
+    pub fn function_cache(&self) -> &FunctionCache {
+        &self.fn_cache
     }
 
     /// The shared artifact store, when the session has one.
@@ -662,7 +704,9 @@ impl Compiler {
     /// Persists what changed since the last load or commit to the
     /// configured path: the state database when its encoding's checksum
     /// differs from the committed one, the function cache when an entry was
-    /// inserted or dropped, the deposited query graph
+    /// inserted or dropped — as a segment of the committed chain, or a new
+    /// base when the segments would outweigh the base
+    /// ([`Chain::compacts`]) — and the deposited query graph
     /// ([`Compiler::deposit_graph`]). They become visible together in one
     /// manifest commit that carries the rest forward (see
     /// [`crate::persist`]); with nothing new, nothing is written. Returns
@@ -672,8 +716,9 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; what was not committed stays pending for
-    /// the next call.
+    /// Propagates I/O failures. What was not committed stays pending for
+    /// the next call, as a base: the failed commit may have been published,
+    /// so no segment may extend either chain.
     pub fn save_state(&self) -> io::Result<u64> {
         let path = match &self.config.state_path {
             Some(path) if self.persists_state() => path,
@@ -688,30 +733,55 @@ impl Compiler {
         .then(|| statefile::to_bytes(&self.state));
         let state_checksum = state.as_deref().map(fnv64).or(committed.state_checksum);
         let state = state.filter(|_| state_checksum != committed.state_checksum);
-        let cache = (self.config.function_cache && self.fn_cache.is_dirty())
-            .then(|| self.fn_cache.to_bytes());
+        let cache =
+            (self.config.function_cache && self.fn_cache.is_dirty()).then(|| {
+                match committed.cache {
+                    Some(chain) => {
+                        let segment = self.fn_cache.segment_bytes(chain.tip);
+                        if chain.compacts(segment.len()) {
+                            Artifact::Base(self.fn_cache.to_bytes())
+                        } else {
+                            Artifact::Segment(segment)
+                        }
+                    }
+                    None => Artifact::Base(self.fn_cache.to_bytes()),
+                }
+            });
         let saved = persist::save(
             path,
             state.as_deref(),
-            cache.as_deref(),
-            graph.as_deref(),
+            cache.as_ref(),
+            graph.as_ref(),
             self.config.durability,
         );
-        if saved.is_err() && cache.is_some() {
-            // The encode cleared the flag, but the entries are not on disk.
-            self.fn_cache.mark_dirty();
-        }
-        match saved? {
-            Some(generation) => {
-                *committed = Committed {
-                    generation,
-                    state_checksum,
-                    state_touched: false,
-                };
-                *graph = None;
+        match saved {
+            Ok(Some(manifest)) => {
+                committed.generation = manifest.generation;
+                committed.state_checksum = state_checksum;
+                if cache.is_some() {
+                    committed.cache = Chain::of(&manifest, CACHE_LOGICAL);
+                }
+                if graph.take().is_some() {
+                    committed.graph = Chain::of(&manifest, GRAPH_LOGICAL);
+                }
             }
-            None => committed.state_touched = false,
+            Ok(None) => {}
+            Err(e) => {
+                if cache.is_some() {
+                    // The encode marked the entries committed; they are not.
+                    self.fn_cache.mark_dirty();
+                    committed.cache = None;
+                }
+                if graph.is_some() {
+                    committed.graph = None;
+                    if matches!(*graph, Some(Artifact::Segment(_))) {
+                        *graph = None;
+                    }
+                }
+                return Err(e);
+            }
         }
+        committed.state_touched = false;
         Ok(committed.generation)
     }
 
@@ -994,7 +1064,7 @@ fn main(n: int) -> int {
             identity: first.identity(),
             ..GraphFile::default()
         };
-        first.deposit_graph(graph.to_bytes());
+        first.deposit_graph(Artifact::Base(graph.to_bytes()));
         first.save_state().unwrap();
 
         let mut same = Compiler::new(cfg.clone());
@@ -1010,7 +1080,7 @@ fn main(n: int) -> int {
         // A session with nothing to persist keeps no graph either.
         let mut stateless = Compiler::new(Config::stateless().with_state_path(dir.join("s2")));
         assert!(!stateless.persists_state());
-        stateless.deposit_graph(GraphFile::default().to_bytes());
+        stateless.deposit_graph(Artifact::Base(GraphFile::default().to_bytes()));
         assert_eq!(stateless.save_state().unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1148,7 +1218,7 @@ fn main(n: int) -> int {
         assert_eq!(second.save_state().unwrap(), 1);
         assert_eq!(std::fs::read(cd.manifest_path()).unwrap(), manifest);
 
-        // An insert commits the cache alone; the state file is carried.
+        // An insert commits the cache alone; the state file is carried…
         let before = entries();
         let third = Compiler::new(cfg);
         third.apply_cache_inserts([(Fingerprint(1), Function::new("f", vec![], None))]);
@@ -1163,7 +1233,9 @@ fn main(n: int) -> int {
                 .clone()
         };
         assert_eq!(file(&after, "state"), file(&before, "state"));
-        assert_ne!(file(&after, "ircache"), file(&before, "ircache"));
+        // …as a segment behind the carried base.
+        assert_eq!(file(&after, "ircache"), file(&before, "ircache"));
+        assert_ne!(file(&after, "ircache+1"), file(&before, "ircache"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

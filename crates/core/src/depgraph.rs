@@ -33,6 +33,10 @@ const GRAPH_MAGIC: &[u8; 7] = b"SFCCDG\0";
 /// version-1 file is a version-skew cold start).
 pub const GRAPH_VERSION: u32 = 2;
 
+const SEGMENT_MAGIC: &[u8; 7] = b"SFCCDS\0";
+/// Current graph-segment format version.
+const SEGMENT_VERSION: u32 = 1;
+
 /// One recorded dependency of a task, in acquisition order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphDep {
@@ -68,6 +72,13 @@ impl ValueBytes {
             buffer: Arc::clone(buffer),
             range,
         }
+    }
+}
+
+impl ValueBytes {
+    /// Whether these bytes are a slice of `buffer`.
+    pub(crate) fn shares(&self, buffer: &Arc<Vec<u8>>) -> bool {
+        Arc::ptr_eq(&self.buffer, buffer)
     }
 }
 
@@ -136,11 +147,18 @@ pub struct GraphFile {
 /// dependencies it announced.
 #[derive(Debug)]
 pub struct GraphWriter {
+    nodes: NodeWriter,
+    keys: Writer,
+    key_count: u32,
+}
+
+/// The node records both file kinds share, and the trailer checksum over
+/// everything written so far.
+#[derive(Debug)]
+struct NodeWriter {
     out: Writer,
     /// The trailer checksum over `out[..hashed]`, value bytes left out.
     checksum: Checksum,
-    keys: Writer,
-    key_count: u32,
 }
 
 /// The trailer checksum: FNV-64 over the payload without its value bytes,
@@ -173,19 +191,67 @@ impl Checksum {
     }
 }
 
+impl NodeWriter {
+    /// A file opened with `magic` and `version`; the checksum starts after
+    /// them.
+    fn new(magic: &[u8], version: u32) -> Self {
+        let mut out = Writer::new();
+        out.raw(magic);
+        out.u32(version);
+        let checksum = Checksum::starting_at(out.len());
+        NodeWriter { out, checksum }
+    }
+
+    fn node(&mut self, fingerprint: u64, value: Option<&[u8]>, dep_count: usize) {
+        self.out.u64(fingerprint);
+        match value {
+            Some(bytes) => {
+                self.out.u8(1);
+                self.out.usize(bytes.len());
+                let start = self.out.len();
+                self.out.raw(bytes);
+                let written = start..self.out.len();
+                self.checksum.skip(self.out.as_bytes(), &written);
+            }
+            None => self.out.u8(0),
+        }
+        self.out.usize(dep_count);
+    }
+
+    fn input(&mut self, name: &str, stamp: u64) {
+        self.out.u8(0);
+        self.out.str(name);
+        self.out.u64(stamp);
+    }
+
+    fn task(&mut self, key: u32, fingerprint: u64) {
+        self.out.u8(1);
+        self.out.u32(key);
+        self.out.u64(fingerprint);
+    }
+
+    /// The file, `tail` appended to the payload, then the trailer.
+    fn finish(self, tail: &[u8]) -> Vec<u8> {
+        let NodeWriter {
+            mut out,
+            mut checksum,
+        } = self;
+        out.raw(tail);
+        checksum.take(out.as_bytes(), out.len());
+        out.u64(checksum.state);
+        out.into_bytes()
+    }
+}
+
 impl GraphWriter {
     /// An empty graph of `node_count` nodes recorded under compiler
     /// `identity`.
     pub fn new(identity: u64, node_count: usize) -> Self {
-        let mut out = Writer::new();
-        out.raw(GRAPH_MAGIC);
-        out.u32(GRAPH_VERSION);
-        let checksum = Checksum::starting_at(out.len());
-        out.u64(identity);
-        out.usize(node_count);
+        let mut nodes = NodeWriter::new(GRAPH_MAGIC, GRAPH_VERSION);
+        nodes.out.u64(identity);
+        nodes.out.usize(node_count);
         GraphWriter {
-            out,
-            checksum,
+            nodes,
             keys: Writer::new(),
             key_count: 0,
         }
@@ -202,49 +268,234 @@ impl GraphWriter {
     /// Starts the next node: its fingerprint, its value's bytes if it has a
     /// persisted value; `dep_count` dependencies follow.
     pub fn node(&mut self, fingerprint: u64, value: Option<&[u8]>, dep_count: usize) {
-        self.out.u64(fingerprint);
-        match value {
-            Some(bytes) => {
-                self.out.u8(1);
-                self.out.usize(bytes.len());
-                let start = self.out.len();
-                self.out.raw(bytes);
-                let written = start..self.out.len();
-                self.checksum.skip(self.out.as_bytes(), &written);
-            }
-            None => self.out.u8(0),
-        }
-        self.out.usize(dep_count);
+        self.nodes.node(fingerprint, value, dep_count);
     }
 
     /// A [`GraphDep::Input`] of the node under way.
     pub fn input(&mut self, name: &str, stamp: u64) {
-        self.out.u8(0);
-        self.out.str(name);
-        self.out.u64(stamp);
+        self.nodes.input(name, stamp);
     }
 
     /// A [`GraphDep::Task`] of the node under way.
     pub fn task(&mut self, key: u32, fingerprint: u64) {
-        self.out.u8(1);
-        self.out.u32(key);
-        self.out.u64(fingerprint);
+        self.nodes.task(key, fingerprint);
     }
 
     /// The file: magic, version, payload (identity, nodes, key table),
     /// FNV-64 of the payload without its value bytes.
     pub fn finish(self) -> Vec<u8> {
-        let GraphWriter {
-            mut out,
-            mut checksum,
-            keys,
-            key_count,
-        } = self;
-        out.u32(key_count);
-        out.raw(&keys.into_bytes());
-        checksum.take(out.as_bytes(), out.len());
-        out.u64(checksum.state);
-        out.into_bytes()
+        let mut tail = Writer::new();
+        tail.u32(self.key_count);
+        tail.raw(self.keys.as_bytes());
+        self.nodes.finish(tail.as_bytes())
+    }
+}
+
+/// Writes a graph *segment*: what changed in a store since the graph file
+/// it extends — the *parent* — was committed. Its keys index the parent's
+/// key table, extended by the labels the segment adds
+/// ([`SegmentWriter::label`]); it carries the nodes that changed, whole, and
+/// the key table of the file the store encodes to — its nodes' keys in
+/// node order, then the keys only dependencies name — so
+/// [`GraphFile::fold`] needs nothing else to produce that file.
+#[derive(Debug)]
+pub struct SegmentWriter {
+    nodes: NodeWriter,
+    labels: Writer,
+    label_count: u32,
+    parent_keys: u32,
+}
+
+impl SegmentWriter {
+    /// An empty segment of `node_count` changed nodes recorded under
+    /// compiler `identity`, extending a graph file of `parent_keys` keys
+    /// whose manifest checksum is `parent`.
+    pub fn new(identity: u64, parent: u64, parent_keys: u32, node_count: usize) -> Self {
+        let mut nodes = NodeWriter::new(SEGMENT_MAGIC, SEGMENT_VERSION);
+        nodes.out.u64(identity);
+        nodes.out.u64(parent);
+        nodes.out.u32(parent_keys);
+        nodes.out.usize(node_count);
+        SegmentWriter {
+            nodes,
+            labels: Writer::new(),
+            label_count: 0,
+            parent_keys,
+        }
+    }
+
+    /// Adds a label the parent's key table lacks and returns its index,
+    /// past the parent's keys.
+    pub fn label(&mut self, label: &str) -> u32 {
+        self.labels.str(label);
+        self.label_count += 1;
+        self.parent_keys + self.label_count - 1
+    }
+
+    /// Starts the next changed node: its key, fingerprint and value;
+    /// `dep_count` dependencies follow.
+    pub fn node(&mut self, key: u32, fingerprint: u64, value: Option<&[u8]>, dep_count: usize) {
+        self.nodes.out.u32(key);
+        self.nodes.node(fingerprint, value, dep_count);
+    }
+
+    /// A [`GraphDep::Input`] of the node under way.
+    pub fn input(&mut self, name: &str, stamp: u64) {
+        self.nodes.input(name, stamp);
+    }
+
+    /// A [`GraphDep::Task`] of the node under way.
+    pub fn task(&mut self, key: u32, fingerprint: u64) {
+        self.nodes.task(key, fingerprint);
+    }
+
+    /// The segment: magic, version, payload (identity, parent, changed
+    /// nodes, added labels, the file's key table `table` — its first
+    /// `nodes` keys the nodes', in file order), FNV-64 of the payload
+    /// without its value bytes.
+    pub fn finish(self, nodes: usize, table: &[u32]) -> Vec<u8> {
+        let mut tail = Writer::new();
+        tail.u32(self.label_count);
+        tail.raw(self.labels.as_bytes());
+        tail.usize(nodes);
+        tail.usize(table.len());
+        for &key in table {
+            tail.u32(key);
+        }
+        self.nodes.finish(tail.as_bytes())
+    }
+}
+
+/// A decoded segment (see [`SegmentWriter`]), values unchecked.
+struct GraphSegment {
+    identity: u64,
+    parent: u64,
+    parent_keys: usize,
+    nodes: Vec<(usize, GraphNode)>,
+    labels: Vec<String>,
+    /// How many of `table`'s keys are nodes'.
+    placed: usize,
+    table: Vec<usize>,
+}
+
+/// Reads a file's magic and version; the reader continues after them.
+fn open<'a>(bytes: &'a [u8], magic: &[u8], version: u32) -> Result<Reader<'a>, DecodeError> {
+    if bytes.len() < magic.len() || &bytes[..magic.len()] != magic {
+        return Err(DecodeError::BadMagic);
+    }
+    let mut r = Reader::new(&bytes[magic.len()..]);
+    match r.u32()? {
+        v if v == version => Ok(r),
+        v => Err(DecodeError::BadVersion(v)),
+    }
+}
+
+/// Reads one node record (see [`NodeWriter::node`]); its value stays a
+/// slice of `buffer`, unchecked, and is stepped over by `checksum`. Raises
+/// `max_key` to the largest dependency key it names.
+fn read_node(
+    r: &mut Reader<'_>,
+    buffer: &Arc<Vec<u8>>,
+    checksum: &mut Checksum,
+    max_key: &mut Option<usize>,
+) -> Result<GraphNode, DecodeError> {
+    let offset = |r: &Reader<'_>| buffer.len() - r.remaining();
+    let fingerprint = r.u64()?;
+    let value = match r.u8()? {
+        0 => None,
+        1 => {
+            let len = r.bytes()?.len();
+            let end = offset(r);
+            let range = end - len..end;
+            checksum.skip(buffer, &range);
+            Some(ValueBytes::slice(buffer, range))
+        }
+        _ => return Err(DecodeError::Corrupt),
+    };
+    let dep_count = bounded(r.usize()?, r)?;
+    let mut deps = Vec::with_capacity(dep_count);
+    for _ in 0..dep_count {
+        deps.push(match r.u8()? {
+            0 => GraphDep::Input {
+                name: r.str()?,
+                stamp: r.u64()?,
+            },
+            1 => {
+                let key = r.u32()?;
+                *max_key = (*max_key).max(Some(key as usize));
+                GraphDep::Task {
+                    key,
+                    fingerprint: r.u64()?,
+                }
+            }
+            _ => return Err(DecodeError::Corrupt),
+        });
+    }
+    Ok(GraphNode {
+        fingerprint,
+        deps,
+        value,
+    })
+}
+
+/// Checks the trailer: the checksum of everything up to it, and nothing
+/// after it.
+fn close(mut r: Reader<'_>, buffer: &[u8], mut checksum: Checksum) -> Result<(), DecodeError> {
+    checksum.take(buffer, buffer.len() - r.remaining());
+    let declared = r.u64()?;
+    if !r.is_done() || checksum.state != declared {
+        return Err(DecodeError::Corrupt);
+    }
+    Ok(())
+}
+
+impl GraphSegment {
+    fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
+        let mut r = open(&buffer, SEGMENT_MAGIC, SEGMENT_VERSION)?;
+        let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
+        let identity = r.u64()?;
+        let parent = r.u64()?;
+        let parent_keys = r.u32()? as usize;
+        let node_count = bounded(r.usize()?, &r)?;
+        let mut nodes = Vec::with_capacity(node_count);
+        let mut max_key = None;
+        for _ in 0..node_count {
+            let key = r.u32()? as usize;
+            max_key = max_key.max(Some(key));
+            nodes.push((
+                key,
+                read_node(&mut r, &buffer, &mut checksum, &mut max_key)?,
+            ));
+        }
+        let label_count = bounded(r.u32()? as usize, &r)?;
+        let mut labels = Vec::with_capacity(label_count);
+        for _ in 0..label_count {
+            labels.push(r.str()?);
+        }
+        let placed = r.usize()?;
+        let table_len = bounded(r.usize()?, &r)?;
+        let mut table = Vec::with_capacity(table_len);
+        for _ in 0..table_len {
+            let key = r.u32()? as usize;
+            max_key = max_key.max(Some(key));
+            table.push(key);
+        }
+        if placed > table_len {
+            return Err(DecodeError::Corrupt);
+        }
+        if max_key.is_some_and(|key| key >= parent_keys + label_count) {
+            return Err(DecodeError::Corrupt);
+        }
+        close(r, &buffer, checksum)?;
+        Ok(GraphSegment {
+            identity,
+            parent,
+            parent_keys,
+            nodes,
+            labels,
+            placed,
+            table,
+        })
     }
 }
 
@@ -278,62 +529,21 @@ impl GraphFile {
     /// inconsistent or version-skewed input, and for a value that does not
     /// hash to its node's fingerprint (callers cold-start).
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Result<Self, DecodeError> {
-        let buffer = Arc::new(bytes.into());
-        let bytes = buffer.as_slice();
-        if bytes.len() < GRAPH_MAGIC.len() || &bytes[..GRAPH_MAGIC.len()] != GRAPH_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let mut r = Reader::new(&bytes[GRAPH_MAGIC.len()..]);
-        let version = r.u32()?;
-        if version != GRAPH_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let offset = |r: &Reader<'_>| bytes.len() - r.remaining();
-        let mut checksum = Checksum::starting_at(offset(&r));
+        let graph = Self::decode(Arc::new(bytes.into()))?;
+        graph.check_values().map_err(|_| DecodeError::Corrupt)?;
+        Ok(graph)
+    }
+
+    /// [`GraphFile::from_bytes`] of a shared buffer, values unchecked.
+    pub(crate) fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
+        let mut r = open(&buffer, GRAPH_MAGIC, GRAPH_VERSION)?;
+        let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
         let identity = r.u64()?;
         let node_count = bounded(r.usize()?, &r)?;
         let mut nodes = Vec::with_capacity(node_count);
         let mut max_key = None;
         for _ in 0..node_count {
-            let fingerprint = r.u64()?;
-            let value = match r.u8()? {
-                0 => None,
-                1 => {
-                    let value = r.bytes()?;
-                    if fnv64(value) != fingerprint {
-                        return Err(DecodeError::Corrupt);
-                    }
-                    let end = offset(&r);
-                    let range = end - value.len()..end;
-                    checksum.skip(bytes, &range);
-                    Some(ValueBytes::slice(&buffer, range))
-                }
-                _ => return Err(DecodeError::Corrupt),
-            };
-            let dep_count = bounded(r.usize()?, &r)?;
-            let mut deps = Vec::with_capacity(dep_count);
-            for _ in 0..dep_count {
-                deps.push(match r.u8()? {
-                    0 => GraphDep::Input {
-                        name: r.str()?,
-                        stamp: r.u64()?,
-                    },
-                    1 => {
-                        let key = r.u32()?;
-                        max_key = max_key.max(Some(key as usize));
-                        GraphDep::Task {
-                            key,
-                            fingerprint: r.u64()?,
-                        }
-                    }
-                    _ => return Err(DecodeError::Corrupt),
-                });
-            }
-            nodes.push(GraphNode {
-                fingerprint,
-                deps,
-                value,
-            });
+            nodes.push(read_node(&mut r, &buffer, &mut checksum, &mut max_key)?);
         }
         let key_count = bounded(r.usize()?, &r)?;
         if node_count > key_count || max_key.is_some_and(|key| key >= key_count) {
@@ -343,15 +553,156 @@ impl GraphFile {
         for _ in 0..key_count {
             keys.push(r.str()?);
         }
-        checksum.take(bytes, offset(&r));
-        let declared = r.u64()?;
-        if !r.is_done() || checksum.state != declared {
-            return Err(DecodeError::Corrupt);
-        }
+        close(r, &buffer, checksum)?;
         Ok(GraphFile {
             identity,
             keys,
             nodes,
+        })
+    }
+
+    /// Hashes every value against its node's fingerprint; the first that
+    /// does not match is the error. The nodes holding the second half of
+    /// the value bytes are hashed on another thread.
+    pub(crate) fn check_values(&self) -> Result<(), &ValueBytes> {
+        fn bad(nodes: &[GraphNode]) -> Option<&ValueBytes> {
+            nodes.iter().find_map(|node| {
+                node.value
+                    .as_ref()
+                    .filter(|value| fnv64(value) != node.fingerprint)
+            })
+        }
+        let total: usize = self
+            .nodes
+            .iter()
+            .filter_map(|n| n.value.as_ref())
+            .map(|v| v.len())
+            .sum();
+        let mut half = 0;
+        let split = self
+            .nodes
+            .iter()
+            .position(|node| {
+                half += node.value.as_ref().map_or(0, |v| v.len());
+                half * 2 >= total
+            })
+            .map_or(self.nodes.len(), |at| at + 1);
+        let (first, second) = self.nodes.split_at(split);
+        let (first, second) = std::thread::scope(|scope| {
+            let second = scope.spawn(|| bad(second));
+            (bad(first), second.join().expect("hashing does not panic"))
+        });
+        match first.or(second) {
+            Some(value) => Err(value),
+            None => Ok(()),
+        }
+    }
+
+    /// The graph file the chain of `segments` describes, this file its
+    /// base: each segment — with the manifest checksum of the link before
+    /// it — replaces or adds the nodes that changed and names the key table
+    /// of the file it describes, its nodes' keys first. One pass: the nodes
+    /// stay where they are, in an index space of every key the chain names,
+    /// until the last segment's table places them. Values are not checked
+    /// here ([`GraphFile::check_values`] checks those that remain).
+    ///
+    /// # Errors
+    ///
+    /// The index of a segment that does not decode, was recorded under
+    /// another identity or against another parent, or whose key table names
+    /// a key twice, a node's key without a node, or misses a key a node's
+    /// dependency names.
+    pub(crate) fn fold(
+        self,
+        segments: impl IntoIterator<Item = (Arc<Vec<u8>>, u64)>,
+    ) -> Result<GraphFile, (usize, DecodeError)> {
+        let mut segments = segments.into_iter().enumerate().peekable();
+        if segments.peek().is_none() {
+            return Ok(self);
+        }
+        // Every key the chain names, by chain id: the base's, then each
+        // segment's labels; each id's node, its dependencies naming ids.
+        let mut keys = self.keys;
+        let mut placed = self.nodes.len();
+        let mut nodes: Vec<Option<GraphNode>> = self.nodes.into_iter().map(Some).collect();
+        nodes.resize_with(keys.len(), || None);
+        // The current file's key table by chain id; its first `placed`
+        // keys are its nodes'.
+        let mut table: Vec<u32> = (0..keys.len() as u32).collect();
+        let mut last = 0;
+        for (i, (buffer, parent)) in segments {
+            let corrupt = (i, DecodeError::Corrupt);
+            let segment = GraphSegment::decode(buffer).map_err(|e| (i, e))?;
+            if segment.identity != self.identity
+                || segment.parent != parent
+                || segment.parent_keys != table.len()
+            {
+                return Err(corrupt);
+            }
+            let (known, first_label) = (table.len(), keys.len());
+            let id = |key: usize| match table.get(key) {
+                Some(&id) => id,
+                None => (first_label + key - known) as u32,
+            };
+            keys.extend(segment.labels);
+            nodes.resize_with(keys.len(), || None);
+            for (key, mut node) in segment.nodes {
+                for dep in &mut node.deps {
+                    if let GraphDep::Task { key, .. } = dep {
+                        *key = id(*key as usize);
+                    }
+                }
+                nodes[id(key) as usize] = Some(node);
+            }
+            let next: Vec<u32> = segment.table.iter().map(|&key| id(key)).collect();
+            let mut listed = vec![false; nodes.len()];
+            for &id in &next {
+                if std::mem::replace(&mut listed[id as usize], true) {
+                    return Err(corrupt);
+                }
+            }
+            for &id in &next[segment.placed..] {
+                listed[id as usize] = false;
+            }
+            if next[..segment.placed]
+                .iter()
+                .any(|&id| nodes[id as usize].is_none())
+            {
+                return Err(corrupt);
+            }
+            // A node the new table does not place is gone.
+            for &id in &table[..placed] {
+                if !listed[id as usize] {
+                    nodes[id as usize] = None;
+                }
+            }
+            (table, placed, last) = (next, segment.placed, i);
+        }
+        const UNLISTED: u32 = u32::MAX;
+        let mut index = vec![UNLISTED; keys.len()];
+        for (at, &id) in table.iter().enumerate() {
+            index[id as usize] = at as u32;
+        }
+        let mut placed_nodes = Vec::with_capacity(placed);
+        for &id in &table[..placed] {
+            let mut node = nodes[id as usize].take().expect("placed nodes are present");
+            for dep in &mut node.deps {
+                if let GraphDep::Task { key, .. } = dep {
+                    *key = index[*key as usize];
+                    if *key == UNLISTED {
+                        return Err((last, DecodeError::Corrupt));
+                    }
+                }
+            }
+            placed_nodes.push(node);
+        }
+        Ok(GraphFile {
+            identity: self.identity,
+            keys: table
+                .iter()
+                .map(|&id| std::mem::take(&mut keys[id as usize]))
+                .collect(),
+            nodes: placed_nodes,
         })
     }
 }
@@ -465,6 +816,107 @@ mod tests {
             GraphFile::from_bytes(bytes),
             Err(DecodeError::BadVersion(1))
         );
+    }
+
+    /// A segment that replaces `link`, adds a node under a new label whose
+    /// dependency names a third new label, and drops `parse(a)`.
+    fn segment_of_sample(parent: u64, table: &[u32]) -> Vec<u8> {
+        let mut w = SegmentWriter::new(0xfeed_beef, parent, 3, 2);
+        let link = fnv64(b"image");
+        w.node(1, link, Some(b"image"), 1);
+        let codegen = w.label("codegen(b)");
+        w.task(codegen, 9);
+        w.node(codegen, 9, None, 1);
+        let gone = w.label("parse(b)");
+        w.task(gone, 4);
+        w.finish(2, table)
+    }
+
+    /// Folding a segment gives the file the changed store encodes to: its
+    /// key table decides which nodes remain and where, and which keys only
+    /// dependencies name.
+    #[test]
+    fn a_segment_folds_to_the_file_of_the_store_it_describes() {
+        let parent = fnv64(&sample().to_bytes());
+        let bytes = segment_of_sample(parent, &[3, 1, 4]);
+        let buffer = Arc::new(bytes.clone());
+        let folded = sample().fold([(Arc::clone(&buffer), parent)]).unwrap();
+        let want = GraphFile {
+            identity: 0xfeed_beef,
+            keys: vec!["codegen(b)".into(), "link".into(), "parse(b)".into()],
+            nodes: vec![
+                GraphNode {
+                    fingerprint: 9,
+                    deps: vec![GraphDep::Task {
+                        key: 2,
+                        fingerprint: 4,
+                    }],
+                    value: None,
+                },
+                GraphNode {
+                    fingerprint: fnv64(b"image"),
+                    deps: vec![GraphDep::Task {
+                        key: 0,
+                        fingerprint: 9,
+                    }],
+                    value: Some(b"image".to_vec().into()),
+                },
+            ],
+        };
+        assert_eq!(folded, want);
+        assert_eq!(folded.check_values(), Ok(()));
+        // A folded value is a slice of the segment, not a copy.
+        assert!(folded.nodes[1].value.as_ref().unwrap().shares(&buffer));
+        // A second segment, written against the folded file: `codegen(b)`
+        // moves, `link` stays, and `parse(b)`, named by nothing now, leaves
+        // the key table.
+        let mut w = SegmentWriter::new(0xfeed_beef, 5, 3, 1);
+        w.node(0, 10, None, 0);
+        let second = w.finish(2, &[0, 1]);
+        let mut want = folded.clone();
+        want.keys.pop();
+        want.nodes[0] = GraphNode {
+            fingerprint: 10,
+            deps: Vec::new(),
+            value: None,
+        };
+        let chain = [
+            (Arc::new(bytes.clone()), parent),
+            (Arc::new(second.clone()), 5),
+        ];
+        assert_eq!(sample().fold(chain), Ok(want.clone()));
+        assert_eq!(folded.fold([(Arc::new(second), 5)]), Ok(want));
+        for cut in 0..segment_of_sample(parent, &[3, 1, 4]).len() {
+            let cut = segment_of_sample(parent, &[3, 1, 4])[..cut].to_vec();
+            assert!(sample().fold([(Arc::new(cut), parent)]).is_err());
+        }
+    }
+
+    /// A segment folds onto its own parent only, and its key table names
+    /// each key once, a node's key only with a node, and every key a
+    /// dependency names.
+    #[test]
+    fn a_segment_off_its_parent_or_naming_no_node_never_folds() {
+        let parent = fnv64(&sample().to_bytes());
+        for (segment, onto) in [
+            (segment_of_sample(parent, &[3, 1, 4]), parent ^ 1),
+            (segment_of_sample(parent, &[3, 1, 4, 1]), parent),
+            (segment_of_sample(parent, &[3, 1]), parent),
+            (segment_of_sample(parent, &[3, 4, 1]), parent),
+            (segment_of_sample(parent, &[3, 5, 4]), parent),
+        ] {
+            assert_eq!(
+                sample().fold([(Arc::new(segment), onto)]),
+                Err((0, DecodeError::Corrupt))
+            );
+        }
+        let mut other = sample();
+        other.identity += 1;
+        let segment = Arc::new(segment_of_sample(parent, &[3, 1, 4]));
+        assert!(other.fold([(Arc::clone(&segment), parent)]).is_err());
+        other = sample();
+        other.keys.push("extra".into());
+        assert!(other.fold([(segment, parent)]).is_err());
     }
 
     /// A well-checksummed file whose counts or indices lie is rejected

@@ -51,6 +51,14 @@
 //! inserted function once and keeps the record instead, so encoding a cache
 //! is a concatenation. A record whose text does not parse is a miss: it
 //! leaves the cache and is counted in [`CacheStats::corrupt_entries`].
+//!
+//! # Segments
+//!
+//! A commit need not rewrite the file: [`FunctionCache::segment_bytes`]
+//! encodes only the records inserted and the keys dropped since the last
+//! encode, and [`FunctionCache::apply_segment`] folds such a segment onto a
+//! loaded cache, which then equals the cache the whole file written at
+//! that commit would load as.
 
 use crate::depgraph::ValueBytes;
 use sfcc_codec::{fnv64, DecodeError, Reader, Writer};
@@ -82,6 +90,9 @@ struct Entry {
     referenced: bool,
     /// Read from a committed file rather than inserted by this process.
     persisted: bool,
+    /// Whether the last encode covered this body: only then is it in the
+    /// committed file or its segments.
+    encoded: bool,
 }
 
 /// One lock's worth of the cache: entries plus clock-queue order.
@@ -106,6 +117,8 @@ pub struct FunctionCache {
     corrupt_entries: AtomicU64,
     /// Whether the entries differ from what was last loaded or encoded.
     dirty: AtomicBool,
+    /// Keys of encoded entries that left the cache since the last encode.
+    dropped: Mutex<Vec<Fingerprint>>,
 }
 
 impl Default for FunctionCache {
@@ -154,6 +167,7 @@ impl FunctionCache {
             evictions: AtomicU64::new(0),
             corrupt_entries: AtomicU64::new(0),
             dirty: AtomicBool::new(false),
+            dropped: Mutex::new(Vec::new()),
         }
     }
 
@@ -242,7 +256,7 @@ impl FunctionCache {
             ..
         }) = shard.entries.get(&key)
         {
-            shard.entries.remove(&key);
+            self.remove(shard, key);
             shard.order.retain(|k| *k != key);
             self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
             self.mark_dirty();
@@ -260,6 +274,7 @@ impl FunctionCache {
         if let Some(e) = shard.entries.get_mut(&key) {
             e.body = Body::Ir(optimized);
             e.persisted = false;
+            e.encoded = false;
             return;
         }
         while shard.entries.len() >= self.shard_cap {
@@ -274,7 +289,7 @@ impl FunctionCache {
                 e.referenced = false;
                 shard.order.push_back(oldest);
             } else {
-                shard.entries.remove(&oldest);
+                self.remove(shard, oldest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -284,9 +299,44 @@ impl FunctionCache {
                 body: Body::Ir(optimized),
                 referenced: false,
                 persisted: false,
+                encoded: false,
             },
         );
         shard.order.push_back(key);
+    }
+
+    /// Removes `key`'s entry from `shard` (its queue slot is the caller's),
+    /// noting the drop when the committed file holds it.
+    fn remove(&self, shard: &mut Shard, key: Fingerprint) {
+        if shard.entries.remove(&key).is_some_and(|e| e.encoded) {
+            self.dropped
+                .lock()
+                .expect("no cache user panicked")
+                .push(key);
+        }
+    }
+
+    /// Every entry's record, key-sorted, each inserted function printed
+    /// once; `all == false` keeps only the entries the last encode did not
+    /// cover. Marks them all encoded.
+    fn records(&self, all: bool) -> Vec<(u128, ValueBytes)> {
+        let mut records = Vec::new();
+        for shard in &self.shards {
+            let mut shard = shard.lock().unwrap();
+            for (key, e) in shard.entries.iter_mut() {
+                if let Body::Ir(func) = &e.body {
+                    e.body = Body::Text(encode_record(*key, func));
+                }
+                if let Body::Text(record) = &e.body {
+                    if all || !e.encoded {
+                        records.push((key.0, record.clone()));
+                    }
+                }
+                e.encoded = true;
+            }
+        }
+        records.sort_unstable_by_key(|(key, _)| *key);
+        records
     }
 
     /// Serializes the cache: one record per entry — key, name, canonical IR
@@ -298,31 +348,15 @@ impl FunctionCache {
     /// next encode copies it. Clears the dirty flag.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.dirty.store(false, Ordering::Relaxed);
-        let mut records: Vec<(u128, ValueBytes)> = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            for (key, e) in shard.entries.iter_mut() {
-                if let Body::Ir(func) = &e.body {
-                    e.body = Body::Text(encode_record(*key, func));
-                }
-                if let Body::Text(record) = &e.body {
-                    records.push((key.0, record.clone()));
-                }
+        self.dropped.lock().expect("no cache user panicked").clear();
+        let records = self.records(true);
+        armor(CACHE_MAGIC, CACHE_VERSION, |out| {
+            out.u64(self.identity);
+            out.usize(records.len());
+            for (_, record) in &records {
+                out.raw(record);
             }
-        }
-        records.sort_unstable_by_key(|(key, _)| *key);
-        let mut out = Writer::new();
-        out.raw(CACHE_MAGIC);
-        out.u32(CACHE_VERSION);
-        let payload_start = out.len();
-        out.u64(self.identity);
-        out.usize(records.len());
-        for (_, record) in &records {
-            out.raw(record);
-        }
-        let checksum = fnv64(&out.as_bytes()[payload_start..]);
-        out.u64(checksum);
-        out.into_bytes()
+        })
     }
 
     /// Deserializes a cache whose entries are slices of one copy of
@@ -340,73 +374,194 @@ impl FunctionCache {
 
     /// [`FunctionCache::from_bytes`] of a buffer it takes over, uncopied.
     pub(crate) fn from_vec(bytes: Vec<u8>) -> Result<Self, DecodeError> {
-        let buffer = Arc::new(bytes);
-        let bytes = buffer.as_slice();
-        if bytes.len() < CACHE_MAGIC.len() || &bytes[..CACHE_MAGIC.len()] != CACHE_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let mut r = Reader::new(&bytes[CACHE_MAGIC.len()..]);
-        let version = r.u32()?;
-        if version != CACHE_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let offset = |r: &Reader<'_>| bytes.len() - r.remaining();
-        let payload_start = offset(&r);
-        let cache = FunctionCache::for_identity(r.u64()?);
-        let count = r.usize()?;
-        if count > r.remaining() {
-            return Err(DecodeError::BadLength);
-        }
-        let mut previous = None;
-        for _ in 0..count {
-            let start = offset(&r);
-            let key = r.u128()?;
-            // Records are key-sorted, each key once.
-            if previous.is_some_and(|p| key <= p) {
-                return Err(DecodeError::Corrupt);
-            }
-            previous = Some(key);
-            r.bytes()?; // name
-            r.bytes()?; // IR text
-            let record = ValueBytes::slice(&buffer, start..offset(&r));
-            // Place directly, bypassing eviction: a saved cache already
-            // respects the capacity it was written with.
-            let key = Fingerprint(key);
-            let mut guard = cache.shards[Self::shard_of(key)].lock().unwrap();
-            let shard = &mut *guard;
-            shard.entries.insert(
-                key,
-                Entry {
-                    body: Body::Text(record),
-                    referenced: false,
-                    persisted: true,
-                },
-            );
-            shard.order.push_back(key);
-        }
-        let payload_end = offset(&r);
-        let declared = r.u64()?;
-        if !r.is_done() || fnv64(&bytes[payload_start..payload_end]) != declared {
-            return Err(DecodeError::Corrupt);
-        }
-        Ok(cache)
+        Self::decode(Arc::new(bytes))
     }
 
-    /// Whether every entry's text parses: what a hit checks, for all of
-    /// them at once (`fsck`).
-    pub(crate) fn entries_parse(&self) -> bool {
-        self.shards.iter().all(|shard| {
+    /// [`FunctionCache::from_bytes`] of a shared buffer.
+    pub(crate) fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
+        unarmor(&buffer, CACHE_MAGIC, CACHE_VERSION, |r| {
+            let mut cache = FunctionCache::for_identity(r.u64()?);
+            cache.place(read_records(r, &buffer)?);
+            Ok(cache)
+        })
+    }
+
+    /// The changes since the last encode as a segment extending the file
+    /// (or segment) whose manifest checksum is `parent`: the records
+    /// inserted, key-sorted, then the keys of the encoded entries that left
+    /// the cache, sorted — behind the usual armor. Clears the dirty flag,
+    /// like [`FunctionCache::to_bytes`].
+    pub(crate) fn segment_bytes(&self, parent: u64) -> Vec<u8> {
+        self.dirty.store(false, Ordering::Relaxed);
+        let mut dropped =
+            std::mem::take(&mut *self.dropped.lock().expect("no cache user panicked"));
+        dropped.sort_unstable();
+        let records = self.records(false);
+        armor(SEGMENT_MAGIC, SEGMENT_VERSION, |out| {
+            out.u64(self.identity);
+            out.u64(parent);
+            out.usize(records.len());
+            for (_, record) in &records {
+                out.raw(record);
+            }
+            out.usize(dropped.len());
+            for key in &dropped {
+                out.u128(key.0);
+            }
+        })
+    }
+
+    /// Folds a segment ([`FunctionCache::segment_bytes`]) onto a cache
+    /// loaded from its parent, whose manifest checksum is `parent`: the
+    /// dropped keys leave, then the records join or replace, framed and
+    /// unparsed like a loaded file's. The clock queues end in key order, as
+    /// loading the whole file would leave them.
+    ///
+    /// # Errors
+    ///
+    /// A segment that does not decode, was recorded under another identity
+    /// or against another parent, or drops a key the cache does not hold;
+    /// the cache is then unusable (callers cold-start).
+    pub(crate) fn apply_segment(
+        &mut self,
+        buffer: Arc<Vec<u8>>,
+        parent: u64,
+    ) -> Result<(), DecodeError> {
+        let (records, dropped) = unarmor(&buffer, SEGMENT_MAGIC, SEGMENT_VERSION, |r| {
+            if r.u64()? != self.identity || r.u64()? != parent {
+                return Err(DecodeError::Corrupt);
+            }
+            let records = read_records(r, &buffer)?;
+            let count = r.usize()?;
+            if count > r.remaining() {
+                return Err(DecodeError::BadLength);
+            }
+            let mut dropped: Vec<u128> = Vec::with_capacity(count);
+            for _ in 0..count {
+                let key = r.u128()?;
+                if dropped.last().is_some_and(|&p| key <= p) {
+                    return Err(DecodeError::Corrupt);
+                }
+                dropped.push(key);
+            }
+            Ok((records, dropped))
+        })?;
+        for key in dropped.into_iter().map(Fingerprint) {
+            let shard = self.shards[Self::shard_of(key)]
+                .get_mut()
+                .expect("no cache user panicked");
+            shard.entries.remove(&key).ok_or(DecodeError::Corrupt)?;
+            if let Ok(at) = shard.order.binary_search(&key) {
+                shard.order.remove(at);
+            }
+        }
+        self.place(records);
+        Ok(())
+    }
+
+    /// Places loaded records, bypassing eviction: a saved cache already
+    /// respects the capacity it was written with. The clock queues stay in
+    /// key order, as a whole file loads them.
+    fn place(&mut self, records: Vec<(Fingerprint, ValueBytes)>) {
+        for (key, record) in records {
+            let shard = self.shards[Self::shard_of(key)]
+                .get_mut()
+                .expect("no cache user panicked");
+            let entry = Entry {
+                body: Body::Text(record),
+                referenced: false,
+                persisted: true,
+                encoded: true,
+            };
+            if shard.entries.insert(key, entry).is_none() {
+                if let Err(at) = shard.order.binary_search(&key) {
+                    shard.order.insert(at, key);
+                }
+            }
+        }
+    }
+
+    /// The first record whose text does not parse: what a hit checks, for
+    /// every entry at once (`fsck`).
+    pub(crate) fn unparsable(&self) -> Option<ValueBytes> {
+        self.shards.iter().find_map(|shard| {
             shard
                 .lock()
                 .unwrap()
                 .entries
                 .values()
-                .all(|e| match &e.body {
-                    Body::Ir(_) => true,
-                    Body::Text(record) => parse_record(record).is_some(),
+                .find_map(|e| match &e.body {
+                    Body::Text(record) if parse_record(record).is_none() => Some(record.clone()),
+                    _ => None,
                 })
         })
     }
+}
+
+/// A file as every cache file is armored: magic, version, the payload
+/// `payload` writes, FNV-64 of the payload.
+fn armor(magic: &[u8], version: u32, payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut out = Writer::new();
+    out.raw(magic);
+    out.u32(version);
+    let start = out.len();
+    payload(&mut out);
+    let checksum = fnv64(&out.as_bytes()[start..]);
+    out.u64(checksum);
+    out.into_bytes()
+}
+
+/// Reads a file [`armor`] wrote, the payload through `payload`.
+fn unarmor<'a, T>(
+    bytes: &'a [u8],
+    magic: &[u8],
+    version: u32,
+    payload: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    if bytes.len() < magic.len() || &bytes[..magic.len()] != magic {
+        return Err(DecodeError::BadMagic);
+    }
+    let mut r = Reader::new(&bytes[magic.len()..]);
+    let found = r.u32()?;
+    if found != version {
+        return Err(DecodeError::BadVersion(found));
+    }
+    let start = bytes.len() - r.remaining();
+    let value = payload(&mut r)?;
+    let end = bytes.len() - r.remaining();
+    let declared = r.u64()?;
+    if !r.is_done() || fnv64(&bytes[start..end]) != declared {
+        return Err(DecodeError::Corrupt);
+    }
+    Ok(value)
+}
+
+/// A count, then that many records — key, name, IR text — key-sorted, each
+/// key once; framed, not parsed, each a slice of `buffer`.
+fn read_records(
+    r: &mut Reader<'_>,
+    buffer: &Arc<Vec<u8>>,
+) -> Result<Vec<(Fingerprint, ValueBytes)>, DecodeError> {
+    let offset = |r: &Reader<'_>| buffer.len() - r.remaining();
+    let count = r.usize()?;
+    if count > r.remaining() {
+        return Err(DecodeError::BadLength);
+    }
+    let mut records: Vec<(Fingerprint, ValueBytes)> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let start = offset(r);
+        let key = r.u128()?;
+        if records.last().is_some_and(|(p, _)| key <= p.0) {
+            return Err(DecodeError::Corrupt);
+        }
+        r.bytes()?; // name
+        r.bytes()?; // IR text
+        records.push((
+            Fingerprint(key),
+            ValueBytes::slice(buffer, start..offset(r)),
+        ));
+    }
+    Ok(records)
 }
 
 /// One entry's record: key, function name, IR text.
@@ -433,6 +588,10 @@ fn parse_record(record: &[u8]) -> Option<Function> {
 const CACHE_MAGIC: &[u8; 7] = b"SFCCIC\0";
 /// Current cache-file format version.
 pub const CACHE_VERSION: u32 = 2;
+
+const SEGMENT_MAGIC: &[u8; 7] = b"SFCCIS\0";
+/// Current cache-segment format version.
+const SEGMENT_VERSION: u32 = 1;
 
 /// Computes the context fingerprint of every cacheable function in a
 /// pre-optimization module. Functions involved in (or depending on) local
@@ -712,7 +871,7 @@ mod tests {
     fn an_entry_that_does_not_parse_is_a_dropped_miss() {
         for text in [&b"not ir"[..], &[0xff, 0xfe, 0x80]] {
             let cache = FunctionCache::from_bytes(&file_with_text(4, text)).unwrap();
-            assert!(!cache.entries_parse(), "fsck parses every entry");
+            assert!(cache.unparsable().is_some(), "fsck parses every entry");
             assert!(cache.lookup(Fingerprint(4)).is_none());
             let stats = cache.stats();
             assert_eq!(
@@ -730,6 +889,47 @@ mod tests {
             let rewritten = FunctionCache::from_bytes(&cache.to_bytes()).unwrap();
             assert_eq!(rewritten.stats().entries, 0);
         }
+    }
+
+    /// A segment carries what the last encode did not: the records
+    /// inserted and the keys dropped since. Folded onto the file that
+    /// encode wrote, it gives the cache the whole file would load as.
+    #[test]
+    fn a_segment_folds_to_the_whole_file() {
+        let cache = FunctionCache::with_capacity(2 * SHARD_COUNT);
+        let [a, b] = [0, 1].map(|i| sample_functions().remove(i));
+        cache.insert(same_shard_key(0), a.clone());
+        cache.insert(same_shard_key(1), b.clone());
+        let base = cache.to_bytes();
+        let parent = fnv64(&base);
+        // Replace one entry, evict the other, add a third.
+        cache.insert(same_shard_key(1), a.clone());
+        cache.insert(same_shard_key(2), b.clone());
+        assert_eq!(cache.stats().evictions, 1);
+        let segment = cache.segment_bytes(parent);
+        assert!(!cache.is_dirty());
+        let mut folded = FunctionCache::from_bytes(&base).unwrap();
+        folded
+            .apply_segment(Arc::new(segment.clone()), parent)
+            .unwrap();
+        assert_eq!(folded.to_bytes(), cache.to_bytes());
+        assert_eq!(
+            folded.shards[0].lock().unwrap().order,
+            [same_shard_key(1), same_shard_key(2)],
+            "queues in key order, as a load leaves them"
+        );
+        let mut other = FunctionCache::from_bytes(&base).unwrap();
+        assert!(other
+            .apply_segment(Arc::new(segment.clone()), parent ^ 1)
+            .is_err());
+        // A segment dropping a key the cache lacks does not fold.
+        let mut folded_twice = FunctionCache::from_bytes(&base).unwrap();
+        folded_twice
+            .apply_segment(Arc::new(segment.clone()), parent)
+            .unwrap();
+        assert!(folded_twice
+            .apply_segment(Arc::new(segment), parent)
+            .is_err());
     }
 
     #[test]

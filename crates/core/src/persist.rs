@@ -9,6 +9,15 @@
 //! artifacts that changed and carries the others forward; one with nothing
 //! new publishes no manifest at all.
 //!
+//! The cache and the graph are *chains*: a base file plus the segments
+//! later commits appended, each holding what changed since the commit
+//! before it ([`Artifact::Segment`]). Loading folds a chain into exactly
+//! the [`FunctionCache`] or [`GraphFile`] its base would be had every
+//! commit rewritten it, every kept graph value checked against its node's
+//! fingerprint. Each segment names its parent's manifest checksum, so a
+//! segment folded onto anything but the chain it was written against does
+//! not decode. The state is small and moves as a whole file.
+//!
 //! Loading enforces the graceful-degradation contract: any manifest, state,
 //! cache or graph file that is truncated, corrupt, or version-skewed is detected
 //! (never read as valid), moved aside to `<file>.corrupt`, and the affected
@@ -16,12 +25,16 @@
 //! [`RecoveryEvent`] so the build system can surface `recovered_files` /
 //! `quarantined` counters. A directory without a manifest is a cold start.
 
-use crate::depgraph::{GraphFile, GRAPH_LOGICAL};
+use crate::depgraph::{GraphFile, ValueBytes, GRAPH_LOGICAL};
 use crate::fncache::FunctionCache;
-use sfcc_faultfs::{CommitDir, Durability, EntryError, ManifestEntry, ManifestError};
+use sfcc_faultfs::{
+    chain_of, next_segment, CommitDir, Durability, EntryError, Manifest, ManifestEntry,
+    ManifestError,
+};
 use sfcc_state::{statefile, DecodeError, StateDb};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Logical name of the dormancy state in the commit manifest.
 pub const STATE_LOGICAL: &str = "state";
@@ -41,6 +54,50 @@ pub struct RecoveryEvent {
     pub reason: String,
 }
 
+/// A committed chain as the next commit sees it (see [`Manifest::chain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chain {
+    /// The base file's length.
+    pub base: u64,
+    /// The segments' total length.
+    pub segments: u64,
+    /// How many segments follow the base.
+    pub count: usize,
+    /// The manifest checksum of the last link: the parent a next segment
+    /// names.
+    pub tip: u64,
+}
+
+impl Chain {
+    /// `logical`'s chain in `manifest`, if it has a base.
+    pub fn of(manifest: &Manifest, logical: &str) -> Option<Chain> {
+        let links = manifest.chain(logical);
+        let (base, segments) = links.split_first()?;
+        Some(Chain {
+            base: base.len,
+            segments: segments.iter().map(|e| e.len).sum(),
+            count: segments.len(),
+            tip: links.last()?.checksum,
+        })
+    }
+
+    /// The one compaction rule: whether a next segment of `len` bytes would
+    /// make the segments outweigh the base. The commit then writes a new
+    /// base instead.
+    pub fn compacts(&self, len: usize) -> bool {
+        self.segments + len as u64 > self.base
+    }
+}
+
+/// What a commit writes for a chained artifact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Artifact {
+    /// A whole file: a new chain, the old one's segments dropped.
+    Base(Vec<u8>),
+    /// The next segment of the committed chain.
+    Segment(Vec<u8>),
+}
+
 /// The result of loading a session's persistent artifacts. The default is
 /// what an empty directory loads as: everything cold, nothing to report.
 #[derive(Debug, Default)]
@@ -51,9 +108,13 @@ pub struct LoadedState {
     pub db_error: Option<DecodeError>,
     /// The function-IR cache (cold when absent or unrecoverable).
     pub cache: FunctionCache,
+    /// The chain `cache` was folded from (`None` when cold).
+    pub cache_chain: Option<Chain>,
     /// The query graph the last commit recorded (`None` when absent or
     /// unrecoverable: the build system starts from an empty store).
     pub graph: Option<GraphFile>,
+    /// The chain `graph` was folded from.
+    pub graph_chain: Option<Chain>,
     /// Every quarantine / fallback decision taken during the load.
     pub events: Vec<RecoveryEvent>,
     /// The generation of the manifest the artifacts were read from (`0`
@@ -78,6 +139,87 @@ fn io_event(path: &Path, err: &io::Error, events: &mut Vec<RecoveryEvent>) {
         quarantined_to: None,
         reason: format!("unreadable: {err}"),
     });
+}
+
+/// Why a chain did not fold: the failing link's index, and the failure.
+type LinkError = (usize, EntryError);
+
+/// The buffers a fold read, by link.
+type Buffers = Vec<Arc<Vec<u8>>>;
+
+/// Reads a chain's links through `read`.
+fn read_links(
+    links: &[&ManifestEntry],
+    mut read: impl FnMut(&ManifestEntry) -> Result<Vec<u8>, EntryError>,
+) -> Result<Buffers, LinkError> {
+    links
+        .iter()
+        .enumerate()
+        .map(|(i, link)| read(link).map(Arc::new).map_err(|e| (i, e)))
+        .collect()
+}
+
+/// The error of link `i` that does not decode.
+fn corrupt(i: usize) -> impl Fn(DecodeError) -> LinkError {
+    move |e| (i, EntryError::Corrupt(format!("does not decode: {e}")))
+}
+
+/// The link whose buffer `value` is a slice of.
+fn link_of(buffers: &Buffers, value: &ValueBytes) -> usize {
+    buffers.iter().position(|b| value.shares(b)).unwrap_or(0)
+}
+
+/// Folds the cache chain `buffers` (of `links`, at least the base).
+fn fold_cache(links: &[&ManifestEntry], buffers: &Buffers) -> Result<FunctionCache, LinkError> {
+    let mut cache = FunctionCache::decode(Arc::clone(&buffers[0])).map_err(corrupt(0))?;
+    for i in 1..buffers.len() {
+        cache
+            .apply_segment(Arc::clone(&buffers[i]), links[i - 1].checksum)
+            .map_err(corrupt(i))?;
+    }
+    Ok(cache)
+}
+
+/// The graph chain's base, decoded from `buffers[0]`, its values unchecked.
+fn graph_base(buffers: &Buffers) -> Result<GraphFile, LinkError> {
+    GraphFile::decode(Arc::clone(&buffers[0])).map_err(corrupt(0))
+}
+
+/// Folds the graph chain `buffers` (of `links`) onto its decoded `base`
+/// and checks every value that remains against its node's fingerprint.
+fn fold_graph(
+    links: &[&ManifestEntry],
+    buffers: &Buffers,
+    base: GraphFile,
+) -> Result<GraphFile, LinkError> {
+    let segments = buffers[1..]
+        .iter()
+        .zip(links)
+        .map(|(buffer, parent)| (Arc::clone(buffer), parent.checksum));
+    let graph = base.fold(segments).map_err(|(i, e)| corrupt(i + 1)(e))?;
+    match graph.check_values() {
+        Ok(()) => Ok(graph),
+        Err(value) => {
+            let why = "does not decode: a value is not what its fingerprint hashes".to_string();
+            Err((link_of(buffers, value), EntryError::Corrupt(why)))
+        }
+    }
+}
+
+/// Reports a failed fold: the failing link quarantined when corrupt, left
+/// alone when unreadable.
+fn link_event(
+    cd: &CommitDir,
+    links: &[&ManifestEntry],
+    (i, e): LinkError,
+    what: &str,
+    events: &mut Vec<RecoveryEvent>,
+) {
+    let path = cd.entry_path(links[i]);
+    match e {
+        EntryError::Corrupt(why) => quarantine_event(&path, format!("{what} {why}"), events),
+        EntryError::Io(e) => io_event(&path, &e, events),
+    }
 }
 
 /// Loads the artifacts anchored at `base`, applying the recovery contract.
@@ -110,37 +252,50 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
                     }
                 }
             }
-            // The cache and the graph check every byte as they decode (a
-            // trailer over the payload; for the graph, each value against its
-            // node's fingerprint), so they are read without hashing them for
-            // the manifest as well.
-            if want_cache {
-                if let Some(entry) = manifest.entry(CACHE_LOGICAL) {
-                    match cd.read_entry(entry) {
-                        Ok(bytes) => match FunctionCache::from_vec(bytes) {
-                            Ok(cache) => out.cache = cache,
-                            Err(e) => quarantine_event(
-                                &cd.entry_path(entry),
-                                format!("cache does not decode: {e}"),
-                                &mut out.events,
-                            ),
-                        },
-                        Err(e) => io_event(&cd.entry_path(entry), &e, &mut out.events),
-                    }
+            // The cache and the graph check every byte they keep as they
+            // decode (a trailer over the payload; for the graph, each value
+            // against its node's fingerprint), so they are read without
+            // hashing them for the manifest as well. Reads stay on this
+            // thread, where a fault plan counts them; the cache decodes on
+            // another while the graph is read here, and the graph's base on
+            // another while its segments are read.
+            let read = |entry: &ManifestEntry| cd.read_entry(entry).map_err(EntryError::Io);
+            let cache_links = manifest.chain(CACHE_LOGICAL);
+            let graph_links = manifest.chain(GRAPH_LOGICAL);
+            let cache_read =
+                (want_cache && !cache_links.is_empty()).then(|| read_links(&cache_links, read));
+            let (cache, graph) = std::thread::scope(|scope| {
+                let links = &cache_links;
+                let cache =
+                    cache_read.map(|buffers| scope.spawn(move || fold_cache(links, &buffers?)));
+                let graph = (!graph_links.is_empty()).then(|| {
+                    let mut buffers = read_links(&graph_links[..1], read)?;
+                    let base = Arc::clone(&buffers[0]);
+                    let base = scope.spawn(move || graph_base(&vec![base]));
+                    let segments = read_links(&graph_links[1..], read);
+                    buffers.extend(segments.map_err(|(i, e)| (i + 1, e))?);
+                    let base = base.join().expect("a graph decode does not panic")?;
+                    fold_graph(&graph_links, &buffers, base)
+                });
+                let cache =
+                    cache.map(|decode| decode.join().expect("a cache decode does not panic"));
+                (cache, graph)
+            });
+            match cache {
+                Some(Ok(cache)) => {
+                    out.cache = cache;
+                    out.cache_chain = Chain::of(&manifest, CACHE_LOGICAL);
                 }
+                Some(Err(e)) => link_event(&cd, &cache_links, e, "cache", &mut out.events),
+                None => {}
             }
-            if let Some(entry) = manifest.entry(GRAPH_LOGICAL) {
-                match cd.read_entry(entry) {
-                    Ok(bytes) => match GraphFile::from_bytes(bytes) {
-                        Ok(graph) => out.graph = Some(graph),
-                        Err(e) => quarantine_event(
-                            &cd.entry_path(entry),
-                            format!("query graph does not decode: {e}"),
-                            &mut out.events,
-                        ),
-                    },
-                    Err(e) => io_event(&cd.entry_path(entry), &e, &mut out.events),
+            match graph {
+                Some(Ok(graph)) => {
+                    out.graph = Some(graph);
+                    out.graph_chain = Chain::of(&manifest, GRAPH_LOGICAL);
                 }
+                Some(Err(e)) => link_event(&cd, &graph_links, e, "query graph", &mut out.events),
+                None => {}
             }
         }
         Ok(None) => {}
@@ -181,37 +336,77 @@ fn load_entry_bytes(
     }
 }
 
-/// Commits the given encoded artifacts — a [`statefile`], a
-/// [`FunctionCache`], a [`GraphFile`] — at `base` atomically: they become
-/// visible in one manifest rename, and every artifact passed as `None` is
-/// carried forward from the committed manifest. Returns the generation of
-/// the new manifest, `None` when all three are `None`: nothing changed, and
-/// no manifest is published.
+/// Commits the given artifacts — an encoded [`statefile`], a
+/// [`FunctionCache`] and a [`GraphFile`] each as a base or a segment of the
+/// committed chain — at `base` atomically: they become visible in one
+/// manifest rename, and every artifact passed as `None` is carried forward
+/// from the committed manifest. Returns the new manifest, `None` when all
+/// three are `None`: nothing changed, and no manifest is published.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; the previously committed generation stays
-/// intact on any error.
+/// Propagates I/O failures, and refuses a segment of a chain the manifest
+/// does not hold; the previously committed generation stays intact on any
+/// error.
 pub fn save(
     base: &Path,
     state: Option<&[u8]>,
-    cache: Option<&[u8]>,
-    graph: Option<&[u8]>,
+    cache: Option<&Artifact>,
+    graph: Option<&Artifact>,
     durability: Durability,
-) -> io::Result<Option<u64>> {
-    let files: Vec<(&str, &[u8])> = [
-        (STATE_LOGICAL, state),
-        (CACHE_LOGICAL, cache),
-        (GRAPH_LOGICAL, graph),
+) -> io::Result<Option<Manifest>> {
+    fn chained<'a>(logical: &str, artifact: Option<&'a Artifact>) -> Option<(String, &'a [u8])> {
+        artifact.map(|a| match a {
+            Artifact::Base(bytes) => (logical.to_string(), bytes.as_slice()),
+            Artifact::Segment(bytes) => (next_segment(logical), bytes.as_slice()),
+        })
+    }
+    let files: Vec<(String, &[u8])> = [
+        state.map(|bytes| (STATE_LOGICAL.to_string(), bytes)),
+        chained(CACHE_LOGICAL, cache),
+        chained(GRAPH_LOGICAL, graph),
     ]
     .into_iter()
-    .filter_map(|(logical, bytes)| Some((logical, bytes?)))
+    .flatten()
     .collect();
     if files.is_empty() {
         return Ok(None);
     }
-    let manifest = CommitDir::new(base).commit(&files, durability)?;
-    Ok(Some(manifest.generation))
+    let files: Vec<(&str, &[u8])> = files.iter().map(|(l, b)| (l.as_str(), *b)).collect();
+    CommitDir::new(base).commit(&files, durability).map(Some)
+}
+
+/// The bytes `logical` holds as committed at `base`, verified against the
+/// manifest: the state file, or the cache or graph file its chain folds to
+/// — what committing the artifact whole every time would have written.
+/// `None` when the manifest has no such logical.
+///
+/// # Errors
+///
+/// An unreadable manifest or link, or one that does not decode.
+pub fn committed_bytes(base: &Path, logical: &str) -> io::Result<Option<Vec<u8>>> {
+    let cd = CommitDir::new(base);
+    let manifest = cd.read_manifest().map_err(io::Error::other)?;
+    let Some(manifest) = manifest else {
+        return Ok(None);
+    };
+    let links = manifest.chain(logical);
+    if links.is_empty() {
+        return Ok(None);
+    }
+    let folded = read_links(&links, |entry| cd.load_entry(entry)).and_then(|buffers| {
+        Ok(match logical {
+            CACHE_LOGICAL => fold_cache(&links, &buffers)?.to_bytes(),
+            GRAPH_LOGICAL => fold_graph(&links, &buffers, graph_base(&buffers)?)?.to_bytes(),
+            _ => buffers[0].to_vec(),
+        })
+    });
+    folded.map(Some).map_err(|(i, e)| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {e}", links[i].file),
+        )
+    })
 }
 
 /// Read-only state lookup for inspection commands (`minicc state`):
@@ -268,9 +463,11 @@ impl FsckReport {
 }
 
 /// Verifies and repairs the state directory at `base`, plus any program
-/// `images`: every referenced file is fully decoded; corrupt files are
-/// quarantined; a manifest with quarantined entries is rewritten without
-/// them; abandoned temp/generation files are removed.
+/// `images`: every referenced file is fully decoded — a chain folded, each
+/// link verified against the manifest; corrupt files are quarantined; a
+/// manifest with quarantined entries is rewritten without them, and without
+/// the rest of a chain one of whose links was (or without its base); abandoned
+/// temp/generation files are removed, the dropped links among them.
 ///
 /// # Errors
 ///
@@ -281,12 +478,11 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
     let cd = CommitDir::new(base);
     let manifest = match cd.read_manifest() {
         Ok(m) => m,
-        Err(ManifestError::Corrupt(e)) => {
+        Err(ManifestError::Corrupt(_)) => {
             let mpath = cd.manifest_path();
             if let Some(dest) = sfcc_faultfs::quarantine(&mpath) {
                 report.quarantined.push(dest);
             }
-            let _ = e;
             None
         }
         Err(ManifestError::Io(e)) => return Err(e),
@@ -294,19 +490,21 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
 
     let manifest = match manifest {
         Some(m) => {
+            let mut logicals: Vec<&str> = m.entries.iter().map(|e| chain_of(&e.logical)).collect();
+            logicals.sort_unstable();
+            logicals.dedup();
             let mut survivors = Vec::new();
-            for entry in &m.entries {
-                let ok = match cd.load_entry(entry) {
-                    Ok(bytes) => decodes(&entry.logical, bytes),
-                    Err(_) => false,
-                };
-                if ok {
-                    report.checked += 1;
-                    survivors.push(entry.clone());
-                } else {
-                    let path = cd.entry_path(entry);
-                    if let Some(dest) = sfcc_faultfs::quarantine(&path) {
-                        report.quarantined.push(dest);
+            for logical in logicals {
+                let links = m.chain(logical);
+                match verify(&cd, logical, &links) {
+                    Ok(()) => {
+                        report.checked += links.len();
+                        survivors.extend(links.into_iter().cloned());
+                    }
+                    Err((i, _)) => {
+                        if let Some(dest) = sfcc_faultfs::quarantine(&cd.entry_path(links[i])) {
+                            report.quarantined.push(dest);
+                        }
                     }
                 }
             }
@@ -345,15 +543,32 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
     Ok(report)
 }
 
-fn decodes(logical: &str, bytes: Vec<u8>) -> bool {
+/// Whether `logical`'s chain `links` holds: each link matches the
+/// manifest, and the whole decodes — every cache entry parsed (loading
+/// parses none), every graph value checked. An empty chain (segments
+/// without their base) holds nothing and is dropped without a quarantine.
+fn verify(cd: &CommitDir, logical: &str, links: &[&ManifestEntry]) -> Result<(), LinkError> {
+    if links.is_empty() {
+        return Ok(());
+    }
+    let buffers = read_links(links, |entry| cd.load_entry(entry))?;
     match logical {
-        STATE_LOGICAL => statefile::from_bytes(&bytes).is_ok(),
-        // Loading parses no entry; fsck parses every one.
-        CACHE_LOGICAL => FunctionCache::from_vec(bytes).is_ok_and(|cache| cache.entries_parse()),
-        GRAPH_LOGICAL => GraphFile::from_bytes(bytes).is_ok(),
+        CACHE_LOGICAL => match fold_cache(links, &buffers)?.unparsable() {
+            None => Ok(()),
+            Some(record) => {
+                let why = "an entry does not parse".to_string();
+                Err((link_of(&buffers, &record), EntryError::Corrupt(why)))
+            }
+        },
+        GRAPH_LOGICAL => fold_graph(links, &buffers, graph_base(&buffers)?).map(|_| ()),
+        // The state has no segments.
+        STATE_LOGICAL if links.len() > 1 => Err(corrupt(1)(DecodeError::Corrupt)),
+        STATE_LOGICAL => statefile::from_bytes(&buffers[0])
+            .map(|_| ())
+            .map_err(corrupt(0)),
         // Unknown logicals (a newer version's artifacts): the manifest
-        // checksum already verified the bytes.
-        _ => true,
+        // checksum verified the bytes.
+        _ => Ok(()),
     }
 }
 
@@ -392,7 +607,7 @@ mod tests {
         save(
             &base,
             Some(&state),
-            Some(&empty_cache()),
+            Some(&Artifact::Base(empty_cache())),
             None,
             Durability::Fast,
         )
@@ -425,7 +640,7 @@ mod tests {
         save(
             &base,
             Some(&empty_state()),
-            Some(&empty_cache()),
+            Some(&Artifact::Base(empty_cache())),
             None,
             Durability::Fast,
         )
@@ -462,10 +677,10 @@ mod tests {
             &base,
             Some(&state),
             None,
-            Some(&graph.to_bytes()),
+            Some(&Artifact::Base(graph.to_bytes())),
             Durability::Fast,
         );
-        assert_eq!(committed.unwrap(), Some(1));
+        assert_eq!(committed.unwrap().map(|m| m.generation), Some(1));
         assert_eq!(load(&base, true, false).graph, Some(graph.clone()));
         // A commit without a graph keeps the committed one.
         save(&base, Some(&state), None, None, Durability::Fast).unwrap();
@@ -477,16 +692,21 @@ mod tests {
             identity: 8,
             ..graph
         };
-        let committed = save(&base, None, None, Some(&newer.to_bytes()), Durability::Fast);
-        assert_eq!(committed.unwrap(), Some(3));
+        let committed = save(
+            &base,
+            None,
+            None,
+            Some(&Artifact::Base(newer.to_bytes())),
+            Durability::Fast,
+        );
+        assert_eq!(committed.unwrap().map(|m| m.generation), Some(3));
         let loaded = load(&base, true, false);
         assert_eq!((loaded.graph, loaded.db_error), (Some(newer), None));
         // Nothing to commit: no manifest is published.
         let manifest = fs::read(CommitDir::new(&base).manifest_path()).unwrap();
-        assert_eq!(
-            save(&base, None, None, None, Durability::Fast).unwrap(),
-            None
-        );
+        assert!(save(&base, None, None, None, Durability::Fast)
+            .unwrap()
+            .is_none());
         assert_eq!(
             fs::read(CommitDir::new(&base).manifest_path()).unwrap(),
             manifest
@@ -505,7 +725,7 @@ mod tests {
                 &base,
                 Some(&empty_state()),
                 None,
-                Some(&bytes),
+                Some(&Artifact::Base(bytes)),
                 Durability::Fast,
             )
             .unwrap();
@@ -544,7 +764,7 @@ mod tests {
         save(
             &base,
             Some(&empty_state()),
-            Some(&empty_cache()),
+            Some(&Artifact::Base(empty_cache())),
             None,
             Durability::Fast,
         )

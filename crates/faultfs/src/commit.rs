@@ -10,11 +10,20 @@
 //! length and FNV-64, so a stale or bit-flipped generation file is detected
 //! on load and costs a cold start, never a wrong build.
 //!
+//! A logical file may also be a *chain*: a base entry `<logical>` plus
+//! immutable segment entries `<logical>+1`, `<logical>+2`, … that a reader
+//! folds onto it in order ([`Manifest::chain`]). A commit names the logical
+//! `<logical>+` ([`next_segment`]) to add the next segment, and the logical itself
+//! to write a new base, which drops the old chain's segments; the manifest
+//! format, the single commit point and the carry-forward rule are the same
+//! for both.
+//!
 //! Garbage collection is deliberately conservative: a commit deletes only
 //! the generation files *it* replaced (the ones named by the manifest it
 //! read). Temp files and generation files abandoned by crashed or foreign
 //! builders are cleaned up by `minicc fsck` ([`CommitDir::orphans`]).
 
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -55,6 +64,23 @@ impl Manifest {
     /// Looks up an entry by logical name.
     pub fn entry(&self, logical: &str) -> Option<&ManifestEntry> {
         self.entries.iter().find(|e| e.logical == logical)
+    }
+
+    /// The chain of `logical`: its base entry, then its segments in the
+    /// order they were appended. Empty when there is no base.
+    pub fn chain(&self, logical: &str) -> Vec<&ManifestEntry> {
+        let Some(base) = self.entry(logical) else {
+            return Vec::new();
+        };
+        let mut segments: Vec<(u64, &ManifestEntry)> = self
+            .entries
+            .iter()
+            .filter_map(|e| Some((segment_number(&e.logical, logical)?, e)))
+            .collect();
+        segments.sort_unstable_by_key(|(n, _)| *n);
+        std::iter::once(base)
+            .chain(segments.into_iter().map(|(_, e)| e))
+            .collect()
     }
 
     fn to_bytes(&self) -> Vec<u8> {
@@ -112,6 +138,30 @@ impl Manifest {
             entries,
         })
     }
+}
+
+/// The logical a commit names to append the next segment to `logical`'s
+/// chain (see [`Manifest::chain`]).
+pub fn next_segment(logical: &str) -> String {
+    format!("{logical}+")
+}
+
+/// The logical whose chain an entry named `entry` belongs to: `l` for `l`
+/// and for its segments `l+<n>`.
+pub fn chain_of(entry: &str) -> &str {
+    match entry.rsplit_once('+') {
+        Some((logical, _)) if segment_number(entry, logical).is_some() => logical,
+        _ => entry,
+    }
+}
+
+/// `n` when `entry` names segment `n` of `logical`'s chain (`<logical>+<n>`).
+fn segment_number(entry: &str, logical: &str) -> Option<u64> {
+    let n = entry.strip_prefix(logical)?.strip_prefix('+')?;
+    if n.is_empty() || !n.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    n.parse().ok()
 }
 
 /// Why a manifest could not be read.
@@ -262,7 +312,9 @@ impl CommitDir {
     /// immutable generation file, carries forward committed entries for
     /// logicals not in `files`, publishes the new manifest with a single
     /// rename, then garbage-collects only the generation files this commit
-    /// replaced.
+    /// replaced. A logical named [`next_segment`]`(l)` becomes the next segment
+    /// of `l`'s chain; writing `l` itself starts a new chain, and the old
+    /// one's segments are not carried forward.
     ///
     /// A crash at any operation leaves the directory logically all-old
     /// (manifest not yet renamed) or all-new (renamed; GC is non-semantic).
@@ -270,7 +322,10 @@ impl CommitDir {
     /// # Errors
     ///
     /// Any I/O failure before the manifest rename aborts the commit with
-    /// the old generation intact.
+    /// the old generation intact — reading the old manifest included: only
+    /// a corrupt one counts as absent. A segment appended to a logical the
+    /// manifest has no base for is refused
+    /// ([`io::ErrorKind::InvalidInput`]) before anything is written.
     pub fn commit(&self, files: &[(&str, &[u8])], durability: Durability) -> io::Result<Manifest> {
         self.commit_inner(files, durability, true)
     }
@@ -301,15 +356,43 @@ impl CommitDir {
         durability: Durability,
         gc_replaced: bool,
     ) -> io::Result<Manifest> {
-        // A corrupt old manifest must not block a new commit: treat it as
-        // absent (recovery already quarantined or will quarantine it).
-        let old = self.read_manifest().ok().flatten();
+        let old = match self.read_manifest() {
+            Ok(old) => old,
+            // A corrupt old manifest must not block a new commit: treat it
+            // as absent (recovery already quarantined or will quarantine it).
+            Err(ManifestError::Corrupt(_)) => None,
+            // An unreadable one may be intact: committing over it would
+            // drop every entry it carries and restart the generations.
+            Err(ManifestError::Io(e)) => return Err(e),
+        };
         let generation = old.as_ref().map(|m| m.generation + 1).unwrap_or(1);
         let base_name = self.base_name();
         let pid = std::process::id();
 
+        let mut logicals = Vec::with_capacity(files.len());
+        for (logical, _) in files {
+            logicals.push(match logical.strip_suffix('+') {
+                Some(chain) => {
+                    let links = old.as_ref().map_or(0, |m| m.chain(chain).len());
+                    if links == 0 {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidInput,
+                            format!("no committed `{chain}` to append a segment to"),
+                        ));
+                    }
+                    let last = old.as_ref().and_then(|m| {
+                        m.entries
+                            .iter()
+                            .filter_map(|e| segment_number(&e.logical, chain))
+                            .max()
+                    });
+                    format!("{chain}+{}", last.unwrap_or(0) + 1)
+                }
+                None => (*logical).to_string(),
+            });
+        }
         let mut entries: Vec<ManifestEntry> = Vec::new();
-        for (logical, bytes) in files {
+        for (logical, (_, bytes)) in logicals.iter().zip(files) {
             // pid + process-global sequence keeps the name unique even when
             // racing builders commit the same generation number, so a
             // published file is never rewritten in place. It stays invisible
@@ -324,16 +407,20 @@ impl CommitDir {
                 inject::sync_file(&path)?;
             }
             entries.push(ManifestEntry {
-                logical: (*logical).to_string(),
+                logical: logical.clone(),
                 file,
                 len: bytes.len() as u64,
                 checksum: fnv64(bytes),
             });
         }
-        // Carry forward committed logicals this commit does not rewrite.
+        // Carry forward committed logicals this commit does not rewrite,
+        // save the segments of a chain whose base it does.
         if let Some(old) = &old {
+            let written: HashSet<&str> = logicals.iter().map(String::as_str).collect();
             for e in &old.entries {
-                if !files.iter().any(|(l, _)| *l == e.logical) {
+                let rewritten =
+                    written.contains(e.logical.as_str()) || written.contains(chain_of(&e.logical));
+                if !rewritten {
                     entries.push(e.clone());
                 }
             }
@@ -569,6 +656,84 @@ mod tests {
         assert!(!orphans.contains(&quarantined_tmp));
         let live = cd.entry_path(m.entry("state").unwrap());
         assert!(!orphans.contains(&live));
+        cleanup(&base);
+    }
+
+    /// Segments append behind their base in order and are carried forward
+    /// with it; a new base drops them, and the commit that does GCs their
+    /// files.
+    #[test]
+    fn segments_chain_behind_their_base_until_a_new_base() {
+        let base = tmpbase("chain");
+        let cd = CommitDir::new(&base);
+        cd.commit(&[("graph", b"B1"), ("state", b"S1")], Durability::Fast)
+            .unwrap();
+        let seg = next_segment("graph");
+        for body in [b"s1", b"s2"] {
+            cd.commit(&[(seg.as_str(), body)], Durability::Fast)
+                .unwrap();
+        }
+        let m = cd
+            .commit(&[(seg.as_str(), b"s3")], Durability::Fast)
+            .unwrap();
+        let chain: Vec<Vec<u8>> = m
+            .chain("graph")
+            .into_iter()
+            .map(|e| cd.load_entry(e).unwrap())
+            .collect();
+        assert_eq!(chain, [&b"B1"[..], b"s1", b"s2", b"s3"]);
+        assert_eq!(m.chain("graph")[3].logical, "graph+3");
+        assert!(m.chain("state+1").is_empty() && m.chain("none").is_empty());
+        let segment_files: Vec<PathBuf> = m.chain("graph")[1..]
+            .iter()
+            .map(|e| cd.entry_path(e))
+            .collect();
+        let m = cd.commit(&[("graph", b"B2")], Durability::Fast).unwrap();
+        assert_eq!(m.chain("graph").len(), 1);
+        assert_eq!(m.entries.len(), 2, "state carried, segments dropped");
+        assert!(segment_files.iter().all(|p| !p.exists()));
+        cleanup(&base);
+    }
+
+    /// A segment needs a base: without one the commit writes nothing.
+    #[test]
+    fn a_segment_without_a_base_is_refused_before_any_write() {
+        let base = tmpbase("orphan-seg");
+        let cd = CommitDir::new(&base);
+        cd.commit(&[("state", b"S1")], Durability::Fast).unwrap();
+        let before = crate::op_counts();
+        let err = cd
+            .commit(&[(next_segment("graph").as_str(), b"s1")], Durability::Fast)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(crate::op_counts().delta_since(&before).writes, 0);
+        assert_eq!(cd.read_manifest().unwrap().unwrap().generation, 1);
+        cleanup(&base);
+    }
+
+    /// An old manifest that cannot be *read* is not an absent one: the
+    /// commit aborts, and the next one carries every entry forward with a
+    /// monotonic generation. A corrupt one still counts as absent.
+    #[test]
+    fn an_unreadable_old_manifest_aborts_the_commit() {
+        let base = tmpbase("mf-io");
+        let cd = CommitDir::new(&base);
+        cd.commit(&[("state", b"S1"), ("ircache", b"C1")], Durability::Fast)
+            .unwrap();
+        cd.commit(&[("state", b"S2")], Durability::Fast).unwrap();
+        {
+            // Op 1 of a commit is its read of the old manifest.
+            let _g = crate::inject::install(FaultPlan::parse("fail:1").unwrap());
+            assert!(cd.commit(&[("state", b"S3")], Durability::Fast).is_err());
+        }
+        let m = cd.read_manifest().unwrap().unwrap();
+        assert_eq!(m.generation, 2);
+        let m = cd.commit(&[("state", b"S3")], Durability::Fast).unwrap();
+        assert_eq!(m.generation, 3);
+        assert_eq!(cd.load_entry(m.entry("ircache").unwrap()).unwrap(), b"C1");
+        fs::write(cd.manifest_path(), b"junk").unwrap();
+        let m = cd.commit(&[("state", b"S4")], Durability::Fast).unwrap();
+        assert_eq!((m.generation, m.entries.len()), (1, 1));
         cleanup(&base);
     }
 

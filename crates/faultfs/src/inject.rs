@@ -73,6 +73,9 @@ pub struct OpCounts {
     pub sync_files: u64,
     /// Directory fsyncs.
     pub sync_dirs: u64,
+    /// Bytes handed to whole-file writes (of a torn write, the bytes it
+    /// kept): what a commit costs the disk, not an operation kind.
+    pub bytes_written: u64,
 }
 
 impl OpCounts {
@@ -103,6 +106,7 @@ impl OpCounts {
             removes: self.removes.saturating_sub(earlier.removes),
             sync_files: self.sync_files.saturating_sub(earlier.sync_files),
             sync_dirs: self.sync_dirs.saturating_sub(earlier.sync_dirs),
+            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
         }
     }
 
@@ -172,6 +176,7 @@ impl TlState {
                 removes: 0,
                 sync_files: 0,
                 sync_dirs: 0,
+                bytes_written: 0,
             },
         }
     }
@@ -392,13 +397,15 @@ pub fn read(path: &Path) -> io::Result<Vec<u8>> {
 /// Writes a whole file through the injector. A `torn` fault on this
 /// operation persists only a prefix of `bytes` and then crashes the thread.
 pub fn write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    match enter(OpKind::Write, path)? {
-        Action::Torn(keep) => {
-            let keep = keep.min(bytes.len());
-            fs::write(path, &bytes[..keep])?;
-            Err(injected(0, "torn write"))
-        }
-        _ => fs::write(path, bytes),
+    let (action, kept) = match enter(OpKind::Write, path)? {
+        Action::Torn(keep) => (Action::Torn(keep), keep.min(bytes.len())),
+        action => (action, bytes.len()),
+    };
+    TL.with(|tl| tl.borrow_mut().counts.bytes_written += kept as u64);
+    fs::write(path, &bytes[..kept])?;
+    match action {
+        Action::Torn(_) => Err(injected(0, "torn write")),
+        _ => Ok(()),
     }
 }
 
@@ -594,7 +601,9 @@ mod tests {
         let dir = tmpdir("torn");
         let p = dir.join("a");
         let _g = install(FaultPlan::parse("torn:1:2").unwrap());
+        let before = op_counts();
         assert!(write(&p, b"abcdef").is_err());
+        assert_eq!(op_counts().delta_since(&before).bytes_written, 2);
         assert!(read(&p).is_err()); // thread is dead
         drop(_g);
         assert_eq!(fs::read(&p).unwrap(), b"ab");
@@ -687,7 +696,7 @@ mod tests {
         let before = op_counts();
         atomic_write(&p, b"x", Durability::Durable).unwrap();
         let mid = op_counts().delta_since(&before);
-        assert_eq!((mid.writes, mid.renames), (1, 1));
+        assert_eq!((mid.writes, mid.renames, mid.bytes_written), (1, 1, 1));
         assert_eq!((mid.sync_files, mid.sync_dirs), (1, 1));
         assert_eq!(mid.total(), 4);
         // install() resets the fault-plan op index but must NOT reset the
@@ -699,6 +708,7 @@ mod tests {
         let after = op_counts().delta_since(&before);
         assert_eq!(after.reads, 2);
         assert_eq!(after.total(), 6);
+        assert_eq!(after.bytes_written, 1, "bytes are not an op");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -59,7 +59,9 @@ pub mod inject;
 pub mod plan;
 
 pub use attribute::{active_task, task_scope, AccessRecord, TaskGuard};
-pub use commit::{CommitDir, EntryError, Manifest, ManifestEntry, ManifestError};
+pub use commit::{
+    chain_of, next_segment, CommitDir, EntryError, Manifest, ManifestEntry, ManifestError,
+};
 pub use inject::{
     atomic_write, atomic_write_if_changed, install, is_injected, is_quarantine_name, op_counts,
     quarantine, read, record, remove_file, rename, sync_dir, sync_file, unique_seq, write,

@@ -208,6 +208,9 @@ struct Node<K, V> {
     clean: u64,
     /// Session in which this node last executed (a miss).
     executed: u64,
+    /// The store revision of its last execution ([`Engine::revision`]);
+    /// `0` for a restored node.
+    revision: u64,
 }
 
 impl<K, V> Node<K, V> {
@@ -222,6 +225,7 @@ impl<K, V> Node<K, V> {
             verified: NEVER,
             clean: NEVER,
             executed: NEVER,
+            revision: 0,
         }
     }
 
@@ -271,6 +275,9 @@ pub struct Exported<'e, V> {
     pub deps: &'e [Dep],
     /// Its value, when on hand.
     pub value: Option<&'e V>,
+    /// The store revision its fingerprint and trace were recorded at
+    /// ([`Engine::revision`]).
+    pub revision: u64,
 }
 
 /// The execution context handed to [`TaskSpec::execute`]: records the
@@ -370,6 +377,8 @@ pub struct Engine<K, V> {
     keys_parsed: u64,
     /// Label rendering buffer for lookups by key.
     scratch: String,
+    /// Executions recorded so far ([`Engine::revision`]).
+    revision: u64,
 }
 
 impl<K, V> Default for Engine<K, V>
@@ -404,6 +413,7 @@ where
             stats: SessionStats::default(),
             keys_parsed: 0,
             scratch: String::new(),
+            revision: 0,
         }
     }
 
@@ -684,7 +694,9 @@ where
     /// task `id`, memoizing it.
     fn memoize(&mut self, id: TaskId, fingerprint: u64, deps: Vec<Dep>) {
         self.dependents = None;
+        self.revision += 1;
         let node = &mut self.nodes[id.index()];
+        node.revision = self.revision;
         if !node.present {
             node.present = true;
             self.present += 1;
@@ -894,6 +906,7 @@ where
                     fingerprint,
                     deps: &node.deps,
                     value: node.value.as_ref(),
+                    revision: node.revision,
                 }
             })
             .collect()
@@ -1009,6 +1022,15 @@ where
         self.present = 0;
         self.dependents = None;
         self.stack.clear();
+    }
+
+    /// The store's revision: how many executions it has recorded — each
+    /// task executed or rematerialized bumps it, and the node keeps the
+    /// revision it was recorded at ([`Exported::revision`]). What changed
+    /// since a given revision is what a persisted store must add to the
+    /// graph it saved then; a restored node counts as recorded at `0`.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Number of memoized tasks.

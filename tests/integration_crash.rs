@@ -129,19 +129,15 @@ struct Snapshot {
 }
 
 fn snapshot(dir: &Path) -> Snapshot {
-    let cd = CommitDir::new(&state_base(dir));
-    let m = cd
-        .read_manifest()
-        .unwrap()
-        .expect("a completed session must have committed a manifest");
+    let folded = |logical: &str| {
+        persist::committed_bytes(&state_base(dir), logical)
+            .unwrap()
+            .expect("a completed session must have committed every artifact")
+    };
     Snapshot {
-        state: cd
-            .load_entry(m.entry(persist::STATE_LOGICAL).unwrap())
-            .unwrap(),
-        cache: cd
-            .load_entry(m.entry(persist::CACHE_LOGICAL).unwrap())
-            .unwrap(),
-        graph: cd.load_entry(m.entry(GRAPH_LOGICAL).unwrap()).unwrap(),
+        state: folded(persist::STATE_LOGICAL),
+        cache: folded(persist::CACHE_LOGICAL),
+        graph: folded(GRAPH_LOGICAL),
         image: fs::read(dir.join(IMAGE_NAME)).unwrap(),
     }
 }
@@ -252,35 +248,36 @@ fn cold_crash_matrix_durable() {
     cold_crash_matrix(Durability::Durable);
 }
 
-#[test]
-fn warm_crash_matrix_fast() {
+/// The crash-point harness over one incremental session: `seed` is the
+/// committed directory every trial starts from, `next` the project the
+/// crashed session builds. The all-new reference is that session and a
+/// no-op after it; the all-old one, that session alone (what the recovery
+/// session then does). Returns the reference session's manifest.
+fn incremental_crash_matrix(seed: &Path, next: &Project, tag: &str) -> sfcc_faultfs::Manifest {
     let d = Durability::Fast;
-    let v1 = project_v1();
-    let v2 = project_v2();
-
-    // Seed: one clean v1 session; trials crash an *incremental* v2 session.
-    let seed = tmpdir("warm-seed");
-    run_session(&seed, &v1, d).unwrap();
-    let seed_gen = generation(&seed);
-
-    let w2_dir = tmpdir("warm-w2");
-    copy_dir(&seed, &w2_dir);
-    run_session(&w2_dir, &v2, d).unwrap();
+    let seed_gen = generation(seed);
+    let w2_dir = tmpdir(&format!("{tag}-w2"));
+    copy_dir(seed, &w2_dir);
+    run_session(&w2_dir, next, d).unwrap();
     let w2 = snapshot(&w2_dir);
+    let manifest = CommitDir::new(&state_base(&w2_dir))
+        .read_manifest()
+        .unwrap()
+        .unwrap();
     cleanup(&w2_dir);
 
-    let w3_dir = tmpdir("warm-w3");
-    copy_dir(&seed, &w3_dir);
-    run_session(&w3_dir, &v2, d).unwrap();
-    run_session(&w3_dir, &v2, d).unwrap();
+    let w3_dir = tmpdir(&format!("{tag}-w3"));
+    copy_dir(seed, &w3_dir);
+    run_session(&w3_dir, next, d).unwrap();
+    run_session(&w3_dir, next, d).unwrap();
     let w3 = snapshot(&w3_dir);
     cleanup(&w3_dir);
 
     let n = {
-        let dir = tmpdir("warm-rec");
-        copy_dir(&seed, &dir);
+        let dir = tmpdir(&format!("{tag}-rec"));
+        copy_dir(seed, &dir);
         let rec = ffs::record();
-        run_session(&dir, &v2, d).unwrap();
+        run_session(&dir, next, d).unwrap();
         let n = rec.take().len() as u64;
         drop(rec);
         cleanup(&dir);
@@ -288,29 +285,150 @@ fn warm_crash_matrix_fast() {
     };
     assert!(
         n >= 8,
-        "a warm session must perform several durable ops, got {n}"
+        "an incremental session must perform several durable ops, got {n}"
     );
 
     for k in 1..=n + 1 {
-        let dir = tmpdir(&format!("warm-k{k}"));
-        copy_dir(&seed, &dir);
+        let dir = tmpdir(&format!("{tag}-k{k}"));
+        copy_dir(seed, &dir);
         {
             let _g = ffs::install(FaultPlan::single(Fault::CrashAt(k)));
-            let _ = run_session(&dir, &v2, d);
+            let _ = run_session(&dir, next, d);
         }
         let committed = generation(&dir) > seed_gen;
-        let report = run_session(&dir, &v2, d)
-            .unwrap_or_else(|e| panic!("recovery failed after warm crash at op {k}: {e}"));
+        let report = run_session(&dir, next, d)
+            .unwrap_or_else(|e| panic!("recovery failed after {tag} crash at op {k}: {e}"));
         assert_eq!(report.recovered_files, 0, "op {k}");
         let want = if committed { &w3 } else { &w2 };
         assert_snapshots_eq(
             &snapshot(&dir),
             want,
-            &format!("warm crash at op {k}, committed={committed}"),
+            &format!("{tag} crash at op {k}, committed={committed}"),
         );
+        assert!(persist::fsck(&state_base(&dir), &[])
+            .unwrap()
+            .quarantined
+            .is_empty());
         cleanup(&dir);
     }
+    manifest
+}
+
+/// Crashes at every durable op of a commit that appends a segment to the
+/// cache and graph chains.
+#[test]
+fn warm_crash_matrix_fast() {
+    let seed = tmpdir("warm-seed");
+    run_session(&seed, &project_v1(), Durability::Fast).unwrap();
+    let manifest = incremental_crash_matrix(&seed, &project_v2(), "warm");
+    for logical in [GRAPH_LOGICAL, persist::CACHE_LOGICAL] {
+        assert_eq!(manifest.chain(logical).len(), 2, "{logical}: an append");
+    }
     cleanup(&seed);
+}
+
+/// Crashes at every durable op of a commit that compacts the graph chain:
+/// the seed holds edits until the next one's segment would outweigh the
+/// base.
+#[test]
+fn compacting_crash_matrix_fast() {
+    let d = Durability::Fast;
+    let seed = tmpdir("compact-seed");
+    let projects = [project_v1(), project_v2()];
+    run_session(&seed, &projects[0], d).unwrap();
+    let mut edits = 1;
+    let compacts = |seed: &Path, next: &Project| {
+        let probe = tmpdir("compact-probe");
+        copy_dir(seed, &probe);
+        run_session(&probe, next, d).unwrap();
+        let m = CommitDir::new(&state_base(&probe))
+            .read_manifest()
+            .unwrap()
+            .unwrap();
+        cleanup(&probe);
+        m.chain(GRAPH_LOGICAL).len() == 1
+    };
+    while !compacts(&seed, &projects[edits % 2]) {
+        run_session(&seed, &projects[edits % 2], d).unwrap();
+        edits += 1;
+        assert!(edits < 16, "the graph chain never compacts");
+    }
+    assert!(edits > 1, "the seed holds segments");
+    let manifest = incremental_crash_matrix(&seed, &projects[edits % 2], "compact");
+    assert_eq!(manifest.chain(GRAPH_LOGICAL).len(), 1, "a compaction");
+    cleanup(&seed);
+}
+
+/// A commit that fails is never lost: whichever op of an appending commit
+/// fails — before the manifest is published or, durable, after it — the
+/// next successful commit of the same session, after an edit or after a
+/// no-op, carries everything since the last success (or starts new
+/// chains), and the directory folds to the store and cache that committed
+/// it; a new process over the tree then executes nothing.
+#[test]
+fn quick_a_failed_commit_is_carried_by_the_next() {
+    for durability in [Durability::Fast, Durability::Durable] {
+        let config = |dir: &Path| {
+            Config::stateful()
+                .with_state_path(state_base(dir))
+                .with_function_cache()
+                .with_durability(durability)
+        };
+        // One session: a committed build, an edit whose commit fails at op
+        // `fail` (none when `None`), then `next` built and committed.
+        let session = |dir: &Path, fail: Option<u64>, next: &Project| {
+            let mut builder = Builder::new(Compiler::new(config(dir)));
+            builder.build(&project_gh(5)).unwrap();
+            builder.compiler().save_state().unwrap();
+            builder.build(&project_gh(6)).unwrap();
+            let ops = {
+                let rec = ffs::record();
+                let _g = fail.map(|k| ffs::install(FaultPlan::single(Fault::FailAt(k))));
+                let failed = builder.compiler().save_state().is_err();
+                assert_eq!(failed, fail.is_some(), "op {fail:?}");
+                rec.take()
+            };
+            builder.build(next).unwrap();
+            builder.compiler().save_state().unwrap();
+            (builder, ops)
+        };
+        let probe = tmpdir("carry-probe");
+        let (_, ops) = session(&probe, None, &project_gh(6));
+        cleanup(&probe);
+        // Removing what a commit replaced comes after it and cannot fail it.
+        let failing: Vec<u64> = ops
+            .iter()
+            .filter(|op| op.kind != OpKind::Remove)
+            .map(|op| op.index)
+            .collect();
+        assert!(failing.len() >= 5, "{ops:?}");
+        for next in [project_gh(6), project_gh(7)] {
+            for &k in &failing {
+                let label = format!("{} fail at op {k}", durability.label());
+                let dir = tmpdir("carry");
+                let (builder, _) = session(&dir, Some(k), &next);
+                let folded = |logical: &str| {
+                    persist::committed_bytes(&state_base(&dir), logical)
+                        .unwrap()
+                        .unwrap()
+                };
+                assert!(
+                    folded(GRAPH_LOGICAL) == builder.graph_file(),
+                    "{label}: graph"
+                );
+                let cache = builder.compiler().function_cache().to_bytes();
+                assert!(folded(persist::CACHE_LOGICAL) == cache, "{label}: cache");
+                let mut fresh = Builder::new(Compiler::new(config(&dir)));
+                let report = fresh.build(&next).unwrap();
+                assert_eq!(
+                    (report.query.misses, report.recovered_files),
+                    (0, 0),
+                    "{label}"
+                );
+                cleanup(&dir);
+            }
+        }
+    }
 }
 
 #[test]
@@ -836,6 +954,93 @@ fn quick_tampered_cache_entry_is_a_miss_never_served() {
         assert!(persist::fsck(&state_base(&dir), &[]).unwrap().clean());
         cleanup(&dir);
     }
+}
+
+/// A damaged segment — bits flipped, cut short, or gone — costs its own
+/// artifact a cold start and nothing else: the other chain and the state
+/// load, the build's image is the one a directory without history builds,
+/// and `fsck` quarantines the segment (a missing one, it cannot) and drops
+/// the rest of its chain from the manifest, its base removed as debris.
+#[test]
+fn quick_damaged_segments_cold_start_only_their_artifact() {
+    let d = Durability::Fast;
+    let (v1, v2) = (project_v1(), project_v2());
+    let seed = tmpdir("seg-seed");
+    run_session(&seed, &v1, d).unwrap();
+    run_session(&seed, &v2, d).unwrap();
+    let fresh = tmpdir("seg-fresh");
+    run_session(&fresh, &v2, d).unwrap();
+    let cold_image = fs::read(fresh.join(IMAGE_NAME)).unwrap();
+    cleanup(&fresh);
+
+    for logical in [GRAPH_LOGICAL, persist::CACHE_LOGICAL] {
+        for damage in ["flip", "truncate", "remove"] {
+            for by_fsck in [false, true] {
+                let label = format!("{damage} {logical} segment, by fsck: {by_fsck}");
+                let dir = tmpdir("seg-damage");
+                copy_dir(&seed, &dir);
+                let cd = CommitDir::new(&state_base(&dir));
+                let m = cd.read_manifest().unwrap().unwrap();
+                let links: Vec<PathBuf> =
+                    m.chain(logical).iter().map(|e| cd.entry_path(e)).collect();
+                assert_eq!(links.len(), 2, "{label}");
+                let bytes = fs::read(&links[1]).unwrap();
+                match damage {
+                    "flip" => {
+                        let mut b = bytes.clone();
+                        b[bytes.len() / 2] ^= 0x20;
+                        fs::write(&links[1], b).unwrap();
+                    }
+                    "truncate" => fs::write(&links[1], &bytes[..bytes.len() / 2]).unwrap(),
+                    _ => fs::remove_file(&links[1]).unwrap(),
+                }
+                if by_fsck {
+                    let report = persist::fsck(&state_base(&dir), &[]).unwrap();
+                    let quarantined = usize::from(damage != "remove");
+                    assert_eq!(report.quarantined.len(), quarantined, "{label}");
+                    assert!(report.repaired_manifest, "{label}");
+                    assert!(
+                        report.removed.contains(&links[0]),
+                        "{label}: base is debris"
+                    );
+                    let m = cd.read_manifest().unwrap().unwrap();
+                    assert!(m.chain(logical).is_empty(), "{label}");
+                    assert!(
+                        m.entries.iter().all(|e| !e.logical.starts_with(logical)),
+                        "{label}"
+                    );
+                    assert!(
+                        persist::fsck(&state_base(&dir), &[]).unwrap().clean(),
+                        "{label}"
+                    );
+                } else {
+                    let loaded = persist::load(&state_base(&dir), true, true);
+                    assert_eq!(loaded.events.len(), 1, "{label}: {:?}", loaded.events);
+                    assert_eq!(loaded.events[0].path, links[1], "{label}");
+                    assert!(
+                        loaded.db_error.is_none(),
+                        "{label}: the state is not collateral"
+                    );
+                    let (graph, cache) = (loaded.graph.is_some(), loaded.cache.stats().entries > 0);
+                    let want = (logical != GRAPH_LOGICAL, logical != persist::CACHE_LOGICAL);
+                    assert_eq!((graph, cache), want, "{label}");
+                }
+                let report = run_session(&dir, &v2, d).unwrap();
+                assert_eq!(report.recovered_files, usize::from(!by_fsck), "{label}");
+                assert_eq!(
+                    fs::read(dir.join(IMAGE_NAME)).unwrap(),
+                    cold_image,
+                    "{label}"
+                );
+                assert!(
+                    persist::fsck(&state_base(&dir), &[]).unwrap().clean(),
+                    "{label}"
+                );
+                cleanup(&dir);
+            }
+        }
+    }
+    cleanup(&seed);
 }
 
 /// The one crash point where the commit is durable and the image is not:

@@ -40,7 +40,7 @@
 //! ride along. Tests prefixed `quick_` form the `ci.sh --quick` subset.
 
 use proptest::prelude::*;
-use sfcc::{Compiler, Config, Durability};
+use sfcc::{persist, Compiler, Config, Durability};
 use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{BuildReport, BuildTask, Builder, DepGraph, DepMutations, Project};
 use sfcc_daemon::{
@@ -581,11 +581,16 @@ fn state_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
+/// The committed bytes of `logical` in `dir`, its chain folded.
+fn committed(dir: &Path, logical: &str) -> Vec<u8> {
+    persist::committed_bytes(&dir.join(".sfcc-state"), logical)
+        .unwrap()
+        .expect("committed")
+}
+
 /// The committed query-graph bytes of `dir`.
 fn graph_of(dir: &Path) -> Vec<u8> {
-    let cd = CommitDir::new(&dir.join(".sfcc-state"));
-    let manifest = cd.read_manifest().unwrap().expect("committed manifest");
-    cd.load_entry(manifest.entry("depgraph").unwrap()).unwrap()
+    committed(dir, "depgraph")
 }
 
 /// Adds two hand-written modules to a generated project; `edited` changes
@@ -709,6 +714,80 @@ proptest! {
     fn fresh_builder_lineage_is_resident(seed in any::<u64>()) {
         let jobs = if seed & 1 == 0 { 1 } else { 8 };
         lineage_run(&format!("lineage-{seed:x}"), seed, jobs);
+    }
+}
+
+/// What every commit of a lineage leaves, chains folded, equals the whole
+/// files of the store and cache that committed it — for a resident builder
+/// and for a fresh one per step alike — over a random script of generated
+/// edits, signature edits, a module that comes and goes, and no-ops, long
+/// enough for the chains to compact.
+fn folded_chains_run(tag: &str, seed: u64) {
+    let root = tmproot(tag);
+    let dirs = [root.join("resident"), root.join("fresh")];
+    let mut model = generate_model(&GeneratorConfig::small(seed));
+    let mut script = EditScript::new(seed ^ 0x0c4a_1e5d);
+    script.weights = [35, 20, 20, 25];
+    let (mut signature_edited, mut extra) = (false, false);
+    let config = |dir: &Path| warm_config(dir, 1, None);
+    let mut resident = Builder::new(Compiler::new(config(&dirs[0])));
+    // Graph bases written after the first build: compactions.
+    let (mut bases, mut compacted) = (Vec::new(), 0);
+    for step in 0..16u64 {
+        match (seed >> (2 * (step % 32))) & 3 {
+            _ if step == 0 => {}
+            0 => {}
+            1 => signature_edited = !signature_edited,
+            2 => extra = !extra,
+            _ => {
+                script.commit(&mut model);
+            }
+        }
+        let mut p = model.render();
+        with_signature_edit(&mut p, signature_edited);
+        if extra {
+            p.set_file(
+                "extra".into(),
+                "fn e(x: int) -> int { return x * 3; }".into(),
+            );
+        }
+        for dir in &dirs {
+            let _ = fs::remove_file(dir.join("extra.mc"));
+            write_tree(dir, &p);
+        }
+        let mut fresh = Builder::new(Compiler::new(config(&dirs[1])));
+        for (dir, builder) in dirs.iter().zip([&mut resident, &mut fresh]) {
+            let label = format!("seed {seed:x} step {step} in {}", dir.display());
+            builder.build(&Project::from_dir(dir).unwrap()).unwrap();
+            builder.compiler().save_state().unwrap();
+            assert!(
+                committed(dir, "depgraph") == builder.graph_file(),
+                "{label}: graph"
+            );
+            let cache = builder.compiler().function_cache().to_bytes();
+            assert!(committed(dir, "ircache") == cache, "{label}: cache");
+            let manifest = CommitDir::new(&dir.join(".sfcc-state"))
+                .read_manifest()
+                .unwrap()
+                .unwrap();
+            let base = manifest.entry("depgraph").unwrap().file.clone();
+            compacted += usize::from(step > 0 && !bases.contains(&base));
+            bases.push(base);
+        }
+    }
+    assert!(
+        compacted >= 2,
+        "seed {seed:x}: the graph chain never compacted"
+    );
+    cleanup(&root);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn folded_chains_are_the_whole_files(seed in any::<u64>()) {
+        folded_chains_run(&format!("folded-{seed:x}"), seed);
     }
 }
 
@@ -868,10 +947,10 @@ fn quick_demo_commits_are_pinned() {
         }
         let mut service = BuildService::new(&dir, &args).unwrap();
         service.build_image(&dir.join("a.sbx")).unwrap();
-        let cd = CommitDir::new(&dir.join(".sfcc-state"));
-        let manifest = cd.read_manifest().unwrap().expect("committed manifest");
         for logical in ["depgraph", "state", "ircache"] {
-            let bytes = cd.load_entry(manifest.entry(logical).unwrap()).unwrap();
+            let bytes = persist::committed_bytes(&dir.join(".sfcc-state"), logical)
+                .unwrap()
+                .expect("committed");
             sums.push(format!(
                 "{step} {logical} {:016x}",
                 sfcc_codec::fnv64(&bytes)
@@ -1005,12 +1084,7 @@ fn quick_identity_skewed_graphs_are_never_served() {
 
 /// The committed state and cache bytes of `dir`.
 fn artifacts_of_state(dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    let cd = CommitDir::new(&dir.join(".sfcc-state"));
-    let manifest = cd.read_manifest().unwrap().expect("committed manifest");
-    (
-        cd.load_entry(manifest.entry("state").unwrap()).unwrap(),
-        cd.load_entry(manifest.entry("ircache").unwrap()).unwrap(),
-    )
+    (committed(dir, "state"), committed(dir, "ircache"))
 }
 
 // ─── concurrency + admission control ───
