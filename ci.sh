@@ -19,8 +19,9 @@
 #                  no-op gate (a second process executes 0 tasks) and the
 #                  commit gate (an edit writes what it changed); both modes
 #                  start with the one-request-path grep over `minicc.rs`,
-#                  the no-process-state grep over `crates/` and the
-#                  one-JSON-writer grep over `crates/`
+#                  the no-process-state grep over `crates/`, the
+#                  one-JSON-writer grep over `crates/` and the one-codec
+#                  grep over `crates/`
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -254,10 +255,29 @@ json_writer_gate() {
     fi
 }
 
+# One front door for persisted bytes: every file's magic and version are
+# checked by `sfcc_codec::{unarmor, open}`. Non-test code outside
+# crates/codec/src naming `BadMagic` or `BadVersion` is a hand-rolled header
+# check coming back.
+codec_gate() {
+    local headers
+    headers="$(find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' \
+        -not -path 'crates/codec/src/*' | sort |
+        xargs awk '/^#\[cfg\(test\)\]/ { nextfile }
+                   /^[[:space:]]*\/\// { next }
+                   /(^|[^A-Za-z0-9_])Bad(Magic|Version)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }')"
+    if [[ -n "$headers" ]]; then
+        echo "ci: a hand-rolled file header outside crates/codec/src (use sfcc_codec::{armor, unarmor, open}):" >&2
+        echo "$headers" >&2
+        return 1
+    fi
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
     static_state_gate
     json_writer_gate
+    codec_gate
     # Byte-identity pin of the canonical IR text every fingerprint hashes.
     cargo test -q -p sfcc-ir quick_
     cargo test -q -p sfcc --test integration_crash quick_
@@ -293,6 +313,7 @@ fi
 one_path_gate
 static_state_gate
 json_writer_gate
+codec_gate
 cargo build --release
 cargo test -q
 cargo test --release --offline --manifest-path sfbench/Cargo.toml

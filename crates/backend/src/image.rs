@@ -6,7 +6,7 @@
 //! anything malformed.
 
 use crate::bytecode::{Bc, CodeBlob, FuncId, Program, Src};
-use sfcc_codec::{fnv64, DecodeError, Reader, Writer};
+use sfcc_codec::{DecodeError, Reader, Writer};
 use sfcc_faultfs::Durability;
 use sfcc_ir::{BinKind, IcmpPred};
 use std::io;
@@ -18,7 +18,7 @@ pub const IMAGE_VERSION: u32 = 1;
 
 /// Serializes a program image.
 pub fn to_bytes(program: &Program) -> Vec<u8> {
-    armored(MAGIC, IMAGE_VERSION, |payload| {
+    sfcc_codec::armor(MAGIC, IMAGE_VERSION, |payload| {
         encode_blobs(payload, &program.funcs);
         match program.entry {
             Some(FuncId(id)) => {
@@ -28,47 +28,6 @@ pub fn to_bytes(program: &Program) -> Vec<u8> {
             None => payload.u8(0),
         }
     })
-}
-
-/// Magic, version, the payload `write` produces, and an FNV-64 of the
-/// payload: the armor every bytecode container (image, object) wears.
-pub(crate) fn armored(magic: &[u8], version: u32, write: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut out = Writer::new();
-    out.raw(magic);
-    out.u32(version);
-    let payload_start = out.len();
-    write(&mut out);
-    let mut bytes = out.into_bytes();
-    let mut trailer = Writer::new();
-    trailer.u64(fnv64(&bytes[payload_start..]));
-    bytes.extend(trailer.into_bytes());
-    bytes
-}
-
-/// Checks the armor [`armored`] wrote and hands the payload to `read`,
-/// which must consume all of it.
-pub(crate) fn unarmored<T>(
-    bytes: &[u8],
-    magic: &[u8],
-    version: u32,
-    read: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
-) -> Result<T, DecodeError> {
-    if bytes.len() < magic.len() || &bytes[..magic.len()] != magic {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[magic.len()..]);
-    let found = r.u32()?;
-    if found != version {
-        return Err(DecodeError::BadVersion(found));
-    }
-    let payload_start = bytes.len() - r.remaining();
-    let value = read(&mut r)?;
-    let payload_end = bytes.len() - r.remaining();
-    let declared = r.u64()?;
-    if !r.is_done() || fnv64(&bytes[payload_start..payload_end]) != declared {
-        return Err(DecodeError::Corrupt);
-    }
-    Ok(value)
 }
 
 /// A count, then each code blob: name, arity, return flag, register count,
@@ -90,14 +49,14 @@ pub(crate) fn encode_blobs(w: &mut Writer, blobs: &[CodeBlob]) {
 /// The inverse of [`encode_blobs`]. Every count is checked against the
 /// remaining input before anything is allocated for it.
 pub(crate) fn decode_blobs(r: &mut Reader<'_>) -> Result<Vec<CodeBlob>, DecodeError> {
-    let count = bounded(r.usize()?, r)?;
+    let count = r.count()?;
     let mut blobs = Vec::with_capacity(count);
     for _ in 0..count {
         let name = r.str()?;
         let arity = r.u32()?;
         let returns_value = r.u8()? != 0;
         let num_regs = r.u32()?;
-        let code_len = bounded(r.usize()?, r)?;
+        let code_len = r.count()?;
         let mut code = Vec::with_capacity(code_len);
         for _ in 0..code_len {
             code.push(decode_bc(r)?);
@@ -113,22 +72,13 @@ pub(crate) fn decode_blobs(r: &mut Reader<'_>) -> Result<Vec<CodeBlob>, DecodeEr
     Ok(blobs)
 }
 
-/// A declared element count, rejected when the remaining input could not
-/// hold that many elements (each takes at least one byte).
-pub(crate) fn bounded(count: usize, r: &Reader<'_>) -> Result<usize, DecodeError> {
-    if count > r.remaining() {
-        return Err(DecodeError::BadLength);
-    }
-    Ok(count)
-}
-
 /// Deserializes a program image.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] for any malformed input.
 pub fn from_bytes(bytes: &[u8]) -> Result<Program, DecodeError> {
-    let (funcs, entry) = unarmored(bytes, MAGIC, IMAGE_VERSION, |r| {
+    let (funcs, entry) = sfcc_codec::unarmor(bytes, MAGIC, IMAGE_VERSION, |r| {
         let funcs = decode_blobs(r)?;
         let entry = if r.u8()? != 0 {
             Some(FuncId(r.u32()?))
@@ -158,16 +108,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Program, DecodeError> {
 }
 
 /// Writes a program image to `path` atomically (unique temp + rename via
-/// the fault-injectable I/O layer), with no sync points.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save(program: &Program, path: &Path) -> io::Result<()> {
-    save_with(program, path, Durability::Fast)
-}
-
-/// [`save`] with an explicit [`Durability`] mode.
+/// the fault-injectable I/O layer), synced as `durability` asks.
 ///
 /// # Errors
 ///
@@ -400,7 +341,7 @@ fn decode_bc(r: &mut Reader<'_>) -> Result<Bc, DecodeError> {
         },
         8 => {
             let func = FuncId(r.u32()?);
-            let argc = bounded(r.usize()?, r)?;
+            let argc = r.count()?;
             let mut args = Vec::with_capacity(argc);
             for _ in 0..argc {
                 args.push(decode_src(r)?);
@@ -519,7 +460,7 @@ bb0:
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("prog.sbx");
         let p = sample_program();
-        save(&p, &path).unwrap();
+        save_with(&p, &path, Durability::Fast).unwrap();
         let back = load(&path).unwrap();
         assert_eq!(p.funcs.len(), back.funcs.len());
         std::fs::remove_dir_all(&dir).unwrap();

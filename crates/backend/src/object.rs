@@ -9,7 +9,7 @@
 
 use crate::bytecode::{Bc, CodeBlob, FuncId, Program};
 use crate::codegen::{compile_function, CallResolver, CodegenError};
-use crate::image::{armored, bounded, decode_blobs, encode_blobs, unarmored};
+use crate::image::{decode_blobs, encode_blobs};
 use crate::link::LinkError;
 use sfcc_codec::DecodeError;
 use sfcc_ir::Module;
@@ -31,17 +31,10 @@ pub struct CodeObject {
     pub symbols: Vec<String>,
 }
 
-impl CodeObject {
-    /// Total static instruction count.
-    pub fn code_size(&self) -> usize {
-        self.blobs.iter().map(CodeBlob::len).sum()
-    }
-}
-
 /// Serializes an object in the image's armor and bytecode codec: module
 /// name, code blobs, symbol table.
 pub fn to_bytes(object: &CodeObject) -> Vec<u8> {
-    armored(MAGIC, OBJECT_VERSION, |w| {
+    sfcc_codec::armor(MAGIC, OBJECT_VERSION, |w| {
         w.str(&object.module);
         encode_blobs(w, &object.blobs);
         w.usize(object.symbols.len());
@@ -59,10 +52,10 @@ pub fn to_bytes(object: &CodeObject) -> Vec<u8> {
 ///
 /// Returns a [`DecodeError`] for any malformed input.
 pub fn from_bytes(bytes: &[u8]) -> Result<CodeObject, DecodeError> {
-    let object = unarmored(bytes, MAGIC, OBJECT_VERSION, |r| {
+    let object = sfcc_codec::unarmor(bytes, MAGIC, OBJECT_VERSION, |r| {
         let module = r.str()?;
         let blobs = decode_blobs(r)?;
-        let count = bounded(r.usize()?, r)?;
+        let count = r.count()?;
         let mut symbols = Vec::with_capacity(count);
         for _ in 0..count {
             symbols.push(r.str()?);
@@ -313,7 +306,7 @@ mod tests {
         }
         // Well-armored lies: a blob count far past the input, and a call
         // naming a symbol the table does not have.
-        let lie = armored(MAGIC, OBJECT_VERSION, |w| {
+        let lie = sfcc_codec::armor(MAGIC, OBJECT_VERSION, |w| {
             w.str("m");
             w.u64(u64::MAX >> 1);
         });

@@ -90,25 +90,8 @@ pub struct RunOutput {
     /// Executed bytecode instructions (dynamic cost).
     pub executed: u64,
     /// Executed instructions per function, aligned with the program's
-    /// function table (a flat profile for hotspot reports).
+    /// function table (a flat profile).
     pub per_function: Vec<u64>,
-}
-
-impl RunOutput {
-    /// The hottest functions as `(qualified name, executed)` pairs, hottest
-    /// first, resolved against the program that produced this output.
-    pub fn hotspots<'p>(&self, program: &'p Program, top: usize) -> Vec<(&'p str, u64)> {
-        let mut rows: Vec<(&str, u64)> = program
-            .funcs
-            .iter()
-            .zip(&self.per_function)
-            .filter(|(_, &n)| n > 0)
-            .map(|(f, &n)| (f.name.as_str(), n))
-            .collect();
-        rows.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        rows.truncate(top);
-        rows
-    }
 }
 
 /// Execution limits.

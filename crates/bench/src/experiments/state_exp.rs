@@ -3,7 +3,7 @@
 use crate::harness::{replay_with, speedup_percent};
 use crate::table::{frac_pct, ms, pct, Table};
 use crate::{Scale, DEFAULT_SEED};
-use sfcc::{Compiler, Config};
+use sfcc::{persist, Compiler, Config, Durability};
 use sfcc_buildsys::Builder;
 use sfcc_state::statefile;
 use sfcc_workload::{generate_model, EditScript};
@@ -47,15 +47,18 @@ pub fn state_overhead(scale: Scale) -> String {
         let dir =
             std::env::temp_dir().join(format!("sfcc-e5-{}-{}", std::process::id(), config.name));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("state.bin");
+        // The commit the compiler ships: encode, write a generation file,
+        // publish the manifest; and the load that reads it back.
+        let base = dir.join(".sfcc-state");
         let t = Instant::now();
-        statefile::save(stateful.compiler().state(), &path).expect("save");
+        let state = statefile::to_bytes(stateful.compiler().state());
+        persist::save(&base, Some(&state), None, None, Durability::Fast).expect("save");
         let save_ns = t.elapsed().as_nanos() as u64;
         let t = Instant::now();
-        let (loaded, err) = statefile::load_or_default(&path);
+        let loaded = persist::load(&base, true, false);
         let load_ns = t.elapsed().as_nanos() as u64;
-        assert!(err.is_none(), "state reload failed");
-        assert_eq!(loaded.function_count(), functions);
+        assert!(loaded.db_error.is_none(), "state reload failed");
+        assert_eq!(loaded.db.function_count(), functions);
         let _ = std::fs::remove_dir_all(&dir);
 
         table.row(&[

@@ -582,58 +582,52 @@ fn cmd_fsck(args: &[String]) -> Result<ExitCode, String> {
     let images: Vec<PathBuf> = images.iter().map(PathBuf::from).collect();
     let report = sfcc::persist::fsck(&base, &images)
         .map_err(|e| format!("fsck of `{}` failed: {e}", base.display()))?;
-    outln!(
-        "fsck {}: {} file(s) checked",
-        base.display(),
-        report.checked
+    print_fsck(
+        &format!("fsck {}", base.display()),
+        &report,
+        "next stateful build recompiles what was lost and rewrites the state",
     );
+    // A directory operand may also root a shared artifact store; audit it
+    // too, validating every artifact's checksum *and* embedded provenance.
+    let target_path = Path::new(target);
+    let cas_base = target_path.join(sfcc_cas::CAS_BASE);
+    if target_path.is_dir()
+        && sfcc_faultfs::CommitDir::new(&cas_base)
+            .manifest_path()
+            .exists()
+    {
+        let report = sfcc_cas::fsck(target_path)
+            .map_err(|e| format!("cas fsck of `{}` failed: {e}", target_path.display()))?;
+        print_fsck(
+            &format!("cas fsck {}", cas_base.display()),
+            &report,
+            "the store lost artifacts, not correctness: evicted keys miss and recompile",
+        );
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Prints one audit under `title`: what it checked and repaired, then its
+/// verdict — `lost` when it quarantined or dropped anything.
+fn print_fsck(title: &str, report: &sfcc_faultfs::FsckReport, lost: &str) {
+    outln!("{title}: {} file(s) checked", report.checked);
     for path in &report.quarantined {
         outln!("  quarantined {}", path.display());
     }
-    for path in &report.removed {
-        outln!("  removed orphan {}", path.display());
+    if !report.removed.is_empty() {
+        outln!("  removed {} orphan file(s)", report.removed.len());
     }
     if report.repaired_manifest {
         outln!("  manifest rewritten without the corrupt entries");
     }
     if report.clean() {
         outln!("  clean");
+    } else if report.quarantined.is_empty() && !report.repaired_manifest {
+        // Orphan debris only: nothing referenced was touched.
+        outln!("  clean after sweep");
     } else {
-        outln!("  next stateful build recompiles what was lost and rewrites the state");
+        outln!("  {lost}");
     }
-    // A directory operand may also root a shared artifact store; audit it
-    // too, validating every artifact's checksum *and* embedded provenance.
-    let target_path = Path::new(target);
-    let cas_manifest =
-        sfcc_faultfs::CommitDir::new(&target_path.join(sfcc_cas::CAS_BASE)).manifest_path();
-    if target_path.is_dir() && cas_manifest.exists() {
-        let cas_report = sfcc_cas::fsck(target_path)
-            .map_err(|e| format!("cas fsck of `{}` failed: {e}", target_path.display()))?;
-        outln!(
-            "cas fsck {}: {} artifact(s) checked",
-            target_path.join(sfcc_cas::CAS_BASE).display(),
-            cas_report.checked
-        );
-        for path in &cas_report.quarantined {
-            outln!("  quarantined {path}");
-        }
-        if cas_report.removed > 0 {
-            outln!("  removed {} orphan file(s)", cas_report.removed);
-        }
-        if cas_report.repaired_manifest {
-            outln!("  manifest rewritten without the corrupt entries");
-        }
-        if cas_report.clean() {
-            outln!("  clean");
-        } else if cas_report.quarantined.is_empty() && !cas_report.repaired_manifest {
-            // Orphan debris only (shared commits never GC replaced
-            // generations) — nothing referenced was touched.
-            outln!("  clean after sweep");
-        } else {
-            outln!("  the store lost artifacts, not correctness: evicted keys miss and recompile");
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {

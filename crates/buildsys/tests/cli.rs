@@ -219,6 +219,10 @@ fn fsck_quarantines_corrupt_manifest_then_recovers() {
         text.contains("next stateful build recompiles"),
         "fsck must explain the recovery path: {text}"
     );
+    assert!(
+        !text.contains("manifest rewritten") && text.contains("orphan file(s)"),
+        "a quarantined manifest is not a manifest repair; its files are orphans: {text}"
+    );
 
     // A second fsck finds nothing left to quarantine, and a rebuild
     // recreates a clean state dir from scratch.

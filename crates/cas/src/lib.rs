@@ -46,10 +46,11 @@
 //! a reader holding a stale manifest view simply misses.
 
 use sfcc_codec::{fnv64, DecodeError, Reader, Writer};
-use sfcc_faultfs::{self as ffs, CommitDir, Durability, EntryError, Manifest, ManifestError};
+use sfcc_faultfs::{
+    self as ffs, CommitDir, Durability, EntryError, FsckReport, Manifest, ManifestError,
+};
 use sfcc_ir::{Fingerprint, Function};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,23 +132,17 @@ pub struct Artifact {
 impl Artifact {
     /// Serializes the artifact behind magic/version/checksum armor.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.u128(self.provenance.key.0);
-        payload.u128(self.provenance.fn_ctx.0);
-        payload.u128(self.provenance.pipeline.0);
-        payload.u64(self.provenance.flags);
-        payload.u32(self.provenance.backend);
-        payload.str(&self.provenance.flag_repr);
-        payload.str(&self.provenance.pipeline_repr);
-        payload.str(&self.name);
-        payload.str(&self.ir_text);
-        let payload = payload.into_bytes();
-        let mut out = Writer::new();
-        out.raw(ARTIFACT_MAGIC);
-        out.u32(ARTIFACT_VERSION);
-        out.raw(&payload);
-        out.u64(fnv64(&payload));
-        out.into_bytes()
+        sfcc_codec::armor(ARTIFACT_MAGIC, ARTIFACT_VERSION, |w| {
+            w.u128(self.provenance.key.0);
+            w.u128(self.provenance.fn_ctx.0);
+            w.u128(self.provenance.pipeline.0);
+            w.u64(self.provenance.flags);
+            w.u32(self.provenance.backend);
+            w.str(&self.provenance.flag_repr);
+            w.str(&self.provenance.pipeline_repr);
+            w.str(&self.name);
+            w.str(&self.ir_text);
+        })
     }
 
     /// Deserializes an artifact; any malformed input fails (callers treat
@@ -158,34 +153,21 @@ impl Artifact {
     /// Returns a [`DecodeError`] for truncated, version-skewed, or
     /// bit-flipped input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        if bytes.len() < ARTIFACT_MAGIC.len() || &bytes[..ARTIFACT_MAGIC.len()] != ARTIFACT_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let mut r = Reader::new(&bytes[ARTIFACT_MAGIC.len()..]);
-        let version = r.u32()?;
-        if version != ARTIFACT_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let payload_start = bytes.len() - r.remaining();
-        let art = Artifact {
-            provenance: Provenance {
-                key: Fingerprint(r.u128()?),
-                fn_ctx: Fingerprint(r.u128()?),
-                pipeline: Fingerprint(r.u128()?),
-                flags: r.u64()?,
-                backend: r.u32()?,
-                flag_repr: r.str()?,
-                pipeline_repr: r.str()?,
-            },
-            name: r.str()?,
-            ir_text: r.str()?,
-        };
-        let payload_end = bytes.len() - r.remaining();
-        let declared = r.u64()?;
-        if !r.is_done() || fnv64(&bytes[payload_start..payload_end]) != declared {
-            return Err(DecodeError::Corrupt);
-        }
-        Ok(art)
+        sfcc_codec::unarmor(bytes, ARTIFACT_MAGIC, ARTIFACT_VERSION, |r| {
+            Ok(Artifact {
+                provenance: Provenance {
+                    key: Fingerprint(r.u128()?),
+                    fn_ctx: Fingerprint(r.u128()?),
+                    pipeline: Fingerprint(r.u128()?),
+                    flags: r.u64()?,
+                    backend: r.u32()?,
+                    flag_repr: r.str()?,
+                    pipeline_repr: r.str()?,
+                },
+                name: r.str()?,
+                ir_text: r.str()?,
+            })
+        })
     }
 }
 
@@ -229,48 +211,6 @@ pub struct ServedStamps {
     pub honest: u64,
 }
 
-/// Storage backend of a [`CasStore`]: where published artifacts live and
-/// how they become visible. The local [`DirBackend`] is the only
-/// implementation today; a remote backend slots in behind the same trait.
-///
-/// Implementations must publish atomically (all-or-nothing visibility),
-/// verify content on load (returning `None` — never wrong bytes — for
-/// anything that fails validation), and route every durable operation
-/// through `sfcc-faultfs` so crash/fault injection and task attribution
-/// apply.
-pub trait CasBackend: fmt::Debug + Send + Sync {
-    /// A short human-readable identifier (e.g. the directory path).
-    fn describe(&self) -> String;
-    /// Currently published artifacts as `(logical name, byte length)`,
-    /// internal sidecars excluded.
-    fn entries(&self) -> Vec<(String, u64)>;
-    /// Loads one published artifact's bytes, verified against the
-    /// publish-time checksum; `None` on absence or any validation failure
-    /// (corrupt entries are quarantined as a side effect). Marks the entry
-    /// recently used.
-    fn load(&self, logical: &str) -> Option<Vec<u8>>;
-    /// Moves a published entry aside as corrupt (store-level validation
-    /// failed after the byte-level checksum passed).
-    fn quarantine(&self, logical: &str);
-    /// Publishes a batch atomically and persists recency bookkeeping.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; a failed publish leaves the previous
-    /// generation fully intact.
-    fn publish(&self, batch: &[(String, Vec<u8>)]) -> io::Result<()>;
-    /// Evicts least-recently-used artifacts until the published total is
-    /// within `budget` bytes. Returns how many were evicted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from republishing the manifest.
-    fn evict_to(&self, budget: u64) -> io::Result<u64>;
-    /// Drops any cached view so the next operation observes commits made
-    /// by other processes.
-    fn refresh(&self);
-}
-
 /// Recency map carried in the manifest's `lru` sidecar: logical name →
 /// the manifest generation at which it was last used.
 fn lru_to_bytes(map: &HashMap<String, u64>) -> Vec<u8> {
@@ -308,7 +248,7 @@ fn lru_from_bytes(bytes: &[u8]) -> HashMap<String, u64> {
 /// recency for LRU eviction rides in the same commit as an `lru` sidecar
 /// entry, stamped with the manifest generation as a logical clock.
 #[derive(Debug)]
-pub struct DirBackend {
+struct DirBackend {
     cd: CommitDir,
     durability: Durability,
     /// Cached manifest view: `None` = not loaded yet. Shared, so a lookup
@@ -324,7 +264,7 @@ impl DirBackend {
     /// # Errors
     ///
     /// Propagates directory-creation failures.
-    pub fn open(dir: &Path, durability: Durability) -> io::Result<Self> {
+    fn open(dir: &Path, durability: Durability) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         Ok(DirBackend {
             cd: CommitDir::new(&dir.join(CAS_BASE)),
@@ -368,13 +308,9 @@ impl DirBackend {
             .map(|bytes| lru_from_bytes(&bytes))
             .unwrap_or_default()
     }
-}
 
-impl CasBackend for DirBackend {
-    fn describe(&self) -> String {
-        self.cd.base().display().to_string()
-    }
-
+    /// Currently published artifacts as `(logical name, byte length)`,
+    /// the recency sidecar excluded.
     fn entries(&self) -> Vec<(String, u64)> {
         self.manifest()
             .map(|m| {
@@ -387,6 +323,10 @@ impl CasBackend for DirBackend {
             .unwrap_or_default()
     }
 
+    /// Loads one published artifact's bytes, verified against the
+    /// publish-time checksum; `None` on absence or any validation failure
+    /// (a corrupt entry is quarantined as a side effect). Marks the entry
+    /// recently used.
     fn load(&self, logical: &str) -> Option<Vec<u8>> {
         let manifest = self.manifest()?;
         let entry = manifest.entry(logical)?;
@@ -406,6 +346,8 @@ impl CasBackend for DirBackend {
         }
     }
 
+    /// Moves a published entry aside as corrupt (store-level validation
+    /// failed after the byte-level checksum passed).
     fn quarantine(&self, logical: &str) {
         if let Some(manifest) = self.manifest() {
             if let Some(entry) = manifest.entry(logical) {
@@ -415,6 +357,8 @@ impl CasBackend for DirBackend {
         self.drop_from_cache(logical);
     }
 
+    /// Publishes a batch atomically, with the recency bookkeeping; a failed
+    /// publish leaves the previous generation intact.
     fn publish(&self, batch: &[(String, Vec<u8>)]) -> io::Result<()> {
         let old = self.manifest();
         let tick = old.as_ref().map(|m| m.generation).unwrap_or(0) + 1;
@@ -449,6 +393,8 @@ impl CasBackend for DirBackend {
         Ok(())
     }
 
+    /// Evicts least-recently-used artifacts until the published total is
+    /// within `budget` bytes. Returns how many were evicted.
     fn evict_to(&self, budget: u64) -> io::Result<u64> {
         let Some(manifest) = self.manifest() else {
             return Ok(0);
@@ -527,6 +473,8 @@ impl CasBackend for DirBackend {
         Ok(evicted.len() as u64)
     }
 
+    /// Drops the cached view so the next operation observes commits made
+    /// by other processes.
     fn refresh(&self) {
         *self.manifest.lock().unwrap() = None;
     }
@@ -555,7 +503,7 @@ fn derive_key(parts: [Fingerprint; 4], keep: impl Fn(&str) -> bool) -> Fingerpri
 /// discipline.
 #[derive(Debug)]
 pub struct CasStore {
-    backend: Box<dyn CasBackend>,
+    backend: DirBackend,
     components: KeyComponents,
     budget: Option<u64>,
     /// Adversarial test hook: key components (by [`KEY_COMPONENTS`] name)
@@ -583,14 +531,8 @@ impl CasStore {
         components: KeyComponents,
         durability: Durability,
     ) -> io::Result<Self> {
-        let backend = DirBackend::open(dir, durability)?;
-        Ok(Self::with_backend(Box::new(backend), components))
-    }
-
-    /// Wraps an arbitrary backend.
-    pub fn with_backend(backend: Box<dyn CasBackend>, components: KeyComponents) -> Self {
-        CasStore {
-            backend,
+        Ok(CasStore {
+            backend: DirBackend::open(dir, durability)?,
             components,
             budget: None,
             drops: Mutex::new(BTreeSet::new()),
@@ -602,18 +544,13 @@ impl CasStore {
             publish_errors: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Sets the size budget: publishes evict least-recently-used
     /// artifacts until the store fits. `None` (the default) never evicts.
     pub fn set_budget(&mut self, budget: Option<u64>) {
         self.budget = budget;
-    }
-
-    /// The backend's identifier (for reports and debugging).
-    pub fn describe(&self) -> String {
-        self.backend.describe()
     }
 
     /// The session-constant key components this handle derives with.
@@ -796,27 +733,6 @@ impl CasStore {
     }
 }
 
-/// The outcome of one store audit ([`fsck`]).
-#[derive(Debug, Clone, Default)]
-pub struct CasFsckReport {
-    /// Manifest entries examined.
-    pub checked: usize,
-    /// Files moved aside as corrupt (`*.corrupt`), by path.
-    pub quarantined: Vec<String>,
-    /// Orphaned temp/generation files deleted.
-    pub removed: usize,
-    /// Whether a repaired manifest was published (entries dropped or the
-    /// manifest itself replaced).
-    pub repaired_manifest: bool,
-}
-
-impl CasFsckReport {
-    /// Whether the store needed no repair at all.
-    pub fn clean(&self) -> bool {
-        self.quarantined.is_empty() && self.removed == 0 && !self.repaired_manifest
-    }
-}
-
 /// Validates an artifact's provenance: the armor decodes, the embedded
 /// key digest equals a re-derivation from the embedded components, the
 /// manifest filed it under that key, and the body parses.
@@ -831,59 +747,24 @@ fn artifact_is_sound(logical: &str, bytes: &[u8]) -> bool {
         && sfcc_ir::parse_function(&artifact.ir_text).is_ok()
 }
 
-/// Audits and repairs a store directory: quarantines a corrupt manifest,
-/// validates every published artifact's checksum *and* provenance record
-/// (quarantining mismatches — including artifacts filed under a key their
-/// provenance does not derive), republishes the surviving entries, and
-/// deletes orphaned temp/generation debris. Never deletes evidence:
-/// everything suspicious is moved aside, not removed.
+/// Audits and repairs a store directory through [`CommitDir::fsck`]: every
+/// published artifact's checksum *and* provenance record is validated, and
+/// a mismatch — an artifact filed under a key its provenance does not
+/// derive included — is quarantined. Never deletes evidence: everything
+/// suspicious is moved aside, not removed.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures from the repair itself (reads that merely fail
 /// validation are handled, not propagated).
-pub fn fsck(dir: &Path) -> io::Result<CasFsckReport> {
-    let base = dir.join(CAS_BASE);
-    let cd = CommitDir::new(&base);
-    let mut report = CasFsckReport::default();
-    let manifest = match cd.read_manifest() {
-        Ok(m) => m,
-        Err(ManifestError::Corrupt(_)) => {
-            if let Some(q) = ffs::quarantine(&cd.manifest_path()) {
-                report.quarantined.push(q.display().to_string());
-            }
-            report.repaired_manifest = true;
-            None
+pub fn fsck(dir: &Path) -> io::Result<FsckReport> {
+    CommitDir::new(&dir.join(CAS_BASE)).fsck(|logical, _, bytes| {
+        if logical == LRU_LOGICAL || artifact_is_sound(logical, &bytes[0]) {
+            Ok(())
+        } else {
+            Err(0)
         }
-        Err(ManifestError::Io(e)) => return Err(e),
-    };
-    if let Some(manifest) = &manifest {
-        let mut survivors = Vec::new();
-        for entry in &manifest.entries {
-            report.checked += 1;
-            let sound = match cd.load_entry(entry) {
-                Ok(bytes) => {
-                    entry.logical == LRU_LOGICAL || artifact_is_sound(&entry.logical, &bytes)
-                }
-                Err(_) => false,
-            };
-            if sound {
-                survivors.push(entry.clone());
-            } else if let Some(q) = ffs::quarantine(&cd.entry_path(entry)) {
-                report.quarantined.push(q.display().to_string());
-            }
-        }
-        if survivors.len() != manifest.entries.len() {
-            cd.publish(manifest.generation + 1, survivors, Durability::Fast)?;
-            report.repaired_manifest = true;
-        }
-    }
-    let current = cd.read_manifest().ok().flatten();
-    for orphan in cd.orphans(current.as_ref())? {
-        ffs::remove_file(&orphan)?;
-        report.removed += 1;
-    }
-    Ok(report)
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! # sfcc-codec
 //!
 //! A compact, self-validating binary codec (LEB128 varints, zigzag signed
-//! encoding, length-prefixed strings, FNV-64 checksums) shared by the
-//! dormancy state file (`sfcc-state`) and program images (`sfcc-backend`).
+//! encoding, length-prefixed strings, FNV-64 checksums) and the one front
+//! door of every persisted file: [`armor`] frames a payload as magic,
+//! version, payload and the payload's FNV-64, [`unarmor`] checks all four,
+//! and [`open`] checks the header of a format that keeps its own trailer.
 //! Hand-rolled because the offline dependency set provides `serde` but no
 //! format crate — and because the artifacts built on it are part of the
 //! reproduced system whose size and load/store cost the evaluation
@@ -127,6 +129,66 @@ impl Fnv64 {
     }
 }
 
+/// Magic, the `u32` version, the payload `write` appends, and the FNV-64
+/// of the payload: the framing of every persisted file whose trailer covers
+/// its payload. [`unarmor`] reads it back.
+pub fn armor(magic: &[u8], version: u32, write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut out = Writer::new();
+    out.raw(magic);
+    out.u32(version);
+    let start = out.len();
+    write(&mut out);
+    let checksum = fnv64(&out.as_bytes()[start..]);
+    out.u64(checksum);
+    out.into_bytes()
+}
+
+/// Checks a file [`armor`] wrote — magic, version, the payload's FNV-64,
+/// nothing after it — and hands the payload to `read`, which decodes it.
+///
+/// # Errors
+///
+/// `BadMagic` or `BadVersion` for another format, `Corrupt` when the
+/// trailer does not match or bytes follow it, and whatever `read` or the
+/// trailer's varint fail with.
+pub fn unarmor<'a, T>(
+    bytes: &'a [u8],
+    magic: &[u8],
+    version: u32,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let mut r = open(bytes, magic, version)?;
+    let start = r.pos;
+    let value = read(&mut r)?;
+    let end = r.pos;
+    let declared = r.u64()?;
+    if !r.is_done() || fnv64(&bytes[start..end]) != declared {
+        return Err(DecodeError::Corrupt);
+    }
+    Ok(value)
+}
+
+/// Checks a file's magic and version only, for a format that checks its
+/// own trailer; the reader continues after them.
+///
+/// # Errors
+///
+/// `BadMagic` when `bytes` does not start with `magic`, `BadVersion` when
+/// the version is not `version`.
+pub fn open<'a>(bytes: &'a [u8], magic: &[u8], version: u32) -> Result<Reader<'a>, DecodeError> {
+    if !bytes.starts_with(magic) {
+        return Err(DecodeError::BadMagic);
+    }
+    let mut r = Reader {
+        buf: bytes,
+        pos: magic.len(),
+    };
+    match r.u32()? {
+        v if v == version => Ok(r),
+        v => Err(DecodeError::BadVersion(v)),
+    }
+}
+
 /// Append-only encoder.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -243,6 +305,21 @@ impl<'a> Reader<'a> {
         let b = *self.buf.get(self.pos).ok_or(DecodeError::UnexpectedEof)?;
         self.pos += 1;
         Ok(b)
+    }
+
+    /// Reads a length-prefixed element count, rejected before anything is
+    /// allocated for it when the remaining input could not hold that many
+    /// elements (each takes at least one byte).
+    ///
+    /// # Errors
+    ///
+    /// `BadLength` for a count past the remaining input.
+    pub fn count(&mut self) -> Result<usize, DecodeError> {
+        let count = self.usize()?;
+        if count > self.remaining() {
+            return Err(DecodeError::BadLength);
+        }
+        Ok(count)
     }
 
     /// Reads a LEB128 varint.
@@ -453,6 +530,102 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_ne!(fnv64(b"a"), fnv64(b"b"));
         assert_eq!(fnv64_continue(fnv64(b"ab"), b"cd"), fnv64(b"abcd"));
+    }
+
+    /// An armored sample: a count of strings, the strings, a signed
+    /// integer and a byte string.
+    fn armored_sample() -> Vec<u8> {
+        armor(b"SFCCXX\0", 3, |w| {
+            w.usize(2);
+            w.str("héllo");
+            w.str("");
+            w.i64(-300);
+            w.bytes(&[0xff, 0x00, 0x80]);
+        })
+    }
+
+    type Sample = (Vec<String>, i64, Vec<u8>);
+
+    fn unarmor_sample(bytes: &[u8]) -> Result<Sample, DecodeError> {
+        unarmor(bytes, b"SFCCXX\0", 3, |r| {
+            let count = r.count()?;
+            let mut names = Vec::with_capacity(count);
+            for _ in 0..count {
+                names.push(r.str()?);
+            }
+            Ok((names, r.i64()?, r.bytes()?.to_vec()))
+        })
+    }
+
+    #[test]
+    fn armor_roundtrips_behind_its_header_and_trailer() {
+        let bytes = armored_sample();
+        assert_eq!(&bytes[..7], b"SFCCXX\0");
+        let names = vec!["héllo".to_string(), String::new()];
+        assert_eq!(
+            unarmor_sample(&bytes),
+            Ok((names, -300, vec![0xff, 0x00, 0x80]))
+        );
+        let mut r = open(&bytes, b"SFCCXX\0", 3).unwrap();
+        assert_eq!(r.count(), Ok(2));
+        assert_eq!(
+            open(&bytes, b"SFCCYY\0", 3).unwrap_err(),
+            DecodeError::BadMagic
+        );
+        assert_eq!(
+            open(&bytes, b"SFCCXX\0", 4).unwrap_err(),
+            DecodeError::BadVersion(3)
+        );
+        assert_eq!(
+            open(b"SFC", b"SFCCXX\0", 3).unwrap_err(),
+            DecodeError::BadMagic
+        );
+    }
+
+    #[test]
+    fn every_truncation_of_an_armored_file_is_a_typed_error() {
+        let bytes = armored_sample();
+        for cut in 0..bytes.len() {
+            assert!(unarmor_sample(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_an_armored_file_is_a_typed_error() {
+        let bytes = armored_sample();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                assert!(unarmor_sample(&flipped).is_err(), "byte {i} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn unarmor_rejects_trailing_bytes() {
+        let mut bytes = armored_sample();
+        bytes.push(0);
+        assert_eq!(unarmor_sample(&bytes), Err(DecodeError::Corrupt));
+    }
+
+    #[test]
+    fn a_count_past_the_input_is_rejected_before_allocation() {
+        // A capacity this large would abort the allocation: the count
+        // must be refused first.
+        let lie = armor(b"SFCCXX\0", 3, |w| {
+            w.u64(u64::MAX >> 1);
+            w.raw(b"ab");
+        });
+        assert_eq!(unarmor_sample(&lie), Err(DecodeError::BadLength));
+        let mut w = Writer::new();
+        w.usize(3);
+        w.raw(b"abc");
+        assert_eq!(
+            Reader::new(&w.as_bytes()[..3]).count(),
+            Err(DecodeError::BadLength)
+        );
+        assert_eq!(Reader::new(w.as_bytes()).count(), Ok(3));
     }
 
     proptest! {

@@ -378,18 +378,6 @@ struct GraphSegment {
     table: Vec<usize>,
 }
 
-/// Reads a file's magic and version; the reader continues after them.
-fn open<'a>(bytes: &'a [u8], magic: &[u8], version: u32) -> Result<Reader<'a>, DecodeError> {
-    if bytes.len() < magic.len() || &bytes[..magic.len()] != magic {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[magic.len()..]);
-    match r.u32()? {
-        v if v == version => Ok(r),
-        v => Err(DecodeError::BadVersion(v)),
-    }
-}
-
 /// Reads one node record (see [`NodeWriter::node`]); its value stays a
 /// slice of `buffer`, unchecked, and is stepped over by `checksum`. Raises
 /// `max_key` to the largest dependency key it names.
@@ -412,7 +400,7 @@ fn read_node(
         }
         _ => return Err(DecodeError::Corrupt),
     };
-    let dep_count = bounded(r.usize()?, r)?;
+    let dep_count = r.count()?;
     let mut deps = Vec::with_capacity(dep_count);
     for _ in 0..dep_count {
         deps.push(match r.u8()? {
@@ -451,12 +439,12 @@ fn close(mut r: Reader<'_>, buffer: &[u8], mut checksum: Checksum) -> Result<(),
 
 impl GraphSegment {
     fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
-        let mut r = open(&buffer, SEGMENT_MAGIC, SEGMENT_VERSION)?;
+        let mut r = sfcc_codec::open(&buffer, SEGMENT_MAGIC, SEGMENT_VERSION)?;
         let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
         let identity = r.u64()?;
         let parent = r.u64()?;
         let parent_keys = r.u32()? as usize;
-        let node_count = bounded(r.usize()?, &r)?;
+        let node_count = r.count()?;
         let mut nodes = Vec::with_capacity(node_count);
         let mut max_key = None;
         for _ in 0..node_count {
@@ -467,13 +455,13 @@ impl GraphSegment {
                 read_node(&mut r, &buffer, &mut checksum, &mut max_key)?,
             ));
         }
-        let label_count = bounded(r.u32()? as usize, &r)?;
+        let label_count = r.count()?;
         let mut labels = Vec::with_capacity(label_count);
         for _ in 0..label_count {
             labels.push(r.str()?);
         }
         let placed = r.usize()?;
-        let table_len = bounded(r.usize()?, &r)?;
+        let table_len = r.count()?;
         let mut table = Vec::with_capacity(table_len);
         for _ in 0..table_len {
             let key = r.u32()? as usize;
@@ -536,16 +524,16 @@ impl GraphFile {
 
     /// [`GraphFile::from_bytes`] of a shared buffer, values unchecked.
     pub(crate) fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
-        let mut r = open(&buffer, GRAPH_MAGIC, GRAPH_VERSION)?;
+        let mut r = sfcc_codec::open(&buffer, GRAPH_MAGIC, GRAPH_VERSION)?;
         let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
         let identity = r.u64()?;
-        let node_count = bounded(r.usize()?, &r)?;
+        let node_count = r.count()?;
         let mut nodes = Vec::with_capacity(node_count);
         let mut max_key = None;
         for _ in 0..node_count {
             nodes.push(read_node(&mut r, &buffer, &mut checksum, &mut max_key)?);
         }
-        let key_count = bounded(r.usize()?, &r)?;
+        let key_count = r.count()?;
         if node_count > key_count || max_key.is_some_and(|key| key >= key_count) {
             return Err(DecodeError::Corrupt);
         }
@@ -705,15 +693,6 @@ impl GraphFile {
             nodes: placed_nodes,
         })
     }
-}
-
-/// A declared element count, rejected when the remaining input could not
-/// hold that many elements (each takes at least one byte).
-fn bounded(count: usize, r: &Reader<'_>) -> Result<usize, DecodeError> {
-    if count > r.remaining() {
-        return Err(DecodeError::BadLength);
-    }
-    Ok(count)
 }
 
 #[cfg(test)]
@@ -923,14 +902,8 @@ mod tests {
     /// before any allocation sized by the lie.
     #[test]
     fn hostile_counts_and_indices_are_rejected() {
-        let reframe = |payload: Vec<u8>| {
-            let mut out = Writer::new();
-            out.raw(GRAPH_MAGIC);
-            out.u32(GRAPH_VERSION);
-            out.raw(&payload);
-            out.u64(fnv64(&payload));
-            out.into_bytes()
-        };
+        let reframe =
+            |payload: Vec<u8>| sfcc_codec::armor(GRAPH_MAGIC, GRAPH_VERSION, |w| w.raw(&payload));
         // A node count far beyond the input.
         let mut w = Writer::new();
         w.u64(1);

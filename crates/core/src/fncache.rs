@@ -61,7 +61,7 @@
 //! that commit would load as.
 
 use crate::depgraph::ValueBytes;
-use sfcc_codec::{fnv64, DecodeError, Reader, Writer};
+use sfcc_codec::{armor, unarmor, DecodeError, Reader, Writer};
 use sfcc_ir::{fingerprint, Fingerprint, Function, Module, Op};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -432,10 +432,7 @@ impl FunctionCache {
                 return Err(DecodeError::Corrupt);
             }
             let records = read_records(r, &buffer)?;
-            let count = r.usize()?;
-            if count > r.remaining() {
-                return Err(DecodeError::BadLength);
-            }
+            let count = r.count()?;
             let mut dropped: Vec<u128> = Vec::with_capacity(count);
             for _ in 0..count {
                 let key = r.u128()?;
@@ -498,44 +495,6 @@ impl FunctionCache {
     }
 }
 
-/// A file as every cache file is armored: magic, version, the payload
-/// `payload` writes, FNV-64 of the payload.
-fn armor(magic: &[u8], version: u32, payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut out = Writer::new();
-    out.raw(magic);
-    out.u32(version);
-    let start = out.len();
-    payload(&mut out);
-    let checksum = fnv64(&out.as_bytes()[start..]);
-    out.u64(checksum);
-    out.into_bytes()
-}
-
-/// Reads a file [`armor`] wrote, the payload through `payload`.
-fn unarmor<'a, T>(
-    bytes: &'a [u8],
-    magic: &[u8],
-    version: u32,
-    payload: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
-) -> Result<T, DecodeError> {
-    if bytes.len() < magic.len() || &bytes[..magic.len()] != magic {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[magic.len()..]);
-    let found = r.u32()?;
-    if found != version {
-        return Err(DecodeError::BadVersion(found));
-    }
-    let start = bytes.len() - r.remaining();
-    let value = payload(&mut r)?;
-    let end = bytes.len() - r.remaining();
-    let declared = r.u64()?;
-    if !r.is_done() || fnv64(&bytes[start..end]) != declared {
-        return Err(DecodeError::Corrupt);
-    }
-    Ok(value)
-}
-
 /// A count, then that many records — key, name, IR text — key-sorted, each
 /// key once; framed, not parsed, each a slice of `buffer`.
 fn read_records(
@@ -543,10 +502,7 @@ fn read_records(
     buffer: &Arc<Vec<u8>>,
 ) -> Result<Vec<(Fingerprint, ValueBytes)>, DecodeError> {
     let offset = |r: &Reader<'_>| buffer.len() - r.remaining();
-    let count = r.usize()?;
-    if count > r.remaining() {
-        return Err(DecodeError::BadLength);
-    }
+    let count = r.count()?;
     let mut records: Vec<(Fingerprint, ValueBytes)> = Vec::with_capacity(count);
     for _ in 0..count {
         let start = offset(r);
@@ -852,19 +808,13 @@ mod tests {
 
     /// A cache file whose one record holds `text`, armor intact.
     fn file_with_text(key: u128, text: &[u8]) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.u64(0);
-        payload.usize(1);
-        payload.u128(key);
-        payload.str("f");
-        payload.bytes(text);
-        let payload = payload.into_bytes();
-        let mut out = Writer::new();
-        out.raw(CACHE_MAGIC);
-        out.u32(CACHE_VERSION);
-        out.raw(&payload);
-        out.u64(fnv64(&payload));
-        out.into_bytes()
+        armor(CACHE_MAGIC, CACHE_VERSION, |payload| {
+            payload.u64(0);
+            payload.usize(1);
+            payload.u128(key);
+            payload.str("f");
+            payload.bytes(text);
+        })
     }
 
     #[test]
@@ -901,7 +851,7 @@ mod tests {
         cache.insert(same_shard_key(0), a.clone());
         cache.insert(same_shard_key(1), b.clone());
         let base = cache.to_bytes();
-        let parent = fnv64(&base);
+        let parent = sfcc_codec::fnv64(&base);
         // Replace one entry, evict the other, add a third.
         cache.insert(same_shard_key(1), a.clone());
         cache.insert(same_shard_key(2), b.clone());
@@ -957,13 +907,9 @@ mod tests {
         let mut payload = bytes[payload_start..first].to_vec();
         payload.extend_from_slice(&bytes[second..end]);
         payload.extend_from_slice(&bytes[first..second]);
-        let mut out = Writer::new();
-        out.raw(CACHE_MAGIC);
-        out.u32(CACHE_VERSION);
-        out.raw(&payload);
-        out.u64(fnv64(&payload));
+        let out = armor(CACHE_MAGIC, CACHE_VERSION, |w| w.raw(&payload));
         assert_eq!(
-            FunctionCache::from_bytes(&out.into_bytes()).unwrap_err(),
+            FunctionCache::from_bytes(&out).unwrap_err(),
             DecodeError::Corrupt
         );
     }

@@ -50,7 +50,7 @@ pub use compiler::{
 pub use config::{Config, Mode, OptLevel};
 pub use depgraph::{GraphDep, GraphFile, GraphNode, GraphWriter, SegmentWriter, ValueBytes};
 pub use fncache::{CacheStats, FunctionCache};
-pub use persist::{FsckReport, LoadedState, RecoveryEvent};
+pub use persist::{LoadedState, RecoveryEvent};
 
 pub use sfcc_faultfs::Durability;
 pub use sfcc_state::SkipPolicy;

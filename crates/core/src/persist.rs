@@ -28,7 +28,7 @@
 use crate::depgraph::{GraphFile, ValueBytes, GRAPH_LOGICAL};
 use crate::fncache::FunctionCache;
 use sfcc_faultfs::{
-    chain_of, next_segment, CommitDir, Durability, EntryError, Manifest, ManifestEntry,
+    next_segment, CommitDir, Durability, EntryError, FsckReport, Manifest, ManifestEntry,
     ManifestError,
 };
 use sfcc_state::{statefile, DecodeError, StateDb};
@@ -410,127 +410,36 @@ pub fn committed_bytes(base: &Path, logical: &str) -> io::Result<Option<Vec<u8>>
 }
 
 /// Read-only state lookup for inspection commands (`minicc state`):
-/// manifest-aware, but never quarantines or mutates anything. Without a
-/// manifest, `base` is read as a bare state file (what
-/// `sfcc_state::statefile::save` writes, e.g. experiment E5's).
-/// `Ok(None)` means no state exists at `base`.
+/// manifest-aware, but never quarantines or mutates anything. `Ok(None)`
+/// means no state is committed at `base`.
 ///
 /// # Errors
 ///
 /// Returns a description of the I/O or decode failure.
 pub fn peek_state(base: &Path) -> Result<Option<StateDb>, String> {
     let cd = CommitDir::new(base);
-    match cd.read_manifest() {
-        Ok(Some(manifest)) => match manifest.entry(STATE_LOGICAL) {
-            Some(entry) => {
-                let bytes = cd.load_entry(entry).map_err(|e| e.to_string())?;
-                statefile::from_bytes(&bytes)
-                    .map(Some)
-                    .map_err(|e| e.to_string())
-            }
-            None => Ok(None),
-        },
-        Ok(None) => match std::fs::read(base) {
-            Ok(bytes) => statefile::from_bytes(&bytes)
-                .map(Some)
-                .map_err(|e| e.to_string()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.to_string()),
-        },
-        Err(e) => Err(e.to_string()),
-    }
+    let manifest = cd.read_manifest().map_err(|e| e.to_string())?;
+    let Some(entry) = manifest.as_ref().and_then(|m| m.entry(STATE_LOGICAL)) else {
+        return Ok(None);
+    };
+    let bytes = cd.load_entry(entry).map_err(|e| e.to_string())?;
+    statefile::from_bytes(&bytes)
+        .map(Some)
+        .map_err(|e| e.to_string())
 }
 
-/// The result of [`fsck`].
-#[derive(Debug, Default)]
-pub struct FsckReport {
-    /// Files whose contents were fully verified.
-    pub checked: usize,
-    /// Files found corrupt and moved to `<file>.corrupt`.
-    pub quarantined: Vec<PathBuf>,
-    /// Abandoned temp/generation files that were removed.
-    pub removed: Vec<PathBuf>,
-    /// Whether the manifest was rewritten to drop quarantined entries.
-    pub repaired_manifest: bool,
-}
-
-impl FsckReport {
-    /// Whether the directory was fully healthy (nothing quarantined,
-    /// removed, or repaired).
-    pub fn clean(&self) -> bool {
-        self.quarantined.is_empty() && self.removed.is_empty() && !self.repaired_manifest
-    }
-}
-
-/// Verifies and repairs the state directory at `base`, plus any program
-/// `images`: every referenced file is fully decoded — a chain folded, each
-/// link verified against the manifest; corrupt files are quarantined; a
-/// manifest with quarantined entries is rewritten without them, and without
-/// the rest of a chain one of whose links was (or without its base); abandoned
-/// temp/generation files are removed, the dropped links among them.
+/// Verifies and repairs the state directory at `base` through
+/// [`CommitDir::fsck`] — every chain folded and fully decoded, each link
+/// verified against the manifest — plus any program `images`, each
+/// decoded and quarantined when it does not.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from scanning the directory or rewriting the
-/// manifest (individual file problems are repairs, not errors).
+/// Propagates I/O failures from scanning the directory, rewriting the
+/// manifest or removing an orphan (individual file problems are repairs,
+/// not errors).
 pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
-    let mut report = FsckReport::default();
-    let cd = CommitDir::new(base);
-    let manifest = match cd.read_manifest() {
-        Ok(m) => m,
-        Err(ManifestError::Corrupt(_)) => {
-            let mpath = cd.manifest_path();
-            if let Some(dest) = sfcc_faultfs::quarantine(&mpath) {
-                report.quarantined.push(dest);
-            }
-            None
-        }
-        Err(ManifestError::Io(e)) => return Err(e),
-    };
-
-    let manifest = match manifest {
-        Some(m) => {
-            let mut logicals: Vec<&str> = m.entries.iter().map(|e| chain_of(&e.logical)).collect();
-            logicals.sort_unstable();
-            logicals.dedup();
-            let mut survivors = Vec::new();
-            for logical in logicals {
-                let links = m.chain(logical);
-                match verify(&cd, logical, &links) {
-                    Ok(()) => {
-                        report.checked += links.len();
-                        survivors.extend(links.into_iter().cloned());
-                    }
-                    Err((i, _)) => {
-                        if let Some(dest) = sfcc_faultfs::quarantine(&cd.entry_path(links[i])) {
-                            report.quarantined.push(dest);
-                        }
-                    }
-                }
-            }
-            if survivors.len() != m.entries.len() {
-                let repaired = cd.publish(m.generation + 1, survivors, Durability::Fast)?;
-                report.repaired_manifest = true;
-                Some(repaired)
-            } else {
-                Some(m)
-            }
-        }
-        None => None,
-    };
-
-    match cd.orphans(manifest.as_ref()) {
-        Ok(orphans) => {
-            for path in orphans {
-                if std::fs::remove_file(&path).is_ok() {
-                    report.removed.push(path);
-                }
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-
+    let mut report = CommitDir::new(base).fsck(verify)?;
     for image in images {
         if let Ok(bytes) = std::fs::read(image) {
             if sfcc_backend::image::from_bytes(&bytes).is_ok() {
@@ -543,29 +452,26 @@ pub fn fsck(base: &Path, images: &[PathBuf]) -> io::Result<FsckReport> {
     Ok(report)
 }
 
-/// Whether `logical`'s chain `links` holds: each link matches the
-/// manifest, and the whole decodes — every cache entry parsed (loading
-/// parses none), every graph value checked. An empty chain (segments
-/// without their base) holds nothing and is dropped without a quarantine.
-fn verify(cd: &CommitDir, logical: &str, links: &[&ManifestEntry]) -> Result<(), LinkError> {
-    if links.is_empty() {
-        return Ok(());
-    }
-    let buffers = read_links(links, |entry| cd.load_entry(entry))?;
+/// Whether `logical`'s chain `links`, read as `bytes`, holds: the whole
+/// decodes — every cache entry parsed (loading parses none), every graph
+/// value checked. `Err` names the failing link.
+fn verify(logical: &str, links: &[&ManifestEntry], bytes: Vec<Vec<u8>>) -> Result<(), usize> {
+    let buffers: Buffers = bytes.into_iter().map(Arc::new).collect();
+    let link = |(i, _): LinkError| i;
     match logical {
-        CACHE_LOGICAL => match fold_cache(links, &buffers)?.unparsable() {
+        CACHE_LOGICAL => match fold_cache(links, &buffers).map_err(link)?.unparsable() {
             None => Ok(()),
-            Some(record) => {
-                let why = "an entry does not parse".to_string();
-                Err((link_of(&buffers, &record), EntryError::Corrupt(why)))
-            }
+            Some(record) => Err(link_of(&buffers, &record)),
         },
-        GRAPH_LOGICAL => fold_graph(links, &buffers, graph_base(&buffers)?).map(|_| ()),
+        GRAPH_LOGICAL => {
+            let base = graph_base(&buffers).map_err(link)?;
+            fold_graph(links, &buffers, base).map(|_| ()).map_err(link)
+        }
         // The state has no segments.
-        STATE_LOGICAL if links.len() > 1 => Err(corrupt(1)(DecodeError::Corrupt)),
+        STATE_LOGICAL if links.len() > 1 => Err(1),
         STATE_LOGICAL => statefile::from_bytes(&buffers[0])
             .map(|_| ())
-            .map_err(corrupt(0)),
+            .map_err(|_| 0),
         // Unknown logicals (a newer version's artifacts): the manifest
         // checksum verified the bytes.
         _ => Ok(()),
@@ -752,9 +658,10 @@ mod tests {
     #[test]
     fn peek_state_does_not_quarantine() {
         let base = tmpbase("peek");
-        fs::write(&base, b"garbage").unwrap();
+        let manifest = CommitDir::new(&base).manifest_path();
+        fs::write(&manifest, b"garbage").unwrap();
         assert!(peek_state(&base).is_err());
-        assert!(base.exists(), "read-only inspection must not mutate");
+        assert!(manifest.exists(), "read-only inspection must not mutate");
         cleanup(&base);
     }
 
@@ -787,7 +694,22 @@ mod tests {
         let loaded = load(&base, true, true);
         assert!(loaded.db_error.is_none());
         assert!(loaded.events.is_empty());
-        assert!(fsck(&base, &[]).unwrap().clean());
+        let ops = {
+            let recorder = sfcc_faultfs::record();
+            assert!(fsck(&base, &[]).unwrap().clean());
+            recorder.take().len()
+        };
+
+        // An orphan is removed through the fault-injectable layer, and a
+        // removal that fails is the audit's error.
+        fs::write(&orphan, b"junk").unwrap();
+        {
+            let plan = sfcc_faultfs::FaultPlan::parse(&format!("fail:{}", ops + 1)).unwrap();
+            let _fault = sfcc_faultfs::install(plan);
+            assert!(fsck(&base, &[]).is_err());
+        }
+        assert!(orphan.exists());
+        assert_eq!(fsck(&base, &[]).unwrap().removed, [orphan]);
         cleanup(&base);
     }
 }

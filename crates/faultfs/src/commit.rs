@@ -21,14 +21,14 @@
 //! Garbage collection is deliberately conservative: a commit deletes only
 //! the generation files *it* replaced (the ones named by the manifest it
 //! read). Temp files and generation files abandoned by crashed or foreign
-//! builders are cleaned up by `minicc fsck` ([`CommitDir::orphans`]).
+//! builders are cleaned up by `minicc fsck` ([`CommitDir::fsck`]).
 
 use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use sfcc_codec::{fnv64, DecodeError, Reader, Writer};
+use sfcc_codec::{fnv64, DecodeError, Writer};
 
 use crate::inject;
 use crate::Durability;
@@ -104,21 +104,10 @@ impl Manifest {
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        // Trailer checksum covers everything before the final varint.
-        if bytes.len() < MANIFEST_MAGIC.len() + 2 {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        if &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let mut r = Reader::new(&bytes[MANIFEST_MAGIC.len()..]);
-        let version = r.u32()?;
-        if version != MANIFEST_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
+        let mut r = sfcc_codec::open(bytes, MANIFEST_MAGIC, MANIFEST_VERSION)?;
         let generation = r.u64()?;
-        let count = r.usize()?;
-        let mut entries = Vec::new();
+        let count = r.count()?;
+        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             entries.push(ManifestEntry {
                 logical: r.str()?,
@@ -127,10 +116,10 @@ impl Manifest {
                 checksum: r.u64()?,
             });
         }
+        // The trailer covers the header too: everything before it.
         let body_len = bytes.len() - r.remaining();
-        let expect = fnv64(&bytes[..body_len]);
         let sum = r.u64()?;
-        if sum != expect || !r.is_done() {
+        if sum != fnv64(&bytes[..body_len]) || !r.is_done() {
             return Err(DecodeError::Corrupt);
         }
         Ok(Manifest {
@@ -207,6 +196,27 @@ impl fmt::Display for EntryError {
 }
 
 impl std::error::Error for EntryError {}
+
+/// The result of [`CommitDir::fsck`].
+#[derive(Debug, Default)]
+pub struct FsckReport {
+    /// Files whose contents were fully verified.
+    pub checked: usize,
+    /// Files found corrupt and moved to `<file>.corrupt`.
+    pub quarantined: Vec<PathBuf>,
+    /// Abandoned temp/generation files that were removed.
+    pub removed: Vec<PathBuf>,
+    /// Whether a manifest without the dropped chains was published.
+    pub repaired_manifest: bool,
+}
+
+impl FsckReport {
+    /// Whether the directory was fully healthy (nothing quarantined,
+    /// removed, or repaired).
+    pub fn clean(&self) -> bool {
+        self.quarantined.is_empty() && self.removed.is_empty() && !self.repaired_manifest
+    }
+}
 
 /// A state directory's atomic commit protocol, anchored at a base path
 /// (e.g. the configured state path `proj/.sfcc-state`). The manifest lives
@@ -476,12 +486,96 @@ impl CommitDir {
         Ok(manifest)
     }
 
+    /// Audits and repairs the directory, in this order: a corrupt manifest
+    /// is quarantined (a quarantine, not a manifest repair: nothing is
+    /// published in its place); each chain's links are loaded and checked
+    /// against the manifest, then `verify(logical, links, bytes)` says
+    /// whether the whole holds, naming the failing link's index when it
+    /// does not; a failing link is quarantined and its chain dropped, as is
+    /// a chain without its base (quarantining nothing); when a chain was
+    /// dropped, the surviving ones are republished as the next generation;
+    /// last, orphan files (see `CommitDir::orphans`) are removed through
+    /// [`inject::remove_file`]. Nothing referenced is ever deleted:
+    /// everything suspicious is moved aside.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable manifest, an unreadable directory, a failed republish,
+    /// and a failed removal of an orphan (save one already gone). Files
+    /// that fail validation are repairs, not errors.
+    pub fn fsck(
+        &self,
+        mut verify: impl FnMut(&str, &[&ManifestEntry], Vec<Vec<u8>>) -> Result<(), usize>,
+    ) -> io::Result<FsckReport> {
+        let mut report = FsckReport::default();
+        let manifest = match self.read_manifest() {
+            Ok(manifest) => manifest,
+            Err(ManifestError::Corrupt(_)) => {
+                report
+                    .quarantined
+                    .extend(inject::quarantine(&self.manifest_path()));
+                None
+            }
+            Err(ManifestError::Io(e)) => return Err(e),
+        };
+        let manifest = match manifest {
+            Some(m) => {
+                let mut logicals: Vec<&str> =
+                    m.entries.iter().map(|e| chain_of(&e.logical)).collect();
+                logicals.sort_unstable();
+                logicals.dedup();
+                let mut survivors = Vec::new();
+                for logical in logicals {
+                    let links = m.chain(logical);
+                    if links.is_empty() {
+                        continue;
+                    }
+                    let verdict = links
+                        .iter()
+                        .enumerate()
+                        .map(|(i, link)| self.load_entry(link).map_err(|_| i))
+                        .collect::<Result<Vec<_>, usize>>()
+                        .and_then(|bytes| verify(logical, &links, bytes));
+                    match verdict {
+                        Ok(()) => {
+                            report.checked += links.len();
+                            survivors.extend(links.into_iter().cloned());
+                        }
+                        Err(i) => report
+                            .quarantined
+                            .extend(inject::quarantine(&self.entry_path(links[i]))),
+                    }
+                }
+                if survivors.len() == m.entries.len() {
+                    Some(m)
+                } else {
+                    report.repaired_manifest = true;
+                    Some(self.publish(m.generation + 1, survivors, Durability::Fast)?)
+                }
+            }
+            None => None,
+        };
+        let orphans = match self.orphans(manifest.as_ref()) {
+            Ok(orphans) => orphans,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        for path in orphans {
+            match inject::remove_file(&path) {
+                Ok(()) => report.removed.push(path),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(report)
+    }
+
     /// Scans the base directory for files that belong to this base's commit
     /// protocol but are referenced by nothing: abandoned temp files and
     /// generation files not named by the current manifest. The manifest
     /// itself, quarantined `*.corrupt`/`*.corrupt.<seq>` files, and foreign
     /// files are never reported.
-    pub fn orphans(&self, manifest: Option<&Manifest>) -> io::Result<Vec<PathBuf>> {
+    fn orphans(&self, manifest: Option<&Manifest>) -> io::Result<Vec<PathBuf>> {
         let base_name = self.base_name();
         let manifest_name = format!("{base_name}.manifest");
         let mut out = Vec::new();

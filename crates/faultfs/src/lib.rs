@@ -60,7 +60,8 @@ pub mod plan;
 
 pub use attribute::{active_task, task_scope, AccessRecord, TaskGuard};
 pub use commit::{
-    chain_of, next_segment, CommitDir, EntryError, Manifest, ManifestEntry, ManifestError,
+    chain_of, next_segment, CommitDir, EntryError, FsckReport, Manifest, ManifestEntry,
+    ManifestError,
 };
 pub use inject::{
     atomic_write, atomic_write_if_changed, install, is_injected, is_quarantine_name, op_counts,

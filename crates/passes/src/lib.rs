@@ -82,11 +82,6 @@ pub trait Pass: Send + Sync {
     fn run(&self, func: &mut Function, snapshot: &ModuleSnapshot) -> bool;
 }
 
-/// Names of every pass in [`default_pipeline`], in slot order.
-pub fn default_pipeline_slots() -> Vec<&'static str> {
-    default_pipeline().slot_names().to_vec()
-}
-
 /// The standard `-O2`-style pipeline used throughout the evaluation.
 ///
 /// Stage layout mirrors a classic middle end: SSA construction and early

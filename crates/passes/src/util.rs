@@ -1,6 +1,6 @@
 //! Shared helpers for transform passes.
 
-use sfcc_ir::{Function, InstId, Op, Ty, ValueRef};
+use sfcc_ir::{Function, InstId, Op, ValueRef};
 use std::collections::HashMap;
 
 /// Counts uses of every instruction result across operands, phi inputs, and
@@ -32,16 +32,6 @@ pub fn use_counts(func: &Function) -> HashMap<InstId, usize> {
 /// behaviour, so eliminating a dead trapping instruction is allowed.
 pub fn is_removable_when_dead(op: &Op) -> bool {
     !op.has_side_effects()
-}
-
-/// Extracts the constant payload of a value, if it is a constant.
-pub fn const_of(v: ValueRef) -> Option<(Ty, i64)> {
-    v.as_const()
-}
-
-/// Whether the value is the integer constant `c`.
-pub fn is_const(v: ValueRef, c: i64) -> bool {
-    matches!(v.as_const(), Some((_, k)) if k == c)
 }
 
 /// Returns `Some(log2(c))` when `c` is a power of two greater than 1.

@@ -1,17 +1,16 @@
 //! On-disk persistence of the [`StateDb`].
 //!
-//! Format: `"SFCCST\0" + version + payload + fnv64(payload)`. Any decoding
-//! problem — truncation, corruption, version skew — degrades to a cold
-//! start rather than an error the user sees, because losing dormancy state
-//! only costs speed, never correctness.
+//! Format: `"SFCCST\0" + version + payload + fnv64(payload)`
+//! ([`sfcc_codec::armor`]). The file is committed as the `state` entry of
+//! the state directory's manifest (`sfcc::persist`). Any decoding problem —
+//! truncation, corruption, version skew — degrades to a cold start rather
+//! than an error the user sees, because losing dormancy state only costs
+//! speed, never correctness.
 
-use crate::codec::{fnv64, DecodeError, Reader, Writer};
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::records::{FunctionRecord, ModuleState, SlotRecord, StateDb};
-use sfcc_faultfs::Durability;
 use sfcc_ir::Fingerprint;
 use std::collections::HashMap;
-use std::io;
-use std::path::Path;
 
 const MAGIC: &[u8; 7] = b"SFCCST\0";
 /// Current format version. Version 2 added the per-slot outcome-history
@@ -20,43 +19,39 @@ pub const FORMAT_VERSION: u32 = 2;
 
 /// Serializes the database to bytes.
 pub fn to_bytes(db: &StateDb) -> Vec<u8> {
-    let mut payload = Writer::new();
-    // Deterministic ordering: sort module and function names.
-    let mut module_names: Vec<&String> = db.modules.keys().collect();
-    module_names.sort();
-    payload.usize(module_names.len());
-    for name in module_names {
-        let module = &db.modules[name];
-        payload.str(name);
-        payload.u128(module.pipeline_hash.0);
-        payload.u64(module.build_counter);
-        let mut fn_names: Vec<&String> = module.functions.keys().collect();
-        fn_names.sort();
-        payload.usize(fn_names.len());
-        for fname in fn_names {
-            let rec = &module.functions[fname];
-            payload.str(fname);
-            payload.u128(rec.fingerprint.0);
-            payload.u128(rec.exit_fingerprint.0);
-            payload.u64(rec.last_build);
-            payload.usize(rec.slots.len());
-            for slot in &rec.slots {
-                payload.u8(slot.dormant as u8);
-                payload.u32(slot.dormant_streak);
-                payload.u32(slot.times_skipped);
-                payload.u8(slot.history);
-                payload.u8(slot.observations);
+    sfcc_codec::armor(MAGIC, FORMAT_VERSION, |payload| {
+        // Deterministic ordering: sort module and function names.
+        let mut module_names: Vec<&String> = db.modules.keys().collect();
+        module_names.sort();
+        payload.usize(module_names.len());
+        for name in module_names {
+            let module = &db.modules[name];
+            payload.str(name);
+            payload.u128(module.pipeline_hash.0);
+            payload.u64(module.build_counter);
+            let mut fn_names: Vec<&String> = module.functions.keys().collect();
+            fn_names.sort();
+            payload.usize(fn_names.len());
+            for fname in fn_names {
+                write_function(payload, fname, &module.functions[fname]);
             }
         }
-    }
-    let payload = payload.into_bytes();
+    })
+}
 
-    let mut out = Writer::new();
-    out.raw(MAGIC);
-    out.u32(FORMAT_VERSION);
-    out.raw(&payload);
-    out.u64(fnv64(&payload));
-    out.into_bytes()
+fn write_function(payload: &mut Writer, name: &str, rec: &FunctionRecord) {
+    payload.str(name);
+    payload.u128(rec.fingerprint.0);
+    payload.u128(rec.exit_fingerprint.0);
+    payload.u64(rec.last_build);
+    payload.usize(rec.slots.len());
+    for slot in &rec.slots {
+        payload.u8(slot.dormant as u8);
+        payload.u32(slot.dormant_streak);
+        payload.u32(slot.times_skipped);
+        payload.u8(slot.history);
+        payload.u8(slot.observations);
+    }
 }
 
 /// Deserializes a database from bytes.
@@ -66,103 +61,51 @@ pub fn to_bytes(db: &StateDb) -> Vec<u8> {
 /// Returns a [`DecodeError`] on any malformed input; callers should treat
 /// that as a cold start.
 pub fn from_bytes(bytes: &[u8]) -> Result<StateDb, DecodeError> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    // The trailer checksum is a varint at the very end; decode the payload
-    // first, then compare against the checksum of the consumed region.
-    let after_header = MAGIC.len() + (bytes.len() - MAGIC.len() - r.remaining());
-    let mut modules = HashMap::new();
-    let module_count = r.usize()?;
-    for _ in 0..module_count {
-        let name = r.str()?;
-        let pipeline_hash = Fingerprint(r.u128()?);
-        let build_counter = r.u64()?;
-        let fn_count = r.usize()?;
-        let mut functions = HashMap::new();
-        for _ in 0..fn_count {
-            let fname = r.str()?;
-            let fingerprint = Fingerprint(r.u128()?);
-            let exit_fingerprint = Fingerprint(r.u128()?);
-            let last_build = r.u64()?;
-            let slot_count = r.usize()?;
-            if slot_count > r.remaining() {
-                return Err(DecodeError::BadLength);
+    sfcc_codec::unarmor(bytes, MAGIC, FORMAT_VERSION, |r| {
+        let mut modules = HashMap::new();
+        for _ in 0..r.count()? {
+            let name = r.str()?;
+            let pipeline_hash = Fingerprint(r.u128()?);
+            let build_counter = r.u64()?;
+            let mut functions = HashMap::new();
+            for _ in 0..r.count()? {
+                let fname = r.str()?;
+                functions.insert(fname, read_function(r)?);
             }
-            let mut slots = Vec::with_capacity(slot_count);
-            for _ in 0..slot_count {
-                slots.push(SlotRecord {
-                    dormant: r.u8()? != 0,
-                    dormant_streak: r.u32()?,
-                    times_skipped: r.u32()?,
-                    history: r.u8()?,
-                    observations: r.u8()?,
-                });
-            }
-            functions.insert(
-                fname,
-                FunctionRecord {
-                    fingerprint,
-                    exit_fingerprint,
-                    slots,
-                    last_build,
+            modules.insert(
+                name,
+                ModuleState {
+                    pipeline_hash,
+                    functions,
+                    build_counter,
                 },
             );
         }
-        modules.insert(
-            name,
-            ModuleState {
-                pipeline_hash,
-                functions,
-                build_counter,
-            },
-        );
-    }
-    let payload_end = MAGIC.len() + (bytes.len() - MAGIC.len() - r.remaining());
-    let declared = r.u64()?;
-    if !r.is_done() {
-        return Err(DecodeError::Corrupt);
-    }
-    if fnv64(&bytes[after_header..payload_end]) != declared {
-        return Err(DecodeError::Corrupt);
-    }
-    Ok(StateDb { modules })
+        Ok(StateDb { modules })
+    })
 }
 
-/// Writes the database to `path` atomically (unique temp + rename, via the
-/// fault-injectable I/O layer), with no sync points.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save(db: &StateDb, path: &Path) -> io::Result<()> {
-    save_with(db, path, Durability::Fast)
-}
-
-/// [`save`] with an explicit [`Durability`] mode.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save_with(db: &StateDb, path: &Path, durability: Durability) -> io::Result<()> {
-    sfcc_faultfs::atomic_write(path, &to_bytes(db), durability)
-}
-
-/// Loads the database from `path`; any missing/corrupt file yields a cold
-/// start (`StateDb::new()`), with the reason in the second tuple slot.
-pub fn load_or_default(path: &Path) -> (StateDb, Option<DecodeError>) {
-    match sfcc_faultfs::read(path) {
-        Ok(bytes) => match from_bytes(&bytes) {
-            Ok(db) => (db, None),
-            Err(e) => (StateDb::new(), Some(e)),
-        },
-        Err(_) => (StateDb::new(), None),
+fn read_function(r: &mut Reader<'_>) -> Result<FunctionRecord, DecodeError> {
+    let fingerprint = Fingerprint(r.u128()?);
+    let exit_fingerprint = Fingerprint(r.u128()?);
+    let last_build = r.u64()?;
+    let slot_count = r.count()?;
+    let mut slots = Vec::with_capacity(slot_count);
+    for _ in 0..slot_count {
+        slots.push(SlotRecord {
+            dormant: r.u8()? != 0,
+            dormant_streak: r.u32()?,
+            times_skipped: r.u32()?,
+            history: r.u8()?,
+            observations: r.u8()?,
+        });
     }
+    Ok(FunctionRecord {
+        fingerprint,
+        exit_fingerprint,
+        slots,
+        last_build,
+    })
 }
 
 #[cfg(test)]
@@ -259,38 +202,6 @@ mod tests {
                 "cut at {cut} not detected"
             );
         }
-    }
-
-    #[test]
-    fn save_and_load_via_filesystem() {
-        let dir = std::env::temp_dir().join(format!("sfcc-state-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.bin");
-        let db = sample_db();
-        save(&db, &path).unwrap();
-        let (loaded, err) = load_or_default(&path);
-        assert!(err.is_none());
-        assert_eq!(loaded, db);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_file_is_cold_start() {
-        let (db, err) = load_or_default(Path::new("/nonexistent/sfcc-state"));
-        assert!(err.is_none());
-        assert_eq!(db, StateDb::new());
-    }
-
-    #[test]
-    fn corrupt_file_is_cold_start_with_reason() {
-        let dir = std::env::temp_dir().join(format!("sfcc-state-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.bin");
-        std::fs::write(&path, b"garbage").unwrap();
-        let (db, err) = load_or_default(&path);
-        assert!(err.is_some());
-        assert_eq!(db, StateDb::new());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     proptest! {

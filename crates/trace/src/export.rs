@@ -98,11 +98,6 @@ impl Trace {
         self.spans.is_empty()
     }
 
-    /// Number of recorded events in category `cat`.
-    pub fn count_cat(&self, cat: &str) -> usize {
-        self.spans.iter().filter(|s| s.cat == cat).count()
-    }
-
     /// Export as Chrome trace-event JSON (one `pid`/`tid` lane,
     /// complete-`X` events plus instant-`i` events). Deterministic unless
     /// `include_wall` adds the measured `wall_ns` annotations.

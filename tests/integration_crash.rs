@@ -1409,6 +1409,16 @@ fn quick_cas_fsck_quarantines_tampered_artifacts() {
     // locally, republishes, and runs correctly.
     let clean = cas_session(&store, &p).unwrap();
     assert_runs_43(&clean, "post-tamper rebuild");
+
+    // A corrupt manifest is quarantined — not a manifest repair: nothing
+    // is published in its place — and every file it named is an orphan.
+    let manifest = CommitDir::new(&store.join(sfcc_cas::CAS_BASE)).manifest_path();
+    fs::write(&manifest, b"junk").unwrap();
+    let report = sfcc_cas::fsck(&store).unwrap();
+    assert_eq!(report.quarantined.len(), 1, "{report:?}");
+    assert!(!report.repaired_manifest, "{report:?}");
+    assert!(!report.removed.is_empty(), "{report:?}");
+    assert!(sfcc_cas::fsck(&store).unwrap().clean());
     cleanup(&store);
 }
 

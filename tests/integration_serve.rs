@@ -926,17 +926,21 @@ fn quick_reports_cover_the_commit_and_a_noop_commits_nothing() {
 
 /// FNV-64 of the demo's committed `depgraph`, `state` and `ircache` bytes
 /// after a full build, a one-constant edit and a no-op, each a new session
-/// writing its image: the persisted formats — and every decision that
+/// writing its image, and of every artifact a full build publishes to a
+/// fresh `--cas` store: the persisted formats — and every decision that
 /// writes them — pinned.
 #[test]
 fn quick_demo_commits_are_pinned() {
     let root = tmproot("demo-pins");
-    let dir = root.join("p");
-    fs::create_dir_all(&dir).unwrap();
     let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
-    for name in ["main.mc", "mathx.mc", "stats.mc"] {
-        fs::copy(demo.join(name), dir.join(name)).unwrap();
-    }
+    let copy_demo = |dir: &Path| {
+        fs::create_dir_all(dir).unwrap();
+        for name in ["main.mc", "mathx.mc", "stats.mc"] {
+            fs::copy(demo.join(name), dir.join(name)).unwrap();
+        }
+    };
+    let dir = root.join("p");
+    copy_demo(&dir);
     let args = args_of(WARM_FLAGS, &[]);
     let mut sums = Vec::new();
     for step in ["full", "edit", "no-op"] {
@@ -957,6 +961,25 @@ fn quick_demo_commits_are_pinned() {
             ));
         }
     }
+    let dir = root.join("s");
+    copy_demo(&dir);
+    let store = root.join("store");
+    let args = args_of(
+        WARM_FLAGS,
+        &["--cas".to_string(), store.display().to_string()],
+    );
+    let mut service = BuildService::new(&dir, &args).unwrap();
+    service.build_image(&dir.join("a.sbx")).unwrap();
+    let cd = CommitDir::new(&store.join(sfcc_cas::CAS_BASE));
+    let manifest = cd.read_manifest().unwrap().expect("published");
+    for entry in manifest.entries.iter().filter(|e| e.logical != "lru") {
+        let bytes = cd.load_entry(entry).unwrap();
+        sums.push(format!(
+            "store {} {:016x}",
+            entry.logical,
+            sfcc_codec::fnv64(&bytes)
+        ));
+    }
     assert_eq!(
         sums,
         [
@@ -969,6 +992,12 @@ fn quick_demo_commits_are_pinned() {
             "no-op depgraph b1ed94d4951706b0",
             "no-op state 05dfb4972f91ed0d",
             "no-op ircache 2108f6f120e06257",
+            "store a71ac9a0e78afafff087af4886080248b 3ba9cdfe5c981bfd",
+            "store a7d80eae9adc31804f17951101f307dc0 911a2fa2987149c1",
+            "store aaf91abd9540dfe5c578dd947703fa9a8 0bee425309b30ef9",
+            "store ab396985603e7329839f21677f69fd205 f6637188944bbe26",
+            "store add269e0c4d274f4510a4ff5e342a72a8 f94075f3f63fa98f",
+            "store af6a2b2de2066194a88d42895633ca1da 86ccd0f68d93547b",
         ]
     );
     cleanup(&root);
