@@ -39,6 +39,25 @@ trace_smoke() {
         trace-check "$scratch/trace.json"
 }
 
+# The value of gauge $1 in the `--report json` file $2.
+gauge() {
+    grep -oE "\"$1\":\{\"type\":\"gauge\",\"value\":[0-9]+" "$2" | grep -oE '[0-9]+$'
+}
+
+# Bytes of the committed files of state directory $1 for the logicals that
+# follow: each logical's live generation files, segments included.
+committed_size() {
+    local dir="$1" total=0 logical file
+    shift
+    for logical in "$@"; do
+        for file in "$dir"/.sfcc-state."$logical".g* "$dir"/.sfcc-state."$logical"+*.g*; do
+            [[ -e "$file" && "$file" != *.corrupt* ]] || continue
+            total=$((total + $(stat -c %s "$file")))
+        done
+    done
+    echo "$total"
+}
+
 # Depcheck smoke: audit the demo build's dependency soundness in a scratch
 # copy; a nonzero exit (findings or build failure) fails the gate.
 depcheck_smoke() {
@@ -60,6 +79,9 @@ depcheck_smoke() {
 # nothing re-run for its value (no module but the edited one is walked, and
 # `graph`, `codegen` and `optimizefn` values are loaded from the graph), and
 # the image a directory without any history builds from the edited tree.
+# The no-op reads what it uses and no more: the state and the graph, not a
+# byte of the function cache; it hashes one graph value (`link`'s) and
+# decodes no program.
 noop_gate() {
     local scratch
     scratch="$(mktemp -d)"
@@ -85,6 +107,16 @@ noop_gate() {
         ((parsed > 4)); then
         echo "ci: a second process over an unchanged tree executed tasks or parsed $parsed key(s):" >&2
         grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/second.json" >&2
+        return 1
+    fi
+    local got used
+    got="$(gauge persist.bytes_read "$scratch/second.json")"
+    used="$(committed_size "$scratch/p" state depgraph)"
+    if ((got != used)) ||
+        (($(gauge persist.values_verified "$scratch/second.json") != 1)) ||
+        (($(gauge backend.programs_decoded "$scratch/second.json") != 0)); then
+        echo "ci: a no-op read more than the $used committed byte(s) of state and graph, or hashed more than \`link\`'s value, or decoded a program:" >&2
+        grep -oE '"(persist.bytes_read|persist.values_verified|backend.programs_decoded)":\{[^}]*\}' "$scratch/second.json" >&2
         return 1
     fi
     # Nor did it rewrite the image it already holds: the same file, no
@@ -147,14 +179,14 @@ noop_gate() {
 # manifest aside (it gains an entry per segment), so nothing grows with the
 # history; both chains compact; `minicc fsck` finds the directory clean.
 # Without the function cache the graph's chain alone is the store's, and
-# `persist.segments` returns to 0 at its compactions.
+# `persist.segments` returns to 0 at its compactions. The first edit follows
+# a no-op, which leaves the function cache unread, and reads its chain
+# exactly once.
 commit_gate() {
     local scratch
     scratch="$(mktemp -d)"
     trap 'rm -rf "$scratch"' RETURN
     local build=(cargo run -q -p sfcc-buildsys --bin minicc -- build)
-    local gauge='"type":"gauge","value":'
-    value() { grep -oE "\"$1\":\{$gauge[0-9]+" "$2" | grep -oE '[0-9]+$'; }
     local flags
     for flags in "--stateful --fn-cache" "--stateful"; do
         local dir="$scratch/p${flags// /}"
@@ -163,15 +195,23 @@ commit_gate() {
         # shellcheck disable=SC2086
         "${build[@]}" "$dir" $flags --report json -o "$scratch/out.sbx" > "$scratch/full.json"
         local full segments=0 flat="" zeroed=0 prev=1000000007 i
-        full="$(value faultfs.bytes_written "$scratch/full.json")"
+        full="$(gauge faultfs.bytes_written "$scratch/full.json")"
+        # shellcheck disable=SC2086
+        "${build[@]}" "$dir" $flags -o "$scratch/out.sbx" > /dev/null
+        local chains
+        chains="$(committed_size "$dir" state depgraph ircache)"
         for i in $(seq 1 30); do
             sed -i "s/$prev/$((prev + 1))/" "$dir/mathx.mc"
             prev=$((prev + 1))
             # shellcheck disable=SC2086
             "${build[@]}" "$dir" $flags --report json -o "$scratch/out.sbx" > "$scratch/edit.json"
             local bytes now payload
-            bytes="$(value faultfs.bytes_written "$scratch/edit.json")"
-            now="$(value persist.segments "$scratch/edit.json")"
+            if ((i == 1)) && (($(gauge persist.bytes_read "$scratch/edit.json") != chains)); then
+                echo "ci: the edit after a no-op ($flags) read $(gauge persist.bytes_read "$scratch/edit.json") committed byte(s), not its $chains" >&2
+                return 1
+            fi
+            bytes="$(gauge faultfs.bytes_written "$scratch/edit.json")"
+            now="$(gauge persist.segments "$scratch/edit.json")"
             payload=$((bytes - $(stat -c %s "$dir/.sfcc-state.manifest")))
             if ((now > segments)); then
                 if ((bytes * 2 >= full)); then

@@ -9,12 +9,24 @@ use crate::bytecode::{Bc, CodeBlob, FuncId, Program, Src};
 use sfcc_codec::{DecodeError, Reader, Writer};
 use sfcc_faultfs::Durability;
 use sfcc_ir::{BinKind, IcmpPred};
+use std::cell::Cell;
 use std::io;
 use std::path::Path;
 
 const MAGIC: &[u8; 7] = b"SFCCBX\0";
 /// Current image format version.
 pub const IMAGE_VERSION: u32 = 1;
+
+thread_local! {
+    /// Programs this thread has decoded ([`programs_decoded`]).
+    static DECODED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many programs this thread has decoded from an image so far: a build
+/// driver reads it before and after a build to count the build's decodes.
+pub fn programs_decoded() -> u64 {
+    DECODED.with(Cell::get)
+}
 
 /// Serializes a program image.
 pub fn to_bytes(program: &Program) -> Vec<u8> {
@@ -104,6 +116,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Program, DecodeError> {
             }
         }
     }
+    DECODED.with(|decoded| decoded.set(decoded.get() + 1));
     Ok(Program { funcs, entry })
 }
 

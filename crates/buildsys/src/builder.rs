@@ -7,8 +7,9 @@
 //! 1. opens an engine session, which re-stamps every tracked input (source
 //!    files, the module manifest, per-function dormancy state) and
 //!    invalidates exactly the tasks downstream of a changed stamp — and, if
-//!    that leaves `link` valid, returns its program: nothing changed, so
-//!    nothing is planned, demanded or executed;
+//!    that leaves `link` valid, returns its image: nothing changed, so
+//!    nothing is planned, demanded or executed, and neither the function
+//!    cache nor the program is read;
 //! 2. demands the [`BuildTask::Graph`] task (import extraction, cycle and
 //!    missing-import diagnostics, wave scheduling);
 //! 3. walks the wave schedule at *function* granularity, walking only the
@@ -51,7 +52,9 @@ use crate::depcheck::{self, DepMutations, DepcheckReport};
 use crate::depgraph;
 use crate::graph::GraphError;
 use crate::project::Project;
-use crate::report::{BuildReport, FngrainStats, ModuleOutput, ModuleReport, QueryStats};
+use crate::report::{
+    BuildReport, FngrainStats, LinkedProgram, ModuleOutput, ModuleReport, QueryStats,
+};
 use crate::tasks::{label_scope, BuildSpec, BuildTask, WaveBatch};
 use sfcc::persist::Artifact;
 use sfcc::{CompileError, Compiler};
@@ -155,6 +158,8 @@ struct Observers {
     root: SpanId,
     op_guard: Option<sfcc_faultfs::RecordGuard>,
     ops_before: sfcc_faultfs::OpCounts,
+    /// This thread's program-decode count when the build began.
+    decoded_before: u64,
 }
 
 /// What the wave walk leaves for the report. Empty but for `order` when the
@@ -322,8 +327,10 @@ impl Builder {
     /// The store as one whole graph file — what a commit that starts a new
     /// chain writes, and what the committed chain folds to once this
     /// store's changes are committed.
-    pub fn graph_file(&self) -> Vec<u8> {
-        depgraph::encode(&self.engine, &self.stored, self.compiler.identity()).0
+    pub fn graph_file(&mut self) -> Vec<u8> {
+        let bytes = depgraph::encode(&self.engine, &mut self.stored, self.compiler.identity()).0;
+        self.stored.report_rejected(&self.engine, &self.compiler);
+        bytes
     }
 
     /// The underlying compiler session (state persistence, cache counters).
@@ -374,11 +381,21 @@ impl Builder {
         // session; per-function ingestion writes the live database. Thawed
         // on every exit so direct compiles between builds see live state.
         self.compiler.freeze_state();
-        let result = self.build_inner(project);
+        let mut result = self.build_inner(project);
         self.compiler.thaw_state();
-        if let Ok(report) = &result {
+        if let Ok(report) = &mut result {
             if self.compiler.persists_state() {
                 self.deposit_graph(report.query.misses > 0);
+                // A new base hashes the stored values it copies; the report
+                // counts them, and any it rejected.
+                let rejected = self.stored.report_rejected(&self.engine, &self.compiler);
+                report.add_to_gauge("persist.values_verified", self.stored.take_verified());
+                if rejected > 0 {
+                    report.recovered_files += rejected;
+                    for name in ["recovery.recovered_files", "recovery.events"] {
+                        report.add_to_gauge(name, rejected as u64);
+                    }
+                }
             }
         }
         result
@@ -402,16 +419,22 @@ impl Builder {
         }
         let identity = self.compiler.identity();
         let segment = match (&self.committed, chain) {
-            (Some((tip, since)), Some(chain)) if *tip == chain.tip => Some(
-                depgraph::encode_segment(&self.engine, &self.stored, identity, chain.tip, since),
-            )
-            .filter(|(bytes, _)| !chain.compacts(bytes.len())),
+            (Some((tip, since)), Some(chain)) if *tip == chain.tip => {
+                Some(depgraph::encode_segment(
+                    &self.engine,
+                    &mut self.stored,
+                    identity,
+                    chain.tip,
+                    since,
+                ))
+                .filter(|(bytes, _)| !chain.compacts(bytes.len()))
+            }
             _ => None,
         };
         let (graph, deposited) = match segment {
             Some((bytes, next)) => (Artifact::Segment(bytes), next),
             None => {
-                let (bytes, next) = depgraph::encode(&self.engine, &self.stored, identity);
+                let (bytes, next) = depgraph::encode(&self.engine, &mut self.stored, identity);
                 (Artifact::Base(bytes), next)
             }
         };
@@ -437,6 +460,7 @@ impl Builder {
             root,
             op_guard: self.depcheck.then(sfcc_faultfs::record),
             ops_before: sfcc_faultfs::op_counts(),
+            decoded_before: sfcc_backend::image::programs_decoded(),
         };
 
         // A process's first build starts from the graph the last one
@@ -476,7 +500,7 @@ impl Builder {
 
         // Opening the session re-stamped every recorded input and marked
         // every task no change reaches as valid. If `link` is one of them,
-        // nothing changed since the build that recorded it, and its program
+        // nothing changed since the build that recorded it, and its image
         // is the answer: no planning, no demand, no execution — whether the
         // store is this process's own or restored from the last one's
         // graph. The module order is `link`'s recorded `codegen`
@@ -503,6 +527,8 @@ impl Builder {
             };
             return finish(&mut self.engine, spec, self.jobs, observers, walk);
         }
+        // Something changed: the walk may look functions up.
+        spec.open_cache();
 
         let graph = self
             .engine
@@ -690,6 +716,7 @@ fn finish(
         root,
         op_guard,
         ops_before,
+        decoded_before,
     } = observers;
     let Walk {
         order,
@@ -702,7 +729,6 @@ fn finish(
         .require(&mut spec, &BuildTask::Link)
         .map_err(seal)?
         .expect_link();
-    let program = spec.program_of(&link);
     if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
         trace.span(
             root,
@@ -809,6 +835,7 @@ fn finish(
     };
 
     let link_ns = spec.link_ns();
+    let values_verified = spec.settle_stored(engine);
     let compiler = spec.into_compiler();
 
     // Garbage-collect function-grained tasks (and dormancy records) of
@@ -837,7 +864,7 @@ fn finish(
         .collect();
 
     let mut report = BuildReport {
-        program,
+        program: LinkedProgram::new(link),
         wall_ns: start.elapsed().as_nanos() as u64,
         link_ns,
         modules,
@@ -858,6 +885,9 @@ fn finish(
     let registry = Registry::new();
     record_report_metrics(&report, waves.len(), &registry);
     registry.gauge_set("query.keys_parsed", engine.keys_parsed());
+    registry.gauge_set("persist.values_verified", values_verified);
+    let decoded = sfcc_backend::image::programs_decoded() - decoded_before;
+    registry.gauge_set("backend.programs_decoded", decoded);
     compiler.record_metrics(&registry);
     // The build's own durable ops; a driver that commits state adds the
     // commit's ([`crate::serve::BuildService`]).

@@ -27,17 +27,19 @@
 //! becomes the engine's label table as it stands — no key is parsed, a
 //! dependency's key index is its task id — nodes come without values, and
 //! beside them a [`Stored`] of the value bytes by task id — slices of the
-//! file, each of which the decoder checked against its node's fingerprint,
-//! decoded when a demand loads them (see `sfcc-query`).
+//! file, unhashed. A demand that loads one hashes it against its node's
+//! fingerprint first and decodes it only if it holds; one that does not is
+//! [`Loaded::Corrupt`]: the task executes (see `sfcc-query`). A value no
+//! demand loads is hashed only if a new base copies it ([`encode`]).
 
 use crate::depcheck::DepMutations;
 use crate::graph::{graph_repr, parse_graph_repr};
 use crate::tasks::{
     split_label, BuildTask, BuildValue, CodegenArtifact, LinkArtifact, OptimizeFnArtifact,
 };
+use sfcc::Compiler;
 use sfcc::{GraphDep, GraphFile, GraphWriter, SegmentWriter, ValueBytes};
-use sfcc_backend::Program;
-use sfcc_query::{Dep, Engine, Exported, TaskId};
+use sfcc_query::{Dep, Engine, Exported, Loaded, TaskId};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -60,20 +62,44 @@ fn persisted_bytes(value: &BuildValue) -> Option<Cow<'_, [u8]>> {
 }
 
 /// The values a restored graph carried that no demand has loaded yet, by
-/// task id, with the fingerprint their bytes hash to.
+/// task id, with the fingerprint their bytes should hash to.
 #[derive(Debug, Default)]
 pub(crate) struct Stored {
     values: Vec<Option<(u64, ValueBytes)>>,
-    /// The program the load of `link` decoded, until a report takes it.
-    program: Option<Program>,
+    /// Values hashed against their fingerprint since the last
+    /// [`Stored::take_verified`].
+    verified: u64,
+    /// Values that did not hash to their fingerprint, by task, until
+    /// [`Stored::report_rejected`].
+    rejected: Vec<(TaskId, ValueBytes)>,
 }
 
 impl Stored {
-    /// Decodes the stored value of task `id` (key `key`), handing it over
-    /// once. `None` when there is none or its bytes do not decode; the
-    /// engine then rematerializes the value.
-    pub(crate) fn load(&mut self, id: TaskId, key: &BuildTask) -> Option<BuildValue> {
-        let (_, bytes) = self.values.get_mut(id.index())?.take()?;
+    /// The stored value of task `id` (key `key`), handed over once: its
+    /// bytes hashed against its node's fingerprint, then decoded.
+    /// [`Loaded::Corrupt`] — the bytes rejected — when they do not hash to
+    /// it; [`Loaded::Absent`] when there is no value, or it does not
+    /// decode: the engine then rematerializes it.
+    pub(crate) fn load(&mut self, id: TaskId, key: &BuildTask) -> Loaded<BuildValue> {
+        let Some((fingerprint, bytes)) = self.values.get_mut(id.index()).and_then(Option::take)
+        else {
+            return Loaded::Absent;
+        };
+        if !self.verify(&bytes, fingerprint) {
+            self.rejected.push((id, bytes));
+            return Loaded::Corrupt;
+        }
+        Self::decode(key, &bytes).map_or(Loaded::Absent, Loaded::Value)
+    }
+
+    /// Whether `bytes` hash to `fingerprint`; every such check is counted.
+    fn verify(&mut self, bytes: &ValueBytes, fingerprint: u64) -> bool {
+        self.verified += 1;
+        bytes.hashes_to(fingerprint)
+    }
+
+    /// The value of task `key` whose persisted bytes are `bytes`.
+    fn decode(key: &BuildTask, bytes: &[u8]) -> Option<BuildValue> {
         Some(match key {
             BuildTask::OptimizeFn(..) => {
                 let text = String::from_utf8(bytes.to_vec()).ok()?;
@@ -85,38 +111,57 @@ impl Stored {
                 }))
             }
             BuildTask::Codegen(_) => BuildValue::Codegen(Arc::new(CodegenArtifact {
-                object: sfcc_backend::object::from_bytes(&bytes).ok()?,
+                object: sfcc_backend::object::from_bytes(bytes).ok()?,
                 bytes: bytes.to_vec(),
             })),
-            BuildTask::Link => {
-                // Decoding proves the image loads; the program waits for
-                // the report of the build that demanded it.
-                self.program = Some(sfcc_backend::image::from_bytes(&bytes).ok()?);
-                BuildValue::Link(Arc::new(LinkArtifact {
-                    program: None,
-                    image: bytes.to_vec(),
-                }))
-            }
+            // The image is what its fingerprint hashes, so it is what
+            // `link` encoded: handed over as bytes, decoded by whoever runs
+            // the program.
+            BuildTask::Link => BuildValue::Link(Arc::new(LinkArtifact {
+                image: bytes.to_vec(),
+            })),
             BuildTask::Graph => BuildValue::Graph(Arc::new(parse_graph_repr(
-                std::str::from_utf8(&bytes).ok()?,
+                std::str::from_utf8(bytes).ok()?,
             )?)),
             _ => return None,
         })
     }
 
-    /// Hands over the program the load of `link` decoded, once.
-    pub(crate) fn take_program(&mut self) -> Option<Program> {
-        self.program.take()
+    /// How many values were hashed against their fingerprint since the
+    /// last call.
+    pub(crate) fn take_verified(&mut self) -> u64 {
+        std::mem::take(&mut self.verified)
+    }
+
+    /// Hands the values rejected since the last call to `compiler`, one
+    /// recovery event each; returns how many there were.
+    pub(crate) fn report_rejected(
+        &mut self,
+        engine: &Engine<BuildTask, BuildValue>,
+        compiler: &Compiler,
+    ) -> usize {
+        let rejected = std::mem::take(&mut self.rejected);
+        for (id, bytes) in &rejected {
+            compiler.reject_value(engine.label(*id), bytes);
+        }
+        rejected.len()
     }
 
     /// Task `id`'s undecoded bytes, if they are the value of fingerprint
-    /// `fingerprint`.
-    fn bytes_of(&self, id: TaskId, fingerprint: u64) -> Option<&[u8]> {
-        self.values
-            .get(id.index())?
-            .as_ref()
-            .filter(|(stored, _)| *stored == fingerprint)
-            .map(|(_, bytes)| &**bytes)
+    /// `fingerprint`, hashed against it as they are copied into a new
+    /// file: bytes that do not hash to it are rejected, never to be copied
+    /// or served.
+    fn copy_of(&mut self, id: TaskId, fingerprint: u64) -> Option<&[u8]> {
+        let slot = self.values.get_mut(id.index())?;
+        if slot.as_ref()?.0 != fingerprint {
+            return None;
+        }
+        let (stored, bytes) = slot.take()?;
+        if !self.verify(&bytes, fingerprint) {
+            self.rejected.push((id, bytes));
+            return None;
+        }
+        Some(&self.values[id.index()].insert((stored, bytes)).1)
     }
 }
 
@@ -189,21 +234,24 @@ fn layout<'e>(
 }
 
 /// The bytes of `node`'s value the graph file carries: from the engine when
-/// on hand, else from `stored` — still undecoded, copied as it was read.
-fn value_bytes<'a>(node: &Exported<'a, BuildValue>, stored: &'a Stored) -> Option<Cow<'a, [u8]>> {
+/// on hand, else from `stored` — still undecoded, hashed as it is copied
+/// ([`Stored::copy_of`]).
+fn value_bytes<'a>(
+    node: &Exported<'a, BuildValue>,
+    stored: &'a mut Stored,
+) -> Option<Cow<'a, [u8]>> {
     match node.value {
         Some(value) => persisted_bytes(value),
-        None => stored
-            .bytes_of(node.id, node.fingerprint)
-            .map(Cow::Borrowed),
+        None => stored.copy_of(node.id, node.fingerprint).map(Cow::Borrowed),
     }
 }
 
 /// The store as an encoded graph file recorded under compiler `identity`,
-/// and the file as the store sees it once committed.
+/// and the file as the store sees it once committed. A stored value that
+/// does not hash to its fingerprint is rejected and written without.
 pub(crate) fn encode(
     engine: &Engine<BuildTask, BuildValue>,
-    stored: &Stored,
+    stored: &mut Stored,
     identity: u64,
 ) -> (Vec<u8>, Committed) {
     let (exported, committed) = layout(engine);
@@ -215,7 +263,7 @@ pub(crate) fn encode(
     for node in &exported {
         w.node(
             node.fingerprint,
-            value_bytes(node, stored).as_deref(),
+            value_bytes(node, &mut *stored).as_deref(),
             node.deps.len(),
         );
         for &dep in node.deps {
@@ -235,7 +283,7 @@ pub(crate) fn encode(
 /// file — and the file the chain then folds to, as the store sees it.
 pub(crate) fn encode_segment(
     engine: &Engine<BuildTask, BuildValue>,
-    stored: &Stored,
+    stored: &mut Stored,
     identity: u64,
     parent: u64,
     since: &Committed,
@@ -259,7 +307,7 @@ pub(crate) fn encode_segment(
         w.node(
             at,
             node.fingerprint,
-            value_bytes(node, stored).as_deref(),
+            value_bytes(node, &mut *stored).as_deref(),
             node.deps.len(),
         );
         for &dep in node.deps {
@@ -318,7 +366,7 @@ pub(crate) fn restore(
     }
     engine.restore(graph.keys, nodes).then_some(Stored {
         values: stored,
-        program: None,
+        ..Stored::default()
     })
 }
 
@@ -377,7 +425,7 @@ mod tests {
     fn graph_file(project: &Project) -> (GraphFile, Arc<DepGraph>) {
         let mut engine = Engine::new();
         let graph = demand_graph(project, &mut engine, &mut Stored::default());
-        let file = GraphFile::from_bytes(encode(&engine, &Stored::default(), 0).0).unwrap();
+        let file = GraphFile::from_bytes(encode(&engine, &mut Stored::default(), 0).0).unwrap();
         (file, graph)
     }
 
@@ -391,11 +439,14 @@ mod tests {
         let (file, graph) = graph_file(&project());
         let id = graph_id(&file);
         let mut stored = restore(&mut Engine::new(), file, &DepMutations::new()).unwrap();
-        let loaded = stored.load(id, &BuildTask::Graph).unwrap().expect_graph();
+        let Loaded::Value(loaded) = stored.load(id, &BuildTask::Graph) else {
+            panic!("a stored graph loads");
+        };
+        let loaded = loaded.expect_graph();
         assert_eq!(loaded.waves(), graph.waves());
         assert_eq!(loaded.topo_order(), graph.topo_order());
         assert!(
-            stored.load(id, &BuildTask::Graph).is_none(),
+            matches!(stored.load(id, &BuildTask::Graph), Loaded::Absent),
             "handed over once"
         );
     }
@@ -423,9 +474,10 @@ mod tests {
             let mutations = DepMutations::new();
             let mut stored = restore(&mut Engine::new(), tampered.clone(), &mutations).unwrap();
             assert!(
-                stored
-                    .load(graph_id(&tampered), &BuildTask::Graph)
-                    .is_none(),
+                matches!(
+                    stored.load(graph_id(&tampered), &BuildTask::Graph),
+                    Loaded::Absent
+                ),
                 "{text}"
             );
 
@@ -435,5 +487,69 @@ mod tests {
             assert_eq!(served.waves(), graph.waves(), "{text}");
             assert_eq!(engine.moved_keys(), [BuildTask::Graph], "{text}");
         }
+    }
+
+    /// `file` with the value of task `key` one byte off: what a flipped bit
+    /// inside a value leaves, which no trailer covers.
+    fn flipped(mut file: GraphFile, key: &str) -> GraphFile {
+        let at = file.keys.iter().position(|k| k == key).unwrap();
+        let mut bytes = file.nodes[at].value.as_deref().unwrap().to_vec();
+        bytes[0] ^= 0x20;
+        file.nodes[at].value = Some(bytes.into());
+        file
+    }
+
+    /// A stored value is hashed when a demand loads it; one that does not
+    /// hash to its node's fingerprint is never decoded or served: the task
+    /// executes, and the compiler session records a recovery event.
+    #[test]
+    fn a_stored_value_that_does_not_hash_is_a_miss() {
+        let p = project();
+        let (file, graph) = graph_file(&p);
+        let mut engine = Engine::new();
+        let mut stored =
+            restore(&mut engine, flipped(file, "graph"), &DepMutations::new()).unwrap();
+        let served = demand_graph(&p, &mut engine, &mut stored);
+        assert_eq!(served.waves(), graph.waves());
+        assert_eq!(engine.executed_keys(), [BuildTask::Graph]);
+        assert_eq!(engine.session_stats().loaded, 0);
+        assert_eq!(stored.take_verified(), 1);
+        let compiler = Compiler::new(Config::stateless());
+        assert_eq!(stored.report_rejected(&engine, &compiler), 1);
+        let events = compiler.recovery_events();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].reason.contains("`graph`"), "{:?}", events[0]);
+        assert!(events[0].quarantined_to.is_none());
+    }
+
+    /// A compaction never re-publishes an unverified value: a stored value
+    /// no demand loaded is hashed as a new base copies it, and one that
+    /// does not hash is dropped — the node is written without it — and
+    /// rejected.
+    #[test]
+    fn a_new_base_drops_a_stored_value_that_does_not_hash() {
+        let (file, _) = graph_file(&project());
+        let mut engine = Engine::new();
+        let flipped = flipped(file.clone(), "graph");
+        let mut stored = restore(&mut engine, flipped, &DepMutations::new()).unwrap();
+        let (bytes, _) = encode(&engine, &mut stored, 0);
+        let written = GraphFile::from_bytes(bytes).expect("every written value hashes");
+        let at = graph_id(&written).index();
+        assert_eq!(written.nodes[at].value, None);
+        assert_eq!(written.nodes[at].fingerprint, file.nodes[at].fingerprint);
+        assert_eq!(stored.take_verified(), 1);
+        let compiler = Compiler::new(Config::stateless());
+        assert_eq!(stored.report_rejected(&engine, &compiler), 1);
+        assert_eq!(compiler.recovery_events().len(), 1);
+        // Dropped, not kept: a later demand rematerializes the value.
+        assert!(matches!(
+            stored.load(graph_id(&written), &BuildTask::Graph),
+            Loaded::Absent
+        ));
+        // An intact stored value is copied as it was read.
+        let mut engine = Engine::new();
+        let mut stored = restore(&mut engine, file.clone(), &DepMutations::new()).unwrap();
+        assert_eq!(encode(&engine, &mut stored, 0).0, file.to_bytes());
+        assert_eq!(stored.take_verified(), 1);
     }
 }

@@ -46,7 +46,7 @@
 //! let report = builder.build(&project).unwrap();
 //! assert_eq!(report.rebuilt_count(), 0);
 //! let out = sfcc_backend::run(
-//!     &report.program, "main.main", &[41], sfcc_backend::VmOptions::default(),
+//!     report.program(), "main.main", &[41], sfcc_backend::VmOptions::default(),
 //! ).unwrap();
 //! assert_eq!(out.return_value, Some(42));
 //! ```
@@ -65,7 +65,7 @@ pub use depcheck::{DepFinding, DepFindingKind, DepMutations, DepcheckReport};
 pub use graph::{DepGraph, GraphError};
 pub use project::Project;
 pub use report::{
-    validate_report_json, BuildReport, ModuleOutput, ModuleReport, PassAggregate, QueryStats,
-    SlotAggregate,
+    validate_report_json, BuildReport, LinkedProgram, ModuleOutput, ModuleReport, PassAggregate,
+    QueryStats, SlotAggregate,
 };
 pub use tasks::{BuildTask, BuildValue};

@@ -9,12 +9,15 @@
 //! full report schema for regression tests.
 
 use crate::depcheck::{DepFindingKind, DepcheckReport};
+use crate::tasks::LinkArtifact;
 use sfcc::PhaseTimings;
 use sfcc_backend::Program;
 use sfcc_passes::{PassOutcome, PipelineTrace};
 use sfcc_trace::json::{self, Value};
 use sfcc_trace::MetricsSnapshot;
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// How many rows the JSON report's "slowest slots" table carries.
 const SLOWEST_SLOTS: usize = 10;
@@ -137,11 +140,51 @@ pub struct SlotAggregate {
     pub runs: u64,
 }
 
+/// A build's linked program as `link` memoized it: the image bytes, shared,
+/// decoded into a [`Program`] once, by the first caller that needs one —
+/// running or disassembling it. A build itself never decodes it.
+#[derive(Debug, Clone)]
+pub struct LinkedProgram {
+    link: Arc<LinkArtifact>,
+    program: OnceLock<Program>,
+}
+
+impl LinkedProgram {
+    /// The program whose image `link` holds.
+    pub(crate) fn new(link: Arc<LinkArtifact>) -> Self {
+        LinkedProgram {
+            link,
+            program: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for LinkedProgram {
+    type Target = Program;
+
+    /// The program, decoded from the image on first use.
+    fn deref(&self) -> &Program {
+        self.program.get_or_init(|| {
+            sfcc_backend::image::from_bytes(&self.link.image).expect("a linked image decodes")
+        })
+    }
+}
+
+impl From<Program> for LinkedProgram {
+    fn from(program: Program) -> Self {
+        LinkedProgram {
+            link: Arc::new(LinkArtifact::of(&program)),
+            program: OnceLock::from(program),
+        }
+    }
+}
+
 /// The result of one [`crate::Builder::build`] call.
 #[derive(Debug, Clone)]
 pub struct BuildReport {
-    /// The fully linked program (always complete, even on a no-op build).
-    pub program: Program,
+    /// The fully linked program (always complete, even on a no-op build),
+    /// decoded on first use ([`BuildReport::program`]).
+    pub program: LinkedProgram,
     /// End-to-end wall time of the build (ns): staleness analysis,
     /// compilation, and linking.
     pub wall_ns: u64,
@@ -192,6 +235,19 @@ pub struct BuildReport {
 }
 
 impl BuildReport {
+    /// The linked program, decoded from its image on first use.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// Adds `by` to gauge `name` of the metrics snapshot, for what a
+    /// driver does after the build assembled its report.
+    pub(crate) fn add_to_gauge(&mut self, name: &str, by: u64) {
+        if let Some(sfcc_trace::MetricValue::Gauge(gauge)) = self.metrics.values.get_mut(name) {
+            *gauge += by;
+        }
+    }
+
     /// Number of modules recompiled by this build.
     pub fn rebuilt_count(&self) -> usize {
         self.modules.iter().filter(|m| m.rebuilt).count()

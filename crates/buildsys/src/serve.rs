@@ -364,16 +364,10 @@ impl BuildService {
             // The report covers the commit's durable ops and bytes too, and
             // the chains it left.
             let ops = sfcc_faultfs::op_counts().delta_since(&before);
-            let gauges = ops
-                .by_kind()
-                .into_iter()
-                .map(|(kind, count)| (format!("faultfs.{kind}"), count))
-                .chain([("faultfs.bytes_written".to_string(), ops.bytes_written)]);
-            for (name, count) in gauges {
-                if let Some(MetricValue::Gauge(gauge)) = report.metrics.values.get_mut(&name) {
-                    *gauge += count;
-                }
+            for (kind, count) in ops.by_kind() {
+                report.add_to_gauge(&format!("faultfs.{kind}"), count);
             }
+            report.add_to_gauge("faultfs.bytes_written", ops.bytes_written);
             let segments = self.builder.compiler().persisted_segments() as u64;
             if let Some(MetricValue::Gauge(gauge)) =
                 report.metrics.values.get_mut("persist.segments")
@@ -503,7 +497,7 @@ impl Service for BuildService {
             }
             "run" => {
                 let report = self.build()?.report;
-                let output = run_main(&report.program, &request.prog_args)?;
+                let output = run_main(report.program(), &request.prog_args)?;
                 Value::obj([
                     ("prints", output.prints.iter().copied().collect()),
                     ("return", output.return_value.into()),
@@ -522,7 +516,7 @@ impl Service for BuildService {
                 Value::obj([("module", module.into()), ("ir", text.into())])
             }
             "bc" => {
-                let text = disasm_program(&self.build()?.report.program);
+                let text = disasm_program(self.build()?.report.program());
                 Value::obj([("bc", text.into())])
             }
             "depcheck" => {

@@ -53,7 +53,7 @@ use sfcc_frontend::{
 use sfcc_ir::print::{function_to_string, write_function};
 use sfcc_ir::{Fingerprint, Function, Op};
 use sfcc_passes::FunctionTrace;
-use sfcc_query::{Ctx, QueryError, TaskId, TaskKey, TaskSpec};
+use sfcc_query::{Ctx, Engine, Loaded, QueryError, TaskId, TaskKey, TaskSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -283,26 +283,21 @@ impl CodegenArtifact {
     }
 }
 
-/// What the link task memoizes: the program and its image encoding, made
-/// once — the task's fingerprint is taken of the bytes, and they are what
-/// the persisted query graph carries.
+/// What the link task memoizes: the program's image encoding — the bytes
+/// the task's fingerprint is taken of, the persisted query graph carries
+/// and the image file holds. Whoever runs the program decodes it
+/// ([`crate::LinkedProgram`]).
 #[derive(Debug, Clone)]
 pub struct LinkArtifact {
-    /// The complete program, when this process linked it; `None` for an
-    /// image loaded from the persisted graph, whose decoded program goes to
-    /// the report that demanded it ([`BuildSpec::program_of`]).
-    pub program: Option<Program>,
     /// `sfcc_backend::image::to_bytes` of the program.
     pub image: Vec<u8>,
 }
 
 impl LinkArtifact {
-    /// A program with its image encoding.
-    pub fn of(program: Program) -> Self {
-        let image = sfcc_backend::image::to_bytes(&program);
+    /// A program's image encoding.
+    pub fn of(program: &Program) -> Self {
         LinkArtifact {
-            program: Some(program),
-            image,
+            image: sfcc_backend::image::to_bytes(program),
         }
     }
 }
@@ -538,17 +533,19 @@ impl<'a> BuildSpec<'a> {
         self.compiler
     }
 
-    /// The program `link` holds, owned for a report: a copy of the one this
-    /// process linked; else the one the load of `link`'s image decoded,
-    /// handed over rather than copied (a cold no-op's largest allocation);
-    /// else the image decoded again.
-    pub(crate) fn program_of(&mut self, link: &LinkArtifact) -> Program {
-        match &link.program {
-            Some(program) => program.clone(),
-            None => self.stored.take_program().unwrap_or_else(|| {
-                sfcc_backend::image::from_bytes(&link.image).expect("a loaded image decodes")
-            }),
-        }
+    /// Opens the compiler session's function cache on the thread that
+    /// drives the build, before any wave fans out, so a fault plan counts
+    /// its reads.
+    pub(crate) fn open_cache(&self) {
+        self.compiler.function_cache();
+    }
+
+    /// Reports the stored values this build rejected to the compiler
+    /// session, one recovery event each, and returns how many stored
+    /// values it hashed.
+    pub(crate) fn settle_stored(&mut self, engine: &Engine<BuildTask, BuildValue>) -> u64 {
+        self.stored.report_rejected(engine, self.compiler);
+        self.stored.take_verified()
     }
 
     /// Wall time of the link step this build, 0 when the link was cached.
@@ -810,7 +807,7 @@ impl TaskSpec for BuildSpec<'_> {
         }
     }
 
-    fn load(&mut self, id: TaskId, key: &BuildTask) -> Option<BuildValue> {
+    fn load(&mut self, id: TaskId, key: &BuildTask) -> Loaded<BuildValue> {
         self.stored.load(id, key)
     }
 
@@ -1160,7 +1157,7 @@ impl BuildSpec<'_> {
                 let program =
                     link_objects(&objects).map_err(|e| QueryError::Task(BuildError::Link(e)))?;
                 self.link_ns = t.elapsed().as_nanos() as u64;
-                Ok(BuildValue::Link(Arc::new(LinkArtifact::of(program))))
+                Ok(BuildValue::Link(Arc::new(LinkArtifact::of(&program))))
             }
         }
     }

@@ -2,13 +2,16 @@
 //! object code, with dormancy recording in stateful mode.
 
 use crate::config::{Config, Mode, OptLevel};
-use crate::depgraph::{GraphFile, GRAPH_LOGICAL};
+use crate::depgraph::{GraphFile, ValueBytes, GRAPH_LOGICAL};
 use crate::fncache::{context_fingerprints, CacheStats, FunctionCache};
-use crate::persist::{self, Artifact, Chain, LoadedState, RecoveryEvent, CACHE_LOGICAL};
+use crate::persist::{
+    self, Artifact, Chain, GraphLinks, LoadedState, RecoveryEvent, CACHE_LOGICAL,
+};
 use crate::phases;
 use sfcc_backend::CodeObject;
 use sfcc_cas::{CasStats, CasStore, KeyComponents, ServedStamps, DEFAULT_BACKEND_VERSION};
 use sfcc_codec::{fnv64, Fnv64};
+use sfcc_faultfs::ManifestEntry;
 use sfcc_frontend::{Diagnostics, ModuleEnv, ModuleInterface, SourceFile};
 use sfcc_ir::{Fingerprint, Function};
 use sfcc_passes::{
@@ -20,7 +23,8 @@ use sfcc_state::{statefile, DbOracle, DecodeError, StateDb};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Wall-clock time per compilation phase, in nanoseconds.
@@ -178,13 +182,25 @@ pub struct Compiler {
     /// one bump a whole-module ingest performs).
     session_bumped: HashSet<String>,
     state_load_error: Option<DecodeError>,
-    fn_cache: FunctionCache,
+    /// The function cache, opened on first use ([`Compiler::function_cache`]):
+    /// from `cache_links` when the session loaded a committed chain.
+    fn_cache: OnceLock<FunctionCache>,
+    /// The committed cache chain's links the load recorded and did not
+    /// read; what opening `fn_cache` folds.
+    cache_links: Vec<ManifestEntry>,
     /// The shared content-addressed artifact store, consulted below the
     /// in-process function cache ([`Config::cas_path`]). `None` when
     /// disabled or when opening the store failed (the session degrades to
     /// cache-only; a broken store must never fail a build).
     cas: Option<CasStore>,
-    recovery_events: Vec<RecoveryEvent>,
+    /// Every quarantine / cold-start decision of the load, a later cache
+    /// open, and the graph values that failed their check.
+    recovery_events: Mutex<Vec<RecoveryEvent>>,
+    /// The files the restored graph's values are slices of.
+    graph_links: GraphLinks,
+    /// Committed bytes read since [`Compiler::record_metrics`] last
+    /// reported them.
+    bytes_read: AtomicU64,
     /// Everything that changes generated code, hashed: pipeline, mode and
     /// verify flags, backend version. Persisted artifacts keyed on less than
     /// that (function cache, query graph) carry it as a stamp.
@@ -271,30 +287,35 @@ impl Compiler {
         let want_state = config.mode.is_stateful();
         let want_cache = config.function_cache;
         let loaded = match &config.state_path {
-            Some(path) if want_state || want_cache => persist::load(path, want_state, want_cache),
+            Some(path) if want_state || want_cache => persist::open(path, want_state),
             _ => LoadedState::default(),
         };
-        // The cache keys on context fingerprints alone, which is sound only
-        // under one identity. Entries persisted under another (`-O2` then
-        // `-O0` in one directory) cold-start the cache — no quarantine, no
+        // The query graph's fingerprints are of code generated under the
+        // identity that recorded them: another identity's graph (`-O2` then
+        // `-O0` in one directory) is a cold start — no quarantine, no
         // recovery event: a flag change is not corruption.
-        let adopted = loaded.cache.identity() == identity;
-        let fn_cache = if adopted {
-            loaded.cache
-        } else {
-            FunctionCache::for_identity(identity)
-        };
-        let cache_chain = loaded.cache_chain.filter(|_| adopted);
-        // Likewise the query graph: its fingerprints are of code generated
-        // under the identity that recorded them.
         let restored_graph = loaded.graph.filter(|graph| graph.identity == identity);
         let graph_chain = loaded.graph_chain.filter(|_| restored_graph.is_some());
         // A load that recovered from anything re-commits what it holds, so
         // the manifest stops naming what could not be read.
         let recovered = !loaded.events.is_empty();
-        if recovered && cache_chain.is_none() {
-            fn_cache.mark_dirty();
-        }
+        // The committed cache chain is opened when a lookup first needs it;
+        // until then it is the committed one, carried forward untouched.
+        let cache_links = if want_cache {
+            loaded.cache_links
+        } else {
+            Vec::new()
+        };
+        let cache_chain = loaded.cache_chain.filter(|_| !cache_links.is_empty());
+        let fn_cache = if cache_links.is_empty() {
+            let cache = FunctionCache::for_identity(identity);
+            if recovered {
+                cache.mark_dirty();
+            }
+            OnceLock::from(cache)
+        } else {
+            OnceLock::new()
+        };
         let committed = Committed {
             generation: loaded.generation,
             state_checksum: loaded.state_checksum.filter(|_| !recovered),
@@ -320,8 +341,11 @@ impl Compiler {
             session_bumped: HashSet::new(),
             state_load_error: loaded.db_error,
             fn_cache,
+            cache_links,
             cas,
-            recovery_events: loaded.events,
+            recovery_events: Mutex::new(loaded.events),
+            graph_links: loaded.graph_links,
+            bytes_read: AtomicU64::new(loaded.bytes_read),
             identity,
             restored_graph,
             graph_to_save: Mutex::new(None),
@@ -399,9 +423,23 @@ impl Compiler {
     }
 
     /// Every quarantine / cold-start decision taken while loading this
-    /// session's persistent state (see [`crate::persist`]).
-    pub fn recovery_events(&self) -> &[RecoveryEvent] {
-        &self.recovery_events
+    /// session's persistent state (see [`crate::persist`]) — by the load, by
+    /// the cache's open, and for each graph value that failed its check
+    /// ([`Compiler::reject_value`]).
+    pub fn recovery_events(&self) -> Vec<RecoveryEvent> {
+        self.events().clone()
+    }
+
+    fn events(&self) -> MutexGuard<'_, Vec<RecoveryEvent>> {
+        self.recovery_events.lock().expect("no recovery panicked")
+    }
+
+    /// Records that the restored graph's value of task `task`, `value`,
+    /// does not hash to its node's fingerprint: the task re-executes, and
+    /// the session reports a recovery event naming the file it came from.
+    pub fn reject_value(&self, task: &str, value: &ValueBytes) {
+        self.events()
+            .push(self.graph_links.value_event(task, value));
     }
 
     /// Read access to the dormancy database.
@@ -500,7 +538,7 @@ impl Compiler {
         ir: &mut sfcc_ir::Module,
         pool: Option<&PoolScope<'env>>,
     ) -> OptimizeOutcome {
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
+        let cache = self.config.function_cache.then(|| self.function_cache());
         let cas = self.cas.as_ref();
 
         // Function-cache lookup: swap cached optimized bodies in and mark them
@@ -598,14 +636,21 @@ impl Compiler {
         }
     }
 
-    /// Hit/miss counters of the function-level IR cache.
+    /// Hit/miss counters of the function-level IR cache the session holds:
+    /// all zero — `entries` included — while a committed cache has not been
+    /// opened.
     pub fn cache_stats(&self) -> CacheStats {
-        self.fn_cache.stats()
+        self.fn_cache
+            .get()
+            .map(FunctionCache::stats)
+            .unwrap_or_default()
     }
 
     /// Publishes the session's cache, dormancy-state, and recovery
     /// telemetry as gauges in `registry` (the build driver calls this once
-    /// per build, after compilation finishes).
+    /// per build, after compilation finishes). `persist.bytes_read` counts
+    /// the committed bytes read since the last call: the load's, for a
+    /// session's first build, and the cache open's.
     pub fn record_metrics(&self, registry: &sfcc_trace::Registry) {
         let cache = self.cache_stats();
         registry.gauge_set("cache.hits", cache.hits);
@@ -617,8 +662,10 @@ impl Compiler {
         registry.gauge_set("state.functions", self.state.function_count() as u64);
         registry.gauge_set("state.dormant_slots", self.state.dormant_slot_count());
         registry.gauge_set("state.recorded_skips", self.state.total_recorded_skips());
-        registry.gauge_set("recovery.events", self.recovery_events.len() as u64);
+        registry.gauge_set("recovery.events", self.events().len() as u64);
         registry.gauge_set("persist.segments", self.persisted_segments() as u64);
+        let bytes_read = self.bytes_read.swap(0, Ordering::Relaxed);
+        registry.gauge_set("persist.bytes_read", bytes_read);
         let cas = self.cas_stats().unwrap_or_default();
         registry.gauge_set("cas.enabled", self.cas.is_some() as u64);
         registry.gauge_set("cas.hits", cas.hits);
@@ -629,9 +676,46 @@ impl Compiler {
         registry.gauge_set("cas.bytes", cas.bytes);
     }
 
-    /// The function cache.
+    /// The function cache, opened on first use: the committed chain the
+    /// load recorded is read and folded here, on the calling thread, under
+    /// the load's rules — a chain recorded under another identity is a cold
+    /// start, an unreadable or corrupt one a recovery event (and a corrupt
+    /// link quarantined). A session that never calls this never reads the
+    /// chain, and its commits carry it forward untouched.
     pub fn function_cache(&self) -> &FunctionCache {
-        &self.fn_cache
+        self.fn_cache.get_or_init(|| self.open_cache())
+    }
+
+    /// Reads the committed cache chain `cache_links` names (see
+    /// [`Compiler::function_cache`]).
+    fn open_cache(&self) -> FunctionCache {
+        let base = self
+            .config
+            .state_path
+            .as_deref()
+            .expect("a recorded chain was loaded from a state path");
+        let mut events = Vec::new();
+        let mut bytes_read = 0;
+        let opened = persist::open_cache(base, &self.cache_links, &mut events, &mut bytes_read);
+        self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
+        // The cache keys on context fingerprints alone, which is sound only
+        // under one identity: entries persisted under another cold-start
+        // the cache, quietly.
+        let adopted = opened.filter(|cache| cache.identity() == self.identity);
+        let mut committed = self.committed.lock().expect("no commit panicked");
+        let mut recovery = self.events();
+        if !events.is_empty() {
+            committed.state_checksum = None;
+            recovery.extend(events);
+        }
+        adopted.unwrap_or_else(|| {
+            committed.cache = None;
+            let cache = FunctionCache::for_identity(self.identity);
+            if !recovery.is_empty() {
+                cache.mark_dirty();
+            }
+            cache
+        })
     }
 
     /// The shared artifact store, when the session has one.
@@ -692,8 +776,9 @@ impl Compiler {
         }
         let inserts: Vec<(Fingerprint, sfcc_ir::Function)> = inserts.into_iter().collect();
         if self.config.function_cache {
+            let cache = self.function_cache();
             for (key, func) in &inserts {
-                self.fn_cache.insert(*key, func.clone());
+                cache.insert(*key, func.clone());
             }
         }
         if let Some(cas) = &self.cas {
@@ -733,19 +818,20 @@ impl Compiler {
         .then(|| statefile::to_bytes(&self.state));
         let state_checksum = state.as_deref().map(fnv64).or(committed.state_checksum);
         let state = state.filter(|_| state_checksum != committed.state_checksum);
-        let cache =
-            (self.config.function_cache && self.fn_cache.is_dirty()).then(|| {
-                match committed.cache {
-                    Some(chain) => {
-                        let segment = self.fn_cache.segment_bytes(chain.tip);
-                        if chain.compacts(segment.len()) {
-                            Artifact::Base(self.fn_cache.to_bytes())
-                        } else {
-                            Artifact::Segment(segment)
-                        }
+        // An unopened cache is the committed one.
+        let dirty = self.fn_cache.get().filter(|cache| cache.is_dirty());
+        let cache = dirty
+            .filter(|_| self.config.function_cache)
+            .map(|fn_cache| match committed.cache {
+                Some(chain) => {
+                    let segment = fn_cache.segment_bytes(chain.tip);
+                    if chain.compacts(segment.len()) {
+                        Artifact::Base(fn_cache.to_bytes())
+                    } else {
+                        Artifact::Segment(segment)
                     }
-                    None => Artifact::Base(self.fn_cache.to_bytes()),
                 }
+                None => Artifact::Base(fn_cache.to_bytes()),
             });
         let saved = persist::save(
             path,
@@ -767,9 +853,9 @@ impl Compiler {
             }
             Ok(None) => {}
             Err(e) => {
-                if cache.is_some() {
+                if let Some(fn_cache) = dirty.filter(|_| cache.is_some()) {
                     // The encode marked the entries committed; they are not.
-                    self.fn_cache.mark_dirty();
+                    fn_cache.mark_dirty();
                     committed.cache = None;
                 }
                 if graph.is_some() {
@@ -1214,7 +1300,7 @@ fn main(n: int) -> int {
         // A loaded cache left untouched is not committed, nor is a state
         // that encodes to the committed bytes.
         let second = Compiler::new(cfg.clone());
-        assert!(!second.fn_cache.is_dirty());
+        assert!(!second.function_cache().is_dirty());
         assert_eq!(second.save_state().unwrap(), 1);
         assert_eq!(std::fs::read(cd.manifest_path()).unwrap(), manifest);
 

@@ -7,8 +7,10 @@
 //! for the tasks whose values are worth keeping, the value's bytes. One rule
 //! covers every value: **a persisted value is the exact byte string its
 //! node's fingerprint hashes** (FNV-64), so a value proves itself current
-//! and intact — the trailer checksum covers everything else, and a file
-//! whose value does not hash to its node's fingerprint does not decode.
+//! and intact — the trailer checksum covers everything else. A session
+//! hashes a value when it first demands it, and one that does not hash to
+//! its node's fingerprint is a miss and a recovery event, never a served
+//! value; [`GraphFile::from_bytes`] and `fsck` hash every value.
 //! Task keys and value encodings are opaque here; `sfcc-buildsys` owns
 //! their meaning. The file is committed as the [`GRAPH_LOGICAL`] entry of
 //! the same manifest as the dormancy state and the function cache (see
@@ -23,7 +25,7 @@
 use sfcc_codec::{fnv64, fnv64_continue, DecodeError, Reader, Writer};
 use std::fmt;
 use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Logical name of the query graph in the commit manifest.
 pub const GRAPH_LOGICAL: &str = "depgraph";
@@ -79,6 +81,17 @@ impl ValueBytes {
     /// Whether these bytes are a slice of `buffer`.
     pub(crate) fn shares(&self, buffer: &Arc<Vec<u8>>) -> bool {
         Arc::ptr_eq(&self.buffer, buffer)
+    }
+
+    /// Whether these bytes are a slice of the buffer `buffer` points to.
+    pub(crate) fn lives_in(&self, buffer: &Weak<Vec<u8>>) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.buffer), buffer.as_ptr())
+    }
+
+    /// Whether these bytes are the value of a node whose fingerprint is
+    /// `fingerprint`: the one check a persisted value needs.
+    pub fn hashes_to(&self, fingerprint: u64) -> bool {
+        fnv64(self) == fingerprint
     }
 }
 
@@ -550,40 +563,14 @@ impl GraphFile {
     }
 
     /// Hashes every value against its node's fingerprint; the first that
-    /// does not match is the error. The nodes holding the second half of
-    /// the value bytes are hashed on another thread.
+    /// does not match is the error.
     pub(crate) fn check_values(&self) -> Result<(), &ValueBytes> {
-        fn bad(nodes: &[GraphNode]) -> Option<&ValueBytes> {
-            nodes.iter().find_map(|node| {
-                node.value
-                    .as_ref()
-                    .filter(|value| fnv64(value) != node.fingerprint)
-            })
-        }
-        let total: usize = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.value.as_ref())
-            .map(|v| v.len())
-            .sum();
-        let mut half = 0;
-        let split = self
-            .nodes
-            .iter()
-            .position(|node| {
-                half += node.value.as_ref().map_or(0, |v| v.len());
-                half * 2 >= total
-            })
-            .map_or(self.nodes.len(), |at| at + 1);
-        let (first, second) = self.nodes.split_at(split);
-        let (first, second) = std::thread::scope(|scope| {
-            let second = scope.spawn(|| bad(second));
-            (bad(first), second.join().expect("hashing does not panic"))
+        let bad = self.nodes.iter().find_map(|node| {
+            node.value
+                .as_ref()
+                .filter(|value| !value.hashes_to(node.fingerprint))
         });
-        match first.or(second) {
-            Some(value) => Err(value),
-            None => Ok(()),
-        }
+        bad.map_or(Ok(()), Err)
     }
 
     /// The graph file the chain of `segments` describes, this file its
@@ -592,7 +579,8 @@ impl GraphFile {
     /// of the file it describes, its nodes' keys first. One pass: the nodes
     /// stay where they are, in an index space of every key the chain names,
     /// until the last segment's table places them. Values are not checked
-    /// here ([`GraphFile::check_values`] checks those that remain).
+    /// here: a session checks each when it first demands it, `fsck` all
+    /// that remain ([`GraphFile::check_values`]).
     ///
     /// # Errors
     ///

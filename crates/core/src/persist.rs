@@ -13,10 +13,15 @@
 //! later commits appended, each holding what changed since the commit
 //! before it ([`Artifact::Segment`]). Loading folds a chain into exactly
 //! the [`FunctionCache`] or [`GraphFile`] its base would be had every
-//! commit rewritten it, every kept graph value checked against its node's
-//! fingerprint. Each segment names its parent's manifest checksum, so a
-//! segment folded onto anything but the chain it was written against does
-//! not decode. The state is small and moves as a whole file.
+//! commit rewritten it. Each segment names its parent's manifest checksum,
+//! so a segment folded onto anything but the chain it was written against
+//! does not decode. The state is small and moves as a whole file.
+//!
+//! A session reads what it uses ([`open`]): the state and the graph's
+//! structure, each graph value left unhashed until the build first demands
+//! it, and the cache chain's links recorded but not read until the first
+//! lookup needs them ([`open_cache`]). [`load`] is the eager reference: it
+//! also folds the cache and hashes every graph value.
 //!
 //! Loading enforces the graceful-degradation contract: any manifest, state,
 //! cache or graph file that is truncated, corrupt, or version-skewed is detected
@@ -34,7 +39,7 @@ use sfcc_faultfs::{
 use sfcc_state::{statefile, DecodeError, StateDb};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Logical name of the dormancy state in the commit manifest.
 pub const STATE_LOGICAL: &str = "state";
@@ -106,15 +111,24 @@ pub struct LoadedState {
     pub db: StateDb,
     /// Why the state fell back to a cold start, if it did.
     pub db_error: Option<DecodeError>,
-    /// The function-IR cache (cold when absent or unrecoverable).
+    /// The function-IR cache, folded by [`load`] (cold when absent or
+    /// unrecoverable); [`open`] leaves it empty and records
+    /// [`LoadedState::cache_links`] instead.
     pub cache: FunctionCache,
-    /// The chain `cache` was folded from (`None` when cold).
+    /// The committed cache chain: the one `cache` was folded from, or the
+    /// one `cache_links` names (`None` when cold).
     pub cache_chain: Option<Chain>,
+    /// The committed cache chain's links, base first, not yet read: what
+    /// [`open_cache`] reads. Empty after [`load`] or without a chain.
+    pub cache_links: Vec<ManifestEntry>,
     /// The query graph the last commit recorded (`None` when absent or
-    /// unrecoverable: the build system starts from an empty store).
+    /// unrecoverable: the build system starts from an empty store). Its
+    /// values are unchecked after [`open`], checked after [`load`].
     pub graph: Option<GraphFile>,
     /// The chain `graph` was folded from.
     pub graph_chain: Option<Chain>,
+    /// The files `graph`'s values are slices of.
+    pub graph_links: GraphLinks,
     /// Every quarantine / fallback decision taken during the load.
     pub events: Vec<RecoveryEvent>,
     /// The generation of the manifest the artifacts were read from (`0`
@@ -123,6 +137,38 @@ pub struct LoadedState {
     /// The manifest's checksum of the state entry `db` was decoded from
     /// (`None` when the state was not loaded from one).
     pub state_checksum: Option<u64>,
+    /// Bytes of committed files the load's reads returned: the state entry
+    /// and every graph and cache link it read.
+    pub bytes_read: u64,
+}
+
+/// The files a loaded graph's values are slices of, by path — what names
+/// the file a value that fails its check came from. Holds no buffer alive.
+#[derive(Debug, Clone, Default)]
+pub struct GraphLinks(Vec<(PathBuf, Weak<Vec<u8>>)>);
+
+impl GraphLinks {
+    /// The file `value` was read from, if it is one of these.
+    pub fn holding(&self, value: &ValueBytes) -> Option<&Path> {
+        self.0
+            .iter()
+            .find(|(_, buffer)| value.lives_in(buffer))
+            .map(|(path, _)| path.as_path())
+    }
+
+    /// The recovery event of the value of task `task` failing its check:
+    /// the task re-executes, and the file is left alone — the rest of it
+    /// holds.
+    pub fn value_event(&self, task: &str, value: &ValueBytes) -> RecoveryEvent {
+        RecoveryEvent {
+            path: self
+                .holding(value)
+                .map(Path::to_path_buf)
+                .unwrap_or_default(),
+            quarantined_to: None,
+            reason: format!("query graph value of `{task}` does not hash to its fingerprint"),
+        }
+    }
 }
 
 fn quarantine_event(path: &Path, reason: String, events: &mut Vec<RecoveryEvent>) {
@@ -185,8 +231,8 @@ fn graph_base(buffers: &Buffers) -> Result<GraphFile, LinkError> {
     GraphFile::decode(Arc::clone(&buffers[0])).map_err(corrupt(0))
 }
 
-/// Folds the graph chain `buffers` (of `links`) onto its decoded `base`
-/// and checks every value that remains against its node's fingerprint.
+/// Folds the graph chain `buffers` (of `links`) onto its decoded `base`,
+/// its values unchecked.
 fn fold_graph(
     links: &[&ManifestEntry],
     buffers: &Buffers,
@@ -196,7 +242,12 @@ fn fold_graph(
         .iter()
         .zip(links)
         .map(|(buffer, parent)| (Arc::clone(buffer), parent.checksum));
-    let graph = base.fold(segments).map_err(|(i, e)| corrupt(i + 1)(e))?;
+    base.fold(segments).map_err(|(i, e)| corrupt(i + 1)(e))
+}
+
+/// `graph`, folded from `buffers`, once every value it kept hashes to its
+/// node's fingerprint; else the link holding the first that does not.
+fn checked(graph: GraphFile, buffers: &Buffers) -> Result<GraphFile, LinkError> {
     match graph.check_values() {
         Ok(()) => Ok(graph),
         Err(value) => {
@@ -222,10 +273,46 @@ fn link_event(
     }
 }
 
-/// Loads the artifacts anchored at `base`, applying the recovery contract.
-/// Never fails: any problem degrades the affected artifact to a cold start
-/// and is reported in [`LoadedState::events`].
+/// Loads the artifacts anchored at `base`, applying the recovery contract,
+/// eagerly: [`open`], then every graph value hashed against its node's
+/// fingerprint (a graph holding one that does not is quarantined and
+/// cold-starts), and — when `want_cache` — the cache chain folded
+/// ([`open_cache`]). Never fails: any problem degrades the affected
+/// artifact to a cold start and is reported in [`LoadedState::events`].
 pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
+    let mut out = open(base, want_state);
+    let bad = out.graph.as_ref().and_then(|graph| {
+        let value = graph.check_values().err()?;
+        Some(
+            out.graph_links
+                .holding(value)
+                .map_or_else(PathBuf::new, Path::to_path_buf),
+        )
+    });
+    if let Some(path) = bad {
+        let why = "query graph does not decode: a value is not what its fingerprint hashes";
+        quarantine_event(&path, why.to_string(), &mut out.events);
+        (out.graph, out.graph_chain) = (None, None);
+    }
+    let links = std::mem::take(&mut out.cache_links);
+    if want_cache && !links.is_empty() {
+        match open_cache(base, &links, &mut out.events, &mut out.bytes_read) {
+            Some(cache) => out.cache = cache,
+            None => out.cache_chain = None,
+        }
+    } else {
+        out.cache_chain = None;
+    }
+    out
+}
+
+/// Opens the artifacts anchored at `base` for a session, reading what it
+/// uses: the manifest, the state (when `want_state`) and the graph chain,
+/// folded and structurally checked — header, trailer, key table,
+/// fingerprints — with each value left a slice of its file, unhashed, for
+/// the session to check when it first demands it. The cache chain's links
+/// are recorded, not read ([`open_cache`]). Never fails: as [`load`].
+pub fn open(base: &Path, want_state: bool) -> LoadedState {
     let mut out = LoadedState::default();
     let cd = CommitDir::new(base);
     match cd.read_manifest() {
@@ -234,68 +321,61 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
             if want_state {
                 if let Some(entry) = manifest.entry(STATE_LOGICAL) {
                     match load_entry_bytes(&cd, entry, &mut out.events) {
-                        Some(bytes) => match statefile::from_bytes(&bytes) {
-                            Ok(db) => {
-                                out.db = db;
-                                out.state_checksum = Some(entry.checksum);
+                        Some(bytes) => {
+                            out.bytes_read += bytes.len() as u64;
+                            match statefile::from_bytes(&bytes) {
+                                Ok(db) => {
+                                    out.db = db;
+                                    out.state_checksum = Some(entry.checksum);
+                                }
+                                Err(e) => {
+                                    out.db_error = Some(e);
+                                    quarantine_event(
+                                        &cd.entry_path(entry),
+                                        format!("state does not decode: {e}"),
+                                        &mut out.events,
+                                    );
+                                }
                             }
-                            Err(e) => {
-                                out.db_error = Some(e);
-                                quarantine_event(
-                                    &cd.entry_path(entry),
-                                    format!("state does not decode: {e}"),
-                                    &mut out.events,
-                                );
-                            }
-                        },
+                        }
                         None => out.db_error = Some(DecodeError::Corrupt),
                     }
                 }
             }
-            // The cache and the graph check every byte they keep as they
-            // decode (a trailer over the payload; for the graph, each value
-            // against its node's fingerprint), so they are read without
-            // hashing them for the manifest as well. Reads stay on this
-            // thread, where a fault plan counts them; the cache decodes on
-            // another while the graph is read here, and the graph's base on
-            // another while its segments are read.
-            let read = |entry: &ManifestEntry| cd.read_entry(entry).map_err(EntryError::Io);
-            let cache_links = manifest.chain(CACHE_LOGICAL);
-            let graph_links = manifest.chain(GRAPH_LOGICAL);
-            let cache_read =
-                (want_cache && !cache_links.is_empty()).then(|| read_links(&cache_links, read));
-            let (cache, graph) = std::thread::scope(|scope| {
-                let links = &cache_links;
-                let cache =
-                    cache_read.map(|buffers| scope.spawn(move || fold_cache(links, &buffers?)));
-                let graph = (!graph_links.is_empty()).then(|| {
-                    let mut buffers = read_links(&graph_links[..1], read)?;
+            out.cache_links = manifest.chain(CACHE_LOGICAL).into_iter().cloned().collect();
+            out.cache_chain = Chain::of(&manifest, CACHE_LOGICAL);
+            // The graph checks every byte but its values as it decodes (a
+            // trailer over the rest), so it is read without hashing it for
+            // the manifest as well. Reads stay on this thread, where a
+            // fault plan counts them; the base decodes on another while the
+            // segments are read.
+            let links = manifest.chain(GRAPH_LOGICAL);
+            if !links.is_empty() {
+                let read = |entry: &ManifestEntry| cd.read_entry(entry).map_err(EntryError::Io);
+                let folded = std::thread::scope(|scope| {
+                    let mut buffers = read_links(&links[..1], read)?;
                     let base = Arc::clone(&buffers[0]);
                     let base = scope.spawn(move || graph_base(&vec![base]));
-                    let segments = read_links(&graph_links[1..], read);
+                    let segments = read_links(&links[1..], read);
                     buffers.extend(segments.map_err(|(i, e)| (i + 1, e))?);
                     let base = base.join().expect("a graph decode does not panic")?;
-                    fold_graph(&graph_links, &buffers, base)
+                    fold_graph(&links, &buffers, base).map(|graph| (graph, buffers))
                 });
-                let cache =
-                    cache.map(|decode| decode.join().expect("a cache decode does not panic"));
-                (cache, graph)
-            });
-            match cache {
-                Some(Ok(cache)) => {
-                    out.cache = cache;
-                    out.cache_chain = Chain::of(&manifest, CACHE_LOGICAL);
+                match folded {
+                    Ok((graph, buffers)) => {
+                        out.bytes_read += buffers.iter().map(|b| b.len() as u64).sum::<u64>();
+                        out.graph_links = GraphLinks(
+                            links
+                                .iter()
+                                .zip(&buffers)
+                                .map(|(link, b)| (cd.entry_path(link), Arc::downgrade(b)))
+                                .collect(),
+                        );
+                        out.graph = Some(graph);
+                        out.graph_chain = Chain::of(&manifest, GRAPH_LOGICAL);
+                    }
+                    Err(e) => link_event(&cd, &links, e, "query graph", &mut out.events),
                 }
-                Some(Err(e)) => link_event(&cd, &cache_links, e, "cache", &mut out.events),
-                None => {}
-            }
-            match graph {
-                Some(Ok(graph)) => {
-                    out.graph = Some(graph);
-                    out.graph_chain = Chain::of(&manifest, GRAPH_LOGICAL);
-                }
-                Some(Err(e)) => link_event(&cd, &graph_links, e, "query graph", &mut out.events),
-                None => {}
             }
         }
         Ok(None) => {}
@@ -316,6 +396,34 @@ pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
         }
     }
     out
+}
+
+/// Reads and folds the committed cache chain `links` (base first) at
+/// `base` on this thread, where a fault plan counts the reads, adding what
+/// the reads returned to `bytes_read`. The cache checks every byte it
+/// keeps as it decodes (a trailer over the payload), so the links are not
+/// hashed for the manifest as well. `None` when a link is unreadable or
+/// does not decode: reported in `events`, a corrupt link quarantined.
+pub fn open_cache(
+    base: &Path,
+    links: &[ManifestEntry],
+    events: &mut Vec<RecoveryEvent>,
+    bytes_read: &mut u64,
+) -> Option<FunctionCache> {
+    let cd = CommitDir::new(base);
+    let links: Vec<&ManifestEntry> = links.iter().collect();
+    let read = |entry: &ManifestEntry| cd.read_entry(entry).map_err(EntryError::Io);
+    let folded = read_links(&links, read).and_then(|buffers| {
+        *bytes_read += buffers.iter().map(|b| b.len() as u64).sum::<u64>();
+        fold_cache(&links, &buffers)
+    });
+    match folded {
+        Ok(cache) => Some(cache),
+        Err(e) => {
+            link_event(&cd, &links, e, "cache", events);
+            None
+        }
+    }
 }
 
 fn load_entry_bytes(
@@ -397,7 +505,11 @@ pub fn committed_bytes(base: &Path, logical: &str) -> io::Result<Option<Vec<u8>>
     let folded = read_links(&links, |entry| cd.load_entry(entry)).and_then(|buffers| {
         Ok(match logical {
             CACHE_LOGICAL => fold_cache(&links, &buffers)?.to_bytes(),
-            GRAPH_LOGICAL => fold_graph(&links, &buffers, graph_base(&buffers)?)?.to_bytes(),
+            GRAPH_LOGICAL => checked(
+                fold_graph(&links, &buffers, graph_base(&buffers)?)?,
+                &buffers,
+            )?
+            .to_bytes(),
             _ => buffers[0].to_vec(),
         })
     });
@@ -465,7 +577,8 @@ fn verify(logical: &str, links: &[&ManifestEntry], bytes: Vec<Vec<u8>>) -> Resul
         },
         GRAPH_LOGICAL => {
             let base = graph_base(&buffers).map_err(link)?;
-            fold_graph(links, &buffers, base).map(|_| ()).map_err(link)
+            let graph = fold_graph(links, &buffers, base).map_err(link)?;
+            checked(graph, &buffers).map(|_| ()).map_err(link)
         }
         // The state has no segments.
         STATE_LOGICAL if links.len() > 1 => Err(1),

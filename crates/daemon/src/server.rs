@@ -175,12 +175,12 @@ static TERM_RECEIVED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
 extern "C" fn on_term(_signum: i32) {
-    // Async-signal-safe: a single atomic store; the accept loop polls it.
+    // Async-signal-safe: a single atomic store; the serve loop polls it.
     TERM_RECEIVED.store(true, Ordering::SeqCst);
 }
 
 /// Installs a SIGTERM/SIGINT handler that flips [`term_received`], so the
-/// accept loop can drain, snapshot every session, and exit gracefully.
+/// serve loop can drain, snapshot every session, and exit gracefully.
 /// (Even without the handler the state directory stays consistent: every
 /// durable commit is atomic.)
 #[cfg(unix)]
@@ -230,9 +230,6 @@ impl Daemon {
             }
             Err(e) => return Err(format!("cannot bind `{}`: {e}", socket.display())),
         };
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot configure socket: {e}"))?;
         let gate = Gate::new(options.max_active, options.max_queued);
         Ok(Daemon {
             listener,
@@ -253,27 +250,21 @@ impl Daemon {
     /// Serves until shutdown is requested (via request, handle, or
     /// SIGTERM), then drains connections, snapshots every session, and
     /// removes the socket file.
+    ///
+    /// Connections are accepted by a thread blocked in `accept`, so a
+    /// request is served the moment it arrives; this thread only watches
+    /// for shutdown and quiet time.
     pub fn run(self) {
-        let inner = Arc::clone(&self.inner);
+        let Daemon { listener, inner } = self;
+        let stopping = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let inner = Arc::clone(&inner);
+            let stopping = Arc::clone(&stopping);
+            std::thread::spawn(move || accept_loop(&listener, &inner, &stopping))
+        };
         let mut last_idle_snapshot = Instant::now();
-        loop {
-            if inner.shutdown.load(Ordering::SeqCst) || term_received() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _addr)) => {
-                    let inner = Arc::clone(&inner);
-                    inner.connections.fetch_add(1, Ordering::SeqCst);
-                    std::thread::spawn(move || {
-                        handle_connection(&inner, stream);
-                        inner.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
+        while !(inner.shutdown.load(Ordering::SeqCst) || term_received()) {
+            std::thread::sleep(Duration::from_millis(10));
             if let Some(idle) = inner.options.idle_snapshot {
                 let quiet_since = *inner.last_activity.lock().unwrap();
                 if quiet_since.elapsed() >= idle && last_idle_snapshot < quiet_since {
@@ -281,6 +272,12 @@ impl Daemon {
                     last_idle_snapshot = Instant::now();
                 }
             }
+        }
+        // Stop accepting: the acceptor drops the connection that wakes it
+        // and any later one, as a closed socket would.
+        stopping.store(true, Ordering::SeqCst);
+        if UnixStream::connect(&inner.options.socket).is_ok() {
+            let _ = acceptor.join();
         }
         // Drain in-flight connections (bounded), then snapshot and unbind.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -297,6 +294,29 @@ impl Daemon {
         let inner = Arc::clone(&self.inner);
         let thread = std::thread::spawn(move || self.run());
         DaemonHandle { inner, thread }
+    }
+}
+
+/// Accepts connections until `stopping`, each served on a thread of its
+/// own.
+fn accept_loop(listener: &UnixListener, inner: &Arc<Inner>, stopping: &AtomicBool) {
+    loop {
+        let accepted = listener.accept();
+        if stopping.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _addr)) => {
+                let inner = Arc::clone(inner);
+                inner.connections.fetch_add(1, Ordering::SeqCst);
+                std::thread::spawn(move || {
+                    handle_connection(&inner, stream);
+                    inner.connections.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            // Out of descriptors or the like: back off, then retry.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
     }
 }
 
@@ -317,7 +337,6 @@ fn snapshot_all(inner: &Inner) {
 }
 
 fn handle_connection(inner: &Inner, mut stream: UnixStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     loop {

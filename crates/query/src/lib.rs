@@ -45,7 +45,9 @@
 //! [loads](TaskSpec::load) it, or else re-executes the task to
 //! rematerialize it** — a hit, counted apart ([`SessionStats::loaded`],
 //! [`SessionStats::rematerialized`]), unless the re-execution moved the
-//! fingerprint validation vouched for, which is a miss.
+//! fingerprint validation vouched for, which is a miss. A kept value that
+//! fails the domain's check ([`Loaded::Corrupt`]) is never served: the task
+//! executes, a miss.
 //!
 //! The engine is deliberately free of domain knowledge: keys, values,
 //! errors, task bodies, fingerprints, and input stamps are all supplied by a
@@ -103,11 +105,11 @@ pub trait TaskSpec {
     /// The value of task `id` (key `key`) the store holds as valid but
     /// without a value (a node [restored](Engine::restore) from a persisted
     /// graph), when the domain kept it elsewhere. Asked once per demand of
-    /// such a node; `None` — the default — makes the engine rematerialize
-    /// the value by executing the task. A loaded value must be the one the
-    /// node's fingerprint was taken of.
-    fn load(&mut self, _id: TaskId, _key: &Self::Key) -> Option<Self::Value> {
-        None
+    /// such a node; [`Loaded::Absent`] — the default — makes the engine
+    /// rematerialize the value by executing the task. A loaded value must
+    /// be the one the node's fingerprint was taken of.
+    fn load(&mut self, _id: TaskId, _key: &Self::Key) -> Loaded<Self::Value> {
+        Loaded::Absent
     }
 
     /// Observation hook: called exactly once per task per session, at the
@@ -118,6 +120,18 @@ pub trait TaskSpec {
     /// domains use it to feed telemetry (trace events, metrics) without the
     /// engine knowing about either.
     fn observe(&mut self, _key: &Self::Key, _hit: bool) {}
+}
+
+/// What [`TaskSpec::load`] found for a valid node without a value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Loaded<V> {
+    /// The value the node's fingerprint was taken of: served, a hit.
+    Value(V),
+    /// Nothing kept: the task re-executes to rematerialize it, a hit.
+    Absent,
+    /// A kept value that failed its check: never served, the task
+    /// executes, a miss.
+    Corrupt,
 }
 
 /// A task's dense index into its [`Engine`]'s store. Ids are handed out in
@@ -612,7 +626,8 @@ where
     /// dependency fingerprint differs from what the last execution saw. A
     /// valid node without a value gets it from [`TaskSpec::load`], or else
     /// by executing the task again — a rematerialization, which is a miss
-    /// only if it moves the fingerprint validation vouched for.
+    /// only if it moves the fingerprint validation vouched for. A loaded
+    /// value that is [`Loaded::Corrupt`] executes the task, a miss.
     ///
     /// # Errors
     ///
@@ -632,37 +647,41 @@ where
     where
         S: TaskSpec<Key = K, Value = V> + ?Sized,
     {
-        if !self.fresh(spec, id)? {
-            let mut deps = Vec::new();
-            let value = self.run(spec, id, key, &mut deps)?;
-            let fingerprint = spec.fingerprint(key, &value);
-            self.memoize(id, fingerprint, deps);
+        // A node that must execute is `None`; a valid one returns the value
+        // it has on hand, or says what loading found.
+        let loaded = if self.fresh(spec, id)? {
             let node = &mut self.nodes[id.index()];
-            node.value = Some(value.clone());
-            node.verified = self.session;
-            node.clean = self.session;
-            self.count_miss(spec, id, key);
-            return Ok(value);
-        }
-
-        let node = &mut self.nodes[id.index()];
-        if let Some(value) = &node.value {
-            let value = value.clone();
-            if node.verified != self.session {
-                node.verified = self.session;
-                self.stats.hits += 1;
-                spec.observe(key, true);
+            if let Some(value) = &node.value {
+                let value = value.clone();
+                if node.verified != self.session {
+                    node.verified = self.session;
+                    self.stats.hits += 1;
+                    spec.observe(key, true);
+                }
+                return Ok(value);
             }
-            return Ok(value);
-        }
-
-        // Valid, but its value is not on hand.
-        let value = match spec.load(id, key) {
-            Some(value) => {
+            Some(spec.load(id, key))
+        } else {
+            None
+        };
+        let value = match loaded {
+            None | Some(Loaded::Corrupt) => {
+                let mut deps = Vec::new();
+                let value = self.run(spec, id, key, &mut deps)?;
+                let fingerprint = spec.fingerprint(key, &value);
+                self.memoize(id, fingerprint, deps);
+                let node = &mut self.nodes[id.index()];
+                node.value = Some(value.clone());
+                node.verified = self.session;
+                node.clean = self.session;
+                self.count_miss(spec, id, key);
+                return Ok(value);
+            }
+            Some(Loaded::Value(value)) => {
                 self.stats.loaded += 1;
                 value
             }
-            None => {
+            Some(Loaded::Absent) => {
                 let mut deps = Vec::new();
                 let value = self.run(spec, id, key, &mut deps)?;
                 let fingerprint = spec.fingerprint(key, &value);
@@ -1111,6 +1130,8 @@ mod tests {
         fail_on: Option<Task>,
         observed: Vec<(Task, bool)>,
         stored: HashMap<Task, i64>,
+        /// Tasks whose kept value fails its check.
+        corrupt: Vec<Task>,
         bias: i64,
     }
 
@@ -1176,6 +1197,7 @@ mod tests {
                 fail_on: None,
                 observed: Vec::new(),
                 stored: HashMap::new(),
+                corrupt: Vec::new(),
                 bias: 0,
             }
         }
@@ -1235,8 +1257,12 @@ mod tests {
             self.cells.get(input).copied().unwrap_or(i64::MIN) as u64
         }
 
-        fn load(&mut self, _id: TaskId, key: &Task) -> Option<i64> {
-            self.stored.remove(key)
+        fn load(&mut self, _id: TaskId, key: &Task) -> Loaded<i64> {
+            match self.stored.remove(key) {
+                Some(_) if self.corrupt.contains(key) => Loaded::Corrupt,
+                Some(value) => Loaded::Value(value),
+                None => Loaded::Absent,
+            }
         }
 
         fn observe(&mut self, key: &Task, hit: bool) {
@@ -1717,6 +1743,33 @@ mod tests {
         // Loaded values are ordinary values from then on.
         assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 8);
         assert_eq!(fresh.session_stats().loaded, 1);
+    }
+
+    /// A kept value that fails its check is never served: the task
+    /// executes, a miss, and its dependents validate against the fresh
+    /// fingerprint.
+    #[test]
+    fn a_corrupt_restored_value_executes_its_task() {
+        let mut spec = Calc::new(&[("a", -4)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Dbl("a")).unwrap();
+
+        let mut fresh = restored_from(&engine);
+        spec.stored.insert(Task::Dbl("a"), 99);
+        spec.corrupt.push(Task::Dbl("a"));
+        session(&mut fresh, &mut spec);
+        assert!(fresh.is_valid(&Task::Dbl("a")));
+        assert_eq!(fresh.require(&mut spec, &Task::Dbl("a")).unwrap(), 8);
+        let stats = fresh.session_stats();
+        assert_eq!(
+            (stats.misses, stats.hits, stats.loaded),
+            (1, 2, 0),
+            "{stats:?}"
+        );
+        assert_eq!(fresh.executed_keys(), [Task::Dbl("a")]);
+        assert!(spec.observed.contains(&(Task::Dbl("a"), false)));
+        assert_eq!(spec.runs_of(&Task::Dbl("a")), 2);
     }
 
     #[test]

@@ -406,7 +406,7 @@ fn quick_a_failed_commit_is_carried_by_the_next() {
             for &k in &failing {
                 let label = format!("{} fail at op {k}", durability.label());
                 let dir = tmpdir("carry");
-                let (builder, _) = session(&dir, Some(k), &next);
+                let (mut builder, _) = session(&dir, Some(k), &next);
                 let folded = |logical: &str| {
                     persist::committed_bytes(&state_base(&dir), logical)
                         .unwrap()
@@ -470,6 +470,11 @@ fn torn_write_matrix_fast() {
     }
 }
 
+/// A bit flipped in any read of a warm session's load — a no-op's, which
+/// reads the manifest, the state and the graph, and an edit's, which also
+/// opens the function cache — is never consumed as valid data. (The
+/// commit's own re-read of the manifest is the crash and torn-write
+/// matrices' business: a commit it fails is an error, retried.)
 #[test]
 fn bitflip_read_matrix_never_accepts_corrupt_data() {
     let d = Durability::Fast;
@@ -477,47 +482,52 @@ fn bitflip_read_matrix_never_accepts_corrupt_data() {
     let seed = tmpdir("flip-seed");
     run_session(&seed, &v1, d).unwrap();
 
-    let reads: Vec<u64> = {
-        let dir = tmpdir("flip-rec");
-        copy_dir(&seed, &dir);
-        let rec = ffs::record();
-        run_session(&dir, &v1, d).unwrap();
-        let log = rec.take();
-        drop(rec);
-        cleanup(&dir);
-        log.iter()
-            .enumerate()
-            .filter(|(_, r)| r.kind == OpKind::Read)
-            .map(|(i, _)| i as u64 + 1)
-            .collect()
-    };
-    assert!(
-        reads.len() >= 4,
-        "a warm session reads at least manifest, state, cache, and graph"
-    );
-
-    for &k in &reads {
-        for bit in [0u64, 8 * 9 + 3, 8 * 40 + 6] {
-            let dir = tmpdir(&format!("flip-k{k}-b{bit}"));
+    for (p, answer, min_reads) in [(v1, 43, 3), (project_v2(), 45, 4)] {
+        let reads: Vec<u64> = {
+            let dir = tmpdir("flip-rec");
             copy_dir(&seed, &dir);
-            let report = {
-                let _g = ffs::install(FaultPlan::single(Fault::BitflipAt { op: k, bit }));
-                run_session(&dir, &v1, d).unwrap_or_else(|e| {
-                    panic!("silent corruption must degrade, not fail (op {k} bit {bit}): {e}")
-                })
-            };
-            // The build never consumed the flipped data as valid: the
-            // program behaves exactly like an uncorrupted build.
-            let out = sfcc_backend::run(&report.program, "main.main", &[21], VmOptions::default())
-                .unwrap();
-            assert_eq!(out.return_value, Some(43), "op {k} bit {bit}");
-            // And the session recommitted a fully healthy directory.
-            let clean = run_session(&dir, &v1, d).unwrap();
-            assert_eq!(clean.recovered_files, 0, "op {k} bit {bit}");
-            let out = sfcc_backend::run(&clean.program, "main.main", &[21], VmOptions::default())
-                .unwrap();
-            assert_eq!(out.return_value, Some(43), "op {k} bit {bit}");
+            let rec = ffs::record();
+            run_session(&dir, &p, d).unwrap();
+            let log = rec.take();
+            drop(rec);
             cleanup(&dir);
+            let manifest = CommitDir::new(&state_base(&dir)).manifest_path();
+            log.iter()
+                .enumerate()
+                .filter(|(i, r)| r.kind == OpKind::Read && (*i == 0 || r.path != manifest))
+                .map(|(i, _)| i as u64 + 1)
+                .collect()
+        };
+        assert!(
+            reads.len() >= min_reads,
+            "a warm session reads at least manifest, state and graph, an edit the cache too"
+        );
+
+        for &k in &reads {
+            for bit in [0u64, 8 * 9 + 3, 8 * 40 + 6] {
+                let dir = tmpdir(&format!("flip-k{k}-b{bit}"));
+                copy_dir(&seed, &dir);
+                let report = {
+                    let _g = ffs::install(FaultPlan::single(Fault::BitflipAt { op: k, bit }));
+                    run_session(&dir, &p, d).unwrap_or_else(|e| {
+                        panic!("silent corruption must degrade, not fail (op {k} bit {bit}): {e}")
+                    })
+                };
+                // The build never consumed the flipped data as valid: the
+                // program behaves exactly like an uncorrupted build.
+                let out =
+                    sfcc_backend::run(&report.program, "main.main", &[21], VmOptions::default())
+                        .unwrap();
+                assert_eq!(out.return_value, Some(answer), "op {k} bit {bit}");
+                // And the session recommitted a fully healthy directory.
+                let clean = run_session(&dir, &p, d).unwrap();
+                assert_eq!(clean.recovered_files, 0, "op {k} bit {bit}");
+                let out =
+                    sfcc_backend::run(&clean.program, "main.main", &[21], VmOptions::default())
+                        .unwrap();
+                assert_eq!(out.return_value, Some(answer), "op {k} bit {bit}");
+                cleanup(&dir);
+            }
         }
     }
     cleanup(&seed);
@@ -790,14 +800,35 @@ fn tamper_graph(dir: &Path, tamper: impl FnOnce(&mut GraphFile)) {
         .unwrap();
 }
 
+/// Flips one byte in the middle of the committed value of task `key` of
+/// `dir`'s graph and commits the file as a new base. No trailer covers a
+/// value's bytes, so only the value's own check can tell.
+fn flip_value(dir: &Path, key: &str) {
+    let bytes = persist::committed_bytes(&state_base(dir), GRAPH_LOGICAL)
+        .unwrap()
+        .unwrap();
+    let graph = GraphFile::from_bytes(bytes.clone()).unwrap();
+    let at = graph.keys.iter().position(|k| k == key).unwrap();
+    let value = graph.nodes[at].value.as_deref().expect("a persisted value");
+    let start = bytes
+        .windows(value.len())
+        .position(|w| w == value)
+        .expect("the value is in the file");
+    let mut flipped = bytes.clone();
+    flipped[start + value.len() / 2] ^= 0x20;
+    CommitDir::new(&state_base(dir))
+        .commit(&[(GRAPH_LOGICAL, &flipped)], Durability::Fast)
+        .unwrap();
+}
+
 #[test]
 fn quick_tampered_graphs_are_never_served() {
     let d = Durability::Fast;
     let (before, after) = (project_gh(5), project_gh(6));
     // What the edited tree builds to in a directory with no history.
-    let fresh_image = {
+    let fresh_image = |p: &Project| {
         let dir = tmpdir("tamper-fresh");
-        run_session(&dir, &after, d).unwrap();
+        run_session(&dir, p, d).unwrap();
         let image = snapshot(&dir).image;
         cleanup(&dir);
         image
@@ -806,8 +837,15 @@ fn quick_tampered_graphs_are_never_served() {
 
     // Two `optimizefn` values swapped, the trailer re-checksummed: each is
     // a well-formed value — of the other node. A value is its own checksum,
-    // so neither is served: the graph does not decode, is quarantined, and
-    // the build is a cold start.
+    // so neither is served: the edit of `h` and a function added to `main`
+    // demand both, each fails its check when loaded, and its task executes
+    // instead — a miss and a recovery event. Every other value is served.
+    let mut swapped_after = after.clone();
+    let main = swapped_after.file("main").unwrap().to_string();
+    swapped_after.set_file(
+        "main".into(),
+        format!("{main}\nfn two() -> int {{ return 2; }}"),
+    );
     let dir = tmpdir("tamper-swap");
     run_session(&dir, &before, d).unwrap();
     tamper_graph(&dir, |graph| {
@@ -820,15 +858,62 @@ fn quick_tampered_graphs_are_never_served() {
         graph.nodes[g].value = graph.nodes[main].value.take();
         graph.nodes[main].value = g_value;
     });
-    let report = run_session(&dir, &after, d).unwrap();
-    assert_eq!(report.recovered_files, 1);
-    assert_eq!(
-        (report.query.hits, report.query.loaded),
-        (0, 0),
-        "{:?}",
-        report.query
+    let report = run_session(&dir, &swapped_after, d).unwrap();
+    for task in ["optimizefn(base::g)", "optimizefn(main::main)"] {
+        assert!(
+            report.query.executed.iter().any(|t| t == task),
+            "{task}: {:?}",
+            report.query
+        );
+    }
+    assert_eq!(report.recovered_files, 2, "one event per rejected value");
+    assert!(report.query.loaded > 0, "{:?}", report.query);
+    assert_eq!(snapshot(&dir).image, fresh_image(&swapped_after));
+    cleanup(&dir);
+
+    // A byte flipped inside the committed `link` value: the no-op that
+    // loads it finds it corrupt, re-executes `link` — one recovery event,
+    // the same image — and commits a clean value.
+    let dir = tmpdir("tamper-link");
+    run_session(&dir, &before, d).unwrap();
+    let image = snapshot(&dir).image;
+    flip_value(&dir, "link");
+    let report = run_session(&dir, &before, d).unwrap();
+    assert_eq!(report.query.executed, ["link"], "{:?}", report.query);
+    assert_eq!((report.recovered_files, report.quarantined.len()), (1, 0));
+    assert_eq!(snapshot(&dir).image, image);
+    let committed = persist::committed_bytes(&state_base(&dir), GRAPH_LOGICAL)
+        .unwrap()
+        .unwrap();
+    assert!(GraphFile::from_bytes(committed).is_ok(), "a clean value");
+    let again = run_session(&dir, &before, d).unwrap();
+    assert_eq!((again.query.misses, again.recovered_files), (0, 0));
+    cleanup(&dir);
+
+    // A byte flipped inside a value no build demands: builds stay correct,
+    // and `fsck` quarantines the link that holds it.
+    let dir = tmpdir("tamper-idle");
+    run_session(&dir, &before, d).unwrap();
+    let image = snapshot(&dir).image;
+    flip_value(&dir, "optimizefn(main::main)");
+    let cd = CommitDir::new(&state_base(&dir));
+    let base = cd.entry_path(
+        cd.read_manifest()
+            .unwrap()
+            .unwrap()
+            .entry(GRAPH_LOGICAL)
+            .unwrap(),
     );
-    assert_eq!(snapshot(&dir).image, fresh_image);
+    for (p, want) in [(&before, image), (&after, fresh_image(&after))] {
+        let report = run_session(&dir, p, d).unwrap();
+        assert_eq!(report.recovered_files, 0);
+        assert_eq!(fs::read(dir.join(IMAGE_NAME)).unwrap(), want);
+    }
+    let report = persist::fsck(&state_base(&dir), &[]).unwrap();
+    assert_eq!(
+        report.quarantined,
+        [PathBuf::from(format!("{}.corrupt", base.display()))]
+    );
     cleanup(&dir);
 
     // A dependency edge closing a cycle (`parse(lib)` on `link`): the
@@ -847,7 +932,7 @@ fn quick_tampered_graphs_are_never_served() {
     });
     let report = run_session(&dir, &after, d).unwrap();
     assert_eq!(report.query.hits, 0, "cold start: {:?}", report.query);
-    assert_eq!(snapshot(&dir).image, fresh_image);
+    assert_eq!(snapshot(&dir).image, fresh_image(&after));
     cleanup(&dir);
 }
 
@@ -929,6 +1014,15 @@ fn quick_tampered_cache_entry_is_a_miss_never_served() {
         cleanup(&dir);
         image
     };
+    // Untampered, the revert's lookup of `lib::f` hits the entry the first
+    // session committed: a new process opens the cache when an edit needs it.
+    let dir = tmpdir("cache-revert");
+    run_session(&dir, &v1, d).unwrap();
+    run_session(&dir, &v2, d).unwrap();
+    let report = run_session(&dir, &v1, d).unwrap();
+    assert!(report.metrics.scalar("cache.hits_persisted").unwrap() >= 1);
+    assert_eq!(snapshot(&dir).image, fresh_image);
+    cleanup(&dir);
     for text in [&b"not ir"[..], &[0xff, 0xfe, 0x80][..]] {
         // v1, v2, then back to v1: the revert re-runs `lib::f`, whose v1
         // body the first session cached.
@@ -960,7 +1054,9 @@ fn quick_tampered_cache_entry_is_a_miss_never_served() {
 /// artifact a cold start and nothing else: the other chain and the state
 /// load, the build's image is the one a directory without history builds,
 /// and `fsck` quarantines the segment (a missing one, it cannot) and drops
-/// the rest of its chain from the manifest, its base removed as debris.
+/// the rest of its chain from the manifest, its base removed as debris. A
+/// damaged cache costs a no-op nothing — it reads no byte of it — and the
+/// next edit, which opens it, its cold start.
 #[test]
 fn quick_damaged_segments_cold_start_only_their_artifact() {
     let d = Durability::Fast;
@@ -1025,7 +1121,25 @@ fn quick_damaged_segments_cold_start_only_their_artifact() {
                     let want = (logical != GRAPH_LOGICAL, logical != persist::CACHE_LOGICAL);
                     assert_eq!((graph, cache), want, "{label}");
                 }
-                let report = run_session(&dir, &v2, d).unwrap();
+                let mut p = v2.clone();
+                if logical == persist::CACHE_LOGICAL {
+                    let rec = ffs::record();
+                    let report = run_session(&dir, &v2, d).unwrap();
+                    let cache_ops = rec
+                        .take()
+                        .into_iter()
+                        .filter(|r| r.path.to_string_lossy().contains(".sfcc-state.ircache"))
+                        .count();
+                    assert_eq!(
+                        (report.query.misses, report.recovered_files, cache_ops),
+                        (0, 0, 0),
+                        "{label}: the no-op"
+                    );
+                    // An edit that leaves the program as it was.
+                    let lib = p.file("lib").unwrap().to_string();
+                    p.set_file("lib".into(), format!("{lib}\n"));
+                }
+                let report = run_session(&dir, &p, d).unwrap();
                 assert_eq!(report.recovered_files, usize::from(!by_fsck), "{label}");
                 assert_eq!(
                     fs::read(dir.join(IMAGE_NAME)).unwrap(),

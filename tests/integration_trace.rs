@@ -418,7 +418,8 @@ fn golden_report() -> BuildReport {
         program: sfcc_backend::Program {
             funcs: Vec::new(),
             entry: None,
-        },
+        }
+        .into(),
         wall_ns: 1,
         link_ns: 2_000,
         modules: vec![
