@@ -16,8 +16,9 @@
 #                  differential suite and its E18 warm-daemon smoke,
 #                  plus a traced demo build validated with `trace-check`,
 #                  a depcheck run over the demo project, the cold
-#                  no-op gate (a second process executes 0 tasks) and the
-#                  commit gate (an edit writes what it changed); both modes
+#                  no-op gate (a second process executes 0 tasks), the
+#                  flip gate (a flag flip executes what the flags shape)
+#                  and the commit gate (an edit writes what it changed); both modes
 #                  start with the one-request-path grep over `minicc.rs`,
 #                  the no-process-state grep over `crates/`, the
 #                  one-JSON-writer grep over `crates/` and the one-codec
@@ -170,6 +171,43 @@ noop_gate() {
         return 1
     fi
     cmp "$scratch/third.sbx" "$scratch/fresh.sbx"
+}
+
+# Flag-flip gate, on counts rather than clocks: flags are tracked inputs
+# of the tasks they shape, not a store-wide salt. On the demo tree, `-O2`,
+# `-O0`, `-O2` and `-O2` again, one `--stateful` process each in one
+# directory: each flip executes only `optimizefn`, `codegen` and `link`
+# tasks (the front end validates from the graph the last process
+# committed), recovers nothing, and writes the image a fresh copy builds
+# under the same flags; the last build executes nothing.
+flip_gate() {
+    local scratch
+    scratch="$(mktemp -d)"
+    trap 'rm -rf "$scratch"' RETURN
+    mkdir "$scratch/p"
+    cp demo/*.mc "$scratch/p"/
+    local build=(cargo run -q -p sfcc-buildsys --bin minicc -- build)
+    local i=0 level
+    for level in -O2 -O0 -O2 -O2; do
+        i=$((i + 1))
+        "${build[@]}" "$scratch/p" --stateful "$level" --report json -o "$scratch/$i.sbx" > "$scratch/$i.json"
+        rm -rf "$scratch/fresh"
+        mkdir "$scratch/fresh"
+        cp demo/*.mc "$scratch/fresh"/
+        "${build[@]}" "$scratch/fresh" --stateful "$level" -o "$scratch/fresh.sbx" > /dev/null
+        cmp "$scratch/$i.sbx" "$scratch/fresh.sbx"
+        local executed others
+        executed="$(grep -oE '"executed":\[[^]]*\]' "$scratch/$i.json")"
+        others="$(echo "$executed" | grep -oE '"[a-z]+\(|"[a-z]+"' | grep -vE '^"(executed"|optimizefn\(|codegen\(|link")' || true)"
+        if ! grep -q '"recovered_files":0,' "$scratch/$i.json" ||
+            { ((i == 2 || i == 3)) && [[ -n "$others" || "$executed" != *optimizefn* ]]; } ||
+            { ((i == 4)) && [[ "$executed" != '"executed":[]' ]]; }; then
+            echo "ci: build $i ($level) of a flag flip executed more than the flags shape, or recovered:" >&2
+            grep -oE '"query":\{"hits":[0-9]+,"misses":[0-9]+|"recovered_files":[0-9]+' "$scratch/$i.json" >&2
+            echo "$others" | sort | uniq -c >&2
+            return 1
+        fi
+    done
 }
 
 # Commit gate, on byte counts rather than clocks: on the demo tree a
@@ -343,6 +381,7 @@ if [[ "${1:-}" == "--quick" ]]; then
     trace_smoke
     depcheck_smoke
     noop_gate
+    flip_gate
     commit_gate
     # The benchmark is a package outside the workspace: compile it against
     # the product API so a signature change that breaks it fails here.
@@ -362,12 +401,13 @@ cargo fmt --check
 trace_smoke
 depcheck_smoke
 noop_gate
+flip_gate
 commit_gate
 # Smoke-run the parallel-scaling, observability-overhead, and
 # dependency-soundness sweeps, plus the function-granularity,
-# shared-store, and warm-daemon comparisons (write BENCH_parallel.json /
-# BENCH_trace.json / BENCH_depcheck.json / BENCH_fngrain.json /
-# BENCH_cas.json / BENCH_serve.json).
+# shared-store, and warm-daemon comparisons (at quick scale they write
+# their BENCH_*.json under target/bench-quick/, never over the checked-in
+# full-scale files).
 cargo run -q -p sfcc-bench --release --bin exp_parallel_scaling -- --quick --gate-overhead 5
 cargo run -q -p sfcc-bench --release --bin exp_trace_overhead -- --quick
 cargo run -q -p sfcc-bench --release --bin exp_depcheck_fuzz -- --quick

@@ -3,7 +3,8 @@
 //! Usage: `cargo run -p sfcc-bench --release --bin exp_parallel_scaling [--quick] [--gate-overhead <pct>]`
 //!
 //! Prints the sweep tables and writes the machine-readable artifact to
-//! `BENCH_parallel.json` in the current directory (including the host's
+//! `BENCH_parallel.json` in the current directory, under
+//! `target/bench-quick/` with `--quick` (including the host's
 //! `detected_cores`, since the achievable speedup is bounded by it).
 //!
 //! With `--gate-overhead <pct>`, exits nonzero when the single-module
@@ -18,7 +19,7 @@ fn main() -> ExitCode {
     println!("# E13 — extension: parallel optimize scaling\n");
     let (table, json) = sfcc_bench::experiments::parallel::parallel_scaling(scale);
     print!("{table}");
-    sfcc_bench::write_artifact("BENCH_parallel.json", &json);
+    sfcc_bench::write_artifact(scale, "BENCH_parallel.json", &json);
     if let Some(max_pct) = gate {
         match sfcc_bench::experiments::parallel::gate_single_module_overhead(&json, max_pct) {
             Ok(pct) => {

@@ -4,12 +4,13 @@
 //!
 //! Prints the overhead table (disabled-overhead accounting bound plus the
 //! measured price of `--trace`) and writes the machine-readable artifact
-//! to `BENCH_trace.json` in the current directory.
+//! to `BENCH_trace.json` in the current directory (under
+//! `target/bench-quick/` with `--quick`).
 
 fn main() {
     let scale = sfcc_bench::Scale::from_args();
     println!("# E14 — extension: observability overhead\n");
     let (table, json) = sfcc_bench::experiments::observe::trace_overhead(scale);
     print!("{table}");
-    sfcc_bench::write_artifact("BENCH_trace.json", &json);
+    sfcc_bench::write_artifact(scale, "BENCH_trace.json", &json);
 }

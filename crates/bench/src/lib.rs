@@ -19,13 +19,21 @@ pub use harness::{
 pub use table::{frac_pct, ms, pct, Table};
 
 use sfcc_trace::json::{self, Value};
+use std::path::Path;
 
-/// Writes an experiment's machine-readable artifact to `path` (relative to
-/// the current directory) and says where it went.
-pub fn write_artifact(path: &str, doc: &Value) {
-    match std::fs::write(path, json::write(doc)) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncannot write {path}: {e}"),
+/// Writes an experiment's machine-readable artifact `name` and says where it
+/// went: into the current directory at [`Scale::Full`], and under
+/// `target/bench-quick/` at [`Scale::Quick`], so a quick run never replaces
+/// a checked-in full-scale artifact.
+pub fn write_artifact(scale: Scale, name: &str, doc: &Value) {
+    let dir = match scale {
+        Scale::Full => ".",
+        Scale::Quick => "target/bench-quick",
+    };
+    let path = Path::new(dir).join(name);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json::write(doc))) {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("\ncannot write {}: {e}", path.display()),
     }
 }
 

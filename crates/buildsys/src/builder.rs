@@ -328,7 +328,7 @@ impl Builder {
     /// chain writes, and what the committed chain folds to once this
     /// store's changes are committed.
     pub fn graph_file(&mut self) -> Vec<u8> {
-        let bytes = depgraph::encode(&self.engine, &mut self.stored, self.compiler.identity()).0;
+        let bytes = depgraph::encode(&self.engine, &mut self.stored).0;
         self.stored.report_rejected(&self.engine, &self.compiler);
         bytes
     }
@@ -417,24 +417,17 @@ impl Builder {
         if !executed && (chain.is_some() || self.compiler.graph_pending()) {
             return;
         }
-        let identity = self.compiler.identity();
         let segment = match (&self.committed, chain) {
-            (Some((tip, since)), Some(chain)) if *tip == chain.tip => {
-                Some(depgraph::encode_segment(
-                    &self.engine,
-                    &mut self.stored,
-                    identity,
-                    chain.tip,
-                    since,
-                ))
-                .filter(|(bytes, _)| !chain.compacts(bytes.len()))
-            }
+            (Some((tip, since)), Some(chain)) if *tip == chain.tip => Some(
+                depgraph::encode_segment(&self.engine, &mut self.stored, chain.tip, since),
+            )
+            .filter(|(bytes, _)| !chain.compacts(bytes.len())),
             _ => None,
         };
         let (graph, deposited) = match segment {
             Some((bytes, next)) => (Artifact::Segment(bytes), next),
             None => {
-                let (bytes, next) = depgraph::encode(&self.engine, &mut self.stored, identity);
+                let (bytes, next) = depgraph::encode(&self.engine, &mut self.stored);
                 (Artifact::Base(bytes), next)
             }
         };

@@ -246,16 +246,15 @@ fn value_bytes<'a>(
     }
 }
 
-/// The store as an encoded graph file recorded under compiler `identity`,
-/// and the file as the store sees it once committed. A stored value that
+/// The store as an encoded graph file, and the file as the store sees it
+/// once committed. A stored value that
 /// does not hash to its fingerprint is rejected and written without.
 pub(crate) fn encode(
     engine: &Engine<BuildTask, BuildValue>,
     stored: &mut Stored,
-    identity: u64,
 ) -> (Vec<u8>, Committed) {
     let (exported, committed) = layout(engine);
-    let mut w = GraphWriter::new(identity, exported.len());
+    let mut w = GraphWriter::new(exported.len());
     for id in committed.table() {
         w.key(engine.label(id));
     }
@@ -277,14 +276,13 @@ pub(crate) fn encode(
 }
 
 /// What changed in the store since `since` was committed, as a segment of
-/// the chain whose tip has manifest checksum `parent`, recorded under
-/// compiler `identity` — the nodes recorded after `since` was taken, whole,
-/// with the labels its key table lacks, and the key table of the whole
-/// file — and the file the chain then folds to, as the store sees it.
+/// the chain whose tip has manifest checksum `parent` — the nodes recorded
+/// after `since` was taken, whole, with the labels its key table lacks, and
+/// the key table of the whole file — and the file the chain then folds to,
+/// as the store sees it.
 pub(crate) fn encode_segment(
     engine: &Engine<BuildTask, BuildValue>,
     stored: &mut Stored,
-    identity: u64,
     parent: u64,
     since: &Committed,
 ) -> (Vec<u8>, Committed) {
@@ -296,7 +294,7 @@ pub(crate) fn encode_segment(
                 || since.index.get(node.id.index()).is_none_or(Option::is_none)
         })
         .collect();
-    let mut w = SegmentWriter::new(identity, parent, since.keys, changed.len());
+    let mut w = SegmentWriter::new(parent, since.keys, changed.len());
     let mut index = since.index.clone();
     index.resize(engine.interned(), None);
     let mut key = |w: &mut SegmentWriter, id: TaskId| {
@@ -425,7 +423,7 @@ mod tests {
     fn graph_file(project: &Project) -> (GraphFile, Arc<DepGraph>) {
         let mut engine = Engine::new();
         let graph = demand_graph(project, &mut engine, &mut Stored::default());
-        let file = GraphFile::from_bytes(encode(&engine, &mut Stored::default(), 0).0).unwrap();
+        let file = GraphFile::from_bytes(encode(&engine, &mut Stored::default()).0).unwrap();
         (file, graph)
     }
 
@@ -532,7 +530,7 @@ mod tests {
         let mut engine = Engine::new();
         let flipped = flipped(file.clone(), "graph");
         let mut stored = restore(&mut engine, flipped, &DepMutations::new()).unwrap();
-        let (bytes, _) = encode(&engine, &mut stored, 0);
+        let (bytes, _) = encode(&engine, &mut stored);
         let written = GraphFile::from_bytes(bytes).expect("every written value hashes");
         let at = graph_id(&written).index();
         assert_eq!(written.nodes[at].value, None);
@@ -549,7 +547,7 @@ mod tests {
         // An intact stored value is copied as it was read.
         let mut engine = Engine::new();
         let mut stored = restore(&mut engine, file.clone(), &DepMutations::new()).unwrap();
-        assert_eq!(encode(&engine, &mut stored, 0).0, file.to_bytes());
+        assert_eq!(encode(&engine, &mut stored).0, file.to_bytes());
         assert_eq!(stored.take_verified(), 1);
     }
 }

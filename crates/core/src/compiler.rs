@@ -202,8 +202,8 @@ pub struct Compiler {
     /// reported them.
     bytes_read: AtomicU64,
     /// Everything that changes generated code, hashed: pipeline, mode and
-    /// verify flags, backend version. Persisted artifacts keyed on less than
-    /// that (function cache, query graph) carry it as a stamp.
+    /// verify flags, backend version. The function cache, keyed on less
+    /// than that, carries it as a stamp.
     identity: u64,
     /// The query graph the last session committed, until the build system
     /// takes it ([`Compiler::take_restored_graph`]).
@@ -277,6 +277,9 @@ impl Compiler {
             )
             .as_bytes(),
         );
+        // The tracked input that carries the flags into the query graph:
+        // every function's state stamp starts with the mode (skip policy)
+        // and the pipeline hash (the opt level).
         let mut stamp_prefix = Fnv64::new();
         stamp_prefix
             .str("mode=")
@@ -290,12 +293,6 @@ impl Compiler {
             Some(path) if want_state || want_cache => persist::open(path, want_state),
             _ => LoadedState::default(),
         };
-        // The query graph's fingerprints are of code generated under the
-        // identity that recorded them: another identity's graph (`-O2` then
-        // `-O0` in one directory) is a cold start — no quarantine, no
-        // recovery event: a flag change is not corruption.
-        let restored_graph = loaded.graph.filter(|graph| graph.identity == identity);
-        let graph_chain = loaded.graph_chain.filter(|_| restored_graph.is_some());
         // A load that recovered from anything re-commits what it holds, so
         // the manifest stops naming what could not be read.
         let recovered = !loaded.events.is_empty();
@@ -321,7 +318,7 @@ impl Compiler {
             state_checksum: loaded.state_checksum.filter(|_| !recovered),
             state_touched: false,
             cache: cache_chain,
-            graph: graph_chain,
+            graph: loaded.graph_chain,
         };
         let cas = config.cas_path.as_ref().and_then(|dir| {
             CasStore::open_dir(dir, components, config.durability)
@@ -347,18 +344,11 @@ impl Compiler {
             graph_links: loaded.graph_links,
             bytes_read: AtomicU64::new(loaded.bytes_read),
             identity,
-            restored_graph,
+            restored_graph: loaded.graph,
             graph_to_save: Mutex::new(None),
             committed: Mutex::new(committed),
             stamp_prefix,
         }
-    }
-
-    /// The compiler identity: a hash of exactly the configuration that
-    /// changes generated code (pipeline, mode and verify flags, backend
-    /// version). Cache toggles and job counts are excluded by design.
-    pub fn identity(&self) -> u64 {
-        self.identity
     }
 
     /// Whether [`Compiler::save_state`] commits anything: a state path is
@@ -369,10 +359,11 @@ impl Compiler {
             && (self.config.mode.is_stateful() || self.config.function_cache)
     }
 
-    /// Hands over the query graph the last session committed under this
-    /// session's identity, once. `None` when there is none — no state path,
-    /// nothing committed yet, another identity's graph, or an unreadable
-    /// one (which [`Compiler::recovery_events`] reports).
+    /// Hands over the query graph the last session committed, once,
+    /// whatever flags it was recorded under: they reach the graph only as
+    /// the [`Compiler::state_stamp_fn`] input. `None` when there is none —
+    /// no state path, nothing committed yet, or an unreadable one (which
+    /// [`Compiler::recovery_events`] reports).
     pub fn take_restored_graph(&mut self) -> Option<GraphFile> {
         self.restored_graph.take()
     }
@@ -591,7 +582,9 @@ impl Compiler {
         let t = Instant::now();
         let base: Arc<dyn SkipOracle + Send + Sync + 'env> = match self.config.mode {
             Mode::Stateless => Arc::new(NeverSkip),
-            Mode::Stateful(policy) => Arc::new(DbOracle::new(self.skip_state(), policy)),
+            Mode::Stateful(policy) => {
+                Arc::new(DbOracle::new(self.skip_state(), self.pipeline_hash, policy))
+            }
         };
         let oracle: Arc<dyn SkipOracle + Send + Sync + 'env> = if hits.is_empty() {
             base
@@ -958,7 +951,11 @@ impl Compiler {
     /// one function — mode, pipeline, and *that function's* dormancy record
     /// only. Incremental engines record this as a tracked input of the
     /// function's optimize task, so stale skip state invalidates exactly
-    /// the functions it would affect. Always
+    /// the functions it would affect. It is also the tracked input that
+    /// carries the mode and the pipeline (the opt level) into the query
+    /// graph: a session under other flags finds every optimize task's
+    /// stamp changed and re-executes it, while the front end, which reads
+    /// no flag, validates. Always
     /// reads the live database: the function-grained optimize task records
     /// this stamp immediately after its own ingest, and sibling ingests
     /// never touch the record, so the stamp the next session recomputes at
@@ -1135,7 +1132,7 @@ fn main(n: int) -> int {
     }
 
     #[test]
-    fn graph_persists_with_the_state_and_only_under_its_identity() {
+    fn graph_persists_with_the_state_under_any_flags() {
         let dir = std::env::temp_dir().join(format!("sfcc-core-graph-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = Config::stateful().with_state_path(dir.join("state.bin"));
@@ -1146,22 +1143,23 @@ fn main(n: int) -> int {
             first.take_restored_graph().is_none(),
             "nothing committed yet"
         );
-        let graph = GraphFile {
-            identity: first.identity(),
-            ..GraphFile::default()
-        };
+        let graph = GraphFile::default();
         first.deposit_graph(Artifact::Base(graph.to_bytes()));
         first.save_state().unwrap();
 
         let mut same = Compiler::new(cfg.clone());
-        assert_eq!(same.take_restored_graph(), Some(graph));
+        assert_eq!(same.take_restored_graph(), Some(graph.clone()));
         assert!(same.take_restored_graph().is_none(), "handed over once");
 
-        // Another identity's graph is a cold start, not corruption.
-        let mut skewed = Compiler::new(cfg.with_opt_level(OptLevel::O0));
-        assert_ne!(skewed.identity(), first.identity());
-        assert!(skewed.take_restored_graph().is_none());
-        assert!(skewed.recovery_events().is_empty());
+        // Other flags take the same graph: they reach it only through the
+        // state stamps its tasks recorded.
+        let mut flipped = Compiler::new(cfg.with_opt_level(OptLevel::O0));
+        assert_ne!(
+            flipped.state_stamp_fn("main", "main"),
+            first.state_stamp_fn("main", "main")
+        );
+        assert_eq!(flipped.take_restored_graph(), Some(graph));
+        assert!(flipped.recovery_events().is_empty());
 
         // A session with nothing to persist keeps no graph either.
         let mut stateless = Compiler::new(Config::stateless().with_state_path(dir.join("s2")));

@@ -56,7 +56,9 @@ pub struct Config {
     /// Optimization level.
     pub opt_level: OptLevel,
     /// Verify the IR after every pass that reports a change (slow; meant
-    /// for tests).
+    /// for tests). Verification checks what executes: like a dormant skip
+    /// or a cache hit, a task a persisted graph validates is not verified
+    /// again. It shapes no byte, so it is not a tracked input.
     pub verify_each: bool,
     /// Where to persist the state database; `None` keeps state in memory
     /// only (it still survives across compilations within one session).

@@ -17,10 +17,11 @@
 //! [`crate::persist`]), so the `state:` stamps and values it records are
 //! all-old or all-new together with the state they describe.
 //!
-//! The header carries a format version and the compiler identity the graph
-//! was recorded under. The identity is not this module's to judge: a graph
-//! recorded under another identity is a cold start for the session that
-//! reads it, not corruption ([`crate::Compiler::new`] drops it quietly).
+//! The header carries a format version and nothing else: flags reach the
+//! graph only as tracked inputs. Every `optimizefn` records its `state:`
+//! stamp, which hashes the mode and the pass pipeline, so a graph recorded
+//! under other flags validates its front end and re-executes what the flags
+//! shape ([`crate::Compiler::state_stamp_fn`]).
 
 use sfcc_codec::{fnv64, fnv64_continue, DecodeError, Reader, Writer};
 use std::fmt;
@@ -31,13 +32,13 @@ use std::sync::{Arc, Weak};
 pub const GRAPH_LOGICAL: &str = "depgraph";
 
 const GRAPH_MAGIC: &[u8; 7] = b"SFCCDG\0";
-/// Current graph-file format version (2: values beside any node; a
-/// version-1 file is a version-skew cold start).
-pub const GRAPH_VERSION: u32 = 2;
+/// Current graph-file format version (3: no identity in the header; an
+/// older file is a version-skew cold start).
+pub const GRAPH_VERSION: u32 = 3;
 
 const SEGMENT_MAGIC: &[u8; 7] = b"SFCCDS\0";
-/// Current graph-segment format version.
-const SEGMENT_VERSION: u32 = 1;
+/// Current graph-segment format version (2: no identity).
+const SEGMENT_VERSION: u32 = 2;
 
 /// One recorded dependency of a task, in acquisition order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,8 +143,6 @@ pub struct GraphNode {
 /// keeping.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphFile {
-    /// The compiler identity the graph was recorded under.
-    pub identity: u64,
     /// Task keys: `nodes[i]` is the task `keys[i]`; keys beyond
     /// `nodes.len()` are tasks a recorded dependency names although they had
     /// left the store.
@@ -257,11 +256,9 @@ impl NodeWriter {
 }
 
 impl GraphWriter {
-    /// An empty graph of `node_count` nodes recorded under compiler
-    /// `identity`.
-    pub fn new(identity: u64, node_count: usize) -> Self {
+    /// An empty graph of `node_count` nodes.
+    pub fn new(node_count: usize) -> Self {
         let mut nodes = NodeWriter::new(GRAPH_MAGIC, GRAPH_VERSION);
-        nodes.out.u64(identity);
         nodes.out.usize(node_count);
         GraphWriter {
             nodes,
@@ -294,7 +291,7 @@ impl GraphWriter {
         self.nodes.task(key, fingerprint);
     }
 
-    /// The file: magic, version, payload (identity, nodes, key table),
+    /// The file: magic, version, payload (nodes, key table),
     /// FNV-64 of the payload without its value bytes.
     pub fn finish(self) -> Vec<u8> {
         let mut tail = Writer::new();
@@ -320,12 +317,10 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// An empty segment of `node_count` changed nodes recorded under
-    /// compiler `identity`, extending a graph file of `parent_keys` keys
-    /// whose manifest checksum is `parent`.
-    pub fn new(identity: u64, parent: u64, parent_keys: u32, node_count: usize) -> Self {
+    /// An empty segment of `node_count` changed nodes, extending a graph
+    /// file of `parent_keys` keys whose manifest checksum is `parent`.
+    pub fn new(parent: u64, parent_keys: u32, node_count: usize) -> Self {
         let mut nodes = NodeWriter::new(SEGMENT_MAGIC, SEGMENT_VERSION);
-        nodes.out.u64(identity);
         nodes.out.u64(parent);
         nodes.out.u32(parent_keys);
         nodes.out.usize(node_count);
@@ -362,7 +357,7 @@ impl SegmentWriter {
         self.nodes.task(key, fingerprint);
     }
 
-    /// The segment: magic, version, payload (identity, parent, changed
+    /// The segment: magic, version, payload (parent, changed
     /// nodes, added labels, the file's key table `table` — its first
     /// `nodes` keys the nodes', in file order), FNV-64 of the payload
     /// without its value bytes.
@@ -381,7 +376,6 @@ impl SegmentWriter {
 
 /// A decoded segment (see [`SegmentWriter`]), values unchecked.
 struct GraphSegment {
-    identity: u64,
     parent: u64,
     parent_keys: usize,
     nodes: Vec<(usize, GraphNode)>,
@@ -454,7 +448,6 @@ impl GraphSegment {
     fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
         let mut r = sfcc_codec::open(&buffer, SEGMENT_MAGIC, SEGMENT_VERSION)?;
         let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
-        let identity = r.u64()?;
         let parent = r.u64()?;
         let parent_keys = r.u32()? as usize;
         let node_count = r.count()?;
@@ -489,7 +482,6 @@ impl GraphSegment {
         }
         close(r, &buffer, checksum)?;
         Ok(GraphSegment {
-            identity,
             parent,
             parent_keys,
             nodes,
@@ -503,7 +495,7 @@ impl GraphSegment {
 impl GraphFile {
     /// Serializes the graph (see [`GraphWriter`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = GraphWriter::new(self.identity, self.nodes.len());
+        let mut w = GraphWriter::new(self.nodes.len());
         for key in &self.keys {
             w.key(key);
         }
@@ -539,7 +531,6 @@ impl GraphFile {
     pub(crate) fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
         let mut r = sfcc_codec::open(&buffer, GRAPH_MAGIC, GRAPH_VERSION)?;
         let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
-        let identity = r.u64()?;
         let node_count = r.count()?;
         let mut nodes = Vec::with_capacity(node_count);
         let mut max_key = None;
@@ -555,11 +546,7 @@ impl GraphFile {
             keys.push(r.str()?);
         }
         close(r, &buffer, checksum)?;
-        Ok(GraphFile {
-            identity,
-            keys,
-            nodes,
-        })
+        Ok(GraphFile { keys, nodes })
     }
 
     /// Hashes every value against its node's fingerprint; the first that
@@ -584,8 +571,8 @@ impl GraphFile {
     ///
     /// # Errors
     ///
-    /// The index of a segment that does not decode, was recorded under
-    /// another identity or against another parent, or whose key table names
+    /// The index of a segment that does not decode, was recorded against
+    /// another parent, or whose key table names
     /// a key twice, a node's key without a node, or misses a key a node's
     /// dependency names.
     pub(crate) fn fold(
@@ -609,10 +596,7 @@ impl GraphFile {
         for (i, (buffer, parent)) in segments {
             let corrupt = (i, DecodeError::Corrupt);
             let segment = GraphSegment::decode(buffer).map_err(|e| (i, e))?;
-            if segment.identity != self.identity
-                || segment.parent != parent
-                || segment.parent_keys != table.len()
-            {
+            if segment.parent != parent || segment.parent_keys != table.len() {
                 return Err(corrupt);
             }
             let (known, first_label) = (table.len(), keys.len());
@@ -673,7 +657,6 @@ impl GraphFile {
             placed_nodes.push(node);
         }
         Ok(GraphFile {
-            identity: self.identity,
             keys: table
                 .iter()
                 .map(|&id| std::mem::take(&mut keys[id as usize]))
@@ -689,7 +672,6 @@ mod tests {
 
     fn sample() -> GraphFile {
         GraphFile {
-            identity: 0xfeed_beef,
             keys: vec!["parse(a)".into(), "link".into(), "codegen(gone)".into()],
             nodes: vec![
                 GraphNode {
@@ -788,7 +770,7 @@ mod tests {
     /// A segment that replaces `link`, adds a node under a new label whose
     /// dependency names a third new label, and drops `parse(a)`.
     fn segment_of_sample(parent: u64, table: &[u32]) -> Vec<u8> {
-        let mut w = SegmentWriter::new(0xfeed_beef, parent, 3, 2);
+        let mut w = SegmentWriter::new(parent, 3, 2);
         let link = fnv64(b"image");
         w.node(1, link, Some(b"image"), 1);
         let codegen = w.label("codegen(b)");
@@ -809,7 +791,6 @@ mod tests {
         let buffer = Arc::new(bytes.clone());
         let folded = sample().fold([(Arc::clone(&buffer), parent)]).unwrap();
         let want = GraphFile {
-            identity: 0xfeed_beef,
             keys: vec!["codegen(b)".into(), "link".into(), "parse(b)".into()],
             nodes: vec![
                 GraphNode {
@@ -837,7 +818,7 @@ mod tests {
         // A second segment, written against the folded file: `codegen(b)`
         // moves, `link` stays, and `parse(b)`, named by nothing now, leaves
         // the key table.
-        let mut w = SegmentWriter::new(0xfeed_beef, 5, 3, 1);
+        let mut w = SegmentWriter::new(5, 3, 1);
         w.node(0, 10, None, 0);
         let second = w.finish(2, &[0, 1]);
         let mut want = folded.clone();
@@ -878,11 +859,8 @@ mod tests {
             );
         }
         let mut other = sample();
-        other.identity += 1;
-        let segment = Arc::new(segment_of_sample(parent, &[3, 1, 4]));
-        assert!(other.fold([(Arc::clone(&segment), parent)]).is_err());
-        other = sample();
         other.keys.push("extra".into());
+        let segment = Arc::new(segment_of_sample(parent, &[3, 1, 4]));
         assert!(other.fold([(segment, parent)]).is_err());
     }
 
@@ -894,7 +872,6 @@ mod tests {
             |payload: Vec<u8>| sfcc_codec::armor(GRAPH_MAGIC, GRAPH_VERSION, |w| w.raw(&payload));
         // A node count far beyond the input.
         let mut w = Writer::new();
-        w.u64(1);
         w.u64(u64::MAX >> 1);
         assert_eq!(
             GraphFile::from_bytes(reframe(w.into_bytes())),
@@ -902,7 +879,6 @@ mod tests {
         );
         // A value longer than the input.
         let mut w = Writer::new();
-        w.u64(1);
         w.usize(1);
         w.u64(5);
         w.u8(1);
@@ -913,7 +889,6 @@ mod tests {
         );
         // More nodes than keys.
         let mut w = Writer::new();
-        w.u64(1);
         w.usize(1);
         w.u64(5);
         w.u8(0);

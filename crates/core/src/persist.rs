@@ -677,7 +677,6 @@ mod tests {
 
     fn sample_graph() -> GraphFile {
         GraphFile {
-            identity: 7,
             keys: vec!["link".into()],
             nodes: vec![crate::depgraph::GraphNode {
                 fingerprint: sfcc_codec::fnv64(&[1, 2, 3]),
@@ -708,7 +707,7 @@ mod tests {
         assert!(loaded.events.is_empty());
         // A graph-only commit keeps the committed state.
         let newer = GraphFile {
-            identity: 8,
+            keys: vec!["link(newer)".into()],
             ..graph
         };
         let committed = save(

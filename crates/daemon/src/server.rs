@@ -14,8 +14,9 @@
 //! *same* project serialize on its session slot, waiting at most the
 //! per-request timeout. A session is keyed by `(directory, build flags)`:
 //! a request with different flags snapshots the old service and creates a
-//! fresh one, so configuration changes cost a cold start instead of
-//! serving state recorded under other flags.
+//! fresh one. The fresh service starts from what the old one committed, not
+//! from nothing: flags reach persisted state as tracked inputs, so it
+//! re-executes only the work the changed flags shape.
 
 use crate::gate::{Gate, GateError};
 use crate::protocol::{self, ErrorKind, Request};

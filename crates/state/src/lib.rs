@@ -20,7 +20,8 @@
 //! use sfcc_passes::SkipOracle;
 //!
 //! let db = StateDb::new(); // cold start: nothing is ever skipped
-//! let oracle = DbOracle::new(&db, SkipPolicy::PreviousBuild);
+//! let pipeline = StateDb::pipeline_hash(&["dce"]);
+//! let oracle = DbOracle::new(&db, pipeline, SkipPolicy::PreviousBuild);
 //! let query = sfcc_passes::PassQuery {
 //!     module: "m",
 //!     function: "f",
@@ -92,7 +93,7 @@ mod integration {
         );
 
         // The oracle now advises skipping slot 0 but not slot 1.
-        let oracle = DbOracle::new(&db, SkipPolicy::PreviousBuild);
+        let oracle = DbOracle::new(&db, hash, SkipPolicy::PreviousBuild);
         let q0 = PassQuery {
             module: "m",
             function: "f",

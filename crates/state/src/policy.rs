@@ -6,6 +6,7 @@
 //! ablation study (experiment E10).
 
 use crate::records::StateDb;
+use sfcc_ir::Fingerprint;
 use sfcc_passes::{PassQuery, SkipOracle};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +51,9 @@ impl SkipPolicy {
 #[derive(Debug)]
 pub struct DbOracle<'a> {
     db: &'a StateDb,
+    /// Hash of the pipeline being run: a module recorded under another
+    /// pipeline has records for other passes at the same slots.
+    pipeline: Fingerprint,
     policy: SkipPolicy,
     /// Pipeline slots that must never be skipped (e.g. passes later passes
     /// structurally depend on — `mem2reg` feeds everything).
@@ -59,10 +63,13 @@ pub struct DbOracle<'a> {
 }
 
 impl<'a> DbOracle<'a> {
-    /// Creates an oracle over `db` with `policy` and no protected slots.
-    pub fn new(db: &'a StateDb, policy: SkipPolicy) -> Self {
+    /// Creates an oracle over `db` for the pipeline whose
+    /// [`StateDb::pipeline_hash`] is `pipeline`, with `policy` and no
+    /// protected slots.
+    pub fn new(db: &'a StateDb, pipeline: Fingerprint, policy: SkipPolicy) -> Self {
         DbOracle {
             db,
+            pipeline,
             policy,
             protected: HashSet::new(),
             skips: AtomicU64::new(0),
@@ -91,7 +98,11 @@ impl<'a> SkipOracle for DbOracle<'a> {
         if self.policy == SkipPolicy::Never || self.protected.contains(&query.slot) {
             return false;
         }
-        let Some(module) = self.db.module(query.module) else {
+        let Some(module) = self
+            .db
+            .module(query.module)
+            .filter(|module| module.pipeline_hash == self.pipeline)
+        else {
             return false;
         };
         let Some(record) = module.functions.get(query.function) else {
@@ -123,7 +134,6 @@ impl<'a> SkipOracle for DbOracle<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfcc_ir::Fingerprint;
     use sfcc_passes::{FunctionTrace, PassOutcome, PassRecord, PipelineTrace};
 
     fn db_with(outcome_rounds: &[&[PassOutcome]]) -> StateDb {
@@ -172,7 +182,7 @@ mod tests {
     #[test]
     fn never_policy_never_skips() {
         let db = db_with(&[&[PassOutcome::Dormant]]);
-        let oracle = DbOracle::new(&db, SkipPolicy::Never);
+        let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::Never);
         assert!(!oracle.should_skip(&query(0)));
         assert_eq!(oracle.stats(), (1, 0));
     }
@@ -180,7 +190,7 @@ mod tests {
     #[test]
     fn previous_build_skips_dormant_only() {
         let db = db_with(&[&[PassOutcome::Dormant, PassOutcome::Active]]);
-        let oracle = DbOracle::new(&db, SkipPolicy::PreviousBuild);
+        let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::PreviousBuild);
         assert!(oracle.should_skip(&query(0)));
         assert!(!oracle.should_skip(&query(1)));
         assert_eq!(oracle.stats(), (2, 1));
@@ -189,18 +199,18 @@ mod tests {
     #[test]
     fn consecutive_policy_requires_streak() {
         let one = db_with(&[&[PassOutcome::Dormant]]);
-        let oracle = DbOracle::new(&one, SkipPolicy::Consecutive(2));
+        let oracle = DbOracle::new(&one, Fingerprint(9), SkipPolicy::Consecutive(2));
         assert!(!oracle.should_skip(&query(0)));
 
         let two = db_with(&[&[PassOutcome::Dormant], &[PassOutcome::Dormant]]);
-        let oracle = DbOracle::new(&two, SkipPolicy::Consecutive(2));
+        let oracle = DbOracle::new(&two, Fingerprint(9), SkipPolicy::Consecutive(2));
         assert!(oracle.should_skip(&query(0)));
     }
 
     #[test]
     fn unknown_function_never_skips() {
         let db = db_with(&[&[PassOutcome::Dormant]]);
-        let oracle = DbOracle::new(&db, SkipPolicy::PreviousBuild);
+        let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::PreviousBuild);
         let q = PassQuery {
             module: "m",
             function: "brand_new",
@@ -212,16 +222,24 @@ mod tests {
     }
 
     #[test]
+    fn another_pipelines_records_never_skip() {
+        let db = db_with(&[&[PassOutcome::Dormant]]);
+        let oracle = DbOracle::new(&db, Fingerprint(8), SkipPolicy::AlwaysSkipKnown);
+        assert!(!oracle.should_skip(&query(0)));
+    }
+
+    #[test]
     fn unknown_slot_never_skips() {
         let db = db_with(&[&[PassOutcome::Dormant]]);
-        let oracle = DbOracle::new(&db, SkipPolicy::PreviousBuild);
+        let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::PreviousBuild);
         assert!(!oracle.should_skip(&query(5)));
     }
 
     #[test]
     fn protected_slots_always_run() {
         let db = db_with(&[&[PassOutcome::Dormant, PassOutcome::Dormant]]);
-        let oracle = DbOracle::new(&db, SkipPolicy::PreviousBuild).with_protected([0]);
+        let oracle =
+            DbOracle::new(&db, Fingerprint(9), SkipPolicy::PreviousBuild).with_protected([0]);
         assert!(!oracle.should_skip(&query(0)));
         assert!(oracle.should_skip(&query(1)));
     }
@@ -229,7 +247,7 @@ mod tests {
     #[test]
     fn always_policy_skips_known_functions() {
         let db = db_with(&[&[PassOutcome::Active]]);
-        let oracle = DbOracle::new(&db, SkipPolicy::AlwaysSkipKnown);
+        let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::AlwaysSkipKnown);
         assert!(oracle.should_skip(&query(0)));
     }
 
@@ -252,8 +270,13 @@ mod tests {
             &[PassOutcome::Active],
             &[PassOutcome::Dormant],
         ]);
-        assert!(DbOracle::new(&db, SkipPolicy::MajorityDormant(4)).should_skip(&query(0)));
-        assert!(!DbOracle::new(&db, SkipPolicy::Consecutive(2)).should_skip(&query(0)));
+        assert!(
+            DbOracle::new(&db, Fingerprint(9), SkipPolicy::MajorityDormant(4))
+                .should_skip(&query(0))
+        );
+        assert!(
+            !DbOracle::new(&db, Fingerprint(9), SkipPolicy::Consecutive(2)).should_skip(&query(0))
+        );
     }
 
     #[test]
@@ -265,14 +288,19 @@ mod tests {
             &[PassOutcome::Active],
             &[PassOutcome::Dormant],
         ]);
-        assert!(!DbOracle::new(&db, SkipPolicy::MajorityDormant(4)).should_skip(&query(0)));
-        assert!(DbOracle::new(&db, SkipPolicy::PreviousBuild).should_skip(&query(0)));
+        assert!(
+            !DbOracle::new(&db, Fingerprint(9), SkipPolicy::MajorityDormant(4))
+                .should_skip(&query(0))
+        );
+        assert!(
+            DbOracle::new(&db, Fingerprint(9), SkipPolicy::PreviousBuild).should_skip(&query(0))
+        );
     }
 
     #[test]
     fn majority_policy_with_no_observations_never_skips() {
         let db = StateDb::new();
-        let oracle = DbOracle::new(&db, SkipPolicy::MajorityDormant(4));
+        let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::MajorityDormant(4));
         assert!(!oracle.should_skip(&query(0)));
     }
 }

@@ -13,37 +13,20 @@
 //! hits; and a crash at every durable op during a publish leaves the store
 //! fsck-clean. Tests prefixed `quick_` form the `ci.sh --quick` sweep.
 
+mod common;
+
+use common::{cleanup, project};
 use sfcc::{Compiler, Config};
 use sfcc_backend::{disasm_program, run, VmOptions};
 use sfcc_buildsys::{
     validate_report_json, BuildReport, Builder, DepFindingKind, DepMutations, Project,
 };
 use sfcc_faultfs::{self as ffs, Fault, FaultPlan};
-use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sfcc-cas-it-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn cleanup(dir: &Path) {
-    let _ = fs::remove_dir_all(dir);
-}
-
-fn project(files: &[(&str, &str)]) -> Project {
-    let mut p = Project::new();
-    for (name, src) in files {
-        p.set_file((*name).to_string(), (*src).to_string());
-    }
-    p
+    common::tmpdir("sfcc-cas-it", tag)
 }
 
 /// Three modules, one function each: the canonical fixture.

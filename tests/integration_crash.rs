@@ -17,6 +17,9 @@
 //! fsck-based debris collection. Tests prefixed `quick_` form the
 //! `ci.sh --quick` crash-consistency sweep.
 
+mod common;
+
+use common::{cleanup, project};
 use proptest::prelude::*;
 use sfcc::depgraph::GRAPH_LOGICAL;
 use sfcc::{persist, Compiler, Config, Durability, FunctionCache, GraphFile};
@@ -36,26 +39,7 @@ const STATE_BASE: &str = ".sfcc-state";
 const IMAGE_NAME: &str = "out.sbx";
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sfcc-crash-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn cleanup(dir: &Path) {
-    let _ = fs::remove_dir_all(dir);
-}
-
-fn project(files: &[(&str, &str)]) -> Project {
-    let mut p = Project::new();
-    for (name, src) in files {
-        p.set_file((*name).to_string(), (*src).to_string());
-    }
-    p
+    common::tmpdir("sfcc-crash", tag)
 }
 
 fn project_v1() -> Project {

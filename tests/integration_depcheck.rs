@@ -9,6 +9,9 @@
 //! resource provenance; a frozen input stamp must surface as a stale serve
 //! on the very build whose output went wrong.
 
+mod common;
+
+use common::project;
 use sfcc::{Compiler, Config};
 use sfcc_backend::{run, VmOptions};
 use sfcc_buildsys::report::ParallelStats;
@@ -17,14 +20,6 @@ use sfcc_buildsys::{
 };
 use sfcc_workload::{generate_model, GeneratorConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
-
-fn project(files: &[(&str, &str)]) -> Project {
-    let mut p = Project::new();
-    for (name, src) in files {
-        p.set_file((*name).to_string(), (*src).to_string());
-    }
-    p
-}
 
 /// Three modules exercising every task kind: per-module imports, interface,
 /// frontend, lower, optimize, codegen, plus the singleton graph and link.

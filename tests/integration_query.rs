@@ -4,19 +4,14 @@
 //! must show early cutoff doing its job, and structural regressions (an
 //! edit that closes an import cycle) must surface as ordinary diagnostics.
 
+mod common;
+
+use common::project;
 use proptest::prelude::*;
 use sfcc::{Compiler, Config};
 use sfcc_backend::image::to_bytes;
 use sfcc_buildsys::{Builder, Project};
 use sfcc_workload::{generate_model, EditScript, GeneratorConfig};
-
-fn project(files: &[(&str, &str)]) -> Project {
-    let mut p = Project::new();
-    for (name, src) in files {
-        p.set_file(name.to_string(), src.to_string());
-    }
-    p
-}
 
 fn three_module_project() -> Project {
     project(&[

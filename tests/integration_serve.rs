@@ -30,15 +30,20 @@
 //!    step that changed nothing it must be the *resident* builder (nothing
 //!    executes, not a byte moves), on a step that changed something it must
 //!    be the same lineage *without* a graph, byte for byte, state and cache
-//!    included. Graphs recorded under another compiler identity, or naming
-//!    inputs the session cannot stamp, cost re-execution, never a stale
-//!    serve.
+//!    included. Graphs recorded under other flags re-execute what the
+//!    flags shape, and graphs naming inputs the session cannot stamp
+//!    re-execute what reads them: never a stale serve. A lineage of flag
+//!    flips among edits builds, at every step, the image a directory with
+//!    no history builds under the same flags.
 //!
 //! Concurrency, admission control (typed busy/timeout, queue bounds),
 //! session confinement, flag-keyed session recycling, protocol rejection,
 //! and warm depcheck audits (clean serves, seeded frozen-stamp lie caught)
 //! ride along. Tests prefixed `quick_` form the `ci.sh --quick` subset.
 
+mod common;
+
+use common::cleanup;
 use proptest::prelude::*;
 use sfcc::{persist, Compiler, Config, Durability};
 use sfcc_buildsys::serve::BuildService;
@@ -49,7 +54,7 @@ use sfcc_daemon::{
 use sfcc_faultfs::CommitDir;
 use sfcc_trace::json;
 use sfcc_workload::{generate_model, EditKind, EditScript, GeneratorConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -57,14 +62,7 @@ use std::time::Duration;
 // ─── scratch + project plumbing ───
 
 fn tmproot(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sfcc-serve-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn cleanup(dir: &Path) {
-    let _ = fs::remove_dir_all(dir);
+    common::tmpdir("sfcc-serve", tag)
 }
 
 /// Writes `p` as the complete tree at `dir` (stale `.mc` modules removed —
@@ -983,13 +981,13 @@ fn quick_demo_commits_are_pinned() {
     assert_eq!(
         sums,
         [
-            "full depgraph d7e08fc0278c8b1b",
+            "full depgraph 9b075394ea4a1c4e",
             "full state 9303d661a34f43ed",
             "full ircache e01ddfa5e095685f",
-            "edit depgraph b1ed94d4951706b0",
+            "edit depgraph 8ce7722dd5caca56",
             "edit state 05dfb4972f91ed0d",
             "edit ircache 2108f6f120e06257",
-            "no-op depgraph b1ed94d4951706b0",
+            "no-op depgraph 8ce7722dd5caca56",
             "no-op state 05dfb4972f91ed0d",
             "no-op ircache 2108f6f120e06257",
             "store a71ac9a0e78afafff087af4886080248b 3ba9cdfe5c981bfd",
@@ -1013,9 +1011,28 @@ fn session_under(dir: &Path, config: Config) -> (BuildReport, Vec<u8>) {
     (report, image)
 }
 
+/// The task kinds `report` executed, each once.
+fn executed_kinds(report: &BuildReport) -> BTreeSet<&str> {
+    report
+        .query
+        .executed
+        .iter()
+        .map(|task| &task[..task.find('(').unwrap_or(task.len())])
+        .collect()
+}
+
+/// The task kinds a flag shapes: the rest of the graph reads no flag.
+const FLAG_SHAPED: [&str; 3] = ["codegen", "link", "optimizefn"];
+
+/// Flags are tracked inputs of the tasks they shape: every `optimizefn`
+/// records its `state:` stamp, which hashes the mode and the pipeline. A
+/// session under other flags takes the graph the last one committed,
+/// validates the whole front end and re-executes only optimizations, the
+/// code generated from them and the link, into the image a directory with
+/// no history builds under the same flags.
 #[test]
-fn quick_identity_skewed_graphs_are_never_served() {
-    let root = tmproot("graph-skew");
+fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
+    let root = tmproot("flag-flip");
     let state_of = |dir: &Path| dir.join(".sfcc-state");
     let stateful = |dir: &Path| {
         Config::stateful()
@@ -1028,27 +1045,39 @@ fn quick_identity_skewed_graphs_are_never_served() {
         write_tree(&dir, &fixture_v1());
         session_under(&dir, config(&dir)).1
     };
+    let flags_only = BTreeSet::from(FLAG_SHAPED);
+    let re_optimized = |report: &BuildReport| {
+        let kinds = executed_kinds(report);
+        kinds.contains("optimizefn") && kinds.is_subset(&flags_only)
+    };
 
-    // An -O2 graph, then an -O0 session: the fingerprints are of other
-    // code. Cold start — not corruption — and -O0's own bytes.
+    // -O2, -O0, then -O2 again in one directory beside a shared store: each
+    // flip executes exactly the flag-shaped kinds, and the flip back is
+    // served from the store.
+    let store = root.join("flip-store");
     let dir = root.join("opt");
     write_tree(&dir, &fixture_v1());
     let o0 = |dir: &Path| stateful(dir).with_opt_level(sfcc::OptLevel::O0);
-    let (first, _) = session_under(&dir, stateful(&dir));
-    let (skewed, image) = session_under(&dir, o0(&dir));
-    assert_eq!(skewed.recovered_files, 0);
-    assert_eq!(
-        (skewed.query.hits, skewed.query.misses),
-        (0, first.query.misses)
+    session_under(&dir, stateful(&dir).with_cas_path(&store));
+    let (flip, image) = session_under(&dir, o0(&dir).with_cas_path(&store));
+    assert_eq!(flip.recovered_files, 0);
+    assert_eq!(executed_kinds(&flip), flags_only, "{:?}", flip.query);
+    assert_eq!(image, fresh_image("opt-fresh-o0", &o0));
+    let (back, image) = session_under(&dir, stateful(&dir).with_cas_path(&store));
+    assert_eq!(back.recovered_files, 0);
+    assert_eq!(executed_kinds(&back), flags_only, "{:?}", back.query);
+    assert_eq!(image, fresh_image("opt-fresh-o2", &stateful));
+    assert!(
+        back.metrics.scalar("cas.hits") > Some(0),
+        "the flip back must be served from the store"
     );
-    assert_eq!(image, fresh_image("opt-fresh", &o0));
-    // …and -O0 left its own graph behind.
-    let (again, again_image) = session_under(&dir, o0(&dir));
+    // …and the flip back left its own graph behind.
+    let (again, again_image) = session_under(&dir, stateful(&dir).with_cas_path(&store));
     assert_eq!((again.query.misses, again.recovered_files), (0, 0));
     assert_eq!(again_image, image);
 
     // A stateful session's graph, then a session that keeps only the
-    // function cache in the same directory: another mode, another identity.
+    // function cache in the same directory: the mode is a flag too.
     let dir = root.join("mode");
     write_tree(&dir, &fixture_v1());
     let cache_only = |dir: &Path| {
@@ -1057,19 +1086,31 @@ fn quick_identity_skewed_graphs_are_never_served() {
             .with_function_cache()
     };
     session_under(&dir, stateful(&dir));
-    let (skewed, image) = session_under(&dir, cache_only(&dir));
-    assert_eq!(skewed.recovered_files, 0);
-    assert_eq!(
-        (skewed.query.hits, skewed.query.misses),
-        (0, first.query.misses)
-    );
+    let (flip, image) = session_under(&dir, cache_only(&dir));
+    assert_eq!(flip.recovered_files, 0);
+    assert!(re_optimized(&flip), "{:?}", flip.query);
     assert_eq!(image, fresh_image("mode-fresh", &cache_only));
 
+    // A skip policy is part of the mode, and both policies' state stamps
+    // hash the same dormancy records: only the mode in the stamp tells the
+    // graph they differ. Skipping every known slot builds what the state
+    // alone builds, the graph dropped.
+    let skip_known = |dir: &Path| stateful(dir).with_policy(sfcc::SkipPolicy::AlwaysSkipKnown);
+    let [dir, twin] = ["policy", "policy-twin"].map(|name| root.join(name));
+    for dir in [&dir, &twin] {
+        write_tree(dir, &fixture_v1());
+        session_under(dir, stateful(dir));
+    }
+    drop_graph(&twin);
+    let (flip, image) = session_under(&dir, skip_known(&dir));
+    assert_eq!(flip.recovered_files, 0);
+    assert!(re_optimized(&flip), "{:?}", flip.query);
+    assert_eq!(image, session_under(&twin, skip_known(&twin)).1);
+
     // A graph whose tasks were served by a shared store records `cas:`
-    // stamps. Read by a session without the store — same identity, so the
-    // graph is restored — those stamps cannot be honoured: every served task
-    // re-executes, exactly as without a graph, while what the stamps still
-    // vouch for (the whole frontend) validates.
+    // stamps. Read by a session without the store, those stamps cannot be
+    // honoured: every served task re-executes, exactly as without a graph,
+    // while what the stamps still vouch for (the whole frontend) validates.
     let store = root.join("store");
     let publisher = root.join("publisher");
     write_tree(&publisher, &fixture_v1());
@@ -1109,6 +1150,98 @@ fn quick_identity_skewed_graphs_are_never_served() {
     assert_eq!(image, twin_image);
     assert_eq!(artifacts_of_state(&dir), artifacts_of_state(&twin));
     cleanup(&root);
+}
+
+/// One directory over a seeded script of generated edits, reverts, no-ops
+/// and flag flips (`-O0`/`-O1`/`-O2`, with and without the function cache),
+/// one process per step, and its twin that drops its graph before every
+/// step. After every step the image is the twin's — the state and cache
+/// alone build it — and nothing was recovered. A flip re-optimizes every
+/// function under a pipeline no dormancy record of it was taken under, so
+/// it builds the image a directory with no history builds under the same
+/// flags, and executes no front-end task. (An edit is held to the twin
+/// only: dormancy transfers by function name, so a build after an edit may
+/// skip a pass a fresh build runs.) Returns how many no-ops, reverts, edits
+/// and flips the script drew.
+fn flip_lineage_run(tag: &str, seed: u64) -> [usize; 4] {
+    let root = tmproot(tag);
+    let [dir, twin, fresh] = ["p", "twin", "fresh"].map(|name| root.join(name));
+    let mut model = generate_model(&GeneratorConfig::small(seed));
+    let mut previous = model.clone();
+    let mut script = EditScript::new(seed ^ 0xf1a9_5eed);
+    let levels = [sfcc::OptLevel::O0, sfcc::OptLevel::O1, sfcc::OptLevel::O2];
+    let (mut level, mut fn_cache) = (2, true);
+    let mut drawn = [0; 4];
+    for step in 0..12u64 {
+        let draw = sfcc_codec::fnv64(&[seed.to_le_bytes(), step.to_le_bytes()].concat());
+        let action = if step == 0 { 0 } else { (draw % 4) as usize };
+        match action {
+            0 => {}
+            // Undoes the last edit; a second revert redoes it.
+            1 => std::mem::swap(&mut model, &mut previous),
+            2 => {
+                previous = model.clone();
+                script.commit(&mut model);
+            }
+            _ => {
+                level = (level + 1 + (draw >> 8) as usize % 2) % 3;
+                fn_cache = (draw >> 16) & 1 == 0;
+            }
+        }
+        drawn[action] += 1;
+        let config = |dir: &Path| {
+            let config = Config::stateful()
+                .with_state_path(dir.join(".sfcc-state"))
+                .with_opt_level(levels[level]);
+            if fn_cache {
+                config.with_function_cache()
+            } else {
+                config
+            }
+        };
+        let label =
+            format!("seed {seed} step {step}: action {action}, -O{level}, fn-cache {fn_cache}");
+        let p = model.render();
+        write_tree(&dir, &p);
+        write_tree(&twin, &p);
+        if step > 0 {
+            drop_graph(&twin);
+        }
+        let (report, image) = session_under(&dir, config(&dir));
+        assert_eq!(report.recovered_files, 0, "{label}");
+        let (_, twin_image) = session_under(&twin, config(&twin));
+        assert!(image == twin_image, "{label}: image");
+        if action == 3 {
+            assert!(
+                executed_kinds(&report).is_subset(&BTreeSet::from(FLAG_SHAPED)),
+                "{label}: {:?}",
+                report.query
+            );
+            cleanup(&fresh);
+            write_tree(&fresh, &p);
+            assert!(
+                image == session_under(&fresh, config(&fresh)).1,
+                "{label}: fresh image"
+            );
+        }
+    }
+    cleanup(&root);
+    drawn
+}
+
+#[test]
+fn quick_flag_flips_among_edits_build_fresh_images() {
+    let mut drawn = [0; 4];
+    for seed in [5, 42] {
+        let run = flip_lineage_run(&format!("flip-lineage-{seed}"), seed);
+        for (total, n) in drawn.iter_mut().zip(run) {
+            *total += n;
+        }
+    }
+    assert!(
+        drawn.iter().all(|&n| n > 0),
+        "every action drawn: {drawn:?}"
+    );
 }
 
 /// The committed state and cache bytes of `dir`.
@@ -1261,8 +1394,9 @@ fn sessions_recycle_cleanly_when_flags_change() {
     let handle = start_daemon(&root, |_| {});
     let socket = handle.socket();
     must_ok(&socket, &request("build", &dir, &args_of(WARM_FLAGS, &[])));
-    // Different flag signature → the session snapshots and restarts cold;
-    // the serve must still succeed and leave consistent artifacts.
+    // Different flag signature → the session snapshots and a new one starts
+    // from what it committed; the serve must still succeed and leave
+    // consistent artifacts.
     let o1 = args_of(&["--stateful", "--fn-cache", "-O1"], &[]);
     must_ok(&socket, &request("build", &dir, &o1));
     let stats = must_ok(&socket, &Request::bare("stats"));
