@@ -3,6 +3,7 @@
 #
 #   ci.sh          full gate
 #   ci.sh --quick  fast sweep only: the canonical IR text pin, the
+#                  `sfcc-state` unit tests (state codec and skip policies), the
 #                  `quick_`-prefixed subset of the fault-injection matrix (cold crash matrix, truncation
 #                  boundaries, recovery counters, durability sync points),
 #                  of the observability suite (trace well-formedness,
@@ -358,6 +359,9 @@ if [[ "${1:-}" == "--quick" ]]; then
     codec_gate
     # Byte-identity pin of the canonical IR text every fingerprint hashes.
     cargo test -q -p sfcc-ir quick_
+    # The state codec's round-trip, version-skew, truncation and pinned-stamp
+    # rows, and the skip policies.
+    cargo test -q -p sfcc-state
     cargo test -q -p sfcc --test integration_crash quick_
     cargo test -q -p sfcc --test integration_trace quick_
     cargo test -q -p sfcc --test integration_depcheck quick_

@@ -57,7 +57,7 @@ pub fn state_overhead(scale: Scale) -> String {
         let t = Instant::now();
         let loaded = persist::load(&base, true, false);
         let load_ns = t.elapsed().as_nanos() as u64;
-        assert!(loaded.db_error.is_none(), "state reload failed");
+        assert!(loaded.events.is_empty(), "state reload failed");
         assert_eq!(loaded.db.function_count(), functions);
         let _ = std::fs::remove_dir_all(&dir);
 

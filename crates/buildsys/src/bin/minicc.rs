@@ -554,7 +554,7 @@ fn cmd_state(args: &[String]) -> Result<ExitCode, String> {
     module_names.sort();
     for module_name in module_names {
         let module = &db.modules[module_name];
-        outln!("\nmodule {module_name} (build #{}):", module.build_counter);
+        outln!("\nmodule {module_name}:");
         let mut fn_names: Vec<&String> = module.functions.keys().collect();
         fn_names.sort();
         for fn_name in fn_names {
@@ -710,49 +710,41 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
 // ─── build daemon: `minicc serve` / `minicc client` / `--daemon` ───
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+    // Every serve flag takes a value; the defaults are `DaemonOptions::new`'s.
     let mut root: Option<PathBuf> = None;
-    let mut socket: Option<PathBuf> = None;
-    let mut max_active = 2usize;
-    let mut max_queued = 16usize;
-    let mut timeout_ms = 30_000u64;
-    let mut idle_ms: Option<u64> = None;
+    let mut flags = Vec::new();
     let mut iter = args.iter();
-    let number = |flag: &str, value: Option<&String>| -> Result<u64, String> {
-        let value = value.ok_or_else(|| format!("`{flag}` expects a number"))?;
-        value
-            .parse()
-            .map_err(|_| format!("`{flag}` expects a number, got `{value}`"))
-    };
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--socket" => {
-                let path = iter.next().ok_or("`--socket` expects a path")?;
-                socket = Some(PathBuf::from(path));
-            }
-            "--max-active" => max_active = number("--max-active", iter.next())?.max(1) as usize,
-            "--max-queued" => max_queued = number("--max-queued", iter.next())? as usize,
-            "--timeout-ms" => timeout_ms = number("--timeout-ms", iter.next())?.max(1),
+        if arg.starts_with('-') {
+            flags.push((arg.as_str(), iter.next()));
+        } else if root.is_none() {
+            root = Some(PathBuf::from(arg));
+        } else {
+            return Err(format!("`serve` expects one root directory, got `{arg}`"));
+        }
+    }
+    let mut options = DaemonOptions::new(root.clone().unwrap_or_default());
+    for (flag, value) in flags {
+        let number = || -> Result<u64, String> {
+            let value = value.ok_or_else(|| format!("`{flag}` expects a number"))?;
+            value
+                .parse()
+                .map_err(|_| format!("`{flag}` expects a number, got `{value}`"))
+        };
+        match flag {
+            "--socket" => options.socket = value.ok_or("`--socket` expects a path")?.into(),
+            "--max-active" => options.max_active = number()?.max(1) as usize,
+            "--max-queued" => options.max_queued = number()? as usize,
+            "--timeout-ms" => options.request_timeout = Duration::from_millis(number()?.max(1)),
             "--idle-snapshot-ms" => {
-                idle_ms = Some(number("--idle-snapshot-ms", iter.next())?.max(1));
+                options.idle_snapshot = Some(Duration::from_millis(number()?.max(1)));
             }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown serve flag `{other}`\n\n{USAGE}"));
-            }
-            operand if root.is_none() => root = Some(PathBuf::from(operand)),
-            other => return Err(format!("`serve` expects one root directory, got `{other}`")),
+            other => return Err(format!("unknown serve flag `{other}`\n\n{USAGE}")),
         }
     }
     let root = root.ok_or_else(|| format!("`serve` expects a root directory\n\n{USAGE}"))?;
     std::fs::create_dir_all(&root)
         .map_err(|e| format!("cannot create `{}`: {e}", root.display()))?;
-    let mut options = DaemonOptions::new(&root);
-    if let Some(path) = socket {
-        options.socket = path;
-    }
-    options.max_active = max_active;
-    options.max_queued = max_queued;
-    options.request_timeout = Duration::from_millis(timeout_ms);
-    options.idle_snapshot = idle_ms.map(Duration::from_millis);
     let socket_path = options.socket.clone();
     sfcc_daemon::install_term_handler();
     let daemon = Daemon::bind(options, BuildService::factory())?;

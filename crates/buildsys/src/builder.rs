@@ -55,17 +55,15 @@ use crate::project::Project;
 use crate::report::{
     BuildReport, FngrainStats, LinkedProgram, ModuleOutput, ModuleReport, QueryStats,
 };
-use crate::tasks::{label_scope, BuildSpec, BuildTask, WaveBatch};
+use crate::tasks::{call_closure, label_scope, BuildSpec, BuildTask, WaveBatch};
 use sfcc::persist::Artifact;
 use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
-use sfcc_ir::{Function, Op};
 use sfcc_passes::{PassOutcome, PipelineTrace};
 use sfcc_query::{Dep, Engine, QueryError};
 use sfcc_trace::{ArgValue, MetricsSnapshot, Registry, SpanId, Trace};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::tasks::BuildValue;
@@ -575,31 +573,13 @@ impl Builder {
                     continue;
                 }
                 // Union call closure of the stale set from memoized lowerfn
-                // values, sorted by name (a BTreeMap) so the batch module is
-                // identical for every demand order and --jobs value.
-                let mut closure: BTreeMap<String, Arc<Function>> = BTreeMap::new();
-                let mut queue = stale.clone();
-                while let Some(g) = queue.pop() {
-                    if closure.contains_key(&g) {
-                        continue;
-                    }
-                    let func = self
-                        .engine
-                        .require(&mut spec, &BuildTask::LowerFn(name.clone(), g.clone()))
-                        .map_err(seal)?
-                        .expect_lowerfn();
-                    let prefix = format!("{name}.");
-                    for (_, iid) in func.iter_insts() {
-                        if let Op::Call(target) = &func.inst(iid).op {
-                            if let Some(local) = target.strip_prefix(&prefix) {
-                                if !closure.contains_key(local) {
-                                    queue.push(local.to_string());
-                                }
-                            }
-                        }
-                    }
-                    closure.insert(g, func);
-                }
+                // values.
+                let closure = call_closure(name, stale.clone(), |g| {
+                    self.engine
+                        .require(&mut spec, &BuildTask::LowerFn(name.clone(), g.to_string()))
+                        .map(|value| value.expect_lowerfn())
+                })
+                .map_err(seal)?;
                 let mut ir = sfcc_ir::Module::new(name.clone());
                 for func in closure.values() {
                     ir.functions.push((**func).clone());

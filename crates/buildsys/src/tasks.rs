@@ -464,6 +464,37 @@ pub struct BuildSpec<'a> {
     cas_contexts: HashMap<String, HashMap<String, Fingerprint>>,
 }
 
+/// The module-local call closure of `roots` in `module`: every function
+/// they transitively call through `Op::Call`, each with the lowered IR that
+/// `lower` (the `lowerfn` demand) returns. Sorted by name, so a batch
+/// module built from it is identical for every demand order and `--jobs`.
+pub(crate) fn call_closure<E>(
+    module: &str,
+    roots: Vec<String>,
+    mut lower: impl FnMut(&str) -> Result<Arc<Function>, E>,
+) -> Result<BTreeMap<String, Arc<Function>>, E> {
+    let prefix = format!("{module}.");
+    let mut closure = BTreeMap::new();
+    let mut queue = roots;
+    while let Some(g) = queue.pop() {
+        if closure.contains_key(&g) {
+            continue;
+        }
+        let func = lower(&g)?;
+        for (_, iid) in func.iter_insts() {
+            if let Op::Call(target) = &func.inst(iid).op {
+                if let Some(local) = target.strip_prefix(&prefix) {
+                    if !closure.contains_key(local) {
+                        queue.push(local.to_string());
+                    }
+                }
+            }
+        }
+        closure.insert(g, func);
+    }
+    Ok(closure)
+}
+
 impl<'a> BuildSpec<'a> {
     pub(crate) fn new(
         project: &'a Project,
@@ -1067,27 +1098,10 @@ impl BuildSpec<'_> {
                 // callee bodies (inlining), so every transitively called
                 // local function rides along in the restricted run. Results
                 // for `f` are identical for any module ⊇ closure(f).
-                let mut closure: BTreeMap<String, Arc<Function>> = BTreeMap::new();
-                let mut queue = vec![f.clone()];
-                while let Some(g) = queue.pop() {
-                    if closure.contains_key(&g) {
-                        continue;
-                    }
-                    let func = ctx
-                        .require(self, &BuildTask::LowerFn(m.clone(), g.clone()))?
-                        .expect_lowerfn();
-                    let prefix = format!("{m}.");
-                    for (_, iid) in func.iter_insts() {
-                        if let Op::Call(target) = &func.inst(iid).op {
-                            if let Some(local) = target.strip_prefix(&prefix) {
-                                if !closure.contains_key(local) {
-                                    queue.push(local.to_string());
-                                }
-                            }
-                        }
-                    }
-                    closure.insert(g, func);
-                }
+                let closure = call_closure(m, vec![f.clone()], |g| {
+                    ctx.require(self, &BuildTask::LowerFn(m.clone(), g.to_string()))
+                        .map(|value| value.expect_lowerfn())
+                })?;
                 // The dormancy record is this task's tracked input; this is
                 // its actual read, noted here (not in the batch, which runs
                 // unattributed) so depcheck pins it to this label.

@@ -19,7 +19,7 @@ use sfcc_passes::{
     FunctionTrace, NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions, SkipOracle,
 };
 use sfcc_pool::{run_batched, PoolScope};
-use sfcc_state::{statefile, DbOracle, DecodeError, StateDb};
+use sfcc_state::{statefile, DbOracle, StateDb};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
@@ -177,11 +177,6 @@ pub struct Compiler {
     frozen: Option<StateDb>,
     /// Whether a build session is frozen.
     freezing: bool,
-    /// Modules whose build counter was already bumped this frozen session
-    /// (per-function ingests bump once per module per session, mirroring the
-    /// one bump a whole-module ingest performs).
-    session_bumped: HashSet<String>,
-    state_load_error: Option<DecodeError>,
     /// The function cache, opened on first use ([`Compiler::function_cache`]):
     /// from `cache_links` when the session loaded a committed chain.
     fn_cache: OnceLock<FunctionCache>,
@@ -335,8 +330,6 @@ impl Compiler {
             state: loaded.db,
             frozen: None,
             freezing: false,
-            session_bumped: HashSet::new(),
-            state_load_error: loaded.db_error,
             fn_cache,
             cache_links,
             cas,
@@ -406,11 +399,6 @@ impl Compiler {
     /// The session configuration.
     pub fn config(&self) -> &Config {
         &self.config
-    }
-
-    /// Why the last state load fell back to a cold start, if it did.
-    pub fn state_load_error(&self) -> Option<DecodeError> {
-        self.state_load_error
     }
 
     /// Every quarantine / cold-start decision taken while loading this
@@ -864,12 +852,6 @@ impl Compiler {
         Ok(committed.generation)
     }
 
-    /// Drops all accumulated state (for experiments that need a cold start).
-    pub fn reset_state(&mut self) {
-        self.touch_state();
-        self.state = StateDb::new();
-    }
-
     /// The state skip decisions read from: the frozen session snapshot when
     /// one was taken ([`Compiler::freeze_state`]), the live database
     /// otherwise.
@@ -886,7 +868,6 @@ impl Compiler {
     pub fn freeze_state(&mut self) {
         self.freezing = true;
         self.frozen = None;
-        self.session_bumped.clear();
     }
 
     /// Drops the snapshot taken by [`Compiler::freeze_state`]; subsequent
@@ -894,24 +875,18 @@ impl Compiler {
     pub fn thaw_state(&mut self) {
         self.freezing = false;
         self.frozen = None;
-        self.session_bumped.clear();
     }
 
     /// Folds one *function's* trace into the dormancy state (stateful mode;
-    /// a no-op otherwise), leaving every sibling record untouched. The
-    /// module's build counter is bumped once per frozen session — the first
-    /// per-function ingest for a module performs the same single bump the
-    /// whole-module ingest of [`Compiler::compile`] does, so streak/window
-    /// bookkeeping is identical either way. Returns the time spent (ns).
+    /// a no-op otherwise), leaving every sibling record untouched — the
+    /// same merge the whole-module ingest of [`Compiler::compile`] performs
+    /// per function. Returns the time spent (ns).
     pub fn ingest_function_trace(&mut self, module: &str, ftrace: &FunctionTrace) -> u64 {
         if !self.config.mode.is_stateful() {
             return 0;
         }
         let t = Instant::now();
         self.touch_state();
-        if self.session_bumped.insert(module.to_string()) {
-            self.state.bump_build_counter(module);
-        }
         self.state
             .ingest_function(module, ftrace, self.pipeline_hash);
         t.elapsed().as_nanos() as u64
@@ -1032,7 +1007,6 @@ fn main(n: int) -> int {
             fingerprint: sfcc_ir::Fingerprint(0xdead_beef),
             exit_fingerprint: sfcc_ir::Fingerprint(u128::MAX),
             slots: vec![slot, SlotRecord::default()],
-            last_build: 4,
         };
         let mut stateful = Compiler::new(Config::stateful());
         let mut module = ModuleState::default();
@@ -1122,7 +1096,7 @@ fn main(n: int) -> int {
         first_session.save_state().unwrap();
 
         let mut second_session = Compiler::new(cfg);
-        assert!(second_session.state_load_error().is_none());
+        assert!(second_session.recovery_events().is_empty());
         let out = second_session
             .compile("main", SRC_V2, &ModuleEnv::new())
             .unwrap();
@@ -1374,14 +1348,5 @@ fn main(n: int) -> int {
         assert_eq!(stats.hits, 0, "{stats:?}");
         assert!(stats.misses > 0);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reset_state_forgets_everything() {
-        let mut c = Compiler::new(Config::stateful());
-        c.compile("main", SRC_V1, &ModuleEnv::new()).unwrap();
-        assert!(c.state().function_count() > 0);
-        c.reset_state();
-        assert_eq!(c.state().function_count(), 0);
     }
 }

@@ -107,10 +107,9 @@ pub enum Artifact {
 /// what an empty directory loads as: everything cold, nothing to report.
 #[derive(Debug, Default)]
 pub struct LoadedState {
-    /// The dormancy database (cold when absent or unrecoverable).
+    /// The dormancy database (cold when absent or unrecoverable; a
+    /// recovery event then names the file).
     pub db: StateDb,
-    /// Why the state fell back to a cold start, if it did.
-    pub db_error: Option<DecodeError>,
     /// The function-IR cache, folded by [`load`] (cold when absent or
     /// unrecoverable); [`open`] leaves it empty and records
     /// [`LoadedState::cache_links`] instead.
@@ -320,25 +319,19 @@ pub fn open(base: &Path, want_state: bool) -> LoadedState {
             out.generation = manifest.generation;
             if want_state {
                 if let Some(entry) = manifest.entry(STATE_LOGICAL) {
-                    match load_entry_bytes(&cd, entry, &mut out.events) {
-                        Some(bytes) => {
-                            out.bytes_read += bytes.len() as u64;
-                            match statefile::from_bytes(&bytes) {
-                                Ok(db) => {
-                                    out.db = db;
-                                    out.state_checksum = Some(entry.checksum);
-                                }
-                                Err(e) => {
-                                    out.db_error = Some(e);
-                                    quarantine_event(
-                                        &cd.entry_path(entry),
-                                        format!("state does not decode: {e}"),
-                                        &mut out.events,
-                                    );
-                                }
+                    if let Some(bytes) = load_entry_bytes(&cd, entry, &mut out.events) {
+                        out.bytes_read += bytes.len() as u64;
+                        match statefile::from_bytes(&bytes) {
+                            Ok(db) => {
+                                out.db = db;
+                                out.state_checksum = Some(entry.checksum);
                             }
+                            Err(e) => quarantine_event(
+                                &cd.entry_path(entry),
+                                format!("state does not decode: {e}"),
+                                &mut out.events,
+                            ),
                         }
-                        None => out.db_error = Some(DecodeError::Corrupt),
                     }
                 }
             }
@@ -380,9 +373,6 @@ pub fn open(base: &Path, want_state: bool) -> LoadedState {
         }
         Ok(None) => {}
         Err(ManifestError::Corrupt(e)) => {
-            if want_state {
-                out.db_error = Some(e);
-            }
             quarantine_event(
                 &cd.manifest_path(),
                 format!("manifest does not decode: {e}"),
@@ -633,7 +623,6 @@ mod tests {
         .unwrap();
         let loaded = load(&base, true, true);
         assert!(loaded.events.is_empty());
-        assert!(loaded.db_error.is_none());
         assert_eq!(loaded.db, StateDb::new());
         assert_eq!(loaded.generation, 1);
         assert_eq!(loaded.state_checksum, Some(sfcc_codec::fnv64(&state)));
@@ -647,9 +636,10 @@ mod tests {
         let mpath = CommitDir::new(&base).manifest_path();
         fs::write(&mpath, b"not a manifest").unwrap();
         let loaded = load(&base, true, true);
-        assert!(loaded.db_error.is_some());
-        assert!(!mpath.exists());
         assert_eq!(loaded.events.len(), 1);
+        assert_eq!(loaded.events[0].path, mpath);
+        assert!(!mpath.exists());
+        assert!(loaded.state_checksum.is_none(), "state cold-started");
         cleanup(&base);
     }
 
@@ -669,8 +659,9 @@ mod tests {
         let state_path = cd.entry_path(m.entry(STATE_LOGICAL).unwrap());
         fs::write(&state_path, b"garbage").unwrap();
         let loaded = load(&base, true, true);
-        assert!(loaded.db_error.is_some(), "state cold-started");
         assert_eq!(loaded.events.len(), 1, "cache entry untouched");
+        assert_eq!(loaded.events[0].path, state_path, "state cold-started");
+        assert!(loaded.state_checksum.is_none());
         assert!(!state_path.exists());
         cleanup(&base);
     }
@@ -719,7 +710,10 @@ mod tests {
         );
         assert_eq!(committed.unwrap().map(|m| m.generation), Some(3));
         let loaded = load(&base, true, false);
-        assert_eq!((loaded.graph, loaded.db_error), (Some(newer), None));
+        assert_eq!(
+            (loaded.graph, loaded.state_checksum),
+            (Some(newer), Some(sfcc_codec::fnv64(&state)))
+        );
         // Nothing to commit: no manifest is published.
         let manifest = fs::read(CommitDir::new(&base).manifest_path()).unwrap();
         assert!(save(&base, None, None, None, Durability::Fast)
@@ -758,7 +752,10 @@ mod tests {
             } else {
                 let loaded = load(&base, true, false);
                 assert!(loaded.graph.is_none());
-                assert!(loaded.db_error.is_none(), "the state is not collateral");
+                assert!(
+                    loaded.state_checksum.is_some(),
+                    "the state is not collateral"
+                );
                 assert_eq!(loaded.events.len(), 1);
                 assert!(loaded.events[0].quarantined_to.is_some());
             }
@@ -804,7 +801,6 @@ mod tests {
 
         // The repaired directory loads cleanly and a re-check is clean.
         let loaded = load(&base, true, true);
-        assert!(loaded.db_error.is_none());
         assert!(loaded.events.is_empty());
         let ops = {
             let recorder = sfcc_faultfs::record();

@@ -3,19 +3,16 @@
 //! [`DbOracle`] implements the pass manager's [`SkipOracle`] against a
 //! [`StateDb`], under a configurable [`SkipPolicy`]. The paper's design
 //! point is [`SkipPolicy::PreviousBuild`]; the others exist for the
-//! ablation study (experiment E10).
+//! ablation study (experiment E10), whose never-skip baseline is a
+//! stateless session, which builds no oracle.
 
 use crate::records::StateDb;
 use sfcc_ir::Fingerprint;
 use sfcc_passes::{PassQuery, SkipOracle};
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which dormant passes may be skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkipPolicy {
-    /// Never skip — the stateless baseline.
-    Never,
     /// Skip a pass that was dormant in the previous build (the paper's
     /// design point).
     PreviousBuild,
@@ -35,7 +32,6 @@ impl SkipPolicy {
     /// A short stable label used in experiment tables.
     pub fn label(&self) -> String {
         match self {
-            SkipPolicy::Never => "never".to_string(),
             SkipPolicy::PreviousBuild => "prev-build".to_string(),
             SkipPolicy::Consecutive(k) => format!("consec-{k}"),
             SkipPolicy::MajorityDormant(w) => format!("majority-{w}"),
@@ -55,49 +51,22 @@ pub struct DbOracle<'a> {
     /// pipeline has records for other passes at the same slots.
     pipeline: Fingerprint,
     policy: SkipPolicy,
-    /// Pipeline slots that must never be skipped (e.g. passes later passes
-    /// structurally depend on — `mem2reg` feeds everything).
-    protected: HashSet<usize>,
-    skips: AtomicU64,
-    queries: AtomicU64,
 }
 
 impl<'a> DbOracle<'a> {
     /// Creates an oracle over `db` for the pipeline whose
-    /// [`StateDb::pipeline_hash`] is `pipeline`, with `policy` and no
-    /// protected slots.
+    /// [`StateDb::pipeline_hash`] is `pipeline`, with `policy`.
     pub fn new(db: &'a StateDb, pipeline: Fingerprint, policy: SkipPolicy) -> Self {
         DbOracle {
             db,
             pipeline,
             policy,
-            protected: HashSet::new(),
-            skips: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
         }
-    }
-
-    /// Marks pipeline slots that must always execute.
-    pub fn with_protected(mut self, slots: impl IntoIterator<Item = usize>) -> Self {
-        self.protected = slots.into_iter().collect();
-        self
-    }
-
-    /// `(queries, skips)` counters accumulated so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.queries.load(Ordering::Relaxed),
-            self.skips.load(Ordering::Relaxed),
-        )
     }
 }
 
 impl<'a> SkipOracle for DbOracle<'a> {
     fn should_skip(&self, query: &PassQuery<'_>) -> bool {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if self.policy == SkipPolicy::Never || self.protected.contains(&query.slot) {
-            return false;
-        }
         let Some(module) = self
             .db
             .module(query.module)
@@ -111,8 +80,7 @@ impl<'a> SkipOracle for DbOracle<'a> {
         if query.slot >= record.slots.len() {
             return false; // pipeline grew; unknown slot must run
         }
-        let skip = match self.policy {
-            SkipPolicy::Never => false,
+        match self.policy {
             SkipPolicy::PreviousBuild => record.is_dormant(query.slot),
             SkipPolicy::Consecutive(k) => {
                 record.is_dormant(query.slot) && record.streak(query.slot) >= k
@@ -123,11 +91,7 @@ impl<'a> SkipOracle for DbOracle<'a> {
                 n > 0 && slot.dormant_in_window(window) * 2 > n as u32
             }
             SkipPolicy::AlwaysSkipKnown => true,
-        };
-        if skip {
-            self.skips.fetch_add(1, Ordering::Relaxed);
         }
-        skip
     }
 }
 
@@ -180,20 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn never_policy_never_skips() {
-        let db = db_with(&[&[PassOutcome::Dormant]]);
-        let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::Never);
-        assert!(!oracle.should_skip(&query(0)));
-        assert_eq!(oracle.stats(), (1, 0));
-    }
-
-    #[test]
     fn previous_build_skips_dormant_only() {
         let db = db_with(&[&[PassOutcome::Dormant, PassOutcome::Active]]);
         let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::PreviousBuild);
         assert!(oracle.should_skip(&query(0)));
         assert!(!oracle.should_skip(&query(1)));
-        assert_eq!(oracle.stats(), (2, 1));
     }
 
     #[test]
@@ -236,15 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn protected_slots_always_run() {
-        let db = db_with(&[&[PassOutcome::Dormant, PassOutcome::Dormant]]);
-        let oracle =
-            DbOracle::new(&db, Fingerprint(9), SkipPolicy::PreviousBuild).with_protected([0]);
-        assert!(!oracle.should_skip(&query(0)));
-        assert!(oracle.should_skip(&query(1)));
-    }
-
-    #[test]
     fn always_policy_skips_known_functions() {
         let db = db_with(&[&[PassOutcome::Active]]);
         let oracle = DbOracle::new(&db, Fingerprint(9), SkipPolicy::AlwaysSkipKnown);
@@ -253,7 +199,6 @@ mod tests {
 
     #[test]
     fn labels_are_stable() {
-        assert_eq!(SkipPolicy::Never.label(), "never");
         assert_eq!(SkipPolicy::PreviousBuild.label(), "prev-build");
         assert_eq!(SkipPolicy::Consecutive(3).label(), "consec-3");
         assert_eq!(SkipPolicy::MajorityDormant(4).label(), "majority-4");

@@ -55,18 +55,14 @@ pub struct FunctionRecord {
     pub exit_fingerprint: Fingerprint,
     /// One record per pipeline slot.
     pub slots: Vec<SlotRecord>,
-    /// Build counter value when this record was last refreshed.
-    pub last_build: u64,
 }
 
 impl FunctionRecord {
-    /// A deterministic stamp of this record's skip-relevant content.
-    ///
-    /// Unlike [`ModuleState::content_stamp`] this excludes `last_build` and
-    /// any module-wide counter: equal stamps mean the record would drive
-    /// identical skip decisions for this one function. That makes the stamp
-    /// stable across no-op rebuilds and independent of the order in which
-    /// sibling functions were re-optimized — the property the per-function
+    /// A deterministic stamp of this record's content: equal stamps mean
+    /// the record would drive identical skip decisions for this one
+    /// function. It reads nothing of the module or its siblings, so it is
+    /// independent of the order in which sibling functions were
+    /// re-optimized — the property the per-function
     /// `state:module::function` build input relies on.
     ///
     /// The value is FNV-64 of the text `{fp:x}/{exit:x}` followed by
@@ -103,40 +99,6 @@ impl FunctionRecord {
     }
 }
 
-impl ModuleState {
-    /// A deterministic stamp of this module's dormancy content, for change
-    /// detection by incremental engines: equal stamps mean the state would
-    /// drive identical skip decisions. Function order does not matter.
-    pub fn content_stamp(&self) -> u64 {
-        let mut repr = String::new();
-        repr.push_str(&format!(
-            "ph={:x};bc={};",
-            self.pipeline_hash.0, self.build_counter
-        ));
-        let mut names: Vec<&String> = self.functions.keys().collect();
-        names.sort();
-        for name in names {
-            let record = &self.functions[name];
-            repr.push_str(&format!(
-                "{name}:{:x}/{:x}@{}",
-                record.fingerprint.0, record.exit_fingerprint.0, record.last_build
-            ));
-            for slot in &record.slots {
-                repr.push_str(&format!(
-                    "|{}{}s{}h{}o{}",
-                    slot.dormant as u8,
-                    slot.dormant_streak,
-                    slot.times_skipped,
-                    slot.history,
-                    slot.observations
-                ));
-            }
-            repr.push(';');
-        }
-        crate::codec::fnv64(repr.as_bytes())
-    }
-}
-
 /// Per-module dormancy state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ModuleState {
@@ -146,8 +108,6 @@ pub struct ModuleState {
     /// inherits its predecessor's dormancy profile (the paper's transfer
     /// assumption: small edits rarely change which passes matter).
     pub functions: HashMap<String, FunctionRecord>,
-    /// Monotonic build counter for this module.
-    pub build_counter: u64,
 }
 
 /// The complete on-disk state: one entry per module.
@@ -200,28 +160,19 @@ impl StateDb {
         Fingerprint::of_str(&slot_names.join("\u{1f}"))
     }
 
-    /// Folds one build's [`PipelineTrace`] into the database.
-    ///
-    /// * Skipped slots extend their dormant streak (the skip presumed
-    ///   dormancy) and bump the skip counter.
-    /// * Function records absent from the trace are dropped (garbage
-    ///   collection of deleted functions).
-    /// * A pipeline-hash mismatch resets the module before ingesting.
+    /// Folds one build's [`PipelineTrace`] into the database: each traced
+    /// function as [`StateDb::ingest_function`] does, then the records of
+    /// functions absent from the trace are dropped (garbage collection of
+    /// deleted functions). A pipeline-hash mismatch resets the module, even
+    /// for an empty trace.
     pub fn ingest(&mut self, trace: &PipelineTrace, pipeline_hash: Fingerprint) {
-        let module = self.modules.entry(trace.module.clone()).or_default();
-        if module.pipeline_hash != pipeline_hash {
-            module.functions.clear();
-            module.pipeline_hash = pipeline_hash;
-        }
-        module.build_counter += 1;
-        let build = module.build_counter;
-
-        let mut fresh: HashMap<String, FunctionRecord> = HashMap::new();
+        self.module_under(&trace.module, pipeline_hash);
         for ftrace in &trace.functions {
-            let old = module.functions.get(&ftrace.function);
-            fresh.insert(ftrace.function.clone(), merge(old, ftrace, build));
+            self.ingest_function(&trace.module, ftrace, pipeline_hash);
         }
-        module.functions = fresh;
+        self.retain_functions(&trace.module, |name| {
+            trace.functions.iter().any(|f| f.function == name)
+        });
     }
 
     /// Folds a single function's trace into `module_name`'s state, leaving
@@ -229,41 +180,33 @@ impl StateDb {
     /// ingest function-by-function GC deleted functions explicitly with
     /// [`StateDb::retain_functions`]).
     ///
-    /// The module's build counter is *not* bumped here; drivers bump it once
-    /// per build session via [`StateDb::bump_build_counter`] so that
-    /// per-function ingest order cannot influence any stamp.
-    ///
-    /// A pipeline-hash mismatch resets the module before ingesting.
+    /// * Skipped slots extend their dormant streak (the skip presumed
+    ///   dormancy) and bump the skip counter.
+    /// * A pipeline-hash mismatch resets the module before ingesting.
     pub fn ingest_function(
         &mut self,
         module_name: &str,
         ftrace: &FunctionTrace,
         pipeline_hash: Fingerprint,
     ) {
+        let module = self.module_under(module_name, pipeline_hash);
+        let fresh = merge(module.functions.get(&ftrace.function), ftrace);
+        module.functions.insert(ftrace.function.clone(), fresh);
+    }
+
+    /// `module_name`'s state, created when absent and emptied when it was
+    /// recorded under another pipeline than `pipeline_hash`.
+    fn module_under(&mut self, module_name: &str, pipeline_hash: Fingerprint) -> &mut ModuleState {
         let module = self.modules.entry(module_name.to_string()).or_default();
         if module.pipeline_hash != pipeline_hash {
             module.functions.clear();
             module.pipeline_hash = pipeline_hash;
         }
-        let build = module.build_counter;
-        let old = module.functions.get(&ftrace.function);
-        let fresh = merge(old, ftrace, build);
-        module.functions.insert(ftrace.function.clone(), fresh);
-    }
-
-    /// Advances `module_name`'s build counter by one, creating the module
-    /// entry if needed, and returns the new value. Companion to
-    /// [`StateDb::ingest_function`].
-    pub fn bump_build_counter(&mut self, module_name: &str) -> u64 {
-        let module = self.modules.entry(module_name.to_string()).or_default();
-        module.build_counter += 1;
-        module.build_counter
+        module
     }
 
     /// Drops function records of `module_name` whose names fail `keep` —
-    /// the explicit garbage-collection companion to
-    /// [`StateDb::ingest_function`] (whole-module [`StateDb::ingest`] GCs
-    /// implicitly by rebuilding the record map from the trace).
+    /// the garbage-collection companion to [`StateDb::ingest_function`].
     pub fn retain_functions(&mut self, module_name: &str, mut keep: impl FnMut(&str) -> bool) {
         if let Some(module) = self.modules.get_mut(module_name) {
             module.functions.retain(|name, _| keep(name));
@@ -282,7 +225,7 @@ impl StateDb {
 }
 
 /// Merges one function's new trace into its previous record.
-fn merge(old: Option<&FunctionRecord>, trace: &FunctionTrace, build: u64) -> FunctionRecord {
+fn merge(old: Option<&FunctionRecord>, trace: &FunctionTrace) -> FunctionRecord {
     let mut slots = Vec::with_capacity(trace.records.len());
     for (i, rec) in trace.records.iter().enumerate() {
         let prev = old
@@ -335,7 +278,6 @@ fn merge(old: Option<&FunctionRecord>, trace: &FunctionTrace, build: u64) -> Fun
         fingerprint: trace.entry_fingerprint,
         exit_fingerprint: trace.exit_fingerprint,
         slots,
-        last_build: build,
     }
 }
 
@@ -361,7 +303,6 @@ mod tests {
             fingerprint: Fingerprint(0x0123_4567_89ab_cdef_0011_2233_4455_6677),
             exit_fingerprint: Fingerprint(u128::MAX),
             slots,
-            last_build: 9,
         };
         let stamps = [
             record(Vec::new()).content_stamp(),
@@ -375,7 +316,6 @@ mod tests {
                 fingerprint: Fingerprint(0),
                 exit_fingerprint: Fingerprint(10),
                 slots: vec![slot(true, 1, 20, 3, 4); 28],
-                last_build: 0,
             }
             .content_stamp(),
         ];
@@ -387,13 +327,6 @@ mod tests {
                 6_101_417_885_781_391_886,
                 4_860_921_546_078_158_467,
             ]
-        );
-        let mut later = record(Vec::new());
-        later.last_build = 10;
-        assert_eq!(
-            later.content_stamp(),
-            stamps[0],
-            "last_build is not content"
         );
     }
 
@@ -480,15 +413,12 @@ mod tests {
         db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), Fingerprint(7));
         // Reset: streak restarts at 1, not 2.
         assert_eq!(db.module("m").unwrap().functions["f"].streak(0), 1);
-    }
-
-    #[test]
-    fn build_counter_increments() {
-        let mut db = StateDb::new();
-        db.ingest(&trace_of("m", "f", &[]), HASH);
-        db.ingest(&trace_of("m", "f", &[]), HASH);
-        assert_eq!(db.module("m").unwrap().build_counter, 2);
-        assert_eq!(db.module("m").unwrap().functions["f"].last_build, 2);
+        // An empty trace under another pipeline resets the module too.
+        let mut empty = trace_of("m", "f", &[]);
+        empty.functions.clear();
+        db.ingest(&empty, HASH);
+        assert_eq!(db.module("m").unwrap().pipeline_hash, HASH);
+        assert!(db.module("m").unwrap().functions.is_empty());
     }
 
     #[test]
@@ -518,13 +448,9 @@ mod tests {
         for outcome in [PassOutcome::Dormant, PassOutcome::Skipped] {
             let t = trace_of("m", "f", &[outcome]);
             whole.ingest(&t, HASH);
-            fngrain.bump_build_counter("m");
             fngrain.ingest_function("m", &t.functions[0], HASH);
         }
-        assert_eq!(
-            whole.module("m").unwrap().functions["f"],
-            fngrain.module("m").unwrap().functions["f"],
-        );
+        assert_eq!(whole.module("m"), fngrain.module("m"));
     }
 
     #[test]
@@ -551,25 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn function_stamp_ignores_build_counters() {
-        let mut a = StateDb::new();
-        let mut b = StateDb::new();
-        let t = trace_of("m", "f", &[PassOutcome::Dormant]);
-        a.ingest_function("m", &t.functions[0], HASH);
-        for _ in 0..5 {
-            b.bump_build_counter("m");
-        }
-        b.ingest_function("m", &t.functions[0], HASH);
-        assert_eq!(
-            a.function_stamp("m", "f").unwrap(),
-            b.function_stamp("m", "f").unwrap(),
-            "stamps must not depend on how many builds have run"
-        );
-        assert!(a.function_stamp("m", "nope").is_none());
-        assert!(a.function_stamp("other", "f").is_none());
-    }
-
-    #[test]
     fn function_stamp_tracks_slot_content() {
         let mut db = StateDb::new();
         let t = trace_of("m", "f", &[PassOutcome::Dormant]);
@@ -578,6 +485,8 @@ mod tests {
         db.ingest_function("m", &t.functions[0], HASH);
         let after = db.function_stamp("m", "f").unwrap();
         assert_ne!(before, after, "streak growth is skip-relevant content");
+        assert!(db.function_stamp("m", "nope").is_none());
+        assert!(db.function_stamp("other", "f").is_none());
     }
 
     #[test]

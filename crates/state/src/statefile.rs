@@ -6,6 +6,10 @@
 //! truncation, corruption, version skew — degrades to a cold start rather
 //! than an error the user sees, because losing dormancy state only costs
 //! speed, never correctness.
+//!
+//! Versions: 2 added the per-slot outcome-history window; 3 dropped the
+//! module build counter and the per-record last-build number, which no skip
+//! decision or stamp read.
 
 use crate::codec::{DecodeError, Reader, Writer};
 use crate::records::{FunctionRecord, ModuleState, SlotRecord, StateDb};
@@ -13,9 +17,9 @@ use sfcc_ir::Fingerprint;
 use std::collections::HashMap;
 
 const MAGIC: &[u8; 7] = b"SFCCST\0";
-/// Current format version. Version 2 added the per-slot outcome-history
-/// window; older files are rejected and the compiler cold-starts.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current format version; a file of any other version is rejected and the
+/// compiler cold-starts.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Serializes the database to bytes.
 pub fn to_bytes(db: &StateDb) -> Vec<u8> {
@@ -28,7 +32,6 @@ pub fn to_bytes(db: &StateDb) -> Vec<u8> {
             let module = &db.modules[name];
             payload.str(name);
             payload.u128(module.pipeline_hash.0);
-            payload.u64(module.build_counter);
             let mut fn_names: Vec<&String> = module.functions.keys().collect();
             fn_names.sort();
             payload.usize(fn_names.len());
@@ -43,7 +46,6 @@ fn write_function(payload: &mut Writer, name: &str, rec: &FunctionRecord) {
     payload.str(name);
     payload.u128(rec.fingerprint.0);
     payload.u128(rec.exit_fingerprint.0);
-    payload.u64(rec.last_build);
     payload.usize(rec.slots.len());
     for slot in &rec.slots {
         payload.u8(slot.dormant as u8);
@@ -66,7 +68,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<StateDb, DecodeError> {
         for _ in 0..r.count()? {
             let name = r.str()?;
             let pipeline_hash = Fingerprint(r.u128()?);
-            let build_counter = r.u64()?;
             let mut functions = HashMap::new();
             for _ in 0..r.count()? {
                 let fname = r.str()?;
@@ -77,7 +78,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<StateDb, DecodeError> {
                 ModuleState {
                     pipeline_hash,
                     functions,
-                    build_counter,
                 },
             );
         }
@@ -88,7 +88,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<StateDb, DecodeError> {
 fn read_function(r: &mut Reader<'_>) -> Result<FunctionRecord, DecodeError> {
     let fingerprint = Fingerprint(r.u128()?);
     let exit_fingerprint = Fingerprint(r.u128()?);
-    let last_build = r.u64()?;
     let slot_count = r.count()?;
     let mut slots = Vec::with_capacity(slot_count);
     for _ in 0..slot_count {
@@ -104,7 +103,6 @@ fn read_function(r: &mut Reader<'_>) -> Result<FunctionRecord, DecodeError> {
         fingerprint,
         exit_fingerprint,
         slots,
-        last_build,
     })
 }
 
@@ -137,7 +135,6 @@ mod tests {
                         observations: 1,
                     },
                 ],
-                last_build: 7,
             },
         );
         db.modules.insert(
@@ -145,7 +142,6 @@ mod tests {
             ModuleState {
                 pipeline_hash: Fingerprint(11),
                 functions,
-                build_counter: 7,
             },
         );
         db
@@ -208,7 +204,6 @@ mod tests {
         #[test]
         fn prop_roundtrip(
             streaks in proptest::collection::vec((any::<bool>(), 0u32..100, 0u32..100), 0..30),
-            build in 0u64..1000,
             fp in any::<u128>(),
         ) {
             let mut db = StateDb::new();
@@ -223,12 +218,10 @@ mod tests {
                     history: (s % 251) as u8,
                     observations: (k % 9) as u8,
                 }).collect(),
-                last_build: build,
             });
             db.modules.insert("m".to_string(), ModuleState {
                 pipeline_hash: Fingerprint(fp ^ 2),
                 functions,
-                build_counter: build,
             });
             prop_assert_eq!(from_bytes(&to_bytes(&db)).unwrap(), db);
         }

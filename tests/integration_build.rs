@@ -85,10 +85,13 @@ fn corrupted_state_degrades_to_cold_start() {
     std::fs::create_dir_all(&dir).unwrap();
     let state_path = dir.join("state.bin");
     let manifest = sfcc_faultfs::CommitDir::new(&state_path).manifest_path();
-    std::fs::write(manifest, b"not a manifest at all").unwrap();
+    std::fs::write(&manifest, b"not a manifest at all").unwrap();
 
     let compiler = Compiler::new(Config::stateful().with_state_path(&state_path));
-    assert!(compiler.state_load_error().is_some());
+    let events = compiler.recovery_events();
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(events[0].path, manifest);
+    assert!(events[0].quarantined_to.is_some());
     let mut builder = Builder::new(compiler);
     let model = generate_model(&GeneratorConfig::small(3));
     let report = builder.build(&model.render()).unwrap();

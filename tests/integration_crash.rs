@@ -749,7 +749,7 @@ fn truncated_files_recover_through_the_builder() {
     let committed = cd.commit(&[(GRAPH_LOGICAL, &junk)], d).unwrap();
     let junk_path = cd.entry_path(committed.entry(GRAPH_LOGICAL).unwrap());
     let loaded = persist::load(&state_base(&dir), true, true);
-    assert!(loaded.graph.is_none() && loaded.db_error.is_none());
+    assert!(loaded.graph.is_none() && loaded.state_checksum.is_some());
     assert_eq!(loaded.events.len(), 1);
     assert!(loaded.events[0]
         .reason
@@ -758,6 +758,76 @@ fn truncated_files_recover_through_the_builder() {
     let report = run_session(&dir, &v1, d).unwrap();
     assert!(report.query.misses > 0 && report.query.hits == 0);
     assert_eq!(snapshot(&dir).image, from_scratch.image);
+    cleanup(&dir);
+}
+
+/// `db` encoded in state-file format version 2: the layout before the
+/// module build counter and the per-record last-build number were dropped,
+/// as a directory an older compiler committed holds it.
+fn version_2_state(db: &sfcc_state::StateDb) -> Vec<u8> {
+    sfcc_codec::armor(b"SFCCST\0", 2, |w| {
+        let mut modules: Vec<_> = db.modules.iter().collect();
+        modules.sort_by_key(|(name, _)| *name);
+        w.usize(modules.len());
+        for (name, module) in modules {
+            w.str(name);
+            w.u128(module.pipeline_hash.0);
+            w.u64(1); // build counter
+            let mut functions: Vec<_> = module.functions.iter().collect();
+            functions.sort_by_key(|(name, _)| *name);
+            w.usize(functions.len());
+            for (name, record) in functions {
+                w.str(name);
+                w.u128(record.fingerprint.0);
+                w.u128(record.exit_fingerprint.0);
+                w.u64(1); // last build
+                w.usize(record.slots.len());
+                for slot in &record.slots {
+                    w.u8(u8::from(slot.dormant));
+                    w.u32(slot.dormant_streak);
+                    w.u32(slot.times_skipped);
+                    w.u8(slot.history);
+                    w.u8(slot.observations);
+                }
+            }
+        }
+    })
+}
+
+/// A state file of an older format version, committed beside a graph, is
+/// one quarantined recovery: the edit builds what a fresh directory builds,
+/// and the next no-op executes nothing.
+#[test]
+fn quick_a_version_2_state_file_is_one_quarantined_cold_start() {
+    let d = Durability::Fast;
+    let (v1, v2) = (project_v1(), project_v2());
+    let fresh = tmpdir("v2-fresh");
+    run_session(&fresh, &v2, d).unwrap();
+    let fresh_image = fs::read(fresh.join(IMAGE_NAME)).unwrap();
+    cleanup(&fresh);
+
+    let dir = tmpdir("v2-state");
+    run_session(&dir, &v1, d).unwrap();
+    let base = state_base(&dir);
+    let state = persist::committed_bytes(&base, persist::STATE_LOGICAL)
+        .unwrap()
+        .unwrap();
+    let old = version_2_state(&statefile::from_bytes(&state).unwrap());
+    let cd = CommitDir::new(&base);
+    let committed = cd.commit(&[(persist::STATE_LOGICAL, &old)], d).unwrap();
+    assert!(committed.entry(GRAPH_LOGICAL).is_some(), "beside a graph");
+    let old_path = cd.entry_path(committed.entry(persist::STATE_LOGICAL).unwrap());
+
+    let report = run_session(&dir, &v2, d).unwrap();
+    assert_eq!(report.recovered_files, 1, "{:?}", report.quarantined);
+    assert_eq!(
+        report.quarantined,
+        [format!("{}.corrupt", old_path.display())]
+    );
+    assert!(!old_path.exists());
+    assert_eq!(fs::read(dir.join(IMAGE_NAME)).unwrap(), fresh_image);
+    let noop = run_session(&dir, &v2, d).unwrap();
+    assert_eq!((noop.query.misses, noop.recovered_files), (0, 0));
     cleanup(&dir);
 }
 
@@ -1098,7 +1168,7 @@ fn quick_damaged_segments_cold_start_only_their_artifact() {
                     assert_eq!(loaded.events.len(), 1, "{label}: {:?}", loaded.events);
                     assert_eq!(loaded.events[0].path, links[1], "{label}");
                     assert!(
-                        loaded.db_error.is_none(),
+                        loaded.state_checksum.is_some(),
                         "{label}: the state is not collateral"
                     );
                     let (graph, cache) = (loaded.graph.is_some(), loaded.cache.stats().entries > 0);
@@ -1243,7 +1313,6 @@ fn racing_builders_share_a_state_directory_safely() {
     // without a single recovery event — losers' generations are merely
     // orphaned, never half-published.
     let loaded = persist::load(&state_base(&dir), true, true);
-    assert!(loaded.db_error.is_none(), "{:?}", loaded.events);
     assert!(loaded.events.is_empty(), "{:?}", loaded.events);
 
     // fsck reclaims the orphaned generations; a re-check is clean, and the

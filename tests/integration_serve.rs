@@ -982,13 +982,13 @@ fn quick_demo_commits_are_pinned() {
         sums,
         [
             "full depgraph 9b075394ea4a1c4e",
-            "full state 9303d661a34f43ed",
+            "full state e2662420fc5bc917",
             "full ircache e01ddfa5e095685f",
             "edit depgraph 8ce7722dd5caca56",
-            "edit state 05dfb4972f91ed0d",
+            "edit state b89fded06bcbcda2",
             "edit ircache 2108f6f120e06257",
             "no-op depgraph 8ce7722dd5caca56",
-            "no-op state 05dfb4972f91ed0d",
+            "no-op state b89fded06bcbcda2",
             "no-op ircache 2108f6f120e06257",
             "store a71ac9a0e78afafff087af4886080248b 3ba9cdfe5c981bfd",
             "store a7d80eae9adc31804f17951101f307dc0 911a2fa2987149c1",
