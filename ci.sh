@@ -297,6 +297,28 @@ one_path_gate() {
     fi
 }
 
+# The engine schedules: a build demands `link`, and the tasks plan their
+# optimize runs (`link` a window of modules, a module's first stale
+# `optimizefn` its module). In the non-test code of builder.rs, a staleness probe
+# (`up_to_date(`), the old wave batches (`WaveBatch`, `run_batches`), or a
+# demand of anything but `link` outside `module_ir` (which demands a
+# module's `modcheck` and `optimizefn`s to print its IR) is a second
+# planner coming back.
+planner_gate() {
+    local found
+    found="$(awk '/^#\[cfg\(test\)\]/ { exit }
+                  /^[[:space:]]*\/\// { next }
+                  /^    pub fn module_ir\(/ { ir = 1 }
+                  /up_to_date\(|WaveBatch|run_batches/ { print FNR ": " $0; next }
+                  !ir && /(require|prefetch)\(/ && !/BuildTask::Link\)/ { print FNR ": " $0 }
+                  ir && /^    }$/ { ir = 0 }' crates/buildsys/src/builder.rs)"
+    if [[ -n "$found" ]]; then
+        echo "ci: builder.rs plans work the engine schedules (demand \`link\`; the tasks plan their runs):" >&2
+        echo "$found" >&2
+        return 1
+    fi
+}
+
 # Observers are per-build values: a column-0 `static` under crates/ is
 # process state that concurrent daemon sessions would share (indented
 # `thread_local!` entries are per-thread and stay). The two allowed ones are
@@ -354,6 +376,7 @@ codec_gate() {
 
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
+    planner_gate
     static_state_gate
     json_writer_gate
     codec_gate
@@ -394,6 +417,7 @@ if [[ "${1:-}" == "--quick" ]]; then
 fi
 
 one_path_gate
+planner_gate
 static_state_gate
 json_writer_gate
 codec_gate

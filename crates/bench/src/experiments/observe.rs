@@ -58,16 +58,12 @@ fn disabled_ns_per_call(iters: u64) -> f64 {
 }
 
 /// Instrumentation sites an *untraced* build executes: the branches on its
-/// absent recorder (build open and close, link start and end, two per
-/// wave), one query-log push per engine observation, and one registry
-/// write per metric in the final snapshot.
+/// absent recorder (build open and close, link start and end), one
+/// query-log push per engine observation, and one registry write per
+/// metric in the final snapshot.
 fn disabled_sites(report: &BuildReport) -> u64 {
-    let waves = report
-        .metrics
-        .scalar("build.waves")
-        .expect("build.waves gauge");
     let observations = report.query.hits + report.query.misses;
-    (4 + 2 * waves) + observations + report.metrics.len() as u64
+    4 + observations + report.metrics.len() as u64
 }
 
 /// One replay arm: total wall ns over the cold build plus every commit,

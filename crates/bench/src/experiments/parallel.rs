@@ -6,7 +6,8 @@
 //! sweeps the worker count over (a) a single module with ~64 functions —
 //! pure function-level parallelism, the case module-level parallelism
 //! cannot touch — and (b) a cold full build of a standard generated
-//! project, where module waves and function tasks share one pool.
+//! project, where each module's `codegen` task optimizes its batch on a
+//! pool of that width.
 //!
 //! Scaling is bounded by the host: the JSON artifact records
 //! `detected_cores`, and on a single-core container every speedup is ≈1×
@@ -122,7 +123,7 @@ pub fn parallel_scaling(scale: Scale) -> (String, Value) {
             let t = Instant::now();
             let mut optimized = ir.clone();
             let outcome = sfcc_pool::scope(sfcc_pool::effective_jobs(point.jobs), |ps| {
-                compiler.optimize(&mut optimized, Some(ps))
+                compiler.optimize(&mut optimized, ps)
             });
             point.optimize_ns = point.optimize_ns.min(t.elapsed().as_nanos() as u64);
             // Deterministic per run; any repetition reports the same.
@@ -139,8 +140,8 @@ pub fn parallel_scaling(scale: Scale) -> (String, Value) {
         }
     }
 
-    // (b) Standard workload: cold full builds of a generated project, the
-    // shared pool covering module waves and function tasks together.
+    // (b) Standard workload: cold full builds of a generated project, one
+    // pool per module batch.
     let project_config = scale.single(DEFAULT_SEED + 71);
     let standard = generate_model(&project_config).render();
     // Interleaved rep-major sweep, for the same drift-evening reason.
@@ -200,11 +201,7 @@ pub fn parallel_scaling(scale: Scale) -> (String, Value) {
     }
     out.push_str(&table.render());
 
-    let _ = writeln!(
-        out,
-        "\n{} project, cold full build (shared pool):",
-        project_config.name
-    );
+    let _ = writeln!(out, "\n{} project, cold full build:", project_config.name);
     let mut table = Table::new(&[
         "jobs",
         "build-ms",

@@ -98,10 +98,10 @@ build flags:
                  SFCC_CAS=<dir> is equivalent)
   --cas-budget <bytes>  evict least-recently-used store entries beyond this
                  size budget (SFCC_CAS_BUDGET=<bytes> is equivalent)
-  --jobs <N>     worker threads on one shared pool, stolen between module
-                 waves and per-function optimization tasks (default: all
-                 available cores); every value produces byte-identical
-                 output — N only changes wall time
+  --jobs <N>     worker threads on one shared pool, stolen between the
+                 optimize runs of modules that rebuild together and their
+                 functions (default: all available cores); every value
+                 produces byte-identical output — N only changes wall time
   --parallel     alias for the default --jobs behavior
   --durable      fsync state/cache/image writes (crash-consistent either
                  way; --durable also survives OS-level crashes)

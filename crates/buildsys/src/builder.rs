@@ -6,24 +6,22 @@
 //!
 //! 1. opens an engine session, which re-stamps every tracked input (source
 //!    files, the module manifest, per-function dormancy state) and
-//!    invalidates exactly the tasks downstream of a changed stamp — and, if
-//!    that leaves `link` valid, returns its image: nothing changed, so
-//!    nothing is planned, demanded or executed, and neither the function
-//!    cache nor the program is read;
-//! 2. demands the [`BuildTask::Graph`] task (import extraction, cycle and
-//!    missing-import diagnostics, wave scheduling);
-//! 3. walks the wave schedule at *function* granularity, walking only the
-//!    modules whose `codegen` will not validate: a candidate's roster comes
-//!    from its `modcheck` task (or, when that validates without a value on
-//!    hand, from the `optimizefn` demands `codegen` recorded), each
-//!    function's `optimizefn` task is probed for staleness, a module with
-//!    nothing stale whose `codegen` validates is left alone, and the stale
-//!    functions' union call closure is optimized as one restricted batch
-//!    per module on a shared worker pool — then each walked module's
-//!    `codegen` task is demanded, hitting the store wherever an output
-//!    fingerprint proves nothing changed (early cutoff);
-//! 4. demands [`BuildTask::Link`], which reuses the memoized program when
-//!    no object changed.
+//!    invalidates exactly the tasks downstream of a changed stamp;
+//! 2. opens the function cache, unless that left `link` valid;
+//! 3. demands [`BuildTask::Link`]. The engine does the rest: `link` needs
+//!    the import graph and every module's `codegen`, and a module's stale
+//!    `optimizefn`s are optimized together as one restricted run over
+//!    their union call closure — planned by `link`, a window of modules
+//!    side by side, or else by the first of them to execute (see
+//!    [`crate::tasks`]). Wherever an
+//!    output fingerprint proves nothing changed, the store answers (early
+//!    cutoff); a valid `link` is answered without a task executed, the
+//!    function cache or the program read.
+//!
+//! The report reads the engine's records: the module order is `link`'s
+//! recorded `codegen` dependencies, a module is rebuilt when its `codegen`
+//! or one of its `optimizefn`s executed, and its roster is the `optimizefn`
+//! dependencies its `codegen` recorded.
 //!
 //! The old interface-hash staleness cliff is gone: cross-module dependencies
 //! attach to per-function `signature(q::g)` fingerprints recorded by the
@@ -55,7 +53,7 @@ use crate::project::Project;
 use crate::report::{
     BuildReport, FngrainStats, LinkedProgram, ModuleOutput, ModuleReport, QueryStats,
 };
-use crate::tasks::{call_closure, label_scope, BuildSpec, BuildTask, WaveBatch};
+use crate::tasks::{label_scope, split_label, BuildSpec, BuildTask};
 use sfcc::persist::Artifact;
 use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
@@ -144,35 +142,6 @@ pub struct Builder {
     /// The graph the compiler holds for its next commit, as the store sees
     /// it: `committed` once that commit lands.
     deposited: Option<depgraph::Committed>,
-}
-
-/// What a build holds from its first instant to its report: the clock, the
-/// span recorder of a traced build and the op recorder of an audited one.
-struct Observers {
-    start: Instant,
-    /// This build's span recorder; absent when the build is not traced.
-    recorder: Option<Trace>,
-    /// The `build` span every other span hangs under.
-    root: SpanId,
-    op_guard: Option<sfcc_faultfs::RecordGuard>,
-    ops_before: sfcc_faultfs::OpCounts,
-    /// This thread's program-decode count when the build began.
-    decoded_before: u64,
-}
-
-/// What the wave walk leaves for the report. Empty but for `order` when the
-/// build found nothing to walk.
-#[derive(Default)]
-struct Walk {
-    /// The project's modules, imports before importers.
-    order: Vec<String>,
-    waves: Vec<Vec<String>>,
-    /// The walked waves' spans, by wave index (traced builds).
-    wave_ids: Vec<SpanId>,
-    /// Definition-order function rosters of the walked modules; drives
-    /// report assembly and end-of-build garbage collection of per-function
-    /// tasks and state records.
-    rosters: HashMap<String, Vec<String>>,
 }
 
 impl fmt::Debug for Builder {
@@ -275,7 +244,7 @@ impl Builder {
     }
 
     /// Records a hierarchical span trace of every subsequent build
-    /// (build → wave → module → phase → function → pass, plus
+    /// (build → module → phase → function → pass, plus
     /// query/cache/IO events) into [`BuildReport::trace`]. Each traced
     /// build records into a [`Trace`] of its own, so traced builds of
     /// different sessions run concurrently; the build outputs themselves
@@ -292,8 +261,7 @@ impl Builder {
         self.tracing = on;
     }
 
-    /// Enables parallel compilation within each wave, with one worker per
-    /// available core.
+    /// Enables parallel optimization, with one worker per available core.
     pub fn with_parallelism(self) -> Self {
         let cores = std::thread::available_parallelism()
             .map(usize::from)
@@ -301,12 +269,13 @@ impl Builder {
         self.with_jobs(cores)
     }
 
-    /// Sets the worker count for within-wave parallel compilation. `1`
-    /// (also the floor) means fully sequential builds. The value is a cap,
-    /// not a demand: the pool is sized at
-    /// `min(jobs, available parallelism)` when builds run, so an oversized
-    /// `--jobs` on a small host costs nothing (outputs are byte-identical
-    /// for every worker count either way).
+    /// Sets the worker count of the pool optimization runs share — a
+    /// window of modules' runs side by side, each spreading its functions
+    /// over the same workers. `1` (also the floor) means fully
+    /// sequential builds. The value is a cap, not a demand: the pool is
+    /// sized at `min(jobs, available parallelism)` when builds run, so an
+    /// oversized `--jobs` on a small host costs nothing (outputs are
+    /// byte-identical for every worker count either way).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -445,14 +414,9 @@ impl Builder {
         // recorder is thread-local and resets the op counter, so depcheck
         // builds are incompatible with an installed fault plan — an
         // accepted limitation of the audit mode.
-        let mut observers = Observers {
-            start,
-            recorder,
-            root,
-            op_guard: self.depcheck.then(sfcc_faultfs::record),
-            ops_before: sfcc_faultfs::op_counts(),
-            decoded_before: sfcc_backend::image::programs_decoded(),
-        };
+        let op_guard = self.depcheck.then(sfcc_faultfs::record);
+        let ops_before = sfcc_faultfs::op_counts();
+        let decoded_before = sfcc_backend::image::programs_decoded();
 
         // A process's first build starts from the graph the last one
         // committed, not from nothing.
@@ -491,445 +455,265 @@ impl Builder {
 
         // Opening the session re-stamped every recorded input and marked
         // every task no change reaches as valid. If `link` is one of them,
-        // nothing changed since the build that recorded it, and its image
-        // is the answer: no planning, no demand, no execution — whether the
-        // store is this process's own or restored from the last one's
-        // graph. The module order is `link`'s recorded `codegen`
-        // dependencies, which it demanded in topological order.
-        if self.engine.is_valid(&BuildTask::Link) {
-            let deps = self
-                .engine
-                .deps_of(&BuildTask::Link)
-                .unwrap_or_default()
-                .to_vec();
-            let order = deps
-                .into_iter()
-                .filter_map(|dep| match dep {
-                    Dep::Task(id, _) => match self.engine.key(id)? {
-                        BuildTask::Codegen(m) => Some(m.clone()),
-                        _ => None,
-                    },
-                    Dep::Input(..) => None,
-                })
-                .collect();
-            let walk = Walk {
-                order,
-                ..Walk::default()
-            };
-            return finish(&mut self.engine, spec, self.jobs, observers, walk);
+        // nothing changed since the build that recorded it, and its demand
+        // is a hit: nothing executes, and neither the function cache nor
+        // the program is read — whether the store is this process's own or
+        // restored from the last one's graph. Otherwise the cache opens
+        // here, on this thread and outside any task, before a `codegen`
+        // can look a function up.
+        if !self.engine.is_valid(&BuildTask::Link) {
+            spec.open_cache();
         }
-        // Something changed: the walk may look functions up.
-        spec.open_cache();
-
-        let graph = self
-            .engine
-            .require(&mut spec, &BuildTask::Graph)
+        let engine = &mut self.engine;
+        let link_start = recorder.is_some().then(Instant::now);
+        let link = engine
+            .require(&mut spec, &BuildTask::Link)
             .map_err(seal)?
-            .expect_graph();
-
-        // Definition-order function rosters, per module, filled in wave
-        // order.
-        let mut rosters: HashMap<String, Vec<String>> = HashMap::new();
-
-        let mut wave_ids: Vec<SpanId> = Vec::with_capacity(graph.waves().len());
-        for (wave_idx, wave) in graph.waves().iter().enumerate() {
-            let wave_start = observers.recorder.is_some().then(Instant::now);
-            // Plan the wave at function grain, walking only the modules
-            // whose codegen will not validate. A module whose codegen no
-            // change reached is left alone: everything under it is valid
-            // too. For the rest, learn the roster (`roster_of`), probe each
-            // function's optimizefn for staleness — valid ones are loaded on
-            // demand, never batched — and leave alone a module with no
-            // stale function whose codegen then validates: `link` loads its
-            // object. A walked module gets one restricted batch from its
-            // stale functions' union call closure. Probing validates (and
-            // where needed executes) the cheap frontend chain — parse,
-            // fnast, signature, checkfn, lowerfn — whose fingerprints decide
-            // how far each edit's blast radius really extends.
-            let mut walked: Vec<&String> = Vec::new();
-            let mut batches: Vec<WaveBatch> = Vec::new();
-            for name in wave {
-                let codegen = BuildTask::Codegen(name.clone());
-                if self.engine.is_valid(&codegen) {
-                    continue;
-                }
-                let roster = roster_of(&mut self.engine, &mut spec, name)?;
-                let mut stale: Vec<String> = Vec::new();
-                for f in &roster {
-                    let fresh = self
-                        .engine
-                        .up_to_date(&mut spec, &BuildTask::OptimizeFn(name.clone(), f.clone()))
-                        .map_err(seal)?;
-                    if !fresh {
-                        stale.push(f.clone());
-                    }
-                }
-                if stale.is_empty() && self.engine.up_to_date(&mut spec, &codegen).map_err(seal)? {
-                    continue;
-                }
-                walked.push(name);
-                rosters.insert(name.clone(), roster);
-                if stale.is_empty() {
-                    continue;
-                }
-                // Union call closure of the stale set from memoized lowerfn
-                // values.
-                let closure = call_closure(name, stale.clone(), |g| {
-                    self.engine
-                        .require(&mut spec, &BuildTask::LowerFn(name.clone(), g.to_string()))
-                        .map(|value| value.expect_lowerfn())
-                })
-                .map_err(seal)?;
-                let mut ir = sfcc_ir::Module::new(name.clone());
-                for func in closure.values() {
-                    ir.functions.push((**func).clone());
-                }
-                batches.push(WaveBatch {
-                    module: name.clone(),
-                    ir,
-                    stale,
-                });
-            }
-            // One restricted run per module with stale functions — on the
-            // shared pool when --jobs allows, sequentially otherwise; the
-            // same batches either way, so results and traces are identical.
-            spec.run_batches(batches);
-            for &name in &walked {
-                self.engine
-                    .require(&mut spec, &BuildTask::Codegen(name.clone()))
-                    .map_err(seal)?;
-            }
-            // Wave boundary: publish this wave's fresh cache entries so the
-            // next wave can hit them — at the same point for every --jobs.
-            spec.flush_cache_inserts();
-            if let (Some(trace), Some(started)) = (&mut observers.recorder, wave_start) {
-                wave_ids.push(trace.span(
-                    observers.root,
-                    "wave",
-                    format!("wave {wave_idx}"),
-                    wave_idx as u64,
-                    0,
-                    started.elapsed().as_nanos() as u64,
-                    Vec::new(),
-                ));
-            }
-        }
-
-        let walk = Walk {
-            order: graph.topo_order().to_vec(),
-            waves: graph.waves().to_vec(),
-            wave_ids,
-            rosters,
-        };
-        finish(&mut self.engine, spec, self.jobs, observers, walk)
-    }
-}
-
-/// The definition-order roster of module `m`, asking as little as answers:
-/// whether `modcheck(m)` is up to date, then its value when on hand, else
-/// the `optimizefn` demands `codegen(m)` recorded — in roster order — when
-/// it recorded them against the check's current fingerprint. Only a check
-/// that re-executes, or one that neither answers, is demanded; so a
-/// module an edit reaches only through validating fingerprints costs a new
-/// process no rematerialized parse, interface or module check.
-fn roster_of(
-    engine: &mut Engine<BuildTask, BuildValue>,
-    spec: &mut BuildSpec<'_>,
-    m: &str,
-) -> Result<Vec<String>, BuildError> {
-    let check = BuildTask::ModCheck(m.to_string());
-    if engine.up_to_date(spec, &check).map_err(seal)? {
-        if let Some(value) = engine.peek(&check) {
-            return Ok(value.expect_modcheck().roster.clone());
-        }
-        let current = engine.id_of(&check).zip(engine.fingerprint_of(&check));
-        let recorded = engine
-            .deps_of(&BuildTask::Codegen(m.to_string()))
-            .unwrap_or_default()
-            .to_vec();
-        let against_current = recorded.iter().any(|dep| match *dep {
-            Dep::Task(id, fingerprint) => Some((id, fingerprint)) == current,
-            Dep::Input(..) => false,
-        });
-        if against_current {
-            return Ok(recorded
-                .into_iter()
-                .filter_map(|dep| match dep {
-                    Dep::Task(id, _) => match engine.key(id)? {
-                        BuildTask::OptimizeFn(_, f) => Some(f.clone()),
-                        _ => None,
-                    },
-                    Dep::Input(..) => None,
-                })
-                .collect());
-        }
-    }
-    Ok(engine
-        .require(spec, &check)
-        .map_err(seal)?
-        .expect_modcheck()
-        .roster
-        .clone())
-}
-
-/// Closes a build's session: demands `link`, audits (depcheck builds),
-/// garbage-collects what left the walked rosters, and assembles the report
-/// with its metrics and trace. After a [`Walk`] that walked nothing, the
-/// demand is a hit and the report says so for every module.
-fn finish(
-    engine: &mut Engine<BuildTask, BuildValue>,
-    mut spec: BuildSpec<'_>,
-    jobs: usize,
-    observers: Observers,
-    walk: Walk,
-) -> Result<BuildReport, BuildError> {
-    let Observers {
-        start,
-        mut recorder,
-        root,
-        op_guard,
-        ops_before,
-        decoded_before,
-    } = observers;
-    let Walk {
-        order,
-        waves,
-        wave_ids,
-        rosters,
-    } = walk;
-    let link_start = recorder.is_some().then(Instant::now);
-    let link = engine
-        .require(&mut spec, &BuildTask::Link)
-        .map_err(seal)?
-        .expect_link();
-    if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
-        trace.span(
-            root,
-            "link",
-            "link",
-            waves.len() as u64,
-            0,
-            started.elapsed().as_nanos() as u64,
-            Vec::new(),
-        );
-    }
-    let query_log = spec.take_query_log();
-
-    // Function-grain dependency accounting: how often per-function
-    // signature pins validated, and how many function-pipeline
-    // re-executions the per-function cutoffs saved.
-    let mut fngrain = FngrainStats::default();
-    for (task, hit) in &query_log {
-        if task.starts_with("signature(") {
-            if *hit {
-                fngrain.signature_hits += 1;
-            } else {
-                fngrain.signature_misses += 1;
-            }
-        } else if task.starts_with("checkfn(")
-            || task.starts_with("lowerfn(")
-            || task.starts_with("optimizefn(")
-        {
-            if *hit {
-                fngrain.cutoff_saved += 1;
-            } else {
-                fngrain.fn_tasks_executed += 1;
-            }
-        }
-    }
-
-    // Dependency-soundness verdict: diff the recorded evidence against
-    // the engine's dependency traces while the spec (raw stamps) and
-    // engine (dep traces) are both still on hand.
-    let depcheck_report = op_guard.map(|ops| depcheck::analyze(engine, &mut spec, &ops.take()));
-
-    // Assemble the report from the store: a module counts as rebuilt
-    // when any of its per-function pipeline tasks (or its codegen)
-    // actually executed this session — validated-but-cached tasks, and
-    // the parse/fnast probes whose unchanged fingerprints *caused* the
-    // cutoffs, do not count.
-    let executed: HashSet<&BuildTask> = engine.executed_keys().iter().collect();
-    let mut modules = Vec::with_capacity(order.len());
-    for name in &order {
-        let roster = rosters.get(name).cloned().unwrap_or_default();
-        let rebuilt = executed.contains(&BuildTask::Codegen(name.clone()))
-            || roster.iter().any(|f| {
-                [
-                    BuildTask::CheckFn(name.clone(), f.clone()),
-                    BuildTask::LowerFn(name.clone(), f.clone()),
-                    BuildTask::OptimizeFn(name.clone(), f.clone()),
-                ]
-                .iter()
-                .any(|t| executed.contains(t))
-            });
-        let output = if rebuilt {
-            // The pipeline trace of the functions optimized this build, in
-            // roster (definition) order; functions whose optimizefn
-            // validated contributed no pass work.
-            let functions = roster
-                .iter()
-                .map(|f| BuildTask::OptimizeFn(name.clone(), f.clone()))
-                .filter(|task| executed.contains(task))
-                .filter_map(|task| engine.peek(&task)?.expect_optimizefn().ftrace.clone())
-                .collect();
-            let snap = spec.take_snapshots(name);
-            let trace = PipelineTrace {
-                module: name.clone(),
-                functions,
-                snapshot_clones: snap.clones,
-                snapshot_cost_units: snap.cost_units,
-                snapshot_reused: snap.reused,
-                batch_count: snap.batch_count,
-                batch_max_cost: snap.batch_max_cost,
-                snapshot_wall_ns: snap.wall_ns,
-            };
-            Some(ModuleOutput {
-                trace,
-                timings: spec.take_timings(name),
-            })
-        } else {
-            None
-        };
-        modules.push(ModuleReport {
-            name: name.clone(),
-            rebuilt,
-            output,
-        });
-    }
-
-    let stats = engine.session_stats();
-    let labels = |keys: &[BuildTask]| keys.iter().map(ToString::to_string).collect();
-    let query = QueryStats {
-        hits: stats.hits,
-        misses: stats.misses,
-        loaded: stats.loaded,
-        rematerialized: labels(engine.rematerialized_keys()),
-        executed: labels(engine.executed_keys()),
-    };
-
-    let link_ns = spec.link_ns();
-    let values_verified = spec.settle_stored(engine);
-    let compiler = spec.into_compiler();
-
-    // Garbage-collect function-grained tasks (and dormancy records) of
-    // functions that left their module's roster, so deleted functions
-    // cannot linger in the store or the state database. (Only walked
-    // modules have a roster here: a module left alone has a valid `codegen`
-    // over an unchanged roster, and nothing of it is collected.)
-    if !rosters.is_empty() {
-        engine.retain(|label| match label_scope(label) {
-            (Some(m), Some(f)) => rosters.get(m).is_none_or(|r| r.iter().any(|g| g == f)),
-            _ => true,
-        });
-    }
-    for (module, roster) in &rosters {
-        compiler.retain_state_functions(module, |f| roster.iter().any(|g| g == f));
-    }
-
-    // Recovery accounting: any quarantine / cold-start decision the
-    // compiler session took when it loaded persistent state.
-    let events = compiler.recovery_events();
-    let recovered_files = events.len();
-    let quarantined = events
-        .iter()
-        .filter_map(|e| e.quarantined_to.as_ref())
-        .map(|p| p.display().to_string())
-        .collect();
-
-    let mut report = BuildReport {
-        program: LinkedProgram::new(link),
-        wall_ns: start.elapsed().as_nanos() as u64,
-        link_ns,
-        modules,
-        query,
-        fngrain,
-        jobs,
-        outcome: "success".to_string(),
-        state_generation: 0,
-        recovered_files,
-        quarantined,
-        depcheck: depcheck_report,
-        metrics: MetricsSnapshot::default(),
-        trace: None,
-    };
-
-    // Populate the metrics registry — the single source for every
-    // numeric the JSON report emits — then snapshot it into the report.
-    let registry = Registry::new();
-    record_report_metrics(&report, waves.len(), &registry);
-    registry.gauge_set("query.keys_parsed", engine.keys_parsed());
-    registry.gauge_set("persist.values_verified", values_verified);
-    let decoded = sfcc_backend::image::programs_decoded() - decoded_before;
-    registry.gauge_set("backend.programs_decoded", decoded);
-    compiler.record_metrics(&registry);
-    // The build's own durable ops; a driver that commits state adds the
-    // commit's ([`crate::serve::BuildService`]).
-    let ops = sfcc_faultfs::op_counts().delta_since(&ops_before);
-    for (kind, count) in ops.by_kind() {
-        registry.gauge_set(&format!("faultfs.{kind}"), count);
-    }
-    registry.gauge_set("faultfs.bytes_written", ops.bytes_written);
-    report.metrics = registry.snapshot();
-
-    // The deterministic portion of the trace (module/phase/function/
-    // pass subtrees, query instants, session roll-ups) is emitted
-    // synthetically from the assembled report, so its structure cannot
-    // depend on worker scheduling.
-    if let Some(mut trace) = recorder {
-        trace.set_wall_ns(root, report.wall_ns);
-        emit_trace_tree(&mut trace, &report, &waves, &wave_ids, root, &query_log);
-        let seq = waves.len() as u64;
-        let cache = compiler.cache_stats();
-        trace.instant(
-            root,
-            "cache",
-            "fn-cache",
-            seq + 2,
-            vec![
-                ("hits", ArgValue::U64(cache.hits)),
-                ("misses", ArgValue::U64(cache.misses)),
-                ("evictions", ArgValue::U64(cache.evictions)),
-                ("entries", ArgValue::U64(cache.entries as u64)),
-            ],
-        );
-        trace.instant(
-            root,
-            "io",
-            "faultfs-ops",
-            seq + 3,
-            ops.by_kind()
-                .map(|(kind, count)| (kind, ArgValue::U64(count)))
-                .to_vec(),
-        );
-        if let Some(dc) = &report.depcheck {
-            trace.instant(
+            .expect_link();
+        let order = recorded(engine, &BuildTask::Link, "codegen");
+        if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
+            trace.span(
                 root,
-                "depcheck",
-                "dep-soundness",
-                seq + 4,
-                vec![
-                    ("findings", ArgValue::U64(dc.findings.len() as u64)),
-                    ("tasks_checked", ArgValue::U64(dc.tasks_checked)),
-                    ("accesses", ArgValue::U64(dc.accesses)),
-                ],
+                "link",
+                "link",
+                order.len() as u64,
+                0,
+                started.elapsed().as_nanos() as u64,
+                Vec::new(),
             );
         }
-        report.trace = Some(trace);
+        let query_log = spec.take_query_log();
+
+        // A module is rebuilt when its `codegen` or one of its
+        // `optimizefn`s executed; its definition-order roster is then the
+        // `optimizefn` demands its `codegen` recorded. The rosters drive the
+        // report and the garbage collection of per-function tasks and state
+        // records.
+        let mut rosters: HashMap<String, Vec<String>> = HashMap::new();
+        for key in engine.executed_keys() {
+            if let BuildTask::Codegen(m) | BuildTask::OptimizeFn(m, _) = key {
+                if !rosters.contains_key(m) {
+                    let codegen = BuildTask::Codegen(m.clone());
+                    rosters.insert(m.clone(), recorded(engine, &codegen, "optimizefn"));
+                }
+            }
+        }
+
+        // Function-grain dependency accounting: how often per-function
+        // signature pins validated, and how many function-pipeline
+        // re-executions the per-function cutoffs saved.
+        let mut fngrain = FngrainStats::default();
+        for (task, hit) in &query_log {
+            if task.starts_with("signature(") {
+                if *hit {
+                    fngrain.signature_hits += 1;
+                } else {
+                    fngrain.signature_misses += 1;
+                }
+            } else if task.starts_with("checkfn(")
+                || task.starts_with("lowerfn(")
+                || task.starts_with("optimizefn(")
+            {
+                if *hit {
+                    fngrain.cutoff_saved += 1;
+                } else {
+                    fngrain.fn_tasks_executed += 1;
+                }
+            }
+        }
+
+        // Dependency-soundness verdict: diff the recorded evidence against
+        // the engine's dependency traces while the spec (raw stamps) and
+        // engine (dep traces) are both still on hand.
+        let depcheck_report = op_guard.map(|ops| depcheck::analyze(engine, &mut spec, &ops.take()));
+
+        // Assemble the report from the store.
+        let executed: HashSet<&BuildTask> = engine.executed_keys().iter().collect();
+        let mut modules = Vec::with_capacity(order.len());
+        for name in &order {
+            let roster = rosters.get(name);
+            let output = roster.map(|roster| {
+                // The pipeline trace of the functions optimized this
+                // build, in roster (definition) order; functions whose
+                // optimizefn validated contributed no pass work.
+                let functions = roster
+                    .iter()
+                    .map(|f| BuildTask::OptimizeFn(name.clone(), f.clone()))
+                    .filter(|task| executed.contains(task))
+                    .filter_map(|task| engine.peek(&task)?.expect_optimizefn().ftrace.clone())
+                    .collect();
+                let snap = spec.take_snapshots(name);
+                let trace = PipelineTrace {
+                    module: name.clone(),
+                    functions,
+                    snapshot_clones: snap.clones,
+                    snapshot_cost_units: snap.cost_units,
+                    snapshot_reused: snap.reused,
+                    batch_count: snap.batch_count,
+                    batch_max_cost: snap.batch_max_cost,
+                    snapshot_wall_ns: snap.wall_ns,
+                };
+                ModuleOutput {
+                    trace,
+                    timings: spec.take_timings(name),
+                }
+            });
+            modules.push(ModuleReport {
+                name: name.clone(),
+                rebuilt: roster.is_some(),
+                output,
+            });
+        }
+
+        let stats = engine.session_stats();
+        let labels = |keys: &[BuildTask]| keys.iter().map(ToString::to_string).collect();
+        let query = QueryStats {
+            hits: stats.hits,
+            misses: stats.misses,
+            loaded: stats.loaded,
+            rematerialized: labels(engine.rematerialized_keys()),
+            executed: labels(engine.executed_keys()),
+        };
+
+        let link_ns = spec.link_ns();
+        let values_verified = spec.settle_stored(engine);
+        let compiler = spec.into_compiler();
+
+        // Garbage-collect function-grained tasks (and dormancy records) of
+        // functions that left their module's roster, so deleted functions
+        // cannot linger in the store or the state database. (Only rebuilt
+        // modules have a roster here: any other has a valid `codegen` over
+        // an unchanged roster, and nothing of it is collected.)
+        if !rosters.is_empty() {
+            engine.retain(|label| match label_scope(label) {
+                (Some(m), Some(f)) => rosters.get(m).is_none_or(|r| r.iter().any(|g| g == f)),
+                _ => true,
+            });
+        }
+        for (module, roster) in &rosters {
+            compiler.retain_state_functions(module, |f| roster.iter().any(|g| g == f));
+        }
+
+        // Recovery accounting: any quarantine / cold-start decision the
+        // compiler session took when it loaded persistent state.
+        let events = compiler.recovery_events();
+        let recovered_files = events.len();
+        let quarantined = events
+            .iter()
+            .filter_map(|e| e.quarantined_to.as_ref())
+            .map(|p| p.display().to_string())
+            .collect();
+
+        let mut report = BuildReport {
+            program: LinkedProgram::new(link),
+            wall_ns: start.elapsed().as_nanos() as u64,
+            link_ns,
+            modules,
+            query,
+            fngrain,
+            jobs: self.jobs,
+            outcome: "success".to_string(),
+            state_generation: 0,
+            recovered_files,
+            quarantined,
+            depcheck: depcheck_report,
+            metrics: MetricsSnapshot::default(),
+            trace: None,
+        };
+
+        // Populate the metrics registry — the single source for every
+        // numeric the JSON report emits — then snapshot it into the report.
+        let registry = Registry::new();
+        record_report_metrics(&report, &registry);
+        registry.gauge_set("query.keys_parsed", engine.keys_parsed());
+        registry.gauge_set("persist.values_verified", values_verified);
+        let decoded = sfcc_backend::image::programs_decoded() - decoded_before;
+        registry.gauge_set("backend.programs_decoded", decoded);
+        compiler.record_metrics(&registry);
+        // The build's own durable ops; a driver that commits state adds the
+        // commit's ([`crate::serve::BuildService`]).
+        let ops = sfcc_faultfs::op_counts().delta_since(&ops_before);
+        for (kind, count) in ops.by_kind() {
+            registry.gauge_set(&format!("faultfs.{kind}"), count);
+        }
+        registry.gauge_set("faultfs.bytes_written", ops.bytes_written);
+        report.metrics = registry.snapshot();
+
+        // The deterministic portion of the trace (module/phase/function/
+        // pass subtrees, query instants, session roll-ups) is emitted
+        // synthetically from the assembled report, so its structure cannot
+        // depend on worker scheduling.
+        if let Some(mut trace) = recorder {
+            trace.set_wall_ns(root, report.wall_ns);
+            emit_trace_tree(&mut trace, &report, root, &query_log);
+            let seq = report.modules.len() as u64;
+            let cache = compiler.cache_stats();
+            trace.instant(
+                root,
+                "cache",
+                "fn-cache",
+                seq + 2,
+                vec![
+                    ("hits", ArgValue::U64(cache.hits)),
+                    ("misses", ArgValue::U64(cache.misses)),
+                    ("evictions", ArgValue::U64(cache.evictions)),
+                    ("entries", ArgValue::U64(cache.entries as u64)),
+                ],
+            );
+            trace.instant(
+                root,
+                "io",
+                "faultfs-ops",
+                seq + 3,
+                ops.by_kind()
+                    .map(|(kind, count)| (kind, ArgValue::U64(count)))
+                    .to_vec(),
+            );
+            if let Some(dc) = &report.depcheck {
+                trace.instant(
+                    root,
+                    "depcheck",
+                    "dep-soundness",
+                    seq + 4,
+                    vec![
+                        ("findings", ArgValue::U64(dc.findings.len() as u64)),
+                        ("tasks_checked", ArgValue::U64(dc.tasks_checked)),
+                        ("accesses", ArgValue::U64(dc.accesses)),
+                    ],
+                );
+            }
+            report.trace = Some(trace);
+        }
+        Ok(report)
     }
-    Ok(report)
+}
+
+/// The `kind` dependencies task `of` recorded, in demand order, by the
+/// last part of their operand — `link`'s `codegen` modules, a `codegen`'s
+/// `optimizefn` functions — read off their labels, so no key is parsed.
+fn recorded(engine: &Engine<BuildTask, BuildValue>, of: &BuildTask, kind: &str) -> Vec<String> {
+    let deps = engine.deps_of(of).unwrap_or_default();
+    deps.iter()
+        .filter_map(|dep| match *dep {
+            Dep::Task(id, _) => match split_label(engine.label(id))? {
+                (k, Some(m), f) if k == kind => Some(f.unwrap_or(m).to_string()),
+                _ => None,
+            },
+            Dep::Input(..) => None,
+        })
+        .collect()
 }
 
 /// Gauges mirroring every numeric field of the JSON report. The report's
 /// `to_json` reads these back (see [`BuildReport::to_json`]), so a value
 /// recorded here *is* the value the report prints.
-fn record_report_metrics(report: &BuildReport, waves: usize, registry: &Registry) {
+fn record_report_metrics(report: &BuildReport, registry: &Registry) {
     registry.gauge_set("build.wall_ns", report.wall_ns);
     registry.gauge_set("build.link_ns", report.link_ns);
     registry.gauge_set("build.compile_ns", report.compile_ns());
     registry.gauge_set("build.rebuilt_count", report.rebuilt_count() as u64);
     registry.gauge_set("build.jobs", report.jobs as u64);
     registry.gauge_set("build.modules", report.modules.len() as u64);
-    registry.gauge_set("build.waves", waves as u64);
     registry.gauge_set("build.executed_cost_units", report.executed_cost_units());
     let (active, dormant, skipped) = report.outcome_totals();
     registry.gauge_set("outcomes.active", active as u64);
@@ -1024,31 +808,19 @@ fn record_report_metrics(report: &BuildReport, waves: usize, registry: &Registry
 
 /// Emits the deterministic synthetic span subtrees of one build: per-module
 /// pipelines (module → phase → function → pass, costs in live-instruction
-/// units) under their wave spans, and the session's query demand instants
-/// sorted by task name so the exported bytes are identical for every
-/// `--jobs` value.
+/// units) in link order, and the session's query demand instants sorted by
+/// task name so the exported bytes are identical for every `--jobs` value.
 fn emit_trace_tree(
     trace: &mut Trace,
     report: &BuildReport,
-    waves: &[Vec<String>],
-    wave_ids: &[SpanId],
     root: SpanId,
     query_log: &[(String, bool)],
 ) {
-    let mut wave_pos: HashMap<&str, (usize, u64)> = HashMap::new();
-    for (w, wave) in waves.iter().enumerate() {
-        for (i, name) in wave.iter().enumerate() {
-            wave_pos.insert(name.as_str(), (w, i as u64));
-        }
-    }
-    for module in &report.modules {
-        let Some(&(w, pos)) = wave_pos.get(module.name.as_str()) else {
-            continue;
-        };
-        let parent = wave_ids.get(w).copied().unwrap_or(root);
+    for (pos, module) in report.modules.iter().enumerate() {
+        let pos = pos as u64;
         let Some(output) = &module.output else {
             trace.instant(
-                parent,
+                root,
                 "module",
                 &module.name,
                 pos,
@@ -1057,7 +829,7 @@ fn emit_trace_tree(
             continue;
         };
         let module_span = trace.span(
-            parent,
+            root,
             "module",
             &module.name,
             pos,
@@ -1145,7 +917,7 @@ fn emit_trace_tree(
         root,
         "query",
         "queries",
-        waves.len() as u64 + 1,
+        report.modules.len() as u64 + 1,
         0,
         0,
         Vec::new(),
@@ -1385,6 +1157,142 @@ mod tests {
         builder.build(&p).unwrap();
         // gone's five per-function tasks left the store.
         assert!(builder.engine.len() < before);
+    }
+
+    /// A scratch directory for one test's committed state.
+    fn state_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("sfcc-builder-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// What a new `--stateful --fn-cache` process over `dir` starts from:
+    /// the state, function cache and query graph the last one committed.
+    fn process(dir: &std::path::Path) -> Builder {
+        let config = Config::stateful()
+            .with_function_cache()
+            .with_state_path(dir.join(".sfcc-state"));
+        Builder::new(Compiler::new(config))
+    }
+
+    fn two_callers_project(a: &str, c: &str) -> Project {
+        project(&[
+            (
+                "m",
+                &format!(
+                    "fn a(x: int) -> int {{ return x * 3 + {a}; }}\n\
+                     fn b(x: int) -> int {{ return a(x) + 5; }}\n\
+                     fn c(x: int) -> int {{ return x - {c}; }}"
+                ),
+            ),
+            (
+                "main",
+                "import m;\nfn main(n: int) -> int { return m::b(n) + m::c(n); }",
+            ),
+        ])
+    }
+
+    #[test]
+    fn two_constant_edit_over_a_restored_graph_executes_what_it_must() {
+        let dir = state_dir("two-constants");
+        let mut first = process(&dir);
+        first.build(&two_callers_project("1", "7")).unwrap();
+        first.compiler().save_state().unwrap();
+
+        // Two constants in two functions of one module, built by the next
+        // process: the first stale function to execute plans the module,
+        // one run that covers the other two.
+        let edited = two_callers_project("2", "9");
+        let mut second = process(&dir);
+        let report = second.build(&edited).unwrap();
+        let mut executed = report.query.executed.clone();
+        executed.sort();
+        assert_eq!(
+            executed,
+            [
+                "checkfn(m::a)",
+                "checkfn(m::c)",
+                "codegen(m)",
+                "fnast(m::a)",
+                "fnast(m::b)",
+                "fnast(m::c)",
+                "imports(m)",
+                "interface(m)",
+                "link",
+                "lowerfn(m::a)",
+                "lowerfn(m::c)",
+                "modcheck(m)",
+                "optimizefn(m::a)",
+                "optimizefn(m::b)",
+                "optimizefn(m::c)",
+                "parse(m)",
+            ]
+        );
+        // `b` calls `a`: its optimize run needs its own lowered body.
+        let mut rematerialized = report.query.rematerialized.clone();
+        rematerialized.sort();
+        assert_eq!(
+            rematerialized,
+            ["checkfn(m::b)", "lowerfn(m::b)", "signature(m::a)"]
+        );
+        assert!(report.module("m").unwrap().rebuilt);
+        assert!(!report.module("main").unwrap().rebuilt);
+        let fresh_dir = state_dir("two-constants-fresh");
+        let mut fresh = process(&fresh_dir);
+        let cold = fresh.build(&edited).unwrap();
+        assert_eq!(second.linked_image(), fresh.linked_image());
+        let clones = |report: &BuildReport| {
+            let output = report.module("m").unwrap().output.as_ref().unwrap();
+            output.trace.snapshot_clones
+        };
+        assert_eq!(clones(&report), clones(&cold), "one run, as cold");
+        for dir in [dir, fresh_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn function_removed_between_processes_leaves_store_and_state() {
+        let dir = state_dir("removed-fn");
+        let source = "fn keep(x: int) -> int { return x; }\nfn gone() -> int { return 1; }";
+        let mut first = process(&dir);
+        first.build(&project(&[("m", source)])).unwrap();
+        first.compiler().save_state().unwrap();
+
+        let mut second = process(&dir);
+        let kept = project(&[("m", "fn keep(x: int) -> int { return x; }")]);
+        second.build(&kept).unwrap();
+        second.compiler().save_state().unwrap();
+        let tasks = |m: &str, f: &str| {
+            let (m, f) = (m.to_string(), f.to_string());
+            [
+                BuildTask::FnAst(m.clone(), f.clone()),
+                BuildTask::Signature(m.clone(), f.clone()),
+                BuildTask::CheckFn(m.clone(), f.clone()),
+                BuildTask::LowerFn(m.clone(), f.clone()),
+                BuildTask::OptimizeFn(m, f),
+            ]
+        };
+        for task in tasks("m", "gone") {
+            assert!(second.engine.fingerprint_of(&task).is_none(), "{task} left");
+        }
+        assert!(second
+            .engine
+            .fingerprint_of(&tasks("m", "keep")[4])
+            .is_some());
+        let functions = |builder: &Builder| {
+            let state = builder.compiler().state().module("m").unwrap();
+            let mut names: Vec<String> = state.functions.keys().cloned().collect();
+            names.sort();
+            names
+        };
+        assert_eq!(functions(&second), ["keep"]);
+        // What was committed is what a third process starts from.
+        let mut third = process(&dir);
+        assert_eq!(functions(&third), ["keep"]);
+        assert_eq!(third.build(&kept).unwrap().query.misses, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -305,9 +305,9 @@ impl DepMutations {
 /// (mutation-free) input stamps for the staleness audit; `ops` are the
 /// task-attributed faultfs operations captured while the build ran.
 ///
-/// Only *executed* tasks get the access diff: a speculative wave-parallel
-/// prepare may touch resources for tasks the engine then validates instead
-/// of executing, and those accesses prove nothing about declarations.
+/// Only *executed* tasks get the access diff: a task that validates instead
+/// of executing made no access this build, so its declarations have
+/// nothing to be diffed against.
 /// Store-served tasks get the stamp audit instead — their recorded input
 /// stamps must agree with the inputs' raw stamps, or the validation that
 /// spared them was based on a lie.

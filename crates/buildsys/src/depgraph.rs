@@ -441,7 +441,6 @@ mod tests {
             panic!("a stored graph loads");
         };
         let loaded = loaded.expect_graph();
-        assert_eq!(loaded.waves(), graph.waves());
         assert_eq!(loaded.topo_order(), graph.topo_order());
         assert!(
             matches!(stored.load(id, &BuildTask::Graph), Loaded::Absent),
@@ -482,7 +481,7 @@ mod tests {
             let mut engine = Engine::new();
             let mut stored = restore(&mut engine, tampered, &mutations).unwrap();
             let served = demand_graph(&p, &mut engine, &mut stored);
-            assert_eq!(served.waves(), graph.waves(), "{text}");
+            assert_eq!(served.topo_order(), graph.topo_order(), "{text}");
             assert_eq!(engine.moved_keys(), [BuildTask::Graph], "{text}");
         }
     }
@@ -508,7 +507,7 @@ mod tests {
         let mut stored =
             restore(&mut engine, flipped(file, "graph"), &DepMutations::new()).unwrap();
         let served = demand_graph(&p, &mut engine, &mut stored);
-        assert_eq!(served.waves(), graph.waves());
+        assert_eq!(served.topo_order(), graph.topo_order());
         assert_eq!(engine.executed_keys(), [BuildTask::Graph]);
         assert_eq!(engine.session_stats().loaded, 0);
         assert_eq!(stored.take_verified(), 1);

@@ -1,11 +1,9 @@
-//! The import graph: extraction, diagnostics, and wave scheduling.
+//! The import graph: extraction, diagnostics, and a topological order.
 //!
 //! Imports are read from each module's parsed `import m;` declarations (the
 //! real parser, not a text scan, so comments and strings cannot confuse the
-//! graph). The graph rejects missing imports and import cycles, and
-//! computes *waves*: a partition of the modules such that every module's
-//! imports live in strictly earlier waves. Modules within one wave are
-//! mutually independent and may compile in parallel.
+//! graph). The graph rejects missing imports and import cycles, and orders
+//! the modules imports before importers.
 
 use crate::project::Project;
 use sfcc_frontend::Diagnostics;
@@ -43,19 +41,17 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// The import graph of a [`Project`], with a precomputed wave schedule.
+/// The import graph of a [`Project`], with a precomputed topological order.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     /// module → its imports, sorted, deduplicated.
     imports: BTreeMap<String, Vec<String>>,
-    /// Wave partition: every module's imports are in strictly earlier waves.
-    waves: Vec<Vec<String>>,
-    /// Concatenation of the waves (a topological order).
+    /// Imports before importers ([`topo_order`]).
     topo: Vec<String>,
 }
 
 impl DepGraph {
-    /// Extracts the import graph and computes the wave schedule.
+    /// Extracts the import graph and computes its topological order.
     ///
     /// Sources that fail to parse contribute whatever imports the
     /// error-recovering parser still saw; the compile step reports their
@@ -94,13 +90,8 @@ impl DepGraph {
                 }
             }
         }
-        let waves = compute_waves(&imports)?;
-        let topo = waves.iter().flatten().cloned().collect();
-        Ok(DepGraph {
-            imports,
-            waves,
-            topo,
-        })
+        let topo = topo_order(&imports)?;
+        Ok(DepGraph { imports, topo })
     }
 
     /// The modules a module imports (sorted, deduplicated). Empty for
@@ -110,15 +101,9 @@ impl DepGraph {
     }
 
     /// All modules in a topological order (imports before importers);
-    /// deterministic for a given project.
+    /// deterministic for a given project: Kahn layers, each sorted by name.
     pub fn topo_order(&self) -> &[String] {
         &self.topo
-    }
-
-    /// The wave schedule: each wave lists modules (sorted by name) whose
-    /// imports all live in earlier waves.
-    pub fn waves(&self) -> &[Vec<String>] {
-        &self.waves
     }
 
     /// Number of modules in the graph.
@@ -176,26 +161,27 @@ pub fn parse_imports(name: &str, source: &str) -> Vec<String> {
     deps
 }
 
-/// Kahn's algorithm, taking whole in-degree-zero layers at a time. The
-/// per-wave order is the sorted order inherited from the `BTreeMap`.
-fn compute_waves(imports: &BTreeMap<String, Vec<String>>) -> Result<Vec<Vec<String>>, GraphError> {
+/// Kahn's algorithm, taking whole in-degree-zero layers at a time and
+/// concatenating them; within a layer, modules keep the sorted order of the
+/// `BTreeMap`. Every image is linked in this order.
+fn topo_order(imports: &BTreeMap<String, Vec<String>>) -> Result<Vec<String>, GraphError> {
     let mut remaining: HashMap<&str, usize> = imports
         .iter()
         .map(|(name, deps)| (name.as_str(), deps.len()))
         .collect();
     let mut done: HashSet<&str> = HashSet::new();
-    let mut waves: Vec<Vec<String>> = Vec::new();
+    let mut order: Vec<String> = Vec::new();
 
     while done.len() < imports.len() {
-        let wave: Vec<String> = imports
+        let layer: Vec<String> = imports
             .iter()
             .filter(|(name, _)| !done.contains(name.as_str()) && remaining[name.as_str()] == 0)
             .map(|(name, _)| name.clone())
             .collect();
-        if wave.is_empty() {
+        if layer.is_empty() {
             return Err(GraphError::Cycle(find_cycle(imports, &done)));
         }
-        for name in &wave {
+        for name in &layer {
             done.insert(
                 imports
                     .get_key_value(name.as_str())
@@ -211,9 +197,9 @@ fn compute_waves(imports: &BTreeMap<String, Vec<String>>) -> Result<Vec<Vec<Stri
             let satisfied = deps.iter().filter(|d| done.contains(d.as_str())).count();
             *remaining.get_mut(name.as_str()).expect("known module") = deps.len() - satisfied;
         }
-        waves.push(wave);
+        order.extend(layer);
     }
-    Ok(waves)
+    Ok(order)
 }
 
 /// Walks import edges among the unscheduled modules until a node repeats,
@@ -270,14 +256,6 @@ mod tests {
         ]);
         let g = DepGraph::build(&p).unwrap();
         assert_eq!(
-            g.waves(),
-            &[
-                vec!["base".to_string()],
-                vec!["lib".into()],
-                vec!["main".into()]
-            ]
-        );
-        assert_eq!(
             g.topo_order(),
             &["base".to_string(), "lib".into(), "main".into()]
         );
@@ -298,10 +276,10 @@ mod tests {
             ),
         ]);
         let g = DepGraph::build(&p).unwrap();
-        // Wave order is sorted by name → deterministic.
+        // One Kahn layer is sorted by name → deterministic.
         assert_eq!(
-            g.waves(),
-            &[vec!["a".to_string(), "z".into()], vec!["main".into()]]
+            g.topo_order(),
+            &["a".to_string(), "z".into(), "main".into()]
         );
     }
 
@@ -373,12 +351,8 @@ mod tests {
         let p = Project::from_dir(dir).expect("demo/ should load");
         let g = DepGraph::build(&p).unwrap();
         assert_eq!(
-            g.waves(),
-            &[
-                vec!["mathx".to_string()],
-                vec!["stats".into()],
-                vec!["main".into()]
-            ]
+            g.topo_order(),
+            &["mathx".to_string(), "stats".into(), "main".into()]
         );
         assert_eq!(g.imports_of("main"), &["mathx".to_string(), "stats".into()]);
     }

@@ -10,13 +10,14 @@
 //! - [`Project`]: a named set of module sources, loadable from a directory
 //!   of `*.mc` files;
 //! - [`DepGraph`]: import-graph extraction with missing-import and cycle
-//!   diagnostics, plus a topological *wave* schedule;
+//!   diagnostics, plus a topological module order;
 //! - [`tasks`]: the build's task taxonomy over the demand-driven query
 //!   engine (`sfcc-query`) — imports, interface, graph, frontend, lower,
 //!   optimize, codegen, link — with per-task early-cutoff fingerprints;
 //! - [`Builder`]: a thin orchestrator that opens an engine session per
-//!   build, pre-compiles a wave's invalidated modules in parallel, then
-//!   demands each module's `codegen` task and the final `link`;
+//!   build and demands `link`; the engine schedules the rest, and the
+//!   tasks plan their optimize runs — one per module, a window of modules
+//!   side by side;
 //! - [`BuildReport`]: per-module rebuild flags, traces, timings,
 //!   pass-outcome totals, and query hit/miss counts ([`QueryStats`]), as
 //!   consumed by the evaluation harness;

@@ -34,6 +34,14 @@
 //! Dormancy state is a *tracked input* at function grain (`state:m::f`,
 //! stamped via [`Compiler::state_stamp_fn`]), so stale skip decisions
 //! invalidate exactly the functions they would affect.
+//!
+//! The engine schedules everything, optimization runs included. The first
+//! `optimizefn` of a module to execute with nothing parked for it asks which
+//! of the module's other `optimizefn`s are stale, and optimizes them all as
+//! one restricted run over their union call closure; their executions take
+//! its results. `link` plans the same per-module runs a window of modules
+//! at a time before it demands their `codegen`s, so the runs of modules
+//! that rebuild together share one pool.
 
 use crate::builder::BuildError;
 use crate::depcheck::DepMutations;
@@ -69,7 +77,7 @@ pub enum BuildTask {
     Parse(String),
     /// Extract a module's exported interface from its parsed AST.
     Interface(String),
-    /// Assemble the whole-project import graph and wave schedule.
+    /// Assemble the whole-project import graph and its topological order.
     Graph,
     /// Module-level semantic analysis: import validity, global constants,
     /// signature collection, and the definition-order function roster.
@@ -368,27 +376,27 @@ impl BuildValue {
     expect_variant!(expect_link, Link, LinkArtifact, "link");
 }
 
-/// An optimized function a wave-parallel batch computed ahead of demand,
-/// taken at most once by the matching `optimizefn` execution.
+/// An optimized function a restricted run computed for an `optimizefn`
+/// execution ([`BuildSpec::optimize_runs`]), taken at most once by it.
 #[derive(Debug)]
 struct PreparedFn {
     func: Function,
     ftrace: FunctionTrace,
 }
 
-/// One module's restricted optimization batch for [`BuildSpec::run_batches`]:
-/// the union call closure of its stale functions, assembled by the driver
-/// from `lowerfn` values, plus the stale function names whose artifacts the
-/// batch parks.
-pub(crate) struct WaveBatch {
-    pub module: String,
-    /// Restricted module holding the stale functions' union call closure,
-    /// sorted by function name (any superset of each function's closure
-    /// yields byte-identical per-function results).
-    pub ir: sfcc_ir::Module,
-    /// Functions whose `optimizefn` tasks will consume parked artifacts.
-    pub stale: Vec<String>,
+/// One module's restricted optimization run ([`BuildSpec::plan_run`]).
+struct ModuleRun {
+    module: String,
+    /// The functions whose artifacts the run parks.
+    roots: Vec<String>,
+    /// The roots' union call closure, sorted by function name.
+    ir: sfcc_ir::Module,
 }
+
+/// How many modules, in topological order, `link` plans and optimizes
+/// side by side before it demands their `codegen`s. Fixed, so the points
+/// where fresh cache entries become visible do not depend on `--jobs`.
+const FAN_OUT: usize = 8;
 
 /// Per-module snapshot/batch totals accumulated over one build's restricted
 /// optimization runs. All fields but `wall_ns` are deterministic and
@@ -425,8 +433,8 @@ impl SnapshotTotals {
 
 /// The [`TaskSpec`] driving one build: a project snapshot, the (stateful)
 /// compiler session, and the scratch the driver reads back afterwards
-/// (per-module phase timings, link time, pre-computed batch artifacts,
-/// deferred function-cache inserts, per-module snapshot-clone totals).
+/// (per-module phase timings, link time, parked optimize artifacts,
+/// per-module snapshot-clone totals).
 pub struct BuildSpec<'a> {
     project: &'a Project,
     compiler: &'a mut Compiler,
@@ -436,16 +444,10 @@ pub struct BuildSpec<'a> {
     prepared: HashMap<(String, String), PreparedFn>,
     timings: HashMap<String, PhaseTimings>,
     /// Per-module [`SnapshotTotals`] accumulated by restricted optimization
-    /// runs (batched or solo) this build.
+    /// runs this build.
     snapshots: HashMap<String, SnapshotTotals>,
     link_ns: u64,
     jobs: usize,
-    /// Function-cache entries produced by optimize tasks, accumulated in
-    /// demand order and applied at wave boundaries
-    /// ([`BuildSpec::flush_cache_inserts`]) — for *every* `--jobs` value,
-    /// so cache visibility (and hence every trace, image, and state file)
-    /// is independent of the worker count.
-    cache_inserts: Vec<(Fingerprint, Function)>,
     /// `(task, hit)` pairs observed by the engine, one per demanded task
     /// ([`TaskSpec::observe`]); the driver turns them into query trace
     /// events and metrics after the build.
@@ -513,7 +515,6 @@ impl<'a> BuildSpec<'a> {
             snapshots: HashMap::new(),
             link_ns: 0,
             jobs: jobs.max(1),
-            cache_inserts: Vec::new(),
             query_log: Vec::new(),
             mutations,
             accesses: depcheck.then(Vec::new),
@@ -565,8 +566,8 @@ impl<'a> BuildSpec<'a> {
     }
 
     /// Opens the compiler session's function cache on the thread that
-    /// drives the build, before any wave fans out, so a fault plan counts
-    /// its reads.
+    /// drives the build, outside any task scope, so a fault plan counts its
+    /// reads and no task is charged with them.
     pub(crate) fn open_cache(&self) {
         self.compiler.function_cache();
     }
@@ -584,88 +585,111 @@ impl<'a> BuildSpec<'a> {
         self.link_ns
     }
 
-    /// Runs one restricted optimization batch per module of a wave on a
-    /// single shared pool of `self.jobs` workers (capped at the host's
-    /// available parallelism; a width-1 pool runs every batch on the calling
-    /// thread) against the immutable session snapshot, parking each
-    /// stale function's artifact for the matching `optimizefn` execution to
-    /// consume. Batches run *outside* any task scope: their resource
-    /// accesses are deliberately unattributed (each `optimizefn` task notes
-    /// its own `state:m::f` read), and their per-function results are
-    /// byte-identical to solo runs, so parking is a pure latency play.
-    /// Batches are seeded largest-closure-first so big modules start
-    /// earliest.
-    pub(crate) fn run_batches(&mut self, mut batches: Vec<WaveBatch>) {
-        if batches.is_empty() {
+    /// The restricted optimization run module `m` still needs, or `None`:
+    /// its roster functions whose `optimizefn` will execute and has nothing
+    /// parked — `executing`, the one running, and each other one the engine
+    /// does not find up to date — over their union call closure, built from
+    /// `lowerfn` values. Neither the probes nor the values are edges of the
+    /// running task: each function's `optimizefn` records its own, and its
+    /// result is byte-identical for any superset of its closure.
+    fn plan_run(
+        &mut self,
+        ctx: &mut Ctx<'_, Self>,
+        m: &str,
+        executing: Option<&str>,
+    ) -> Result<Option<ModuleRun>, QueryError<BuildTask, BuildError>> {
+        let modcheck = ctx
+            .prefetch(self, &BuildTask::ModCheck(m.to_string()))?
+            .expect_modcheck();
+        let mut roots: Vec<String> = executing.map(str::to_string).into_iter().collect();
+        for g in &modcheck.roster {
+            if executing == Some(g.as_str())
+                || self.prepared.contains_key(&(m.to_string(), g.clone()))
+            {
+                continue;
+            }
+            if !ctx.up_to_date(self, &BuildTask::OptimizeFn(m.to_string(), g.clone()))? {
+                roots.push(g.clone());
+            }
+        }
+        if roots.is_empty() {
+            return Ok(None);
+        }
+        let closure = call_closure(m, roots.clone(), |g| {
+            ctx.prefetch(self, &BuildTask::LowerFn(m.to_string(), g.to_string()))
+                .map(|value| value.expect_lowerfn())
+        })?;
+        let mut ir = sfcc_ir::Module::new(m);
+        ir.functions = closure.into_values().map(Arc::unwrap_or_clone).collect();
+        Ok(Some(ModuleRun {
+            module: m.to_string(),
+            roots,
+            ir,
+        }))
+    }
+
+    /// Runs planned modules side by side on one pool of `self.jobs` workers
+    /// (capped at the host's available parallelism; a width-1 pool runs
+    /// them on the calling thread), largest first, then books each in plan
+    /// order: its roots' artifacts are parked for their `optimizefn`
+    /// executions to take, and its phase timings and snapshot totals are
+    /// added to its module's. The runs' fresh cache entries are applied
+    /// last, in plan order, in one publish to the shared store: a point of
+    /// the demand order that no `--jobs` value moves, so cache visibility
+    /// (and hence every trace, image, and state file) is independent of the
+    /// worker count. A run reads only the frozen session, so which runs
+    /// share the pool changes no byte of any result.
+    fn optimize_runs(&mut self, mut runs: Vec<ModuleRun>) {
+        if runs.is_empty() {
             return;
         }
         let compiler: &Compiler = self.compiler;
-        let slots: Vec<Mutex<Option<(sfcc_ir::Module, OptimizeOutcome)>>> =
-            batches.iter().map(|_| Mutex::new(None)).collect();
-        let mut order: Vec<usize> = (0..batches.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(batches[i].ir.functions.len()));
+        let outcomes: Vec<Mutex<Option<OptimizeOutcome>>> =
+            runs.iter().map(|_| Mutex::new(None)).collect();
+        let mut largest_first: Vec<_> = runs
+            .iter_mut()
+            .map(|run| &mut run.ir)
+            .zip(&outcomes)
+            .collect();
+        largest_first.sort_by_key(|(ir, _)| std::cmp::Reverse(ir.functions.len()));
         sfcc_pool::scope(sfcc_pool::effective_jobs(self.jobs), |ps| {
-            for i in order {
-                let mut ir = std::mem::take(&mut batches[i].ir);
-                let slot = &slots[i];
+            for (ir, outcome) in largest_first {
                 ps.spawn(move |ps| {
-                    let outcome = compiler.optimize(&mut ir, Some(ps));
-                    *slot.lock().expect("batch slot poisoned") = Some((ir, outcome));
+                    *outcome.lock().expect("run slot poisoned") = Some(compiler.optimize(ir, ps));
                 });
             }
-            // The scope drains every task before returning.
         });
-        for (batch, slot) in batches.into_iter().zip(slots) {
-            let (optimized, outcome) = slot
+        let mut inserts = Vec::new();
+        for (run, outcome) in runs.into_iter().zip(outcomes) {
+            let outcome = outcome
                 .into_inner()
-                .expect("batch slot poisoned")
-                .expect("the scope ran every batch task");
-            let parked = self.book_restricted_run(&batch.module, &optimized, outcome, &batch.stale);
-            for (f, prepared) in batch.stale.into_iter().zip(parked) {
-                self.prepared.insert((batch.module.clone(), f), prepared);
+                .expect("run slot poisoned")
+                .expect("the scope ran every run");
+            let m = run.module;
+            inserts.extend(outcome.cache_inserts);
+            let timings = self.timings.entry(m.clone()).or_default();
+            timings.middle_ns += outcome.middle_ns;
+            timings.state_ns += outcome.state_ns;
+            self.snapshots
+                .entry(m.clone())
+                .or_default()
+                .absorb(&outcome.trace);
+            for f in run.roots {
+                let prepared = PreparedFn {
+                    func: run
+                        .ir
+                        .function(&f)
+                        .cloned()
+                        .expect("the run covers its roots"),
+                    ftrace: outcome
+                        .trace
+                        .function(&f)
+                        .cloned()
+                        .expect("traced with the run"),
+                };
+                self.prepared.insert((m.clone(), f), prepared);
             }
         }
-    }
-
-    /// Books one restricted optimization run of `module` — deferred cache
-    /// inserts, phase timings, snapshot totals — and extracts the artifact
-    /// of each `wanted` function, in `wanted` order.
-    fn book_restricted_run(
-        &mut self,
-        module: &str,
-        optimized: &sfcc_ir::Module,
-        outcome: OptimizeOutcome,
-        wanted: &[String],
-    ) -> Vec<PreparedFn> {
-        self.cache_inserts.extend(outcome.cache_inserts);
-        let timings = self.timings.entry(module.to_string()).or_default();
-        timings.middle_ns += outcome.middle_ns;
-        timings.state_ns += outcome.state_ns;
-        self.snapshots
-            .entry(module.to_string())
-            .or_default()
-            .absorb(&outcome.trace);
-        wanted
-            .iter()
-            .map(|f| PreparedFn {
-                func: optimized
-                    .function(f)
-                    .cloned()
-                    .expect("restricted run covers every demanded function"),
-                ftrace: outcome
-                    .trace
-                    .function(f)
-                    .cloned()
-                    .expect("restricted trace covers every demanded function"),
-            })
-            .collect()
-    }
-
-    /// Applies the wave's accumulated function-cache inserts to the session
-    /// cache. The driver calls this at wave boundaries — the same points for
-    /// every `--jobs` value — so what later waves can hit is deterministic.
-    pub(crate) fn flush_cache_inserts(&mut self) {
-        let inserts = std::mem::take(&mut self.cache_inserts);
         self.compiler.apply_cache_inserts(inserts);
     }
 
@@ -747,25 +771,6 @@ impl<'a> BuildSpec<'a> {
         let checked = sfcc_frontend::parse_and_check(m, source, &env, &mut diags)?;
         let ir = sfcc_ir::lower_module(&checked, &env);
         Some(sfcc::fncache::context_fingerprints(&ir))
-    }
-
-    /// Runs one function's restricted optimization on demand (no parked
-    /// batch artifact): the function's own call closure, sequentially.
-    /// Byte-identical to the batched path by construction.
-    fn optimize_solo(
-        &mut self,
-        m: &str,
-        f: &str,
-        closure: &BTreeMap<String, Arc<Function>>,
-    ) -> PreparedFn {
-        let mut ir = sfcc_ir::Module::new(m);
-        for func in closure.values() {
-            ir.functions.push((**func).clone());
-        }
-        let outcome = self.compiler.optimize(&mut ir, None);
-        self.book_restricted_run(m, &ir, outcome, &[f.to_string()])
-            .pop()
-            .expect("one artifact per wanted function")
     }
 }
 
@@ -1094,24 +1099,29 @@ impl BuildSpec<'_> {
                 Ok(BuildValue::LowerFn(Arc::new(func)))
             }
             BuildTask::OptimizeFn(m, f) => {
-                // The intra-module call closure: pass pipelines may consult
-                // callee bodies (inlining), so every transitively called
-                // local function rides along in the restricted run. Results
-                // for `f` are identical for any module ⊇ closure(f).
-                let closure = call_closure(m, vec![f.clone()], |g| {
+                // The intra-module call closure is this task's input: pass
+                // pipelines may consult callee bodies (inlining), so every
+                // transitively called local function rides along in the
+                // restricted run. Results for `f` are identical for any
+                // module ⊇ closure(f), so the run may be its module's.
+                call_closure(m, vec![f.clone()], |g| {
                     ctx.require(self, &BuildTask::LowerFn(m.clone(), g.to_string()))
                         .map(|value| value.expect_lowerfn())
                 })?;
                 // The dormancy record is this task's tracked input; this is
-                // its actual read, noted here (not in the batch, which runs
-                // unattributed) so depcheck pins it to this label.
+                // its actual read, noted here (not in the module's run) so
+                // depcheck pins it to this label.
                 let state_input = format!("state:{m}::{f}");
                 self.note_access(&state_input);
-                let PreparedFn { func, ftrace } =
-                    match self.prepared.remove(&(m.clone(), f.clone())) {
-                        Some(parked) => parked,
-                        None => self.optimize_solo(m, f, &closure),
-                    };
+                let parked = (m.clone(), f.clone());
+                if !self.prepared.contains_key(&parked) {
+                    let run = self.plan_run(ctx, m, Some(f))?;
+                    self.optimize_runs(run.into_iter().collect());
+                }
+                let PreparedFn { func, ftrace } = self
+                    .prepared
+                    .remove(&parked)
+                    .expect("a run parked this root");
                 let ingest_ns = self.compiler.ingest_function_trace(m, &ftrace);
                 self.timings.entry(m.clone()).or_default().state_ns += ingest_ns;
                 // Recorded *after* ingestion, so the dependency holds the
@@ -1161,11 +1171,24 @@ impl BuildSpec<'_> {
             BuildTask::Link => {
                 let graph = ctx.require(self, &BuildTask::Graph)?.expect_graph();
                 let mut objects = Vec::with_capacity(graph.len());
-                for m in graph.topo_order() {
-                    let codegen = ctx
-                        .require(self, &BuildTask::Codegen(m.clone()))?
-                        .expect_codegen();
-                    objects.push(codegen.object.clone());
+                // Modules whose `codegen` will execute have their runs
+                // planned and optimized side by side, a window at a time;
+                // a probe that finds a stale `codegen` has already run the
+                // stale `optimizefn`s it reached, so their plans skip them.
+                for window in graph.topo_order().chunks(FAN_OUT) {
+                    let mut runs = Vec::new();
+                    for m in window {
+                        if !ctx.up_to_date(self, &BuildTask::Codegen(m.clone()))? {
+                            runs.extend(self.plan_run(ctx, m, None)?);
+                        }
+                    }
+                    self.optimize_runs(runs);
+                    for m in window {
+                        let codegen = ctx
+                            .require(self, &BuildTask::Codegen(m.clone()))?
+                            .expect_codegen();
+                        objects.push(codegen.object.clone());
+                    }
                 }
                 let t = Instant::now();
                 let program =

@@ -1019,8 +1019,8 @@ fn quick_daemon_audit_ignores_a_neighbour_session() {
 }
 
 /// A project big enough that one cold build holds the daemon's single
-/// worker slot for a while: a long import chain (sequential waves) of
-/// modules with several optimizable functions each.
+/// worker slot for a while: a long import chain of modules with several
+/// optimizable functions each.
 fn slow_project(dir: &Path, modules: usize) {
     std::fs::create_dir_all(dir).unwrap();
     for i in 0..modules {

@@ -15,8 +15,8 @@ use sfcc_faultfs::ManifestEntry;
 use sfcc_frontend::{Diagnostics, ModuleEnv, ModuleInterface, SourceFile};
 use sfcc_ir::{Fingerprint, Function};
 use sfcc_passes::{
-    default_pipeline, minimal_pipeline, run_pipeline, run_pipeline_parallel, scalar_pipeline,
-    FunctionTrace, NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions, SkipOracle,
+    default_pipeline, minimal_pipeline, run_pipeline_parallel, scalar_pipeline, FunctionTrace,
+    NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions, SkipOracle,
 };
 use sfcc_pool::{run_batched, PoolScope};
 use sfcc_state::{statefile, DbOracle, StateDb};
@@ -109,9 +109,10 @@ pub struct OptimizeOutcome {
     pub state_ns: u64,
     /// Freshly optimized cacheable functions, keyed by context fingerprint.
     /// [`Compiler::optimize`] does **not** insert them — the caller applies
-    /// them at a deterministic point (module or wave boundary) so cache
-    /// visibility, and therefore every downstream trace, is identical for
-    /// every `--jobs` value. Apply via [`Compiler::apply_cache_inserts`].
+    /// them at a deterministic point (after a module, or after a set of
+    /// restricted runs) so cache visibility, and therefore every downstream
+    /// trace, is identical for every `--jobs` value. Apply via
+    /// [`Compiler::apply_cache_inserts`].
     pub cache_inserts: Vec<(Fingerprint, Function)>,
 }
 
@@ -453,7 +454,7 @@ impl Compiler {
         let (checked, frontend_ns) = phases::frontend(name, source, env)?;
         let (mut ir, lower_ns) = phases::lower(&checked, env);
         let jobs = sfcc_pool::effective_jobs(self.config.jobs);
-        let outcome = sfcc_pool::scope(jobs, |ps| self.optimize(&mut ir, Some(ps)));
+        let outcome = sfcc_pool::scope(jobs, |ps| self.optimize(&mut ir, ps));
         let (object, backend_ns) = phases::codegen(&ir)?;
         self.apply_cache_inserts(outcome.cache_inserts);
         let mut timings = PhaseTimings {
@@ -482,8 +483,8 @@ impl Compiler {
     /// place — function-cache and shared-store lookup (when the session has
     /// them), skip-oracle construction from the dormancy state (the frozen
     /// snapshot while one is active, see [`Compiler::freeze_state`]), and
-    /// the pipeline itself, at function granularity on `pool`'s workers
-    /// when one is supplied.
+    /// the pipeline itself, at function granularity on `pool`'s workers (a
+    /// width-1 pool runs it on the calling thread).
     ///
     /// Reads only immutable session state, so it is safe to call from
     /// worker threads optimizing independent modules in parallel. It does
@@ -507,7 +508,7 @@ impl Compiler {
     /// let source = "fn f(x: int) -> int { return x * 1 + 0; }";
     /// let (checked, _) = phases::frontend("m", source, &env)?;
     /// let (mut ir, _) = phases::lower(&checked, &env);
-    /// let outcome = compiler.optimize(&mut ir, None);
+    /// let outcome = sfcc_pool::scope(1, |pool| compiler.optimize(&mut ir, pool));
     /// assert_eq!(outcome.trace.functions.len(), 1);
     /// let (_object, _) = phases::codegen(&ir)?;
     /// # Ok::<(), sfcc::CompileError>(())
@@ -515,7 +516,7 @@ impl Compiler {
     pub fn optimize<'env>(
         &'env self,
         ir: &mut sfcc_ir::Module,
-        pool: Option<&PoolScope<'env>>,
+        pool: &PoolScope<'env>,
     ) -> OptimizeOutcome {
         let cache = self.config.function_cache.then(|| self.function_cache());
         let cas = self.cas.as_ref();
@@ -524,8 +525,7 @@ impl Compiler {
         // so the pipeline skips them entirely. The shared store (CAS) is the
         // second level: consulted only on a local miss. Lookups never mutate
         // entries (only counters, recency, and referenced bits), so running
-        // them concurrently — here and across modules of one wave — cannot
-        // change what any module observes.
+        // them concurrently cannot change what any function observes.
         let t = Instant::now();
         let mut hits = HashSet::new();
         let mut shared_hits = HashSet::new();
@@ -539,7 +539,7 @@ impl Compiler {
                 .map(|f| (f, LookupHit::Miss))
                 .collect();
             let singles: Vec<Vec<usize>> = (0..marked.len()).map(|i| vec![i]).collect();
-            let marked = run_batched(pool, marked, &singles, move |_, (func, hit)| {
+            let marked = run_batched(Some(pool), marked, &singles, move |_, (func, hit)| {
                 let Some(&ctx) = shared_contexts.get(&func.name) else {
                     return;
                 };
@@ -585,10 +585,7 @@ impl Compiler {
         let options = RunOptions {
             verify_each: self.config.verify_each,
         };
-        let trace = match pool {
-            Some(pool) => run_pipeline_parallel(ir, &self.pipeline, oracle, options, pool),
-            None => run_pipeline(ir, &self.pipeline, oracle.as_ref(), options),
-        };
+        let trace = run_pipeline_parallel(ir, &self.pipeline, oracle, options, pool);
         let middle_ns = t.elapsed().as_nanos() as u64;
 
         // Collect cacheable functions for the caller to insert at the next
@@ -742,12 +739,12 @@ impl Compiler {
     /// session's function cache and publishes them to the shared store (a
     /// no-op when both are disabled). Callers invoke this at a
     /// deterministic boundary — after a module in sequential compilation,
-    /// after a wave in the incremental driver — so cache visibility does
-    /// not depend on `--jobs`. Local inserts replace same-key entries in
-    /// place (byte-identical by the cache-key invariant) and the store
-    /// skips already-published keys, so a shared-store hit racing a local
-    /// recomputation of the same key converges to identical bytes for
-    /// every `--jobs` value.
+    /// after the restricted runs one task planned in the incremental
+    /// driver — so cache visibility does not depend on `--jobs`. Local
+    /// inserts replace same-key entries in place (byte-identical by the
+    /// cache-key invariant) and the store skips already-published keys, so a
+    /// shared-store hit racing a local recomputation of the same key
+    /// converges to identical bytes for every `--jobs` value.
     pub fn apply_cache_inserts(
         &self,
         inserts: impl IntoIterator<Item = (Fingerprint, sfcc_ir::Function)>,

@@ -320,6 +320,37 @@ impl<S: TaskSpec + ?Sized> Ctx<'_, S> {
         Ok(value)
     }
 
+    /// [`Ctx::require`] without the edge: the task is demanded and memoized
+    /// like any other, but a change of its fingerprint does not invalidate
+    /// the running task. For values a task only uses to plan work that its
+    /// recorded dependencies then vouch for.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::require`].
+    pub fn prefetch(
+        &mut self,
+        spec: &mut S,
+        key: &S::Key,
+    ) -> Result<S::Value, QueryError<S::Key, S::Error>> {
+        let id = self.engine.intern(key);
+        self.engine.demand(spec, id, key)
+    }
+
+    /// [`Engine::up_to_date`] from inside a task: whether a demand of `key`
+    /// would be a hit, recording no edge.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::up_to_date`].
+    pub fn up_to_date(
+        &mut self,
+        spec: &mut S,
+        key: &S::Key,
+    ) -> Result<bool, QueryError<S::Key, S::Error>> {
+        self.engine.up_to_date(spec, key)
+    }
+
     /// Reads a named input cell, recording the dependency with its current
     /// stamp (session-cached, so each input is stamped once per build).
     pub fn input(&mut self, spec: &mut S, name: &str) -> u64 {
@@ -758,8 +789,9 @@ where
     /// current for the answer to mean anything); a clean verdict is
     /// remembered so the follow-up [`Engine::require`] is O(1).
     ///
-    /// Build drivers use this to plan: modules whose tasks are out of date
-    /// can be pre-compiled in parallel before being demanded one by one.
+    /// Tasks use this ([`Ctx::up_to_date`]) to plan: the dependencies that
+    /// are out of date can be computed together before being demanded one
+    /// by one.
     ///
     /// # Errors
     ///
@@ -1120,9 +1152,11 @@ mod tests {
 
     /// A toy domain: integer input cells, `Get` tasks reading them, `Abs`
     /// of a cell (for cutoff tests), `Pair` of one cell's `Abs` and another
-    /// cell, and `Sum` of all cells listed in the `cells` input. Executions
-    /// are counted per key; `stored` values are what `load` hands out, and
-    /// `bias` is a read `Dbl` does not declare.
+    /// cell, `Sum` of all cells listed in the `cells` input, and `Plan` of a
+    /// cell, which probes and prefetches before it requires the cell's
+    /// `Abs`. Executions are counted per key; `stored` values are what
+    /// `load` hands out, `bias` is a read `Dbl` does not declare, and
+    /// `planned` collects `Plan`'s probe verdicts.
     struct Calc {
         cells: HashMap<String, i64>,
         roster: Vec<&'static str>,
@@ -1133,6 +1167,7 @@ mod tests {
         /// Tasks whose kept value fails its check.
         corrupt: Vec<Task>,
         bias: i64,
+        planned: Vec<bool>,
     }
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -1141,6 +1176,7 @@ mod tests {
         Abs(&'static str),
         Dbl(&'static str),
         Pair(&'static str, &'static str),
+        Plan(&'static str),
         Sum,
         Selfish,
         Ping,
@@ -1154,6 +1190,7 @@ mod tests {
                 Task::Abs(c) => write!(f, "abs({c})"),
                 Task::Dbl(c) => write!(f, "dbl({c})"),
                 Task::Pair(x, y) => write!(f, "pair({x},{y})"),
+                Task::Plan(c) => write!(f, "plan({c})"),
                 Task::Sum => f.write_str("sum"),
                 Task::Selfish => f.write_str("selfish"),
                 Task::Ping => f.write_str("ping"),
@@ -1179,6 +1216,7 @@ mod tests {
                 "get" => Task::Get(cell(operand)),
                 "abs" => Task::Abs(cell(operand)),
                 "dbl" => Task::Dbl(cell(operand)),
+                "plan" => Task::Plan(cell(operand)),
                 "pair" => {
                     let (x, y) = operand.split_once(',')?;
                     Task::Pair(cell(x), cell(y))
@@ -1199,6 +1237,7 @@ mod tests {
                 stored: HashMap::new(),
                 corrupt: Vec::new(),
                 bias: 0,
+                planned: Vec::new(),
             }
         }
 
@@ -1230,6 +1269,12 @@ mod tests {
                 Task::Dbl(cell) => Ok(ctx.require(self, &Task::Abs(cell))? * 2 + self.bias),
                 Task::Pair(x, y) => {
                     Ok(ctx.require(self, &Task::Abs(x))? + ctx.require(self, &Task::Get(y))?)
+                }
+                Task::Plan(cell) => {
+                    let fresh = ctx.up_to_date(self, &Task::Abs(cell))?;
+                    self.planned.push(fresh);
+                    ctx.prefetch(self, &Task::Get(cell))?;
+                    ctx.require(self, &Task::Abs(cell))
                 }
                 Task::Sum => {
                     ctx.input(self, "roster");
@@ -1541,6 +1586,57 @@ mod tests {
         assert!(engine.up_to_date(&mut spec, &Task::Abs("a")).unwrap());
         assert_eq!(engine.require(&mut spec, &Task::Abs("a")).unwrap(), 5);
         assert_eq!(engine.session_stats().misses, 0);
+    }
+
+    #[test]
+    fn ctx_up_to_date_records_no_edge() {
+        let mut spec = Calc::new(&[("a", -2)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        assert_eq!(engine.require(&mut spec, &Task::Plan("a")).unwrap(), 2);
+        assert_eq!(spec.planned, [false], "abs(a) was not memoized yet");
+        assert_eq!(
+            spec.runs_of(&Task::Abs("a")),
+            1,
+            "the probe executed nothing"
+        );
+        // One edge, the required one: neither the probe nor the prefetch
+        // recorded theirs.
+        let abs = engine.id_of(&Task::Abs("a")).unwrap();
+        assert_eq!(
+            engine.deps_of(&Task::Plan("a")).unwrap(),
+            [Dep::Task(abs, 2)]
+        );
+        // After an edit, validating the plan's recorded edge executes the
+        // stale abs(a) first; its moved fingerprint re-runs the plan, whose
+        // probe then finds abs(a) current.
+        spec.cells.insert("a".into(), -3);
+        session(&mut engine, &mut spec);
+        assert_eq!(engine.require(&mut spec, &Task::Plan("a")).unwrap(), 3);
+        assert_eq!(spec.planned, [false, true]);
+        assert_eq!(spec.runs_of(&Task::Abs("a")), 2);
+    }
+
+    #[test]
+    fn a_prefetched_target_is_memoized_but_invalidates_nothing() {
+        let mut spec = Calc::new(&[("a", -2)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Plan("a")).unwrap();
+        // The prefetch executed and memoized get(a); the require under
+        // abs(a) then hit it.
+        assert_eq!(engine.peek(&Task::Get("a")), Some(&-2));
+        assert_eq!(spec.runs_of(&Task::Get("a")), 1);
+
+        // Only the prefetched target's fingerprint moves (-2 -> 2): abs(a)
+        // re-executes and cuts off, and the planner does not run again.
+        spec.cells.insert("a".into(), 2);
+        session(&mut engine, &mut spec);
+        assert_eq!(engine.require(&mut spec, &Task::Plan("a")).unwrap(), 2);
+        assert_eq!(spec.runs_of(&Task::Get("a")), 2);
+        assert_eq!(spec.runs_of(&Task::Abs("a")), 2);
+        assert_eq!(spec.runs_of(&Task::Plan("a")), 1, "no edge to get(a)");
+        assert_eq!(engine.peek(&Task::Get("a")), Some(&2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hierarchical build tracing and a typed metrics registry for sfcc.
 //!
-//! A trace is a tree of *spans* (build → wave → module → phase → function →
-//! pass, plus query/cache/IO instants) held by a plain [`Trace`] value: the
+//! A trace is a tree of *spans* (build → module → phase → function → pass,
+//! plus query/cache/IO instants) held by a plain [`Trace`] value: the
 //! build that wants one creates it, records into it through `&mut`
 //! ([`Trace::span`], [`Trace::instant`]) and hands it back in its report.
 //! Nothing is process state, so concurrent builds cannot see each other's
@@ -56,8 +56,8 @@ pub struct RawSpan {
     pub id: u64,
     /// Parent span id, or 0 for roots.
     pub parent: u64,
-    /// Category (stable taxonomy: `build`, `wave`, `module`, `phase`,
-    /// `function`, `pass`, `query`, `cache`, `io`).
+    /// Category (stable taxonomy: `build`, `module`, `phase`, `function`,
+    /// `pass`, `query`, `cache`, `io`).
     pub cat: &'static str,
     /// Human-readable name (module/function/pass name, …).
     pub name: String,

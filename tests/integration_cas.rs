@@ -530,15 +530,15 @@ fn crash_at_every_op_during_cas_publish_leaves_the_store_fsck_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Jobs invariance over a shared store (satellite: wave-boundary insert race)
+// Jobs invariance over a shared store (the cache-insert race)
 // ---------------------------------------------------------------------------
 
 #[test]
 fn quick_jobs_invariance_over_a_partially_warm_store() {
     // Seed the store with v1, then build the *edited* project: some
     // functions hit the store, the edited chain computes locally, and the
-    // two paths race at wave boundaries under --jobs. Every jobs value
-    // must produce byte-identical output.
+    // two paths meet where each optimize run's inserts land, under
+    // --jobs. Every jobs value must produce byte-identical output.
     let store = tmpdir("jobs");
     build(Config::stateless().with_cas_path(&store), &project_v1(), 1);
 

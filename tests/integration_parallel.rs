@@ -4,7 +4,8 @@
 //! This is the contract that makes the worker count a pure wall-time knob:
 //! per-function pipelines read callees from an immutable module snapshot,
 //! traces merge in module definition order, and function-cache inserts are
-//! applied at wave boundaries for every worker count.
+//! applied as each optimize run is booked, in plan order — points of the
+//! demand order, the same for every worker count.
 
 use proptest::prelude::*;
 use sfcc::{Compiler, Config};

@@ -62,9 +62,9 @@ fn quick_trace_is_wellformed_and_strictly_nested() {
     let report = builder.build(&three_module_project()).unwrap();
     let text = chrome_json(&report);
     let summary = validate_chrome_trace(&text).expect("exported trace must validate");
-    // The full hierarchy is present: build > wave > module > phase >
-    // function > pass.
-    assert_eq!(summary.max_depth, 6, "unexpected hierarchy: {summary:?}");
+    // The full hierarchy is present: build > module > phase > function >
+    // pass.
+    assert_eq!(summary.max_depth, 5, "unexpected hierarchy: {summary:?}");
     assert!(summary.complete > 0, "no spans recorded");
     assert!(summary.instants > 0, "no query instants recorded");
     assert!(summary.pass_events > 0, "no pass spans recorded");
@@ -502,16 +502,16 @@ fn quick_emitted_json_bytes_are_pinned() {
     use sfcc_daemon::Request;
     assert_eq!(golden_report().to_json(), GOLDEN_REPORT);
 
-    // The demo trace: 35 944 bytes, pinned by length and FNV-64.
+    // The demo trace: 35 639 bytes, pinned by length and FNV-64.
     let trace = golden_demo_trace();
     assert!(
-        trace.starts_with(r#"{"displayTimeUnit":"ns","traceEvents":[{"name":"build","cat":"build","ph":"X","ts":0,"dur":2618,"pid":1,"tid":1,"args":{"seq":0,"cost":0}},{"name":"wave 0","#),
+        trace.starts_with(r#"{"displayTimeUnit":"ns","traceEvents":[{"name":"build","cat":"build","ph":"X","ts":0,"dur":2615,"pid":1,"tid":1,"args":{"seq":0,"cost":0}},{"name":"mathx","cat":"module","#),
         "{}",
         &trace[..trace.len().min(200)]
     );
     assert_eq!(
         (trace.len(), sfcc_codec::fnv64(trace.as_bytes())),
-        (35_944, 0xcccf_a8ee_03d9_b16b)
+        (35_639, 0x48e6_57db_351d_d4b6)
     );
 
     let request = Request {
