@@ -21,6 +21,7 @@
 #                  flip gate (a flag flip executes what the flags shape)
 #                  and the commit gate (an edit writes what it changed); both modes
 #                  start with the one-request-path grep over `minicc.rs`,
+#                  the one-metrics-home grep over `crates/buildsys/src`,
 #                  the no-process-state grep over `crates/`, the
 #                  one-JSON-writer grep over `crates/` and the one-codec
 #                  grep over `crates/`
@@ -319,6 +320,27 @@ planner_gate() {
     fi
 }
 
+# A build's numbers have one home, its report's metrics snapshot: the
+# builder sets each gauge once and every reader goes through
+# `BuildReport::metric`. In the non-test code of crates/buildsys/src, a
+# typed mirror of those numbers (`FngrainStats`, `ParallelStats`,
+# `SnapshotTotals`) or, in report.rs, a reader that takes a `fallback`
+# for a missing metric is a second home coming back.
+metrics_home_gate() {
+    local found
+    found="$(find crates/buildsys/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { test = 0 }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        test || /^[[:space:]]*\/\// { next }
+        /FngrainStats|ParallelStats|SnapshotTotals/ ||
+            (FILENAME ~ /\/report\.rs$/ && /fallback/) { print FILENAME ":" FNR ": " $0 }')"
+    if [[ -n "$found" ]]; then
+        echo "ci: a build's numbers stored outside its report's metrics snapshot:" >&2
+        echo "$found" >&2
+        return 1
+    fi
+}
+
 # Observers are per-build values: a column-0 `static` under crates/ is
 # process state that concurrent daemon sessions would share (indented
 # `thread_local!` entries are per-thread and stay). The two allowed ones are
@@ -377,6 +399,7 @@ codec_gate() {
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
     planner_gate
+    metrics_home_gate
     static_state_gate
     json_writer_gate
     codec_gate
@@ -418,6 +441,7 @@ fi
 
 one_path_gate
 planner_gate
+metrics_home_gate
 static_state_gate
 json_writer_gate
 codec_gate

@@ -38,7 +38,12 @@ fn bench_incremental(c: &mut Criterion) {
                     script.commit(&mut model);
                     (builder, model.render())
                 },
-                |(mut builder, project)| builder.build(&project).unwrap().rebuilt_count(),
+                |(mut builder, project)| {
+                    builder
+                        .build(&project)
+                        .unwrap()
+                        .metric("build.rebuilt_count")
+                },
                 BatchSize::LargeInput,
             )
         });

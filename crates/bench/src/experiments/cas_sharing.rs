@@ -75,9 +75,9 @@ pub fn cas_sharing(scale: crate::Scale) -> (String, Value) {
     let mut total_hits = 0u64;
     let mut total_misses = 0u64;
     let mut total_publishes = 0u64;
-    let mut base_active = 0usize;
-    let mut shared_active = 0usize;
-    let mut shared_skipped = 0usize;
+    let mut base_active = 0u64;
+    let mut shared_active = 0u64;
+    let mut shared_skipped = 0u64;
     let mut bytes = 0u64;
     let mut all_identical = true;
     let mut base_wall = 0u64;
@@ -89,18 +89,20 @@ pub fn cas_sharing(scale: crate::Scale) -> (String, Value) {
         // Baseline: cold build, no store.
         let mut plain = Builder::new(Compiler::new(Config::stateless()));
         let base = plain.build(&p).unwrap();
-        let (active, _, _) = base.outcome_totals();
-        base_active += active;
-        base_wall += base.wall_ns;
+        base_active += base.metric("outcomes.active");
+        base_wall += base.metric("build.wall_ns");
 
         // Shared: cold build, store attached.
         let mut sharing = Builder::new(Compiler::new(Config::stateless().with_cas_path(&store)));
         let served = sharing.build(&p).unwrap();
-        let stats = sharing.compiler().cas_stats().unwrap();
-        let (active, _, skipped) = served.outcome_totals();
+        let stats = sharing.compiler().cas().unwrap().stats();
+        let (active, skipped) = (
+            served.metric("outcomes.active"),
+            served.metric("outcomes.skipped"),
+        );
         shared_active += active;
         shared_skipped += skipped;
-        shared_wall += served.wall_ns;
+        shared_wall += served.metric("build.wall_ns");
         total_hits += stats.hits;
         total_misses += stats.misses;
         total_publishes += stats.publishes;

@@ -106,8 +106,8 @@ pub fn edit_size_sweep(scale: Scale) -> String {
             for _ in 0..4 {
                 script.wide_commit(&mut model, width);
                 let report = builder.build(&model.render()).expect("builds");
-                wall += report.wall_ns;
-                cost += report.executed_cost_units();
+                wall += report.metric("build.wall_ns");
+                cost += report.metric("build.executed_cost_units");
             }
             (wall, cost)
         };
@@ -159,7 +159,7 @@ pub fn breakdown(scale: Scale) -> String {
                 }
             }
         }
-        *phases.entry("link").or_default() += replay.final_report.link_ns;
+        *phases.entry("link").or_default() += replay.final_report.metric("build.link_ns");
         (phases, per_pass)
     };
 

@@ -49,7 +49,7 @@ fn wide_project(n: usize) -> Project {
 /// Executed per-function *pipeline* tasks (checkfn/lowerfn/optimizefn) of
 /// one build — the work the granularity decision governs.
 fn fn_pipeline_tasks(report: &BuildReport) -> usize {
-    report.fngrain.fn_tasks_executed as usize
+    report.metric("fngrain.fn_tasks_executed") as usize
 }
 
 /// Executed per-function pipeline tasks belonging to `module`.
@@ -86,7 +86,7 @@ pub fn fngrain(scale: crate::Scale) -> (String, Value) {
     p.set_file("wide".into(), edited);
     let fine = builder.build(&p).unwrap();
     let fine_tasks = fn_pipeline_tasks(&fine);
-    let fine_wall = fine.wall_ns;
+    let fine_wall = fine.metric("build.wall_ns");
 
     // Scenario 2: module-grain, emulated on the same engine — every
     // function body in the module is touched, which is what a per-module
@@ -102,7 +102,7 @@ pub fn fngrain(scale: crate::Scale) -> (String, Value) {
     q.set_file("wide".into(), all_touched);
     let coarse = builder.build(&q).unwrap();
     let coarse_tasks = fn_pipeline_tasks(&coarse);
-    let coarse_wall = coarse.wall_ns;
+    let coarse_wall = coarse.metric("build.wall_ns");
 
     // Scenario 3: the cliff itself — add a function to the wide module and
     // count the consumer pipelines that re-execute. A module-grained
@@ -132,19 +132,19 @@ pub fn fngrain(scale: crate::Scale) -> (String, Value) {
         format!("fn-grain: edit 1 of {n} bodies"),
         fine_tasks.to_string(),
         format!("{:.3}", fine_wall as f64 / 1e6),
-        fine.fngrain.signature_hits.to_string(),
+        fine.metric("fngrain.signature_hits").to_string(),
     ]);
     table.row(&[
         format!("module-grain (emulated): all {n}"),
         coarse_tasks.to_string(),
         format!("{:.3}", coarse_wall as f64 / 1e6),
-        coarse.fngrain.signature_hits.to_string(),
+        coarse.metric("fngrain.signature_hits").to_string(),
     ]);
     table.row(&[
         format!("cliff: add fn, {n}-caller importer"),
         format!("{cliff_consumer_tasks} (consumer)"),
-        format!("{:.3}", cliff.wall_ns as f64 / 1e6),
-        cliff.fngrain.signature_hits.to_string(),
+        format!("{:.3}", cliff.metric("build.wall_ns") as f64 / 1e6),
+        cliff.metric("fngrain.signature_hits").to_string(),
     ]);
     let mut out = table.render();
     let _ = writeln!(
@@ -163,7 +163,10 @@ pub fn fngrain(scale: crate::Scale) -> (String, Value) {
             Value::obj([
                 ("fn_tasks", fine_tasks.into()),
                 ("wall_ns", fine_wall.into()),
-                ("signature_hits", fine.fngrain.signature_hits.into()),
+                (
+                    "signature_hits",
+                    fine.metric("fngrain.signature_hits").into(),
+                ),
             ]),
         ),
         (

@@ -62,7 +62,7 @@ fn disabled_ns_per_call(iters: u64) -> f64 {
 /// query-log push per engine observation, and one registry write per
 /// metric in the final snapshot.
 fn disabled_sites(report: &BuildReport) -> u64 {
-    let observations = report.query.hits + report.query.misses;
+    let observations = report.metric("query.hits") + report.metric("query.misses");
     4 + observations + report.metrics.len() as u64
 }
 
@@ -115,11 +115,13 @@ pub fn trace_overhead(scale: Scale) -> (String, Value) {
         let (off_ns, off_report, off_image) = run_arm(commits, false);
         let (on_ns, on_report, on_image) = run_arm(commits, true);
         assert_eq!(off_image, on_image, "tracing changed the final image bytes");
-        assert_eq!(
-            off_report.outcome_totals(),
-            on_report.outcome_totals(),
-            "tracing changed pass outcomes"
-        );
+        for outcome in ["outcomes.active", "outcomes.dormant", "outcomes.skipped"] {
+            assert_eq!(
+                off_report.metric(outcome),
+                on_report.metric(outcome),
+                "tracing changed pass outcomes"
+            );
+        }
         if let Some(expected) = &reference_image {
             assert_eq!(expected, &off_image, "replay not reproducible across reps");
         } else {

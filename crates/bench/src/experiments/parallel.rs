@@ -161,15 +161,15 @@ pub fn parallel_scaling(scale: Scale) -> (String, Value) {
                 Builder::new(Compiler::new(Config::stateless().with_jobs(point.jobs)))
                     .with_jobs(point.jobs);
             let report = builder.build(&standard).expect("generated project builds");
-            let snap = report.parallel_stats();
-            point.snapshot_clones = snap.snapshot_clones;
-            point.cost_units = snap.snapshot_cost_units;
+            point.snapshot_clones = report.metric("snapshot.clones");
+            point.cost_units = report.metric("snapshot.cost_units");
             let optimize_ns: u64 = report
                 .modules
                 .iter()
-                .filter_map(|m| report.optimize_ns(&m.name))
+                .filter(|m| m.rebuilt)
+                .map(|m| report.metric(&format!("module.{}.optimize_ns", m.name)))
                 .sum();
-            point.wall_ns = point.wall_ns.min(report.wall_ns);
+            point.wall_ns = point.wall_ns.min(report.metric("build.wall_ns"));
             point.optimize_ns = point.optimize_ns.min(optimize_ns);
         }
     }

@@ -32,7 +32,12 @@ pub fn state_overhead(scale: Scale) -> String {
             let mut last = None;
             for _ in 0..3 {
                 let mut builder = Builder::new(Compiler::new(cfg.clone()));
-                best = best.min(builder.build(&project).expect("builds").wall_ns);
+                best = best.min(
+                    builder
+                        .build(&project)
+                        .expect("builds")
+                        .metric("build.wall_ns"),
+                );
                 last = Some(builder);
             }
             (best, last.expect("ran at least once"))

@@ -13,7 +13,7 @@ pub struct BuildMeasurement {
     /// Commit number (0 = the initial full build).
     pub commit: usize,
     /// Modules recompiled.
-    pub rebuilt: usize,
+    pub rebuilt: u64,
     /// End-to-end wall time (ns).
     pub wall_ns: u64,
     /// Compile wall time across rebuilt modules (ns).
@@ -21,7 +21,7 @@ pub struct BuildMeasurement {
     /// Deterministic executed middle-end cost units.
     pub cost_units: u64,
     /// `(active, dormant, skipped)` pass-slot totals.
-    pub outcomes: (usize, usize, usize),
+    pub outcomes: (u64, u64, u64),
     /// Query-engine tasks validated without executing.
     pub query_hits: u64,
     /// Query-engine tasks that (re-)executed.
@@ -33,13 +33,17 @@ impl BuildMeasurement {
     pub fn of(commit: usize, report: &BuildReport) -> Self {
         BuildMeasurement {
             commit,
-            rebuilt: report.rebuilt_count(),
-            wall_ns: report.wall_ns,
-            compile_ns: report.compile_ns(),
-            cost_units: report.executed_cost_units(),
-            outcomes: report.outcome_totals(),
-            query_hits: report.query.hits,
-            query_misses: report.query.misses,
+            rebuilt: report.metric("build.rebuilt_count"),
+            wall_ns: report.metric("build.wall_ns"),
+            compile_ns: report.metric("build.compile_ns"),
+            cost_units: report.metric("build.executed_cost_units"),
+            outcomes: (
+                report.metric("outcomes.active"),
+                report.metric("outcomes.dormant"),
+                report.metric("outcomes.skipped"),
+            ),
+            query_hits: report.metric("query.hits"),
+            query_misses: report.metric("query.misses"),
         }
     }
 }

@@ -149,15 +149,16 @@ observability:
   can never mistake it for the failed build's telemetry.
 
 state directory:
-  a --stateful or --fn-cache build commits <dir>/.sfcc-state.manifest and
-  the files it names: the state whole, the function cache and the query
-  graph each as a base file plus the segments later builds appended
+  a --stateful build commits <dir>/.sfcc-state.manifest and the files it
+  names: the state whole, the function cache (with --fn-cache) and the
+  query graph each as a base file plus the segments later builds appended
   (`ircache+1`, `depgraph+2`, ...), rewritten as a new base once the
   segments would outweigh it. `minicc fsck <dir>` reads every file back
   against the manifest and decodes it, a chain folded whole; a corrupt
   file is moved to `<file>.corrupt`, and a damaged segment drops its whole
   chain from the manifest (the next build starts that artifact cold);
-  files no manifest names are removed.
+  files no manifest names are removed. Without --stateful nothing is
+  committed: a --fn-cache build alone starts from nothing every time.
 
 dependency soundness:
   `minicc depcheck <dir>` runs an instrumented cold build plus a no-op
@@ -437,14 +438,13 @@ fn num(value: &Value) -> u64 {
     value.as_u64().unwrap_or(0)
 }
 
-/// The build summary of a `build` reply: its flat members, and what only
-/// the full report in its `report` member carries.
+/// The build summary of a `build` reply, read off the report it carries.
 fn print_build(body: &Value) {
-    let recovered = num(&body["recovered"]);
+    let report = &body["report"];
+    let recovery = &report["recovery"];
+    let recovered = num(&recovery["recovered_files"]);
     if recovered > 0 {
-        let quarantined = body["report"]["recovery"]["quarantined"]
-            .as_arr()
-            .unwrap_or_default();
+        let quarantined = recovery["quarantined"].as_arr().unwrap_or_default();
         let paths: Vec<&str> = quarantined.iter().filter_map(Value::as_str).collect();
         outln!(
             "recovered from {recovered} corrupt persistent file(s); quarantined: {}",
@@ -455,18 +455,19 @@ fn print_build(body: &Value) {
             }
         );
     }
+    let (outcomes, query) = (&report["outcomes"], &report["query"]);
     outln!(
         "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)",
-        num(&body["modules"]),
-        num(&body["rebuilt"]),
-        num(&body["wall_ns"]) as f64 / 1e6,
-        num(&body["active"]),
-        num(&body["dormant"]),
-        num(&body["skipped"]),
-        num(&body["hits"]),
-        num(&body["misses"]),
+        report["modules"].as_arr().unwrap_or_default().len(),
+        num(&report["rebuilt_count"]),
+        num(&report["wall_ns"]) as f64 / 1e6,
+        num(&outcomes["active"]),
+        num(&outcomes["dormant"]),
+        num(&outcomes["skipped"]),
+        num(&query["hits"]),
+        num(&query["misses"]),
     );
-    let fngrain = &body["report"]["fngrain"];
+    let fngrain = &report["fngrain"];
     outln!(
         "fn-grain: {} signature pin(s) held, {} re-extracted; {} function pipeline task(s) ran, {} saved by cutoff",
         num(&fngrain["signature_hits"]),

@@ -46,21 +46,19 @@
 //! store*, forcing full recompilation while keeping the dormancy state,
 //! which is exactly the "fresh checkout, warm state" CI scenario.
 
-use crate::depcheck::{self, DepMutations, DepcheckReport};
+use crate::depcheck::{self, DepFindingKind, DepMutations, DepcheckReport};
 use crate::depgraph;
 use crate::graph::GraphError;
 use crate::project::Project;
-use crate::report::{
-    BuildReport, FngrainStats, LinkedProgram, ModuleOutput, ModuleReport, QueryStats,
-};
+use crate::report::{BuildReport, LinkedProgram, ModuleOutput, ModuleReport, QueryStats};
 use crate::tasks::{label_scope, split_label, BuildSpec, BuildTask};
 use sfcc::persist::Artifact;
 use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
-use sfcc_passes::{PassOutcome, PipelineTrace};
+use sfcc_passes::PassOutcome;
 use sfcc_query::{Dep, Engine, QueryError};
-use sfcc_trace::{ArgValue, MetricsSnapshot, Registry, SpanId, Trace};
-use std::collections::{HashMap, HashSet};
+use sfcc_trace::{ArgValue, Registry, SpanId, Trace};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
 
@@ -352,16 +350,14 @@ impl Builder {
         self.compiler.thaw_state();
         if let Ok(report) = &mut result {
             if self.compiler.persists_state() {
-                self.deposit_graph(report.query.misses > 0);
+                self.deposit_graph(report.metric("query.misses") > 0);
                 // A new base hashes the stored values it copies; the report
                 // counts them, and any it rejected.
-                let rejected = self.stored.report_rejected(&self.engine, &self.compiler);
-                report.add_to_gauge("persist.values_verified", self.stored.take_verified());
-                if rejected > 0 {
-                    report.recovered_files += rejected;
-                    for name in ["recovery.recovered_files", "recovery.events"] {
-                        report.add_to_gauge(name, rejected as u64);
-                    }
+                let rejected = self.stored.report_rejected(&self.engine, &self.compiler) as u64;
+                let verified = self.stored.take_verified();
+                report.update_metric("persist.values_verified", |n| n + verified);
+                for name in ["recovery.recovered_files", "recovery.events"] {
+                    report.update_metric(name, |n| n + rejected);
                 }
             }
         }
@@ -440,8 +436,10 @@ impl Builder {
         // Shared-store session boundary: clear per-session serve records,
         // pick up other processes' commits, and (adversarially) install any
         // seeded key-component drops for this build.
-        self.compiler.cas_set_key_drops(self.mutations.key_drops());
-        self.compiler.cas_begin_session();
+        if let Some(cas) = self.compiler.cas() {
+            cas.set_key_drops(self.mutations.key_drops());
+            cas.begin_session();
+        }
 
         let mut spec = BuildSpec::new(
             project,
@@ -499,29 +497,6 @@ impl Builder {
             }
         }
 
-        // Function-grain dependency accounting: how often per-function
-        // signature pins validated, and how many function-pipeline
-        // re-executions the per-function cutoffs saved.
-        let mut fngrain = FngrainStats::default();
-        for (task, hit) in &query_log {
-            if task.starts_with("signature(") {
-                if *hit {
-                    fngrain.signature_hits += 1;
-                } else {
-                    fngrain.signature_misses += 1;
-                }
-            } else if task.starts_with("checkfn(")
-                || task.starts_with("lowerfn(")
-                || task.starts_with("optimizefn(")
-            {
-                if *hit {
-                    fngrain.cutoff_saved += 1;
-                } else {
-                    fngrain.fn_tasks_executed += 1;
-                }
-            }
-        }
-
         // Dependency-soundness verdict: diff the recorded evidence against
         // the engine's dependency traces while the spec (raw stamps) and
         // engine (dep traces) are both still on hand.
@@ -542,21 +517,10 @@ impl Builder {
                     .filter(|task| executed.contains(task))
                     .filter_map(|task| engine.peek(&task)?.expect_optimizefn().ftrace.clone())
                     .collect();
-                let snap = spec.take_snapshots(name);
-                let trace = PipelineTrace {
-                    module: name.clone(),
-                    functions,
-                    snapshot_clones: snap.clones,
-                    snapshot_cost_units: snap.cost_units,
-                    snapshot_reused: snap.reused,
-                    batch_count: snap.batch_count,
-                    batch_max_cost: snap.batch_max_cost,
-                    snapshot_wall_ns: snap.wall_ns,
-                };
-                ModuleOutput {
-                    trace,
-                    timings: spec.take_timings(name),
-                }
+                let mut output = spec.take_output(name);
+                output.trace.module = name.clone();
+                output.trace.functions = functions;
+                output
             });
             modules.push(ModuleReport {
                 name: name.clone(),
@@ -565,12 +529,8 @@ impl Builder {
             });
         }
 
-        let stats = engine.session_stats();
         let labels = |keys: &[BuildTask]| keys.iter().map(ToString::to_string).collect();
         let query = QueryStats {
-            hits: stats.hits,
-            misses: stats.misses,
-            loaded: stats.loaded,
             rematerialized: labels(engine.rematerialized_keys()),
             executed: labels(engine.executed_keys()),
         };
@@ -597,54 +557,63 @@ impl Builder {
         // Recovery accounting: any quarantine / cold-start decision the
         // compiler session took when it loaded persistent state.
         let events = compiler.recovery_events();
-        let recovered_files = events.len();
-        let quarantined = events
+        let quarantined: Vec<String> = events
             .iter()
             .filter_map(|e| e.quarantined_to.as_ref())
             .map(|p| p.display().to_string())
             .collect();
+        let wall_ns = start.elapsed().as_nanos() as u64;
 
-        let mut report = BuildReport {
-            program: LinkedProgram::new(link),
-            wall_ns: start.elapsed().as_nanos() as u64,
-            link_ns,
-            modules,
-            query,
-            fngrain,
-            jobs: self.jobs,
-            outcome: "success".to_string(),
-            state_generation: 0,
-            recovered_files,
-            quarantined,
-            depcheck: depcheck_report,
-            metrics: MetricsSnapshot::default(),
-            trace: None,
-        };
-
-        // Populate the metrics registry — the single source for every
-        // numeric the JSON report emits — then snapshot it into the report.
+        // Every number of the build, each set once: from the engine, the
+        // spec, the module traces and the compiler session.
         let registry = Registry::new();
-        record_report_metrics(&report, &registry);
-        registry.gauge_set("query.keys_parsed", engine.keys_parsed());
-        registry.gauge_set("persist.values_verified", values_verified);
+        let gauge = |name: &str, value: u64| registry.gauge_set(name, value);
+        gauge("build.wall_ns", wall_ns);
+        gauge("build.link_ns", link_ns);
+        gauge("build.jobs", self.jobs as u64);
+        gauge("build.modules", modules.len() as u64);
+        let stats = engine.session_stats();
+        gauge("query.hits", stats.hits);
+        gauge("query.misses", stats.misses);
+        gauge("query.loaded", stats.loaded);
+        gauge("query.rematerialized", query.rematerialized.len() as u64);
+        gauge("query.executed", query.executed.len() as u64);
+        gauge("query.keys_parsed", engine.keys_parsed());
+        record_fngrain_metrics(&registry, &query_log);
+        record_module_metrics(&registry, &modules);
+        record_depcheck_metrics(&registry, depcheck_report.as_ref());
+        gauge("recovery.recovered_files", events.len() as u64);
+        gauge("recovery.quarantined", quarantined.len() as u64);
+        gauge("persist.values_verified", values_verified);
         let decoded = sfcc_backend::image::programs_decoded() - decoded_before;
-        registry.gauge_set("backend.programs_decoded", decoded);
+        gauge("backend.programs_decoded", decoded);
         compiler.record_metrics(&registry);
         // The build's own durable ops; a driver that commits state adds the
         // commit's ([`crate::serve::BuildService`]).
         let ops = sfcc_faultfs::op_counts().delta_since(&ops_before);
         for (kind, count) in ops.by_kind() {
-            registry.gauge_set(&format!("faultfs.{kind}"), count);
+            gauge(&format!("faultfs.{kind}"), count);
         }
-        registry.gauge_set("faultfs.bytes_written", ops.bytes_written);
-        report.metrics = registry.snapshot();
+        gauge("faultfs.bytes_written", ops.bytes_written);
+
+        let mut report = BuildReport {
+            program: LinkedProgram::new(link),
+            modules,
+            query,
+            outcome: "success".to_string(),
+            state_generation: 0,
+            quarantined,
+            depcheck: depcheck_report,
+            metrics: registry.snapshot(),
+            trace: None,
+        };
 
         // The deterministic portion of the trace (module/phase/function/
         // pass subtrees, query instants, session roll-ups) is emitted
         // synthetically from the assembled report, so its structure cannot
         // depend on worker scheduling.
         if let Some(mut trace) = recorder {
-            trace.set_wall_ns(root, report.wall_ns);
+            trace.set_wall_ns(root, wall_ns);
             emit_trace_tree(&mut trace, &report, root, &query_log);
             let seq = report.modules.len() as u64;
             let cache = compiler.cache_stats();
@@ -704,106 +673,127 @@ fn recorded(engine: &Engine<BuildTask, BuildValue>, of: &BuildTask, kind: &str) 
         .collect()
 }
 
-/// Gauges mirroring every numeric field of the JSON report. The report's
-/// `to_json` reads these back (see [`BuildReport::to_json`]), so a value
-/// recorded here *is* the value the report prints.
-fn record_report_metrics(report: &BuildReport, registry: &Registry) {
-    registry.gauge_set("build.wall_ns", report.wall_ns);
-    registry.gauge_set("build.link_ns", report.link_ns);
-    registry.gauge_set("build.compile_ns", report.compile_ns());
-    registry.gauge_set("build.rebuilt_count", report.rebuilt_count() as u64);
-    registry.gauge_set("build.jobs", report.jobs as u64);
-    registry.gauge_set("build.modules", report.modules.len() as u64);
-    registry.gauge_set("build.executed_cost_units", report.executed_cost_units());
-    let (active, dormant, skipped) = report.outcome_totals();
-    registry.gauge_set("outcomes.active", active as u64);
-    registry.gauge_set("outcomes.dormant", dormant as u64);
-    registry.gauge_set("outcomes.skipped", skipped as u64);
-    registry.gauge_set("query.hits", report.query.hits);
-    registry.gauge_set("query.misses", report.query.misses);
-    registry.gauge_set("query.loaded", report.query.loaded);
-    registry.gauge_set(
-        "query.rematerialized",
-        report.query.rematerialized.len() as u64,
-    );
-    registry.gauge_set("query.executed", report.query.executed.len() as u64);
-    registry.gauge_set("fngrain.signature_hits", report.fngrain.signature_hits);
-    registry.gauge_set("fngrain.signature_misses", report.fngrain.signature_misses);
-    registry.gauge_set(
-        "fngrain.fn_tasks_executed",
-        report.fngrain.fn_tasks_executed,
-    );
-    registry.gauge_set("fngrain.cutoff_saved", report.fngrain.cutoff_saved);
-    let parallel = report.parallel_stats();
-    registry.gauge_set("snapshot.clones", parallel.snapshot_clones);
-    registry.gauge_set("snapshot.cost_units", parallel.snapshot_cost_units);
-    registry.gauge_set("snapshot.reused", parallel.snapshot_reused);
-    // Snapshot-clone wall time is jobs-variant and registry-only, summed
-    // from the same per-module traces as the deterministic counters above.
-    let snapshot_wall_ns = report
-        .modules
-        .iter()
-        .filter_map(|m| m.output.as_ref())
-        .map(|out| out.trace.snapshot_wall_ns)
-        .sum();
-    registry.gauge_set("snapshot.wall_ns", snapshot_wall_ns);
-    registry.gauge_set("batch.count", parallel.batch_count);
-    registry.gauge_set("batch.max_cost", parallel.batch_max_cost);
-    registry.gauge_set("recovery.recovered_files", report.recovered_files as u64);
-    registry.gauge_set("recovery.quarantined", report.quarantined.len() as u64);
-    // Depcheck gauges are emitted on *every* build — zeros when the audit
-    // is off — so the report schema never loses keys on any exit path.
-    let quiet = DepcheckReport::default();
-    let (enabled, dc) = match &report.depcheck {
-        Some(dc) => (1, dc),
-        None => (0, &quiet),
+/// Function-grain dependency accounting, from the `(task, hit)` demand log:
+/// how often per-function signature pins validated, and how many
+/// function-pipeline re-executions the per-function cutoffs saved.
+fn record_fngrain_metrics(registry: &Registry, query_log: &[(String, bool)]) {
+    let count = |kinds: &[&str], hit: bool| {
+        let of_kind = |task: &str| kinds.iter().any(|kind| task.starts_with(kind));
+        query_log
+            .iter()
+            .filter(|(task, h)| *h == hit && of_kind(task))
+            .count() as u64
     };
-    registry.gauge_set("depcheck.enabled", enabled);
-    registry.gauge_set("depcheck.findings", dc.findings.len() as u64);
-    registry.gauge_set(
-        "depcheck.missing",
-        dc.count(crate::depcheck::DepFindingKind::MissingDep) as u64,
+    let pipeline = ["checkfn(", "lowerfn(", "optimizefn("];
+    registry.gauge_set("fngrain.signature_hits", count(&["signature("], true));
+    registry.gauge_set("fngrain.signature_misses", count(&["signature("], false));
+    registry.gauge_set("fngrain.fn_tasks_executed", count(&pipeline, false));
+    registry.gauge_set("fngrain.cutoff_saved", count(&pipeline, true));
+}
+
+/// What the rebuilt modules' traces and phase timings sum to: build
+/// totals, dormancy outcomes, snapshot and batch counters, the per-pass
+/// and per-slot profile, and each rebuilt module's own numbers.
+fn record_module_metrics(registry: &Registry, modules: &[ModuleReport]) {
+    let gauge = |name: &str, value: u64| registry.gauge_set(name, value);
+    let outputs: Vec<&ModuleOutput> = modules.iter().filter_map(|m| m.output.as_ref()).collect();
+    let sum = |field: fn(&ModuleOutput) -> u64| outputs.iter().map(|out| field(out)).sum();
+    gauge("build.rebuilt_count", outputs.len() as u64);
+    gauge("build.compile_ns", sum(|out| out.timings.total_ns()));
+    gauge(
+        "build.executed_cost_units",
+        sum(|out| out.trace.executed_cost()),
     );
-    registry.gauge_set(
-        "depcheck.redundant",
-        dc.count(crate::depcheck::DepFindingKind::RedundantDep) as u64,
+    gauge("snapshot.clones", sum(|out| out.trace.snapshot_clones));
+    gauge(
+        "snapshot.cost_units",
+        sum(|out| out.trace.snapshot_cost_units),
     );
-    registry.gauge_set(
-        "depcheck.stale",
-        dc.count(crate::depcheck::DepFindingKind::StaleServe) as u64,
-    );
-    registry.gauge_set(
-        "depcheck.untracked_io",
-        dc.count(crate::depcheck::DepFindingKind::UntrackedIo) as u64,
-    );
-    registry.gauge_set("depcheck.tasks_checked", dc.tasks_checked);
-    registry.gauge_set("depcheck.accesses", dc.accesses);
-    for agg in report.pass_profile() {
-        registry.gauge_set(&format!("pass.{}.total_ns", agg.pass), agg.total_ns);
-        registry.gauge_set(&format!("pass.{}.runs", agg.pass), agg.runs);
-        registry.gauge_set(&format!("pass.{}.skipped", agg.pass), agg.skipped);
-    }
-    for agg in report.slowest_slots(usize::MAX) {
-        registry.gauge_set(&format!("slot.{}.total_ns", agg.slot), agg.total_ns);
-        registry.gauge_set(&format!("slot.{}.runs", agg.slot), agg.runs);
-    }
-    for module in &report.modules {
+    gauge("snapshot.reused", sum(|out| out.trace.snapshot_reused));
+    // Snapshot-clone wall time is jobs-variant, unlike the counters.
+    gauge("snapshot.wall_ns", sum(|out| out.trace.snapshot_wall_ns));
+    gauge("batch.count", sum(|out| out.trace.batch_count));
+    let max_cost = outputs.iter().map(|out| out.trace.batch_max_cost).max();
+    gauge("batch.max_cost", max_cost.unwrap_or(0));
+
+    let outcomes = ["active", "dormant", "skipped"];
+    let mut totals = [0; 3];
+    for module in modules {
         let Some(output) = &module.output else {
             continue;
         };
         let key = |field: &str| format!("module.{}.{field}", module.name);
         let t = &output.timings;
-        registry.gauge_set(&key("frontend_ns"), t.frontend_ns);
-        registry.gauge_set(&key("lower_ns"), t.lower_ns);
-        registry.gauge_set(&key("middle_ns"), t.middle_ns);
-        registry.gauge_set(&key("backend_ns"), t.backend_ns);
-        registry.gauge_set(&key("state_ns"), t.state_ns);
-        registry.gauge_set(&key("optimize_ns"), t.middle_ns + t.state_ns);
-        let (a, d, s) = output.outcome_totals();
-        registry.gauge_set(&key("active"), a as u64);
-        registry.gauge_set(&key("dormant"), d as u64);
-        registry.gauge_set(&key("skipped"), s as u64);
+        gauge(&key("frontend_ns"), t.frontend_ns);
+        gauge(&key("lower_ns"), t.lower_ns);
+        gauge(&key("middle_ns"), t.middle_ns);
+        gauge(&key("backend_ns"), t.backend_ns);
+        gauge(&key("state_ns"), t.state_ns);
+        gauge(&key("optimize_ns"), t.middle_ns + t.state_ns);
+        let (a, d, s) = output.trace.outcome_totals();
+        for ((outcome, total), n) in outcomes.iter().zip(&mut totals).zip([a, d, s]) {
+            gauge(&key(outcome), n as u64);
+            *total += n as u64;
+        }
     }
+    for (outcome, total) in outcomes.iter().zip(totals) {
+        gauge(&format!("outcomes.{outcome}"), total);
+    }
+
+    // Per pass `[total_ns, runs, skipped]`, per slot `[total_ns, runs]`: a
+    // skipped slot is no run, but its time counts.
+    let mut passes: BTreeMap<&str, [u64; 3]> = BTreeMap::new();
+    let mut slots: BTreeMap<usize, [u64; 2]> = BTreeMap::new();
+    let records = outputs
+        .iter()
+        .flat_map(|out| out.trace.functions.iter())
+        .flat_map(|func| func.records.iter());
+    for record in records {
+        let ran = record.outcome != PassOutcome::Skipped;
+        let pass = passes.entry(&record.pass).or_default();
+        pass[0] += record.nanos;
+        pass[if ran { 1 } else { 2 }] += 1;
+        let slot = slots.entry(record.slot).or_default();
+        slot[0] += record.nanos;
+        slot[1] += u64::from(ran);
+    }
+    for (pass, [total_ns, runs, skipped]) in passes {
+        gauge(&format!("pass.{pass}.total_ns"), total_ns);
+        gauge(&format!("pass.{pass}.runs"), runs);
+        gauge(&format!("pass.{pass}.skipped"), skipped);
+    }
+    for (slot, [total_ns, runs]) in slots {
+        gauge(&format!("slot.{slot}.total_ns"), total_ns);
+        gauge(&format!("slot.{slot}.runs"), runs);
+    }
+}
+
+/// The depcheck counts of one build, on *every* build — zeros when the
+/// audit is off — so the report schema never loses keys on any exit path.
+fn record_depcheck_metrics(registry: &Registry, depcheck: Option<&DepcheckReport>) {
+    let quiet = DepcheckReport::default();
+    let dc = depcheck.unwrap_or(&quiet);
+    let gauge = |name: &str, value: u64| registry.gauge_set(name, value);
+    gauge("depcheck.enabled", u64::from(depcheck.is_some()));
+    gauge("depcheck.findings", dc.findings.len() as u64);
+    gauge(
+        "depcheck.missing",
+        dc.count(DepFindingKind::MissingDep) as u64,
+    );
+    gauge(
+        "depcheck.redundant",
+        dc.count(DepFindingKind::RedundantDep) as u64,
+    );
+    gauge(
+        "depcheck.stale",
+        dc.count(DepFindingKind::StaleServe) as u64,
+    );
+    gauge(
+        "depcheck.untracked_io",
+        dc.count(DepFindingKind::UntrackedIo) as u64,
+    );
+    gauge("depcheck.tasks_checked", dc.tasks_checked);
+    gauge("depcheck.accesses", dc.accesses);
 }
 
 /// Emits the deterministic synthetic span subtrees of one build: per-module
@@ -968,10 +958,10 @@ mod tests {
         let mut builder = Builder::new(Compiler::new(Config::stateless()));
         let p = three_module_project();
         let first = builder.build(&p).unwrap();
-        assert_eq!(first.rebuilt_count(), 3);
+        assert_eq!(first.metric("build.rebuilt_count"), 3);
         let again = builder.build(&p).unwrap();
-        assert_eq!(again.rebuilt_count(), 0);
-        assert_eq!(again.query.misses, 0);
+        assert_eq!(again.metric("build.rebuilt_count"), 0);
+        assert_eq!(again.metric("query.misses"), 0);
         // The program is still complete and runnable.
         let out = sfcc_backend::run(
             &again.program,
@@ -993,7 +983,7 @@ mod tests {
             "fn g(x: int) -> int { return x * 3; }".into(),
         );
         let report = builder.build(&p).unwrap();
-        assert_eq!(report.rebuilt_count(), 1);
+        assert_eq!(report.metric("build.rebuilt_count"), 1);
         assert!(report.module("base").unwrap().rebuilt);
         assert!(!report.module("lib").unwrap().rebuilt);
         assert!(report.module("lib").unwrap().output.is_none());
@@ -1030,9 +1020,9 @@ mod tests {
                 "parse(base)",
             ]
         );
-        assert_eq!(report.query.misses, 10);
-        assert!(report.query.hits > 0);
-        assert_eq!(report.fngrain.fn_tasks_executed, 3);
+        assert_eq!(report.metric("query.misses"), 10);
+        assert!(report.metric("query.hits") > 0);
+        assert_eq!(report.metric("fngrain.fn_tasks_executed"), 3);
     }
 
     #[test]
@@ -1053,7 +1043,7 @@ mod tests {
         assert!(report.module("base").unwrap().rebuilt);
         assert!(!report.module("lib").unwrap().rebuilt);
         assert!(!report.module("main").unwrap().rebuilt);
-        assert_eq!(report.rebuilt_count(), 1);
+        assert_eq!(report.metric("build.rebuilt_count"), 1);
         let executed = &report.query.executed;
         // base re-runs the new function's pipeline and re-assembles its
         // object; the signature pin lib holds on base::g re-executes (its
@@ -1073,7 +1063,10 @@ mod tests {
             assert_ne!(t, "modcheck(main)");
         }
         // The cutoff ledger shows the signature pin validating downstream.
-        assert!(report.fngrain.signature_hits > 0 || report.fngrain.cutoff_saved > 0);
+        assert!(
+            report.metric("fngrain.signature_hits") > 0
+                || report.metric("fngrain.cutoff_saved") > 0
+        );
     }
 
     #[test]
@@ -1291,7 +1284,7 @@ mod tests {
         // What was committed is what a third process starts from.
         let mut third = process(&dir);
         assert_eq!(functions(&third), ["keep"]);
-        assert_eq!(third.build(&kept).unwrap().query.misses, 0);
+        assert_eq!(third.build(&kept).unwrap().metric("query.misses"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1339,7 +1332,10 @@ mod tests {
             sfcc_backend::image::to_bytes(&a.program),
             sfcc_backend::image::to_bytes(&b.program)
         );
-        assert_eq!(a.rebuilt_count(), b.rebuilt_count());
+        assert_eq!(
+            a.metric("build.rebuilt_count"),
+            b.metric("build.rebuilt_count")
+        );
     }
 
     #[test]

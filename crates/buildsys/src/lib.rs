@@ -18,9 +18,10 @@
 //!   build and demands `link`; the engine schedules the rest, and the
 //!   tasks plan their optimize runs — one per module, a window of modules
 //!   side by side;
-//! - [`BuildReport`]: per-module rebuild flags, traces, timings,
-//!   pass-outcome totals, and query hit/miss counts ([`QueryStats`]), as
-//!   consumed by the evaluation harness;
+//! - [`BuildReport`]: per-module rebuild flags, traces and timings, the
+//!   executed task labels ([`QueryStats`]), and the build's numbers in one
+//!   metrics snapshot ([`BuildReport::metric`]), as consumed by the
+//!   evaluation harness;
 //! - [`depcheck`]: dependency-soundness checking — task-attributed
 //!   resource accesses diffed against the engine's declared dependencies
 //!   (missing/redundant deps, stale serves, untracked I/O), plus the
@@ -42,10 +43,10 @@
 //! project.set_file("main".into(), "fn main(n: int) -> int { return n + 1; }".into());
 //! let mut builder = Builder::new(Compiler::new(Config::stateful()));
 //! let report = builder.build(&project).unwrap();
-//! assert_eq!(report.rebuilt_count(), 1);
+//! assert_eq!(report.metric("build.rebuilt_count"), 1);
 //! // An unchanged rebuild recompiles nothing and still yields a program.
 //! let report = builder.build(&project).unwrap();
-//! assert_eq!(report.rebuilt_count(), 0);
+//! assert_eq!(report.metric("build.rebuilt_count"), 0);
 //! let out = sfcc_backend::run(
 //!     report.program(), "main.main", &[41], sfcc_backend::VmOptions::default(),
 //! ).unwrap();
@@ -66,7 +67,6 @@ pub use depcheck::{DepFinding, DepFindingKind, DepMutations, DepcheckReport};
 pub use graph::{DepGraph, GraphError};
 pub use project::Project;
 pub use report::{
-    validate_report_json, BuildReport, LinkedProgram, ModuleOutput, ModuleReport, PassAggregate,
-    QueryStats, SlotAggregate,
+    validate_report_json, BuildReport, LinkedProgram, ModuleOutput, ModuleReport, QueryStats,
 };
 pub use tasks::{BuildTask, BuildValue};

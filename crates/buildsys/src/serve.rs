@@ -24,7 +24,7 @@ use sfcc::{Compiler, Config, Durability};
 use sfcc_backend::{disasm_program, run, Program, RunOutput, VmOptions};
 use sfcc_daemon::{Request, Service};
 use sfcc_trace::json::{self, Value};
-use sfcc_trace::{MetricValue, Trace};
+use sfcc_trace::Trace;
 use std::path::{Path, PathBuf};
 
 /// The build flags one session is keyed under: the part of a `minicc`
@@ -365,15 +365,11 @@ impl BuildService {
             // the chains it left.
             let ops = sfcc_faultfs::op_counts().delta_since(&before);
             for (kind, count) in ops.by_kind() {
-                report.add_to_gauge(&format!("faultfs.{kind}"), count);
+                report.update_metric(&format!("faultfs.{kind}"), |n| n + count);
             }
-            report.add_to_gauge("faultfs.bytes_written", ops.bytes_written);
+            report.update_metric("faultfs.bytes_written", |n| n + ops.bytes_written);
             let segments = self.builder.compiler().persisted_segments() as u64;
-            if let Some(MetricValue::Gauge(gauge)) =
-                report.metrics.values.get_mut("persist.segments")
-            {
-                *gauge = segments;
-            }
+            report.update_metric("persist.segments", |_| segments);
         }
         let report_value = report.to_value();
         std::fs::write(&report_path, json::write(&report_value))
@@ -465,7 +461,9 @@ impl BuildService {
 }
 
 /// Each typed result encoded as the members of a reply: what a daemon
-/// sends back and what a one-request local session prints from.
+/// sends back and what a one-request local session prints from. A `build`
+/// reply is the written image's path and the full report; every number
+/// its summary prints is read off that report.
 impl Service for BuildService {
     fn handle(&mut self, request: &Request) -> Result<Value, String> {
         Ok(match request.cmd.as_str() {
@@ -479,19 +477,8 @@ impl Service for BuildService {
                     report_value,
                 } = self.build_image(&out)?;
                 self.trace = report.trace.take();
-                let (active, dormant, skipped) = report.outcome_totals();
                 Value::obj([
                     ("image", out.display().to_string().into()),
-                    ("modules", report.modules.len().into()),
-                    ("rebuilt", report.rebuilt_count().into()),
-                    ("generation", report.state_generation.into()),
-                    ("recovered", report.recovered_files.into()),
-                    ("active", active.into()),
-                    ("dormant", dormant.into()),
-                    ("skipped", skipped.into()),
-                    ("hits", report.query.hits.into()),
-                    ("misses", report.query.misses.into()),
-                    ("wall_ns", report.wall_ns.into()),
                     ("report", report_value),
                 ])
             }
@@ -502,9 +489,9 @@ impl Service for BuildService {
                     ("prints", output.prints.iter().copied().collect()),
                     ("return", output.return_value.into()),
                     ("executed", output.executed.into()),
-                    ("modules", report.modules.len().into()),
-                    ("rebuilt", report.rebuilt_count().into()),
-                    ("skipped", report.outcome_totals().2.into()),
+                    ("modules", report.metric("build.modules").into()),
+                    ("rebuilt", report.metric("build.rebuilt_count").into()),
+                    ("skipped", report.metric("outcomes.skipped").into()),
                 ])
             }
             "ir" => {

@@ -48,6 +48,7 @@ use crate::depcheck::DepMutations;
 use crate::depgraph::Stored;
 use crate::graph::{graph_repr, parse_imports, DepGraph};
 use crate::project::Project;
+use crate::report::ModuleOutput;
 use sfcc::{CompileError, Compiler, OptimizeOutcome, PhaseTimings};
 use sfcc_backend::{link_objects, CodeObject, Program};
 use sfcc_codec::{fnv64, fnv64_continue};
@@ -242,6 +243,22 @@ pub struct ModCheckArtifact {
     pub roster: Vec<String>,
 }
 
+impl ModCheckArtifact {
+    /// The module's globals sorted by name, `globals:name:Type=value;…`:
+    /// the text the module check's fingerprint and every function check's
+    /// context both start with.
+    fn globals_repr(&self) -> String {
+        let mut names: Vec<&String> = self.global_types.keys().collect();
+        names.sort();
+        let mut repr = String::from("globals:");
+        for name in names {
+            let value = self.global_values.get(name).copied().unwrap_or(0);
+            repr.push_str(&format!("{name}:{:?}={value};", self.global_types[name]));
+        }
+        repr
+    }
+}
+
 /// What a per-function check memoizes: a single-function [`CheckedModule`]
 /// shell ready for lowering, the pruned import environment it resolved
 /// against, and the canonical context text its fingerprint hashes.
@@ -398,43 +415,10 @@ struct ModuleRun {
 /// where fresh cache entries become visible do not depend on `--jobs`.
 const FAN_OUT: usize = 8;
 
-/// Per-module snapshot/batch totals accumulated over one build's restricted
-/// optimization runs. All fields but `wall_ns` are deterministic and
-/// `--jobs`-invariant (they derive from the pipeline's jobs-invariant trace
-/// counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SnapshotTotals {
-    /// Module snapshots taken (pipeline entry + re-snapshot stages).
-    pub clones: u64,
-    /// Σ live instruction count over functions actually deep-cloned.
-    pub cost_units: u64,
-    /// Functions whose previous snapshot `Arc` was reused (copy-on-write
-    /// savings).
-    pub reused: u64,
-    /// Cost-balanced batches planned across all stages.
-    pub batch_count: u64,
-    /// Largest single-batch planned cost seen in any run (max, not sum).
-    pub batch_max_cost: u64,
-    /// Wall time spent building snapshots (a measurement, jobs-variant).
-    pub wall_ns: u64,
-}
-
-impl SnapshotTotals {
-    /// Folds one pipeline run's counters into the totals.
-    pub(crate) fn absorb(&mut self, trace: &sfcc_passes::PipelineTrace) {
-        self.clones += trace.snapshot_clones;
-        self.cost_units += trace.snapshot_cost_units;
-        self.reused += trace.snapshot_reused;
-        self.batch_count += trace.batch_count;
-        self.batch_max_cost = self.batch_max_cost.max(trace.batch_max_cost);
-        self.wall_ns += trace.snapshot_wall_ns;
-    }
-}
-
 /// The [`TaskSpec`] driving one build: a project snapshot, the (stateful)
 /// compiler session, and the scratch the driver reads back afterwards
-/// (per-module phase timings, link time, parked optimize artifacts,
-/// per-module snapshot-clone totals).
+/// (per-module phase timings and snapshot counters, link time, parked
+/// optimize artifacts).
 pub struct BuildSpec<'a> {
     project: &'a Project,
     compiler: &'a mut Compiler,
@@ -442,10 +426,9 @@ pub struct BuildSpec<'a> {
     /// loaded yet ([`TaskSpec::load`]).
     stored: &'a mut Stored,
     prepared: HashMap<(String, String), PreparedFn>,
-    timings: HashMap<String, PhaseTimings>,
-    /// Per-module [`SnapshotTotals`] accumulated by restricted optimization
-    /// runs this build.
-    snapshots: HashMap<String, SnapshotTotals>,
+    /// Per-module phase timings of the tasks that ran this build, and the
+    /// snapshot and batch counters of its restricted optimization runs.
+    outputs: HashMap<String, ModuleOutput>,
     link_ns: u64,
     jobs: usize,
     /// `(task, hit)` pairs observed by the engine, one per demanded task
@@ -511,8 +494,7 @@ impl<'a> BuildSpec<'a> {
             compiler,
             stored,
             prepared: HashMap::new(),
-            timings: HashMap::new(),
-            snapshots: HashMap::new(),
+            outputs: HashMap::new(),
             link_ns: 0,
             jobs: jobs.max(1),
             query_log: Vec::new(),
@@ -548,16 +530,16 @@ impl<'a> BuildSpec<'a> {
         std::mem::take(&mut self.query_log)
     }
 
-    /// Phase timings accumulated for a module this build (zeros for phases
-    /// the engine validated instead of running).
-    pub(crate) fn take_timings(&mut self, module: &str) -> PhaseTimings {
-        self.timings.remove(module).unwrap_or_default()
+    /// The phase timings and optimize-run counters accumulated for a module
+    /// this build (zeros for phases the engine validated instead of
+    /// running); its function traces are the driver's to fill in.
+    pub(crate) fn take_output(&mut self, module: &str) -> ModuleOutput {
+        self.outputs.remove(module).unwrap_or_default()
     }
 
-    /// [`SnapshotTotals`] accumulated for a module's restricted optimization
-    /// runs this build.
-    pub(crate) fn take_snapshots(&mut self, module: &str) -> SnapshotTotals {
-        self.snapshots.remove(module).unwrap_or_default()
+    /// The phase timings accumulated for a module this build.
+    fn timings(&mut self, module: &str) -> &mut PhaseTimings {
+        &mut self.outputs.entry(module.to_string()).or_default().timings
     }
 
     /// Ends the build's use of the compiler session and hands it back.
@@ -632,7 +614,7 @@ impl<'a> BuildSpec<'a> {
     /// (capped at the host's available parallelism; a width-1 pool runs
     /// them on the calling thread), largest first, then books each in plan
     /// order: its roots' artifacts are parked for their `optimizefn`
-    /// executions to take, and its phase timings and snapshot totals are
+    /// executions to take, and its phase timings and snapshot counters are
     /// added to its module's. The runs' fresh cache entries are applied
     /// last, in plan order, in one publish to the shared store: a point of
     /// the demand order that no `--jobs` value moves, so cache visibility
@@ -667,13 +649,10 @@ impl<'a> BuildSpec<'a> {
                 .expect("the scope ran every run");
             let m = run.module;
             inserts.extend(outcome.cache_inserts);
-            let timings = self.timings.entry(m.clone()).or_default();
-            timings.middle_ns += outcome.middle_ns;
-            timings.state_ns += outcome.state_ns;
-            self.snapshots
-                .entry(m.clone())
-                .or_default()
-                .absorb(&outcome.trace);
+            let output = self.outputs.entry(m.clone()).or_default();
+            output.timings.middle_ns += outcome.middle_ns;
+            output.timings.state_ns += outcome.state_ns;
+            output.trace.absorb_counters(&outcome.trace);
             for f in run.roots {
                 let prepared = PreparedFn {
                     func: run
@@ -748,8 +727,8 @@ impl<'a> BuildSpec<'a> {
         self.cas_contexts
             .get(m)
             .and_then(|ctxs| ctxs.get(f))
-            .and_then(|&ctx| self.compiler.cas_honest_stamp(ctx))
-            .unwrap_or(0)
+            .zip(self.compiler.cas())
+            .map_or(0, |(&ctx, cas)| cas.honest_stamp(ctx))
     }
 
     /// Frontend + lower `m` from the project's current source and return
@@ -811,13 +790,7 @@ impl TaskSpec for BuildSpec<'_> {
             BuildValue::Interface(interface) => interface_hash(interface),
             BuildValue::Graph(graph) => fnv64(graph_repr(graph).as_bytes()),
             BuildValue::ModCheck(art) => {
-                let mut names: Vec<&String> = art.global_types.keys().collect();
-                names.sort();
-                let mut repr = String::from("globals:");
-                for name in names {
-                    let value = art.global_values.get(name).copied().unwrap_or(0);
-                    repr.push_str(&format!("{name}:{:?}={value};", art.global_types[name]));
-                }
+                let mut repr = art.globals_repr();
                 repr.push_str("imports:");
                 repr.push_str(&art.imports.join(","));
                 repr.push_str(";roster:");
@@ -881,7 +854,7 @@ impl BuildSpec<'_> {
                     let file = SourceFile::new(format!("{m}.mc"), source.as_str());
                     return Err(compile_error(m, diags, &file));
                 }
-                self.timings.entry(m.clone()).or_default().frontend_ns += elapsed;
+                self.timings(m).frontend_ns += elapsed;
                 Ok(BuildValue::Parse(Arc::new(ParseArtifact { ast, source })))
             }
             BuildTask::Interface(m) => {
@@ -929,7 +902,7 @@ impl BuildSpec<'_> {
                     let file = SourceFile::new(format!("{m}.mc"), parse.source.as_str());
                     return Err(compile_error(m, diags, &file));
                 };
-                self.timings.entry(m.clone()).or_default().frontend_ns += elapsed;
+                self.timings(m).frontend_ns += elapsed;
                 let roster = parse.ast.functions.iter().map(|f| f.name.clone()).collect();
                 Ok(BuildValue::ModCheck(Arc::new(ModCheckArtifact {
                     global_values: level.global_values,
@@ -1061,17 +1034,8 @@ impl BuildSpec<'_> {
                     let file = SourceFile::new(format!("{m}.mc"), source);
                     return Err(compile_error(m, diags, &file));
                 }
-                self.timings.entry(m.clone()).or_default().frontend_ns += elapsed;
-                let mut names: Vec<&String> = modcheck.global_types.keys().collect();
-                names.sort();
-                let mut context_repr = String::from("globals:");
-                for name in names {
-                    let value = modcheck.global_values.get(name).copied().unwrap_or(0);
-                    context_repr.push_str(&format!(
-                        "{name}:{:?}={value};",
-                        modcheck.global_types[name]
-                    ));
-                }
+                self.timings(m).frontend_ns += elapsed;
+                let mut context_repr = modcheck.globals_repr();
                 context_repr.push_str("callees:");
                 context_repr.push_str(&callee_repr);
                 Ok(BuildValue::CheckFn(Arc::new(CheckFnArtifact {
@@ -1094,8 +1058,7 @@ impl BuildSpec<'_> {
                 let t = Instant::now();
                 let def = &art.checked.ast.functions[0];
                 let func = sfcc_ir::lower_function_def(&art.checked, &art.env, def);
-                self.timings.entry(m.clone()).or_default().lower_ns +=
-                    t.elapsed().as_nanos() as u64;
+                self.timings(m).lower_ns += t.elapsed().as_nanos() as u64;
                 Ok(BuildValue::LowerFn(Arc::new(func)))
             }
             BuildTask::OptimizeFn(m, f) => {
@@ -1123,7 +1086,7 @@ impl BuildSpec<'_> {
                     .remove(&parked)
                     .expect("a run parked this root");
                 let ingest_ns = self.compiler.ingest_function_trace(m, &ftrace);
-                self.timings.entry(m.clone()).or_default().state_ns += ingest_ns;
+                self.timings(m).state_ns += ingest_ns;
                 // Recorded *after* ingestion, so the dependency holds the
                 // post-write stamp and the task does not invalidate itself.
                 if !self.mutations.drops(label, &state_input) {
@@ -1135,7 +1098,7 @@ impl BuildSpec<'_> {
                 // so revalidation (and the depcheck audit) compares it
                 // against the honest key derivation — an under-keyed serve
                 // is caught the session it happens.
-                if let Some(stamps) = self.compiler.cas_served(m, f) {
+                if let Some(stamps) = self.compiler.cas().and_then(|cas| cas.served(m, f)) {
                     let cas_input = format!("cas:{m}::{f}");
                     self.note_access(&cas_input);
                     if !self.mutations.drops(label, &cas_input) {
@@ -1165,7 +1128,7 @@ impl BuildSpec<'_> {
                         error,
                     })
                 })?;
-                self.timings.entry(m.clone()).or_default().backend_ns += backend_ns;
+                self.timings(m).backend_ns += backend_ns;
                 Ok(BuildValue::Codegen(Arc::new(CodegenArtifact::of(object))))
             }
             BuildTask::Link => {

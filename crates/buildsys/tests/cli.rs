@@ -108,6 +108,77 @@ fn quick_build_then_stats_renders_registry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Only `--stateful` gives a build a state path, so a `--fn-cache` build
+/// alone commits nothing: no `.sfcc-state*` file is left, and the next
+/// process starts from nothing and misses every query again.
+#[test]
+fn quick_fn_cache_alone_commits_nothing() {
+    let dir = demo_copy("fn-cache-alone");
+    let d = dir.to_str().unwrap();
+    for _ in 0..2 {
+        let out = minicc(&["build", d, "--fn-cache"]);
+        assert!(out.status.success(), "build failed: {}", stderr(&out));
+        let text = stdout(&out);
+        assert!(
+            text.contains("(3 recompiled)") && text.contains("0 hit(s), 50 miss(es)"),
+            "{text}"
+        );
+        let state: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(".sfcc-state"))
+            .collect();
+        assert!(state.is_empty(), "a --fn-cache build committed {state:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(dir.with_extension("sbx"));
+}
+
+/// The counts of `minicc build`'s summary line — modules, recompiled,
+/// active, dormant, skipped, hits, misses — without its wall time.
+fn summary_counts(text: &str) -> Vec<u64> {
+    let line = text.lines().find(|l| l.starts_with("built ")).unwrap();
+    let (head, rest) = line.split_once(" in ").unwrap();
+    let (_, tail) = rest.split_once(" ms;").unwrap();
+    format!("{head} {tail}")
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|token| !token.is_empty())
+        .map(|token| token.parse().unwrap())
+        .collect()
+}
+
+/// The summary line `minicc build` prints and the report it persists say
+/// the same: on a full build, and on an edit that mixes hits, misses and
+/// skipped slots.
+#[test]
+fn quick_build_summary_matches_the_persisted_report() {
+    let dir = demo_copy("summary-report");
+    for step in ["full", "edit"] {
+        if step == "edit" {
+            let mathx = dir.join("mathx.mc");
+            let source = std::fs::read_to_string(&mathx).unwrap();
+            std::fs::write(&mathx, source.replace("1000000007", "998244353")).unwrap();
+        }
+        let text = stateful_build(&dir);
+        let report = std::fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
+        let doc = sfcc_trace::json::parse(&report).unwrap();
+        let num = |value: &sfcc_trace::json::Value| value.as_u64().unwrap();
+        let (outcomes, query) = (&doc["outcomes"], &doc["query"]);
+        let persisted = vec![
+            doc["modules"].as_arr().unwrap().len() as u64,
+            num(&doc["rebuilt_count"]),
+            num(&outcomes["active"]),
+            num(&outcomes["dormant"]),
+            num(&outcomes["skipped"]),
+            num(&query["hits"]),
+            num(&query["misses"]),
+        ];
+        assert_eq!(summary_counts(&text), persisted, "{step}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(dir.with_extension("sbx"));
+}
+
 #[test]
 fn quick_trace_export_validates_and_is_deterministic() {
     let dir_a = demo_copy("trace-a");

@@ -9,7 +9,7 @@ use crate::persist::{
 };
 use crate::phases;
 use sfcc_backend::CodeObject;
-use sfcc_cas::{CasStats, CasStore, KeyComponents, ServedStamps, DEFAULT_BACKEND_VERSION};
+use sfcc_cas::{CasStore, KeyComponents, DEFAULT_BACKEND_VERSION};
 use sfcc_codec::{fnv64, Fnv64};
 use sfcc_faultfs::ManifestEntry;
 use sfcc_frontend::{Diagnostics, ModuleEnv, ModuleInterface, SourceFile};
@@ -644,7 +644,7 @@ impl Compiler {
         registry.gauge_set("persist.segments", self.persisted_segments() as u64);
         let bytes_read = self.bytes_read.swap(0, Ordering::Relaxed);
         registry.gauge_set("persist.bytes_read", bytes_read);
-        let cas = self.cas_stats().unwrap_or_default();
+        let cas = self.cas.as_ref().map(CasStore::stats).unwrap_or_default();
         registry.gauge_set("cas.enabled", self.cas.is_some() as u64);
         registry.gauge_set("cas.hits", cas.hits);
         registry.gauge_set("cas.misses", cas.misses);
@@ -699,40 +699,6 @@ impl Compiler {
     /// The shared artifact store, when the session has one.
     pub fn cas(&self) -> Option<&CasStore> {
         self.cas.as_ref()
-    }
-
-    /// Counters of the shared artifact store, when the session has one.
-    pub fn cas_stats(&self) -> Option<CasStats> {
-        self.cas.as_ref().map(|c| c.stats())
-    }
-
-    /// Starts a fresh shared-store session: clears per-session serve
-    /// records and refreshes the view of other processes' commits. The
-    /// build driver calls this once per build.
-    pub fn cas_begin_session(&self) {
-        if let Some(cas) = &self.cas {
-            cas.begin_session();
-        }
-    }
-
-    /// Forwards adversarial key-component drops to the shared store (test
-    /// hook; see [`CasStore::set_key_drops`]).
-    pub fn cas_set_key_drops(&self, components: &[String]) {
-        if let Some(cas) = &self.cas {
-            cas.set_key_drops(components);
-        }
-    }
-
-    /// The shared store's serve record for `module::function` this
-    /// session, if its lookup hit.
-    pub fn cas_served(&self, module: &str, function: &str) -> Option<ServedStamps> {
-        self.cas.as_ref().and_then(|c| c.served(module, function))
-    }
-
-    /// The honest store-key stamp for a context fingerprint (what a sound
-    /// serve record must claim). `None` without a store.
-    pub fn cas_honest_stamp(&self, fn_ctx: Fingerprint) -> Option<u64> {
-        self.cas.as_ref().map(|c| c.honest_stamp(fn_ctx))
     }
 
     /// Applies deferred [`crate::OptimizeOutcome::cache_inserts`] to the
@@ -1316,17 +1282,17 @@ fn main(n: int) -> int {
         // Session A (no local persistence) populates the shared store.
         let mut a = Compiler::new(Config::stateless().with_cas_path(&dir).with_verification());
         let out_a = a.compile("main", SRC_V1, &ModuleEnv::new()).unwrap();
-        let stats_a = a.cas_stats().unwrap();
+        let stats_a = a.cas().unwrap().stats();
         assert!(stats_a.publishes > 0, "{stats_a:?}");
 
         // A fresh session (cold local cache) hits the shared store and
         // produces the same bytes as a plain build.
         let mut b = Compiler::new(Config::stateless().with_cas_path(&dir).with_verification());
         let out_b = b.compile("main", SRC_V1, &ModuleEnv::new()).unwrap();
-        let stats_b = b.cas_stats().unwrap();
+        let stats_b = b.cas().unwrap().stats();
         assert!(stats_b.hits > 0, "{stats_b:?}");
         assert_eq!(out_a.object, out_b.object);
-        assert!(b.cas_served("main", "helper").is_some());
+        assert!(b.cas().unwrap().served("main", "helper").is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1341,7 +1307,7 @@ fn main(n: int) -> int {
         // every lookup must miss.
         let mut b = Compiler::new(Config::stateless().with_cas_path(&dir).with_verification());
         b.compile("main", SRC_V1, &ModuleEnv::new()).unwrap();
-        let stats = b.cas_stats().unwrap();
+        let stats = b.cas().unwrap().stats();
         assert_eq!(stats.hits, 0, "{stats:?}");
         assert!(stats.misses > 0);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -134,6 +134,18 @@ impl PipelineTrace {
         self.functions.iter().map(|f| f.total_nanos()).sum()
     }
 
+    /// Folds the snapshot and batch counters of another run over the same
+    /// module into this trace's (`batch_max_cost`: the larger); the function
+    /// traces stay as they are.
+    pub fn absorb_counters(&mut self, run: &PipelineTrace) {
+        self.snapshot_clones += run.snapshot_clones;
+        self.snapshot_cost_units += run.snapshot_cost_units;
+        self.snapshot_reused += run.snapshot_reused;
+        self.batch_count += run.batch_count;
+        self.batch_max_cost = self.batch_max_cost.max(run.batch_max_cost);
+        self.snapshot_wall_ns += run.snapshot_wall_ns;
+    }
+
     /// Aggregate outcome counts `(active, dormant, skipped)`.
     pub fn outcome_totals(&self) -> (usize, usize, usize) {
         let mut t = (0, 0, 0);

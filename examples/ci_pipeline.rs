@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
 
         let report = builder.build(&model.render())?;
-        let (_, _, skipped) = report.outcome_totals();
+        let skipped = report.metric("outcomes.skipped");
 
         // The verification step: run the program on fixed inputs.
         let mut outputs = Vec::new();
@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "   rebuilt {} module(s) in {:.2} ms, skipped {skipped} pass slot(s), \
              {} IR-cache hit(s); verify outputs = {outputs:?}",
-            report.rebuilt_count(),
-            report.wall_ns as f64 / 1e6,
+            report.metric("build.rebuilt_count"),
+            report.metric("build.wall_ns") as f64 / 1e6,
             cache.hits,
         );
 

@@ -42,17 +42,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let report_a = baseline.build(&model_a.render())?;
         let report_b = stateful.build(&model_b.render())?;
-        total_a += report_a.wall_ns;
-        total_b += report_b.wall_ns;
+        total_a += report_a.metric("build.wall_ns");
+        total_b += report_b.metric("build.wall_ns");
 
-        let (_, _, skipped) = report_b.outcome_totals();
+        let skipped = report_b.metric("outcomes.skipped");
         println!(
             "{:>7}  {:<12} {:>8}  {:>14.2}  {:>14.2}  {:>8}",
             n,
             commit.kind.label(),
-            report_b.rebuilt_count(),
-            report_a.wall_ns as f64 / 1e6,
-            report_b.wall_ns as f64 / 1e6,
+            report_b.metric("build.rebuilt_count"),
+            report_a.metric("build.wall_ns") as f64 / 1e6,
+            report_b.metric("build.wall_ns") as f64 / 1e6,
             skipped,
         );
     }

@@ -11,7 +11,10 @@ fn generated_project_builds_and_runs() {
     let model = generate_model(&GeneratorConfig::small(5));
     let mut builder = Builder::new(Compiler::new(Config::stateless().with_verification()));
     let report = builder.build(&model.render()).unwrap();
-    assert_eq!(report.rebuilt_count(), model.modules.len());
+    assert_eq!(
+        report.metric("build.rebuilt_count"),
+        model.modules.len() as u64
+    );
     let out = run(&report.program, "main.main", &[3], VmOptions::default()).unwrap();
     assert!(out.executed > 0);
 }
@@ -28,14 +31,17 @@ fn commit_replay_rebuilds_minimally() {
         let report = builder.build(&model.render()).unwrap();
         // A body edit rebuilds exactly the edited module; an interface
         // change (add-fn) additionally rebuilds dependents.
-        assert!(report.rebuilt_count() >= 1, "commit {commit:?}");
+        assert!(
+            report.metric("build.rebuilt_count") >= 1,
+            "commit {commit:?}"
+        );
         assert!(
             report.module(&commit.module).unwrap().rebuilt,
             "commit {commit:?}"
         );
         if commit.kind != sfcc_workload::EditKind::AddFunction {
             assert_eq!(
-                report.rebuilt_count(),
+                report.metric("build.rebuilt_count"),
                 1,
                 "body edit must stay local: {commit:?}"
             );
@@ -73,7 +79,7 @@ fn state_survives_builder_sessions_on_disk() {
         ));
         script.commit(&mut model);
         let report = builder.build(&model.render()).unwrap();
-        let (_, _, skipped) = report.outcome_totals();
+        let skipped = report.metric("outcomes.skipped");
         assert!(skipped > 0, "persisted state must enable skipping");
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -95,7 +101,7 @@ fn corrupted_state_degrades_to_cold_start() {
     let mut builder = Builder::new(compiler);
     let model = generate_model(&GeneratorConfig::small(3));
     let report = builder.build(&model.render()).unwrap();
-    let (_, _, skipped) = report.outcome_totals();
+    let skipped = report.metric("outcomes.skipped");
     assert_eq!(skipped, 0, "cold start must not skip");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -157,5 +163,5 @@ fn committed_demo_project_builds_and_runs() {
     // And the stateful rebuild skips.
     builder.clear_cache();
     let again = builder.build(&project).unwrap();
-    assert!(again.outcome_totals().2 > 0);
+    assert!(again.metric("outcomes.skipped") > 0);
 }

@@ -110,7 +110,7 @@ fn quick_two_projects_share_artifacts_byte_identically() {
 
     // Project A warms the store.
     let (a, _) = build(Config::stateless().with_cas_path(&store), &project_v1(), 1);
-    let stats = a.compiler().cas_stats().unwrap();
+    let stats = a.compiler().cas().unwrap().stats();
     assert!(stats.publishes > 0, "a cold build must publish: {stats:?}");
     assert_eq!(stats.hits, 0, "{stats:?}");
 
@@ -120,7 +120,7 @@ fn quick_two_projects_share_artifacts_byte_identically() {
         &project_other(),
         1,
     );
-    let stats = b.compiler().cas_stats().unwrap();
+    let stats = b.compiler().cas().unwrap().stats();
     assert!(
         stats.hits > 0,
         "the shared function must hit across projects: {stats:?}"
@@ -148,7 +148,7 @@ fn quick_same_project_full_hit_on_second_session() {
     let store = tmpdir("rehit");
     let (_, first) = build(Config::stateless().with_cas_path(&store), &project_v1(), 1);
     let (b, second) = build(Config::stateless().with_cas_path(&store), &project_v1(), 1);
-    let stats = b.compiler().cas_stats().unwrap();
+    let stats = b.compiler().cas().unwrap().stats();
     assert_eq!(
         stats.misses, 0,
         "a warm store must serve everything: {stats:?}"
@@ -182,7 +182,7 @@ fn quick_every_key_component_forces_a_miss() {
         &project_v1_edit(),
         1,
     );
-    let stats = c.compiler().cas_stats().unwrap();
+    let stats = c.compiler().cas().unwrap().stats();
     assert!(stats.misses >= 1, "the edited fn must miss: {stats:?}");
     assert!(
         stats.publishes >= 1,
@@ -213,7 +213,7 @@ fn quick_every_key_component_forces_a_miss() {
         ),
     ] {
         let (c, _) = build(config, &project_v1(), 1);
-        let stats = c.compiler().cas_stats().unwrap();
+        let stats = c.compiler().cas().unwrap().stats();
         assert_eq!(
             stats.hits, 0,
             "component `{label}` must key the store: {stats:?}"
@@ -223,7 +223,7 @@ fn quick_every_key_component_forces_a_miss() {
 
     // Control: the matching configuration still hits.
     let (c, _) = build(Config::stateless().with_cas_path(&store), &project_v1(), 1);
-    assert!(c.compiler().cas_stats().unwrap().hits >= 3);
+    assert!(c.compiler().cas().unwrap().stats().hits >= 3);
     cleanup(&store);
 }
 
@@ -272,7 +272,7 @@ fn stale_serve_matrix(component: &str, seed_config: Config, probe_config: Config
         .with_depcheck()
         .with_dep_mutations(drops);
     let report = probe.build(&project_v1()).unwrap();
-    let stats = probe.compiler().cas_stats().unwrap();
+    let stats = probe.compiler().cas().unwrap().stats();
     assert!(
         stats.hits > 0,
         "the under-keyed store must cross-serve for `{component}`: {stats:?}"
@@ -339,7 +339,7 @@ fn honest_keys_survive_the_same_depcheck_audit() {
     ))
     .with_depcheck();
     let report = probe.build(&project_v1()).unwrap();
-    assert_eq!(probe.compiler().cas_stats().unwrap().hits, 0);
+    assert_eq!(probe.compiler().cas().unwrap().stats().hits, 0);
     let depcheck = report.depcheck.unwrap();
     assert!(depcheck.is_clean(), "{}", depcheck.render());
     cleanup(&store);
@@ -420,7 +420,7 @@ fn racing_builder_processes_never_corrupt_the_store() {
     // ...and serve byte-identical artifacts to a fresh consumer.
     let (_, reference) = build(Config::stateless().with_function_cache(), &project_v1(), 1);
     let (c, report) = build(Config::stateless().with_cas_path(&store), &project_v1(), 1);
-    assert!(c.compiler().cas_stats().unwrap().hits > 0);
+    assert!(c.compiler().cas().unwrap().stats().hits > 0);
     assert_eq!(fingerprint_of(&report), fingerprint_of(&reference));
     cleanup(&store);
 }
@@ -444,7 +444,7 @@ fn quick_eviction_under_a_tight_budget_never_produces_a_wrong_hit() {
         &project_v1(),
         1,
     );
-    let stats = a.compiler().cas_stats().unwrap();
+    let stats = a.compiler().cas().unwrap().stats();
     assert!(stats.evictions > 0, "{stats:?}");
     assert!(stats.bytes <= 64, "the budget must hold: {stats:?}");
 
@@ -455,7 +455,7 @@ fn quick_eviction_under_a_tight_budget_never_produces_a_wrong_hit() {
         &project_v1(),
         1,
     );
-    let stats = b.compiler().cas_stats().unwrap();
+    let stats = b.compiler().cas().unwrap().stats();
     assert_eq!(stats.hits, 0, "evicted keys must miss: {stats:?}");
     assert_eq!(fingerprint_of(&report), fingerprint_of(&reference));
     assert_eq!(main_of(&report, 21), 43);
@@ -560,7 +560,7 @@ fn quick_jobs_invariance_over_a_partially_warm_store() {
             want,
             "jobs={jobs} diverged over the shared store"
         );
-        let stats = c.compiler().cas_stats().unwrap();
+        let stats = c.compiler().cas().unwrap().stats();
         assert!(
             stats.hits + stats.misses > 0,
             "jobs={jobs} never consulted the store: {stats:?}"

@@ -209,7 +209,8 @@ fn cold_crash_matrix(durability: Durability) {
         let report = run_session(&dir, &p, durability)
             .unwrap_or_else(|e| panic!("recovery session failed after crash at op {k}: {e}"));
         assert_eq!(
-            report.recovered_files, 0,
+            report.metric("recovery.recovered_files"),
+            0,
             "a clean crash must not look like corruption (op {k})"
         );
         let want = if committed { &refs.f2 } else { &refs.f1 };
@@ -282,7 +283,7 @@ fn incremental_crash_matrix(seed: &Path, next: &Project, tag: &str) -> sfcc_faul
         let committed = generation(&dir) > seed_gen;
         let report = run_session(&dir, next, d)
             .unwrap_or_else(|e| panic!("recovery failed after {tag} crash at op {k}: {e}"));
-        assert_eq!(report.recovered_files, 0, "op {k}");
+        assert_eq!(report.metric("recovery.recovered_files"), 0, "op {k}");
         let want = if committed { &w3 } else { &w2 };
         assert_snapshots_eq(
             &snapshot(&dir),
@@ -405,7 +406,10 @@ fn quick_a_failed_commit_is_carried_by_the_next() {
                 let mut fresh = Builder::new(Compiler::new(config(&dir)));
                 let report = fresh.build(&next).unwrap();
                 assert_eq!(
-                    (report.query.misses, report.recovered_files),
+                    (
+                        report.metric("query.misses"),
+                        report.metric("recovery.recovered_files")
+                    ),
                     (0, 0),
                     "{label}"
                 );
@@ -505,7 +509,11 @@ fn bitflip_read_matrix_never_accepts_corrupt_data() {
                 assert_eq!(out.return_value, Some(answer), "op {k} bit {bit}");
                 // And the session recommitted a fully healthy directory.
                 let clean = run_session(&dir, &p, d).unwrap();
-                assert_eq!(clean.recovered_files, 0, "op {k} bit {bit}");
+                assert_eq!(
+                    clean.metric("recovery.recovered_files"),
+                    0,
+                    "op {k} bit {bit}"
+                );
                 let out =
                     sfcc_backend::run(&clean.program, "main.main", &[21], VmOptions::default())
                         .unwrap();
@@ -728,12 +736,12 @@ fn truncated_files_recover_through_the_builder() {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let report = run_session(&dir, &v1, d).unwrap();
-        assert_eq!(report.recovered_files, 1, "{logical}");
+        assert_eq!(report.metric("recovery.recovered_files"), 1, "{logical}");
         assert!(report.quarantined[0].ends_with(".corrupt"), "{logical}");
         if logical == GRAPH_LOGICAL {
             // A torn graph is a cold start of the store and of nothing
             // else: every task re-executes against the intact state.
-            assert!(report.query.misses > 0 && report.query.hits == 0);
+            assert!(report.metric("query.misses") > 0 && report.metric("query.hits") == 0);
             assert_snapshots_eq(&snapshot(&dir), &from_scratch, "torn graph");
         }
         cleanup(&dir);
@@ -756,7 +764,7 @@ fn truncated_files_recover_through_the_builder() {
         .contains("query graph does not decode"));
     assert!(!junk_path.exists(), "the undecodable graph is moved aside");
     let report = run_session(&dir, &v1, d).unwrap();
-    assert!(report.query.misses > 0 && report.query.hits == 0);
+    assert!(report.metric("query.misses") > 0 && report.metric("query.hits") == 0);
     assert_eq!(snapshot(&dir).image, from_scratch.image);
     cleanup(&dir);
 }
@@ -819,7 +827,12 @@ fn quick_a_version_2_state_file_is_one_quarantined_cold_start() {
     let old_path = cd.entry_path(committed.entry(persist::STATE_LOGICAL).unwrap());
 
     let report = run_session(&dir, &v2, d).unwrap();
-    assert_eq!(report.recovered_files, 1, "{:?}", report.quarantined);
+    assert_eq!(
+        report.metric("recovery.recovered_files"),
+        1,
+        "{:?}",
+        report.quarantined
+    );
     assert_eq!(
         report.quarantined,
         [format!("{}.corrupt", old_path.display())]
@@ -827,7 +840,13 @@ fn quick_a_version_2_state_file_is_one_quarantined_cold_start() {
     assert!(!old_path.exists());
     assert_eq!(fs::read(dir.join(IMAGE_NAME)).unwrap(), fresh_image);
     let noop = run_session(&dir, &v2, d).unwrap();
-    assert_eq!((noop.query.misses, noop.recovered_files), (0, 0));
+    assert_eq!(
+        (
+            noop.metric("query.misses"),
+            noop.metric("recovery.recovered_files")
+        ),
+        (0, 0)
+    );
     cleanup(&dir);
 }
 
@@ -920,8 +939,12 @@ fn quick_tampered_graphs_are_never_served() {
             report.query
         );
     }
-    assert_eq!(report.recovered_files, 2, "one event per rejected value");
-    assert!(report.query.loaded > 0, "{:?}", report.query);
+    assert_eq!(
+        report.metric("recovery.recovered_files"),
+        2,
+        "one event per rejected value"
+    );
+    assert!(report.metric("query.loaded") > 0, "{:?}", report.query);
     assert_eq!(snapshot(&dir).image, fresh_image(&swapped_after));
     cleanup(&dir);
 
@@ -934,14 +957,26 @@ fn quick_tampered_graphs_are_never_served() {
     flip_value(&dir, "link");
     let report = run_session(&dir, &before, d).unwrap();
     assert_eq!(report.query.executed, ["link"], "{:?}", report.query);
-    assert_eq!((report.recovered_files, report.quarantined.len()), (1, 0));
+    assert_eq!(
+        (
+            report.metric("recovery.recovered_files"),
+            report.quarantined.len()
+        ),
+        (1, 0)
+    );
     assert_eq!(snapshot(&dir).image, image);
     let committed = persist::committed_bytes(&state_base(&dir), GRAPH_LOGICAL)
         .unwrap()
         .unwrap();
     assert!(GraphFile::from_bytes(committed).is_ok(), "a clean value");
     let again = run_session(&dir, &before, d).unwrap();
-    assert_eq!((again.query.misses, again.recovered_files), (0, 0));
+    assert_eq!(
+        (
+            again.metric("query.misses"),
+            again.metric("recovery.recovered_files")
+        ),
+        (0, 0)
+    );
     cleanup(&dir);
 
     // A byte flipped inside a value no build demands: builds stay correct,
@@ -960,7 +995,7 @@ fn quick_tampered_graphs_are_never_served() {
     );
     for (p, want) in [(&before, image), (&after, fresh_image(&after))] {
         let report = run_session(&dir, p, d).unwrap();
-        assert_eq!(report.recovered_files, 0);
+        assert_eq!(report.metric("recovery.recovered_files"), 0);
         assert_eq!(fs::read(dir.join(IMAGE_NAME)).unwrap(), want);
     }
     let report = persist::fsck(&state_base(&dir), &[]).unwrap();
@@ -985,7 +1020,12 @@ fn quick_tampered_graphs_are_never_served() {
         });
     });
     let report = run_session(&dir, &after, d).unwrap();
-    assert_eq!(report.query.hits, 0, "cold start: {:?}", report.query);
+    assert_eq!(
+        report.metric("query.hits"),
+        0,
+        "cold start: {:?}",
+        report.query
+    );
     assert_eq!(snapshot(&dir).image, fresh_image(&after));
     cleanup(&dir);
 }
@@ -1088,7 +1128,11 @@ fn quick_tampered_cache_entry_is_a_miss_never_served() {
         tamper_cache_entry(&dir, key, text);
         let report = run_session(&dir, &v1, d).unwrap();
         let gauge = |name: &str| report.metrics.scalar(name).unwrap();
-        assert_eq!(report.recovered_files, 0, "a bad entry is not a bad file");
+        assert_eq!(
+            report.metric("recovery.recovered_files"),
+            0,
+            "a bad entry is not a bad file"
+        );
         assert_eq!(
             (gauge("cache.corrupt_entries"), gauge("cache.hits")),
             (1, 0)
@@ -1185,7 +1229,11 @@ fn quick_damaged_segments_cold_start_only_their_artifact() {
                         .filter(|r| r.path.to_string_lossy().contains(".sfcc-state.ircache"))
                         .count();
                     assert_eq!(
-                        (report.query.misses, report.recovered_files, cache_ops),
+                        (
+                            report.metric("query.misses"),
+                            report.metric("recovery.recovered_files"),
+                            cache_ops
+                        ),
                         (0, 0, 0),
                         "{label}: the no-op"
                     );
@@ -1194,7 +1242,11 @@ fn quick_damaged_segments_cold_start_only_their_artifact() {
                     p.set_file("lib".into(), format!("{lib}\n"));
                 }
                 let report = run_session(&dir, &p, d).unwrap();
-                assert_eq!(report.recovered_files, usize::from(!by_fsck), "{label}");
+                assert_eq!(
+                    report.metric("recovery.recovered_files"),
+                    u64::from(!by_fsck),
+                    "{label}"
+                );
                 assert_eq!(
                     fs::read(dir.join(IMAGE_NAME)).unwrap(),
                     cold_image,
@@ -1245,9 +1297,15 @@ fn quick_crash_between_commit_and_image_is_healed_by_a_noop() {
     assert!(!dir.join(IMAGE_NAME).exists(), "the image did not");
 
     let report = run_session(&dir, &p, d).unwrap();
-    assert_eq!((report.query.misses, report.rebuilt_count()), (0, 0));
+    assert_eq!(
+        (
+            report.metric("query.misses"),
+            report.metric("build.rebuilt_count")
+        ),
+        (0, 0)
+    );
     assert!(report.query.executed.is_empty());
-    assert_eq!(report.recovered_files, 0);
+    assert_eq!(report.metric("recovery.recovered_files"), 0);
     assert_snapshots_eq(&snapshot(&dir), &refs.f2, "healed by a no-op");
     cleanup(&dir);
 }
@@ -1266,7 +1324,7 @@ fn quick_recovery_counters_surface_in_json_report() {
         fs::write(cd.entry_path(m.entry(logical).unwrap()), b"garbage").unwrap();
     }
     let report = run_session(&dir, &v1, d).unwrap();
-    assert_eq!(report.recovered_files, 2);
+    assert_eq!(report.metric("recovery.recovered_files"), 2);
     assert_eq!(report.quarantined.len(), 2);
     assert!(report.quarantined.iter().all(|q| q.ends_with(".corrupt")));
     let json = report.to_json();
@@ -1280,13 +1338,17 @@ fn quick_recovery_counters_surface_in_json_report() {
     // the unchanged tree has nothing to redo, and the one after an edit is
     // fully incremental again — warm state, no recovery, dormant skipping.
     let next = run_session(&dir, &v1, d).unwrap();
-    assert_eq!(next.recovered_files, 0);
+    assert_eq!(next.metric("recovery.recovered_files"), 0);
     assert!(next
         .to_json()
         .contains("\"recovery\":{\"recovered_files\":0,\"quarantined\":[]}"));
-    assert_eq!(next.query.misses, 0, "an unchanged tree is a no-op");
+    assert_eq!(
+        next.metric("query.misses"),
+        0,
+        "an unchanged tree is a no-op"
+    );
     let edited = run_session(&dir, &project_v2(), d).unwrap();
-    let (_, _, skipped) = edited.outcome_totals();
+    let skipped = edited.metric("outcomes.skipped");
     assert!(skipped > 0, "warm rebuild must skip dormant pass slots");
     cleanup(&dir);
 }
@@ -1321,7 +1383,7 @@ fn racing_builders_share_a_state_directory_safely() {
     assert!(report.quarantined.is_empty(), "{report:?}");
     assert!(persist::fsck(&state_base(&dir), &[]).unwrap().clean());
     let final_report = run_session(&dir, &project_v1(), Durability::Fast).unwrap();
-    assert_eq!(final_report.recovered_files, 0);
+    assert_eq!(final_report.metric("recovery.recovered_files"), 0);
     let out = sfcc_backend::run(
         &final_report.program,
         "main.main",
@@ -1725,7 +1787,8 @@ fn quick_daemon_serve_crash_matrix_fast() {
         let report = run_session(&dir, &v2, d)
             .unwrap_or_else(|e| panic!("recovery failed after daemon crash at op {k}: {e}"));
         assert_eq!(
-            report.recovered_files, 0,
+            report.metric("recovery.recovered_files"),
+            0,
             "a daemon crash must not look like corruption (op {k})"
         );
         let want = if committed { &w3 } else { &w2 };
@@ -1788,16 +1851,17 @@ fn quick_daemon_shutdown_snapshot_retries_a_failed_state_commit() {
     // has nothing to redo — and lands on the two-session reference: no
     // recovery, correct output; the session after an edit skips from it.
     let report = run_session(&dir, &project_v1(), d).unwrap();
-    assert_eq!(report.recovered_files, 0);
+    assert_eq!(report.metric("recovery.recovered_files"), 0);
     assert_eq!(
-        report.query.misses, 0,
+        report.metric("query.misses"),
+        0,
         "the snapshot's graph must be accepted"
     );
     assert_snapshots_eq(&snapshot(&dir), &refs.f2, "post-snapshot cold session");
     let out = sfcc_backend::run(&report.program, "main.main", &[21], VmOptions::default()).unwrap();
     assert_eq!(out.return_value, Some(43));
     let edited = run_session(&dir, &project_v2(), d).unwrap();
-    let (_, _, skipped) = edited.outcome_totals();
+    let skipped = edited.metric("outcomes.skipped");
     assert!(skipped > 0, "the snapshot state must warm the next session");
     cleanup(&root);
 }

@@ -14,7 +14,6 @@ mod common;
 use common::project;
 use sfcc::{Compiler, Config};
 use sfcc_backend::{run, VmOptions};
-use sfcc_buildsys::report::ParallelStats;
 use sfcc_buildsys::{
     validate_report_json, Builder, DepFindingKind, DepMutations, DepcheckReport, Project,
 };
@@ -275,21 +274,24 @@ fn quick_restored_graph_is_audited_and_the_audit_still_executes() {
 
     // Process 1 builds v1 and commits state, cache and graph.
     let mut first = Builder::new(Compiler::new(config.clone()));
-    let tasks = first.build(&project_v1()).unwrap().query.misses;
+    let tasks = first.build(&project_v1()).unwrap().metric("query.misses");
     first.compiler().save_state().unwrap();
 
     // Process 2, honest: the graph spares every task, and each spared task
     // is stamp-audited although none ran and none was read.
     let mut cold = Builder::new(Compiler::new(config.clone())).with_depcheck();
     let served = cold.build(&project_v1()).unwrap();
-    assert_eq!((served.query.hits, served.query.misses), (1, 0));
+    assert_eq!(
+        (served.metric("query.hits"), served.metric("query.misses")),
+        (1, 0)
+    );
     let dc = served.depcheck.unwrap();
     assert!(dc.is_clean(), "{}", dc.render());
     assert_eq!((dc.tasks_checked, dc.accesses), (tasks, 0));
     // Forgetting the graph turns the next build into the execution audit.
     assert!(cold.forget_restored_graph());
     let executed = cold.build(&project_v1()).unwrap();
-    assert_eq!(executed.query.misses, tasks);
+    assert_eq!(executed.metric("query.misses"), tasks);
     let dc = executed.depcheck.unwrap();
     assert!(dc.is_clean(), "{}", dc.render());
     assert!(dc.accesses > 0, "every task's reads were diffed");
@@ -302,7 +304,11 @@ fn quick_restored_graph_is_audited_and_the_audit_still_executes() {
         .with_depcheck()
         .with_dep_mutations(DepMutations::new().freeze_stamp("src:base"));
     let stale = lying.build(&project_v2()).unwrap();
-    assert_eq!(stale.query.misses, 0, "the lie must reach the fast path");
+    assert_eq!(
+        stale.metric("query.misses"),
+        0,
+        "the lie must reach the fast path"
+    );
     let dc = stale.depcheck.unwrap();
     let mut flagged: Vec<&str> = dc.findings.iter().map(|f| f.task.as_str()).collect();
     flagged.sort_unstable();
@@ -368,7 +374,7 @@ fn recovery_build_report_json_still_validates() {
     let mut builder = Builder::new(Compiler::new(config));
     let report = builder.build(&project_v1()).unwrap();
     assert!(
-        report.recovered_files > 0,
+        report.metric("recovery.recovered_files") > 0,
         "the garbage state must quarantine"
     );
     let json = report.to_json();
@@ -414,7 +420,7 @@ fn quick_cas_enabled_audit_stays_clean_cold_and_warm() {
         "store-served build must stay clean:\n{}",
         dc.render()
     );
-    let stats = warm.compiler().cas_stats().unwrap();
+    let stats = warm.compiler().cas().unwrap().stats();
     assert!(
         stats.hits > 0,
         "the warm build must actually be served: {stats:?}"
@@ -469,17 +475,22 @@ fn audit(p: &Project) -> DepcheckReport {
 }
 
 /// The observable result of one cold traced build of `p`: the exported
-/// trace bytes, the report's `parallel` block and its snapshot gauges.
-fn traced(p: &Project) -> (String, ParallelStats, Vec<Option<u64>>) {
+/// trace bytes and the snapshot and batch gauges of its `parallel` block.
+fn traced(p: &Project) -> (String, [u64; 5]) {
     let report = Builder::new(Compiler::new(Config::stateless()))
         .with_tracing()
         .build(p)
         .unwrap();
-    let gauges = ["snapshot.clones", "snapshot.cost_units", "snapshot.reused"]
-        .map(|name| report.metrics.scalar(name))
-        .to_vec();
+    let gauges = [
+        "snapshot.clones",
+        "snapshot.cost_units",
+        "snapshot.reused",
+        "batch.count",
+        "batch.max_cost",
+    ]
+    .map(|name| report.metric(name));
     let trace = report.trace.as_ref().expect("the build was traced");
-    (trace.to_chrome_json(false), report.parallel_stats(), gauges)
+    (trace.to_chrome_json(false), gauges)
 }
 
 #[test]
@@ -541,8 +552,5 @@ fn quick_concurrent_sessions_do_not_share_observers() {
         beside_traced.0 == solo_traced.0,
         "a neighbour's spans leaked into the trace"
     );
-    assert_eq!(
-        (beside_traced.1, &beside_traced.2),
-        (solo_traced.1, &solo_traced.2)
-    );
+    assert_eq!(beside_traced.1, solo_traced.1);
 }

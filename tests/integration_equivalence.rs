@@ -20,7 +20,7 @@ fn check_history(config: GeneratorConfig, edit_seed: u64, commits: usize) {
         Config::stateless().with_policy(SkipPolicy::PreviousBuild),
     ));
 
-    let mut total_skipped = 0usize;
+    let mut total_skipped = 0u64;
     for n in 0..=commits {
         if n > 0 {
             script_a.commit(&mut model_a);
@@ -28,7 +28,7 @@ fn check_history(config: GeneratorConfig, edit_seed: u64, commits: usize) {
         }
         let ra = baseline.build(&model_a.render()).unwrap();
         let rb = stateful.build(&model_b.render()).unwrap();
-        total_skipped += rb.outcome_totals().2;
+        total_skipped += rb.metric("outcomes.skipped");
 
         for arg in [0, 2, 9] {
             let oa = run(&ra.program, "main.main", &[arg], VmOptions::default());

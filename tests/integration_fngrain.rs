@@ -78,7 +78,7 @@ fn body_edit_in_wide_module_reexecutes_one_functions_pipeline() {
     // Exactly one function's pipeline ran: f7's checkfn, lowerfn, and
     // optimizefn. The other 31 wide functions — and all of consumer and
     // main — were spared by per-function fingerprint cutoff.
-    assert_eq!(report.fngrain.fn_tasks_executed, 3);
+    assert_eq!(report.metric("fngrain.fn_tasks_executed"), 3);
     let executed = &report.query.executed;
     for t in [
         "checkfn(wide::f7)",
@@ -102,7 +102,7 @@ fn body_edit_in_wide_module_reexecutes_one_functions_pipeline() {
     }
     // No signature re-extraction at all: a body edit leaves every
     // signature fingerprint untouched.
-    assert_eq!(report.fngrain.signature_misses, 0);
+    assert_eq!(report.metric("fngrain.signature_misses"), 0);
     assert!(report.module("wide").unwrap().rebuilt);
     assert!(!report.module("consumer").unwrap().rebuilt);
     assert!(!report.module("main").unwrap().rebuilt);
@@ -136,7 +136,9 @@ fn signature_edit_reexecutes_true_dependents_only() {
     // The interface-hash cliff is dead: the other consumers' signature
     // pins all validated. (signature(wide::*) re-executes — the interface
     // changed — but only f7's fingerprint changes.)
-    assert!(report.fngrain.signature_hits > 0 || report.fngrain.cutoff_saved > 0);
+    assert!(
+        report.metric("fngrain.signature_hits") > 0 || report.metric("fngrain.cutoff_saved") > 0
+    );
     assert!(!report.module("main").unwrap().rebuilt);
 
     assert_eq!(to_bytes(&report.program), clean_image(&p));

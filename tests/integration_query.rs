@@ -65,8 +65,8 @@ fn interface_edit_reexecutes_dependents_tasks_with_cutoff() {
     let mut p = three_module_project();
     let first = builder.build(&p).unwrap();
     // Cold build: every task is a miss, nothing hits.
-    assert_eq!(first.query.hits, 0);
-    assert!(first.query.misses > 0);
+    assert_eq!(first.metric("query.hits"), 0);
+    assert!(first.metric("query.misses") > 0);
 
     // Interface edit: base exports one more function. Under function-grained
     // dependencies lib's pin is on signature(base::g) alone — unchanged — so
@@ -100,8 +100,8 @@ fn interface_edit_reexecutes_dependents_tasks_with_cutoff() {
             .any(|t| t.ends_with("(main)") || t.contains("main::")),
         "{executed:?}"
     );
-    assert!(report.query.hits > 0);
-    assert_eq!(report.query.misses, executed.len() as u64);
+    assert!(report.metric("query.hits") > 0);
+    assert_eq!(report.metric("query.misses"), executed.len() as u64);
 
     // And the linked image is exactly what a clean build would produce.
     assert_eq!(to_bytes(&report.program), clean_image(&p));
@@ -159,6 +159,6 @@ fn edit_that_closes_an_import_cycle_is_reported_like_a_clean_build() {
     // *nothing* recompiles, and the image still matches a clean build.
     p.set_file("a".into(), "fn f() -> int { return 1; }".into());
     let report = builder.build(&p).unwrap();
-    assert_eq!(report.rebuilt_count(), 0);
+    assert_eq!(report.metric("build.rebuilt_count"), 0);
     assert_eq!(to_bytes(&report.program), clean_image(&p));
 }

@@ -415,7 +415,8 @@ fn quick_cold_build_accepts_warm_daemon_state_dir() {
     copy_tree(&warm_dir, &cold_dir);
     let report = cold_session(&cold_dir, 1);
     assert_eq!(
-        report.recovered_files, 0,
+        report.metric("recovery.recovered_files"),
+        0,
         "cold build rejected the daemon's state dir"
     );
     assert!(report.quarantined.is_empty());
@@ -811,7 +812,7 @@ fn quick_cold_ir_over_a_committed_tree_executes_nothing() {
     // is demanded from the store — loaded, rematerialized, never executed.
     let p = Project::from_dir(&dir).unwrap();
     let mut builder = Builder::new(Compiler::new(warm_config(&dir, 1, None)));
-    assert_eq!(builder.build(&p).unwrap().query.misses, 0);
+    assert_eq!(builder.build(&p).unwrap().metric("query.misses"), 0);
     let ir = builder.module_ir(&p, "lib").unwrap().unwrap();
     let stats = builder.session_stats();
     assert_eq!(stats.misses, 0, "{stats:?}");
@@ -1060,11 +1061,11 @@ fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
     let o0 = |dir: &Path| stateful(dir).with_opt_level(sfcc::OptLevel::O0);
     session_under(&dir, stateful(&dir).with_cas_path(&store));
     let (flip, image) = session_under(&dir, o0(&dir).with_cas_path(&store));
-    assert_eq!(flip.recovered_files, 0);
+    assert_eq!(flip.metric("recovery.recovered_files"), 0);
     assert_eq!(executed_kinds(&flip), flags_only, "{:?}", flip.query);
     assert_eq!(image, fresh_image("opt-fresh-o0", &o0));
     let (back, image) = session_under(&dir, stateful(&dir).with_cas_path(&store));
-    assert_eq!(back.recovered_files, 0);
+    assert_eq!(back.metric("recovery.recovered_files"), 0);
     assert_eq!(executed_kinds(&back), flags_only, "{:?}", back.query);
     assert_eq!(image, fresh_image("opt-fresh-o2", &stateful));
     assert!(
@@ -1073,7 +1074,13 @@ fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
     );
     // …and the flip back left its own graph behind.
     let (again, again_image) = session_under(&dir, stateful(&dir).with_cas_path(&store));
-    assert_eq!((again.query.misses, again.recovered_files), (0, 0));
+    assert_eq!(
+        (
+            again.metric("query.misses"),
+            again.metric("recovery.recovered_files")
+        ),
+        (0, 0)
+    );
     assert_eq!(again_image, image);
 
     // A stateful session's graph, then a session that keeps only the
@@ -1087,7 +1094,7 @@ fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
     };
     session_under(&dir, stateful(&dir));
     let (flip, image) = session_under(&dir, cache_only(&dir));
-    assert_eq!(flip.recovered_files, 0);
+    assert_eq!(flip.metric("recovery.recovered_files"), 0);
     assert!(re_optimized(&flip), "{:?}", flip.query);
     assert_eq!(image, fresh_image("mode-fresh", &cache_only));
 
@@ -1103,7 +1110,7 @@ fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
     }
     drop_graph(&twin);
     let (flip, image) = session_under(&dir, skip_known(&dir));
-    assert_eq!(flip.recovered_files, 0);
+    assert_eq!(flip.metric("recovery.recovered_files"), 0);
     assert!(re_optimized(&flip), "{:?}", flip.query);
     assert_eq!(image, session_under(&twin, skip_known(&twin)).1);
 
@@ -1127,7 +1134,7 @@ fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
     drop_graph(&twin);
     let (unplugged, image) = session_under(&dir, stateful(&dir));
     let (graphless, twin_image) = session_under(&twin, stateful(&twin));
-    assert_eq!(unplugged.recovered_files, 0);
+    assert_eq!(unplugged.metric("recovery.recovered_files"), 0);
     let executed = |report: &BuildReport, kind: &str| -> Vec<String> {
         let mut tasks: Vec<String> = report
             .query
@@ -1208,7 +1215,7 @@ fn flip_lineage_run(tag: &str, seed: u64) -> [usize; 4] {
             drop_graph(&twin);
         }
         let (report, image) = session_under(&dir, config(&dir));
-        assert_eq!(report.recovered_files, 0, "{label}");
+        assert_eq!(report.metric("recovery.recovered_files"), 0, "{label}");
         let (_, twin_image) = session_under(&twin, config(&twin));
         assert!(image == twin_image, "{label}: image");
         if action == 3 {

@@ -92,7 +92,8 @@ fn quick_every_pass_execution_appears_exactly_once_tagged() {
         .flat_map(|out| out.trace.functions.iter())
         .map(|f| f.records.len())
         .sum();
-    let (active, dormant, skipped) = report.outcome_totals();
+    let [active, dormant, skipped] =
+        ["active", "dormant", "skipped"].map(|o| report.metric(&format!("outcomes.{o}")) as usize);
 
     let doc = json::parse(&chrome_json(&report)).unwrap();
     let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
@@ -298,11 +299,9 @@ fn persisted_bytes(builder: &Builder, dir: &Path, tag: &str) -> (Vec<u8>, Vec<u8
 #[derive(Debug, PartialEq)]
 struct Decisions {
     rebuilt: Vec<(String, bool)>,
-    outcomes: (usize, usize, usize),
-    hits: u64,
-    misses: u64,
+    /// Pass outcomes, query hits and misses, executed cost units.
+    counts: [u64; 6],
     executed: Vec<String>,
-    cost_units: u64,
 }
 
 fn decisions(report: &BuildReport) -> Decisions {
@@ -312,11 +311,16 @@ fn decisions(report: &BuildReport) -> Decisions {
             .iter()
             .map(|m| (m.name.clone(), m.rebuilt))
             .collect(),
-        outcomes: report.outcome_totals(),
-        hits: report.query.hits,
-        misses: report.query.misses,
+        counts: [
+            "outcomes.active",
+            "outcomes.dormant",
+            "outcomes.skipped",
+            "query.hits",
+            "query.misses",
+            "build.executed_cost_units",
+        ]
+        .map(|name| report.metric(name)),
         executed: report.query.executed.clone(),
-        cost_units: report.executed_cost_units(),
     }
 }
 
@@ -375,9 +379,10 @@ proptest! {
 
 /// A report exercising every block: a rebuilt module with a pass trace, a
 /// reused one, depcheck findings, a quarantined path, strings that need
-/// escaping, and a fixed metrics snapshot standing in for some fields.
+/// escaping, and a metrics snapshot carrying every number the report
+/// renders — gauges, two counters and a histogram among them.
 fn golden_report() -> BuildReport {
-    use sfcc_buildsys::report::{FngrainStats, ModuleOutput, ModuleReport, QueryStats};
+    use sfcc_buildsys::report::{ModuleOutput, ModuleReport, QueryStats};
     use sfcc_buildsys::{DepFinding, DepFindingKind, DepcheckReport};
     use sfcc_passes::{FunctionTrace, PassOutcome, PassRecord, PipelineTrace};
     let record = |pass: &str, slot: usize, outcome: PassOutcome, nanos: u64| PassRecord {
@@ -407,21 +412,67 @@ fn golden_report() -> BuildReport {
         snapshot_wall_ns: 999,
     };
     let registry = sfcc_trace::Registry::new();
-    registry.gauge_set("build.wall_ns", 123_456);
-    registry.gauge_set("build.jobs", 2);
+    for (name, value) in [
+        ("build.wall_ns", 123_456),
+        ("build.link_ns", 2_000),
+        ("build.compile_ns", 150),
+        ("build.rebuilt_count", 1),
+        ("build.jobs", 2),
+        ("outcomes.active", 1),
+        ("outcomes.dormant", 1),
+        ("outcomes.skipped", 1),
+        ("query.misses", 4),
+        ("query.loaded", 3),
+        ("fngrain.signature_hits", 1),
+        ("fngrain.signature_misses", 2),
+        ("fngrain.fn_tasks_executed", 3),
+        ("fngrain.cutoff_saved", 4),
+        ("snapshot.clones", 2),
+        ("snapshot.cost_units", 40),
+        ("snapshot.reused", 1),
+        ("batch.count", 3),
+        ("batch.max_cost", 17),
+        ("recovery.recovered_files", 1),
+        ("cas.enabled", 0),
+        ("cas.hits", 0),
+        ("cas.misses", 0),
+        ("cas.evictions", 0),
+        ("cas.publishes", 0),
+        ("cas.entries", 0),
+        ("cas.bytes", 0),
+        ("pass.inline.total_ns", 500),
+        ("pass.inline.skipped", 1),
+        ("pass.dce.total_ns", 300),
+        ("pass.dce.runs", 1),
+        ("pass.dce.skipped", 0),
+        ("slot.0.total_ns", 500),
+        ("slot.0.runs", 1),
+        ("slot.1.total_ns", 300),
+        ("slot.1.runs", 1),
+        ("slot.2.total_ns", 0),
+        ("slot.2.runs", 0),
+        ("module.we\"ird.frontend_ns", 10),
+        ("module.we\"ird.lower_ns", 77),
+        ("module.we\"ird.middle_ns", 30),
+        ("module.we\"ird.backend_ns", 40),
+        ("module.we\"ird.state_ns", 50),
+        ("module.we\"ird.optimize_ns", 80),
+        ("module.we\"ird.active", 1),
+        ("module.we\"ird.dormant", 1),
+        ("module.we\"ird.skipped", 1),
+    ] {
+        registry.gauge_set(name, value);
+    }
     registry.counter_add("query.hits", 5);
     registry.counter_add("pass.inline.runs", 1);
     registry.histogram_record("cache.lookup_ns", 40);
     registry.histogram_record("cache.lookup_ns", 2);
-    registry.gauge_set("module.we\"ird.lower_ns", 77);
     BuildReport {
         program: sfcc_backend::Program {
             funcs: Vec::new(),
             entry: None,
         }
         .into(),
-        wall_ns: 1,
-        link_ns: 2_000,
         modules: vec![
             ModuleReport {
                 name: "base".to_string(),
@@ -444,22 +495,11 @@ fn golden_report() -> BuildReport {
             },
         ],
         query: QueryStats {
-            hits: 9,
-            misses: 4,
-            loaded: 3,
             rematerialized: vec!["parse(base)".to_string()],
             executed: vec!["checkfn(we\"ird::f)".to_string(), "link".to_string()],
         },
-        fngrain: FngrainStats {
-            signature_hits: 1,
-            signature_misses: 2,
-            fn_tasks_executed: 3,
-            cutoff_saved: 4,
-        },
-        jobs: 8,
         outcome: "success".to_string(),
         state_generation: 12,
-        recovered_files: 1,
         quarantined: vec!["/p/.sfcc-state.g1\\x\n.corrupt".to_string()],
         depcheck: Some(DepcheckReport {
             findings: vec![DepFinding {
@@ -476,7 +516,7 @@ fn golden_report() -> BuildReport {
     }
 }
 
-const GOLDEN_REPORT: &str = r#"{"wall_ns":123456,"link_ns":2000,"compile_ns":150,"rebuilt_count":1,"jobs":2,"outcome":"success","state_generation":12,"outcomes":{"active":1,"dormant":1,"skipped":1},"query":{"hits":5,"misses":4,"loaded":3,"rematerialized":["parse(base)"],"executed":["checkfn(we\"ird::f)","link"]},"fngrain":{"signature_hits":1,"signature_misses":2,"fn_tasks_executed":3,"cutoff_saved":4},"parallel":{"snapshot_clones":2,"snapshot_cost_units":40,"snapshot_reused":1,"batch_count":3,"batch_max_cost":17},"recovery":{"recovered_files":1,"quarantined":["/p/.sfcc-state.g1\\x\n.corrupt"]},"depcheck":{"enabled":true,"missing":0,"redundant":0,"stale":1,"untracked_io":0,"tasks_checked":38,"accesses":12,"findings":[{"kind":"stale-serve","task":"frontend(lib)","resource":"src:lib","detail":"declared \"a\"\tobserved \u0001b/c"}]},"cas":{"enabled":false,"hits":0,"misses":0,"evictions":0,"publishes":0,"entries":0,"bytes":0},"pass_profile":[{"pass":"inline","total_ns":500,"runs":1,"skipped":1},{"pass":"dce","total_ns":300,"runs":1,"skipped":0}],"slowest_slots":[{"slot":0,"pass":"inline","total_ns":500,"runs":1},{"slot":1,"pass":"dce","total_ns":300,"runs":1},{"slot":2,"pass":"inline","total_ns":0,"runs":0}],"modules":[{"name":"base","rebuilt":false},{"name":"we\"ird","rebuilt":true,"timings_ns":{"frontend":10,"lower":77,"middle":30,"backend":40,"state":50},"optimize_ns":80,"outcomes":{"active":1,"dormant":1,"skipped":1}}],"metrics":{"build.jobs":{"type":"gauge","value":2},"build.wall_ns":{"type":"gauge","value":123456},"cache.lookup_ns":{"type":"histogram","count":2,"sum":42,"min":2,"max":40},"module.we\"ird.lower_ns":{"type":"gauge","value":77},"pass.inline.runs":{"type":"counter","value":1},"query.hits":{"type":"counter","value":5}}}"#;
+const GOLDEN_REPORT: &str = r#"{"wall_ns":123456,"link_ns":2000,"compile_ns":150,"rebuilt_count":1,"jobs":2,"outcome":"success","state_generation":12,"outcomes":{"active":1,"dormant":1,"skipped":1},"query":{"hits":5,"misses":4,"loaded":3,"rematerialized":["parse(base)"],"executed":["checkfn(we\"ird::f)","link"]},"fngrain":{"signature_hits":1,"signature_misses":2,"fn_tasks_executed":3,"cutoff_saved":4},"parallel":{"snapshot_clones":2,"snapshot_cost_units":40,"snapshot_reused":1,"batch_count":3,"batch_max_cost":17},"recovery":{"recovered_files":1,"quarantined":["/p/.sfcc-state.g1\\x\n.corrupt"]},"depcheck":{"enabled":true,"missing":0,"redundant":0,"stale":1,"untracked_io":0,"tasks_checked":38,"accesses":12,"findings":[{"kind":"stale-serve","task":"frontend(lib)","resource":"src:lib","detail":"declared \"a\"\tobserved \u0001b/c"}]},"cas":{"enabled":false,"hits":0,"misses":0,"evictions":0,"publishes":0,"entries":0,"bytes":0},"pass_profile":[{"pass":"inline","total_ns":500,"runs":1,"skipped":1},{"pass":"dce","total_ns":300,"runs":1,"skipped":0}],"slowest_slots":[{"slot":0,"pass":"inline","total_ns":500,"runs":1},{"slot":1,"pass":"dce","total_ns":300,"runs":1},{"slot":2,"pass":"inline","total_ns":0,"runs":0}],"modules":[{"name":"base","rebuilt":false},{"name":"we\"ird","rebuilt":true,"timings_ns":{"frontend":10,"lower":77,"middle":30,"backend":40,"state":50},"optimize_ns":80,"outcomes":{"active":1,"dormant":1,"skipped":1}}],"metrics":{"batch.count":{"type":"gauge","value":3},"batch.max_cost":{"type":"gauge","value":17},"build.compile_ns":{"type":"gauge","value":150},"build.jobs":{"type":"gauge","value":2},"build.link_ns":{"type":"gauge","value":2000},"build.rebuilt_count":{"type":"gauge","value":1},"build.wall_ns":{"type":"gauge","value":123456},"cache.lookup_ns":{"type":"histogram","count":2,"sum":42,"min":2,"max":40},"cas.bytes":{"type":"gauge","value":0},"cas.enabled":{"type":"gauge","value":0},"cas.entries":{"type":"gauge","value":0},"cas.evictions":{"type":"gauge","value":0},"cas.hits":{"type":"gauge","value":0},"cas.misses":{"type":"gauge","value":0},"cas.publishes":{"type":"gauge","value":0},"fngrain.cutoff_saved":{"type":"gauge","value":4},"fngrain.fn_tasks_executed":{"type":"gauge","value":3},"fngrain.signature_hits":{"type":"gauge","value":1},"fngrain.signature_misses":{"type":"gauge","value":2},"module.we\"ird.active":{"type":"gauge","value":1},"module.we\"ird.backend_ns":{"type":"gauge","value":40},"module.we\"ird.dormant":{"type":"gauge","value":1},"module.we\"ird.frontend_ns":{"type":"gauge","value":10},"module.we\"ird.lower_ns":{"type":"gauge","value":77},"module.we\"ird.middle_ns":{"type":"gauge","value":30},"module.we\"ird.optimize_ns":{"type":"gauge","value":80},"module.we\"ird.skipped":{"type":"gauge","value":1},"module.we\"ird.state_ns":{"type":"gauge","value":50},"outcomes.active":{"type":"gauge","value":1},"outcomes.dormant":{"type":"gauge","value":1},"outcomes.skipped":{"type":"gauge","value":1},"pass.dce.runs":{"type":"gauge","value":1},"pass.dce.skipped":{"type":"gauge","value":0},"pass.dce.total_ns":{"type":"gauge","value":300},"pass.inline.runs":{"type":"counter","value":1},"pass.inline.skipped":{"type":"gauge","value":1},"pass.inline.total_ns":{"type":"gauge","value":500},"query.hits":{"type":"counter","value":5},"query.loaded":{"type":"gauge","value":3},"query.misses":{"type":"gauge","value":4},"recovery.recovered_files":{"type":"gauge","value":1},"slot.0.runs":{"type":"gauge","value":1},"slot.0.total_ns":{"type":"gauge","value":500},"slot.1.runs":{"type":"gauge","value":1},"slot.1.total_ns":{"type":"gauge","value":300},"slot.2.runs":{"type":"gauge","value":0},"slot.2.total_ns":{"type":"gauge","value":0},"snapshot.clones":{"type":"gauge","value":2},"snapshot.cost_units":{"type":"gauge","value":40},"snapshot.reused":{"type":"gauge","value":1}}}"#;
 
 /// `minicc build demo --trace t.json`'s trace, in process: a stateless
 /// one-request session over a copy of `demo/`.
