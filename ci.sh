@@ -21,6 +21,8 @@
 #                  flip gate (a flag flip executes what the flags shape)
 #                  and the commit gate (an edit writes what it changed); both modes
 #                  start with the one-request-path grep over `minicc.rs`,
+#                  the planner grep over `builder.rs`, the optimizer-kernel
+#                  grep over `crates/passes/src` and `replace_uses`,
 #                  the one-metrics-home grep over `crates/buildsys/src`,
 #                  the no-process-state grep over `crates/`, the
 #                  one-JSON-writer grep over `crates/` and the one-codec
@@ -320,6 +322,33 @@ planner_gate() {
     fi
 }
 
+# Optimizer passes cost O(live IR). `Function::replace_uses` walks the
+# instructions attached to blocks, never the grow-only arena, and a pass
+# detaches an instruction from the block it knows or sweeps once with
+# `util::detach_all`, never through `Function::detach_inst`, which searches
+# every block. A `detach_inst(` call in the non-test code of
+# crates/passes/src, or a loop over `self.insts` (or the destructured
+# `insts`) in `replace_uses`, is a per-call walk of dead slots coming back.
+kernel_gate() {
+    local found
+    found="$( (find crates/passes/src -name '*.rs' | sort | xargs awk '
+                FNR == 1 { test = 0 }
+                /^#\[cfg\(test\)\]/ { test = 1 }
+                test || /^[[:space:]]*\/\// { next }
+                /detach_inst\(/ { print FILENAME ":" FNR ": " $0 }'
+              awk '/^    pub fn replace_uses\(/ { body = 1 }
+                   body && /^[[:space:]]*\/\// { next }
+                   body && (/self\.insts/ || /in &?(mut )?insts([^A-Za-z0-9_[]|$)/ ||
+                            /(^|[^A-Za-z0-9_.])insts\.(iter|iter_mut|into_iter)\(/) {
+                       print FILENAME ":" FNR ": " $0 }
+                   body && /^    }$/ { body = 0 }' crates/ir/src/function.rs) )"
+    if [[ -n "$found" ]]; then
+        echo "ci: an optimizer kernel walks dead arena slots (walk blocks; detach from the known block or with detach_all):" >&2
+        echo "$found" >&2
+        return 1
+    fi
+}
+
 # A build's numbers have one home, its report's metrics snapshot: the
 # builder sets each gauge once and every reader goes through
 # `BuildReport::metric`. In the non-test code of crates/buildsys/src, a
@@ -399,6 +428,7 @@ codec_gate() {
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
     planner_gate
+    kernel_gate
     metrics_home_gate
     static_state_gate
     json_writer_gate
@@ -441,6 +471,7 @@ fi
 
 one_path_gate
 planner_gate
+kernel_gate
 metrics_home_gate
 static_state_gate
 json_writer_gate

@@ -117,7 +117,10 @@ pub fn fngrain(scale: crate::Scale) -> (String, Value) {
     r.set_file("wide".into(), grown);
     let cliff = builder2.build(&r).unwrap();
     let cliff_consumer_tasks = fn_pipeline_tasks_of(&cliff, "consumer");
-    let consumer_rebuilt = cliff.module("consumer").map(|m| m.rebuilt).unwrap_or(true);
+    let consumer_rebuilt = cliff
+        .module("consumer")
+        .map(|m| m.rebuilt())
+        .unwrap_or(true);
 
     let task_ratio = coarse_tasks as f64 / fine_tasks.max(1) as f64;
     let wall_speedup = coarse_wall as f64 / fine_wall.max(1) as f64;

@@ -166,7 +166,7 @@ pub fn parallel_scaling(scale: Scale) -> (String, Value) {
             let optimize_ns: u64 = report
                 .modules
                 .iter()
-                .filter(|m| m.rebuilt)
+                .filter(|m| m.rebuilt())
                 .map(|m| report.metric(&format!("module.{}.optimize_ns", m.name)))
                 .sum();
             point.wall_ns = point.wall_ns.min(report.metric("build.wall_ns"));

@@ -524,7 +524,6 @@ impl Builder {
             });
             modules.push(ModuleReport {
                 name: name.clone(),
-                rebuilt: roster.is_some(),
                 output,
             });
         }
@@ -984,8 +983,8 @@ mod tests {
         );
         let report = builder.build(&p).unwrap();
         assert_eq!(report.metric("build.rebuilt_count"), 1);
-        assert!(report.module("base").unwrap().rebuilt);
-        assert!(!report.module("lib").unwrap().rebuilt);
+        assert!(report.module("base").unwrap().rebuilt());
+        assert!(!report.module("lib").unwrap().rebuilt());
         assert!(report.module("lib").unwrap().output.is_none());
     }
 
@@ -1040,9 +1039,9 @@ mod tests {
             "fn g(x: int) -> int { return x * 2; }\nfn extra() -> int { return 7; }".into(),
         );
         let report = builder.build(&p).unwrap();
-        assert!(report.module("base").unwrap().rebuilt);
-        assert!(!report.module("lib").unwrap().rebuilt);
-        assert!(!report.module("main").unwrap().rebuilt);
+        assert!(report.module("base").unwrap().rebuilt());
+        assert!(!report.module("lib").unwrap().rebuilt());
+        assert!(!report.module("main").unwrap().rebuilt());
         assert_eq!(report.metric("build.rebuilt_count"), 1);
         let executed = &report.query.executed;
         // base re-runs the new function's pipeline and re-assembles its
@@ -1119,8 +1118,8 @@ mod tests {
             "import a;\nfn main(n: int) -> int { return a::f() + n; }".into(),
         );
         let report = builder.build(&p).unwrap();
-        assert!(report.module("main").unwrap().rebuilt);
-        assert!(!report.module("a").unwrap().rebuilt);
+        assert!(report.module("main").unwrap().rebuilt());
+        assert!(!report.module("a").unwrap().rebuilt());
     }
 
     #[test]
@@ -1229,8 +1228,8 @@ mod tests {
             rematerialized,
             ["checkfn(m::b)", "lowerfn(m::b)", "signature(m::a)"]
         );
-        assert!(report.module("m").unwrap().rebuilt);
-        assert!(!report.module("main").unwrap().rebuilt);
+        assert!(report.module("m").unwrap().rebuilt());
+        assert!(!report.module("main").unwrap().rebuilt());
         let fresh_dir = state_dir("two-constants-fresh");
         let mut fresh = process(&fresh_dir);
         let cold = fresh.build(&edited).unwrap();
@@ -1307,7 +1306,7 @@ mod tests {
         // Fixing the edit recovers without clearing the cache.
         p.set_file("a".into(), "fn f() -> int { return 2; }".into());
         let report = builder.build(&p).unwrap();
-        assert!(report.module("a").unwrap().rebuilt);
+        assert!(report.module("a").unwrap().rebuilt());
     }
 
     #[test]

@@ -57,12 +57,17 @@ pub struct ModuleOutput {
 pub struct ModuleReport {
     /// Module name.
     pub name: String,
-    /// Whether this build recompiled the module (vs. reusing its cached
-    /// object).
-    pub rebuilt: bool,
     /// What the compilation left — `Some` only when the module was rebuilt
     /// in *this* build, so traces are never double-counted across builds.
     pub output: Option<ModuleOutput>,
+}
+
+impl ModuleReport {
+    /// Whether this build recompiled the module (vs. reusing its cached
+    /// object).
+    pub fn rebuilt(&self) -> bool {
+        self.output.is_some()
+    }
 }
 
 /// A build's linked program as `link` memoized it: the image bytes, shared,
@@ -254,7 +259,7 @@ impl BuildReport {
         let modules = self.modules.iter().map(|module| {
             let mut fields = vec![
                 ("name", module.name.as_str().into()),
-                ("rebuilt", module.rebuilt.into()),
+                ("rebuilt", module.rebuilt().into()),
             ];
             if module.output.is_some() {
                 let prefix = format!("module.{}.", module.name);

@@ -30,6 +30,22 @@ impl Predecessors {
     pub fn count(&self, block: BlockId) -> usize {
         self.of(block).len()
     }
+
+    /// Updates the lists for a CFG edit that leaves nothing branching to
+    /// `from`, and moves `from`'s edges into `succs` to `to`: a block
+    /// merged into its only predecessor `to`, or a loop header replaced by
+    /// the unrolled block `to` before the loop exit. `to` may be a block
+    /// added after the lists were computed; its own list is not tracked.
+    pub fn redirect(&mut self, from: BlockId, to: BlockId, succs: &[BlockId]) {
+        self.preds[from.0 as usize].clear();
+        for &succ in succs {
+            for p in &mut self.preds[succ.0 as usize] {
+                if *p == from {
+                    *p = to;
+                }
+            }
+        }
+    }
 }
 
 /// Blocks reachable from the entry, as a dense bitset.

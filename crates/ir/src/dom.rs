@@ -18,6 +18,13 @@ pub struct DomTree {
     po_index: Vec<usize>,
     /// Reverse post-order of reachable blocks (entry first).
     rpo: Vec<BlockId>,
+    /// Preorder number of each reachable block in the dominator tree, and
+    /// the largest number in its subtree: `a` dominates `b` exactly when
+    /// `pre[a] <= pre[b] <= last[a]`.
+    pre: Vec<u32>,
+    last: Vec<u32>,
+    /// The predecessor lists the tree was built from.
+    preds: Predecessors,
 }
 
 impl DomTree {
@@ -83,12 +90,36 @@ impl DomTree {
             }
         }
 
+        // Number the tree in preorder; a block's subtree is the range from
+        // its own number to the last one handed out below it.
+        let (mut pre, mut last) = (vec![0u32; n], vec![0u32; n]);
+        let mut next = 0u32;
+        let mut stack = vec![(ENTRY, false)];
+        while let Some((b, done)) = stack.pop() {
+            if done {
+                last[b.0 as usize] = next - 1;
+                continue;
+            }
+            pre[b.0 as usize] = next;
+            next += 1;
+            stack.push((b, true));
+            stack.extend(children[b.0 as usize].iter().map(|&c| (c, false)));
+        }
+
         DomTree {
             idom,
             children,
             po_index,
             rpo,
+            pre,
+            last,
+            preds,
         }
+    }
+
+    /// The predecessor lists of the function the tree was computed for.
+    pub fn preds(&self) -> &Predecessors {
+        &self.preds
     }
 
     /// The immediate dominator of `block` (`entry`'s idom is itself);
@@ -109,16 +140,8 @@ impl DomTree {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == ENTRY {
-                return false;
-            }
-            cur = self.idom[cur.0 as usize].expect("reachable blocks have idoms");
-        }
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        self.pre[a] <= self.pre[b] && self.pre[b] <= self.last[a]
     }
 
     /// Children of `block` in the dominator tree.
@@ -133,7 +156,7 @@ impl DomTree {
 
     /// Computes dominance frontiers for phi placement.
     pub fn frontiers(&self, func: &Function) -> Vec<Vec<BlockId>> {
-        let preds = Predecessors::compute(func);
+        let preds = &self.preds;
         let n = func.block_count();
         let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         for b in func.block_ids() {

@@ -1,7 +1,8 @@
 //! Functions, basic blocks, modules, and the instruction builder.
 
-use crate::inst::{BinKind, BlockId, IcmpPred, InstData, InstId, Op, Terminator, Ty, ValueRef};
-use std::collections::HashMap;
+use crate::inst::{
+    BinKind, BlockId, IcmpPred, IdMap, InstData, InstId, Op, Terminator, Ty, ValueRef,
+};
 use std::fmt;
 
 /// A basic block: an ordered list of instruction ids plus one terminator.
@@ -29,6 +30,14 @@ impl Default for BlockData {
 /// `insts` list gives execution order. Detached instructions (removed by
 /// passes) simply stop being referenced — iteration always goes through
 /// blocks.
+///
+/// **Arena invariant.** [`Function::replace_uses`] rewrites the operands of
+/// *attached* instructions (and terminators) only, so its cost follows the
+/// live IR, not the arena. A detached instruction's operands are therefore
+/// stale after any `replace_uses`, and re-attaching one is a bug: an
+/// instruction is either attached before the `replace_uses` that must see
+/// it (as the phis `mem2reg` and `inline` allocate are), or moved between
+/// blocks with no `replace_uses` in between (as `licm` hoists).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     /// Function name, unique within its module (unqualified).
@@ -146,37 +155,27 @@ impl Function {
         }
     }
 
-    /// Rewrites every operand (including phi inputs and terminator operands)
-    /// using `map`: operands equal to a key become the mapped value.
+    /// Rewrites every operand of every attached instruction (phi inputs
+    /// included) and every terminator operand using `map`: an operand
+    /// naming a key becomes the key's value, chains `a→b→c` resolved.
     ///
     /// This is the IR's replace-all-uses primitive; passes batch their
-    /// replacements and apply them in one sweep.
-    pub fn replace_uses(&mut self, map: &HashMap<ValueRef, ValueRef>) {
+    /// replacements and apply them in one sweep over the live IR. Detached
+    /// instructions are left alone (see the arena invariant on [`Function`]).
+    pub fn replace_uses(&mut self, map: &IdMap<InstId, ValueRef>) {
         if map.is_empty() {
             return;
         }
-        // Resolve chains a→b→c so a maps directly to c.
-        let resolve = |mut v: ValueRef| {
-            let mut hops = 0;
-            while let Some(&next) = map.get(&v) {
-                v = next;
-                hops += 1;
-                debug_assert!(hops <= map.len(), "cycle in replacement map");
-                if hops > map.len() {
-                    break;
+        let Function { insts, blocks, .. } = self;
+        for block in blocks.iter_mut() {
+            for &iid in &block.insts {
+                for arg in &mut insts[iid.0 as usize].args {
+                    *arg = resolve(map, *arg);
                 }
             }
-            v
-        };
-        for inst in &mut self.insts {
-            for arg in &mut inst.args {
-                *arg = resolve(*arg);
-            }
-        }
-        for block in &mut self.blocks {
             match &mut block.term {
-                Terminator::CondBr { cond, .. } => *cond = resolve(*cond),
-                Terminator::Ret(Some(v)) => *v = resolve(*v),
+                Terminator::CondBr { cond, .. } => *cond = resolve(map, *cond),
+                Terminator::Ret(Some(v)) => *v = resolve(map, *v),
                 _ => {}
             }
         }
@@ -184,6 +183,9 @@ impl Function {
 
     /// Removes instruction `id` from whatever block contains it (the arena
     /// entry remains as a tombstone). Returns whether it was attached.
+    ///
+    /// This searches every block; a pass that knows the block edits its
+    /// `insts` directly, and one that removes many instructions sweeps once.
     pub fn detach_inst(&mut self, id: InstId) -> bool {
         for block in &mut self.blocks {
             if let Some(pos) = block.insts.iter().position(|&i| i == id) {
@@ -193,6 +195,22 @@ impl Function {
         }
         false
     }
+}
+
+/// Follows `v` through a replacement map to its final value, as
+/// [`Function::replace_uses`] does for every operand.
+pub fn resolve(map: &IdMap<InstId, ValueRef>, mut v: ValueRef) -> ValueRef {
+    let mut hops = 0;
+    while let ValueRef::Inst(id) = v {
+        let Some(&next) = map.get(&id) else { break };
+        v = next;
+        hops += 1;
+        debug_assert!(hops <= map.len(), "cycle in replacement map");
+        if hops > map.len() {
+            break;
+        }
+    }
+    v
 }
 
 /// A compiled module: a set of functions with an index by name.
@@ -447,8 +465,8 @@ mod tests {
         let mut b = FuncBuilder::at_entry(&mut f);
         let v = b.bin(BinKind::Add, ValueRef::Param(0), ValueRef::int(0));
         b.ret(Some(v));
-        let mut map = HashMap::new();
-        map.insert(v, ValueRef::Param(0));
+        let mut map = IdMap::default();
+        map.insert(v.as_inst().unwrap(), ValueRef::Param(0));
         f.replace_uses(&map);
         assert_eq!(
             f.block(ENTRY).term,
@@ -463,14 +481,33 @@ mod tests {
         let a = b.bin(BinKind::Add, ValueRef::Param(0), ValueRef::int(0));
         let c = b.bin(BinKind::Add, a, ValueRef::int(0));
         b.ret(Some(c));
-        let mut map = HashMap::new();
-        map.insert(c, a);
-        map.insert(a, ValueRef::Param(0));
+        let mut map = IdMap::default();
+        map.insert(c.as_inst().unwrap(), a);
+        map.insert(a.as_inst().unwrap(), ValueRef::Param(0));
         f.replace_uses(&map);
         assert_eq!(
             f.block(ENTRY).term,
             Terminator::Ret(Some(ValueRef::Param(0)))
         );
+    }
+
+    #[test]
+    fn replace_uses_leaves_detached_instructions_alone() {
+        let mut f = Function::new("t", vec![Ty::I64], Some(Ty::I64));
+        let mut b = FuncBuilder::at_entry(&mut f);
+        let v = b.bin(BinKind::Add, ValueRef::Param(0), ValueRef::int(0));
+        let gone = b.bin(BinKind::Mul, v, ValueRef::int(2));
+        let kept = b.bin(BinKind::Sub, v, ValueRef::int(1));
+        b.ret(Some(kept));
+        let gone = gone.as_inst().unwrap();
+        assert!(f.detach_inst(gone));
+        let mut map = IdMap::default();
+        map.insert(v.as_inst().unwrap(), ValueRef::Param(0));
+        f.replace_uses(&map);
+        // The attached user is rewritten; the detached one keeps a stale
+        // operand, which is why re-attaching it would be a bug.
+        assert_eq!(f.inst(kept.as_inst().unwrap()).args[0], ValueRef::Param(0));
+        assert_eq!(f.inst(gone).args[0], v);
     }
 
     #[test]

@@ -59,6 +59,36 @@ impl fmt::Display for BlockId {
     }
 }
 
+/// A hasher for dense ids ([`InstId`], [`BlockId`] and tuples of them): one
+/// multiply per `u32` word instead of SipHash's rounds.
+///
+/// Ids are allocated by the compiler, never chosen by a source file, so no
+/// input can force collisions. Anything a source derives — constants,
+/// names, [`ValueRef`]s — must keep std's `RandomState`: to hold that, the
+/// hasher takes `u32` words only, and hashing any other key panics.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        panic!("IdHasher hashes dense ids only (u32 words)");
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by dense ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
+/// A hash set of dense ids, hashed with [`IdHasher`].
+pub type IdSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// An operand: a constant, a function parameter, or an instruction result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueRef {
@@ -374,16 +404,42 @@ pub enum Terminator {
     Trap,
 }
 
+/// The successor blocks of a [`Terminator`], in branch order: at most two,
+/// held inline, since every CFG analysis asks for them block by block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..self.len]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(self.len)
+    }
+}
+
 impl Terminator {
     /// Successor blocks, in branch order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br(b) => vec![*b],
+    pub fn successors(&self) -> Successors {
+        let (blocks, len) = match *self {
+            Terminator::Br(b) => ([b, b], 1),
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) | Terminator::Trap => vec![],
-        }
+            } => ([then_bb, else_bb], 2),
+            Terminator::Ret(_) | Terminator::Trap => ([BlockId(0); 2], 0),
+        };
+        Successors { blocks, len }
     }
 
     /// Applies `f` to every successor block id in place.
@@ -400,12 +456,12 @@ impl Terminator {
         }
     }
 
-    /// Operand values used by the terminator, if any.
-    pub fn args(&self) -> Vec<ValueRef> {
-        match self {
-            Terminator::CondBr { cond, .. } => vec![*cond],
-            Terminator::Ret(Some(v)) => vec![*v],
-            _ => vec![],
+    /// The operand value the terminator uses, if any.
+    pub fn operand(&self) -> Option<ValueRef> {
+        match *self {
+            Terminator::CondBr { cond, .. } => Some(cond),
+            Terminator::Ret(v) => v,
+            Terminator::Br(_) | Terminator::Trap => None,
         }
     }
 }
@@ -468,8 +524,8 @@ mod tests {
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Terminator::Ret(None).successors(), vec![]);
+        assert_eq!(*t.successors(), [BlockId(1), BlockId(2)]);
+        assert!(Terminator::Ret(None).successors().is_empty());
     }
 
     #[test]

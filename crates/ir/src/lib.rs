@@ -52,7 +52,10 @@ pub use cfg::{post_order, reverse_post_order, Predecessors, Reachability};
 pub use dom::DomTree;
 pub use fingerprint::{fingerprint, Fingerprint};
 pub use function::{BlockData, FuncBuilder, Function, Module, ENTRY};
-pub use inst::{BinKind, BlockId, IcmpPred, InstData, InstId, Op, Terminator, Ty, ValueRef};
+pub use inst::{
+    BinKind, BlockId, IcmpPred, IdHasher, IdMap, IdSet, InstData, InstId, Op, Terminator, Ty,
+    ValueRef,
+};
 pub use loops::{Loop, LoopForest};
 pub use lower::{lower_function_def, lower_module};
 pub use parse::{parse_function, IrParseError};

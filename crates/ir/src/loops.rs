@@ -4,7 +4,6 @@ use crate::cfg::Predecessors;
 use crate::dom::DomTree;
 use crate::function::Function;
 use crate::inst::BlockId;
-use std::collections::HashSet;
 
 /// One natural loop: a header plus the set of blocks that reach a back edge
 /// without leaving the header's dominance region.
@@ -64,7 +63,7 @@ impl Loop {
             .filter(|p| !self.contains(*p))
             .collect();
         match outside.as_slice() {
-            [single] if func.block(*single).term.successors() == vec![self.header] => Some(*single),
+            [single] if *func.block(*single).term.successors() == [self.header] => Some(*single),
             _ => None,
         }
     }
@@ -111,16 +110,20 @@ impl LoopForest {
             }
         }
 
-        let preds = Predecessors::compute(func);
+        let preds = dom.preds();
         let mut loops: Vec<Loop> = Vec::new();
-        for (header, tails) in headers {
+        // in_body[b] == k + 1: `b` is in the body of the k-th header's loop.
+        let mut in_body = vec![0usize; func.block_count()];
+        for (k, (header, tails)) in headers.into_iter().enumerate() {
             // Collect the loop body: header plus everything that reaches a
             // tail backwards without passing through the header.
-            let mut body: HashSet<BlockId> = HashSet::new();
-            body.insert(header);
+            let mut blocks = vec![header];
+            in_body[header.0 as usize] = k + 1;
             let mut stack = tails;
             while let Some(b) = stack.pop() {
-                if body.insert(b) {
+                if in_body[b.0 as usize] != k + 1 {
+                    in_body[b.0 as usize] = k + 1;
+                    blocks.push(b);
                     for &p in preds.of(b) {
                         if dom.is_reachable(p) {
                             stack.push(p);
@@ -128,7 +131,6 @@ impl LoopForest {
                     }
                 }
             }
-            let mut blocks: Vec<BlockId> = body.into_iter().collect();
             blocks.sort();
             loops.push(Loop {
                 header,

@@ -423,7 +423,7 @@ impl<'f> Verifier<'f> {
                 }
             }
             let term_pos = func.block(b).insts.len();
-            for v in func.block(b).term.args() {
+            if let Some(v) = func.block(b).term.operand() {
                 check_use(b, term_pos, v)?;
             }
         }

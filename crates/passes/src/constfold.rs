@@ -2,8 +2,8 @@
 
 use crate::util::detach_all;
 use crate::Pass;
-use sfcc_ir::{Function, ModuleSnapshot, Op, Ty, ValueRef};
-use std::collections::HashMap;
+use sfcc_ir::function::resolve;
+use sfcc_ir::{Function, IdMap, InstId, ModuleSnapshot, Op, Ty, ValueRef};
 
 /// The `const-fold` pass: folds `bin`/`icmp`/`select` over constants.
 #[derive(Debug, Clone, Copy, Default)]
@@ -16,34 +16,33 @@ impl Pass for ConstFold {
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
         let mut changed = false;
-        // Fold repeatedly: folding one instruction can make users foldable.
+        // Operands resolve through the fold map as the sweep goes, so a
+        // chain laid out in dominance order folds in one sweep; another
+        // sweep picks up uses laid out before their definitions.
         loop {
-            let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
+            let mut map: IdMap<InstId, ValueRef> = IdMap::default();
             let mut dead = Vec::new();
             for (_, iid) in func.iter_insts() {
                 let inst = func.inst(iid);
+                let arg = |i: usize| resolve(&map, inst.args[i]);
                 let folded = match &inst.op {
-                    Op::Bin(kind) => match (inst.args[0].as_const(), inst.args[1].as_const()) {
+                    Op::Bin(kind) => match (arg(0).as_const(), arg(1).as_const()) {
                         (Some((ty, a)), Some((_, b))) => kind
                             .eval(a, b)
                             .map(|v| ValueRef::Const(ty, if ty == Ty::I1 { v & 1 } else { v })),
                         _ => None,
                     },
-                    Op::Icmp(pred) => match (inst.args[0].as_const(), inst.args[1].as_const()) {
+                    Op::Icmp(pred) => match (arg(0).as_const(), arg(1).as_const()) {
                         (Some((_, a)), Some((_, b))) => Some(ValueRef::bool(pred.eval(a, b))),
                         _ => None,
                     },
-                    Op::Select => inst.args[0].as_const().map(|(_, c)| {
-                        if c != 0 {
-                            inst.args[1]
-                        } else {
-                            inst.args[2]
-                        }
-                    }),
+                    Op::Select => arg(0)
+                        .as_const()
+                        .map(|(_, c)| if c != 0 { arg(1) } else { arg(2) }),
                     _ => None,
                 };
                 if let Some(v) = folded {
-                    map.insert(ValueRef::Inst(iid), v);
+                    map.insert(iid, v);
                     dead.push(iid);
                 }
             }

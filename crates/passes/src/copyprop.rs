@@ -3,8 +3,7 @@
 
 use crate::util::detach_all;
 use crate::Pass;
-use sfcc_ir::{Function, InstId, ModuleSnapshot, Op, ValueRef};
-use std::collections::HashMap;
+use sfcc_ir::{Function, IdMap, InstId, ModuleSnapshot, Op, ValueRef};
 
 /// The `copy-prop` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,7 +18,7 @@ impl Pass for CopyProp {
         let mut changed = false;
         // Removing one phi may make another trivial; iterate.
         loop {
-            let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
+            let mut map: IdMap<InstId, ValueRef> = IdMap::default();
             let mut dead: Vec<InstId> = Vec::new();
             for (_, iid) in func.iter_insts() {
                 let inst = func.inst(iid);
@@ -44,7 +43,7 @@ impl Pass for CopyProp {
                 }
                 if trivial {
                     if let Some(u) = unique {
-                        map.insert(me, u);
+                        map.insert(iid, u);
                         dead.push(iid);
                     }
                 }

@@ -2,7 +2,8 @@
 
 use crate::util::detach_all;
 use crate::Pass;
-use sfcc_ir::{Function, InstId, ModuleSnapshot, Op, ValueRef};
+use sfcc_ir::function::resolve;
+use sfcc_ir::{Function, IdMap, InstId, ModuleSnapshot, Op, ValueRef};
 use std::collections::HashMap;
 
 /// The `cse` pass: within each block, replaces a pure instruction whose
@@ -10,25 +11,44 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cse;
 
-/// A hashable expression key; commutative operands are order-normalized.
-pub(crate) fn expr_key(op: &Op, args: &[ValueRef]) -> Option<(String, Vec<ValueRef>)> {
-    if !op.is_pure() {
+/// A hashable expression key: the opcode and up to three operands, with
+/// commutative operands order-normalized. It holds constants from the
+/// source, so its maps keep std's `RandomState`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ExprKey {
+    op: Op,
+    args: [Option<ValueRef>; 3],
+}
+
+/// The key of a pure instruction, its operands read through `map`;
+/// `None` for anything else.
+pub(crate) fn expr_key(
+    op: &Op,
+    args: &[ValueRef],
+    map: &IdMap<InstId, ValueRef>,
+) -> Option<ExprKey> {
+    if !op.is_pure() || args.len() > 3 {
         return None;
     }
-    let mut args = args.to_vec();
+    let mut key = ExprKey {
+        op: op.clone(),
+        args: [None; 3],
+    };
+    for (slot, &arg) in key.args.iter_mut().zip(args) {
+        *slot = Some(resolve(map, arg));
+    }
     if let Op::Bin(k) = op {
         if k.is_commutative() {
-            args.sort_by_key(|v| format!("{v:?}"));
+            // Any injective order normalizes `a op b` and `b op a` alike.
+            key.args[..2].sort_by_key(|v| match v {
+                Some(ValueRef::Const(ty, c)) => (0, *ty as u8, *c),
+                Some(ValueRef::Param(i)) => (1, 0, i64::from(*i)),
+                Some(ValueRef::Inst(id)) => (2, 0, i64::from(id.0)),
+                None => (3, 0, 0),
+            });
         }
     }
-    let tag = match op {
-        Op::Bin(k) => format!("bin:{k}"),
-        Op::Icmp(p) => format!("icmp:{p}"),
-        Op::Select => "select".to_string(),
-        Op::Gep => "gep".to_string(),
-        _ => return None,
-    };
-    Some((tag, args))
+    Some(key)
 }
 
 impl Pass for Cse {
@@ -39,18 +59,18 @@ impl Pass for Cse {
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
         let mut changed = false;
         loop {
-            let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
+            let mut map: IdMap<InstId, ValueRef> = IdMap::default();
             let mut dead: Vec<InstId> = Vec::new();
             for b in func.block_ids().collect::<Vec<_>>() {
-                let mut seen: HashMap<(String, Vec<ValueRef>), InstId> = HashMap::new();
+                let mut seen: HashMap<ExprKey, InstId> = HashMap::new();
                 for &iid in &func.block(b).insts {
                     let inst = func.inst(iid);
-                    let Some(key) = expr_key(&inst.op, &inst.args) else {
+                    let Some(key) = expr_key(&inst.op, &inst.args, &map) else {
                         continue;
                     };
                     match seen.get(&key) {
                         Some(&prev) => {
-                            map.insert(ValueRef::Inst(iid), ValueRef::Inst(prev));
+                            map.insert(iid, ValueRef::Inst(prev));
                             dead.push(iid);
                         }
                         None => {

@@ -1,7 +1,7 @@
 //! Dead-code elimination passes.
 //!
-//! [`Dce`] removes instructions whose results are unused, iterating until a
-//! fixpoint. [`Adce`] is the aggressive variant: it assumes everything is
+//! [`Dce`] removes instructions whose results are unused, through a
+//! worklist: removing one releases its operands' uses. [`Adce`] is the aggressive variant: it assumes everything is
 //! dead and only keeps what is transitively reachable from *roots* (side
 //! effects and terminator operands), which also collects dead cycles such as
 //! unused induction-variable phis.
@@ -9,7 +9,6 @@
 use crate::util::{detach_all, is_removable_when_dead, use_counts};
 use crate::Pass;
 use sfcc_ir::{Function, InstId, ModuleSnapshot, ValueRef};
-use std::collections::HashSet;
 
 /// Trivial dead-code elimination. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,23 +20,29 @@ impl Pass for Dce {
     }
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
-        let mut changed = false;
-        loop {
-            let counts = use_counts(func);
-            let dead: Vec<InstId> = func
-                .iter_insts()
-                .map(|(_, i)| i)
-                .filter(|&i| {
-                    counts.get(&i).copied().unwrap_or(0) == 0
-                        && is_removable_when_dead(&func.inst(i).op)
-                })
-                .collect();
-            if dead.is_empty() {
-                return changed;
+        let mut counts = use_counts(func);
+        let mut attached = vec![false; func.inst_arena_len()];
+        let mut work: Vec<InstId> = Vec::new();
+        for (_, i) in func.iter_insts() {
+            attached[i.0 as usize] = true;
+            if counts[i.0 as usize] == 0 && is_removable_when_dead(&func.inst(i).op) {
+                work.push(i);
             }
-            detach_all(func, &dead);
-            changed = true;
         }
+        let mut dead = Vec::new();
+        while let Some(i) = work.pop() {
+            dead.push(i);
+            for arg in &func.inst(i).args {
+                let ValueRef::Inst(d) = *arg else { continue };
+                let count = &mut counts[d.0 as usize];
+                *count -= 1;
+                if *count == 0 && attached[d.0 as usize] && is_removable_when_dead(&func.inst(d).op)
+                {
+                    work.push(d);
+                }
+            }
+        }
+        detach_all(func, &dead) > 0
     }
 }
 
@@ -52,11 +57,11 @@ impl Pass for Adce {
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
         // Roots: side-effecting instructions and terminator operands.
-        let mut live: HashSet<InstId> = HashSet::new();
+        let mut live = vec![false; func.inst_arena_len()];
         let mut work: Vec<InstId> = Vec::new();
-        let mark = |v: ValueRef, live: &mut HashSet<InstId>, work: &mut Vec<InstId>| {
+        let mark = |v: ValueRef, live: &mut Vec<bool>, work: &mut Vec<InstId>| {
             if let ValueRef::Inst(i) = v {
-                if live.insert(i) {
+                if !std::mem::replace(&mut live[i.0 as usize], true) {
                     work.push(i);
                 }
             }
@@ -67,19 +72,19 @@ impl Pass for Adce {
             }
         }
         for b in func.block_ids() {
-            for v in func.block(b).term.args() {
+            if let Some(v) = func.block(b).term.operand() {
                 mark(v, &mut live, &mut work);
             }
         }
         while let Some(i) = work.pop() {
-            for &arg in &func.inst(i).args.clone() {
+            for &arg in &func.inst(i).args {
                 mark(arg, &mut live, &mut work);
             }
         }
         let dead: Vec<InstId> = func
             .iter_insts()
             .map(|(_, i)| i)
-            .filter(|i| !live.contains(i))
+            .filter(|i| !live[i.0 as usize])
             .collect();
         // Stores and calls are always live (they are roots), so everything in
         // `dead` is safely removable; still assert in debug builds.

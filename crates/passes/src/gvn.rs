@@ -5,10 +5,10 @@
 //! dominating block is replaced by the earlier result. Subsumes local CSE
 //! across block boundaries.
 
-use crate::cse::expr_key;
+use crate::cse::{expr_key, ExprKey};
 use crate::util::detach_all;
 use crate::Pass;
-use sfcc_ir::{BlockId, DomTree, Function, InstId, ModuleSnapshot, ValueRef, ENTRY};
+use sfcc_ir::{BlockId, DomTree, Function, IdMap, InstId, ModuleSnapshot, ValueRef, ENTRY};
 use std::collections::HashMap;
 
 /// The `gvn` pass. See the module docs.
@@ -21,59 +21,60 @@ impl Pass for Gvn {
     }
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
-        let mut changed = false;
-        loop {
-            let dom = DomTree::compute(func);
-            let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
-            let mut dead: Vec<InstId> = Vec::new();
+        let dom = DomTree::compute(func);
+        let mut map: IdMap<InstId, ValueRef> = IdMap::default();
+        let mut dead: Vec<InstId> = Vec::new();
 
-            // Preorder DFS over the dominator tree with scope restoration.
-            enum Step {
-                Enter(BlockId),
-                Exit(Vec<(String, Vec<ValueRef>)>),
-            }
-            let mut table: HashMap<(String, Vec<ValueRef>), InstId> = HashMap::new();
-            let mut agenda = vec![Step::Enter(ENTRY)];
-            while let Some(step) = agenda.pop() {
-                match step {
-                    Step::Exit(keys) => {
-                        for k in keys {
-                            table.remove(&k);
-                        }
+        // Preorder DFS over the dominator tree with scope restoration. An
+        // instruction is keyed with its operands read through the
+        // replacements made so far: each operand's definition dominates it
+        // and was visited first, so one walk reaches the fixpoint that
+        // re-walking the rewritten function would.
+        enum Step {
+            Enter(BlockId),
+            Exit(Vec<ExprKey>),
+        }
+        let mut table: HashMap<ExprKey, InstId> = HashMap::new();
+        let mut agenda = vec![Step::Enter(ENTRY)];
+        while let Some(step) = agenda.pop() {
+            match step {
+                Step::Exit(keys) => {
+                    for k in keys {
+                        table.remove(&k);
                     }
-                    Step::Enter(b) => {
-                        let mut added = Vec::new();
-                        for &iid in &func.block(b).insts {
-                            let inst = func.inst(iid);
-                            let Some(key) = expr_key(&inst.op, &inst.args) else {
-                                continue;
-                            };
-                            match table.get(&key) {
-                                Some(&prev) => {
-                                    map.insert(ValueRef::Inst(iid), ValueRef::Inst(prev));
-                                    dead.push(iid);
-                                }
-                                None => {
-                                    table.insert(key.clone(), iid);
-                                    added.push(key);
-                                }
+                }
+                Step::Enter(b) => {
+                    let mut added = Vec::new();
+                    for &iid in &func.block(b).insts {
+                        let inst = func.inst(iid);
+                        let Some(key) = expr_key(&inst.op, &inst.args, &map) else {
+                            continue;
+                        };
+                        match table.get(&key) {
+                            Some(&prev) => {
+                                map.insert(iid, ValueRef::Inst(prev));
+                                dead.push(iid);
+                            }
+                            None => {
+                                table.insert(key.clone(), iid);
+                                added.push(key);
                             }
                         }
-                        agenda.push(Step::Exit(added));
-                        for &child in dom.children(b) {
-                            agenda.push(Step::Enter(child));
-                        }
+                    }
+                    agenda.push(Step::Exit(added));
+                    for &child in dom.children(b) {
+                        agenda.push(Step::Enter(child));
                     }
                 }
             }
-
-            if map.is_empty() {
-                return changed;
-            }
-            func.replace_uses(&map);
-            detach_all(func, &dead);
-            changed = true;
         }
+
+        if map.is_empty() {
+            return false;
+        }
+        func.replace_uses(&map);
+        detach_all(func, &dead);
+        true
     }
 }
 

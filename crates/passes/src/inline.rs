@@ -8,8 +8,9 @@
 //! per-TU compilation model of the paper's Clang prototype.
 
 use crate::Pass;
-use sfcc_ir::{BlockId, Function, InstData, InstId, ModuleSnapshot, Op, Terminator, Ty, ValueRef};
-use std::collections::HashMap;
+use sfcc_ir::{
+    BlockId, Function, IdMap, InstData, InstId, ModuleSnapshot, Op, Terminator, Ty, ValueRef,
+};
 
 /// Callee size limit (live instructions) for inlining.
 pub const INLINE_THRESHOLD: usize = 25;
@@ -101,59 +102,56 @@ fn inline_site(func: &mut Function, block: BlockId, pos: usize, callee: &Functio
         }
     }
 
-    // Clone callee blocks.
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    for cb in callee.block_ids() {
-        block_map.insert(cb, func.add_block());
-    }
-    let mut inst_map: HashMap<InstId, ValueRef> = HashMap::new();
+    // Clone callee blocks: block_map[callee block] = its clone.
+    let block_map: Vec<BlockId> = callee.block_ids().map(|_| func.add_block()).collect();
+    let clone_of = |b: &BlockId| block_map[b.0 as usize];
+    // inst_map[callee instruction] = its clone.
+    let mut inst_map: Vec<Option<InstId>> = vec![None; callee.inst_arena_len()];
     // Two passes: allocate clone ids first (so phis can forward-reference),
     // then fill operands.
     for cb in callee.block_ids() {
         for &ci in &callee.block(cb).insts {
             let data = callee.inst(ci);
             let placeholder = InstData::new(data.op.clone(), Vec::new(), data.ty);
-            let nid = func.append_inst(block_map[&cb], placeholder);
-            inst_map.insert(ci, ValueRef::Inst(nid));
+            let nid = func.append_inst(clone_of(&cb), placeholder);
+            inst_map[ci.0 as usize] = Some(nid);
         }
     }
-    let map_value = |v: ValueRef, inst_map: &HashMap<InstId, ValueRef>| match v {
+    let map_value = |v: ValueRef| match v {
         ValueRef::Param(i) => call_args[i as usize],
-        ValueRef::Inst(i) => inst_map[&i],
+        ValueRef::Inst(i) => ValueRef::Inst(inst_map[i.0 as usize].expect("operand is attached")),
         c => c,
     };
     // Collect return edges: (cloned pred block, returned value).
     let mut returns: Vec<(BlockId, Option<ValueRef>)> = Vec::new();
     for cb in callee.block_ids() {
-        let nb = block_map[&cb];
+        let nb = clone_of(&cb);
         // Fill instruction operands and phi blocks.
         let src_insts = callee.block(cb).insts.clone();
         for &ci in &src_insts {
             let src = callee.inst(ci);
-            let args: Vec<ValueRef> = src.args.iter().map(|&a| map_value(a, &inst_map)).collect();
-            let ValueRef::Inst(nid) = inst_map[&ci] else {
-                unreachable!()
-            };
+            let args: Vec<ValueRef> = src.args.iter().map(|&a| map_value(a)).collect();
+            let nid = inst_map[ci.0 as usize].expect("cloned above");
             let dst = func.inst_mut(nid);
             dst.args = args;
             if let (Op::Phi(dst_blocks), Op::Phi(src_blocks)) = (&mut dst.op, &src.op) {
-                *dst_blocks = src_blocks.iter().map(|b| block_map[b]).collect();
+                *dst_blocks = src_blocks.iter().map(clone_of).collect();
             }
         }
         // Terminators.
         let term = match &callee.block(cb).term {
-            Terminator::Br(t) => Terminator::Br(block_map[t]),
+            Terminator::Br(t) => Terminator::Br(clone_of(t)),
             Terminator::CondBr {
                 cond,
                 then_bb,
                 else_bb,
             } => Terminator::CondBr {
-                cond: map_value(*cond, &inst_map),
-                then_bb: block_map[then_bb],
-                else_bb: block_map[else_bb],
+                cond: map_value(*cond),
+                then_bb: clone_of(then_bb),
+                else_bb: clone_of(else_bb),
             },
             Terminator::Ret(v) => {
-                returns.push((nb, v.map(|v| map_value(v, &inst_map))));
+                returns.push((nb, v.map(map_value)));
                 Terminator::Br(cont)
             }
             Terminator::Trap => Terminator::Trap,
@@ -162,10 +160,10 @@ fn inline_site(func: &mut Function, block: BlockId, pos: usize, callee: &Functio
     }
 
     // Route the host block into the callee's entry clone.
-    func.block_mut(block).term = Terminator::Br(block_map[&sfcc_ir::ENTRY]);
+    func.block_mut(block).term = Terminator::Br(clone_of(&sfcc_ir::ENTRY));
 
     // Replace the call's result with the merged return value.
-    let mut replacements: HashMap<ValueRef, ValueRef> = HashMap::new();
+    let mut replacements: IdMap<InstId, ValueRef> = IdMap::default();
     if call_ty != Ty::Void {
         let result = match returns.as_slice() {
             [] => ValueRef::Const(call_ty, 0), // callee always traps
@@ -184,7 +182,7 @@ fn inline_site(func: &mut Function, block: BlockId, pos: usize, callee: &Functio
                 ValueRef::Inst(phi)
             }
         };
-        replacements.insert(ValueRef::Inst(call_id), result);
+        replacements.insert(call_id, result);
         func.replace_uses(&replacements);
     }
 }

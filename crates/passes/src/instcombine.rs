@@ -7,8 +7,7 @@
 
 use crate::util::{detach_all, power_of_two_shift};
 use crate::Pass;
-use sfcc_ir::{BinKind, Function, InstData, InstId, ModuleSnapshot, Op, Ty, ValueRef};
-use std::collections::HashMap;
+use sfcc_ir::{BinKind, Function, IdMap, InstData, InstId, ModuleSnapshot, Op, Ty, ValueRef};
 
 /// The `instcombine` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,7 +40,7 @@ fn canonicalize(func: &mut Function) -> bool {
     let ids: Vec<InstId> = func.iter_insts().map(|(_, i)| i).collect();
     for iid in ids {
         let inst = func.inst_mut(iid);
-        match inst.op.clone() {
+        match inst.op {
             Op::Bin(kind)
                 if kind.is_commutative()
                     && inst.args[0].as_const().is_some()
@@ -65,17 +64,16 @@ fn canonicalize(func: &mut Function) -> bool {
 
 /// One round of pattern-based simplification; returns whether anything fired.
 fn simplify(func: &mut Function) -> bool {
-    let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
+    let mut map: IdMap<InstId, ValueRef> = IdMap::default();
     let mut dead: Vec<InstId> = Vec::new();
     let mut rewrites: Vec<(InstId, InstData)> = Vec::new();
 
     for (_, iid) in func.iter_insts() {
         let inst = func.inst(iid);
-        let replace =
-            |v: ValueRef, map: &mut HashMap<ValueRef, ValueRef>, dead: &mut Vec<InstId>| {
-                map.insert(ValueRef::Inst(iid), v);
-                dead.push(iid);
-            };
+        let replace = |v: ValueRef, map: &mut IdMap<InstId, ValueRef>, dead: &mut Vec<InstId>| {
+            map.insert(iid, v);
+            dead.push(iid);
+        };
         match &inst.op {
             Op::Bin(kind) => {
                 let (a, b) = (inst.args[0], inst.args[1]);

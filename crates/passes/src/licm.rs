@@ -6,8 +6,7 @@
 //! speculatively could introduce traps or reorder side effects.
 
 use crate::Pass;
-use sfcc_ir::{DomTree, Function, InstId, LoopForest, ModuleSnapshot, Op, Predecessors, ValueRef};
-use std::collections::HashSet;
+use sfcc_ir::{BlockId, DomTree, Function, InstId, LoopForest, ModuleSnapshot, Op, ValueRef};
 
 /// The `licm` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,52 +26,56 @@ impl Pass for Licm {
     }
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
+        // Hoisting moves instructions, never edges: the CFG analyses hold
+        // for the whole run, and only the instruction → block table moves.
+        let dom = DomTree::compute(func);
+        let preds = dom.preds();
+        let forest = LoopForest::compute(func, &dom);
+        if forest.loops.is_empty() {
+            return false;
+        }
+        let mut inst_block = vec![NOWHERE; func.inst_arena_len()];
+        for (b, i) in func.iter_insts() {
+            inst_block[i.0 as usize] = b;
+        }
+        // in_loop[b] == visit: `b` belongs to the loop being visited.
+        let mut in_loop = vec![0u32; func.block_count()];
+        let mut visit = 0u32;
         let mut changed = false;
         loop {
-            let dom = DomTree::compute(func);
-            let preds = Predecessors::compute(func);
-            let forest = LoopForest::compute(func, &dom);
-            if forest.loops.is_empty() {
-                return changed;
-            }
-
             let mut moved_any = false;
             // Innermost-last ordering lets outer loops pick up what inner
             // loops exposed on the next fixpoint iteration.
             for l in &forest.loops {
-                let Some(preheader) = l.preheader(func, &preds) else {
+                let Some(preheader) = l.preheader(func, preds) else {
                     continue;
                 };
-                let in_loop: HashSet<_> = l.blocks.iter().copied().collect();
-
-                // A value is invariant if defined outside the loop.
-                let mut inst_block = std::collections::HashMap::new();
-                for (b, i) in func.iter_insts() {
-                    inst_block.insert(i, b);
+                visit += 1;
+                for &b in &l.blocks {
+                    in_loop[b.0 as usize] = visit;
                 }
-                let is_invariant = |v: ValueRef, hoisted: &HashSet<InstId>| match v {
+
+                // A value is invariant if defined outside the loop (hoisted
+                // instructions are: they sit in the preheader).
+                let is_invariant = |v: ValueRef, inst_block: &[BlockId]| match v {
                     ValueRef::Const(..) | ValueRef::Param(_) => true,
                     ValueRef::Inst(i) => {
-                        hoisted.contains(&i)
-                            || inst_block.get(&i).is_some_and(|b| !in_loop.contains(b))
+                        let b = inst_block[i.0 as usize];
+                        b != NOWHERE && in_loop[b.0 as usize] != visit
                     }
                 };
 
-                let mut hoisted: HashSet<InstId> = HashSet::new();
                 // Iterate within the loop until no more hoists (a hoisted
                 // value can make its users invariant).
                 loop {
                     let mut this_round: Vec<InstId> = Vec::new();
                     for &b in &l.blocks {
                         for &iid in &func.block(b).insts {
-                            if hoisted.contains(&iid) {
-                                continue;
-                            }
                             let inst = func.inst(iid);
                             if !hoistable(&inst.op) {
                                 continue;
                             }
-                            if inst.args.iter().all(|&a| is_invariant(a, &hoisted)) {
+                            if inst.args.iter().all(|&a| is_invariant(a, &inst_block)) {
                                 this_round.push(iid);
                             }
                         }
@@ -80,17 +83,22 @@ impl Pass for Licm {
                     if this_round.is_empty() {
                         break;
                     }
-                    for iid in this_round {
-                        func.detach_inst(iid);
-                        func.block_mut(preheader).insts.push(iid);
-                        hoisted.insert(iid);
+                    // Detach from the known blocks, then append in order.
+                    for &iid in &this_round {
+                        inst_block[iid.0 as usize] = preheader;
                     }
-                }
-                if !hoisted.is_empty() {
+                    for &b in &l.blocks {
+                        func.block_mut(b)
+                            .insts
+                            .retain(|i| inst_block[i.0 as usize] != preheader);
+                    }
+                    func.block_mut(preheader).insts.extend(this_round);
                     moved_any = true;
+                }
+                if moved_any {
                     changed = true;
-                    // CFG structure changed implicitly (inst placement);
-                    // restart with fresh analyses.
+                    // Restart from the first loop, as outer loops may now
+                    // hoist what this one exposed.
                     break;
                 }
             }
@@ -100,6 +108,9 @@ impl Pass for Licm {
         }
     }
 }
+
+/// Marks an instruction that is in no block.
+const NOWHERE: BlockId = BlockId(u32::MAX);
 
 #[cfg(test)]
 mod tests {

@@ -7,10 +7,7 @@
 //! side-effect-free loop may be deleted.
 
 use crate::Pass;
-use sfcc_ir::{
-    DomTree, Function, LoopForest, ModuleSnapshot, Op, Predecessors, Terminator, ValueRef,
-};
-use std::collections::HashSet;
+use sfcc_ir::{DomTree, Function, LoopForest, ModuleSnapshot, Op, Terminator, ValueRef};
 
 /// The `loop-delete` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,14 +20,19 @@ impl Pass for LoopDelete {
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
         let mut changed = false;
+        // Stamps of the loop being visited: in_loop[block] and
+        // inside_def[inst] equal `visit` for its blocks and instructions.
+        let mut in_loop = vec![0u32; func.block_count()];
+        let mut inside_def = vec![0u32; func.inst_arena_len()];
+        let mut visit = 0u32;
         loop {
             let dom = DomTree::compute(func);
-            let preds = Predecessors::compute(func);
+            let preds = dom.preds();
             let forest = LoopForest::compute(func, &dom);
             let mut deleted = false;
 
             'loops: for l in &forest.loops {
-                let Some(preheader) = l.preheader(func, &preds) else {
+                let Some(preheader) = l.preheader(func, preds) else {
                     continue;
                 };
                 // Exit structure: header conditionally exits to a single
@@ -41,7 +43,10 @@ impl Pass for LoopDelete {
                 if !l.exiting_blocks(func).contains(&l.header) {
                     continue;
                 }
-                let in_loop: HashSet<_> = l.blocks.iter().copied().collect();
+                visit += 1;
+                for &b in &l.blocks {
+                    in_loop[b.0 as usize] = visit;
+                }
 
                 // No side effects inside.
                 for &b in &l.blocks {
@@ -53,25 +58,23 @@ impl Pass for LoopDelete {
                 }
 
                 // No inside-defined value used outside the loop.
-                let mut inside_defs: HashSet<ValueRef> = HashSet::new();
                 for &b in &l.blocks {
                     for &iid in &func.block(b).insts {
-                        inside_defs.insert(ValueRef::Inst(iid));
+                        inside_def[iid.0 as usize] = visit;
                     }
                 }
+                let defined_inside = |v: &ValueRef| matches!(v, ValueRef::Inst(i) if inside_def[i.0 as usize] == visit);
                 for b in func.block_ids() {
-                    if in_loop.contains(&b) {
+                    if in_loop[b.0 as usize] == visit {
                         continue;
                     }
                     for &iid in &func.block(b).insts {
-                        if func.inst(iid).args.iter().any(|a| inside_defs.contains(a)) {
+                        if func.inst(iid).args.iter().any(defined_inside) {
                             continue 'loops;
                         }
                     }
-                    for v in func.block(b).term.args() {
-                        if inside_defs.contains(&v) {
-                            continue 'loops;
-                        }
+                    if func.block(b).term.operand().iter().any(defined_inside) {
+                        continue 'loops;
                     }
                 }
 

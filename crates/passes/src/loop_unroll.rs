@@ -21,10 +21,9 @@
 
 use crate::Pass;
 use sfcc_ir::{
-    BinKind, BlockId, DomTree, Function, IcmpPred, InstData, InstId, LoopForest, ModuleSnapshot,
-    Op, Predecessors, Terminator, ValueRef,
+    BinKind, BlockId, DomTree, Function, IcmpPred, IdMap, InstData, InstId, LoopForest,
+    ModuleSnapshot, Op, Predecessors, Terminator, ValueRef,
 };
-use std::collections::HashMap;
 
 /// Maximum trip count eligible for full unrolling.
 pub const MAX_TRIPS: i64 = 8;
@@ -42,12 +41,28 @@ impl Pass for LoopUnroll {
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
         let mut changed = false;
-        // Unroll one loop per analysis round (the CFG changes underneath).
-        loop {
-            if !unroll_one(func) {
-                return changed;
+        // Unroll the first candidate in forest order, again and again. The
+        // unroll of a top-level loop leaves every other loop's blocks, and
+        // so the forest, as they were; only the exit's predecessor changes.
+        // A nested loop's unroll reshapes its parent: recompute then.
+        'analyses: loop {
+            let dom = DomTree::compute(func);
+            let forest = LoopForest::compute(func, &dom);
+            let mut preds = dom.preds().clone();
+            let mut unrolled = vec![false; forest.loops.len()];
+            loop {
+                let Some((i, cand)) = find_candidate(func, &forest, &preds, &unrolled) else {
+                    return changed;
+                };
+                let (header, exit) = (cand.header, cand.exit);
+                let final_block = apply(func, cand);
+                changed = true;
+                if forest.loops[i].parent.is_some() {
+                    continue 'analyses;
+                }
+                unrolled[i] = true;
+                preds.redirect(header, final_block, &[exit]);
             }
-            changed = true;
         }
     }
 }
@@ -63,29 +78,25 @@ struct Candidate {
     trips: i64,
 }
 
-fn unroll_one(func: &mut Function) -> bool {
-    let Some(cand) = find_candidate(func) else {
-        return false;
-    };
-    apply(func, cand);
-    true
-}
-
-fn find_candidate(func: &Function) -> Option<Candidate> {
-    let dom = DomTree::compute(func);
-    let preds = Predecessors::compute(func);
-    let forest = LoopForest::compute(func, &dom);
-
-    'outer: for l in &forest.loops {
-        if l.blocks.len() != 2 {
+/// The first unrollable loop in forest order that is not `unrolled`
+/// already, with its index; `None` also when a loop before it has no
+/// unique latch or preheader, or a trip count beyond [`MAX_TRIPS`].
+fn find_candidate(
+    func: &Function,
+    forest: &LoopForest,
+    preds: &Predecessors,
+    unrolled: &[bool],
+) -> Option<(usize, Candidate)> {
+    'outer: for (i, l) in forest.loops.iter().enumerate() {
+        if unrolled[i] || l.blocks.len() != 2 {
             continue;
         }
         let header = l.header;
-        let latch = l.latch(&preds)?;
+        let latch = l.latch(preds)?;
         if latch == header || !l.contains(latch) {
             continue;
         }
-        let preheader = l.preheader(func, &preds)?;
+        let preheader = l.preheader(func, preds)?;
         // Latch must branch straight back to the header.
         if func.block(latch).term != Terminator::Br(header) {
             continue;
@@ -171,14 +182,17 @@ fn find_candidate(func: &Function) -> Option<Candidate> {
         };
 
         let trips = simulate(pred, start, step, bound, exit_on_true)?;
-        return Some(Candidate {
-            preheader,
-            header,
-            latch,
-            exit,
-            phis,
-            trips,
-        });
+        return Some((
+            i,
+            Candidate {
+                preheader,
+                header,
+                latch,
+                exit,
+                phis,
+                trips,
+            },
+        ));
     }
     None
 }
@@ -201,17 +215,18 @@ fn simulate(pred: IcmpPred, start: i64, step: i64, bound: i64, exit_on_true: boo
     }
 }
 
-fn apply(func: &mut Function, cand: Candidate) {
+/// Unrolls `cand`; returns the block that now branches to the exit.
+fn apply(func: &mut Function, cand: Candidate) -> BlockId {
     let header_insts: Vec<InstId> = func.block(cand.header).insts.clone();
     let latch_insts: Vec<InstId> = func.block(cand.latch).insts.clone();
 
     // Environment: current value of each phi.
-    let mut cur: HashMap<InstId, ValueRef> =
+    let mut cur: IdMap<InstId, ValueRef> =
         cand.phis.iter().map(|&(p, init, _)| (p, init)).collect();
 
     // Global replacements applied at the end: original header values → their
     // final-evaluation clones (for uses in/after the exit block).
-    let mut final_map: HashMap<ValueRef, ValueRef> = HashMap::new();
+    let mut final_map: IdMap<InstId, ValueRef> = IdMap::default();
 
     let mut chain_start: Option<BlockId> = None;
     let mut prev_block: Option<BlockId> = None;
@@ -219,8 +234,8 @@ fn apply(func: &mut Function, cand: Candidate) {
     let clone_insts = |func: &mut Function,
                        into: BlockId,
                        insts: &[InstId],
-                       cur: &HashMap<InstId, ValueRef>,
-                       iter_map: &mut HashMap<InstId, ValueRef>| {
+                       cur: &IdMap<InstId, ValueRef>,
+                       iter_map: &mut IdMap<InstId, ValueRef>| {
         for &iid in insts {
             if cur.contains_key(&iid) {
                 continue; // phis are the environment, not cloned
@@ -251,11 +266,11 @@ fn apply(func: &mut Function, cand: Candidate) {
         if let Some(prev) = prev_block {
             func.block_mut(prev).term = Terminator::Br(block);
         }
-        let mut iter_map: HashMap<InstId, ValueRef> = HashMap::new();
+        let mut iter_map: IdMap<InstId, ValueRef> = IdMap::default();
         clone_insts(func, block, &header_insts, &cur, &mut iter_map);
         clone_insts(func, block, &latch_insts, &cur, &mut iter_map);
         // Advance the phi environment.
-        let mut next_cur = HashMap::new();
+        let mut next_cur = IdMap::default();
         for &(p, _, next) in &cand.phis {
             let v = match next {
                 ValueRef::Inst(d) => cur
@@ -279,15 +294,15 @@ fn apply(func: &mut Function, cand: Candidate) {
     if let Some(prev) = prev_block {
         func.block_mut(prev).term = Terminator::Br(final_block);
     }
-    let mut final_iter: HashMap<InstId, ValueRef> = HashMap::new();
+    let mut final_iter: IdMap<InstId, ValueRef> = IdMap::default();
     clone_insts(func, final_block, &header_insts, &cur, &mut final_iter);
     func.block_mut(final_block).term = Terminator::Br(cand.exit);
 
     for (&orig, &clone) in &final_iter {
-        final_map.insert(ValueRef::Inst(orig), clone);
+        final_map.insert(orig, clone);
     }
     for (&phi, &val) in &cur {
-        final_map.insert(ValueRef::Inst(phi), val);
+        final_map.insert(phi, val);
     }
 
     // Rewire: preheader enters the chain; exit phis now come from the final
@@ -316,6 +331,7 @@ fn apply(func: &mut Function, cand: Candidate) {
         block.insts.clear();
         block.term = Terminator::Trap;
     }
+    final_block
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! dominator tree — the textbook SSA-construction algorithm.
 
 use crate::Pass;
-use sfcc_ir::{DomTree, Function, InstData, InstId, ModuleSnapshot, Op, Ty, ValueRef, ENTRY};
-use std::collections::{HashMap, HashSet};
+use sfcc_ir::{
+    BlockId, DomTree, Function, IdMap, InstData, InstId, ModuleSnapshot, Op, Ty, ValueRef, ENTRY,
+};
 
 /// The `mem2reg` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,44 +32,51 @@ struct Candidate {
     stores: Vec<InstId>,
 }
 
-fn find_candidates(func: &Function) -> Vec<Candidate> {
+/// Marks an arena slot that is no candidate in the dense per-instruction
+/// tables below.
+const NONE: usize = usize::MAX;
+
+/// The promotable allocas in arena order, and `index[id.0]`, each one's
+/// position in that list ([`NONE`] for every other instruction).
+fn find_candidates(func: &Function) -> (Vec<Candidate>, Vec<usize>) {
     // First collect every single-slot alloca.
-    let mut candidates: HashMap<InstId, Candidate> = HashMap::new();
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut index = vec![NONE; func.inst_arena_len()];
     for (_, iid) in func.iter_insts() {
         if let Op::Alloca(1) = func.inst(iid).op {
-            candidates.insert(
-                iid,
-                Candidate {
-                    alloca: iid,
-                    elem: Ty::Void,
-                    loads: Vec::new(),
-                    stores: Vec::new(),
-                },
-            );
+            index[iid.0 as usize] = candidates.len();
+            candidates.push(Candidate {
+                alloca: iid,
+                elem: Ty::Void,
+                loads: Vec::new(),
+                stores: Vec::new(),
+            });
         }
     }
     if candidates.is_empty() {
-        return Vec::new();
+        return (candidates, index);
     }
 
     // Classify uses; any escaping use disqualifies the slot.
-    let mut disqualified: HashSet<InstId> = HashSet::new();
+    let mut disqualified = vec![false; candidates.len()];
     for (_, iid) in func.iter_insts() {
         let inst = func.inst(iid);
         for (argpos, arg) in inst.args.iter().enumerate() {
             let ValueRef::Inst(target) = arg else {
                 continue;
             };
-            let Some(cand) = candidates.get_mut(target) else {
+            let ci = index[target.0 as usize];
+            if ci == NONE {
                 continue;
-            };
+            }
+            let cand = &mut candidates[ci];
             match (&inst.op, argpos) {
                 (Op::Load, 0) => {
                     cand.loads.push(iid);
                     if cand.elem == Ty::Void {
                         cand.elem = inst.ty;
                     } else if cand.elem != inst.ty {
-                        disqualified.insert(*target);
+                        disqualified[ci] = true;
                     }
                 }
                 (Op::Store, 0) => {
@@ -77,135 +85,149 @@ fn find_candidates(func: &Function) -> Vec<Candidate> {
                     if cand.elem == Ty::Void {
                         cand.elem = vty;
                     } else if cand.elem != vty {
-                        disqualified.insert(*target);
+                        disqualified[ci] = true;
                     }
                 }
                 // Address escapes: gep, call argument, stored as a value, …
-                _ => {
-                    disqualified.insert(*target);
-                }
+                _ => disqualified[ci] = true,
             }
         }
     }
     // Terminator uses of an alloca address (returning a ptr) disqualify too —
     // cannot happen in verified IR, but stay defensive.
     for b in func.block_ids() {
-        for v in func.block(b).term.args() {
-            if let ValueRef::Inst(id) = v {
-                disqualified.insert(id);
+        if let Some(ValueRef::Inst(id)) = func.block(b).term.operand() {
+            if index[id.0 as usize] != NONE {
+                disqualified[index[id.0 as usize]] = true;
             }
         }
     }
 
-    candidates
-        .into_values()
-        .filter(|c| !disqualified.contains(&c.alloca))
-        .collect()
+    for cand in &candidates {
+        index[cand.alloca.0 as usize] = NONE;
+    }
+    let mut kept: Vec<Candidate> = candidates
+        .into_iter()
+        .zip(disqualified)
+        .filter_map(|(cand, dq)| (!dq).then_some(cand))
+        .collect();
+    // Stable order keeps output deterministic.
+    kept.sort_by_key(|c| c.alloca);
+    for (ci, cand) in kept.iter().enumerate() {
+        index[cand.alloca.0 as usize] = ci;
+    }
+    (kept, index)
 }
 
 fn promote(func: &mut Function) -> bool {
-    let mut candidates = find_candidates(func);
+    let (candidates, cand_index) = find_candidates(func);
     if candidates.is_empty() {
         return false;
     }
-    // Stable order keeps output deterministic.
-    candidates.sort_by_key(|c| c.alloca);
 
     let dom = DomTree::compute(func);
     let frontiers = dom.frontiers(func);
 
     // Block of every attached instruction.
-    let mut block_of: HashMap<InstId, sfcc_ir::BlockId> = HashMap::new();
+    let mut block_of = vec![BlockId(u32::MAX); func.inst_arena_len()];
     for (b, i) in func.iter_insts() {
-        block_of.insert(i, b);
+        block_of[i.0 as usize] = b;
     }
 
     // 1. Phi placement at iterated dominance frontiers of store blocks.
-    //    placed[(block, cand_idx)] = phi inst id.
-    let mut placed: HashMap<(sfcc_ir::BlockId, usize), InstId> = HashMap::new();
+    //    placed[block] = (cand_idx, phi inst id), in candidate order; the
+    //    phis head their block in the opposite order.
+    let mut placed: Vec<Vec<(usize, InstId)>> = vec![Vec::new(); func.block_count()];
+    // has_phi[block] = the last candidate that placed a phi there.
+    let mut has_phi = vec![NONE; func.block_count()];
     for (ci, cand) in candidates.iter().enumerate() {
         if cand.loads.is_empty() {
             continue; // store-only slot: no phis needed.
         }
-        let mut work: Vec<sfcc_ir::BlockId> = cand.stores.iter().map(|s| block_of[s]).collect();
-        let mut has_phi: HashSet<sfcc_ir::BlockId> = HashSet::new();
+        let mut work: Vec<BlockId> = cand.stores.iter().map(|s| block_of[s.0 as usize]).collect();
         while let Some(db) = work.pop() {
             if !dom.is_reachable(db) {
                 continue;
             }
             for &fb in &frontiers[db.0 as usize] {
-                if has_phi.insert(fb) {
+                if has_phi[fb.0 as usize] != ci {
+                    has_phi[fb.0 as usize] = ci;
                     let phi =
                         func.alloc_inst(InstData::new(Op::Phi(Vec::new()), Vec::new(), cand.elem));
-                    func.block_mut(fb).insts.insert(0, phi);
-                    placed.insert((fb, ci), phi);
+                    placed[fb.0 as usize].push((ci, phi));
                     work.push(fb); // a phi is itself a definition
                 }
             }
         }
     }
 
-    let phi_to_cand: HashMap<InstId, usize> =
-        placed.iter().map(|(&(_, ci), &phi)| (phi, ci)).collect();
+    let mut phi_to_cand = vec![NONE; func.inst_arena_len()];
+    for (b, phis) in placed.iter().enumerate() {
+        if phis.is_empty() {
+            continue;
+        }
+        let block = func.block_mut(BlockId(b as u32));
+        let rest = std::mem::take(&mut block.insts);
+        block.insts = phis.iter().rev().map(|&(_, phi)| phi).chain(rest).collect();
+        for &(ci, phi) in phis {
+            phi_to_cand[phi.0 as usize] = ci;
+        }
+    }
 
     // 2. Renaming along the dominator tree.
     let undef = |elem: Ty| ValueRef::Const(if elem == Ty::Void { Ty::I64 } else { elem }, 0);
-    let cand_index: HashMap<InstId, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.alloca, i))
-        .collect();
+    let slot_of = |v: ValueRef| match v {
+        ValueRef::Inst(a) if cand_index[a.0 as usize] != NONE => Some(cand_index[a.0 as usize]),
+        _ => None,
+    };
 
-    let mut replacements: HashMap<ValueRef, ValueRef> = HashMap::new();
+    let mut replacements: IdMap<InstId, ValueRef> = IdMap::default();
     let mut dead: Vec<InstId> = Vec::new();
 
     // Iterative preorder DFS over the dominator tree carrying per-candidate
-    // definition stacks.
+    // definition stacks; `pushed` logs which stack each definition went
+    // on, and leaving a block pops its definitions.
     enum Step {
-        Enter(sfcc_ir::BlockId),
-        Exit(Vec<(usize, usize)>), // (cand, previous stack length)
+        Enter(BlockId),
+        Exit(usize), // `pushed` length on entry
     }
     let mut stacks: Vec<Vec<ValueRef>> = vec![Vec::new(); candidates.len()];
+    let mut pushed: Vec<usize> = Vec::new();
     let mut agenda = vec![Step::Enter(ENTRY)];
     while let Some(step) = agenda.pop() {
         match step {
-            Step::Exit(restore) => {
-                for (ci, len) in restore {
-                    stacks[ci].truncate(len);
+            Step::Exit(len) => {
+                for ci in pushed.drain(len..) {
+                    stacks[ci].pop();
                 }
             }
             Step::Enter(b) => {
-                let mut pushed: Vec<(usize, usize)> = Vec::new();
-                let inst_list: Vec<InstId> = func.block(b).insts.clone();
-                for iid in inst_list {
+                let entry_len = pushed.len();
+                for &iid in &func.block(b).insts {
                     // A placed phi defines its candidate.
-                    if let Some(&ci) = phi_to_cand.get(&iid) {
-                        pushed.push((ci, stacks[ci].len()));
+                    let ci = phi_to_cand[iid.0 as usize];
+                    if ci != NONE {
+                        pushed.push(ci);
                         stacks[ci].push(ValueRef::Inst(iid));
                         continue;
                     }
                     let inst = func.inst(iid);
                     match &inst.op {
                         Op::Load => {
-                            if let ValueRef::Inst(a) = inst.args[0] {
-                                if let Some(&ci) = cand_index.get(&a) {
-                                    let cur = stacks[ci]
-                                        .last()
-                                        .copied()
-                                        .unwrap_or_else(|| undef(candidates[ci].elem));
-                                    replacements.insert(ValueRef::Inst(iid), cur);
-                                    dead.push(iid);
-                                }
+                            if let Some(ci) = slot_of(inst.args[0]) {
+                                let cur = stacks[ci]
+                                    .last()
+                                    .copied()
+                                    .unwrap_or_else(|| undef(candidates[ci].elem));
+                                replacements.insert(iid, cur);
+                                dead.push(iid);
                             }
                         }
                         Op::Store => {
-                            if let ValueRef::Inst(a) = inst.args[0] {
-                                if let Some(&ci) = cand_index.get(&a) {
-                                    let value = inst.args[1];
-                                    pushed.push((ci, stacks[ci].len()));
-                                    stacks[ci].push(value);
-                                    dead.push(iid);
-                                }
+                            if let Some(ci) = slot_of(inst.args[0]) {
+                                pushed.push(ci);
+                                stacks[ci].push(inst.args[1]);
+                                dead.push(iid);
                             }
                         }
                         _ => {}
@@ -214,25 +236,25 @@ fn promote(func: &mut Function) -> bool {
                 // Fill successor phis with the current definitions (each
                 // distinct successor once, even if both condbr edges target
                 // the same block).
-                let mut succs = func.block(b).term.successors();
-                succs.dedup();
-                for succ in succs {
-                    for ci in 0..candidates.len() {
-                        if let Some(&phi) = placed.get(&(succ, ci)) {
-                            let cur = stacks[ci]
-                                .last()
-                                .copied()
-                                .unwrap_or_else(|| undef(candidates[ci].elem));
-                            let inst = func.inst_mut(phi);
-                            let Op::Phi(blocks) = &mut inst.op else {
-                                unreachable!()
-                            };
-                            blocks.push(b);
-                            inst.args.push(cur);
-                        }
+                let succs = func.block(b).term.successors();
+                for (k, &succ) in succs.iter().enumerate() {
+                    if k > 0 && succs[k - 1] == succ {
+                        continue;
+                    }
+                    for &(ci, phi) in &placed[succ.0 as usize] {
+                        let cur = stacks[ci]
+                            .last()
+                            .copied()
+                            .unwrap_or_else(|| undef(candidates[ci].elem));
+                        let inst = func.inst_mut(phi);
+                        let Op::Phi(blocks) = &mut inst.op else {
+                            unreachable!()
+                        };
+                        blocks.push(b);
+                        inst.args.push(cur);
                     }
                 }
-                agenda.push(Step::Exit(pushed));
+                agenda.push(Step::Exit(entry_len));
                 for &child in dom.children(b) {
                     agenda.push(Step::Enter(child));
                 }

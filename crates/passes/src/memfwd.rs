@@ -9,8 +9,7 @@
 
 use crate::util::detach_all;
 use crate::Pass;
-use sfcc_ir::{Function, InstId, ModuleSnapshot, Op, ValueRef};
-use std::collections::HashMap;
+use sfcc_ir::{Function, IdMap, InstId, ModuleSnapshot, Op, ValueRef};
 
 /// The `memfwd` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,7 +21,7 @@ impl Pass for MemFwd {
     }
 
     fn run(&self, func: &mut Function, _snapshot: &ModuleSnapshot) -> bool {
-        let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
+        let mut map: IdMap<InstId, ValueRef> = IdMap::default();
         let mut dead: Vec<InstId> = Vec::new();
         for b in func.block_ids().collect::<Vec<_>>() {
             // Last known (address → value) fact; at most one is tracked.
@@ -36,7 +35,7 @@ impl Pass for MemFwd {
                     Op::Load => {
                         if let Some((addr, value)) = known {
                             if addr == inst.args[0] && func.value_ty(value) == inst.ty {
-                                map.insert(ValueRef::Inst(iid), value);
+                                map.insert(iid, value);
                                 dead.push(iid);
                                 continue;
                             }

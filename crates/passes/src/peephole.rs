@@ -6,8 +6,8 @@
 
 use crate::Pass;
 use sfcc_ir::{
-    BinKind, BlockId, Function, InstData, ModuleSnapshot, Op, Predecessors, Terminator, Ty,
-    ValueRef,
+    BinKind, BlockId, Function, IdMap, InstData, InstId, ModuleSnapshot, Op, Predecessors,
+    Terminator, Ty, ValueRef,
 };
 
 /// The `peephole` pass. See the module docs.
@@ -70,6 +70,10 @@ fn invert_negated_branches(func: &mut Function) -> bool {
 /// with `b` as their sole predecessor.
 fn form_selects(func: &mut Function) -> bool {
     let preds = Predecessors::compute(func);
+    // Each rewritten phi → its select, applied in one `replace_uses` at the
+    // end. No check below reads an operand, and a select's arms, which
+    // dominate `b`, are never phis of its own join.
+    let mut selects: IdMap<InstId, ValueRef> = IdMap::default();
     let mut changed = false;
     for b in func.block_ids().collect::<Vec<_>>() {
         let Terminator::CondBr {
@@ -113,7 +117,7 @@ fn form_selects(func: &mut Function) -> bool {
             continue; // nothing to gain; simplify-cfg threads this shape
         }
         let mut rewirable = true;
-        let mut arms: Vec<(sfcc_ir::InstId, ValueRef, ValueRef)> = Vec::new();
+        let mut arms: Vec<(InstId, ValueRef, ValueRef)> = Vec::new();
         for &pid in &phi_ids {
             let inst = func.inst(pid);
             let Op::Phi(blocks) = &inst.op else {
@@ -151,14 +155,13 @@ fn form_selects(func: &mut Function) -> bool {
             let ty = func.inst(pid).ty;
             let sel =
                 func.append_inst(b, InstData::new(Op::Select, vec![cond, v_then, v_else], ty));
-            let mut map = std::collections::HashMap::new();
-            map.insert(ValueRef::Inst(pid), ValueRef::Inst(sel));
-            func.replace_uses(&map);
-            func.detach_inst(pid);
+            selects.insert(pid, ValueRef::Inst(sel));
         }
+        func.block_mut(join).insts.retain(|i| !phi_ids.contains(i));
         func.block_mut(b).term = Terminator::Br(join);
         changed = true;
     }
+    func.replace_uses(&selects);
     changed
 }
 

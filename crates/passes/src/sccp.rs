@@ -7,8 +7,10 @@
 
 use crate::util::detach_all;
 use crate::Pass;
-use sfcc_ir::{BlockId, Function, InstId, ModuleSnapshot, Op, Terminator, Ty, ValueRef, ENTRY};
-use std::collections::{HashMap, HashSet, VecDeque};
+use sfcc_ir::{
+    BlockId, Function, IdMap, IdSet, InstId, ModuleSnapshot, Op, Terminator, Ty, ValueRef, ENTRY,
+};
+use std::collections::VecDeque;
 
 /// The `sccp` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,46 +47,62 @@ impl Pass for Sccp {
     }
 }
 
+/// The solver's tables are indexed by `InstId`/`BlockId`.
 struct Solver {
-    values: HashMap<InstId, Lattice>,
-    executable_edges: HashSet<(BlockId, BlockId)>,
-    executable_blocks: HashSet<BlockId>,
+    values: Vec<Lattice>,
+    executable_edges: IdSet<(BlockId, BlockId)>,
+    executable_blocks: Vec<bool>,
     block_work: VecDeque<BlockId>,
     inst_work: VecDeque<InstId>,
-    /// Users of each instruction result (for sparse propagation).
-    users: HashMap<InstId, Vec<InstId>>,
+    /// Users of each instruction result (for sparse propagation): those of
+    /// `i` are `users[user_start[i]..user_start[i + 1]]`, in layout order.
+    user_start: Vec<usize>,
+    users: Vec<InstId>,
     /// Blocks whose terminators use a value.
-    term_users: HashMap<InstId, Vec<BlockId>>,
-    /// Owning block per instruction.
-    owner: HashMap<InstId, BlockId>,
+    term_users: Vec<Vec<BlockId>>,
+    /// Owning block per attached instruction.
+    owner: Vec<BlockId>,
 }
 
 impl Solver {
     fn new(func: &Function) -> Self {
-        let mut users: HashMap<InstId, Vec<InstId>> = HashMap::new();
-        let mut owner = HashMap::new();
+        let arena = func.inst_arena_len();
+        let mut user_start = vec![0usize; arena + 1];
+        let mut owner = vec![BlockId(u32::MAX); arena];
         for (b, iid) in func.iter_insts() {
-            owner.insert(iid, b);
+            owner[iid.0 as usize] = b;
             for arg in &func.inst(iid).args {
                 if let ValueRef::Inst(d) = arg {
-                    users.entry(*d).or_default().push(iid);
+                    user_start[d.0 as usize + 1] += 1;
                 }
             }
         }
-        let mut term_users: HashMap<InstId, Vec<BlockId>> = HashMap::new();
-        for b in func.block_ids() {
-            for v in func.block(b).term.args() {
-                if let ValueRef::Inst(d) = v {
-                    term_users.entry(d).or_default().push(b);
+        for i in 0..arena {
+            user_start[i + 1] += user_start[i];
+        }
+        let mut users = vec![InstId(0); user_start[arena]];
+        let mut fill = user_start.clone();
+        for (_, iid) in func.iter_insts() {
+            for arg in &func.inst(iid).args {
+                if let ValueRef::Inst(d) = arg {
+                    users[fill[d.0 as usize]] = iid;
+                    fill[d.0 as usize] += 1;
                 }
+            }
+        }
+        let mut term_users: Vec<Vec<BlockId>> = vec![Vec::new(); arena];
+        for b in func.block_ids() {
+            if let Some(ValueRef::Inst(d)) = func.block(b).term.operand() {
+                term_users[d.0 as usize].push(b);
             }
         }
         Solver {
-            values: HashMap::new(),
-            executable_edges: HashSet::new(),
-            executable_blocks: HashSet::new(),
+            values: vec![Lattice::Top; arena],
+            executable_edges: IdSet::default(),
+            executable_blocks: vec![false; func.block_count()],
             block_work: VecDeque::new(),
             inst_work: VecDeque::new(),
+            user_start,
             users,
             term_users,
             owner,
@@ -95,49 +113,47 @@ impl Solver {
         match v {
             ValueRef::Const(ty, c) => Lattice::Const(ty, c),
             ValueRef::Param(_) => Lattice::Bottom,
-            ValueRef::Inst(i) => *self.values.get(&i).unwrap_or(&Lattice::Top),
+            ValueRef::Inst(i) => self.values[i.0 as usize],
         }
     }
 
     fn set(&mut self, i: InstId, new: Lattice) {
-        let old = *self.values.get(&i).unwrap_or(&Lattice::Top);
+        let old = self.values[i.0 as usize];
         let merged = old.meet(new);
         if merged != old {
-            self.values.insert(i, merged);
-            for u in self.users.get(&i).cloned().unwrap_or_default() {
-                self.inst_work.push_back(u);
-            }
-            for b in self.term_users.get(&i).cloned().unwrap_or_default() {
-                self.block_work.push_back(b);
-            }
+            self.values[i.0 as usize] = merged;
+            let (start, end) = (
+                self.user_start[i.0 as usize],
+                self.user_start[i.0 as usize + 1],
+            );
+            self.inst_work.extend(&self.users[start..end]);
+            self.block_work.extend(&self.term_users[i.0 as usize]);
         }
     }
 
     fn mark_edge(&mut self, from: BlockId, to: BlockId) {
         if self.executable_edges.insert((from, to)) {
-            if self.executable_blocks.insert(to) {
-                self.block_work.push_back(to);
-            } else {
-                // New edge into an already-live block: phis must re-meet.
-                self.block_work.push_back(to);
-            }
+            // A newly live block is visited; a new edge into an already-live
+            // block re-meets its phis.
+            self.executable_blocks[to.0 as usize] = true;
+            self.block_work.push_back(to);
         }
     }
 
     fn solve_and_apply(mut self, func: &mut Function) -> bool {
-        self.executable_blocks.insert(ENTRY);
+        self.executable_blocks[ENTRY.0 as usize] = true;
         self.block_work.push_back(ENTRY);
 
         while !self.block_work.is_empty() || !self.inst_work.is_empty() {
             while let Some(i) = self.inst_work.pop_front() {
-                let b = self.owner[&i];
-                if self.executable_blocks.contains(&b) {
+                let b = self.owner[i.0 as usize];
+                if self.executable_blocks[b.0 as usize] {
                     self.visit_inst(func, i);
                 }
             }
             if let Some(b) = self.block_work.pop_front() {
-                if self.executable_blocks.contains(&b) {
-                    for &i in &func.block(b).insts.clone() {
+                if self.executable_blocks[b.0 as usize] {
+                    for &i in &func.block(b).insts {
                         self.visit_inst(func, i);
                     }
                     self.visit_terminator(func, b);
@@ -176,7 +192,7 @@ impl Solver {
                 Lattice::Top => Lattice::Top,
             },
             Op::Phi(blocks) => {
-                let me = self.owner[&iid];
+                let me = self.owner[iid.0 as usize];
                 let mut lat = Lattice::Top;
                 for (pb, v) in blocks.iter().zip(&inst.args) {
                     if self.executable_edges.contains(&(*pb, me)) {
@@ -213,16 +229,16 @@ impl Solver {
     }
 
     fn apply(self, func: &mut Function) -> bool {
-        let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
+        let mut map: IdMap<InstId, ValueRef> = IdMap::default();
         let mut dead: Vec<InstId> = Vec::new();
-        for (iid, lat) in &self.values {
-            if let Lattice::Const(ty, c) = lat {
-                let inst = func.inst(*iid);
-                if inst.op.has_side_effects() {
+        for (i, lat) in self.values.iter().enumerate() {
+            if let Lattice::Const(ty, c) = *lat {
+                let iid = InstId(i as u32);
+                if func.inst(iid).op.has_side_effects() {
                     continue;
                 }
-                map.insert(ValueRef::Inst(*iid), ValueRef::Const(*ty, *c));
-                dead.push(*iid);
+                map.insert(iid, ValueRef::Const(ty, c));
+                dead.push(iid);
             }
         }
         let mut changed = !map.is_empty();
@@ -232,7 +248,7 @@ impl Solver {
         // Rewrite branches whose condition was proven constant (either
         // replaced above, or never marked executable on one side).
         for b in func.block_ids().collect::<Vec<_>>() {
-            if !self.executable_blocks.contains(&b) {
+            if !self.executable_blocks[b.0 as usize] {
                 continue;
             }
             if let Terminator::CondBr {

@@ -3,10 +3,9 @@
 
 use crate::Pass;
 use sfcc_ir::{
-    BlockId, Function, ModuleSnapshot, Op, Predecessors, Reachability, Terminator, Ty, ValueRef,
-    ENTRY,
+    BlockId, Function, IdMap, InstId, ModuleSnapshot, Op, Predecessors, Reachability, Terminator,
+    Ty, ValueRef, ENTRY,
 };
-use std::collections::HashMap;
 
 /// The `simplify-cfg` pass. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -129,13 +128,13 @@ fn prune_unreachable(func: &mut Function) -> bool {
 fn resolve_trivial_phis(func: &mut Function) -> bool {
     let mut changed = false;
     loop {
-        let mut map: HashMap<ValueRef, ValueRef> = HashMap::new();
+        let mut map: IdMap<InstId, ValueRef> = IdMap::default();
         let mut dead = Vec::new();
         for (_, iid) in func.iter_insts() {
             let inst = func.inst(iid);
             if let Op::Phi(blocks) = &inst.op {
                 if blocks.len() == 1 {
-                    map.insert(ValueRef::Inst(iid), inst.args[0]);
+                    map.insert(iid, inst.args[0]);
                     dead.push(iid);
                 }
             }
@@ -155,52 +154,55 @@ fn resolve_trivial_phis(func: &mut Function) -> bool {
 
 /// Merges `b → s` when `s` is `b`'s unique successor and `b` is `s`'s unique
 /// predecessor.
+///
+/// One forward sweep: a block absorbs its whole chain before the sweep
+/// moves on, and the predecessor lists are updated per merge instead of
+/// recomputed. This is the merge order of a restart-from-the-first-block
+/// loop — a merge into `b` makes no earlier block mergeable, since it only
+/// renames `s` to `b` in the lists of `s`'s successors. The single-input
+/// phis of absorbed blocks are replaced in one `replace_uses` at the end;
+/// no merge decision reads an operand.
 fn merge_straightline(func: &mut Function) -> bool {
+    let mut preds = Predecessors::compute(func);
+    let reach = Reachability::compute(func);
+    let mut phis: IdMap<InstId, ValueRef> = IdMap::default();
     let mut changed = false;
-    loop {
-        let preds = Predecessors::compute(func);
-        let reach = Reachability::compute(func);
-        let mut merged = false;
-        for b in func.block_ids().collect::<Vec<_>>() {
-            if !reach.is_reachable(b) {
-                continue;
-            }
-            let Terminator::Br(s) = func.block(b).term else {
-                continue;
-            };
+    for b in func.block_ids().collect::<Vec<_>>() {
+        if !reach.is_reachable(b) {
+            continue;
+        }
+        while let Terminator::Br(s) = func.block(b).term {
             if s == b || s == ENTRY || preds.of(s) != [b] {
-                continue;
+                break;
             }
-            // Phis in `s` have exactly one predecessor; resolve them first.
-            for iid in func.block(s).insts.clone() {
-                let inst = func.inst_mut(iid);
-                if let Op::Phi(blocks) = &mut inst.op {
-                    debug_assert_eq!(blocks.len(), 1);
-                    let val = inst.args[0];
-                    let mut map = HashMap::new();
-                    map.insert(ValueRef::Inst(iid), val);
-                    func.replace_uses(&map);
-                    crate::util::detach_all(func, &[iid]);
-                }
-            }
+            // Phis in `s` have exactly one predecessor: they stand for their
+            // input, and do not move.
+            let mut moved = std::mem::take(&mut func.block_mut(s).insts);
+            moved.retain(|&iid| {
+                let inst = func.inst(iid);
+                let Op::Phi(blocks) = &inst.op else {
+                    return true;
+                };
+                debug_assert_eq!(blocks.len(), 1);
+                phis.insert(iid, inst.args[0]);
+                false
+            });
             // Move instructions and take over the terminator.
-            let moved: Vec<_> = std::mem::take(&mut func.block_mut(s).insts);
             let term = std::mem::replace(&mut func.block_mut(s).term, Terminator::Trap);
             let bb = func.block_mut(b);
             bb.insts.extend(moved);
             bb.term = term;
             // Phis in s's successors referred to s; they now come from b.
-            for succ in func.block(b).term.successors() {
+            let succs = func.block(b).term.successors();
+            for &succ in succs.iter() {
                 retarget_phi_incoming(func, succ, s, b);
             }
-            merged = true;
+            preds.redirect(s, b, &succs);
             changed = true;
-            break; // predecessor map is stale; recompute.
-        }
-        if !merged {
-            return changed;
         }
     }
+    func.replace_uses(&phis);
+    changed
 }
 
 /// Rewrites phi incoming blocks `from` → `to` in `block`.
@@ -222,7 +224,9 @@ fn retarget_phi_incoming(func: &mut Function, block: BlockId, from: BlockId, to:
 /// rewrites that can collide with existing edges).
 fn thread_empty_blocks(func: &mut Function) -> bool {
     let reach = Reachability::compute(func);
-    let mut forward: HashMap<BlockId, BlockId> = HashMap::new();
+    // forward[b] = the target `b` forwards to, or `b` itself.
+    let mut forward: Vec<BlockId> = func.block_ids().collect();
+    let mut forwarding = 0;
     for b in func.block_ids() {
         if b == ENTRY || !reach.is_reachable(b) {
             continue;
@@ -242,19 +246,20 @@ fn thread_empty_blocks(func: &mut Function) -> bool {
             .iter()
             .any(|&i| matches!(func.inst(i).op, Op::Phi(_)));
         if !target_has_phis {
-            forward.insert(b, t);
+            forward[b.0 as usize] = t;
+            forwarding += 1;
         }
     }
-    if forward.is_empty() {
+    if forwarding == 0 {
         return false;
     }
     // Resolve forwarding chains (a → b → c) with cycle protection.
     let resolve = |mut b: BlockId| {
         let mut hops = 0;
-        while let Some(&next) = forward.get(&b) {
-            b = next;
+        while forward[b.0 as usize] != b {
+            b = forward[b.0 as usize];
             hops += 1;
-            if hops > forward.len() {
+            if hops > forwarding {
                 break;
             }
         }

@@ -1,24 +1,23 @@
 //! Shared helpers for transform passes.
 
-use sfcc_ir::{Function, InstId, Op, ValueRef};
-use std::collections::HashMap;
+use sfcc_ir::{BlockId, Function, InstId, Op, ValueRef};
 
-/// Counts uses of every instruction result across operands, phi inputs, and
-/// terminator operands.
-pub fn use_counts(func: &Function) -> HashMap<InstId, usize> {
-    let mut counts: HashMap<InstId, usize> = HashMap::new();
-    for (_, iid) in func.iter_insts() {
-        for arg in &func.inst(iid).args {
-            if let ValueRef::Inst(d) = arg {
-                *counts.entry(*d).or_insert(0) += 1;
+/// Counts uses of every instruction result across the operands of attached
+/// instructions, phi inputs, and terminator operands: `counts[id.0]` is the
+/// count of instruction `id`.
+pub fn use_counts(func: &Function) -> Vec<u32> {
+    let mut counts = vec![0u32; func.inst_arena_len()];
+    for b in func.block_ids() {
+        let block = func.block(b);
+        for &iid in &block.insts {
+            for arg in &func.inst(iid).args {
+                if let ValueRef::Inst(d) = arg {
+                    counts[d.0 as usize] += 1;
+                }
             }
         }
-    }
-    for b in func.block_ids() {
-        for v in func.block(b).term.args() {
-            if let ValueRef::Inst(d) = v {
-                *counts.entry(d).or_insert(0) += 1;
-            }
+        if let Some(ValueRef::Inst(d)) = block.term.operand() {
+            counts[d.0 as usize] += 1;
         }
     }
     counts
@@ -49,12 +48,15 @@ pub fn detach_all(func: &mut Function, dead: &[InstId]) -> usize {
     if dead.is_empty() {
         return 0;
     }
-    let dead_set: std::collections::HashSet<InstId> = dead.iter().copied().collect();
+    let mut is_dead = vec![false; func.inst_arena_len()];
+    for &i in dead {
+        is_dead[i.0 as usize] = true;
+    }
     let mut removed = 0;
-    for b in func.block_ids().collect::<Vec<_>>() {
-        let block = func.block_mut(b);
+    for b in 0..func.block_count() as u32 {
+        let block = func.block_mut(BlockId(b));
         let before = block.insts.len();
-        block.insts.retain(|i| !dead_set.contains(i));
+        block.insts.retain(|i| !is_dead[i.0 as usize]);
         removed += before - block.insts.len();
     }
     removed
@@ -72,13 +74,7 @@ mod tests {
         )
         .unwrap();
         let counts = use_counts(&f);
-        assert_eq!(counts.len(), 2);
-        let vals: Vec<usize> = {
-            let mut v: Vec<usize> = counts.values().copied().collect();
-            v.sort();
-            v
-        };
-        assert_eq!(vals, vec![1, 2]); // v1 used once (ret), v0 twice
+        assert_eq!(counts, vec![2, 1]); // v0 used twice, v1 once (ret)
     }
 
     #[test]

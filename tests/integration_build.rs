@@ -36,7 +36,7 @@ fn commit_replay_rebuilds_minimally() {
             "commit {commit:?}"
         );
         assert!(
-            report.module(&commit.module).unwrap().rebuilt,
+            report.module(&commit.module).unwrap().rebuilt(),
             "commit {commit:?}"
         );
         if commit.kind != sfcc_workload::EditKind::AddFunction {

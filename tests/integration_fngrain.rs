@@ -103,9 +103,9 @@ fn body_edit_in_wide_module_reexecutes_one_functions_pipeline() {
     // No signature re-extraction at all: a body edit leaves every
     // signature fingerprint untouched.
     assert_eq!(report.metric("fngrain.signature_misses"), 0);
-    assert!(report.module("wide").unwrap().rebuilt);
-    assert!(!report.module("consumer").unwrap().rebuilt);
-    assert!(!report.module("main").unwrap().rebuilt);
+    assert!(report.module("wide").unwrap().rebuilt());
+    assert!(!report.module("consumer").unwrap().rebuilt());
+    assert!(!report.module("main").unwrap().rebuilt());
 
     assert_eq!(to_bytes(&report.program), clean_image(&p));
 }
@@ -139,7 +139,7 @@ fn signature_edit_reexecutes_true_dependents_only() {
     assert!(
         report.metric("fngrain.signature_hits") > 0 || report.metric("fngrain.cutoff_saved") > 0
     );
-    assert!(!report.module("main").unwrap().rebuilt);
+    assert!(!report.module("main").unwrap().rebuilt());
 
     assert_eq!(to_bytes(&report.program), clean_image(&p));
 }

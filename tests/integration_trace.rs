@@ -309,7 +309,7 @@ fn decisions(report: &BuildReport) -> Decisions {
         rebuilt: report
             .modules
             .iter()
-            .map(|m| (m.name.clone(), m.rebuilt))
+            .map(|m| (m.name.clone(), m.rebuilt()))
             .collect(),
         counts: [
             "outcomes.active",
@@ -476,12 +476,10 @@ fn golden_report() -> BuildReport {
         modules: vec![
             ModuleReport {
                 name: "base".to_string(),
-                rebuilt: false,
                 output: None,
             },
             ModuleReport {
                 name: "we\"ird".to_string(),
-                rebuilt: true,
                 output: Some(ModuleOutput {
                     trace,
                     timings: sfcc::PhaseTimings {
