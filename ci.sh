@@ -7,7 +7,7 @@
 #                  `quick_`-prefixed subset of the fault-injection matrix (cold crash matrix, truncation
 #                  boundaries, recovery counters, durability sync points),
 #                  of the observability suite (trace well-formedness,
-#                  report schema, metrics consistency, CLI contracts), and
+#                  report schema, one copy of each number, CLI contracts), and
 #                  of the dependency-soundness suite (clean-build audit,
 #                  per-task-kind seeded lies, E15 fuzz matrix), the
 #                  function-granularity suite and its E16 gate, the
@@ -44,9 +44,12 @@ trace_smoke() {
         trace-check "$scratch/trace.json"
 }
 
-# The value of gauge $1 in the `--report json` file $2.
+# The value of gauge $1 in the `--report json` file $2. A gauge the report
+# does not carry stops the whole run: an empty value inside `(( ))` would
+# read as a false condition, so the gate would pass without checking.
 gauge() {
-    grep -oE "\"$1\":\{\"type\":\"gauge\",\"value\":[0-9]+" "$2" | grep -oE '[0-9]+$'
+    grep -oE "\"$1\":\{\"type\":\"gauge\",\"value\":[0-9]+" "$2" | grep -oE '[0-9]+$' ||
+        { echo "ci: the report $2 carries no gauge $1" >&2; kill -TERM $$; }
 }
 
 # Bytes of the committed files of state directory $1 for the logicals that
@@ -105,13 +108,14 @@ noop_gate() {
     cp "$scratch/p"/.sfcc-state* "$scratch/state2"/
     # A no-op reads back the keys of `link`'s dependencies and nothing else.
     local parsed
-    parsed="$(grep -oE '"query.keys_parsed":\{"type":"gauge","value":[0-9]+' "$scratch/second.json" | grep -oE '[0-9]+$')"
-    if ! grep -q '"query":{"hits":1,"misses":0,' "$scratch/second.json" ||
-        ! grep -q '"fn_tasks_executed":0,' "$scratch/second.json" ||
+    parsed="$(gauge query.keys_parsed "$scratch/second.json")"
+    if (($(gauge query.hits "$scratch/second.json") != 1)) ||
+        (($(gauge query.misses "$scratch/second.json") != 0)) ||
+        (($(gauge fngrain.fn_tasks_executed "$scratch/second.json") != 0)) ||
         grep -q '"rebuilt":true' "$scratch/second.json" ||
         ((parsed > 4)); then
         echo "ci: a second process over an unchanged tree executed tasks or parsed $parsed key(s):" >&2
-        grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/second.json" >&2
+        grep -oE '"(query|fngrain)\.[a-z_]+":\{[^}]*\}|"build.rebuilt_count":\{[^}]*\}' "$scratch/second.json" >&2
         return 1
     fi
     local got used
@@ -158,20 +162,20 @@ noop_gate() {
     fi
     local fn_tasks=()
     for report in first third; do
-        fn_tasks+=("$(grep -oE '"fn_tasks_executed":[0-9]+' "$scratch/$report.json" | cut -d: -f2)")
+        fn_tasks+=("$(gauge fngrain.fn_tasks_executed "$scratch/$report.json")")
     done
     # The full build executed every node of the graph the edit restores;
     # the edit reads back fewer keys than that.
     local nodes
-    nodes="$(grep -oE '"query":\{"hits":[0-9]+,"misses":[0-9]+' "$scratch/first.json" | grep -oE '[0-9]+$')"
-    parsed="$(grep -oE '"query.keys_parsed":\{"type":"gauge","value":[0-9]+' "$scratch/third.json" | grep -oE '[0-9]+$')"
-    if grep -qE '"query":\{"hits":[0-9]+,"misses":0,' "$scratch/third.json" ||
-        ! grep -q '"rebuilt_count":1,' "$scratch/third.json" ||
+    nodes="$(gauge query.misses "$scratch/first.json")"
+    parsed="$(gauge query.keys_parsed "$scratch/third.json")"
+    if (($(gauge query.misses "$scratch/third.json") == 0)) ||
+        (($(gauge build.rebuilt_count "$scratch/third.json") != 1)) ||
         ((fn_tasks[1] >= fn_tasks[0])) ||
         ((parsed >= nodes)) ||
         ! grep -q '"rematerialized":\[\]' "$scratch/third.json"; then
         echo "ci: a new process did not execute what a resident session would for one edited constant:" >&2
-        grep -oE '"(query|fngrain)":\{[^}]*\}|"rebuilt_count":[0-9]+' "$scratch/third.json" >&2
+        grep -oE '"(query|fngrain)\.[a-z_]+":\{[^}]*\}|"build.rebuilt_count":\{[^}]*\}' "$scratch/third.json" >&2
         return 1
     fi
     cmp "$scratch/third.sbx" "$scratch/fresh.sbx"
@@ -203,11 +207,11 @@ flip_gate() {
         local executed others
         executed="$(grep -oE '"executed":\[[^]]*\]' "$scratch/$i.json")"
         others="$(echo "$executed" | grep -oE '"[a-z]+\(|"[a-z]+"' | grep -vE '^"(executed"|optimizefn\(|codegen\(|link")' || true)"
-        if ! grep -q '"recovered_files":0,' "$scratch/$i.json" ||
+        if (($(gauge recovery.recovered_files "$scratch/$i.json") != 0)) ||
             { ((i == 2 || i == 3)) && [[ -n "$others" || "$executed" != *optimizefn* ]]; } ||
             { ((i == 4)) && [[ "$executed" != '"executed":[]' ]]; }; then
             echo "ci: build $i ($level) of a flag flip executed more than the flags shape, or recovered:" >&2
-            grep -oE '"query":\{"hits":[0-9]+,"misses":[0-9]+|"recovered_files":[0-9]+' "$scratch/$i.json" >&2
+            grep -oE '"(query.hits|query.misses|recovery.recovered_files)":\{[^}]*\}' "$scratch/$i.json" >&2
             echo "$others" | sort | uniq -c >&2
             return 1
         fi
@@ -350,19 +354,26 @@ kernel_gate() {
 }
 
 # A build's numbers have one home, its report's metrics snapshot: the
-# builder sets each gauge once and every reader goes through
-# `BuildReport::metric`. In the non-test code of crates/buildsys/src, a
-# typed mirror of those numbers (`FngrainStats`, `ParallelStats`,
-# `SnapshotTotals`) or, in report.rs, a reader that takes a `fallback`
-# for a missing metric is a second home coming back.
+# builder sets each gauge once, every reader goes through
+# `BuildReport::metric`, and the JSON report prints them once, as its
+# `metrics` block. In the non-test code of crates/buildsys/src, a typed
+# mirror of those numbers (`FngrainStats`, `ParallelStats`,
+# `SnapshotTotals`) or, in report.rs, a reader that takes a `fallback` for
+# a missing metric or a `metric(` call outside `fn metric` and
+# `fn update_metric` (a typed block of the JSON report) is a second home
+# coming back.
 metrics_home_gate() {
     local found
     found="$(find crates/buildsys/src -name '*.rs' | sort | xargs awk '
-        FNR == 1 { test = 0 }
+        FNR == 1 { test = 0; reader = 0 }
         /^#\[cfg\(test\)\]/ { test = 1 }
         test || /^[[:space:]]*\/\// { next }
+        FILENAME ~ /\/report\.rs$/ && /^    pub(\(crate\))? fn (update_)?metric\(/ { reader = 1 }
         /FngrainStats|ParallelStats|SnapshotTotals/ ||
-            (FILENAME ~ /\/report\.rs$/ && /fallback/) { print FILENAME ":" FNR ": " $0 }')"
+            (FILENAME ~ /\/report\.rs$/ &&
+                (/fallback/ || (!reader && /(^|[^A-Za-z0-9_])metric\(/))) {
+            print FILENAME ":" FNR ": " $0 }
+        reader && /^    }$/ { reader = 0 }')"
     if [[ -n "$found" ]]; then
         echo "ci: a build's numbers stored outside its report's metrics snapshot:" >&2
         echo "$found" >&2

@@ -438,13 +438,16 @@ fn num(value: &Value) -> u64 {
     value.as_u64().unwrap_or(0)
 }
 
-/// The build summary of a `build` reply, read off the report it carries.
+/// The build summary of a `build` reply, read off the report it carries:
+/// its records and the gauges of its `metrics` block.
 fn print_build(body: &Value) {
     let report = &body["report"];
-    let recovery = &report["recovery"];
-    let recovered = num(&recovery["recovered_files"]);
+    let gauge = |name: &str| num(&report["metrics"][name]["value"]);
+    let recovered = gauge("recovery.recovered_files");
     if recovered > 0 {
-        let quarantined = recovery["quarantined"].as_arr().unwrap_or_default();
+        let quarantined = report["recovery"]["quarantined"]
+            .as_arr()
+            .unwrap_or_default();
         let paths: Vec<&str> = quarantined.iter().filter_map(Value::as_str).collect();
         outln!(
             "recovered from {recovered} corrupt persistent file(s); quarantined: {}",
@@ -455,25 +458,23 @@ fn print_build(body: &Value) {
             }
         );
     }
-    let (outcomes, query) = (&report["outcomes"], &report["query"]);
     outln!(
         "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)",
         report["modules"].as_arr().unwrap_or_default().len(),
-        num(&report["rebuilt_count"]),
-        num(&report["wall_ns"]) as f64 / 1e6,
-        num(&outcomes["active"]),
-        num(&outcomes["dormant"]),
-        num(&outcomes["skipped"]),
-        num(&query["hits"]),
-        num(&query["misses"]),
+        gauge("build.rebuilt_count"),
+        gauge("build.wall_ns") as f64 / 1e6,
+        gauge("outcomes.active"),
+        gauge("outcomes.dormant"),
+        gauge("outcomes.skipped"),
+        gauge("query.hits"),
+        gauge("query.misses"),
     );
-    let fngrain = &report["fngrain"];
     outln!(
         "fn-grain: {} signature pin(s) held, {} re-extracted; {} function pipeline task(s) ran, {} saved by cutoff",
-        num(&fngrain["signature_hits"]),
-        num(&fngrain["signature_misses"]),
-        num(&fngrain["fn_tasks_executed"]),
-        num(&fngrain["cutoff_saved"]),
+        gauge("fngrain.signature_hits"),
+        gauge("fngrain.signature_misses"),
+        gauge("fngrain.fn_tasks_executed"),
+        gauge("fngrain.cutoff_saved"),
     );
     outln!("wrote {}", body["image"].as_str().unwrap_or_default());
 }

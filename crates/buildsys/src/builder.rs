@@ -356,9 +356,7 @@ impl Builder {
                 let rejected = self.stored.report_rejected(&self.engine, &self.compiler) as u64;
                 let verified = self.stored.take_verified();
                 report.update_metric("persist.values_verified", |n| n + verified);
-                for name in ["recovery.recovered_files", "recovery.events"] {
-                    report.update_metric(name, |n| n + rejected);
-                }
+                report.update_metric("recovery.recovered_files", |n| n + rejected);
             }
         }
         result

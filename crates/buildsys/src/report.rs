@@ -8,11 +8,10 @@
 //! (a state commit) updates the snapshot through
 //! [`BuildReport::update_metric`]; readers go through
 //! [`BuildReport::metric`], which panics on a name the report does not
-//! carry. [`BuildReport::to_value`] renders every numeric of the JSON
-//! report from the snapshot and carries the snapshot itself as the
-//! trailing `"metrics"` block, so the two views cannot drift.
-//! [`validate_report_json`] pins the full report schema for regression
-//! tests.
+//! carry. [`BuildReport::to_value`] prints the records and carries the
+//! snapshot as the trailing `"metrics"` block, the document's only copy of
+//! the build's numbers. [`validate_report_json`] pins the report schema for
+//! regression tests.
 
 use crate::depcheck::{DepFindingKind, DepcheckReport};
 use crate::tasks::LinkArtifact;
@@ -21,13 +20,8 @@ use sfcc_backend::Program;
 use sfcc_passes::PipelineTrace;
 use sfcc_trace::json::{self, Value};
 use sfcc_trace::{MetricValue, MetricsSnapshot};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
-
-/// How many rows the JSON report's "slowest slots" table carries.
-const SLOWEST_SLOTS: usize = 10;
 
 /// The tasks one build session executed and rematerialized. Their counts
 /// are the `query.*` metrics.
@@ -187,20 +181,13 @@ impl BuildReport {
     }
 
     /// The report as a JSON object (machine-readable build summary for
-    /// `minicc build --report json`). Every number reads from the metrics
-    /// snapshot, which is also carried verbatim as the trailing `"metrics"`
-    /// block; the rows of the pass and slot tables are the passes and
-    /// slots the module traces recorded, ordered by their snapshot times.
+    /// `minicc build --report json`): the build's records — outcome, state
+    /// generation, the rematerialized and executed task labels, the
+    /// quarantined paths, the depcheck verdict and each module's rebuilt
+    /// flag — then the metrics snapshot as the trailing `"metrics"` block,
+    /// the one place the document prints a number of the build.
     pub fn to_value(&self) -> Value {
-        let metric = |name: &str| Value::from(self.metric(name));
         let labels = |labels: &[String]| -> Value { labels.iter().map(String::as_str).collect() };
-        let outcomes = |prefix: &str| {
-            Value::obj([
-                ("active", metric(&format!("{prefix}active"))),
-                ("dormant", metric(&format!("{prefix}dormant"))),
-                ("skipped", metric(&format!("{prefix}skipped"))),
-            ])
-        };
         // The depcheck block is present on every report — zeroed when the
         // audit was off — so consumers never have to branch on a missing
         // key. Counts come from the findings, not the snapshot: drivers may
@@ -219,110 +206,25 @@ impl BuildReport {
                 ("detail", f.detail.as_str().into()),
             ])
         });
-        // The passes and slots the module traces recorded, and which pass
-        // ran in each slot.
-        let mut passes: BTreeSet<&str> = BTreeSet::new();
-        let mut slots: BTreeMap<usize, &str> = BTreeMap::new();
-        let records = self
-            .modules
-            .iter()
-            .filter_map(|m| m.output.as_ref())
-            .flat_map(|out| out.trace.functions.iter())
-            .flat_map(|func| func.records.iter());
-        for record in records {
-            passes.insert(&record.pass);
-            slots.entry(record.slot).or_insert(&record.pass);
-        }
-        let mut passes: Vec<&str> = passes.into_iter().collect();
-        passes.sort_by_key(|pass| Reverse(self.metric(&format!("pass.{pass}.total_ns"))));
-        let pass_profile = passes.into_iter().map(|pass| {
-            let key = |field: &str| format!("pass.{pass}.{field}");
-            Value::obj([
-                ("pass", pass.into()),
-                ("total_ns", metric(&key("total_ns"))),
-                ("runs", metric(&key("runs"))),
-                ("skipped", metric(&key("skipped"))),
-            ])
-        });
-        let mut slowest: Vec<(usize, &str)> = slots.into_iter().collect();
-        slowest.sort_by_key(|(slot, _)| Reverse(self.metric(&format!("slot.{slot}.total_ns"))));
-        slowest.truncate(SLOWEST_SLOTS);
-        let slowest_slots = slowest.into_iter().map(|(slot, pass)| {
-            let key = |field: &str| format!("slot.{slot}.{field}");
-            Value::obj([
-                ("slot", slot.into()),
-                ("pass", pass.into()),
-                ("total_ns", metric(&key("total_ns"))),
-                ("runs", metric(&key("runs"))),
-            ])
-        });
         let modules = self.modules.iter().map(|module| {
-            let mut fields = vec![
+            Value::obj([
                 ("name", module.name.as_str().into()),
                 ("rebuilt", module.rebuilt().into()),
-            ];
-            if module.output.is_some() {
-                let prefix = format!("module.{}.", module.name);
-                let key = |field: &str| metric(&format!("{prefix}{field}"));
-                let timings = Value::obj([
-                    ("frontend", key("frontend_ns")),
-                    ("lower", key("lower_ns")),
-                    ("middle", key("middle_ns")),
-                    ("backend", key("backend_ns")),
-                    ("state", key("state_ns")),
-                ]);
-                fields.extend([
-                    ("timings_ns", timings),
-                    ("optimize_ns", key("optimize_ns")),
-                    ("outcomes", outcomes(&prefix)),
-                ]);
-            }
-            Value::obj(fields)
+            ])
         });
         Value::obj([
-            ("wall_ns", metric("build.wall_ns")),
-            ("link_ns", metric("build.link_ns")),
-            ("compile_ns", metric("build.compile_ns")),
-            ("rebuilt_count", metric("build.rebuilt_count")),
-            ("jobs", metric("build.jobs")),
             ("outcome", self.outcome.as_str().into()),
             ("state_generation", self.state_generation.into()),
-            ("outcomes", outcomes("outcomes.")),
             (
                 "query",
                 Value::obj([
-                    ("hits", metric("query.hits")),
-                    ("misses", metric("query.misses")),
-                    ("loaded", metric("query.loaded")),
                     ("rematerialized", labels(&self.query.rematerialized)),
                     ("executed", labels(&self.query.executed)),
                 ]),
             ),
             (
-                "fngrain",
-                Value::obj([
-                    ("signature_hits", metric("fngrain.signature_hits")),
-                    ("signature_misses", metric("fngrain.signature_misses")),
-                    ("fn_tasks_executed", metric("fngrain.fn_tasks_executed")),
-                    ("cutoff_saved", metric("fngrain.cutoff_saved")),
-                ]),
-            ),
-            (
-                "parallel",
-                Value::obj([
-                    ("snapshot_clones", metric("snapshot.clones")),
-                    ("snapshot_cost_units", metric("snapshot.cost_units")),
-                    ("snapshot_reused", metric("snapshot.reused")),
-                    ("batch_count", metric("batch.count")),
-                    ("batch_max_cost", metric("batch.max_cost")),
-                ]),
-            ),
-            (
                 "recovery",
-                Value::obj([
-                    ("recovered_files", metric("recovery.recovered_files")),
-                    ("quarantined", labels(&self.quarantined)),
-                ]),
+                Value::obj([("quarantined", labels(&self.quarantined))]),
             ),
             (
                 "depcheck",
@@ -337,24 +239,6 @@ impl BuildReport {
                     ("findings", findings.collect()),
                 ]),
             ),
-            // The cas block renders the `cas.*` gauges the compiler
-            // publishes on every build: zeroed (enabled=false) when no
-            // shared store is attached, so consumers never branch on a
-            // missing key.
-            (
-                "cas",
-                Value::obj([
-                    ("enabled", (self.metric("cas.enabled") != 0).into()),
-                    ("hits", metric("cas.hits")),
-                    ("misses", metric("cas.misses")),
-                    ("evictions", metric("cas.evictions")),
-                    ("publishes", metric("cas.publishes")),
-                    ("entries", metric("cas.entries")),
-                    ("bytes", metric("cas.bytes")),
-                ]),
-            ),
-            ("pass_profile", pass_profile.collect()),
-            ("slowest_slots", slowest_slots.collect()),
             ("modules", modules.collect()),
             ("metrics", self.metrics.to_value()),
         ])
@@ -368,186 +252,89 @@ impl BuildReport {
 }
 
 /// Validates the JSON produced by [`BuildReport::to_json`] against the
-/// report's schema: the exact top-level key sequence, the type of every
-/// field, and the shape of each nested block (including the `"metrics"`
-/// snapshot, which must parse back via [`MetricsSnapshot::from_json`]).
-/// A regression test pins this down so schema drift is an explicit,
-/// reviewed change rather than an accident.
+/// report's schema: the exact key sequence and field types of the document
+/// and of each record block, and a `"metrics"` snapshot that parses back
+/// via [`MetricsSnapshot::from_json`]. A regression test pins this down so
+/// schema drift is an explicit, reviewed change rather than an accident.
 pub fn validate_report_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let fields = doc.as_obj().ok_or("report: expected a top-level object")?;
-    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    let expected = [
-        "wall_ns",
-        "link_ns",
-        "compile_ns",
-        "rebuilt_count",
-        "jobs",
-        "outcome",
-        "state_generation",
-        "outcomes",
-        "query",
-        "fngrain",
-        "parallel",
-        "recovery",
-        "depcheck",
-        "cas",
-        "pass_profile",
-        "slowest_slots",
-        "modules",
-        "metrics",
-    ];
-    if keys != expected {
-        return Err(format!(
-            "report: key sequence {keys:?} does not match the schema {expected:?}"
-        ));
-    }
-    let num = |v: &Value| v.as_u64().is_some();
-    let string = |v: &Value| v.as_str().is_some();
-    let boolean = |v: &Value| v.as_bool().is_some();
-    let strings = |v: &Value| v.as_arr().is_some_and(|a| a.iter().all(string));
-    let outcomes = ["active", "dormant", "skipped"];
-    let scalars = [
-        "wall_ns",
-        "link_ns",
-        "compile_ns",
-        "rebuilt_count",
-        "jobs",
-        "state_generation",
-    ];
-    check(&doc, "report", &scalars, num)?;
-    check(&doc, "report", &["outcome"], string)?;
-    let blocks: [(&str, &[&str]); 7] = [
-        ("outcomes", &outcomes),
-        ("query", &["hits", "misses", "loaded"]),
-        (
-            "fngrain",
-            &[
-                "signature_hits",
-                "signature_misses",
-                "fn_tasks_executed",
-                "cutoff_saved",
-            ],
-        ),
-        (
-            "parallel",
-            &[
-                "snapshot_clones",
-                "snapshot_cost_units",
-                "snapshot_reused",
-                "batch_count",
-                "batch_max_cost",
-            ],
-        ),
-        ("recovery", &["recovered_files"]),
-        (
-            "depcheck",
-            &[
-                "missing",
-                "redundant",
-                "stale",
-                "untracked_io",
-                "tasks_checked",
-                "accesses",
-            ],
-        ),
-        (
-            "cas",
-            &[
-                "hits",
-                "misses",
-                "evictions",
-                "publishes",
-                "entries",
-                "bytes",
-            ],
-        ),
-    ];
-    for (block, fields) in blocks {
-        check(&doc[block], block, fields, num)?;
-    }
-    check(&doc["depcheck"], "depcheck", &["enabled"], boolean)?;
-    check(&doc["cas"], "cas", &["enabled"], boolean)?;
+    let num: Is = |v| v.as_u64().is_some();
+    let string: Is = |v| v.as_str().is_some();
+    let boolean: Is = |v| v.as_bool().is_some();
+    let strings: Is = |v| {
+        v.as_arr()
+            .is_some_and(|a| a.iter().all(|s| s.as_str().is_some()))
+    };
+    // Blocks whose own fields are checked below.
+    let block: Is = |_| true;
+    check(
+        &doc,
+        "report",
+        &[
+            ("outcome", string),
+            ("state_generation", num),
+            ("query", block),
+            ("recovery", block),
+            ("depcheck", block),
+            ("modules", block),
+            ("metrics", block),
+        ],
+    )?;
     check(
         &doc["query"],
         "query",
-        &["rematerialized", "executed"],
-        strings,
+        &[("rematerialized", strings), ("executed", strings)],
     )?;
-    check(&doc["recovery"], "recovery", &["quarantined"], strings)?;
-
-    // Arrays of rows, each with string and numeric fields.
-    let row_blocks: [(&str, &Value, &[&str], &[&str]); 3] = [
-        (
-            "depcheck.findings",
-            &doc["depcheck"]["findings"],
-            &["kind", "task", "resource", "detail"],
-            &[],
-        ),
-        (
-            "pass_profile",
-            &doc["pass_profile"],
-            &["pass"],
-            &["total_ns", "runs", "skipped"],
-        ),
-        (
-            "slowest_slots",
-            &doc["slowest_slots"],
-            &["pass"],
-            &["slot", "total_ns", "runs"],
-        ),
-    ];
-    for (block, rows, text, numbers) in row_blocks {
-        let rows = rows.as_arr().ok_or(format!("{block}: expected an array"))?;
+    check(&doc["recovery"], "recovery", &[("quarantined", strings)])?;
+    let dc = &doc["depcheck"];
+    check(
+        dc,
+        "depcheck",
+        &[
+            ("enabled", boolean),
+            ("missing", num),
+            ("redundant", num),
+            ("stale", num),
+            ("untracked_io", num),
+            ("tasks_checked", num),
+            ("accesses", num),
+            ("findings", block),
+        ],
+    )?;
+    let rows = |rows: &Value, ctx: &str, fields: &[(&str, Is)]| -> Result<(), String> {
+        let rows = rows.as_arr().ok_or(format!("{ctx}: expected an array"))?;
         for (i, row) in rows.iter().enumerate() {
-            let ctx = format!("{block}[{i}]");
-            check(row, &ctx, text, string)?;
-            check(row, &ctx, numbers, num)?;
+            check(row, &format!("{ctx}[{i}]"), fields)?;
         }
-    }
-
-    let modules = doc["modules"]
-        .as_arr()
-        .ok_or("modules: expected an array")?;
-    for (i, module) in modules.iter().enumerate() {
-        let ctx = format!("modules[{i}]");
-        check(module, &ctx, &["name"], string)?;
-        check(module, &ctx, &["rebuilt"], boolean)?;
-        match module.get("timings_ns") {
-            Some(timings) => {
-                let fields = ["frontend", "lower", "middle", "backend", "state"];
-                check(timings, &format!("{ctx}.timings_ns"), &fields, num)?;
-                check(module, &ctx, &["optimize_ns"], num)?;
-                check(
-                    &module["outcomes"],
-                    &format!("{ctx}.outcomes"),
-                    &outcomes,
-                    num,
-                )?;
-            }
-            None if module["rebuilt"] == Value::Bool(true) => {
-                return Err(format!("{ctx}: rebuilt module without timings_ns"));
-            }
-            None => {}
-        }
-    }
-
+        Ok(())
+    };
+    let finding = ["kind", "task", "resource", "detail"].map(|field| (field, string));
+    rows(&dc["findings"], "depcheck.findings", &finding)?;
+    rows(
+        &doc["modules"],
+        "modules",
+        &[("name", string), ("rebuilt", boolean)],
+    )?;
     MetricsSnapshot::from_json(&doc["metrics"]).map_err(|e| format!("metrics: {e}"))?;
     Ok(())
 }
 
-/// Checks that `block` holds each of `fields`, each of a type `is` accepts.
-fn check(
-    block: &Value,
-    ctx: &str,
-    fields: &[&str],
-    is: impl Fn(&Value) -> bool,
-) -> Result<(), String> {
-    for field in fields {
-        let value = block
-            .get(field)
-            .ok_or(format!("{ctx}: missing {field:?}"))?;
-        if !is(value) {
+/// A type test on a report field.
+type Is = fn(&Value) -> bool;
+
+/// Checks that `block` is an object holding exactly `fields`, in order,
+/// each of a type its test accepts.
+fn check(block: &Value, ctx: &str, fields: &[(&str, Is)]) -> Result<(), String> {
+    let actual = block.as_obj().ok_or(format!("{ctx}: expected an object"))?;
+    let keys: Vec<&str> = actual.iter().map(|(k, _)| k.as_str()).collect();
+    let expected: Vec<&str> = fields.iter().map(|&(k, _)| k).collect();
+    if keys != expected {
+        return Err(format!(
+            "{ctx}: key sequence {keys:?} does not match the schema {expected:?}"
+        ));
+    }
+    for (field, is) in fields {
+        if !is(&block[*field]) {
             return Err(format!("{ctx}.{field}: unexpected type"));
         }
     }

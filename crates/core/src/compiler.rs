@@ -624,7 +624,7 @@ impl Compiler {
             .unwrap_or_default()
     }
 
-    /// Publishes the session's cache, dormancy-state, and recovery
+    /// Publishes the session's cache, dormancy-state, persistence and CAS
     /// telemetry as gauges in `registry` (the build driver calls this once
     /// per build, after compilation finishes). `persist.bytes_read` counts
     /// the committed bytes read since the last call: the load's, for a
@@ -640,7 +640,6 @@ impl Compiler {
         registry.gauge_set("state.functions", self.state.function_count() as u64);
         registry.gauge_set("state.dormant_slots", self.state.dormant_slot_count());
         registry.gauge_set("state.recorded_skips", self.state.total_recorded_skips());
-        registry.gauge_set("recovery.events", self.events().len() as u64);
         registry.gauge_set("persist.segments", self.persisted_segments() as u64);
         let bytes_read = self.bytes_read.swap(0, Ordering::Relaxed);
         registry.gauge_set("persist.bytes_read", bytes_read);

@@ -238,15 +238,25 @@ fn quick_report_schema_pins_the_cas_block() {
     let json = with_cas.to_json();
     validate_report_json(&json).unwrap();
     assert!(
-        json.contains("\"cas\":{\"enabled\":true"),
+        json.contains("\"cas.enabled\":{\"type\":\"gauge\",\"value\":1}"),
         "an attached store must surface in the report: {json}"
     );
 
-    // Without a store the block is present, zeroed, and still validates.
+    // Without a store the gauges are present, zeroed, and still validate.
     let (_, without) = build(Config::stateless(), &project_v1(), 1);
     let json = without.to_json();
     validate_report_json(&json).unwrap();
-    assert!(json.contains("\"cas\":{\"enabled\":false"));
+    assert!(json.contains("\"cas.enabled\":{\"type\":\"gauge\",\"value\":0}"));
+    for name in [
+        "hits",
+        "misses",
+        "evictions",
+        "publishes",
+        "entries",
+        "bytes",
+    ] {
+        assert_eq!(without.metric(&format!("cas.{name}")), 0, "{name}");
+    }
     cleanup(&store);
 }
 

@@ -1328,8 +1328,9 @@ fn quick_recovery_counters_surface_in_json_report() {
     assert_eq!(report.quarantined.len(), 2);
     assert!(report.quarantined.iter().all(|q| q.ends_with(".corrupt")));
     let json = report.to_json();
+    assert!(json.contains("\"recovery\":{\"quarantined\":[\""), "{json}");
     assert!(
-        json.contains("\"recovery\":{\"recovered_files\":2,\"quarantined\":["),
+        json.contains("\"recovery.recovered_files\":{\"type\":\"gauge\",\"value\":2}"),
         "{json}"
     );
     assert!(json.contains(".corrupt"), "{json}");
@@ -1339,9 +1340,12 @@ fn quick_recovery_counters_surface_in_json_report() {
     // fully incremental again — warm state, no recovery, dormant skipping.
     let next = run_session(&dir, &v1, d).unwrap();
     assert_eq!(next.metric("recovery.recovered_files"), 0);
-    assert!(next
-        .to_json()
-        .contains("\"recovery\":{\"recovered_files\":0,\"quarantined\":[]}"));
+    let json = next.to_json();
+    assert!(json.contains("\"recovery\":{\"quarantined\":[]}"), "{json}");
+    assert!(
+        json.contains("\"recovery.recovered_files\":{\"type\":\"gauge\",\"value\":0}"),
+        "{json}"
+    );
     assert_eq!(
         next.metric("query.misses"),
         0,

@@ -216,12 +216,12 @@ fn decisions(dir: &Path) -> String {
             module.get("rebuilt").unwrap().as_bool().unwrap(),
         ));
     }
-    let query = doc.get("query").unwrap();
+    let gauge = |name: &str| doc["metrics"][name]["value"].as_u64().unwrap();
     out.push_str(&format!(
         "gen={};hits={};misses={}",
         doc.get("state_generation").unwrap().as_u64().unwrap(),
-        query.get("hits").unwrap().as_u64().unwrap(),
-        query.get("misses").unwrap().as_u64().unwrap(),
+        gauge("query.hits"),
+        gauge("query.misses"),
     ));
     out
 }

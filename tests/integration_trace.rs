@@ -2,8 +2,8 @@
 //! must be well-formed Chrome trace JSON with strictly nested spans, carry
 //! every pass execution exactly once (tagged active/dormant/skipped), and
 //! be **byte-identical** across repeated runs and across `--jobs 1` vs
-//! `--jobs 8`. The metrics registry must agree with every numeric field of
-//! the JSON report, the report must match its pinned schema, and — the
+//! `--jobs 8`. The JSON report must match its pinned schema and print
+//! every number of the build once, in its metrics snapshot, and — the
 //! no-observer-effect property — enabling tracing and metrics must change
 //! no build output (images, persisted state, cache, rebuild decisions)
 //! over random edit scripts. Tests prefixed `quick_` form the CI smoke
@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use sfcc::{Compiler, Config};
 use sfcc_backend::image::to_bytes;
+use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{validate_report_json, BuildReport, Builder, Project};
 use sfcc_trace::json::{self, Value};
 use sfcc_trace::validate_chrome_trace;
@@ -22,6 +23,19 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sfcc-it-trace-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A scratch copy of the sources of `demo/`.
+fn demo_copy(tag: &str) -> PathBuf {
+    let dir = scratch_dir(tag);
+    let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
+    for entry in std::fs::read_dir(&demo).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "mc") {
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+    }
     dir
 }
 
@@ -163,109 +177,68 @@ fn trace_bytes_identical_across_jobs_and_runs() {
 #[test]
 fn quick_report_json_matches_pinned_schema() {
     let mut builder = Builder::new(Compiler::new(Config::stateless()));
-    let report = builder.build(&three_module_project()).unwrap();
-    let text = report.to_json();
-    validate_report_json(&text).expect("report must match its schema");
+    let plain = builder.build(&three_module_project()).unwrap();
+    // A stateful demo build, then a `mathx` edit audited by depcheck after
+    // the committed function cache was corrupted: a report with recovery
+    // records and a depcheck verdict.
+    let dir = demo_copy("schema");
+    let flags = ["--stateful".to_string(), "--fn-cache".to_string()];
+    BuildService::new(&dir, &flags).unwrap().build().unwrap();
+    let ircache = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.to_string_lossy().contains("/.sfcc-state.ircache."))
+        .expect("a committed function cache");
+    std::fs::write(ircache, b"junk").unwrap();
+    let mathx = dir.join("mathx.mc");
+    let source = std::fs::read_to_string(&mathx).unwrap();
+    std::fs::write(&mathx, source.replace("1000000007", "998244353")).unwrap();
+    let recovered = BuildService::new(&dir, &flags).unwrap().depcheck().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for report in [&plain, &recovered] {
+        let text = report.to_json();
+        validate_report_json(&text).expect("report must match its schema");
+        // A number of the build is printed once, in `metrics`; outside it
+        // only the state generation and the depcheck verdict are numbers.
+        let mut numbers = Vec::new();
+        numeric_leaves(&json::parse(&text).unwrap(), "", &mut numbers);
+        numbers.retain(|path| {
+            path != ".state_generation"
+                && !path.starts_with(".depcheck.")
+                && !path.starts_with(".metrics.")
+        });
+        assert!(numbers.is_empty(), "numbers outside `metrics`: {numbers:?}");
+    }
+    let doc = json::parse(&recovered.to_json()).unwrap();
+    let recoveries = doc["metrics"]["recovery.recovered_files"]["value"].as_u64();
+    assert!(recoveries >= Some(1), "{recoveries:?}");
+    assert!(doc["depcheck"]["enabled"] == Value::Bool(true));
 
     // Schema drift is an error, not a silent pass: a renamed key, a
     // missing block, and invalid JSON are all rejected.
+    let text = plain.to_json();
     let renamed = text.replace("\"metrics\":", "\"telemetry\":");
     assert!(validate_report_json(&renamed).is_err());
     assert!(validate_report_json("{}").is_err());
     assert!(validate_report_json("not json").is_err());
 }
 
-/// Consistency: every numeric field the JSON report prints equals the
-/// matching metrics-registry value — the registry is the single source.
-#[test]
-fn quick_report_numerics_equal_metrics_registry() {
-    let mut builder = Builder::new(Compiler::new(Config::stateless()));
-    let p = three_module_project();
-    builder.build(&p).unwrap();
-    // Second build with one edit: mixes hits, misses, and dormancy.
-    let mut edited = three_module_project();
-    edited.set_file(
-        "base".into(),
-        "fn g(x: int) -> int { return x * 7 + 1; }".into(),
-    );
-    let report = builder.build(&edited).unwrap();
-    let doc = json::parse(&report.to_json()).unwrap();
-    let metrics = &report.metrics;
-
-    let field = |v: &Value, path: &[&str]| -> u64 {
-        let mut cur = v.clone();
-        for key in path {
-            cur = cur
-                .get(key)
-                .unwrap_or_else(|| panic!("missing {path:?}"))
-                .clone();
+/// The paths (`.key`, `[i]`) of the numbers in `value`, appended to `out`.
+fn numeric_leaves(value: &Value, path: &str, out: &mut Vec<String>) {
+    match value {
+        Value::Num(_) | Value::Int(_) => out.push(path.to_string()),
+        Value::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                numeric_leaves(item, &format!("{path}[{i}]"), out);
+            }
         }
-        cur.as_u64()
-            .unwrap_or_else(|| panic!("{path:?} not a number"))
-    };
-    let check = |json_value: u64, metric: &str| {
-        assert_eq!(
-            Some(json_value),
-            metrics.scalar(metric),
-            "report field disagrees with registry metric {metric:?}"
-        );
-    };
-
-    check(field(&doc, &["wall_ns"]), "build.wall_ns");
-    check(field(&doc, &["link_ns"]), "build.link_ns");
-    check(field(&doc, &["compile_ns"]), "build.compile_ns");
-    check(field(&doc, &["rebuilt_count"]), "build.rebuilt_count");
-    check(field(&doc, &["jobs"]), "build.jobs");
-    for outcome in ["active", "dormant", "skipped"] {
-        check(
-            field(&doc, &["outcomes", outcome]),
-            &format!("outcomes.{outcome}"),
-        );
-    }
-    check(field(&doc, &["query", "hits"]), "query.hits");
-    check(field(&doc, &["query", "misses"]), "query.misses");
-    check(
-        field(&doc, &["recovery", "recovered_files"]),
-        "recovery.recovered_files",
-    );
-    for row in doc.get("pass_profile").and_then(Value::as_arr).unwrap() {
-        let pass = row.get("pass").and_then(Value::as_str).unwrap();
-        check(field(row, &["total_ns"]), &format!("pass.{pass}.total_ns"));
-        check(field(row, &["runs"]), &format!("pass.{pass}.runs"));
-        check(field(row, &["skipped"]), &format!("pass.{pass}.skipped"));
-    }
-    for row in doc.get("slowest_slots").and_then(Value::as_arr).unwrap() {
-        let slot = field(row, &["slot"]);
-        check(field(row, &["total_ns"]), &format!("slot.{slot}.total_ns"));
-        check(field(row, &["runs"]), &format!("slot.{slot}.runs"));
-    }
-    for module in doc.get("modules").and_then(Value::as_arr).unwrap() {
-        if module.get("timings_ns").is_none() {
-            continue;
+        Value::Obj(fields) => {
+            for (key, field) in fields {
+                numeric_leaves(field, &format!("{path}.{key}"), out);
+            }
         }
-        let name = module.get("name").and_then(Value::as_str).unwrap();
-        for (json_key, metric_key) in [
-            ("frontend", "frontend_ns"),
-            ("lower", "lower_ns"),
-            ("middle", "middle_ns"),
-            ("backend", "backend_ns"),
-            ("state", "state_ns"),
-        ] {
-            check(
-                field(module, &["timings_ns", json_key]),
-                &format!("module.{name}.{metric_key}"),
-            );
-        }
-        check(
-            field(module, &["optimize_ns"]),
-            &format!("module.{name}.optimize_ns"),
-        );
-        for outcome in ["active", "dormant", "skipped"] {
-            check(
-                field(module, &["outcomes", outcome]),
-                &format!("module.{name}.{outcome}"),
-            );
-        }
+        Value::Null | Value::Bool(_) | Value::Str(_) => {}
     }
 }
 
@@ -377,40 +350,12 @@ proptest! {
 // change is the point.
 // ---------------------------------------------------------------------------
 
-/// A report exercising every block: a rebuilt module with a pass trace, a
-/// reused one, depcheck findings, a quarantined path, strings that need
-/// escaping, and a metrics snapshot carrying every number the report
-/// renders — gauges, two counters and a histogram among them.
+/// A report exercising every block: a rebuilt module and a reused one,
+/// depcheck findings, a quarantined path, strings that need escaping, and
+/// a metrics snapshot of gauges, two counters and a histogram.
 fn golden_report() -> BuildReport {
     use sfcc_buildsys::report::{ModuleOutput, ModuleReport, QueryStats};
     use sfcc_buildsys::{DepFinding, DepFindingKind, DepcheckReport};
-    use sfcc_passes::{FunctionTrace, PassOutcome, PassRecord, PipelineTrace};
-    let record = |pass: &str, slot: usize, outcome: PassOutcome, nanos: u64| PassRecord {
-        pass: pass.to_string(),
-        slot,
-        outcome,
-        nanos,
-        cost_units: 7,
-    };
-    let trace = PipelineTrace {
-        module: "we\"ird".to_string(),
-        functions: vec![FunctionTrace {
-            function: "f".to_string(),
-            entry_fingerprint: sfcc_ir::Fingerprint(1),
-            exit_fingerprint: sfcc_ir::Fingerprint(2),
-            records: vec![
-                record("inline", 0, PassOutcome::Active, 500),
-                record("dce", 1, PassOutcome::Dormant, 300),
-                record("inline", 2, PassOutcome::Skipped, 0),
-            ],
-        }],
-        snapshot_clones: 2,
-        snapshot_cost_units: 40,
-        snapshot_reused: 1,
-        batch_count: 3,
-        batch_max_cost: 17,
-        snapshot_wall_ns: 999,
-    };
     let registry = sfcc_trace::Registry::new();
     for (name, value) in [
         ("build.wall_ns", 123_456),
@@ -480,16 +425,7 @@ fn golden_report() -> BuildReport {
             },
             ModuleReport {
                 name: "we\"ird".to_string(),
-                output: Some(ModuleOutput {
-                    trace,
-                    timings: sfcc::PhaseTimings {
-                        frontend_ns: 10,
-                        lower_ns: 20,
-                        middle_ns: 30,
-                        backend_ns: 40,
-                        state_ns: 50,
-                    },
-                }),
+                output: Some(ModuleOutput::default()),
             },
         ],
         query: QueryStats {
@@ -514,20 +450,13 @@ fn golden_report() -> BuildReport {
     }
 }
 
-const GOLDEN_REPORT: &str = r#"{"wall_ns":123456,"link_ns":2000,"compile_ns":150,"rebuilt_count":1,"jobs":2,"outcome":"success","state_generation":12,"outcomes":{"active":1,"dormant":1,"skipped":1},"query":{"hits":5,"misses":4,"loaded":3,"rematerialized":["parse(base)"],"executed":["checkfn(we\"ird::f)","link"]},"fngrain":{"signature_hits":1,"signature_misses":2,"fn_tasks_executed":3,"cutoff_saved":4},"parallel":{"snapshot_clones":2,"snapshot_cost_units":40,"snapshot_reused":1,"batch_count":3,"batch_max_cost":17},"recovery":{"recovered_files":1,"quarantined":["/p/.sfcc-state.g1\\x\n.corrupt"]},"depcheck":{"enabled":true,"missing":0,"redundant":0,"stale":1,"untracked_io":0,"tasks_checked":38,"accesses":12,"findings":[{"kind":"stale-serve","task":"frontend(lib)","resource":"src:lib","detail":"declared \"a\"\tobserved \u0001b/c"}]},"cas":{"enabled":false,"hits":0,"misses":0,"evictions":0,"publishes":0,"entries":0,"bytes":0},"pass_profile":[{"pass":"inline","total_ns":500,"runs":1,"skipped":1},{"pass":"dce","total_ns":300,"runs":1,"skipped":0}],"slowest_slots":[{"slot":0,"pass":"inline","total_ns":500,"runs":1},{"slot":1,"pass":"dce","total_ns":300,"runs":1},{"slot":2,"pass":"inline","total_ns":0,"runs":0}],"modules":[{"name":"base","rebuilt":false},{"name":"we\"ird","rebuilt":true,"timings_ns":{"frontend":10,"lower":77,"middle":30,"backend":40,"state":50},"optimize_ns":80,"outcomes":{"active":1,"dormant":1,"skipped":1}}],"metrics":{"batch.count":{"type":"gauge","value":3},"batch.max_cost":{"type":"gauge","value":17},"build.compile_ns":{"type":"gauge","value":150},"build.jobs":{"type":"gauge","value":2},"build.link_ns":{"type":"gauge","value":2000},"build.rebuilt_count":{"type":"gauge","value":1},"build.wall_ns":{"type":"gauge","value":123456},"cache.lookup_ns":{"type":"histogram","count":2,"sum":42,"min":2,"max":40},"cas.bytes":{"type":"gauge","value":0},"cas.enabled":{"type":"gauge","value":0},"cas.entries":{"type":"gauge","value":0},"cas.evictions":{"type":"gauge","value":0},"cas.hits":{"type":"gauge","value":0},"cas.misses":{"type":"gauge","value":0},"cas.publishes":{"type":"gauge","value":0},"fngrain.cutoff_saved":{"type":"gauge","value":4},"fngrain.fn_tasks_executed":{"type":"gauge","value":3},"fngrain.signature_hits":{"type":"gauge","value":1},"fngrain.signature_misses":{"type":"gauge","value":2},"module.we\"ird.active":{"type":"gauge","value":1},"module.we\"ird.backend_ns":{"type":"gauge","value":40},"module.we\"ird.dormant":{"type":"gauge","value":1},"module.we\"ird.frontend_ns":{"type":"gauge","value":10},"module.we\"ird.lower_ns":{"type":"gauge","value":77},"module.we\"ird.middle_ns":{"type":"gauge","value":30},"module.we\"ird.optimize_ns":{"type":"gauge","value":80},"module.we\"ird.skipped":{"type":"gauge","value":1},"module.we\"ird.state_ns":{"type":"gauge","value":50},"outcomes.active":{"type":"gauge","value":1},"outcomes.dormant":{"type":"gauge","value":1},"outcomes.skipped":{"type":"gauge","value":1},"pass.dce.runs":{"type":"gauge","value":1},"pass.dce.skipped":{"type":"gauge","value":0},"pass.dce.total_ns":{"type":"gauge","value":300},"pass.inline.runs":{"type":"counter","value":1},"pass.inline.skipped":{"type":"gauge","value":1},"pass.inline.total_ns":{"type":"gauge","value":500},"query.hits":{"type":"counter","value":5},"query.loaded":{"type":"gauge","value":3},"query.misses":{"type":"gauge","value":4},"recovery.recovered_files":{"type":"gauge","value":1},"slot.0.runs":{"type":"gauge","value":1},"slot.0.total_ns":{"type":"gauge","value":500},"slot.1.runs":{"type":"gauge","value":1},"slot.1.total_ns":{"type":"gauge","value":300},"slot.2.runs":{"type":"gauge","value":0},"slot.2.total_ns":{"type":"gauge","value":0},"snapshot.clones":{"type":"gauge","value":2},"snapshot.cost_units":{"type":"gauge","value":40},"snapshot.reused":{"type":"gauge","value":1}}}"#;
+const GOLDEN_REPORT: &str = r#"{"outcome":"success","state_generation":12,"query":{"rematerialized":["parse(base)"],"executed":["checkfn(we\"ird::f)","link"]},"recovery":{"quarantined":["/p/.sfcc-state.g1\\x\n.corrupt"]},"depcheck":{"enabled":true,"missing":0,"redundant":0,"stale":1,"untracked_io":0,"tasks_checked":38,"accesses":12,"findings":[{"kind":"stale-serve","task":"frontend(lib)","resource":"src:lib","detail":"declared \"a\"\tobserved \u0001b/c"}]},"modules":[{"name":"base","rebuilt":false},{"name":"we\"ird","rebuilt":true}],"metrics":{"batch.count":{"type":"gauge","value":3},"batch.max_cost":{"type":"gauge","value":17},"build.compile_ns":{"type":"gauge","value":150},"build.jobs":{"type":"gauge","value":2},"build.link_ns":{"type":"gauge","value":2000},"build.rebuilt_count":{"type":"gauge","value":1},"build.wall_ns":{"type":"gauge","value":123456},"cache.lookup_ns":{"type":"histogram","count":2,"sum":42,"min":2,"max":40},"cas.bytes":{"type":"gauge","value":0},"cas.enabled":{"type":"gauge","value":0},"cas.entries":{"type":"gauge","value":0},"cas.evictions":{"type":"gauge","value":0},"cas.hits":{"type":"gauge","value":0},"cas.misses":{"type":"gauge","value":0},"cas.publishes":{"type":"gauge","value":0},"fngrain.cutoff_saved":{"type":"gauge","value":4},"fngrain.fn_tasks_executed":{"type":"gauge","value":3},"fngrain.signature_hits":{"type":"gauge","value":1},"fngrain.signature_misses":{"type":"gauge","value":2},"module.we\"ird.active":{"type":"gauge","value":1},"module.we\"ird.backend_ns":{"type":"gauge","value":40},"module.we\"ird.dormant":{"type":"gauge","value":1},"module.we\"ird.frontend_ns":{"type":"gauge","value":10},"module.we\"ird.lower_ns":{"type":"gauge","value":77},"module.we\"ird.middle_ns":{"type":"gauge","value":30},"module.we\"ird.optimize_ns":{"type":"gauge","value":80},"module.we\"ird.skipped":{"type":"gauge","value":1},"module.we\"ird.state_ns":{"type":"gauge","value":50},"outcomes.active":{"type":"gauge","value":1},"outcomes.dormant":{"type":"gauge","value":1},"outcomes.skipped":{"type":"gauge","value":1},"pass.dce.runs":{"type":"gauge","value":1},"pass.dce.skipped":{"type":"gauge","value":0},"pass.dce.total_ns":{"type":"gauge","value":300},"pass.inline.runs":{"type":"counter","value":1},"pass.inline.skipped":{"type":"gauge","value":1},"pass.inline.total_ns":{"type":"gauge","value":500},"query.hits":{"type":"counter","value":5},"query.loaded":{"type":"gauge","value":3},"query.misses":{"type":"gauge","value":4},"recovery.recovered_files":{"type":"gauge","value":1},"slot.0.runs":{"type":"gauge","value":1},"slot.0.total_ns":{"type":"gauge","value":500},"slot.1.runs":{"type":"gauge","value":1},"slot.1.total_ns":{"type":"gauge","value":300},"slot.2.runs":{"type":"gauge","value":0},"slot.2.total_ns":{"type":"gauge","value":0},"snapshot.clones":{"type":"gauge","value":2},"snapshot.cost_units":{"type":"gauge","value":40},"snapshot.reused":{"type":"gauge","value":1}}}"#;
 
 /// `minicc build demo --trace t.json`'s trace, in process: a stateless
 /// one-request session over a copy of `demo/`.
 fn golden_demo_trace() -> String {
-    let dir = scratch_dir("golden-demo");
-    let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
-    for entry in std::fs::read_dir(&demo).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_some_and(|e| e == "mc") {
-            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
-        }
-    }
-    let mut session = sfcc_buildsys::serve::BuildService::new(&dir, &[]).unwrap();
+    let dir = demo_copy("golden-demo");
+    let mut session = BuildService::new(&dir, &[]).unwrap();
     session.set_tracing(true);
     let built = session.build().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
