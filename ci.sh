@@ -25,8 +25,9 @@
 #                  grep over `crates/passes/src` and `replace_uses`,
 #                  the one-metrics-home grep over `crates/buildsys/src`,
 #                  the no-process-state grep over `crates/`, the
-#                  one-JSON-writer grep over `crates/` and the one-codec
-#                  grep over `crates/`
+#                  one-JSON-writer grep over `crates/`, the one-codec
+#                  grep over `crates/` and the one-front-end grep over
+#                  `tasks.rs`
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -436,6 +437,27 @@ codec_gate() {
     fi
 }
 
+# A build reads its sources only through its tasks: the `parse` arm is the
+# one parser call in the non-test code of tasks.rs, and `imports(m)` projects
+# its AST. A second `parser::parse(`, or a call of `parse_imports(`,
+# `parse_and_check(`, `lower_module(` or `extract_interface(`, is a second
+# front end coming back beside the tasks the engine sees.
+front_end_gate() {
+    local found
+    found="$(awk '/^#\[cfg\(test\)\]/ { exit }
+                  /^[[:space:]]*\/\// { next }
+                  /parser::parse\(/ { parses[++n] = FNR ": " $0 }
+                  /(parse_imports|parse_and_check|lower_module|extract_interface)\(/ {
+                      print FNR ": " $0 }
+                  END { if (n > 1) for (i = 1; i <= n; i++) print parses[i] }' \
+        crates/buildsys/src/tasks.rs)"
+    if [[ -n "$found" ]]; then
+        echo "ci: tasks.rs runs a front end beside its tasks (derive from \`parse(m)\`):" >&2
+        echo "$found" >&2
+        return 1
+    fi
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
     planner_gate
@@ -444,6 +466,7 @@ if [[ "${1:-}" == "--quick" ]]; then
     static_state_gate
     json_writer_gate
     codec_gate
+    front_end_gate
     # Byte-identity pin of the canonical IR text every fingerprint hashes.
     cargo test -q -p sfcc-ir quick_
     # The state codec's round-trip, version-skew, truncation and pinned-stamp
@@ -487,6 +510,7 @@ metrics_home_gate
 static_state_gate
 json_writer_gate
 codec_gate
+front_end_gate
 cargo build --release
 cargo test -q
 cargo test --release --offline --manifest-path sfbench/Cargo.toml

@@ -115,15 +115,6 @@ pub fn depcheck_fuzz(scale: Scale) -> (String, Value) {
             }),
         ),
         (
-            "drop-dep imports/src",
-            Box::new(|names: &[String]| {
-                DepMutations::new().drop_dep(
-                    &format!("imports({})", names[0]),
-                    &format!("src:{}", names[0]),
-                )
-            }),
-        ),
-        (
             "drop-dep graph/manifest",
             Box::new(|_: &[String]| DepMutations::new().drop_dep("graph", "manifest")),
         ),

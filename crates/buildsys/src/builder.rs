@@ -52,7 +52,7 @@ use crate::graph::GraphError;
 use crate::project::Project;
 use crate::report::{BuildReport, LinkedProgram, ModuleOutput, ModuleReport, QueryStats};
 use crate::tasks::{label_scope, split_label, BuildSpec, BuildTask};
-use sfcc::persist::Artifact;
+use sfcc::persist::{Artifact, RecoveryEvent};
 use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
 use sfcc_passes::PassOutcome;
@@ -352,11 +352,13 @@ impl Builder {
             if self.compiler.persists_state() {
                 self.deposit_graph(report.metric("query.misses") > 0);
                 // A new base hashes the stored values it copies; the report
-                // counts them, and any it rejected.
-                let rejected = self.stored.report_rejected(&self.engine, &self.compiler) as u64;
+                // counts them, and any it rejected: recoveries of this
+                // build, which the next one must not report again.
+                self.stored.report_rejected(&self.engine, &self.compiler);
                 let verified = self.stored.take_verified();
                 report.update_metric("persist.values_verified", |n| n + verified);
-                report.update_metric("recovery.recovered_files", |n| n + rejected);
+                let late = self.compiler.take_recovery_events();
+                report.add_recoveries(late.len() as u64, &quarantined_paths(&late));
             }
         }
         result
@@ -552,13 +554,9 @@ impl Builder {
         }
 
         // Recovery accounting: any quarantine / cold-start decision the
-        // compiler session took when it loaded persistent state.
-        let events = compiler.recovery_events();
-        let quarantined: Vec<String> = events
-            .iter()
-            .filter_map(|e| e.quarantined_to.as_ref())
-            .map(|p| p.display().to_string())
-            .collect();
+        // compiler session took since the last build reported its own.
+        let events = compiler.take_recovery_events();
+        let quarantined = quarantined_paths(&events);
         let wall_ns = start.elapsed().as_nanos() as u64;
 
         // Every number of the build, each set once: from the engine, the
@@ -652,6 +650,15 @@ impl Builder {
         }
         Ok(report)
     }
+}
+
+/// Where the quarantined files among `events` were moved aside.
+fn quarantined_paths(events: &[RecoveryEvent]) -> Vec<String> {
+    events
+        .iter()
+        .filter_map(|e| e.quarantined_to.as_ref())
+        .map(|p| p.display().to_string())
+        .collect()
 }
 
 /// The `kind` dependencies task `of` recorded, in demand order, by the
@@ -1337,18 +1344,16 @@ mod tests {
 
     #[test]
     fn interface_hash_ignores_bodies_and_order() {
-        let a = sfcc::extract_interface(
-            "m",
-            "fn f(x: int) -> int { return 1; }\nfn g() -> int { return 2; }",
-        )
-        .unwrap();
-        let b = sfcc::extract_interface(
-            "m",
-            "fn g() -> int { return 99; }\nfn f(x: int) -> int { return x * 5; }",
-        )
-        .unwrap();
+        let interface = |source: &str| {
+            let mut diags = sfcc_frontend::Diagnostics::new();
+            let ast = sfcc_frontend::parser::parse("m", source, &mut diags);
+            assert!(!diags.has_errors(), "{source}");
+            sfcc_frontend::ModuleInterface::of(&ast)
+        };
+        let a = interface("fn f(x: int) -> int { return 1; }\nfn g() -> int { return 2; }");
+        let b = interface("fn g() -> int { return 99; }\nfn f(x: int) -> int { return x * 5; }");
         assert_eq!(interface_hash(&a), interface_hash(&b));
-        let c = sfcc::extract_interface("m", "fn f(x: int, y: int) -> int { return 1; }").unwrap();
+        let c = interface("fn f(x: int, y: int) -> int { return 1; }");
         assert_ne!(interface_hash(&a), interface_hash(&c));
     }
 }

@@ -23,7 +23,12 @@
 //!   recorded input stamp disagrees with the input's *raw* (unmutated)
 //!   stamp — the validation that spared it was lied to; or a valid task
 //!   whose value had to be rematerialized came out with another
-//!   fingerprint than the one validation vouched for;
+//!   fingerprint than the one validation vouched for. A shared-store serve
+//!   is the `cas:m::f` input of the `optimizefn` it answered: the build
+//!   records the store's serve record and the raw stamp is the store's
+//!   identity ([`sfcc_cas::CasStore::identity_stamp`]), so an under-keyed
+//!   serve is flagged from what the build recorded, with nothing
+//!   re-derived;
 //! - **untracked-io**: a durable faultfs operation ran inside a task scope;
 //!   the engine has no dependency channel for ad-hoc I/O, so any such op is
 //!   invisible to invalidation.

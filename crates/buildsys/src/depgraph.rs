@@ -513,7 +513,7 @@ mod tests {
         assert_eq!(stored.take_verified(), 1);
         let compiler = Compiler::new(Config::stateless());
         assert_eq!(stored.report_rejected(&engine, &compiler), 1);
-        let events = compiler.recovery_events();
+        let events = compiler.take_recovery_events();
         assert_eq!(events.len(), 1);
         assert!(events[0].reason.contains("`graph`"), "{:?}", events[0]);
         assert!(events[0].quarantined_to.is_none());
@@ -537,7 +537,7 @@ mod tests {
         assert_eq!(stored.take_verified(), 1);
         let compiler = Compiler::new(Config::stateless());
         assert_eq!(stored.report_rejected(&engine, &compiler), 1);
-        assert_eq!(compiler.recovery_events().len(), 1);
+        assert_eq!(compiler.take_recovery_events().len(), 1);
         // Dropped, not kept: a later demand rematerializes the value.
         assert!(matches!(
             stored.load(graph_id(&written), &BuildTask::Graph),

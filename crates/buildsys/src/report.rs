@@ -175,6 +175,16 @@ impl BuildReport {
         }
     }
 
+    /// Counts `recovered` more recovered files, the quarantined ones among
+    /// them moved aside to `quarantined`: recoveries met outside the build
+    /// that assembled the report — after it, or by the other builds of an
+    /// audit.
+    pub(crate) fn add_recoveries(&mut self, recovered: u64, quarantined: &[String]) {
+        self.update_metric("recovery.recovered_files", |n| n + recovered);
+        self.update_metric("recovery.quarantined", |n| n + quarantined.len() as u64);
+        self.quarantined.extend_from_slice(quarantined);
+    }
+
     /// A module's report, by name.
     pub fn module(&self, name: &str) -> Option<&ModuleReport> {
         self.modules.iter().find(|m| m.name == name)

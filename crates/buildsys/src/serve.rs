@@ -19,7 +19,7 @@
 //! `.sfcc-report.json`, and writes the image in one fixed order, a crash
 //! mid-request leaves the same states whichever process served it.
 
-use crate::{BuildReport, Builder, DepMutations, Project};
+use crate::{BuildReport, Builder, DepMutations, DepcheckReport, Project};
 use sfcc::{Compiler, Config, Durability};
 use sfcc_backend::{disasm_program, run, Program, RunOutput, VmOptions};
 use sfcc_daemon::{Request, Service};
@@ -428,6 +428,7 @@ impl BuildService {
     /// Read-only — saves no state and writes no report file — so it can
     /// run against a checkout without dirtying it. Returns the rebuild's
     /// report, its [`BuildReport::depcheck`] holding the merged verdict of
+    /// all builds and its recovery counts and quarantined paths those of
     /// all builds.
     ///
     /// # Errors
@@ -443,14 +444,20 @@ impl BuildService {
                     .build(&project)
                     .map_err(|e| format!("depcheck: {what} failed: {e}"))
             };
-            let served = audited(builder, "audited build")?;
-            let mut merged = served.depcheck.unwrap_or_default();
+            let mut audits = vec![audited(builder, "audited build")?];
             if builder.forget_restored_graph() {
                 // The graph spared every task, so none was access-diffed.
-                let executed = audited(builder, "audited build")?;
-                merged.merge(executed.depcheck.unwrap_or_default());
+                audits.push(audited(builder, "audited build")?);
             }
             let mut second = audited(builder, "no-op rebuild")?;
+            let mut merged = DepcheckReport::default();
+            for report in &mut audits {
+                merged.merge(report.depcheck.take().unwrap_or_default());
+                second.add_recoveries(
+                    report.metric("recovery.recovered_files"),
+                    &report.quarantined,
+                );
+            }
             merged.merge(second.depcheck.take().unwrap_or_default());
             second.depcheck = Some(merged);
             Ok(second)

@@ -10,7 +10,7 @@
 //!
 //! | task              | inputs/deps                                   | fingerprint (cutoff)   |
 //! |-------------------|-----------------------------------------------|------------------------|
-//! | `imports(m)`      | `src:m`                                       | import list            |
+//! | `imports(m)`      | `parse(m)`                                    | import list            |
 //! | `parse(m)`        | `src:m`                                       | source hash            |
 //! | `interface(m)`    | `parse(m)`                                    | exported signatures    |
 //! | `graph`           | `manifest`, every `imports(m)`                | whole import relation  |
@@ -46,12 +46,12 @@
 use crate::builder::BuildError;
 use crate::depcheck::DepMutations;
 use crate::depgraph::Stored;
-use crate::graph::{graph_repr, parse_imports, DepGraph};
+use crate::graph::{graph_repr, DepGraph};
 use crate::project::Project;
 use crate::report::ModuleOutput;
 use sfcc::{CompileError, Compiler, OptimizeOutcome, PhaseTimings};
 use sfcc_backend::{link_objects, CodeObject, Program};
-use sfcc_codec::{fnv64, fnv64_continue};
+use sfcc_codec::{fnv64, Fnv64};
 use sfcc_faultfs::AccessRecord;
 use sfcc_frontend::ast::{FunctionDef, Import, TypeAst};
 use sfcc_frontend::fingerprint::def_repr;
@@ -60,7 +60,7 @@ use sfcc_frontend::{
     Diagnostics, FuncSig, ModuleEnv, ModuleInterface, ModuleLevel, SourceFile, Span,
 };
 use sfcc_ir::print::{function_to_string, write_function};
-use sfcc_ir::{Fingerprint, Function, Op};
+use sfcc_ir::{Function, Op};
 use sfcc_passes::FunctionTrace;
 use sfcc_query::{Ctx, Engine, Loaded, QueryError, TaskId, TaskKey, TaskSpec};
 use std::collections::{BTreeMap, HashMap};
@@ -72,7 +72,7 @@ use std::time::Instant;
 /// checking onward, by function.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BuildTask {
-    /// Extract a module's import list from its source (parse-only).
+    /// Project a module's import list out of its parsed AST.
     Imports(String),
     /// Lex and parse a module's source to an AST.
     Parse(String),
@@ -442,11 +442,6 @@ pub struct BuildSpec<'a> {
     /// tasks make, tagged with the task active when it happened. `None`
     /// when the build is not audited.
     accesses: Option<Vec<AccessRecord>>,
-    /// Per-module context fingerprints recomputed from today's source, for
-    /// the honest `cas:m::f` stamp ([`BuildSpec::raw_input_stamp`]). Lazy:
-    /// a module is frontend-ed and lowered from scratch at most once per
-    /// build, and only when a `cas:` stamp is actually demanded.
-    cas_contexts: HashMap<String, HashMap<String, Fingerprint>>,
 }
 
 /// The module-local call closure of `roots` in `module`: every function
@@ -500,7 +495,6 @@ impl<'a> BuildSpec<'a> {
             query_log: Vec::new(),
             mutations,
             accesses: depcheck.then(Vec::new),
-            cas_contexts: HashMap::new(),
         }
     }
 
@@ -690,6 +684,9 @@ impl<'a> BuildSpec<'a> {
 
     /// The honest stamp of an input cell, bypassing depcheck mutations.
     /// This is what the staleness audit compares recorded stamps against.
+    /// A `cas:m::f` input reads the attached store's identity whatever the
+    /// function: an honest serve recorded exactly that, and a lie recorded
+    /// a key no identity equals ([`sfcc_cas::CasStore::served`]).
     pub(crate) fn raw_input_stamp(&mut self, input: &str) -> u64 {
         if input == "manifest" {
             let names: Vec<&str> = self.project.names().collect();
@@ -704,52 +701,13 @@ impl<'a> BuildSpec<'a> {
             .and_then(|rest| rest.split_once("::"))
         {
             self.compiler.state_stamp_fn(m, f)
-        } else if let Some(rest) = input.strip_prefix("cas:") {
-            match rest.split_once("::") {
-                Some((m, f)) => self.cas_honest_stamp(m, f),
-                None => 0,
-            }
+        } else if input.starts_with("cas:") {
+            self.compiler
+                .cas()
+                .map_or(0, sfcc_cas::CasStore::identity_stamp)
         } else {
             0
         }
-    }
-
-    /// The honest shared-store stamp for `m::f`: what a sound serve record
-    /// must claim. Re-derived *from scratch* — today's source is frontend-ed
-    /// and lowered, context fingerprints recomputed, and the full (never
-    /// component-dropped) key built from them — so no amount of lying in
-    /// the serve path can contaminate the reference value.
-    fn cas_honest_stamp(&mut self, m: &str, f: &str) -> u64 {
-        if !self.cas_contexts.contains_key(m) {
-            let contexts = self.compute_cas_contexts(m).unwrap_or_default();
-            self.cas_contexts.insert(m.to_string(), contexts);
-        }
-        self.cas_contexts
-            .get(m)
-            .and_then(|ctxs| ctxs.get(f))
-            .zip(self.compiler.cas())
-            .map_or(0, |(&ctx, cas)| cas.honest_stamp(ctx))
-    }
-
-    /// Frontend + lower `m` from the project's current source and return
-    /// its context fingerprints. Function context fingerprints are
-    /// closure-local, so the full-module derivation here agrees with the
-    /// restricted-closure derivation the optimize tasks use.
-    fn compute_cas_contexts(&self, m: &str) -> Option<HashMap<String, Fingerprint>> {
-        let source = self.project.file(m)?;
-        let mut env = ModuleEnv::new();
-        for dep in parse_imports(m, source) {
-            let Some(dep_src) = self.project.file(&dep) else {
-                continue;
-            };
-            if let Ok(iface) = sfcc::extract_interface(&dep, dep_src) {
-                env.insert(dep, iface);
-            }
-        }
-        let mut diags = Diagnostics::new();
-        let checked = sfcc_frontend::parse_and_check(m, source, &env, &mut diags)?;
-        let ir = sfcc_ir::lower_module(&checked, &env);
-        Some(sfcc::fncache::context_fingerprints(&ir))
     }
 }
 
@@ -839,8 +797,13 @@ impl BuildSpec<'_> {
     ) -> Result<BuildValue, QueryError<BuildTask, BuildError>> {
         match key {
             BuildTask::Imports(m) => {
-                self.declare_input(ctx, label, &format!("src:{m}"));
-                let deps = parse_imports(m, self.source_of(m));
+                let parse = ctx
+                    .require(self, &BuildTask::Parse(m.clone()))?
+                    .expect_parse();
+                let mut deps: Vec<String> =
+                    parse.ast.imports.iter().map(|i| i.module.clone()).collect();
+                deps.sort();
+                deps.dedup();
                 Ok(BuildValue::Imports(Arc::new(deps)))
             }
             BuildTask::Parse(m) => {
@@ -1094,15 +1057,15 @@ impl BuildSpec<'_> {
                     ctx.record_input(&state_input, stamp);
                 }
                 // A shared-store serve is a tracked input of this task: the
-                // recorded stamp is the *served* artifact's provenance key,
-                // so revalidation (and the depcheck audit) compares it
-                // against the honest key derivation — an under-keyed serve
-                // is caught the session it happens.
-                if let Some(stamps) = self.compiler.cas().and_then(|cas| cas.served(m, f)) {
+                // recorded stamp is the store's serve record, which
+                // revalidation (and the depcheck audit) compares against the
+                // store's identity — an under-keyed serve is caught the
+                // session it happens.
+                if let Some(served) = self.compiler.cas().and_then(|cas| cas.served(m, f)) {
                     let cas_input = format!("cas:{m}::{f}");
                     self.note_access(&cas_input);
                     if !self.mutations.drops(label, &cas_input) {
-                        ctx.record_input(&cas_input, stamps.served);
+                        ctx.record_input(&cas_input, served);
                     }
                 }
                 Ok(BuildValue::OptimizeFn(Arc::new(OptimizeFnArtifact {
@@ -1195,16 +1158,9 @@ pub fn signature_repr(sig: &FuncSig) -> String {
 
 /// `fnv64` of `func`'s printed text, hashed as the printer streams it.
 fn printed_fnv64(func: &Function) -> u64 {
-    struct Fnv64(u64);
-    impl fmt::Write for Fnv64 {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0 = fnv64_continue(self.0, s.as_bytes());
-            Ok(())
-        }
-    }
-    let mut h = Fnv64(fnv64(b""));
+    let mut h = Fnv64::new();
     write_function(&mut h, func).expect("hashing cannot fail");
-    h.0
+    h.finish()
 }
 
 /// A deterministic hash of a module's exported interface: function names
@@ -1220,4 +1176,41 @@ pub fn interface_hash(interface: &ModuleInterface) -> u64 {
         repr.push(';');
     }
     fnv64(repr.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sfcc::Config;
+
+    /// A `cas:` input reads the attached store's identity, whatever the
+    /// function it names — a module the project does not have included —
+    /// and 0 with no store attached.
+    #[test]
+    fn a_cas_stamp_is_the_store_identity() {
+        let dir = std::env::temp_dir().join(format!("sfcc-tasks-cas-{}", std::process::id()));
+        let mut project = Project::new();
+        project.set_file("main".into(), "fn main() -> int { return 0; }".into());
+        let stamps = |config: Config| {
+            let mut compiler = Compiler::new(config);
+            let mut stored = Stored::default();
+            let mut spec = BuildSpec::new(
+                &project,
+                &mut compiler,
+                &mut stored,
+                1,
+                DepMutations::new(),
+                false,
+            );
+            [
+                spec.raw_input_stamp("cas:ghost::f"),
+                spec.raw_input_stamp("cas:main::main"),
+            ]
+        };
+        let [ghost, main] = stamps(Config::stateless().with_cas_path(&dir));
+        assert_eq!(ghost, main);
+        assert_ne!(main, 0);
+        assert_eq!(stamps(Config::stateless()), [0, 0]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

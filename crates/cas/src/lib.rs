@@ -31,8 +31,12 @@
 //! - **Auditable.** Every artifact embeds a full [`Provenance`] record
 //!   (key, components, and their human-readable reprs) so [`fsck`] can
 //!   re-derive the key and verify the filing, and so a consumer can detect
-//!   that a served artifact was produced under a different identity (the
-//!   depcheck stale-serve oracle builds on this).
+//!   that a served artifact was produced under a different identity. A
+//!   serve records [`CasStore::identity_stamp`] when the artifact's key is
+//!   the honest key of the lookup, and the artifact's own key otherwise; a
+//!   build records that as the served function's `cas:` input and stamps
+//!   the input with the store's identity, so the depcheck stale-serve
+//!   oracle flags a lie by comparing the two and nothing is re-derived.
 //! - **Attributed.** Store I/O runs under the dedicated
 //!   [`CAS_TASK_LABEL`] task scope, giving depcheck a channel to separate
 //!   tracked store traffic from rogue ad-hoc I/O inside build tasks.
@@ -198,17 +202,6 @@ pub struct CasStats {
     pub entries: u64,
     /// Total artifact bytes currently published (backend view).
     pub bytes: u64,
-}
-
-/// The stamps recorded for one served function, for the depcheck audit:
-/// what provenance the artifact *claimed* vs. what an honest key
-/// derivation demands right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServedStamps {
-    /// Folded digest of the served artifact's embedded provenance key.
-    pub served: u64,
-    /// Folded digest of the honest (no components dropped) key.
-    pub honest: u64,
 }
 
 /// Recency map carried in the manifest's `lru` sidecar: logical name →
@@ -509,8 +502,9 @@ pub struct CasStore {
     /// Adversarial test hook: key components (by [`KEY_COMPONENTS`] name)
     /// to omit from derivation, seeding cross-identity collisions.
     drops: Mutex<BTreeSet<String>>,
-    /// `module::function` → stamps of the artifact served this session.
-    served: Mutex<HashMap<String, ServedStamps>>,
+    /// `module::function` → the serve record of the artifact served this
+    /// session ([`CasStore::served`]).
+    served: Mutex<HashMap<String, u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -585,20 +579,23 @@ impl CasStore {
         )
     }
 
-    /// The honest (no components dropped) key for a context fingerprint.
-    pub fn honest_key(&self, fn_ctx: Fingerprint) -> Fingerprint {
-        self.derive(fn_ctx, &BTreeSet::new())
-    }
-
-    /// The folded honest-key stamp depcheck audits serve records against.
-    pub fn honest_stamp(&self, fn_ctx: Fingerprint) -> u64 {
-        self.honest_key(fn_ctx).short()
+    /// A nonzero digest of the session-constant key components — the key
+    /// derivation over every component but the function's: what an
+    /// honest serve records ([`CasStore::served`]), and so the stamp a
+    /// build's `cas:` input must still read for the serve to stand. A flag,
+    /// pipeline or backend change moves it; the context half of a key needs
+    /// no stamp, because it is a pure function of the IR the consumer
+    /// already depends on.
+    pub fn identity_stamp(&self) -> u64 {
+        let c = &self.components;
+        let parts = [Fingerprint(0), c.pipeline, word(c.flags), word(c.backend)];
+        derive_key(parts, |name| name != "fn").short().max(1)
     }
 
     /// Looks up the optimized body for `module::function` with context
-    /// fingerprint `fn_ctx`. A hit records [`ServedStamps`] for the
-    /// depcheck audit. Every validation failure (checksum, armor,
-    /// provenance, parse) quarantines the entry and misses.
+    /// fingerprint `fn_ctx`. A hit records its serve for the depcheck
+    /// audit ([`CasStore::served`]). Every validation failure (checksum,
+    /// armor, provenance, parse) quarantines the entry and misses.
     pub fn lookup(&self, module: &str, function: &str, fn_ctx: Fingerprint) -> Option<Function> {
         let drops = self.drops.lock().unwrap().clone();
         let key = self.derive(fn_ctx, &drops);
@@ -635,19 +632,26 @@ impl CasStore {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.bytes_read
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.served.lock().unwrap().insert(
-            format!("{module}::{function}"),
-            ServedStamps {
-                served: artifact.provenance.key.short(),
-                honest: honest.short(),
-            },
-        );
+        // An artifact made under the honest key of this very lookup is
+        // sound, and its serve stands while this store's identity does.
+        // Anything else — a serve only a dropped key component allowed —
+        // records the key it was made under, which no identity matches.
+        let record = if artifact.provenance.key == honest {
+            self.identity_stamp()
+        } else {
+            artifact.provenance.key.short()
+        };
+        self.served
+            .lock()
+            .unwrap()
+            .insert(format!("{module}::{function}"), record);
         Some(func)
     }
 
     /// The serve record for `module::function` from this session, if the
-    /// store answered its lookup.
-    pub fn served(&self, module: &str, function: &str) -> Option<ServedStamps> {
+    /// store answered its lookup: [`CasStore::identity_stamp`] for an honest
+    /// serve, the served artifact's folded provenance key for a lie.
+    pub fn served(&self, module: &str, function: &str) -> Option<u64> {
         self.served
             .lock()
             .unwrap()
@@ -907,6 +911,7 @@ mod tests {
                 other.lookup("m", "f", ctx).is_none(),
                 "variant {i} must miss"
             );
+            assert_ne!(other.identity_stamp(), s.identity_stamp(), "variant {i}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -927,9 +932,9 @@ mod tests {
             consumer.lookup("m", "f", ctx).is_some(),
             "dropped component collides across identities"
         );
-        let stamps = consumer.served("m", "f").unwrap();
         assert_ne!(
-            stamps.served, stamps.honest,
+            consumer.served("m", "f"),
+            Some(consumer.identity_stamp()),
             "the lie is visible in the serve record"
         );
         // An honest consumer never hits the mis-filed entry.
@@ -947,7 +952,9 @@ mod tests {
         // Flip one bit in the artifact's generation file.
         let cd = CommitDir::new(&dir.join(CAS_BASE));
         let manifest = cd.read_manifest().unwrap().unwrap();
-        let entry = manifest.entry(&logical_name(s.honest_key(ctx))).unwrap();
+        let entry = manifest
+            .entry(&logical_name(s.derive(ctx, &BTreeSet::new())))
+            .unwrap();
         let path = cd.entry_path(entry);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

@@ -129,6 +129,15 @@ impl Fnv64 {
     }
 }
 
+/// Hashes what is written, so any `Display` or printer that writes to a
+/// `fmt::Write` hashes its text without building it.
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.str(s);
+        Ok(())
+    }
+}
+
 /// Magic, the `u32` version, the payload `write` appends, and the FNV-64
 /// of the payload: the framing of every persisted file whose trailer covers
 /// its payload. [`unarmor`] reads it back.
@@ -407,6 +416,9 @@ mod tests {
             let mut h = Fnv64::new();
             h.str(&s).hex(v).str("/").dec(w).hex(w.into());
             prop_assert_eq!(h.finish(), fnv64(text.as_bytes()));
+            let mut written = Fnv64::new();
+            fmt::Write::write_fmt(&mut written, format_args!("{s}{v:x}/{w}{w:x}")).unwrap();
+            prop_assert_eq!(written.finish(), h.finish());
         }
     }
 

@@ -12,7 +12,7 @@ use sfcc_backend::CodeObject;
 use sfcc_cas::{CasStore, KeyComponents, DEFAULT_BACKEND_VERSION};
 use sfcc_codec::{fnv64, Fnv64};
 use sfcc_faultfs::ManifestEntry;
-use sfcc_frontend::{Diagnostics, ModuleEnv, ModuleInterface, SourceFile};
+use sfcc_frontend::{ModuleEnv, ModuleInterface};
 use sfcc_ir::{Fingerprint, Function};
 use sfcc_passes::{
     default_pipeline, minimal_pipeline, run_pipeline_parallel, scalar_pipeline, FunctionTrace,
@@ -141,21 +141,6 @@ enum LookupHit {
     Shared,
 }
 
-/// Extracts a module's interface by parsing only (no type checking). Used by
-/// build systems to seed the [`ModuleEnv`] before compiling dependents.
-pub fn extract_interface(name: &str, source: &str) -> Result<ModuleInterface, CompileError> {
-    let mut diags = Diagnostics::new();
-    let ast = sfcc_frontend::parser::parse(name, source, &mut diags);
-    if diags.has_errors() {
-        let file = SourceFile::new(format!("{name}.mc"), source);
-        return Err(CompileError::Frontend {
-            rendered: diags.render_all(&file),
-            errors: diags.error_count(),
-        });
-    }
-    Ok(ModuleInterface::of(&ast))
-}
-
 /// A compiler session.
 ///
 /// A session corresponds to one long-lived compiler process (or one state
@@ -190,7 +175,8 @@ pub struct Compiler {
     /// cache-only; a broken store must never fail a build).
     cas: Option<CasStore>,
     /// Every quarantine / cold-start decision of the load, a later cache
-    /// open, and the graph values that failed their check.
+    /// open, and the graph values that failed their check, that no build
+    /// has reported yet ([`Compiler::take_recovery_events`]).
     recovery_events: Mutex<Vec<RecoveryEvent>>,
     /// The files the restored graph's values are slices of.
     graph_links: GraphLinks,
@@ -357,7 +343,7 @@ impl Compiler {
     /// whatever flags it was recorded under: they reach the graph only as
     /// the [`Compiler::state_stamp_fn`] input. `None` when there is none —
     /// no state path, nothing committed yet, or an unreadable one (which
-    /// [`Compiler::recovery_events`] reports).
+    /// [`Compiler::take_recovery_events`] reports).
     pub fn take_restored_graph(&mut self) -> Option<GraphFile> {
         self.restored_graph.take()
     }
@@ -405,9 +391,10 @@ impl Compiler {
     /// Every quarantine / cold-start decision taken while loading this
     /// session's persistent state (see [`crate::persist`]) — by the load, by
     /// the cache's open, and for each graph value that failed its check
-    /// ([`Compiler::reject_value`]).
-    pub fn recovery_events(&self) -> Vec<RecoveryEvent> {
-        self.events().clone()
+    /// ([`Compiler::reject_value`]) — since the last call, handed over once:
+    /// a build reports the recoveries it met, not the session's.
+    pub fn take_recovery_events(&self) -> Vec<RecoveryEvent> {
+        std::mem::take(&mut *self.events())
     }
 
     fn events(&self) -> MutexGuard<'_, Vec<RecoveryEvent>> {
@@ -559,7 +546,13 @@ impl Compiler {
                 if hit != LookupHit::Miss {
                     hits.insert(func.name.clone());
                 }
-                if hit == LookupHit::Shared {
+                // Only an honest serve warms the caches below: a body that
+                // only a dropped key component let the store serve must
+                // never be filed under an honest key, locally or in the
+                // store.
+                let honest =
+                    |cas: &CasStore| cas.served(&ir.name, &func.name) == Some(cas.identity_stamp());
+                if hit == LookupHit::Shared && cas.is_some_and(honest) {
                     shared_hits.insert(func.name.clone());
                 }
                 ir.functions.push(func);
@@ -628,7 +621,10 @@ impl Compiler {
     /// telemetry as gauges in `registry` (the build driver calls this once
     /// per build, after compilation finishes). `persist.bytes_read` counts
     /// the committed bytes read since the last call: the load's, for a
-    /// session's first build, and the cache open's.
+    /// session's first build, and the cache open's. Six gauges count over
+    /// the whole session, not the build: `cache.hits`, `cache.misses`,
+    /// `cas.hits`, `cas.misses`, `cas.evictions` and `cas.publishes`; a
+    /// resident session's build owns the difference to its previous one.
     pub fn record_metrics(&self, registry: &sfcc_trace::Registry) {
         let cache = self.cache_stats();
         registry.gauge_set("cache.hits", cache.hits);
@@ -1058,7 +1054,7 @@ fn main(n: int) -> int {
         first_session.save_state().unwrap();
 
         let mut second_session = Compiler::new(cfg);
-        assert!(second_session.recovery_events().is_empty());
+        assert!(second_session.take_recovery_events().is_empty());
         let out = second_session
             .compile("main", SRC_V2, &ModuleEnv::new())
             .unwrap();
@@ -1095,7 +1091,7 @@ fn main(n: int) -> int {
             first.state_stamp_fn("main", "main")
         );
         assert_eq!(flipped.take_restored_graph(), Some(graph));
-        assert!(flipped.recovery_events().is_empty());
+        assert!(flipped.take_recovery_events().is_empty());
 
         // A session with nothing to persist keeps no graph either.
         let mut stateless = Compiler::new(Config::stateless().with_state_path(dir.join("s2")));
@@ -1120,14 +1116,6 @@ fn main(n: int) -> int {
                 + out.timings.backend_ns
                 + out.timings.state_ns
         );
-    }
-
-    #[test]
-    fn interface_extraction() {
-        let iface = extract_interface("m", SRC_V1).unwrap();
-        assert!(iface.functions.contains_key("helper"));
-        assert!(iface.functions.contains_key("main"));
-        assert!(extract_interface("m", "fn bad(").is_err());
     }
 
     #[test]

@@ -44,9 +44,7 @@ pub mod fncache;
 pub mod persist;
 pub mod phases;
 
-pub use compiler::{
-    extract_interface, CompileError, CompileOutput, Compiler, OptimizeOutcome, PhaseTimings,
-};
+pub use compiler::{CompileError, CompileOutput, Compiler, OptimizeOutcome, PhaseTimings};
 pub use config::{Config, Mode, OptLevel};
 pub use depgraph::{GraphDep, GraphFile, GraphNode, GraphWriter, SegmentWriter, ValueBytes};
 pub use fncache::{CacheStats, FunctionCache};

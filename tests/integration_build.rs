@@ -94,7 +94,7 @@ fn corrupted_state_degrades_to_cold_start() {
     std::fs::write(&manifest, b"not a manifest at all").unwrap();
 
     let compiler = Compiler::new(Config::stateful().with_state_path(&state_path));
-    let events = compiler.recovery_events();
+    let events = compiler.take_recovery_events();
     assert_eq!(events.len(), 1, "{events:?}");
     assert_eq!(events[0].path, manifest);
     assert!(events[0].quarantined_to.is_some());

@@ -18,10 +18,12 @@ mod common;
 use common::{cleanup, project};
 use sfcc::{Compiler, Config};
 use sfcc_backend::{disasm_program, run, VmOptions};
+use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{
     validate_report_json, BuildReport, Builder, DepFindingKind, DepMutations, Project,
 };
 use sfcc_faultfs::{self as ffs, Fault, FaultPlan};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -353,6 +355,78 @@ fn honest_keys_survive_the_same_depcheck_audit() {
     let depcheck = report.depcheck.unwrap();
     assert!(depcheck.is_clean(), "{}", depcheck.render());
     cleanup(&store);
+}
+
+/// A lie a mutated session recorded is undone by the next honest one. A
+/// `--stateful` session whose key derivation drops the function
+/// fingerprint is cross-served and commits those serves in its graph; an
+/// honest session over the same directory reads the store's identity for
+/// their `cas:` stamps, re-executes exactly the lied `optimizefn`s and
+/// links the image a directory with no history links. A checkout the store
+/// served honestly depchecks clean, and its no-op executes nothing.
+#[test]
+fn quick_an_honest_session_re_executes_what_a_lying_one_recorded() {
+    let root = tmpdir("lie-across");
+    let store = root.join("store");
+    let stateful = |tag: &str| Config::stateful().with_state_path(root.join(tag));
+    let drops = DepMutations::new().drop_flag_from_key("fn");
+    let mut seeder = Builder::new(Compiler::new(stateful("seed").with_cas_path(&store)))
+        .with_dep_mutations(drops.clone());
+    seeder.build(&project_v1()).unwrap();
+
+    let mut lying = Builder::new(Compiler::new(stateful("lied").with_cas_path(&store)))
+        .with_dep_mutations(drops);
+    lying.build(&project_v1()).unwrap();
+    lying.compiler().save_state().unwrap();
+    let cas = lying.compiler().cas().unwrap();
+    let lies: BTreeSet<String> = [("base", "g"), ("lib", "f"), ("main", "main")]
+        .into_iter()
+        .filter(|(m, f)| cas.served(m, f).is_some_and(|s| s != cas.identity_stamp()))
+        .map(|(m, f)| format!("optimizefn({m}::{f})"))
+        .collect();
+    assert!(!lies.is_empty(), "the under-keyed store must cross-serve");
+
+    let (_, honest) = build(stateful("lied").with_cas_path(&store), &project_v1(), 1);
+    let re_optimized: BTreeSet<String> = honest
+        .query
+        .executed
+        .iter()
+        .filter(|task| task.starts_with("optimizefn("))
+        .cloned()
+        .collect();
+    assert_eq!(re_optimized, lies);
+    let (_, fresh) = build(stateful("fresh"), &project_v1(), 1);
+    assert_eq!(fingerprint_of(&honest), fingerprint_of(&fresh));
+
+    let args = [
+        "--stateful",
+        "--cas",
+        &root.join("shared").display().to_string(),
+    ]
+    .map(str::to_string);
+    let served = root.join("served");
+    let mut hits = Vec::new();
+    for checkout in [root.join("published"), served.clone()] {
+        project_v1().write_to_dir(&checkout).unwrap();
+        let built = BuildService::new(&checkout, &args)
+            .unwrap()
+            .build()
+            .unwrap();
+        hits.push(built.report.metric("cas.hits"));
+    }
+    assert!(
+        hits[0] == 0 && hits[1] > 0,
+        "the second checkout is served: {hits:?}"
+    );
+    let noop = BuildService::new(&served, &args).unwrap().build().unwrap();
+    assert_eq!(noop.report.metric("query.misses"), 0);
+    let audit = BuildService::new(&served, &args)
+        .unwrap()
+        .depcheck()
+        .unwrap();
+    let verdict = audit.depcheck.unwrap();
+    assert!(verdict.is_clean(), "{}", verdict.render());
+    cleanup(&root);
 }
 
 // ---------------------------------------------------------------------------

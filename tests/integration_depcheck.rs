@@ -128,10 +128,9 @@ fn committed_demo_project_depchecks_clean() {
 fn quick_seeded_missing_dep_is_caught_for_every_task_kind() {
     // Input-carrying tasks lie by *dropping* a declaration they need. In
     // the function-grained taxonomy the raw inputs are per-module source
-    // (imports, parse), the manifest (graph), and the *per-function*
-    // dormancy stamp (optimizefn).
+    // (parse), the manifest (graph), and the *per-function* dormancy stamp
+    // (optimizefn).
     let dropped = [
-        ("imports(base)", "src:base"),
         ("parse(base)", "src:base"),
         ("graph", "manifest"),
         ("optimizefn(base::g)", "state:base::g"),
@@ -312,7 +311,7 @@ fn quick_restored_graph_is_audited_and_the_audit_still_executes() {
     let dc = stale.depcheck.unwrap();
     let mut flagged: Vec<&str> = dc.findings.iter().map(|f| f.task.as_str()).collect();
     flagged.sort_unstable();
-    assert_eq!(flagged, ["imports(base)", "parse(base)"], "{}", dc.render());
+    assert_eq!(flagged, ["parse(base)"], "{}", dc.render());
     assert!(dc
         .findings
         .iter()

@@ -931,13 +931,6 @@ fn quick_reports_cover_the_commit_and_a_noop_commits_nothing() {
 #[test]
 fn quick_demo_commits_are_pinned() {
     let root = tmproot("demo-pins");
-    let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
-    let copy_demo = |dir: &Path| {
-        fs::create_dir_all(dir).unwrap();
-        for name in ["main.mc", "mathx.mc", "stats.mc"] {
-            fs::copy(demo.join(name), dir.join(name)).unwrap();
-        }
-    };
     let dir = root.join("p");
     copy_demo(&dir);
     let args = args_of(WARM_FLAGS, &[]);
@@ -982,13 +975,13 @@ fn quick_demo_commits_are_pinned() {
     assert_eq!(
         sums,
         [
-            "full depgraph 9b075394ea4a1c4e",
+            "full depgraph 7525c16c53467828",
             "full state e2662420fc5bc917",
             "full ircache e01ddfa5e095685f",
-            "edit depgraph 8ce7722dd5caca56",
+            "edit depgraph 04c1ce88572cb736",
             "edit state b89fded06bcbcda2",
             "edit ircache 2108f6f120e06257",
-            "no-op depgraph 8ce7722dd5caca56",
+            "no-op depgraph 04c1ce88572cb736",
             "no-op state b89fded06bcbcda2",
             "no-op ircache 2108f6f120e06257",
             "store a71ac9a0e78afafff087af4886080248b 3ba9cdfe5c981bfd",
@@ -999,6 +992,56 @@ fn quick_demo_commits_are_pinned() {
             "store af6a2b2de2066194a88d42895633ca1da 86ccd0f68d93547b",
         ]
     );
+    cleanup(&root);
+}
+
+/// Copies the demo project's sources into `dir`.
+fn copy_demo(dir: &Path) {
+    let demo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
+    fs::create_dir_all(dir).unwrap();
+    for name in ["main.mc", "mathx.mc", "stats.mc"] {
+        fs::copy(demo.join(name), dir.join(name)).unwrap();
+    }
+}
+
+/// A recovery is reported by the build that met it, once. The edit that
+/// opens a corrupt committed function cache quarantines it; the resident
+/// session's next build met nothing and reports nothing — as a cold
+/// process of each step does.
+#[test]
+fn quick_a_recovery_is_reported_by_the_build_that_met_it() {
+    let root = tmproot("recovery-once");
+    let args = args_of(WARM_FLAGS, &[]);
+    // `(recovered files, quarantined paths)` of the edit and the no-op
+    // after it, each step served by one session or by a process of its own.
+    let steps = |tag: &str, resident: bool| {
+        let dir = root.join(tag);
+        copy_demo(&dir);
+        BuildService::new(&dir, &args).unwrap().build().unwrap();
+        let ircache = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .find(|path| path.to_string_lossy().contains("/.sfcc-state.ircache."))
+            .expect("a committed function cache");
+        fs::write(ircache, b"junk").unwrap();
+        let mathx = dir.join("mathx.mc");
+        let source = fs::read_to_string(&mathx).unwrap();
+        fs::write(&mathx, source.replace("1000000007", "998244353")).unwrap();
+        let mut session = BuildService::new(&dir, &args).unwrap();
+        let mut seen = Vec::new();
+        for step in 0..2 {
+            if step > 0 && !resident {
+                session = BuildService::new(&dir, &args).unwrap();
+            }
+            let report = session.build().unwrap().report;
+            let recovered = report.metric("recovery.recovered_files");
+            seen.push((recovered, report.quarantined.len()));
+        }
+        seen
+    };
+    let resident = steps("resident", true);
+    assert_eq!(resident, [(1, 1), (0, 0)]);
+    assert_eq!(steps("cold", false), resident);
     cleanup(&root);
 }
 
