@@ -14,7 +14,9 @@
 #                  parallel byte-identity suite and its E13 fan-out
 #                  overhead gate, the shared-artifact-store soundness
 #                  suite and its E17 sharing gate, the warm-daemon
-#                  differential suite and its E18 warm-daemon smoke,
+#                  suite (its `quick_` rows are the lineage harness's
+#                  fixed-seed scripts, on every route) and its E18
+#                  warm-daemon smoke,
 #                  plus a traced demo build validated with `trace-check`,
 #                  a depcheck run over the demo project, the cold
 #                  no-op gate (a second process executes 0 tasks), the
@@ -482,6 +484,9 @@ if [[ "${1:-}" == "--quick" ]]; then
     cargo test -q -p sfcc --test integration_parallel quick_
     cargo test -q -p sfcc --test integration_cas quick_
     cargo test -q -p sfcc-bench --lib quick_followers_hit_the_shared_surface_byte_identically
+    # The lineage harness's fixed-seed scripts (tests/common/lineage.rs) on
+    # a resident builder, a process per step and a daemon, beside the
+    # single-request rows.
     cargo test -q -p sfcc --test integration_serve quick_
     cargo test -q -p sfcc-bench --lib quick_warm_serves_beat_cold_sessions_and_nothing_is_rejected
     # Fan-out overhead smoke: jobs=8 optimize time must stay within 5% of
@@ -516,6 +521,7 @@ cargo test -q
 cargo test --release --offline --manifest-path sfbench/Cargo.toml
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 trace_smoke
 depcheck_smoke
 noop_gate

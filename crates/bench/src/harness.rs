@@ -79,11 +79,6 @@ impl Replay {
     pub fn incremental_cost_units(&self) -> u64 {
         self.builds.iter().skip(1).map(|b| b.cost_units).sum()
     }
-
-    /// The initial full build's wall time.
-    pub fn full_build_ns(&self) -> u64 {
-        self.builds.first().map(|b| b.wall_ns).unwrap_or(0)
-    }
 }
 
 /// Runs `commits` commits of `script` over `config`'s project in the given

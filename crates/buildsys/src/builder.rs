@@ -39,7 +39,7 @@
 //! `optimizefn`, `codegen`, `link` and `graph` — with the compiler session, whose
 //! next state commit persists it beside the dormancy state (module
 //! `depgraph`); a new process's first build starts from it, so it executes
-//! exactly what a resident session would (see [`crate::depgraph`]).
+//! exactly what a resident session would (see `crate::depgraph`).
 //!
 //! The compiler session's dormancy state persists across builds (that is
 //! the paper's point); [`Builder::clear_cache`] drops only the *query

@@ -12,7 +12,7 @@
 //! ([`crate::Builder::with_depcheck`]), every real resource access is
 //! logged by the build itself, tagged with the query task whose body made
 //! it (the build's [`BuildSpec`] owns the log; labels come from
-//! `sfcc_faultfs::task_scope`), and [`analyze`] diffs the logged accesses
+//! `sfcc_faultfs::task_scope`), and `analyze` diffs the logged accesses
 //! against the engine's dependency traces:
 //!
 //! - **missing-dep**: an executed task accessed a resource absent from its

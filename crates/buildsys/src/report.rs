@@ -6,7 +6,7 @@
 //! A number lives in one place: the build's [`MetricsSnapshot`]. The
 //! builder sets each gauge once; a driver that works after the build
 //! (a state commit) updates the snapshot through
-//! [`BuildReport::update_metric`]; readers go through
+//! `BuildReport::update_metric`; readers go through
 //! [`BuildReport::metric`], which panics on a name the report does not
 //! carry. [`BuildReport::to_value`] prints the records and carries the
 //! snapshot as the trailing `"metrics"` block, the document's only copy of

@@ -307,7 +307,7 @@ impl GraphWriter {
 /// ([`SegmentWriter::label`]); it carries the nodes that changed, whole, and
 /// the key table of the file the store encodes to — its nodes' keys in
 /// node order, then the keys only dependencies name — so
-/// [`GraphFile::fold`] needs nothing else to produce that file.
+/// `GraphFile::fold` needs nothing else to produce that file.
 #[derive(Debug)]
 pub struct SegmentWriter {
     nodes: NodeWriter,

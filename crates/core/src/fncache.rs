@@ -54,9 +54,9 @@
 //!
 //! # Segments
 //!
-//! A commit need not rewrite the file: [`FunctionCache::segment_bytes`]
+//! A commit need not rewrite the file: `FunctionCache::segment_bytes`
 //! encodes only the records inserted and the keys dropped since the last
-//! encode, and [`FunctionCache::apply_segment`] folds such a segment onto a
+//! encode, and `FunctionCache::apply_segment` folds such a segment onto a
 //! loaded cache, which then equals the cache the whole file written at
 //! that commit would load as.
 

@@ -5,7 +5,7 @@
 //! [`ServiceFactory`] that creates one [`Service`] per project session,
 //! and the server owns everything around it — socket binding with
 //! stale-socket recovery, the accept loop, frame/JSON decoding, the
-//! admission [`Gate`](crate::gate::Gate), the session registry keyed by
+//! admission [`Gate`], the session registry keyed by
 //! canonical project directory, and the snapshot lifecycle (per-session on
 //! recycle, all sessions on idle and on shutdown).
 //!

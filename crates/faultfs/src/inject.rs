@@ -1,7 +1,7 @@
 //! The fault-injectable I/O layer.
 //!
 //! Every durable operation in the system goes through the wrappers here
-//! ([`read`], [`write`], [`rename`], [`remove_file`], [`sync_file`],
+//! ([`read`], [`write()`], [`rename`], [`remove_file`], [`sync_file`],
 //! [`sync_dir`], [`atomic_write`]). Each call is assigned a 1-based,
 //! thread-local operation index; an installed [`FaultPlan`] is consulted at
 //! every index and can fail the operation, tear a write, flip a bit on a

@@ -6,7 +6,7 @@
 //! corrupt file may cost a cold start, never a wrong build**. This crate
 //! provides the two pieces that make the invariant testable and true:
 //!
-//! * a **fault-injectable I/O layer** ([`read`], [`write`], [`rename`],
+//! * a **fault-injectable I/O layer** ([`read`], [`write()`], [`rename`],
 //!   [`atomic_write`], …): every durable operation is counted, optionally
 //!   recorded ([`record`]), and can be made to fail deterministically by an
 //!   installed [`FaultPlan`] (crash after the K-th op, torn write, bit-flip

@@ -1,7 +1,7 @@
 //! Function-parallel pipeline execution on a shared work-stealing pool.
 //!
 //! [`run_pipeline_parallel`] is the stage loop of
-//! [`run_pipeline`](crate::run_pipeline) with a wider dispatch, so its
+//! [`run_pipeline`] with a wider dispatch, so its
 //! output is byte-identical for the same inputs:
 //!
 //! * Within a stage, passes read callee bodies only from the immutable
@@ -15,7 +15,7 @@
 //!   emitted IR, bytecode images) — does not depend on scheduling.
 //!
 //! Fan-out is *batched*: one pool task runs per cost-balanced batch of the
-//! stage's plan ([`crate::batch`]), so tiny functions share a task's fixed
+//! stage's plan (`crate::batch`), so tiny functions share a task's fixed
 //! cost instead of each paying it. Batches are serviced
 //! largest-total-cost-first.
 //!

@@ -3,7 +3,7 @@
 //! The workspace has no serde (the registry is unreachable; see
 //! `shims/README.md`). Every document sfcc emits — build reports, metrics
 //! snapshots, traces, daemon frames, experiment artifacts — is built as a
-//! [`Value`] and printed by [`write`]; [`parse`] reads them back. Objects
+//! [`Value`] and printed by [`write()`]; [`parse`] reads them back. Objects
 //! preserve key order, which lets schema checks detect field reordering as
 //! well as renames.
 
@@ -158,7 +158,7 @@ impl<T: Into<Value>> FromIterator<T> for Value {
 const MAX_DEPTH: usize = 128;
 
 /// Parse a complete JSON document; trailing non-whitespace and nesting
-/// beyond [`MAX_DEPTH`] are errors.
+/// beyond `MAX_DEPTH` are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         text,

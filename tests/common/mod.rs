@@ -1,5 +1,6 @@
-//! Scratch directories and in-memory projects, shared by the integration
-//! suites: each includes this file as `mod common;` and uses what it needs.
+//! Scratch directories, in-memory projects and the lineage harness
+//! ([`lineage`]), shared by the integration suites: each includes this file
+//! as `mod common;` and uses what it needs.
 #![allow(dead_code)]
 
 use sfcc_buildsys::Project;
@@ -24,6 +25,18 @@ pub fn cleanup(dir: &Path) {
     let _ = fs::remove_dir_all(dir);
 }
 
+/// Writes `p` as the complete tree at `dir`: `.mc` files `p` lacks go.
+pub fn write_tree(dir: &Path, p: &Project) {
+    fs::create_dir_all(dir).unwrap();
+    for dirent in fs::read_dir(dir).unwrap() {
+        let path = dirent.unwrap().path();
+        if path.extension().is_some_and(|e| e == "mc") {
+            fs::remove_file(&path).unwrap();
+        }
+    }
+    p.write_to_dir(dir).unwrap();
+}
+
 /// An in-memory project of `(module name, source)` files.
 pub fn project(files: &[(&str, &str)]) -> Project {
     let mut p = Project::new();
@@ -32,3 +45,5 @@ pub fn project(files: &[(&str, &str)]) -> Project {
     }
     p
 }
+
+pub mod lineage;

@@ -1,10 +1,13 @@
 //! Cross-crate integration tests: workload → build system → stateful
 //! compiler, including state persistence across builder sessions.
 
-use sfcc::{Compiler, Config, SkipPolicy};
+mod common;
+
+use common::lineage::{self, Script, Step::Edit};
+use sfcc::{Compiler, Config};
 use sfcc_backend::{run, VmOptions};
 use sfcc_buildsys::{Builder, Project};
-use sfcc_workload::{generate_model, EditScript, GeneratorConfig};
+use sfcc_workload::{generate_model, GeneratorConfig};
 
 #[test]
 fn generated_project_builds_and_runs() {
@@ -19,70 +22,18 @@ fn generated_project_builds_and_runs() {
     assert!(out.executed > 0);
 }
 
+/// A body edit rebuilds exactly the edited module; a new function at least
+/// its module (the lineage harness's `minimal` check).
 #[test]
 fn commit_replay_rebuilds_minimally() {
-    let mut model = generate_model(&GeneratorConfig::small(8));
-    let mut script = EditScript::new(2);
-    let mut builder = Builder::new(Compiler::new(Config::stateful().with_verification()));
-    builder.build(&model.render()).unwrap();
-
-    for _ in 0..10 {
-        let commit = script.commit(&mut model);
-        let report = builder.build(&model.render()).unwrap();
-        // A body edit rebuilds exactly the edited module; an interface
-        // change (add-fn) additionally rebuilds dependents.
-        assert!(
-            report.metric("build.rebuilt_count") >= 1,
-            "commit {commit:?}"
-        );
-        assert!(
-            report.module(&commit.module).unwrap().rebuilt(),
-            "commit {commit:?}"
-        );
-        if commit.kind != sfcc_workload::EditKind::AddFunction {
-            assert_eq!(
-                report.metric("build.rebuilt_count"),
-                1,
-                "body edit must stay local: {commit:?}"
-            );
-        }
-    }
+    lineage::check(&Script::of(8, &[Edit; 10]), "resident j1 stateful");
 }
 
+/// New processes over the committed state skip passes (`behaviour`'s
+/// skipped slot: the first build, from nothing, skips none).
 #[test]
 fn state_survives_builder_sessions_on_disk() {
-    let dir = std::env::temp_dir().join(format!("sfcc-it-build-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let state_path = dir.join("state.bin");
-
-    let mut model = generate_model(&GeneratorConfig::small(77));
-    let mut script = EditScript::new(4);
-
-    // Session 1: full build, persist.
-    {
-        let mut builder = Builder::new(Compiler::new(
-            Config::stateful()
-                .with_state_path(&state_path)
-                .with_verification(),
-        ));
-        builder.build(&model.render()).unwrap();
-        builder.compiler().save_state().unwrap();
-    }
-
-    // Session 2: fresh process-equivalent, same state dir — skipping works
-    // on the first incremental build.
-    {
-        let mut builder = Builder::new(Compiler::new(
-            Config::stateful()
-                .with_state_path(&state_path)
-                .with_verification(),
-        ));
-        script.commit(&mut model);
-        let report = builder.build(&model.render()).unwrap();
-        let skipped = report.metric("outcomes.skipped");
-        assert!(skipped > 0, "persisted state must enable skipping");
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
+    lineage::check(&Script::of(77, &[Edit; 3]), "fresh j1 stateful");
 }
 
 #[test]
@@ -126,26 +77,10 @@ fn project_round_trips_through_directory() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A parallel stateful builder is its sequential peer, byte for byte.
 #[test]
 fn parallel_and_sequential_stateful_builds_agree() {
-    let mut model = generate_model(&GeneratorConfig::small(31));
-    let mut script = EditScript::new(6);
-    let policy = SkipPolicy::PreviousBuild;
-
-    let mut seq = Builder::new(Compiler::new(Config::stateless().with_policy(policy)));
-    let mut par =
-        Builder::new(Compiler::new(Config::stateless().with_policy(policy))).with_parallelism();
-
-    for _ in 0..4 {
-        let project = model.render();
-        let ra = seq.build(&project).unwrap();
-        let rb = par.build(&project).unwrap();
-        let oa = run(&ra.program, "main.main", &[7], VmOptions::default()).unwrap();
-        let ob = run(&rb.program, "main.main", &[7], VmOptions::default()).unwrap();
-        assert_eq!(oa.prints, ob.prints);
-        assert_eq!(oa.return_value, ob.return_value);
-        script.commit(&mut model);
-    }
+    lineage::check(&Script::of(31, &[Edit; 3]), "resident j8 stateful");
 }
 
 #[test]

@@ -7,11 +7,13 @@
 //! applied as each optimize run is booked, in plan order — points of the
 //! demand order, the same for every worker count.
 
+mod common;
+
+use common::lineage::{self, Script};
 use proptest::prelude::*;
 use sfcc::{Compiler, Config};
 use sfcc_backend::image::to_bytes;
 use sfcc_buildsys::{Builder, Project};
-use sfcc_workload::{generate_model, EditScript, GeneratorConfig};
 use std::path::{Path, PathBuf};
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -45,36 +47,15 @@ fn persisted_bytes(builder: &Builder, dir: &Path, tag: &str) -> (Vec<u8>, Vec<u8
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Two builders — one sequential, one racing 8 workers over modules and
-    /// functions — replay the same random edit script. After every commit,
-    /// images and persisted state must agree byte for byte.
+    /// A builder racing 8 workers over modules and functions replays a
+    /// random script beside its `--jobs 1` peer: after every step, images
+    /// and committed state, cache and graph agree byte for byte (the
+    /// lineage harness's `peer` check).
     #[test]
     fn jobs_1_and_jobs_8_builds_are_byte_identical(seed in any::<u64>()) {
-        let dir = scratch_dir(&format!("prop-{}", seed % 1000));
-        let config = GeneratorConfig::small(seed % 1000);
-        let mut model = generate_model(&config);
-        let mut script = EditScript::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-
-        let mut seq = builder_with(1, &dir, "seq");
-        let mut par = builder_with(8, &dir, "par");
-
-        for commit in 0..6usize {
-            if commit > 0 {
-                script.commit(&mut model);
-            }
-            let p = model.render();
-            let seq_image = to_bytes(&seq.build(&p).unwrap().program);
-            let par_image = to_bytes(&par.build(&p).unwrap().program);
-            prop_assert_eq!(seq_image, par_image, "image diverged at commit {}", commit);
-
-            let (seq_state, seq_cache) = persisted_bytes(&seq, &dir, "seq");
-            let (par_state, par_cache) = persisted_bytes(&par, &dir, "par");
-            prop_assert_eq!(seq_state, par_state, "state diverged at commit {}", commit);
-            prop_assert_eq!(seq_cache, par_cache, "fn-cache diverged at commit {}", commit);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        lineage::check(&Script::drawn(seed, 5), "resident j8 stateful");
     }
 }
 

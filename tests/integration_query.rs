@@ -6,12 +6,12 @@
 
 mod common;
 
+use common::lineage::{self, Script};
 use common::project;
 use proptest::prelude::*;
 use sfcc::{Compiler, Config};
 use sfcc_backend::image::to_bytes;
 use sfcc_buildsys::{Builder, Project};
-use sfcc_workload::{generate_model, EditScript, GeneratorConfig};
 
 fn three_module_project() -> Project {
     project(&[
@@ -38,24 +38,12 @@ proptest! {
 
     /// Soundness of memoization: whatever the edit history, the image an
     /// incremental builder links is byte-for-byte the image a from-scratch
-    /// build of the same sources produces. (Stateless mode — stateful
-    /// skipping trades bytes for behavioural equivalence, which
-    /// `integration_equivalence` covers.)
+    /// build of the same sources produces — the lineage harness's `fresh`
+    /// check on a resident stateless builder. (Stateful skipping trades
+    /// bytes for behavioural equivalence: its `twin` and `behaviour`.)
     #[test]
     fn incremental_builds_are_byte_identical_to_clean_builds(seed in any::<u64>()) {
-        let config = GeneratorConfig::small(seed % 1000);
-        let mut model = generate_model(&config);
-        let mut script = EditScript::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut incremental = Builder::new(Compiler::new(Config::stateless()));
-
-        for commit in 0..5usize {
-            if commit > 0 {
-                script.commit(&mut model);
-            }
-            let p = model.render();
-            let inc = to_bytes(&incremental.build(&p).unwrap().program);
-            prop_assert_eq!(inc, clean_image(&p), "commit {}", commit);
-        }
+        lineage::check(&Script::drawn(seed, 4), "resident j1 stateless");
     }
 }
 

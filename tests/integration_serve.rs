@@ -1,51 +1,30 @@
-//! Differential correctness harness for the warm build daemon.
+//! The warm build daemon, and cold sessions over the persisted query graph.
 //!
-//! The daemon's whole value is serving builds from memory — engine,
-//! function cache, CAS handle, and per-function dormancy stamps resident —
-//! so the thing to prove is that *warmth never changes an answer*. The
-//! suite holds warm serves to three differentials:
+//! Edit histories are rows of the lineage harness (`tests/common/lineage.rs`):
+//! a script run on a subject and held, after every step, to one oracle table
+//! (`twin`, `fresh`, `peer`, `noop`, `chains`, `behaviour`, `minimal`,
+//! `audit`, `recoveries`). The rows here hold a warm daemon to its resident
+//! peer byte for byte, across `--jobs` values and stores; a cold process to
+//! the daemon's state directory, which it accepts as it is; a restarted
+//! daemon to a cold process over the same snapshot; one process per step to
+//! a resident builder; every commit's folded chains to the whole files; and
+//! flag flips among edits to a directory with no history.
 //!
-//! 1. **Warm daemon ≡ warm in-process oracle, byte for byte.** An oracle
-//!    [`Builder`] replays the same edit script with the same durable-op
-//!    sequence as the daemon's session. Image, dormancy-state, IR-cache
-//!    bytes, and the report's rebuild decisions must all match after every
-//!    commit — across `--jobs` values and across separate-but-equivalent
-//!    CAS stores.
-//! 2. **Warm daemon ≡ cold CLI sessions on outputs.** A fresh-builder cold
-//!    session (one `minicc build --stateful --fn-cache` equivalent) of the
-//!    same tree must produce the identical image, and a cold session must
-//!    *accept* the daemon's state directory as-is (zero recovered files).
-//!    Full state-byte identity is deliberately not asserted here: a cold
-//!    build re-executes every function task and ingests fresh traces into
-//!    the dormancy bookkeeping, while a warm engine validates without
-//!    ingesting — same decisions, different history counters.
-//! 3. **Across kill + restart.** A restarted daemon starts a fresh engine
-//!    over the committed snapshot, exactly like a cold build does — so
-//!    there the *full* byte identity (state and cache included) must hold
-//!    against a cold lineage forked from the same snapshot.
-//!
-//! 4. **Across processes, with the persisted query graph.** A lineage of
-//!    fresh builders over one state directory — each starting from the graph
-//!    the last one committed — is held to both neighbours at once: on a
-//!    step that changed nothing it must be the *resident* builder (nothing
-//!    executes, not a byte moves), on a step that changed something it must
-//!    be the same lineage *without* a graph, byte for byte, state and cache
-//!    included. Graphs recorded under other flags re-execute what the
-//!    flags shape, and graphs naming inputs the session cannot stamp
-//!    re-execute what reads them: never a stale serve. A lineage of flag
-//!    flips among edits builds, at every step, the image a directory with
-//!    no history builds under the same flags.
-//!
-//! Concurrency, admission control (typed busy/timeout, queue bounds),
-//! session confinement, flag-keyed session recycling, protocol rejection,
-//! and warm depcheck audits (clean serves, seeded frozen-stamp lie caught)
-//! ride along. Tests prefixed `quick_` form the `ci.sh --quick` subset.
+//! The rest pins single requests: a cold `ir` executes nothing, a cold edit
+//! rematerializes only what it reaches, a no-op commits nothing, the demo's
+//! committed bytes, a recovery reported once, a flag flip re-executing only
+//! what reads flags, and a warm `run`. Concurrency, admission control (typed
+//! busy/timeout, queue bounds), session confinement, flag-keyed session
+//! recycling, protocol rejection, and warm depcheck audits (clean serves,
+//! seeded frozen-stamp lie caught) ride along. Tests prefixed `quick_` form
+//! the `ci.sh --quick` subset.
 
 mod common;
 
-use common::cleanup;
+use common::lineage::{self, drop_graph, Script, Step::*};
+use common::{cleanup, project, write_tree};
 use proptest::prelude::*;
-use sfcc::{persist, Compiler, Config, Durability};
+use sfcc::{persist, Compiler, Config};
 use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{BuildReport, BuildTask, Builder, DepGraph, DepMutations, Project};
 use sfcc_daemon::{
@@ -54,7 +33,7 @@ use sfcc_daemon::{
 use sfcc_faultfs::CommitDir;
 use sfcc_trace::json;
 use sfcc_workload::{generate_model, EditKind, EditScript, GeneratorConfig};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -65,29 +44,8 @@ fn tmproot(tag: &str) -> PathBuf {
     common::tmpdir("sfcc-serve", tag)
 }
 
-/// Writes `p` as the complete tree at `dir` (stale `.mc` modules removed —
-/// `write_to_dir` alone would leave deleted modules behind).
-fn write_tree(dir: &Path, p: &Project) {
-    fs::create_dir_all(dir).unwrap();
-    for dirent in fs::read_dir(dir).unwrap() {
-        let path = dirent.unwrap().path();
-        if path.extension().is_some_and(|e| e == "mc") {
-            fs::remove_file(&path).unwrap();
-        }
-    }
-    p.write_to_dir(dir).unwrap();
-}
-
-fn fixture(files: &[(&str, &str)]) -> Project {
-    let mut p = Project::new();
-    for (name, src) in files {
-        p.set_file((*name).to_string(), (*src).to_string());
-    }
-    p
-}
-
 fn fixture_v1() -> Project {
-    fixture(&[
+    project(&[
         ("base", "fn g(x: int) -> int { return x * 2; }"),
         (
             "lib",
@@ -101,7 +59,7 @@ fn fixture_v1() -> Project {
 }
 
 fn fixture_v2() -> Project {
-    fixture(&[
+    project(&[
         ("base", "fn g(x: int) -> int { return x * 2; }"),
         (
             "lib",
@@ -186,7 +144,7 @@ fn must_err(socket: &Path, req: &Request) -> (ErrorKind, String) {
     reply.error.expect("failed replies carry a typed error")
 }
 
-// ─── artifacts + oracle ───
+// ─── artifacts + sessions ───
 
 /// Every byte a build leaves behind, plus the report's decision fields
 /// (wall-clock excluded — it is the one legitimately nondeterministic
@@ -199,233 +157,159 @@ struct Artifacts {
     decisions: String,
 }
 
-fn image_path(dir: &Path) -> PathBuf {
-    dir.with_extension("sbx")
-}
-
-/// The rebuild decisions of the persisted report: per-module rebuilt
-/// flags, pass-outcome totals, query hit/miss counts, state generation.
-fn decisions(dir: &Path) -> String {
+/// What a build left in `dir`: its image, committed state and cache, and
+/// the persisted report's per-module rebuilt flags, state generation and
+/// query hits and misses.
+fn artifacts(dir: &Path) -> Artifacts {
     let text = fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
     let doc = json::parse(&text).unwrap();
-    let mut out = String::new();
-    for module in doc.get("modules").unwrap().as_arr().unwrap() {
-        out.push_str(&format!(
-            "{}={};",
-            module.get("name").unwrap().as_str().unwrap(),
-            module.get("rebuilt").unwrap().as_bool().unwrap(),
-        ));
-    }
     let gauge = |name: &str| doc["metrics"][name]["value"].as_u64().unwrap();
-    out.push_str(&format!(
-        "gen={};hits={};misses={}",
-        doc.get("state_generation").unwrap().as_u64().unwrap(),
-        gauge("query.hits"),
-        gauge("query.misses"),
-    ));
-    out
-}
-
-fn artifacts(dir: &Path) -> Artifacts {
     let (state, cache) = artifacts_of_state(dir);
     Artifacts {
-        image: fs::read(image_path(dir)).unwrap(),
+        image: fs::read(dir.with_extension("sbx")).unwrap(),
         state,
         cache,
-        decisions: decisions(dir),
+        decisions: format!(
+            "{} gen={} hits={} misses={}",
+            json::write(&doc["modules"]),
+            doc["state_generation"].as_u64().unwrap(),
+            gauge("query.hits"),
+            gauge("query.misses"),
+        ),
     }
 }
 
-fn warm_config(dir: &Path, jobs: usize, cas: Option<&Path>) -> Config {
-    let mut config = Config::stateful()
-        .with_state_path(dir.join(".sfcc-state"))
-        .with_function_cache()
-        .with_jobs(jobs);
-    if let Some(cas) = cas {
-        config = config.with_cas_path(cas.to_path_buf());
-    }
-    config
+/// The `--stateful --fn-cache --jobs 1` command line.
+fn warm_args() -> Vec<String> {
+    args_of(WARM_FLAGS, &["--jobs".to_string(), "1".to_string()])
 }
 
-/// The in-process warm oracle: a persistent [`Builder`] replaying the
-/// daemon session's exact durable-op sequence (build → save state → write
-/// report → write image) against its own project directory.
-struct Oracle {
-    dir: PathBuf,
-    builder: Builder,
+/// A session for `dir` under [`warm_args`]: a `minicc build` request's.
+fn session(dir: &Path) -> BuildService {
+    BuildService::new(dir, &warm_args()).unwrap()
 }
 
-impl Oracle {
-    fn new(dir: &Path, jobs: usize, cas: Option<&Path>) -> Oracle {
-        Oracle {
-            dir: dir.to_path_buf(),
-            builder: Builder::new(Compiler::new(warm_config(dir, jobs, cas))).with_jobs(jobs),
-        }
-    }
+// ─── lineage rows: each a script on a subject, held to the oracle table of
+//     tests/common/lineage.rs after every step ───
 
-    fn build(&mut self) -> Artifacts {
-        let p = Project::from_dir(&self.dir).unwrap();
-        let mut report = self.builder.build(&p).unwrap();
-        report.state_generation = self.builder.compiler().save_state().unwrap();
-        fs::write(self.dir.join(".sfcc-report.json"), report.to_json()).unwrap();
-        sfcc_backend::image::save_with(&report.program, &image_path(&self.dir), Durability::Fast)
-            .unwrap();
-        artifacts(&self.dir)
-    }
-}
-
-/// One *cold* session: a fresh builder, engine empty — the in-process
-/// equivalent of one `minicc build --stateful --fn-cache` invocation.
-fn cold_session(dir: &Path, jobs: usize) -> BuildReport {
-    let mut builder = Builder::new(Compiler::new(warm_config(dir, jobs, None))).with_jobs(jobs);
-    let p = Project::from_dir(dir).unwrap();
-    let mut report = builder.build(&p).unwrap();
-    report.state_generation = builder.compiler().save_state().unwrap();
-    fs::write(dir.join(".sfcc-report.json"), report.to_json()).unwrap();
-    sfcc_backend::image::save_with(&report.program, &image_path(dir), Durability::Fast).unwrap();
-    report
-}
-
-/// Drives `commits` edit-script steps against a warm daemon and the warm
-/// oracle simultaneously, asserting full byte identity after every commit.
-fn differential_run(tag: &str, seed: u64, jobs: usize, commits: usize, cas: bool) {
-    let root = tmproot(tag);
-    let warm_dir = root.join("warm");
-    let oracle_dir = root.join("oracle");
-    let (warm_cas, oracle_cas) = if cas {
-        (Some(root.join("cas-warm")), Some(root.join("cas-oracle")))
-    } else {
-        (None, None)
-    };
-
-    let mut model = generate_model(&GeneratorConfig::small(seed));
-    let mut script = EditScript::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-    write_tree(&warm_dir, &model.render());
-    write_tree(&oracle_dir, &model.render());
-
-    let handle = start_daemon(&root, |_| {});
-    let socket = handle.socket();
-    let mut extra = Vec::new();
-    if let Some(cas) = &warm_cas {
-        extra.push("--cas".to_string());
-        extra.push(cas.display().to_string());
-    }
-    extra.push("--jobs".to_string());
-    extra.push(jobs.to_string());
-    let args = args_of(WARM_FLAGS, &extra);
-    let mut oracle = Oracle::new(&oracle_dir, jobs, oracle_cas.as_deref());
-
-    for commit in 0..=commits {
-        if commit > 0 {
-            script.commit(&mut model);
-            let p = model.render();
-            write_tree(&warm_dir, &p);
-            write_tree(&oracle_dir, &p);
-        }
-        must_ok(&socket, &request("build", &warm_dir, &args));
-        let warm = artifacts(&warm_dir);
-        let want = oracle.build();
-        assert_eq!(
-            warm.image, want.image,
-            "commit {commit}: warm image diverges from oracle (seed {seed}, jobs {jobs})"
-        );
-        assert_eq!(
-            warm.state, want.state,
-            "commit {commit}: warm dormancy state diverges (seed {seed}, jobs {jobs})"
-        );
-        assert_eq!(
-            warm.cache, want.cache,
-            "commit {commit}: warm IR cache diverges (seed {seed}, jobs {jobs})"
-        );
-        assert_eq!(
-            warm.decisions, want.decisions,
-            "commit {commit}: warm rebuild decisions diverge (seed {seed}, jobs {jobs})"
-        );
-    }
-
-    // The warm `ir` serve must match the oracle's store-reassembled IR.
-    let module = "main";
-    let mut ir_req = request("ir", &warm_dir, &args);
-    ir_req.module = Some(module.to_string());
-    let reply = must_ok(&socket, &ir_req);
-    let warm_ir = reply
-        .body
-        .get("ir")
-        .and_then(|v| v.as_str())
-        .expect("ir reply carries text")
-        .to_string();
-    let p = Project::from_dir(&oracle.dir).unwrap();
-    let oracle_ir =
-        sfcc_ir::module_to_string(&oracle.builder.module_ir(&p, module).unwrap().unwrap());
-    // Both sides build once more inside the comparison window; rebuild the
-    // oracle first so its store is as fresh as the daemon's.
-    assert_eq!(warm_ir, oracle_ir, "warm ir serve diverges (seed {seed})");
-
-    handle.shutdown();
-    cleanup(&root);
-}
-
-// ─── 1. warm vs oracle byte identity ───
-
+/// A warm daemon is its resident peer, byte for byte, after every step.
 #[test]
 fn quick_warm_daemon_matches_warm_oracle_byte_for_byte() {
-    differential_run("oracle-q", 7, 1, 3, false);
+    lineage::check(&Script::drawn(7, 8), "daemon j1 stateful");
 }
 
 #[test]
 fn warm_daemon_matches_oracle_across_jobs_and_seeds() {
     for seed in [11, 12] {
         for jobs in [1, 8] {
-            differential_run(&format!("oracle-{seed}-{jobs}"), seed, jobs, 5, false);
+            let subject = &format!("daemon j{jobs} stateful");
+            lineage::check(&Script::drawn(seed, 4), subject);
         }
     }
 }
 
 #[test]
 fn warm_daemon_matches_oracle_with_cas_warm_stores() {
-    differential_run("oracle-cas", 21, 2, 4, true);
+    lineage::check(&Script::drawn(21, 8), "daemon j2 stateful store");
 }
 
-// ─── 2. warm vs cold CLI sessions ───
-
+/// A cold process accepts a daemon's state directory as it is: it recovers
+/// nothing, executes nothing, and links the daemon's image.
 #[test]
 fn quick_cold_build_accepts_warm_daemon_state_dir() {
-    let root = tmproot("cold-accept");
-    let warm_dir = root.join("warm");
-    let mut model = generate_model(&GeneratorConfig::small(3));
-    let mut script = EditScript::new(99);
-    write_tree(&warm_dir, &model.render());
+    let script = Script::of(3, &[Edit, Edit, Edit, Restart, Noop]);
+    lineage::check(&script, "daemon j1 stateful");
+}
 
-    let handle = start_daemon(&root, |_| {});
-    let socket = handle.socket();
-    let args = args_of(WARM_FLAGS, &[]);
-    for _ in 0..3 {
-        must_ok(&socket, &request("build", &warm_dir, &args));
-        script.commit(&mut model);
-        write_tree(&warm_dir, &model.render());
+/// A restarted daemon's first build is a cold process's over the same
+/// snapshot, state and cache bytes included.
+#[test]
+fn quick_restarted_daemon_first_build_matches_cold_lineage() {
+    lineage::check(
+        &Script::of(17, &[Edit, Restart, Edit]),
+        "daemon j1 stateful",
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// One process per step, each starting from the graph the last one
+    /// committed, is the resident builder after every step.
+    #[test]
+    fn fresh_builder_lineage_is_resident(seed in any::<u64>()) {
+        let jobs = if seed & 1 == 0 { 1 } else { 8 };
+        let subject = &format!("fresh j{jobs} stateful");
+        lineage::check(&Script::drawn(seed, 8), subject);
     }
-    must_ok(&socket, &request("build", &warm_dir, &args));
-    let warm = artifacts(&warm_dir);
-    handle.shutdown();
+}
 
-    // Fork the daemon's on-disk world and run a cold session over it: the
-    // state dir must be accepted as-is (nothing recovered, nothing
-    // quarantined) and the image must come out byte-identical.
-    let cold_dir = root.join("cold");
-    copy_tree(&warm_dir, &cold_dir);
-    let report = cold_session(&cold_dir, 1);
-    assert_eq!(
-        report.metric("recovery.recovered_files"),
-        0,
-        "cold build rejected the daemon's state dir"
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Scripts long enough for the chains to compact, on a resident
+    /// builder or a process per step.
+    #[test]
+    fn folded_chains_are_the_whole_files(seed in any::<u64>()) {
+        let route = if seed & 1 == 0 { "resident" } else { "fresh" };
+        lineage::check(&Script::drawn(seed, 20), &format!("{route} j1 stateful"));
+    }
+}
+
+#[test]
+fn quick_fresh_builder_lineage_holds_for_both_job_counts() {
+    let script = Script::of(
+        0xd628,
+        &[Edit, Signature, Edit, Noop, Signature, Edit, Edit],
     );
-    assert!(report.quarantined.is_empty());
-    let cold = artifacts(&cold_dir);
-    assert_eq!(
-        warm.image, cold.image,
-        "cold rebuild of the daemon's tree produced a different image"
-    );
-    cleanup(&root);
+    for jobs in [1, 8] {
+        lineage::check(&script, &format!("fresh j{jobs} stateful"));
+    }
+}
+
+/// Flips among edits and reverts: a `-O` flip builds what a directory
+/// with no history builds, and executes only what flags shape.
+#[test]
+fn quick_flag_flips_among_edits_build_fresh_images() {
+    let steps = [
+        Edit,
+        Opt(0),
+        Edit,
+        Revert,
+        Opt(1),
+        Noop,
+        Revert,
+        Opt(2),
+        FnCache,
+        Edit,
+        Opt(0),
+    ];
+    lineage::check(&Script::of(5, &steps), "fresh j1 stateful");
+}
+
+/// Every kind of step, on each route, with a store and without.
+#[test]
+fn quick_every_step_on_every_route() {
+    let steps = [
+        Edit,
+        Module,
+        Signature,
+        Audit,
+        Restart,
+        Revert,
+        Noop,
+        Opt(1),
+        FnCache,
+        Audit,
+    ];
+    let subjects = [
+        "resident j1 stateless store",
+        "fresh j8 stateful",
+        "daemon j1 stateful store",
+    ];
+    for subject in subjects {
+        lineage::check(&Script::of(0x5eed, &steps), subject);
+    }
 }
 
 #[test]
@@ -449,7 +333,7 @@ fn warm_run_serve_matches_cold_vm_results() {
             Some(json::Value::Num(n)) => *n as i64,
             other => panic!("run reply carries no return value: {other:?}"),
         };
-        let report = cold_session(&cold_dir, 1);
+        let report = session(&cold_dir).build().unwrap().report;
         let cold_out = sfcc_backend::run(
             &report.program,
             "main.main",
@@ -464,341 +348,7 @@ fn warm_run_serve_matches_cold_vm_results() {
     cleanup(&root);
 }
 
-// ─── 3. kill + restart ───
-
-#[test]
-fn quick_restarted_daemon_first_build_matches_cold_lineage() {
-    let root = tmproot("restart");
-    let warm_dir = root.join("warm");
-    let mut model = generate_model(&GeneratorConfig::small(17));
-    let mut script = EditScript::new(17);
-    write_tree(&warm_dir, &model.render());
-
-    let handle = start_daemon(&root, |_| {});
-    let socket = handle.socket();
-    let args = args_of(WARM_FLAGS, &[]);
-    must_ok(&socket, &request("build", &warm_dir, &args));
-    script.commit(&mut model);
-    write_tree(&warm_dir, &model.render());
-    must_ok(&socket, &request("build", &warm_dir, &args));
-    // Kill the daemon (graceful path; the crash matrix in
-    // integration_crash.rs covers mid-commit kills op by op).
-    handle.shutdown();
-
-    // Fork the committed snapshot into a cold lineage, apply the same next
-    // edit to both, and compare the restarted daemon's first build against
-    // the cold session byte for byte: both start a fresh engine over the
-    // identical snapshot, so even the dormancy-history bytes must agree.
-    let cold_dir = root.join("cold");
-    copy_tree(&warm_dir, &cold_dir);
-    fs::copy(image_path(&warm_dir), image_path(&cold_dir)).unwrap();
-    script.commit(&mut model);
-    let p = model.render();
-    write_tree(&warm_dir, &p);
-    write_tree(&cold_dir, &p);
-
-    let handle = start_daemon(&root, |_| {});
-    let socket = handle.socket();
-    must_ok(&socket, &request("build", &warm_dir, &args));
-    let warm = artifacts(&warm_dir);
-    cold_session(&cold_dir, 1);
-    let cold = artifacts(&cold_dir);
-    assert_eq!(warm.image, cold.image, "restart: image diverges from cold");
-    assert_eq!(
-        warm.state, cold.state,
-        "restart: dormancy state diverges from cold"
-    );
-    assert_eq!(
-        warm.cache, cold.cache,
-        "restart: IR cache diverges from cold"
-    );
-    assert_eq!(
-        warm.decisions, cold.decisions,
-        "restart: rebuild decisions diverge from cold"
-    );
-    handle.shutdown();
-    cleanup(&root);
-}
-
-// ─── 4. fresh-builder lineages over the persisted query graph ───
-
-/// Rewrites the manifest without its query-graph entry: the directory as a
-/// commit left it before there was a graph.
-fn drop_graph(dir: &Path) {
-    let cd = CommitDir::new(&dir.join(".sfcc-state"));
-    let m = cd.read_manifest().unwrap().unwrap();
-    let kept = m
-        .entries
-        .iter()
-        .filter(|e| e.logical != "depgraph")
-        .cloned()
-        .collect();
-    cd.publish(m.generation, kept, Durability::Fast).unwrap();
-}
-
-/// The per-module `name=rebuilt;` part of [`decisions`].
-fn rebuilt_flags(decisions: &str) -> &str {
-    &decisions[..decisions.find("gen=").unwrap()]
-}
-
-/// The `(hits, misses)` of [`decisions`].
-fn query_counts(decisions: &str) -> (u64, u64) {
-    let field = |name: &str| -> u64 {
-        let tail = &decisions[decisions.find(name).unwrap() + name.len()..];
-        tail.split(';').next().unwrap().parse().unwrap()
-    };
-    (field("hits="), field("misses="))
-}
-
-/// A task list of the persisted report's `query` block, sorted.
-fn report_tasks(dir: &Path, list: &str) -> Vec<String> {
-    let text = fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
-    let doc = json::parse(&text).unwrap();
-    let mut tasks: Vec<String> = doc
-        .get("query")
-        .and_then(|q| q.get(list))
-        .and_then(json::Value::as_arr)
-        .unwrap()
-        .iter()
-        .map(|t| t.as_str().unwrap().to_string())
-        .collect();
-    tasks.sort();
-    tasks
-}
-
-/// Every `.sfcc-state*` file of `dir` — manifest and generation files —
-/// by name.
-fn state_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    fs::read_dir(dir)
-        .unwrap()
-        .map(|dirent| dirent.unwrap())
-        .filter_map(|dirent| {
-            let name = dirent.file_name().to_string_lossy().into_owned();
-            name.starts_with(".sfcc-state")
-                .then(|| (name, fs::read(dirent.path()).unwrap()))
-        })
-        .collect()
-}
-
-/// The committed bytes of `logical` in `dir`, its chain folded.
-fn committed(dir: &Path, logical: &str) -> Vec<u8> {
-    persist::committed_bytes(&dir.join(".sfcc-state"), logical)
-        .unwrap()
-        .expect("committed")
-}
-
-/// The committed query-graph bytes of `dir`.
-fn graph_of(dir: &Path) -> Vec<u8> {
-    committed(dir, "depgraph")
-}
-
-/// Adds two hand-written modules to a generated project; `edited` changes
-/// a function's signature and every call of it, in both modules (the
-/// generator's edits never touch a signature).
-fn with_signature_edit(p: &mut Project, edited: bool) {
-    let (s, call) = if edited {
-        ("fn s(x: int, y: int) -> int { return x + y; }", "s(x, 2)")
-    } else {
-        ("fn s(x: int) -> int { return x + 1; }", "s(x)")
-    };
-    p.set_file(
-        "sigx".to_string(),
-        format!("{s}\nfn t(x: int) -> int {{ return {call} * 2; }}"),
-    );
-    p.set_file(
-        "sigy".to_string(),
-        format!(
-            "import sigx;\nfn u(x: int) -> int {{ return sigx::{call} + sigx::t(x); }}\n\
-             fn v(x: int) -> int {{ return x - 1; }}"
-        ),
-    );
-}
-
-/// One lineage of fresh builders (`fresh/`, one process per step, each
-/// starting from the graph the last one committed) beside one resident
-/// builder (`resident/`, alive across every step), over a random script of
-/// generated edits (constant tweaks, added statements, rewrites, added
-/// functions), signature edits and no-ops. After *every* step the new
-/// process must be the resident one: image, committed state, cache and
-/// graph, per-module rebuild flags, misses and the executed task set — and
-/// it must have re-run no `optimizefn` for a value (that would re-ingest a
-/// trace), only loaded them. A step that changed nothing commits nothing:
-/// in both directories the generation stays and not a state byte moves.
-fn lineage_run(tag: &str, seed: u64, jobs: usize) {
-    let root = tmproot(tag);
-    let fresh = root.join("fresh");
-    let resident_dir = root.join("resident");
-    let mut model = generate_model(&GeneratorConfig::small(seed));
-    let mut script = EditScript::new(seed ^ 0x51ed_270b);
-    script.weights = [35, 20, 20, 25];
-    let mut signature_edited = false;
-    let render = |model: &sfcc_workload::ProjectModel, edited: bool| {
-        let mut p = model.render();
-        with_signature_edit(&mut p, edited);
-        p
-    };
-    write_tree(&fresh, &render(&model, false));
-    write_tree(&resident_dir, &render(&model, false));
-    let mut resident = Oracle::new(&resident_dir, jobs, None);
-
-    for step in 0..8u64 {
-        let action = if step == 0 {
-            0
-        } else {
-            (seed >> (2 * step)) & 3
-        };
-        let label = format!("step {step} (seed {seed}, jobs {jobs}, action {action})");
-        match action {
-            0 => {}
-            1 => signature_edited = !signature_edited,
-            _ => {
-                script.commit(&mut model);
-            }
-        }
-        let p = render(&model, signature_edited);
-        write_tree(&fresh, &p);
-        write_tree(&resident_dir, &p);
-
-        let before = [state_files(&fresh), state_files(&resident_dir)];
-        let generations = [&fresh, &resident_dir].map(|dir| {
-            CommitDir::new(&dir.join(".sfcc-state"))
-                .read_manifest()
-                .unwrap()
-                .map_or(0, |m| m.generation)
-        });
-        let want = resident.build();
-        let got = Oracle::new(&fresh, jobs, None).build();
-        if step > 0 && action == 0 {
-            for (got, want) in [&got, &want].iter().zip(generations) {
-                assert!(got.decisions.contains(&format!("gen={want};")), "{label}");
-            }
-            let after = [state_files(&fresh), state_files(&resident_dir)];
-            assert!(before == after, "{label}: a no-op wrote state");
-        }
-        assert_eq!(got.image, want.image, "{label}: image");
-        assert_eq!(got.state, want.state, "{label}: state");
-        assert_eq!(got.cache, want.cache, "{label}: cache");
-        assert_eq!(graph_of(&fresh), graph_of(&resident_dir), "{label}: graph");
-        assert_eq!(
-            rebuilt_flags(&got.decisions),
-            rebuilt_flags(&want.decisions),
-            "{label}: rebuild decisions"
-        );
-        assert_eq!(
-            query_counts(&got.decisions).1,
-            query_counts(&want.decisions).1,
-            "{label}: misses"
-        );
-        assert_eq!(
-            report_tasks(&fresh, "executed"),
-            report_tasks(&resident_dir, "executed"),
-            "{label}: executed tasks"
-        );
-        let rematerialized = report_tasks(&fresh, "rematerialized");
-        assert!(
-            !rematerialized.iter().any(|t| t.starts_with("optimizefn(")),
-            "{label}: {rematerialized:?}"
-        );
-        if step > 0 && action == 0 {
-            assert!(got.decisions.ends_with("hits=1;misses=0"), "{label}");
-        }
-    }
-    cleanup(&root);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn fresh_builder_lineage_is_resident(seed in any::<u64>()) {
-        let jobs = if seed & 1 == 0 { 1 } else { 8 };
-        lineage_run(&format!("lineage-{seed:x}"), seed, jobs);
-    }
-}
-
-/// What every commit of a lineage leaves, chains folded, equals the whole
-/// files of the store and cache that committed it — for a resident builder
-/// and for a fresh one per step alike — over a random script of generated
-/// edits, signature edits, a module that comes and goes, and no-ops, long
-/// enough for the chains to compact.
-fn folded_chains_run(tag: &str, seed: u64) {
-    let root = tmproot(tag);
-    let dirs = [root.join("resident"), root.join("fresh")];
-    let mut model = generate_model(&GeneratorConfig::small(seed));
-    let mut script = EditScript::new(seed ^ 0x0c4a_1e5d);
-    script.weights = [35, 20, 20, 25];
-    let (mut signature_edited, mut extra) = (false, false);
-    let config = |dir: &Path| warm_config(dir, 1, None);
-    let mut resident = Builder::new(Compiler::new(config(&dirs[0])));
-    // Graph bases written after the first build: compactions.
-    let (mut bases, mut compacted) = (Vec::new(), 0);
-    for step in 0..16u64 {
-        match (seed >> (2 * (step % 32))) & 3 {
-            _ if step == 0 => {}
-            0 => {}
-            1 => signature_edited = !signature_edited,
-            2 => extra = !extra,
-            _ => {
-                script.commit(&mut model);
-            }
-        }
-        let mut p = model.render();
-        with_signature_edit(&mut p, signature_edited);
-        if extra {
-            p.set_file(
-                "extra".into(),
-                "fn e(x: int) -> int { return x * 3; }".into(),
-            );
-        }
-        for dir in &dirs {
-            let _ = fs::remove_file(dir.join("extra.mc"));
-            write_tree(dir, &p);
-        }
-        let mut fresh = Builder::new(Compiler::new(config(&dirs[1])));
-        for (dir, builder) in dirs.iter().zip([&mut resident, &mut fresh]) {
-            let label = format!("seed {seed:x} step {step} in {}", dir.display());
-            builder.build(&Project::from_dir(dir).unwrap()).unwrap();
-            builder.compiler().save_state().unwrap();
-            assert!(
-                committed(dir, "depgraph") == builder.graph_file(),
-                "{label}: graph"
-            );
-            let cache = builder.compiler().function_cache().to_bytes();
-            assert!(committed(dir, "ircache") == cache, "{label}: cache");
-            let manifest = CommitDir::new(&dir.join(".sfcc-state"))
-                .read_manifest()
-                .unwrap()
-                .unwrap();
-            let base = manifest.entry("depgraph").unwrap().file.clone();
-            compacted += usize::from(step > 0 && !bases.contains(&base));
-            bases.push(base);
-        }
-    }
-    assert!(
-        compacted >= 2,
-        "seed {seed:x}: the graph chain never compacted"
-    );
-    cleanup(&root);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn folded_chains_are_the_whole_files(seed in any::<u64>()) {
-        folded_chains_run(&format!("folded-{seed:x}"), seed);
-    }
-}
-
-#[test]
-fn quick_fresh_builder_lineage_holds_for_both_job_counts() {
-    // Two bits per step — `00` a no-op, `01` a signature edit, else a
-    // generated edit: step 4 changes nothing, steps 2 and 5 edit signatures.
-    let seed = (2 << 2) | (1 << 4) | (3 << 6) | (1 << 10) | (2 << 12) | (3 << 14);
-    for jobs in [1, 8] {
-        lineage_run(&format!("lineage-q{jobs}"), seed, jobs);
-    }
-}
+// ─── cold sessions over the persisted query graph ───
 
 #[test]
 fn quick_cold_ir_over_a_committed_tree_executes_nothing() {
@@ -806,12 +356,12 @@ fn quick_cold_ir_over_a_committed_tree_executes_nothing() {
     let (dir, fresh) = (root.join("committed"), root.join("fresh"));
     write_tree(&dir, &fixture_v1());
     write_tree(&fresh, &fixture_v1());
-    Oracle::new(&dir, 1, None).build();
+    session(&dir).build().unwrap();
 
     // A new process asked for `lib`'s IR: the build is a no-op, and the IR
     // is demanded from the store — loaded, rematerialized, never executed.
     let p = Project::from_dir(&dir).unwrap();
-    let mut builder = Builder::new(Compiler::new(warm_config(&dir, 1, None)));
+    let mut builder = lineage::session(&dir, &warm_args());
     assert_eq!(builder.build(&p).unwrap().metric("query.misses"), 0);
     let ir = builder.module_ir(&p, "lib").unwrap().unwrap();
     let stats = builder.session_stats();
@@ -822,7 +372,7 @@ fn quick_cold_ir_over_a_committed_tree_executes_nothing() {
 
     // The same text a directory with no history prints.
     let q = Project::from_dir(&fresh).unwrap();
-    let mut first = Builder::new(Compiler::new(warm_config(&fresh, 1, None)));
+    let mut first = lineage::session(&fresh, &warm_args());
     first.build(&q).unwrap();
     let want = first.module_ir(&q, "lib").unwrap().unwrap();
     assert_eq!(
@@ -848,20 +398,22 @@ fn quick_cold_edit_rematerializes_only_the_edited_modules_imports() {
         let before = model.render();
         write_tree(&fresh, &before);
         write_tree(&resident_dir, &before);
-        let mut resident = Oracle::new(&resident_dir, 1, None);
-        resident.build();
-        Oracle::new(&fresh, 1, None).build();
+        let mut resident = session(&resident_dir);
+        resident.build().unwrap();
+        session(&fresh).build().unwrap();
 
         EditScript::only(seed, EditKind::TweakConstant).commit(&mut model);
         let after = model.render();
         write_tree(&fresh, &after);
         write_tree(&resident_dir, &after);
-        let want = resident.build();
-        let got = Oracle::new(&fresh, 1, None).build();
-        assert_eq!(got.image, want.image, "seed {seed}");
+        let want = resident.build().unwrap().report;
+        let got = session(&fresh).build().unwrap().report;
+        let image = |report: &BuildReport| sfcc_backend::image::to_bytes(report.program());
+        assert_eq!(image(&got), image(&want), "seed {seed}");
+        let sorted = |tasks: &[String]| BTreeSet::from_iter(tasks.iter().cloned());
         assert_eq!(
-            report_tasks(&fresh, "executed"),
-            report_tasks(&resident_dir, "executed"),
+            sorted(&got.query.executed),
+            sorted(&want.query.executed),
             "seed {seed}"
         );
 
@@ -874,8 +426,8 @@ fn quick_cold_edit_rematerializes_only_the_edited_modules_imports() {
         };
         let graph = DepGraph::build(&after).unwrap();
         let imported = |m: &str| graph.imports_of(edited).iter().any(|i| i == m);
-        let rematerialized = report_tasks(&fresh, "rematerialized");
-        for label in &rematerialized {
+        let rematerialized = &got.query.rematerialized;
+        for label in rematerialized {
             let task = BuildTask::parse(label).unwrap();
             let module = task.module().unwrap_or_default();
             let allowed = match task {
@@ -1045,8 +597,8 @@ fn quick_a_recovery_is_reported_by_the_build_that_met_it() {
     cleanup(&root);
 }
 
-/// One cold process over `dir` under `config`, committed like
-/// [`cold_session`]; returns the report and the image bytes.
+/// One cold process over `dir` under `config`, its state committed;
+/// returns the report and the image bytes.
 fn session_under(dir: &Path, config: Config) -> (BuildReport, Vec<u8>) {
     let mut builder = Builder::new(Compiler::new(config));
     let report = builder.build(&Project::from_dir(dir).unwrap()).unwrap();
@@ -1202,101 +754,14 @@ fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
     cleanup(&root);
 }
 
-/// One directory over a seeded script of generated edits, reverts, no-ops
-/// and flag flips (`-O0`/`-O1`/`-O2`, with and without the function cache),
-/// one process per step, and its twin that drops its graph before every
-/// step. After every step the image is the twin's — the state and cache
-/// alone build it — and nothing was recovered. A flip re-optimizes every
-/// function under a pipeline no dormancy record of it was taken under, so
-/// it builds the image a directory with no history builds under the same
-/// flags, and executes no front-end task. (An edit is held to the twin
-/// only: dormancy transfers by function name, so a build after an edit may
-/// skip a pass a fresh build runs.) Returns how many no-ops, reverts, edits
-/// and flips the script drew.
-fn flip_lineage_run(tag: &str, seed: u64) -> [usize; 4] {
-    let root = tmproot(tag);
-    let [dir, twin, fresh] = ["p", "twin", "fresh"].map(|name| root.join(name));
-    let mut model = generate_model(&GeneratorConfig::small(seed));
-    let mut previous = model.clone();
-    let mut script = EditScript::new(seed ^ 0xf1a9_5eed);
-    let levels = [sfcc::OptLevel::O0, sfcc::OptLevel::O1, sfcc::OptLevel::O2];
-    let (mut level, mut fn_cache) = (2, true);
-    let mut drawn = [0; 4];
-    for step in 0..12u64 {
-        let draw = sfcc_codec::fnv64(&[seed.to_le_bytes(), step.to_le_bytes()].concat());
-        let action = if step == 0 { 0 } else { (draw % 4) as usize };
-        match action {
-            0 => {}
-            // Undoes the last edit; a second revert redoes it.
-            1 => std::mem::swap(&mut model, &mut previous),
-            2 => {
-                previous = model.clone();
-                script.commit(&mut model);
-            }
-            _ => {
-                level = (level + 1 + (draw >> 8) as usize % 2) % 3;
-                fn_cache = (draw >> 16) & 1 == 0;
-            }
-        }
-        drawn[action] += 1;
-        let config = |dir: &Path| {
-            let config = Config::stateful()
-                .with_state_path(dir.join(".sfcc-state"))
-                .with_opt_level(levels[level]);
-            if fn_cache {
-                config.with_function_cache()
-            } else {
-                config
-            }
-        };
-        let label =
-            format!("seed {seed} step {step}: action {action}, -O{level}, fn-cache {fn_cache}");
-        let p = model.render();
-        write_tree(&dir, &p);
-        write_tree(&twin, &p);
-        if step > 0 {
-            drop_graph(&twin);
-        }
-        let (report, image) = session_under(&dir, config(&dir));
-        assert_eq!(report.metric("recovery.recovered_files"), 0, "{label}");
-        let (_, twin_image) = session_under(&twin, config(&twin));
-        assert!(image == twin_image, "{label}: image");
-        if action == 3 {
-            assert!(
-                executed_kinds(&report).is_subset(&BTreeSet::from(FLAG_SHAPED)),
-                "{label}: {:?}",
-                report.query
-            );
-            cleanup(&fresh);
-            write_tree(&fresh, &p);
-            assert!(
-                image == session_under(&fresh, config(&fresh)).1,
-                "{label}: fresh image"
-            );
-        }
-    }
-    cleanup(&root);
-    drawn
-}
-
-#[test]
-fn quick_flag_flips_among_edits_build_fresh_images() {
-    let mut drawn = [0; 4];
-    for seed in [5, 42] {
-        let run = flip_lineage_run(&format!("flip-lineage-{seed}"), seed);
-        for (total, n) in drawn.iter_mut().zip(run) {
-            *total += n;
-        }
-    }
-    assert!(
-        drawn.iter().all(|&n| n > 0),
-        "every action drawn: {drawn:?}"
-    );
-}
-
-/// The committed state and cache bytes of `dir`.
+/// The committed state and cache bytes of `dir`, chains folded.
 fn artifacts_of_state(dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    (committed(dir, "state"), committed(dir, "ircache"))
+    let committed = |logical: &str| {
+        persist::committed_bytes(&dir.join(".sfcc-state"), logical)
+            .unwrap()
+            .expect("committed")
+    };
+    (committed("state"), committed("ircache"))
 }
 
 // ─── concurrency + admission control ───
@@ -1321,7 +786,7 @@ fn concurrent_clients_on_distinct_projects_never_bleed() {
                 let oracle_dir = root.join(format!("oracle{i}"));
                 let mut model = generate_model(&GeneratorConfig::small(31 + i));
                 let mut script = EditScript::new(100 + i);
-                let mut oracle = Oracle::new(&oracle_dir, 1, None);
+                let mut oracle = session(&oracle_dir);
                 for commit in 0..3 {
                     script.commit(&mut model);
                     let p = model.render();
@@ -1332,7 +797,10 @@ fn concurrent_clients_on_distinct_projects_never_bleed() {
                     req.args.push("1".to_string());
                     must_ok(&socket, &req);
                     let warm = artifacts(&warm_dir);
-                    let want = oracle.build();
+                    oracle
+                        .build_image(&oracle_dir.with_extension("sbx"))
+                        .unwrap();
+                    let want = artifacts(&oracle_dir);
                     assert_eq!(
                         warm, want,
                         "client {i} commit {commit}: warm serve diverged — cross-session bleed?"
