@@ -5,21 +5,22 @@
 //! `EditScript` edits, reverts, a signature edit, a module added or
 //! removed, `-O` and `--fn-cache` flips, restarts and depcheck audits. A
 //! subject is a route (a resident [`Builder`], a fresh one per step, or a
-//! daemon session), a worker count, a mode and a store, written
-//! `"<resident|fresh|daemon> j<jobs> <stateful|stateless> [store]"`.
-//! [`check`] builds the project, then every step, and after each holds the
-//! subject to the table below; a builder route verifies the IR after every
-//! pass that changes it. A failing check names itself, the step, and the
-//! one call that reproduces it.
+//! daemon session), a worker count, a mode and a store, written as
+//! [`SUBJECT`] says; a process per step is stateful. [`check`] builds the
+//! project, then every step, and after each holds the subject to the table
+//! below; the subject, its peer, its twin and the stateless reference build
+//! at once, each in a directory of its own. A resident `--jobs 1` subject
+//! verifies the IR after every pass that changes it. A failing check names
+//! itself, the step, and the one call that reproduces it.
 //!
 //! | check | what holds |
 //! |---|---|
-//! | `twin` | a stateful build's image is its graph-dropped twin's: the same history in a directory whose graph is dropped before every step. Dormancy transfers by function name, so a stateful edit may skip a pass a fresh build runs: an edit is not held to a fresh directory. Once `--fn-cache` flips, the twin's cache history is not the subject's, and the script is held to `behaviour`. |
+//! | `twin` | a stateful build's image is its graph-dropped twin's: the same history in a directory whose graph is dropped before every step. Dormancy transfers by function name, so a stateful edit may skip a pass a fresh build runs: an edit is not held to a fresh directory. The twin re-optimizes what the subject's graph holds, so it is compared while the function cache holds every value the graph does: from the first build, or from an `-O` flip under the cache, to the next `--fn-cache` flip. It builds every step but a no-op, so its history stays the subject's. |
 //! | `fresh` | a stateless build without a function cache, and a stateful `-O` flip without a store, give the image a directory with no history builds under the same flags. A cache hit hands a re-optimized caller's inliner its callee's optimized body, and a store serves artifacts its publisher's dormancy shaped, so those builds are held to `behaviour`. |
-//! | `peer` | the subject is its peer, a resident builder at `--jobs 1` over the same script: image, committed state, cache and graph bytes, generation, rebuilt flags, misses and executed set (hits too where both sessions stay warm; a stateless process per step has no history, and is held to the image without a cache only). No `optimizefn` is rematerialized. A daemon's `ir main` is the peer's `module_ir`. |
+//! | `peer` | the subject is its peer, a resident builder at `--jobs 1` over the same script: image, committed state, cache and graph bytes, generation, rebuilt flags, misses and executed set (hits too where both sessions stay warm). No `optimizefn` is rematerialized. A daemon's `ir main` is the peer's `module_ir`. |
 //! | `noop` | a step that changed nothing keeps the image; in a session that stays warm, or a stateful one, it misses nothing, keeps the generation and moves no `.sfcc-state*` byte. |
-//! | `chains` | the committed graph chain folds to `graph_file()`, and until `--fn-cache` flips, the cache chain to `function_cache().to_bytes()`; a script of 16 stateful builds rebases its graph chain at least twice. |
-//! | `behaviour` | a build `fresh` does not hold prints and returns on inputs 0, 2 and 9 what a stateless build does; over a script of three edits or more, a stateful subject skips at least one pass slot. |
+//! | `chains` | on the subject's builder and its peer's, the committed graph chain folds to `graph_file()`, and where `twin` holds the cache chain to `function_cache().to_bytes()`; over a script of 16 stateful builds each graph chain rebases at least twice. |
+//! | `behaviour` | a build `fresh` does not hold prints and returns on inputs 0, 2 and 9 what a stateless build does; over three edits or more built at `-O1` or `-O2`, a stateful subject skips at least one pass slot. |
 //! | `minimal` | a body edit rebuilds only its module, a new function at least its module; a stateful flip executes only `optimizefn`, `codegen` and `link`. |
 //! | `audit` | a `depcheck` of the committed directory finds nothing. |
 //! | `recoveries` | no build recovers or quarantines a file. |
@@ -35,6 +36,9 @@ use sfcc_workload::{generate_model, Commit, EditKind, EditScript, GeneratorConfi
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::{fmt, fs};
+
+/// How a subject is written.
+pub const SUBJECT: &str = "<resident|fresh|daemon> j<jobs> <stateful|stateless> [store]";
 
 /// One step of a script.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,13 +90,14 @@ impl Script {
         }
     }
 
-    /// `len` steps drawn from `seed`: edits most often, then no-ops, and
-    /// one of each other kind for every 14 steps.
-    pub fn drawn(seed: u64, len: u64) -> Script {
+    /// Steps drawn from `seed` until `builds` of them build: edits most
+    /// often, then no-ops, and one of each other kind for every 14 draws.
+    pub fn drawn(seed: u64, builds: usize) -> Script {
         let draw = |i: u64| sfcc_codec::fnv64(&[seed.to_le_bytes(), i.to_le_bytes()].concat());
-        let mut opt = 2;
-        let steps: Vec<Step> = (0..len)
-            .map(|i| match draw(i) % 14 {
+        let (mut script, mut opt, mut i) = (Script::of(seed, &[]), 2, 0);
+        while script.builds() <= builds {
+            i += 1;
+            script.steps.push(match draw(i) % 14 {
                 0 | 1 => Step::Noop,
                 2..=6 => Step::Edit,
                 7 => Step::Revert,
@@ -105,9 +110,16 @@ impl Script {
                 11 => Step::FnCache,
                 12 => Step::Restart,
                 _ => Step::Audit,
-            })
-            .collect();
-        Script::of(seed, &steps)
+            });
+        }
+        script
+    }
+
+    /// The builds the script makes, the first included: a restart and an
+    /// audit build nothing.
+    pub fn builds(&self) -> usize {
+        let building = |s: &&Step| !matches!(s, Step::Restart | Step::Audit);
+        1 + self.steps.iter().filter(building).count()
     }
 }
 
@@ -151,14 +163,25 @@ enum Route {
 }
 
 /// What one build left: its image, its report and the committed bytes.
-struct Outcome {
-    image: Vec<u8>,
-    report: Value,
-    /// Committed `state`, `ircache` and `depgraph` bytes, chains folded.
-    committed: [Option<Vec<u8>>; 3],
+pub struct Outcome {
+    pub image: Vec<u8>,
+    pub report: Value,
+    /// What [`committed`] read after the build.
+    pub committed: [Option<Vec<u8>>; 3],
 }
 
 impl Outcome {
+    /// What a `minicc build` of `dir` left: the image beside it, the report
+    /// in it and its committed bytes.
+    pub fn left(dir: &Path) -> Outcome {
+        let report = fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
+        Outcome {
+            image: fs::read(dir.with_extension("sbx")).unwrap(),
+            report: json::parse(&report).unwrap(),
+            committed: committed(dir),
+        }
+    }
+
     fn gauge(&self, name: &str) -> u64 {
         self.report["metrics"][name]["value"].as_u64().unwrap()
     }
@@ -176,7 +199,7 @@ impl Outcome {
 
     /// The rebuilt flags, generation, misses and executed set, and the
     /// hits when `hits`.
-    fn decisions(&self, hits: bool) -> String {
+    pub fn decisions(&self, hits: bool) -> String {
         let modules = json::write(&self.report["modules"]);
         let (generation, misses) = (self.generation(), self.gauge("query.misses"));
         let executed = self.tasks("executed");
@@ -233,10 +256,14 @@ struct Lane {
     session: Option<Vec<String>>,
     /// Whether its builds verify the IR after every pass that changes it.
     verify: bool,
+    /// The graph chain's bases, and how often a commit after the first
+    /// started a new one.
+    bases: Vec<String>,
+    rebased: usize,
 }
 
 impl Lane {
-    fn new(root: &Path, name: &str, route: Route, jobs: usize, store: bool, verify: bool) -> Lane {
+    fn new(root: &Path, name: &str, route: Route, jobs: usize, store: bool) -> Lane {
         Lane {
             route,
             jobs,
@@ -245,7 +272,9 @@ impl Lane {
             builder: None,
             daemon: None,
             session: None,
-            verify,
+            verify: false,
+            bases: Vec::new(),
+            rebased: 0,
         }
     }
 
@@ -268,33 +297,44 @@ impl Lane {
             self.restart();
         }
         let args = self.args(flags);
-        let (image, report) = if self.route == Route::Daemon {
+        self.session = Some(args.clone());
+        if self.route == Route::Daemon {
             let root = self.dir.parent().unwrap();
             let daemon = self.daemon.get_or_insert_with(|| {
                 let options = DaemonOptions::new(root);
                 let daemon = Daemon::bind(options, BuildService::factory());
                 daemon.expect("bind daemon").spawn()
             });
-            let body = serve(&daemon.socket(), request("build", &self.dir, &args));
-            let image = fs::read(body["image"].as_str().unwrap()).unwrap();
-            (image, body["report"].clone())
-        } else {
-            let mut config = SessionFlags::parse(&args).unwrap().config(&self.dir);
-            config.verify_each = self.verify;
-            let builder = self.builder.get_or_insert_with(|| builder(config));
-            let mut report = builder.build(project).unwrap();
-            report.state_generation = builder.compiler().save_state().unwrap();
-            (builder.linked_image().unwrap().to_vec(), report.to_value())
-        };
-        self.session = Some(args);
-        let state = self.dir.join(".sfcc-state");
-        let committed = ["state", "ircache", "depgraph"]
-            .map(|logical| persist::committed_bytes(&state, logical).unwrap());
-        Outcome {
-            image,
-            report,
-            committed,
+            serve(&daemon.socket(), request("build", &self.dir, &args));
+            return Outcome::left(&self.dir);
         }
+        let mut config = SessionFlags::parse(&args).unwrap().config(&self.dir);
+        config.verify_each = self.verify;
+        let builder = self.builder.get_or_insert_with(|| builder(config));
+        let mut report = builder.build(project).unwrap();
+        report.state_generation = builder.compiler().save_state().unwrap();
+        Outcome {
+            image: builder.linked_image().unwrap().to_vec(),
+            report: report.to_value(),
+            committed: committed(&self.dir),
+        }
+    }
+
+    /// What of the builder's committed chains does not fold to its whole
+    /// files: the graph's, and when `cache`, the function cache's.
+    fn unfolded(&mut self, cache: bool) -> Option<String> {
+        let builder = self.builder.as_mut()?;
+        let state = self.dir.join(".sfcc-state");
+        let graph = persist::committed_bytes(&state, "depgraph").unwrap();
+        let graph = graph == Some(builder.graph_file());
+        let whole = builder.compiler().function_cache().to_bytes();
+        let cache = !cache || persist::committed_bytes(&state, "ircache").unwrap() == Some(whole);
+        let manifest = CommitDir::new(&state).read_manifest().unwrap().unwrap();
+        let base = manifest.entry("depgraph").unwrap().file.clone();
+        self.rebased += usize::from(!self.bases.is_empty() && !self.bases.contains(&base));
+        self.bases.push(base);
+        let dir = self.dir.display();
+        (!graph || !cache).then(|| format!("{dir}: the graph folds: {graph}, the cache: {cache}"))
     }
 
     /// Ends the live session; a daemon shuts down, committing what its
@@ -307,12 +347,26 @@ impl Lane {
     }
 }
 
+/// The committed `state`, `ircache` and `depgraph` bytes of `dir`, chains
+/// folded.
+pub fn committed(dir: &Path) -> [Option<Vec<u8>>; 3] {
+    let state = dir.join(".sfcc-state");
+    ["state", "ircache", "depgraph"]
+        .map(|logical| persist::committed_bytes(&state, logical).unwrap())
+}
+
 /// A builder for `dir` under `args`, configured as a `minicc` request's.
 pub fn session(dir: &Path, args: &[String]) -> Builder {
     builder(SessionFlags::parse(args).unwrap().config(dir))
 }
 
-fn builder(config: Config) -> Builder {
+/// The service a `minicc` request for `dir` under `args` runs.
+pub fn service(dir: &Path, args: &[String]) -> BuildService {
+    BuildService::new(dir, args).unwrap()
+}
+
+/// A builder under `config`, with its worker count.
+pub fn builder(config: Config) -> Builder {
     let jobs = config.jobs;
     Builder::new(Compiler::new(config)).with_jobs(jobs)
 }
@@ -364,6 +418,67 @@ pub fn drop_graph(dir: &Path) {
     }
 }
 
+/// What the subject's build is held to besides its peer and twin.
+enum Reference {
+    /// The image a directory with no history builds.
+    Fresh(Vec<u8>),
+    /// The behaviour of a stateless build.
+    Behaviour(Vec<String>),
+}
+
+/// What a directory under `root` with no history builds under `flags`.
+fn fresh_image(root: &Path, project: &Project, flags: &Flags) -> Vec<u8> {
+    let dir = root.join("f");
+    cleanup(&dir);
+    let mut builder = session(&dir, &flags.args(None, 1));
+    builder.build(project).unwrap();
+    builder.linked_image().unwrap().to_vec()
+}
+
+/// What `twin` builds: the subject's history, its graph dropped. It
+/// commits only when flags end its session, for the next one to load.
+fn twin_image(twin: &mut Lane, project: &Project, flags: &Flags) -> Vec<u8> {
+    let args = twin.args(flags);
+    if twin.session.as_ref() != Some(&args) {
+        if let Some(last) = twin.builder.take() {
+            last.compiler().save_state().unwrap();
+            drop_graph(&twin.dir);
+        }
+        fs::create_dir_all(&twin.dir).unwrap();
+        let config = SessionFlags::parse(&args).unwrap().config(&twin.dir);
+        (twin.builder, twin.session) = (Some(builder(config)), Some(args));
+    }
+    let builder = twin.builder.as_mut().unwrap();
+    builder.clear_cache();
+    builder.build(project).unwrap();
+    builder.linked_image().unwrap().to_vec()
+}
+
+/// The behaviour of a stateless build of `project` at the `-O` level of
+/// `flags`, on a builder resident at that level.
+fn stateless(
+    resident: &mut Option<(u8, Builder)>,
+    root: &Path,
+    project: &Project,
+    flags: &Flags,
+) -> Vec<String> {
+    let opt = flags.opt;
+    let builder = match resident {
+        Some((level, builder)) if *level == opt => builder,
+        slot => {
+            let (stateful, fn_cache) = (false, false);
+            let args = Flags {
+                stateful,
+                fn_cache,
+                opt,
+            }
+            .args(None, 1);
+            &mut slot.insert((opt, session(root, &args))).1
+        }
+    };
+    behaviour(builder.build(project).unwrap().program())
+}
+
 /// One script on one subject, beside what it is checked against.
 struct Run<'a> {
     script: &'a Script,
@@ -377,6 +492,8 @@ struct Run<'a> {
     /// A resident `--jobs 1` lane over the same script, unless the subject
     /// is one.
     peer: Option<Lane>,
+    /// The subject's history, its graph dropped before every step.
+    twin: Lane,
     /// A stateless builder resident at one `-O` level: the behaviour
     /// reference.
     stateless: Option<(u8, Builder)>,
@@ -388,27 +505,39 @@ struct Run<'a> {
     last: Option<Outcome>,
     /// Pass slots the subject skipped, over its builds.
     skipped: u64,
-    builds: usize,
-    /// Whether `--fn-cache` flipped: the twin's cache history is no longer
-    /// the subject's.
-    cache_flipped: bool,
-    /// The graph chain's bases, and how often a commit after the first
-    /// started a new one.
-    bases: Vec<String>,
-    rebased: usize,
+    /// Edits built at `-O1` or `-O2`.
+    optimized_edits: usize,
+    /// Whether the function cache may lack a value the graph holds: set by
+    /// an `--fn-cache` flip, cleared by an `-O` flip that re-optimizes
+    /// every function through the cache.
+    cache_stale: bool,
 }
 
 impl<'a> Run<'a> {
     fn new(script: &'a Script, subject: &'a str) -> Run<'a> {
         let words: Vec<&str> = subject.split_whitespace().collect();
-        let route = match words[0] {
+        let bad = || -> ! { panic!("subject `{subject}` is not `{SUBJECT}`") };
+        let (route, jobs, mode) = match words[..] {
+            [route, jobs, mode] | [route, jobs, mode, "store"] => (route, jobs, mode),
+            _ => bad(),
+        };
+        let route = match route {
             "resident" => Route::Resident,
             "fresh" => Route::Fresh,
             "daemon" => Route::Daemon,
-            other => panic!("unknown route `{other}`"),
+            _ => bad(),
         };
-        let jobs: usize = words[1].trim_start_matches('j').parse().expect("j<jobs>");
-        let (stateful, store) = (words[2] == "stateful", words.get(3) == Some(&"store"));
+        let jobs: usize = match jobs.strip_prefix('j').map(str::parse) {
+            Some(Ok(jobs)) if jobs > 0 => jobs,
+            _ => bad(),
+        };
+        let stateful = match mode {
+            "stateful" => true,
+            // A stateless process per step keeps no history to check.
+            "stateless" if route != Route::Fresh => false,
+            _ => bad(),
+        };
+        let store = words.len() == 4;
         let root = tmpdir(
             "sfcc-lineage",
             &format!("{:x}-{}", script.seed, words.join("-")),
@@ -421,9 +550,11 @@ impl<'a> Run<'a> {
             None => EditScript::new(script.seed ^ 0x51ed_270b),
         };
         let reference = route == Route::Resident && jobs == 1;
-        // A daemon's sessions do not verify, and verifying shapes the
-        // cache file its peer's must equal.
-        let verify = route != Route::Daemon;
+        let mut lane = Lane::new(&root, "s", route, jobs, store);
+        // Verifying shapes the function cache's identity, and a subject
+        // commits the cache its peer does: only a subject without a peer
+        // verifies.
+        lane.verify = reference;
         Run {
             script,
             subject,
@@ -434,8 +565,9 @@ impl<'a> Run<'a> {
                 opt: 2,
             },
             store,
-            lane: Lane::new(&root, "s", route, jobs, store, verify),
-            peer: (!reference).then(|| Lane::new(&root, "p", Route::Resident, 1, store, verify)),
+            lane,
+            peer: (!reference).then(|| Lane::new(&root, "p", Route::Resident, 1, store)),
+            twin: Lane::new(&root, "t", Route::Resident, 1, store),
             stateless: None,
             root,
             previous: model.clone(),
@@ -445,10 +577,8 @@ impl<'a> Run<'a> {
             extra: false,
             last: None,
             skipped: 0,
-            builds: 0,
-            cache_flipped: false,
-            bases: Vec::new(),
-            rebased: 0,
+            optimized_edits: 0,
+            cache_stale: false,
         }
     }
 
@@ -497,16 +627,22 @@ impl<'a> Run<'a> {
             Step::Edit => {
                 self.previous = self.model.clone();
                 commit = Some(self.edits.commit(&mut self.model));
+                self.optimized_edits += usize::from(self.flags.opt > 0);
             }
             Step::Revert => std::mem::swap(&mut self.model, &mut self.previous),
             Step::Signature => self.signature = !self.signature,
             Step::Module => self.extra = !self.extra,
-            Step::Opt(level) => self.flags.opt = level,
+            Step::Opt(level) => {
+                self.flags.opt = level;
+                self.cache_stale &= !self.flags.fn_cache;
+            }
             Step::FnCache => {
                 self.flags.fn_cache = !self.flags.fn_cache;
-                self.cache_flipped = true;
+                self.cache_stale = true;
             }
             Step::Restart => {
+                // The twin keeps its session: it holds what a new process
+                // would load from its commit.
                 self.lane.restart();
                 return self.peer.iter_mut().for_each(Lane::restart);
             }
@@ -520,10 +656,30 @@ impl<'a> Run<'a> {
         let project = self.project();
         let flags = self.flags;
         let warm = self.lane.warm(&flags);
+        let hits = warm && self.peer.as_ref().is_some_and(|peer| peer.warm(&flags));
         let noop = step == Step::Noop && self.last.is_some();
         let before = noop.then(|| state_files(&self.lane.dir));
-        let got = self.lane.build(&project, &flags);
-        self.builds += 1;
+        let flip = matches!(step, Step::Opt(_)) && !self.store;
+        let fresh = (!flags.stateful && !self.cached()) || (flags.stateful && flip);
+        // The subject, its peer, its twin and the reference build at once,
+        // each in a directory of its own.
+        let (project, root) = (&project, &self.root);
+        let (got, peer, twin, reference) = std::thread::scope(|s| {
+            let peer = s.spawn(|| self.peer.as_mut().map(|peer| peer.build(project, &flags)));
+            let twin = s.spawn(|| {
+                let twin = &mut self.twin;
+                (flags.stateful && !noop).then(|| twin_image(twin, project, &flags))
+            });
+            let reference = s.spawn(|| match fresh {
+                true => Reference::Fresh(fresh_image(root, project, &flags)),
+                false => {
+                    Reference::Behaviour(stateless(&mut self.stateless, root, project, &flags))
+                }
+            });
+            let got = self.lane.build(project, &flags);
+            let joined = (peer.join(), twin.join(), reference.join());
+            (got, joined.0.unwrap(), joined.1.unwrap(), joined.2.unwrap())
+        });
         let recovered = got.gauge("recovery.recovered_files");
         let quarantined = strings(&got.report["recovery"]["quarantined"]);
         let what = format!("{recovered} recovered, quarantined {quarantined:?}");
@@ -549,7 +705,9 @@ impl<'a> Run<'a> {
                 self.ensure(!moved, "noop", "a state file moved");
             }
         }
-        self.check_peer(&project, warm, &got);
+        if let Some(want) = peer {
+            self.check_peer(&got, &want, hits);
+        }
         self.check_chains();
         if let Some(commit) = commit.filter(|_| flags.stateful || warm) {
             let modules = got.report["modules"].as_arr().unwrap();
@@ -569,36 +727,24 @@ impl<'a> Run<'a> {
                 .all(|t| shaped.iter().any(|k| t.starts_with(k)));
             self.ensure(ok, "minimal", &format!("a flip executed {executed:?}"));
         }
-        let flip = matches!(step, Step::Opt(_)) && !self.store;
-        if (!flags.stateful && !self.cached()) || (flags.stateful && flip) {
-            let fresh = self.fresh_image(&project);
-            self.ensure(got.image == fresh, "fresh", "image");
-        } else {
-            let have = behaviour(&sfcc_backend::image::from_bytes(&got.image).unwrap());
-            let want = self.stateless_behaviour(&project);
-            self.ensure(have == want, "behaviour", &format!("{have:?} != {want:?}"));
+        match reference {
+            Reference::Fresh(fresh) => self.ensure(got.image == fresh, "fresh", "image"),
+            Reference::Behaviour(want) => {
+                let have = behaviour(&sfcc_backend::image::from_bytes(&got.image).unwrap());
+                self.ensure(have == want, "behaviour", &format!("{have:?} != {want:?}"));
+            }
+        }
+        if let Some(twin) = twin.filter(|_| self.cache_synced()) {
+            self.ensure(twin == got.image, "twin", "image");
         }
         if flags.stateful {
-            if (step != Step::Noop || self.last.is_none()) && !self.cache_flipped {
-                let twin = self.twin_image(&project);
-                self.ensure(got.image == twin, "twin", "image");
-            }
             self.skipped += got.gauge("outcomes.skipped");
         }
         self.last = Some(got);
     }
 
-    /// Builds the step on the peer, if there is one, and compares.
-    fn check_peer(&mut self, project: &Project, warm: bool, got: &Outcome) {
-        let flags = self.flags;
-        let Some(peer) = &mut self.peer else { return };
-        let hits = warm && peer.warm(&flags);
-        let want = peer.build(project, &flags);
-        if !flags.stateful && self.lane.route == Route::Fresh {
-            // A process per step has no history but its store's, which the
-            // peer's cache does not share.
-            return self.ensure(self.cached() || got.image == want.image, "peer", "image");
-        }
+    /// Compares the subject's build with its peer's.
+    fn check_peer(&self, got: &Outcome, want: &Outcome, hits: bool) {
         self.ensure(got.image == want.image, "peer", "image");
         let (have, theirs) = (got.decisions(hits), want.decisions(hits));
         self.ensure(
@@ -616,89 +762,44 @@ impl<'a> Run<'a> {
         self.ensure(moved.is_empty(), "peer", &format!("committed {moved:?}"));
     }
 
-    /// The committed chains of a builder's directory fold to its whole
-    /// files.
+    /// Whether the function cache holds every value the graph does.
+    fn cache_synced(&self) -> bool {
+        self.flags.fn_cache && !self.cache_stale
+    }
+
+    /// The committed chains of the subject's and the peer's builders fold
+    /// to their whole files.
     fn check_chains(&mut self) {
-        let state = self.lane.dir.join(".sfcc-state");
-        let stateful = self.flags.stateful;
-        let Some(builder) = self.lane.builder.as_mut().filter(|_| stateful) else {
+        if !self.flags.stateful {
             return;
-        };
-        let graph = persist::committed_bytes(&state, "depgraph").unwrap();
-        let graph = graph == Some(builder.graph_file());
-        // A cache turned back on cold-starts under its new identity and,
-        // until something is inserted, leaves the old file committed.
-        let whole = builder.compiler().function_cache().to_bytes();
-        let cache = !self.flags.fn_cache
-            || self.cache_flipped
-            || persist::committed_bytes(&state, "ircache").unwrap() == Some(whole);
-        let what = format!("the graph chain folds: {graph}, the cache chain: {cache}");
-        self.ensure(graph && cache, "chains", &what);
-        let manifest = CommitDir::new(&state).read_manifest().unwrap().unwrap();
-        let base = manifest.entry("depgraph").unwrap().file.clone();
-        self.rebased += usize::from(!self.bases.is_empty() && !self.bases.contains(&base));
-        self.bases.push(base);
-    }
-
-    /// What a directory with no history builds under the script's flags.
-    fn fresh_image(&self, project: &Project) -> Vec<u8> {
-        let dir = self.root.join("f");
-        cleanup(&dir);
-        let mut builder = session(&dir, &self.flags.args(None, 1));
-        builder.build(project).unwrap();
-        builder.linked_image().unwrap().to_vec()
-    }
-
-    /// What the subject's twin builds: its history, its graph dropped.
-    fn twin_image(&self, project: &Project) -> Vec<u8> {
-        let mut twin = Lane::new(&self.root, "t", Route::Fresh, 1, self.store, false);
-        if self.last.is_some() {
-            drop_graph(&twin.dir);
         }
-        twin.build(project, &self.flags).image
-    }
-
-    /// The behaviour of a stateless build of `project` at the script's `-O`
-    /// level.
-    fn stateless_behaviour(&mut self, project: &Project) -> Vec<String> {
-        let opt = self.flags.opt;
-        let flags = Flags {
-            stateful: false,
-            fn_cache: false,
-            opt,
-        };
-        let builder = match &mut self.stateless {
-            Some((level, builder)) if *level == opt => builder,
-            slot => {
-                &mut slot
-                    .insert((opt, session(&self.root, &flags.args(None, 1))))
-                    .1
-            }
-        };
-        behaviour(builder.build(project).unwrap().program())
+        let cache = self.cache_synced();
+        let lanes = [Some(&mut self.lane), self.peer.as_mut()];
+        let unfolded = lanes
+            .into_iter()
+            .flatten()
+            .filter_map(|l| l.unfolded(cache));
+        let unfolded: Vec<String> = unfolded.collect();
+        self.ensure(unfolded.is_empty(), "chains", &unfolded.join("; "));
     }
 
     fn audit(&self) {
-        let args = self.lane.args(&self.flags);
-        let mut service = BuildService::new(&self.lane.dir, &args).unwrap();
+        let mut service = service(&self.lane.dir, &self.lane.args(&self.flags));
         let verdict = service.depcheck().unwrap().depcheck.unwrap();
         self.ensure(verdict.is_clean(), "audit", &verdict.render());
     }
 
     fn finish(mut self) {
         self.index = self.script.steps.len();
-        let edits = self
-            .script
-            .steps
-            .iter()
-            .filter(|&&s| s == Step::Edit)
-            .count();
-        if self.flags.stateful && edits >= 3 {
+        if self.flags.stateful && self.optimized_edits >= 3 {
             self.ensure(self.skipped > 0, "behaviour", "no pass slot was skipped");
         }
-        if self.flags.stateful && self.lane.route != Route::Daemon && self.builds >= 16 {
-            let what = format!("rebased {} time(s)", self.rebased);
-            self.ensure(self.rebased >= 2, "chains", &what);
+        if self.flags.stateful && self.script.builds() >= 16 {
+            let lanes = [Some(&self.lane), self.peer.as_ref()].into_iter().flatten();
+            let builders = lanes.filter(|lane| lane.route != Route::Daemon);
+            let rebased: Vec<usize> = builders.map(|lane| lane.rebased).collect();
+            let what = format!("the graph chains rebased {rebased:?} time(s)");
+            self.ensure(rebased.iter().all(|&n| n >= 2), "chains", &what);
         }
         if let (Some(daemon), Some(peer)) = (&self.lane.daemon, &mut self.peer) {
             let mut req = request("ir", &self.lane.dir, &self.lane.args(&self.flags));
@@ -714,6 +815,7 @@ impl<'a> Run<'a> {
             self.ensure(have == want, "peer", "the daemon's `ir main`");
         }
         self.lane.restart();
+        self.twin.restart();
         cleanup(&self.root);
     }
 }

@@ -37,6 +37,20 @@ pub fn write_tree(dir: &Path, p: &Project) {
     p.write_to_dir(dir).unwrap();
 }
 
+/// Copies the tree at `src` to `dst`.
+pub fn copy_tree(src: &Path, dst: &Path) {
+    fs::create_dir_all(dst).unwrap();
+    for dirent in fs::read_dir(src).unwrap() {
+        let dirent = dirent.unwrap();
+        let to = dst.join(dirent.file_name());
+        if dirent.path().is_dir() {
+            copy_tree(&dirent.path(), &to);
+        } else {
+            fs::copy(dirent.path(), &to).unwrap();
+        }
+    }
+}
+
 /// An in-memory project of `(module name, source)` files.
 pub fn project(files: &[(&str, &str)]) -> Project {
     let mut p = Project::new();

@@ -19,19 +19,19 @@ fn check_history(script: Script) {
 
 #[test]
 fn equivalence_small_project_long_history() {
-    check_history(Script::of(101, &[Edit; 12]));
+    check_history(Script::of(101, &[Edit; 15]));
 }
 
 #[test]
 fn equivalence_second_seed() {
-    check_history(Script::of(202, &[Edit; 10]));
+    check_history(Script::of(202, &[Edit; 12]));
 }
 
 #[test]
 fn equivalence_call_heavy() {
     check_history(Script {
         calls: Some((2, 5)),
-        ..Script::of(303, &[Edit; 8])
+        ..Script::of(303, &[Edit; 10])
     });
 }
 

@@ -9,53 +9,51 @@
 
 mod common;
 
-use common::lineage::{self, Script};
+use common::lineage::{self, committed, Script, Step::Edit};
+use common::{cleanup, tmpdir};
 use proptest::prelude::*;
-use sfcc::{Compiler, Config};
 use sfcc_backend::image::to_bytes;
-use sfcc_buildsys::{Builder, Project};
-use std::path::{Path, PathBuf};
+use sfcc_buildsys::Project;
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sfcc-it-par-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A stateful builder with the function cache on, persisting under
-/// `dir/<tag>.state`, allowed `jobs` workers.
-fn builder_with(jobs: usize, dir: &Path, tag: &str) -> Builder {
-    let config = Config::stateful()
-        .with_state_path(dir.join(format!("{tag}.state")))
-        .with_function_cache()
-        .with_jobs(jobs);
-    Builder::new(Compiler::new(config)).with_jobs(jobs)
-}
-
-/// Saves the builder's state and returns the raw bytes of the dormancy
-/// state file and the function-cache file it persisted. State is published
-/// through the atomic-commit manifest, so the logical entries are read
-/// back through it rather than as plain files.
-fn persisted_bytes(builder: &Builder, dir: &Path, tag: &str) -> (Vec<u8>, Vec<u8>) {
-    builder.compiler().save_state().unwrap();
-    let cd = sfcc_faultfs::CommitDir::new(&dir.join(format!("{tag}.state")));
-    let m = cd.read_manifest().unwrap().unwrap();
-    let state = cd.load_entry(m.entry("state").unwrap()).unwrap();
-    let cache = cd.load_entry(m.entry("ircache").unwrap()).unwrap();
-    (state, cache)
+/// Builds each version of a one-module project on a `--stateful
+/// --fn-cache` builder at `--jobs 1` and at `--jobs 8`: after every build
+/// their images and their committed state, cache and graph agree byte for
+/// byte.
+fn jobs_agree(tag: &str, versions: impl Iterator<Item = String>) {
+    let root = tmpdir("sfcc-it-par", tag);
+    let dirs = [1, 8].map(|jobs| root.join(format!("j{jobs}")));
+    let mut builders = [1, 8].map(|jobs: usize| {
+        let dir = root.join(format!("j{jobs}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let args = ["--stateful", "--fn-cache", "--jobs", &jobs.to_string()].map(String::from);
+        lineage::session(&dir, &args)
+    });
+    let mut p = Project::new();
+    for (edit, source) in versions.enumerate() {
+        p.set_file("main".to_string(), source);
+        let images = builders
+            .each_mut()
+            .map(|b| to_bytes(b.build(&p).unwrap().program()));
+        assert!(images[0] == images[1], "image diverged at edit {edit}");
+        for builder in &builders {
+            builder.compiler().save_state().unwrap();
+        }
+        let [seq, par] = dirs.each_ref().map(|dir| committed(dir));
+        assert!(seq == par, "committed bytes diverged at edit {edit}");
+    }
+    cleanup(&root);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A builder racing 8 workers over modules and functions replays a
-    /// random script beside its `--jobs 1` peer: after every step, images
-    /// and committed state, cache and graph agree byte for byte (the
+    /// random edit history beside its `--jobs 1` peer: after every edit,
+    /// images and committed state, cache and graph agree byte for byte (the
     /// lineage harness's `peer` check).
     #[test]
     fn jobs_1_and_jobs_8_builds_are_byte_identical(seed in any::<u64>()) {
-        lineage::check(&Script::drawn(seed, 5), "resident j8 stateful");
+        lineage::check(&Script::of(seed, &[Edit; 5]), "resident j8 stateful");
     }
 }
 
@@ -67,7 +65,6 @@ proptest! {
 /// byte-identical to `--jobs 1` in images, state, and fn-cache.
 #[test]
 fn quick_cow_snapshot_byte_identity_under_cross_batch_inlining() {
-    let dir = scratch_dir("cow");
     let mut source = String::new();
     // Tiny helpers: well under the inline threshold, so every caller
     // inlines them from the stage snapshot.
@@ -88,29 +85,10 @@ fn quick_cow_snapshot_byte_identity_under_cross_batch_inlining() {
     }
     source.push_str("fn main(n: int) -> int { return g0(n) + g39(n); }\n");
 
-    let mut p = Project::new();
-    p.set_file("main".to_string(), source.clone());
-
-    let mut seq = builder_with(1, &dir, "seq");
-    let mut par = builder_with(8, &dir, "par");
-    for edit in 0..3 {
-        // Edit a helper body: every inlining caller goes stale, and the
-        // re-snapshot must re-wrap exactly the functions that changed.
-        let edited = source.replace("x * 2 + 0", &format!("x * 2 + {}", 10 + edit));
-        p.set_file("main".to_string(), edited);
-        let seq_report = seq.build(&p).unwrap();
-        let par_report = par.build(&p).unwrap();
-        assert_eq!(
-            to_bytes(&seq_report.program),
-            to_bytes(&par_report.program),
-            "image diverged at edit {edit}"
-        );
-        let (seq_state, seq_cache) = persisted_bytes(&seq, &dir, "seq");
-        let (par_state, par_cache) = persisted_bytes(&par, &dir, "par");
-        assert_eq!(seq_state, par_state, "state diverged at edit {edit}");
-        assert_eq!(seq_cache, par_cache, "fn-cache diverged at edit {edit}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    // Edit a helper body: every inlining caller goes stale, and the
+    // re-snapshot must re-wrap exactly the functions that changed.
+    let edits = (0..3).map(|edit| source.replace("x * 2 + 0", &format!("x * 2 + {}", 10 + edit)));
+    jobs_agree("cow", edits);
 }
 
 /// A stage that changes no function must re-wrap no function: the
@@ -209,7 +187,6 @@ fn quick_zero_change_stage_performs_zero_rewraps() {
 /// function-level. `--jobs 8` must still match `--jobs 1` exactly.
 #[test]
 fn single_module_function_parallelism_is_deterministic() {
-    let dir = scratch_dir("single");
     let mut source = String::new();
     for i in 0..48 {
         source.push_str(&format!(
@@ -219,26 +196,7 @@ fn single_module_function_parallelism_is_deterministic() {
     }
     source.push_str("fn main(n: int) -> int { return f0(n) + f47(n); }\n");
 
-    let mut p = Project::new();
-    p.set_file("main".to_string(), source.clone());
-
-    let mut seq = builder_with(1, &dir, "seq");
-    let mut par = builder_with(8, &dir, "par");
-    for edit in 0..3 {
-        // A body-only edit of one function re-optimizes just this module.
-        let edited = source.replace("acc * 3", &format!("acc * {}", 3 + edit));
-        p.set_file("main".to_string(), edited);
-        let seq_report = seq.build(&p).unwrap();
-        let par_report = par.build(&p).unwrap();
-        assert_eq!(
-            to_bytes(&seq_report.program),
-            to_bytes(&par_report.program),
-            "image diverged at edit {edit}"
-        );
-        let (seq_state, seq_cache) = persisted_bytes(&seq, &dir, "seq");
-        let (par_state, par_cache) = persisted_bytes(&par, &dir, "par");
-        assert_eq!(seq_state, par_state, "state diverged at edit {edit}");
-        assert_eq!(seq_cache, par_cache, "fn-cache diverged at edit {edit}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    // A body-only edit of one function re-optimizes just this module.
+    let edits = (0..3).map(|edit| source.replace("acc * 3", &format!("acc * {}", 3 + edit)));
+    jobs_agree("single", edits);
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::lineage::{self, Script};
+use common::lineage::{self, Script, Step::Edit};
 use common::project;
 use proptest::prelude::*;
 use sfcc::{Compiler, Config};
@@ -43,7 +43,7 @@ proptest! {
     /// bytes for behavioural equivalence: its `twin` and `behaviour`.)
     #[test]
     fn incremental_builds_are_byte_identical_to_clean_builds(seed in any::<u64>()) {
-        lineage::check(&Script::drawn(seed, 4), "resident j1 stateless");
+        lineage::check(&Script::of(seed, &[Edit; 4]), "resident j1 stateless");
     }
 }
 

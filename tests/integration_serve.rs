@@ -21,12 +21,12 @@
 
 mod common;
 
-use common::lineage::{self, drop_graph, Script, Step::*};
-use common::{cleanup, project, write_tree};
+use common::lineage::{self, committed, drop_graph, Outcome, Script, Step::*};
+use common::{cleanup, copy_tree, project, write_tree};
 use proptest::prelude::*;
-use sfcc::{persist, Compiler, Config};
+use sfcc::{persist, Config};
 use sfcc_buildsys::serve::BuildService;
-use sfcc_buildsys::{BuildReport, BuildTask, Builder, DepGraph, DepMutations, Project};
+use sfcc_buildsys::{BuildReport, BuildTask, DepGraph, DepMutations, Project};
 use sfcc_daemon::{
     roundtrip, Daemon, DaemonHandle, DaemonOptions, ErrorKind, Reply, Request, Service,
 };
@@ -70,19 +70,6 @@ fn fixture_v2() -> Project {
             "import lib;\nfn main(n: int) -> int { return lib::f(n); }",
         ),
     ])
-}
-
-fn copy_tree(src: &Path, dst: &Path) {
-    fs::create_dir_all(dst).unwrap();
-    for dirent in fs::read_dir(src).unwrap() {
-        let dirent = dirent.unwrap();
-        let to = dst.join(dirent.file_name());
-        if dirent.path().is_dir() {
-            copy_tree(&dirent.path(), &to);
-        } else {
-            fs::copy(dirent.path(), &to).unwrap();
-        }
-    }
 }
 
 // ─── daemon plumbing ───
@@ -144,58 +131,23 @@ fn must_err(socket: &Path, req: &Request) -> (ErrorKind, String) {
     reply.error.expect("failed replies carry a typed error")
 }
 
-// ─── artifacts + sessions ───
-
-/// Every byte a build leaves behind, plus the report's decision fields
-/// (wall-clock excluded — it is the one legitimately nondeterministic
-/// report field).
-#[derive(PartialEq, Debug)]
-struct Artifacts {
-    image: Vec<u8>,
-    state: Vec<u8>,
-    cache: Vec<u8>,
-    decisions: String,
-}
-
-/// What a build left in `dir`: its image, committed state and cache, and
-/// the persisted report's per-module rebuilt flags, state generation and
-/// query hits and misses.
-fn artifacts(dir: &Path) -> Artifacts {
-    let text = fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
-    let doc = json::parse(&text).unwrap();
-    let gauge = |name: &str| doc["metrics"][name]["value"].as_u64().unwrap();
-    let (state, cache) = artifacts_of_state(dir);
-    Artifacts {
-        image: fs::read(dir.with_extension("sbx")).unwrap(),
-        state,
-        cache,
-        decisions: format!(
-            "{} gen={} hits={} misses={}",
-            json::write(&doc["modules"]),
-            doc["state_generation"].as_u64().unwrap(),
-            gauge("query.hits"),
-            gauge("query.misses"),
-        ),
-    }
-}
-
 /// The `--stateful --fn-cache --jobs 1` command line.
 fn warm_args() -> Vec<String> {
     args_of(WARM_FLAGS, &["--jobs".to_string(), "1".to_string()])
 }
 
-/// A session for `dir` under [`warm_args`]: a `minicc build` request's.
+/// The service a `minicc build` request for `dir` under [`warm_args`] runs.
 fn session(dir: &Path) -> BuildService {
-    BuildService::new(dir, &warm_args()).unwrap()
+    lineage::service(dir, &warm_args())
 }
 
 // ─── lineage rows: each a script on a subject, held to the oracle table of
 //     tests/common/lineage.rs after every step ───
 
-/// A warm daemon is its resident peer, byte for byte, after every step.
+/// A warm daemon is its resident peer, byte for byte, after every edit.
 #[test]
 fn quick_warm_daemon_matches_warm_oracle_byte_for_byte() {
-    lineage::check(&Script::drawn(7, 8), "daemon j1 stateful");
+    lineage::check(&Script::of(7, &[Edit; 3]), "daemon j1 stateful");
 }
 
 #[test]
@@ -203,14 +155,14 @@ fn warm_daemon_matches_oracle_across_jobs_and_seeds() {
     for seed in [11, 12] {
         for jobs in [1, 8] {
             let subject = &format!("daemon j{jobs} stateful");
-            lineage::check(&Script::drawn(seed, 4), subject);
+            lineage::check(&Script::of(seed, &[Edit; 5]), subject);
         }
     }
 }
 
 #[test]
 fn warm_daemon_matches_oracle_with_cas_warm_stores() {
-    lineage::check(&Script::drawn(21, 8), "daemon j2 stateful store");
+    lineage::check(&Script::of(21, &[Edit; 4]), "daemon j2 stateful store");
 }
 
 /// A cold process accepts a daemon's state directory as it is: it recovers
@@ -225,14 +177,12 @@ fn quick_cold_build_accepts_warm_daemon_state_dir() {
 /// snapshot, state and cache bytes included.
 #[test]
 fn quick_restarted_daemon_first_build_matches_cold_lineage() {
-    lineage::check(
-        &Script::of(17, &[Edit, Restart, Edit]),
-        "daemon j1 stateful",
-    );
+    let script = Script::of(17, &[Edit, Restart, Edit]);
+    lineage::check(&script, "daemon j1 stateful");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// One process per step, each starting from the graph the last one
     /// committed, is the resident builder after every step.
@@ -240,19 +190,20 @@ proptest! {
     fn fresh_builder_lineage_is_resident(seed in any::<u64>()) {
         let jobs = if seed & 1 == 0 { 1 } else { 8 };
         let subject = &format!("fresh j{jobs} stateful");
-        lineage::check(&Script::drawn(seed, 8), subject);
+        lineage::check(&Script::drawn(seed, 7), subject);
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Scripts long enough for the chains to compact, on a resident
-    /// builder or a process per step.
+    /// Scripts long enough for the chains to compact, on a process per
+    /// step and on its resident peer: both builders' chains are checked.
     #[test]
     fn folded_chains_are_the_whole_files(seed in any::<u64>()) {
-        let route = if seed & 1 == 0 { "resident" } else { "fresh" };
-        lineage::check(&Script::drawn(seed, 20), &format!("{route} j1 stateful"));
+        let script = Script::drawn(seed, 15);
+        assert!(script.builds() >= 16, "{script}");
+        lineage::check(&script, "fresh j1 stateful");
     }
 }
 
@@ -267,24 +218,40 @@ fn quick_fresh_builder_lineage_holds_for_both_job_counts() {
     }
 }
 
-/// Flips among edits and reverts: a `-O` flip builds what a directory
-/// with no history builds, and executes only what flags shape.
+/// Flips among edits, reverts and no-ops: a `-O` flip builds what a
+/// directory with no history builds, and executes only what flags shape.
 #[test]
 fn quick_flag_flips_among_edits_build_fresh_images() {
     let steps = [
-        Edit,
-        Opt(0),
-        Edit,
         Revert,
+        Edit,
+        FnCache,
         Opt(1),
         Noop,
         Revert,
-        Opt(2),
+        Edit,
         FnCache,
+        Opt(2),
+        Noop,
+        Revert,
         Edit,
         Opt(0),
     ];
     lineage::check(&Script::of(5, &steps), "fresh j1 stateful");
+    let steps = [
+        Edit,
+        Revert,
+        Noop,
+        Opt(0),
+        Edit,
+        Revert,
+        Noop,
+        Opt(2),
+        Edit,
+        Revert,
+        Noop,
+    ];
+    lineage::check(&Script::of(42, &steps), "fresh j1 stateful");
 }
 
 /// Every kind of step, on each route, with a store and without.
@@ -600,7 +567,7 @@ fn quick_a_recovery_is_reported_by_the_build_that_met_it() {
 /// One cold process over `dir` under `config`, its state committed;
 /// returns the report and the image bytes.
 fn session_under(dir: &Path, config: Config) -> (BuildReport, Vec<u8>) {
-    let mut builder = Builder::new(Compiler::new(config));
+    let mut builder = lineage::builder(config);
     let report = builder.build(&Project::from_dir(dir).unwrap()).unwrap();
     builder.compiler().save_state().unwrap();
     let image = sfcc_backend::image::to_bytes(&report.program);
@@ -750,18 +717,8 @@ fn quick_a_flag_flip_re_executes_only_what_reads_flags() {
         unplugged.query
     );
     assert_eq!(image, twin_image);
-    assert_eq!(artifacts_of_state(&dir), artifacts_of_state(&twin));
+    assert_eq!(committed(&dir)[..2], committed(&twin)[..2], "state, cache");
     cleanup(&root);
-}
-
-/// The committed state and cache bytes of `dir`, chains folded.
-fn artifacts_of_state(dir: &Path) -> (Vec<u8>, Vec<u8>) {
-    let committed = |logical: &str| {
-        persist::committed_bytes(&dir.join(".sfcc-state"), logical)
-            .unwrap()
-            .expect("committed")
-    };
-    (committed("state"), committed("ircache"))
 }
 
 // ─── concurrency + admission control ───
@@ -796,15 +753,15 @@ fn concurrent_clients_on_distinct_projects_never_bleed() {
                     req.args.push("--jobs".to_string());
                     req.args.push("1".to_string());
                     must_ok(&socket, &req);
-                    let warm = artifacts(&warm_dir);
+                    let warm = Outcome::left(&warm_dir);
                     oracle
                         .build_image(&oracle_dir.with_extension("sbx"))
                         .unwrap();
-                    let want = artifacts(&oracle_dir);
-                    assert_eq!(
-                        warm, want,
-                        "client {i} commit {commit}: warm serve diverged — cross-session bleed?"
-                    );
+                    let want = Outcome::left(&oracle_dir);
+                    let bleed = format!("client {i} commit {commit}: warm serve diverged");
+                    assert!(warm.image == want.image, "{bleed}: image");
+                    assert!(warm.committed == want.committed, "{bleed}: committed");
+                    assert_eq!(warm.decisions(true), want.decisions(true), "{bleed}");
                 }
             })
         })
@@ -930,7 +887,7 @@ fn sessions_recycle_cleanly_when_flags_change() {
         created >= 2,
         "flag change must recycle the session, got {created}"
     );
-    let _ = artifacts(&dir);
+    Outcome::left(&dir);
     handle.shutdown();
     cleanup(&root);
 }
