@@ -320,15 +320,16 @@ impl Lane {
         }
     }
 
-    /// What of the builder's committed chains does not fold to its whole
-    /// files: the graph's, and when `cache`, the function cache's.
-    fn unfolded(&mut self, cache: bool) -> Option<String> {
+    /// What of the builder's chains, `built` committed them, does not fold
+    /// to its whole files: the graph's, and when `cache`, the function
+    /// cache's.
+    fn unfolded(&mut self, built: &Outcome, cache: bool) -> Option<String> {
         let builder = self.builder.as_mut()?;
-        let state = self.dir.join(".sfcc-state");
-        let graph = persist::committed_bytes(&state, "depgraph").unwrap();
-        let graph = graph == Some(builder.graph_file());
+        let [_, ircache, depgraph] = &built.committed;
+        let graph = depgraph.as_ref() == Some(&builder.graph_file());
         let whole = builder.compiler().function_cache().to_bytes();
-        let cache = !cache || persist::committed_bytes(&state, "ircache").unwrap() == Some(whole);
+        let cache = !cache || ircache.as_ref() == Some(&whole);
+        let state = self.dir.join(".sfcc-state");
         let manifest = CommitDir::new(&state).read_manifest().unwrap().unwrap();
         let base = manifest.entry("depgraph").unwrap().file.clone();
         self.rebased += usize::from(!self.bases.is_empty() && !self.bases.contains(&base));
@@ -705,10 +706,10 @@ impl<'a> Run<'a> {
                 self.ensure(!moved, "noop", "a state file moved");
             }
         }
-        if let Some(want) = peer {
-            self.check_peer(&got, &want, hits);
+        if let Some(want) = &peer {
+            self.check_peer(&got, want, hits);
         }
-        self.check_chains();
+        self.check_chains(&got, peer.as_ref());
         if let Some(commit) = commit.filter(|_| flags.stateful || warm) {
             let modules = got.report["modules"].as_arr().unwrap();
             let rebuilt = modules.iter().any(|m| {
@@ -767,18 +768,18 @@ impl<'a> Run<'a> {
         self.flags.fn_cache && !self.cache_stale
     }
 
-    /// The committed chains of the subject's and the peer's builders fold
-    /// to their whole files.
-    fn check_chains(&mut self) {
+    /// The chains the subject's and the peer's builders committed fold to
+    /// their whole files.
+    fn check_chains(&mut self, got: &Outcome, peer: Option<&Outcome>) {
         if !self.flags.stateful {
             return;
         }
         let cache = self.cache_synced();
-        let lanes = [Some(&mut self.lane), self.peer.as_mut()];
+        let lanes = [Some((&mut self.lane, got)), self.peer.as_mut().zip(peer)];
         let unfolded = lanes
             .into_iter()
             .flatten()
-            .filter_map(|l| l.unfolded(cache));
+            .filter_map(|(lane, built)| lane.unfolded(built, cache));
         let unfolded: Vec<String> = unfolded.collect();
         self.ensure(unfolded.is_empty(), "chains", &unfolded.join("; "));
     }
