@@ -28,8 +28,8 @@
 #                  the one-metrics-home grep over `crates/buildsys/src`,
 #                  the no-process-state grep over `crates/`, the
 #                  one-JSON-writer grep over `crates/`, the one-codec
-#                  grep over `crates/` and the one-front-end grep over
-#                  `tasks.rs`
+#                  grep over `crates/`, the one-front-end grep over
+#                  `tasks.rs` and the no-copies grep over `tasks.rs`
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -460,6 +460,26 @@ front_end_gate() {
     fi
 }
 
+# Build values move from task to task by `Arc` or by move: a function body
+# is copied once per build, when the pipeline takes its working copy. In the
+# non-test code of tasks.rs, `Arc::unwrap_or_clone`, `.object.clone()`,
+# `.func.clone()` (or `(*….func).clone()`, `Function::clone(`, and the same
+# of a `CodeObject` or a `FunctionDef`) or a `.cloned()` of a parse
+# definition (`ast.function…`) is a deep copy of a value the engine already
+# holds coming back.
+copy_gate() {
+    local found
+    found="$(awk '/^#\[cfg\(test\)\]/ { exit }
+                  /^[[:space:]]*\/\// { next }
+                  /Arc::unwrap_or_clone|\.(object|func)\)?\.clone\(\)|(Function|FunctionDef|CodeObject)::clone\(|ast\.functions?[^;]*\.cloned\(\)/ {
+                      print FNR ": " $0 }' crates/buildsys/src/tasks.rs)"
+    if [[ -n "$found" ]]; then
+        echo "ci: tasks.rs deep-copies a value the engine holds (share the Arc, or move it):" >&2
+        echo "$found" >&2
+        return 1
+    fi
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
     one_path_gate
     planner_gate
@@ -469,6 +489,7 @@ if [[ "${1:-}" == "--quick" ]]; then
     json_writer_gate
     codec_gate
     front_end_gate
+    copy_gate
     # Byte-identity pin of the canonical IR text every fingerprint hashes.
     cargo test -q -p sfcc-ir quick_
     # The state codec's round-trip, version-skew, truncation and pinned-stamp
@@ -516,6 +537,7 @@ static_state_gate
 json_writer_gate
 codec_gate
 front_end_gate
+copy_gate
 cargo build --release
 cargo test -q
 cargo test --release --offline --manifest-path sfbench/Cargo.toml

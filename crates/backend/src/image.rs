@@ -30,9 +30,15 @@ pub fn programs_decoded() -> u64 {
 
 /// Serializes a program image.
 pub fn to_bytes(program: &Program) -> Vec<u8> {
+    encode_image(program.entry, |w| encode_blobs(w, &program.funcs))
+}
+
+/// An image whose blob table `blobs` writes, with entry `entry`: what
+/// [`to_bytes`] writes for a program with that table and entry.
+pub(crate) fn encode_image(entry: Option<FuncId>, blobs: impl FnOnce(&mut Writer)) -> Vec<u8> {
     sfcc_codec::armor(MAGIC, IMAGE_VERSION, |payload| {
-        encode_blobs(payload, &program.funcs);
-        match program.entry {
+        blobs(payload);
+        match entry {
             Some(FuncId(id)) => {
                 payload.u8(1);
                 payload.u32(id);
@@ -47,14 +53,20 @@ pub fn to_bytes(program: &Program) -> Vec<u8> {
 pub(crate) fn encode_blobs(w: &mut Writer, blobs: &[CodeBlob]) {
     w.usize(blobs.len());
     for blob in blobs {
-        w.str(&blob.name);
-        w.u32(blob.arity);
-        w.u8(blob.returns_value as u8);
-        w.u32(blob.num_regs);
-        w.usize(blob.code.len());
-        for bc in &blob.code {
-            encode_bc(w, bc);
-        }
+        encode_blob(w, blob, |func| func);
+    }
+}
+
+/// One code blob of [`encode_blobs`], each call target written as
+/// `target` maps it: the linker relocates while it writes.
+pub(crate) fn encode_blob(w: &mut Writer, blob: &CodeBlob, target: impl Fn(FuncId) -> FuncId) {
+    w.str(&blob.name);
+    w.u32(blob.arity);
+    w.u8(blob.returns_value as u8);
+    w.u32(blob.num_regs);
+    w.usize(blob.code.len());
+    for bc in &blob.code {
+        encode_bc(w, bc, &target);
     }
 }
 
@@ -215,7 +227,7 @@ fn pred_from(code: u8) -> Result<IcmpPred, DecodeError> {
     })
 }
 
-fn encode_bc(w: &mut Writer, bc: &Bc) {
+fn encode_bc(w: &mut Writer, bc: &Bc, target: impl Fn(FuncId) -> FuncId) {
     match bc {
         Bc::Mov { dst, src } => {
             w.u8(0);
@@ -266,7 +278,7 @@ fn encode_bc(w: &mut Writer, bc: &Bc) {
         }
         Bc::Call { func, args, dst } => {
             w.u8(8);
-            w.u32(func.0);
+            w.u32(target(*func).0);
             w.usize(args.len());
             for a in args {
                 encode_src(w, *a);

@@ -42,7 +42,7 @@ pub use codegen::{compile_function, CallResolver, CodegenError};
 pub use disasm::{disasm_blob, disasm_program};
 pub use image::{load as load_image, IMAGE_VERSION};
 pub use link::{link, LinkError};
-pub use object::{compile_object, link_objects, CodeObject};
+pub use object::{compile_functions, compile_object, link_image, link_objects, CodeObject};
 pub use vm::{run, RunOutput, VmError, VmOptions, DEFAULT_FUEL, DEFAULT_MAX_DEPTH};
 
 #[cfg(test)]

@@ -6,13 +6,16 @@
 //! only patches call targets (relocation), so an incremental build reuses
 //! unchanged objects at zero recompilation cost — exactly the file-level
 //! incrementality the paper's build systems already provide.
+//! [`link_image`] relocates while it writes the image, borrowing every
+//! object and copying no blob.
 
 use crate::bytecode::{Bc, CodeBlob, FuncId, Program};
 use crate::codegen::{compile_function, CallResolver, CodegenError};
-use crate::image::{decode_blobs, encode_blobs};
+use crate::image::{decode_blobs, encode_blob, encode_blobs, encode_image};
 use crate::link::LinkError;
 use sfcc_codec::DecodeError;
-use sfcc_ir::Module;
+use sfcc_ir::{Function, Module};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -105,26 +108,43 @@ impl CallResolver for SymbolInterner {
 ///
 /// Propagates [`CodegenError`]s (malformed calls).
 pub fn compile_object(module: &Module) -> Result<CodeObject, CodegenError> {
+    compile_functions(&module.name, &module.functions)
+}
+
+/// [`compile_object`] of the module named `module` whose functions, in
+/// order, are `functions` — owned or borrowed.
+///
+/// # Errors
+///
+/// Propagates [`CodegenError`]s (malformed calls).
+pub fn compile_functions<'f>(
+    module: &str,
+    functions: impl IntoIterator<Item = &'f Function>,
+) -> Result<CodeObject, CodegenError> {
     let interner = SymbolInterner::default();
-    let mut blobs = Vec::with_capacity(module.functions.len());
-    for f in &module.functions {
-        let qualified = module.qualified_name(f);
+    let mut blobs = Vec::new();
+    for f in functions {
+        let qualified = format!("{module}.{}", f.name);
         blobs.push(compile_function(f, &qualified, &interner)?);
     }
     let symbols = interner.inner.into_inner().0;
     Ok(CodeObject {
-        module: module.name.clone(),
+        module: module.to_string(),
         blobs,
         symbols,
     })
 }
 
-/// Links object files into an executable program by patching call targets.
-///
-/// # Errors
-///
-/// Fails on duplicate definitions or unresolved symbols.
-pub fn link_objects(objects: &[CodeObject]) -> Result<Program, LinkError> {
+/// Where a link puts every function: per object, the global id of each of
+/// its symbols; the number of functions; the entry.
+struct Layout {
+    reloc: Vec<Vec<FuncId>>,
+    count: usize,
+    entry: Option<FuncId>,
+}
+
+/// Assigns global ids in link order and resolves every object's symbols.
+fn layout(objects: &[&CodeObject]) -> Result<Layout, LinkError> {
     // Global symbol table from definitions.
     let mut table: HashMap<&str, FuncId> = HashMap::new();
     let mut next = 0u32;
@@ -136,18 +156,38 @@ pub fn link_objects(objects: &[CodeObject]) -> Result<Program, LinkError> {
             next += 1;
         }
     }
+    // Relocation maps: local symbol id → global function id.
+    let reloc = objects
+        .iter()
+        .map(|obj| {
+            obj.symbols
+                .iter()
+                .map(|sym| {
+                    table
+                        .get(sym.as_str())
+                        .copied()
+                        .ok_or_else(|| LinkError::Unresolved(sym.clone()))
+                })
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Layout {
+        reloc,
+        count: next as usize,
+        entry: table.get("main.main").copied(),
+    })
+}
 
-    let mut funcs = Vec::with_capacity(next as usize);
-    for obj in objects {
-        // Relocation map: local symbol id → global function id.
-        let mut reloc = Vec::with_capacity(obj.symbols.len());
-        for sym in &obj.symbols {
-            let id = table
-                .get(sym.as_str())
-                .copied()
-                .ok_or_else(|| LinkError::Unresolved(sym.clone()))?;
-            reloc.push(id);
-        }
+/// Links object files into an executable program by patching call targets.
+///
+/// # Errors
+///
+/// Fails on duplicate definitions or unresolved symbols.
+pub fn link_objects<O: Borrow<CodeObject>>(objects: &[O]) -> Result<Program, LinkError> {
+    let objects: Vec<&CodeObject> = objects.iter().map(Borrow::borrow).collect();
+    let layout = layout(&objects)?;
+    let mut funcs = Vec::with_capacity(layout.count);
+    for (obj, reloc) in objects.iter().zip(&layout.reloc) {
         for blob in &obj.blobs {
             let mut patched = blob.clone();
             for bc in &mut patched.code {
@@ -158,9 +198,31 @@ pub fn link_objects(objects: &[CodeObject]) -> Result<Program, LinkError> {
             funcs.push(patched);
         }
     }
+    Ok(Program {
+        funcs,
+        entry: layout.entry,
+    })
+}
 
-    let entry = table.get("main.main").copied();
-    Ok(Program { funcs, entry })
+/// Links object files straight to image bytes: the
+/// [`image::to_bytes`](crate::image::to_bytes) of [`link_objects`]'s
+/// program, with no program in between. Each blob is written from the
+/// object that holds it, its call targets relocated as they are written.
+///
+/// # Errors
+///
+/// Fails on duplicate definitions or unresolved symbols.
+pub fn link_image<O: Borrow<CodeObject>>(objects: &[O]) -> Result<Vec<u8>, LinkError> {
+    let objects: Vec<&CodeObject> = objects.iter().map(Borrow::borrow).collect();
+    let layout = layout(&objects)?;
+    Ok(encode_image(layout.entry, |w| {
+        w.usize(layout.count);
+        for (obj, reloc) in objects.iter().zip(&layout.reloc) {
+            for blob in &obj.blobs {
+                encode_blob(w, blob, |func| reloc[func.0 as usize]);
+            }
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -194,10 +256,24 @@ mod tests {
 
         // Link order must not matter for correctness.
         for order in [[&util, &main], [&main, &util]] {
-            let program = link_objects(&[order[0].clone(), order[1].clone()]).unwrap();
+            let program = link_objects(&order).unwrap();
             let out = run(&program, "main.main", &[10], VmOptions::default()).unwrap();
             assert_eq!(out.return_value, Some(26));
+            // Written straight from the borrowed objects, the image is the
+            // program's, byte for byte.
+            assert_eq!(
+                link_image(&order).unwrap(),
+                crate::image::to_bytes(&program)
+            );
         }
+        assert_eq!(
+            link_image(&[&main]).unwrap_err(),
+            LinkError::Unresolved("util.add3".into())
+        );
+        assert_eq!(
+            link_image(&[&util, &util]).unwrap_err(),
+            LinkError::DuplicateSymbol("util.add3".into())
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@ use sfcc_ir::print::module_to_string;
 use sfcc_trace::json::Value;
 use sfcc_workload::{generate_model, GeneratorConfig};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Worker counts the experiment sweeps.
@@ -121,14 +122,22 @@ pub fn parallel_scaling(scale: Scale) -> (String, Value) {
     for _ in 0..reps {
         for point in &mut single {
             let t = Instant::now();
-            let mut optimized = ir.clone();
+            let functions = ir.functions.iter().cloned().map(Arc::new).collect();
             let outcome = sfcc_pool::scope(sfcc_pool::effective_jobs(point.jobs), |ps| {
-                compiler.optimize(&mut optimized, ps)
+                compiler.optimize(&ir.name, functions, ps)
             });
             point.optimize_ns = point.optimize_ns.min(t.elapsed().as_nanos() as u64);
             // Deterministic per run; any repetition reports the same.
             point.snapshot_clones = outcome.trace.snapshot_clones;
             point.cost_units = outcome.trace.snapshot_cost_units;
+            let optimized = sfcc_ir::Module {
+                name: ir.name.clone(),
+                functions: outcome
+                    .functions
+                    .into_iter()
+                    .map(Arc::unwrap_or_clone)
+                    .collect(),
+            };
             let text = module_to_string(&optimized);
             match &reference {
                 None => reference = Some(text),

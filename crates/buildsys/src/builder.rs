@@ -236,7 +236,7 @@ impl Builder {
                 .require(&mut spec, &BuildTask::OptimizeFn(m.clone(), f.clone()))
                 .map_err(seal)?
                 .expect_optimizefn();
-            ir.functions.push(art.func.clone());
+            ir.functions.push(sfcc_ir::Function::clone(&art.func));
         }
         Ok(Some(ir))
     }
@@ -934,6 +934,7 @@ mod tests {
     use super::*;
     use crate::tasks::interface_hash;
     use sfcc::Config;
+    use std::sync::Arc;
 
     fn project(files: &[(&str, &str)]) -> Project {
         let mut p = Project::new();
@@ -955,6 +956,35 @@ mod tests {
                 "import lib;\nfn main(n: int) -> int { return lib::f(n); }",
             ),
         ])
+    }
+
+    /// A cold build moves its values from task to task by `Arc`: the
+    /// definition `fnast(m::f)` yields and the one `checkfn(m::f)`'s shell
+    /// holds are the one `parse(m)` holds, and `link` keeps the image alone:
+    /// every object is held by its `codegen` value only, and the image is
+    /// the one written from those objects.
+    #[test]
+    fn a_cold_build_shares_its_values() {
+        let mut builder = Builder::new(Compiler::new(Config::stateless()));
+        builder.build(&three_module_project()).unwrap();
+        let value = |task: BuildTask| builder.engine.peek(&task).unwrap();
+        let mut objects = Vec::new();
+        for (m, f) in [("base", "g"), ("lib", "f"), ("main", "main")] {
+            let parse = value(BuildTask::Parse(m.into())).expect_parse();
+            let parsed = parse.ast.function(f).unwrap();
+            let fnast = value(BuildTask::FnAst(m.into(), f.into())).expect_fnast();
+            assert!(Arc::ptr_eq(parsed, &fnast.unwrap()), "fnast({m}::{f})");
+            let checkfn = value(BuildTask::CheckFn(m.into(), f.into())).expect_checkfn();
+            let shell = &checkfn.checked.ast.functions[0];
+            assert!(Arc::ptr_eq(parsed, shell), "checkfn({m}::{f})");
+            let BuildValue::Codegen(codegen) = value(BuildTask::Codegen(m.into())) else {
+                unreachable!("codegen yields an object")
+            };
+            assert_eq!(Arc::strong_count(codegen), 1, "codegen({m})");
+            objects.push(&codegen.object);
+        }
+        let link = value(BuildTask::Link).expect_link();
+        assert_eq!(link.image, sfcc_backend::link_image(&objects).unwrap());
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Stored {
                 let text = String::from_utf8(bytes.to_vec()).ok()?;
                 let func = sfcc_ir::parse_function(&text).ok()?;
                 BuildValue::OptimizeFn(Arc::new(OptimizeFnArtifact {
-                    func,
+                    func: Arc::new(func),
                     text,
                     ftrace: None,
                 }))

@@ -50,7 +50,7 @@ use crate::graph::{graph_repr, DepGraph};
 use crate::project::Project;
 use crate::report::ModuleOutput;
 use sfcc::{CompileError, Compiler, OptimizeOutcome, PhaseTimings};
-use sfcc_backend::{link_objects, CodeObject, Program};
+use sfcc_backend::{link_image, CodeObject, Program};
 use sfcc_codec::{fnv64, Fnv64};
 use sfcc_faultfs::AccessRecord;
 use sfcc_frontend::ast::{FunctionDef, Import, TypeAst};
@@ -280,8 +280,10 @@ pub struct CheckFnArtifact {
 /// produced it.
 #[derive(Debug, Clone)]
 pub struct OptimizeFnArtifact {
-    /// The optimized function.
-    pub func: Function,
+    /// The optimized function, shared with the run that made it — and with
+    /// the function cache, or with the `lowerfn` value when every slot
+    /// skipped it.
+    pub func: Arc<Function>,
     /// `sfcc_ir::function_to_string` of `func`.
     pub text: String,
     /// Per-pass instrumentation for this function; `None` for a value
@@ -341,9 +343,9 @@ pub enum BuildValue {
     Graph(Arc<DepGraph>),
     /// Output of [`BuildTask::ModCheck`].
     ModCheck(Arc<ModCheckArtifact>),
-    /// Output of [`BuildTask::FnAst`]: the definition, `None` when the
-    /// function is absent from the module.
-    FnAst(Arc<Option<FunctionDef>>),
+    /// Output of [`BuildTask::FnAst`]: the definition `parse(m)` holds,
+    /// `None` when the function is absent from the module.
+    FnAst(Option<Arc<FunctionDef>>),
     /// Output of [`BuildTask::Signature`]: the exported signature, `None`
     /// when the function is absent from the interface.
     Signature(Arc<Option<FuncSig>>),
@@ -379,7 +381,6 @@ impl BuildValue {
     expect_variant!(expect_interface, Interface, ModuleInterface, "interface");
     expect_variant!(expect_graph, Graph, DepGraph, "graph");
     expect_variant!(expect_modcheck, ModCheck, ModCheckArtifact, "modcheck");
-    expect_variant!(expect_fnast, FnAst, Option<FunctionDef>, "fnast");
     expect_variant!(expect_signature, Signature, Option<FuncSig>, "signature");
     expect_variant!(expect_checkfn, CheckFn, CheckFnArtifact, "checkfn");
     expect_variant!(expect_lowerfn, LowerFn, Function, "lowerfn");
@@ -391,13 +392,21 @@ impl BuildValue {
     );
     expect_variant!(expect_codegen, Codegen, CodegenArtifact, "codegen");
     expect_variant!(expect_link, Link, LinkArtifact, "link");
+
+    /// The definition a `fnast` task yields, shared.
+    pub(crate) fn expect_fnast(&self) -> Option<Arc<FunctionDef>> {
+        match self {
+            BuildValue::FnAst(def) => def.as_ref().map(Arc::clone),
+            other => unreachable!("fnast task yields a matching value, got {other:?}"),
+        }
+    }
 }
 
 /// An optimized function a restricted run computed for an `optimizefn`
 /// execution ([`BuildSpec::optimize_runs`]), taken at most once by it.
 #[derive(Debug)]
 struct PreparedFn {
-    func: Function,
+    func: Arc<Function>,
     ftrace: FunctionTrace,
 }
 
@@ -406,8 +415,9 @@ struct ModuleRun {
     module: String,
     /// The functions whose artifacts the run parks.
     roots: Vec<String>,
-    /// The roots' union call closure, sorted by function name.
-    ir: sfcc_ir::Module,
+    /// The roots' union call closure, sorted by function name: the
+    /// `lowerfn` values themselves.
+    functions: Vec<Arc<Function>>,
 }
 
 /// How many modules, in topological order, `link` plans and optimizes
@@ -595,12 +605,10 @@ impl<'a> BuildSpec<'a> {
             ctx.prefetch(self, &BuildTask::LowerFn(m.to_string(), g.to_string()))
                 .map(|value| value.expect_lowerfn())
         })?;
-        let mut ir = sfcc_ir::Module::new(m);
-        ir.functions = closure.into_values().map(Arc::unwrap_or_clone).collect();
         Ok(Some(ModuleRun {
             module: m.to_string(),
             roots,
-            ir,
+            functions: closure.into_values().collect(),
         }))
     }
 
@@ -622,16 +630,22 @@ impl<'a> BuildSpec<'a> {
         let compiler: &Compiler = self.compiler;
         let outcomes: Vec<Mutex<Option<OptimizeOutcome>>> =
             runs.iter().map(|_| Mutex::new(None)).collect();
-        let mut largest_first: Vec<_> = runs
+        let inputs: Vec<Vec<Arc<Function>>> = runs
             .iter_mut()
-            .map(|run| &mut run.ir)
+            .map(|run| std::mem::take(&mut run.functions))
+            .collect();
+        let mut largest_first: Vec<_> = runs
+            .iter()
+            .map(|run| run.module.as_str())
+            .zip(inputs)
             .zip(&outcomes)
             .collect();
-        largest_first.sort_by_key(|(ir, _)| std::cmp::Reverse(ir.functions.len()));
+        largest_first.sort_by_key(|((_, functions), _)| std::cmp::Reverse(functions.len()));
         sfcc_pool::scope(sfcc_pool::effective_jobs(self.jobs), |ps| {
-            for (ir, outcome) in largest_first {
+            for ((module, functions), outcome) in largest_first {
                 ps.spawn(move |ps| {
-                    *outcome.lock().expect("run slot poisoned") = Some(compiler.optimize(ir, ps));
+                    *outcome.lock().expect("run slot poisoned") =
+                        Some(compiler.optimize(module, functions, ps));
                 });
             }
         });
@@ -647,20 +661,13 @@ impl<'a> BuildSpec<'a> {
             output.timings.middle_ns += outcome.middle_ns;
             output.timings.state_ns += outcome.state_ns;
             output.trace.absorb_counters(&outcome.trace);
-            for f in run.roots {
-                let prepared = PreparedFn {
-                    func: run
-                        .ir
-                        .function(&f)
-                        .cloned()
-                        .expect("the run covers its roots"),
-                    ftrace: outcome
-                        .trace
-                        .function(&f)
-                        .cloned()
-                        .expect("traced with the run"),
-                };
-                self.prepared.insert((m.clone(), f), prepared);
+            // Bodies and traces come back in run order; the roots' move
+            // out to their executions.
+            for (func, ftrace) in outcome.functions.into_iter().zip(outcome.trace.functions) {
+                if run.roots.contains(&func.name) {
+                    let key = (m.clone(), func.name.clone());
+                    self.prepared.insert(key, PreparedFn { func, ftrace });
+                }
             }
         }
         self.compiler.apply_cache_inserts(inserts);
@@ -755,7 +762,7 @@ impl TaskSpec for BuildSpec<'_> {
                 repr.push_str(&art.roster.join(","));
                 fnv64(repr.as_bytes())
             }
-            BuildValue::FnAst(def) => match def.as_ref() {
+            BuildValue::FnAst(def) => match def {
                 Some(def) => def_fingerprint(def),
                 None => fnv64(b"<absent>"),
             },
@@ -878,7 +885,7 @@ impl BuildSpec<'_> {
                 let parse = ctx
                     .require(self, &BuildTask::Parse(m.clone()))?
                     .expect_parse();
-                Ok(BuildValue::FnAst(Arc::new(parse.ast.function(f).cloned())))
+                Ok(BuildValue::FnAst(parse.ast.function(f).map(Arc::clone)))
             }
             BuildTask::Signature(m, f) => {
                 let interface = ctx
@@ -892,7 +899,7 @@ impl BuildSpec<'_> {
                 let def = ctx
                     .require(self, &BuildTask::FnAst(m.clone(), f.clone()))?
                     .expect_fnast();
-                let Some(def) = def.as_ref().clone() else {
+                let Some(def) = def else {
                     return Err(QueryError::Task(BuildError::Compile {
                         module: m.clone(),
                         error: CompileError::Frontend {
@@ -978,12 +985,12 @@ impl BuildSpec<'_> {
                         })
                         .collect(),
                     globals: Vec::new(),
-                    functions: vec![def.clone()],
+                    functions: vec![Arc::clone(&def)],
                 };
                 let level = ModuleLevel {
                     global_values: modcheck.global_values.clone(),
                     global_types: modcheck.global_types.clone(),
-                    local_sigs: local_sigs.clone(),
+                    local_sigs,
                 };
                 let t = Instant::now();
                 let mut diags = Diagnostics::new();
@@ -1001,11 +1008,18 @@ impl BuildSpec<'_> {
                 let mut context_repr = modcheck.globals_repr();
                 context_repr.push_str("callees:");
                 context_repr.push_str(&callee_repr);
+                // The level the shell was checked against moves into the
+                // checked module: its maps are copied once per function.
+                let ModuleLevel {
+                    global_values,
+                    global_types,
+                    local_sigs,
+                } = level;
                 Ok(BuildValue::CheckFn(Arc::new(CheckFnArtifact {
                     checked: CheckedModule {
                         ast: shell,
-                        global_values: modcheck.global_values.clone(),
-                        global_types: modcheck.global_types.clone(),
+                        global_values,
+                        global_types,
                         interface: ModuleInterface {
                             functions: local_sigs,
                         },
@@ -1078,25 +1092,27 @@ impl BuildSpec<'_> {
                 let modcheck = ctx
                     .require(self, &BuildTask::ModCheck(m.clone()))?
                     .expect_modcheck();
-                let mut ir = sfcc_ir::Module::new(m.clone());
+                let mut arts = Vec::with_capacity(modcheck.roster.len());
                 for f in &modcheck.roster {
-                    let art = ctx
-                        .require(self, &BuildTask::OptimizeFn(m.clone(), f.clone()))?
-                        .expect_optimizefn();
-                    ir.functions.push(art.func.clone());
+                    arts.push(
+                        ctx.require(self, &BuildTask::OptimizeFn(m.clone(), f.clone()))?
+                            .expect_optimizefn(),
+                    );
                 }
-                let (object, backend_ns) = sfcc::phases::codegen(&ir).map_err(|error| {
-                    QueryError::Task(BuildError::Compile {
-                        module: m.clone(),
-                        error,
-                    })
-                })?;
+                let functions = arts.iter().map(|art| &*art.func);
+                let (object, backend_ns) =
+                    sfcc::phases::codegen(m, functions).map_err(|error| {
+                        QueryError::Task(BuildError::Compile {
+                            module: m.clone(),
+                            error,
+                        })
+                    })?;
                 self.timings(m).backend_ns += backend_ns;
                 Ok(BuildValue::Codegen(Arc::new(CodegenArtifact::of(object))))
             }
             BuildTask::Link => {
                 let graph = ctx.require(self, &BuildTask::Graph)?.expect_graph();
-                let mut objects = Vec::with_capacity(graph.len());
+                let mut codegens = Vec::with_capacity(graph.len());
                 // Modules whose `codegen` will execute have their runs
                 // planned and optimized side by side, a window at a time;
                 // a probe that finds a stale `codegen` has already run the
@@ -1110,17 +1126,18 @@ impl BuildSpec<'_> {
                     }
                     self.optimize_runs(runs);
                     for m in window {
-                        let codegen = ctx
-                            .require(self, &BuildTask::Codegen(m.clone()))?
-                            .expect_codegen();
-                        objects.push(codegen.object.clone());
+                        codegens.push(
+                            ctx.require(self, &BuildTask::Codegen(m.clone()))?
+                                .expect_codegen(),
+                        );
                     }
                 }
                 let t = Instant::now();
-                let program =
-                    link_objects(&objects).map_err(|e| QueryError::Task(BuildError::Link(e)))?;
+                let objects: Vec<&CodeObject> = codegens.iter().map(|c| &c.object).collect();
+                let image =
+                    link_image(&objects).map_err(|e| QueryError::Task(BuildError::Link(e)))?;
                 self.link_ns = t.elapsed().as_nanos() as u64;
-                Ok(BuildValue::Link(Arc::new(LinkArtifact::of(&program))))
+                Ok(BuildValue::Link(Arc::new(LinkArtifact { image })))
             }
         }
     }

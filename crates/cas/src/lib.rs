@@ -54,6 +54,7 @@ use sfcc_faultfs::{
     self as ffs, CommitDir, Durability, EntryError, FsckReport, Manifest, ManifestError,
 };
 use sfcc_ir::{Fingerprint, Function};
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
 use std::path::Path;
@@ -663,8 +664,9 @@ impl CasStore {
     /// duplicated within the batch) are skipped — the store is
     /// content-addressed, so racing publishers of one key write identical
     /// bytes and the first visible one wins. I/O errors degrade to a
-    /// counted no-op: a cache must never fail the build.
-    pub fn publish(&self, inserts: &[(Fingerprint, Function)]) {
+    /// counted no-op: a cache must never fail the build. The functions are
+    /// read, owned or shared.
+    pub fn publish<F: Borrow<Function>>(&self, inserts: &[(Fingerprint, F)]) {
         if inserts.is_empty() {
             return;
         }
@@ -675,6 +677,7 @@ impl CasStore {
         let mut batch: Vec<(String, Vec<u8>)> = Vec::new();
         let mut seen = HashSet::new();
         for (fn_ctx, func) in inserts {
+            let func: &Function = func.borrow();
             let key = self.derive(*fn_ctx, &drops);
             let logical = logical_name(key);
             if existing.contains(&logical) || !seen.insert(logical.clone()) {

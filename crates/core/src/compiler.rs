@@ -3,7 +3,7 @@
 
 use crate::config::{Config, Mode, OptLevel};
 use crate::depgraph::{GraphFile, ValueBytes, GRAPH_LOGICAL};
-use crate::fncache::{context_fingerprints, CacheStats, FunctionCache};
+use crate::fncache::{function_contexts, CacheStats, FunctionCache};
 use crate::persist::{
     self, Artifact, Chain, GraphLinks, LoadedState, RecoveryEvent, CACHE_LOGICAL,
 };
@@ -15,7 +15,7 @@ use sfcc_faultfs::ManifestEntry;
 use sfcc_frontend::{ModuleEnv, ModuleInterface};
 use sfcc_ir::{Fingerprint, Function};
 use sfcc_passes::{
-    default_pipeline, minimal_pipeline, run_pipeline_parallel, scalar_pipeline, FunctionTrace,
+    default_pipeline, minimal_pipeline, run_pipeline_shared, scalar_pipeline, FunctionTrace,
     NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions, SkipOracle,
 };
 use sfcc_pool::{run_batched, PoolScope};
@@ -98,9 +98,13 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// What [`Compiler::optimize`] reports alongside the transformed IR.
+/// What [`Compiler::optimize`] hands back: the optimized functions and
+/// what it reports alongside them.
 #[derive(Debug, Clone)]
 pub struct OptimizeOutcome {
+    /// The optimized functions, in input order; one no pass ran on is the
+    /// `Arc` it came in as.
+    pub functions: Vec<Arc<Function>>,
     /// Per-pass instrumentation of the pipeline run.
     pub trace: PipelineTrace,
     /// Wall time of the pass pipeline itself (ns).
@@ -112,8 +116,9 @@ pub struct OptimizeOutcome {
     /// them at a deterministic point (after a module, or after a set of
     /// restricted runs) so cache visibility, and therefore every downstream
     /// trace, is identical for every `--jobs` value. Apply via
-    /// [`Compiler::apply_cache_inserts`].
-    pub cache_inserts: Vec<(Fingerprint, Function)>,
+    /// [`Compiler::apply_cache_inserts`]. Each body is shared with
+    /// [`OptimizeOutcome::functions`].
+    pub cache_inserts: Vec<(Fingerprint, Arc<Function>)>,
 }
 
 /// An oracle layer that force-skips every slot of cache-hit functions so
@@ -441,9 +446,17 @@ impl Compiler {
         let (checked, frontend_ns) = phases::frontend(name, source, env)?;
         let (mut ir, lower_ns) = phases::lower(&checked, env);
         let jobs = sfcc_pool::effective_jobs(self.config.jobs);
-        let outcome = sfcc_pool::scope(jobs, |ps| self.optimize(&mut ir, ps));
-        let (object, backend_ns) = phases::codegen(&ir)?;
-        self.apply_cache_inserts(outcome.cache_inserts);
+        let functions = std::mem::take(&mut ir.functions);
+        let functions = functions.into_iter().map(Arc::new).collect();
+        let mut outcome = sfcc_pool::scope(jobs, |ps| self.optimize(&ir.name, functions, ps));
+        let optimized = outcome.functions.iter().map(|f| &**f);
+        let (object, backend_ns) = phases::codegen(&ir.name, optimized)?;
+        self.apply_cache_inserts(std::mem::take(&mut outcome.cache_inserts));
+        ir.functions = outcome
+            .functions
+            .into_iter()
+            .map(Arc::unwrap_or_clone)
+            .collect();
         let mut timings = PhaseTimings {
             frontend_ns,
             lower_ns,
@@ -466,12 +479,17 @@ impl Compiler {
         })
     }
 
-    /// The optimize phase: runs the (skippable) pass pipeline over `ir` in
-    /// place — function-cache and shared-store lookup (when the session has
-    /// them), skip-oracle construction from the dormancy state (the frozen
-    /// snapshot while one is active, see [`Compiler::freeze_state`]), and
-    /// the pipeline itself, at function granularity on `pool`'s workers (a
-    /// width-1 pool runs it on the calling thread).
+    /// The optimize phase: runs the (skippable) pass pipeline over the
+    /// functions of module `module` — function-cache and shared-store
+    /// lookup (when the session has them), skip-oracle construction from
+    /// the dormancy state (the frozen snapshot while one is active, see
+    /// [`Compiler::freeze_state`]), and the pipeline itself, at function
+    /// granularity on `pool`'s workers (a width-1 pool runs it on the
+    /// calling thread). The bodies come in shared and go out in
+    /// [`OptimizeOutcome::functions`]: hits are swapped in first, the
+    /// pipeline's entry snapshot is the bodies as they stand, and a body is
+    /// copied only when the first pass runs on it, so a hit, which every
+    /// slot skips, comes back as the cache's `Arc`.
     ///
     /// Reads only immutable session state, so it is safe to call from
     /// worker threads optimizing independent modules in parallel. It does
@@ -480,29 +498,33 @@ impl Compiler {
     /// [`OptimizeOutcome::cache_inserts`]
     /// ([`Compiler::apply_cache_inserts`]) are the caller's, sequenced at a
     /// deterministic boundary. Nor does it note the dormancy-state read for
-    /// depcheck — `ir` may be a restricted module (only the demanded
-    /// functions' call closure), so the function-grained caller attributes
-    /// `state:m::f` itself, inside each function's own task scope.
+    /// depcheck — the functions may be a restricted module's (only the
+    /// demanded functions' call closure), so the function-grained caller
+    /// attributes `state:m::f` itself, inside each function's own task
+    /// scope.
     ///
     /// # Examples
     ///
     /// ```
     /// use sfcc::{phases, Compiler, Config};
     /// use sfcc_frontend::ModuleEnv;
+    /// use std::sync::Arc;
     ///
     /// let compiler = Compiler::new(Config::stateless());
     /// let env = ModuleEnv::new();
     /// let source = "fn f(x: int) -> int { return x * 1 + 0; }";
     /// let (checked, _) = phases::frontend("m", source, &env)?;
-    /// let (mut ir, _) = phases::lower(&checked, &env);
-    /// let outcome = sfcc_pool::scope(1, |pool| compiler.optimize(&mut ir, pool));
+    /// let (ir, _) = phases::lower(&checked, &env);
+    /// let functions = ir.functions.into_iter().map(Arc::new).collect();
+    /// let outcome = sfcc_pool::scope(1, |pool| compiler.optimize("m", functions, pool));
     /// assert_eq!(outcome.trace.functions.len(), 1);
-    /// let (_object, _) = phases::codegen(&ir)?;
+    /// let (_object, _) = phases::codegen("m", outcome.functions.iter().map(|f| &**f))?;
     /// # Ok::<(), sfcc::CompileError>(())
     /// ```
     pub fn optimize<'env>(
         &'env self,
-        ir: &mut sfcc_ir::Module,
+        module: &str,
+        mut functions: Vec<Arc<Function>>,
         pool: &PoolScope<'env>,
     ) -> OptimizeOutcome {
         let cache = self.config.function_cache.then(|| self.function_cache());
@@ -518,10 +540,10 @@ impl Compiler {
         let mut shared_hits = HashSet::new();
         let mut contexts = HashMap::new();
         if cache.is_some() || cas.is_some() {
-            contexts = context_fingerprints(ir);
+            contexts = function_contexts(module, &functions);
             let shared_contexts = Arc::new(contexts.clone());
-            let module_name = ir.name.clone();
-            let marked: Vec<(Function, LookupHit)> = std::mem::take(&mut ir.functions)
+            let module_name = module.to_string();
+            let marked: Vec<(Arc<Function>, LookupHit)> = functions
                 .into_iter()
                 .map(|f| (f, LookupHit::Miss))
                 .collect();
@@ -531,17 +553,19 @@ impl Compiler {
                     return;
                 };
                 if let Some(mut cached) = cache.and_then(|cache| cache.lookup(ctx)) {
-                    cached.name = func.name.clone();
+                    if cached.name != func.name {
+                        Arc::make_mut(&mut cached).name = func.name.clone();
+                    }
                     *func = cached;
                     *hit = LookupHit::Local;
                 } else if let Some(served) =
                     cas.and_then(|cas| cas.lookup(&module_name, &func.name, ctx))
                 {
-                    *func = served;
+                    *func = Arc::new(served);
                     *hit = LookupHit::Shared;
                 }
             });
-            ir.functions = Vec::with_capacity(marked.len());
+            functions = Vec::with_capacity(marked.len());
             for (func, hit) in marked {
                 if hit != LookupHit::Miss {
                     hits.insert(func.name.clone());
@@ -551,11 +575,11 @@ impl Compiler {
                 // never be filed under an honest key, locally or in the
                 // store.
                 let honest =
-                    |cas: &CasStore| cas.served(&ir.name, &func.name) == Some(cas.identity_stamp());
+                    |cas: &CasStore| cas.served(module, &func.name) == Some(cas.identity_stamp());
                 if hit == LookupHit::Shared && cas.is_some_and(honest) {
                     shared_hits.insert(func.name.clone());
                 }
-                ir.functions.push(func);
+                functions.push(func);
             }
         }
         let mut state_ns = t.elapsed().as_nanos() as u64;
@@ -578,7 +602,8 @@ impl Compiler {
         let options = RunOptions {
             verify_each: self.config.verify_each,
         };
-        let trace = run_pipeline_parallel(ir, &self.pipeline, oracle, options, pool);
+        let (functions, trace) =
+            run_pipeline_shared(module, functions, &self.pipeline, oracle, options, pool);
         let middle_ns = t.elapsed().as_nanos() as u64;
 
         // Collect cacheable functions for the caller to insert at the next
@@ -588,18 +613,19 @@ impl Compiler {
         let t = Instant::now();
         let mut cache_inserts = Vec::new();
         if cache.is_some() || cas.is_some() {
-            for func in &ir.functions {
+            for func in &functions {
                 if hits.contains(&func.name) && !shared_hits.contains(&func.name) {
                     continue;
                 }
                 if let Some(&ctx) = contexts.get(&func.name) {
-                    cache_inserts.push((ctx, func.clone()));
+                    cache_inserts.push((ctx, Arc::clone(func)));
                 }
             }
         }
         state_ns += t.elapsed().as_nanos() as u64;
 
         OptimizeOutcome {
+            functions,
             trace,
             middle_ns,
             state_ns,
@@ -676,17 +702,16 @@ impl Compiler {
         // the cache, quietly.
         let adopted = opened.filter(|cache| cache.identity() == self.identity);
         let mut committed = self.committed.lock().expect("no commit panicked");
-        let mut recovery = self.events();
         if !events.is_empty() {
             committed.state_checksum = None;
-            recovery.extend(events);
+            self.events().extend(events);
         }
+        // A discarded chain is stale on disk whatever the build does next:
+        // the cold-started cache is dirty, so the next commit replaces it.
         adopted.unwrap_or_else(|| {
             committed.cache = None;
             let cache = FunctionCache::for_identity(self.identity);
-            if !recovery.is_empty() {
-                cache.mark_dirty();
-            }
+            cache.mark_dirty();
             cache
         })
     }
@@ -708,16 +733,16 @@ impl Compiler {
     /// converges to identical bytes for every `--jobs` value.
     pub fn apply_cache_inserts(
         &self,
-        inserts: impl IntoIterator<Item = (Fingerprint, sfcc_ir::Function)>,
+        inserts: impl IntoIterator<Item = (Fingerprint, Arc<Function>)>,
     ) {
         if !self.config.function_cache && self.cas.is_none() {
             return;
         }
-        let inserts: Vec<(Fingerprint, sfcc_ir::Function)> = inserts.into_iter().collect();
+        let inserts: Vec<(Fingerprint, Arc<Function>)> = inserts.into_iter().collect();
         if self.config.function_cache {
             let cache = self.function_cache();
             for (key, func) in &inserts {
-                cache.insert(*key, func.clone());
+                cache.insert(*key, Arc::clone(func));
             }
         }
         if let Some(cas) = &self.cas {
@@ -1229,7 +1254,7 @@ fn main(n: int) -> int {
         // An insert commits the cache alone; the state file is carried…
         let before = entries();
         let third = Compiler::new(cfg);
-        third.apply_cache_inserts([(Fingerprint(1), Function::new("f", vec![], None))]);
+        third.apply_cache_inserts([(Fingerprint(1), Arc::new(Function::new("f", vec![], None)))]);
         assert_eq!(third.save_state().unwrap(), 2);
         let after = entries();
         let file = |entries: &[sfcc_faultfs::ManifestEntry], logical: &str| {

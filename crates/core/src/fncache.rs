@@ -63,7 +63,8 @@
 use crate::depgraph::ValueBytes;
 use sfcc_codec::{armor, unarmor, DecodeError, Reader, Writer};
 use sfcc_ir::{fingerprint, Fingerprint, Function, Module, Op};
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -76,8 +77,9 @@ pub const SHARD_COUNT: usize = 16;
 /// What a cache entry holds.
 #[derive(Debug)]
 enum Body {
-    /// Inserted by this process and not yet encoded.
-    Ir(Function),
+    /// Inserted by this process and not yet encoded: the optimized body
+    /// the build holds, shared.
+    Ir(Arc<Function>),
     /// The encoded record: a slice of the file it was read from, or of its
     /// own encoding once [`FunctionCache::to_bytes`] printed it.
     Text(ValueBytes),
@@ -223,8 +225,8 @@ impl FunctionCache {
     /// Looks up the optimized IR for a context fingerprint, marking the
     /// entry recently used. A hit on an encoded entry parses its text and
     /// keeps only the text; text that does not parse is a miss, and the
-    /// entry leaves the cache.
-    pub fn lookup(&self, key: Fingerprint) -> Option<Function> {
+    /// entry leaves the cache. A hit on an inserted body shares it.
+    pub fn lookup(&self, key: Fingerprint) -> Option<Arc<Function>> {
         let shard = &self.shards[Self::shard_of(key)];
         let (record, persisted) = {
             let mut shard = shard.lock().unwrap();
@@ -236,7 +238,7 @@ impl FunctionCache {
             match &e.body {
                 Body::Ir(func) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(func.clone());
+                    return Some(Arc::clone(func));
                 }
                 Body::Text(record) => (record.clone(), e.persisted),
             }
@@ -247,7 +249,7 @@ impl FunctionCache {
             if persisted {
                 self.hits_persisted.fetch_add(1, Ordering::Relaxed);
             }
-            return Some(func);
+            return Some(Arc::new(func));
         }
         let mut guard = shard.lock().unwrap();
         let shard = &mut *guard;
@@ -266,8 +268,10 @@ impl FunctionCache {
     }
 
     /// Stores optimized IR under a context fingerprint, evicting by
-    /// second chance when the target shard is full.
-    pub fn insert(&self, key: Fingerprint, optimized: Function) {
+    /// second chance when the target shard is full. An `Arc` is kept as it
+    /// comes: the entry shares the body with the build that made it.
+    pub fn insert(&self, key: Fingerprint, optimized: impl Into<Arc<Function>>) {
+        let optimized = optimized.into();
         self.mark_dirty();
         let mut guard = self.shards[Self::shard_of(key)].lock().unwrap();
         let shard = &mut *guard;
@@ -553,18 +557,29 @@ const SEGMENT_VERSION: u32 = 1;
 /// pre-optimization module. Functions involved in (or depending on) local
 /// call cycles are absent from the result.
 pub fn context_fingerprints(module: &Module) -> HashMap<String, Fingerprint> {
-    let local_prefix = format!("{}.", module.name);
+    function_contexts(&module.name, &module.functions)
+}
+
+/// [`context_fingerprints`] of the module named `module` whose functions
+/// are `functions`, owned or shared.
+pub fn function_contexts<F: Borrow<Function>>(
+    module: &str,
+    functions: &[F],
+) -> HashMap<String, Fingerprint> {
+    let local_prefix = format!("{module}.");
+    let functions: Vec<&Function> = functions.iter().map(Borrow::borrow).collect();
+    let names: HashSet<&str> = functions.iter().map(|f| f.name.as_str()).collect();
 
     // Per function: sorted local callee names and sorted foreign targets.
     let mut local_callees: HashMap<&str, Vec<String>> = HashMap::new();
     let mut foreign_callees: HashMap<&str, Vec<String>> = HashMap::new();
-    for f in &module.functions {
+    for f in &functions {
         let mut local: Vec<String> = Vec::new();
         let mut foreign: Vec<String> = Vec::new();
         for (_, iid) in f.iter_insts() {
             if let Op::Call(target) = &f.inst(iid).op {
                 match target.strip_prefix(&local_prefix) {
-                    Some(name) if module.function(name).is_some() => local.push(name.to_string()),
+                    Some(name) if names.contains(name) => local.push(name.to_string()),
                     _ => foreign.push(target.clone()),
                 }
             }
@@ -577,8 +592,7 @@ pub fn context_fingerprints(module: &Module) -> HashMap<String, Fingerprint> {
         foreign_callees.insert(&f.name, foreign);
     }
 
-    let body_fp: HashMap<&str, Fingerprint> = module
-        .functions
+    let body_fp: HashMap<&str, Fingerprint> = functions
         .iter()
         .map(|f| (f.name.as_str(), fingerprint(f)))
         .collect();
@@ -589,7 +603,7 @@ pub fn context_fingerprints(module: &Module) -> HashMap<String, Fingerprint> {
     let mut resolved: HashMap<String, Fingerprint> = HashMap::new();
     loop {
         let mut progressed = false;
-        for f in &module.functions {
+        for f in &functions {
             if resolved.contains_key(&f.name) {
                 continue;
             }

@@ -10,8 +10,9 @@
 //! composition of these four; there is exactly one implementation of every
 //! phase.
 
-use sfcc_backend::{compile_object, CodeObject};
+use sfcc_backend::{compile_functions, CodeObject};
 use sfcc_frontend::{CheckedModule, Diagnostics, ModuleEnv, SourceFile};
+use sfcc_ir::Function;
 use std::time::Instant;
 
 use crate::compiler::CompileError;
@@ -52,15 +53,20 @@ pub fn lower(checked: &CheckedModule, env: &ModuleEnv) -> (sfcc_ir::Module, u64)
     (ir, t.elapsed().as_nanos() as u64)
 }
 
-/// Compiles optimized IR to an object file. Returns the object and the
-/// phase's wall time (ns).
+/// Compiles the optimized functions of module `module`, in order, to an
+/// object file, borrowing them. Returns the object and the phase's wall
+/// time (ns).
 ///
 /// # Errors
 ///
 /// [`CompileError::Backend`] when codegen fails (an internal bug, not bad
 /// input).
-pub fn codegen(ir: &sfcc_ir::Module) -> Result<(CodeObject, u64), CompileError> {
+pub fn codegen<'f>(
+    module: &str,
+    functions: impl IntoIterator<Item = &'f Function>,
+) -> Result<(CodeObject, u64), CompileError> {
     let t = Instant::now();
-    let object = compile_object(ir).map_err(|e| CompileError::Backend(e.to_string()))?;
+    let object =
+        compile_functions(module, functions).map_err(|e| CompileError::Backend(e.to_string()))?;
     Ok((object, t.elapsed().as_nanos() as u64))
 }

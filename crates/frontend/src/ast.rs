@@ -17,6 +17,7 @@
 
 use crate::source::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// A type written in source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -380,13 +381,15 @@ pub struct Module {
     pub imports: Vec<Import>,
     /// Global constants in source order.
     pub globals: Vec<GlobalDef>,
-    /// Functions in source order.
-    pub functions: Vec<FunctionDef>,
+    /// Functions in source order, each shared: the build's per-function
+    /// tasks and the checked shells they lower hold the parsed definition,
+    /// not a copy of it.
+    pub functions: Vec<Arc<FunctionDef>>,
 }
 
 impl Module {
     /// Finds a function by name.
-    pub fn function(&self, name: &str) -> Option<&FunctionDef> {
+    pub fn function(&self, name: &str) -> Option<&Arc<FunctionDef>> {
         self.functions.iter().find(|f| f.name == name)
     }
 

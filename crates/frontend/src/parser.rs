@@ -184,7 +184,7 @@ impl<'a, 'd> Parser<'a, 'd> {
                 }
                 TokenKind::KwFn => {
                     if let Some(f) = self.function() {
-                        module.functions.push(f);
+                        module.functions.push(std::sync::Arc::new(f));
                     } else {
                         self.recover_to_item();
                     }

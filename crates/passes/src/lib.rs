@@ -63,7 +63,7 @@ pub use manager::{
     run_pipeline, FunctionTrace, NeverSkip, PassOutcome, PassQuery, PassRecord, Pipeline,
     PipelineTrace, RunOptions, SkipOracle,
 };
-pub use parallel::run_pipeline_parallel;
+pub use parallel::{run_pipeline_parallel, run_pipeline_shared};
 
 /// A function transformation.
 ///

@@ -96,7 +96,8 @@ pub struct PipelineTrace {
     pub snapshot_clones: u64,
     /// Σ live instruction count over the functions actually deep-cloned
     /// into snapshots — the deterministic cost proxy for snapshot overhead.
-    /// Copy-on-write re-snapshots clone only functions a pass changed since
+    /// The entry snapshot shares the input bodies and costs nothing;
+    /// copy-on-write re-snapshots clone only functions a pass changed since
     /// the previous snapshot, so this is far below `functions × snapshots`
     /// on converged code.
     pub snapshot_cost_units: u64,
@@ -269,7 +270,10 @@ impl Default for RunOptions {
 /// a cell for the duration of a stage, so the payload needs no
 /// synchronization of its own.
 pub(crate) struct FnCell {
-    func: Function,
+    /// The caller's shared body until the first pass runs on it, which
+    /// takes the run's one working copy (`Arc::make_mut`); a body every
+    /// slot skips is never copied.
+    func: Arc<Function>,
     trace: FunctionTrace,
     dirty: bool,
 }
@@ -311,7 +315,7 @@ impl StageJob<'_> {
                 (PassOutcome::Skipped, 0)
             } else {
                 let start = Instant::now();
-                let changed = pass.run(&mut cell.func, &self.snapshot);
+                let changed = pass.run(Arc::make_mut(&mut cell.func), &self.snapshot);
                 let nanos = start.elapsed().as_nanos() as u64;
                 if changed {
                     cell.dirty = true;
@@ -341,23 +345,28 @@ impl StageJob<'_> {
 }
 
 /// The one stage loop behind [`run_pipeline`] and
-/// [`run_pipeline_parallel`](crate::run_pipeline_parallel): entry snapshot,
+/// [`run_pipeline_shared`](crate::run_pipeline_shared): entry snapshot,
 /// copy-on-write re-snapshots, batch planning, slot numbering, and trace
 /// assembly. `dispatch` applies one stage's [`StageJob`] to every cell —
 /// the entries differ only there — given the stage's cost-balanced batch
 /// plan, and hands the cells back in their original positions. Stage
 /// boundaries are barriers: `dispatch` returns only when every cell is done.
+///
+/// The entry snapshot is `functions` themselves; a body is copied when the
+/// first pass runs on it, so one no pass runs on comes back as the `Arc`
+/// it came in as.
 pub(crate) fn run_stages<'p>(
-    module: &mut Module,
+    module: &str,
+    functions: Vec<Arc<Function>>,
     pipeline: &'p Pipeline,
     options: RunOptions,
     mut dispatch: impl FnMut(Vec<FnCell>, &[Vec<usize>], StageJob<'p>) -> Vec<FnCell>,
-) -> PipelineTrace {
+) -> (Vec<Arc<Function>>, PipelineTrace) {
     let mut trace = PipelineTrace {
-        module: module.name.clone(),
+        module: module.to_string(),
         ..PipelineTrace::default()
     };
-    let mut cells: Vec<FnCell> = std::mem::take(&mut module.functions)
+    let mut cells: Vec<FnCell> = functions
         .into_iter()
         .map(|func| FnCell {
             trace: FunctionTrace {
@@ -400,15 +409,32 @@ pub(crate) fn run_stages<'p>(
         slot_base += stage.passes.len();
     }
 
+    let mut functions = Vec::with_capacity(cells.len());
     for mut cell in cells {
         if stages.is_empty() {
             // No stage visited the cell: the body is untouched.
             cell.trace.entry_fingerprint = fingerprint(&cell.func);
             cell.trace.exit_fingerprint = cell.trace.entry_fingerprint;
         }
-        module.functions.push(cell.func);
+        functions.push(cell.func);
         trace.functions.push(cell.trace);
     }
+    (functions, trace)
+}
+
+/// Runs `run` over `module`'s functions in place: each body moves into an
+/// `Arc` and back out, copied by neither move, since no snapshot outlives
+/// the run.
+pub(crate) fn in_place(
+    module: &mut Module,
+    run: impl FnOnce(&str, Vec<Arc<Function>>) -> (Vec<Arc<Function>>, PipelineTrace),
+) -> PipelineTrace {
+    let functions = std::mem::take(&mut module.functions)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let (functions, trace) = run(&module.name, functions);
+    module.functions = functions.into_iter().map(Arc::unwrap_or_clone).collect();
     trace
 }
 
@@ -426,7 +452,21 @@ pub fn run_pipeline(
     oracle: &dyn SkipOracle,
     options: RunOptions,
 ) -> PipelineTrace {
-    run_stages(module, pipeline, options, |mut cells, _, job| {
+    in_place(module, |name, functions| {
+        run_sequential(name, functions, pipeline, oracle, options)
+    })
+}
+
+/// [`run_pipeline`] over shared bodies: `functions` in, the optimized
+/// bodies out in the same order.
+pub(crate) fn run_sequential(
+    module: &str,
+    functions: Vec<Arc<Function>>,
+    pipeline: &Pipeline,
+    oracle: &dyn SkipOracle,
+    options: RunOptions,
+) -> (Vec<Arc<Function>>, PipelineTrace) {
+    run_stages(module, functions, pipeline, options, |mut cells, _, job| {
         for cell in &mut cells {
             job.run_on(cell, oracle);
         }
@@ -437,8 +477,9 @@ pub fn run_pipeline(
 /// Takes the next copy-on-write snapshot of the cells' current bodies:
 /// cells flagged dirty (changed by some pass since `prev` was taken) are
 /// deep-cloned into fresh `Arc`s, clean ones reuse `prev`'s `Arc`s at zero
-/// copy cost. `prev: None` is the pipeline-entry snapshot, which clones
-/// everything. Books the event in `trace` and clears the dirty bits.
+/// copy cost. `prev: None` is the pipeline-entry snapshot, which shares
+/// every cell's `Arc`: no pass has run, so nothing is copied. Books the
+/// event in `trace` and clears the dirty bits.
 ///
 /// Pipeline stages transform bodies but never add, remove, or reorder
 /// functions, so cell positions align with `prev`'s.
@@ -458,10 +499,11 @@ fn take_snapshot(
                 arcs.push(Arc::clone(&prev.arcs()[i]));
                 reused += 1;
             }
-            _ => {
+            Some(_) => {
                 cost += cell.func.live_inst_count() as u64;
-                arcs.push(Arc::new(cell.func.clone()));
+                arcs.push(Arc::new(Function::clone(&cell.func)));
             }
+            None => arcs.push(Arc::clone(&cell.func)),
         }
         cell.dirty = false;
     }

@@ -1,7 +1,7 @@
 //! Function-parallel pipeline execution on a shared work-stealing pool.
 //!
 //! [`run_pipeline_parallel`] is the stage loop of
-//! [`run_pipeline`] with a wider dispatch, so its
+//! [`run_pipeline`](crate::run_pipeline) with a wider dispatch, so its
 //! output is byte-identical for the same inputs:
 //!
 //! * Within a stage, passes read callee bodies only from the immutable
@@ -25,15 +25,17 @@
 
 use std::sync::Arc;
 
-use sfcc_ir::Module;
+use sfcc_ir::{Function, Module};
 use sfcc_pool::{run_batched, PoolScope};
 
-use crate::manager::{run_pipeline, run_stages, Pipeline, PipelineTrace, RunOptions, SkipOracle};
+use crate::manager::{
+    in_place, run_sequential, run_stages, Pipeline, PipelineTrace, RunOptions, SkipOracle,
+};
 
 /// Runs `pipeline` over every function of `module` with function-level
 /// parallelism on `pool`, consulting `oracle` before each pass execution.
 ///
-/// Dispatches in line, exactly as [`run_pipeline`] does, when the pool has
+/// Dispatches in line, exactly as [`run_pipeline`](crate::run_pipeline) does, when the pool has
 /// no workers or the module has at most one function.
 ///
 /// # Panics
@@ -48,23 +50,52 @@ pub fn run_pipeline_parallel<'env>(
     options: RunOptions,
     pool: &PoolScope<'env>,
 ) -> PipelineTrace {
-    if !pool.is_parallel() || module.functions.len() <= 1 {
-        return run_pipeline(module, pipeline, oracle.as_ref(), options);
-    }
-    run_stages(module, pipeline, options, |cells, batches, job| {
-        let oracle = Arc::clone(&oracle);
-        run_batched(Some(pool), cells, batches, move |_, cell| {
-            job.run_on(cell, oracle.as_ref())
-        })
+    in_place(module, |name, functions| {
+        run_pipeline_shared(name, functions, pipeline, oracle, options, pool)
     })
+}
+
+/// [`run_pipeline_parallel`] over shared bodies: the functions of module
+/// `module` in, the optimized bodies out in the same order. The run's entry
+/// snapshot is `functions` themselves, and a body is copied only when the
+/// first pass runs on it, so one that every slot skips comes back as the
+/// `Arc` it came in as, uncopied.
+///
+/// # Panics
+///
+/// As [`run_pipeline_parallel`].
+pub fn run_pipeline_shared<'env>(
+    module: &str,
+    functions: Vec<Arc<Function>>,
+    pipeline: &'env Pipeline,
+    oracle: Arc<dyn SkipOracle + Send + Sync + 'env>,
+    options: RunOptions,
+    pool: &PoolScope<'env>,
+) -> (Vec<Arc<Function>>, PipelineTrace) {
+    if !pool.is_parallel() || functions.len() <= 1 {
+        return run_sequential(module, functions, pipeline, oracle.as_ref(), options);
+    }
+    run_stages(
+        module,
+        functions,
+        pipeline,
+        options,
+        |cells, batches, job| {
+            let oracle = Arc::clone(&oracle);
+            run_batched(Some(pool), cells, batches, move |_, cell| {
+                job.run_on(cell, oracle.as_ref())
+            })
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{default_pipeline, NeverSkip, PassQuery};
+    use crate::{default_pipeline, run_pipeline, NeverSkip, PassQuery};
     use sfcc_frontend::parse_and_check;
     use sfcc_ir::lower_module;
+    use sfcc_ir::Function;
 
     /// A deterministic oracle that skips a fixed set of slots, to exercise
     /// the Skipped path in parallel.
@@ -177,6 +208,45 @@ mod tests {
             assert!(f.records.is_empty());
             assert_ne!(f.entry_fingerprint, sfcc_ir::Fingerprint::default());
             assert_eq!(f.entry_fingerprint, f.exit_fingerprint);
+        }
+    }
+
+    /// The entry snapshot shares the input bodies, and a body is copied
+    /// only when a pass first runs on it: one every slot skips comes back
+    /// as the `Arc` it came in as, at any width.
+    #[test]
+    fn a_body_no_pass_runs_on_is_never_copied() {
+        let pipeline = default_pipeline();
+        for jobs in [1, 4] {
+            let functions: Vec<Arc<Function>> = sample_module()
+                .functions
+                .into_iter()
+                .map(Arc::new)
+                .collect();
+            let skipped = &functions[0].name;
+            let oracle = Arc::new(SkipFunction(skipped.clone()));
+            let (out, _) = sfcc_pool::scope(jobs, |ps| {
+                let input = functions.clone();
+                run_pipeline_shared("par", input, &pipeline, oracle, RunOptions::default(), ps)
+            });
+            for (before, after) in functions.iter().zip(&out) {
+                let shared = Arc::ptr_eq(before, after);
+                assert_eq!(
+                    shared,
+                    &before.name == skipped,
+                    "{} at j{jobs}",
+                    before.name
+                );
+            }
+        }
+    }
+
+    /// Skips every slot of one function.
+    struct SkipFunction(String);
+
+    impl SkipOracle for SkipFunction {
+        fn should_skip(&self, q: &PassQuery<'_>) -> bool {
+            q.function == self.0
         }
     }
 }

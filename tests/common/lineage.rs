@@ -19,7 +19,7 @@
 //! | `fresh` | a stateless build without a function cache, and a stateful `-O` flip without a store, give the image a directory with no history builds under the same flags. A cache hit hands a re-optimized caller's inliner its callee's optimized body, and a store serves artifacts its publisher's dormancy shaped, so those builds are held to `behaviour`. |
 //! | `peer` | the subject is its peer, a resident builder at `--jobs 1` over the same script: image, committed state, cache and graph bytes, generation, rebuilt flags, misses and executed set (hits too where both sessions stay warm). No `optimizefn` is rematerialized. A daemon's `ir main` is the peer's `module_ir`. |
 //! | `noop` | a step that changed nothing keeps the image; in a session that stays warm, or a stateful one, it misses nothing, keeps the generation and moves no `.sfcc-state*` byte. |
-//! | `chains` | on the subject's builder and its peer's, the committed graph chain folds to `graph_file()`, and where `twin` holds the cache chain to `function_cache().to_bytes()`; over a script of 16 stateful builds each graph chain rebases at least twice. |
+//! | `chains` | on the subject's builder and its peer's, the committed graph chain folds to `graph_file()`, and where `twin` holds, or the cache is on and a build since the last `--fn-cache` flip executed, the cache chain to `function_cache().to_bytes()`; over a script of 16 stateful builds each graph chain rebases at least twice. |
 //! | `behaviour` | a build `fresh` does not hold prints and returns on inputs 0, 2 and 9 what a stateless build does; over three edits or more built at `-O1` or `-O2`, a stateful subject skips at least one pass slot. |
 //! | `minimal` | a body edit rebuilds only its module, a new function at least its module; a stateful flip executes only `optimizefn`, `codegen` and `link`. |
 //! | `audit` | a `depcheck` of the committed directory finds nothing. |
@@ -327,8 +327,10 @@ impl Lane {
         let builder = self.builder.as_mut()?;
         let [_, ircache, depgraph] = &built.committed;
         let graph = depgraph.as_ref() == Some(&builder.graph_file());
-        let whole = builder.compiler().function_cache().to_bytes();
-        let cache = !cache || ircache.as_ref() == Some(&whole);
+        // Opened only to be checked: a check that opened a cache the build
+        // did not would discard its chain for the next build to commit.
+        let whole = || builder.compiler().function_cache().to_bytes();
+        let cache = !cache || ircache.as_ref() == Some(&whole());
         let state = self.dir.join(".sfcc-state");
         let manifest = CommitDir::new(&state).read_manifest().unwrap().unwrap();
         let base = manifest.entry("depgraph").unwrap().file.clone();
@@ -512,6 +514,9 @@ struct Run<'a> {
     /// an `--fn-cache` flip, cleared by an `-O` flip that re-optimizes
     /// every function through the cache.
     cache_stale: bool,
+    /// Whether a build since the last `--fn-cache` flip opened the
+    /// function cache: one that executed anything.
+    cache_opened: bool,
 }
 
 impl<'a> Run<'a> {
@@ -580,6 +585,7 @@ impl<'a> Run<'a> {
             skipped: 0,
             optimized_edits: 0,
             cache_stale: false,
+            cache_opened: false,
         }
     }
 
@@ -640,6 +646,7 @@ impl<'a> Run<'a> {
             Step::FnCache => {
                 self.flags.fn_cache = !self.flags.fn_cache;
                 self.cache_stale = true;
+                self.cache_opened = false;
             }
             Step::Restart => {
                 // The twin keeps its session: it holds what a new process
@@ -709,6 +716,7 @@ impl<'a> Run<'a> {
         if let Some(want) = &peer {
             self.check_peer(&got, want, hits);
         }
+        self.cache_opened |= got.gauge("query.misses") > 0;
         self.check_chains(&got, peer.as_ref());
         if let Some(commit) = commit.filter(|_| flags.stateful || warm) {
             let modules = got.report["modules"].as_arr().unwrap();
@@ -769,12 +777,13 @@ impl<'a> Run<'a> {
     }
 
     /// The chains the subject's and the peer's builders committed fold to
-    /// their whole files.
+    /// their whole files: the cache's too while the cache is on, from an
+    /// `--fn-cache` flip on the first build that opens it.
     fn check_chains(&mut self, got: &Outcome, peer: Option<&Outcome>) {
         if !self.flags.stateful {
             return;
         }
-        let cache = self.cache_synced();
+        let cache = self.flags.fn_cache && (!self.cache_stale || self.cache_opened);
         let lanes = [Some((&mut self.lane, got)), self.peer.as_mut().zip(peer)];
         let unfolded = lanes
             .into_iter()

@@ -279,6 +279,41 @@ fn quick_every_step_on_every_route() {
     }
 }
 
+/// Turning `--fn-cache` back on after an `-O` flip: the first build that
+/// opens the cache discards the chain the other pipeline committed, and
+/// its commit replaces it, though it inserts nothing (the removed module's
+/// build optimizes no function).
+#[test]
+fn quick_cache_back_on_after_a_flip_replaces_the_stale_chain() {
+    let steps = [
+        Restart,
+        Module,
+        Edit,
+        Edit,
+        Noop,
+        FnCache,
+        Edit,
+        Edit,
+        Opt(1),
+        Revert,
+        Edit,
+        Audit,
+        Restart,
+        Module,
+        Edit,
+        Noop,
+        Signature,
+        Edit,
+        Edit,
+        FnCache,
+        FnCache,
+        Module,
+        FnCache,
+        Module,
+    ];
+    lineage::check(&Script::of(0xdf0ea4c6894e2ac1, &steps), "fresh j1 stateful");
+}
+
 #[test]
 fn warm_run_serve_matches_cold_vm_results() {
     let root = tmproot("run-diff");

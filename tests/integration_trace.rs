@@ -469,7 +469,7 @@ fn quick_emitted_json_bytes_are_pinned() {
     use sfcc_daemon::Request;
     assert_eq!(golden_report().to_json(), GOLDEN_REPORT);
 
-    // The demo trace: 35 639 bytes, pinned by length and FNV-64.
+    // The demo trace: 35 636 bytes, pinned by length and FNV-64.
     let trace = golden_demo_trace();
     assert!(
         trace.starts_with(r#"{"displayTimeUnit":"ns","traceEvents":[{"name":"build","cat":"build","ph":"X","ts":0,"dur":2615,"pid":1,"tid":1,"args":{"seq":0,"cost":0}},{"name":"mathx","cat":"module","#),
@@ -478,7 +478,7 @@ fn quick_emitted_json_bytes_are_pinned() {
     );
     assert_eq!(
         (trace.len(), sfcc_codec::fnv64(trace.as_bytes())),
-        (35_639, 0x48e6_57db_351d_d4b6)
+        (35_636, 0x4b06_0ded_f868_0c80)
     );
 
     let request = Request {
