@@ -90,9 +90,10 @@ depcheck_smoke() {
 # nothing re-run for its value (no module but the edited one is walked, and
 # `graph`, `codegen` and `optimizefn` values are loaded from the graph), and
 # the image a directory without any history builds from the edited tree.
-# The no-op reads what it uses and no more: the state and the graph, not a
-# byte of the function cache; it hashes one graph value (`link`'s) and
-# decodes no program.
+# The no-op reads what it uses and no more: the manifest and the input
+# section of the graph's tip — at most 5 % of the committed state and graph,
+# not a byte of the function cache; it parses no key, loads and hashes no
+# graph value and decodes no program.
 noop_gate() {
     local scratch
     scratch="$(mktemp -d)"
@@ -109,25 +110,27 @@ noop_gate() {
     cp "$scratch/p"/.sfcc-state* "$scratch/state1"/
     "${build[@]}" "$scratch/p" "${flags[@]}" --report json -o "$scratch/out.sbx" > "$scratch/second.json"
     cp "$scratch/p"/.sfcc-state* "$scratch/state2"/
-    # A no-op reads back the keys of `link`'s dependencies and nothing else.
-    local parsed
-    parsed="$(gauge query.keys_parsed "$scratch/second.json")"
+    # A no-op answers `link` from the inputs the graph's tip records: one
+    # hit, no key parsed, no value loaded.
     if (($(gauge query.hits "$scratch/second.json") != 1)) ||
         (($(gauge query.misses "$scratch/second.json") != 0)) ||
+        (($(gauge query.loaded "$scratch/second.json") != 0)) ||
+        (($(gauge query.keys_parsed "$scratch/second.json") != 0)) ||
         (($(gauge fngrain.fn_tasks_executed "$scratch/second.json") != 0)) ||
-        grep -q '"rebuilt":true' "$scratch/second.json" ||
-        ((parsed > 4)); then
-        echo "ci: a second process over an unchanged tree executed tasks or parsed $parsed key(s):" >&2
+        grep -q '"rebuilt":true' "$scratch/second.json"; then
+        echo "ci: a second process over an unchanged tree executed, loaded or parsed:" >&2
         grep -oE '"(query|fngrain)\.[a-z_]+":\{[^}]*\}|"build.rebuilt_count":\{[^}]*\}' "$scratch/second.json" >&2
         return 1
     fi
+    # It reads the manifest and the tip's input section: at most 5 % of the
+    # committed state and graph, and hashes no value.
     local got used
     got="$(gauge persist.bytes_read "$scratch/second.json")"
     used="$(committed_size "$scratch/p" state depgraph)"
-    if ((got != used)) ||
-        (($(gauge persist.values_verified "$scratch/second.json") != 1)) ||
+    if ((got * 20 > used)) ||
+        (($(gauge persist.values_verified "$scratch/second.json") != 0)) ||
         (($(gauge backend.programs_decoded "$scratch/second.json") != 0)); then
-        echo "ci: a no-op read more than the $used committed byte(s) of state and graph, or hashed more than \`link\`'s value, or decoded a program:" >&2
+        echo "ci: a no-op read more than 5 % of the $used committed byte(s) of state and graph, or hashed a value, or decoded a program:" >&2
         grep -oE '"(persist.bytes_read|persist.values_verified|backend.programs_decoded)":\{[^}]*\}' "$scratch/second.json" >&2
         return 1
     fi
@@ -461,20 +464,26 @@ front_end_gate() {
 }
 
 # Build values move from task to task by `Arc` or by move: a function body
-# is copied once per build, when the pipeline takes its working copy. In the
-# non-test code of tasks.rs, `Arc::unwrap_or_clone`, `.object.clone()`,
-# `.func.clone()` (or `(*….func).clone()`, `Function::clone(`, and the same
-# of a `CodeObject` or a `FunctionDef`) or a `.cloned()` of a parse
-# definition (`ast.function…`) is a deep copy of a value the engine already
-# holds coming back.
+# is copied once per build, when the pipeline takes its working copy, and a
+# pass trace not at all. In the non-test code of tasks.rs,
+# `Arc::unwrap_or_clone`, `.object.clone()`, `.func.clone()` (or
+# `(*….func).clone()`, `Function::clone(`, and the same of a `CodeObject` or
+# a `FunctionDef`) or a `.cloned()` of a parse definition (`ast.function…`),
+# and in that of builder.rs a `.ftrace.clone()`, is a deep copy of a value
+# the build already holds coming back.
 copy_gate() {
     local found
     found="$(awk '/^#\[cfg\(test\)\]/ { exit }
                   /^[[:space:]]*\/\// { next }
                   /Arc::unwrap_or_clone|\.(object|func)\)?\.clone\(\)|(Function|FunctionDef|CodeObject)::clone\(|ast\.functions?[^;]*\.cloned\(\)/ {
                       print FNR ": " $0 }' crates/buildsys/src/tasks.rs)"
+    # The report takes each executed `optimizefn`'s pass trace from the
+    # build; a `.ftrace.clone()` in builder.rs copies it out of a value.
+    found+="$(awk '/^#\[cfg\(test\)\]/ { exit }
+                   /^[[:space:]]*\/\// { next }
+                   /\.ftrace\.clone\(\)/ { print "builder.rs:" FNR ": " $0 }' crates/buildsys/src/builder.rs)"
     if [[ -n "$found" ]]; then
-        echo "ci: tasks.rs deep-copies a value the engine holds (share the Arc, or move it):" >&2
+        echo "ci: tasks.rs or builder.rs deep-copies a value the engine holds (share the Arc, or move it):" >&2
         echo "$found" >&2
         return 1
     fi

@@ -18,6 +18,11 @@
 //!    cutoff); a valid `link` is answered without a task executed, the
 //!    function cache or the program read.
 //!
+//! A process's first [`Builder::build_image`] checks, before any of that,
+//! the inputs the committed graph's tip records `link` read: when none
+//! moved and the image file holds `link`'s image, `link` is a hit and the
+//! graph, the state and the cache are never read.
+//!
 //! The report reads the engine's records: the module order is `link`'s
 //! recorded `codegen` dependencies, a module is rebuilt when its `codegen`
 //! or one of its `optimizefn`s executed, and its roster is the `optimizefn`
@@ -47,22 +52,24 @@
 //! which is exactly the "fresh checkout, warm state" CI scenario.
 
 use crate::depcheck::{self, DepFindingKind, DepMutations, DepcheckReport};
-use crate::depgraph;
+use crate::depgraph::{self, recorded};
 use crate::graph::GraphError;
 use crate::project::Project;
 use crate::report::{BuildReport, LinkedProgram, ModuleOutput, ModuleReport, QueryStats};
-use crate::tasks::{label_scope, split_label, BuildSpec, BuildTask};
+use crate::tasks::{label_scope, BuildSpec, BuildTask, BuildValue, LinkArtifact};
 use sfcc::persist::{Artifact, RecoveryEvent};
 use sfcc::{CompileError, Compiler};
 use sfcc_backend::LinkError;
+use sfcc_codec::fnv64;
+use sfcc_faultfs::{OpCounts, RecordGuard};
 use sfcc_passes::PassOutcome;
-use sfcc_query::{Dep, Engine, QueryError};
+use sfcc_query::{Engine, QueryError, SessionStats, TaskSpec};
 use sfcc_trace::{ArgValue, Registry, SpanId, Trace};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
-
-use crate::tasks::BuildValue;
 
 /// Why a build failed.
 #[derive(Debug)]
@@ -140,6 +147,9 @@ pub struct Builder {
     /// The graph the compiler holds for its next commit, as the store sees
     /// it: `committed` once that commit lands.
     deposited: Option<depgraph::Committed>,
+    /// The image the last build found its image file holding, when it
+    /// answered `link` from the committed inputs ([`Builder::build_image`]).
+    held: Option<Arc<LinkArtifact>>,
 }
 
 impl fmt::Debug for Builder {
@@ -168,6 +178,7 @@ impl Builder {
             restored: false,
             committed: None,
             deposited: None,
+            held: None,
         }
     }
 
@@ -215,6 +226,7 @@ impl Builder {
         if !project.contains(module) {
             return Ok(None);
         }
+        self.restore_committed();
         let mut spec = BuildSpec::new(
             project,
             &mut self.compiler,
@@ -280,12 +292,13 @@ impl Builder {
     }
 
     /// The image of the program the last build linked, encoded: the bytes
-    /// `link` memoized (or loaded), so writing it encodes nothing. `None`
-    /// before a build has linked.
+    /// `link` memoized (or loaded), or that the image file held when the
+    /// build answered from the committed inputs, so writing it encodes
+    /// nothing. `None` before a build has linked.
     pub fn linked_image(&self) -> Option<&[u8]> {
-        match self.engine.peek(&BuildTask::Link)? {
-            BuildValue::Link(link) => Some(&link.image),
-            _ => None,
+        match self.engine.peek(&BuildTask::Link) {
+            Some(BuildValue::Link(link)) => Some(&link.image),
+            _ => self.held.as_ref().map(|link| link.image.as_slice()),
         }
     }
 
@@ -293,9 +306,27 @@ impl Builder {
     /// chain writes, and what the committed chain folds to once this
     /// store's changes are committed.
     pub fn graph_file(&mut self) -> Vec<u8> {
-        let bytes = depgraph::encode(&self.engine, &mut self.stored).0;
+        self.restore_committed();
+        let section = depgraph::section(&self.engine, &self.compiler);
+        let bytes = depgraph::encode(&self.engine, &mut self.stored, &section).0;
         self.stored.report_rejected(&self.engine, &self.compiler);
         bytes
+    }
+
+    /// Fills the store from the graph the last process committed, when the
+    /// compiler session still holds it unread: a process's first build
+    /// starts from it, not from nothing.
+    fn restore_committed(&mut self) {
+        if let Some(graph) = self.compiler.take_restored_graph() {
+            if let Some(stored) = depgraph::restore(&mut self.engine, graph, &self.mutations) {
+                self.stored = stored;
+                self.restored = true;
+                self.committed = self
+                    .compiler
+                    .graph_chain()
+                    .map(|chain| (chain.tip, depgraph::Committed::restored(&self.engine)));
+            }
+        }
     }
 
     /// The underlying compiler session (state persistence, cache counters).
@@ -315,7 +346,8 @@ impl Builder {
     pub fn clear_cache(&mut self) {
         self.engine.clear();
         self.stored = depgraph::Stored::default();
-        self.compiler.take_restored_graph();
+        self.compiler.drop_restored_graph();
+        self.held = None;
         self.restored = false;
         self.committed = None;
         self.deposited = None;
@@ -327,7 +359,7 @@ impl Builder {
     /// first and pays for the execution. Returns whether there was such a
     /// store to forget.
     pub fn forget_restored_graph(&mut self) -> bool {
-        let restored = self.restored || self.compiler.take_restored_graph().is_some();
+        let restored = self.restored || self.compiler.drop_restored_graph();
         if restored {
             self.clear_cache();
         }
@@ -342,11 +374,41 @@ impl Builder {
     /// for the first module that fails to compile, [`BuildError::Link`] if
     /// the final link fails.
     pub fn build(&mut self, project: &Project) -> Result<BuildReport, BuildError> {
+        self.build_with(project, None)
+    }
+
+    /// [`Builder::build`] for the image file `image`, which counts as
+    /// holding the image when its bytes hash to `link`'s fingerprint — the
+    /// rule every persisted value is held to. A process's first build then
+    /// checks, before it reads the committed graph, the stamps of the inputs
+    /// the graph's tip records `link` read ([`sfcc::InputSection`]): if
+    /// every one is unchanged and the file holds the image, `link` is a hit
+    /// with nothing restored, decoded or loaded, and the image is the
+    /// file's. This is the engine's own validity rule, checked before the
+    /// read; on any mismatch the build goes on as [`Builder::build`], with
+    /// the stamps it took. The build never writes `image`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Builder::build`].
+    pub fn build_image(
+        &mut self,
+        project: &Project,
+        image: &Path,
+    ) -> Result<BuildReport, BuildError> {
+        self.build_with(project, Some(image))
+    }
+
+    fn build_with(
+        &mut self,
+        project: &Project,
+        image: Option<&Path>,
+    ) -> Result<BuildReport, BuildError> {
         // Freeze the dormancy snapshot skip decisions read for the whole
         // session; per-function ingestion writes the live database. Thawed
         // on every exit so direct compiles between builds see live state.
         self.compiler.freeze_state();
-        let mut result = self.build_inner(project);
+        let mut result = self.build_inner(project, image);
         self.compiler.thaw_state();
         if let Ok(report) = &mut result {
             if self.compiler.persists_state() {
@@ -380,17 +442,25 @@ impl Builder {
         if !executed && (chain.is_some() || self.compiler.graph_pending()) {
             return;
         }
+        let section = depgraph::section(&self.engine, &self.compiler);
         let segment = match (&self.committed, chain) {
-            (Some((tip, since)), Some(chain)) if *tip == chain.tip => Some(
-                depgraph::encode_segment(&self.engine, &mut self.stored, chain.tip, since),
-            )
-            .filter(|(bytes, _)| !chain.compacts(bytes.len())),
+            (Some((tip, since)), Some(chain)) if *tip == chain.tip => {
+                let stored = &mut self.stored;
+                Some(depgraph::encode_segment(
+                    &self.engine,
+                    stored,
+                    chain.tip,
+                    since,
+                    &section,
+                ))
+                .filter(|(bytes, _)| !chain.compacts(bytes.len()))
+            }
             _ => None,
         };
         let (graph, deposited) = match segment {
             Some((bytes, next)) => (Artifact::Segment(bytes), next),
             None => {
-                let (bytes, next) = depgraph::encode(&self.engine, &mut self.stored);
+                let (bytes, next) = depgraph::encode(&self.engine, &mut self.stored, &section);
                 (Artifact::Base(bytes), next)
             }
         };
@@ -398,7 +468,11 @@ impl Builder {
         self.deposited = Some(deposited);
     }
 
-    fn build_inner(&mut self, project: &Project) -> Result<BuildReport, BuildError> {
+    fn build_inner(
+        &mut self,
+        project: &Project,
+        image: Option<&Path>,
+    ) -> Result<BuildReport, BuildError> {
         let start = Instant::now();
         // The root span must exist before its children, so it is recorded
         // up front and its wall time filled in at the end.
@@ -413,25 +487,7 @@ impl Builder {
         let op_guard = self.depcheck.then(sfcc_faultfs::record);
         let ops_before = sfcc_faultfs::op_counts();
         let decoded_before = sfcc_backend::image::programs_decoded();
-
-        // A process's first build starts from the graph the last one
-        // committed, not from nothing.
-        if let Some(graph) = self.compiler.take_restored_graph() {
-            if let Some(stored) = depgraph::restore(&mut self.engine, graph, &self.mutations) {
-                self.stored = stored;
-                self.restored = true;
-                self.committed = self
-                    .compiler
-                    .graph_chain()
-                    .map(|chain| (chain.tip, depgraph::Committed::restored(&self.engine)));
-            }
-        }
-
-        // Drop tasks of modules that left the project so their objects
-        // cannot leak into the link; dependents are invalidated by the
-        // missing nodes (and by the manifest stamp).
-        self.engine
-            .retain(|label| label_scope(label).0.is_none_or(|m| project.contains(m)));
+        self.held = None;
 
         // Shared-store session boundary: clear per-session serve records,
         // pick up other processes' commits, and (adversarially) install any
@@ -441,6 +497,110 @@ impl Builder {
             cas.begin_session();
         }
 
+        // An audited or mutated build cannot be answered from recorded
+        // stamps: it must see every task's reads, and its lies.
+        let link_start = Instant::now();
+        let mut primed = HashMap::new();
+        let answered = match image {
+            Some(image) if op_guard.is_none() && self.mutations.is_empty() => {
+                self.answer_from_inputs(project, image, &mut primed, link_start)
+            }
+            _ => None,
+        };
+        let answer = match answered {
+            Some(answer) => answer,
+            None => self.demand_link(project, primed, op_guard, link_start)?,
+        };
+        Ok(self.report(answer, start, recorder, root, &ops_before, decoded_before))
+    }
+
+    /// `link` answered from the input section of the committed graph's tip,
+    /// before the graph is read ([`Builder::build_image`]), its image read
+    /// from `image` — when this is a process's first build, every input the
+    /// section records stamps as recorded, and the file's bytes hash to
+    /// `link`'s fingerprint. The stamps are taken through
+    /// [`TaskSpec::input_stamp`], as the session would, stopping at the
+    /// first that moved; the `state:` ones are not taken at all when the
+    /// state the manifest names is the one the section was committed beside
+    /// under the same flags, for every one of them is a function of those.
+    /// The stamps taken are left in `primed`.
+    fn answer_from_inputs(
+        &mut self,
+        project: &Project,
+        image: &Path,
+        primed: &mut HashMap<String, u64>,
+        link_start: Instant,
+    ) -> Option<Answer> {
+        if !self.engine.is_empty() {
+            return None;
+        }
+        let section = self.compiler.take_input_section()?;
+        let state_holds = self.compiler.state_stamps_hold(&section);
+        let mut spec = BuildSpec::new(
+            project,
+            &mut self.compiler,
+            &mut self.stored,
+            self.jobs,
+            DepMutations::new(),
+            false,
+        );
+        for (input, recorded) in &section.inputs {
+            if state_holds && input.starts_with("state:") {
+                continue;
+            }
+            let stamp = spec.input_stamp(input);
+            primed.insert(input.clone(), stamp);
+            if stamp != *recorded {
+                return None;
+            }
+        }
+        let image = std::fs::read(image)
+            .ok()
+            .filter(|bytes| fnv64(bytes) == section.link)?;
+        let link = Arc::new(LinkArtifact { image });
+        self.held = Some(Arc::clone(&link));
+        let modules = section
+            .order
+            .into_iter()
+            .map(|name| ModuleReport { name, output: None });
+        Some(Answer {
+            link,
+            modules: modules.collect(),
+            query: QueryStats::default(),
+            query_log: vec![(BuildTask::Link.to_string(), true)],
+            stats: SessionStats {
+                hits: 1,
+                ..SessionStats::default()
+            },
+            keys_parsed: 0,
+            depcheck: None,
+            link_ns: 0,
+            link_wall_ns: link_start.elapsed().as_nanos() as u64,
+            values_verified: 0,
+        })
+    }
+
+    /// `link` demanded from the store, the graph the last process committed
+    /// restored into it first: the session opens with `primed`'s stamps,
+    /// and the engine executes what changed.
+    fn demand_link(
+        &mut self,
+        project: &Project,
+        primed: HashMap<String, u64>,
+        op_guard: Option<RecordGuard>,
+        link_start: Instant,
+    ) -> Result<Answer, BuildError> {
+        // The state opens here, on the thread a fault plan counts, before a
+        // stamp or an optimize run reads it.
+        self.compiler.state();
+        self.restore_committed();
+
+        // Drop tasks of modules that left the project so their objects
+        // cannot leak into the link; dependents are invalidated by the
+        // missing nodes (and by the manifest stamp).
+        self.engine
+            .retain(|label| label_scope(label).0.is_none_or(|m| project.contains(m)));
+
         let mut spec = BuildSpec::new(
             project,
             &mut self.compiler,
@@ -449,6 +609,7 @@ impl Builder {
             self.mutations.clone(),
             self.depcheck,
         );
+        spec.prime(primed);
         self.engine.begin_session(&mut spec);
 
         // Opening the session re-stamped every recorded input and marked
@@ -463,23 +624,12 @@ impl Builder {
             spec.open_cache();
         }
         let engine = &mut self.engine;
-        let link_start = recorder.is_some().then(Instant::now);
         let link = engine
             .require(&mut spec, &BuildTask::Link)
             .map_err(seal)?
             .expect_link();
+        let link_wall_ns = link_start.elapsed().as_nanos() as u64;
         let order = recorded(engine, &BuildTask::Link, "codegen");
-        if let (Some(trace), Some(started)) = (&mut recorder, link_start) {
-            trace.span(
-                root,
-                "link",
-                "link",
-                order.len() as u64,
-                0,
-                started.elapsed().as_nanos() as u64,
-                Vec::new(),
-            );
-        }
         let query_log = spec.take_query_log();
 
         // A module is rebuilt when its `codegen` or one of its
@@ -500,7 +650,7 @@ impl Builder {
         // Dependency-soundness verdict: diff the recorded evidence against
         // the engine's dependency traces while the spec (raw stamps) and
         // engine (dep traces) are both still on hand.
-        let depcheck_report = op_guard.map(|ops| depcheck::analyze(engine, &mut spec, &ops.take()));
+        let depcheck = op_guard.map(|ops| depcheck::analyze(engine, &mut spec, &ops.take()));
 
         // Assemble the report from the store.
         let executed: HashSet<&BuildTask> = engine.executed_keys().iter().collect();
@@ -513,9 +663,10 @@ impl Builder {
                 // optimizefn validated contributed no pass work.
                 let functions = roster
                     .iter()
-                    .map(|f| BuildTask::OptimizeFn(name.clone(), f.clone()))
-                    .filter(|task| executed.contains(task))
-                    .filter_map(|task| engine.peek(&task)?.expect_optimizefn().ftrace.clone())
+                    .filter(|f| {
+                        executed.contains(&BuildTask::OptimizeFn(name.clone(), (*f).clone()))
+                    })
+                    .filter_map(|f| spec.take_trace(name, f))
                     .collect();
                 let mut output = spec.take_output(name);
                 output.trace.module = name.clone();
@@ -552,6 +703,37 @@ impl Builder {
         for (module, roster) in &rosters {
             compiler.retain_state_functions(module, |f| roster.iter().any(|g| g == f));
         }
+        Ok(Answer {
+            link,
+            modules,
+            query,
+            query_log,
+            stats: engine.session_stats(),
+            keys_parsed: engine.keys_parsed(),
+            depcheck,
+            link_ns,
+            link_wall_ns,
+            values_verified,
+        })
+    }
+
+    /// The report of a build that answered `link` as `answer`: every
+    /// number of the build, each set once — from the answer, the module
+    /// traces and the compiler session — and the trace.
+    fn report(
+        &self,
+        answer: Answer,
+        start: Instant,
+        mut recorder: Option<Trace>,
+        root: SpanId,
+        ops_before: &OpCounts,
+        decoded_before: u64,
+    ) -> BuildReport {
+        let compiler = &self.compiler;
+        if let Some(trace) = &mut recorder {
+            let (count, wall_ns) = (answer.modules.len() as u64, answer.link_wall_ns);
+            trace.span(root, "link", "link", count, 0, wall_ns, Vec::new());
+        }
 
         // Recovery accounting: any quarantine / cold-start decision the
         // compiler session took since the last build reported its own.
@@ -559,46 +741,44 @@ impl Builder {
         let quarantined = quarantined_paths(&events);
         let wall_ns = start.elapsed().as_nanos() as u64;
 
-        // Every number of the build, each set once: from the engine, the
-        // spec, the module traces and the compiler session.
         let registry = Registry::new();
         let gauge = |name: &str, value: u64| registry.gauge_set(name, value);
         gauge("build.wall_ns", wall_ns);
-        gauge("build.link_ns", link_ns);
+        gauge("build.link_ns", answer.link_ns);
         gauge("build.jobs", self.jobs as u64);
-        gauge("build.modules", modules.len() as u64);
-        let stats = engine.session_stats();
+        gauge("build.modules", answer.modules.len() as u64);
+        let (stats, query) = (answer.stats, &answer.query);
         gauge("query.hits", stats.hits);
         gauge("query.misses", stats.misses);
         gauge("query.loaded", stats.loaded);
         gauge("query.rematerialized", query.rematerialized.len() as u64);
         gauge("query.executed", query.executed.len() as u64);
-        gauge("query.keys_parsed", engine.keys_parsed());
-        record_fngrain_metrics(&registry, &query_log);
-        record_module_metrics(&registry, &modules);
-        record_depcheck_metrics(&registry, depcheck_report.as_ref());
+        gauge("query.keys_parsed", answer.keys_parsed);
+        record_fngrain_metrics(&registry, &answer.query_log);
+        record_module_metrics(&registry, &answer.modules);
+        record_depcheck_metrics(&registry, answer.depcheck.as_ref());
         gauge("recovery.recovered_files", events.len() as u64);
         gauge("recovery.quarantined", quarantined.len() as u64);
-        gauge("persist.values_verified", values_verified);
+        gauge("persist.values_verified", answer.values_verified);
         let decoded = sfcc_backend::image::programs_decoded() - decoded_before;
         gauge("backend.programs_decoded", decoded);
         compiler.record_metrics(&registry);
         // The build's own durable ops; a driver that commits state adds the
         // commit's ([`crate::serve::BuildService`]).
-        let ops = sfcc_faultfs::op_counts().delta_since(&ops_before);
+        let ops = sfcc_faultfs::op_counts().delta_since(ops_before);
         for (kind, count) in ops.by_kind() {
             gauge(&format!("faultfs.{kind}"), count);
         }
         gauge("faultfs.bytes_written", ops.bytes_written);
 
         let mut report = BuildReport {
-            program: LinkedProgram::new(link),
-            modules,
-            query,
+            program: LinkedProgram::new(answer.link),
+            modules: answer.modules,
+            query: answer.query,
             outcome: "success".to_string(),
             state_generation: 0,
             quarantined,
-            depcheck: depcheck_report,
+            depcheck: answer.depcheck,
             metrics: registry.snapshot(),
             trace: None,
         };
@@ -609,7 +789,7 @@ impl Builder {
         // depend on worker scheduling.
         if let Some(mut trace) = recorder {
             trace.set_wall_ns(root, wall_ns);
-            emit_trace_tree(&mut trace, &report, root, &query_log);
+            emit_trace_tree(&mut trace, &report, root, &answer.query_log);
             let seq = report.modules.len() as u64;
             let cache = compiler.cache_stats();
             trace.instant(
@@ -648,8 +828,26 @@ impl Builder {
             }
             report.trace = Some(trace);
         }
-        Ok(report)
+        report
     }
+}
+
+/// How a build answered `link`, and what its report reads of that.
+struct Answer {
+    link: Arc<LinkArtifact>,
+    /// In `link`'s demand order.
+    modules: Vec<ModuleReport>,
+    query: QueryStats,
+    /// `(task, hit)`, one per demanded task, in demand order.
+    query_log: Vec<(String, bool)>,
+    stats: SessionStats,
+    keys_parsed: u64,
+    depcheck: Option<DepcheckReport>,
+    /// Wall time of the link step, 0 when the link was cached.
+    link_ns: u64,
+    /// Wall time of answering `link`.
+    link_wall_ns: u64,
+    values_verified: u64,
 }
 
 /// Where the quarantined files among `events` were moved aside.
@@ -658,22 +856,6 @@ fn quarantined_paths(events: &[RecoveryEvent]) -> Vec<String> {
         .iter()
         .filter_map(|e| e.quarantined_to.as_ref())
         .map(|p| p.display().to_string())
-        .collect()
-}
-
-/// The `kind` dependencies task `of` recorded, in demand order, by the
-/// last part of their operand — `link`'s `codegen` modules, a `codegen`'s
-/// `optimizefn` functions — read off their labels, so no key is parsed.
-fn recorded(engine: &Engine<BuildTask, BuildValue>, of: &BuildTask, kind: &str) -> Vec<String> {
-    let deps = engine.deps_of(of).unwrap_or_default();
-    deps.iter()
-        .filter_map(|dep| match *dep {
-            Dep::Task(id, _) => match split_label(engine.label(id))? {
-                (k, Some(m), f) if k == kind => Some(f.unwrap_or(m).to_string()),
-                _ => None,
-            },
-            Dep::Input(..) => None,
-        })
         .collect()
 }
 
@@ -934,7 +1116,6 @@ mod tests {
     use super::*;
     use crate::tasks::interface_hash;
     use sfcc::Config;
-    use std::sync::Arc;
 
     fn project(files: &[(&str, &str)]) -> Project {
         let mut p = Project::new();

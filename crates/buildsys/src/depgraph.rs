@@ -38,7 +38,7 @@ use crate::tasks::{
     split_label, BuildTask, BuildValue, CodegenArtifact, LinkArtifact, OptimizeFnArtifact,
 };
 use sfcc::Compiler;
-use sfcc::{GraphDep, GraphFile, GraphWriter, SegmentWriter, ValueBytes};
+use sfcc::{GraphDep, GraphFile, GraphWriter, InputSection, SegmentWriter, ValueBytes};
 use sfcc_query::{Dep, Engine, Exported, Loaded, TaskId};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -107,7 +107,6 @@ impl Stored {
                 BuildValue::OptimizeFn(Arc::new(OptimizeFnArtifact {
                     func: Arc::new(func),
                     text,
-                    ftrace: None,
                 }))
             }
             BuildTask::Codegen(_) => BuildValue::Codegen(Arc::new(CodegenArtifact {
@@ -246,15 +245,57 @@ fn value_bytes<'a>(
     }
 }
 
-/// The store as an encoded graph file, and the file as the store sees it
-/// once committed. A stored value that
+/// The `kind` dependencies task `of` recorded, in demand order, by the
+/// last part of their operand — `link`'s `codegen` modules, a `codegen`'s
+/// `optimizefn` functions — read off their labels, so no key is parsed.
+pub(crate) fn recorded(
+    engine: &Engine<BuildTask, BuildValue>,
+    of: &BuildTask,
+    kind: &str,
+) -> Vec<String> {
+    let deps = engine.deps_of(of).unwrap_or_default();
+    deps.iter()
+        .filter_map(|dep| match *dep {
+            Dep::Task(id, _) => match split_label(engine.label(id))? {
+                (k, Some(m), f) if k == kind => Some(f.unwrap_or(m).to_string()),
+                _ => None,
+            },
+            Dep::Input(..) => None,
+        })
+        .collect()
+}
+
+/// The encoded input section the store's graph file leads with: every
+/// input `link` transitively read with its recorded stamp, `link`'s
+/// fingerprint and module order, sealed by `compiler` with the state it
+/// commits beside them. Empty — no section — while the store holds no
+/// `link`.
+pub(crate) fn section(engine: &Engine<BuildTask, BuildValue>, compiler: &Compiler) -> Vec<u8> {
+    let Some(link) = engine.fingerprint_of(&BuildTask::Link) else {
+        return Vec::new();
+    };
+    let inputs = engine.inputs_under(&BuildTask::Link);
+    compiler.seal_section(InputSection {
+        inputs: inputs
+            .into_iter()
+            .map(|(name, stamp)| (name.to_string(), stamp))
+            .collect(),
+        link,
+        order: recorded(engine, &BuildTask::Link, "codegen"),
+        ..InputSection::default()
+    })
+}
+
+/// The store as an encoded graph file led by the encoded input `section`,
+/// and the file as the store sees it once committed. A stored value that
 /// does not hash to its fingerprint is rejected and written without.
 pub(crate) fn encode(
     engine: &Engine<BuildTask, BuildValue>,
     stored: &mut Stored,
+    section: &[u8],
 ) -> (Vec<u8>, Committed) {
     let (exported, committed) = layout(engine);
-    let mut w = GraphWriter::new(exported.len());
+    let mut w = GraphWriter::new(exported.len(), section);
     for id in committed.table() {
         w.key(engine.label(id));
     }
@@ -276,15 +317,17 @@ pub(crate) fn encode(
 }
 
 /// What changed in the store since `since` was committed, as a segment of
-/// the chain whose tip has manifest checksum `parent` — the nodes recorded
-/// after `since` was taken, whole, with the labels its key table lacks, and
-/// the key table of the whole file — and the file the chain then folds to,
-/// as the store sees it.
+/// the chain whose tip has manifest checksum `parent` — led by the encoded
+/// input `section` of the whole file, the nodes recorded after `since` was
+/// taken, whole, with the labels its key table lacks, and the key table of
+/// the whole file — and the file the chain then folds to, as the store
+/// sees it.
 pub(crate) fn encode_segment(
     engine: &Engine<BuildTask, BuildValue>,
     stored: &mut Stored,
     parent: u64,
     since: &Committed,
+    section: &[u8],
 ) -> (Vec<u8>, Committed) {
     let (exported, committed) = layout(engine);
     let changed: Vec<&Exported<'_, BuildValue>> = exported
@@ -294,7 +337,7 @@ pub(crate) fn encode_segment(
                 || since.index.get(node.id.index()).is_none_or(Option::is_none)
         })
         .collect();
-    let mut w = SegmentWriter::new(parent, since.keys, changed.len());
+    let mut w = SegmentWriter::new(parent, since.keys, changed.len(), section);
     let mut index = since.index.clone();
     index.resize(engine.interned(), None);
     let mut key = |w: &mut SegmentWriter, id: TaskId| {
@@ -423,7 +466,7 @@ mod tests {
     fn graph_file(project: &Project) -> (GraphFile, Arc<DepGraph>) {
         let mut engine = Engine::new();
         let graph = demand_graph(project, &mut engine, &mut Stored::default());
-        let file = GraphFile::from_bytes(encode(&engine, &mut Stored::default()).0).unwrap();
+        let file = GraphFile::from_bytes(encode(&engine, &mut Stored::default(), &[]).0).unwrap();
         (file, graph)
     }
 
@@ -529,7 +572,7 @@ mod tests {
         let mut engine = Engine::new();
         let flipped = flipped(file.clone(), "graph");
         let mut stored = restore(&mut engine, flipped, &DepMutations::new()).unwrap();
-        let (bytes, _) = encode(&engine, &mut stored);
+        let (bytes, _) = encode(&engine, &mut stored, &[]);
         let written = GraphFile::from_bytes(bytes).expect("every written value hashes");
         let at = graph_id(&written).index();
         assert_eq!(written.nodes[at].value, None);
@@ -546,7 +589,10 @@ mod tests {
         // An intact stored value is copied as it was read.
         let mut engine = Engine::new();
         let mut stored = restore(&mut engine, file.clone(), &DepMutations::new()).unwrap();
-        assert_eq!(encode(&engine, &mut stored).0, file.to_bytes());
+        assert_eq!(
+            encode(&engine, &mut stored, &file.section).0,
+            file.to_bytes()
+        );
         assert_eq!(stored.take_verified(), 1);
     }
 }

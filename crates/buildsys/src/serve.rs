@@ -343,11 +343,12 @@ impl BuildService {
     /// or report write. A failed build leaves the previous report parked.
     pub fn build(&mut self) -> Result<Built, String> {
         let project = self.load_project()?;
-        self.commit(&project)
+        self.commit(&project, None)
     }
 
-    /// [`BuildService::build`] of an already loaded project.
-    fn commit(&mut self, project: &Project) -> Result<Built, String> {
+    /// [`BuildService::build`] of an already loaded project, for the image
+    /// file `image` when given ([`Builder::build_image`]).
+    fn commit(&mut self, project: &Project, image: Option<&Path>) -> Result<Built, String> {
         // Park the previous report before building: if this build fails or
         // crashes, `stats` must not serve yesterday's numbers as today's.
         let report_path = self.dir.join(REPORT_FILE);
@@ -357,7 +358,11 @@ impl BuildService {
         }
         // A commit that fails stays pending in the compiler session: the
         // shutdown/idle snapshot retries it.
-        let mut report = self.builder.build(project).map_err(|e| e.to_string())?;
+        let built = match image {
+            Some(image) => self.builder.build_image(project, image),
+            None => self.builder.build(project),
+        };
+        let mut report = built.map_err(|e| e.to_string())?;
         if self.flags.stateful {
             let before = sfcc_faultfs::op_counts();
             report.state_generation = self.save_state()?;
@@ -381,15 +386,19 @@ impl BuildService {
         })
     }
 
-    /// [`BuildService::build`], then the linked image written to `out`: the
-    /// bytes `link` memoized, written only when `out` does not already hold
-    /// them (a no-op leaves the file, and its inode, alone).
+    /// [`BuildService::build`] for the image file `out`, then the linked
+    /// image written to it: the bytes `link` memoized, written only when
+    /// `out` does not already hold them (a no-op leaves the file, and its
+    /// inode, alone). A first build that finds every input unchanged and
+    /// `out` holding `link`'s image reads no more of the committed state
+    /// ([`Builder::build_image`]).
     ///
     /// # Errors
     ///
     /// As [`BuildService::build`], or a failed image write.
     pub fn build_image(&mut self, out: &Path) -> Result<Built, String> {
-        let built = self.build()?;
+        let project = self.load_project()?;
+        let built = self.commit(&project, Some(out))?;
         let durability = self.builder.compiler().config().durability;
         let image = self
             .builder
@@ -410,7 +419,7 @@ impl BuildService {
     /// As [`BuildService::build`], or an unknown module.
     pub fn ir(&mut self, module: &str) -> Result<String, String> {
         let project = self.load_project()?;
-        self.commit(&project)?;
+        self.commit(&project, None)?;
         let ir = self
             .builder
             .module_ir(&project, module)

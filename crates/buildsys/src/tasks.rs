@@ -274,10 +274,11 @@ pub struct CheckFnArtifact {
     pub context_repr: String,
 }
 
-/// What a per-function optimize memoizes: the transformed function, its
+/// What a per-function optimize memoizes: the transformed function and its
 /// IR text — made once: the task's fingerprint hashes it, and it is the
-/// value the persisted query graph carries — and the pass trace that
-/// produced it.
+/// value the persisted query graph carries. The pass trace that produced
+/// it belongs to the build's report, not to the value
+/// ([`BuildSpec::take_trace`]).
 #[derive(Debug, Clone)]
 pub struct OptimizeFnArtifact {
     /// The optimized function, shared with the run that made it — and with
@@ -286,9 +287,6 @@ pub struct OptimizeFnArtifact {
     pub func: Arc<Function>,
     /// `sfcc_ir::function_to_string` of `func`.
     pub text: String,
-    /// Per-pass instrumentation for this function; `None` for a value
-    /// loaded from the last process's graph, which ran no pass here.
-    pub ftrace: Option<FunctionTrace>,
 }
 
 /// What the codegen task memoizes: the object and its encoding, made once —
@@ -436,6 +434,12 @@ pub struct BuildSpec<'a> {
     /// loaded yet ([`TaskSpec::load`]).
     stored: &'a mut Stored,
     prepared: HashMap<(String, String), PreparedFn>,
+    /// The pass trace of each `optimizefn` that executed this build, until
+    /// the report takes it.
+    traces: HashMap<(String, String), FunctionTrace>,
+    /// Input stamps taken this build before the session opened, handed to
+    /// the engine once each instead of being taken again.
+    primed: HashMap<String, u64>,
     /// Per-module phase timings of the tasks that ran this build, and the
     /// snapshot and batch counters of its restricted optimization runs.
     outputs: HashMap<String, ModuleOutput>,
@@ -499,6 +503,8 @@ impl<'a> BuildSpec<'a> {
             compiler,
             stored,
             prepared: HashMap::new(),
+            traces: HashMap::new(),
+            primed: HashMap::new(),
             outputs: HashMap::new(),
             link_ns: 0,
             jobs: jobs.max(1),
@@ -544,6 +550,19 @@ impl<'a> BuildSpec<'a> {
     /// The phase timings accumulated for a module this build.
     fn timings(&mut self, module: &str) -> &mut PhaseTimings {
         &mut self.outputs.entry(module.to_string()).or_default().timings
+    }
+
+    /// The pass trace of `optimizefn(module::function)`, when it executed
+    /// this build, handed over once.
+    pub(crate) fn take_trace(&mut self, module: &str, function: &str) -> Option<FunctionTrace> {
+        let key = (module.to_string(), function.to_string());
+        self.traces.remove(&key)
+    }
+
+    /// Hands the engine `stamps`, taken this build, for the inputs it
+    /// stamps next instead of taking them again.
+    pub(crate) fn prime(&mut self, stamps: HashMap<String, u64>) {
+        self.primed = stamps;
     }
 
     /// Ends the build's use of the compiler session and hands it back.
@@ -790,7 +809,10 @@ impl TaskSpec for BuildSpec<'_> {
     }
 
     fn input_stamp(&mut self, input: &str) -> u64 {
-        let raw = self.raw_input_stamp(input);
+        let raw = match self.primed.remove(input) {
+            Some(stamp) => stamp,
+            None => self.raw_input_stamp(input),
+        };
         self.mutations.stamp(input, raw)
     }
 }
@@ -1082,10 +1104,10 @@ impl BuildSpec<'_> {
                         ctx.record_input(&cas_input, served);
                     }
                 }
+                self.traces.insert(parked, ftrace);
                 Ok(BuildValue::OptimizeFn(Arc::new(OptimizeFnArtifact {
                     text: function_to_string(&func),
                     func,
-                    ftrace: Some(ftrace),
                 })))
             }
             BuildTask::Codegen(m) => {

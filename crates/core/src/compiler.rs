@@ -2,10 +2,10 @@
 //! object code, with dormancy recording in stateful mode.
 
 use crate::config::{Config, Mode, OptLevel};
-use crate::depgraph::{GraphFile, ValueBytes, GRAPH_LOGICAL};
+use crate::depgraph::{GraphFile, InputSection, ValueBytes, GRAPH_LOGICAL};
 use crate::fncache::{function_contexts, CacheStats, FunctionCache};
 use crate::persist::{
-    self, Artifact, Chain, GraphLinks, LoadedState, RecoveryEvent, CACHE_LOGICAL,
+    self, Artifact, Chain, GraphLinks, RecoveryEvent, CACHE_LOGICAL, STATE_LOGICAL,
 };
 use crate::phases;
 use sfcc_backend::CodeObject;
@@ -157,7 +157,11 @@ pub struct Compiler {
     config: Config,
     pipeline: Pipeline,
     pipeline_hash: Fingerprint,
-    state: StateDb,
+    /// The dormancy state, opened on first use ([`Compiler::state`]): from
+    /// `state_entry` when the manifest names one.
+    state: OnceLock<StateDb>,
+    /// The committed state entry opening `state` reads.
+    state_entry: Option<ManifestEntry>,
     /// A snapshot of `state` as a build session started with it
     /// ([`Compiler::freeze_state`]), taken when the session first mutates
     /// `state` — until then `state` itself is that snapshot, so a session
@@ -179,9 +183,9 @@ pub struct Compiler {
     /// disabled or when opening the store failed (the session degrades to
     /// cache-only; a broken store must never fail a build).
     cas: Option<CasStore>,
-    /// Every quarantine / cold-start decision of the load, a later cache
-    /// open, and the graph values that failed their check, that no build
-    /// has reported yet ([`Compiler::take_recovery_events`]).
+    /// Every quarantine / cold-start decision of the load, a later open,
+    /// and the graph values that failed their check, that no build has
+    /// reported yet ([`Compiler::take_recovery_events`]).
     recovery_events: Mutex<Vec<RecoveryEvent>>,
     /// The files the restored graph's values are slices of.
     graph_links: GraphLinks,
@@ -192,9 +196,15 @@ pub struct Compiler {
     /// verify flags, backend version. The function cache, keyed on less
     /// than that, carries it as a stamp.
     identity: u64,
-    /// The query graph the last session committed, until the build system
+    /// The committed graph chain, not yet read, until the build system
     /// takes it ([`Compiler::take_restored_graph`]).
-    restored_graph: Option<GraphFile>,
+    restored_graph: Option<UnreadGraph>,
+    /// The input section of the committed chain's tip, until the build
+    /// system takes it ([`Compiler::take_input_section`]).
+    section: Option<InputSection>,
+    /// The committed state's gauges as that section recorded them, when
+    /// it recorded them of the state the manifest names.
+    state_gauges: Option<[u64; 3]>,
     /// The query graph the next [`Compiler::save_state`] commits beside
     /// state and cache ([`Compiler::deposit_graph`]); cleared once committed.
     graph_to_save: Mutex<Option<Artifact>>,
@@ -203,6 +213,13 @@ pub struct Compiler {
     /// The session-constant head of every [`Compiler::state_stamp_fn`],
     /// hashed once.
     stamp_prefix: Fnv64,
+}
+
+/// A committed graph chain before it is read: its links, base first, and
+/// what reading the tip's input section read of it.
+struct UnreadGraph {
+    links: Vec<ManifestEntry>,
+    head: Vec<u8>,
 }
 
 /// The committed side of a session's persistent artifacts: what a commit
@@ -216,6 +233,9 @@ struct Committed {
     /// Whether a record was ingested, collected or reset since: only then
     /// can the state differ from the one `state_checksum` names.
     state_touched: bool,
+    /// The state encoded for the next commit since it was last touched,
+    /// with its checksum ([`Compiler::seal_section`]).
+    encoded: Option<(Vec<u8>, u64)>,
     /// The committed cache chain the cache extends; `None` when the next
     /// cache commit must write a base.
     cache: Option<Chain>,
@@ -223,17 +243,31 @@ struct Committed {
     graph: Option<Chain>,
 }
 
+impl Committed {
+    /// Whether a commit must encode the state to know whether it changed:
+    /// a record was touched since, or no committed state is known.
+    fn encodes_state(&self) -> bool {
+        self.state_touched || self.state_checksum.is_none()
+    }
+}
+
 impl fmt::Debug for Compiler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Compiler")
             .field("mode", &self.config.mode.label())
-            .field("functions_tracked", &self.state.function_count())
+            .field(
+                "functions_tracked",
+                &self.state.get().map_or(0, StateDb::function_count),
+            )
             .finish()
     }
 }
 
 impl Compiler {
-    /// Creates a session, loading persisted state when configured.
+    /// Creates a session. With a state path, it reads the manifest and the
+    /// input section of the committed graph chain's tip
+    /// ([`Compiler::take_input_section`]); the state, the graph and the
+    /// function cache open on first use.
     pub fn new(config: Config) -> Self {
         let pipeline = match config.opt_level {
             OptLevel::O0 => minimal_pipeline(),
@@ -276,36 +310,48 @@ impl Compiler {
             .str(";");
         let want_state = config.mode.is_stateful();
         let want_cache = config.function_cache;
-        let loaded = match &config.state_path {
-            Some(path) if want_state || want_cache => persist::open(path, want_state),
-            _ => LoadedState::default(),
+        // What a session reads when it opens: the manifest, and the input
+        // section of the graph chain's tip. The rest opens on first use.
+        let mut events = Vec::new();
+        let mut bytes_read = 0;
+        let manifest = match &config.state_path {
+            Some(path) if want_state || want_cache => persist::read_manifest(path, &mut events),
+            _ => None,
         };
-        // A load that recovered from anything re-commits what it holds, so
-        // the manifest stops naming what could not be read.
-        let recovered = !loaded.events.is_empty();
+        let manifest = manifest.unwrap_or_default();
+        let state_entry = manifest
+            .entry(STATE_LOGICAL)
+            .filter(|_| want_state)
+            .cloned();
+        let links: Vec<ManifestEntry> =
+            manifest.chain(GRAPH_LOGICAL).into_iter().cloned().collect();
+        let (head, section) = match &config.state_path {
+            Some(path) if !links.is_empty() => persist::read_section(path, &links, &mut bytes_read),
+            _ => (Vec::new(), None),
+        };
+        let state_checksum = state_entry.as_ref().map(|entry| entry.checksum);
+        let state_gauges = section
+            .as_ref()
+            .filter(|section| section.state.is_some() && section.state == state_checksum)
+            .map(|section| section.gauges);
         // The committed cache chain is opened when a lookup first needs it;
         // until then it is the committed one, carried forward untouched.
-        let cache_links = if want_cache {
-            loaded.cache_links
-        } else {
-            Vec::new()
+        let cache_links: Vec<ManifestEntry> = match want_cache {
+            true => manifest.chain(CACHE_LOGICAL).into_iter().cloned().collect(),
+            false => Vec::new(),
         };
-        let cache_chain = loaded.cache_chain.filter(|_| !cache_links.is_empty());
         let fn_cache = if cache_links.is_empty() {
-            let cache = FunctionCache::for_identity(identity);
-            if recovered {
-                cache.mark_dirty();
-            }
-            OnceLock::from(cache)
+            OnceLock::from(FunctionCache::for_identity(identity))
         } else {
             OnceLock::new()
         };
         let committed = Committed {
-            generation: loaded.generation,
-            state_checksum: loaded.state_checksum.filter(|_| !recovered),
+            generation: manifest.generation,
+            state_checksum,
             state_touched: false,
-            cache: cache_chain,
-            graph: loaded.graph_chain,
+            encoded: None,
+            cache: Chain::of(&manifest, CACHE_LOGICAL).filter(|_| !cache_links.is_empty()),
+            graph: Chain::of(&manifest, GRAPH_LOGICAL),
         };
         let cas = config.cas_path.as_ref().and_then(|dir| {
             CasStore::open_dir(dir, components, config.durability)
@@ -315,25 +361,49 @@ impl Compiler {
                     store
                 })
         });
-        Compiler {
+        let compiler = Compiler {
             config,
             pipeline,
             pipeline_hash,
-            state: loaded.db,
+            state: OnceLock::new(),
+            state_entry,
             frozen: None,
             freezing: false,
             fn_cache,
             cache_links,
             cas,
-            recovery_events: Mutex::new(loaded.events),
-            graph_links: loaded.graph_links,
-            bytes_read: AtomicU64::new(loaded.bytes_read),
+            recovery_events: Mutex::new(Vec::new()),
+            graph_links: GraphLinks::default(),
+            bytes_read: AtomicU64::new(bytes_read),
             identity,
-            restored_graph: loaded.graph,
+            restored_graph: (!links.is_empty()).then_some(UnreadGraph { links, head }),
+            section,
+            state_gauges,
             graph_to_save: Mutex::new(None),
             committed: Mutex::new(committed),
             stamp_prefix,
+        };
+        compiler.recovered(events);
+        compiler
+    }
+
+    /// Reports `events` of an open that recovered, and re-commits what the
+    /// session holds, so the manifest stops naming what could not be read:
+    /// the state, and a cold function cache.
+    fn recovered(&self, events: Vec<RecoveryEvent>) {
+        if events.is_empty() {
+            return;
         }
+        self.committed
+            .lock()
+            .expect("no commit panicked")
+            .state_checksum = None;
+        if self.cache_links.is_empty() {
+            if let Some(cache) = self.fn_cache.get() {
+                cache.mark_dirty();
+            }
+        }
+        self.events().extend(events);
     }
 
     /// Whether [`Compiler::save_state`] commits anything: a state path is
@@ -346,11 +416,72 @@ impl Compiler {
 
     /// Hands over the query graph the last session committed, once,
     /// whatever flags it was recorded under: they reach the graph only as
-    /// the [`Compiler::state_stamp_fn`] input. `None` when there is none —
-    /// no state path, nothing committed yet, or an unreadable one (which
-    /// [`Compiler::take_recovery_events`] reports).
+    /// the [`Compiler::state_stamp_fn`] input. The chain is read and folded
+    /// here, on the calling thread. `None` when there is none — no state
+    /// path, nothing committed, or an unreadable chain (which
+    /// [`Compiler::take_recovery_events`] reports; the next commit then
+    /// writes a new one).
     pub fn take_restored_graph(&mut self) -> Option<GraphFile> {
-        self.restored_graph.take()
+        let UnreadGraph { links, head } = self.restored_graph.take()?;
+        self.section = None;
+        let base = self.config.state_path.as_deref()?;
+        let (mut events, mut bytes_read) = (Vec::new(), 0);
+        let opened = persist::open_graph(base, &links, head, &mut events, &mut bytes_read);
+        self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
+        match opened {
+            Some((graph, graph_links)) => {
+                self.graph_links = graph_links;
+                Some(graph)
+            }
+            None => {
+                self.committed.get_mut().expect("no commit panicked").graph = None;
+                self.recovered(events);
+                None
+            }
+        }
+    }
+
+    /// Drops the committed query graph unread, as [`Compiler::take_restored_graph`]
+    /// would hand it over; returns whether there was one.
+    pub fn drop_restored_graph(&mut self) -> bool {
+        self.section = None;
+        self.restored_graph.take().is_some()
+    }
+
+    /// Hands over, once, the input section of the committed graph chain's
+    /// tip, read when the session opened; `None` when there is none, it did
+    /// not decode, or the graph was taken.
+    pub fn take_input_section(&mut self) -> Option<InputSection> {
+        self.section.take()
+    }
+
+    /// Whether every `state:` stamp `section` records is the one this
+    /// session takes: the state the manifest names is the one the section
+    /// was committed beside, and the flags' stamp prefix is the same.
+    pub fn state_stamps_hold(&self, section: &InputSection) -> bool {
+        let committed = self.committed.lock().expect("no commit panicked");
+        section.state.is_some()
+            && section.state == committed.state_checksum
+            && section.prefix == self.stamp_prefix.finish()
+    }
+
+    /// The encoded input section `section` — its inputs, `link` and module
+    /// order filled in by the build system — completed with what the
+    /// session commits beside it: the checksum of the state the next
+    /// [`Compiler::save_state`] commits (encoded now when it changed, and
+    /// kept for that commit), the flags' stamp prefix and the state's
+    /// gauges.
+    pub fn seal_section(&self, mut section: InputSection) -> Vec<u8> {
+        let state = self.state();
+        let mut committed = self.committed.lock().expect("no commit panicked");
+        section.state = if self.config.mode.is_stateful() && committed.encodes_state() {
+            Some(committed.encoded.get_or_insert_with(|| encoded(state)).1)
+        } else {
+            committed.state_checksum
+        };
+        section.prefix = self.stamp_prefix.finish();
+        section.gauges = state_gauges(state);
+        section.to_bytes()
     }
 
     /// Sets the query graph the next [`Compiler::save_state`] commits in
@@ -414,14 +545,35 @@ impl Compiler {
             .push(self.graph_links.value_event(task, value));
     }
 
-    /// Read access to the dormancy database.
+    /// Read access to the dormancy database, opened on first use: the
+    /// committed state is read and decoded here, under the load's rules —
+    /// an unreadable or corrupt one is a cold start and a recovery event.
     pub fn state(&self) -> &StateDb {
-        &self.state
+        self.state.get_or_init(|| self.open_state())
+    }
+
+    /// The dormancy database, opened, for a mutation.
+    fn state_mut(&mut self) -> &mut StateDb {
+        self.state();
+        self.state.get_mut().expect("the state was opened")
+    }
+
+    /// Reads the committed state `state_entry` names (see
+    /// [`Compiler::state`]).
+    fn open_state(&self) -> StateDb {
+        let (Some(entry), Some(base)) = (&self.state_entry, &self.config.state_path) else {
+            return StateDb::new();
+        };
+        let (mut events, mut bytes_read) = (Vec::new(), 0);
+        let db = persist::open_state(base, entry, &mut events, &mut bytes_read);
+        self.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
+        self.recovered(events);
+        db.unwrap_or_default()
     }
 
     /// Serialized size of the current state (experiment E5).
     pub fn state_bytes(&self) -> Vec<u8> {
-        statefile::to_bytes(&self.state)
+        statefile::to_bytes(self.state())
     }
 
     /// Names of the pipeline's pass slots.
@@ -446,6 +598,8 @@ impl Compiler {
         let (checked, frontend_ns) = phases::frontend(name, source, env)?;
         let (mut ir, lower_ns) = phases::lower(&checked, env);
         let jobs = sfcc_pool::effective_jobs(self.config.jobs);
+        // Opened here, where a fault plan counts the read, not on a worker.
+        self.state();
         let functions = std::mem::take(&mut ir.functions);
         let functions = functions.into_iter().map(Arc::new).collect();
         let mut outcome = sfcc_pool::scope(jobs, |ps| self.optimize(&ir.name, functions, ps));
@@ -467,7 +621,8 @@ impl Compiler {
         if self.config.mode.is_stateful() {
             let t = Instant::now();
             self.touch_state();
-            self.state.ingest(&outcome.trace, self.pipeline_hash);
+            let pipeline_hash = self.pipeline_hash;
+            self.state_mut().ingest(&outcome.trace, pipeline_hash);
             timings.state_ns += t.elapsed().as_nanos() as u64;
         }
         Ok(CompileOutput {
@@ -659,9 +814,19 @@ impl Compiler {
         registry.gauge_set("cache.evictions", cache.evictions);
         registry.gauge_set("cache.corrupt_entries", cache.corrupt_entries);
         registry.gauge_set("cache.entries", cache.entries as u64);
-        registry.gauge_set("state.functions", self.state.function_count() as u64);
-        registry.gauge_set("state.dormant_slots", self.state.dormant_slot_count());
-        registry.gauge_set("state.recorded_skips", self.state.total_recorded_skips());
+        // An unopened state is the one the input section recorded.
+        let gauges = match (self.state.get(), self.state_gauges) {
+            (None, Some(gauges)) => gauges,
+            _ => state_gauges(self.state()),
+        };
+        let names = [
+            "state.functions",
+            "state.dormant_slots",
+            "state.recorded_skips",
+        ];
+        for (name, value) in names.into_iter().zip(gauges) {
+            registry.gauge_set(name, value);
+        }
         registry.gauge_set("persist.segments", self.persisted_segments() as u64);
         let bytes_read = self.bytes_read.swap(0, Ordering::Relaxed);
         registry.gauge_set("persist.bytes_read", bytes_read);
@@ -773,15 +938,23 @@ impl Compiler {
             Some(path) if self.persists_state() => path,
             _ => return Ok(0),
         };
+        // An untouched state is the committed one: encoding it would only
+        // reproduce the checksum, and it is not even opened.
+        let encode =
+            |committed: &Committed| self.config.mode.is_stateful() && committed.encodes_state();
+        if encode(&self.committed.lock().expect("no commit panicked")) {
+            self.state();
+        }
         let mut committed = self.committed.lock().expect("no commit panicked");
         let mut graph = self.graph_to_save.lock().expect("no commit panicked");
-        // An untouched state is the committed one: encoding it would only
-        // reproduce the checksum.
-        let state = (self.config.mode.is_stateful()
-            && (committed.state_touched || committed.state_checksum.is_none()))
-        .then(|| statefile::to_bytes(&self.state));
-        let state_checksum = state.as_deref().map(fnv64).or(committed.state_checksum);
-        let state = state.filter(|_| state_checksum != committed.state_checksum);
+        let state = encode(&committed)
+            .then(|| committed.encoded.take())
+            .map(|sealed| sealed.unwrap_or_else(|| encoded(self.state())));
+        let state_checksum = state.as_ref().map(|(_, sum)| *sum);
+        let state_checksum = state_checksum.or(committed.state_checksum);
+        let state = state
+            .filter(|_| state_checksum != committed.state_checksum)
+            .map(|(bytes, _)| bytes);
         // An unopened cache is the committed one.
         let dirty = self.fn_cache.get().filter(|cache| cache.is_dirty());
         let cache = dirty
@@ -839,7 +1012,7 @@ impl Compiler {
     /// one was taken ([`Compiler::freeze_state`]), the live database
     /// otherwise.
     fn skip_state(&self) -> &StateDb {
-        self.frozen.as_ref().unwrap_or(&self.state)
+        self.frozen.as_ref().unwrap_or_else(|| self.state())
     }
 
     /// Freezes a snapshot of the dormancy state for the duration of one
@@ -870,8 +1043,9 @@ impl Compiler {
         }
         let t = Instant::now();
         self.touch_state();
-        self.state
-            .ingest_function(module, ftrace, self.pipeline_hash);
+        let pipeline_hash = self.pipeline_hash;
+        self.state_mut()
+            .ingest_function(module, ftrace, pipeline_hash);
         t.elapsed().as_nanos() as u64
     }
 
@@ -881,13 +1055,13 @@ impl Compiler {
     /// the module's current roster.
     pub fn retain_state_functions(&mut self, module: &str, mut keep: impl FnMut(&str) -> bool) {
         let drops = self
-            .state
+            .state()
             .modules
             .get(module)
             .is_some_and(|m| m.functions.keys().any(|f| !keep(f)));
         if drops {
             self.touch_state();
-            self.state.retain_functions(module, keep);
+            self.state_mut().retain_functions(module, keep);
         }
     }
 
@@ -897,12 +1071,11 @@ impl Compiler {
     /// encodes it to find out.
     fn touch_state(&mut self) {
         if self.freezing && self.frozen.is_none() {
-            self.frozen = Some(self.state.clone());
+            self.frozen = Some(self.state().clone());
         }
-        self.committed
-            .get_mut()
-            .expect("no commit panicked")
-            .state_touched = true;
+        let committed = self.committed.get_mut().expect("no commit panicked");
+        committed.state_touched = true;
+        committed.encoded = None;
     }
 
     /// A deterministic stamp of everything that steers skip decisions for
@@ -926,13 +1099,30 @@ impl Compiler {
     pub fn state_stamp_fn(&self, module: &str, function: &str) -> u64 {
         let mut h = self.stamp_prefix;
         if self.config.mode.is_stateful() {
-            match self.state.function_stamp(module, function) {
+            match self.state().function_stamp(module, function) {
                 Some(stamp) => h.str("state=").hex(stamp.into()),
                 None => h.str("state=absent"),
             };
         }
         h.finish()
     }
+}
+
+/// `state` encoded, with the checksum a manifest records of the bytes.
+fn encoded(state: &StateDb) -> (Vec<u8>, u64) {
+    let bytes = statefile::to_bytes(state);
+    let checksum = fnv64(&bytes);
+    (bytes, checksum)
+}
+
+/// The `state.functions`, `state.dormant_slots` and `state.recorded_skips`
+/// gauges of `state`.
+fn state_gauges(state: &StateDb) -> [u64; 3] {
+    [
+        state.function_count() as u64,
+        state.dormant_slot_count(),
+        state.total_recorded_skips(),
+    ]
 }
 
 #[cfg(test)]
@@ -994,7 +1184,7 @@ fn main(n: int) -> int {
         let mut stateful = Compiler::new(Config::stateful());
         let mut module = ModuleState::default();
         module.functions.insert("f".to_string(), record);
-        stateful.state.modules.insert("m".to_string(), module);
+        stateful.state_mut().modules.insert("m".to_string(), module);
         let stateless = Compiler::new(Config::stateless());
         assert_eq!(
             [

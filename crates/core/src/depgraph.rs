@@ -22,6 +22,13 @@
 //! stamp, which hashes the mode and the pass pipeline, so a graph recorded
 //! under other flags validates its front end and re-executes what the flags
 //! shape ([`crate::Compiler::state_stamp_fn`]).
+//!
+//! Every file and segment leads with an [`InputSection`]: the inputs `link`
+//! transitively read, with their stamps, and what a report of a build that
+//! executes nothing needs. It is length-prefixed and carries its own
+//! checksum, so a session reads a chain's tip up to the end of its section
+//! ([`section_span`]) and decides whether anything changed before it reads
+//! the rest; the trailer covers what follows the section.
 
 use sfcc_codec::{fnv64, fnv64_continue, DecodeError, Reader, Writer};
 use std::fmt;
@@ -32,13 +39,142 @@ use std::sync::{Arc, Weak};
 pub const GRAPH_LOGICAL: &str = "depgraph";
 
 const GRAPH_MAGIC: &[u8; 7] = b"SFCCDG\0";
-/// Current graph-file format version (3: no identity in the header; an
+/// Current graph-file format version (4: an input section leads; an
 /// older file is a version-skew cold start).
-pub const GRAPH_VERSION: u32 = 3;
+pub const GRAPH_VERSION: u32 = 4;
 
 const SEGMENT_MAGIC: &[u8; 7] = b"SFCCDS\0";
-/// Current graph-segment format version (2: no identity).
-const SEGMENT_VERSION: u32 = 2;
+/// Current graph-segment format version (3: an input section leads).
+const SEGMENT_VERSION: u32 = 3;
+
+/// What a session needs to decide, before it reads a graph, that nothing
+/// changed since the commit that wrote it — and to report the build that
+/// then executes nothing. The builder fills in the inputs, `link`'s
+/// fingerprint and its module order; the compiler session the state it
+/// commits beside it ([`crate::Compiler::seal_section`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct InputSection {
+    /// Every input `link` transitively read, with the stamp it was
+    /// recorded with, once each.
+    pub inputs: Vec<(String, u64)>,
+    /// `link`'s output fingerprint: the FNV-64 of the image.
+    pub link: u64,
+    /// The modules whose `codegen` `link` demanded, in demand order.
+    pub order: Vec<String>,
+    /// The manifest checksum of the state committed beside the section,
+    /// which every recorded `state:` stamp was taken of (`None` without one).
+    pub state: Option<u64>,
+    /// The hash of the flags' `state:` stamp prefix.
+    pub prefix: u64,
+    /// The committed state's `state.functions`, `state.dormant_slots` and
+    /// `state.recorded_skips` gauges.
+    pub gauges: [u64; 3],
+}
+
+impl InputSection {
+    /// The section's bytes: its fields, then the FNV-64 of them.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.usize(self.inputs.len());
+        for (name, stamp) in &self.inputs {
+            w.str(name);
+            w.u64(*stamp);
+        }
+        w.u64(self.link);
+        w.usize(self.order.len());
+        for module in &self.order {
+            w.str(module);
+        }
+        match self.state {
+            Some(checksum) => {
+                w.u8(1);
+                w.u64(checksum);
+            }
+            None => w.u8(0),
+        }
+        w.u64(self.prefix);
+        for gauge in self.gauges {
+            w.u64(gauge);
+        }
+        let checksum = fnv64(w.as_bytes());
+        w.raw(&checksum.to_le_bytes());
+        w.into_bytes()
+    }
+
+    /// Decodes a section. Every count is checked against the remaining
+    /// input before anything is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// A typed error for a section that is truncated, fails its checksum,
+    /// or does not decode to exactly its bytes.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let split = bytes
+            .len()
+            .checked_sub(8)
+            .ok_or(DecodeError::UnexpectedEof)?;
+        let (body, checksum) = bytes.split_at(split);
+        if fnv64(body).to_le_bytes() != checksum {
+            return Err(DecodeError::Corrupt);
+        }
+        let mut r = Reader::new(body);
+        let count = r.count()?;
+        let mut inputs = Vec::with_capacity(count);
+        for _ in 0..count {
+            inputs.push((r.str()?, r.u64()?));
+        }
+        let link = r.u64()?;
+        let count = r.count()?;
+        let mut order = Vec::with_capacity(count);
+        for _ in 0..count {
+            order.push(r.str()?);
+        }
+        let state = match r.u8()? {
+            0 => None,
+            1 => Some(r.u64()?),
+            _ => return Err(DecodeError::Corrupt),
+        };
+        let prefix = r.u64()?;
+        let gauges = [r.u64()?, r.u64()?, r.u64()?];
+        if !r.is_done() {
+            return Err(DecodeError::Corrupt);
+        }
+        Ok(InputSection {
+            inputs,
+            link,
+            order,
+            state,
+            prefix,
+            gauges,
+        })
+    }
+}
+
+/// Where the input section of a graph file (`segment` false) or segment
+/// whose first bytes are `head` lies in it: its byte range, which `head`
+/// need not reach.
+///
+/// # Errors
+///
+/// A typed error when `head` does not start with the kind's magic and
+/// current version followed by the section's length.
+pub fn section_span(head: &[u8], segment: bool) -> Result<Range<usize>, DecodeError> {
+    let (magic, version) = match segment {
+        false => (GRAPH_MAGIC, GRAPH_VERSION),
+        true => (SEGMENT_MAGIC, SEGMENT_VERSION),
+    };
+    let mut r = sfcc_codec::open(head, magic, version)?;
+    let len = r.usize()?;
+    let start = head.len() - r.remaining();
+    Ok(start..start.checked_add(len).ok_or(DecodeError::BadLength)?)
+}
+
+/// Reads the input section a file leads with, after its header, unchecked:
+/// of a chain's links only the last one's is the folded file's, and that
+/// one is checked ([`GraphFile::check_section`]).
+fn read_section(r: &mut Reader<'_>) -> Result<Vec<u8>, DecodeError> {
+    Ok(r.bytes()?.to_vec())
+}
 
 /// One recorded dependency of a task, in acquisition order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,6 +285,8 @@ pub struct GraphFile {
     pub keys: Vec<String>,
     /// The memoized tasks, in the store's export order.
     pub nodes: Vec<GraphNode>,
+    /// The encoded [`InputSection`] the file leads with; empty for none.
+    pub section: Vec<u8>,
 }
 
 /// Writes a graph file piece by piece into one buffer, for a store too
@@ -204,12 +342,13 @@ impl Checksum {
 }
 
 impl NodeWriter {
-    /// A file opened with `magic` and `version`; the checksum starts after
-    /// them.
-    fn new(magic: &[u8], version: u32) -> Self {
+    /// A file opened with `magic`, `version` and the encoded input
+    /// `section`; the checksum starts after them.
+    fn new(magic: &[u8], version: u32, section: &[u8]) -> Self {
         let mut out = Writer::new();
         out.raw(magic);
         out.u32(version);
+        out.bytes(section);
         let checksum = Checksum::starting_at(out.len());
         NodeWriter { out, checksum }
     }
@@ -256,9 +395,10 @@ impl NodeWriter {
 }
 
 impl GraphWriter {
-    /// An empty graph of `node_count` nodes.
-    pub fn new(node_count: usize) -> Self {
-        let mut nodes = NodeWriter::new(GRAPH_MAGIC, GRAPH_VERSION);
+    /// An empty graph of `node_count` nodes, led by the encoded input
+    /// `section` (empty for none).
+    pub fn new(node_count: usize, section: &[u8]) -> Self {
+        let mut nodes = NodeWriter::new(GRAPH_MAGIC, GRAPH_VERSION, section);
         nodes.out.usize(node_count);
         GraphWriter {
             nodes,
@@ -291,8 +431,8 @@ impl GraphWriter {
         self.nodes.task(key, fingerprint);
     }
 
-    /// The file: magic, version, payload (nodes, key table),
-    /// FNV-64 of the payload without its value bytes.
+    /// The file: magic, version, input section, payload (nodes, key
+    /// table), FNV-64 of the payload without its value bytes.
     pub fn finish(self) -> Vec<u8> {
         let mut tail = Writer::new();
         tail.u32(self.key_count);
@@ -318,9 +458,10 @@ pub struct SegmentWriter {
 
 impl SegmentWriter {
     /// An empty segment of `node_count` changed nodes, extending a graph
-    /// file of `parent_keys` keys whose manifest checksum is `parent`.
-    pub fn new(parent: u64, parent_keys: u32, node_count: usize) -> Self {
-        let mut nodes = NodeWriter::new(SEGMENT_MAGIC, SEGMENT_VERSION);
+    /// file of `parent_keys` keys whose manifest checksum is `parent`, led
+    /// by the encoded input `section` of the file it folds to.
+    pub fn new(parent: u64, parent_keys: u32, node_count: usize, section: &[u8]) -> Self {
+        let mut nodes = NodeWriter::new(SEGMENT_MAGIC, SEGMENT_VERSION, section);
         nodes.out.u64(parent);
         nodes.out.u32(parent_keys);
         nodes.out.usize(node_count);
@@ -357,7 +498,7 @@ impl SegmentWriter {
         self.nodes.task(key, fingerprint);
     }
 
-    /// The segment: magic, version, payload (parent, changed
+    /// The segment: magic, version, input section, payload (parent, changed
     /// nodes, added labels, the file's key table `table` — its first
     /// `nodes` keys the nodes', in file order), FNV-64 of the payload
     /// without its value bytes.
@@ -383,6 +524,7 @@ struct GraphSegment {
     /// How many of `table`'s keys are nodes'.
     placed: usize,
     table: Vec<usize>,
+    section: Vec<u8>,
 }
 
 /// Reads one node record (see [`NodeWriter::node`]); its value stays a
@@ -447,6 +589,7 @@ fn close(mut r: Reader<'_>, buffer: &[u8], mut checksum: Checksum) -> Result<(),
 impl GraphSegment {
     fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
         let mut r = sfcc_codec::open(&buffer, SEGMENT_MAGIC, SEGMENT_VERSION)?;
+        let section = read_section(&mut r)?;
         let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
         let parent = r.u64()?;
         let parent_keys = r.u32()? as usize;
@@ -488,6 +631,7 @@ impl GraphSegment {
             labels,
             placed,
             table,
+            section,
         })
     }
 }
@@ -495,7 +639,7 @@ impl GraphSegment {
 impl GraphFile {
     /// Serializes the graph (see [`GraphWriter`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = GraphWriter::new(self.nodes.len());
+        let mut w = GraphWriter::new(self.nodes.len(), &self.section);
         for key in &self.keys {
             w.key(key);
         }
@@ -523,13 +667,25 @@ impl GraphFile {
     /// hash to its node's fingerprint (callers cold-start).
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Result<Self, DecodeError> {
         let graph = Self::decode(Arc::new(bytes.into()))?;
+        graph.check_section()?;
         graph.check_values().map_err(|_| DecodeError::Corrupt)?;
         Ok(graph)
     }
 
-    /// [`GraphFile::from_bytes`] of a shared buffer, values unchecked.
+    /// Checks the input section the file leads with: an empty one is
+    /// none, any other must decode.
+    pub(crate) fn check_section(&self) -> Result<(), DecodeError> {
+        if !self.section.is_empty() {
+            InputSection::from_bytes(&self.section)?;
+        }
+        Ok(())
+    }
+
+    /// [`GraphFile::from_bytes`] of a shared buffer, values and input
+    /// section unchecked.
     pub(crate) fn decode(buffer: Arc<Vec<u8>>) -> Result<Self, DecodeError> {
         let mut r = sfcc_codec::open(&buffer, GRAPH_MAGIC, GRAPH_VERSION)?;
+        let section = read_section(&mut r)?;
         let mut checksum = Checksum::starting_at(buffer.len() - r.remaining());
         let node_count = r.count()?;
         let mut nodes = Vec::with_capacity(node_count);
@@ -546,7 +702,11 @@ impl GraphFile {
             keys.push(r.str()?);
         }
         close(r, &buffer, checksum)?;
-        Ok(GraphFile { keys, nodes })
+        Ok(GraphFile {
+            keys,
+            nodes,
+            section,
+        })
     }
 
     /// Hashes every value against its node's fingerprint; the first that
@@ -562,8 +722,9 @@ impl GraphFile {
 
     /// The graph file the chain of `segments` describes, this file its
     /// base: each segment — with the manifest checksum of the link before
-    /// it — replaces or adds the nodes that changed and names the key table
-    /// of the file it describes, its nodes' keys first. One pass: the nodes
+    /// it — replaces or adds the nodes that changed, names the key table
+    /// of the file it describes, its nodes' keys first, and carries that
+    /// file's input section. One pass: the nodes
     /// stay where they are, in an index space of every key the chain names,
     /// until the last segment's table places them. Values are not checked
     /// here: a session checks each when it first demands it, `fsck` all
@@ -592,7 +753,7 @@ impl GraphFile {
         // The current file's key table by chain id; its first `placed`
         // keys are its nodes'.
         let mut table: Vec<u32> = (0..keys.len() as u32).collect();
-        let mut last = 0;
+        let (mut last, mut section) = (0, self.section);
         for (i, (buffer, parent)) in segments {
             let corrupt = (i, DecodeError::Corrupt);
             let segment = GraphSegment::decode(buffer).map_err(|e| (i, e))?;
@@ -637,6 +798,7 @@ impl GraphFile {
                 }
             }
             (table, placed, last) = (next, segment.placed, i);
+            section = segment.section;
         }
         const UNLISTED: u32 = u32::MAX;
         let mut index = vec![UNLISTED; keys.len()];
@@ -662,6 +824,7 @@ impl GraphFile {
                 .map(|&id| std::mem::take(&mut keys[id as usize]))
                 .collect(),
             nodes: placed_nodes,
+            section,
         })
     }
 }
@@ -697,6 +860,19 @@ mod tests {
                     value: Some(vec![0, 1, 2, 0xff].into()),
                 },
             ],
+            section: section(7).to_bytes(),
+        }
+    }
+
+    /// A section over `src:a` at stamp `stamp`.
+    fn section(stamp: u64) -> InputSection {
+        InputSection {
+            inputs: vec![("src:a".into(), stamp), ("state:a::f".into(), 3)],
+            link: fnv64(&[0, 1, 2, 0xff]),
+            order: vec!["a".into()],
+            state: Some(11),
+            prefix: 12,
+            gauges: [1, 2, 3],
         }
     }
 
@@ -770,7 +946,7 @@ mod tests {
     /// A segment that replaces `link`, adds a node under a new label whose
     /// dependency names a third new label, and drops `parse(a)`.
     fn segment_of_sample(parent: u64, table: &[u32]) -> Vec<u8> {
-        let mut w = SegmentWriter::new(parent, 3, 2);
+        let mut w = SegmentWriter::new(parent, 3, 2, &section(8).to_bytes());
         let link = fnv64(b"image");
         w.node(1, link, Some(b"image"), 1);
         let codegen = w.label("codegen(b)");
@@ -810,6 +986,7 @@ mod tests {
                     value: Some(b"image".to_vec().into()),
                 },
             ],
+            section: section(8).to_bytes(),
         };
         assert_eq!(folded, want);
         assert_eq!(folded.check_values(), Ok(()));
@@ -818,11 +995,12 @@ mod tests {
         // A second segment, written against the folded file: `codegen(b)`
         // moves, `link` stays, and `parse(b)`, named by nothing now, leaves
         // the key table.
-        let mut w = SegmentWriter::new(5, 3, 1);
+        let mut w = SegmentWriter::new(5, 3, 1, &[]);
         w.node(0, 10, None, 0);
         let second = w.finish(2, &[0, 1]);
         let mut want = folded.clone();
         want.keys.pop();
+        want.section = Vec::new();
         want.nodes[0] = GraphNode {
             fingerprint: 10,
             deps: Vec::new(),
@@ -870,8 +1048,9 @@ mod tests {
     fn hostile_counts_and_indices_are_rejected() {
         let reframe =
             |payload: Vec<u8>| sfcc_codec::armor(GRAPH_MAGIC, GRAPH_VERSION, |w| w.raw(&payload));
-        // A node count far beyond the input.
+        // A node count far beyond the input, after an empty section.
         let mut w = Writer::new();
+        w.usize(0);
         w.u64(u64::MAX >> 1);
         assert_eq!(
             GraphFile::from_bytes(reframe(w.into_bytes())),
@@ -879,6 +1058,7 @@ mod tests {
         );
         // A value longer than the input.
         let mut w = Writer::new();
+        w.usize(0);
         w.usize(1);
         w.u64(5);
         w.u8(1);
@@ -889,6 +1069,7 @@ mod tests {
         );
         // More nodes than keys.
         let mut w = Writer::new();
+        w.usize(0);
         w.usize(1);
         w.u64(5);
         w.u8(0);
@@ -908,5 +1089,60 @@ mod tests {
             GraphFile::from_bytes(graph.to_bytes()),
             Err(DecodeError::Corrupt)
         );
+    }
+
+    /// A section round-trips, and every cut and every bit flip of it is a
+    /// typed error.
+    #[test]
+    fn a_section_round_trips_and_checks_itself() {
+        let bytes = section(7).to_bytes();
+        assert_eq!(InputSection::from_bytes(&bytes), Ok(section(7)));
+        let none = InputSection::default();
+        assert_eq!(InputSection::from_bytes(&none.to_bytes()), Ok(none));
+        for cut in 0..bytes.len() {
+            assert!(
+                InputSection::from_bytes(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut b = bytes.clone();
+                b[i] ^= 1 << bit;
+                assert!(InputSection::from_bytes(&b).is_err(), "byte {i} bit {bit}");
+            }
+        }
+    }
+
+    /// A well-checksummed section whose input count lies is refused before
+    /// anything is allocated for the count.
+    #[test]
+    fn a_section_with_a_hostile_count_is_a_typed_error() {
+        let mut w = Writer::new();
+        w.u64(u64::MAX >> 1);
+        w.str("src:a");
+        let checksum = fnv64(w.as_bytes());
+        w.raw(&checksum.to_le_bytes());
+        assert_eq!(
+            InputSection::from_bytes(w.as_bytes()),
+            Err(DecodeError::BadLength)
+        );
+    }
+
+    /// The section's span is read off a file's first bytes, however few of
+    /// the section's own they hold, for a file and a segment alike.
+    #[test]
+    fn the_section_span_is_read_off_the_head() {
+        let file = sample().to_bytes();
+        let span = section_span(&file[..12], false).unwrap();
+        assert_eq!(InputSection::from_bytes(&file[span]), Ok(section(7)));
+        let segment = segment_of_sample(1, &[3, 1, 4]);
+        let span = section_span(&segment, true).unwrap();
+        assert_eq!(InputSection::from_bytes(&segment[span]), Ok(section(8)));
+        assert!(
+            section_span(&segment, false).is_err(),
+            "a segment is no file"
+        );
+        assert!(section_span(&file[..7], false).is_err());
     }
 }

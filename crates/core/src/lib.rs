@@ -46,7 +46,9 @@ pub mod phases;
 
 pub use compiler::{CompileError, CompileOutput, Compiler, OptimizeOutcome, PhaseTimings};
 pub use config::{Config, Mode, OptLevel};
-pub use depgraph::{GraphDep, GraphFile, GraphNode, GraphWriter, SegmentWriter, ValueBytes};
+pub use depgraph::{
+    GraphDep, GraphFile, GraphNode, GraphWriter, InputSection, SegmentWriter, ValueBytes,
+};
 pub use fncache::{CacheStats, FunctionCache};
 pub use persist::{LoadedState, RecoveryEvent};
 

@@ -17,11 +17,13 @@
 //! so a segment folded onto anything but the chain it was written against
 //! does not decode. The state is small and moves as a whole file.
 //!
-//! A session reads what it uses ([`open`]): the state and the graph's
-//! structure, each graph value left unhashed until the build first demands
-//! it, and the cache chain's links recorded but not read until the first
-//! lookup needs them ([`open_cache`]). [`load`] is the eager reference: it
-//! also folds the cache and hashes every graph value.
+//! A session reads what it uses: the manifest and the input section of the
+//! graph chain's tip ([`read_section`]) when it opens, which is all a build
+//! that changed nothing needs; the state ([`open_state`]), the graph's
+//! structure ([`open_graph`], each value left unhashed until the build
+//! first demands it) and the cache chain ([`open_cache`]) when first used.
+//! [`load`] is the eager reference: it reads all of them, and also hashes
+//! every graph value.
 //!
 //! Loading enforces the graceful-degradation contract: any manifest, state,
 //! cache or graph file that is truncated, corrupt, or version-skewed is detected
@@ -30,7 +32,7 @@
 //! [`RecoveryEvent`] so the build system can surface `recovered_files` /
 //! `quarantined` counters. A directory without a manifest is a cold start.
 
-use crate::depgraph::{GraphFile, ValueBytes, GRAPH_LOGICAL};
+use crate::depgraph::{section_span, GraphFile, InputSection, ValueBytes, GRAPH_LOGICAL};
 use crate::fncache::FunctionCache;
 use sfcc_faultfs::{
     next_segment, CommitDir, Durability, EntryError, FsckReport, Manifest, ManifestEntry,
@@ -110,19 +112,15 @@ pub struct LoadedState {
     /// The dormancy database (cold when absent or unrecoverable; a
     /// recovery event then names the file).
     pub db: StateDb,
-    /// The function-IR cache, folded by [`load`] (cold when absent or
-    /// unrecoverable); [`open`] leaves it empty and records
-    /// [`LoadedState::cache_links`] instead.
+    /// The function-IR cache, folded (cold when absent, unrecoverable, or
+    /// not wanted).
     pub cache: FunctionCache,
-    /// The committed cache chain: the one `cache` was folded from, or the
-    /// one `cache_links` names (`None` when cold).
+    /// The committed cache chain `cache` was folded from (`None` when
+    /// cold).
     pub cache_chain: Option<Chain>,
-    /// The committed cache chain's links, base first, not yet read: what
-    /// [`open_cache`] reads. Empty after [`load`] or without a chain.
-    pub cache_links: Vec<ManifestEntry>,
-    /// The query graph the last commit recorded (`None` when absent or
-    /// unrecoverable: the build system starts from an empty store). Its
-    /// values are unchecked after [`open`], checked after [`load`].
+    /// The query graph the last commit recorded, every value checked
+    /// (`None` when absent or unrecoverable: the build system starts from
+    /// an empty store).
     pub graph: Option<GraphFile>,
     /// The chain `graph` was folded from.
     pub graph_chain: Option<Chain>,
@@ -195,7 +193,7 @@ type Buffers = Vec<Arc<Vec<u8>>>;
 /// Reads a chain's links through `read`.
 fn read_links(
     links: &[&ManifestEntry],
-    mut read: impl FnMut(&ManifestEntry) -> Result<Vec<u8>, EntryError>,
+    read: &mut impl FnMut(&ManifestEntry) -> Result<Vec<u8>, EntryError>,
 ) -> Result<Buffers, LinkError> {
     links
         .iter()
@@ -231,7 +229,8 @@ fn graph_base(buffers: &Buffers) -> Result<GraphFile, LinkError> {
 }
 
 /// Folds the graph chain `buffers` (of `links`) onto its decoded `base`,
-/// its values unchecked.
+/// its values unchecked, and checks the input section it carries: the
+/// tip's.
 fn fold_graph(
     links: &[&ManifestEntry],
     buffers: &Buffers,
@@ -241,7 +240,9 @@ fn fold_graph(
         .iter()
         .zip(links)
         .map(|(buffer, parent)| (Arc::clone(buffer), parent.checksum));
-    base.fold(segments).map_err(|(i, e)| corrupt(i + 1)(e))
+    let graph = base.fold(segments).map_err(|(i, e)| corrupt(i + 1)(e))?;
+    graph.check_section().map_err(corrupt(buffers.len() - 1))?;
+    Ok(graph)
 }
 
 /// `graph`, folded from `buffers`, once every value it kept hashes to its
@@ -273,119 +274,199 @@ fn link_event(
 }
 
 /// Loads the artifacts anchored at `base`, applying the recovery contract,
-/// eagerly: [`open`], then every graph value hashed against its node's
-/// fingerprint (a graph holding one that does not is quarantined and
-/// cold-starts), and — when `want_cache` — the cache chain folded
-/// ([`open_cache`]). Never fails: any problem degrades the affected
-/// artifact to a cold start and is reported in [`LoadedState::events`].
+/// eagerly: the manifest, the state (when `want_state`), the graph chain
+/// folded and every graph value hashed against its node's fingerprint (a
+/// graph holding one that does not is quarantined and cold-starts), and —
+/// when `want_cache` — the cache chain folded ([`open_cache`]). Never
+/// fails: any problem degrades the affected artifact to a cold start and is
+/// reported in [`LoadedState::events`]. A session reads the same pieces
+/// lazily: [`read_manifest`], [`read_section`], [`open_state`],
+/// [`open_graph`] and [`open_cache`].
 pub fn load(base: &Path, want_state: bool, want_cache: bool) -> LoadedState {
-    let mut out = open(base, want_state);
-    let bad = out.graph.as_ref().and_then(|graph| {
-        let value = graph.check_values().err()?;
-        Some(
-            out.graph_links
-                .holding(value)
-                .map_or_else(PathBuf::new, Path::to_path_buf),
-        )
-    });
-    if let Some(path) = bad {
-        let why = "query graph does not decode: a value is not what its fingerprint hashes";
-        quarantine_event(&path, why.to_string(), &mut out.events);
-        (out.graph, out.graph_chain) = (None, None);
-    }
-    let links = std::mem::take(&mut out.cache_links);
-    if want_cache && !links.is_empty() {
-        match open_cache(base, &links, &mut out.events, &mut out.bytes_read) {
-            Some(cache) => out.cache = cache,
-            None => out.cache_chain = None,
+    let mut out = LoadedState::default();
+    let Some(manifest) = read_manifest(base, &mut out.events) else {
+        return out;
+    };
+    out.generation = manifest.generation;
+    if let Some(entry) = manifest.entry(STATE_LOGICAL).filter(|_| want_state) {
+        if let Some(db) = open_state(base, entry, &mut out.events, &mut out.bytes_read) {
+            out.db = db;
+            out.state_checksum = Some(entry.checksum);
         }
-    } else {
-        out.cache_chain = None;
+    }
+    let links: Vec<ManifestEntry> = manifest.chain(GRAPH_LOGICAL).into_iter().cloned().collect();
+    if !links.is_empty() {
+        let opened = open_graph(
+            base,
+            &links,
+            Vec::new(),
+            &mut out.events,
+            &mut out.bytes_read,
+        );
+        if let Some((graph, graph_links)) = opened {
+            match graph.check_values() {
+                Ok(()) => {
+                    out.graph = Some(graph);
+                    out.graph_chain = Chain::of(&manifest, GRAPH_LOGICAL);
+                    out.graph_links = graph_links;
+                }
+                Err(value) => {
+                    let path = graph_links
+                        .holding(value)
+                        .map_or_else(PathBuf::new, Path::to_path_buf);
+                    let why =
+                        "query graph does not decode: a value is not what its fingerprint hashes";
+                    quarantine_event(&path, why.to_string(), &mut out.events);
+                }
+            }
+        }
+    }
+    let links: Vec<ManifestEntry> = manifest.chain(CACHE_LOGICAL).into_iter().cloned().collect();
+    if want_cache && !links.is_empty() {
+        if let Some(cache) = open_cache(base, &links, &mut out.events, &mut out.bytes_read) {
+            out.cache = cache;
+            out.cache_chain = Chain::of(&manifest, CACHE_LOGICAL);
+        }
     }
     out
 }
 
-/// Opens the artifacts anchored at `base` for a session, reading what it
-/// uses: the manifest, the state (when `want_state`) and the graph chain,
-/// folded and structurally checked — header, trailer, key table,
-/// fingerprints — with each value left a slice of its file, unhashed, for
-/// the session to check when it first demands it. The cache chain's links
-/// are recorded, not read ([`open_cache`]). Never fails: as [`load`].
-pub fn open(base: &Path, want_state: bool) -> LoadedState {
-    let mut out = LoadedState::default();
+/// Reads the manifest anchored at `base`: `None` when there is none, or
+/// when it is unreadable — reported in `events`, and quarantined when it
+/// does not decode. Everything then cold-starts.
+pub fn read_manifest(base: &Path, events: &mut Vec<RecoveryEvent>) -> Option<Manifest> {
     let cd = CommitDir::new(base);
     match cd.read_manifest() {
-        Ok(Some(manifest)) => {
-            out.generation = manifest.generation;
-            if want_state {
-                if let Some(entry) = manifest.entry(STATE_LOGICAL) {
-                    if let Some(bytes) = load_entry_bytes(&cd, entry, &mut out.events) {
-                        out.bytes_read += bytes.len() as u64;
-                        match statefile::from_bytes(&bytes) {
-                            Ok(db) => {
-                                out.db = db;
-                                out.state_checksum = Some(entry.checksum);
-                            }
-                            Err(e) => quarantine_event(
-                                &cd.entry_path(entry),
-                                format!("state does not decode: {e}"),
-                                &mut out.events,
-                            ),
-                        }
-                    }
-                }
-            }
-            out.cache_links = manifest.chain(CACHE_LOGICAL).into_iter().cloned().collect();
-            out.cache_chain = Chain::of(&manifest, CACHE_LOGICAL);
-            // The graph checks every byte but its values as it decodes (a
-            // trailer over the rest), so it is read without hashing it for
-            // the manifest as well. Reads stay on this thread, where a
-            // fault plan counts them; the base decodes on another while the
-            // segments are read.
-            let links = manifest.chain(GRAPH_LOGICAL);
-            if !links.is_empty() {
-                let read = |entry: &ManifestEntry| cd.read_entry(entry).map_err(EntryError::Io);
-                let folded = std::thread::scope(|scope| {
-                    let mut buffers = read_links(&links[..1], read)?;
-                    let base = Arc::clone(&buffers[0]);
-                    let base = scope.spawn(move || graph_base(&vec![base]));
-                    let segments = read_links(&links[1..], read);
-                    buffers.extend(segments.map_err(|(i, e)| (i + 1, e))?);
-                    let base = base.join().expect("a graph decode does not panic")?;
-                    fold_graph(&links, &buffers, base).map(|graph| (graph, buffers))
-                });
-                match folded {
-                    Ok((graph, buffers)) => {
-                        out.bytes_read += buffers.iter().map(|b| b.len() as u64).sum::<u64>();
-                        out.graph_links = GraphLinks(
-                            links
-                                .iter()
-                                .zip(&buffers)
-                                .map(|(link, b)| (cd.entry_path(link), Arc::downgrade(b)))
-                                .collect(),
-                        );
-                        out.graph = Some(graph);
-                        out.graph_chain = Chain::of(&manifest, GRAPH_LOGICAL);
-                    }
-                    Err(e) => link_event(&cd, &links, e, "query graph", &mut out.events),
-                }
-            }
-        }
-        Ok(None) => {}
+        Ok(manifest) => manifest,
         Err(ManifestError::Corrupt(e)) => {
-            quarantine_event(
-                &cd.manifest_path(),
-                format!("manifest does not decode: {e}"),
-                &mut out.events,
-            );
+            let why = format!("manifest does not decode: {e}");
+            quarantine_event(&cd.manifest_path(), why, events);
+            None
         }
         Err(ManifestError::Io(e)) => {
             // The manifest may be fine (transient failure, injected crash):
             // cold-start this session but leave the file alone.
-            io_event(&cd.manifest_path(), &e, &mut out.events);
+            io_event(&cd.manifest_path(), &e, events);
+            None
         }
     }
-    out
+}
+
+/// The first bytes of a graph chain's tip a read of its input section
+/// starts with: enough for the magic, the version and the section's length.
+const SECTION_HEAD: u64 = 32;
+
+/// Reads the input section the tip of the committed graph chain `links`
+/// (base first) leads with, and nothing after it, in at most two bounded
+/// reads on this thread, adding what they returned to `bytes_read`.
+/// Returns the bytes of the tip read — [`open_graph`] does not read them
+/// again — and the section, `None` when the tip has none, or it is
+/// unreadable or does not decode: the session then opens the chain, whose
+/// decode reports the damage.
+pub fn read_section(
+    base: &Path,
+    links: &[ManifestEntry],
+    bytes_read: &mut u64,
+) -> (Vec<u8>, Option<InputSection>) {
+    let Some(tip) = links.last() else {
+        return (Vec::new(), None);
+    };
+    let cd = CommitDir::new(base);
+    let segment = links.len() > 1;
+    let mut head = Vec::new();
+    let _ = cd.read_entry_range(tip, 0, SECTION_HEAD.min(tip.len), &mut head);
+    let span = section_span(&head, segment).ok();
+    if let Some(end) = span.as_ref().map(|span| span.end as u64) {
+        let at = head.len() as u64;
+        if end > at && end <= tip.len {
+            let _ = cd.read_entry_range(tip, at, end - at, &mut head);
+        }
+    }
+    *bytes_read += head.len() as u64;
+    let section = span
+        .and_then(|span| head.get(span))
+        .filter(|section| !section.is_empty())
+        .and_then(|section| InputSection::from_bytes(section).ok());
+    (head, section)
+}
+
+/// Reads and decodes the committed state `entry` at `base`, verified
+/// against the manifest, adding what the read returned to `bytes_read`.
+/// `None` when it is unreadable or does not decode: reported in `events`,
+/// a corrupt file quarantined.
+pub fn open_state(
+    base: &Path,
+    entry: &ManifestEntry,
+    events: &mut Vec<RecoveryEvent>,
+    bytes_read: &mut u64,
+) -> Option<StateDb> {
+    let cd = CommitDir::new(base);
+    let bytes = load_entry_bytes(&cd, entry, events)?;
+    *bytes_read += bytes.len() as u64;
+    match statefile::from_bytes(&bytes) {
+        Ok(db) => Some(db),
+        Err(e) => {
+            let why = format!("state does not decode: {e}");
+            quarantine_event(&cd.entry_path(entry), why, events);
+            None
+        }
+    }
+}
+
+/// Reads the committed graph chain `links` (base first) at `base` and
+/// folds it, structurally checked — header, input sections, trailer, key
+/// table, fingerprints — with each value left a slice of its file,
+/// unhashed, for the session to check when it first demands it; and the
+/// files the values are slices of. `head` is what [`read_section`] read of
+/// the tip: only the rest of the tip is read. Reads stay on this thread,
+/// where a fault plan counts them; the base decodes on another while the
+/// segments are read. What the reads returned, past `head`, is added to
+/// `bytes_read` when the chain folds. `None` when a link is unreadable or
+/// does not fold: reported in `events`, a corrupt link quarantined.
+pub fn open_graph(
+    base: &Path,
+    links: &[ManifestEntry],
+    head: Vec<u8>,
+    events: &mut Vec<RecoveryEvent>,
+    bytes_read: &mut u64,
+) -> Option<(GraphFile, GraphLinks)> {
+    let cd = CommitDir::new(base);
+    let links: Vec<&ManifestEntry> = links.iter().collect();
+    let tip = links.last()?.file.clone();
+    let head_len = head.len() as u64;
+    let mut head = Some(head).filter(|head| !head.is_empty());
+    // The graph checks every byte but its values as it decodes (a trailer
+    // over the rest), so it is read without hashing it for the manifest as
+    // well.
+    let mut read = |entry: &ManifestEntry| match head.take_if(|_| entry.file == tip) {
+        Some(mut bytes) => {
+            let at = bytes.len() as u64;
+            let rest = cd.read_entry_range(entry, at, u64::MAX, &mut bytes);
+            rest.map(|_| bytes).map_err(EntryError::Io)
+        }
+        None => cd.read_entry(entry).map_err(EntryError::Io),
+    };
+    let folded = std::thread::scope(|scope| {
+        let mut buffers = read_links(&links[..1], &mut read)?;
+        let base = Arc::clone(&buffers[0]);
+        let base = scope.spawn(move || graph_base(&vec![base]));
+        let segments = read_links(&links[1..], &mut read);
+        buffers.extend(segments.map_err(|(i, e)| (i + 1, e))?);
+        let base = base.join().expect("a graph decode does not panic")?;
+        fold_graph(&links, &buffers, base).map(|graph| (graph, buffers))
+    });
+    match folded {
+        Ok((graph, buffers)) => {
+            *bytes_read += buffers.iter().map(|b| b.len() as u64).sum::<u64>() - head_len;
+            let files = links.iter().zip(&buffers);
+            let files = files.map(|(link, b)| (cd.entry_path(link), Arc::downgrade(b)));
+            Some((graph, GraphLinks(files.collect())))
+        }
+        Err(e) => {
+            link_event(&cd, &links, e, "query graph", events);
+            None
+        }
+    }
 }
 
 /// Reads and folds the committed cache chain `links` (base first) at
@@ -402,8 +483,8 @@ pub fn open_cache(
 ) -> Option<FunctionCache> {
     let cd = CommitDir::new(base);
     let links: Vec<&ManifestEntry> = links.iter().collect();
-    let read = |entry: &ManifestEntry| cd.read_entry(entry).map_err(EntryError::Io);
-    let folded = read_links(&links, read).and_then(|buffers| {
+    let mut read = |entry: &ManifestEntry| cd.read_entry(entry).map_err(EntryError::Io);
+    let folded = read_links(&links, &mut read).and_then(|buffers| {
         *bytes_read += buffers.iter().map(|b| b.len() as u64).sum::<u64>();
         fold_cache(&links, &buffers)
     });
@@ -492,7 +573,7 @@ pub fn committed_bytes(base: &Path, logical: &str) -> io::Result<Option<Vec<u8>>
     if links.is_empty() {
         return Ok(None);
     }
-    let folded = read_links(&links, |entry| cd.load_entry(entry)).and_then(|buffers| {
+    let folded = read_links(&links, &mut |entry| cd.load_entry(entry)).and_then(|buffers| {
         Ok(match logical {
             CACHE_LOGICAL => fold_cache(&links, &buffers)?.to_bytes(),
             GRAPH_LOGICAL => checked(
@@ -674,6 +755,7 @@ mod tests {
                 deps: Vec::new(),
                 value: Some(vec![1, 2, 3].into()),
             }],
+            section: Vec::new(),
         }
     }
 

@@ -51,8 +51,9 @@ pub struct ManifestEntry {
     pub checksum: u64,
 }
 
-/// The committed set of logical files in a state directory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The committed set of logical files in a state directory; the default is
+/// an empty directory's, generation 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// Monotonic commit generation (increments on every commit).
     pub generation: u64,
@@ -293,6 +294,23 @@ impl CommitDir {
     /// Propagates the read failure.
     pub fn read_entry(&self, entry: &ManifestEntry) -> io::Result<Vec<u8>> {
         inject::read(&self.entry_path(entry))
+    }
+
+    /// Appends at most `len` bytes of one committed entry's file from byte
+    /// `offset` on to `buf`, unverified ([`inject::read_range`]): fewer
+    /// when the file ends first. Returns how many.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read failure.
+    pub fn read_entry_range(
+        &self,
+        entry: &ManifestEntry,
+        offset: u64,
+        len: u64,
+        buf: &mut Vec<u8>,
+    ) -> io::Result<usize> {
+        inject::read_range(&self.entry_path(entry), offset, len, buf)
     }
 
     /// Loads and verifies one committed entry's bytes against the

@@ -1,7 +1,7 @@
 //! The fault-injectable I/O layer.
 //!
 //! Every durable operation in the system goes through the wrappers here
-//! ([`read`], [`write()`], [`rename`], [`remove_file`], [`sync_file`],
+//! ([`read`], [`read_range`], [`write()`], [`rename`], [`remove_file`], [`sync_file`],
 //! [`sync_dir`], [`atomic_write`]). Each call is assigned a 1-based,
 //! thread-local operation index; an installed [`FaultPlan`] is consulted at
 //! every index and can fail the operation, tear a write, flip a bit on a
@@ -25,7 +25,7 @@ use crate::Durability;
 /// The kind of a durable I/O operation, as counted by the injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
-    /// Whole-file read.
+    /// A read: of a whole file, or of a bounded range ([`read_range`]).
     Read,
     /// Whole-file write (of a temp or generation file).
     Write,
@@ -61,7 +61,7 @@ impl OpKind {
 /// ([`OpCounts::delta_since`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
-    /// Whole-file reads.
+    /// Reads, whole-file and bounded.
     pub reads: u64,
     /// Whole-file writes.
     pub writes: u64,
@@ -394,6 +394,29 @@ pub fn read(path: &Path) -> io::Result<Vec<u8>> {
     Ok(data)
 }
 
+/// Appends at most `len` bytes of a file, from byte `offset` on, to `buf`
+/// through the injector: fewer at the end of the file. Returns how many.
+/// Counted, recorded and faulted as a [`read`] is; a `bitflip` fault
+/// corrupts one bit of what it appends.
+pub fn read_range(path: &Path, offset: u64, len: u64, buf: &mut Vec<u8>) -> io::Result<usize> {
+    use std::io::{Read, Seek, SeekFrom};
+    let action = enter(OpKind::Read, path)?;
+    let mut file = fs::File::open(path)?;
+    let size = file.metadata()?.len();
+    buf.reserve(len.min(size.saturating_sub(offset)) as usize);
+    file.seek(SeekFrom::Start(offset))?;
+    let start = buf.len();
+    file.take(len).read_to_end(buf)?;
+    let data = &mut buf[start..];
+    if let Action::Flip(bit) = action {
+        if !data.is_empty() {
+            let byte = ((bit / 8) as usize) % data.len();
+            data[byte] ^= 1 << (bit % 8) as u8;
+        }
+    }
+    Ok(data.len())
+}
+
 /// Writes a whole file through the injector. A `torn` fault on this
 /// operation persists only a prefix of `bytes` and then crashes the thread.
 pub fn write(path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -555,6 +578,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// A bounded read appends the range asked for, fewer bytes at the end
+    /// of the file, and is one read op that a fault plan can flip.
+    #[test]
+    fn read_range_is_a_counted_bounded_read() {
+        let dir = tmpdir("range");
+        let p = dir.join("a");
+        fs::write(&p, b"0123456789").unwrap();
+        let before = op_counts();
+        let mut buf = b"x".to_vec();
+        assert_eq!(read_range(&p, 2, 3, &mut buf).unwrap(), 3);
+        assert_eq!(read_range(&p, 8, 100, &mut buf).unwrap(), 2);
+        assert_eq!(read_range(&p, 20, 4, &mut buf).unwrap(), 0);
+        assert_eq!(buf, b"x23489");
+        assert_eq!(op_counts().delta_since(&before).reads, 3);
+        let _g = install(FaultPlan::single(Fault::BitflipAt { op: 1, bit: 0 }));
+        let mut buf = Vec::new();
+        read_range(&p, 0, 2, &mut buf).unwrap();
+        assert_eq!(buf, b"11");
+        drop(_g);
+        let _g = install(FaultPlan::single(Fault::FailAt(1)));
+        assert!(read_range(&p, 0, 2, &mut Vec::new()).is_err());
+        drop(_g);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A file that already holds the bytes keeps its inode and costs no

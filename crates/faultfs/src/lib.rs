@@ -6,7 +6,7 @@
 //! corrupt file may cost a cold start, never a wrong build**. This crate
 //! provides the two pieces that make the invariant testable and true:
 //!
-//! * a **fault-injectable I/O layer** ([`read`], [`write()`], [`rename`],
+//! * a **fault-injectable I/O layer** ([`read`], [`read_range`], [`write()`], [`rename`],
 //!   [`atomic_write`], …): every durable operation is counted, optionally
 //!   recorded ([`record`]), and can be made to fail deterministically by an
 //!   installed [`FaultPlan`] (crash after the K-th op, torn write, bit-flip
@@ -65,8 +65,8 @@ pub use commit::{
 };
 pub use inject::{
     atomic_write, atomic_write_if_changed, install, is_injected, is_quarantine_name, op_counts,
-    quarantine, read, record, remove_file, rename, sync_dir, sync_file, unique_seq, write,
-    FaultGuard, OpCounts, OpKind, OpRecord, RecordGuard,
+    quarantine, read, read_range, record, remove_file, rename, sync_dir, sync_file, unique_seq,
+    write, FaultGuard, OpCounts, OpKind, OpRecord, RecordGuard,
 };
 pub use plan::{Fault, FaultPlan, PlanError};
 

@@ -1130,6 +1130,43 @@ where
         &self.nodes[id.index()].deps
     }
 
+    /// Every input `key` transitively read — the input dependencies of the
+    /// memoized tasks its recorded dependencies reach, itself included —
+    /// with the stamp it recorded, once per input, in the order a walk
+    /// from `key` first meets them (so equal stores list them equally).
+    /// While `key` is valid these are the inputs whose stamps decide that
+    /// it still is, and each recorded stamp is the current one.
+    pub fn inputs_under(&self, key: &K) -> Vec<(&str, u64)> {
+        let Some(root) = self.id_of(key) else {
+            return Vec::new();
+        };
+        let mut seen = vec![false; self.nodes.len()];
+        let mut met = vec![false; self.inputs.len()];
+        let (mut stack, mut inputs) = (vec![root], Vec::new());
+        seen[root.index()] = true;
+        while let Some(id) = stack.pop() {
+            let node = &self.nodes[id.index()];
+            if !node.present {
+                continue;
+            }
+            for dep in &node.deps {
+                match *dep {
+                    Dep::Input(input, stamp) => {
+                        if !std::mem::replace(&mut met[input.0 as usize], true) {
+                            inputs.push((self.input_name(input), stamp));
+                        }
+                    }
+                    Dep::Task(id, _) => {
+                        if !std::mem::replace(&mut seen[id.index()], true) {
+                            stack.push(id);
+                        }
+                    }
+                }
+            }
+        }
+        inputs
+    }
+
     /// Tasks validated this session *without* executing — demanded cache
     /// hits (`verified`) and tasks the wholesale invalidation walk judged
     /// current (`clean`). For each, the recorded input stamps were judged
@@ -1888,6 +1925,29 @@ mod tests {
             Some(&5),
             "a restored value must not outlive its inputs"
         );
+    }
+
+    /// The inputs under a task are the ones its validity rests on: each
+    /// with the stamp it recorded, which is the current one while the task
+    /// is valid.
+    #[test]
+    fn the_inputs_under_a_task_are_the_ones_its_validity_rests_on() {
+        let mut spec = Calc::new(&[("a", 2), ("c", 4)]);
+        let mut engine = Engine::new();
+        session(&mut engine, &mut spec);
+        engine.require(&mut spec, &Task::Abs("a")).unwrap();
+        engine.require(&mut spec, &Task::Get("c")).unwrap();
+        let under = engine.inputs_under(&Task::Abs("a"));
+        let names: Vec<&str> = under.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            ["a"],
+            "once, and not `c`, which `abs(a)` does not read"
+        );
+        for (name, stamp) in under {
+            assert_eq!(spec.input_stamp(name), stamp, "{name}");
+        }
+        assert!(engine.inputs_under(&Task::Ping).is_empty());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! A [`Script`] is a generated project and a list of [`Step`]s: no-ops,
 //! `EditScript` edits, reverts, a signature edit, a module added or
-//! removed, `-O` and `--fn-cache` flips, restarts and depcheck audits. A
+//! removed, `-O` and `--fn-cache` flips, restarts, depcheck audits, and
+//! no-ops over a deleted or truncated image file. A
 //! subject is a route (a resident [`Builder`], a fresh one per step, or a
 //! daemon session), a worker count, a mode and a store, written as
 //! [`SUBJECT`] says; a process per step is stateful. [`check`] builds the
@@ -18,7 +19,7 @@
 //! | `twin` | a stateful build's image is its graph-dropped twin's: the same history in a directory whose graph is dropped before every step. Dormancy transfers by function name, so a stateful edit may skip a pass a fresh build runs: an edit is not held to a fresh directory. The twin re-optimizes what the subject's graph holds, so it is compared while the function cache holds every value the graph does: from the first build, or from an `-O` flip under the cache, to the next `--fn-cache` flip. It builds every step but a no-op, so its history stays the subject's. |
 //! | `fresh` | a stateless build without a function cache, and a stateful `-O` flip without a store, give the image a directory with no history builds under the same flags. A cache hit hands a re-optimized caller's inliner its callee's optimized body, and a store serves artifacts its publisher's dormancy shaped, so those builds are held to `behaviour`. |
 //! | `peer` | the subject is its peer, a resident builder at `--jobs 1` over the same script: image, committed state, cache and graph bytes, generation, rebuilt flags, misses and executed set (hits too where both sessions stay warm). No `optimizefn` is rematerialized. A daemon's `ir main` is the peer's `module_ir`. |
-//! | `noop` | a step that changed nothing keeps the image; in a session that stays warm, or a stateful one, it misses nothing, keeps the generation and moves no `.sfcc-state*` byte. |
+//! | `noop` | a step that changed nothing keeps the image, and leaves it in the image file, which it rewrites when it was deleted or truncated; in a session that stays warm, or a stateful one, it misses nothing, keeps the generation and moves no `.sfcc-state*` byte; as a stateful session's first build, over an intact image file, it reads only the manifest and the graph tip's input section: it hits `link` alone and loads and verifies no value. |
 //! | `chains` | on the subject's builder and its peer's, the committed graph chain folds to `graph_file()`, and where `twin` holds, or the cache is on and a build since the last `--fn-cache` flip executed, the cache chain to `function_cache().to_bytes()`; over a script of 16 stateful builds each graph chain rebases at least twice. |
 //! | `behaviour` | a build `fresh` does not hold prints and returns on inputs 0, 2 and 9 what a stateless build does; over three edits or more built at `-O1` or `-O2`, a stateful subject skips at least one pass slot. |
 //! | `minimal` | a body edit rebuilds only its module, a new function at least its module; a stateful flip executes only `optimizefn`, `codegen` and `link`. |
@@ -63,6 +64,11 @@ pub enum Step {
     Restart,
     /// Audits the committed directory with `depcheck`.
     Audit,
+    /// Deletes the subject's image file, then builds the tree unchanged.
+    DropImage,
+    /// Truncates the subject's image file to 10 bytes, then builds the
+    /// tree unchanged.
+    TruncateImage,
 }
 
 /// A generated project and the steps run on it.
@@ -282,6 +288,11 @@ impl Lane {
         flags.args(self.store.as_deref(), self.jobs)
     }
 
+    /// The image file a `minicc build` of the lane's tree writes.
+    fn image(&self) -> PathBuf {
+        self.dir.with_extension("sbx")
+    }
+
     /// Whether the session that served the last build serves the next one,
     /// under `flags`.
     fn warm(&self, flags: &Flags) -> bool {
@@ -310,11 +321,14 @@ impl Lane {
         }
         let mut config = SessionFlags::parse(&args).unwrap().config(&self.dir);
         config.verify_each = self.verify;
+        let image = self.image();
         let builder = self.builder.get_or_insert_with(|| builder(config));
-        let mut report = builder.build(project).unwrap();
+        let mut report = builder.build_image(project, &image).unwrap();
         report.state_generation = builder.compiler().save_state().unwrap();
+        let linked = builder.linked_image().unwrap().to_vec();
+        sfcc_faultfs::atomic_write_if_changed(&image, &linked, Durability::Fast).unwrap();
         Outcome {
-            image: builder.linked_image().unwrap().to_vec(),
+            image: linked,
             report: report.to_value(),
             committed: committed(&self.dir),
         }
@@ -655,6 +669,11 @@ impl<'a> Run<'a> {
                 return self.peer.iter_mut().for_each(Lane::restart);
             }
             Step::Audit => return self.audit(),
+            Step::DropImage => fs::remove_file(self.lane.image()).unwrap(),
+            Step::TruncateImage => {
+                let file = fs::OpenOptions::new().write(true).open(self.lane.image());
+                file.and_then(|file| file.set_len(10)).unwrap();
+            }
         }
         self.build(step, commit);
     }
@@ -665,7 +684,8 @@ impl<'a> Run<'a> {
         let flags = self.flags;
         let warm = self.lane.warm(&flags);
         let hits = warm && self.peer.as_ref().is_some_and(|peer| peer.warm(&flags));
-        let noop = step == Step::Noop && self.last.is_some();
+        let unchanged = matches!(step, Step::Noop | Step::DropImage | Step::TruncateImage);
+        let noop = unchanged && self.last.is_some();
         let before = noop.then(|| state_files(&self.lane.dir));
         let flip = matches!(step, Step::Opt(_)) && !self.store;
         let fresh = (!flags.stateful && !self.cached()) || (flags.stateful && flip);
@@ -701,6 +721,14 @@ impl<'a> Run<'a> {
         self.ensure(!reran, "peer", &format!("rematerialized {remat:?}"));
         if let Some(last) = self.last.as_ref().filter(|_| noop) {
             self.ensure(got.image == last.image, "noop", "image");
+            let file = fs::read(self.lane.image()).ok();
+            self.ensure(file.as_ref() == Some(&got.image), "noop", "the image file");
+            if flags.stateful && !warm && step == Step::Noop {
+                let read = ["query.hits", "query.loaded", "persist.values_verified"];
+                let read = read.map(|name| got.gauge(name));
+                let what = format!("hits, loaded, verified: {read:?}");
+                self.ensure(read == [1, 0, 0], "noop", &what);
+            }
             if flags.stateful || warm {
                 let (misses, now, then) = (
                     got.gauge("query.misses"),

@@ -21,8 +21,8 @@ mod common;
 
 use common::{cleanup, project};
 use proptest::prelude::*;
-use sfcc::depgraph::GRAPH_LOGICAL;
-use sfcc::{persist, Compiler, Config, Durability, FunctionCache, GraphFile};
+use sfcc::depgraph::{section_span, GRAPH_LOGICAL};
+use sfcc::{persist, Compiler, Config, Durability, FunctionCache, GraphFile, InputSection};
 use sfcc_backend::VmOptions;
 use sfcc_buildsys::serve::BuildService;
 use sfcc_buildsys::{BuildReport, Builder, Project};
@@ -533,6 +533,8 @@ struct RawArtifacts {
     graph: Vec<u8>,
     manifest: Vec<u8>,
     image: Vec<u8>,
+    /// The graph segment an edit after them appends.
+    segment: Vec<u8>,
 }
 
 fn reference_artifacts() -> &'static RawArtifacts {
@@ -552,6 +554,8 @@ fn reference_artifacts() -> &'static RawArtifacts {
         let graph = cd.load_entry(m.entry(GRAPH_LOGICAL).unwrap()).unwrap();
         let manifest = fs::read(cd.manifest_path()).unwrap();
         let image = fs::read(dir.join(IMAGE_NAME)).unwrap();
+        run_session(&dir, &project_v2(), Durability::Fast).unwrap();
+        let segment = graph_tip(&dir).1;
         cleanup(&dir);
         RawArtifacts {
             state,
@@ -559,6 +563,7 @@ fn reference_artifacts() -> &'static RawArtifacts {
             graph,
             manifest,
             image,
+            segment,
         }
     })
 }
@@ -569,6 +574,7 @@ fn quick_truncation_at_every_byte_boundary_errors() {
         state,
         cache,
         graph,
+        segment,
         ..
     } = reference_artifacts();
     for cut in 0..state.len() {
@@ -609,6 +615,22 @@ fn quick_truncation_at_every_byte_boundary_errors() {
             "truncated graph (cut {cut}) must not decode"
         );
     }
+    // The input sections of a base and of a segment: every cut through one
+    // is a typed error of the section read alone.
+    for (bytes, is_segment) in [(graph, false), (segment, true)] {
+        let span = section_span(bytes, is_segment).unwrap();
+        assert!(InputSection::from_bytes(&bytes[span.clone()]).is_ok());
+        for cut in 0..span.end {
+            let read = section_span(&bytes[..cut], is_segment)
+                .ok()
+                .and_then(|span| bytes[..cut].get(span))
+                .map(InputSection::from_bytes);
+            assert!(
+                !matches!(read, Some(Ok(_))),
+                "a section cut at {cut} (segment: {is_segment}) decoded"
+            );
+        }
+    }
 }
 
 #[test]
@@ -619,6 +641,7 @@ fn single_bitflips_on_disk_never_decode() {
         graph,
         manifest,
         image,
+        segment,
     } = reference_artifacts();
     for i in 0..graph.len() {
         let mut b = graph.clone();
@@ -627,6 +650,23 @@ fn single_bitflips_on_disk_never_decode() {
             GraphFile::from_bytes(b).is_err(),
             "graph flip at byte {i} accepted as valid"
         );
+    }
+    // The input sections of a base — swept whole above — and of a
+    // segment: a flip anywhere up to a section's end never reads as one.
+    for (bytes, is_segment) in [(graph, false), (segment, true)] {
+        let end = section_span(bytes, is_segment).unwrap().end;
+        for i in 0..end {
+            let mut b = bytes.clone();
+            b[i] ^= 1 << (i % 8);
+            let read = section_span(&b, is_segment)
+                .ok()
+                .and_then(|span| b.get(span))
+                .map(InputSection::from_bytes);
+            assert!(
+                !matches!(read, Some(Ok(_))),
+                "section flip at byte {i} (segment: {is_segment}) accepted as valid"
+            );
+        }
     }
     for i in 0..state.len() {
         let mut b = state.clone();
@@ -767,6 +807,104 @@ fn truncated_files_recover_through_the_builder() {
     assert!(report.metric("query.misses") > 0 && report.metric("query.hits") == 0);
     assert_eq!(snapshot(&dir).image, from_scratch.image);
     cleanup(&dir);
+}
+
+/// The committed graph chain's tip of `dir`: its path and bytes.
+fn graph_tip(dir: &Path) -> (PathBuf, Vec<u8>) {
+    let cd = CommitDir::new(&state_base(dir));
+    let m = cd.read_manifest().unwrap().unwrap();
+    let path = cd.entry_path(m.chain(GRAPH_LOGICAL).last().unwrap());
+    let bytes = fs::read(&path).unwrap();
+    (path, bytes)
+}
+
+/// One `minicc build --stateful --fn-cache -o out.sbx` of `p` in `dir`: the
+/// build for the image file, committed, the image written unless held.
+fn image_session(dir: &Path, p: &Project) -> BuildReport {
+    let config = Config::stateful()
+        .with_state_path(state_base(dir))
+        .with_function_cache();
+    let mut builder = Builder::new(Compiler::new(config));
+    let image = dir.join(IMAGE_NAME);
+    let report = builder.build_image(p, &image).unwrap();
+    builder.compiler().save_state().unwrap();
+    let linked = builder.linked_image().unwrap();
+    ffs::atomic_write_if_changed(&image, linked, Durability::Fast).unwrap();
+    report
+}
+
+/// Whether `report` is of a build that answered `link` from the input
+/// section alone.
+fn answered_from_inputs(report: &BuildReport) -> bool {
+    let read = ["query.hits", "query.loaded", "persist.values_verified"];
+    read.map(|name| report.metric(name)) == [1, 0, 0]
+}
+
+/// A damaged input section — any flipped bit, any cut, of a base's or of a
+/// segment's, up to the section's end — never answers a no-op from the
+/// inputs: the build falls through, finds the tip does not decode,
+/// quarantines it and rebuilds the image the intact directory holds.
+#[test]
+fn quick_a_damaged_input_section_never_answers_a_noop() {
+    let v1 = project_v1();
+    for (tag, history) in [
+        ("base", vec![&v1]),
+        ("segment", vec![&v1, &project_v2(), &v1]),
+    ] {
+        let seed = tmpdir(&format!("section-{tag}"));
+        for p in &history {
+            image_session(&seed, p);
+        }
+        let segments = CommitDir::new(&state_base(&seed))
+            .read_manifest()
+            .unwrap()
+            .unwrap()
+            .chain(GRAPH_LOGICAL)
+            .len()
+            - 1;
+        assert_eq!(segments > 0, tag == "segment", "{tag}");
+        let want = fs::read(seed.join(IMAGE_NAME)).unwrap();
+        // The intact directory answers the no-op from its inputs.
+        let dir = tmpdir(&format!("section-{tag}-intact"));
+        copy_dir(&seed, &dir);
+        assert!(answered_from_inputs(&image_session(&dir, &v1)), "{tag}");
+        cleanup(&dir);
+        let (path, bytes) = graph_tip(&seed);
+        let name = path.file_name().unwrap().to_owned();
+        let end = section_span(&bytes, tag == "segment").unwrap().end;
+        let damaged = (0..end).map(|i| {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 << (i % 8);
+            (format!("flip {i}"), flipped)
+        });
+        let cuts = (0..end).map(|cut| (format!("cut {cut}"), bytes[..cut].to_vec()));
+        for (what, tip) in damaged.chain(cuts) {
+            let dir = tmpdir(&format!("section-{tag}-damaged"));
+            copy_dir(&seed, &dir);
+            fs::write(dir.join(&name), &tip).unwrap();
+            let report = image_session(&dir, &v1);
+            assert!(!answered_from_inputs(&report), "{tag} {what}");
+            assert_eq!(report.metric("recovery.recovered_files"), 1, "{tag} {what}");
+            assert_eq!(
+                fs::read(dir.join(IMAGE_NAME)).unwrap(),
+                want,
+                "{tag} {what}"
+            );
+            cleanup(&dir);
+        }
+        // `fsck` checks the section too: a flip inside its fields, before
+        // its checksum, quarantines the tip.
+        let dir = tmpdir(&format!("section-{tag}-fsck"));
+        copy_dir(&seed, &dir);
+        let mut flipped = bytes.clone();
+        flipped[end - 9] ^= 0x10;
+        fs::write(dir.join(&name), &flipped).unwrap();
+        let report = persist::fsck(&state_base(&dir), &[]).unwrap();
+        let quarantined = PathBuf::from(format!("{}.corrupt", dir.join(&name).display()));
+        assert_eq!(report.quarantined, [quarantined], "{tag}");
+        cleanup(&dir);
+        cleanup(&seed);
+    }
 }
 
 /// `db` encoded in state-file format version 2: the layout before the

@@ -181,6 +181,30 @@ fn quick_restarted_daemon_first_build_matches_cold_lineage() {
     lineage::check(&script, "daemon j1 stateful");
 }
 
+/// A restarted daemon's first build of an unchanged tree answers `link`
+/// from the committed inputs alone; the edits after it open the graph on
+/// first use, and the session stays its peer, its twin and its chains.
+#[test]
+fn quick_restarted_daemon_noop_then_edits_open_the_graph_lazily() {
+    let script = Script::of(23, &[Restart, Noop, Edit, Edit]);
+    lineage::check(&script, "daemon j2 stateful");
+}
+
+/// An image file deleted, then truncated, between no-ops is rewritten
+/// whole each time, on every route.
+#[test]
+fn quick_a_noop_rewrites_a_deleted_or_truncated_image() {
+    let steps = [Noop, DropImage, Noop, TruncateImage, Noop];
+    let subjects = [
+        "fresh j1 stateful",
+        "resident j1 stateful",
+        "daemon j1 stateful",
+    ];
+    for subject in subjects {
+        lineage::check(&Script::of(29, &steps), subject);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -529,13 +553,13 @@ fn quick_demo_commits_are_pinned() {
     assert_eq!(
         sums,
         [
-            "full depgraph 7525c16c53467828",
+            "full depgraph 56e6b352b03833be",
             "full state e2662420fc5bc917",
             "full ircache e01ddfa5e095685f",
-            "edit depgraph 04c1ce88572cb736",
+            "edit depgraph e34c8fc5da3ad9ce",
             "edit state b89fded06bcbcda2",
             "edit ircache 2108f6f120e06257",
-            "no-op depgraph 04c1ce88572cb736",
+            "no-op depgraph e34c8fc5da3ad9ce",
             "no-op state b89fded06bcbcda2",
             "no-op ircache 2108f6f120e06257",
             "store a71ac9a0e78afafff087af4886080248b 3ba9cdfe5c981bfd",
