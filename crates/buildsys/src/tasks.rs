@@ -278,7 +278,7 @@ pub struct CheckFnArtifact {
 /// IR text — made once: the task's fingerprint hashes it, and it is the
 /// value the persisted query graph carries. The pass trace that produced
 /// it belongs to the build's report, not to the value
-/// ([`BuildSpec::take_trace`]).
+/// (`BuildSpec::take_trace`).
 #[derive(Debug, Clone)]
 pub struct OptimizeFnArtifact {
     /// The optimized function, shared with the run that made it — and with
